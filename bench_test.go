@@ -680,6 +680,83 @@ func BenchmarkDBQueryRecent(b *testing.B) {
 	}
 }
 
+// --- the wire path: Client.* over loopback TCP ---
+
+// netBench serves a fresh DB on loopback and dials it.
+func netBench(b *testing.B) (*DB, *Client) {
+	db, err := Open(Options{ChunkBytes: 1 << 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	ns, err := db.Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(ns.Close)
+	cl, err := Dial(ns.Addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cl.Close() })
+	return db, cl
+}
+
+// netBenchTuples are n tuples one millisecond apart with 16-byte payloads,
+// so a time range selects an exact count.
+func netBenchTuples(n int) []Tuple {
+	ts := make([]Tuple, n)
+	for i := range ts {
+		p := binary.BigEndian.AppendUint64(make([]byte, 0, 16), uint64(i))
+		ts[i] = Tuple{Key: Key(uint64(i) * 0x9E3779B97F4A7C15), Time: Timestamp(i), Payload: p[:16]}
+	}
+	return ts
+}
+
+// BenchmarkNetQuery is a warm full-key-range query returning 150, 1 500
+// and 15 000 tuples to a TCP client: what the result costs on the wire on
+// top of the scan and merge that produce it (run with -benchmem).
+func BenchmarkNetQuery(b *testing.B) {
+	_, cl := netBench(b)
+	if err := cl.InsertBatch(netBenchTuples(20_000)); err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{150, 1500, 15_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			q := Query{Keys: FullKeyRange(), Times: TimeRange{Lo: 0, Hi: Timestamp(n - 1)}}
+			query := func() {
+				res, err := cl.Query(q)
+				if err != nil || len(res.Tuples) != n {
+					b.Fatalf("%d tuples, %v", len(res.Tuples), err)
+				}
+			}
+			query() // fills the leaf cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query()
+			}
+		})
+	}
+}
+
+// BenchmarkNetInsertBatch256 is one 256-tuple batch from a TCP client to
+// its ack.
+func BenchmarkNetInsertBatch256(b *testing.B) {
+	_, cl := netBench(b)
+	ts := netBenchTuples(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.InsertBatch(ts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // aggBenchCluster builds a flushed cluster in the given chunk format
 // whose tuples carry a big-endian uint64 at payload offset 0, the
 // pre-aggregated field.

@@ -36,8 +36,9 @@ func AppendTuple(dst []byte, t *Tuple) []byte {
 }
 
 // DecodeTuple decodes one tuple from the front of buf, returning the tuple
-// and the number of bytes consumed. The returned payload aliases buf; copy
-// it if buf is reused.
+// and the number of bytes consumed. The returned payload aliases buf (capped,
+// so appending to it never writes into the next tuple); copy it if buf is
+// reused.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
 	if len(buf) < tupleHeaderSize {
 		return Tuple{}, 0, ErrShortBuffer
@@ -50,7 +51,7 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	return Tuple{
 		Key:     Key(binary.BigEndian.Uint64(buf[0:8])),
 		Time:    Timestamp(binary.BigEndian.Uint64(buf[8:16])),
-		Payload: buf[tupleHeaderSize:total],
+		Payload: buf[tupleHeaderSize:total:total],
 	}, total, nil
 }
 

@@ -1,14 +1,24 @@
 // Package transport implements the small RPC layer Waterwheel exposes to
 // network clients (the role Apache Storm's data transport played in the
-// paper's prototype). Frames are length-prefixed gob messages multiplexed
-// over a single TCP connection: a client may have many requests in flight;
-// responses are matched by request ID.
+// paper's prototype). Frames are length-prefixed binary messages
+// multiplexed over a single TCP connection: a client may have many
+// requests in flight; responses are matched by request ID.
+//
+// One frame, both directions, all integers big-endian:
+//
+//	[u32 len][u32 magic+version][u64 id][u16 method-len][method]
+//	[u8 status][u32 err-len][err][payload]
+//
+// len counts everything after itself; the payload is whatever remains
+// after err. Requests carry status 0 and no err; responses carry no
+// method. A receiver drops the connection on a frame it cannot parse — a
+// wrong magic or version included, so the layout can only change together
+// with the version byte.
 package transport
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,75 +30,169 @@ import (
 // MaxFrameBytes bounds a single frame (64 MiB).
 const MaxFrameBytes = 64 << 20
 
+// frameMagic opens every frame body: "WWF" and the protocol version.
+const frameMagic uint32 = 'W'<<24 | 'W'<<16 | 'F'<<8 | 1
+
+// minBody is a frame body with an empty method, err and payload.
+const minBody = 4 + 8 + 2 + 1 + 4
+
+// readChunk is the most readFrame allocates before any body byte has
+// arrived; larger bodies are grown as their bytes come in.
+const readChunk = 1 << 20
+
+// Status codes of a response frame. Codes from StatusApp up belong to the
+// handlers registered on a server (see DESIGN.md for the assigned ones).
+const (
+	StatusOK            uint8 = 0
+	StatusFailed        uint8 = 1 // the handler failed; only the message crosses
+	StatusUnknownMethod uint8 = 2
+	StatusBadRequest    uint8 = 3 // the handler could not decode its payload
+	StatusApp           uint8 = 16
+)
+
 // ErrClientClosed is returned by calls on a closed client.
 var ErrClientClosed = errors.New("transport: client closed")
 
-// frame is the wire unit for both directions.
-type frame struct {
-	ID      uint64
-	Method  string
+// ErrBadFrame reports bytes that are not a frame of this protocol version.
+var ErrBadFrame = errors.New("transport: malformed frame")
+
+// StatusError is a failed call. A handler returns one to choose the
+// response's status code and attach a payload (any other error crosses as
+// StatusFailed); Call returns one for every non-OK response. Cause is the
+// sentinel the code stands for, once a Sentinels table has named it.
+type StatusError struct {
+	Code    uint8
+	Msg     string
 	Payload []byte
-	Err     string
+	Cause   error
 }
 
-func writeFrame(w io.Writer, f *frame) error {
-	var body bytesBuffer
-	if err := gob.NewEncoder(&body).Encode(f); err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
+func (e *StatusError) Error() string { return e.Msg }
+
+func (e *StatusError) Unwrap() error { return e.Cause }
+
+// Sentinels is a table of application status codes and the sentinel errors
+// they stand for, so errors.Is works across the wire. The two ends of a verb
+// share one table: the handler passes what it returns through Encode, the
+// caller passes what Call returns through Decode.
+type Sentinels map[uint8]error
+
+// Code returns the status code of the sentinel err wraps, StatusFailed if
+// it wraps none.
+func (s Sentinels) Code(err error) uint8 {
+	for code, sentinel := range s {
+		if errors.Is(err, sentinel) {
+			return code
+		}
 	}
-	var hdr [4]byte
-	if len(body.b) > MaxFrameBytes {
-		return fmt.Errorf("transport: frame too large (%d bytes)", len(body.b))
+	return StatusFailed
+}
+
+// Encode gives an err that wraps one of the sentinels its status code;
+// any other error is returned as it is.
+func (s Sentinels) Encode(err error) error {
+	if code := s.Code(err); code != StatusFailed {
+		return &StatusError{Code: code, Msg: err.Error()}
 	}
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body.b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body.b)
 	return err
 }
 
+// Decode names the sentinel behind a failed call's status code: the
+// *StatusError that Call returned gets it as its Cause.
+func (s Sentinels) Decode(err error) error {
+	var se *StatusError
+	if errors.As(err, &se) {
+		se.Cause = s[se.Code]
+	}
+	return err
+}
+
+// BadRequestf is the error a handler returns for a payload it cannot
+// decode: a StatusBadRequest with the formatted message.
+func BadRequestf(format string, a ...any) error {
+	return &StatusError{Code: StatusBadRequest, Msg: fmt.Sprintf(format, a...)}
+}
+
+// frame is the wire unit for both directions. After readFrame, Method and
+// Payload alias the frame's one body allocation.
+type frame struct {
+	ID      uint64
+	Method  []byte
+	Status  uint8
+	Err     string
+	Payload []byte
+}
+
+// writeFrame writes f as a header followed by the payload itself: the
+// payload is never copied into a body buffer (on a TCP connection the two
+// go out in one writev).
+func writeFrame(w io.Writer, f *frame) error {
+	n := minBody + len(f.Method) + len(f.Err) + len(f.Payload)
+	if n > MaxFrameBytes || len(f.Method) > 0xFFFF {
+		return fmt.Errorf("transport: frame too large (%d bytes)", n)
+	}
+	hdr := make([]byte, 0, 4+minBody+len(f.Method)+len(f.Err))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
+	hdr = binary.BigEndian.AppendUint32(hdr, frameMagic)
+	hdr = binary.BigEndian.AppendUint64(hdr, f.ID)
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(f.Method)))
+	hdr = append(hdr, f.Method...)
+	hdr = append(hdr, f.Status)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(f.Err)))
+	hdr = append(hdr, f.Err...)
+	bufs := net.Buffers{hdr, f.Payload}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// readFrame reads one frame into a body that the returned Method and
+// Payload alias. A body of up to readChunk bytes is one allocation; a
+// larger one starts at readChunk and doubles as its bytes arrive, so a
+// length prefix alone never commits more than readChunk, at the price of
+// copying what has arrived at each doubling (under 2n bytes allocated and
+// under n copied for a body of n).
 func readFrame(r io.Reader) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("transport: frame too large (%d bytes)", n)
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n > MaxFrameBytes || n < minBody {
+		return nil, fmt.Errorf("%w: body of %d bytes", ErrBadFrame, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	body := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, body[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got = len(body); got == n {
+			break
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, body)
+		body = grown
 	}
-	var f frame
-	if err := gob.NewDecoder(&byteReader{b: body}).Decode(&f); err != nil {
-		return nil, fmt.Errorf("transport: decode: %w", err)
+	if m := binary.BigEndian.Uint32(body); m != frameMagic {
+		return nil, fmt.Errorf("%w: magic/version %#08x, want %#08x", ErrBadFrame, m, frameMagic)
 	}
-	return &f, nil
-}
-
-// bytesBuffer is a minimal append-only writer (avoids bytes.Buffer's
-// extra interface indirection in the hot path).
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
+	f := &frame{ID: binary.BigEndian.Uint64(body[4:])}
+	rest := body[14:]
+	mlen := int(binary.BigEndian.Uint16(body[12:]))
+	if len(rest) < mlen+5 {
+		return nil, fmt.Errorf("%w: method overruns body", ErrBadFrame)
 	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
+	f.Method, rest = rest[:mlen:mlen], rest[mlen:]
+	f.Status = rest[0]
+	elen := int(binary.BigEndian.Uint32(rest[1:]))
+	rest = rest[5:]
+	if len(rest) < elen {
+		return nil, fmt.Errorf("%w: error text overruns body", ErrBadFrame)
+	}
+	f.Err, f.Payload = string(rest[:elen]), rest[elen:]
+	return f, nil
 }
 
 // Handler serves one method: it receives the request payload and returns
@@ -165,7 +269,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var wmu sync.Mutex // serializes response frames
-	bw := bufio.NewWriterSize(conn, 1<<16)
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
@@ -174,26 +277,45 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.mu.RLock()
-		h := s.handlers[f.Method]
+		h := s.handlers[string(f.Method)]
 		s.mu.RUnlock()
 		reqWG.Add(1)
-		go func(f *frame) {
+		go func() {
 			defer reqWG.Done()
-			resp := &frame{ID: f.ID}
-			if h == nil {
-				resp.Err = fmt.Sprintf("unknown method %q", f.Method)
-			} else if out, err := h(f.Payload); err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Payload = out
-			}
+			resp := serve(h, f)
 			wmu.Lock()
 			defer wmu.Unlock()
-			if err := writeFrame(bw, resp); err == nil {
-				bw.Flush()
-			}
-		}(f)
+			// A failed write means the connection is gone; the read loop
+			// sees the same and ends the connection's service.
+			_ = writeFrame(conn, resp)
+		}()
 	}
+}
+
+// serve runs one request through its handler and builds the response.
+func serve(h Handler, req *frame) *frame {
+	resp := &frame{ID: req.ID}
+	if h == nil {
+		resp.Status, resp.Err = StatusUnknownMethod, fmt.Sprintf("unknown method %q", req.Method)
+		return resp
+	}
+	out, err := h(req.Payload)
+	var se *StatusError
+	switch {
+	case err == nil:
+		resp.Payload = out
+	case errors.As(err, &se):
+		resp.Status, resp.Err, resp.Payload = se.Code, err.Error(), se.Payload
+	default:
+		resp.Status, resp.Err = StatusFailed, err.Error()
+	}
+	if len(resp.Payload) > MaxFrameBytes-minBody-len(resp.Err) {
+		// Answer with the refusal: a dropped response would leave the
+		// caller waiting for ever.
+		n := len(resp.Payload)
+		resp.Status, resp.Err, resp.Payload = StatusFailed, fmt.Sprintf("transport: response too large (%d bytes)", n), nil
+	}
+	return resp
 }
 
 // Close stops accepting, drops every open connection, and waits for the
@@ -216,8 +338,7 @@ func (s *Server) Close() {
 // Client is a multiplexing RPC client over one TCP connection.
 type Client struct {
 	conn net.Conn
-	bw   *bufio.Writer
-	wmu  sync.Mutex
+	wmu  sync.Mutex // serializes request frames
 
 	mu      sync.Mutex
 	pending map[uint64]chan *frame
@@ -234,7 +355,6 @@ func Dial(addr string) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 1<<16),
 		pending: make(map[uint64]chan *frame),
 	}
 	go c.readLoop()
@@ -265,7 +385,9 @@ func (c *Client) readLoop() {
 	}
 }
 
-// Call sends a request and waits for the matching response payload.
+// Call sends a request and waits for the matching response payload, which
+// is the caller's to keep: it aliases nothing the client reuses. A non-OK
+// response comes back as a *StatusError.
 func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
@@ -282,10 +404,7 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := writeFrame(c.bw, &frame{ID: id, Method: method, Payload: payload})
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	err := writeFrame(c.conn, &frame{ID: id, Method: []byte(method), Payload: payload})
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -298,8 +417,8 @@ func (c *Client) Call(method string, payload []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: connection closed awaiting response")
 	}
-	if f.Err != "" {
-		return nil, errors.New(f.Err)
+	if f.Status != StatusOK {
+		return nil, &StatusError{Code: f.Status, Msg: f.Err, Payload: f.Payload}
 	}
 	return f.Payload, nil
 }

@@ -189,3 +189,59 @@ func TestLargePayload(t *testing.T) {
 		}
 	}
 }
+
+func TestStatusErrorCrossesTheWire(t *testing.T) {
+	s, c := newPair(t)
+	s.Handle("typed", func([]byte) ([]byte, error) {
+		return nil, &StatusError{Code: StatusApp + 3, Msg: "nope", Payload: []byte{7, 8}}
+	})
+	s.Handle("wrapped", func([]byte) ([]byte, error) {
+		return nil, fmt.Errorf("outer: %w", &StatusError{Code: StatusBadRequest, Msg: "inner"})
+	})
+	_, err := c.Call("typed", nil)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != StatusApp+3 || se.Msg != "nope" || string(se.Payload) != "\x07\x08" {
+		t.Fatalf("typed: %#v", err)
+	}
+	// The code of a wrapped StatusError crosses with the outer message.
+	_, err = c.Call("wrapped", nil)
+	if !errors.As(err, &se) || se.Code != StatusBadRequest || se.Msg != "outer: inner" {
+		t.Fatalf("wrapped: %#v", err)
+	}
+	_, err = c.Call("nope", nil)
+	if !errors.As(err, &se) || se.Code != StatusUnknownMethod {
+		t.Fatalf("unknown method: %#v", err)
+	}
+	// One table at both ends turns a sentinel into a code and back.
+	sentinel := errors.New("sentinel")
+	codes := Sentinels{StatusApp + 5: sentinel}
+	s.Handle("sentinel", func([]byte) ([]byte, error) {
+		return nil, codes.Encode(fmt.Errorf("wrapped: %w", sentinel))
+	})
+	s.Handle("plain", func([]byte) ([]byte, error) { return nil, codes.Encode(errors.New("plain")) })
+	_, err = c.Call("sentinel", nil)
+	if err = codes.Decode(err); !errors.Is(err, sentinel) || err.Error() != "wrapped: sentinel" {
+		t.Fatalf("sentinel came back as %v", err)
+	}
+	_, err = c.Call("plain", nil)
+	if err = codes.Decode(err); errors.Is(err, sentinel) || !errors.As(err, &se) || se.Code != StatusFailed {
+		t.Fatalf("plain error came back as %#v", err)
+	}
+}
+
+// TestOversizeResponseIsRefusedNotDropped: a handler result that cannot be
+// framed comes back as an error instead of leaving the caller waiting.
+func TestOversizeResponseIsRefusedNotDropped(t *testing.T) {
+	s, c := newPair(t)
+	s.Handle("huge", func([]byte) ([]byte, error) { return make([]byte, MaxFrameBytes), nil })
+	if _, err := c.Call("huge", nil); err == nil || !strings.Contains(err.Error(), "too large") {
+		t.Fatalf("err = %v", err)
+	}
+	if _, err := c.Call("huge", make([]byte, MaxFrameBytes)); err == nil {
+		t.Fatal("oversize request accepted")
+	}
+	s.Handle("ok", func(p []byte) ([]byte, error) { return p, nil })
+	if got, err := c.Call("ok", []byte("x")); err != nil || string(got) != "x" {
+		t.Fatalf("after oversize: %q, %v", got, err)
+	}
+}

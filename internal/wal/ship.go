@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"waterwheel/internal/transport"
 )
@@ -14,41 +12,75 @@ import (
 // owner's partition without sharing memory. One method carries everything
 // — "wal.read" maps a (partition, offset, max) request to the same
 // semantics as Partition.Read, including ErrCompacted when the requested
-// offset fell below the partition base.
+// offset fell below the partition base. Both messages are fixed binary
+// layouts, big-endian:
+//
+//	request   [u32 partition][i64 offset][u32 max]
+//	response  ([u64 offset][u32 len][data])…
 
 const shipMethod = "wal.read"
 
-type shipRequest struct {
-	Part   int
-	Offset int64
-	Max    int
-}
+// shipSentinels: ErrCompacted crosses as a status code of its own.
+var shipSentinels = transport.Sentinels{transport.StatusApp + 16: ErrCompacted}
 
-type shipResponse struct {
-	Recs []Record
-}
+const (
+	shipRequestSize = 4 + 8 + 4
+	shipRecordFixed = 8 + 4
+	// maxShipBytes ends a response early (Read returns "up to" max records)
+	// so one reply stays far below transport.MaxFrameBytes.
+	maxShipBytes = 8 << 20
+)
 
 // RegisterShipping exposes every partition of l for remote tailing on the
 // given transport server.
 func RegisterShipping(srv *transport.Server, l *Log) {
 	srv.Handle(shipMethod, func(payload []byte) ([]byte, error) {
-		var req shipRequest
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-			return nil, fmt.Errorf("wal: ship decode: %w", err)
+		if len(payload) != shipRequestSize {
+			return nil, transport.BadRequestf("wal: ship request of %d bytes, want %d", len(payload), shipRequestSize)
 		}
-		if req.Part < 0 || req.Part >= l.Partitions() {
-			return nil, fmt.Errorf("wal: ship: no partition %d", req.Part)
+		part := int(binary.BigEndian.Uint32(payload))
+		offset := int64(binary.BigEndian.Uint64(payload[4:]))
+		max := int(binary.BigEndian.Uint32(payload[12:]))
+		if part >= l.Partitions() {
+			return nil, fmt.Errorf("wal: ship: no partition %d", part)
 		}
-		recs, err := l.Partition(req.Part).Read(req.Offset, req.Max)
+		recs, err := l.Partition(part).Read(offset, max)
 		if err != nil {
-			return nil, err
+			return nil, shipSentinels.Encode(err)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&shipResponse{Recs: recs}); err != nil {
-			return nil, fmt.Errorf("wal: ship encode: %w", err)
+		size := 0
+		for i := range recs {
+			if size += shipRecordFixed + len(recs[i].Data); size > maxShipBytes {
+				recs = recs[:i+1]
+				break
+			}
 		}
-		return buf.Bytes(), nil
+		out := make([]byte, 0, size)
+		for _, r := range recs {
+			out = binary.BigEndian.AppendUint64(out, uint64(r.Offset))
+			out = binary.BigEndian.AppendUint32(out, uint32(len(r.Data)))
+			out = append(out, r.Data...)
+		}
+		return out, nil
 	})
+}
+
+// decodeShipped decodes a wal.read response. Record data aliases buf.
+func decodeShipped(buf []byte) ([]Record, error) {
+	var recs []Record
+	for len(buf) > 0 {
+		if len(buf) < shipRecordFixed {
+			return nil, fmt.Errorf("wal: ship decode: %d trailing bytes", len(buf))
+		}
+		n := int(binary.BigEndian.Uint32(buf[8:]))
+		if n > len(buf)-shipRecordFixed {
+			return nil, fmt.Errorf("wal: ship decode: record of %d bytes in %d", n, len(buf)-shipRecordFixed)
+		}
+		end := shipRecordFixed + n
+		recs = append(recs, Record{Offset: int64(binary.BigEndian.Uint64(buf)), Data: buf[shipRecordFixed:end:end]})
+		buf = buf[end:]
+	}
+	return recs, nil
 }
 
 // RemoteTail tails one partition of a remote log over the transport — the
@@ -67,21 +99,15 @@ func NewRemoteTail(c *transport.Client, part int) *RemoteTail {
 // Partition.Read. A remote ErrCompacted comes back as ErrCompacted so
 // callers can re-base the same way they would against a local partition.
 func (rt *RemoteTail) Read(offset int64, max int) ([]Record, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&shipRequest{Part: rt.part, Offset: offset, Max: max}); err != nil {
-		return nil, fmt.Errorf("wal: ship encode: %w", err)
+	if max < 0 {
+		max = 0 // Partition.Read's "use the default"
 	}
-	payload, err := rt.c.Call(shipMethod, buf.Bytes())
+	req := binary.BigEndian.AppendUint32(make([]byte, 0, shipRequestSize), uint32(rt.part))
+	req = binary.BigEndian.AppendUint64(req, uint64(offset))
+	req = binary.BigEndian.AppendUint32(req, uint32(max))
+	payload, err := rt.c.Call(shipMethod, req)
 	if err != nil {
-		// Errors cross the wire as text; map the sentinel back.
-		if strings.Contains(err.Error(), ErrCompacted.Error()) {
-			return nil, ErrCompacted
-		}
-		return nil, err
+		return nil, shipSentinels.Decode(err)
 	}
-	var resp shipResponse
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wal: ship decode: %w", err)
-	}
-	return resp.Recs, nil
+	return decodeShipped(payload)
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -57,6 +58,71 @@ func TestShippingRoundTrip(t *testing.T) {
 	// Out-of-range partitions error without killing the connection.
 	if _, err := NewRemoteTail(c, 9).Read(0, 1); err == nil {
 		t.Fatal("read of unknown partition succeeded")
+	}
+	// So does a request that is not the fixed layout.
+	var se *transport.StatusError
+	if _, err := c.Call(shipMethod, []byte("short")); !errors.As(err, &se) || se.Code != transport.StatusBadRequest {
+		t.Fatalf("malformed request err = %v, want a bad-request status", err)
+	}
+	if recs, err := tail.Read(3, 0); err != nil || len(recs) != 2 {
+		t.Fatalf("read after errors = %v, %v", recs, err)
+	}
+}
+
+// TestShippingSplitsLargeReads: a read whose records would not fit one
+// reply comes back as a shorter run, and the tail still sees every record.
+func TestShippingSplitsLargeReads(t *testing.T) {
+	l := NewLog(1)
+	const n, size = 12, 1 << 20
+	for i := 0; i < n; i++ {
+		if _, err := l.Partition(0).Append(bytes.Repeat([]byte{byte(i)}, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := transport.NewServer()
+	RegisterShipping(srv, l)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tail := NewRemoteTail(c, 0)
+	var next int64
+	for reads := 0; next < n; reads++ {
+		recs, err := tail.Read(next, 100)
+		if err != nil || len(recs) == 0 {
+			t.Fatalf("read at %d = %d records, %v", next, len(recs), err)
+		}
+		if reads == 0 && len(recs) == n {
+			t.Fatalf("one reply carried all %d MiB", n)
+		}
+		for _, r := range recs {
+			if r.Offset != next || len(r.Data) != size || r.Data[0] != byte(next) || r.Data[size-1] != byte(next) {
+				t.Fatalf("record at %d = offset %d, %d bytes", next, r.Offset, len(r.Data))
+			}
+			next++
+		}
+	}
+}
+
+func TestDecodeShippedRejectsMalformed(t *testing.T) {
+	good := []byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 2, 'h', 'i'}
+	if recs, err := decodeShipped(good); err != nil || len(recs) != 1 || recs[0].Offset != 5 || string(recs[0].Data) != "hi" {
+		t.Fatalf("decode = %v, %v", recs, err)
+	}
+	for cut := 1; cut < len(good); cut++ {
+		if _, err := decodeShipped(good[:cut]); err == nil {
+			t.Errorf("prefix of %d bytes decoded", cut)
+		}
+	}
+	long := append(bytes.Clone(good), 0xFF)
+	if _, err := decodeShipped(long); err == nil {
+		t.Error("trailing byte decoded")
 	}
 }
 

@@ -2,7 +2,9 @@ package waterwheel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"waterwheel/internal/model"
@@ -12,12 +14,65 @@ import (
 // NetServer exposes a DB over TCP so external producers and analysts can
 // insert and query without linking the library. The wire protocol is the
 // internal multiplexing RPC transport: many requests in flight per
-// connection, so slow queries never stall inserts.
+// connection, so slow queries never stall inserts. The data verbs (insert,
+// query, agg, trace) carry internal/model's binary codecs; only the cold
+// stats and admin verbs, and the span tree inside a trace reply, are gob.
 type NetServer struct {
 	db  *DB
 	srv *transport.Server
 	// Addr is the bound listen address.
 	Addr string
+}
+
+// Status codes of the client verbs, beyond the transport's own.
+const (
+	statusClosed  = transport.StatusApp + iota // ErrClosed
+	statusRetired                              // ErrRetired
+	// statusBatch is a *BatchError; the payload is
+	// [u64 Index][u64 Len][u8 status of the cause], the message the cause's.
+	statusBatch
+)
+
+// wireSentinels are the errors that cross the wire as a status code of
+// their own, so the client can hand back the same sentinel.
+var wireSentinels = transport.Sentinels{statusClosed: ErrClosed, statusRetired: ErrRetired}
+
+// wireError gives a handler's error the status code that lets the client
+// rebuild it: a *BatchError with its prefix, a sentinel as itself.
+func wireError(err error) error {
+	var be *BatchError
+	if errors.As(err, &be) {
+		p := binary.BigEndian.AppendUint64(make([]byte, 0, 17), uint64(be.Index))
+		p = binary.BigEndian.AppendUint64(p, uint64(be.Len))
+		p = append(p, wireSentinels.Code(be.Err))
+		return &transport.StatusError{Code: statusBatch, Msg: be.Err.Error(), Payload: p}
+	}
+	return wireSentinels.Encode(err)
+}
+
+// clientError turns a failed call's status back into the error the server
+// returned, so errors.Is and errors.As work across the wire.
+func clientError(err error) error {
+	var se *transport.StatusError
+	if errors.As(err, &se) && se.Code == statusBatch && len(se.Payload) == 17 {
+		p := se.Payload
+		return &BatchError{
+			Index: int(binary.BigEndian.Uint64(p)),
+			Len:   int(binary.BigEndian.Uint64(p[8:])),
+			Err:   wireSentinels.Decode(&transport.StatusError{Code: p[16], Msg: se.Msg}),
+		}
+	}
+	return wireSentinels.Decode(err)
+}
+
+func gobEncode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+func gobDecode(payload []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // Serve starts a network front end for the DB on addr (use
@@ -29,7 +84,7 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 	s.Handle("insert", func(payload []byte) ([]byte, error) {
 		tuples, err := model.DecodeTuples(payload)
 		if err != nil {
-			return nil, fmt.Errorf("waterwheel: bad insert batch: %w", err)
+			return nil, transport.BadRequestf("waterwheel: bad insert batch: %v", err)
 		}
 		// Payloads alias the request buffer; copy them into one arena before
 		// handing the batch to the ingestion pipeline.
@@ -45,37 +100,32 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		}
 		// Do not ack over the wire what the log did not take; on failure the
 		// returned BatchError tells the client which prefix was accepted.
-		return nil, db.InsertBatch(tuples)
+		if err := db.InsertBatch(tuples); err != nil {
+			return nil, wireError(err)
+		}
+		return nil, nil
 	})
 	s.Handle("query", func(payload []byte) ([]byte, error) {
-		var q Query
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&q); err != nil {
-			return nil, fmt.Errorf("waterwheel: bad query: %w", err)
+		q, err := model.DecodeQuery(payload)
+		if err != nil {
+			return nil, transport.BadRequestf("waterwheel: bad query: %v", err)
 		}
 		res, err := db.Query(q)
 		if err != nil {
-			return nil, err
+			return nil, wireError(err)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return model.AppendResult(nil, res), nil
 	})
 	s.Handle("agg", func(payload []byte) ([]byte, error) {
-		var q AggregateQuery
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&q); err != nil {
-			return nil, fmt.Errorf("waterwheel: bad aggregate query: %w", err)
+		q, err := model.DecodeAggregateQuery(payload)
+		if err != nil {
+			return nil, transport.BadRequestf("waterwheel: bad aggregate query: %v", err)
 		}
 		res, err := db.Aggregate(q)
 		if err != nil {
-			return nil, err
+			return nil, wireError(err)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return model.AppendAggResult(nil, res), nil
 	})
 	s.Handle("drain", func([]byte) ([]byte, error) {
 		db.Drain()
@@ -86,67 +136,54 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		return nil, nil
 	})
 	s.Handle("stats", func([]byte) ([]byte, error) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(db.Stats()); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return gobEncode(db.Stats())
 	})
+	// trace answers [u32 span-tree length][span tree, gob][result]: the
+	// result comes last so it is encoded once into the reply's tail.
 	s.Handle("trace", func(payload []byte) ([]byte, error) {
-		var q Query
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&q); err != nil {
-			return nil, fmt.Errorf("waterwheel: bad trace query: %w", err)
+		q, err := model.DecodeQuery(payload)
+		if err != nil {
+			return nil, transport.BadRequestf("waterwheel: bad trace query: %v", err)
 		}
 		res, tr, err := db.QueryTraced(q)
 		if err != nil {
+			return nil, wireError(err)
+		}
+		tree, err := gobEncode(tr)
+		if err != nil {
 			return nil, err
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tracedResult{Result: res, Trace: tr}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(tree)), uint32(len(tree)))
+		return model.AppendResult(append(out, tree...), res), nil
 	})
 	s.Handle("admin", func(payload []byte) ([]byte, error) {
 		var req adminRequest
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-			return nil, fmt.Errorf("waterwheel: bad admin request: %w", err)
+		if err := gobDecode(payload, &req); err != nil {
+			return nil, transport.BadRequestf("waterwheel: bad admin request: %v", err)
 		}
 		var resp adminResponse
+		var err error
 		switch req.Op {
 		case "add-server":
-			id, err := db.AddIndexServer()
-			if err != nil {
-				return nil, err
-			}
-			resp.Server = id
+			resp.Server, err = db.AddIndexServer()
 		case "decommission":
-			if err := db.DecommissionIndexServer(req.Server); err != nil {
-				return nil, err
-			}
+			err = db.DecommissionIndexServer(req.Server)
 		case "start-standby":
-			if err := db.StartStandby(req.Server); err != nil {
-				return nil, err
-			}
+			err = db.StartStandby(req.Server)
 		case "promote":
-			if err := db.PromoteStandby(req.Server); err != nil {
-				return nil, err
-			}
+			err = db.PromoteStandby(req.Server)
 		case "kill":
-			if err := db.KillIndexServer(req.Server); err != nil {
-				return nil, err
-			}
+			err = db.KillIndexServer(req.Server)
 		case "slots":
 			// Read-only: the response's slot list is the answer.
 		default:
-			return nil, fmt.Errorf("waterwheel: unknown admin op %q", req.Op)
+			err = fmt.Errorf("waterwheel: unknown admin op %q", req.Op)
+		}
+		if err != nil {
+			return nil, wireError(err)
 		}
 		resp.Slots = db.ActiveSlots()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return gobEncode(resp)
 	})
 	s.Handle("metrics", func([]byte) ([]byte, error) {
 		var buf bytes.Buffer
@@ -181,91 +218,85 @@ func Dial(addr string) (*Client, error) {
 	return &Client{c: c}, nil
 }
 
+// call is transport.Client.Call with the server's error rebuilt.
+func (cl *Client) call(method string, payload []byte) ([]byte, error) {
+	out, err := cl.c.Call(method, payload)
+	if err != nil {
+		return nil, clientError(err)
+	}
+	return out, nil
+}
+
 // Insert sends one tuple.
 func (cl *Client) Insert(t Tuple) error {
 	return cl.InsertBatch([]Tuple{t})
 }
 
-// InsertBatch sends a batch of tuples in one request.
+// InsertBatch sends a batch of tuples in one request. A batch the server
+// took only a prefix of comes back as a *BatchError, as from DB.InsertBatch.
 func (cl *Client) InsertBatch(ts []Tuple) error {
-	_, err := cl.c.Call("insert", model.AppendTuples(nil, ts))
+	_, err := cl.call("insert", model.AppendTuples(nil, ts))
 	return err
 }
 
-// Query runs a query remotely.
+// Query runs a query remotely. The result's tuple payloads alias the
+// response buffer, which the result owns: they stay valid for as long as
+// the result is referenced and are the caller's to read, not to append to.
 func (cl *Client) Query(q Query) (*Result, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&q); err != nil {
-		return nil, err
-	}
-	payload, err := cl.c.Call("query", buf.Bytes())
+	payload, err := cl.call("query", model.AppendQuery(nil, &q))
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return model.DecodeResult(payload)
 }
 
 // Aggregate runs an aggregate query remotely.
 func (cl *Client) Aggregate(q AggregateQuery) (*AggResult, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&q); err != nil {
-		return nil, err
-	}
-	payload, err := cl.c.Call("agg", buf.Bytes())
+	payload, err := cl.call("agg", model.AppendAggregateQuery(nil, &q))
 	if err != nil {
 		return nil, err
 	}
-	var res AggResult
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return model.DecodeAggResult(payload)
 }
 
 // Drain waits server-side until all accepted tuples are queryable.
 func (cl *Client) Drain() error {
-	_, err := cl.c.Call("drain", nil)
+	_, err := cl.call("drain", nil)
 	return err
 }
 
 // Flush forces a server-side flush of all memtables.
 func (cl *Client) Flush() error {
-	_, err := cl.c.Call("flush", nil)
+	_, err := cl.call("flush", nil)
 	return err
-}
-
-// tracedResult pairs a query result with its span tree on the wire.
-type tracedResult struct {
-	Result *Result
-	Trace  *QueryTrace
 }
 
 // QueryTraced runs a query remotely and returns its execution trace — the
 // span tree the coordinator recorded — alongside the result.
 func (cl *Client) QueryTraced(q Query) (*Result, *QueryTrace, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&q); err != nil {
-		return nil, nil, err
-	}
-	payload, err := cl.c.Call("trace", buf.Bytes())
+	payload, err := cl.call("trace", model.AppendQuery(nil, &q))
 	if err != nil {
 		return nil, nil, err
 	}
-	var tr tracedResult
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&tr); err != nil {
+	if len(payload) < 4 {
+		return nil, nil, fmt.Errorf("waterwheel: trace reply of %d bytes", len(payload))
+	}
+	n, rest := int(binary.BigEndian.Uint32(payload)), payload[4:]
+	if n > len(rest) {
+		return nil, nil, fmt.Errorf("waterwheel: trace reply holds %d bytes, its span tree claims %d", len(rest), n)
+	}
+	var tr *QueryTrace
+	if err := gobDecode(rest[:n], &tr); err != nil {
 		return nil, nil, err
 	}
-	return tr.Result, tr.Trace, nil
+	res, err := model.DecodeResult(rest[n:])
+	return res, tr, err
 }
 
 // Metrics fetches the server's Prometheus text exposition. Empty when the
 // server runs with telemetry disabled.
 func (cl *Client) Metrics() (string, error) {
-	payload, err := cl.c.Call("metrics", nil)
+	payload, err := cl.call("metrics", nil)
 	if err != nil {
 		return "", err
 	}
@@ -291,16 +322,16 @@ type adminResponse struct {
 }
 
 func (cl *Client) admin(op string, server int) (adminResponse, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(adminRequest{Op: op, Server: server}); err != nil {
+	req, err := gobEncode(adminRequest{Op: op, Server: server})
+	if err != nil {
 		return adminResponse{}, err
 	}
-	payload, err := cl.c.Call("admin", buf.Bytes())
+	payload, err := cl.call("admin", req)
 	if err != nil {
 		return adminResponse{}, err
 	}
 	var resp adminResponse
-	err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp)
+	err = gobDecode(payload, &resp)
 	return resp, err
 }
 
@@ -344,12 +375,12 @@ func (cl *Client) ActiveSlots() ([]int, error) {
 
 // Stats fetches deployment counters.
 func (cl *Client) Stats() (Stats, error) {
-	payload, err := cl.c.Call("stats", nil)
+	payload, err := cl.call("stats", nil)
 	if err != nil {
 		return Stats{}, err
 	}
 	var s Stats
-	err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&s)
+	err = gobDecode(payload, &s)
 	return s, err
 }
 

@@ -24,6 +24,7 @@ package waterwheel
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"waterwheel/internal/chunk"
 	"waterwheel/internal/cluster"
@@ -219,12 +220,18 @@ type Options struct {
 
 // DB is an embedded Waterwheel instance.
 type DB struct {
-	c      *cluster.Cluster
-	closed bool
+	c *cluster.Cluster
+	// closed is atomic: a NetServer's handlers read it while Close runs.
+	closed atomic.Bool
 }
 
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("waterwheel: closed")
+
+// ErrRetired is returned when a query needed a chunk whose file retention
+// or compaction deleted while the query was in flight, and could not be
+// replanned around it.
+var ErrRetired = queryexec.ErrRetired
 
 // Open starts an embedded Waterwheel deployment.
 func Open(opts Options) (*DB, error) {
@@ -327,7 +334,7 @@ func (db *DB) InsertBatch(ts []Tuple) error {
 
 // Query runs a temporal range query and returns the merged, sorted result.
 func (db *DB) Query(q Query) (*Result, error) {
-	if db.closed {
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	return db.c.Query(q)
@@ -343,7 +350,7 @@ func (db *DB) QueryRange(keys KeyRange, times TimeRange) (*Result, error) {
 // header pre-aggregates instead of reading leaf bodies. The result's
 // counters report how much of the work pushdown saved.
 func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
-	if db.closed {
+	if db.closed.Load() {
 		return nil, ErrClosed
 	}
 	return db.c.Aggregate(q)
@@ -439,7 +446,7 @@ type QueryTrace = telemetry.QueryTrace
 // QueryTraced runs a query and returns its execution trace alongside the
 // result. Works even when telemetry is disabled.
 func (db *DB) QueryTraced(q Query) (*Result, *QueryTrace, error) {
-	if db.closed {
+	if db.closed.Load() {
 		return nil, nil, ErrClosed
 	}
 	return db.c.Coordinator().ExecuteTraced(q)
@@ -492,7 +499,7 @@ func (db *DB) Explain(q Query) ExplainInfo {
 // dispatchers start routing the upper half to the new slot — without
 // pausing ingest. Returns the new slot id.
 func (db *DB) AddIndexServer() (int, error) {
-	if db.closed {
+	if db.closed.Load() {
 		return 0, ErrClosed
 	}
 	return db.c.AddIndexServer()
@@ -503,7 +510,7 @@ func (db *DB) AddIndexServer() (int, error) {
 // neighbor, and the slot is fenced so a straggling flush from the retired
 // server can never resurface.
 func (db *DB) DecommissionIndexServer(i int) error {
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	return db.c.DecommissionIndexServer(i)
@@ -515,7 +522,7 @@ func (db *DB) DecommissionIndexServer(i int) error {
 // PromoteStandby or a takeover after KillIndexServer. A no-op error-free
 // call when the slot already has one.
 func (db *DB) StartStandby(i int) error {
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	return db.c.StartStandby(i)
@@ -526,7 +533,7 @@ func (db *DB) StartStandby(i int) error {
 // ownership flips in one metadata CAS — new owner, bumped fencing epoch,
 // WAL handoff offset — and the deposed owner is fenced out.
 func (db *DB) PromoteStandby(i int) error {
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	return db.c.PromoteStandby(i)
@@ -537,7 +544,7 @@ func (db *DB) PromoteStandby(i int) error {
 // cold replacement when none is attached — takes over via WAL replay
 // under a bumped fencing epoch.
 func (db *DB) KillIndexServer(i int) error {
-	if db.closed {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	return db.c.KillIndexServer(i)
@@ -556,10 +563,9 @@ func (db *DB) Cluster() *cluster.Cluster { return db.c }
 
 // Close stops the deployment. Buffered tuples are flushed first.
 func (db *DB) Close() error {
-	if db.closed {
+	if db.closed.Swap(true) {
 		return nil
 	}
-	db.closed = true
 	db.c.Drain()
 	db.c.FlushAll()
 	db.c.Stop()

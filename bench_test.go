@@ -425,7 +425,6 @@ func queryBenchCluster(b *testing.B, workers, inflight int, openDelay time.Durat
 		DispatchersPerNode:  1,
 		ChunkBytes:          64 << 10,
 		CacheBytes:          cacheBytes,
-		SyncIngest:          true,
 		Seed:                1,
 		DFSLatency:          dfs.LatencyModel{OpenMin: openDelay, OpenMax: openDelay},
 		QueryWorkers:        workers,
@@ -442,6 +441,7 @@ func queryBenchCluster(b *testing.B, workers, inflight int, openDelay time.Durat
 			Payload: payload,
 		})
 	}
+	c.Drain()
 	c.FlushAll()
 	return c
 }
@@ -641,7 +641,7 @@ func BenchmarkInsertBatchThroughput(b *testing.B) {
 // --- end-to-end throughput of the public API ---
 
 func BenchmarkDBInsert(b *testing.B) {
-	db, err := Open(Options{SyncIngest: true, ChunkBytes: 64 << 20, Seed: 1})
+	db, err := Open(Options{ChunkBytes: 64 << 20, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -655,10 +655,11 @@ func BenchmarkDBInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db.Insert(tuples[i%len(tuples)])
 	}
+	db.Drain() // the consumers' share of the pipeline is part of the cost
 }
 
 func BenchmarkDBQueryRecent(b *testing.B) {
-	db, err := Open(Options{SyncIngest: true, ChunkBytes: 1 << 20, Seed: 1})
+	db, err := Open(Options{ChunkBytes: 1 << 20, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -667,6 +668,7 @@ func BenchmarkDBQueryRecent(b *testing.B) {
 	for i := 0; i < 200_000; i++ {
 		db.Insert(g.Next())
 	}
+	db.Drain()
 	qg := workload.NewQueryGen(g.KeySpan(), 1)
 	now := g.Now()
 	b.ResetTimer()
@@ -769,7 +771,6 @@ func aggBenchCluster(b *testing.B, format int) *cluster.Cluster {
 		DispatchersPerNode:  1,
 		ChunkBytes:          64 << 10,
 		CacheBytes:          1 << 30,
-		SyncIngest:          true,
 		Seed:                1,
 		DFSLatency:          dfs.LatencyModel{OpenMin: 200 * time.Microsecond, OpenMax: 200 * time.Microsecond},
 	})
@@ -784,6 +785,7 @@ func aggBenchCluster(b *testing.B, format int) *cluster.Cluster {
 			Payload: payload,
 		})
 	}
+	c.Drain()
 	c.FlushAll()
 	return c
 }

@@ -28,7 +28,6 @@ func main() {
 		cacheMB    = flag.Int64("cache-mb", 1024, "query-server cache in MiB")
 		policy     = flag.String("policy", "lada", "dispatch policy: lada|hashing|shared-queue|round-robin")
 		balanceMs  = flag.Int64("balance-ms", 5000, "adaptive partitioning cadence (0 = off)")
-		syncIngest = flag.Bool("sync-ingest", false, "bypass the WAL (no crash recovery)")
 		simulateIO = flag.Bool("simulate-io", false, "charge HDFS-like latencies on chunk I/O")
 		dataDir    = flag.String("data-dir", "", "persist chunks/WAL/metadata here (survives restarts)")
 		durability = flag.String("durability", "", "insert ack policy with -data-dir: ack-on-write (default), ack-on-fsync (group commit), interval")
@@ -44,7 +43,6 @@ func main() {
 		CacheBytes:            *cacheMB << 20,
 		Policy:                *policy,
 		BalanceIntervalMillis: *balanceMs,
-		SyncIngest:            *syncIngest,
 		SimulateIO:            *simulateIO,
 		DataDir:               *dataDir,
 		Durability:            *durability,

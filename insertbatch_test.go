@@ -44,85 +44,76 @@ func sortResult(ts []Tuple) {
 }
 
 // TestInsertBatchSerialEquivalenceDB feeds the same stream into two
-// deployments — one tuple at a time vs InsertBatch with random batch
-// sizes — and requires identical query and aggregate results. Runs over
-// both ingest modes: the default WAL pipeline (batched appends + batched
-// consume) and SyncIngest (direct tree inserts).
+// deployments — batches of one vs InsertBatch with random batch sizes —
+// and requires identical query and aggregate results: how a stream is cut
+// into batches must not change what is stored.
 func TestInsertBatchSerialEquivalenceDB(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		sync bool
-	}{{"wal", false}, {"sync-ingest", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(17))
-			for round := 0; round < 3; round++ {
-				opts := Options{
-					SyncIngest:          mode.sync,
-					IndexServersPerNode: 2,
-					ChunkBytes:          8 << 10, // several flushes per round
-				}
-				serial := openTestDB(t, opts)
-				batched := openTestDB(t, opts)
-				stream := batchStream(rng, 2000+rng.Intn(2000))
-				for _, tp := range stream {
-					if err := serial.Insert(tp); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for pos := 0; pos < len(stream); {
-					sz := 1 + rng.Intn(256)
-					if pos+sz > len(stream) {
-						sz = len(stream) - pos
-					}
-					if err := batched.InsertBatch(stream[pos : pos+sz]); err != nil {
-						t.Fatal(err)
-					}
-					pos += sz
-				}
-				serial.Drain()
-				batched.Drain()
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 3; round++ {
+		opts := Options{
+			IndexServersPerNode: 2,
+			ChunkBytes:          8 << 10, // several flushes per round
+		}
+		serial := openTestDB(t, opts)
+		batched := openTestDB(t, opts)
+		stream := batchStream(rng, 2000+rng.Intn(2000))
+		for _, tp := range stream {
+			if err := serial.Insert(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pos := 0; pos < len(stream); {
+			sz := 1 + rng.Intn(256)
+			if pos+sz > len(stream) {
+				sz = len(stream) - pos
+			}
+			if err := batched.InsertBatch(stream[pos : pos+sz]); err != nil {
+				t.Fatal(err)
+			}
+			pos += sz
+		}
+		serial.Drain()
+		batched.Drain()
 
-				queries := []Query{
-					{Keys: FullKeyRange(), Times: FullTimeRange()},
-					{Keys: KeyRange{Lo: 0, Hi: 20 << 58}, Times: FullTimeRange()},
-					{Keys: FullKeyRange(), Times: TimeRange{Lo: 2000, Hi: 4000}},
-				}
-				for qi, q := range queries {
-					want, err := serial.Query(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := batched.Query(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sortResult(want.Tuples)
-					sortResult(got.Tuples)
-					if len(got.Tuples) != len(want.Tuples) {
-						t.Fatalf("round %d query %d: batched %d tuples, serial %d",
-							round, qi, len(got.Tuples), len(want.Tuples))
-					}
-					for i := range got.Tuples {
-						g, w := got.Tuples[i], want.Tuples[i]
-						if g.Key != w.Key || g.Time != w.Time ||
-							binary.BigEndian.Uint64(g.Payload) != binary.BigEndian.Uint64(w.Payload) {
-							t.Fatalf("round %d query %d position %d: batched %v, serial %v", round, qi, i, g, w)
-						}
-					}
-					ag, err := batched.Aggregate(AggregateQuery{Keys: q.Keys, Times: q.Times, Kind: model.AggSum})
-					if err != nil {
-						t.Fatal(err)
-					}
-					aw, err := serial.Aggregate(AggregateQuery{Keys: q.Keys, Times: q.Times, Kind: model.AggSum})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ag.Count != aw.Count || ag.Sum != aw.Sum {
-						t.Fatalf("round %d query %d: aggregate %+v vs %+v", round, qi, ag, aw)
-					}
+		queries := []Query{
+			{Keys: FullKeyRange(), Times: FullTimeRange()},
+			{Keys: KeyRange{Lo: 0, Hi: 20 << 58}, Times: FullTimeRange()},
+			{Keys: FullKeyRange(), Times: TimeRange{Lo: 2000, Hi: 4000}},
+		}
+		for qi, q := range queries {
+			want, err := serial.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := batched.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sortResult(want.Tuples)
+			sortResult(got.Tuples)
+			if len(got.Tuples) != len(want.Tuples) {
+				t.Fatalf("round %d query %d: batched %d tuples, serial %d",
+					round, qi, len(got.Tuples), len(want.Tuples))
+			}
+			for i := range got.Tuples {
+				g, w := got.Tuples[i], want.Tuples[i]
+				if g.Key != w.Key || g.Time != w.Time ||
+					binary.BigEndian.Uint64(g.Payload) != binary.BigEndian.Uint64(w.Payload) {
+					t.Fatalf("round %d query %d position %d: batched %v, serial %v", round, qi, i, g, w)
 				}
 			}
-		})
+			ag, err := batched.Aggregate(AggregateQuery{Keys: q.Keys, Times: q.Times, Kind: model.AggSum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			aw, err := serial.Aggregate(AggregateQuery{Keys: q.Keys, Times: q.Times, Kind: model.AggSum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ag.Count != aw.Count || ag.Sum != aw.Sum {
+				t.Fatalf("round %d query %d: aggregate %+v vs %+v", round, qi, ag, aw)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ func ablationCluster(opt Options, disableBloom bool, policy string) (*cluster.Cl
 		QueryServersPerNode: 2,
 		ChunkBytes:          256 << 10,
 		CacheBytes:          4 << 20,
-		SyncIngest:          true,
 		DFSLatency:          paperLatency(),
 		DisableBloom:        disableBloom,
 		Policy:              policy,
@@ -42,6 +41,7 @@ func ablationCluster(opt Options, disableBloom bool, policy string) (*cluster.Cl
 		}
 		c.Insert(tuples[i])
 	}
+	c.Drain()
 	return c, g, n
 }
 
@@ -71,7 +71,6 @@ func runAblationBloom(opt Options) (*Report, error) {
 			QueryServersPerNode: 2,
 			ChunkBytes:          128 << 10,
 			CacheBytes:          4 << 20,
-			SyncIngest:          true,
 			DFSLatency:          paperLatency(),
 			DisableBloom:        disable,
 			Bloom:               chunkOpts(1000),
@@ -88,6 +87,7 @@ func runAblationBloom(opt Options) (*Report, error) {
 			}
 			c.Insert(model.Tuple{Key: model.Key(rng.Uint64()), Time: now, Payload: make([]byte, 10)})
 		}
+		c.Drain()
 		c.FlushAll() // everything queryable from chunks
 		a := &agg{lat: stats.NewRecorder()}
 		qg := workload.NewQueryGen(model.FullKeyRange(), opt.Seed)
@@ -144,7 +144,6 @@ func runAblationTemplate(opt Options) (*Report, error) {
 			Nodes:               1,
 			IndexServersPerNode: 2,
 			ChunkBytes:          128 << 10, // frequent flushes magnify the difference
-			SyncIngest:          true,
 			NoTemplateReuse:     noReuse,
 			Seed:                opt.Seed,
 		})
@@ -155,6 +154,7 @@ func runAblationTemplate(opt Options) (*Report, error) {
 		for i := range tuples {
 			c.Insert(tuples[i])
 		}
+		c.Drain() // the rate covers dispatch → WAL → consume, not just the ack
 		rate := stats.Rate(int64(n), time.Since(start))
 		c.Stop()
 		label := "template reuse"
@@ -224,7 +224,6 @@ func runAblationSideStore(opt Options) (*Report, error) {
 			IndexServersPerNode: 2,
 			QueryServersPerNode: 2,
 			ChunkBytes:          128 << 10,
-			SyncIngest:          true,
 			DFSLatency:          paperLatency(),
 			SideThresholdMillis: sideThreshold,
 			Seed:                opt.Seed,
@@ -238,6 +237,7 @@ func runAblationSideStore(opt Options) (*Report, error) {
 		for i := range tuples {
 			c.Insert(tuples[i])
 		}
+		c.Drain()
 		qg := workload.NewQueryGen(g.KeySpan(), opt.Seed)
 		now := g.Now()
 		rec := stats.NewRecorder()

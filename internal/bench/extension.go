@@ -40,7 +40,6 @@ func runExtSecondary(opt Options) (*Report, error) {
 			QueryServersPerNode: 2,
 			ChunkBytes:          256 << 10,
 			CacheBytes:          2 << 20,
-			SyncIngest:          true,
 			DFSLatency:          paperLatency(),
 			Seed:                opt.Seed,
 		}
@@ -59,6 +58,7 @@ func runExtSecondary(opt Options) (*Report, error) {
 			binary.BigEndian.PutUint64(payload, uint64(key>>56)%groups)
 			c.Insert(model.Tuple{Key: key, Time: model.Timestamp(i), Payload: payload})
 		}
+		c.Drain()
 		a := &agg{lat: stats.NewRecorder()}
 		for q := 0; q < queries; q++ {
 			group := uint64(q % groups)

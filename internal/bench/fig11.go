@@ -41,7 +41,7 @@ func paperLatency() dfs.LatencyModel {
 // Fig11a: system insertion throughput as the chunk size varies. Expected
 // shape: throughput rises as chunks grow (fewer flush overheads) and
 // levels off; the paper's decline past 32 MB stems from idle-network
-// waits in its pipelined deployment, which the synchronous simulation
+// waits in its pipelined deployment, which this single-host simulation
 // does not model (noted on the report).
 func runFig11a(opt Options) (*Report, error) {
 	n := opt.n(400_000)
@@ -59,7 +59,6 @@ func runFig11a(opt Options) (*Report, error) {
 			Nodes:               1,
 			IndexServersPerNode: 2,
 			ChunkBytes:          cs,
-			SyncIngest:          true,
 			DFSLatency:          paperLatency(),
 			Seed:                opt.Seed,
 		})
@@ -78,6 +77,7 @@ func runFig11a(opt Options) (*Report, error) {
 		for i := range tuples {
 			c.Insert(tuples[i])
 		}
+		c.Drain() // the rate covers dispatch → WAL → consume → flush
 		rate := stats.Rate(int64(n), time.Since(start))
 		c.Stop()
 		rep.Add(chunkSizeLabel(cs), stats.HumanRate(rate))

@@ -10,28 +10,30 @@ import (
 )
 
 // newNormalCluster builds the adaptive-partitioning testbed: 4 nodes x 2
-// indexing servers, synchronous ingest, no simulated I/O (the experiment
-// isolates partitioning effects).
+// indexing servers, no simulated I/O (the experiment isolates partitioning
+// effects). The cluster is returned unstarted: ingestMakespan drives the
+// consumers itself.
 func newNormalCluster(seed int64, adaptive bool) *cluster.Cluster {
-	c := cluster.New(cluster.Config{
+	return cluster.New(cluster.Config{
 		Nodes:               4,
 		IndexServersPerNode: 2,
 		QueryServersPerNode: 1,
 		ChunkBytes:          512 << 10,
-		SyncIngest:          true,
 		DisableAdaptive:     !adaptive,
 		Seed:                seed,
 	})
-	c.Start()
-	return c
 }
 
-// ingestMakespan pushes the tuples through the cluster's dispatchers and
-// measures, per indexing server, the wall time spent inserting its share.
-// The aggregate throughput is total/makespan — how a real cluster whose
-// servers run in parallel would perform. (The host has a single core, so
-// true thread parallelism cannot be measured directly; the makespan model
-// charges each server its own work and takes the slowest.)
+// ingestMakespan pushes the tuples through an UNSTARTED cluster's ingest
+// pipeline and measures, per indexing server, the wall time spent on its
+// share: first the dispatch and WAL append of every tuple routed to it,
+// then — one server at a time, nothing else running — the consumption of
+// its partition into its memtable. The aggregate throughput is
+// total/makespan — how a real cluster whose servers run in parallel would
+// perform. (The host has too few cores to measure that parallelism
+// directly; the makespan model charges each server its own work and takes
+// the slowest.) The partitions are closed on the way, so the cluster only
+// serves to be stopped afterwards.
 func ingestMakespan(c *cluster.Cluster, tuples []model.Tuple, rebalanceEvery int) float64 {
 	perServer := make([]time.Duration, len(c.IndexServers()))
 	schema := c.Metadata().Schema()
@@ -45,6 +47,13 @@ func ingestMakespan(c *cluster.Cluster, tuples []model.Tuple, rebalanceEvery int
 		t0 := time.Now()
 		c.Insert(tuples[i])
 		perServer[srv] += time.Since(t0)
+	}
+	for i, srv := range c.IndexServers() {
+		p := c.WAL().Partition(i)
+		p.Close() // Consume returns once a closed partition is drained
+		t0 := time.Now()
+		srv.Consume(p, nil)
+		perServer[i] += time.Since(t0)
 	}
 	var max time.Duration
 	for _, d := range perServer {
@@ -113,12 +122,14 @@ func runFig12b(opt Options) (*Report, error) {
 			g := workload.NewNormal(workload.NormalConfig{Sigma: sigma, Seed: opt.Seed})
 			tuples := pregenerate(g, n)
 			c := newNormalCluster(opt.Seed, adaptive)
+			c.Start()
 			for i := range tuples {
 				if adaptive && i > 0 && i%(n/10) == 0 {
 					c.TickBalance()
 				}
 				c.Insert(tuples[i])
 			}
+			c.Drain()
 			qg := workload.NewQueryGen(g.KeySpan(), opt.Seed)
 			now := g.Now()
 			rec := stats.NewRecorder()

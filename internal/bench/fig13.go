@@ -38,7 +38,6 @@ func runFig13(opt Options) (*Report, error) {
 				// LADA) keeps hitting; policies that spray subqueries
 				// (round-robin, shared queue) thrash every cache.
 				CacheBytes: 1 << 20,
-				SyncIngest: true,
 				// Low-jitter open delay so locality and caching dominate the
 				// measurement rather than the 2-50ms open lottery.
 				DFSLatency: dfs.LatencyModel{
@@ -61,6 +60,7 @@ func runFig13(opt Options) (*Report, error) {
 				}
 				c.Insert(tuples[i])
 			}
+			c.Drain()
 			// Query mix with hot spots (80% of queries target a few fixed
 			// rectangles): repeated chunk visits are where cache locality —
 			// and thus the policy choice — shows.

@@ -27,7 +27,6 @@ func newWWStore(chunkBytes int64, lat dfs.LatencyModel, seed int64, rebalanceAt 
 		QueryServersPerNode: 2,
 		ChunkBytes:          chunkBytes,
 		CacheBytes:          32 << 20,
-		SyncIngest:          true,
 		DFSLatency:          lat,
 		Seed:                seed,
 	})
@@ -54,9 +53,15 @@ func (w *wwStore) InsertBatch(ts []model.Tuple) {
 	w.c.InsertBatch(ts)
 }
 
+// Drain waits until every inserted tuple is applied and queryable.
+func (w *wwStore) Drain() { w.c.Drain() }
+
 // ingestTuples streams tuples into a store, using the vectorized batch path
 // when batch > 1 and the store supports it (the baselines only expose
-// per-tuple Insert, so they always take the scalar loop).
+// per-tuple Insert, so they always take the scalar loop). A store that
+// acks inserts ahead of applying them (Waterwheel: the ack follows the
+// log) is drained before returning, so timing this call measures the
+// whole pipeline and queries after it see every tuple.
 func ingestTuples(s baseline.Store, tuples []model.Tuple, batch int) {
 	type batcher interface{ InsertBatch([]model.Tuple) }
 	if bs, ok := s.(batcher); ok && batch > 1 {
@@ -67,10 +72,13 @@ func ingestTuples(s baseline.Store, tuples []model.Tuple, batch int) {
 			}
 			bs.InsertBatch(tuples[pos:end])
 		}
-		return
+	} else {
+		for i := range tuples {
+			s.Insert(tuples[i])
+		}
 	}
-	for i := range tuples {
-		s.Insert(tuples[i])
+	if d, ok := s.(interface{ Drain() }); ok {
+		d.Drain()
 	}
 }
 

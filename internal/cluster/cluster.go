@@ -88,10 +88,6 @@ type Config struct {
 	// SyncFlush makes flushes run inline on the inserting goroutine (the
 	// pre-pipeline behavior) — a benchmark baseline and ablation switch.
 	SyncFlush bool
-	// SyncIngest bypasses the WAL: dispatchers call the indexing servers
-	// directly. Maximum-throughput mode for microbenchmarks; forfeits
-	// replay-based recovery.
-	SyncIngest bool
 	// Bloom tunes chunk sketch construction.
 	Bloom chunk.BuildOptions
 	// Seed drives DFS placement and samplers.
@@ -119,7 +115,7 @@ type Config struct {
 	// snapshots to DataDir/meta.snap (written by Checkpoint and Stop). A
 	// cluster opened over an existing DataDir restores the previous state
 	// and replays each indexing server's WAL tail from its recorded offset
-	// (§V). Incompatible with SyncIngest.
+	// (§V).
 	DataDir string
 	// Durability selects when inserts are acknowledged relative to WAL
 	// fsync in DataDir mode: "" or "ack-on-write" (ack once the record is
@@ -133,7 +129,7 @@ type Config struct {
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
 	// HotStandby keeps a WAL-tailing standby shadow per active indexing
-	// server (WAL mode only): a kill becomes a takeover instead of a
+	// server: a kill becomes a takeover instead of a
 	// replay-from-offset, and PromoteStandby performs a planned handoff.
 	// After every takeover or promotion a fresh standby is started for the
 	// new owner automatically.
@@ -292,9 +288,6 @@ func New(cfg Config) *Cluster {
 // set, previous on-disk state is restored.
 func Open(cfg Config) (*Cluster, error) {
 	cfg.fill()
-	if cfg.DataDir != "" && cfg.SyncIngest {
-		return nil, fmt.Errorf("cluster: DataDir requires the WAL pipeline (disable SyncIngest)")
-	}
 	durPolicy, err := wal.ParseDurability(cfg.Durability)
 	if err != nil {
 		return nil, err
@@ -472,15 +465,9 @@ func Open(cfg Config) (*Cluster, error) {
 			c.ckptOffsets[i] = ms.Offset(i)
 		}
 	}
-	var sink dispatcher.Sink
-	if cfg.SyncIngest {
-		sink = directSink{c}
-	} else {
-		sink = walSink{c}
-	}
 	nDisp := cfg.Nodes * cfg.DispatchersPerNode
 	for i := 0; i < nDisp; i++ {
-		c.disp = append(c.disp, dispatcher.New(schema, sink, dispatcher.SamplerConfig{Seed: cfg.Seed + int64(i)}))
+		c.disp = append(c.disp, dispatcher.New(schema, walSink{c: c}, dispatcher.SamplerConfig{Seed: cfg.Seed + int64(i)}))
 	}
 	c.registerFuncMetrics()
 	return c, nil
@@ -524,8 +511,8 @@ func (c *Cluster) isRetired(i int) bool {
 	return i >= 0 && i < len(c.retired) && c.retired[i]
 }
 
-// walSink is the dispatcher sink of the WAL pipeline: routed tuples are
-// appended to the target server's partition; the ack follows the log.
+// walSink is the dispatcher sink: routed tuples are appended to the
+// target server's partition; the ack follows the log.
 //
 // Elastic scale-out makes routing decisions revocable: a dispatcher may
 // have picked a server under a schema that a concurrent decommission has
@@ -533,125 +520,74 @@ func (c *Cluster) isRetired(i int) bool {
 // mask consulted before appending, and the partition seal that
 // decommission sets after the mask, so even an append already past the
 // mask check fails with ErrSealed instead of landing in a log nobody
-// replays. Either way the tuple reroutes through the current schema and
+// replays. Either way the tuples reroute through the current schema and
 // the producer's ack still means "in a live partition".
-type walSink struct{ c *Cluster }
+type walSink struct {
+	c *Cluster
+	// hop counts the reroutes that led to this sink value; the dispatchers
+	// hold hop 0.
+	hop int
+}
 
 // rerouteHops bounds reroute retries; each hop needs a concurrent
 // decommission of the freshly chosen target to continue the chain.
 const rerouteHops = 16
 
-// Send appends one tuple. Under ack-on-fsync the append parks until a
-// group-commit fsync covers the record; an error means the log did NOT
-// take the tuple (stop-the-line) and the insert must not be acked.
-func (s walSink) Send(server int, t model.Tuple) error {
-	for hop := 0; ; hop++ {
-		if hop > rerouteHops {
-			return fmt.Errorf("cluster: wal append: no active slot for key %d after %d reroutes", t.Key, hop)
-		}
-		if s.c.isRetired(server) {
-			server = s.c.ms.Schema().ServerFor(t.Key)
-			continue
-		}
-		_, err := s.c.log.Partition(server).Append(model.AppendTuple(nil, &t))
-		if errors.Is(err, wal.ErrSealed) {
-			server = s.c.ms.Schema().ServerFor(t.Key)
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: wal append (server %d): %w", server, err)
-		}
-		s.c.walAppends.Inc()
-		return nil
-	}
-}
-
 // SendBatch encodes the whole run into one buffer (record slices alias
 // it — the buffer is sized exactly, so they can never share appended
 // bytes) and persists it with one AppendBatch: one partition lock, one
-// segment write, and under ack-on-fsync one fsync cohort for the run.
-// AppendBatch is all-or-nothing, so a failed run acks none of its
-// tuples — exactly the prefix contract DispatchBatch requires.
+// segment write, and under ack-on-fsync one park until a group-commit
+// fsync covers the run's last record. AppendBatch is all-or-nothing, so a
+// failed run acks none of its tuples — exactly the prefix contract
+// DispatchBatch requires: an error means the log did NOT take ts[n:]
+// (stop-the-line) and they must not be acked.
+//
+// When a decommission invalidated the routing — the slot is retired or
+// its partition sealed — the run re-resolves against the current schema
+// (it may now span several servers) and goes out again one hop deeper,
+// run by run, in order.
 func (s walSink) SendBatch(server int, ts []model.Tuple) (int, error) {
-	if len(ts) == 1 {
-		if err := s.Send(server, ts[0]); err != nil {
-			return 0, err
+	if !s.c.isRetired(server) {
+		total := 0
+		for i := range ts {
+			total += model.EncodedSize(&ts[i])
 		}
-		return 1, nil
-	}
-	if s.c.isRetired(server) {
-		return s.resend(ts)
-	}
-	total := 0
-	for i := range ts {
-		total += model.EncodedSize(&ts[i])
-	}
-	buf := make([]byte, 0, total)
-	datas := make([][]byte, len(ts))
-	for i := range ts {
-		pos := len(buf)
-		buf = model.AppendTuple(buf, &ts[i])
-		datas[i] = buf[pos:len(buf):len(buf)]
-	}
-	if _, err := s.c.log.Partition(server).AppendBatch(datas); err != nil {
-		if errors.Is(err, wal.ErrSealed) {
-			return s.resend(ts)
+		buf := make([]byte, 0, total)
+		datas := make([][]byte, len(ts))
+		for i := range ts {
+			pos := len(buf)
+			buf = model.AppendTuple(buf, &ts[i])
+			datas[i] = buf[pos:len(buf):len(buf)]
 		}
-		return 0, fmt.Errorf("cluster: wal append batch (server %d): %w", server, err)
-	}
-	s.c.walAppends.Add(int64(len(ts)))
-	return len(ts), nil
-}
-
-// resend is the slow path after a decommission invalidated a batch's
-// routing: each tuple re-resolves against the current schema and goes
-// through the per-tuple Send (the run may now span several servers).
-// Stopping at the first error keeps the prefix-ack contract intact.
-func (s walSink) resend(ts []model.Tuple) (int, error) {
-	schema := s.c.ms.Schema()
-	for i := range ts {
-		if err := s.Send(schema.ServerFor(ts[i].Key), ts[i]); err != nil {
-			return i, err
+		_, err := s.c.log.Partition(server).AppendBatch(datas)
+		if err == nil {
+			s.c.walAppends.Add(int64(len(ts)))
+			return len(ts), nil
+		}
+		if !errors.Is(err, wal.ErrSealed) {
+			return 0, fmt.Errorf("cluster: wal append (server %d): %w", server, err)
 		}
 	}
-	return len(ts), nil
-}
-
-// directSink is the SyncIngest sink: dispatchers call the indexing
-// servers in-process, bypassing the WAL (no replay-based recovery).
-type directSink struct{ c *Cluster }
-
-func (s directSink) Send(server int, t model.Tuple) error {
-	s.c.idx[server].Insert(t)
-	return nil
-}
-
-func (s directSink) SendBatch(server int, ts []model.Tuple) (int, error) {
-	s.c.idx[server].InsertBatch(ts)
-	return len(ts), nil
+	if s.hop >= rerouteHops {
+		return 0, fmt.Errorf("cluster: wal append: no active slot for key %d after %d reroutes", ts[0].Key, s.hop)
+	}
+	return dispatcher.SendRuns(s.c.ms.Schema(), walSink{s.c, s.hop + 1}, ts)
 }
 
 // newIndexServer builds indexing server i from the cluster config — the
 // single source of per-server settings, shared by Open, crash recovery,
 // elastic scale-out and standby shadows so a replacement server never
 // silently diverges from the original. epoch is the ownership epoch the
-// incarnation registers flushes under (0 only in SyncIngest mode, which
-// has no ownership); passive builds a standby shadow that neither
-// flushes nor reports a live region until promoted.
+// incarnation registers flushes under; passive builds a standby shadow
+// that neither flushes nor reports a live region until promoted.
 func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passive bool) *ingest.Server {
-	var syncWAL func(int64) error
-	if !c.cfg.SyncIngest {
-		// Flush-offset commits must not run ahead of the WAL fsync
-		// watermark (consumers index straight from memory, possibly before
-		// any fsync): the flusher syncs its unit's offset into the log
-		// before registering chunks and committing.
-		syncWAL = c.log.Partition(i).SyncTo
-	} else {
-		epoch = 0
-	}
 	// Added servers can outnumber the configured nodes; wrap the DFS
 	// placement preference instead of pointing past the last node.
 	node := (i / c.cfg.IndexServersPerNode) % c.cfg.Nodes
+	// SyncWAL: flush-offset commits must not run ahead of the WAL fsync
+	// watermark (consumers index straight from memory, possibly before any
+	// fsync), so the flusher syncs its unit's offset into the log before
+	// registering chunks and committing.
 	srv := ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -665,7 +601,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
 		SyncFlush:           c.cfg.SyncFlush,
 		FlushFailHook:       c.cfg.FlushFailHook,
-		SyncWAL:             syncWAL,
+		SyncWAL:             c.log.Partition(i).SyncTo,
 		Metrics:             c.ingestMetrics,
 		Epoch:               epoch,
 		Passive:             passive,
@@ -722,28 +658,26 @@ func (c *Cluster) Start() {
 	if c.started.Swap(true) {
 		return
 	}
-	if !c.cfg.SyncIngest {
-		srvs := c.servers()
-		c.consMu.Lock()
-		c.consStop = make([]chan struct{}, len(srvs))
-		for i, srv := range srvs {
-			if srv == nil {
-				continue // retired slot: no consumer
-			}
-			cs := make(chan struct{})
-			c.consStop[i] = cs
-			c.wg.Add(1)
-			go func(i int, srv *ingest.Server, cs chan struct{}) {
-				defer c.wg.Done()
-				srv.Consume(c.log.Partition(i), mergedStop(c.stop, cs))
-			}(i, srv, cs)
+	srvs := c.servers()
+	c.consMu.Lock()
+	c.consStop = make([]chan struct{}, len(srvs))
+	for i, srv := range srvs {
+		if srv == nil {
+			continue // retired slot: no consumer
 		}
-		c.consMu.Unlock()
-		if c.cfg.HotStandby {
-			for i, srv := range srvs {
-				if srv != nil {
-					c.StartStandby(i)
-				}
+		cs := make(chan struct{})
+		c.consStop[i] = cs
+		c.wg.Add(1)
+		go func(i int, srv *ingest.Server, cs chan struct{}) {
+			defer c.wg.Done()
+			srv.Consume(c.log.Partition(i), mergedStop(c.stop, cs))
+		}(i, srv, cs)
+	}
+	c.consMu.Unlock()
+	if c.cfg.HotStandby {
+		for i, srv := range srvs {
+			if srv != nil {
+				c.StartStandby(i)
 			}
 		}
 	}
@@ -869,9 +803,7 @@ func (c *Cluster) HardCrash() error {
 // return is the ack: the tuple is in the log (under "ack-on-fsync", on
 // stable storage). A non-nil error means the tuple was NOT accepted.
 func (c *Cluster) Insert(t model.Tuple) error {
-	d := c.disp[int(c.rr.Add(1))%len(c.disp)]
-	_, err := d.Dispatch(t)
-	return err
+	return c.disp[int(c.rr.Add(1))%len(c.disp)].Dispatch(t)
 }
 
 // InsertBatch routes a whole batch through one dispatcher as a unit:
@@ -887,13 +819,6 @@ func (c *Cluster) InsertBatch(ts []model.Tuple) (int, error) {
 	c.batchRecords.Observe(time.Duration(len(ts)) * time.Second)
 	d := c.disp[int(c.rr.Add(1))%len(c.disp)]
 	return d.DispatchBatch(ts)
-}
-
-// InsertVia routes a tuple through a specific dispatcher — lets callers
-// shard their input streams deterministically.
-func (c *Cluster) InsertVia(dispatcherID int, t model.Tuple) error {
-	_, err := c.disp[dispatcherID%len(c.disp)].Dispatch(t)
-	return err
 }
 
 // Query executes a temporal range query and returns the merged result.
@@ -921,13 +846,16 @@ func (c *Cluster) SetChunkFormat(f int) {
 	}
 }
 
-// Drain blocks until every WAL partition has been fully consumed by its
-// indexing server (no-op in SyncIngest mode). It makes "insert then
-// query" deterministic for tests and experiments.
+// Drain is the insert→query barrier: it blocks until every tuple acked
+// before the call is applied to its indexing server's memtable, every
+// flush those tuples triggered has been attempted, and the live regions
+// covering them are published — so a query issued after Drain returns
+// sees all of them, exactly once. Inserts are acked from the log, ahead of
+// the consumers; without Drain a query may run before the tuples it
+// expects have been applied. ingest.Server.Consumed advances only after a
+// batch is in the trees, which is what makes polling it against the
+// partition head a barrier rather than a hint.
 func (c *Cluster) Drain() {
-	if c.cfg.SyncIngest {
-		return
-	}
 	for i, srv := range c.servers() {
 		if srv == nil {
 			continue
@@ -943,8 +871,8 @@ func (c *Cluster) Drain() {
 	for _, srv := range c.servers() {
 		if srv != nil {
 			srv.DrainFlushes()
-			// The consumer stores its offset a beat before it reports the
-			// live region; force a report so queries issued right after
+			// The consumer advances its offset a beat before it reports
+			// the live region; force a report so queries issued right after
 			// Drain plan against the drained memtable's true extent.
 			srv.PublishLive()
 		}
@@ -1060,9 +988,6 @@ func (c *Cluster) PendingRetiredDeletes() int { return c.ret.pending() }
 // here is safe against a concurrent promotion: at worst we retain a few
 // extra records until the next truncation pass.
 func (c *Cluster) TruncateWALBefore() {
-	if c.cfg.SyncIngest {
-		return
-	}
 	for i := 0; i < c.log.Partitions(); i++ {
 		off := c.ms.Offset(i)
 		if c.cfg.DataDir != "" {
@@ -1247,7 +1172,7 @@ func (c *Cluster) shipTail(i int) (wal.Tail, func(), error) {
 // StartStandby launches a hot standby for slot i: a passive shadow server
 // tailing the slot's WAL partition (through the shipping transport when
 // ShipStandbyWAL is set), ready to take over on PromoteStandby or a kill.
-// WAL mode only; one standby per slot — a slot that already has one is a
+// One standby per slot — a slot that already has one is a
 // no-op (idempotent for operator scripts and the HotStandby auto-attach).
 func (c *Cluster) StartStandby(i int) error {
 	c.elasticMu.Lock()
@@ -1256,9 +1181,6 @@ func (c *Cluster) StartStandby(i int) error {
 }
 
 func (c *Cluster) startStandbyLocked(i int) error {
-	if c.cfg.SyncIngest {
-		return fmt.Errorf("cluster: standbys require WAL mode")
-	}
 	if c.server(i) == nil {
 		return fmt.Errorf("cluster: no indexing server %d", i)
 	}
@@ -1364,9 +1286,6 @@ func (c *Cluster) takeover(i int, h *standbyHandle) error {
 // then atomically transfer ownership to the promoted shadow. The old
 // owner is fenced; ingest into the slot's partition continues throughout.
 func (c *Cluster) PromoteStandby(i int) error {
-	if c.cfg.SyncIngest {
-		return fmt.Errorf("cluster: handoff requires WAL mode")
-	}
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
 	if c.server(i) == nil {
@@ -1399,11 +1318,8 @@ func (c *Cluster) PromoteStandby(i int) error {
 // scale-out): the widest active nominal key interval splits at its
 // midpoint, the log grows the matching WAL partition (slot i <->
 // partition i), and the new server starts consuming immediately —
-// ingest never pauses. Returns the new slot id. WAL mode only.
+// ingest never pauses. Returns the new slot id.
 func (c *Cluster) AddIndexServer() (int, error) {
-	if c.cfg.SyncIngest {
-		return 0, fmt.Errorf("cluster: elastic scale-out requires WAL mode")
-	}
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
 	split, at, ok := widestSplit(c.ms.Schema())
@@ -1479,12 +1395,9 @@ func widestSplit(schema meta.PartitionSchema) (split int, at model.Key, ok bool)
 // partition seal, the consumer drains the now-final partition head, a
 // final flush turns everything buffered into registered chunks, and a
 // last ownership transfer fences the slot forever. The slot's WAL
-// partition and chunk history remain readable. WAL mode only; the last
-// active slot cannot retire.
+// partition and chunk history remain readable. The last active slot
+// cannot retire.
 func (c *Cluster) DecommissionIndexServer(i int) error {
-	if c.cfg.SyncIngest {
-		return fmt.Errorf("cluster: elastic scale-out requires WAL mode")
-	}
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
 	srv := c.server(i)
@@ -1582,11 +1495,8 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 // successor's replay assumed stable (the pre-epoch code relied on Abort
 // ordering alone and could re-register regions the replay had already
 // covered). It returns as soon as the successor is consuming; use
-// CrashIndexServer to also wait for catch-up. Only valid in WAL mode.
+// CrashIndexServer to also wait for catch-up.
 func (c *Cluster) KillIndexServer(i int) error {
-	if c.cfg.SyncIngest {
-		return fmt.Errorf("cluster: recovery requires WAL mode")
-	}
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
 	if c.server(i) == nil {
@@ -1597,9 +1507,8 @@ func (c *Cluster) KillIndexServer(i int) error {
 
 // CrashIndexServer simulates an indexing-server failure and recovery (§V):
 // the server's goroutine stops, its in-memory state is discarded, and a
-// successor (standby shadow or WAL replay) takes over. Only valid in WAL
-// mode. The call blocks until the successor has caught up with the
-// partition head at call time.
+// successor (standby shadow or WAL replay) takes over. The call blocks
+// until the successor has caught up with the partition head at call time.
 func (c *Cluster) CrashIndexServer(i int) error {
 	if c.server(i) == nil {
 		return fmt.Errorf("cluster: no indexing server %d", i)

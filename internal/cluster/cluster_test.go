@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 func testConfig() Config {
@@ -99,23 +103,153 @@ func TestSelectiveQueries(t *testing.T) {
 	}
 }
 
-func TestSyncIngestMode(t *testing.T) {
-	cfg := testConfig()
-	cfg.SyncIngest = true
-	c := startCluster(t, cfg)
-	for i := 0; i < 500; i++ {
-		c.Insert(model.Tuple{Key: model.Key(uint64(i) << 50), Time: model.Timestamp(i)})
-	}
-	c.Drain() // no-op, must not hang
+// countAll returns the size of the full-region query result.
+func countAll(t *testing.T, c *Cluster) int {
+	t.Helper()
 	res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tuples) != 500 {
-		t.Fatalf("got %d tuples", len(res.Tuples))
+	return len(res.Tuples)
+}
+
+// TestDrainIsBarrier holds Drain to its contract: whatever was acked
+// before the call is returned by a query issued after it. Concurrent
+// writers mix Insert with InsertBatch sizes that cross the flush threshold
+// inside one batch, so every round has consumers mid-merge and snapshots
+// mid-flush when Drain starts polling; the count after Drain must equal
+// the count acked, every round — starting with the first tuple into an
+// empty server, where the live region has to appear from nothing.
+func TestDrainIsBarrier(t *testing.T) {
+	cfg := testConfig()
+	cfg.ChunkBytes = 8 << 10 // a 300-tuple batch crosses it on its own
+	c := startCluster(t, cfg)
+
+	if err := c.Insert(model.Tuple{Key: 1, Time: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.CrashIndexServer(0); err == nil {
-		t.Error("crash recovery should be unavailable in sync mode")
+	c.Drain()
+	if got := countAll(t, c); got != 1 {
+		t.Fatalf("first tuple into an empty server: %d visible after Drain, want 1", got)
+	}
+
+	var acked atomic.Int64
+	acked.Store(1)
+	const writers, rounds = 4, 25
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				tuple := func() model.Tuple {
+					return model.Tuple{
+						Key:     model.Key(rng.Uint64()),
+						Time:    model.Timestamp(1000 + rng.Intn(100_000)),
+						Payload: make([]byte, 8),
+					}
+				}
+				for i := 0; i < 8; i++ {
+					if rng.Intn(2) == 0 {
+						if err := c.Insert(tuple()); err != nil {
+							t.Error(err)
+							return
+						}
+						acked.Add(1)
+						continue
+					}
+					batch := make([]model.Tuple, 1+rng.Intn(300))
+					for j := range batch {
+						batch[j] = tuple()
+					}
+					n, err := c.InsertBatch(batch)
+					acked.Add(int64(n))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(int64(round*writers + w))
+		}
+		wg.Wait()
+		c.Drain()
+		if got, want := countAll(t, c), int(acked.Load()); got != want {
+			t.Fatalf("round %d: %d tuples visible after Drain, %d acked", round, got, want)
+		}
+	}
+	if c.Metadata().ChunkCount() == 0 {
+		t.Fatal("no batch crossed the flush threshold; the test lost its flush leg")
+	}
+}
+
+// TestOneTupleRunPrefixAck: a fault on a one-tuple run — the shape about
+// half of all runs have under random keys — stops the batch at exactly
+// that tuple, through the same SendBatch/AppendBatch code as any other
+// run: the tuples before it are acked and stored, it and everything after
+// it are not.
+func TestOneTupleRunPrefixAck(t *testing.T) {
+	c := startCluster(t, testConfig()) // two servers, split at 1<<63
+	low, high := model.Key(1<<10), model.Key(1<<63+1<<10)
+	batch := []model.Tuple{
+		{Key: low, Time: 1}, {Key: low + 1, Time: 2},
+		{Key: high, Time: 3}, // a run of one, aimed at the faulted partition
+		{Key: low + 2, Time: 4},
+	}
+	c.WAL().Partition(1).FailNextAppends(1)
+	n, err := c.InsertBatch(batch)
+	if n != 2 || !errors.Is(err, wal.ErrInjectedAppend) {
+		t.Fatalf("InsertBatch = %d, %v; want the 2-tuple prefix and the injected fault", n, err)
+	}
+	// The same fault on a bare Insert: not acked, not stored.
+	c.WAL().Partition(1).FailNextAppends(1)
+	if err := c.Insert(batch[2]); !errors.Is(err, wal.ErrInjectedAppend) {
+		t.Fatalf("Insert on a faulted partition = %v, want the injected fault", err)
+	}
+	c.Drain()
+	if got := countAll(t, c); got != 2 {
+		t.Fatalf("%d tuples stored, want exactly the acked prefix 2", got)
+	}
+	// The fault was one-shot: the rejected tail goes through on resubmit.
+	if n, err := c.InsertBatch(batch[2:]); n != 2 || err != nil {
+		t.Fatalf("resubmitted tail = %d, %v", n, err)
+	}
+	c.Drain()
+	if got := countAll(t, c); got != 4 {
+		t.Fatalf("%d tuples stored after resubmit, want 4", got)
+	}
+}
+
+// TestOneTupleRunReroutes: a one-tuple run aimed at a retired slot lands
+// in the partition the current schema names, and one aimed at a slot that
+// stays sealed gives up after rerouteHops instead of spinning.
+func TestOneTupleRunReroutes(t *testing.T) {
+	cfg := testConfig()
+	cfg.Nodes = 3
+	c := startCluster(t, cfg)
+	if err := c.DecommissionIndexServer(1); err != nil {
+		t.Fatal(err)
+	}
+	// A dispatcher still holding the pre-removal schema would send this
+	// key to slot 1.
+	tp := model.Tuple{Key: model.Key(1) << 63, Time: 7}
+	if n, err := (walSink{c: c}).SendBatch(1, []model.Tuple{tp}); n != 1 || err != nil {
+		t.Fatalf("send to a retired slot = %d, %v; want a reroute and an ack", n, err)
+	}
+	owner := c.Metadata().Schema().ServerFor(tp.Key)
+	if owner == 1 || c.WAL().Partition(owner).Next() != 1 {
+		t.Fatalf("tuple not in its current owner's partition (owner %d)", owner)
+	}
+	c.Drain()
+	if got := countAll(t, c); got != 1 {
+		t.Fatalf("%d tuples visible after the reroute, want 1", got)
+	}
+	// Seal the owner's partition behind the schema's back: every reroute
+	// resolves to the same sealed slot, so the chain must end.
+	c.WAL().Partition(owner).Seal()
+	n, err := (walSink{c: c}).SendBatch(owner, []model.Tuple{tp})
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "reroutes") {
+		t.Fatalf("send to a sealed slot = %d, %v; want 0 and the reroute-limit error", n, err)
 	}
 }
 
@@ -276,4 +410,46 @@ func TestStopIdempotentAndRestartSafe(t *testing.T) {
 	c.Drain()
 	c.Stop()
 	c.Stop() // idempotent
+}
+
+// TestQueryNeverMissesAcrossFlushRegistration: a query must return every
+// tuple that was acked and drained before it started, whatever the flush
+// pipeline does meanwhile. The writer keeps turning one-tuple memtables
+// into chunks — each flush registers its chunk and then reports the live
+// region empty — while the reader counts the full region against the
+// number drained before each query. A plan that reads the chunk list
+// before the registration and the live regions after the empty report
+// holds the tuple in neither half and comes back one short.
+func TestQueryNeverMissesAcrossFlushRegistration(t *testing.T) {
+	cfg := testConfig()
+	cfg.Nodes = 1 // one indexing server: every flush is the race's flush
+	c := startCluster(t, cfg)
+	const flushes = 400 // bounds the chunk count, and with it each query's cost
+	var drained atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < flushes; i++ {
+			if err := c.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+			c.Drain()
+			drained.Add(1)
+			c.FlushAll()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one last query over the settled state
+		default:
+		}
+		want := int(drained.Load())
+		if got := countAll(t, c); got < want {
+			t.Errorf("query returned %d tuples, %d were drained before it started", got, want)
+			break
+		}
+	}
+	<-done
 }

@@ -211,15 +211,6 @@ func TestHardCrashRequiresDataDir(t *testing.T) {
 	}
 }
 
-func TestPersistentRejectsSyncIngest(t *testing.T) {
-	cfg := testConfig()
-	cfg.DataDir = t.TempDir()
-	cfg.SyncIngest = true
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("DataDir + SyncIngest accepted")
-	}
-}
-
 func TestCheckpointWithoutDataDirIsNoop(t *testing.T) {
 	c := New(testConfig())
 	c.Start()

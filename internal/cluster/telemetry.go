@@ -173,31 +173,29 @@ func (c *Cluster) registerFuncMetrics() {
 		return c.fs.Metrics().BytesWrite.Load()
 	})
 
-	// WAL backlog: records appended but not yet consumed, the ingestion
-	// pipeline's queue depth.
-	if !c.cfg.SyncIngest {
-		reg.GaugeFunc("waterwheel_wal_backlog", "WAL records appended but not yet consumed", func() float64 {
-			var lag int64
-			for i, srv := range c.servers() {
-				if srv == nil {
-					continue
-				}
-				if d := c.log.Partition(i).Next() - srv.Consumed(); d > 0 {
-					lag += d
-				}
+	// WAL backlog: records appended but not yet applied to a memtable, the
+	// ingestion pipeline's queue depth.
+	reg.GaugeFunc("waterwheel_wal_backlog", "WAL records appended but not yet applied by their indexing server", func() float64 {
+		var lag int64
+		for i, srv := range c.servers() {
+			if srv == nil {
+				continue
 			}
-			return float64(lag)
-		})
-		// Page-cache exposure: segment bytes a host crash would lose. Zero
-		// by construction while inserters are quiescent under ack-on-fsync.
-		reg.GaugeFunc("waterwheel_wal_unsynced_bytes", "WAL segment bytes appended but not yet fsynced", func() float64 {
-			var n int64
-			for i := 0; i < c.log.Partitions(); i++ {
-				n += c.log.Partition(i).UnsyncedBytes()
+			if d := c.log.Partition(i).Next() - srv.Consumed(); d > 0 {
+				lag += d
 			}
-			return float64(n)
-		})
-	}
+		}
+		return float64(lag)
+	})
+	// Page-cache exposure: segment bytes a host crash would lose. Zero
+	// by construction while inserters are quiescent under ack-on-fsync.
+	reg.GaugeFunc("waterwheel_wal_unsynced_bytes", "WAL segment bytes appended but not yet fsynced", func() float64 {
+		var n int64
+		for i := 0; i < c.log.Partitions(); i++ {
+			n += c.log.Partition(i).UnsyncedBytes()
+		}
+		return float64(n)
+	})
 
 	// Query-server caches.
 	reg.GaugeFunc("waterwheel_cache_used_bytes", "bytes held by query-server LRU caches", func() float64 {

@@ -860,6 +860,11 @@ func (t *TemplateTree) redistributeLocked(allK []model.Key, allT []model.Timesta
 	}
 }
 
+// ColsVisitor visits one tuple as raw columns. The payload slice aliases a
+// leaf arena: treat it as read-only and copy it to retain it beyond the
+// call. Return false to stop the scan.
+type ColsVisitor = func(model.Key, model.Timestamp, []byte) bool
+
 // RangeCols visits matching tuples in key order as raw (key, time,
 // payload) columns, without materializing model.Tuple values. Leaves whose
 // time bounds miss tr are skipped without latching their columns. The

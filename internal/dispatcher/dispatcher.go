@@ -20,27 +20,25 @@ import (
 )
 
 // Sink receives routed tuples; implemented by the ingest layer (WAL
-// partitions in the full system). A Send error means the tuple was NOT
-// accepted — the ack path must surface it to the producer instead of
-// acknowledging a tuple the log cannot replay.
+// partitions in the full system).
 type Sink interface {
-	Send(server int, t model.Tuple) error
 	// SendBatch delivers a run of tuples bound for one server, returning
 	// how many were accepted (a prefix: ts[:n]) and the error that stopped
-	// the rest. n == len(ts) iff err == nil. Implementations that can
-	// persist the run atomically must report either the whole run or none
-	// of it, so the ack prefix never covers an unpersisted tuple.
+	// the rest. n == len(ts) iff err == nil. A tuple outside the prefix was
+	// NOT accepted — the ack path must surface the error to the producer
+	// instead of acknowledging a tuple the log cannot replay.
+	// Implementations that can persist the run atomically must report
+	// either the whole run or none of it, so the ack prefix never covers an
+	// unpersisted tuple.
 	SendBatch(server int, ts []model.Tuple) (int, error)
 }
 
-// SinkFunc adapts a function to the Sink interface, with a per-tuple
-// SendBatch loop as the default batch behavior.
+// SinkFunc adapts a per-tuple function to the Sink interface — the test
+// and benchmark adapter.
 type SinkFunc func(server int, t model.Tuple) error
 
-// Send implements Sink.
-func (f SinkFunc) Send(server int, t model.Tuple) error { return f(server, t) }
-
-// SendBatch implements Sink by looping Send, stopping at the first error.
+// SendBatch implements Sink by calling f per tuple, stopping at the first
+// error.
 func (f SinkFunc) SendBatch(server int, ts []model.Tuple) (int, error) {
 	for i, t := range ts {
 		if err := f(server, t); err != nil {
@@ -159,57 +157,46 @@ func New(schema meta.PartitionSchema, sink Sink, samplerCfg SamplerConfig) *Disp
 	}
 }
 
-// Dispatch routes one tuple, returning the chosen indexing server and the
-// sink's verdict (a non-nil error means the tuple was not accepted). Only
-// one in SampleEvery tuples enters the sampler, keeping per-tuple routing
-// cheap.
-func (d *Dispatcher) Dispatch(t model.Tuple) (int, error) {
-	d.mu.RLock()
-	server := d.schema.ServerFor(t.Key)
-	d.mu.RUnlock()
-	if d.dispatched.Add(1)%d.sampleEvery == 0 {
-		d.sampler.Observe(t.Key)
-	}
-	return server, d.sink.Send(server, t)
+// Dispatch routes one tuple — DispatchBatch of one — returning the sink's
+// verdict: a non-nil error means the tuple was not accepted.
+func (d *Dispatcher) Dispatch(t model.Tuple) error {
+	_, err := d.DispatchBatch([]model.Tuple{t})
+	return err
 }
 
-// DispatchBatch routes a whole batch under one schema read: every
-// tuple's server is computed in a single RLock pass, the batch is sliced
-// into maximal contiguous same-server runs — contiguity preserves the
-// client's order, which is what makes the accepted set an exact prefix
-// when a run fails mid-batch — and each run goes to the sink with one
-// SendBatch call. Returns how many tuples were accepted (ts[:n]) and the
-// error that stopped the rest. Key sampling keeps the one-in-SampleEvery
-// cadence with a single atomic add for the whole batch.
+// DispatchBatch routes a whole batch against one schema snapshot: the
+// batch is sliced into maximal contiguous same-server runs — contiguity
+// preserves the client's order, which is what makes the accepted set an
+// exact prefix when a run fails mid-batch — and each run goes to the sink
+// with one SendBatch call. Returns how many tuples were accepted (ts[:n])
+// and the error that stopped the rest. Only one in SampleEvery tuples
+// enters the sampler, at the cost of a single atomic add for the whole
+// batch, keeping routing cheap.
 func (d *Dispatcher) DispatchBatch(ts []model.Tuple) (int, error) {
 	if len(ts) == 0 {
 		return 0, nil
 	}
-	if len(ts) == 1 {
-		if _, err := d.Dispatch(ts[0]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	servers := make([]int, len(ts))
-	d.mu.RLock()
-	for i := range ts {
-		servers[i] = d.schema.ServerFor(ts[i].Key)
-	}
-	d.mu.RUnlock()
 	base := d.dispatched.Add(uint64(len(ts))) - uint64(len(ts))
-	for i := range ts {
-		if (base+uint64(i)+1)%d.sampleEvery == 0 {
-			d.sampler.Observe(ts[i].Key)
-		}
+	// The first index i with (base+i+1) a multiple of sampleEvery, then
+	// every sampleEvery-th after it.
+	for i := int(d.sampleEvery - 1 - base%d.sampleEvery); i < len(ts); i += int(d.sampleEvery) {
+		d.sampler.Observe(ts[i].Key)
 	}
+	return SendRuns(d.Schema(), d.sink, ts)
+}
+
+// SendRuns slices ts into maximal contiguous same-server runs under schema
+// and hands each to sink in order, stopping at the first error: the
+// accepted set is always a prefix ts[:n].
+func SendRuns(schema meta.PartitionSchema, sink Sink, ts []model.Tuple) (int, error) {
 	accepted := 0
 	for accepted < len(ts) {
+		server := schema.ServerFor(ts[accepted].Key)
 		run := accepted + 1
-		for run < len(ts) && servers[run] == servers[accepted] {
+		for run < len(ts) && schema.ServerFor(ts[run].Key) == server {
 			run++
 		}
-		n, err := d.sink.SendBatch(servers[accepted], ts[accepted:run])
+		n, err := sink.SendBatch(server, ts[accepted:run])
 		accepted += n
 		if err != nil {
 			return accepted, err

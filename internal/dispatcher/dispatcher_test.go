@@ -16,19 +16,10 @@ type captureSink struct {
 
 func newCaptureSink() *captureSink { return &captureSink{byDst: map[int][]model.Tuple{}} }
 
-func (c *captureSink) Send(server int, t model.Tuple) error {
-	c.mu.Lock()
-	c.byDst[server] = append(c.byDst[server], t)
-	c.mu.Unlock()
-	return nil
-}
-
 func (c *captureSink) SendBatch(server int, ts []model.Tuple) (int, error) {
-	for i, t := range ts {
-		if err := c.Send(server, t); err != nil {
-			return i, err
-		}
-	}
+	c.mu.Lock()
+	c.byDst[server] = append(c.byDst[server], ts...)
+	c.mu.Unlock()
 	return len(ts), nil
 }
 
@@ -36,17 +27,17 @@ func TestDispatchRoutesBySchema(t *testing.T) {
 	sink := newCaptureSink()
 	schema := meta.PartitionSchema{Version: 1, Servers: 2, Bounds: []model.Key{100}}
 	d := New(schema, sink, SamplerConfig{})
-	if got, err := d.Dispatch(model.Tuple{Key: 50}); err != nil || got != 0 {
-		t.Errorf("key 50 -> server %d (err %v)", got, err)
+	for _, k := range []model.Key{50, 100, 99} {
+		if err := d.Dispatch(model.Tuple{Key: k}); err != nil {
+			t.Errorf("key %d: %v", k, err)
+		}
 	}
-	if got, err := d.Dispatch(model.Tuple{Key: 100}); err != nil || got != 1 {
-		t.Errorf("key 100 -> server %d, want 1 (boundary key goes right; err %v)", got, err)
+	// The boundary key goes right.
+	if got := sink.byDst[0]; len(got) != 2 || got[0].Key != 50 || got[1].Key != 99 {
+		t.Errorf("server 0 got %v, want keys 50, 99", got)
 	}
-	if got, err := d.Dispatch(model.Tuple{Key: 99}); err != nil || got != 0 {
-		t.Errorf("key 99 -> server %d (err %v)", got, err)
-	}
-	if len(sink.byDst[0]) != 2 || len(sink.byDst[1]) != 1 {
-		t.Errorf("sink distribution %v", sink.byDst)
+	if got := sink.byDst[1]; len(got) != 1 || got[0].Key != 100 {
+		t.Errorf("server 1 got %v, want key 100", got)
 	}
 }
 

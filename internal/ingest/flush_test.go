@@ -341,3 +341,61 @@ func TestSyncFlushMode(t *testing.T) {
 		t.Fatalf("sync mode left %d pending flushes", n)
 	}
 }
+
+// TestSwapBetweenBoundsAndInsertKeepsLiveRegion is the regression test for
+// the race behind chaos seed 01's "57 acked tuples missing at barrier": a
+// flush swap that lands after a batch has updated the live bounds but
+// before it is in a tree resets hasData while the batch goes into the
+// fresh tree, and once the swapped snapshot registers the server reports
+// an empty live region over a non-empty memtable — no query plans a
+// mem-subquery for it, and the acked tuples stay invisible until a later
+// insert moves the bounds again. The test forces that order: it holds
+// pendMu as a reader, queues the swap behind it as a writer, starts the
+// batch while the writer is pending, and then lets both go.
+func TestSwapBetweenBoundsAndInsertKeepsLiveRegion(t *testing.T) {
+	srv, _, ms := newTestEnv(1 << 30)
+	defer srv.Close()
+	srv.Insert(model.Tuple{Key: 1, Time: 5000})
+
+	srv.pendMu.RLock()
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		srv.Flush()
+	}()
+	// A writer waiting on an RWMutex turns new readers away: TryRLock
+	// fails from the moment the swap is queued behind our read lock.
+	waitFor(t, func() bool {
+		if srv.pendMu.TryRLock() {
+			srv.pendMu.RUnlock()
+			return false
+		}
+		return true
+	})
+	inserted := make(chan struct{})
+	go func() {
+		defer close(inserted)
+		srv.InsertBatch([]model.Tuple{{Key: 7, Time: 4000}, {Key: 9, Time: 4001}})
+	}()
+	waitFor(t, func() bool { return srv.stats.Ingested.Load() == 3 })
+	// The batch is now inside insertBatchAt, headed for pendMu. The pause
+	// only gives a wrong ordering time to do its damage (bounds updated
+	// ahead of the lock); the right one passes with or without it.
+	time.Sleep(5 * time.Millisecond)
+	srv.pendMu.RUnlock()
+	<-flushed
+	<-inserted
+	srv.DrainFlushes()
+	srv.PublishLive()
+
+	if got := srv.MemLen(); got != 2 {
+		t.Fatalf("memtable holds %d tuples after the swap, want the batch's 2", got)
+	}
+	lr := ms.LiveRegions()[0]
+	if lr.Empty {
+		t.Fatal("live region reported empty over a non-empty memtable: the batch is invisible to query planning")
+	}
+	if lr.MinTime > 4000 || !lr.Keys.Contains(7) || !lr.Keys.Contains(9) {
+		t.Fatalf("live region %+v does not cover the batch (keys 7, 9 from time 4000)", lr)
+	}
+}

@@ -231,7 +231,8 @@ type Server struct {
 	// incarnation distinguishes chunk paths across server restarts, so a
 	// recovered server never collides with its predecessor's files.
 	incarnation uint64
-	// consumed is the WAL offset of the next record to consume.
+	// consumed is the WAL offset of the next record to consume; every record
+	// below it has been applied to the trees (see insertBatchAt).
 	consumed atomic.Int64
 
 	stats Stats
@@ -288,79 +289,38 @@ func (s *Server) SetChunkFormat(f int) { s.chunkFormat.Store(int32(f)) }
 // TreeStats exposes the memtable tree's instrumentation.
 func (s *Server) TreeStats() *core.Stats { return s.tree.Stats() }
 
-// Insert ingests one tuple, flushing when the memtable reaches the chunk
-// threshold. Safe for concurrent use.
+// Insert ingests one tuple: InsertBatch of one.
 func (s *Server) Insert(t model.Tuple) {
-	n := s.stats.Ingested.Add(1)
-	var start time.Time
-	sampled := s.cfg.Metrics.InsertNanos != nil && n%insertSampleEvery == 0
-	if sampled {
-		start = time.Now()
-	}
-	wm := s.watermark.Load()
-	for int64(t.Time) > wm && !s.watermark.CompareAndSwap(wm, int64(t.Time)) {
-		wm = s.watermark.Load()
-	}
-	if s.side != nil && int64(t.Time) < s.watermark.Load()-s.cfg.SideThresholdMillis {
-		s.insertSide(t)
-		if sampled {
-			s.cfg.Metrics.InsertNanos.Observe(time.Since(start))
-		}
-		return
-	}
-	s.minMu.Lock()
-	changed := !s.hasData || t.Time < s.minTime
-	if changed {
-		s.minTime = t.Time
-		s.hasData = true
-	}
-	changed = s.growKeyBoxLocked(t.Key, t.Key) || changed
-	s.minMu.Unlock()
-	s.tree.Insert(t)
-	if changed {
-		// The live region's left bound moved (or the memtable went from
-		// empty to non-empty): publish it so the coordinator includes this
-		// server in query decomposition. Unchanged bounds — the common case
-		// on in-order streams — skip the metadata round-trip.
-		s.reportLive()
-	}
-	if s.tree.Bytes() >= s.cfg.ChunkBytes {
-		// Swap the full tree out and enqueue it for the background flusher;
-		// the inserting goroutine pays a pointer exchange, not a chunk build
-		// and DFS round-trip (unless the bounded queue is full).
-		s.enqueueFlush(s.tree, false, true)
-	}
-	if sampled {
-		s.cfg.Metrics.InsertNanos.Observe(time.Since(start))
-	}
+	s.insertBatchAt([]model.Tuple{t}, -1)
 }
 
 // InsertBatch ingests a batch of tuples with the per-tuple bookkeeping
 // amortized across the batch: one watermark advance (to the batch max),
 // one side-store split against the settled watermark, one minMu critical
-// section, at most one reportLive, and one InsertBatch per target tree.
-// A batch of one degenerates to Insert, so the paths cannot diverge.
+// section, at most one reportLive, and one InsertBatch per target tree,
+// flushing when a tree reaches its threshold. Safe for concurrent use.
 func (s *Server) InsertBatch(ts []model.Tuple) {
 	if len(ts) == 0 {
-		return
-	}
-	if len(ts) == 1 {
-		s.Insert(ts[0])
 		return
 	}
 	s.insertBatchAt(ts, -1)
 }
 
-// insertBatchAt is the batch ingest core, with an optional consumed-offset
-// advance (nextOff >= 0, WAL consumption path). The offset store and the
-// tree inserts share one pendMu read section while a flush swap captures
-// its offset under pendMu write — so the offset a snapshot commits can
-// never cover a consumed tuple that is not yet in a tree. (The per-tuple
-// Consume loop had a hair-thin window between the offset store and the
-// Insert where an external Flush could commit an offset covering a tuple
-// still in flight; routing consumption through here closes it.) Side
-// effects that re-take pendMu — reportLive, threshold flush enqueues —
-// are deferred past the read section, since pendMu is not reentrant.
+// insertBatchAt is the ingest core, with an optional consumed-offset
+// advance (nextOff >= 0, WAL consumption path). The live-bounds update,
+// the tree inserts and the offset store share one pendMu read section,
+// while a flush swap resets the bounds and captures its offset under
+// pendMu write. Two invariants follow. The offset a snapshot commits never
+// covers a consumed tuple that is not yet in a tree, and — because the
+// store comes last — Consumed() >= n means every record below n is applied
+// and queryable: the property Drain and the handoff catch-up loops poll
+// for. And a swap can never land between a tuple's bounds update and its
+// tree insert: it would reset hasData while the tuple goes into the fresh
+// tree, and once the swapped snapshot registered the server would report
+// an empty live region over a non-empty memtable, hiding acked tuples from
+// every query until the next insert moved the bounds. Side effects that
+// re-take pendMu — reportLive, threshold flush enqueues — are deferred
+// past the read section, since pendMu is not reentrant.
 func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 	n := s.stats.Ingested.Add(int64(len(ts)))
 	var start time.Time
@@ -369,9 +329,16 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 		start = time.Now()
 	}
 	maxT := ts[0].Time
+	kLo, kHi := ts[0].Key, ts[0].Key
 	for i := 1; i < len(ts); i++ {
 		if ts[i].Time > maxT {
 			maxT = ts[i].Time
+		}
+		if ts[i].Key < kLo {
+			kLo = ts[i].Key
+		}
+		if ts[i].Key > kHi {
+			kHi = ts[i].Key
 		}
 	}
 	wm := s.watermark.Load()
@@ -386,80 +353,73 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 	var side []model.Tuple
 	if s.side != nil {
 		cut := s.watermark.Load() - s.cfg.SideThresholdMillis
+		nSide := 0
 		for i := range ts {
 			if int64(ts[i].Time) < cut {
-				main = make([]model.Tuple, 0, len(ts))
-				for j := range ts {
-					if int64(ts[j].Time) < cut {
-						side = append(side, ts[j])
-					} else {
-						main = append(main, ts[j])
-					}
-				}
-				break
+				nSide++
 			}
 		}
-	}
-	if len(side) > 0 {
-		s.stats.SideRouted.Add(int64(len(side)))
+		switch {
+		case nSide == len(ts):
+			main, side = nil, ts
+		case nSide > 0:
+			main = make([]model.Tuple, 0, len(ts)-nSide)
+			side = make([]model.Tuple, 0, nSide)
+			for i := range ts {
+				if int64(ts[i].Time) < cut {
+					side = append(side, ts[i])
+				} else {
+					main = append(main, ts[i])
+				}
+			}
+		}
+		if nSide > 0 {
+			s.stats.SideRouted.Add(int64(nSide))
+		}
 	}
 	var mainMin, sideMin model.Timestamp
 	if len(main) > 0 {
-		mainMin = main[0].Time
-		for i := 1; i < len(main); i++ {
-			if main[i].Time < mainMin {
-				mainMin = main[i].Time
-			}
-		}
+		mainMin = minTime(main)
 	}
 	if len(side) > 0 {
-		sideMin = side[0].Time
-		for i := 1; i < len(side); i++ {
-			if side[i].Time < sideMin {
-				sideMin = side[i].Time
-			}
-		}
+		sideMin = minTime(side)
 	}
-	kLo, kHi := ts[0].Key, ts[0].Key
-	for i := 1; i < len(ts); i++ {
-		if ts[i].Key < kLo {
-			kLo = ts[i].Key
-		}
-		if ts[i].Key > kHi {
-			kHi = ts[i].Key
-		}
-	}
+	s.pendMu.RLock()
 	s.minMu.Lock()
 	changed := false
 	if len(main) > 0 && (!s.hasData || mainMin < s.minTime) {
-		s.minTime = mainMin
-		s.hasData = true
-		changed = true
+		s.minTime, s.hasData, changed = mainMin, true, true
 	}
 	if len(side) > 0 && (!s.sideData || sideMin < s.sideMin) {
-		s.sideMin = sideMin
-		s.sideData = true
-		changed = true
+		s.sideMin, s.sideData, changed = sideMin, true, true
 	}
 	changed = s.growKeyBoxLocked(kLo, kHi) || changed
 	s.minMu.Unlock()
-	s.pendMu.RLock()
-	if nextOff >= 0 {
-		s.consumed.Store(nextOff)
-	}
 	if len(main) > 0 {
 		s.tree.InsertBatch(main)
 	}
 	if len(side) > 0 {
 		s.side.InsertBatch(side)
 	}
+	if nextOff >= 0 {
+		s.consumed.Store(nextOff)
+	}
 	s.pendMu.RUnlock()
 	if changed {
+		// The live region's bounds moved (or the memtable went from empty to
+		// non-empty): publish them so the coordinator includes this server
+		// in query decomposition. Unchanged bounds — the common case on
+		// in-order streams — skip the metadata round-trip.
 		s.reportLive()
 	}
 	if s.tree.Bytes() >= s.cfg.ChunkBytes {
+		// Swap the full tree out and enqueue it for the background flusher;
+		// the inserting goroutine pays a pointer exchange, not a chunk build
+		// and DFS round-trip (unless the bounded queue is full).
 		s.enqueueFlush(s.tree, false, true)
 	}
+	// The side store flushes at a fraction of the chunk size: very-late
+	// tuples are rare and should not linger unbounded.
 	if s.side != nil && s.side.Bytes() >= s.cfg.ChunkBytes/4 {
 		s.enqueueFlush(s.side, true, true)
 	}
@@ -468,25 +428,15 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 	}
 }
 
-func (s *Server) insertSide(t model.Tuple) {
-	s.stats.SideRouted.Add(1)
-	s.minMu.Lock()
-	changed := !s.sideData || t.Time < s.sideMin
-	if changed {
-		s.sideMin = t.Time
-		s.sideData = true
+// minTime returns the smallest timestamp in a non-empty batch.
+func minTime(ts []model.Tuple) model.Timestamp {
+	min := ts[0].Time
+	for i := 1; i < len(ts); i++ {
+		if ts[i].Time < min {
+			min = ts[i].Time
+		}
 	}
-	changed = s.growKeyBoxLocked(t.Key, t.Key) || changed
-	s.minMu.Unlock()
-	s.side.Insert(t)
-	if changed {
-		s.reportLive()
-	}
-	// The side store flushes at a fraction of the chunk size: very-late
-	// tuples are rare and should not linger unbounded.
-	if s.side.Bytes() >= s.cfg.ChunkBytes/4 {
-		s.enqueueFlush(s.side, true, true)
-	}
+	return min
 }
 
 // growKeyBoxLocked widens the live trees' key bounding box to cover
@@ -583,8 +533,8 @@ func (s *Server) reportLive() {
 // PublishLive forces an immediate live-region report — callers that just
 // drained the WAL into this server (cluster Drain, takeover barriers) use
 // it to make the memtable's extent visible to query planning before they
-// read, closing the hair-thin window between a consumed batch's offset
-// store and the consumer loop's own report.
+// read: Consumed() advances once a batch is in the trees, a beat before
+// the consumer publishes the bounds that batch moved.
 func (s *Server) PublishLive() { s.reportLive() }
 
 // Activate flips a passive shadow live under the given ownership epoch —
@@ -895,7 +845,11 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
 	}
 }
 
-// Consumed returns the next WAL offset the server will read.
+// Consumed returns the WAL offset the server has applied up to: every
+// record below it is in a tree (or already swapped out towards a chunk)
+// and is scanned by ExecuteSubQuery. It is stored after the inserts, so it
+// doubles as the next offset the consumer reads; there is no separate
+// "read but not yet applied" position.
 func (s *Server) Consumed() int64 { return s.consumed.Load() }
 
 // decodeRecords decodes WAL records into tuples, arena-copying payloads

@@ -111,12 +111,21 @@ func (a *AggPartial) AddValue(v uint64) {
 	a.Sum += v
 }
 
+// PayloadU64Field reads the big-endian uint64 payload field at byte offset
+// off, reporting ok=false when the payload is too short to carry it.
+func PayloadU64Field(p []byte, off uint32) (uint64, bool) {
+	if int64(off)+8 > int64(len(p)) {
+		return 0, false
+	}
+	return binary.BigEndian.Uint64(p[off:]), true
+}
+
 // AddTuple folds one matching tuple, extracting the field at offset when
 // the payload carries it.
 func (a *AggPartial) AddTuple(t *Tuple, field uint32) {
 	a.Count++
-	if int64(field)+8 <= int64(len(t.Payload)) {
-		a.AddValue(binary.BigEndian.Uint64(t.Payload[field:]))
+	if v, ok := PayloadU64Field(t.Payload, field); ok {
+		a.AddValue(v)
 	}
 }
 

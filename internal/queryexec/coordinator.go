@@ -181,6 +181,14 @@ func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQ
 	qRegion := q.Region()
 	seq := 0
 	subLimit := q.Limit
+	// The live regions are read BEFORE the chunk list. A flush registers
+	// its chunk and only then reports the drained live region; a plan that
+	// read chunks first and live regions second could land on both sides of
+	// one flush — chunk not yet in the list, live region already empty —
+	// and hold the flushed tuples in neither half. Read in this order, a
+	// server whose data reached chunks in between is merely planned a
+	// mem-subquery it answers with nothing new.
+	live := c.ms.LiveRegions()
 	// The chunk candidates and the chunk-ID watermark come from one
 	// metadata critical section: a chunk registered by a concurrent flush
 	// is either in this plan or has ID >= watermark, in which case the
@@ -221,7 +229,7 @@ func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQ
 		})
 		seq++
 	}
-	for _, lr := range c.ms.LiveRegions() {
+	for _, lr := range live {
 		if lr.Empty {
 			continue
 		}
@@ -421,6 +429,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 	res := &model.AggResult{QueryID: mq.ID, Kind: q.Kind}
 	qRegion := q.Region()
 
+	live := c.ms.LiveRegions() // before the chunk list; see Decompose
 	chunks, watermark := c.ms.ChunksForWithWatermark(qRegion)
 	seq := 0
 	var chunkSubs []*model.SubQuery
@@ -451,7 +460,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 		seq++
 	}
 	var memSubs []*model.SubQuery
-	for _, lr := range c.ms.LiveRegions() {
+	for _, lr := range live {
 		if lr.Empty || !lr.Keys.Overlaps(q.Keys) {
 			continue
 		}

@@ -178,18 +178,6 @@ const MaxRecordBytes = 16 << 20
 // recordHeaderLen is the per-record frame overhead: [8B offset][4B length].
 const recordHeaderLen = 12
 
-// appendToFileLocked writes one framed record; caller holds p.mu.
-func (p *Partition) appendToFileLocked(off int64, data []byte) error {
-	var hdr [recordHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(off))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(data)))
-	if _, err := p.file.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := p.file.Write(data)
-	return err
-}
-
 // Sync flushes the segment file to stable storage and advances the fsync
 // watermark (no-op for in-memory partitions).
 func (p *Partition) Sync() error {

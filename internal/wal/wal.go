@@ -92,21 +92,44 @@ func NewPartition() *Partition {
 	return p
 }
 
-// Append stores one record, returning its offset. The data is copied. For
-// disk-backed partitions the record is also framed into the segment file;
-// a write failure fails the append — the record is NOT retained in memory,
-// so a tuple the log cannot hold is never acked, never consumed, and never
-// covered by a flush-offset commit (stop-the-line, matching the flush
-// pipeline's semantics). The error is sticky: once the segment is broken
-// every later append fails until the partition is reopened.
-//
-// Under DurabilityAckOnFsync, Append additionally blocks until the fsync
-// watermark covers the new record: the committer goroutine batches all
-// appends that arrive while an fsync is in flight into the next cohort,
-// so concurrent appenders share (amortize) fsyncs instead of issuing one
-// each.
+// Append stores one record, returning its offset: AppendBatch of one.
 func (p *Partition) Append(data []byte) (int64, error) {
-	cp := append([]byte(nil), data...)
+	return p.AppendBatch([][]byte{data})
+}
+
+// AppendBatch stores a batch of records under ONE lock acquisition,
+// returning the offset of the first. The data is copied: the batch is
+// framed into a single buffer outside the lock, offsets are patched in
+// under it once they are known, and the segment takes one file write; the
+// retained in-memory records alias the payload sections of that buffer, so
+// a batch of any size costs one allocation.
+//
+// Failure is all-or-nothing. On a disk error no record of the batch is
+// retained in memory, so a tuple the log cannot hold is never acked, never
+// consumed, and never covered by a flush-offset commit (stop-the-line,
+// matching the flush pipeline's semantics). The error is sticky: once the
+// segment is broken every later append fails until the partition is
+// reopened.
+//
+// Under DurabilityAckOnFsync the batch parks once for a watermark
+// covering its LAST record: the committer goroutine batches all appends
+// that arrive while an fsync is in flight into the next cohort, so
+// concurrent appenders share (amortize) fsyncs and a single cohort acks
+// the whole batch.
+func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
+	if len(datas) == 0 {
+		return p.Next(), nil
+	}
+	total := 0
+	for _, d := range datas {
+		total += recordHeaderLen + len(d)
+	}
+	buf := make([]byte, total)
+	pos := 0
+	for _, d := range datas {
+		binary.BigEndian.PutUint32(buf[pos+8:pos+recordHeaderLen], uint32(len(d)))
+		pos += recordHeaderLen + copy(buf[pos+recordHeaderLen:], d)
+	}
 	p.mu.Lock()
 	if p.sealed {
 		p.mu.Unlock()
@@ -123,8 +146,19 @@ func (p *Partition) Append(data []byte) (int64, error) {
 		return 0, ErrInjectedAppend
 	}
 	off := p.base + int64(len(p.records))
+	// Second walk of buf: stamp each header's offset and slice its record
+	// out. The lengths written above make the frames self-describing, so no
+	// side table of positions has to survive from the first walk.
+	for pos = 0; pos < total; {
+		binary.BigEndian.PutUint64(buf[pos:pos+8], uint64(p.base+int64(len(p.records))))
+		end := pos + recordHeaderLen + int(binary.BigEndian.Uint32(buf[pos+8:pos+recordHeaderLen]))
+		p.records = append(p.records, buf[pos+recordHeaderLen:end:end])
+		pos = end
+	}
 	if p.file != nil {
-		if err := p.appendToFileLocked(off, cp); err != nil {
+		if _, err := p.file.Write(buf); err != nil {
+			clear(p.records[off-p.base:])
+			p.records = p.records[:off-p.base]
 			p.fileErr = fmt.Errorf("wal: segment append: %w", err)
 			err = p.fileErr
 			// A broken line also fails parked group-commit waiters.
@@ -132,86 +166,8 @@ func (p *Partition) Append(data []byte) (int64, error) {
 			p.mu.Unlock()
 			return 0, err
 		}
-		p.fileBytes += recordHeaderLen + int64(len(cp))
-	}
-	p.records = append(p.records, cp)
-	p.bytes += int64(len(cp))
-	p.cond.Broadcast()
-	if p.file == nil || p.dur != DurabilityAckOnFsync {
-		p.mu.Unlock()
-		return off, nil
-	}
-	err := p.waitSyncedLocked(off + 1)
-	p.mu.Unlock()
-	return off, err
-}
-
-// AppendBatch stores a batch of records under ONE lock acquisition,
-// returning the offset of the first. The batch is framed into a single
-// buffer outside the lock (offsets patched in once they are known) and
-// written to the segment with one file write; the retained in-memory
-// records alias the payload sections of that buffer, so the whole batch
-// costs one allocation. Failure is all-or-nothing: on a disk error no
-// record of the batch is retained or acked — callers see the same
-// stop-the-line semantics as Append, just at batch granularity.
-//
-// Under DurabilityAckOnFsync the batch parks once for a watermark
-// covering its LAST record, so a single fsync cohort acks the whole
-// batch — the per-batch analogue of group commit's per-appender
-// amortization.
-func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
-	if len(datas) == 0 {
-		return p.Next(), nil
-	}
-	if len(datas) == 1 {
-		return p.Append(datas[0])
-	}
-	total := 0
-	for _, d := range datas {
-		total += recordHeaderLen + len(d)
-	}
-	buf := make([]byte, total)
-	hdrPos := make([]int, len(datas))
-	cps := make([][]byte, len(datas))
-	pos := 0
-	for i, d := range datas {
-		hdrPos[i] = pos
-		binary.BigEndian.PutUint32(buf[pos+8:pos+recordHeaderLen], uint32(len(d)))
-		end := pos + recordHeaderLen + len(d)
-		copy(buf[pos+recordHeaderLen:end], d)
-		cps[i] = buf[pos+recordHeaderLen : end : end]
-		pos = end
-	}
-	p.mu.Lock()
-	if p.sealed {
-		p.mu.Unlock()
-		return 0, ErrSealed
-	}
-	if p.fileErr != nil {
-		err := p.fileErr
-		p.mu.Unlock()
-		return 0, err
-	}
-	if p.failAppends > 0 {
-		p.failAppends--
-		p.mu.Unlock()
-		return 0, ErrInjectedAppend
-	}
-	off := p.base + int64(len(p.records))
-	for i := range hdrPos {
-		binary.BigEndian.PutUint64(buf[hdrPos[i]:hdrPos[i]+8], uint64(off+int64(i)))
-	}
-	if p.file != nil {
-		if _, err := p.file.Write(buf); err != nil {
-			p.fileErr = fmt.Errorf("wal: segment append: %w", err)
-			err = p.fileErr
-			p.syncedCond.Broadcast()
-			p.mu.Unlock()
-			return 0, err
-		}
 		p.fileBytes += int64(total)
 	}
-	p.records = append(p.records, cps...)
 	p.bytes += int64(total) - int64(len(datas))*recordHeaderLen
 	p.cond.Broadcast()
 	if p.file == nil || p.dur != DurabilityAckOnFsync {

@@ -308,6 +308,7 @@ func TestNetSentinelErrorsByCode(t *testing.T) {
 // constant number of allocations — one response buffer, one tuple slice
 // and per-call bookkeeping — not one or more per tuple.
 func TestNetQueryAllocGuard(t *testing.T) {
+	skipAllocGuardUnderRace(t)
 	const n = 15_000
 	db, cl, _ := netFixture(t, Options{}, n)
 	// Everything in chunks, every leaf cached: the engine's own count is

@@ -128,9 +128,6 @@ type Options struct {
 	BalanceIntervalMillis int64
 	// DisableBloom turns leaf time-sketch pruning off.
 	DisableBloom bool
-	// SyncIngest bypasses the WAL for maximum single-process throughput;
-	// forfeits crash recovery.
-	SyncIngest bool
 	// FlushQueueDepth bounds each indexing server's asynchronous flush
 	// pipeline: at most this many swapped-out memtable snapshots may await
 	// persistence before inserts crossing the chunk threshold block
@@ -172,7 +169,6 @@ type Options struct {
 	// DataDir makes the store durable: chunks, WAL and metadata persist
 	// under this directory, and Open over an existing directory restores
 	// the previous state (indexing servers replay their WAL tails).
-	// Incompatible with SyncIngest.
 	DataDir string
 	// Durability selects when Insert acknowledges a tuple relative to WAL
 	// fsync (DataDir mode): "" or "ack-on-write" acks once the record is
@@ -249,7 +245,6 @@ func Open(opts Options) (*DB, error) {
 		DisableAdaptive:       opts.DisableAdaptivePartitioning,
 		BalanceIntervalMillis: opts.BalanceIntervalMillis,
 		DisableBloom:          opts.DisableBloom,
-		SyncIngest:            opts.SyncIngest,
 		FlushQueueDepth:       opts.FlushQueueDepth,
 		SyncFlush:             opts.SyncFlush,
 		DataDir:               opts.DataDir,
@@ -289,9 +284,10 @@ func Open(opts Options) (*DB, error) {
 // opened with a DataDir; otherwise it is a no-op.
 func (db *DB) Checkpoint() error { return db.c.Checkpoint() }
 
-// Insert ingests one tuple. Safe for concurrent use. With the default WAL
-// pipeline the tuple becomes visible to queries within a consumption
-// round-trip; call Drain for a strict insert→query barrier. A nil return
+// Insert ingests one tuple — InsertBatch of one. Safe for concurrent use.
+// The ack follows the log, so the tuple becomes visible to queries within
+// a consumption round-trip; call Drain for a strict insert→query barrier.
+// A nil return
 // is the ack — under Durability "ack-on-fsync" it means the tuple is on
 // stable storage; an error means the tuple was NOT accepted (e.g. the WAL
 // segment hit a disk error) and should be resubmitted after the fault is
@@ -356,7 +352,10 @@ func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 	return db.c.Aggregate(q)
 }
 
-// Drain blocks until all accepted tuples are visible to queries.
+// Drain is the insert→query barrier: when it returns, every tuple acked
+// before the call is visible to queries. Inserts are acknowledged from the
+// log, ahead of the indexing servers applying them; a reader that must see
+// its own writes calls Drain between the two.
 func (db *DB) Drain() { db.c.Drain() }
 
 // Flush forces every indexing server to flush its memtables to chunks.

@@ -229,12 +229,6 @@ func TestDataDirPersistence(t *testing.T) {
 	}
 }
 
-func TestDataDirRejectsSyncIngest(t *testing.T) {
-	if _, err := Open(Options{DataDir: t.TempDir(), SyncIngest: true}); err == nil {
-		t.Fatal("DataDir + SyncIngest accepted")
-	}
-}
-
 func TestInsertBatchAndStats(t *testing.T) {
 	db := openTestDB(t, Options{})
 	batch := make([]Tuple, 100)

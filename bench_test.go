@@ -759,10 +759,10 @@ func BenchmarkNetInsertBatch256(b *testing.B) {
 	}
 }
 
-// aggBenchCluster builds a flushed cluster in the given chunk format
-// whose tuples carry a big-endian uint64 at payload offset 0, the
-// pre-aggregated field.
-func aggBenchCluster(b *testing.B, format int) *cluster.Cluster {
+// aggBenchCluster builds a flushed cluster whose tuples carry a big-endian
+// uint64 at payload offset 0, the pre-aggregated field; disableAgg builds
+// the same chunks without the pre-aggregate block.
+func aggBenchCluster(b *testing.B, disableAgg bool) *cluster.Cluster {
 	b.Helper()
 	c := cluster.New(cluster.Config{
 		Nodes:               1,
@@ -773,8 +773,8 @@ func aggBenchCluster(b *testing.B, format int) *cluster.Cluster {
 		CacheBytes:          1 << 30,
 		Seed:                1,
 		DFSLatency:          dfs.LatencyModel{OpenMin: 200 * time.Microsecond, OpenMax: 200 * time.Microsecond},
+		Bloom:               chunk.BuildOptions{DisableAgg: disableAgg},
 	})
-	c.SetChunkFormat(format)
 	c.Start()
 	for i := 0; i < 50_000; i++ {
 		payload := make([]byte, 16)
@@ -791,8 +791,8 @@ func aggBenchCluster(b *testing.B, format int) *cluster.Cluster {
 }
 
 // BenchmarkAggregatePushdown prices the pre-aggregate block end to end:
-// the same full-range SUM against v1 chunks (every leaf body is read and
-// scanned, caches cleared each iteration) and against v2 chunks (the
+// the same full-range SUM against chunks built without it (every leaf body
+// is read and scanned, caches cleared each iteration) and with it (the
 // coordinator and query servers answer from chunk and leaf metadata).
 func BenchmarkAggregatePushdown(b *testing.B) {
 	q := model.AggregateQuery{
@@ -800,11 +800,11 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 	}
 	const wantCount = 50_000
 	for _, mode := range []struct {
-		name   string
-		format int
-	}{{"v1-scan", chunk.FormatV1}, {"v2-pushdown", chunk.FormatV2}} {
+		name       string
+		disableAgg bool
+	}{{"scan", true}, {"pushdown", false}} {
 		b.Run(mode.name, func(b *testing.B) {
-			c := aggBenchCluster(b, mode.format)
+			c := aggBenchCluster(b, mode.disableAgg)
 			defer c.Stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -825,13 +825,11 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarScan measures leaf decode+scan throughput of the two
-// chunk encodings over the same T-Drive snapshot, in the two shapes that
-// matter: "full" visits every tuple (the row format's best case — the
-// columnar decode pays varint work the callback-dominated visit cannot
-// amortize), "narrow" scans a thin key slice per leaf (the columnar
-// format binary-searches the key column and never touches non-matching
-// tuples, where the row format must decode tuple by tuple).
+// BenchmarkColumnarScan measures leaf decode+scan throughput of the chunk
+// encoding over a T-Drive snapshot, in the two shapes that matter: "full"
+// visits every tuple (the decode pays varint work on every column),
+// "narrow" scans a thin key slice per leaf (binary search on the key
+// column, non-matching tuples never touched).
 func BenchmarkColumnarScan(b *testing.B) {
 	g := workload.NewTDrive(workload.TDriveConfig{Taxis: 500, Seed: 11})
 	tree := core.NewTemplateTree(core.TemplateConfig{Keys: g.KeySpan(), Leaves: 64})
@@ -839,45 +837,39 @@ func BenchmarkColumnarScan(b *testing.B) {
 	for i := 0; i < n; i++ {
 		tree.Insert(g.Next())
 	}
-	snap := tree.FlushReset()
-	for _, mode := range []struct {
-		name   string
-		format int
-	}{{"v1-row", chunk.FormatV1}, {"v2-columnar", chunk.FormatV2}} {
-		data, _, err := chunk.Build(snap, chunk.BuildOptions{Format: mode.format})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := chunk.ParseHeader(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scan := func(b *testing.B, kr model.KeyRange, wantAll bool) {
-			var cols chunk.LeafColumns
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for li, d := range h.Dir {
-					err := h.ScanLeafWith(&cols, li, data[d.Offset:d.Offset+d.Length],
-						kr, model.FullTimeRange(), nil,
-						func(*model.Tuple) bool { total++; return true })
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if wantAll && total != n {
-					b.Fatalf("scanned %d tuples, want %d", total, n)
+	data, _, err := chunk.Build(tree.FlushReset(), chunk.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := chunk.ParseHeader(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scan := func(b *testing.B, kr model.KeyRange, wantAll bool) {
+		var cols chunk.LeafColumns
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			total := 0
+			for li, d := range h.Dir {
+				err := h.ScanLeafColsWith(&cols, li, data[d.Offset:d.Offset+d.Length],
+					kr, model.FullTimeRange(), nil,
+					func(model.Key, model.Timestamp, []byte) bool { total++; return true })
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
+			if wantAll && total != n {
+				b.Fatalf("scanned %d tuples, want %d", total, n)
+			}
 		}
-		b.Run("full/"+mode.name, func(b *testing.B) {
-			scan(b, model.FullKeyRange(), true)
-		})
-		b.Run("narrow/"+mode.name, func(b *testing.B) {
-			span := g.KeySpan()
-			mid := span.Hi / 2
-			scan(b, model.KeyRange{Lo: mid, Hi: mid + span.Hi/1000}, false)
-		})
 	}
+	b.Run("full", func(b *testing.B) {
+		scan(b, model.FullKeyRange(), true)
+	})
+	b.Run("narrow", func(b *testing.B) {
+		span := g.KeySpan()
+		mid := span.Hi / 2
+		scan(b, model.KeyRange{Lo: mid, Hi: mid + span.Hi/1000}, false)
+	})
 }

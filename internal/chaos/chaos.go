@@ -2,11 +2,10 @@
 // Waterwheel cluster. From a single RNG seed it pre-generates a schedule
 // interleaving inserts, temporal range queries (solo and in concurrent
 // bursts), aggregate queries cross-checked against the tuple path,
-// chunk-format flips (so v1 and v2 chunks coexist), flushes, balancer
-// ticks, retention drops, WAL truncation and faults — DFS node kill/revive,
-// transient DFS write/read error injection, indexing-server crashes (plain
-// and provably mid-flush) — then drives the cluster through it while
-// checking global invariants after every step:
+// flushes, balancer ticks, retention drops, WAL truncation and faults —
+// DFS node kill/revive, transient DFS write/read error injection,
+// indexing-server crashes (plain and provably mid-flush) — then drives the
+// cluster through it while checking global invariants after every step:
 //
 //   - soundness: every returned tuple was acked, lies inside the query
 //     region, matches the oracle's key/time for its sequence number, and
@@ -128,9 +127,6 @@ type Report struct {
 	// AggChecks counts aggregate queries whose result was verified exactly
 	// against the tuples a simultaneous range query returned.
 	AggChecks int
-	// FormatFlips counts chunk-format switches executed by the schedule, so
-	// a mixed-format run can prove both layouts were written.
-	FormatFlips int
 	// LostAcked counts acked tuples missing after a hard crash under a
 	// durability policy that permits loss (anything but "ack-on-fsync").
 	// Such losses are expected — the run still verifies soundness and
@@ -152,7 +148,6 @@ const (
 	opQuery
 	opQueryConcurrent
 	opAggQuery
-	opFlipFormat
 	opFlush
 	opBalance
 	opRetention
@@ -174,8 +169,7 @@ const (
 var opNames = map[opKind]string{
 	opInsert: "insert", opInsertBatch: "insert-batch", opQuery: "query",
 	opQueryConcurrent: "query-concurrent", opFlush: "flush-all",
-	opAggQuery: "agg-query", opFlipFormat: "flip-chunk-format",
-	opBalance: "tick-balance", opRetention: "retention",
+	opAggQuery: "agg-query", opBalance: "tick-balance", opRetention: "retention",
 	opTruncateWAL: "truncate-wal", opKillDFS: "kill-dfs",
 	opReviveDFS: "revive-dfs", opWriteFaults: "write-faults",
 	opReadFaults: "read-faults", opCrash: "crash",
@@ -221,8 +215,7 @@ var weights = []struct {
 	w    int
 }{
 	{opInsert, 22}, {opInsertBatch, 8}, {opQuery, 14}, {opQueryConcurrent, 6},
-	{opAggQuery, 8}, {opFlipFormat, 4},
-	{opFlush, 7}, {opBalance, 5},
+	{opAggQuery, 8}, {opFlush, 7}, {opBalance, 5},
 	{opRetention, 4}, {opTruncateWAL, 4}, {opKillDFS, 4}, {opReviveDFS, 6},
 	{opWriteFaults, 5}, {opReadFaults, 5}, {opCrash, 3}, {opCrashMidFlush, 2},
 	{opBarrier, 7},
@@ -508,8 +501,6 @@ func (r *runner) exec(i int, o op) {
 		r.queryConcurrent(i, o.n)
 	case opAggQuery:
 		r.aggQuery(i)
-	case opFlipFormat:
-		r.flipFormat()
 	case opFlush:
 		r.c.FlushAll()
 	case opBalance:
@@ -854,18 +845,6 @@ func (r *runner) aggQuery(i int) {
 			agg.Min, want.Min, agg.Max, want.Max)
 	} else {
 		r.rep.AggChecks++
-	}
-}
-
-// flipFormat alternates the chunk format the indexing servers write —
-// v1 on odd flips, back to v2 on even — so a schedule with flips and
-// flushes queries clusters holding both layouts at once.
-func (r *runner) flipFormat() {
-	r.rep.FormatFlips++
-	if r.rep.FormatFlips%2 == 1 {
-		r.c.SetChunkFormat(chunk.FormatV1)
-	} else {
-		r.c.SetChunkFormat(chunk.FormatV2)
 	}
 }
 

@@ -172,20 +172,19 @@ func TestChaosBatchWALFault(t *testing.T) {
 	}
 }
 
-// TestChaosMixedFormats drives a hand-built schedule that flips the chunk
-// format between flushes, so the cluster holds v1 and v2 chunks at once,
-// and cross-checks temporal and aggregate queries against the oracle in
-// that mixed state. The run must prove both that formats actually flipped
-// and that aggregate results were verified exactly.
-func TestChaosMixedFormats(t *testing.T) {
+// TestChaosAggregateChecks drives a hand-built schedule of flushes and
+// barriers and cross-checks temporal and aggregate queries against the
+// oracle over a mix of chunks and memtable data. The run must prove that
+// aggregate results were verified exactly — random schedules may skip
+// every check when ingestion never quiesces around an aggregate.
+func TestChaosAggregateChecks(t *testing.T) {
 	r, err := newRunner(Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := []op{
-		{kind: opInsert, n: 100}, // flushed as v2 (the default)
+		{kind: opInsert, n: 100},
 		{kind: opFlush},
-		{kind: opFlipFormat}, // → v1
 		{kind: opInsert, n: 100},
 		{kind: opFlush},
 		{kind: opQuery},
@@ -193,7 +192,6 @@ func TestChaosMixedFormats(t *testing.T) {
 		// sandwich always pins an exact answer, so AggChecks must advance.
 		{kind: opBarrier},
 		{kind: opAggQuery},
-		{kind: opFlipFormat}, // → back to v2
 		{kind: opInsert, n: 100},
 		{kind: opFlush},
 		{kind: opBarrier},
@@ -204,9 +202,6 @@ func TestChaosMixedFormats(t *testing.T) {
 	r.runSchedule(sched)
 	r.c.Stop()
 	report(t, r.rep)
-	if r.rep.FormatFlips != 2 {
-		t.Errorf("format flips = %d, want 2", r.rep.FormatFlips)
-	}
 	if r.rep.AggChecks == 0 {
 		t.Error("no aggregate query was verified against the tuple path")
 	}

@@ -1,4 +1,4 @@
-// Pre-aggregate block (v2, flagAgg): per-leaf, per-time-mini-range
+// Pre-aggregate block (flagAgg): per-leaf, per-time-mini-range
 // summaries of a designated big-endian uint64 payload field, sitting in
 // the header next to the bloom sketches. An aggregate subquery answers
 // fully covered leaves from these buckets without touching the leaf body,

@@ -7,18 +7,28 @@
 // key range and the bloom filters (§IV-B, §VI-B: "the data layout in our
 // data chunks allows the system to read only the needed leaf nodes").
 //
-// Layout:
+// Layout (one format; the magic's last byte is its version):
 //
-//	[8B magic "WWCHUNK1"]
-//	[4B header length H]
-//	[fixed fields: count, minTime, maxTime, keyLo, keyHi, nLeaves, flags]
+//	[8B magic "WWCHUNK2"][4B header length H]
+//	[fixed fields: count, minT, maxT, keyLo, keyHi, nLeaves, flags]
 //	[(nLeaves-1) × 8B leaf boundary keys]
-//	[nLeaves × leaf directory entries {offset, length, count, minT, maxT}]
-//	[nLeaves × {4B sketch length, sketch bytes}]
-//	[optional, flagSecondary: 4B attribute offset,
+//	[nLeaves × 36B directory {offset, length, count, minT, maxT}]
+//	[nLeaves × 16B exact per-leaf key bounds {minKey, maxKey}]
+//	[flagBloom: nLeaves × {4B sketch length, sketch bytes}]
+//	[flagSecondary: 4B attribute offset,
 //	 nLeaves × {4B filter length, filter bytes}]
+//	[flagAgg: pre-aggregate block, see agg.go]
 //	--- header ends at offset H ---
-//	[leaf 0 tuples][leaf 1 tuples]…   (model tuple encoding, key-sorted)
+//	[leaf 0 columns][leaf 1 columns]…
+//
+// Leaf bodies are columns, key-sorted (see v2.go for the encodings):
+//
+//	[4B keyColLen][4B tsColLen][4B lenColLen]
+//	[key column][ts column][len column][payload bytes]
+//
+// Empty leaves have zero-length bodies. All decode paths bounds-check
+// before slicing and return ErrCorrupt on malformed input — a corrupt
+// chunk must never panic or over-read.
 package chunk
 
 import (
@@ -32,22 +42,11 @@ import (
 	"waterwheel/internal/model"
 )
 
-// Format versions. The magic's last byte carries the version, so readers
-// dispatch per chunk: a cluster can hold v1 and v2 chunks side by side.
-const (
-	// FormatV1 is the original row layout: leaf bodies are sequences of
-	// model-encoded tuples.
-	FormatV1 = 1
-	// FormatV2 is the columnar layout: leaf bodies hold delta-varint key,
-	// delta-of-delta timestamp and payload columns, and the header carries
-	// per-leaf key bounds plus a pre-aggregate block.
-	FormatV2 = 2
-)
-
-var (
-	magicV1 = [8]byte{'W', 'W', 'C', 'H', 'U', 'N', 'K', '1'}
-	magicV2 = [8]byte{'W', 'W', 'C', 'H', 'U', 'N', 'K', '2'}
-)
+// magicV2 opens every chunk. Its last byte is the format version — the one
+// place a version lives: '2' parses, anything else is
+// ErrUnsupportedVersion (the row-encoded "WWCHUNK1" of early builds
+// included).
+var magicV2 = [8]byte{'W', 'W', 'C', 'H', 'U', 'N', 'K', '2'}
 
 // ErrCorrupt reports a malformed chunk.
 var ErrCorrupt = errors.New("chunk: corrupt data")
@@ -63,23 +62,18 @@ const (
 	flagAgg
 )
 
-// formatOf identifies the chunk format from the first 8 bytes.
-func formatOf(prefix []byte) (int, error) {
+// checkMagic validates the first 8 bytes of a chunk.
+func checkMagic(prefix []byte) error {
 	if len(prefix) < 8 {
-		return 0, fmt.Errorf("%w: short prefix", ErrCorrupt)
+		return fmt.Errorf("%w: short prefix", ErrCorrupt)
 	}
-	for i := 0; i < 7; i++ {
-		if prefix[i] != magicV1[i] {
-			return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-		}
+	if string(prefix[:7]) != string(magicV2[:7]) {
+		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	switch prefix[7] {
-	case '1':
-		return FormatV1, nil
-	case '2':
-		return FormatV2, nil
+	if prefix[7] != magicV2[7] {
+		return fmt.Errorf("%w: magic version byte %q", ErrUnsupportedVersion, prefix[7])
 	}
-	return 0, fmt.Errorf("%w: magic version byte %q", ErrUnsupportedVersion, prefix[7])
+	return nil
 }
 
 // SecondarySpec enables a secondary bloom index over a non-key,
@@ -97,7 +91,7 @@ type SecondarySpec struct {
 // BuildOptions tunes chunk construction.
 type BuildOptions struct {
 	// BucketMillis is the time mini-range width for leaf bloom sketches
-	// and v2 pre-aggregate buckets (default 1000 ms).
+	// and pre-aggregate buckets (default 1000 ms).
 	BucketMillis int64
 	// FPRate is the sketch false-positive target (default 0.01).
 	FPRate float64
@@ -106,15 +100,11 @@ type BuildOptions struct {
 	// Secondary, when non-nil, adds per-leaf bloom filters over the given
 	// payload attribute.
 	Secondary *SecondarySpec
-	// Format selects the chunk format version to write: FormatV1 or
-	// FormatV2. Zero means FormatV2, the default since the columnar
-	// layout landed; readers dispatch on the magic either way.
-	Format int
 	// AggField is the payload byte offset of the big-endian uint64 field
-	// the v2 pre-aggregate block summarizes (default 0 — the payload's
+	// the pre-aggregate block summarizes (default 0 — the payload's
 	// leading field).
 	AggField uint32
-	// DisableAgg omits the v2 pre-aggregate block (ablation switch).
+	// DisableAgg omits the pre-aggregate block (ablation switch).
 	DisableAgg bool
 }
 
@@ -124,9 +114,6 @@ func (o *BuildOptions) fill() {
 	}
 	if o.FPRate <= 0 || o.FPRate >= 1 {
 		o.FPRate = 0.01
-	}
-	if o.Format == 0 {
-		o.Format = FormatV2
 	}
 }
 
@@ -150,161 +137,23 @@ type Meta struct {
 	HeaderLen int
 	// Size is the total chunk size in bytes.
 	Size int64
-	// Format is the chunk format version written (FormatV1 or FormatV2).
-	Format int
 	// Agg summarizes the designated aggregate field over the whole chunk
-	// (v2 with pre-aggregates only; nil otherwise). Registered with the
+	// (nil when built with DisableAgg). Registered with the
 	// chunk's metadata so the coordinator can answer aggregate subqueries
 	// over fully covered chunks without dispatching them.
 	Agg *model.ChunkAgg
 }
 
 // Build serializes a flush snapshot into a chunk, returning the bytes and
-// metadata. The format version comes from opts (default FormatV2).
+// metadata. It transcodes the snapshot's columns straight into chunk
+// columns: no model.Tuple exists between a FlushSnapshot and a query
+// result.
 func Build(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) {
 	if snap == nil || snap.Count == 0 {
 		return nil, Meta{}, errors.New("chunk: empty snapshot")
 	}
 	opts.fill()
-	switch opts.Format {
-	case FormatV1:
-		return buildV1(snap, opts)
-	case FormatV2:
-		return buildV2(snap, opts)
-	}
-	return nil, Meta{}, fmt.Errorf("%w: cannot build format %d", ErrUnsupportedVersion, opts.Format)
-}
-
-// buildV1 serializes the original row layout.
-func buildV1(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) {
-	nLeaves := len(snap.Leaves)
-
-	// Encode leaf bodies and collect directory info.
-	dir := make([]LeafInfo, nLeaves)
-	sketches := make([][]byte, nLeaves)
-	secondary := make([][]byte, nLeaves)
-	var body []byte
-	for i := range snap.Leaves {
-		n := snap.Leaves[i].Len()
-		start := len(body)
-		info := LeafInfo{Count: n}
-		if n > 0 {
-			info.MinT, info.MaxT = snap.Leaves[i].Times[0], snap.Leaves[i].Times[0]
-		}
-		var sk *bloom.TimeSketch
-		if !opts.DisableBloom && n > 0 {
-			est := n/4 + 16
-			sk = bloom.NewTimeSketch(opts.BucketMillis, est, opts.FPRate)
-		}
-		var sec *bloom.Filter
-		if opts.Secondary != nil && n > 0 {
-			sec = bloom.NewWithEstimates(n, opts.FPRate)
-		}
-		// The v1 row layout interleaves key/time/payload per tuple, so this
-		// is the one build path that materializes tuples from the columns
-		// (via the counted EachTuple iterator).
-		snap.EachTuple(i, func(e model.Tuple) bool {
-			body = model.AppendTuple(body, &e)
-			if e.Time < info.MinT {
-				info.MinT = e.Time
-			}
-			if e.Time > info.MaxT {
-				info.MaxT = e.Time
-			}
-			if sk != nil {
-				sk.AddTime(int64(e.Time))
-			}
-			if sec != nil {
-				if v, ok := payloadU64(e.Payload, opts.Secondary.Offset); ok {
-					sec.Add(v)
-				}
-			}
-			return true
-		})
-		info.Length = int64(len(body) - start)
-		dir[i] = info // Offset fixed up after the header size is known.
-		if sk != nil {
-			sketches[i] = sk.AppendTo(nil)
-		}
-		if sec != nil {
-			secondary[i] = sec.AppendTo(nil)
-		}
-	}
-
-	// Header size: magic(8) + hlen(4) + count(8) + minT(8) + maxT(8) +
-	// keyLo(8) + keyHi(8) + nLeaves(4) + flags(1) + bounds + dir + sketches.
-	const fixed = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 1
-	hlen := fixed + (nLeaves-1)*8 + nLeaves*36
-	for _, s := range sketches {
-		hlen += 4 + len(s)
-	}
-	if opts.Secondary != nil {
-		hlen += 4 // attribute offset
-		for _, s := range secondary {
-			hlen += 4 + len(s)
-		}
-	}
-	// Fix up absolute leaf offsets.
-	off := int64(hlen)
-	for i := range dir {
-		dir[i].Offset = off
-		off += dir[i].Length
-	}
-
-	out := make([]byte, 0, hlen+len(body))
-	out = append(out, magicV1[:]...)
-	out = appendU32(out, uint32(hlen))
-	out = appendU64(out, uint64(snap.Count))
-	out = appendU64(out, uint64(snap.MinTime))
-	out = appendU64(out, uint64(snap.MaxTime))
-	out = appendU64(out, uint64(snap.Keys.Lo))
-	out = appendU64(out, uint64(snap.Keys.Hi))
-	out = appendU32(out, uint32(nLeaves))
-	flags := byte(0)
-	if !opts.DisableBloom {
-		flags |= flagBloom
-	}
-	if opts.Secondary != nil {
-		flags |= flagSecondary
-	}
-	out = append(out, flags)
-	for _, b := range snap.Bounds {
-		out = appendU64(out, uint64(b))
-	}
-	for _, d := range dir {
-		out = appendU64(out, uint64(d.Offset))
-		out = appendU64(out, uint64(d.Length))
-		out = appendU32(out, uint32(d.Count))
-		out = appendU64(out, uint64(d.MinT))
-		out = appendU64(out, uint64(d.MaxT))
-	}
-	for _, s := range sketches {
-		out = appendU32(out, uint32(len(s)))
-		out = append(out, s...)
-	}
-	if opts.Secondary != nil {
-		out = appendU32(out, opts.Secondary.Offset)
-		for _, s := range secondary {
-			out = appendU32(out, uint32(len(s)))
-			out = append(out, s...)
-		}
-	}
-	if len(out) != hlen {
-		return nil, Meta{}, fmt.Errorf("chunk: header size miscomputed: %d != %d", len(out), hlen)
-	}
-	out = append(out, body...)
-
-	meta := Meta{
-		Count:     snap.Count,
-		MinTime:   snap.MinTime,
-		MaxTime:   snap.MaxTime,
-		Keys:      snap.Keys,
-		Leaves:    nLeaves,
-		HeaderLen: hlen,
-		Size:      int64(len(out)),
-		Format:    FormatV1,
-	}
-	return out, meta, nil
+	return buildV2(snap, opts)
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -338,10 +187,10 @@ type Header struct {
 	// SecondaryFilters holds each leaf's secondary attribute filter (nil
 	// for empty leaves or when the index is absent).
 	SecondaryFilters []*bloom.Filter
-	// LeafKeys bounds each leaf's keys exactly (v2 only; nil for v1).
-	// Entries of empty leaves are zero and must be gated on Dir.Count.
+	// LeafKeys bounds each leaf's keys exactly. Entries of empty leaves
+	// are zero and must be gated on Dir.Count.
 	LeafKeys []model.KeyRange
-	// HasAgg reports whether the v2 pre-aggregate block is present.
+	// HasAgg reports whether the pre-aggregate block is present.
 	HasAgg bool
 	// AggField is the payload offset of the pre-aggregated uint64 field;
 	// valid only when HasAgg.
@@ -360,27 +209,26 @@ func payloadU64(p []byte, off uint32) (uint64, bool) {
 }
 
 // PeekHeaderLen returns the header block length from a chunk prefix of at
-// least 12 bytes, so a reader can fetch exactly the header. It dispatches
-// on the magic: any supported format version parses, an unknown version
-// returns ErrUnsupportedVersion.
+// least 12 bytes, so a reader can fetch exactly the header. A Waterwheel
+// magic with any version byte but this build's returns
+// ErrUnsupportedVersion.
 func PeekHeaderLen(prefix []byte) (int, error) {
 	if len(prefix) < 12 {
 		return 0, fmt.Errorf("%w: short prefix", ErrCorrupt)
 	}
-	if _, err := formatOf(prefix); err != nil {
+	if err := checkMagic(prefix); err != nil {
 		return 0, err
 	}
 	return int(binary.BigEndian.Uint32(prefix[8:12])), nil
 }
 
 // ParseHeader decodes the header block (buf must hold at least HeaderLen
-// bytes) of any supported format version, dispatching on the magic.
+// bytes).
 func ParseHeader(buf []byte) (*Header, error) {
 	hlen, err := PeekHeaderLen(buf)
 	if err != nil {
 		return nil, err
 	}
-	format, _ := formatOf(buf)
 	if len(buf) < hlen {
 		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), hlen)
 	}
@@ -389,7 +237,6 @@ func ParseHeader(buf []byte) (*Header, error) {
 		return nil, fmt.Errorf("%w: header too small", ErrCorrupt)
 	}
 	h := &Header{}
-	h.Format = format
 	h.HeaderLen = hlen
 	h.Count = int(binary.BigEndian.Uint64(buf[12:20]))
 	h.MinTime = model.Timestamp(binary.BigEndian.Uint64(buf[20:28]))
@@ -402,19 +249,13 @@ func ParseHeader(buf []byte) (*Header, error) {
 	if nLeaves < 1 || nLeaves > 1<<24 {
 		return nil, fmt.Errorf("%w: leaf count %d", ErrCorrupt, nLeaves)
 	}
-	known := byte(flagBloom | flagSecondary)
-	if format >= FormatV2 {
-		known |= flagAgg
-	}
+	const known = flagBloom | flagSecondary | flagAgg
 	if flags&^known != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags&^known)
 	}
 	pos := fixed
-	need := pos + (nLeaves-1)*8 + nLeaves*36
-	if format >= FormatV2 {
-		need += nLeaves * 16 // per-leaf key bounds
-	}
-	if hlen < need {
+	// Bounds, directory, per-leaf key bounds.
+	if hlen < pos+(nLeaves-1)*8+nLeaves*36+nLeaves*16 {
 		return nil, fmt.Errorf("%w: directory truncated", ErrCorrupt)
 	}
 	h.Bounds = make([]model.Key, nLeaves-1)
@@ -442,15 +283,13 @@ func ParseHeader(buf []byte) (*Header, error) {
 		totalLen += h.Dir[i].Length
 	}
 	h.Size = int64(hlen) + totalLen
-	if format >= FormatV2 {
-		h.LeafKeys = make([]model.KeyRange, nLeaves)
-		for i := range h.LeafKeys {
-			h.LeafKeys[i].Lo = model.Key(binary.BigEndian.Uint64(buf[pos:]))
-			h.LeafKeys[i].Hi = model.Key(binary.BigEndian.Uint64(buf[pos+8:]))
-			pos += 16
-			if h.Dir[i].Count > 0 && h.LeafKeys[i].Lo > h.LeafKeys[i].Hi {
-				return nil, fmt.Errorf("%w: leaf %d key bounds inverted", ErrCorrupt, i)
-			}
+	h.LeafKeys = make([]model.KeyRange, nLeaves)
+	for i := range h.LeafKeys {
+		h.LeafKeys[i].Lo = model.Key(binary.BigEndian.Uint64(buf[pos:]))
+		h.LeafKeys[i].Hi = model.Key(binary.BigEndian.Uint64(buf[pos+8:]))
+		pos += 16
+		if h.Dir[i].Count > 0 && h.LeafKeys[i].Lo > h.LeafKeys[i].Hi {
+			return nil, fmt.Errorf("%w: leaf %d key bounds inverted", ErrCorrupt, i)
 		}
 	}
 	h.Sketches = make([]*bloom.TimeSketch, nLeaves)
@@ -556,12 +395,10 @@ func (h *Header) SelectLeavesFor(kr model.KeyRange, tr model.TimeRange, useBloom
 }
 
 // DecodeLeaf decodes the tuples of leaf li (body holds the bytes at
-// Dir[li].Offset..+Length), dispatching on the chunk format. Payloads
-// alias body. The result is pre-sized from the directory's tuple count.
+// Dir[li].Offset..+Length) — the one tuple-shaped view of a leaf, for
+// inspection and tests; queries scan columns (ScanLeafColsWith). Payloads
+// alias body.
 func (h *Header) DecodeLeaf(li int, body []byte) ([]model.Tuple, error) {
-	if h.Format == FormatV1 {
-		return model.DecodeTuplesInto(make([]model.Tuple, 0, h.Dir[li].Count), body)
-	}
 	var cols LeafColumns
 	if err := h.DecodeColumns(li, body, &cols); err != nil {
 		return nil, err
@@ -577,35 +414,13 @@ func (h *Header) DecodeLeaf(li int, body []byte) ([]model.Tuple, error) {
 	return out, nil
 }
 
-// ScanLeaf visits leaf li's tuples matching the ranges and filter in key
-// order, stopping early when fn returns false — dispatching on the chunk
-// format (row decode for v1, columnar for v2). Payloads alias body.
-func (h *Header) ScanLeaf(li int, body []byte, kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(*model.Tuple) bool) error {
-	var cols LeafColumns
-	return h.ScanLeafWith(&cols, li, body, kr, tr, filter, fn)
-}
-
-// ScanLeafWith is ScanLeaf with caller-owned column scratch, so a
-// multi-leaf scan decodes every leaf into the same buffers. One tuple
-// value is reused across the whole scan — callers must not retain the
-// pointer past the callback (payloads alias body either way).
-func (h *Header) ScanLeafWith(cols *LeafColumns, li int, body []byte, kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(*model.Tuple) bool) error {
-	var t model.Tuple
-	return h.ScanLeafColsWith(cols, li, body, kr, tr, filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
-		t.Key, t.Time, t.Payload = k, ts, p
-		return fn(&t)
-	})
-}
-
-// ScanLeafColsWith visits leaf li's matching tuples as raw (key, time,
-// payload) columns — the allocation-free scan primitive under ScanLeafWith
-// and the aggregate executor. Payloads alias body; filters evaluate
-// against the columns directly, so no model.Tuple is built anywhere on
-// this path.
+// ScanLeafColsWith visits leaf li's tuples matching the ranges and filter
+// in key order as raw (key, time, payload) columns, stopping early when fn
+// returns false. cols is caller-owned scratch, so a multi-leaf scan
+// decodes every leaf into the same buffers. Payloads alias body; filters
+// evaluate against the columns directly, so no model.Tuple is built
+// anywhere on this path.
 func (h *Header) ScanLeafColsWith(cols *LeafColumns, li int, body []byte, kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(model.Key, model.Timestamp, []byte) bool) error {
-	if h.Format == FormatV1 {
-		return scanLeafV1Cols(body, kr, tr, filter, fn)
-	}
 	if err := h.DecodeColumns(li, body, cols); err != nil {
 		return err
 	}
@@ -626,39 +441,6 @@ func (h *Header) ScanLeafColsWith(cols *LeafColumns, li int, body []byte, kr mod
 			continue
 		}
 		if !fn(cols.Keys[j], cols.Times[j], p) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// ScanLeaf visits a v1 row-encoded leaf's tuples matching the ranges and
-// filter in key order, stopping early when fn returns false. It decodes
-// incrementally, skipping payload copies for non-matching tuples. One
-// tuple value is reused across the scan.
-func ScanLeaf(buf []byte, kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(*model.Tuple) bool) error {
-	var t model.Tuple
-	return scanLeafV1Cols(buf, kr, tr, filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
-		t.Key, t.Time, t.Payload = k, ts, p
-		return fn(&t)
-	})
-}
-
-// scanLeafV1Cols is the raw-column visitor over a v1 row-encoded leaf.
-func scanLeafV1Cols(buf []byte, kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(model.Key, model.Timestamp, []byte) bool) error {
-	for len(buf) > 0 {
-		t, n, err := model.DecodeTuple(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[n:]
-		if t.Key > kr.Hi {
-			return nil // leaf is key-sorted; nothing further matches
-		}
-		if t.Key < kr.Lo || t.Time < tr.Lo || t.Time > tr.Hi || !filter.MatchesCols(t.Key, t.Time, t.Payload) {
-			continue
-		}
-		if !fn(t.Key, t.Time, t.Payload) {
 			return nil
 		}
 	}

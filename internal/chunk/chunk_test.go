@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -165,11 +166,10 @@ func TestScanLeaf(t *testing.T) {
 	tr := model.TimeRange{Lo: 1100, Hi: 1300}
 	f := model.KeyMod(4, 0)
 	var scanned []model.Tuple
+	var cols LeafColumns
 	for li, d := range h.Dir {
-		err := h.ScanLeaf(li, data[d.Offset:d.Offset+d.Length], kr, tr, f, func(tp *model.Tuple) bool {
-			cp := *tp
-			cp.Payload = append([]byte(nil), tp.Payload...)
-			scanned = append(scanned, cp)
+		err := h.ScanLeafColsWith(&cols, li, data[d.Offset:d.Offset+d.Length], kr, tr, f, func(k model.Key, ts model.Timestamp, p []byte) bool {
+			scanned = append(scanned, model.Tuple{Key: k, Time: ts, Payload: append([]byte(nil), p...)})
 			return true
 		})
 		if err != nil {
@@ -197,8 +197,9 @@ func TestScanLeafEarlyStop(t *testing.T) {
 	h, _ := ParseHeader(data)
 	n := 0
 	d := h.Dir[0]
-	h.ScanLeaf(0, data[d.Offset:d.Offset+d.Length], model.FullKeyRange(), model.FullTimeRange(), nil,
-		func(*model.Tuple) bool { n++; return n < 5 })
+	var cols LeafColumns
+	h.ScanLeafColsWith(&cols, 0, data[d.Offset:d.Offset+d.Length], model.FullKeyRange(), model.FullTimeRange(), nil,
+		func(model.Key, model.Timestamp, []byte) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Errorf("visited %d", n)
 	}
@@ -217,6 +218,18 @@ func TestParseCorrupt(t *testing.T) {
 	}
 	if _, err := ParseHeader(data[:meta.HeaderLen-1]); err == nil {
 		t.Error("truncated header accepted")
+	}
+	// The magic's version byte is the only version check: the row format
+	// of early builds and any future format are refused by name.
+	for _, version := range []byte{'1', '3'} {
+		other := append([]byte(nil), data...)
+		other[7] = version
+		if _, err := ParseHeader(other); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("ParseHeader of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
+		}
+		if _, err := PeekHeaderLen(other[:12]); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("PeekHeaderLen of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
+		}
 	}
 }
 
@@ -279,8 +292,9 @@ func TestParseHeaderNeverPanics(t *testing.T) {
 				if d.Offset < 0 || d.Length < 0 || d.Offset+d.Length > int64(len(bad)) {
 					return // out-of-range extents are the caller's bounds check
 				}
-				h.ScanLeaf(li, bad[d.Offset:d.Offset+d.Length], model.FullKeyRange(), model.FullTimeRange(), nil,
-					func(*model.Tuple) bool { return true })
+				var cols LeafColumns
+				h.ScanLeafColsWith(&cols, li, bad[d.Offset:d.Offset+d.Length], model.FullKeyRange(), model.FullTimeRange(), nil,
+					func(model.Key, model.Timestamp, []byte) bool { return true })
 			}
 		}()
 	}
@@ -296,34 +310,10 @@ func TestTruncatedChunkDataErrors(t *testing.T) {
 	if d.Length < 10 {
 		t.Skip("leaf too small")
 	}
-	err := h.ScanLeaf(0, data[d.Offset:d.Offset+d.Length-5], model.FullKeyRange(), model.FullTimeRange(), nil,
-		func(*model.Tuple) bool { return true })
+	var cols LeafColumns
+	err := h.ScanLeafColsWith(&cols, 0, data[d.Offset:d.Offset+d.Length-5], model.FullKeyRange(), model.FullTimeRange(), nil,
+		func(model.Key, model.Timestamp, []byte) bool { return true })
 	if err == nil {
 		t.Fatal("truncated leaf scanned without error")
-	}
-}
-
-// TestV2BuildZeroMaterialization hooks the snapshot's tuple-materialization
-// counter around both build paths. The v2 columnar encoder must transcode
-// snapshot columns straight into chunk columns without constructing a
-// single model.Tuple; the v1 row encoder still goes through the
-// materializing EachTuple iterator and proves the counter works.
-func TestV2BuildZeroMaterialization(t *testing.T) {
-	snap := buildSnapshot(t, 500, 8)
-
-	before := core.TupleMaterializations()
-	if _, _, err := Build(snap, BuildOptions{Format: FormatV2, Secondary: &SecondarySpec{Offset: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if d := core.TupleMaterializations() - before; d != 0 {
-		t.Fatalf("v2 build materialized %d tuples, want 0", d)
-	}
-
-	before = core.TupleMaterializations()
-	if _, _, err := Build(snap, BuildOptions{Format: FormatV1}); err != nil {
-		t.Fatal(err)
-	}
-	if d := core.TupleMaterializations() - before; d != 500 {
-		t.Fatalf("v1 build materialized %d tuples, want 500 (counter hook broken?)", d)
 	}
 }

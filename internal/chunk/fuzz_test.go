@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"errors"
+	"os"
 	"testing"
 
 	"waterwheel/internal/model"
@@ -9,21 +10,18 @@ import (
 
 // decodeErrOK reports whether an error from a decode path is an accepted
 // rejection class. Corrupt or truncated input must surface as ErrCorrupt
-// (or the model layer's short-buffer error inside v1 row bodies), and a
-// magic from the future as ErrUnsupportedVersion — anything else means a
-// decode path leaked an internal failure mode.
+// and a magic of another version as ErrUnsupportedVersion — anything else
+// means a decode path leaked an internal failure mode.
 func decodeErrOK(err error) bool {
-	return errors.Is(err, ErrCorrupt) ||
-		errors.Is(err, ErrUnsupportedVersion) ||
-		errors.Is(err, model.ErrShortBuffer)
+	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrUnsupportedVersion)
 }
 
 // FuzzChunkOpen throws arbitrary bytes at the whole chunk read path —
-// header parse, leaf selection, row/columnar decode, scans and
-// pre-aggregate folds. The invariant: malformed input is rejected with a
-// typed error, never a panic, an over-read past the input, or an
-// unbounded allocation. The seed corpus covers both format versions in
-// every section combination, plus truncations and a future-version magic.
+// header parse, leaf selection, columnar decode, scans and pre-aggregate
+// folds. The invariant: malformed input is rejected with a typed error,
+// never a panic, an over-read past the input, or an unbounded allocation.
+// The seed corpus covers every section combination and the committed
+// golden fixture, plus truncations and past- and future-version magics.
 func FuzzChunkOpen(f *testing.F) {
 	snap := buildSnapshot(f, 300, 8)
 	add := func(opts BuildOptions) []byte {
@@ -34,19 +32,26 @@ func FuzzChunkOpen(f *testing.F) {
 		f.Add(data)
 		return data
 	}
-	add(BuildOptions{Format: FormatV1})
-	add(BuildOptions{Format: FormatV1, Secondary: &SecondarySpec{Offset: 0}, DisableBloom: true})
-	v2 := add(BuildOptions{Format: FormatV2})
-	add(BuildOptions{Format: FormatV2, DisableBloom: true})
-	add(BuildOptions{Format: FormatV2, DisableAgg: true})
-	add(BuildOptions{Format: FormatV2, Secondary: &SecondarySpec{Offset: 0}})
-	// Truncations at section-ish boundaries and a v3 magic.
+	v2 := add(BuildOptions{})
+	add(BuildOptions{DisableBloom: true})
+	add(BuildOptions{DisableAgg: true})
+	add(BuildOptions{Secondary: &SecondarySpec{Offset: 0}})
+	add(BuildOptions{Secondary: &SecondarySpec{Offset: 0}, DisableBloom: true})
+	golden, err := os.ReadFile("testdata/golden_v2.chunk")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	// Truncations at section-ish boundaries, and the golden bytes behind
+	// the v1 magic of early builds and a v3 magic.
 	f.Add(v2[:len(v2)/2])
 	f.Add(v2[:57])
 	f.Add(v2[:12])
-	future := append([]byte(nil), v2...)
-	future[7] = '3'
-	f.Add(future)
+	for _, version := range []byte{'1', '3'} {
+		other := append([]byte(nil), golden...)
+		other[7] = version
+		f.Add(other)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ParseHeader(data)
@@ -73,10 +78,10 @@ func FuzzChunkOpen(f *testing.F) {
 			if _, err := h.DecodeLeaf(li, body); err != nil && !decodeErrOK(err) {
 				t.Fatalf("DecodeLeaf(%d) error class: %v", li, err)
 			}
-			err := h.ScanLeafWith(&cols, li, body, model.FullKeyRange(), full, nil,
-				func(*model.Tuple) bool { return true })
+			err := h.ScanLeafColsWith(&cols, li, body, model.FullKeyRange(), full, nil,
+				func(model.Key, model.Timestamp, []byte) bool { return true })
 			if err != nil && !decodeErrOK(err) {
-				t.Fatalf("ScanLeaf(%d) error class: %v", li, err)
+				t.Fatalf("ScanLeafColsWith(%d) error class: %v", li, err)
 			}
 			h.FoldLeafAggAll(li, false, &agg)
 			if d.Count > 0 {

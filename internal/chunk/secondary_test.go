@@ -78,8 +78,9 @@ func TestSecondaryPruning(t *testing.T) {
 	found := false
 	for _, li := range read {
 		d := h.Dir[li]
-		h.ScanLeaf(li, data[d.Offset:d.Offset+d.Length], model.FullKeyRange(), model.FullTimeRange(),
-			model.PayloadU64(0, model.CmpEQ, v), func(*model.Tuple) bool {
+		var cols LeafColumns
+		h.ScanLeafColsWith(&cols, li, data[d.Offset:d.Offset+d.Length], model.FullKeyRange(), model.FullTimeRange(),
+			model.PayloadU64(0, model.CmpEQ, v), func(model.Key, model.Timestamp, []byte) bool {
 				found = true
 				return false
 			})

@@ -1,28 +1,3 @@
-// Chunk format v2: columnar leaves behind the WWCHUNK2 magic.
-//
-// The header keeps the v1 shape (fixed fields, leaf bounds, directory,
-// sketches, optional secondary filters) and adds two sections:
-//
-//	[nLeaves × {8B minKey, 8B maxKey}]            after the directory
-//	[flagAgg: pre-aggregate block, see agg.go]    at the end
-//
-// Leaf bodies are laid out as columns instead of row-encoded tuples:
-//
-//	[4B keyColLen][4B tsColLen][4B lenColLen]
-//	[key column]   1 encoding byte, then either count×8B fixed words or
-//	               uvarint deltas (keys are sorted, so deltas are ≥ 0);
-//	               the builder picks whichever is smaller.
-//	[ts column]    zigzag varints: first timestamp, first delta, then
-//	               delta-of-deltas — near-constant arrival cadence costs
-//	               ~1 byte per tuple.
-//	[len column]   1 encoding byte: constant payload length as a single
-//	               uvarint (the common fixed-schema case), or one uvarint
-//	               per tuple.
-//	[payloads]     concatenated payload bytes (the remaining body).
-//
-// Empty leaves have zero-length bodies. All decode paths bounds-check
-// before slicing and return ErrCorrupt on malformed input — a corrupt
-// chunk must never panic or over-read.
 package chunk
 
 import (
@@ -35,6 +10,18 @@ import (
 	"waterwheel/internal/model"
 )
 
+// Column encodings of a leaf body (the chunk layout is in chunk.go):
+//
+//	[key column]   1 encoding byte, then either count×8B fixed words or
+//	               uvarint deltas (keys are sorted, so deltas are ≥ 0);
+//	               the builder picks whichever is smaller.
+//	[ts column]    zigzag varints: first timestamp, first delta, then
+//	               delta-of-deltas — near-constant arrival cadence costs
+//	               ~1 byte per tuple.
+//	[len column]   1 encoding byte: constant payload length as a single
+//	               uvarint (the common fixed-schema case), or one uvarint
+//	               per tuple.
+//	[payloads]     concatenated payload bytes (the remaining body).
 const (
 	keyEncFixed = 0 // count × 8B big-endian words
 	keyEncDelta = 1 // uvarint first key, then uvarint deltas
@@ -50,8 +37,7 @@ type leafScratch struct {
 
 // appendLeafV2 appends the columnar encoding of one non-empty leaf,
 // transcoding the snapshot's columns directly — no model.Tuple is ever
-// built on this path (the acceptance test hooks core.TupleMaterializations
-// to prove it).
+// built on this path.
 func appendLeafV2(dst []byte, lc *core.LeafCols, sc *leafScratch) []byte {
 	n := lc.Len()
 	var vb [binary.MaxVarintLen64]byte
@@ -130,7 +116,7 @@ func appendLeafV2(dst []byte, lc *core.LeafCols, sc *leafScratch) []byte {
 	return dst
 }
 
-// buildV2 serializes a flush snapshot in the columnar v2 layout.
+// buildV2 serializes a flush snapshot in the columnar layout.
 func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) {
 	nLeaves := len(snap.Leaves)
 	aggField := opts.AggField
@@ -210,9 +196,8 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 
 	const fixed = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 1
 	hlen := fixed + (nLeaves-1)*8 + nLeaves*36 + nLeaves*16
-	// Unlike v1, the sketch section exists only when the bloom flag is set
-	// (v1 wrote per-leaf zero lengths its parser never reads; v2 parses
-	// sections back to back, so the layout must match the flags exactly).
+	// Sections are parsed back to back, so each exists only when its flag
+	// is set.
 	if !opts.DisableBloom {
 		for _, s := range sketches {
 			hlen += 4 + len(s)
@@ -284,7 +269,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		out = appendAggBlock(out, aggField, leafAggs)
 	}
 	if len(out) != hlen {
-		return nil, Meta{}, fmt.Errorf("chunk: v2 header size miscomputed: %d != %d", len(out), hlen)
+		return nil, Meta{}, fmt.Errorf("chunk: header size miscomputed: %d != %d", len(out), hlen)
 	}
 	out = append(out, body...)
 
@@ -296,13 +281,12 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		Leaves:    nLeaves,
 		HeaderLen: hlen,
 		Size:      int64(len(out)),
-		Format:    FormatV2,
 		Agg:       chunkAgg,
 	}
 	return out, meta, nil
 }
 
-// LeafColumns is one decoded v2 leaf as parallel columns. Payload aliases
+// LeafColumns is one decoded leaf as parallel columns. Payload aliases
 // the leaf body; tuple j's payload is Payload[Starts[j]:Starts[j+1]].
 type LeafColumns struct {
 	Keys  []model.Key
@@ -313,13 +297,13 @@ type LeafColumns struct {
 }
 
 // colsPool recycles decoded column buffers across leaf scans. A fresh
-// LeafColumns per subquery made the v2 full scan allocate three column
+// LeafColumns per subquery made a full scan allocate three column
 // slices per selected leaf; borrowing from the pool amortizes them to
 // zero in steady state.
 var colsPool = sync.Pool{New: func() any { return new(LeafColumns) }}
 
 // BorrowColumns returns reusable column scratch for DecodeColumns /
-// ScanLeafWith. Return it with ReturnColumns when the scan is done — and
+// ScanLeafColsWith. Return it with ReturnColumns when the scan is done — and
 // only once nothing aliases its buffers.
 func BorrowColumns() *LeafColumns { return colsPool.Get().(*LeafColumns) }
 
@@ -354,13 +338,10 @@ func growU32(s []uint32, n int) []uint32 {
 	return s[:n]
 }
 
-// DecodeColumns decodes v2 leaf li's body into cols, reusing its buffers.
+// DecodeColumns decodes leaf li's body into cols, reusing its buffers.
 // Every slice access is bounds-checked up front: corrupt bodies return
 // ErrCorrupt, never panic.
 func (h *Header) DecodeColumns(li int, body []byte, cols *LeafColumns) error {
-	if h.Format != FormatV2 {
-		return fmt.Errorf("%w: columnar decode of v%d leaf", ErrUnsupportedVersion, h.Format)
-	}
 	n := h.Dir[li].Count
 	cols.Keys = growKeys(cols.Keys, 0)
 	cols.Times = growTimes(cols.Times, 0)

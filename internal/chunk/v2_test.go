@@ -46,13 +46,12 @@ func buildMixedSnapshot(t testing.TB, n, leaves int, seed int64) *core.FlushSnap
 func collect(t *testing.T, h *Header, data []byte, kr model.KeyRange, tr model.TimeRange) []model.Tuple {
 	t.Helper()
 	var out []model.Tuple
+	var cols LeafColumns
 	read, _ := h.SelectLeaves(kr, tr, true)
 	for _, li := range read {
 		d := h.Dir[li]
-		err := h.ScanLeaf(li, data[d.Offset:d.Offset+d.Length], kr, tr, nil, func(tp *model.Tuple) bool {
-			cp := *tp
-			cp.Payload = append([]byte(nil), tp.Payload...)
-			out = append(out, cp)
+		err := h.ScanLeafColsWith(&cols, li, data[d.Offset:d.Offset+d.Length], kr, tr, nil, func(k model.Key, ts model.Timestamp, p []byte) bool {
+			out = append(out, model.Tuple{Key: k, Time: ts, Payload: append([]byte(nil), p...)})
 			return true
 		})
 		if err != nil {
@@ -62,27 +61,20 @@ func collect(t *testing.T, h *Header, data []byte, kr model.KeyRange, tr model.T
 	return out
 }
 
-// TestV1V2QueryEquivalence builds the same snapshot in both formats and
-// checks random range queries return identical tuples from each — the
-// columnar layout is an encoding change, not a semantic one.
-func TestV1V2QueryEquivalence(t *testing.T) {
+// TestChunkQueryEquivalence checks that random range queries against a
+// built chunk — leaf selection with bloom pruning, then columnar scans —
+// return exactly what a brute-force filter over the snapshot's own columns
+// does: the encoding and the pruning lose and invent nothing.
+func TestChunkQueryEquivalence(t *testing.T) {
 	snap := buildMixedSnapshot(t, 2000, 16, 42)
-	v1, m1, err := Build(snap, BuildOptions{Format: FormatV1})
+	data, meta, err := Build(snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, m2, err := Build(snap, BuildOptions{Format: FormatV2})
-	if err != nil {
-		t.Fatal(err)
+	if meta.Count != snap.Count || meta.Keys != snap.Keys || meta.MinTime != snap.MinTime || meta.MaxTime != snap.MaxTime {
+		t.Fatalf("meta %+v diverged from snapshot", meta)
 	}
-	if m1.Count != m2.Count || m1.Keys != m2.Keys || m1.MinTime != m2.MinTime || m1.MaxTime != m2.MaxTime {
-		t.Fatalf("meta diverged: %+v vs %+v", m1, m2)
-	}
-	h1, err := ParseHeader(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := ParseHeader(v2)
+	h, err := ParseHeader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +94,22 @@ func TestV1V2QueryEquivalence(t *testing.T) {
 			}
 			tr = model.TimeRange{Lo: model.Timestamp(x), Hi: model.Timestamp(y)}
 		}
-		r1 := collect(t, h1, v1, kr, tr)
-		r2 := collect(t, h2, v2, kr, tr)
-		if len(r1) != len(r2) {
-			t.Fatalf("trial %d: %d tuples from v1, %d from v2", trial, len(r1), len(r2))
+		var want []model.Tuple
+		for li := range snap.Leaves {
+			lc := &snap.Leaves[li]
+			for j := range lc.Keys {
+				if kr.Contains(lc.Keys[j]) && tr.Contains(lc.Times[j]) {
+					want = append(want, model.Tuple{Key: lc.Keys[j], Time: lc.Times[j], Payload: lc.Payload(j)})
+				}
+			}
 		}
-		for i := range r1 {
-			if r1[i].Key != r2[i].Key || r1[i].Time != r2[i].Time || string(r1[i].Payload) != string(r2[i].Payload) {
-				t.Fatalf("trial %d tuple %d: %+v vs %+v", trial, i, r1[i], r2[i])
+		got := collect(t, h, data, kr, tr)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d tuples from the chunk, %d from the snapshot", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key != want[i].Key || got[i].Time != want[i].Time || string(got[i].Payload) != string(want[i].Payload) {
+				t.Fatalf("trial %d tuple %d: %+v vs %+v", trial, i, got[i], want[i])
 			}
 		}
 	}
@@ -132,7 +132,7 @@ func bruteAgg(tuples []model.Tuple, tr model.TimeRange, field uint32) model.AggP
 // complementary scan that together answer a boundary leaf.
 func TestAggFoldEquivalence(t *testing.T) {
 	snap := buildMixedSnapshot(t, 1500, 8, 99)
-	data, meta, err := Build(snap, BuildOptions{Format: FormatV2, BucketMillis: 1000})
+	data, meta, err := Build(snap, BuildOptions{BucketMillis: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAggFoldEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !h.HasAgg || meta.Agg == nil {
-		t.Fatal("v2 chunk missing pre-aggregates")
+		t.Fatal("chunk missing pre-aggregates")
 	}
 
 	// Chunk-level: Meta.Agg vs all tuples.
@@ -204,31 +204,32 @@ func TestAggFoldEquivalence(t *testing.T) {
 
 // TestV2CompressionRatio is the regression guard for the columnar
 // encoding: on the standard T-Drive-like workload (sorted clustered
-// z-order keys, near-constant arrival cadence, fixed 16-byte payloads)
-// v2 must spend at most 0.7× the bytes per tuple v1 does.
+// z-order keys, near-constant arrival cadence, fixed 16-byte payloads) a
+// chunk — header, sketches and pre-aggregates included — must spend at
+// most 0.7× the bytes the same tuples take in the row encoding of the
+// wire and the WAL (model.AppendTuple).
 func TestV2CompressionRatio(t *testing.T) {
 	gen := workload.NewTDrive(workload.TDriveConfig{Taxis: 500, Seed: 11})
 	tree := core.NewTemplateTree(core.TemplateConfig{Keys: gen.KeySpan(), Leaves: 64})
 	const n = 20_000
+	rowBytes := 0
 	for i := 0; i < n; i++ {
-		tree.Insert(gen.Next())
+		tp := gen.Next()
+		rowBytes += model.EncodedSize(&tp)
+		tree.Insert(tp)
 	}
 	snap := tree.FlushReset()
 	if snap == nil {
 		t.Fatal("nil snapshot")
 	}
-	v1, _, err := Build(snap, BuildOptions{Format: FormatV1})
+	data, _, err := Build(snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, _, err := Build(snap, BuildOptions{Format: FormatV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1 := float64(len(v1)) / n
-	b2 := float64(len(v2)) / n
-	t.Logf("bytes/tuple: v1=%.1f v2=%.1f ratio=%.2f", b1, b2, b2/b1)
-	if b2 > 0.7*b1 {
-		t.Fatalf("v2 bytes/tuple %.1f exceeds 0.7× v1 (%.1f)", b2, 0.7*b1)
+	rows := float64(rowBytes) / n
+	cols := float64(len(data)) / n
+	t.Logf("bytes/tuple: rows=%.1f chunk=%.1f ratio=%.2f", rows, cols, cols/rows)
+	if cols > 0.7*rows {
+		t.Fatalf("chunk bytes/tuple %.1f exceeds 0.7× the row encoding (%.1f)", cols, 0.7*rows)
 	}
 }

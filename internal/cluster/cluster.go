@@ -259,10 +259,6 @@ type Cluster struct {
 	ckptMu      sync.Mutex
 	ckptOffsets []int64
 
-	// chunkFormat is the SetChunkFormat override, remembered so replacement
-	// index servers spawned by crash recovery keep flushing the same format.
-	chunkFormat atomic.Int32
-
 	rr   atomic.Uint64 // round-robin dispatcher pick for Insert
 	stop chan struct{}
 	// consStop holds one stop channel per indexing-server consumer so a
@@ -588,7 +584,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// watermark (consumers index straight from memory, possibly before any
 	// fsync), so the flusher syncs its unit's offset into the log before
 	// registering chunks and committing.
-	srv := ingest.NewServer(ingest.Config{
+	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
 		ChunkBytes:          c.cfg.ChunkBytes,
@@ -606,10 +602,6 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		Epoch:               epoch,
 		Passive:             passive,
 	}, c.fs, c.ms, node)
-	if f := c.chunkFormat.Load(); f != 0 {
-		srv.SetChunkFormat(int(f))
-	}
-	return srv
 }
 
 // metaSnapPath is the metadata snapshot file within a data directory.
@@ -832,18 +824,6 @@ func (c *Cluster) Query(q model.Query) (*model.Result, error) {
 // touching leaf bodies.
 func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 	return c.coord.ExecuteAggregate(q)
-}
-
-// SetChunkFormat switches the chunk format (chunk.FormatV1/V2) used by
-// every indexing server's subsequent flushes; zero restores the configured
-// default. Existing chunks keep their format — readers dispatch per chunk.
-func (c *Cluster) SetChunkFormat(f int) {
-	c.chunkFormat.Store(int32(f))
-	for _, srv := range c.servers() {
-		if srv != nil {
-			srv.SetChunkFormat(f)
-		}
-	}
 }
 
 // Drain is the insert→query barrier: it blocks until every tuple acked

@@ -40,9 +40,9 @@ type Config struct {
 	MinInputs int
 	// Leaves is the leaf count of compacted output chunks. Default 32.
 	Leaves int
-	// Build tunes output chunk serialization. Format is forced to v2 and
-	// the pre-aggregate block is disabled: downsampled rows ARE
-	// aggregates, and re-aggregating them field-wise would double-count.
+	// Build tunes output chunk serialization. The pre-aggregate block is
+	// always disabled: downsampled rows ARE aggregates, and re-aggregating
+	// them field-wise would double-count.
 	Build chunk.BuildOptions
 }
 
@@ -152,7 +152,7 @@ func (cp *Compactor) Tick() (demoted, merged int) {
 		}
 	}
 
-	// Group cold v2 chunks by (producing server, day bucket) so merges
+	// Group cold chunks by (producing server, day bucket) so merges
 	// stay local in both placement and time.
 	type gkey struct {
 		server int
@@ -160,7 +160,7 @@ func (cp *Compactor) Tick() (demoted, merged int) {
 	}
 	groups := make(map[gkey][]meta.ChunkInfo)
 	for _, ci := range all {
-		if ci.Tier != meta.TierCold || ci.Downsampled || ci.Format != chunk.FormatV2 {
+		if ci.Tier != meta.TierCold || ci.Downsampled {
 			continue
 		}
 		k := gkey{ci.Server, floorDiv(int64(ci.Region.Times.Lo), meta.DayMillis)}
@@ -260,7 +260,6 @@ func (cp *Compactor) merge(server int, day int64, g []meta.ChunkInfo) error {
 		return nil
 	}
 	opts := cp.cfg.Build
-	opts.Format = chunk.FormatV2
 	opts.DisableAgg = true
 	data, cm, err := chunk.Build(snap, opts)
 	if err != nil {
@@ -277,7 +276,6 @@ func (cp *Compactor) merge(server int, day int64, g []meta.ChunkInfo) error {
 		Size:        cm.Size,
 		HeaderLen:   cm.HeaderLen,
 		Server:      server,
-		Format:      cm.Format,
 		Tier:        meta.TierCold,
 		Downsampled: true,
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // buildChunk flushes n tuples in [t0, t0+span) through a template tree
-// into a v2 chunk with pre-aggregates, writes it to fs, and registers it.
+// into a chunk with pre-aggregates, writes it to fs, and registers it.
 func buildChunk(t *testing.T, fs *dfs.FS, ms *meta.Server, path string, t0, span int64, n int) meta.ChunkInfo {
 	t.Helper()
 	tree := core.NewTemplateTree(core.TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 1 << 16}, Leaves: 8})
@@ -39,7 +39,6 @@ func buildChunk(t *testing.T, fs *dfs.FS, ms *meta.Server, path string, t0, span
 		Count:     cm.Count,
 		Size:      cm.Size,
 		HeaderLen: cm.HeaderLen,
-		Format:    cm.Format,
 		Agg:       cm.Agg,
 	})
 }

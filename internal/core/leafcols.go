@@ -15,7 +15,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"waterwheel/internal/model"
 )
@@ -95,7 +94,7 @@ func arenaPayloadLen(arena []byte, r PayloadRef) int {
 // LeafCols is one leaf's tuples as parallel columns: entry j is the tuple
 // (Keys[j], Times[j], payload addressed by Refs[j] in Arena). Keys are
 // sorted; equal keys appear in arrival order. Flush snapshots expose their
-// leaves in this form so the v2 chunk encoder transcodes column to column
+// leaves in this form so the chunk encoder transcodes column to column
 // without materializing tuples.
 type LeafCols struct {
 	Keys  []model.Key
@@ -113,14 +112,3 @@ func (c *LeafCols) Payload(j int) []byte { return arenaPayload(c.Arena, c.Refs[j
 
 // PayloadLen returns tuple j's payload length without slicing the arena.
 func (c *LeafCols) PayloadLen(j int) int { return arenaPayloadLen(c.Arena, c.Refs[j]) }
-
-// tupleMats counts model.Tuple values materialized from snapshot columns
-// (see TupleMaterializations).
-var tupleMats atomic.Int64
-
-// TupleMaterializations returns a monotone counter of model.Tuple values
-// materialized out of flush-snapshot columns (FlushSnapshot.EachTuple).
-// The zero-materialization flush test reads it around a chunk build: the
-// v2 column-transcode path must leave it unchanged, while the v1 row
-// encoder advances it once per tuple.
-func TupleMaterializations() int64 { return tupleMats.Load() }

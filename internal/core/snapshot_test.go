@@ -7,8 +7,8 @@ import (
 	"waterwheel/internal/model"
 )
 
-// TestSnapshotRangeMatchesTree: FlushSnapshot.Range over a swapped-out
-// snapshot returns exactly what TemplateTree.Range returned for the same
+// TestSnapshotRangeMatchesTree: FlushSnapshot.RangeCols over a swapped-out
+// snapshot returns exactly what TemplateTree.RangeCols returned for the same
 // predicate before the swap — the property the async flush pipeline's
 // visibility guarantee stands on.
 func TestSnapshotRangeMatchesTree(t *testing.T) {
@@ -31,24 +31,24 @@ func TestSnapshotRangeMatchesTree(t *testing.T) {
 		{model.KeyRange{Lo: 300, Hi: 301}, model.TimeRange{Lo: 0, Hi: 500}},
 		{model.KeyRange{Lo: 900, Hi: 100}, model.FullTimeRange()}, // invalid: Lo > Hi
 	}
-	collect := func(rangeFn func(model.KeyRange, model.TimeRange, *model.Filter, func(*model.Tuple) bool), kr model.KeyRange, tr model.TimeRange) []model.Tuple {
+	collect := func(rangeFn func(model.KeyRange, model.TimeRange, *model.Filter, ColsVisitor), kr model.KeyRange, tr model.TimeRange) []model.Tuple {
 		var out []model.Tuple
-		rangeFn(kr, tr, nil, func(tu *model.Tuple) bool {
-			out = append(out, *tu)
+		rangeFn(kr, tr, nil, func(k model.Key, ts model.Timestamp, _ []byte) bool {
+			out = append(out, model.Tuple{Key: k, Time: ts})
 			return true
 		})
 		return out
 	}
 	want := make([][]model.Tuple, len(queries))
 	for i, q := range queries {
-		want[i] = collect(tree.Range, q.kr, q.tr)
+		want[i] = collect(tree.RangeCols, q.kr, q.tr)
 	}
 	snap := tree.FlushReset()
 	if snap == nil {
 		t.Fatal("FlushReset returned nil for a non-empty tree")
 	}
 	for i, q := range queries {
-		got := collect(snap.Range, q.kr, q.tr)
+		got := collect(snap.RangeCols, q.kr, q.tr)
 		if len(got) != len(want[i]) {
 			t.Fatalf("query %d: snapshot returned %d tuples, tree returned %d", i, len(got), len(want[i]))
 		}
@@ -59,7 +59,7 @@ func TestSnapshotRangeMatchesTree(t *testing.T) {
 		}
 	}
 	// The tree is empty post-swap while the snapshot still answers.
-	if n := len(collect(tree.Range, model.FullKeyRange(), model.FullTimeRange())); n != 0 {
+	if n := len(collect(tree.RangeCols, model.FullKeyRange(), model.FullTimeRange())); n != 0 {
 		t.Fatalf("tree still returns %d tuples after FlushReset", n)
 	}
 }
@@ -72,7 +72,7 @@ func TestSnapshotRangeEarlyStop(t *testing.T) {
 	}
 	snap := tree.FlushReset()
 	seen := 0
-	snap.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(*model.Tuple) bool {
+	snap.RangeCols(model.FullKeyRange(), model.FullTimeRange(), nil, func(model.Key, model.Timestamp, []byte) bool {
 		seen++
 		return seen < 10
 	})
@@ -81,8 +81,8 @@ func TestSnapshotRangeEarlyStop(t *testing.T) {
 	}
 	// Nil snapshot and out-of-window scans are no-ops, not panics.
 	var nilSnap *FlushSnapshot
-	nilSnap.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(*model.Tuple) bool { return true })
-	snap.Range(model.FullKeyRange(), model.TimeRange{Lo: 1000, Hi: 2000}, nil, func(*model.Tuple) bool {
+	nilSnap.RangeCols(model.FullKeyRange(), model.FullTimeRange(), nil, func(model.Key, model.Timestamp, []byte) bool { return true })
+	snap.RangeCols(model.FullKeyRange(), model.TimeRange{Lo: 1000, Hi: 2000}, nil, func(model.Key, model.Timestamp, []byte) bool {
 		t.Fatal("visited a tuple outside the snapshot's time window")
 		return false
 	})

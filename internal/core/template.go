@@ -967,7 +967,7 @@ func (t *TemplateTree) TimeBounds() (lo, hi model.Timestamp, ok bool) {
 
 // FlushSnapshot is the content handed to the chunk builder by FlushReset:
 // the per-leaf columns, the leaf partition that produced them, and summary
-// bounds. The v2 chunk encoder consumes the columns directly — flush is a
+// bounds. The chunk encoder consumes the columns directly — flush is a
 // column-to-column transcode with zero tuple materialization.
 type FlushSnapshot struct {
 	// Bounds are the l-1 separators of the partition at flush time.
@@ -989,7 +989,7 @@ type FlushSnapshot struct {
 }
 
 // LeafKeyRange returns the exact key bounds of leaf i (ok=false when the
-// leaf is empty) — the per-leaf bounds the v2 chunk header records.
+// leaf is empty) — the per-leaf bounds the chunk header records.
 func (s *FlushSnapshot) LeafKeyRange(i int) (model.KeyRange, bool) {
 	keys := s.Leaves[i].Keys
 	if len(keys) == 0 {
@@ -1037,34 +1037,6 @@ func (s *FlushSnapshot) RangeCols(kr model.KeyRange, tr model.TimeRange, filter 
 			if !fn(keys[j], ts, p) {
 				return
 			}
-		}
-	}
-}
-
-// Range visits the snapshot's matching tuples in key order — the
-// tuple-callback compatibility shim over RangeCols. One tuple value is
-// reused across the whole scan; callers must not retain the pointer (or
-// its payload) past the callback.
-func (s *FlushSnapshot) Range(kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(*model.Tuple) bool) {
-	var tp model.Tuple
-	s.RangeCols(kr, tr, filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
-		tp.Key, tp.Time, tp.Payload = k, ts, p
-		return fn(&tp)
-	})
-}
-
-// EachTuple materializes leaf i's entries as model.Tuple values in key
-// order, stopping early when fn returns false. This is the snapshot's only
-// tuple-materializing iterator — the v1 row encoder uses it — and every
-// visit advances the TupleMaterializations counter, which is how the
-// zero-materialization guarantee of the v2 flush path is tested. Payloads
-// alias the snapshot arena.
-func (s *FlushSnapshot) EachTuple(i int, fn func(model.Tuple) bool) {
-	leaf := &s.Leaves[i]
-	for j := range leaf.Keys {
-		tupleMats.Add(1)
-		if !fn(model.Tuple{Key: leaf.Keys[j], Time: leaf.Times[j], Payload: leaf.Payload(j)}) {
-			return
 		}
 	}
 }

@@ -317,13 +317,7 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 			totalBytes += part.pending.Size
 			continue
 		}
-		opts := s.cfg.Bloom
-		if f := s.chunkFormat.Load(); f != 0 {
-			// Runtime format override (chaos/migration drills): later flushes
-			// switch layout while already-written chunks keep theirs.
-			opts.Format = int(f)
-		}
-		data, cmeta, err := chunk.Build(part.snap, opts)
+		data, cmeta, err := chunk.Build(part.snap, s.cfg.Bloom)
 		if err != nil {
 			// Snapshot was non-empty, so Build cannot fail; a failure here is a
 			// programming error worth surfacing loudly.
@@ -361,7 +355,6 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 			Size:      cmeta.Size,
 			HeaderLen: cmeta.HeaderLen,
 			Server:    s.cfg.ID,
-			Format:    cmeta.Format,
 			Agg:       cmeta.Agg,
 		}
 		part.pending = infos[i]

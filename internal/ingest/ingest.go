@@ -224,10 +224,6 @@ type Server struct {
 	// incarnation has been deposed and its flusher must stop retrying.
 	fenced atomic.Bool
 
-	// chunkFormat, when non-zero, overrides Bloom.Format for later flushes
-	// (SetChunkFormat) — the live format-migration switch.
-	chunkFormat atomic.Int32
-
 	// incarnation distinguishes chunk paths across server restarts, so a
 	// recovered server never collides with its predecessor's files.
 	incarnation uint64
@@ -279,12 +275,6 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 
 // Stats returns the server's counters.
 func (s *Server) Stats() *Stats { return &s.stats }
-
-// SetChunkFormat switches the chunk format (chunk.FormatV1/V2) used by
-// subsequent flushes. Zero restores the configured default. Chunks already
-// written keep their format; readers dispatch on the magic, so mixed
-// formats coexist in one cluster.
-func (s *Server) SetChunkFormat(f int) { s.chunkFormat.Store(int32(f)) }
 
 // TreeStats exposes the memtable tree's instrumentation.
 func (s *Server) TreeStats() *core.Stats { return s.tree.Stats() }

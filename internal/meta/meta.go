@@ -40,8 +40,6 @@ type ChunkInfo struct {
 	HeaderLen int
 	// Server is the indexing server that produced the chunk.
 	Server int
-	// Format is the chunk's on-disk format version (chunk.FormatV1/V2).
-	Format int
 	// Agg, when present, summarizes the chunk's designated payload field —
 	// the coordinator answers aggregate queries over fully covered chunks
 	// from it without issuing a subquery.

@@ -131,7 +131,7 @@ func (f *Filter) Matches(t *Tuple) bool {
 }
 
 // MatchesCols evaluates the filter against a tuple given as its three
-// columns, so columnar scan paths (SoA leaves, v2 chunk columns) can apply
+// columns, so columnar scan paths (SoA leaves, chunk columns) can apply
 // predicates without materializing a Tuple. A nil filter matches
 // everything. The payload is read but never retained.
 func (f *Filter) MatchesCols(key Key, ts Timestamp, payload []byte) bool {

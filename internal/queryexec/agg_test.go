@@ -33,7 +33,7 @@ func runAgg(t *testing.T, c *testCluster, q model.AggregateQuery) *model.AggResu
 	return res
 }
 
-// TestAggregatePushdownNoLeafReads is the acceptance check for the v2
+// TestAggregatePushdownNoLeafReads is the acceptance check for the
 // pre-aggregate block: an aggregate over fully covered leaves must be
 // answered from header metadata alone — zero leaf-body DFS reads — which
 // the pushdown telemetry makes observable. The tree's key interval is

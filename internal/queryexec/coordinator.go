@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"waterwheel/internal/chunk"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
@@ -575,13 +576,15 @@ const (
 // board coordinates the sweep phase of one dispatch: workers that have
 // exhausted their preference lists block here instead of busy-spinning,
 // and are woken when a failure returns a subquery to the pending set
-// (epoch bump) or when the last subquery completes.
+// (epoch bump), when the last subquery completes, or when a chunk turns
+// out unreadable and the whole dispatch fails (err).
 type board struct {
 	mu    sync.Mutex
 	cond  sync.Cond
 	total int
 	done  int
 	epoch uint64
+	err   error
 }
 
 func newBoard(total int) *board {
@@ -611,24 +614,43 @@ func (b *board) redispatched() {
 	b.mu.Unlock()
 }
 
-// snapshot returns (epoch, allDone) for one sweep round. Taking the epoch
-// before the claim scan makes redispatches during the scan impossible to
-// miss: wait(epoch) returns immediately when the epoch has moved on.
+// fail ends the dispatch with err (the first one wins): no server can
+// answer the subquery, so sweepers are woken to exit rather than retry.
+func (b *board) fail(err error) {
+	b.mu.Lock()
+	if b.err == nil {
+		b.err = err
+	}
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// failure returns the error the dispatch failed with, if any.
+func (b *board) failure() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
+}
+
+// snapshot returns (epoch, over) for one sweep round; over means every
+// subquery completed or the dispatch failed. Taking the epoch before the
+// claim scan makes redispatches during the scan impossible to miss:
+// wait(epoch) returns immediately when the epoch has moved on.
 func (b *board) snapshot() (uint64, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.epoch, b.done == b.total
+	return b.epoch, b.done == b.total || b.err != nil
 }
 
-// wait blocks until every subquery completed (returns true) or the epoch
-// moved past the caller's snapshot (returns false → rescan).
+// wait blocks until the dispatch is over (returns true) or the epoch moved
+// past the caller's snapshot (returns false → rescan).
 func (b *board) wait(epoch uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for b.done < b.total && b.epoch == epoch {
+	for b.done < b.total && b.err == nil && b.epoch == epoch {
 		b.cond.Wait()
 	}
-	return b.done == b.total
+	return b.done == b.total || b.err != nil
 }
 
 func (b *board) doneCount() int {
@@ -645,7 +667,8 @@ func (b *board) doneCount() int {
 // claimed subqueries return to the pending set and are picked up by
 // another server's workers (§V); workers that exhaust their list sweep
 // for still-pending work, parking on the board (no busy-wait) until a
-// redispatch or completion wakes them.
+// redispatch or completion wakes them. A chunk that cannot be decoded is
+// not a server failure: the first such error fails the query at once.
 func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*model.Result), sp *telemetry.Span) error {
 	c.mu.RLock()
 	servers := append([]*Server(nil), c.qservers...)
@@ -688,6 +711,9 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 	var wg sync.WaitGroup
 
 	runOne := func(s *Server, idx int) bool {
+		if b.failure() != nil {
+			return false
+		}
 		c.m.WorkersBusy.Add(1)
 		defer c.m.WorkersBusy.Add(-1)
 		sqSp := sp.StartChild("chunk_subquery")
@@ -712,9 +738,15 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 				// Still registered: a replica hiccup, not retirement — fall
 				// through to the redispatch path.
 			}
-			// Return the subquery to the pending set; this worker stops.
 			sqSp.SetStr("error", err.Error())
 			sqSp.End()
+			if errors.Is(err, chunk.ErrCorrupt) || errors.Is(err, chunk.ErrUnsupportedVersion) {
+				// A property of the file, not of this server: every other
+				// server would read the same bytes.
+				b.fail(err)
+				return false
+			}
+			// Return the subquery to the pending set; this worker stops.
 			c.m.Redispatches.Inc()
 			states[idx].Store(statePending)
 			b.redispatched()
@@ -771,6 +803,9 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		}
 	}
 	wg.Wait()
+	if err := b.failure(); err != nil {
+		return err
+	}
 	if n := b.doneCount(); n < len(sqs) {
 		return fmt.Errorf("%w: %d/%d subqueries unserved after failures",
 			ErrNoQueryServers, len(sqs)-n, len(sqs))

@@ -355,6 +355,7 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 	openSp := sp.StartChild("chunk_open")
 	h, hbytes, hit, err := s.header(ci)
 	if err != nil {
+		err = fmt.Errorf("queryexec: chunk %d header (%s): %w", ci.ID, ci.Path, err)
 		openSp.SetStr("error", err.Error())
 		openSp.End()
 		return nil, err
@@ -602,10 +603,11 @@ func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Head
 		if d.Count == 0 {
 			continue
 		}
-		// Pushdown needs exact leaf key bounds (v2 only), no filter, and —
-		// for value aggregates — a pre-aggregate block over the queried
-		// field. COUNT folds bucket/directory counts regardless of field.
-		pushable := sq.Filter == nil && h.Format == chunk.FormatV2 &&
+		// Pushdown needs the leaf's exact key bounds inside the query's, no
+		// filter, and — for value aggregates — a pre-aggregate block over the
+		// queried field. COUNT folds bucket/directory counts regardless of
+		// field.
+		pushable := sq.Filter == nil &&
 			kr.Lo <= h.LeafKeys[li].Lo && h.LeafKeys[li].Hi <= kr.Hi &&
 			(spec.CountOnly || (h.HasAgg && h.AggField == spec.Field))
 		if pushable {

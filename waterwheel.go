@@ -138,16 +138,13 @@ type Options struct {
 	// behavior, kept as a benchmark baseline and ablation switch.
 	SyncFlush bool
 	// AggregateField is the payload offset of the big-endian uint64 field
-	// summarized by per-leaf pre-aggregates in v2 chunks (default 0).
+	// summarized by per-leaf pre-aggregates in chunks (default 0).
 	// Aggregate queries over this field answer fully covered leaves from
 	// chunk headers without reading leaf bodies.
 	AggregateField uint32
 	// DisableAggregates skips building pre-aggregate blocks (ablation /
 	// header-size control). COUNT pushdown still works from leaf counts.
 	DisableAggregates bool
-	// ChunkFormat pins the chunk format written by flushes: 1 for the
-	// row-encoded v1 layout, 2 (or 0, the default) for columnar v2.
-	ChunkFormat int
 	// EnableSecondaryIndex builds per-leaf bloom filters over the
 	// big-endian uint64 payload field at SecondaryIndexOffset (the paper's
 	// §VIII future-work extension). Queries whose filter pins that field
@@ -271,7 +268,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	cfg.Bloom.AggField = opts.AggregateField
 	cfg.Bloom.DisableAgg = opts.DisableAggregates
-	cfg.Bloom.Format = opts.ChunkFormat
 	c, err := cluster.Open(cfg)
 	if err != nil {
 		return nil, err

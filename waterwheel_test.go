@@ -1,7 +1,11 @@
 package waterwheel
 
 import (
+	"errors"
 	"testing"
+
+	"waterwheel/internal/chunk"
+	"waterwheel/internal/meta"
 )
 
 func openTestDB(t *testing.T, opts Options) *DB {
@@ -300,5 +304,69 @@ func TestCloseIsIdempotentAndFlushes(t *testing.T) {
 	res, _ := db2.QueryRange(FullKeyRange(), FullTimeRange())
 	if len(res.Tuples) != 1 {
 		t.Fatalf("tuple lost across close: %d", len(res.Tuples))
+	}
+}
+
+// TestUndecodableChunkFailsQueryTyped: a chunk file this build cannot
+// decode — the WWCHUNK1 magic of early builds, or garbage — is a property
+// of the file, not of the query server that opened it. The query must fail
+// at once with the typed cause, not burn a redispatch per server and end
+// as "no live query servers", and the servers must keep answering queries
+// over healthy chunks afterwards.
+func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
+	db := openTestDB(t, Options{QueryServersPerNode: 3})
+	for i := 0; i < 500; i++ {
+		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(1000 + i), Payload: []byte{byte(i)}})
+	}
+	db.Drain()
+	db.Flush()
+	healthy := Region{Keys: FullKeyRange(), Times: TimeRange{Lo: 1000, Hi: 1499}}
+	fs, ms := db.Cluster().FS(), db.Cluster().Metadata()
+	chunks := ms.ChunksFor(healthy)
+	if len(chunks) == 0 {
+		t.Fatal("nothing flushed")
+	}
+	good, err := fs.Read(chunks[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte(nil), good...)
+	v1[7] = '1'
+	garbage := make([]byte, len(good))
+	for i := range garbage {
+		garbage[i] = byte(i*7 + 3)
+	}
+	register := func(path string, data []byte, times TimeRange) {
+		t.Helper()
+		if err := fs.Write(path, data); err != nil {
+			t.Fatal(err)
+		}
+		ms.RegisterChunk(meta.ChunkInfo{
+			Path: path, Region: Region{Keys: FullKeyRange(), Times: times},
+			Count: 1, Size: int64(len(data)), HeaderLen: chunks[0].HeaderLen,
+		})
+	}
+	v1Times, garbageTimes := TimeRange{Lo: 5000, Hi: 5999}, TimeRange{Lo: 7000, Hi: 7999}
+	register("chunks/foreign-v1", v1, v1Times)
+	register("chunks/foreign-garbage", garbage, garbageTimes)
+
+	redispatches := db.Telemetry().Counter("waterwheel_query_redispatches_total", "")
+	before := redispatches.Value()
+	if _, err := db.QueryRange(FullKeyRange(), v1Times); !errors.Is(err, chunk.ErrUnsupportedVersion) {
+		t.Errorf("query over a WWCHUNK1 file: err = %v, want chunk.ErrUnsupportedVersion", err)
+	}
+	_, err = db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: v1Times, Kind: AggSum})
+	if !errors.Is(err, chunk.ErrUnsupportedVersion) {
+		t.Errorf("aggregate over a WWCHUNK1 file: err = %v, want chunk.ErrUnsupportedVersion", err)
+	}
+	if _, err := db.QueryRange(FullKeyRange(), garbageTimes); !errors.Is(err, chunk.ErrCorrupt) {
+		t.Errorf("query over a garbage file: err = %v, want chunk.ErrCorrupt", err)
+	}
+	if d := redispatches.Value() - before; d != 0 {
+		t.Errorf("undecodable chunks cost %d redispatches, want 0", d)
+	}
+	res, err := db.QueryRange(healthy.Keys, healthy.Times)
+	if err != nil || len(res.Tuples) != 500 {
+		t.Fatalf("query over healthy chunks afterwards: %d tuples, err %v", len(res.Tuples), err)
 	}
 }

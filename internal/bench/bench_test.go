@@ -49,7 +49,6 @@ func TestIDsComplete(t *testing.T) {
 		"ext-secondary",
 		"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13",
 		"fig14", "fig15", "fig16", "fig17", "fig7a", "fig7b", "fig8", "fig9",
-		"flushpipe",
 		"handoff",
 		"table1",
 	}
@@ -135,13 +134,6 @@ func TestAblationSideStoreSmoke(t *testing.T) {
 		t.Skip("simulated I/O sleeps")
 	}
 	smoke(t, "ablation-sidestore", 0.02, 2)
-}
-
-func TestFlushPipeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated I/O sleeps")
-	}
-	smoke(t, "flushpipe", 0.05, 2)
 }
 
 func TestHandoffSmoke(t *testing.T) {

@@ -361,8 +361,8 @@ func clusterConfig(opts Options) cluster.Config {
 	if opts.Tiering {
 		cfg.TierWarmAfterMillis = tierWarmAfter
 		cfg.TierColdAfterMillis = tierColdAfter
-		// CompactIntervalMillis stays 0: retention ops call TickCompact
-		// explicitly so the schedule remains deterministic.
+		// Compaction has no background cadence: retention ops call
+		// TickCompact explicitly, so the schedule remains deterministic.
 	}
 	return cfg
 }

@@ -48,12 +48,6 @@ type Config struct {
 	CacheBytes int64
 	// TemplateLeaves is the leaf count per in-memory tree (default 256).
 	TemplateLeaves int
-	// SkewThreshold / CheckEvery tune adaptive template update.
-	SkewThreshold float64
-	CheckEvery    int
-	// LateDeltaMillis is the coordinator's late-visibility Δt (default
-	// 10 000 ms).
-	LateDeltaMillis int64
 	// SideThresholdMillis routes very-late tuples to the side store
 	// (default 60 000 ms; negative disables).
 	SideThresholdMillis int64
@@ -85,9 +79,6 @@ type Config struct {
 	// at most this many swapped-out memtable snapshots may await
 	// persistence before inserts crossing the threshold block (default 2).
 	FlushQueueDepth int
-	// SyncFlush makes flushes run inline on the inserting goroutine (the
-	// pre-pipeline behavior) — a benchmark baseline and ablation switch.
-	SyncFlush bool
 	// Bloom tunes chunk sketch construction.
 	Bloom chunk.BuildOptions
 	// Seed drives DFS placement and samplers.
@@ -107,9 +98,6 @@ type Config struct {
 	// reports into; nil runs the cluster without instrumentation (the
 	// hot paths then cost only nil checks).
 	Telemetry *telemetry.Registry
-	// TraceCapacity bounds the ring of retained query traces (default 16;
-	// only used when Telemetry is set).
-	TraceCapacity int
 	// DataDir, when non-empty, makes the deployment durable: chunks back
 	// onto DataDir/dfs, the WAL onto DataDir/wal, and the metadata server
 	// snapshots to DataDir/meta.snap (written by Checkpoint and Stop). A
@@ -150,13 +138,10 @@ type Config struct {
 	// Both zero disables tiering entirely — TickCompact is then a no-op.
 	TierWarmAfterMillis int64
 	TierColdAfterMillis int64
-	// CompactIntervalMillis runs the compactor on a background ticker;
-	// zero means manual only (call TickCompact).
-	CompactIntervalMillis int64
-	// CompactMinInputs is the minimum number of cold chunks in one
-	// (server, day) group worth merging (default 2).
-	CompactMinInputs int
 }
+
+// traceRingSize bounds the ring of retained query traces.
+const traceRingSize = 16
 
 func (c *Config) fill() {
 	if c.Nodes < 1 {
@@ -179,9 +164,6 @@ func (c *Config) fill() {
 	}
 	if c.TemplateLeaves <= 0 {
 		c.TemplateLeaves = 256
-	}
-	if c.LateDeltaMillis <= 0 {
-		c.LateDeltaMillis = 10_000
 	}
 	if c.Replication <= 0 {
 		c.Replication = 3
@@ -377,11 +359,7 @@ func Open(cfg Config) (*Cluster, error) {
 		stop: make(chan struct{}),
 	}
 	if reg != nil {
-		cap := cfg.TraceCapacity
-		if cap <= 0 {
-			cap = 16
-		}
-		c.traces = telemetry.NewTraceRing(cap)
+		c.traces = telemetry.NewTraceRing(traceRingSize)
 	}
 	c.ingestMetrics = ingest.Metrics{
 		InsertNanos: reg.Histogram("waterwheel_ingest_insert_seconds",
@@ -403,10 +381,9 @@ func Open(cfg Config) (*Cluster, error) {
 	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
 		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
 	c.coord = queryexec.NewCoordinator(queryexec.CoordinatorConfig{
-		LateDeltaMillis: cfg.LateDeltaMillis,
-		Policy:          queryexec.PolicyByName(cfg.Policy),
-		Metrics:         queryexec.NewCoordinatorMetrics(reg),
-		Traces:          c.traces,
+		Policy:  queryexec.PolicyByName(cfg.Policy),
+		Metrics: queryexec.NewCoordinatorMetrics(reg),
+		Traces:  c.traces,
 	}, c.ms, c.fs)
 
 	schema := c.ms.Schema()
@@ -449,7 +426,6 @@ func Open(cfg Config) (*Cluster, error) {
 	c.comp = compact.New(compact.Config{
 		WarmAfterMillis: cfg.TierWarmAfterMillis,
 		ColdAfterMillis: cfg.TierColdAfterMillis,
-		MinInputs:       cfg.CompactMinInputs,
 		Leaves:          cfg.TemplateLeaves,
 		Build:           compBuild,
 	}, c.fs, c.ms, compact.NewMetrics(reg), c.ret.retire)
@@ -589,13 +565,10 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		Keys:                keys,
 		ChunkBytes:          c.cfg.ChunkBytes,
 		Leaves:              c.cfg.TemplateLeaves,
-		SkewThreshold:       c.cfg.SkewThreshold,
-		CheckEvery:          c.cfg.CheckEvery,
 		SideThresholdMillis: c.cfg.SideThresholdMillis,
 		Bloom:               c.cfg.Bloom,
 		NoTemplateReuse:     c.cfg.NoTemplateReuse,
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
-		SyncFlush:           c.cfg.SyncFlush,
 		FlushFailHook:       c.cfg.FlushFailHook,
 		SyncWAL:             c.log.Partition(i).SyncTo,
 		Metrics:             c.ingestMetrics,
@@ -685,22 +658,6 @@ func (c *Cluster) Start() {
 					return
 				case <-tick.C:
 					c.TickBalance()
-				}
-			}
-		}()
-	}
-	if c.comp.Enabled() && c.cfg.CompactIntervalMillis > 0 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			tick := time.NewTicker(time.Duration(c.cfg.CompactIntervalMillis) * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-c.stop:
-					return
-				case <-tick.C:
-					c.TickCompact()
 				}
 			}
 		}()

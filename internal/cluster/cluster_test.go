@@ -416,10 +416,12 @@ func TestStopIdempotentAndRestartSafe(t *testing.T) {
 // tuple that was acked and drained before it started, whatever the flush
 // pipeline does meanwhile. The writer keeps turning one-tuple memtables
 // into chunks — each flush registers its chunk and then reports the live
-// region empty — while the reader counts the full region against the
+// region empty — while the readers count the full region against the
 // number drained before each query. A plan that reads the chunk list
 // before the registration and the live regions after the empty report
-// holds the tuple in neither half and comes back one short.
+// holds the tuple in neither half and comes back one short. Both query
+// classes read: a tuple query and an aggregate COUNT(*) go through the same
+// planner, and the ordering has to hold for each.
 func TestQueryNeverMissesAcrossFlushRegistration(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 1 // one indexing server: every flush is the race's flush
@@ -439,16 +441,33 @@ func TestQueryNeverMissesAcrossFlushRegistration(t *testing.T) {
 			c.FlushAll()
 		}
 	}()
+	readers := []struct {
+		name  string
+		count func() int
+	}{
+		{"tuple query", func() int { return countAll(t, c) }},
+		{"aggregate COUNT(*)", func() int {
+			res, err := c.Aggregate(model.AggregateQuery{
+				Keys: model.FullKeyRange(), Times: model.FullTimeRange(), Kind: model.AggCount,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int(res.Count)
+		}},
+	}
 	for running := true; running; {
 		select {
 		case <-done:
-			running = false // one last query over the settled state
+			running = false // one last round over the settled state
 		default:
 		}
-		want := int(drained.Load())
-		if got := countAll(t, c); got < want {
-			t.Errorf("query returned %d tuples, %d were drained before it started", got, want)
-			break
+		for _, r := range readers {
+			want := int(drained.Load())
+			if got := r.count(); got < want {
+				t.Errorf("%s returned %d tuples, %d were drained before it started", r.name, got, want)
+				running = false
+			}
 		}
 	}
 	<-done

@@ -160,15 +160,13 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 	// Wake a flusher parked on an earlier failure so retries precede the
 	// new snapshot (preserving seq order), whether or not we swapped.
 	s.signalRetry()
-	if s.cfg.SyncFlush || s.closed {
-		// Synchronous mode (ablation/benchmark baseline) and post-Close
-		// stragglers process inline, oldest first, still in seq order. This
-		// branch runs even when nothing was swapped (pf == nil): a bare
-		// Flush() over an empty memtable must still re-drive an earlier
-		// failed snapshot, since no background flusher exists to retry it.
-		if s.closed {
-			<-s.flusherDone // the background flusher has fully exited
-		}
+	if s.closed {
+		// Post-Close stragglers process inline, oldest first, still in seq
+		// order. This branch runs even when nothing was swapped (pf == nil):
+		// a bare Flush() over an empty memtable must still re-drive an
+		// earlier failed snapshot, since the background flusher that would
+		// retry it has exited.
+		<-s.flusherDone
 		s.processBacklogUpTo(s.flushSeq)
 		return pf
 	}
@@ -488,8 +486,8 @@ func (s *Server) sweepLocked() {
 }
 
 // processBacklogUpTo persists every unregistered pending snapshot with
-// seq <= maxSeq inline, in order, one attempt each. Used by synchronous
-// mode and by flushes arriving after Close.
+// seq <= maxSeq inline, in order, one attempt each. Used by flushes
+// arriving after Close.
 func (s *Server) processBacklogUpTo(maxSeq int) {
 	for {
 		s.pendMu.RLock()
@@ -622,7 +620,7 @@ func (s *Server) Abort() {
 	}
 	<-s.flusherDone
 	// Barrier: a registration already inside its pendMu critical section
-	// (e.g. the synchronous-mode inline path) completes or observes the
+	// (e.g. the post-Close inline path) completes or observes the
 	// abort before this returns, so the caller reads WAL offsets only after
 	// the last possible commit from this incarnation.
 	s.pendMu.Lock()

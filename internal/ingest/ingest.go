@@ -41,9 +41,6 @@ type Config struct {
 	ChunkBytes int64
 	// Leaves is the template leaf count (default from tree config).
 	Leaves int
-	// SkewThreshold / CheckEvery tune adaptive template update.
-	SkewThreshold float64
-	CheckEvery    int
 	// SideThresholdMillis routes tuples arriving more than this behind the
 	// watermark into the side store (default 60 000 ms). Zero keeps the
 	// default; negative disables the side store.
@@ -58,10 +55,6 @@ type Config struct {
 	// swapped-out snapshots may await persistence before the next
 	// threshold-crossing insert blocks (default 2).
 	FlushQueueDepth int
-	// SyncFlush disables the background flusher and performs chunk build +
-	// DFS write inline on the inserting goroutine — the pre-pipeline
-	// behavior, kept as the benchmark baseline and ablation switch.
-	SyncFlush bool
 	// FlushFailHook, when set, is consulted before every chunk DFS write
 	// with the producing server, the snapshot's flush sequence and the
 	// attempt number; a non-nil error fails the attempt exactly as a DFS
@@ -238,12 +231,7 @@ type Server struct {
 // to ms. node is the cluster node it runs on.
 func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 	cfg.fill()
-	tc := core.TemplateConfig{
-		Keys:          cfg.Keys,
-		Leaves:        cfg.Leaves,
-		SkewThreshold: cfg.SkewThreshold,
-		CheckEvery:    cfg.CheckEvery,
-	}
+	tc := core.TemplateConfig{Keys: cfg.Keys, Leaves: cfg.Leaves}
 	s := &Server{
 		cfg:          cfg,
 		tree:         core.NewTemplateTree(tc),
@@ -265,11 +253,7 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 	s.watermark.Store(int64(model.MinTimestamp))
 	s.epoch.Store(cfg.Epoch)
 	s.passive.Store(cfg.Passive)
-	if cfg.SyncFlush {
-		close(s.flusherDone) // no background goroutine to wait for
-	} else {
-		go s.flusher()
-	}
+	go s.flusher()
 	return s
 }
 

@@ -48,21 +48,22 @@ func TestReproBackpressureDeadlock(t *testing.T) {
 	}
 }
 
-// Repro 2: SyncFlush mode — Flush() after a failed flush (empty memtable)
-// should retry the failed snapshot per its doc; does it return?
-func TestReproSyncFlushRetryHang(t *testing.T) {
+// Repro 2: after Close no flusher goroutine exists — Flush() after a failed
+// flush (empty memtable) must re-drive the failed snapshot inline per its
+// doc; does it return?
+func TestReproPostCloseFlushRetryHang(t *testing.T) {
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(1)
 	fw := &flakyWriter{inner: fs}
 	fw.fail.Store(true)
-	srv := NewServer(Config{ID: 0, ChunkBytes: 1 << 30, Leaves: 16, SyncFlush: true, SideThresholdMillis: -1}, fw, ms, 0)
-	defer srv.Close()
+	srv := NewServer(Config{ID: 0, ChunkBytes: 1 << 30, Leaves: 16, SideThresholdMillis: -1}, fw, ms, 0)
 	for i := 0; i < 100; i++ {
 		srv.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)})
 	}
 	if _, ok := srv.Flush(); ok {
 		t.Fatal("flush should fail while DFS is down")
 	}
+	srv.Close() // the parked flusher abandons the failed snapshot and exits
 	fw.fail.Store(false)
 	ret := make(chan bool, 1)
 	go func() {
@@ -75,6 +76,9 @@ func TestReproSyncFlushRetryHang(t *testing.T) {
 			t.Fatal("retry Flush returned false after DFS recovery")
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("HANG: Flush() never returned when re-driving a failed snapshot in SyncFlush mode")
+		t.Fatal("HANG: Flush() never returned when re-driving a failed snapshot after Close")
+	}
+	if n := srv.PendingFlushes(); n != 0 {
+		t.Fatalf("%d snapshots still unpersisted after the re-driven flush", n)
 	}
 }

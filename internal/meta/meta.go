@@ -375,24 +375,6 @@ func (s *Server) Chunk(id model.ChunkID) (ChunkInfo, bool) {
 	return info, ok
 }
 
-// ChunksByID returns the metadata of every id in one critical section —
-// the batched form of Chunk for callers resolving a whole subquery plan.
-// Unknown ids yield entries with only ID set (and ok left implicit in the
-// empty Path).
-func (s *Server) ChunksByID(ids []model.ChunkID) []ChunkInfo {
-	out := make([]ChunkInfo, len(ids))
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i, id := range ids {
-		if info, ok := s.chunks[id]; ok {
-			out[i] = info
-		} else {
-			out[i] = ChunkInfo{ID: id}
-		}
-	}
-	return out
-}
-
 // ChunksFor returns the chunks whose regions overlap r — the query-region
 // candidates of §IV-A.
 func (s *Server) ChunksFor(r model.Region) []ChunkInfo {

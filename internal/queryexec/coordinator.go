@@ -175,10 +175,16 @@ func (c *Coordinator) SetPolicy(p Policy) {
 	c.mu.Unlock()
 }
 
-// Decompose splits a query into memtable subqueries (fresh data on
-// indexing servers) and chunk subqueries (historical data on query
-// servers), using the metadata R-tree for the chunk candidates.
-func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQuery) {
+// Decompose is the coordinator's one planner (§IV-A): it splits a query
+// into memtable subqueries (fresh data on indexing servers) and chunk
+// subqueries (historical data on query servers), using the metadata R-tree
+// for the chunk candidates, and returns the candidates' metadata aligned
+// with chunkSubs. agg, when non-nil, is stamped on every subquery: the
+// servers then fold partial aggregates instead of returning tuples. Every
+// query class plans here, so the visibility rule below — each acked tuple
+// in exactly one of live leaf, pending snapshot or chunk, for every plan —
+// holds for all of them or none.
+func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo) {
 	qRegion := q.Region()
 	seq := 0
 	subLimit := q.Limit
@@ -196,7 +202,7 @@ func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQ
 	// producing indexing server still serves it from the pending snapshot
 	// (SubQuery.AsOfChunk below) — never both, never neither.
 	var (
-		chunks    []meta.ChunkInfo
+		cands     []meta.ChunkInfo
 		watermark uint64
 	)
 	if windows := q.Recur.Windows(q.Times); windows != nil {
@@ -208,17 +214,19 @@ func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQ
 		// matches may all fall outside the windows) — the merge applies
 		// q.Limit after the filter instead.
 		var pruned int
-		chunks, pruned, watermark = c.ms.ChunksForWindowsWithWatermark(qRegion, windows)
+		cands, pruned, watermark = c.ms.ChunksForWindowsWithWatermark(qRegion, windows)
 		c.m.TierPruned.Add(int64(pruned))
 		subLimit = 0
 	} else {
-		chunks, watermark = c.ms.ChunksForWithWatermark(qRegion)
+		cands, watermark = c.ms.ChunksForWithWatermark(qRegion)
 	}
-	for _, ci := range chunks {
+	chunks = cands[:0]
+	for _, ci := range cands {
 		r, ok := qRegion.Intersect(ci.Region)
 		if !ok {
 			continue
 		}
+		chunks = append(chunks, ci)
 		chunkSubs = append(chunkSubs, &model.SubQuery{
 			QueryID: q.ID, Seq: seq, Region: r, Filter: q.Filter, Chunk: ci.ID,
 			Limit: subLimit,
@@ -227,6 +235,7 @@ func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQ
 			// server needs Path+HeaderLen to open the chunk — neither
 			// should repeat the metadata lookup this loop already did.
 			ChunkPath: ci.Path, ChunkHeaderLen: ci.HeaderLen,
+			Agg: agg,
 		})
 		seq++
 	}
@@ -252,10 +261,59 @@ func (c *Coordinator) Decompose(q model.Query) (memSubs, chunkSubs []*model.SubQ
 			IndexServer: lr.Server,
 			Limit:       subLimit,
 			AsOfChunk:   watermark,
+			Agg:         agg,
 		})
 		seq++
 	}
-	return memSubs, chunkSubs
+	return memSubs, chunkSubs, chunks
+}
+
+// run is the coordinator's one dispatch loop (§IV-B/C): the fresh-data
+// subqueries run on their indexing servers in parallel with the chunk
+// fan-out, every result is handed to collect (from the delivering
+// goroutine — collect synchronizes), and the dispatch latency is observed
+// under the policy in force. root may be nil (tracing off).
+func (c *Coordinator) run(memSubs, chunkSubs []*model.SubQuery, collect func(*model.Result), root *telemetry.Span) error {
+	c.m.MemSubQueries.Add(int64(len(memSubs)))
+	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
+	c.mu.RLock()
+	pname := policyName(c.cfg.Policy)
+	execs := make([]MemExecutor, 0, len(memSubs))
+	for _, sq := range memSubs {
+		execs = append(execs, c.memExec[sq.IndexServer])
+	}
+	c.mu.RUnlock()
+	for i, sq := range memSubs {
+		if execs[i] == nil {
+			return fmt.Errorf("queryexec: no executor for indexing server %d", sq.IndexServer)
+		}
+	}
+	dispSp := root.StartChild("dispatch")
+	dispSp.SetStr("policy", pname)
+	dispStart := time.Now()
+	var wg sync.WaitGroup
+	for i, sq := range memSubs {
+		wg.Add(1)
+		go func(e MemExecutor, sq *model.SubQuery) {
+			defer wg.Done()
+			memSp := dispSp.StartChild("mem_subquery")
+			memSp.SetInt("index_server", int64(sq.IndexServer))
+			r := e.ExecuteSubQuery(sq)
+			if r != nil {
+				memSp.SetInt("tuples", int64(len(r.Tuples)))
+			}
+			memSp.End()
+			collect(r)
+		}(execs[i], sq)
+	}
+	var err error
+	if len(chunkSubs) > 0 {
+		err = c.runChunkSubqueries(chunkSubs, collect, dispSp)
+	}
+	wg.Wait()
+	dispSp.End()
+	c.m.dispatchHist(pname).Observe(time.Since(dispStart))
+	return err
 }
 
 // Execute runs a query to completion and returns the merged result with
@@ -279,17 +337,12 @@ func (c *Coordinator) ExecuteTraced(q model.Query) (*model.Result, *telemetry.Qu
 	return res, tr, err
 }
 
-// execute is the shared query engine behind Execute and ExecuteTraced.
-// root may be nil (tracing off): every span operation degrades to a nil
-// check.
+// execute is the tuple-query engine behind Execute and ExecuteTraced: plan,
+// run, k-way merge. root may be nil (tracing off): every span operation
+// degrades to a nil check.
 func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Result, *telemetry.QueryTrace, error) {
 	q = c.ms.RegisterQuery(q)
 	defer c.ms.CompleteQuery(q.ID)
-
-	c.mu.RLock()
-	policy := c.cfg.Policy
-	c.mu.RUnlock()
-	pname := policyName(policy)
 
 	c.m.Queries.Inc()
 	start := time.Now()
@@ -302,23 +355,23 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Resul
 		}
 		root.End()
 		if root != nil {
+			c.mu.RLock()
+			pname := policyName(c.cfg.Policy)
+			c.mu.RUnlock()
 			tr = &telemetry.QueryTrace{QueryID: q.ID, Policy: pname, Root: root}
 			c.cfg.Traces.Add(tr)
 		}
 	}
 
 	decSp := root.StartChild("decompose")
-	memSubs, chunkSubs := c.Decompose(q)
+	memSubs, chunkSubs, _ := c.Decompose(q, nil)
 	decSp.SetInt("mem_subqueries", int64(len(memSubs)))
 	decSp.SetInt("chunk_subqueries", int64(len(chunkSubs)))
 	decSp.End()
-	c.m.MemSubQueries.Add(int64(len(memSubs)))
-	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
 
 	res := &model.Result{QueryID: q.ID, SubQueries: len(memSubs) + len(chunkSubs)}
 
 	var (
-		wg sync.WaitGroup
 		mu sync.Mutex
 		// parts collects each subquery's tuples, sorted in canonical order
 		// by the delivering goroutine, for the final k-way merge. Memtable
@@ -350,49 +403,9 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Resul
 		}
 		mu.Unlock()
 	}
-	// Fresh-data subqueries run on their indexing servers in parallel with
-	// the chunk fan-out.
-	c.mu.RLock()
-	execs := make([]MemExecutor, 0, len(memSubs))
-	for _, sq := range memSubs {
-		execs = append(execs, c.memExec[sq.IndexServer])
-	}
-	c.mu.RUnlock()
-	for i, sq := range memSubs {
-		if execs[i] == nil {
-			err := fmt.Errorf("queryexec: no executor for indexing server %d", sq.IndexServer)
-			finish(err)
-			return nil, tr, err
-		}
-	}
-	dispSp := root.StartChild("dispatch")
-	dispSp.SetStr("policy", pname)
-	dispStart := time.Now()
-	for i, sq := range memSubs {
-		wg.Add(1)
-		go func(e MemExecutor, sq *model.SubQuery) {
-			defer wg.Done()
-			memSp := dispSp.StartChild("mem_subquery")
-			memSp.SetInt("index_server", int64(sq.IndexServer))
-			r := e.ExecuteSubQuery(sq)
-			if r != nil {
-				memSp.SetInt("tuples", int64(len(r.Tuples)))
-			}
-			memSp.End()
-			collect(r)
-		}(execs[i], sq)
-	}
-
-	var chunkErr error
-	if len(chunkSubs) > 0 {
-		chunkErr = c.runChunkSubqueries(chunkSubs, collect, dispSp)
-	}
-	wg.Wait()
-	dispSp.End()
-	c.m.dispatchHist(pname).Observe(time.Since(dispStart))
-	if chunkErr != nil {
-		finish(chunkErr)
-		return nil, tr, chunkErr
+	if err := c.run(memSubs, chunkSubs, collect, root); err != nil {
+		finish(err)
+		return nil, tr, err
 	}
 	// K-way merge of the per-subquery sorted runs, stopping at Limit: a
 	// LIMIT n query pays O(n log k), not a full sort of everything the
@@ -428,19 +441,14 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 	start := time.Now()
 	spec := &model.AggSpec{Field: q.Field, CountOnly: q.Kind == model.AggCount}
 	res := &model.AggResult{QueryID: mq.ID, Kind: q.Kind}
-	qRegion := q.Region()
 
-	live := c.ms.LiveRegions() // before the chunk list; see Decompose
-	chunks, watermark := c.ms.ChunksForWithWatermark(qRegion)
-	seq := 0
-	var chunkSubs []*model.SubQuery
-	for _, ci := range chunks {
-		r, ok := qRegion.Intersect(ci.Region)
-		if !ok {
-			continue
-		}
-		// Meta-level pushdown: every tuple of a fully covered chunk matches
-		// an unfiltered query, so its registered count/summary is exact.
+	memSubs, planned, chunks := c.Decompose(mq, spec)
+	// Meta-level pushdown: every tuple of a fully covered chunk matches an
+	// unfiltered query, so its registered count/summary is exact and its
+	// subquery is dropped from the plan.
+	qRegion := q.Region()
+	chunkSubs := planned[:0]
+	for i, ci := range chunks {
 		if q.Filter == nil && regionCovers(qRegion, ci.Region) {
 			if spec.CountOnly {
 				res.Count += uint64(ci.Count)
@@ -453,37 +461,9 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 				continue
 			}
 		}
-		chunkSubs = append(chunkSubs, &model.SubQuery{
-			QueryID: mq.ID, Seq: seq, Region: r, Filter: q.Filter, Chunk: ci.ID,
-			ChunkPath: ci.Path, ChunkHeaderLen: ci.HeaderLen,
-			Agg: spec,
-		})
-		seq++
-	}
-	var memSubs []*model.SubQuery
-	for _, lr := range live {
-		if lr.Empty || !lr.Keys.Overlaps(q.Keys) {
-			continue
-		}
-		lo := lr.MinTime - model.Timestamp(c.cfg.LateDeltaMillis)
-		if q.Times.Hi < lo {
-			continue
-		}
-		kr, _ := lr.Keys.Intersect(q.Keys)
-		memSubs = append(memSubs, &model.SubQuery{
-			QueryID: mq.ID, Seq: seq,
-			Region:      model.Region{Keys: kr, Times: q.Times},
-			Filter:      q.Filter,
-			Chunk:       model.MemChunk,
-			IndexServer: lr.Server,
-			AsOfChunk:   watermark,
-			Agg:         spec,
-		})
-		seq++
+		chunkSubs = append(chunkSubs, planned[i])
 	}
 	c.m.AggMetaChunks.Add(int64(res.MetaChunks))
-	c.m.MemSubQueries.Add(int64(len(memSubs)))
-	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
 	res.SubQueries = len(memSubs) + len(chunkSubs)
 
 	var mu sync.Mutex
@@ -502,37 +482,11 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 		res.CacheHits += r.CacheHits
 		mu.Unlock()
 	}
-
-	c.mu.RLock()
-	execs := make([]MemExecutor, 0, len(memSubs))
-	for _, sq := range memSubs {
-		execs = append(execs, c.memExec[sq.IndexServer])
-	}
-	c.mu.RUnlock()
-	for i, sq := range memSubs {
-		if execs[i] == nil {
-			err := fmt.Errorf("queryexec: no executor for indexing server %d", sq.IndexServer)
-			c.m.QueryErrors.Inc()
-			return nil, err
-		}
-	}
-	var wg sync.WaitGroup
-	for i, sq := range memSubs {
-		wg.Add(1)
-		go func(e MemExecutor, sq *model.SubQuery) {
-			defer wg.Done()
-			collect(e.ExecuteSubQuery(sq))
-		}(execs[i], sq)
-	}
-	var chunkErr error
-	if len(chunkSubs) > 0 {
-		chunkErr = c.runChunkSubqueries(chunkSubs, collect, nil)
-	}
-	wg.Wait()
+	err := c.run(memSubs, chunkSubs, collect, nil)
 	c.m.QueryNanos.Observe(time.Since(start))
-	if chunkErr != nil {
+	if err != nil {
 		c.m.QueryErrors.Inc()
-		return nil, chunkErr
+		return nil, err
 	}
 	return res, nil
 }
@@ -552,17 +506,14 @@ type ExplainInfo struct {
 
 // Explain decomposes a query without executing it.
 func (c *Coordinator) Explain(q model.Query) ExplainInfo {
-	memSubs, chunkSubs := c.Decompose(q)
-	info := ExplainInfo{}
+	memSubs, chunkSubs, chunks := c.Decompose(q, nil)
+	info := ExplainInfo{Chunks: chunks}
 	for _, sq := range memSubs {
 		info.MemSubQueries = append(info.MemSubQueries, *sq)
 	}
-	ids := make([]model.ChunkID, len(chunkSubs))
-	for i, sq := range chunkSubs {
+	for _, sq := range chunkSubs {
 		info.ChunkSubQueries = append(info.ChunkSubQueries, *sq)
-		ids[i] = sq.Chunk
 	}
-	info.Chunks = c.ms.ChunksByID(ids)
 	return info
 }
 

@@ -171,7 +171,7 @@ func TestDecomposePrunesChunks(t *testing.T) {
 		c.flushAll()
 	}
 	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 100_000, Hi: 100_049}}
-	mem, chunks := c.coord.Decompose(c.ms.RegisterQuery(q))
+	mem, chunks, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
 	if len(chunks) != 1 {
 		t.Fatalf("decomposed into %d chunk subqueries, want 1", len(chunks))
 	}
@@ -185,12 +185,12 @@ func TestLateVisibilityWindow(t *testing.T) {
 	c.ingest([]model.Tuple{{Key: 1, Time: 100_000}})
 	// Live region min=100 000, Δt=1000 → presumed left bound 99 000.
 	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 99_500}}
-	mem, _ := c.coord.Decompose(c.ms.RegisterQuery(q))
+	mem, _, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
 	if len(mem) != 1 {
 		t.Fatalf("query inside Δt window skipped the memtable: %d", len(mem))
 	}
 	q2 := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 50_000}}
-	mem, _ = c.coord.Decompose(c.ms.RegisterQuery(q2))
+	mem, _, _ = c.coord.Decompose(c.ms.RegisterQuery(q2), nil)
 	if len(mem) != 0 {
 		t.Fatalf("query far below the window still hit the memtable")
 	}

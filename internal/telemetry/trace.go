@@ -12,21 +12,21 @@ import (
 // Str is meaningful; Str wins when non-empty.
 type Attr struct {
 	Key   string
-	Value int64
-	Str   string
+	Value int64  `json:",omitempty"`
+	Str   string `json:",omitempty"`
 }
 
 // Span is one timed step of a query's execution. Spans form a tree; the
 // coordinator holds the root and hands children to the stages it drives.
 // All methods are nil-safe so untraced execution pays only the nil checks.
-// Exported fields cross the wire via gob (QueryTrace); the mutex guards
+// Exported fields cross the wire as JSON (QueryTrace); the mutex guards
 // concurrent child/attr appends during execution and is not encoded.
 type Span struct {
 	Name     string
 	Start    time.Time
 	Dur      time.Duration
-	Attrs    []Attr
-	Children []*Span
+	Attrs    []Attr  `json:",omitempty"`
+	Children []*Span `json:",omitempty"`
 
 	mu sync.Mutex
 }
@@ -114,7 +114,7 @@ func (s *Span) Find(name string) *Span {
 
 // QueryTrace is the recoverable execution trace of one query — the span
 // tree the coordinator built while executing it, plus identifying
-// metadata. It crosses the wire via gob for the `trace` RPC verb.
+// metadata. It crosses the wire as JSON for the `trace` RPC verb.
 type QueryTrace struct {
 	QueryID uint64
 	Policy  string

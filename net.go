@@ -3,7 +3,7 @@ package waterwheel
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -15,8 +15,9 @@ import (
 // insert and query without linking the library. The wire protocol is the
 // internal multiplexing RPC transport: many requests in flight per
 // connection, so slow queries never stall inserts. The data verbs (insert,
-// query, agg, trace) carry internal/model's binary codecs; only the cold
-// stats and admin verbs, and the span tree inside a trace reply, are gob.
+// query, agg, trace) carry internal/model's binary codecs; the cold stats
+// and admin verbs, and the span tree inside a trace reply, are JSON — the
+// encoding the HTTP debug endpoint already gives the same values.
 type NetServer struct {
 	db  *DB
 	srv *transport.Server
@@ -63,16 +64,6 @@ func clientError(err error) error {
 		}
 	}
 	return wireSentinels.Decode(err)
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
-}
-
-func gobDecode(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // Serve starts a network front end for the DB on addr (use
@@ -136,9 +127,9 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		return nil, nil
 	})
 	s.Handle("stats", func([]byte) ([]byte, error) {
-		return gobEncode(db.Stats())
+		return json.Marshal(db.Stats())
 	})
-	// trace answers [u32 span-tree length][span tree, gob][result]: the
+	// trace answers [u32 span-tree length][span tree, JSON][result]: the
 	// result comes last so it is encoded once into the reply's tail.
 	s.Handle("trace", func(payload []byte) ([]byte, error) {
 		q, err := model.DecodeQuery(payload)
@@ -149,7 +140,7 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		if err != nil {
 			return nil, wireError(err)
 		}
-		tree, err := gobEncode(tr)
+		tree, err := json.Marshal(tr)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +149,7 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 	})
 	s.Handle("admin", func(payload []byte) ([]byte, error) {
 		var req adminRequest
-		if err := gobDecode(payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return nil, transport.BadRequestf("waterwheel: bad admin request: %v", err)
 		}
 		var resp adminResponse
@@ -183,7 +174,7 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 			return nil, wireError(err)
 		}
 		resp.Slots = db.ActiveSlots()
-		return gobEncode(resp)
+		return json.Marshal(resp)
 	})
 	s.Handle("metrics", func([]byte) ([]byte, error) {
 		var buf bytes.Buffer
@@ -286,7 +277,7 @@ func (cl *Client) QueryTraced(q Query) (*Result, *QueryTrace, error) {
 		return nil, nil, fmt.Errorf("waterwheel: trace reply holds %d bytes, its span tree claims %d", len(rest), n)
 	}
 	var tr *QueryTrace
-	if err := gobDecode(rest[:n], &tr); err != nil {
+	if err := json.Unmarshal(rest[:n], &tr); err != nil {
 		return nil, nil, err
 	}
 	res, err := model.DecodeResult(rest[n:])
@@ -322,7 +313,7 @@ type adminResponse struct {
 }
 
 func (cl *Client) admin(op string, server int) (adminResponse, error) {
-	req, err := gobEncode(adminRequest{Op: op, Server: server})
+	req, err := json.Marshal(adminRequest{Op: op, Server: server})
 	if err != nil {
 		return adminResponse{}, err
 	}
@@ -331,7 +322,7 @@ func (cl *Client) admin(op string, server int) (adminResponse, error) {
 		return adminResponse{}, err
 	}
 	var resp adminResponse
-	err = gobDecode(payload, &resp)
+	err = json.Unmarshal(payload, &resp)
 	return resp, err
 }
 
@@ -380,7 +371,7 @@ func (cl *Client) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	var s Stats
-	err = gobDecode(payload, &s)
+	err = json.Unmarshal(payload, &s)
 	return s, err
 }
 

@@ -93,7 +93,9 @@ func TestNetServerRejectsGarbage(t *testing.T) {
 		{"trace", []byte("not-a-query")},
 		{"agg", []byte("not-an-aggregate")},
 		{"agg", qenc},
-		{"admin", []byte("not-gob")},
+		{"admin", []byte("not-json")},
+		{"admin", nil},
+		{"admin", []byte(`{"Op":7}`)},
 	} {
 		_, err := raw.Call(tc.verb, tc.payload)
 		var se *transport.StatusError

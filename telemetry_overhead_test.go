@@ -82,7 +82,7 @@ func subQueryAllocs(t *testing.T, instrument bool) float64 {
 	fs := dfs.New(dfs.Config{Nodes: 3, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(1)
 	is := ingest.NewServer(ingest.Config{
-		ID: 0, ChunkBytes: 1 << 30, Leaves: 16, SyncFlush: true,
+		ID: 0, ChunkBytes: 1 << 30, Leaves: 16,
 	}, fs, ms, 0)
 	t.Cleanup(is.Close)
 	for i := 0; i < 2000; i++ {
@@ -154,7 +154,7 @@ func TestMemSubQueryAllocBudget(t *testing.T) {
 	fs := dfs.New(dfs.Config{Nodes: 3, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(1)
 	is := ingest.NewServer(ingest.Config{
-		ID: 0, ChunkBytes: 1 << 30, Leaves: 16, SyncFlush: true,
+		ID: 0, ChunkBytes: 1 << 30, Leaves: 16,
 	}, fs, ms, 0)
 	t.Cleanup(is.Close)
 	for i := 0; i < 2000; i++ {

@@ -110,8 +110,6 @@ type Options struct {
 	ChunkBytes int64
 	// CacheBytes is each query server's cache budget (default 1 GB).
 	CacheBytes int64
-	// LateDeltaMillis is the late-visibility window Δt (default 10 s).
-	LateDeltaMillis int64
 	// Policy selects the subquery dispatch policy: "lada" (default),
 	// "round-robin", "hashing" or "shared-queue".
 	Policy string
@@ -122,8 +120,6 @@ type Options struct {
 	// QueryInflightReads bounds each query server's concurrent DFS reads
 	// (0 = default 4; 1 serializes its chunk I/O).
 	QueryInflightReads int
-	// DisableAdaptivePartitioning turns the key balancer off.
-	DisableAdaptivePartitioning bool
 	// BalanceIntervalMillis runs the balancer on a cadence (0 = manual).
 	BalanceIntervalMillis int64
 	// DisableBloom turns leaf time-sketch pruning off.
@@ -133,18 +129,6 @@ type Options struct {
 	// persistence before inserts crossing the chunk threshold block
 	// (default 2). Snapshots stay queryable while in the queue.
 	FlushQueueDepth int
-	// SyncFlush performs chunk build + DFS write inline on the inserting
-	// goroutine instead of the background flusher — the pre-pipeline
-	// behavior, kept as a benchmark baseline and ablation switch.
-	SyncFlush bool
-	// AggregateField is the payload offset of the big-endian uint64 field
-	// summarized by per-leaf pre-aggregates in chunks (default 0).
-	// Aggregate queries over this field answer fully covered leaves from
-	// chunk headers without reading leaf bodies.
-	AggregateField uint32
-	// DisableAggregates skips building pre-aggregate blocks (ablation /
-	// header-size control). COUNT pushdown still works from leaf counts.
-	DisableAggregates bool
 	// EnableSecondaryIndex builds per-leaf bloom filters over the
 	// big-endian uint64 payload field at SecondaryIndexOffset (the paper's
 	// §VIII future-work extension). Queries whose filter pins that field
@@ -161,8 +145,6 @@ type Options struct {
 	// atomics and the insert path is instrumented allocation-free, so the
 	// cost is a few nanoseconds per operation.
 	DisableTelemetry bool
-	// TraceCapacity bounds the ring of retained query traces (default 16).
-	TraceCapacity int
 	// DataDir makes the store durable: chunks, WAL and metadata persist
 	// under this directory, and Open over an existing directory restores
 	// the previous state (indexing servers replay their WAL tails).
@@ -201,12 +183,6 @@ type Options struct {
 	// disables tiering.
 	TierWarmAfterMillis int64
 	TierColdAfterMillis int64
-	// CompactIntervalMillis runs compaction on a background cadence
-	// (0 = manual; call Compact).
-	CompactIntervalMillis int64
-	// CompactMinInputs is the minimum cold chunks per (server, day) group
-	// worth merging (default 2).
-	CompactMinInputs int
 	// Seed makes placement and sampling deterministic.
 	Seed int64
 }
@@ -226,49 +202,46 @@ var ErrClosed = errors.New("waterwheel: closed")
 // replanned around it.
 var ErrRetired = queryexec.ErrRetired
 
-// Open starts an embedded Waterwheel deployment.
-func Open(opts Options) (*DB, error) {
+// config maps the options onto the cluster configuration, field by field.
+func (o Options) config() cluster.Config {
 	cfg := cluster.Config{
-		Nodes:                 opts.Nodes,
-		IndexServersPerNode:   opts.IndexServersPerNode,
-		QueryServersPerNode:   opts.QueryServersPerNode,
-		DispatchersPerNode:    opts.DispatchersPerNode,
-		ChunkBytes:            opts.ChunkBytes,
-		CacheBytes:            opts.CacheBytes,
-		LateDeltaMillis:       opts.LateDeltaMillis,
-		Policy:                opts.Policy,
-		QueryWorkers:          opts.QueryWorkers,
-		QueryInflightReads:    opts.QueryInflightReads,
-		DisableAdaptive:       opts.DisableAdaptivePartitioning,
-		BalanceIntervalMillis: opts.BalanceIntervalMillis,
-		DisableBloom:          opts.DisableBloom,
-		FlushQueueDepth:       opts.FlushQueueDepth,
-		SyncFlush:             opts.SyncFlush,
-		DataDir:               opts.DataDir,
-		Durability:            opts.Durability,
-		FsyncIntervalMillis:   opts.FsyncIntervalMillis,
-		HotStandby:            opts.HotStandby,
-		ShipStandbyWAL:        opts.ShipStandbyWAL,
-		StandbyLagRecords:     opts.StandbyLagRecords,
-		TierWarmAfterMillis:   opts.TierWarmAfterMillis,
-		TierColdAfterMillis:   opts.TierColdAfterMillis,
-		CompactIntervalMillis: opts.CompactIntervalMillis,
-		CompactMinInputs:      opts.CompactMinInputs,
-		Seed:                  opts.Seed,
-		TraceCapacity:         opts.TraceCapacity,
+		Nodes:                 o.Nodes,
+		IndexServersPerNode:   o.IndexServersPerNode,
+		QueryServersPerNode:   o.QueryServersPerNode,
+		DispatchersPerNode:    o.DispatchersPerNode,
+		ChunkBytes:            o.ChunkBytes,
+		CacheBytes:            o.CacheBytes,
+		Policy:                o.Policy,
+		QueryWorkers:          o.QueryWorkers,
+		QueryInflightReads:    o.QueryInflightReads,
+		BalanceIntervalMillis: o.BalanceIntervalMillis,
+		DisableBloom:          o.DisableBloom,
+		FlushQueueDepth:       o.FlushQueueDepth,
+		DataDir:               o.DataDir,
+		Durability:            o.Durability,
+		FsyncIntervalMillis:   o.FsyncIntervalMillis,
+		HotStandby:            o.HotStandby,
+		ShipStandbyWAL:        o.ShipStandbyWAL,
+		StandbyLagRecords:     o.StandbyLagRecords,
+		TierWarmAfterMillis:   o.TierWarmAfterMillis,
+		TierColdAfterMillis:   o.TierColdAfterMillis,
+		Seed:                  o.Seed,
 	}
-	if !opts.DisableTelemetry {
+	if !o.DisableTelemetry {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	if opts.SimulateIO {
+	if o.SimulateIO {
 		cfg.DFSLatency = dfs.DefaultLatency()
 	}
-	if opts.EnableSecondaryIndex {
-		cfg.Bloom.Secondary = &chunk.SecondarySpec{Offset: opts.SecondaryIndexOffset}
+	if o.EnableSecondaryIndex {
+		cfg.Bloom.Secondary = &chunk.SecondarySpec{Offset: o.SecondaryIndexOffset}
 	}
-	cfg.Bloom.AggField = opts.AggregateField
-	cfg.Bloom.DisableAgg = opts.DisableAggregates
-	c, err := cluster.Open(cfg)
+	return cfg
+}
+
+// Open starts an embedded Waterwheel deployment.
+func Open(opts Options) (*DB, error) {
+	c, err := cluster.Open(opts.config())
 	if err != nil {
 		return nil, err
 	}

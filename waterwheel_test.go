@@ -2,6 +2,7 @@ package waterwheel
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"waterwheel/internal/chunk"
@@ -368,5 +369,43 @@ func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 	res, err := db.QueryRange(healthy.Keys, healthy.Times)
 	if err != nil || len(res.Tuples) != 500 {
 		t.Fatalf("query over healthy chunks afterwards: %d tuples, err %v", len(res.Tuples), err)
+	}
+}
+
+// TestEveryOptionReachesConfig keeps dead knobs from growing back: setting
+// any single Options field to a non-zero value must change the cluster
+// configuration Open builds from it. A field the mapping ignores — one that
+// was added without being wired, or whose consumer was deleted — fails here.
+func TestEveryOptionReachesConfig(t *testing.T) {
+	// Fields that only act together with another one.
+	needs := map[string]string{"SecondaryIndexOffset": "EnableSecondaryIndex"}
+	if !reflect.DeepEqual(Options{}.config(), Options{}.config()) {
+		t.Fatal("two configs of the same options differ: the comparison below proves nothing")
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var base Options
+		bv := reflect.ValueOf(&base).Elem()
+		if dep, ok := needs[name]; ok {
+			bv.FieldByName(dep).SetBool(true)
+		}
+		set := base
+		f := reflect.ValueOf(&set).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint32:
+			f.SetUint(7)
+		case reflect.String:
+			f.SetString("x")
+		default:
+			t.Fatalf("Options.%s has kind %s: teach this test to set it", name, f.Kind())
+		}
+		if reflect.DeepEqual(base.config(), set.config()) {
+			t.Errorf("Options.%s does not reach the cluster config", name)
+		}
 	}
 }

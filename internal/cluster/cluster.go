@@ -337,7 +337,9 @@ func Open(cfg Config) (*Cluster, error) {
 					"WAL segment fsyncs issued by the durability pipeline"),
 			},
 		}
-		log, err = wal.OpenLogDirConfig(filepath.Join(cfg.DataDir, "wal"), nTotal, walCfg)
+		// Replay starts at the restored flush offsets; nothing below them
+		// needs to come back onto the heap.
+		log, err = wal.OpenLogDirConfig(filepath.Join(cfg.DataDir, "wal"), nTotal, walCfg, ms.Offset)
 		if err != nil {
 			return nil, err
 		}
@@ -559,7 +561,8 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// SyncWAL: flush-offset commits must not run ahead of the WAL fsync
 	// watermark (consumers index straight from memory, possibly before any
 	// fsync), so the flusher syncs its unit's offset into the log before
-	// registering chunks and committing.
+	// registering chunks and committing. ReleaseWAL: once it has committed,
+	// the partition drops its resident copy of what no replay will read.
 	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -571,6 +574,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
 		FlushFailHook:       c.cfg.FlushFailHook,
 		SyncWAL:             c.log.Partition(i).SyncTo,
+		ReleaseWAL:          func(committed int64) { c.log.Partition(i).Release(c.replayFloor(i, committed)) },
 		Metrics:             c.ingestMetrics,
 		Epoch:               epoch,
 		Passive:             passive,
@@ -787,7 +791,8 @@ func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 // before the call is applied to its indexing server's memtable, every
 // flush those tuples triggered has been attempted, and the live regions
 // covering them are published — so a query issued after Drain returns
-// sees all of them, exactly once. Inserts are acked from the log, ahead of
+// sees all of them, exactly once, and the WAL holds in memory only what a
+// replay would read. Inserts are acked from the log, ahead of
 // the consumers; without Drain a query may run before the tuples it
 // expects have been applied. ingest.Server.Consumed advances only after a
 // batch is in the trees, which is what makes polling it against the
@@ -805,13 +810,16 @@ func (c *Cluster) Drain() {
 	// Consumption alone no longer implies persistence: wait out the flush
 	// pipelines too, so "insert, Drain, query/crash" keeps its pre-async
 	// determinism.
-	for _, srv := range c.servers() {
+	for i, srv := range c.servers() {
 		if srv != nil {
 			srv.DrainFlushes()
 			// The consumer advances its offset a beat before it reports
 			// the live region; force a report so queries issued right after
 			// Drain plan against the drained memtable's true extent.
 			srv.PublishLive()
+			// Likewise the flusher releases the WAL a beat after its commit
+			// shows; after Drain the resident window IS the replay suffix.
+			c.log.Partition(i).Release(c.replayFloor(i, c.ms.Offset(i)))
 		}
 	}
 	// A quiet moment: whatever retired files were gated on queries that
@@ -910,23 +918,18 @@ func (c *Cluster) TickCompact() (demoted, merged int) {
 // awaiting in-flight-query drain.
 func (c *Cluster) PendingRetiredDeletes() int { return c.ret.pending() }
 
-// TruncateWALBefore advances each partition's retention horizon to its
-// indexing server's recorded flush offset: records already represented in
-// chunks are no longer needed for recovery. In DataDir mode the horizon is
-// additionally capped at the last durable checkpoint's offset — a hard
-// crash restores metadata from that snapshot, and records between its
-// offset and the in-memory one would be needed for replay.
-//
-// The horizon is also floored at any hot standby's replay position. A
-// planned promotion replays the partition from the standby's position at
-// handoff; truncating between its catch-up check and the ownership flip
-// would compact records the replay still needs, silently losing acked
-// tuples. The standby's position only moves forward, so the floor read
-// here is safe against a concurrent promotion: at worst we retain a few
-// extra records until the next truncation pass.
+// TruncateWALBefore advances each partition's logical retention horizon
+// to its replay floor: records already represented in chunks are no longer
+// needed for recovery. In DataDir mode the horizon is additionally capped
+// at the last durable checkpoint's offset — a hard crash restores metadata
+// from that snapshot, and records between its offset and the in-memory one
+// would be needed for replay. That cap is the only difference from the
+// memory horizon, which every flush commit advances to the replay floor by
+// itself (newIndexServer's ReleaseWAL): without a DataDir the two coincide
+// and this call finds nothing left to do.
 func (c *Cluster) TruncateWALBefore() {
 	for i := 0; i < c.log.Partitions(); i++ {
-		off := c.ms.Offset(i)
+		off := c.replayFloor(i, c.ms.Offset(i))
 		if c.cfg.DataDir != "" {
 			c.ckptMu.Lock()
 			if i < len(c.ckptOffsets) {
@@ -940,11 +943,24 @@ func (c *Cluster) TruncateWALBefore() {
 			}
 			c.ckptMu.Unlock()
 		}
-		if sb := c.standbyFloor(i); sb >= 0 && sb < off {
-			off = sb
-		}
 		c.log.Partition(i).Truncate(off)
 	}
+}
+
+// replayFloor returns the lowest offset of slot i's partition an in-process
+// reader may still ask for, given the slot's committed flush offset: a
+// crash replacement replays from committed, and a hot standby from its own
+// replay position, which can lag behind it. A planned promotion replays the
+// partition from the standby's position at handoff; dropping records
+// between its catch-up check and the ownership flip would lose acked
+// tuples. The standby's position only moves forward, so the floor read here
+// is safe against a concurrent promotion: at worst a few extra records stay
+// until the next commit.
+func (c *Cluster) replayFloor(i int, committed int64) int64 {
+	if sb := c.standbyFloor(i); sb >= 0 && sb < committed {
+		return sb
+	}
+	return committed
 }
 
 // standbyFloor returns slot i's standby replay position, or -1 when the

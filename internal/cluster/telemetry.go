@@ -187,6 +187,33 @@ func (c *Cluster) registerFuncMetrics() {
 		}
 		return float64(lag)
 	})
+	// The WAL's resident window: what the log holds on the heap, which a
+	// flush commit cuts back to the unflushed suffix (plus a lagging
+	// standby's tail). It grows with the backlog above, not with uptime.
+	reg.GaugeFunc("waterwheel_wal_memory_records", "WAL records resident in memory (not yet released by a flush commit)", func() float64 {
+		n := 0
+		for i := 0; i < c.log.Partitions(); i++ {
+			n += c.log.Partition(i).Len()
+		}
+		return float64(n)
+	})
+	reg.GaugeFunc("waterwheel_wal_memory_bytes", "payload bytes of the WAL records resident in memory", func() float64 {
+		var n int64
+		for i := 0; i < c.log.Partitions(); i++ {
+			n += c.log.Partition(i).Bytes()
+		}
+		return float64(n)
+	})
+	reg.CounterFunc("waterwheel_ingest_replay_gaps_total", "consumers that refused to start because the WAL no longer held their replay offset", func() int64 {
+		var n int64
+		for _, srv := range c.servers() {
+			if srv == nil {
+				continue
+			}
+			n += srv.Stats().ReplayGaps.Load()
+		}
+		return n
+	})
 	// Page-cache exposure: segment bytes a host crash would lose. Zero
 	// by construction while inserters are quiescent under ack-on-fsync.
 	reg.GaugeFunc("waterwheel_wal_unsynced_bytes", "WAL segment bytes appended but not yet fsynced", func() float64 {

@@ -437,8 +437,12 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 	if s.epoch.Load() <= 0 {
 		s.commitOffsetsLocked()
 	}
+	committed := s.committedOff
 	s.sweepLocked()
 	s.pendMu.Unlock()
+	if s.cfg.ReleaseWAL != nil && committed >= 0 {
+		s.cfg.ReleaseWAL(committed)
+	}
 	s.stats.Flushes.Add(1)
 	s.stats.FlushBytes.Add(totalBytes)
 	s.cfg.Metrics.FlushNanos.Observe(time.Since(flushStart))

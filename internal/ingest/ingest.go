@@ -71,6 +71,12 @@ type Config struct {
 	// SyncWAL error fails the flush attempt exactly as a DFS write failure
 	// would (stop the line, retry later).
 	SyncWAL func(upTo int64) error
+	// ReleaseWAL, when set, is called with the slot's committed WAL offset
+	// after a flush unit committed it: no recovery of this slot will replay
+	// below it again, so the cluster wires it to the partition's memory
+	// release (wal.Partition.Release, floored at a lagging standby). Called
+	// from the flusher with no server lock held.
+	ReleaseWAL func(committed int64)
 	// Metrics holds optional telemetry handles; the zero value (nil
 	// handles) disables instrumentation at no cost.
 	Metrics Metrics
@@ -143,6 +149,9 @@ type Stats struct {
 	Recovered     atomic.Int64
 	// Backpressure counts inserts that blocked on a full flush queue.
 	Backpressure atomic.Int64
+	// ReplayGaps counts consumers that refused to start because the log no
+	// longer held their replay offset (see Consume).
+	ReplayGaps atomic.Int64
 }
 
 // Server is one indexing server.
@@ -748,6 +757,12 @@ func (s *Server) SetKeys(kr model.KeyRange) {
 // queryable the moment Insert returns. The loop polls rather than blocks
 // so a crash simulation (closing stop) detaches the consumer promptly even
 // on an idle partition.
+//
+// The log's horizon never passes min(committed offset, standby position)
+// (wal retention is gated on exactly those), so the replay offset is always
+// still readable. If it is not, the records in between were acked and are
+// in no chunk: Consume counts a replay gap and returns an error wrapping
+// wal.ErrCompacted instead of skipping them.
 func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
 	start := s.ms.Offset(s.cfg.ID)
 	// A promoted standby already replayed its shadow memtable up to
@@ -756,7 +771,8 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
 		start = c
 	}
 	if base := p.Base(); start < base {
-		start = base
+		s.stats.ReplayGaps.Add(1)
+		return fmt.Errorf("ingest: consume (server %d): replay offset %d: %w: log starts at %d", s.cfg.ID, start, wal.ErrCompacted, base)
 	}
 	s.consumed.Store(start)
 	head := p.Next() // records before head are replayed backlog (recovery)

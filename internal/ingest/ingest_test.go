@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -333,5 +334,79 @@ func TestFlushSurvivesDFSOutage(t *testing.T) {
 	}
 	if srv.MemLen() != 0 || ms.ChunkCount() != 1 {
 		t.Fatalf("retry state: mem=%d chunks=%d", srv.MemLen(), ms.ChunkCount())
+	}
+}
+
+// TestConsumeRefusesReplayGap: a consumer whose replay offset fell below
+// the log's horizon must not carry on from the horizon — the records in
+// between were acked and are in no chunk. It counts the gap and returns a
+// typed error. (The old code clamped the start up to the horizon in
+// silence; no test depended on that.)
+func TestConsumeRefusesReplayGap(t *testing.T) {
+	srv, _, ms := newTestEnv(1 << 30)
+	p := wal.NewPartition()
+	for i := 0; i < 10; i++ {
+		p.Append(model.AppendTuple(nil, &model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)}))
+	}
+	ms.SetOffset(0, 3)
+	p.Truncate(6) // retention ran past the committed offset: a bug elsewhere
+	err := srv.Consume(p, make(chan struct{}))
+	if !errors.Is(err, wal.ErrCompacted) {
+		t.Fatalf("Consume over a replay gap returned %v, want an error wrapping wal.ErrCompacted", err)
+	}
+	if n := srv.Stats().ReplayGaps.Load(); n != 1 {
+		t.Fatalf("ReplayGaps = %d, want 1", n)
+	}
+	if n := srv.Stats().Ingested.Load(); n != 0 {
+		t.Fatalf("consumer applied %d tuples past a gap", n)
+	}
+}
+
+// TestFlushCommitReleasesWAL: every flush commit hands the committed
+// offset to ReleaseWAL — after the commit is in the metadata server and
+// with no server lock held (the callback reads server state) — and wired
+// to Partition.Release it leaves exactly the uncommitted suffix resident.
+func TestFlushCommitReleasesWAL(t *testing.T) {
+	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})
+	ms := meta.NewServer(1)
+	p := wal.NewPartition()
+	var srv *Server
+	var released []int64
+	srv = NewServer(Config{
+		ID: 0, ChunkBytes: 16 * 100, // payload-less tuples are 16 B
+		ReleaseWAL: func(committed int64) {
+			if got := ms.Offset(0); got != committed {
+				t.Errorf("ReleaseWAL(%d) while the metadata server holds offset %d", committed, got)
+			}
+			srv.MemLen() // takes pendMu: deadlocks if the callback ran under it
+			released = append(released, committed)
+			p.Release(committed)
+		},
+	}, fs, ms, 0)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { srv.Consume(p, stop); close(done) }()
+	for i := 0; i < 1000; i++ {
+		p.Append(model.AppendTuple(nil, &model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)}))
+	}
+	waitFor(t, func() bool { return srv.Consumed() == p.Next() })
+	close(stop)
+	<-done
+	srv.Close() // the flusher has exited: its last release happened-before this
+	if len(released) == 0 {
+		t.Fatal("no flush commit reached ReleaseWAL")
+	}
+	for i := 1; i < len(released); i++ {
+		if released[i] <= released[i-1] {
+			t.Fatalf("released offsets not increasing: %v", released)
+		}
+	}
+	committed := ms.Offset(0)
+	if last := released[len(released)-1]; last != committed {
+		t.Fatalf("last release %d, committed offset %d", last, committed)
+	}
+	if p.Base() != committed || int64(p.Len()) != p.Next()-committed || p.Len() != srv.MemLen() {
+		t.Fatalf("base=%d resident=%d memtable=%d, want base=%d and the %d uncommitted records resident",
+			p.Base(), p.Len(), srv.MemLen(), committed, p.Next()-committed)
 	}
 }

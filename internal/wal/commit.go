@@ -146,7 +146,7 @@ func (p *Partition) accumulateCohort() {
 	prev := int64(-1)
 	for i := 0; i < 4; i++ {
 		p.mu.Lock()
-		n := p.base + int64(len(p.records)) - p.synced
+		n := p.headLocked() - p.synced
 		p.mu.Unlock()
 		if n == prev {
 			return
@@ -228,7 +228,7 @@ func (p *Partition) syncCohort() error {
 		p.mu.Unlock()
 		return nil
 	}
-	head := p.base + int64(len(p.records))
+	head := p.headLocked()
 	bytes := p.fileBytes
 	if head <= p.synced {
 		p.mu.Unlock()
@@ -289,7 +289,7 @@ func (p *Partition) SyncedNext() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.file == nil && p.fileErr == nil {
-		return p.base + int64(len(p.records))
+		return p.headLocked()
 	}
 	return p.synced
 }

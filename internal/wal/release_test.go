@@ -1,0 +1,407 @@
+package wal
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"waterwheel/internal/transport"
+)
+
+// readThrough reads [from, to) with small reads and fails unless every
+// offset comes back exactly once, in order, carrying payload(off).
+func readThrough(t *testing.T, tail Tail, from, to int64, payload func(int64) []byte) {
+	t.Helper()
+	for next := from; next < to; {
+		recs, err := tail.Read(next, 37)
+		if err != nil {
+			t.Fatalf("read at %d: %v", next, err)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("read at %d returned nothing below the head %d", next, to)
+		}
+		for _, r := range recs {
+			if r.Offset != next {
+				t.Fatalf("read returned offset %d, want %d", r.Offset, next)
+			}
+			if !bytes.Equal(r.Data, payload(r.Offset)) {
+				t.Fatalf("offset %d carries %q, want %q", r.Offset, r.Data, payload(r.Offset))
+			}
+			next++
+		}
+	}
+}
+
+func numbered(off int64) []byte { return []byte(fmt.Sprintf("rec-%06d", off)) }
+
+func appendNumbered(t *testing.T, p *Partition, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		off := p.Next()
+		if got, err := p.Append(numbered(off)); err != nil || got != off {
+			t.Fatalf("append %d: offset %d, err %v", off, got, err)
+		}
+	}
+}
+
+// TestReleaseDiskKeepsEveryOffsetReadable: on a disk-backed partition
+// Release moves only the memory start. The logical horizon, the segment
+// file and the side file stay as they were; reads below the memory start
+// come from the file; Compact with a released prefix copies the retained
+// run out of the old segment; and a reopen yields the same records.
+func TestReleaseDiskKeepsEveryOffsetReadable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.wal")
+	p, err := OpenPartitionFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendNumbered(t, p, 1000)
+	before, _ := os.Stat(path)
+
+	p.Release(700)
+	if p.Len() != 300 || p.Base() != 0 || p.Next() != 1000 {
+		t.Fatalf("after Release(700): len=%d base=%d next=%d, want 300/0/1000", p.Len(), p.Base(), p.Next())
+	}
+	if want := int64(300 * len(numbered(0))); p.Bytes() != want {
+		t.Fatalf("resident bytes %d, want %d", p.Bytes(), want)
+	}
+	if after, _ := os.Stat(path); after.Size() != before.Size() {
+		t.Fatalf("Release changed the segment: %d -> %d bytes", before.Size(), after.Size())
+	}
+	if _, err := os.Stat(basePath(path)); !os.IsNotExist(err) {
+		t.Fatalf("Release wrote the horizon side file (err=%v)", err)
+	}
+	readThrough(t, p, 0, 1000, numbered)
+	// A backwards or repeated release is a no-op; one past the head clamps.
+	p.Release(10)
+	p.Release(700)
+	if p.Len() != 300 {
+		t.Fatalf("idempotent release changed len to %d", p.Len())
+	}
+
+	// The logical horizon moves below the memory start: still served cold.
+	p.Truncate(200)
+	if p.Base() != 200 || p.Len() != 300 {
+		t.Fatalf("after Truncate(200): base=%d len=%d", p.Base(), p.Len())
+	}
+	if _, err := p.Read(199, 1); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read below the horizon: %v, want ErrCompacted", err)
+	}
+	readThrough(t, p, 200, 1000, numbered)
+
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.Stat(path); after.Size() >= before.Size() {
+		t.Fatalf("compact did not shrink: %d -> %d", before.Size(), after.Size())
+	}
+	readThrough(t, p, 200, 1000, numbered)
+	appendNumbered(t, p, 50)
+	p.Release(1 << 40)
+	if p.Len() != 0 {
+		t.Fatalf("release past the head left %d resident", p.Len())
+	}
+	readThrough(t, p, 200, 1050, numbered)
+	p.CloseFile()
+
+	p2, err := OpenPartitionFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.CloseFile()
+	if p2.Base() != 200 || p2.Next() != 1050 || p2.Len() != 850 {
+		t.Fatalf("reopened: base=%d next=%d len=%d, want 200/1050/850", p2.Base(), p2.Next(), p2.Len())
+	}
+	readThrough(t, p2, 200, 1050, numbered)
+}
+
+// TestReleaseMemoryOnlyIsTruncate: with no file to fall back on, releasing
+// moves the horizon exactly as Truncate does.
+func TestReleaseMemoryOnlyIsTruncate(t *testing.T) {
+	p := NewPartition()
+	appendNumbered(t, p, 100)
+	p.Release(60)
+	if p.Base() != 60 || p.Len() != 40 {
+		t.Fatalf("base=%d len=%d, want 60/40", p.Base(), p.Len())
+	}
+	if _, err := p.Read(59, 1); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read below a memory-only release: %v, want ErrCompacted", err)
+	}
+	p.Truncate(60) // what TruncateWALBefore finds afterwards: nothing to do
+	readThrough(t, p, 60, 100, numbered)
+}
+
+// TestWindowArrayStaysBounded: a window that is released as fast as it is
+// filled reuses its backing array — the array's size follows the window,
+// not the log — and an array a burst inflated is given back.
+func TestWindowArrayStaysBounded(t *testing.T) {
+	p := NewPartition()
+	batch := make([][]byte, 256)
+	for i := range batch {
+		batch[i] = []byte{byte(i)}
+	}
+	const window = 4096
+	peak := 0
+	for i := 0; i < 4000; i++ { // ~1M records through a 4k window
+		if _, err := p.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(p.Next() - window)
+		if c := cap(p.store); c > peak {
+			peak = c
+		}
+	}
+	if p.Len() != window {
+		t.Fatalf("window holds %d records, want %d", p.Len(), window)
+	}
+	if peak > 4*window {
+		t.Fatalf("backing array reached %d slots for a %d-record window", peak, window)
+	}
+	// A parked flusher: the window grows to the whole backlog...
+	for i := 0; i < 2000; i++ {
+		p.AppendBatch(batch)
+	}
+	burst := cap(p.store)
+	if burst < 2000*len(batch) {
+		t.Fatalf("burst of %d records fit %d slots", 2000*len(batch), burst)
+	}
+	// ...and once it is released, the next appends move to a small array.
+	p.Release(p.Next() - window)
+	for i := 0; i < 64; i++ {
+		p.AppendBatch(batch)
+		p.Release(p.Next() - window)
+	}
+	if c := cap(p.store); c > burst/8 {
+		t.Fatalf("backing array still %d slots after the burst drained (was %d)", c, burst)
+	}
+	readThrough(t, p, p.Base(), p.Next(), func(off int64) []byte { return []byte{byte(off % 256)} })
+}
+
+// TestOpenLogDirResidentFloor: a reopen with a memory floor loads only the
+// tail at or above it; the rest stays readable from the segment.
+func TestOpenLogDirResidentFloor(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLogDir(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendNumbered(t, l.Partition(0), 500)
+	appendNumbered(t, l.Partition(1), 20)
+	l.Partition(0).Truncate(100)
+	for i := 0; i < 2; i++ {
+		l.Partition(i).CloseFile()
+	}
+	floors := []int64{450, 1 << 30}
+	l2, err := OpenLogDirConfig(dir, 2, Config{}, func(i int) int64 { return floors[i] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0, p1 := l2.Partition(0), l2.Partition(1)
+	defer p0.CloseFile()
+	defer p1.CloseFile()
+	if p0.Len() != 50 || p0.Base() != 100 || p0.Next() != 500 {
+		t.Fatalf("partition 0: len=%d base=%d next=%d, want 50/100/500", p0.Len(), p0.Base(), p0.Next())
+	}
+	if p1.Len() != 0 || p1.Base() != 0 || p1.Next() != 20 {
+		t.Fatalf("partition 1: len=%d base=%d next=%d, want 0/0/20", p1.Len(), p1.Base(), p1.Next())
+	}
+	readThrough(t, p0, 100, 500, numbered)
+	readThrough(t, p1, 0, 20, numbered)
+	appendNumbered(t, p1, 5)
+	readThrough(t, p1, 0, 25, numbered)
+}
+
+// TestReleaseConcurrentWithEverything runs every actor that touches one
+// disk-backed partition at once — appenders (single records and batches),
+// a consumer reading the head, a flusher releasing what the consumer
+// applied, a standby tailing through the shipping transport from far
+// behind, a retention loop moving the logical horizon, and Compact — and
+// requires that both readers see every offset exactly once, in order, with
+// the payload its appender framed. Run under -race.
+func TestReleaseConcurrentWithEverything(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLogDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := l.Partition(0)
+	srv := transport.NewServer()
+	RegisterShipping(srv, l)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	total := int64(20_000)
+	if testing.Short() {
+		total = 5_000
+	}
+	// Appenders cannot know a record's offset before the append returns,
+	// so a payload is a (writer, sequence) pair and the readers check that
+	// each writer's sequence is gapless — with the offset check, that is
+	// exactly-once, in order.
+	const writers = 4
+	var appended atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			seq := 0
+			for appended.Load() < total {
+				n := 1 + (seq+g)%5
+				datas := make([][]byte, n)
+				for i := range datas {
+					datas[i] = []byte(fmt.Sprintf("%d:%d", g, seq))
+					seq++
+				}
+				if _, err := p.AppendBatch(datas); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				appended.Add(int64(n))
+			}
+		}(g)
+	}
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+
+	// follow reads tail from offset 0 until the writers are done and the
+	// head is reached, checking order; publish reports progress.
+	follow := func(name string, tail Tail, publish func(int64)) {
+		var next int64
+		seqs := make([]int, writers)
+		for {
+			recs, err := tail.Read(next, 256)
+			if err != nil {
+				t.Errorf("%s: read at %d: %v", name, next, err)
+				return
+			}
+			for _, r := range recs {
+				if r.Offset != next {
+					t.Errorf("%s: got offset %d, want %d", name, r.Offset, next)
+					return
+				}
+				var g, seq int
+				if _, err := fmt.Sscanf(string(r.Data), "%d:%d", &g, &seq); err != nil || seq != seqs[g] {
+					t.Errorf("%s: offset %d carries %q, want writer %d's record %d", name, r.Offset, r.Data, g, seqs[g])
+					return
+				}
+				seqs[g]++
+				next++
+			}
+			publish(next)
+			if len(recs) == 0 {
+				select {
+				case <-writersDone:
+					if next == p.Next() {
+						return
+					}
+				default:
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+	var consumed, shipped atomic.Int64
+	var readers sync.WaitGroup
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		follow("consumer", p, func(n int64) {
+			consumed.Store(n)
+			// Release-on-commit: everything applied is released at once, so
+			// the shipped tail behind it reads cold almost all the time.
+			p.Release(n)
+		})
+	}()
+	go func() {
+		defer readers.Done()
+		follow("shipped tail", NewRemoteTail(cl, 0), shipped.Store)
+	}()
+
+	// Retention and compaction: the logical horizon follows the slower
+	// reader (the floor TruncateWALBefore computes), Compact runs behind it.
+	stop := make(chan struct{})
+	var maint sync.WaitGroup
+	maint.Add(1)
+	go func() {
+		defer maint.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p.Truncate(min(consumed.Load(), shipped.Load()))
+			if err := p.Compact(); err != nil {
+				t.Errorf("compact: %v", err)
+				return
+			}
+		}
+	}()
+	readers.Wait()
+	close(stop)
+	maint.Wait()
+	if t.Failed() {
+		return
+	}
+
+	head := p.Next()
+	if head < total || consumed.Load() != head || shipped.Load() != head {
+		t.Fatalf("head %d (want >= %d), consumer at %d, shipped tail at %d", head, total, consumed.Load(), shipped.Load())
+	}
+	if p.Len() != 0 {
+		t.Fatalf("%d records resident after everything was released", p.Len())
+	}
+	// What the horizon still covers survives one more Compact and a reopen.
+	base := p.Base()
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	count := func(tail Tail) int64 {
+		n := base
+		for {
+			recs, err := tail.Read(n, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				return n
+			}
+			for _, r := range recs {
+				if r.Offset != n {
+					t.Fatalf("got offset %d, want %d", r.Offset, n)
+				}
+				n++
+			}
+		}
+	}
+	if got := count(p); got != head {
+		t.Fatalf("after compact: readable up to %d, head %d", got, head)
+	}
+	p.CloseFile()
+	p2, err := OpenPartitionFile(filepath.Join(dir, "p0.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.CloseFile()
+	if p2.Base() != base || p2.Next() != head {
+		t.Fatalf("reopened: base=%d next=%d, want %d/%d", p2.Base(), p2.Next(), base, head)
+	}
+	if got := count(p2); got != head {
+		t.Fatalf("reopened: readable up to %d, head %d", got, head)
+	}
+}

@@ -21,6 +21,10 @@ import (
 // horizon.
 var ErrCompacted = errors.New("wal: offset below retention horizon")
 
+// ErrCorruptSegment is returned when a segment file's frames do not form
+// one gapless run of bounded records.
+var ErrCorruptSegment = errors.New("wal: corrupt segment")
+
 // ErrClosed is returned by blocking reads once the partition is closed.
 var ErrClosed = errors.New("wal: partition closed")
 
@@ -46,21 +50,38 @@ type Record struct {
 type Partition struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	// base is the offset of records[0]; offsets below base were truncated.
-	base    int64
-	records [][]byte
-	bytes   int64
-	closed  bool
-	sealed  bool
+	// Two horizons. base is the logical one: offsets below it are gone and
+	// read as ErrCompacted; only Truncate moves it (and persists it for a
+	// disk-backed partition). memStart is the memory one: the offset of the
+	// first resident record, base <= memStart <= head. Release moves it
+	// without touching the file, and a disk-backed partition serves
+	// [base, memStart) from its segment (readCold). A memory-only partition
+	// has nowhere else to read from, so there the two always coincide.
+	base     int64
+	memStart int64
+	// store[lo:] is the resident window, store[lo+i] holding offset
+	// memStart+i; store[:lo] are released slots, reused by sliding the
+	// window down instead of growing the array (reserveLocked).
+	store [][]byte
+	lo    int
+	// bytes is the resident payload size.
+	bytes  int64
+	closed bool
+	sealed bool
 	// waiting counts goroutines parked in ReadBlocking — a deterministic
 	// hook for tests that must act only once a reader is actually blocked,
 	// instead of sleeping and hoping.
 	waiting int
 
-	// Disk backing (nil for in-memory partitions); see disk.go.
+	// Disk backing (nil for in-memory partitions); see disk.go. segMu keeps
+	// a cold read's walk over the segment apart from Compact's file swap and
+	// guards the walk's resume point; it is taken before syncMu and mu.
 	path    string
 	file    *os.File
 	fileErr error
+	segMu   sync.Mutex
+	coldOff int64 // offset of the frame at body position coldPos; -1 unknown
+	coldPos int64
 	// failAppends arms FailNextAppends's transient (non-sticky) faults.
 	failAppends int
 
@@ -86,7 +107,7 @@ type Partition struct {
 
 // NewPartition creates an empty partition.
 func NewPartition() *Partition {
-	p := &Partition{}
+	p := &Partition{coldOff: -1}
 	p.cond = sync.NewCond(&p.mu)
 	p.syncedCond = sync.NewCond(&p.mu)
 	return p
@@ -145,20 +166,22 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 		p.mu.Unlock()
 		return 0, ErrInjectedAppend
 	}
-	off := p.base + int64(len(p.records))
+	p.reserveLocked(len(datas))
+	mark := len(p.store)
+	off := p.headLocked()
 	// Second walk of buf: stamp each header's offset and slice its record
 	// out. The lengths written above make the frames self-describing, so no
 	// side table of positions has to survive from the first walk.
 	for pos = 0; pos < total; {
-		binary.BigEndian.PutUint64(buf[pos:pos+8], uint64(p.base+int64(len(p.records))))
+		binary.BigEndian.PutUint64(buf[pos:pos+8], uint64(p.headLocked()))
 		end := pos + recordHeaderLen + int(binary.BigEndian.Uint32(buf[pos+8:pos+recordHeaderLen]))
-		p.records = append(p.records, buf[pos+recordHeaderLen:end:end])
+		p.store = append(p.store, buf[pos+recordHeaderLen:end:end])
 		pos = end
 	}
 	if p.file != nil {
 		if _, err := p.file.Write(buf); err != nil {
-			clear(p.records[off-p.base:])
-			p.records = p.records[:off-p.base]
+			clear(p.store[mark:])
+			p.store = p.store[:mark]
 			p.fileErr = fmt.Errorf("wal: segment append: %w", err)
 			err = p.fileErr
 			// A broken line also fails parked group-commit waiters.
@@ -196,14 +219,34 @@ func (p *Partition) Err() error {
 	return p.fileErr
 }
 
+// headLocked returns the offset the next record will receive. Requires mu.
+func (p *Partition) headLocked() int64 {
+	return p.memStart + int64(len(p.store)-p.lo)
+}
+
+// reserveLocked makes room for n more records without letting the backing
+// array track the log's length: once the released prefix is at least as
+// large as the resident window, the window slides down over it — a copy no
+// larger than the slots it frees, so appends stay amortized O(1). Only a
+// window that really grows reaches append's reallocation. Requires mu.
+func (p *Partition) reserveLocked(n int) {
+	live := len(p.store) - p.lo
+	if len(p.store)+n <= cap(p.store) || p.lo < live {
+		return
+	}
+	copy(p.store, p.store[p.lo:])
+	clear(p.store[live:])
+	p.store, p.lo = p.store[:live], 0
+}
+
 // Next returns the offset the next Append will receive.
 func (p *Partition) Next() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base + int64(len(p.records))
+	return p.headLocked()
 }
 
-// Base returns the lowest retained offset.
+// Base returns the logical horizon: the lowest offset Read still answers.
 func (p *Partition) Base() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -212,33 +255,44 @@ func (p *Partition) Base() int64 {
 
 // Read returns up to max records starting at offset, without blocking. It
 // returns ErrCompacted when offset precedes the retention horizon. Reading
-// at the head returns an empty slice.
+// at the head returns an empty slice. A disk-backed partition answers
+// offsets below its memory start from the segment file; such a read ends at
+// the memory start at the latest, and the next one continues from memory.
 func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1024
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.readLocked(offset, max)
+	recs, cold, err := p.readLocked(offset, max)
+	p.mu.Unlock()
+	if cold {
+		return p.readCold(offset, max)
+	}
+	return recs, err
 }
 
-func (p *Partition) readLocked(offset int64, max int) ([]Record, error) {
+// readLocked answers a read from the resident window. cold reports that
+// offset lies in [base, memStart): the caller must drop mu and readCold.
+func (p *Partition) readLocked(offset int64, max int) (recs []Record, cold bool, err error) {
 	if offset < p.base {
-		return nil, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
+		return nil, false, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
 	}
-	head := p.base + int64(len(p.records))
-	if offset >= head {
-		return nil, nil
+	if offset < p.memStart {
+		return nil, true, nil
 	}
-	n := head - offset
+	n := p.headLocked() - offset
+	if n <= 0 {
+		return nil, false, nil
+	}
 	if n > int64(max) {
 		n = int64(max)
 	}
+	window := p.store[p.lo+int(offset-p.memStart):]
 	out := make([]Record, n)
-	for i := int64(0); i < n; i++ {
-		out[i] = Record{Offset: offset + i, Data: p.records[offset-p.base+i]}
+	for i := range out {
+		out[i] = Record{Offset: offset + int64(i), Data: window[i]}
 	}
-	return out, nil
+	return out, false, nil
 }
 
 // ReadBlocking behaves like Read but waits for data when the partition is
@@ -249,13 +303,18 @@ func (p *Partition) ReadBlocking(offset int64, max int) ([]Record, error) {
 		max = 1024
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for {
-		recs, err := p.readLocked(offset, max)
+		recs, cold, err := p.readLocked(offset, max)
+		if cold {
+			p.mu.Unlock()
+			return p.readCold(offset, max)
+		}
 		if err != nil || len(recs) > 0 {
+			p.mu.Unlock()
 			return recs, err
 		}
 		if p.closed {
+			p.mu.Unlock()
 			return nil, ErrClosed
 		}
 		p.waiting++
@@ -272,23 +331,19 @@ func (p *Partition) Waiting() int {
 	return p.waiting
 }
 
-// Truncate drops records with offsets below before (retention). Truncating
-// past the head drops everything retained.
+// Truncate advances the logical horizon: records with offsets below before
+// are gone (retention) — from memory now, from a segment file at the next
+// Compact. Truncating past the head drops everything retained.
 func (p *Partition) Truncate(before int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if head := p.headLocked(); before > head {
+		before = head
+	}
 	if before <= p.base {
 		return
 	}
-	head := p.base + int64(len(p.records))
-	if before > head {
-		before = head
-	}
-	drop := before - p.base
-	for i := int64(0); i < drop; i++ {
-		p.bytes -= int64(len(p.records[i]))
-	}
-	p.records = append([][]byte(nil), p.records[drop:]...)
+	p.releaseLocked(before)
 	p.base = before
 	if p.file != nil && p.fileErr == nil {
 		if err := writeBaseFile(basePath(p.path), p.base); err != nil {
@@ -304,6 +359,53 @@ func (p *Partition) Truncate(before int64) {
 		p.synced = p.base
 	}
 }
+
+// Release drops the resident copy of every record below before — the memory
+// horizon, which the owner advances when a flush commit makes those records
+// dead to every in-process reader. A disk-backed partition does no file I/O
+// here and keeps answering the released offsets from its segment, whose
+// logical horizon stays where Truncate left it (a crash may restore older
+// offsets than the commit that released them). For a memory-only partition
+// releasing is truncating. A partition nobody releases keeps everything.
+func (p *Partition) Release(before int64) {
+	if p.path == "" {
+		p.Truncate(before)
+		return
+	}
+	p.mu.Lock()
+	p.releaseLocked(before)
+	p.mu.Unlock()
+}
+
+// releaseLocked moves the memory start up to before (clamped to the head).
+// Requires mu.
+func (p *Partition) releaseLocked(before int64) {
+	if head := p.headLocked(); before > head {
+		before = head
+	}
+	if before <= p.memStart {
+		return
+	}
+	window := len(p.store) - p.lo
+	hi := p.lo + int(before-p.memStart)
+	for _, rec := range p.store[p.lo:hi] {
+		p.bytes -= int64(len(rec))
+	}
+	clear(p.store[p.lo:hi])
+	p.lo, p.memStart = hi, before
+	// The window only grows between releases, so `window` is what the array
+	// had to hold since the last one. An array many times that size is left
+	// over from a burst (a parked flusher's backlog): give it back. A steady
+	// fill-and-release cycle keeps the array within 4x its largest window
+	// (append doubles, reserveLocked reuses), so there this never fires.
+	if cap(p.store) > 8*window+minWindowCap {
+		p.store, p.lo = append(make([][]byte, 0, 2*window), p.store[p.lo:]...), 0
+	}
+}
+
+// minWindowCap is the backing-array size releaseLocked does not bother to
+// shrink.
+const minWindowCap = 1024
 
 // Seal permanently rejects further appends with ErrSealed while keeping
 // reads and replay available. Idempotent.
@@ -335,14 +437,14 @@ func (p *Partition) Close() {
 	p.mu.Unlock()
 }
 
-// Len returns the number of retained records.
+// Len returns the number of records resident in memory.
 func (p *Partition) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.records)
+	return len(p.store) - p.lo
 }
 
-// Bytes returns the retained payload bytes.
+// Bytes returns the resident payload bytes.
 func (p *Partition) Bytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

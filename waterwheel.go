@@ -429,11 +429,12 @@ func (db *DB) Telemetry() *telemetry.Registry { return db.c.Telemetry() }
 func (db *DB) Traces() []*QueryTrace { return db.c.TraceRing().Recent() }
 
 // DropBefore removes all chunks that end before the horizon (retention),
-// returning how many were dropped, and releases the WAL records already
-// covered by flushed chunks. Chunk files are deleted only after queries
+// returning how many were dropped, and advances the WAL's logical horizon
+// past the records already covered by flushed chunks (as of the last
+// checkpoint, in DataDir mode). Chunk files are deleted only after queries
 // planned before the drop have drained; WAL truncation is floored at any
 // hot standby's replay position so a planned handoff never loses acked
-// records.
+// records. The WAL's memory needs no call: every flush commit releases it.
 func (db *DB) DropBefore(horizon Timestamp) int {
 	n := db.c.DropChunksBefore(horizon)
 	db.c.TruncateWALBefore()

@@ -511,8 +511,9 @@ func BenchmarkConcurrentQueryThroughput(b *testing.B) {
 // BenchmarkFig7aInsertThroughput/template, so batch=1 reproduces that
 // baseline and larger batches show the per-leaf merge amortization. The
 // "db" legs go end to end through the public API over the default WAL
-// pipeline — one DispatchBatch, one WAL AppendBatch per partition run,
-// one batched consume — where batch=1 is the per-tuple Insert cost. Each
+// pipeline — one DispatchBatch, one WAL AppendBatch per server the batch
+// routes to, one batched consume — where batch=1 is the per-tuple Insert
+// cost. Each
 // benchmark op is ONE TUPLE, so ns/op across legs compare directly.
 func BenchmarkInsertBatchThroughput(b *testing.B) {
 	g := workload.NewTDrive(workload.TDriveConfig{Seed: 1})
@@ -591,7 +592,7 @@ func BenchmarkInsertBatchThroughput(b *testing.B) {
 		db, err := Open(Options{
 			DataDir:             b.TempDir(),
 			Durability:          "ack-on-fsync",
-			IndexServersPerNode: 1, // one partition: each batch is one run
+			IndexServersPerNode: 1, // one partition: each batch is one append
 			ChunkBytes:          256 << 20,
 			Seed:                1,
 		})
@@ -628,6 +629,55 @@ func BenchmarkInsertBatchThroughput(b *testing.B) {
 			b.Fatalf("%.0f fsyncs for %d batches: cohorts not amortized", fsyncs, batches)
 		}
 	})
+}
+
+// BenchmarkInsertBatchAckOnFsyncInterleaved is the batch shape that priced
+// ack-on-fsync out of the ledger's mixed workload: 256 tuples whose keys
+// alternate between two indexing servers, acked on fsync. Each op is ONE
+// BATCH. It reports ms/batch — one fsync cohort per server, side by side —
+// and appends/batch from waterwheel_wal_append_calls_total, which must be
+// exactly one per server.
+func BenchmarkInsertBatchAckOnFsyncInterleaved(b *testing.B) {
+	db, err := Open(Options{
+		DataDir:             b.TempDir(),
+		Durability:          "ack-on-fsync",
+		IndexServersPerNode: 2,
+		ChunkBytes:          256 << 20,
+		Seed:                1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	batch := make([]Tuple, 256)
+	for i := range batch {
+		key := Key(i)
+		if i%2 == 1 {
+			key += 1 << 63
+		}
+		batch[i] = Tuple{Key: key, Payload: make([]byte, 16)}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j].Time = Timestamp(i*len(batch) + j)
+		}
+		if err := db.InsertBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	var calls float64
+	for _, m := range db.c.Telemetry().Snapshot() {
+		if m.Name == "waterwheel_wal_append_calls_total" {
+			calls = m.Value
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/batch")
+	b.ReportMetric(calls/float64(b.N), "appends/batch")
+	if calls != 2*float64(b.N) {
+		b.Fatalf("%.0f WAL append calls for %d two-server batches, want one per server", calls, b.N)
+	}
 }
 
 // --- end-to-end throughput of the public API ---

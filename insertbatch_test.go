@@ -3,7 +3,10 @@ package waterwheel
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -119,59 +122,160 @@ func TestInsertBatchSerialEquivalenceDB(t *testing.T) {
 
 // TestInsertBatchPrefixAckOnWALFault arms a one-shot append fault on one
 // index server's WAL partition and submits a batch that routes tuples to
-// both servers. The returned BatchError must report the exact prefix that
-// reached intact partitions — never a tuple on the faulted one — and the
-// error string keeps the wire-visible `insert %d/%d rejected` shape.
+// both servers, once with each server's tuples contiguous and once
+// interleaved. The returned BatchError must name exactly the positions
+// routed to the faulted partition — a suffix in the first layout, holes in
+// the second — with Index the first of them; exactly the other tuples are
+// queryable after Drain, and resubmitting the Rejected positions leaves
+// every tuple of the batch stored exactly once.
 func TestInsertBatchPrefixAckOnWALFault(t *testing.T) {
-	db := openTestDB(t, Options{IndexServersPerNode: 2})
-	schema := db.c.Metadata().Schema()
 	// Keys below the separator land on server 0, above on server 1.
-	low := Key(1 << 10)
-	high := Key(1<<63 + 1<<10)
-	if schema.ServerFor(low) != 0 || schema.ServerFor(high) != 1 {
-		t.Fatalf("even schema routing changed: %d/%d", schema.ServerFor(low), schema.ServerFor(high))
+	low, high := Key(1<<10), Key(1<<63+1<<10)
+	for _, tc := range []struct {
+		name     string
+		keys     []Key
+		rejected []int
+	}{
+		{"contiguous", []Key{low, low + 1, low + 2, high, high + 1}, []int{3, 4}},
+		{"interleaved", []Key{low, high, low + 1, high + 1, low + 2}, []int{1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openTestDB(t, Options{IndexServersPerNode: 2})
+			schema := db.c.Metadata().Schema()
+			if schema.ServerFor(low) != 0 || schema.ServerFor(high) != 1 {
+				t.Fatalf("even schema routing changed: %d/%d", schema.ServerFor(low), schema.ServerFor(high))
+			}
+			batch := make([]Tuple, len(tc.keys))
+			for i, k := range tc.keys {
+				batch[i] = Tuple{Key: k, Time: Timestamp(1000 + i)}
+			}
+			db.c.WAL().Partition(1).FailNextAppends(1)
+			err := db.InsertBatch(batch)
+			var be *BatchError
+			if !errors.As(err, &be) {
+				t.Fatalf("err = %v (%T), want *BatchError", err, err)
+			}
+			if be.Index != tc.rejected[0] || be.Len != 5 || !reflect.DeepEqual(be.Rejected, tc.rejected) {
+				t.Fatalf("BatchError = index %d, len %d, rejected %v; want %d, 5, %v", be.Index, be.Len, be.Rejected, tc.rejected[0], tc.rejected)
+			}
+			if !errors.Is(err, wal.ErrInjectedAppend) {
+				t.Fatalf("cause not surfaced: %v", err)
+			}
+			if want := fmt.Sprintf("waterwheel: insert rejected 2 of 5 tuples, first at %d:", be.Index); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not contain %q", err.Error(), want)
+			}
+			// Exactly the acked tuples are durable and queryable.
+			stored := func() []Timestamp {
+				db.Drain()
+				res, err := db.QueryRange(FullKeyRange(), FullTimeRange())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var times []Timestamp
+				for _, tp := range res.Tuples {
+					times = append(times, tp.Time)
+				}
+				sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+				return times
+			}
+			var acked, all []Timestamp
+			for i := range batch {
+				all = append(all, batch[i].Time)
+				if !slices.Contains(be.Rejected, i) {
+					acked = append(acked, batch[i].Time)
+				}
+			}
+			if got := stored(); !reflect.DeepEqual(got, acked) {
+				t.Fatalf("queryable tuples (by time) %v, want exactly the acked %v", got, acked)
+			}
+			// The partition recovers: the three-line resubmit loop.
+			retry := make([]Tuple, 0, len(be.Rejected))
+			for _, i := range be.Rejected {
+				retry = append(retry, batch[i])
+			}
+			if err := db.InsertBatch(retry); err != nil {
+				t.Fatal(err)
+			}
+			if got := stored(); !reflect.DeepEqual(got, all) {
+				t.Fatalf("after resubmit: tuples (by time) %v, want each of %v exactly once", got, all)
+			}
+		})
 	}
-	batch := []Tuple{
-		{Key: low, Time: 1000},
-		{Key: low + 1, Time: 1001},
-		{Key: low + 2, Time: 1002},
-		{Key: high, Time: 1003},
-		{Key: high + 1, Time: 1004},
-	}
+}
+
+// TestInsertBatchBothServersFail: the groups are independent failure
+// domains — both are attempted, both causes are joined into the error, and
+// a fully rejected batch names every position.
+func TestInsertBatchBothServersFail(t *testing.T) {
+	db := openTestDB(t, Options{IndexServersPerNode: 2})
+	db.c.WAL().Partition(0).FailNextAppends(1)
 	db.c.WAL().Partition(1).FailNextAppends(1)
-	err := db.InsertBatch(batch)
-	if err == nil {
-		t.Fatal("batch across a faulted partition fully acked")
-	}
+	err := db.InsertBatch([]Tuple{{Key: 1, Time: 1}, {Key: 1<<63 + 1, Time: 2}, {Key: 2, Time: 3}})
 	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %T, want *BatchError", err)
+	if !errors.As(err, &be) || be.Index != 0 || !reflect.DeepEqual(be.Rejected, []int{0, 1, 2}) {
+		t.Fatalf("err = %v, want a BatchError rejecting [0 1 2]", err)
 	}
-	if be.Index != 3 || be.Len != 5 {
-		t.Fatalf("prefix = %d/%d, want 3/5", be.Index, be.Len)
+	for _, server := range []string{"(server 0)", "(server 1)"} {
+		if !strings.Contains(err.Error(), server) {
+			t.Errorf("error %q does not name the failure of %s", err, server)
+		}
 	}
-	if !errors.Is(err, wal.ErrInjectedAppend) {
-		t.Fatalf("cause not surfaced: %v", err)
+	// Both shots were spent on this batch: neither server was skipped.
+	if err := db.InsertBatch([]Tuple{{Key: 1, Time: 1}, {Key: 1<<63 + 1, Time: 2}}); err != nil {
+		t.Fatalf("next batch: %v", err)
 	}
-	if !strings.Contains(err.Error(), "waterwheel: insert 3/5 rejected:") {
-		t.Fatalf("error shape changed: %q", err.Error())
+}
+
+// TestInsertBatchAppendsOncePerServer: N interleaved 256-tuple batches on
+// two servers cost exactly 2N WAL append calls (one per server per batch;
+// contiguous-run slicing paid ≈ 128 per batch), N single-key batches and N
+// Inserts cost N each — read from the counter an operator would read.
+func TestInsertBatchAppendsOncePerServer(t *testing.T) {
+	db := openTestDB(t, Options{IndexServersPerNode: 2})
+	calls := func() float64 {
+		for _, m := range db.c.Telemetry().Snapshot() {
+			if m.Name == "waterwheel_wal_append_calls_total" {
+				return m.Value
+			}
+		}
+		t.Fatal("waterwheel_wal_append_calls_total not registered")
+		return 0
 	}
-	// The acked prefix is durable and queryable; the rejected tail is not.
+	rng := rand.New(rand.NewSource(29))
+	const n = 7
+	before := calls()
+	for b := 0; b < n; b++ {
+		batch := make([]Tuple, 256)
+		for i := range batch {
+			batch[i] = Tuple{Key: Key(rng.Uint64()), Time: Timestamp(b*256 + i)}
+		}
+		if err := db.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls() - before; got != 2*n {
+		t.Fatalf("%d interleaved batches on two servers made %.0f WAL append calls, want exactly %d", n, got, 2*n)
+	}
+	before = calls()
+	for b := 0; b < n; b++ {
+		batch := make([]Tuple, 256)
+		for i := range batch {
+			batch[i] = Tuple{Key: 42, Time: Timestamp(10_000 + b*256 + i)}
+		}
+		if err := db.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert(Tuple{Key: Key(rng.Uint64()), Time: 20_000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls() - before; got != 2*n {
+		t.Fatalf("%d single-key batches and %d Inserts made %.0f WAL append calls, want exactly %d", n, n, got, 2*n)
+	}
 	db.Drain()
-	res, qerr := db.QueryRange(FullKeyRange(), FullTimeRange())
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
-	if len(res.Tuples) != 3 {
-		t.Fatalf("queryable tuples = %d, want the acked prefix 3", len(res.Tuples))
-	}
-	// The partition recovers: resubmitting the tail succeeds.
-	if err := db.InsertBatch(batch[be.Index:]); err != nil {
-		t.Fatal(err)
-	}
-	db.Drain()
-	if res, _ := db.QueryRange(FullKeyRange(), FullTimeRange()); len(res.Tuples) != 5 {
-		t.Fatalf("after resubmit: %d tuples, want 5", len(res.Tuples))
+	res, err := db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: FullTimeRange(), Kind: model.AggCount})
+	if err != nil || res.Count != 2*n*256+n {
+		t.Fatalf("COUNT(*) = %v, %v; want %d", res, err, 2*n*256+n)
 	}
 }
 
@@ -183,7 +287,7 @@ func TestInsertBatchFsyncCohorts(t *testing.T) {
 		DataDir:    t.TempDir(),
 		Durability: "ack-on-fsync",
 		// One index server = one WAL partition: the whole batch is a single
-		// contiguous run, so the cohort accounting below is exact.
+		// append, so the cohort accounting below is exact.
 		IndexServersPerNode: 1,
 	})
 	rng := rand.New(rand.NewSource(23))

@@ -43,7 +43,7 @@ func (w *wwStore) Insert(t model.Tuple) {
 }
 
 // InsertBatch routes a whole batch through Cluster.InsertBatch (one
-// dispatch, one WAL append per same-server run) while preserving the
+// dispatch, one WAL append per server) while preserving the
 // warm-up repartition trigger at the same insert count.
 func (w *wwStore) InsertBatch(ts []model.Tuple) {
 	if w.rebalanceAt > 0 && w.inserted < w.rebalanceAt && w.inserted+len(ts) >= w.rebalanceAt {

@@ -132,11 +132,13 @@ type Report struct {
 	// Such losses are expected — the run still verifies soundness and
 	// uniqueness — but the count quantifies the ack-durability gap.
 	LostAcked int
-	// BatchRejections counts vectorized inserts that an armed WAL append
-	// fault actually stopped mid-batch; the acked prefix of each entered
-	// the oracle and the rejected tail did not.
-	BatchRejections int
-	FaultsSeen      map[string]bool
+	// BatchRejections counts vectorized inserts in which an armed WAL append
+	// fault actually rejected tuples; PartialRejections counts those among
+	// them that were also partly acked (0 < acked < len) — the only ones in
+	// which the oracle can tell the reported positions from wrong ones.
+	BatchRejections   int
+	PartialRejections int
+	FaultsSeen        map[string]bool
 }
 
 // opKind enumerates schedule steps.
@@ -292,11 +294,15 @@ func genSchedule(seed int64, nOps, nodes, nIdx int, elastic bool) []op {
 	return sched
 }
 
-// entry is one acked insert in the oracle, indexed by the sequence number
-// embedded in the tuple payload.
+// entry is one submitted tuple in the oracle, indexed by the sequence
+// number embedded in its payload: acked, unless marked rejected.
 type entry struct {
 	key model.Key
 	ts  model.Timestamp
+	// rejected: the batch error named this tuple's position, so it was not
+	// acked. Completeness never requires it; any query returning it is a
+	// violation.
+	rejected bool
 	// maybeDropped: a retention horizon passed this entry's timestamp, so
 	// a chunk holding it may have been dropped — presence is optional,
 	// uniqueness still mandatory.
@@ -691,11 +697,12 @@ func (r *runner) insert(key model.Key, ts model.Timestamp) {
 
 // insertVectorBatch drives n tuples through Cluster.InsertBatch — the
 // vectorized wire-to-leaf path — optionally arming a one-shot WAL append
-// fault on a random partition first. The cluster reports an exact acked
-// prefix; only that prefix enters the oracle. The barrier's soundness and
-// completeness checks then prove prefix-ack exactness end to end: a lost
-// acked tuple fails completeness, and a rejected tuple that leaked into
-// the trees surfaces as an unknown or mismatched sequence number.
+// fault on a partition the batch routes to first. The cluster reports the
+// exact positions it rejected. Every tuple of the batch gets an oracle
+// entry, the reported ones marked rejected, so the barrier's checks prove
+// the report exact in both directions: an acked tuple that was dropped
+// fails completeness, and a rejected tuple that leaked into the trees is
+// returned by the full-region query and flagged.
 func (r *runner) insertVectorBatch(i, n int, fault bool) {
 	sub := r.subRNG(i)
 	hot := model.Key(sub.Uint64() % keyDomain)
@@ -725,37 +732,44 @@ func (r *runner) insertVectorBatch(i, n int, fault bool) {
 	target := -1
 	if fault {
 		// Aim at the partition a mid-batch tuple routes to, so the shot
-		// reliably fires mid-batch rather than on a partition the batch
+		// reliably fires rather than waiting on a partition the batch
 		// never reaches.
 		target = r.c.Metadata().Schema().ServerFor(batch[len(batch)/2].Key)
 		r.c.WAL().Partition(target).FailNextAppends(1)
 		r.rep.FaultsSeen[FaultWALAppend] = true
 	}
-	accepted, err := r.c.InsertBatch(batch)
+	rejected, err := r.c.InsertBatch(batch)
 	if target >= 0 {
-		// Disarm an unfired shot (the batch may never route to the target
-		// partition) so it cannot reject an unrelated later insert.
+		// Disarm an unfired shot (a concurrent schema change may have routed
+		// the batch around the target partition) so it cannot reject an
+		// unrelated later insert.
 		r.c.WAL().Partition(target).FailNextAppends(0)
 	}
-	if err == nil && accepted != len(batch) {
-		r.violate(i, "InsertBatch acked %d/%d without an error", accepted, len(batch))
+	if (err == nil) != (len(rejected) == 0) {
+		r.violate(i, "InsertBatch rejected %d/%d tuples with error %v", len(rejected), len(batch), err)
 	}
 	if err != nil {
-		if accepted >= len(batch) {
-			r.violate(i, "InsertBatch reported an error after a full ack: %v", err)
-		}
 		if !fault {
 			r.violate(i, "InsertBatch failed with no armed fault: %v", err)
 		}
 		r.rep.BatchRejections++
+		if len(rejected) < len(batch) {
+			r.rep.PartialRejections++
+		}
 	}
-	if accepted > len(batch) {
-		accepted = len(batch)
-	}
-	for j := 0; j < accepted; j++ {
+	base := len(r.entries)
+	for j := range batch {
 		r.entries = append(r.entries, entry{key: batch[j].Key, ts: batch[j].Time})
-		r.rep.Inserted++
 	}
+	last := -1
+	for _, at := range rejected {
+		if at <= last || at >= len(batch) {
+			r.violate(i, "InsertBatch rejected positions %v: not ascending inside a batch of %d", rejected, len(batch))
+			break
+		}
+		r.entries[base+at].rejected, last = true, at
+	}
+	r.rep.Inserted += len(batch) - len(rejected)
 }
 
 // randQuery draws one temporal range query from sub: 80% a proper
@@ -1026,6 +1040,9 @@ func (r *runner) checkResult(i int, q model.Query, res *model.Result, complete b
 			continue
 		}
 		e := r.entries[seq]
+		if e.rejected {
+			r.violate(i, "seq %d (key=%d time=%d) was rejected, yet a query returned it", seq, e.key, e.ts)
+		}
 		if e.key != t.Key || e.ts != t.Time {
 			r.violate(i, "seq %d returned as (%d,%d), acked as (%d,%d)",
 				seq, t.Key, t.Time, e.key, e.ts)
@@ -1040,7 +1057,7 @@ func (r *runner) checkResult(i int, q model.Query, res *model.Result, complete b
 	}
 	missing := 0
 	for seq, e := range r.entries {
-		if e.maybeDropped || seen[uint64(seq)] {
+		if e.rejected || e.maybeDropped || seen[uint64(seq)] {
 			continue
 		}
 		if !q.Keys.Contains(e.key) || !q.Times.Contains(e.ts) {

@@ -136,17 +136,26 @@ func TestChaosFaultClassCoverage(t *testing.T) {
 }
 
 // TestChaosBatchWALFault runs a hand-built schedule that provably drives
-// the vectorized insert path into a mid-batch WAL append fault — every
-// insert-batch op arms a one-shot rejection on some partition — and then
-// verifies prefix-ack exactness at heal barriers: completeness proves no
-// acked tuple was dropped, soundness proves no rejected tuple leaked in.
+// the vectorized insert path into a WAL append fault on ONE of the servers
+// a batch routes to — every insert-batch op with a fault arms a one-shot
+// rejection on a partition the batch reaches — and then verifies the
+// reported positions at heal barriers: completeness proves no acked tuple
+// was dropped, and a rejected tuple that a query returns is flagged.
+//
+// The chaos key domain (1<<20) lies wholly inside server 0's interval of
+// the initial even split of the 64-bit key space, where every fault rejects
+// its whole batch and any report of positions passes. So the schedule first
+// feeds the samplers enough keys for a balancer tick to fire (256 samples at
+// one in 16), which spreads the domain over all six servers; from then on a
+// fault rejects one server's share and the run must see partial acks.
 func TestChaosBatchWALFault(t *testing.T) {
 	r, err := newRunner(Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := []op{
-		{kind: opInsert, n: 80},
+		{kind: opInsert, n: 4500},
+		{kind: opBalance},
 		{kind: opInsertBatch, n: 150, alt: true},
 		{kind: opBarrier},
 		{kind: opInsertBatch, n: 200, alt: true},
@@ -159,13 +168,20 @@ func TestChaosBatchWALFault(t *testing.T) {
 		{kind: opBarrier},
 	}
 	r.runSchedule(sched)
+	version := r.c.Metadata().Schema().Version
 	r.c.Stop()
 	report(t, r.rep)
 	if !r.rep.FaultsSeen[FaultWALAppend] {
 		t.Error("WAL append fault class not covered")
 	}
-	if r.rep.BatchRejections == 0 {
-		t.Error("no armed WAL fault actually stopped a batch: the probe is inert")
+	if version < 2 {
+		t.Error("the balancer tick did not repartition: every chaos key still routes to server 0")
+	}
+	if r.rep.BatchRejections != 3 {
+		t.Errorf("%d of the 3 armed WAL faults rejected anything", r.rep.BatchRejections)
+	}
+	if r.rep.PartialRejections == 0 {
+		t.Error("every fault rejected its whole batch (0 < acked < len never happened): the probe cannot tell right positions from wrong ones")
 	}
 	if r.rep.Inserted == 0 {
 		t.Error("degenerate schedule: nothing inserted")

@@ -213,12 +213,13 @@ type Cluster struct {
 
 	// Telemetry plumbing; all handles are nil-safe no-ops when
 	// Config.Telemetry is unset.
-	reg           *telemetry.Registry
-	traces        *telemetry.TraceRing
-	ingestMetrics ingest.Metrics
-	walAppends    *telemetry.Counter
-	repartitions  *telemetry.Counter
-	insertBatches *telemetry.Counter
+	reg            *telemetry.Registry
+	traces         *telemetry.TraceRing
+	ingestMetrics  ingest.Metrics
+	walAppends     *telemetry.Counter
+	walAppendCalls *telemetry.Counter
+	repartitions   *telemetry.Counter
+	insertBatches  *telemetry.Counter
 	// batchRecords observes each InsertBatch's size. It reuses the
 	// duration histogram the way wal_fsync_batch_records does: sizes are
 	// recorded as whole "seconds" so second-valued quantiles read directly
@@ -372,6 +373,8 @@ func Open(cfg Config) (*Cluster, error) {
 			"time threshold-crossing inserts spent blocked on a full flush queue"),
 	}
 	c.walAppends = reg.Counter("waterwheel_wal_appends_total", "records appended to WAL partitions")
+	c.walAppendCalls = reg.Counter("waterwheel_wal_append_calls_total",
+		"append calls on WAL partitions: one per indexing server a batch routes to, one per single insert")
 	c.repartitions = reg.Counter("waterwheel_repartitions_total", "adaptive key repartitions installed")
 	c.insertBatches = reg.Counter("waterwheel_insert_batches_total", "batches routed through InsertBatch")
 	c.batchRecords = reg.Histogram("waterwheel_insert_batch_records",
@@ -507,45 +510,96 @@ type walSink struct {
 // decommission of the freshly chosen target to continue the chain.
 const rerouteHops = 16
 
-// SendBatch encodes the whole run into one buffer (record slices alias
-// it — the buffer is sized exactly, so they can never share appended
-// bytes) and persists it with one AppendBatch: one partition lock, one
-// segment write, and under ack-on-fsync one park until a group-commit
-// fsync covers the run's last record. AppendBatch is all-or-nothing, so a
-// failed run acks none of its tuples — exactly the prefix contract
-// DispatchBatch requires: an error means the log did NOT take ts[n:]
-// (stop-the-line) and they must not be acked.
+// SendGroups persists each group with one AppendBatch's worth of work —
+// one encode buffer, one partition lock, one segment write — and appends
+// EVERY group before it waits on ANY (wal.StartAppend, then
+// wal.AwaitDurable): under ack-on-fsync the partitions' group commits run
+// side by side and the batch parks once per server with the waits
+// overlapping, so its ack latency is the slowest server's cohort, not the
+// sum over servers, with no goroutine per group.
 //
-// When a decommission invalidated the routing — the slot is retired or
-// its partition sealed — the run re-resolves against the current schema
-// (it may now span several servers) and goes out again one hop deeper,
-// run by run, in order.
-func (s walSink) SendBatch(server int, ts []model.Tuple) (int, error) {
-	if !s.c.isRetired(server) {
-		total := 0
-		for i := range ts {
-			total += model.EncodedSize(&ts[i])
+// The append is all-or-nothing per group and the groups are independent
+// failure domains: a group the log did NOT take (stop-the-line) rejects
+// exactly its own positions, the others are acked.
+//
+// When a decommission invalidated the routing — the slot is retired or its
+// partition sealed — the group re-resolves against the current schema (it
+// may now span several servers) and re-enters the same scatter one hop
+// deeper, after the straight appends are in their segments; what the deeper
+// hop rejects is mapped back through the group's positions.
+func (s walSink) SendGroups(groups []dispatcher.Group) (rejected []int, err error) {
+	type inFlight struct {
+		g   *dispatcher.Group
+		p   *wal.Partition
+		end int64
+	}
+	var (
+		flightBuf [4]inFlight
+		flights   = flightBuf[:0]
+		reroute   []*dispatcher.Group
+		errs      []error
+	)
+	reject := func(g *dispatcher.Group, err error) {
+		rejected = g.AppendPositions(rejected, 0)
+		errs = append(errs, err)
+	}
+	for gi := range groups {
+		g := &groups[gi]
+		if s.c.isRetired(g.Server) {
+			reroute = append(reroute, g)
+			continue
 		}
-		buf := make([]byte, 0, total)
-		datas := make([][]byte, len(ts))
-		for i := range ts {
-			pos := len(buf)
-			buf = model.AppendTuple(buf, &ts[i])
-			datas[i] = buf[pos:len(buf):len(buf)]
-		}
-		_, err := s.c.log.Partition(server).AppendBatch(datas)
-		if err == nil {
-			s.c.walAppends.Add(int64(len(ts)))
-			return len(ts), nil
-		}
-		if !errors.Is(err, wal.ErrSealed) {
-			return 0, fmt.Errorf("cluster: wal append (server %d): %w", server, err)
+		p := s.c.log.Partition(g.Server)
+		s.c.walAppendCalls.Inc()
+		end, err := p.StartAppend(encodeRecords(g.Tuples))
+		switch {
+		case err == nil:
+			flights = append(flights, inFlight{g, p, end})
+		case errors.Is(err, wal.ErrSealed):
+			reroute = append(reroute, g)
+		default:
+			reject(g, fmt.Errorf("cluster: wal append (server %d): %w", g.Server, err))
 		}
 	}
-	if s.hop >= rerouteHops {
-		return 0, fmt.Errorf("cluster: wal append: no active slot for key %d after %d reroutes", ts[0].Key, s.hop)
+	for _, g := range reroute {
+		if s.hop >= rerouteHops {
+			reject(g, fmt.Errorf("cluster: wal append: no active slot for key %d after %d reroutes", g.Tuples[0].Key, s.hop))
+			continue
+		}
+		rej, err := dispatcher.SendGrouped(s.c.ms.Schema(), walSink{s.c, s.hop + 1}, g.Tuples)
+		for _, i := range rej {
+			rejected = append(rejected, g.At(i))
+		}
+		if err != nil {
+			errs = append(errs, err)
+		}
 	}
-	return dispatcher.SendRuns(s.c.ms.Schema(), walSink{s.c, s.hop + 1}, ts)
+	for _, f := range flights {
+		if err := f.p.AwaitDurable(f.end); err != nil {
+			reject(f.g, fmt.Errorf("cluster: wal append (server %d): %w", f.g.Server, err))
+			continue
+		}
+		s.c.walAppends.Add(int64(len(f.g.Tuples)))
+	}
+	return rejected, errors.Join(errs...)
+}
+
+// encodeRecords encodes ts into one buffer and returns one record per
+// tuple aliasing it — the buffer is sized exactly, so the records can never
+// share appended bytes.
+func encodeRecords(ts []model.Tuple) [][]byte {
+	total := 0
+	for i := range ts {
+		total += model.EncodedSize(&ts[i])
+	}
+	buf := make([]byte, 0, total)
+	datas := make([][]byte, len(ts))
+	for i := range ts {
+		pos := len(buf)
+		buf = model.AppendTuple(buf, &ts[i])
+		datas[i] = buf[pos:len(buf):len(buf)]
+	}
+	return datas
 }
 
 // newIndexServer builds indexing server i from the cluster config — the
@@ -760,13 +814,16 @@ func (c *Cluster) Insert(t model.Tuple) error {
 }
 
 // InsertBatch routes a whole batch through one dispatcher as a unit:
-// one schema pass, one WAL append (and one fsync cohort under
-// ack-on-fsync) per contiguous same-server run. Returns how many tuples
-// were accepted — always a prefix ts[:n] of the input — and the error
-// that stopped the rest; n == len(ts) iff err == nil.
-func (c *Cluster) InsertBatch(ts []model.Tuple) (int, error) {
+// one schema pass, then one WAL append per server the batch routes to,
+// every append issued before any durability wait (one fsync cohort per
+// server, side by side, under ack-on-fsync). Each server's share is
+// accepted or rejected as a whole, independently of the others. Returns the
+// positions of the tuples that were NOT accepted, ascending — ts[i] is
+// acked iff i is not among them — and their joined causes; err is nil iff
+// nothing was rejected. Arrival order per key is preserved.
+func (c *Cluster) InsertBatch(ts []model.Tuple) (rejected []int, err error) {
 	if len(ts) == 0 {
-		return 0, nil
+		return nil, nil
 	}
 	c.insertBatches.Inc()
 	c.batchRecords.Observe(time.Duration(len(ts)) * time.Second)

@@ -3,11 +3,14 @@ package cluster
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"waterwheel/internal/dispatcher"
 	"waterwheel/internal/model"
 	"waterwheel/internal/wal"
 )
@@ -163,8 +166,8 @@ func TestDrainIsBarrier(t *testing.T) {
 					for j := range batch {
 						batch[j] = tuple()
 					}
-					n, err := c.InsertBatch(batch)
-					acked.Add(int64(n))
+					rejected, err := c.InsertBatch(batch)
+					acked.Add(int64(len(batch) - len(rejected)))
 					if err != nil {
 						t.Error(err)
 						return
@@ -183,23 +186,22 @@ func TestDrainIsBarrier(t *testing.T) {
 	}
 }
 
-// TestOneTupleRunPrefixAck: a fault on a one-tuple run — the shape about
-// half of all runs have under random keys — stops the batch at exactly
-// that tuple, through the same SendBatch/AppendBatch code as any other
-// run: the tuples before it are acked and stored, it and everything after
-// it are not.
+// TestOneTupleRunPrefixAck: a one-tuple share of a batch is a group like
+// any other, through the same SendGroups/StartAppend code: a fault on its
+// partition rejects exactly that position, and the tuples around it — the
+// later one on the healthy server included — are acked and stored.
 func TestOneTupleRunPrefixAck(t *testing.T) {
 	c := startCluster(t, testConfig()) // two servers, split at 1<<63
 	low, high := model.Key(1<<10), model.Key(1<<63+1<<10)
 	batch := []model.Tuple{
 		{Key: low, Time: 1}, {Key: low + 1, Time: 2},
-		{Key: high, Time: 3}, // a run of one, aimed at the faulted partition
+		{Key: high, Time: 3}, // a group of one, aimed at the faulted partition
 		{Key: low + 2, Time: 4},
 	}
 	c.WAL().Partition(1).FailNextAppends(1)
-	n, err := c.InsertBatch(batch)
-	if n != 2 || !errors.Is(err, wal.ErrInjectedAppend) {
-		t.Fatalf("InsertBatch = %d, %v; want the 2-tuple prefix and the injected fault", n, err)
+	rejected, err := c.InsertBatch(batch)
+	if !reflect.DeepEqual(rejected, []int{2}) || !errors.Is(err, wal.ErrInjectedAppend) {
+		t.Fatalf("InsertBatch = %v, %v; want position [2] and the injected fault", rejected, err)
 	}
 	// The same fault on a bare Insert: not acked, not stored.
 	c.WAL().Partition(1).FailNextAppends(1)
@@ -207,22 +209,47 @@ func TestOneTupleRunPrefixAck(t *testing.T) {
 		t.Fatalf("Insert on a faulted partition = %v, want the injected fault", err)
 	}
 	c.Drain()
-	if got := countAll(t, c); got != 2 {
-		t.Fatalf("%d tuples stored, want exactly the acked prefix 2", got)
+	if got := queryTimes(t, c); !reflect.DeepEqual(got, []model.Timestamp{1, 2, 4}) {
+		t.Fatalf("stored tuples (by time) %v, want exactly the acked 1, 2 and 4", got)
 	}
-	// The fault was one-shot: the rejected tail goes through on resubmit.
-	if n, err := c.InsertBatch(batch[2:]); n != 2 || err != nil {
-		t.Fatalf("resubmitted tail = %d, %v", n, err)
+	// The fault was one-shot: the rejected position goes through on resubmit.
+	if rejected, err := c.InsertBatch([]model.Tuple{batch[2]}); rejected != nil || err != nil {
+		t.Fatalf("resubmitted position = %v, %v", rejected, err)
 	}
 	c.Drain()
-	if got := countAll(t, c); got != 4 {
-		t.Fatalf("%d tuples stored after resubmit, want 4", got)
+	if got := queryTimes(t, c); !reflect.DeepEqual(got, []model.Timestamp{1, 2, 3, 4}) {
+		t.Fatalf("stored tuples (by time) after resubmit %v, want each of the four once", got)
 	}
 }
 
-// TestOneTupleRunReroutes: a one-tuple run aimed at a retired slot lands
-// in the partition the current schema names, and one aimed at a slot that
-// stays sealed gives up after rerouteHops instead of spinning.
+// queryTimes returns the timestamps of everything stored, ascending.
+func queryTimes(t *testing.T, c *Cluster) []model.Timestamp {
+	t.Helper()
+	res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]model.Timestamp, len(res.Tuples))
+	for i := range res.Tuples {
+		out[i] = res.Tuples[i].Time
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// oneGroup is a sink call carrying ts as one group aimed at server, at the
+// given positions of some larger batch (nil: the group is the batch).
+func oneGroup(c *Cluster, server int, ts []model.Tuple, pos []int) ([]int, error) {
+	rejected, err := (walSink{c: c}).SendGroups([]dispatcher.Group{{Server: server, Tuples: ts, Pos: pos}})
+	sort.Ints(rejected)
+	return rejected, err
+}
+
+// TestOneTupleRunReroutes: a one-tuple group aimed at a retired slot lands
+// in the partition the current schema names; a group that re-resolves
+// across two servers reports what the deeper hop rejected in the caller's
+// numbering; and one aimed at a slot that stays sealed gives up after
+// rerouteHops instead of spinning.
 func TestOneTupleRunReroutes(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 3
@@ -233,10 +260,11 @@ func TestOneTupleRunReroutes(t *testing.T) {
 	// A dispatcher still holding the pre-removal schema would send this
 	// key to slot 1.
 	tp := model.Tuple{Key: model.Key(1) << 63, Time: 7}
-	if n, err := (walSink{c: c}).SendBatch(1, []model.Tuple{tp}); n != 1 || err != nil {
-		t.Fatalf("send to a retired slot = %d, %v; want a reroute and an ack", n, err)
+	if rejected, err := oneGroup(c, 1, []model.Tuple{tp}, nil); rejected != nil || err != nil {
+		t.Fatalf("send to a retired slot = %v, %v; want a reroute and an ack", rejected, err)
 	}
-	owner := c.Metadata().Schema().ServerFor(tp.Key)
+	schema := c.Metadata().Schema()
+	owner := schema.ServerFor(tp.Key)
 	if owner == 1 || c.WAL().Partition(owner).Next() != 1 {
 		t.Fatalf("tuple not in its current owner's partition (owner %d)", owner)
 	}
@@ -244,12 +272,32 @@ func TestOneTupleRunReroutes(t *testing.T) {
 	if got := countAll(t, c); got != 1 {
 		t.Fatalf("%d tuples visible after the reroute, want 1", got)
 	}
+
+	// A stale group for the retired slot whose keys the current schema
+	// splits over two servers, sitting at positions 3, 5, 8, 9 of its
+	// batch; the other server's partition faults. The deeper hop rejects
+	// its own positions 1 and 3 — the caller must hear 5 and 9.
+	other := model.Key(^uint64(0) - 1<<10)
+	if o := schema.ServerFor(other); o == owner || o == 1 {
+		t.Fatalf("key %d routes to %d: the test needs a second live server", other, o)
+	}
+	stale := []model.Tuple{{Key: tp.Key, Time: 10}, {Key: other, Time: 11}, {Key: tp.Key + 1, Time: 12}, {Key: other + 1, Time: 13}}
+	c.WAL().Partition(schema.ServerFor(other)).FailNextAppends(1)
+	rejected, err := oneGroup(c, 1, stale, []int{3, 5, 8, 9})
+	if !reflect.DeepEqual(rejected, []int{5, 9}) || !errors.Is(err, wal.ErrInjectedAppend) {
+		t.Fatalf("split reroute = %v, %v; want positions [5 9] and the injected fault", rejected, err)
+	}
+	c.Drain()
+	if got := queryTimes(t, c); !reflect.DeepEqual(got, []model.Timestamp{7, 10, 12}) {
+		t.Fatalf("stored tuples (by time) %v, want the first one and the two acked by the reroute", got)
+	}
+
 	// Seal the owner's partition behind the schema's back: every reroute
 	// resolves to the same sealed slot, so the chain must end.
 	c.WAL().Partition(owner).Seal()
-	n, err := (walSink{c: c}).SendBatch(owner, []model.Tuple{tp})
-	if n != 0 || err == nil || !strings.Contains(err.Error(), "reroutes") {
-		t.Fatalf("send to a sealed slot = %d, %v; want 0 and the reroute-limit error", n, err)
+	rejected, err = oneGroup(c, owner, []model.Tuple{tp}, []int{4})
+	if !reflect.DeepEqual(rejected, []int{4}) || err == nil || !strings.Contains(err.Error(), "reroutes") {
+		t.Fatalf("send to a sealed slot = %v, %v; want position [4] and the reroute-limit error", rejected, err)
 	}
 }
 

@@ -54,8 +54,8 @@ func seqInsertBatch(c *Cluster, from, n uint64, batch int) error {
 			Payload: binary.BigEndian.AppendUint64(nil, seq),
 		})
 		if len(ts) == batch || seq == from+n-1 {
-			if got, err := c.InsertBatch(ts); err != nil || got != len(ts) {
-				return fmt.Errorf("insert batch ending at seq %d: accepted %d of %d: %v", seq, got, len(ts), err)
+			if rejected, err := c.InsertBatch(ts); err != nil {
+				return fmt.Errorf("insert batch ending at seq %d: rejected %d of %d: %v", seq, len(rejected), len(ts), err)
 			}
 			ts = ts[:0]
 		}

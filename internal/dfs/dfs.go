@@ -29,6 +29,9 @@ var (
 	ErrUnavailable = errors.New("dfs: no live replica")
 	ErrBadRange    = errors.New("dfs: read range out of bounds")
 	ErrNoNodes     = errors.New("dfs: no live datanodes for placement")
+	// ErrSizeMismatch is returned by Open when a backing file's length is
+	// not the one the manifest recorded for it.
+	ErrSizeMismatch = errors.New("dfs: backing file size does not match the manifest")
 	// ErrInjected marks a transient failure produced by the fault-injection
 	// hooks (SetWriteFailRate and friends) — the chaos-testing analogue of a
 	// flaky datanode or a timed-out pipeline.
@@ -79,10 +82,11 @@ type Config struct {
 	FaultSeed int64
 	// Sleep is called to charge simulated time; nil means time.Sleep.
 	Sleep func(time.Duration)
-	// Dir, when non-empty, backs file contents with the local filesystem
-	// under this directory (one physical copy; replica placement stays
-	// simulated via a manifest). Files survive process restarts: New loads
-	// the manifest and serves existing files.
+	// Dir, when non-empty, keeps file contents in the local filesystem
+	// under this directory and nowhere else (one physical copy, read back
+	// on every ReadAt; replica placement stays simulated via a manifest).
+	// Files survive process restarts: New loads the manifest and serves
+	// existing files.
 	Dir string
 	// ObserveRead, when set, receives the simulated latency charged to
 	// each chunk read (open delay + transfer) and whether the read was
@@ -105,8 +109,12 @@ type Metrics struct {
 	InjectedReadFailures  atomic.Int64
 }
 
+// file is one entry of the file table. The bytes are in data in
+// memory-only mode and in the backing file (see disk.go) when Config.Dir is
+// set, where data stays nil: the heap holds size and placement only.
 type file struct {
 	data     []byte
+	size     int64
 	replicas []int
 }
 
@@ -144,8 +152,8 @@ func New(cfg Config) *FS {
 	return fs
 }
 
-// Open creates a file system. With Config.Dir set, existing files in the
-// backing directory are loaded and served.
+// Open creates a file system. With Config.Dir set, the files the manifest
+// in the backing directory lists are served (their bytes stay on disk).
 func Open(cfg Config) (*FS, error) {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
@@ -270,7 +278,8 @@ func (fs *FS) injectReadFault() bool {
 }
 
 // Write stores a file, placing Replication replicas on random distinct
-// live nodes. The data is copied. Writing an existing name fails.
+// live nodes. The data is copied — into memory, or with Config.Dir into the
+// backing file only. Writing an existing name fails.
 func (fs *FS) Write(name string, data []byte) error {
 	if fs.injectWriteFault() {
 		fs.m.InjectedWriteFailures.Add(1)
@@ -297,13 +306,16 @@ func (fs *FS) Write(name string, data []byte) error {
 	}
 	fs.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	replicas := append([]int(nil), live[:r]...)
-	f := &file{data: append([]byte(nil), data...), replicas: replicas}
+	f := &file{size: int64(len(data)), replicas: replicas}
+	if fs.cfg.Dir == "" {
+		f.data = append([]byte(nil), data...)
+	}
 	fs.files[name] = f
 	for _, n := range replicas {
 		fs.used[n] += int64(len(data))
 	}
 	if fs.cfg.Dir != "" {
-		if err := fs.persistWriteLocked(name, f.data); err != nil {
+		if err := fs.persistWriteLocked(name, data); err != nil {
 			// Roll the in-memory state back so callers can retry safely.
 			delete(fs.files, name)
 			for _, n := range replicas {
@@ -335,7 +347,9 @@ type ReadInfo struct {
 
 // ReadAt reads length bytes at offset from the named file, as issued by
 // fromNode (-1 for an external client). Locality against fromNode decides
-// the transfer cost. length < 0 reads to the end.
+// the transfer cost. length < 0 reads to the end. With Config.Dir the bytes
+// come from the backing file, read outside the file-table lock: a read that
+// races Delete returns either the whole range or ErrNotFound, never part.
 func (fs *FS) ReadAt(name string, offset, length int64, fromNode int) ([]byte, ReadInfo, error) {
 	if fs.injectReadFault() {
 		fs.m.InjectedReadFailures.Add(1)
@@ -368,7 +382,7 @@ func (fs *FS) ReadAt(name string, offset, length int64, fromNode int) ([]byte, R
 		}
 		serve = liveReps[int(fs.m.Reads.Load())%len(liveReps)]
 	}
-	size := int64(len(f.data))
+	size := f.size
 	if length < 0 {
 		length = size - offset
 	}
@@ -376,8 +390,18 @@ func (fs *FS) ReadAt(name string, offset, length int64, fromNode int) ([]byte, R
 		fs.mu.RUnlock()
 		return nil, ReadInfo{}, fmt.Errorf("%w: %s [%d,%d) of %d", ErrBadRange, name, offset, offset+length, size)
 	}
-	out := append([]byte(nil), f.data[offset:offset+length]...)
 	fs.mu.RUnlock()
+	// A file's bytes never change once written, so neither residency needs
+	// the lock to copy them out.
+	var out []byte
+	if fs.cfg.Dir == "" {
+		out = append([]byte(nil), f.data[offset:offset+length]...)
+	} else {
+		var err error
+		if out, err = fs.readBacking(name, offset, length); err != nil {
+			return nil, ReadInfo{}, err
+		}
+	}
 
 	lm := fs.cfg.Latency
 	lat := fs.openDelay()
@@ -411,7 +435,7 @@ func (fs *FS) Size(name string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return int64(len(f.data)), nil
+	return f.size, nil
 }
 
 // Locations returns the replica node ids of a file (including dead nodes).
@@ -451,7 +475,7 @@ func (fs *FS) Delete(name string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	for _, n := range f.replicas {
-		fs.used[n] -= int64(len(f.data))
+		fs.used[n] -= f.size
 	}
 	delete(fs.files, name)
 	if fs.cfg.Dir != "" {

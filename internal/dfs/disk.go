@@ -3,16 +3,20 @@ package dfs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 )
 
 // Disk backing: when Config.Dir is set, file contents live on the local
-// filesystem (one physical copy per logical file) and the replica
+// filesystem and only there (one physical copy per logical file, no copy on
+// the heap: the file table keeps size and placement, so memory does not
+// grow with the bytes stored and a restart loads none of them). The replica
 // placement metadata persists in a JSON manifest, so a restarted process
-// serves the chunks written by its predecessor. Simulated latencies and
-// locality semantics are unchanged.
+// serves the chunks written by its predecessor. A read opens the backing
+// file, preads the range and closes it again: no descriptor outlives the
+// read. Simulated latencies and locality semantics are unchanged.
 
 // manifestName is the metadata file inside the backing directory.
 const manifestName = "MANIFEST.json"
@@ -57,9 +61,12 @@ func (fs *FS) loadDir() error {
 		return fmt.Errorf("dfs: manifest decode: %w", err)
 	}
 	for _, e := range m.Files {
-		data, err := os.ReadFile(fs.diskPath(e.Name))
+		st, err := os.Stat(fs.diskPath(e.Name))
 		if err != nil {
 			return fmt.Errorf("dfs: load %s: %w", e.Name, err)
+		}
+		if st.Size() != e.Size {
+			return fmt.Errorf("%w: %s holds %d bytes, manifest says %d", ErrSizeMismatch, e.Name, st.Size(), e.Size)
 		}
 		replicas := e.Replicas
 		for _, n := range replicas {
@@ -70,9 +77,9 @@ func (fs *FS) loadDir() error {
 				break
 			}
 		}
-		fs.files[e.Name] = &file{data: data, replicas: replicas}
+		fs.files[e.Name] = &file{size: e.Size, replicas: replicas}
 		for _, n := range replicas {
-			fs.used[n] += int64(len(data))
+			fs.used[n] += e.Size
 		}
 	}
 	return nil
@@ -83,7 +90,7 @@ func (fs *FS) saveManifestLocked() error {
 	m := manifest{Nodes: fs.cfg.Nodes}
 	for name, f := range fs.files {
 		m.Files = append(m.Files, manifestEntry{
-			Name: name, Size: int64(len(f.data)), Replicas: f.replicas,
+			Name: name, Size: f.size, Replicas: f.replicas,
 		})
 	}
 	raw, err := json.Marshal(&m)
@@ -104,6 +111,30 @@ func (fs *FS) persistWriteLocked(name string, data []byte) error {
 		return fmt.Errorf("dfs: persist %s: %w", name, err)
 	}
 	return fs.saveManifestLocked()
+}
+
+// readBacking reads [offset, offset+length) of a file's backing bytes. The
+// caller checked the range against the file table and holds no lock. The
+// name may have been deleted since (an unlinked file stays whole for a read
+// already in flight on it) or even written again with other bytes: whatever
+// cannot supply the checked range means the file that was looked up is
+// gone, which is ErrNotFound.
+func (fs *FS) readBacking(name string, offset, length int64) ([]byte, error) {
+	f, err := os.Open(fs.diskPath(name))
+	if os.IsNotExist(err) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dfs: read %s: %w", name, err)
+	}
+	defer f.Close()
+	out := make([]byte, length)
+	if _, err := f.ReadAt(out, offset); err == io.EOF {
+		return nil, fmt.Errorf("%w: %s (replaced under the read)", ErrNotFound, name)
+	} else if err != nil {
+		return nil, fmt.Errorf("dfs: read %s: %w", name, err)
+	}
+	return out, nil
 }
 
 // persistDeleteLocked removes a file's backing bytes. Caller holds fs.mu.

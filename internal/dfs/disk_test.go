@@ -1,7 +1,12 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -112,5 +117,138 @@ func TestInMemoryModeUnaffected(t *testing.T) {
 	fs.Write("m", []byte("mem"))
 	if got, _ := fs.Read("m"); string(got) != "mem" {
 		t.Fatal("in-memory mode broken")
+	}
+}
+
+// heapAlloc returns the live heap after a collection.
+func heapAlloc() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// fileBody is the deterministic content of test file i: size bytes whose
+// values depend on i and on their position, so a read of the wrong file or
+// the wrong range cannot pass for the right one.
+func fileBody(i, size int) []byte {
+	b := make([]byte, size)
+	for j := range b {
+		b[j] = byte(i*31 + j + j>>8)
+	}
+	return b
+}
+
+// TestDirBackedBytesStayOffTheHeap: with a backing directory the heap holds
+// a file's size and placement, not its bytes — neither after writing them
+// nor after a reopen, which stats the files instead of loading them — and
+// every file still reads back whole.
+func TestDirBackedBytesStayOffTheHeap(t *testing.T) {
+	const files, size = 32, 1 << 20 // K = 32 MiB
+	dir := t.TempDir()
+	fs := newDiskFS(t, dir)
+	before := heapAlloc()
+	for i := 0; i < files; i++ {
+		if err := fs.Write(fmt.Sprintf("chunks/%d", i), fileBody(i, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := heapAlloc() - before; grew > files*size/10 {
+		t.Fatalf("heap grew by %d bytes after writing %d: the chunk bytes are still resident", grew, files*size)
+	}
+	runtime.KeepAlive(fs)
+
+	before = heapAlloc()
+	fs2 := newDiskFS(t, dir)
+	if grew := heapAlloc() - before; grew > files*size/10 {
+		t.Fatalf("heap grew by %d bytes on reopen over %d stored: the history was loaded", grew, files*size)
+	}
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("chunks/%d", i)
+		got, err := fs2.Read(name)
+		if err != nil || !bytes.Equal(got, fileBody(i, size)) {
+			t.Fatalf("%s after reopen: %d bytes, %v", name, len(got), err)
+		}
+		part, _, err := fs2.ReadAt(name, 4097, 333, 0)
+		if err != nil || !bytes.Equal(part, fileBody(i, size)[4097:4097+333]) {
+			t.Fatalf("%s range read after reopen: %d bytes, %v", name, len(part), err)
+		}
+		if n, _ := fs2.Size(name); n != size {
+			t.Fatalf("%s size %d after reopen", name, n)
+		}
+	}
+	if grew := heapAlloc() - before; grew > files*size/10 {
+		t.Fatalf("heap grew by %d bytes after reading everything back: reads are being retained", grew)
+	}
+	if _, _, err := fs2.ReadAt("chunks/0", size-10, 11, 0); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("read past the end = %v, want ErrBadRange", err)
+	}
+	runtime.KeepAlive(fs2)
+}
+
+// TestDirBackedReadRacesDelete: a read that races Delete returns the whole
+// range it asked for or ErrNotFound — never part of it, never other bytes.
+func TestDirBackedReadRacesDelete(t *testing.T) {
+	const files, size = 48, 64 << 10
+	fs := newDiskFS(t, t.TempDir())
+	for i := 0; i < files; i++ {
+		if err := fs.Write(fmt.Sprintf("f%d", i), fileBody(i, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			// Each reader sweeps the files until it has seen every one gone.
+			for gone := 0; gone < files; {
+				gone = 0
+				for i := 0; i < files; i++ {
+					off := int64((i*977 + r*131) % (size / 2))
+					got, _, err := fs.ReadAt(fmt.Sprintf("f%d", i), off, size/2, r%3)
+					switch {
+					case errors.Is(err, ErrNotFound):
+						gone++
+					case err != nil:
+						t.Errorf("f%d: %v", i, err)
+						return
+					case !bytes.Equal(got, fileBody(i, size)[off:off+size/2]):
+						t.Errorf("f%d: a read racing Delete returned %d torn or foreign bytes", i, len(got))
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < files; i++ {
+		if err := fs.Delete(fmt.Sprintf("f%d", i)); err != nil {
+			t.Error(err)
+		}
+		runtime.Gosched()
+	}
+	wg.Wait()
+}
+
+// TestDirSizeMismatchIsTypedOpenError: a backing file whose length is not
+// the manifest's fails Open with ErrSizeMismatch — the check that replaced
+// reading every file — and a missing one fails it too.
+func TestDirSizeMismatchIsTypedOpenError(t *testing.T) {
+	dir := t.TempDir()
+	fs := newDiskFS(t, dir)
+	fs.Write("a", []byte("alpha"))
+	fs.Write("b", []byte("beta"))
+	if err := os.Truncate(fs.diskPath("b"), 2); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Nodes: 3, Replication: 2, Seed: 1, Dir: dir, Sleep: func(time.Duration) {}}
+	if _, err := Open(cfg); !errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("open over a truncated backing file = %v, want ErrSizeMismatch", err)
+	}
+	if err := os.Remove(fs.diskPath("b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(cfg); err == nil || errors.Is(err, ErrSizeMismatch) {
+		t.Fatalf("open over a missing backing file = %v, want a load error", err)
 	}
 }

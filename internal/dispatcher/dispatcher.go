@@ -9,6 +9,7 @@
 package dispatcher
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -19,33 +20,68 @@ import (
 	"waterwheel/internal/model"
 )
 
+// Group is one server's share of a dispatched batch, in arrival order.
+type Group struct {
+	Server int
+	Tuples []model.Tuple
+	// Pos maps the group back to the batch: Tuples[i] was dispatched at
+	// position Pos[i]. nil when the group IS the batch (every tuple routed
+	// to this one server), where Tuples[i] sits at position i.
+	Pos []int
+}
+
+// At returns the batch position of g.Tuples[i].
+func (g *Group) At(i int) int {
+	if g.Pos == nil {
+		return i
+	}
+	return g.Pos[i]
+}
+
+// AppendPositions appends the batch positions of g.Tuples[from:] to dst —
+// what a sink reports when it rejects the group from that tuple on.
+func (g *Group) AppendPositions(dst []int, from int) []int {
+	for i := from; i < len(g.Tuples); i++ {
+		dst = append(dst, g.At(i))
+	}
+	return dst
+}
+
 // Sink receives routed tuples; implemented by the ingest layer (WAL
 // partitions in the full system).
 type Sink interface {
-	// SendBatch delivers a run of tuples bound for one server, returning
-	// how many were accepted (a prefix: ts[:n]) and the error that stopped
-	// the rest. n == len(ts) iff err == nil. A tuple outside the prefix was
-	// NOT accepted — the ack path must surface the error to the producer
-	// instead of acknowledging a tuple the log cannot replay.
-	// Implementations that can persist the run atomically must report
-	// either the whole run or none of it, so the ack prefix never covers an
-	// unpersisted tuple.
-	SendBatch(server int, ts []model.Tuple) (int, error)
+	// SendGroups delivers one batch scattered by server: each server appears
+	// at most once, holding its tuples in arrival order. Groups are
+	// independent failure domains — the sink attempts every one of them
+	// whatever happened to the others — and the result names the batch
+	// positions (Group.At) of the tuples it did NOT accept, in any order,
+	// with the causes joined; none and a nil error accept the whole batch.
+	// A position that is not returned is acked, so the sink must never leave
+	// out a tuple the log cannot replay, nor return one it took. The groups
+	// and every slice in them are the dispatcher's scratch: valid until
+	// SendGroups returns, not to be retained.
+	SendGroups(groups []Group) (rejected []int, err error)
 }
 
 // SinkFunc adapts a per-tuple function to the Sink interface — the test
 // and benchmark adapter.
 type SinkFunc func(server int, t model.Tuple) error
 
-// SendBatch implements Sink by calling f per tuple, stopping at the first
-// error.
-func (f SinkFunc) SendBatch(server int, ts []model.Tuple) (int, error) {
-	for i, t := range ts {
-		if err := f(server, t); err != nil {
-			return i, err
+// SendGroups implements Sink by calling f per tuple; a group stops at its
+// first error and rejects from there on, the other groups carry on.
+func (f SinkFunc) SendGroups(groups []Group) (rejected []int, err error) {
+	var errs []error
+	for gi := range groups {
+		g := &groups[gi]
+		for i := range g.Tuples {
+			if err := f(g.Server, g.Tuples[i]); err != nil {
+				rejected = g.AppendPositions(rejected, i)
+				errs = append(errs, err)
+				break
+			}
 		}
 	}
-	return len(ts), nil
+	return rejected, errors.Join(errs...)
 }
 
 // SamplerConfig tunes the sliding-window key sampler.
@@ -164,17 +200,15 @@ func (d *Dispatcher) Dispatch(t model.Tuple) error {
 	return err
 }
 
-// DispatchBatch routes a whole batch against one schema snapshot: the
-// batch is sliced into maximal contiguous same-server runs — contiguity
-// preserves the client's order, which is what makes the accepted set an
-// exact prefix when a run fails mid-batch — and each run goes to the sink
-// with one SendBatch call. Returns how many tuples were accepted (ts[:n])
-// and the error that stopped the rest. Only one in SampleEvery tuples
-// enters the sampler, at the cost of a single atomic add for the whole
-// batch, keeping routing cheap.
-func (d *Dispatcher) DispatchBatch(ts []model.Tuple) (int, error) {
+// DispatchBatch routes a whole batch against one schema snapshot and hands
+// it to the sink grouped by server (SendGrouped). It returns the positions
+// of the tuples the sink did not accept, ascending — ts[i] was accepted iff
+// i is not among them — and the joined causes; err is nil iff none was
+// rejected. Only one in SampleEvery tuples enters the sampler, at the cost
+// of a single atomic add for the whole batch, keeping routing cheap.
+func (d *Dispatcher) DispatchBatch(ts []model.Tuple) (rejected []int, err error) {
 	if len(ts) == 0 {
-		return 0, nil
+		return nil, nil
 	}
 	base := d.dispatched.Add(uint64(len(ts))) - uint64(len(ts))
 	// The first index i with (base+i+1) a multiple of sampleEvery, then
@@ -182,27 +216,99 @@ func (d *Dispatcher) DispatchBatch(ts []model.Tuple) (int, error) {
 	for i := int(d.sampleEvery - 1 - base%d.sampleEvery); i < len(ts); i += int(d.sampleEvery) {
 		d.sampler.Observe(ts[i].Key)
 	}
-	return SendRuns(d.Schema(), d.sink, ts)
+	return SendGrouped(d.Schema(), d.sink, ts)
 }
 
-// SendRuns slices ts into maximal contiguous same-server runs under schema
-// and hands each to sink in order, stopping at the first error: the
-// accepted set is always a prefix ts[:n].
-func SendRuns(schema meta.PartitionSchema, sink Sink, ts []model.Tuple) (int, error) {
-	accepted := 0
-	for accepted < len(ts) {
-		server := schema.ServerFor(ts[accepted].Key)
-		run := accepted + 1
-		for run < len(ts) && schema.ServerFor(ts[run].Key) == server {
-			run++
-		}
-		n, err := sink.SendBatch(server, ts[accepted:run])
-		accepted += n
-		if err != nil {
-			return accepted, err
-		}
+// scatterScratch is the reusable working set of one SendGrouped call.
+type scatterScratch struct {
+	tags   []int32 // tags[i] is the server ts[i] routes to
+	next   []int   // per server: its count, then its group's write cursor
+	tuples []model.Tuple
+	pos    []int
+	groups []Group
+}
+
+// maxPooledScatter is the batch size above which a scatterScratch is left to
+// the collector instead of going back to the pool.
+const maxPooledScatter = 64 << 10
+
+var scatterPool = sync.Pool{New: func() any { return new(scatterScratch) }}
+
+// SendGrouped resolves every tuple's server once under schema, groups the
+// batch by server and hands all groups to sink in ONE SendGroups call, so
+// the sink sees each server at most once per batch however the keys
+// interleave. The grouping is a stable counting scatter: a group keeps its
+// tuples in arrival order, and since a key maps to one server under one
+// schema, arrival order per key survives. A batch whose tuples all route to
+// one server — every batch of one — is passed through as it is, with no
+// scatter. Returns the rejected positions in ts, ascending, and the sink's
+// error.
+func SendGrouped(schema meta.PartitionSchema, sink Sink, ts []model.Tuple) ([]int, error) {
+	if len(ts) == 0 {
+		return nil, nil
 	}
-	return accepted, nil
+	sc := scatterPool.Get().(*scatterScratch)
+	groups := sc.scatter(schema, ts)
+	rejected, err := sink.SendGroups(groups)
+	if cap(sc.tuples) <= maxPooledScatter {
+		// The groups alias the caller's batch and payloads; drop them so the
+		// pool does not pin request buffers.
+		if groups[0].Pos != nil {
+			clear(sc.tuples[:len(ts)])
+		}
+		clear(groups)
+		scatterPool.Put(sc)
+	}
+	sort.Ints(rejected)
+	return rejected, err
+}
+
+// scatter groups ts by server into sc's buffers.
+func (sc *scatterScratch) scatter(schema meta.PartitionSchema, ts []model.Tuple) []Group {
+	first := schema.ServerFor(ts[0].Key)
+	same := 1
+	for same < len(ts) && schema.ServerFor(ts[same].Key) == first {
+		same++
+	}
+	if same == len(ts) {
+		sc.groups = append(sc.groups[:0], Group{Server: first, Tuples: ts})
+		return sc.groups
+	}
+	n := len(ts)
+	if cap(sc.tags) < n {
+		sc.tags = make([]int32, n)
+		sc.tuples = make([]model.Tuple, n)
+		sc.pos = make([]int, n)
+	}
+	if cap(sc.next) < schema.Servers {
+		sc.next = make([]int, schema.Servers)
+	}
+	tags, next := sc.tags[:n], sc.next[:schema.Servers]
+	clear(next)
+	for i := 0; i < same; i++ {
+		tags[i] = int32(first)
+	}
+	next[first] = same
+	for i := same; i < n; i++ {
+		s := schema.ServerFor(ts[i].Key)
+		tags[i] = int32(s)
+		next[s]++
+	}
+	sc.groups = sc.groups[:0]
+	start := 0
+	for s, c := range next {
+		if c > 0 {
+			sc.groups = append(sc.groups, Group{Server: s, Tuples: sc.tuples[start : start+c], Pos: sc.pos[start : start+c]})
+		}
+		next[s] = start
+		start += c
+	}
+	for i, s := range tags {
+		at := next[s]
+		next[s]++
+		sc.tuples[at], sc.pos[at] = ts[i], i
+	}
+	return sc.groups
 }
 
 // UpdateSchema installs a newer partitioning schema; stale versions are

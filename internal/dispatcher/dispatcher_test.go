@@ -1,7 +1,9 @@
 package dispatcher
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -9,18 +11,34 @@ import (
 	"waterwheel/internal/model"
 )
 
+// captureSink records what each server was sent, call by call; servers in
+// fail reject their whole group, as an all-or-nothing WAL append does.
 type captureSink struct {
 	mu    sync.Mutex
 	byDst map[int][]model.Tuple
+	calls [][]int // the servers of each SendGroups call, in group order
+	fail  map[int]error
 }
 
 func newCaptureSink() *captureSink { return &captureSink{byDst: map[int][]model.Tuple{}} }
 
-func (c *captureSink) SendBatch(server int, ts []model.Tuple) (int, error) {
+func (c *captureSink) SendGroups(groups []Group) (rejected []int, err error) {
 	c.mu.Lock()
-	c.byDst[server] = append(c.byDst[server], ts...)
-	c.mu.Unlock()
-	return len(ts), nil
+	defer c.mu.Unlock()
+	var errs []error
+	var servers []int
+	for gi := range groups {
+		g := &groups[gi]
+		servers = append(servers, g.Server)
+		if ferr := c.fail[g.Server]; ferr != nil {
+			rejected = g.AppendPositions(rejected, 0)
+			errs = append(errs, ferr)
+			continue
+		}
+		c.byDst[g.Server] = append(c.byDst[g.Server], g.Tuples...)
+	}
+	c.calls = append(c.calls, servers)
+	return rejected, errors.Join(errs...)
 }
 
 func TestDispatchRoutesBySchema(t *testing.T) {
@@ -38,6 +56,162 @@ func TestDispatchRoutesBySchema(t *testing.T) {
 	}
 	if got := sink.byDst[1]; len(got) != 1 || got[0].Key != 100 {
 		t.Errorf("server 1 got %v, want key 100", got)
+	}
+}
+
+// TestDispatchBatchGroupsByServer: however the keys interleave, the sink
+// gets one call per batch with each server at most once, a group keeps its
+// tuples in arrival order (so arrival order per key survives), and a failed
+// group rejects exactly its own positions, ascending.
+func TestDispatchBatchGroupsByServer(t *testing.T) {
+	schema := meta.PartitionSchema{Version: 1, Servers: 3, Bounds: []model.Key{100, 200}}
+	sink := newCaptureSink()
+	d := New(schema, sink, SamplerConfig{})
+	// Servers 0,2,1,0,2,0,1 — seven runs under contiguous slicing.
+	keys := []model.Key{5, 250, 150, 5, 250, 7, 150}
+	batch := make([]model.Tuple, len(keys))
+	for i, k := range keys {
+		batch[i] = model.Tuple{Key: k, Time: model.Timestamp(i)}
+	}
+	if rej, err := d.DispatchBatch(batch); rej != nil || err != nil {
+		t.Fatalf("DispatchBatch = %v, %v", rej, err)
+	}
+	if want := [][]int{{0, 1, 2}}; !reflect.DeepEqual(sink.calls, want) {
+		t.Fatalf("sink calls %v, want one call with each server once %v", sink.calls, want)
+	}
+	for srv, want := range [][]model.Timestamp{{0, 3, 5}, {2, 6}, {1, 4}} {
+		var got []model.Timestamp
+		for _, tp := range sink.byDst[srv] {
+			got = append(got, tp.Time)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("server %d got arrival positions %v, want %v", srv, got, want)
+		}
+	}
+
+	boom1, boom2 := errors.New("boom 1"), errors.New("boom 2")
+	sink.fail = map[int]error{1: boom1, 2: boom2}
+	rej, err := d.DispatchBatch(batch)
+	if want := []int{1, 2, 4, 6}; !reflect.DeepEqual(rej, want) {
+		t.Fatalf("rejected %v, want %v", rej, want)
+	}
+	if !errors.Is(err, boom1) || !errors.Is(err, boom2) {
+		t.Fatalf("err = %v, want both causes findable", err)
+	}
+	if got := len(sink.byDst[0]); got != 6 {
+		t.Fatalf("server 0 holds %d tuples, want its group acked both times (6)", got)
+	}
+}
+
+// TestSingleServerBatchIsPassedThrough: a batch that routes to one server
+// reaches the sink as the caller's own slice — no scatter, no position
+// table — and the steady state allocates nothing.
+func TestSingleServerBatchIsPassedThrough(t *testing.T) {
+	schema := meta.PartitionSchema{Version: 1, Servers: 2, Bounds: []model.Key{100}}
+	batch := []model.Tuple{{Key: 150}, {Key: 160}, {Key: 170}}
+	var got []Group
+	sink := sinkOf(func(groups []Group) ([]int, error) {
+		got = append(got[:0], groups...)
+		return nil, nil
+	})
+	d := New(schema, sink, SamplerConfig{SampleEvery: 1 << 30})
+	if _, err := d.DispatchBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Server != 1 || got[0].Pos != nil || &got[0].Tuples[0] != &batch[0] || len(got[0].Tuples) != 3 {
+		t.Fatalf("groups = %+v, want the batch itself as server 1's only group", got)
+	}
+	if got[0].At(2) != 2 {
+		t.Fatalf("At(2) = %d on an identity group", got[0].At(2))
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	if a := testing.AllocsPerRun(200, func() { d.DispatchBatch(batch) }); a != 0 {
+		t.Errorf("single-server DispatchBatch allocates %.1f objects per call, want 0", a)
+	}
+	// The scatter's working set is recycled too.
+	mixed := []model.Tuple{{Key: 150}, {Key: 5}, {Key: 170}, {Key: 6}}
+	if a := testing.AllocsPerRun(200, func() { d.DispatchBatch(mixed) }); a != 0 {
+		t.Errorf("two-server DispatchBatch allocates %.1f objects per call, want 0", a)
+	}
+}
+
+// sinkOf adapts a function to Sink.
+type sinkOf func(groups []Group) ([]int, error)
+
+func (f sinkOf) SendGroups(groups []Group) ([]int, error) { return f(groups) }
+
+// TestSendGroupedMatchesPerTupleRouting: on random batches and schemas —
+// retired slots included — the groups partition the batch exactly as
+// ServerFor does tuple by tuple, positions map back to the batch, and each
+// group is in arrival order.
+func TestSendGroupedMatchesPerTupleRouting(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		active := 1 + rng.Intn(5)
+		schema := meta.PartitionSchema{Version: 1, Servers: active + rng.Intn(3)}
+		schema.Slots = rng.Perm(schema.Servers)[:active]
+		for i := 1; i < active; i++ {
+			schema.Bounds = append(schema.Bounds, model.Key(i*1000))
+		}
+		batch := make([]model.Tuple, 1+rng.Intn(300))
+		for i := range batch {
+			batch[i] = model.Tuple{Key: model.Key(rng.Intn(active * 1000)), Time: model.Timestamp(i)}
+		}
+		seen := make([]bool, len(batch))
+		_, err := SendGrouped(schema, sinkOf(func(groups []Group) ([]int, error) {
+			servers := map[int]bool{}
+			for gi := range groups {
+				g := &groups[gi]
+				if servers[g.Server] || len(g.Tuples) == 0 {
+					t.Fatalf("round %d: server %d twice or empty", round, g.Server)
+				}
+				servers[g.Server] = true
+				last := -1
+				for i := range g.Tuples {
+					at := g.At(i)
+					if at <= last || seen[at] || g.Tuples[i].Time != batch[at].Time || schema.ServerFor(batch[at].Key) != g.Server {
+						t.Fatalf("round %d: group %d entry %d maps to position %d wrongly", round, g.Server, i, at)
+					}
+					last, seen[at] = at, true
+				}
+			}
+			return nil, nil
+		}), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Fatalf("round %d: position %d reached no group", round, i)
+			}
+		}
+	}
+}
+
+// TestSinkFuncRejectsFromTheFailingTuple: the per-tuple adapter stops a
+// group at its first error and keeps going with the next group.
+func TestSinkFuncRejectsFromTheFailingTuple(t *testing.T) {
+	schema := meta.PartitionSchema{Version: 1, Servers: 2, Bounds: []model.Key{100}}
+	boom := errors.New("boom")
+	var took []model.Key
+	d := New(schema, SinkFunc(func(server int, tp model.Tuple) error {
+		if tp.Key == 151 {
+			return boom
+		}
+		took = append(took, tp.Key)
+		return nil
+	}), SamplerConfig{})
+	rej, err := d.DispatchBatch([]model.Tuple{{Key: 150}, {Key: 1}, {Key: 151}, {Key: 2}, {Key: 152}})
+	if !reflect.DeepEqual(rej, []int{2, 4}) || !errors.Is(err, boom) {
+		t.Fatalf("DispatchBatch = %v, %v; want [2 4] and the cause", rej, err)
+	}
+	if !reflect.DeepEqual(took, []model.Key{1, 2, 150}) {
+		t.Fatalf("sink took %v", took)
+	}
+	if err := d.Dispatch(model.Tuple{Key: 151}); !errors.Is(err, boom) {
+		t.Fatalf("Dispatch = %v, want the cause", err)
 	}
 }
 

@@ -273,7 +273,10 @@ func TestSyncWALGatesOffsetCommit(t *testing.T) {
 	stop := make(chan struct{})
 	consDone := make(chan struct{})
 	go func() { srv.Consume(p, stop); close(consDone) }()
-	waitFor(t, func() bool { return srv.Stats().Ingested.Load() == 150 })
+	// Consumed, not Stats().Ingested: the counter moves when a block enters
+	// insertBatchAt, the offset once the block is in a tree — and the
+	// consumer cuts these 150 records into a block of 100 and one of 50.
+	waitFor(t, func() bool { return srv.Consumed() == 150 })
 	waitFor(t, func() bool { return srv.Stats().FlushFailures.Load() >= 1 })
 
 	// The unsynced snapshot must hold everything back: no chunk, no offset.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Binary layout of an encoded tuple:
@@ -55,8 +56,18 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	}, total, nil
 }
 
-// AppendTuples appends the encodings of all tuples to dst.
+// AppendTuples appends the encodings of all tuples to dst, growing it at
+// most once, to the exact encoded size.
 func AppendTuples(dst []byte, ts []Tuple) []byte {
+	total := 0
+	for i := range ts {
+		total += EncodedSize(&ts[i])
+	}
+	return appendTuples(slices.Grow(dst, total), ts)
+}
+
+// appendTuples is AppendTuples for a dst the caller has already sized.
+func appendTuples(dst []byte, ts []Tuple) []byte {
 	for i := range ts {
 		dst = AppendTuple(dst, &ts[i])
 	}

@@ -153,6 +153,28 @@ func TestTuplesBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendTuplesGrowsOnce: encoding a batch sizes dst once, exactly — a
+// 256-tuple request costs one allocation of its encoded size, not a chain of
+// doublings — and appends after whatever dst already held.
+func TestAppendTuplesGrowsOnce(t *testing.T) {
+	batch := make([]Tuple, 256)
+	want := 0
+	for i := range batch {
+		batch[i] = Tuple{Key: Key(i), Time: Timestamp(i), Payload: make([]byte, 16+i%5)}
+		want += EncodedSize(&batch[i])
+	}
+	if got := AppendTuples(nil, batch); len(got) != want || cap(got) > want+want/8 {
+		t.Fatalf("encoded %d bytes into a buffer of %d, want %d sized once", len(got), cap(got), want)
+	}
+	if got := AppendTuples([]byte("hdr"), batch[:2]); string(got[:3]) != "hdr" || len(got) != 3+EncodedSize(&batch[0])+EncodedSize(&batch[1]) {
+		t.Fatalf("append after a prefix: %d bytes", len(got))
+	}
+	// One allocation; the race detector's bookkeeping may add one.
+	if a := testing.AllocsPerRun(50, func() { AppendTuples(nil, batch) }); a > 2 {
+		t.Errorf("AppendTuples(nil, 256 tuples) allocates %.0f times, want 1", a)
+	}
+}
+
 func TestTupleEncodeQuick(t *testing.T) {
 	f := func(k uint64, ts int64, payload []byte) bool {
 		orig := Tuple{Key: Key(k), Time: Timestamp(ts), Payload: payload}

@@ -218,7 +218,7 @@ func AppendResult(dst []byte, r *Result) []byte {
 		dst = appendAggPartial(dst, r.Agg)
 	}
 	dst = be.AppendUint32(dst, uint32(len(r.Tuples)))
-	return AppendTuples(dst, r.Tuples)
+	return appendTuples(dst, r.Tuples)
 }
 
 // DecodeResult decodes a whole AppendResult message. The tuples come back

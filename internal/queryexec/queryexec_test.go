@@ -488,3 +488,57 @@ func TestSubQueryLimitOnChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkSubQueryResultIsExactlySized: a chunk subquery gathers its
+// matches in recycled scratch and hands the result over in one allocation of
+// exactly its size — across several leaves, with and without a limit — and
+// the scratch it gives back holds no reference to the payloads it saw.
+func TestChunkSubQueryResultIsExactlySized(t *testing.T) {
+	c := newCluster(t, 1, 1, 1)
+	c.ingest(seqTuples(5000, 1<<50, 0)) // keys spread over all 16 leaves
+	c.flushAll()
+	chunks := c.ms.ChunksFor(model.FullRegion())
+	if len(chunks) != 1 {
+		t.Fatalf("%d chunks, want 1", len(chunks))
+	}
+	for _, limit := range []int{0, 1234} {
+		res, err := c.qs[0].ExecuteSubQuery(&model.SubQuery{
+			Chunk:  chunks[0].ID,
+			Region: model.Region{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 100, Hi: 4099}},
+			Limit:  limit,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 4000
+		if limit > 0 {
+			want = limit
+		}
+		if len(res.Tuples) != want || cap(res.Tuples) != want {
+			t.Fatalf("limit %d: %d tuples in a slice of %d, want %d exactly sized", limit, len(res.Tuples), cap(res.Tuples), want)
+		}
+		if res.LeavesRead < 2 {
+			t.Fatalf("limit %d: %d leaves read: the result did not come from several leaves", limit, res.LeavesRead)
+		}
+		for i := range res.Tuples {
+			if tp := &res.Tuples[i]; len(tp.Payload) != 1 || tp.Payload[0] != byte(tp.Time) {
+				t.Fatalf("limit %d: tuple %d carries payload %v at time %d", limit, i, tp.Payload, tp.Time)
+			}
+		}
+	}
+	scratch := matchPool.Get().(*[]model.Tuple)
+	defer matchPool.Put(scratch)
+	for _, tp := range (*scratch)[:cap(*scratch)] {
+		if tp.Payload != nil {
+			t.Fatal("recycled scratch still references a payload")
+		}
+	}
+	// A subquery that matches nothing returns no slice at all.
+	res, err := c.qs[0].ExecuteSubQuery(&model.SubQuery{
+		Chunk:  chunks[0].ID,
+		Region: model.Region{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 1 << 40, Hi: 1 << 41}},
+	})
+	if err != nil || res.Tuples != nil {
+		t.Fatalf("empty subquery = %v, %v", res.Tuples, err)
+	}
+}

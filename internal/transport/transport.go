@@ -30,8 +30,9 @@ import (
 // MaxFrameBytes bounds a single frame (64 MiB).
 const MaxFrameBytes = 64 << 20
 
-// frameMagic opens every frame body: "WWF" and the protocol version.
-const frameMagic uint32 = 'W'<<24 | 'W'<<16 | 'F'<<8 | 1
+// frameMagic opens every frame body: "WWF" and the protocol version
+// (2 since the batch-error status carries the rejected positions).
+const frameMagic uint32 = 'W'<<24 | 'W'<<16 | 'F'<<8 | 2
 
 // minBody is a frame body with an empty method, err and payload.
 const minBody = 4 + 8 + 2 + 1 + 4

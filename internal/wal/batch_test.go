@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"waterwheel/internal/telemetry"
@@ -198,4 +199,158 @@ func TestFailNextAppendsInjectsThenRecovers(t *testing.T) {
 	if _, err := p.AppendBatch([][]byte{[]byte("x"), []byte("y")}); err != nil {
 		t.Fatalf("batch after injected fault: %v", err)
 	}
+}
+
+// TestStartAppendThenAwaitDurable: the two halves of AppendBatch. The first
+// makes the batch readable at once and returns the offset past it without
+// waiting; the second returns only once an fsync covers that offset — with
+// the fsyncs held the watermark stays put and AwaitDurable stays parked —
+// and under the other policies, or without a file, there is nothing to wait
+// for.
+func TestStartAppendThenAwaitDurable(t *testing.T) {
+	waiters := &telemetry.Gauge{}
+	p, err := OpenPartition(filepath.Join(t.TempDir(), "p.wal"), Config{
+		Durability: DurabilityAckOnFsync,
+		Metrics:    Metrics{Waiters: waiters},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.CloseFile()
+	release := p.HoldFsyncs()
+	end, err := p.StartAppend([][]byte{[]byte("a"), []byte("bb")})
+	if err != nil || end != 2 {
+		t.Fatalf("StartAppend = %d, %v; want the offset past the batch, 2", end, err)
+	}
+	if recs, err := p.Read(0, 10); err != nil || len(recs) != 2 || string(recs[1].Data) != "bb" {
+		t.Fatalf("the batch is not readable before it is durable: %v, %v", recs, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.AwaitDurable(end) }()
+	// Parked for as long as the fsyncs are held: the waiter gauge shows it
+	// arrive, and the watermark cannot move.
+	for waiters.Value() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("AwaitDurable returned %v with every fsync held", err)
+		default:
+		}
+		runtime.Gosched()
+	}
+	if got := p.SyncedNext(); got != 0 {
+		t.Fatalf("watermark %d with every fsync held", got)
+	}
+	release()
+	if err := <-done; err != nil || p.SyncedNext() != 2 {
+		t.Fatalf("AwaitDurable = %v with the watermark at %d, want nil at 2", err, p.SyncedNext())
+	}
+	if err := p.AwaitDurable(end); err != nil {
+		t.Fatalf("AwaitDurable below the watermark: %v", err)
+	}
+
+	// A rejected first half leaves nothing to wait for and nothing behind.
+	p.FailNextAppends(1)
+	if _, err := p.StartAppend([][]byte{[]byte("x")}); !errors.Is(err, ErrInjectedAppend) || p.Next() != 2 {
+		t.Fatalf("faulted StartAppend = %v, head %d", err, p.Next())
+	}
+
+	// Memory-only and ack-on-write partitions: the append is the ack.
+	m := NewPartition()
+	if end, err := m.StartAppend([][]byte{[]byte("a")}); err != nil || end != 1 || m.AwaitDurable(end) != nil {
+		t.Fatalf("memory-only: StartAppend = %d, %v", end, err)
+	}
+	w, err := OpenPartition(filepath.Join(t.TempDir(), "w.wal"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.CloseFile()
+	hold := w.HoldFsyncs()
+	defer hold()
+	if end, err := w.StartAppend([][]byte{[]byte("a")}); err != nil || w.AwaitDurable(end) != nil {
+		t.Fatalf("ack-on-write: %v", err)
+	}
+}
+
+// TestAwaitDurableAfterCrashOrClose: the lock is released between the two
+// halves of AppendBatch, so the segment can be crash-discarded or closed in
+// the gap. A partition that lost its file that way is not a memory-only one:
+// AwaitDurable must refuse every record the watermark never covered — those
+// bytes were truncated, or never fsynced — and still ack what was durable.
+func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
+	open := func(t *testing.T) (*Partition, string) {
+		path := filepath.Join(t.TempDir(), "p.wal")
+		p, err := OpenPartition(path, Config{Durability: DurabilityAckOnFsync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, path
+	}
+	durable := [][]byte{[]byte("d")}
+
+	t.Run("crash", func(t *testing.T) {
+		p, path := open(t)
+		if _, err := p.AppendBatch(durable); err != nil {
+			t.Fatal(err)
+		}
+		release := p.HoldFsyncs()
+		end, err := p.StartAppend([][]byte{[]byte("a"), []byte("bb")})
+		if err != nil || end != 3 {
+			t.Fatalf("StartAppend = %d, %v", end, err)
+		}
+		// The crash poisons the partition first, then waits for the committer,
+		// which is stuck behind the held fsyncs: release only once the poison
+		// is in, so the cohort StartAppend kicked can no longer sync.
+		crashed := make(chan error, 1)
+		go func() { crashed <- p.CrashDiscardUnsynced() }()
+		for p.Err() == nil {
+			runtime.Gosched()
+		}
+		release()
+		if err := <-crashed; err != nil {
+			t.Fatal(err)
+		}
+		if got := p.SyncedNext(); got != 1 {
+			t.Fatalf("watermark %d after the crash, want 1", got)
+		}
+		if err := p.AwaitDurable(end); err == nil {
+			t.Fatal("AwaitDurable acked records the crash truncated")
+		}
+		if err := p.AwaitDurable(1); err != nil {
+			t.Fatalf("AwaitDurable below the watermark after the crash: %v", err)
+		}
+		re, err := OpenPartition(path, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.CloseFile()
+		if re.Next() != 1 {
+			t.Fatalf("reopened head %d, want exactly the durable record", re.Next())
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		p, _ := open(t)
+		if _, err := p.AppendBatch(durable); err != nil {
+			t.Fatal(err)
+		}
+		// An append that lands after the committer's final cohort and before
+		// CloseFile takes the file away was never fsynced.
+		p.stopCommitter()
+		end, err := p.StartAppend([][]byte{[]byte("a")})
+		if err != nil || end != 2 {
+			t.Fatalf("StartAppend = %d, %v", end, err)
+		}
+		if err := p.CloseFile(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.SyncedNext(); got != 1 {
+			t.Fatalf("watermark %d after CloseFile, want 1", got)
+		}
+		if err := p.AwaitDurable(end); err == nil {
+			t.Fatal("AwaitDurable acked a record CloseFile never fsynced")
+		}
+		if err := p.AwaitDurable(1); err != nil {
+			t.Fatalf("AwaitDurable below the watermark after CloseFile: %v", err)
+		}
+	})
 }

@@ -186,6 +186,16 @@ func (p *Partition) stopCommitter() {
 	})
 }
 
+// HoldFsyncs keeps the partition from issuing any fsync — committer
+// cohorts, SyncTo, Sync — until the returned release is called; appends keep
+// landing in the segment meanwhile. Test hook, like FailNextAppends: it
+// freezes the watermark so a test can observe what reached the log before
+// anyone was acked.
+func (p *Partition) HoldFsyncs() (release func()) {
+	p.syncMu.Lock()
+	return p.syncMu.Unlock
+}
+
 // waitSyncedLocked blocks (mu held) until the fsync watermark reaches
 // target or the line breaks. It returns nil whenever the record became
 // durable, even if a later failure poisoned the partition.

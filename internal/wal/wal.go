@@ -118,12 +118,37 @@ func (p *Partition) Append(data []byte) (int64, error) {
 	return p.AppendBatch([][]byte{data})
 }
 
-// AppendBatch stores a batch of records under ONE lock acquisition,
-// returning the offset of the first. The data is copied: the batch is
-// framed into a single buffer outside the lock, offsets are patched in
-// under it once they are known, and the segment takes one file write; the
-// retained in-memory records alias the payload sections of that buffer, so
-// a batch of any size costs one allocation.
+// AppendBatch stores a batch of records and returns the offset of the
+// first once the partition's durability policy is met: StartAppend, then
+// AwaitDurable. Under DurabilityAckOnFsync the batch parks once, for a
+// watermark covering its LAST record: the committer goroutine batches all
+// appends that arrive while an fsync is in flight into the next cohort, so
+// concurrent appenders share (amortize) fsyncs and a single cohort acks
+// the whole batch.
+func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
+	if len(datas) == 0 {
+		return p.Next(), nil
+	}
+	end, err := p.StartAppend(datas)
+	if err != nil {
+		return 0, err
+	}
+	return end - int64(len(datas)), p.AwaitDurable(end)
+}
+
+// StartAppend is the first half of AppendBatch: it stores the batch under
+// ONE lock acquisition and returns the offset past its last record without
+// waiting for durability, so a caller appending to several partitions can
+// have every fsync cohort in flight before it parks on the first
+// (AwaitDurable). Under DurabilityAckOnFsync it nudges the committer on the
+// way out. The records are readable — and will be consumed — at once; only
+// the ack has to wait.
+//
+// The data is copied: the batch is framed into a single buffer outside the
+// lock, offsets are patched in under it once they are known, and the
+// segment takes one file write; the retained in-memory records alias the
+// payload sections of that buffer, so a batch of any size costs one
+// allocation.
 //
 // Failure is all-or-nothing. On a disk error no record of the batch is
 // retained in memory, so a tuple the log cannot hold is never acked, never
@@ -131,16 +156,7 @@ func (p *Partition) Append(data []byte) (int64, error) {
 // matching the flush pipeline's semantics). The error is sticky: once the
 // segment is broken every later append fails until the partition is
 // reopened.
-//
-// Under DurabilityAckOnFsync the batch parks once for a watermark
-// covering its LAST record: the committer goroutine batches all appends
-// that arrive while an fsync is in flight into the next cohort, so
-// concurrent appenders share (amortize) fsyncs and a single cohort acks
-// the whole batch.
-func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
-	if len(datas) == 0 {
-		return p.Next(), nil
-	}
+func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 	total := 0
 	for _, d := range datas {
 		total += recordHeaderLen + len(d)
@@ -152,60 +168,71 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 		pos += recordHeaderLen + copy(buf[pos+recordHeaderLen:], d)
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.sealed {
-		p.mu.Unlock()
 		return 0, ErrSealed
 	}
 	if p.fileErr != nil {
-		err := p.fileErr
-		p.mu.Unlock()
-		return 0, err
+		return 0, p.fileErr
 	}
 	if p.failAppends > 0 {
 		p.failAppends--
-		p.mu.Unlock()
 		return 0, ErrInjectedAppend
 	}
 	p.reserveLocked(len(datas))
 	mark := len(p.store)
-	off := p.headLocked()
 	// Second walk of buf: stamp each header's offset and slice its record
 	// out. The lengths written above make the frames self-describing, so no
 	// side table of positions has to survive from the first walk.
 	for pos = 0; pos < total; {
 		binary.BigEndian.PutUint64(buf[pos:pos+8], uint64(p.headLocked()))
-		end := pos + recordHeaderLen + int(binary.BigEndian.Uint32(buf[pos+8:pos+recordHeaderLen]))
-		p.store = append(p.store, buf[pos+recordHeaderLen:end:end])
-		pos = end
+		next := pos + recordHeaderLen + int(binary.BigEndian.Uint32(buf[pos+8:pos+recordHeaderLen]))
+		p.store = append(p.store, buf[pos+recordHeaderLen:next:next])
+		pos = next
 	}
 	if p.file != nil {
 		if _, err := p.file.Write(buf); err != nil {
 			clear(p.store[mark:])
 			p.store = p.store[:mark]
 			p.fileErr = fmt.Errorf("wal: segment append: %w", err)
-			err = p.fileErr
 			// A broken line also fails parked group-commit waiters.
 			p.syncedCond.Broadcast()
-			p.mu.Unlock()
-			return 0, err
+			return 0, p.fileErr
 		}
 		p.fileBytes += int64(total)
+		if p.dur == DurabilityAckOnFsync {
+			p.kickCommitter()
+		}
 	}
 	p.bytes += int64(total) - int64(len(datas))*recordHeaderLen
 	p.cond.Broadcast()
-	if p.file == nil || p.dur != DurabilityAckOnFsync {
-		p.mu.Unlock()
-		return off, nil
+	return p.headLocked(), nil
+}
+
+// AwaitDurable is the second half of AppendBatch: it returns once every
+// record below end meets the partition's durability policy. Only a
+// disk-backed partition under DurabilityAckOnFsync has anything to wait
+// for — a group-commit fsync covering end; everywhere else the append was
+// the ack. A partition whose segment was closed or crash-discarded since
+// StartAppend is NOT memory-only: it answers with its sticky error unless
+// the watermark had already covered end, exactly as an AppendBatch caught
+// mid-wait does.
+func (p *Partition) AwaitDurable(end int64) error {
+	if p.dur != DurabilityAckOnFsync {
+		return nil
 	}
-	err := p.waitSyncedLocked(off + int64(len(datas)))
-	p.mu.Unlock()
-	return off, err
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.file == nil && p.fileErr == nil {
+		return nil
+	}
+	return p.waitSyncedLocked(end)
 }
 
 // FailNextAppends arms a transient fault: the next n Append/AppendBatch
 // calls fail before touching memory or disk, then the partition recovers
 // on its own — unlike a real segment failure the error is NOT sticky.
-// Chaos-test hook for proving prefix-ack exactness on mid-batch faults.
+// Chaos-test hook for proving the batch ack names exactly what was rejected.
 func (p *Partition) FailNextAppends(n int) {
 	p.mu.Lock()
 	p.failAppends = n

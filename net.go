@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"waterwheel/internal/model"
 	"waterwheel/internal/transport"
@@ -30,22 +31,36 @@ const (
 	statusClosed  = transport.StatusApp + iota // ErrClosed
 	statusRetired                              // ErrRetired
 	// statusBatch is a *BatchError; the payload is
-	// [u64 Index][u64 Len][u8 status of the cause], the message the cause's.
+	// [u64 Index][u64 Len][u8 status of the cause][u64 position]…, one
+	// position per rejected tuple to the end of the payload, the message the
+	// cause's.
 	statusBatch
 )
+
+// batchStatusFixed is the statusBatch payload before the positions.
+const batchStatusFixed = 8 + 8 + 1
+
+// ErrBadBatchStatus reports a statusBatch reply whose payload is not a
+// well-formed BatchError: cut short, or positions that are not a strictly
+// ascending, non-empty subset of [0, Len) starting at Index.
+var ErrBadBatchStatus = errors.New("waterwheel: malformed batch-error reply")
 
 // wireSentinels are the errors that cross the wire as a status code of
 // their own, so the client can hand back the same sentinel.
 var wireSentinels = transport.Sentinels{statusClosed: ErrClosed, statusRetired: ErrRetired}
 
 // wireError gives a handler's error the status code that lets the client
-// rebuild it: a *BatchError with its prefix, a sentinel as itself.
+// rebuild it: a *BatchError with its positions, a sentinel as itself.
 func wireError(err error) error {
 	var be *BatchError
 	if errors.As(err, &be) {
-		p := binary.BigEndian.AppendUint64(make([]byte, 0, 17), uint64(be.Index))
+		p := make([]byte, 0, batchStatusFixed+8*len(be.Rejected))
+		p = binary.BigEndian.AppendUint64(p, uint64(be.Index))
 		p = binary.BigEndian.AppendUint64(p, uint64(be.Len))
 		p = append(p, wireSentinels.Code(be.Err))
+		for _, at := range be.Rejected {
+			p = binary.BigEndian.AppendUint64(p, uint64(at))
+		}
 		return &transport.StatusError{Code: statusBatch, Msg: be.Err.Error(), Payload: p}
 	}
 	return wireSentinels.Encode(err)
@@ -55,15 +70,43 @@ func wireError(err error) error {
 // returned, so errors.Is and errors.As work across the wire.
 func clientError(err error) error {
 	var se *transport.StatusError
-	if errors.As(err, &se) && se.Code == statusBatch && len(se.Payload) == 17 {
-		p := se.Payload
-		return &BatchError{
-			Index: int(binary.BigEndian.Uint64(p)),
-			Len:   int(binary.BigEndian.Uint64(p[8:])),
-			Err:   wireSentinels.Decode(&transport.StatusError{Code: p[16], Msg: se.Msg}),
+	if errors.As(err, &se) && se.Code == statusBatch {
+		be, derr := decodeBatchStatus(se.Payload)
+		if derr != nil {
+			return fmt.Errorf("%w (server said: %s)", derr, se.Msg)
 		}
+		be.Err = wireSentinels.Decode(&transport.StatusError{Code: se.Payload[batchStatusFixed-1], Msg: se.Msg})
+		return be
 	}
 	return wireSentinels.Decode(err)
+}
+
+// decodeBatchStatus rebuilds a BatchError (all but its cause) from a
+// statusBatch payload. The positions are counted by the payload's own
+// length, so a hostile reply costs no more memory than the bytes it sent,
+// and anything that is not a strictly ascending, non-empty run of positions
+// below Len beginning at Index is ErrBadBatchStatus.
+func decodeBatchStatus(p []byte) (*BatchError, error) {
+	n := (len(p) - batchStatusFixed) / 8
+	if n < 1 || batchStatusFixed+8*n != len(p) {
+		return nil, fmt.Errorf("%w: %d bytes", ErrBadBatchStatus, len(p))
+	}
+	index, size := binary.BigEndian.Uint64(p), binary.BigEndian.Uint64(p[8:])
+	if size > math.MaxInt32 || uint64(n) > size {
+		return nil, fmt.Errorf("%w: %d positions in a batch of %d", ErrBadBatchStatus, n, size)
+	}
+	be := &BatchError{Index: int(index), Len: int(size), Rejected: make([]int, n)}
+	for i := range be.Rejected {
+		at := binary.BigEndian.Uint64(p[batchStatusFixed+8*i:])
+		if at >= size || (i > 0 && int(at) <= be.Rejected[i-1]) {
+			return nil, fmt.Errorf("%w: position %d (entry %d) in a batch of %d", ErrBadBatchStatus, at, i, size)
+		}
+		be.Rejected[i] = int(at)
+	}
+	if index != uint64(be.Rejected[0]) {
+		return nil, fmt.Errorf("%w: index %d, first position %d", ErrBadBatchStatus, index, be.Rejected[0])
+	}
+	return be, nil
 }
 
 // Serve starts a network front end for the DB on addr (use
@@ -77,20 +120,13 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		if err != nil {
 			return nil, transport.BadRequestf("waterwheel: bad insert batch: %v", err)
 		}
-		// Payloads alias the request buffer; copy them into one arena before
-		// handing the batch to the ingestion pipeline.
-		total := 0
-		for i := range tuples {
-			total += len(tuples[i].Payload)
-		}
-		arena := make([]byte, 0, total)
-		for i := range tuples {
-			pos := len(arena)
-			arena = append(arena, tuples[i].Payload...)
-			tuples[i].Payload = arena[pos:len(arena):len(arena)]
-		}
+		// The payloads alias the request frame, and that is safe to hand on:
+		// a frame is its own allocation that the transport never reuses, and
+		// nothing keeps the payloads past InsertBatch anyway — the WAL frames
+		// every tuple into its own buffer before the call returns and the
+		// dispatcher's sampler keeps keys only.
 		// Do not ack over the wire what the log did not take; on failure the
-		// returned BatchError tells the client which prefix was accepted.
+		// returned BatchError tells the client which positions were rejected.
 		if err := db.InsertBatch(tuples); err != nil {
 			return nil, wireError(err)
 		}
@@ -224,7 +260,8 @@ func (cl *Client) Insert(t Tuple) error {
 }
 
 // InsertBatch sends a batch of tuples in one request. A batch the server
-// took only a prefix of comes back as a *BatchError, as from DB.InsertBatch.
+// took only part of comes back as a *BatchError naming the rejected
+// positions, as from DB.InsertBatch.
 func (cl *Client) InsertBatch(ts []Tuple) error {
 	_, err := cl.call("insert", model.AppendTuples(nil, ts))
 	return err

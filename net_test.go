@@ -9,6 +9,8 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -30,7 +32,7 @@ func TestNetServerRejectsGarbage(t *testing.T) {
 	defer ns.Close()
 
 	// A valid frame to mangle: an empty "stats" request.
-	good := []byte{0, 0, 0, 24, 'W', 'W', 'F', 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 5, 's', 't', 'a', 't', 's', 0, 0, 0, 0, 0}
+	good := []byte{0, 0, 0, 24, 'W', 'W', 'F', 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 5, 's', 't', 'a', 't', 's', 0, 0, 0, 0, 0}
 	with := func(edit func(b []byte)) []byte {
 		b := bytes.Clone(good)
 		edit(b)
@@ -40,7 +42,7 @@ func TestNetServerRejectsGarbage(t *testing.T) {
 		"truncated header": good[:2],
 		"short body":       good[:len(good)-3],
 		"wrong magic":      with(func(b []byte) { b[4] = 'X' }),
-		"wrong version":    with(func(b []byte) { b[7] = 2 }),
+		"wrong version":    with(func(b []byte) { b[7] = 1 }),
 		"oversize length":  with(func(b []byte) { b[0] = 0xFF }),
 		"method overruns":  with(func(b []byte) { b[16] = 0xFF }),
 		"http":             []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"),
@@ -240,15 +242,19 @@ func TestNetClientEquivalentToDB(t *testing.T) {
 }
 
 // TestNetBatchErrorSurvivesTheWire: a partly rejected batch reports the
-// same acked prefix over TCP as DB.InsertBatch reports in-process.
+// same rejected positions over TCP as DB.InsertBatch reports in-process —
+// holes included — and resubmitting them over the same connection leaves
+// every tuple stored exactly once.
 func TestNetBatchErrorSurvivesTheWire(t *testing.T) {
 	db, cl, _ := netFixture(t, Options{IndexServersPerNode: 2}, 0)
 	batch := func(at int) []Tuple {
 		low, high := Key(1<<10), Key(1<<63+1<<10) // server 0, server 1
-		return []Tuple{
-			{Key: low, Time: Timestamp(at)}, {Key: low + 1, Time: Timestamp(at)}, {Key: low + 2, Time: Timestamp(at)},
-			{Key: high, Time: Timestamp(at)}, {Key: high + 1, Time: Timestamp(at)},
+		keys := []Key{low, high, low + 1, high + 1, low + 2}
+		out := make([]Tuple, len(keys))
+		for i, k := range keys {
+			out[i] = Tuple{Key: k, Time: Timestamp(at + i)}
 		}
+		return out
 	}
 	db.c.WAL().Partition(1).FailNextAppends(1)
 	var local *BatchError
@@ -256,23 +262,134 @@ func TestNetBatchErrorSurvivesTheWire(t *testing.T) {
 		t.Fatalf("in-process err = %v, want *BatchError", err)
 	}
 	db.c.WAL().Partition(1).FailNextAppends(1)
-	err := cl.InsertBatch(batch(2000))
+	sent := batch(2000)
+	err := cl.InsertBatch(sent)
 	var remote *BatchError
 	if !errors.As(err, &remote) {
 		t.Fatalf("over TCP err = %v (%T), want *BatchError", err, err)
 	}
-	if remote.Index != local.Index || remote.Len != local.Len || remote.Index != 3 {
-		t.Errorf("prefix over TCP %d/%d, in-process %d/%d, want 3/5", remote.Index, remote.Len, local.Index, local.Len)
+	if remote.Index != 1 || remote.Len != 5 || !reflect.DeepEqual(remote.Rejected, []int{1, 3}) {
+		t.Errorf("over TCP: index %d, len %d, rejected %v; want 1, 5, [1 3]", remote.Index, remote.Len, remote.Rejected)
+	}
+	if !reflect.DeepEqual(remote.Rejected, local.Rejected) || remote.Index != local.Index || remote.Len != local.Len {
+		t.Errorf("over TCP %+v, in-process %+v", remote, local)
 	}
 	if remote.Error() != local.Error() {
 		t.Errorf("message over TCP %q, in-process %q", remote.Error(), local.Error())
 	}
-	// The prefix the error names is what the store took, both times.
-	awaitTuples(t, cl, 2*remote.Index)
-	// The fault was one-shot: the same client and connection carry on.
-	if err := cl.InsertBatch(batch(3000)); err != nil {
-		t.Fatalf("insert after the fault: %v", err)
+	// What the errors do not name is what the store took, both times.
+	awaitTuples(t, cl, 2*(remote.Len-len(remote.Rejected)))
+	// The fault was one-shot: the same client and connection carry the
+	// rejected positions, and then the batch is whole.
+	var retry []Tuple
+	for _, i := range remote.Rejected {
+		retry = append(retry, sent[i])
 	}
+	if err := cl.InsertBatch(retry); err != nil {
+		t.Fatalf("resubmit after the fault: %v", err)
+	}
+	awaitTuples(t, cl, 3+5)
+	res, err := cl.Query(Query{Keys: FullKeyRange(), Times: TimeRange{Lo: 2000, Hi: 2999}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []Timestamp
+	for _, tp := range res.Tuples {
+		times = append(times, tp.Time)
+	}
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	if want := []Timestamp{2000, 2001, 2002, 2003, 2004}; !reflect.DeepEqual(times, want) {
+		t.Fatalf("the TCP batch is stored as %v, want each of %v once", times, want)
+	}
+}
+
+// batchStatusPayload builds a statusBatch payload by hand.
+func batchStatusPayload(index, size uint64, cause byte, positions ...uint64) []byte {
+	p := binary.BigEndian.AppendUint64(nil, index)
+	p = append(binary.BigEndian.AppendUint64(p, size), cause)
+	for _, at := range positions {
+		p = binary.BigEndian.AppendUint64(p, at)
+	}
+	return p
+}
+
+// TestNetHostileBatchStatus: a statusBatch reply that is not a well-formed
+// BatchError comes back as ErrBadBatchStatus — never a BatchError a caller
+// would resubmit from, never a panic, never an allocation sized by a number
+// the reply merely claims.
+func TestNetHostileBatchStatus(t *testing.T) {
+	good := batchStatusPayload(1, 5, transport.StatusFailed, 1, 3)
+	be, err := decodeBatchStatus(good)
+	if err != nil || be.Index != 1 || be.Len != 5 || !reflect.DeepEqual(be.Rejected, []int{1, 3}) {
+		t.Fatalf("well-formed payload = %+v, %v", be, err)
+	}
+	for name, p := range map[string][]byte{
+		"empty":              nil,
+		"old 17-byte form":   batchStatusPayload(1, 5, 0),
+		"no positions":       good[:batchStatusFixed],
+		"torn position":      good[:len(good)-3],
+		"more than Len":      batchStatusPayload(0, 2, 0, 0, 1, 2),
+		"out of range":       batchStatusPayload(1, 5, 0, 1, 5),
+		"way out of range":   batchStatusPayload(1, 5, 0, 1, 1<<63),
+		"descending":         batchStatusPayload(3, 5, 0, 3, 1),
+		"repeated":           batchStatusPayload(1, 5, 0, 1, 1),
+		"index not first":    batchStatusPayload(0, 5, 0, 1, 3),
+		"index out of range": batchStatusPayload(1<<40, 5, 0, 1, 3),
+		"absurd Len":         batchStatusPayload(1, 1<<62, 0, 1, 3),
+	} {
+		if be, err := decodeBatchStatus(p); !errors.Is(err, ErrBadBatchStatus) {
+			t.Errorf("%s: decoded to %+v, %v; want ErrBadBatchStatus", name, be, err)
+		}
+		got := clientError(&transport.StatusError{Code: statusBatch, Msg: "boom", Payload: p})
+		var asBatch *BatchError
+		if !errors.Is(got, ErrBadBatchStatus) || errors.As(got, &asBatch) || !strings.Contains(got.Error(), "boom") {
+			t.Errorf("%s: client error %v; want ErrBadBatchStatus carrying the server's message, and no BatchError", name, got)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	// A reply claiming a 2^31-tuple batch with two positions allocates for
+	// two positions.
+	big := batchStatusPayload(1, 1<<31-1, 0, 1, 1<<31-2)
+	if a := testing.AllocsPerRun(100, func() { decodeBatchStatus(big) }); a > 2 {
+		t.Errorf("decoding a two-position reply allocates %.0f objects", a)
+	}
+}
+
+// FuzzDecodeBatchStatus: whatever bytes a statusBatch reply carries, the
+// decoder neither panics nor over-allocates, and what it accepts is a
+// BatchError a resubmit loop can trust: re-encoding it gives the same bytes.
+func FuzzDecodeBatchStatus(f *testing.F) {
+	f.Add(batchStatusPayload(1, 5, transport.StatusFailed, 1, 3))
+	f.Add(batchStatusPayload(0, 1, statusClosed, 0))
+	f.Add(batchStatusPayload(1, 5, 0))
+	f.Add(batchStatusPayload(3, 5, 0, 3, 1))
+	f.Add(batchStatusPayload(1, 1<<62, 0, 1, 3))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		be, err := decodeBatchStatus(p)
+		if err != nil {
+			if !errors.Is(err, ErrBadBatchStatus) || be != nil {
+				t.Fatalf("rejected with %v and %+v", err, be)
+			}
+			return
+		}
+		if len(be.Rejected) == 0 || len(be.Rejected) > be.Len || be.Index != be.Rejected[0] || 8*len(be.Rejected) > len(p) {
+			t.Fatalf("accepted %+v from %d bytes", be, len(p))
+		}
+		for i, at := range be.Rejected {
+			if at < 0 || at >= be.Len || (i > 0 && at <= be.Rejected[i-1]) {
+				t.Fatalf("accepted positions %v in a batch of %d", be.Rejected, be.Len)
+			}
+		}
+		be.Err = wireSentinels.Decode(&transport.StatusError{Code: p[batchStatusFixed-1]})
+		var se *transport.StatusError
+		if !errors.As(wireError(be), &se) || !bytes.Equal(se.Payload[:batchStatusFixed-1], p[:batchStatusFixed-1]) ||
+			!bytes.Equal(se.Payload[batchStatusFixed:], p[batchStatusFixed:]) {
+			t.Fatalf("%+v re-encodes to %x, came from %x", be, se.Payload, p)
+		}
+	})
 }
 
 // TestNetSentinelErrorsByCode: ErrClosed is matched by errors.Is on the
@@ -295,9 +412,9 @@ func TestNetSentinelErrorsByCode(t *testing.T) {
 		if got := clientError(wireError(wrapped)); !errors.Is(got, sentinel) || got.Error() != wrapped.Error() {
 			t.Errorf("%v came back as %v", wrapped, got)
 		}
-		got := clientError(wireError(&BatchError{Index: 2, Len: 9, Err: wrapped}))
+		got := clientError(wireError(&BatchError{Index: 2, Len: 9, Rejected: []int{2, 8}, Err: wrapped}))
 		var be *BatchError
-		if !errors.As(got, &be) || be.Index != 2 || be.Len != 9 || !errors.Is(got, sentinel) {
+		if !errors.As(got, &be) || be.Index != 2 || be.Len != 9 || !reflect.DeepEqual(be.Rejected, []int{2, 8}) || !errors.Is(got, sentinel) {
 			t.Errorf("batch error over %v came back as %v", sentinel, got)
 		}
 	}

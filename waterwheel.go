@@ -265,34 +265,45 @@ func (db *DB) Insert(t Tuple) error {
 	return db.c.Insert(t)
 }
 
-// BatchError reports a partially-rejected batch: ts[:Index] were acked,
-// ts[Index:] were not. Unwrap yields the underlying cause.
+// BatchError reports a batch that was not acked in full. A batch is acked
+// per indexing server: the tuples routed to one server are accepted or
+// rejected together, independently of the other servers' shares, so the
+// rejected tuples need not be a suffix of the batch. ts[i] was acked iff i
+// is not in Rejected; resubmitting exactly the Rejected positions stores
+// every tuple of the batch exactly once.
 type BatchError struct {
-	// Index is the position of the first unacked tuple.
+	// Index is the position of the first unacked tuple (Rejected[0]):
+	// ts[:Index] were all acked.
 	Index int
 	// Len is the size of the submitted batch.
 	Len int
-	// Err is the failure that stopped the batch.
+	// Rejected holds the position of every unacked tuple, ascending.
+	Rejected []int
+	// Err joins the failures of the servers that rejected their share;
+	// errors.Is finds each of them.
 	Err error
 }
 
 func (e *BatchError) Error() string {
-	return fmt.Sprintf("waterwheel: insert %d/%d rejected: %v", e.Index, e.Len, e.Err)
+	return fmt.Sprintf("waterwheel: insert rejected %d of %d tuples, first at %d: %v", len(e.Rejected), e.Len, e.Index, e.Err)
 }
 
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // InsertBatch ingests a batch of tuples as one unit through the whole
-// pipeline: one routing pass in the dispatcher, one WAL append (and one
-// fsync cohort under Durability "ack-on-fsync") per contiguous
-// same-server run, and batched memtable merges on the indexing servers.
-// On failure it returns a *BatchError with exact prefix-ack semantics:
-// tuples before the error's Index were acked, the rest were not. A batch
-// of one behaves identically to Insert.
+// pipeline: one routing pass in the dispatcher, one WAL append per
+// indexing server the batch routes to — all of them issued before any
+// durability wait, so under Durability "ack-on-fsync" the batch waits out
+// one fsync cohort per server side by side — and batched memtable merges on
+// the indexing servers. A nil return acks every tuple. On failure it returns
+// a *BatchError naming exactly the unacked positions: each server's share
+// is all-or-nothing, a failed server rejects only the tuples routed to it.
+// Tuples of one key keep their arrival order; across servers a batch has no
+// order. A batch of one behaves identically to Insert.
 func (db *DB) InsertBatch(ts []Tuple) error {
-	n, err := db.c.InsertBatch(ts)
+	rejected, err := db.c.InsertBatch(ts)
 	if err != nil {
-		return &BatchError{Index: n, Len: len(ts), Err: err}
+		return &BatchError{Index: rejected[0], Len: len(ts), Rejected: rejected, Err: err}
 	}
 	return nil
 }

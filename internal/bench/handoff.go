@@ -3,12 +3,12 @@ package bench
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
+	"waterwheel/internal/wal"
 )
 
 // runHandoff measures elastic live region migration under sustained
@@ -41,8 +41,8 @@ func runHandoff(opt Options) (*Report, error) {
 			return nil, err
 		}
 		c.Start()
-		var inserted atomic.Int64
-		var insertErr error
+		// inserted counts acked tuples; the feeder fails it with its error.
+		var inserted wal.Watermark
 		var wg sync.WaitGroup
 		wg.Add(1)
 		start := time.Now()
@@ -58,7 +58,7 @@ func runHandoff(opt Options) (*Report, error) {
 				})
 				if len(batch) == cap(batch) || i == n-1 {
 					if _, err := c.InsertBatch(batch); err != nil {
-						insertErr = err
+						inserted.Fail(err)
 						return
 					}
 					inserted.Add(int64(len(batch)))
@@ -68,8 +68,8 @@ func runHandoff(opt Options) (*Report, error) {
 		}()
 		for h := 0; h < handoffs; h++ {
 			target := int64(n) * int64(h+1) / int64(handoffs+1)
-			for inserted.Load() < target && insertErr == nil {
-				time.Sleep(200 * time.Microsecond)
+			if inserted.Wait(target, nil) != nil {
+				break // reported below
 			}
 			slots := c.ActiveSlots()
 			slot := slots[h%len(slots)]
@@ -87,12 +87,12 @@ func runHandoff(opt Options) (*Report, error) {
 				mode, h+1, handoffs, slot, inserted.Load())
 		}
 		wg.Wait()
-		if insertErr != nil {
+		if err := inserted.Wait(int64(n), nil); err != nil {
 			c.Stop()
-			return nil, insertErr
+			return nil, err
 		}
 		wall := time.Since(start)
-		c.Drain()
+		c.Drain() // a failed barrier shows as verified = NO below
 		res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
 		if err != nil {
 			c.Stop()

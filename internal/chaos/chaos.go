@@ -42,6 +42,7 @@ import (
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
+	"waterwheel/internal/wal"
 )
 
 // Fault classes a run can prove it exercised (Report.FaultsSeen keys).
@@ -616,19 +617,12 @@ func (r *runner) decommission(i, pick int) {
 // replay) is what recovers — not a cold rebuild.
 func (r *runner) killWithStandby(i, pick int) {
 	server := r.pickSlot(pick)
-	if !r.c.HasStandby(server) {
-		if err := r.c.StartStandby(server); err != nil {
-			r.violate(i, "start standby for slot %d: %v", server, err)
-			return
-		}
+	if err := r.c.StartStandby(server); err != nil { // a no-op when it has one
+		r.violate(i, "start standby for slot %d: %v", server, err)
+		return
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if lag := r.c.StandbyLag(server); lag >= 0 && lag <= 64 {
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	// Best effort: a standby still behind at the deadline is killed anyway.
+	_ = r.c.AwaitStandby(server, wal.Deadline(2*time.Second))
 	if err := r.c.KillIndexServer(server); err != nil {
 		r.violate(i, "kill index server %d with standby: %v", server, err)
 		return
@@ -639,11 +633,9 @@ func (r *runner) killWithStandby(i, pick int) {
 
 func (r *runner) promote(i, pick int) {
 	server := r.pickSlot(pick)
-	if !r.c.HasStandby(server) {
-		if err := r.c.StartStandby(server); err != nil {
-			r.violate(i, "start standby for slot %d: %v", server, err)
-			return
-		}
+	if err := r.c.StartStandby(server); err != nil { // a no-op when it has one
+		r.violate(i, "start standby for slot %d: %v", server, err)
+		return
 	}
 	if err := r.c.PromoteStandby(server); err != nil {
 		r.violate(i, "promote standby for slot %d: %v", server, err)
@@ -948,21 +940,10 @@ func (r *runner) crashMidFlush(i, server int) {
 		r.virtualNow += model.Timestamp(1 + sub.Int63n(3))
 		r.insert(kr.Lo+model.Key(sub.Uint64()%(span+1)), r.virtualNow)
 	}
-	stuck := false
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		// Retired slots appear as nil in the slot table; a slot this op
-		// targeted can retire under a concurrent schedule.
-		srv := r.c.IndexServers()[server]
-		if srv == nil {
-			break
-		}
-		if srv.PendingFlushes() > 0 {
-			stuck = true
-			break
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	// Retired slots appear as nil in the slot table; a slot this op
+	// targeted can retire under a concurrent schedule.
+	srv := r.c.IndexServers()[server]
+	stuck := srv != nil && srv.AwaitPendingFlush(wal.Deadline(2*time.Second))
 	if err := r.c.KillIndexServer(server); err != nil {
 		r.violate(i, "kill index server %d: %v", server, err)
 	}

@@ -86,7 +86,7 @@ type Config struct {
 	// DFSFaultSeed seeds the DFS fault-injection RNG (chaos testing); kept
 	// separate from Seed so injecting faults never perturbs placement.
 	DFSFaultSeed int64
-	// SleepFn replaces time.Sleep for simulated DFS I/O time — a virtual
+	// SleepFn replaces the real sleep for simulated DFS I/O time — a virtual
 	// clock makes fault-injection runs deterministic and free of wall-clock
 	// waits. Nil uses real sleeps.
 	SleepFn func(time.Duration)
@@ -248,10 +248,16 @@ type Cluster struct {
 	// single consumer can be "crashed" without stopping the cluster.
 	consMu   sync.Mutex
 	consStop []chan struct{}
-	wg       sync.WaitGroup
-	started  atomic.Bool
-	stopped  atomic.Bool
+	// takeovers counts completed ownership flips: waitApplied parks here
+	// until a deposed incarnation's successor is in the slot table.
+	takeovers wal.Watermark
+	wg        sync.WaitGroup
+	started   atomic.Bool
+	stopped   atomic.Bool
 }
+
+// ErrClosed is returned by Drain and the catch-up waits on a stopped cluster.
+var ErrClosed = errors.New("waterwheel: closed")
 
 // New builds a cluster, panicking on persistence errors; use Open to
 // handle them. Call Start before inserting.
@@ -456,6 +462,8 @@ type standbyHandle struct {
 	closeTail func() // releases a WAL-shipping client; nil for local tails
 }
 
+// release closes a shipped tail's client — BEFORE the standby is halted:
+// that is what ends a wal.read parked on the server ahead of its bound.
 func (h *standbyHandle) release() {
 	if h.closeTail != nil {
 		h.closeTail()
@@ -616,7 +624,8 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// watermark (consumers index straight from memory, possibly before any
 	// fsync), so the flusher syncs its unit's offset into the log before
 	// registering chunks and committing. ReleaseWAL: once it has committed,
-	// the partition drops its resident copy of what no replay will read.
+	// the partition drops its resident copy of what no replay will read, and
+	// the slot's standby, possibly parked, looks at the commit (reset rule).
 	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -628,10 +637,15 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
 		FlushFailHook:       c.cfg.FlushFailHook,
 		SyncWAL:             c.log.Partition(i).SyncTo,
-		ReleaseWAL:          func(committed int64) { c.log.Partition(i).Release(c.replayFloor(i, committed)) },
-		Metrics:             c.ingestMetrics,
-		Epoch:               epoch,
-		Passive:             passive,
+		ReleaseWAL: func(committed int64) {
+			c.log.Partition(i).Release(c.replayFloor(i, committed))
+			if h := c.standby(i); h != nil {
+				h.sb.Wake()
+			}
+		},
+		Metrics: c.ingestMetrics,
+		Epoch:   epoch,
+		Passive: passive,
 	}, c.fs, c.ms, node)
 }
 
@@ -681,27 +695,13 @@ func (c *Cluster) Start() {
 	if c.started.Swap(true) {
 		return
 	}
-	srvs := c.servers()
-	c.consMu.Lock()
-	c.consStop = make([]chan struct{}, len(srvs))
-	for i, srv := range srvs {
+	for i, srv := range c.servers() {
 		if srv == nil {
-			continue // retired slot: no consumer
+			continue // a retired slot has no consumer
 		}
-		cs := make(chan struct{})
-		c.consStop[i] = cs
-		c.wg.Add(1)
-		go func(i int, srv *ingest.Server, cs chan struct{}) {
-			defer c.wg.Done()
-			srv.Consume(c.log.Partition(i), mergedStop(c.stop, cs))
-		}(i, srv, cs)
-	}
-	c.consMu.Unlock()
-	if c.cfg.HotStandby {
-		for i, srv := range srvs {
-			if srv != nil {
-				c.StartStandby(i)
-			}
+		c.runConsumer(i, srv, c.detachConsumer(i))
+		if c.cfg.HotStandby {
+			c.StartStandby(i)
 		}
 	}
 	if !c.cfg.DisableAdaptive && c.cfg.BalanceIntervalMillis > 0 {
@@ -727,17 +727,9 @@ func (c *Cluster) Stop() {
 	if c.stopped.Swap(true) {
 		return
 	}
-	close(c.stop)
-	c.stopStandbys()
-	c.log.Close()
-	c.wg.Wait()
-	// Stop the background flushers, draining queued snapshots so the final
+	// Close the flushers: they drain their queued snapshots, so the final
 	// checkpoint records their offsets.
-	for _, srv := range c.servers() {
-		if srv != nil {
-			srv.Close()
-		}
-	}
+	c.stopIngest((*ingest.Server).Close)
 	// Query traffic is over; force-delete any chunk files still parked
 	// behind in-flight-query horizons.
 	c.ret.drain()
@@ -749,9 +741,15 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// stopStandbys halts and discards every hot standby, then shuts the
-// loopback shipping endpoint down.
-func (c *Cluster) stopStandbys() {
+// stopIngest is every shutdown's first half (c.stopped is set): release
+// whoever waits on c.stop, detach the consumers, discard the standbys,
+// close the log (which wakes a parked wal.read, so the shipping endpoint
+// closes at once), wait for consumers and balancer, stop the servers.
+func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
+	close(c.stop)
+	for i := range c.servers() {
+		c.detachConsumer(i)
+	}
 	c.standbyMu.Lock()
 	hs := make([]*standbyHandle, 0, len(c.standbys))
 	for slot, h := range c.standbys {
@@ -760,15 +758,22 @@ func (c *Cluster) stopStandbys() {
 	}
 	c.standbyMu.Unlock()
 	for _, h := range hs {
-		h.sb.Close()
 		h.release()
+		h.sb.Close()
 	}
+	c.log.Close()
 	c.shipMu.Lock()
 	if c.shipSrv != nil {
 		c.shipSrv.Close()
 		c.shipSrv = nil
 	}
 	c.shipMu.Unlock()
+	c.wg.Wait()
+	for _, srv := range c.servers() {
+		if srv != nil {
+			stopServer(srv)
+		}
+	}
 }
 
 // HardCrash simulates a host crash in DataDir mode: no checkpoint, no
@@ -785,17 +790,9 @@ func (c *Cluster) HardCrash() error {
 	if c.stopped.Swap(true) {
 		return fmt.Errorf("cluster: already stopped")
 	}
-	close(c.stop)
-	c.stopStandbys()
-	c.log.Close()
-	c.wg.Wait()
 	// Abort (not Close) the flushers: in-flight work dies without
 	// checkpointing, like the host it ran on.
-	for _, srv := range c.servers() {
-		if srv != nil {
-			srv.Abort()
-		}
-	}
+	c.stopIngest((*ingest.Server).Abort)
 	var first error
 	for i := 0; i < c.log.Partitions(); i++ {
 		if err := c.log.Partition(i).CrashDiscardUnsynced(); err != nil && first == nil {
@@ -847,41 +844,66 @@ func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 // Drain is the insert→query barrier: it blocks until every tuple acked
 // before the call is applied to its indexing server's memtable, every
 // flush those tuples triggered has been attempted, and the live regions
-// covering them are published — so a query issued after Drain returns
-// sees all of them, exactly once, and the WAL holds in memory only what a
-// replay would read. Inserts are acked from the log, ahead of
-// the consumers; without Drain a query may run before the tuples it
-// expects have been applied. ingest.Server.Consumed advances only after a
-// batch is in the trees, which is what makes polling it against the
-// partition head a barrier rather than a hint.
-func (c *Cluster) Drain() {
-	for i, srv := range c.servers() {
-		if srv == nil {
-			continue
-		}
-		p := c.log.Partition(i)
-		for srv.Consumed() < p.Next() {
-			time.Sleep(200 * time.Microsecond)
+// covering them are published — so a query issued after a nil Drain sees
+// all of them, exactly once, and the WAL holds in memory only what a
+// replay would read (inserts are acked from the log, ahead of the
+// consumers). Each head is read once: the barrier does not chase a writer
+// that keeps going. Consumed advances only after a batch is in the trees,
+// which makes waiting for it a barrier rather than a hint; a slot taken
+// over mid-wait is waited for on its successor. A non-nil error says the
+// barrier cannot be met: the error a slot's consumer died of (a replay
+// gap, an undecodable record — the slot's inserts are still acked from the
+// log, and applied by nobody until it is taken over), or ErrClosed.
+func (c *Cluster) Drain() error {
+	if c.stopped.Load() {
+		return ErrClosed
+	}
+	for i := 0; i < c.log.Partitions(); i++ {
+		if err := c.waitApplied(i, c.log.Partition(i).Next()); err != nil {
+			return err
 		}
 	}
-	// Consumption alone no longer implies persistence: wait out the flush
-	// pipelines too, so "insert, Drain, query/crash" keeps its pre-async
-	// determinism.
+	// Applied is not persisted: wait out the flush pipelines too ("insert,
+	// Drain, query/crash" stays deterministic), then force what trails an
+	// offset by a beat — the consumer's live-region report, so a query plans
+	// against the memtable's true extent, and the flusher's WAL release.
 	for i, srv := range c.servers() {
 		if srv != nil {
 			srv.DrainFlushes()
-			// The consumer advances its offset a beat before it reports
-			// the live region; force a report so queries issued right after
-			// Drain plan against the drained memtable's true extent.
 			srv.PublishLive()
-			// Likewise the flusher releases the WAL a beat after its commit
-			// shows; after Drain the resident window IS the replay suffix.
 			c.log.Partition(i).Release(c.replayFloor(i, c.ms.Offset(i)))
 		}
 	}
 	// A quiet moment: whatever retired files were gated on queries that
 	// have since completed can go now.
 	c.ret.sweep()
+	return nil
+}
+
+// waitApplied blocks until slot's current incarnation has applied every
+// record below head: the one catch-up wait. An incarnation deposed mid-wait
+// fails with ErrStopped before its successor is in the slot table: park on
+// the takeover count, resolve again. A retired slot's final flush was it.
+func (c *Cluster) waitApplied(slot int, head int64) error {
+	for {
+		flips := c.takeovers.Load()
+		srv := c.server(slot)
+		if srv == nil {
+			return nil
+		}
+		err := srv.WaitApplied(head, c.stop)
+		switch {
+		case err == nil:
+			return nil
+		case c.stopped.Load():
+			return ErrClosed
+		case !errors.Is(err, ingest.ErrStopped):
+			return err
+		}
+		if c.takeovers.Wait(flips+1, c.stop) != nil {
+			return ErrClosed
+		}
+	}
 }
 
 // FlushAll forces every indexing server to flush its memtables.
@@ -1014,21 +1036,10 @@ func (c *Cluster) TruncateWALBefore() {
 // is safe against a concurrent promotion: at worst a few extra records stay
 // until the next commit.
 func (c *Cluster) replayFloor(i int, committed int64) int64 {
-	if sb := c.standbyFloor(i); sb >= 0 && sb < committed {
-		return sb
+	if h := c.standby(i); h != nil {
+		return min(committed, h.sb.Consumed())
 	}
 	return committed
-}
-
-// standbyFloor returns slot i's standby replay position, or -1 when the
-// slot has no standby.
-func (c *Cluster) standbyFloor(i int) int64 {
-	c.standbyMu.Lock()
-	defer c.standbyMu.Unlock()
-	if h, ok := c.standbys[i]; ok {
-		return h.sb.Consumed()
-	}
-	return -1
 }
 
 // Accessors used by experiments, examples and the public API.
@@ -1097,11 +1108,8 @@ func (c *Cluster) MemLen() int {
 	return n
 }
 
-// detachConsumer stops slot i's consumer goroutine (closing its stop
-// channel) and installs a fresh channel for the successor, growing the
-// table when elastic scale-out added slots after Start. Requires Start to
-// have run for an existing slot's channel to be present; a nil entry
-// (retired slot, or a slot added before Start) just gets a new channel.
+// detachConsumer stops slot i's consumer, if one runs, and installs a fresh
+// stop channel for its successor (the table grows with scale-out).
 func (c *Cluster) detachConsumer(i int) chan struct{} {
 	c.consMu.Lock()
 	defer c.consMu.Unlock()
@@ -1113,15 +1121,20 @@ func (c *Cluster) detachConsumer(i int) chan struct{} {
 	}
 	cs := make(chan struct{})
 	c.consStop[i] = cs
+	if c.stopped.Load() { // no successor: stopIngest has been (or is) here
+		close(cs)
+		c.consStop[i] = nil
+	}
 	return cs
 }
 
-// runConsumer starts slot i's WAL consumption goroutine.
+// runConsumer starts slot i's WAL consumption goroutine. Consume keeps its
+// own error: it fails the applied watermark with it, and Drain reports it.
 func (c *Cluster) runConsumer(i int, srv *ingest.Server, cs chan struct{}) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		srv.Consume(c.log.Partition(i), mergedStop(c.stop, cs))
+		_ = srv.Consume(c.log.Partition(i), cs)
 	}()
 }
 
@@ -1134,28 +1147,11 @@ func (c *Cluster) takeStandby(i int) *standbyHandle {
 	return h
 }
 
-// HasStandby reports whether slot i currently runs a hot standby.
-func (c *Cluster) HasStandby(i int) bool {
+// standby returns slot i's standby handle, nil if it has none.
+func (c *Cluster) standby(i int) *standbyHandle {
 	c.standbyMu.Lock()
 	defer c.standbyMu.Unlock()
-	_, ok := c.standbys[i]
-	return ok
-}
-
-// StandbyLag returns how many WAL records slot i's standby still has to
-// replay to reach the partition head, or -1 when the slot has no standby.
-func (c *Cluster) StandbyLag(i int) int64 {
-	c.standbyMu.Lock()
-	h := c.standbys[i]
-	c.standbyMu.Unlock()
-	if h == nil {
-		return -1
-	}
-	lag := c.log.Partition(i).Next() - h.sb.Consumed()
-	if lag < 0 {
-		lag = 0
-	}
-	return lag
+	return c.standbys[i]
 }
 
 // shipTail opens a WAL-shipping tail for partition i through the lazily
@@ -1194,10 +1190,7 @@ func (c *Cluster) startStandbyLocked(i int) error {
 	if c.server(i) == nil {
 		return fmt.Errorf("cluster: no indexing server %d", i)
 	}
-	c.standbyMu.Lock()
-	_, exists := c.standbys[i]
-	c.standbyMu.Unlock()
-	if exists {
+	if c.standby(i) != nil {
 		return nil
 	}
 	var (
@@ -1233,8 +1226,8 @@ func (c *Cluster) StopStandby(i int) error {
 	if h == nil {
 		return fmt.Errorf("cluster: slot %d has no standby", i)
 	}
-	h.sb.Close()
 	h.release()
+	h.sb.Close()
 	return nil
 }
 
@@ -1270,10 +1263,10 @@ func (c *Cluster) takeover(i int, h *standbyHandle) error {
 	}
 	var repl *ingest.Server
 	if h != nil {
+		h.release()
 		h.sb.Halt()
 		repl = h.sb.Promote(epoch)
 		repl.SetKeys(kr)
-		h.release()
 	} else {
 		repl = c.newIndexServer(i, kr, epoch, false)
 	}
@@ -1282,6 +1275,7 @@ func (c *Cluster) takeover(i int, h *standbyHandle) error {
 	c.idxMu.Unlock()
 	c.coord.SetMemExecutor(i, repl)
 	c.runConsumer(i, repl, cs)
+	c.takeovers.Add(1)
 	c.handoffs.Inc()
 	c.handoffLag.Observe(time.Duration(lag) * time.Second)
 	c.handoffPause.Observe(time.Since(pauseStart))
@@ -1298,30 +1292,27 @@ func (c *Cluster) takeover(i int, h *standbyHandle) error {
 func (c *Cluster) PromoteStandby(i int) error {
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
-	if c.server(i) == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
+	// Catch-up gate: flip only once the shadow is near the head, bounding
+	// the replay debt the new owner inherits.
+	if err := c.AwaitStandby(i, c.stop); err != nil {
+		return err
 	}
-	c.standbyMu.Lock()
-	h := c.standbys[i]
-	c.standbyMu.Unlock()
+	return c.takeover(i, c.takeStandby(i))
+}
+
+// AwaitStandby blocks until slot i's standby is within StandbyLagRecords of
+// the partition head read at the call; it fails with the standby's replay
+// error, or when cancel fires.
+func (c *Cluster) AwaitStandby(i int, cancel <-chan struct{}) error {
+	h := c.standby(i)
 	if h == nil {
 		return fmt.Errorf("cluster: slot %d has no standby", i)
 	}
-	// Catch-up gate: flip only once the shadow is near the head, bounding
-	// the replay debt the new owner inherits.
-	p := c.log.Partition(i)
-	for p.Next()-h.sb.Consumed() > int64(c.cfg.StandbyLagRecords) {
-		select {
-		case <-c.stop:
-			return fmt.Errorf("cluster: stopped during handoff")
-		default:
-		}
-		if err := h.sb.Err(); err != nil {
-			return fmt.Errorf("cluster: standby replay: %w", err)
-		}
-		time.Sleep(200 * time.Microsecond)
+	target := c.log.Partition(i).Next() - int64(c.cfg.StandbyLagRecords)
+	if err := h.sb.WaitReplayed(target, cancel); err != nil {
+		return fmt.Errorf("cluster: standby catch-up (slot %d): %w", i, err)
 	}
-	return c.takeover(i, c.takeStandby(i))
+	return nil
 }
 
 // AddIndexServer grows the cluster by one indexing server (elastic
@@ -1447,25 +1438,15 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	p.Seal()
 	// 3. The standby is moot: the final flush will empty the partition.
 	if h := c.takeStandby(i); h != nil {
-		h.sb.Close()
 		h.release()
+		h.sb.Close()
 	}
 	// 4. Drain the final head, then stop the consumer.
 	head := p.Next()
-	for srv.Consumed() < head {
-		select {
-		case <-c.stop:
-			return fmt.Errorf("cluster: stopped during decommission")
-		default:
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := c.waitApplied(i, head); err != nil {
+		return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
 	}
-	c.consMu.Lock()
-	if i < len(c.consStop) && c.consStop[i] != nil {
-		close(c.consStop[i])
-		c.consStop[i] = nil
-	}
-	c.consMu.Unlock()
+	c.detachConsumer(i)
 	// 5. Final flush: every buffered tuple becomes a registered chunk, the
 	// replay offset commits to the head, and the live region empties (the
 	// coordinator stops planning mem-subqueries for the slot). A transient
@@ -1475,10 +1456,8 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	// Each Flush re-signals a parked retry and waits for its outcome, so
 	// this loop spins only as fast as DFS attempts fail.
 	for c.ms.Offset(i) < head {
-		select {
-		case <-c.stop:
-			return fmt.Errorf("cluster: stopped during decommission")
-		default:
+		if c.stopped.Load() {
+			return fmt.Errorf("cluster: decommission (slot %d): %w", i, ErrClosed)
 		}
 		srv.FlushAll()
 	}
@@ -1502,10 +1481,8 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 // offset. The transfer bumps the slot's fencing epoch BEFORE the
 // successor starts, so a chunk registration the dead incarnation still
 // has in flight is rejected instead of committing an offset the
-// successor's replay assumed stable (the pre-epoch code relied on Abort
-// ordering alone and could re-register regions the replay had already
-// covered). It returns as soon as the successor is consuming; use
-// CrashIndexServer to also wait for catch-up.
+// successor's replay assumed stable. It returns as soon as the successor is
+// consuming; use CrashIndexServer to also wait for catch-up.
 func (c *Cluster) KillIndexServer(i int) error {
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
@@ -1527,27 +1504,5 @@ func (c *Cluster) CrashIndexServer(i int) error {
 	if err := c.KillIndexServer(i); err != nil {
 		return err
 	}
-	repl := c.server(i)
-	for repl.Consumed() < head {
-		select {
-		case <-c.stop:
-			return nil
-		default:
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
-}
-
-// mergedStop returns a channel that closes when either input closes.
-func mergedStop(a, b <-chan struct{}) <-chan struct{} {
-	out := make(chan struct{})
-	go func() {
-		select {
-		case <-a:
-		case <-b:
-		}
-		close(out)
-	}()
-	return out
+	return c.waitApplied(i, head)
 }

@@ -5,18 +5,18 @@ import (
 	"time"
 
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
-// waitStandbyCaughtUp polls until slot i's standby has replayed to the
+// waitStandbyCaughtUp waits until slot i's standby has replayed to the
 // partition head.
 func waitStandbyCaughtUp(t *testing.T, c *Cluster, i int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.StandbyLag(i) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("standby %d never caught up (lag %d)", i, c.StandbyLag(i))
-		}
-		time.Sleep(200 * time.Microsecond)
+	c.standbyMu.Lock()
+	h := c.standbys[i]
+	c.standbyMu.Unlock()
+	if err := h.sb.WaitReplayed(c.log.Partition(i).Next(), wal.Deadline(5*time.Second)); err != nil {
+		t.Fatalf("standby %d never caught up (at %d): %v", i, h.sb.Consumed(), err)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestTruncateFloorsAtStandbyReplay(t *testing.T) {
 	if off := c.Metadata().Offset(0); off <= pos {
 		t.Fatalf("flush offset %d did not pass the standby position %d", off, pos)
 	}
-	if fl := c.standbyFloor(0); fl != pos {
-		t.Fatalf("standbyFloor = %d, want frozen position %d", fl, pos)
+	if fl := c.replayFloor(0, c.Metadata().Offset(0)); fl != pos {
+		t.Fatalf("replayFloor = %d, want the standby's frozen position %d", fl, pos)
 	}
 	c.TruncateWALBefore()
 	if base := c.WAL().Partition(0).Base(); base > pos {

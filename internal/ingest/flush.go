@@ -150,6 +150,7 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 			offset: s.consumed.Load(),
 		}
 		s.pending = append(s.pending, pf)
+		s.flushEvents.Add(1)
 		s.minMu.Lock()
 		s.hasData = false
 		s.sideData = false
@@ -218,6 +219,7 @@ func (s *Server) signalRetry() {
 // the invariant the offset commit relies on.
 func (s *Server) flusher() {
 	defer close(s.flusherDone)
+	defer s.flushEvents.Fail(ErrStopped)
 	for {
 		select {
 		case pf, ok := <-s.flushCh:
@@ -259,6 +261,7 @@ func (s *Server) flushWithRetry(pf *pendingFlush) bool {
 			return false
 		}
 		s.parked.Store(true)
+		s.flushEvents.Add(1)
 		select {
 		case <-s.retryCh:
 		case <-time.After(backoff):
@@ -288,17 +291,13 @@ func (s *Server) flushWithRetry(pf *pendingFlush) bool {
 // commit: a query plan sees either none or all of the unit's chunks, and the
 // WAL offset never covers a part that is not durable. Returns false when the
 // DFS refused a write; the unit then stays queryable in the pending list and
-// the caller decides when to retry.
+// the caller decides when to retry. The attempt count moves last, whatever
+// the outcome (it publishes it), then the pipeline's event count.
 func (s *Server) processFlush(pf *pendingFlush) bool {
-	if s.fenced.Load() {
-		pf.attempts.Add(1)
-		return false
-	}
-	if s.aborted.Load() {
-		// Crashed: nothing may persist or commit any more. Reporting failure
-		// (not success) keeps backlog walkers and waiters from spinning on an
-		// entry that will never reach flushDone.
-		pf.attempts.Add(1)
+	defer func() { pf.attempts.Add(1); s.flushEvents.Add(1) }()
+	if s.fenced.Load() || s.aborted.Load() {
+		// Deposed or crashed: nothing may persist or commit any more, and
+		// this entry will never reach flushDone.
 		return false
 	}
 	flushStart := time.Now()
@@ -338,7 +337,6 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 			// registers and no offset commits until every part is written.
 			s.stats.FlushFailures.Add(1)
 			pf.state.Store(int32(flushFailed))
-			pf.attempts.Add(1)
 			return false
 		}
 		// The chunk's data region: the tuples' exact bounding box, which is
@@ -369,7 +367,6 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 		if err := s.cfg.SyncWAL(pf.offset); err != nil {
 			s.stats.FlushFailures.Add(1)
 			pf.state.Store(int32(flushFailed))
-			pf.attempts.Add(1)
 			return false
 		}
 	}
@@ -385,7 +382,6 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 		// covers these tuples. Abort's pendMu barrier orders this check
 		// strictly against the crash.
 		s.pendMu.Unlock()
-		pf.attempts.Add(1)
 		return false
 	}
 	var regs []meta.ChunkInfo
@@ -416,7 +412,6 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 			s.stats.FlushFailures.Add(1)
 			pf.state.Store(int32(flushFailed))
 			s.pendMu.Unlock()
-			pf.attempts.Add(1)
 			return false
 		}
 		if commit > s.committedOff {
@@ -447,7 +442,6 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 	s.stats.FlushBytes.Add(totalBytes)
 	s.cfg.Metrics.FlushNanos.Observe(time.Since(flushStart))
 	s.reportLive()
-	pf.attempts.Add(1)
 	return true
 }
 
@@ -527,30 +521,33 @@ func (s *Server) oldestUnpersisted() *pendingFlush {
 
 // waitFlush blocks until pf is registered (info, true) or an attempt past
 // `since` has failed (zero info, false). Units persist strictly in seq
-// order, so when an EARLIER unit is wedged on a failing DFS, pf itself may
-// never be attempted; waitFlush therefore also gives up as soon as any
-// write failure lands after it started waiting — during a persistent
-// outage the head unit's next retry fails within one backoff period and
-// unblocks the caller, who may re-drive the flush later per the Flush
-// contract. On a recovered DFS the head retry succeeds instead, the line
-// clears, and pf resolves normally.
+// order, so behind an EARLIER unit wedged on a failing DFS pf may never be
+// attempted: waitFlush also gives up on any write failure that lands while
+// it waits (the head unit's next retry, within one backoff period), and the
+// caller may re-drive the flush later per the Flush contract. So it does
+// when the flusher has exited (Abort, fenced): nothing more is attempted.
 func (s *Server) waitFlush(pf *pendingFlush, since int32) (meta.ChunkInfo, bool) {
 	failsBefore := s.stats.FlushFailures.Load()
-	for {
-		if flushState(pf.state.Load()) == flushDone {
-			return pf.mainInfo(), true
-		}
-		if pf.attempts.Load() > since {
-			if flushState(pf.state.Load()) == flushDone {
-				return pf.mainInfo(), true
-			}
-			return meta.ChunkInfo{}, false
-		}
-		if s.stats.FlushFailures.Load() > failsBefore {
-			return meta.ChunkInfo{}, false
-		}
-		time.Sleep(100 * time.Microsecond)
+	s.awaitFlush(nil, func() bool {
+		return flushState(pf.state.Load()) == flushDone || pf.attempts.Load() > since ||
+			s.stats.FlushFailures.Load() > failsBefore
+	})
+	if flushState(pf.state.Load()) == flushDone {
+		return pf.mainInfo(), true
 	}
+	return meta.ChunkInfo{}, false
+}
+
+// awaitFlush blocks until cond holds (true), the flusher has exited or
+// cancel fired (false). Whatever cond looks at is followed by a flushEvents
+// step, and the count is read BEFORE cond is evaluated: no missed wake-up.
+func (s *Server) awaitFlush(cancel <-chan struct{}, cond func() bool) bool {
+	for seen := s.flushEvents.Load(); !cond(); seen = s.flushEvents.Load() {
+		if s.flushEvents.Wait(seen+1, cancel) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // flushBacklog counts snapshots still waiting for a (re)attempt or being
@@ -582,19 +579,24 @@ func (s *Server) PendingFlushes() int {
 }
 
 // DrainFlushes blocks until every enqueued snapshot has been attempted —
-// registered, or failed with the flusher parked awaiting a retry trigger.
-// After a clean drain (no failures) all swapped data is in registered
-// chunks and the committed WAL offset covers it.
+// registered, or failed with the flusher parked awaiting a retry trigger —
+// or the flusher has exited. After a clean drain (no failures) all swapped
+// data is in registered chunks and the committed WAL offset covers it.
 func (s *Server) DrainFlushes() {
-	for s.flushBacklog() > 0 && !s.parked.Load() {
-		time.Sleep(200 * time.Microsecond)
-	}
+	s.awaitFlush(nil, func() bool { return s.flushBacklog() == 0 || s.parked.Load() })
+}
+
+// AwaitPendingFlush blocks until PendingFlushes() > 0; false when cancel
+// fired or the server stopped first.
+func (s *Server) AwaitPendingFlush(cancel <-chan struct{}) bool {
+	return s.awaitFlush(cancel, func() bool { return s.PendingFlushes() > 0 })
 }
 
 // Close stops the background flusher, draining queued snapshots first
 // (failures during an outage are abandoned to WAL replay rather than
 // retried forever). Further Flush calls process inline. Idempotent.
 func (s *Server) Close() {
+	s.consumed.Fail(ErrStopped)
 	s.swapMu.Lock()
 	if !s.closed {
 		s.closed = true
@@ -619,6 +621,7 @@ func (s *Server) Close() {
 // stopCh is what releases that inserter. Idempotent; safe alongside Close.
 func (s *Server) Abort() {
 	s.aborted.Store(true)
+	s.consumed.Fail(ErrStopped)
 	if !s.stopped.Swap(true) {
 		close(s.stopCh)
 	}

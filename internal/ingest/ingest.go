@@ -18,6 +18,8 @@
 package ingest
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -230,8 +232,12 @@ type Server struct {
 	// recovered server never collides with its predecessor's files.
 	incarnation uint64
 	// consumed is the WAL offset of the next record to consume; every record
-	// below it has been applied to the trees (see insertBatchAt).
-	consumed atomic.Int64
+	// below it has been applied to the trees (see insertBatchAt). Consume,
+	// Close and Abort fail it: this incarnation applies nothing more.
+	consumed wal.Watermark
+	// flushEvents counts flush-pipeline steps (a unit enqueued, an attempt
+	// finished, the flusher parked) for awaitFlush; the flusher fails it.
+	flushEvents wal.Watermark
 
 	stats Stats
 }
@@ -296,7 +302,7 @@ func (s *Server) InsertBatch(ts []model.Tuple) {
 // pendMu write. Two invariants follow. The offset a snapshot commits never
 // covers a consumed tuple that is not yet in a tree, and — because the
 // store comes last — Consumed() >= n means every record below n is applied
-// and queryable: the property Drain and the handoff catch-up loops poll
+// and queryable: the property Drain and the handoff catch-up waits wait
 // for. And a swap can never land between a tuple's bounds update and its
 // tree insert: it would reset hasData while the tuple goes into the fresh
 // tree, and once the swapped snapshot registered the server would report
@@ -385,7 +391,7 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 		s.side.InsertBatch(side)
 	}
 	if nextOff >= 0 {
-		s.consumed.Store(nextOff)
+		s.consumed.Set(nextOff)
 	}
 	s.pendMu.RUnlock()
 	if changed {
@@ -751,19 +757,25 @@ func (s *Server) SetKeys(kr model.KeyRange) {
 
 // --- WAL consumption and recovery (§V) ---
 
+// ErrStopped fails the watermarks of a server (or standby) stopped from
+// outside — consumer detached, Close, Abort — not by an error of its own:
+// whoever waits on the slot should look for its successor.
+var ErrStopped = errors.New("ingest: server stopped")
+
 // Consume runs the ingestion loop: it replays the partition from the
 // offset stored in the metadata server (recovery), then keeps consuming
-// until the partition closes or stop is closed. Fresh tuples become
-// queryable the moment Insert returns. The loop polls rather than blocks
-// so a crash simulation (closing stop) detaches the consumer promptly even
-// on an idle partition.
+// until the partition closes or stop fires, parked on the partition head
+// whenever it has caught up. Fresh tuples become queryable the moment
+// Insert returns. However it ends, the applied watermark fails with it —
+// the returned error when there is one, ErrStopped otherwise.
 //
 // The log's horizon never passes min(committed offset, standby position)
 // (wal retention is gated on exactly those), so the replay offset is always
 // still readable. If it is not, the records in between were acked and are
 // in no chunk: Consume counts a replay gap and returns an error wrapping
 // wal.ErrCompacted instead of skipping them.
-func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
+func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
+	defer func() { s.consumed.Fail(cmp.Or(err, ErrStopped)) }()
 	start := s.ms.Offset(s.cfg.ID)
 	// A promoted standby already replayed its shadow memtable up to
 	// consumed; resuming below that would insert those records twice.
@@ -774,7 +786,7 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
 		s.stats.ReplayGaps.Add(1)
 		return fmt.Errorf("ingest: consume (server %d): replay offset %d: %w: log starts at %d", s.cfg.ID, start, wal.ErrCompacted, base)
 	}
-	s.consumed.Store(start)
+	s.consumed.Set(start)
 	head := p.Next() // records before head are replayed backlog (recovery)
 	for {
 		select {
@@ -782,20 +794,15 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
 			return nil
 		default:
 		}
-		recs, err := p.Read(s.consumed.Load(), 2048)
+		recs, err := p.ReadBlocking(s.consumed.Load(), tailReadMax, stop)
+		if errors.Is(err, wal.ErrClosed) {
+			return nil
+		}
 		if err != nil {
 			return fmt.Errorf("ingest: consume: %w", err)
 		}
 		if len(recs) == 0 {
-			if p.Closed() {
-				return nil
-			}
-			select {
-			case <-stop:
-				return nil
-			case <-time.After(200 * time.Microsecond):
-			}
-			continue
+			continue // stop fired mid-wait
 		}
 		batch, derr := decodeRecords(recs)
 		if derr != nil {
@@ -841,6 +848,12 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) error {
 // doubles as the next offset the consumer reads; there is no separate
 // "read but not yet applied" position.
 func (s *Server) Consumed() int64 { return s.consumed.Load() }
+
+// WaitApplied blocks until Consumed() >= offset (nil); else the consumer's
+// error if it died, ErrStopped if stopped or deposed, wal.ErrCanceled.
+func (s *Server) WaitApplied(offset int64, cancel <-chan struct{}) error {
+	return s.consumed.Wait(offset, cancel)
+}
 
 // decodeRecords decodes WAL records into tuples, arena-copying payloads
 // into a single buffer: decoded payloads alias the WAL's retained record

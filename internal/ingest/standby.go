@@ -20,6 +20,7 @@ package ingest
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"waterwheel/internal/meta"
@@ -35,10 +36,6 @@ type StandbyConfig struct {
 	// NewServer builds a fresh passive shadow server (called once at
 	// start and again after every reset).
 	NewServer func() *Server
-	// PollInterval between reads finding no new records (default 200µs).
-	PollInterval time.Duration
-	// ReadMax bounds records per tail read (default 2048).
-	ReadMax int
 	// ReplayOffset, when set, tracks the standby's replay position (the
 	// waterwheel_standby_replay_offset gauge).
 	ReplayOffset *telemetry.Gauge
@@ -50,36 +47,37 @@ type Standby struct {
 	ms   *meta.Server
 	tail wal.Tail
 
+	// pos is the next offset to replay; a reset may lower it. The tail loop
+	// fails it on exit, with the replay error when that is what ended it.
+	pos wal.Watermark
+
 	mu       sync.Mutex
 	srv      *Server
 	base     int64 // owner's committed offset the shadow starts at
-	pos      int64 // next offset to replay
 	resets   int
 	promoted bool
-	err      error
 
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	// The tail loop parks in tail.ReadBlocking with wake as its cancel: a
+	// token from Wake or Halt ends the read and the loop looks again.
+	wake   chan struct{}
+	halted atomic.Bool
+	done   chan struct{}
 }
+
+// tailReadMax bounds the records of one log read (consumer, standby tail).
+const tailReadMax = 2048
 
 // NewStandby builds a standby replaying the slot's partition through tail.
 func NewStandby(cfg StandbyConfig, ms *meta.Server, tail wal.Tail) *Standby {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 200 * time.Microsecond
-	}
-	if cfg.ReadMax <= 0 {
-		cfg.ReadMax = 2048
-	}
 	sb := &Standby{
 		cfg:  cfg,
 		ms:   ms,
 		tail: tail,
-		stop: make(chan struct{}),
+		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
-	base := ms.Offset(cfg.Slot)
-	sb.base, sb.pos = base, base
+	sb.base = ms.Offset(cfg.Slot)
+	sb.pos.Set(sb.base)
 	sb.srv = cfg.NewServer()
 	return sb
 }
@@ -88,13 +86,9 @@ func NewStandby(cfg StandbyConfig, ms *meta.Server, tail wal.Tail) *Standby {
 func (sb *Standby) Start() { go sb.run() }
 
 func (sb *Standby) run() {
-	defer close(sb.done)
-	for {
-		select {
-		case <-sb.stop:
-			return
-		default:
-		}
+	err := ErrStopped
+	defer func() { sb.pos.Fail(err); close(sb.done) }()
+	for !sb.halted.Load() {
 		committed := sb.ms.Offset(sb.cfg.Slot)
 		sb.mu.Lock()
 		if committed > sb.base {
@@ -102,43 +96,42 @@ func (sb *Standby) run() {
 			sb.mu.Unlock()
 			continue
 		}
-		pos := sb.pos
 		srv := sb.srv
 		sb.mu.Unlock()
-		recs, err := sb.tail.Read(pos, sb.cfg.ReadMax)
-		if err != nil {
+		recs, rerr := sb.tail.ReadBlocking(sb.pos.Load(), tailReadMax, sb.wake)
+		if rerr != nil {
 			// ErrCompacted means the owner truncated below our position —
 			// only possible when its committed offset moved past our base,
 			// which the next iteration's reset handles. Transient shipping
-			// errors retry the same way.
+			// errors retry the same way: back off after an ERROR (only "no
+			// data yet" parks instead).
 			select {
-			case <-sb.stop:
-				return
-			case <-time.After(sb.cfg.PollInterval):
+			case <-sb.wake:
+			case <-time.After(time.Millisecond):
 			}
 			continue
 		}
 		if len(recs) == 0 {
-			select {
-			case <-sb.stop:
-				return
-			case <-time.After(sb.cfg.PollInterval):
-			}
-			continue
+			continue // woken (Wake) or the shipped long-poll's bound passed
 		}
 		batch, derr := decodeRecords(recs)
 		if derr != nil {
-			sb.mu.Lock()
-			sb.err = fmt.Errorf("ingest: standby: %w", derr)
-			sb.mu.Unlock()
+			err = fmt.Errorf("ingest: standby: %w", derr)
 			return
 		}
 		next := recs[len(recs)-1].Offset + 1
 		srv.insertBatchAt(batch, next)
-		sb.mu.Lock()
-		sb.pos = next
-		sb.mu.Unlock()
+		sb.pos.Set(next)
 		sb.cfg.ReplayOffset.Set(float64(next))
+	}
+}
+
+// Wake makes a parked tail loop look at the owner's committed offset again:
+// the cluster calls it from the owner's flush commit (ReleaseWAL).
+func (sb *Standby) Wake() {
+	select {
+	case sb.wake <- struct{}{}:
+	default: // a token is already waiting
 	}
 }
 
@@ -149,14 +142,16 @@ func (sb *Standby) run() {
 func (sb *Standby) resetLocked(committed int64) {
 	old := sb.srv
 	sb.srv = sb.cfg.NewServer()
-	sb.base, sb.pos = committed, committed
+	sb.base = committed
+	sb.pos.Set(committed)
 	sb.resets++
 	old.Abort()
 }
 
 // Halt stops the tail loop and waits for it to exit. Idempotent.
 func (sb *Standby) Halt() {
-	sb.stopOnce.Do(func() { close(sb.stop) })
+	sb.halted.Store(true)
+	sb.Wake()
 	<-sb.done
 }
 
@@ -191,10 +186,12 @@ func (sb *Standby) Close() {
 }
 
 // Consumed returns the next WAL offset the standby will replay.
-func (sb *Standby) Consumed() int64 {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.pos
+func (sb *Standby) Consumed() int64 { return sb.pos.Load() }
+
+// WaitReplayed blocks until Consumed() >= offset (nil); else the replay
+// error (a corrupt record), ErrStopped if halted, wal.ErrCanceled.
+func (sb *Standby) WaitReplayed(offset int64, cancel <-chan struct{}) error {
+	return sb.pos.Wait(offset, cancel)
 }
 
 // Resets counts shadow discards (owner commits passing the replay base).
@@ -202,13 +199,6 @@ func (sb *Standby) Resets() int {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	return sb.resets
-}
-
-// Err reports a terminal replay error (corrupt record), if any.
-func (sb *Standby) Err() error {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.err
 }
 
 // SetKeys forwards a repartition to the current shadow server.

@@ -20,12 +20,16 @@ func standbyEnv(t *testing.T, chunkBytes int64) (*Server, *Standby, *wal.Partiti
 	t.Helper()
 	fs := dfs.New(dfs.Config{Nodes: 3, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(1)
-	owner := NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Epoch: ms.Epoch(0)}, fs, ms, 0)
+	// As in the cluster, the owner's flush commit is what wakes a standby
+	// parked on a quiet partition.
+	var sb *Standby
+	owner := NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Epoch: ms.Epoch(0),
+		ReleaseWAL: func(int64) { sb.Wake() }}, fs, ms, 0)
 	p := wal.NewPartition()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() { defer close(done); owner.Consume(p, stop) }()
-	sb := NewStandby(StandbyConfig{
+	sb = NewStandby(StandbyConfig{
 		Slot: 0,
 		NewServer: func() *Server {
 			return NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Passive: true}, fs, ms, 0)
@@ -65,9 +69,8 @@ func TestStandbyShadowsOwner(t *testing.T) {
 	_, sb, p, _, cleanup := standbyEnv(t, 1<<30)
 	defer cleanup()
 	appendTuples(t, p, 0, 50)
-	waitCond(t, "standby catch-up", func() bool { return sb.Consumed() == p.Next() })
-	if sb.Err() != nil {
-		t.Fatal(sb.Err())
+	if err := sb.WaitReplayed(p.Next(), nil); err != nil {
+		t.Fatal(err)
 	}
 	// The shadow indexed every unflushed record but reported no live
 	// region and flushed nothing.

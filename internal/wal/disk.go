@@ -100,6 +100,7 @@ func openPartition(path string, cfg Config, resident int64) (*Partition, error) 
 	p.file = f
 	p.base = base
 	p.memStart = head - int64(len(p.store))
+	p.head.Set(head)
 	// Everything that survived into the file counts as the durable
 	// baseline: it is what a reopen after a crash would see.
 	p.synced = head

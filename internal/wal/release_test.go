@@ -19,7 +19,7 @@ import (
 func readThrough(t *testing.T, tail Tail, from, to int64, payload func(int64) []byte) {
 	t.Helper()
 	for next := from; next < to; {
-		recs, err := tail.Read(next, 37)
+		recs, err := tail.ReadBlocking(next, 37, nil)
 		if err != nil {
 			t.Fatalf("read at %d: %v", next, err)
 		}
@@ -280,11 +280,13 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 
 	// follow reads tail from offset 0 until the writers are done and the
 	// head is reached, checking order; publish reports progress.
-	follow := func(name string, tail Tail, publish func(int64)) {
+	// A local read parks until the writers are done (its cancel), a shipped
+	// one until the long-poll bound: a cancelled call would drop its reply.
+	follow := func(name string, tail Tail, cancel <-chan struct{}, publish func(int64)) {
 		var next int64
 		seqs := make([]int, writers)
 		for {
-			recs, err := tail.Read(next, 256)
+			recs, err := tail.ReadBlocking(next, 256, cancel)
 			if err != nil {
 				t.Errorf("%s: read at %d: %v", name, next, err)
 				return
@@ -320,7 +322,7 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	readers.Add(2)
 	go func() {
 		defer readers.Done()
-		follow("consumer", p, func(n int64) {
+		follow("consumer", p, writersDone, func(n int64) {
 			consumed.Store(n)
 			// Release-on-commit: everything applied is released at once, so
 			// the shipped tail behind it reads cold almost all the time.
@@ -329,7 +331,7 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	}()
 	go func() {
 		defer readers.Done()
-		follow("shipped tail", NewRemoteTail(cl, 0), shipped.Store)
+		follow("shipped tail", NewRemoteTail(cl, 0), nil, shipped.Store)
 	}()
 
 	// Retention and compaction: the logical horizon follows the slower
@@ -371,7 +373,7 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	if err := p.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	count := func(tail Tail) int64 {
+	count := func(tail *Partition) int64 {
 		n := base
 		for {
 			recs, err := tail.Read(n, 512)

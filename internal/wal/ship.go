@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"waterwheel/internal/transport"
 )
@@ -11,9 +12,10 @@ import (
 // over the cluster RPC transport so a standby elsewhere can tail an
 // owner's partition without sharing memory. One method carries everything
 // — "wal.read" maps a (partition, offset, max) request to the same
-// semantics as Partition.Read, including ErrCompacted when the requested
-// offset fell below the partition base. Both messages are fixed binary
-// layouts, big-endian:
+// semantics as Partition.ReadBlocking, including ErrCompacted when the
+// requested offset fell below the partition base: a long-poll, like a Kafka
+// fetch, that parks at the head until a record arrives or shipLongPoll has
+// passed (an empty reply). Both messages are fixed binary layouts, big-endian:
 //
 //	request   [u32 partition][i64 offset][u32 max]
 //	response  ([u64 offset][u32 len][data])…
@@ -29,6 +31,9 @@ const (
 	// maxShipBytes ends a response early (Read returns "up to" max records)
 	// so one reply stays far below transport.MaxFrameBytes.
 	maxShipBytes = 8 << 20
+	// shipLongPoll bounds how long a wal.read parks at the head — and so how
+	// long it can hold its caller, or transport.Server.Close.
+	shipLongPoll = 100 * time.Millisecond
 )
 
 // RegisterShipping exposes every partition of l for remote tailing on the
@@ -44,7 +49,7 @@ func RegisterShipping(srv *transport.Server, l *Log) {
 		if part >= l.Partitions() {
 			return nil, fmt.Errorf("wal: ship: no partition %d", part)
 		}
-		recs, err := l.Partition(part).Read(offset, max)
+		recs, err := l.Partition(part).ReadBlocking(offset, max, Deadline(shipLongPoll))
 		if err != nil {
 			return nil, shipSentinels.Encode(err)
 		}
@@ -95,10 +100,11 @@ func NewRemoteTail(c *transport.Client, part int) *RemoteTail {
 	return &RemoteTail{c: c, part: part}
 }
 
-// Read fetches up to max records starting at offset, mirroring
-// Partition.Read. A remote ErrCompacted comes back as ErrCompacted so
-// callers can re-base the same way they would against a local partition.
-func (rt *RemoteTail) Read(offset int64, max int) ([]Record, error) {
+// ReadBlocking mirrors Partition.ReadBlocking: the server parks the call
+// at the head; an empty read means its long-poll bound passed. The call
+// cannot be recalled, so cancel is not consulted: it ends at that bound, or
+// when the client is closed. ErrCompacted crosses as ErrCompacted.
+func (rt *RemoteTail) ReadBlocking(offset int64, max int, _ <-chan struct{}) ([]Record, error) {
 	if max < 0 {
 		max = 0 // Partition.Read's "use the default"
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"waterwheel/internal/transport"
 )
@@ -33,7 +34,7 @@ func TestShippingRoundTrip(t *testing.T) {
 	defer c.Close()
 
 	tail := NewRemoteTail(c, 1)
-	recs, err := tail.Read(0, 10)
+	recs, err := tail.ReadBlocking(0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,18 +46,23 @@ func TestShippingRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
-	// Reading at the head returns no records and no error, like a local tail.
-	recs, err = tail.Read(5, 10)
+	// Reading at the head is a long-poll: it parks on the server and, with
+	// nothing appended, answers no records and no error at the bound.
+	start := time.Now()
+	recs, err = tail.ReadBlocking(5, 10, nil)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("head read = %v, %v", recs, err)
 	}
+	if d := time.Since(start); d < shipLongPoll/2 || d > 20*shipLongPoll {
+		t.Fatalf("head read took %v, want about the %v bound", d, shipLongPoll)
+	}
 	// Compaction below the requested offset surfaces as ErrCompacted.
 	p.Truncate(3)
-	if _, err := tail.Read(0, 10); !errors.Is(err, ErrCompacted) {
+	if _, err := tail.ReadBlocking(0, 10, nil); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("compacted read err = %v, want ErrCompacted", err)
 	}
 	// Out-of-range partitions error without killing the connection.
-	if _, err := NewRemoteTail(c, 9).Read(0, 1); err == nil {
+	if _, err := NewRemoteTail(c, 9).ReadBlocking(0, 1, nil); err == nil {
 		t.Fatal("read of unknown partition succeeded")
 	}
 	// So does a request that is not the fixed layout.
@@ -64,7 +70,7 @@ func TestShippingRoundTrip(t *testing.T) {
 	if _, err := c.Call(shipMethod, []byte("short")); !errors.As(err, &se) || se.Code != transport.StatusBadRequest {
 		t.Fatalf("malformed request err = %v, want a bad-request status", err)
 	}
-	if recs, err := tail.Read(3, 0); err != nil || len(recs) != 2 {
+	if recs, err := tail.ReadBlocking(3, 0, nil); err != nil || len(recs) != 2 {
 		t.Fatalf("read after errors = %v, %v", recs, err)
 	}
 }
@@ -94,7 +100,7 @@ func TestShippingSplitsLargeReads(t *testing.T) {
 	tail := NewRemoteTail(c, 0)
 	var next int64
 	for reads := 0; next < n; reads++ {
-		recs, err := tail.Read(next, 100)
+		recs, err := tail.ReadBlocking(next, 100, nil)
 		if err != nil || len(recs) == 0 {
 			t.Fatalf("read at %d = %d records, %v", next, len(recs), err)
 		}
@@ -173,5 +179,59 @@ func TestLogAddPartition(t *testing.T) {
 	recs, err := re.Partition(1).Read(0, 10)
 	if err != nil || len(recs) != 1 || string(recs[0].Data) != "y" {
 		t.Fatalf("reopened added partition read = %v, %v", recs, err)
+	}
+}
+
+// TestShippingLongPoll: a wal.read at the head parks in the handler, on the
+// partition's head watermark. An append answers it at once; closing the
+// client ends the caller's wait at once; and the read left parked on the
+// server holds its Close for no more than the long-poll bound.
+func TestShippingLongPoll(t *testing.T) {
+	l := NewLog(1)
+	p := l.Partition(0)
+	srv := transport.NewServer()
+	RegisterShipping(srv, l)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	type out struct {
+		recs []Record
+		err  error
+		took time.Duration
+	}
+	read := func() <-chan out {
+		done := make(chan out, 1)
+		go func() {
+			start := time.Now()
+			recs, err := NewRemoteTail(c, 0).ReadBlocking(p.Next(), 10, nil)
+			done <- out{recs, err, time.Since(start)}
+		}()
+		return done
+	}
+	done := read()
+	waitBlocked(t, &p.head, 1)
+	p.Append([]byte("wake"))
+	if o := <-done; o.err != nil || len(o.recs) != 1 || string(o.recs[0].Data) != "wake" {
+		t.Fatalf("parked read after an append = %v, %v", o.recs, o.err)
+	}
+
+	done = read()
+	waitBlocked(t, &p.head, 1)
+	c.Close()
+	if o := <-done; o.err == nil || o.took > shipLongPoll/2 {
+		t.Fatalf("parked read on a closed client = %v, %v after %v; want an error well inside the %v bound", o.recs, o.err, o.took, shipLongPoll)
+	}
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > 20*shipLongPoll {
+		t.Fatalf("Close waited %v for a parked wal.read, bound %v", d, shipLongPoll)
 	}
 }

@@ -48,8 +48,10 @@ type Record struct {
 // to one partition of a topic: each indexing server consumes exactly one
 // partition.
 type Partition struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
+	// head is the offset the next record will receive, published after
+	// every append for ReadBlocking to park on; Close fails it.
+	head Watermark
 	// Two horizons. base is the logical one: offsets below it are gone and
 	// read as ErrCompacted; only Truncate moves it (and persists it for a
 	// disk-backed partition). memStart is the memory one: the offset of the
@@ -66,12 +68,7 @@ type Partition struct {
 	lo    int
 	// bytes is the resident payload size.
 	bytes  int64
-	closed bool
 	sealed bool
-	// waiting counts goroutines parked in ReadBlocking — a deterministic
-	// hook for tests that must act only once a reader is actually blocked,
-	// instead of sleeping and hoping.
-	waiting int
 
 	// Disk backing (nil for in-memory partitions); see disk.go. segMu keeps
 	// a cold read's walk over the segment apart from Compact's file swap and
@@ -108,7 +105,6 @@ type Partition struct {
 // NewPartition creates an empty partition.
 func NewPartition() *Partition {
 	p := &Partition{coldOff: -1}
-	p.cond = sync.NewCond(&p.mu)
 	p.syncedCond = sync.NewCond(&p.mu)
 	return p
 }
@@ -205,8 +201,9 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 		}
 	}
 	p.bytes += int64(total) - int64(len(datas))*recordHeaderLen
-	p.cond.Broadcast()
-	return p.headLocked(), nil
+	end = p.headLocked()
+	p.head.Set(end)
+	return end, nil
 }
 
 // AwaitDurable is the second half of AppendBatch: it returns once every
@@ -267,11 +264,7 @@ func (p *Partition) reserveLocked(n int) {
 }
 
 // Next returns the offset the next Append will receive.
-func (p *Partition) Next() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.headLocked()
-}
+func (p *Partition) Next() int64 { return p.head.Load() }
 
 // Base returns the logical horizon: the lowest offset Read still answers.
 func (p *Partition) Base() int64 {
@@ -290,72 +283,50 @@ func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 		max = 1024
 	}
 	p.mu.Lock()
-	recs, cold, err := p.readLocked(offset, max)
-	p.mu.Unlock()
-	if cold {
+	if offset >= p.base && offset < p.memStart {
+		p.mu.Unlock() // below the resident window: the segment answers
 		return p.readCold(offset, max)
 	}
-	return recs, err
-}
-
-// readLocked answers a read from the resident window. cold reports that
-// offset lies in [base, memStart): the caller must drop mu and readCold.
-func (p *Partition) readLocked(offset int64, max int) (recs []Record, cold bool, err error) {
+	defer p.mu.Unlock()
 	if offset < p.base {
-		return nil, false, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
+		return nil, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
 	}
-	if offset < p.memStart {
-		return nil, true, nil
-	}
-	n := p.headLocked() - offset
+	n := min(p.headLocked()-offset, int64(max))
 	if n <= 0 {
-		return nil, false, nil
-	}
-	if n > int64(max) {
-		n = int64(max)
+		return nil, nil
 	}
 	window := p.store[p.lo+int(offset-p.memStart):]
 	out := make([]Record, n)
 	for i := range out {
 		out[i] = Record{Offset: offset + int64(i), Data: window[i]}
 	}
-	return out, false, nil
+	return out, nil
 }
 
-// ReadBlocking behaves like Read but waits for data when the partition is
-// drained. It returns ErrClosed once the partition closes and all retained
-// records past offset were delivered.
-func (p *Partition) ReadBlocking(offset int64, max int) ([]Record, error) {
-	if max <= 0 {
-		max = 1024
-	}
-	p.mu.Lock()
+// readLinger is ReadBlocking's batching window (Kafka's fetch.min.wait): the
+// first record after an empty read is delivered readLinger later, with the
+// burst behind it, as one block — and after the appenders' acks went out.
+// A policy, not a poll: once per idle-to-busy edge, never while idle or busy
+// (DESIGN §18 has what the ledger reads without it).
+const readLinger = 200 * time.Microsecond
+
+// ReadBlocking is Read that waits at the head: the one waited read, in
+// which the consumer, the standby tail and the wal.read long-poll park. It
+// answers ErrClosed once the partition is closed and every retained record
+// past offset was delivered, and an empty read when cancel fires first.
+func (p *Partition) ReadBlocking(offset int64, max int, cancel <-chan struct{}) ([]Record, error) {
 	for {
-		recs, cold, err := p.readLocked(offset, max)
-		if cold {
-			p.mu.Unlock()
-			return p.readCold(offset, max)
-		}
+		recs, err := p.Read(offset, max)
 		if err != nil || len(recs) > 0 {
-			p.mu.Unlock()
 			return recs, err
 		}
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrClosed
+		if err := p.head.Wait(offset+1, cancel); err == ErrCanceled {
+			return nil, nil
+		} else if err != nil {
+			return nil, err
 		}
-		p.waiting++
-		p.cond.Wait()
-		p.waiting--
+		<-time.After(readLinger)
 	}
-}
-
-// Waiting returns the number of goroutines currently blocked inside
-// ReadBlocking waiting for data.
-func (p *Partition) Waiting() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.waiting
 }
 
 // Truncate advances the logical horizon: records with offsets below before
@@ -442,27 +413,8 @@ func (p *Partition) Seal() {
 	p.mu.Unlock()
 }
 
-// Sealed reports whether the partition rejects appends.
-func (p *Partition) Sealed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sealed
-}
-
-// Closed reports whether the partition has been closed.
-func (p *Partition) Closed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
-}
-
 // Close marks the partition closed, waking blocked readers.
-func (p *Partition) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
+func (p *Partition) Close() { p.head.Fail(ErrClosed) }
 
 // Len returns the number of records resident in memory.
 func (p *Partition) Len() int {
@@ -479,10 +431,10 @@ func (p *Partition) Bytes() int64 {
 }
 
 // Tail is the read side a standby replays a partition through: either a
-// *Partition directly (in-process) or a RemoteTail shipping records over
-// the cluster transport (see ship.go).
+// *Partition directly (in-process) or a RemoteTail long-polling it over the
+// cluster transport (see ship.go).
 type Tail interface {
-	Read(offset int64, max int) ([]Record, error)
+	ReadBlocking(offset int64, max int, cancel <-chan struct{}) ([]Record, error)
 }
 
 // Log is a topic: a set of partitions, growable while live (elastic

@@ -100,14 +100,15 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-// waitBlocked waits until n goroutines are parked inside ReadBlocking —
-// the deterministic replacement for "sleep and hope the reader blocked".
-func waitBlocked(t *testing.T, p *Partition, n int) {
+// waitBlocked waits until n goroutines are parked on the watermark — for a
+// partition, inside ReadBlocking on its head — the deterministic
+// replacement for "sleep and hope the reader blocked".
+func waitBlocked(t *testing.T, w *Watermark, n int32) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Waiting() < n {
+	for w.waiting.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("reader never blocked (waiting=%d, want %d)", p.Waiting(), n)
+			t.Fatalf("waiter never parked (waiting=%d, want %d)", w.waiting.Load(), n)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -117,13 +118,13 @@ func TestReadBlockingWakesOnAppend(t *testing.T) {
 	p := NewPartition()
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := p.ReadBlocking(0, 10)
+		recs, err := p.ReadBlocking(0, 10, nil)
 		if err != nil {
 			t.Errorf("blocking read: %v", err)
 		}
 		done <- recs
 	}()
-	waitBlocked(t, p, 1)
+	waitBlocked(t, &p.head, 1)
 	p.Append([]byte("wake"))
 	select {
 	case recs := <-done:
@@ -139,10 +140,10 @@ func TestReadBlockingClose(t *testing.T) {
 	p := NewPartition()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := p.ReadBlocking(0, 10)
+		_, err := p.ReadBlocking(0, 10, nil)
 		errCh <- err
 	}()
-	waitBlocked(t, p, 1)
+	waitBlocked(t, &p.head, 1)
 	p.Close()
 	select {
 	case err := <-errCh:
@@ -156,7 +157,7 @@ func TestReadBlockingClose(t *testing.T) {
 	p2 := NewPartition()
 	p2.Append([]byte("x"))
 	p2.Close()
-	recs, err := p2.ReadBlocking(0, 10)
+	recs, err := p2.ReadBlocking(0, 10, nil)
 	if err != nil || len(recs) != 1 {
 		t.Errorf("read after close = %v, %v", recs, err)
 	}
@@ -230,7 +231,7 @@ func TestConcurrentProducersAndConsumer(t *testing.T) {
 		defer close(consumerDone)
 		off := int64(0)
 		for got < producers*perP {
-			recs, err := p.ReadBlocking(off, 64)
+			recs, err := p.ReadBlocking(off, 64, nil)
 			if err != nil {
 				return
 			}
@@ -259,7 +260,7 @@ func TestLog(t *testing.T) {
 		t.Error("partition isolation broken")
 	}
 	l.Close()
-	if _, err := l.Partition(0).ReadBlocking(0, 1); !errors.Is(err, ErrClosed) {
+	if _, err := l.Partition(0).ReadBlocking(0, 1, nil); !errors.Is(err, ErrClosed) {
 		t.Error("close did not propagate")
 	}
 	if nl := NewLog(0); nl.Partitions() != 1 {

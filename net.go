@@ -155,12 +155,10 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		return model.AppendAggResult(nil, res), nil
 	})
 	s.Handle("drain", func([]byte) ([]byte, error) {
-		db.Drain()
-		return nil, nil
+		return nil, wireError(db.Drain())
 	})
 	s.Handle("flush", func([]byte) ([]byte, error) {
-		db.Flush()
-		return nil, nil
+		return nil, wireError(db.Flush())
 	})
 	s.Handle("stats", func([]byte) ([]byte, error) {
 		return json.Marshal(db.Stats())

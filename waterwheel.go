@@ -22,7 +22,6 @@
 package waterwheel
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -195,7 +194,7 @@ type DB struct {
 }
 
 // ErrClosed is returned by operations on a closed DB.
-var ErrClosed = errors.New("waterwheel: closed")
+var ErrClosed = cluster.ErrClosed
 
 // ErrRetired is returned when a query needed a chunk whose file retention
 // or compaction deleted while the query was in flight, and could not be
@@ -332,14 +331,22 @@ func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 	return db.c.Aggregate(q)
 }
 
-// Drain is the insert→query barrier: when it returns, every tuple acked
+// Drain is the insert→query barrier: when it returns nil, every tuple acked
 // before the call is visible to queries. Inserts are acknowledged from the
 // log, ahead of the indexing servers applying them; a reader that must see
-// its own writes calls Drain between the two.
-func (db *DB) Drain() { db.c.Drain() }
+// its own writes calls Drain between the two. A barrier that cannot be met
+// says why: the error an indexing server's consumer died of (its tuples
+// stay acked, and unapplied until the slot is taken over), or ErrClosed.
+func (db *DB) Drain() error { return db.c.Drain() }
 
 // Flush forces every indexing server to flush its memtables to chunks.
-func (db *DB) Flush() { db.c.FlushAll() }
+func (db *DB) Flush() error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	db.c.FlushAll()
+	return nil
+}
 
 // Rebalance runs one adaptive-key-partitioning round, returning whether
 // the key partitioning changed.
@@ -533,21 +540,18 @@ func (db *DB) KillIndexServer(i int) error {
 // ActiveSlots returns the ids of the currently active indexing slots.
 func (db *DB) ActiveSlots() []int { return db.c.ActiveSlots() }
 
-// StandbyLag returns how many WAL records slot i's standby is behind the
-// partition head, or -1 when the slot has no standby.
-func (db *DB) StandbyLag(i int) int64 { return db.c.StandbyLag(i) }
-
 // Cluster exposes the underlying cluster for advanced integrations and
 // the benchmark harness.
 func (db *DB) Cluster() *cluster.Cluster { return db.c }
 
-// Close stops the deployment. Buffered tuples are flushed first.
+// Close stops the deployment. Buffered tuples are flushed first; the error
+// is Drain's, when acked tuples could not all be applied before the flush.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	db.c.Drain()
+	err := db.c.Drain()
 	db.c.FlushAll()
 	db.c.Stop()
-	return nil
+	return err
 }

@@ -133,6 +133,12 @@ type Report struct {
 	// Such losses are expected — the run still verifies soundness and
 	// uniqueness — but the count quantifies the ack-durability gap.
 	LostAcked int
+	// AutoCheckpoints counts the checkpoints the cluster took by itself, on
+	// its flush-commit cadence, before a hard crash; Replayed the WAL records
+	// the reopened cluster replayed after it — bounded by that cadence, not
+	// by the length of the run.
+	AutoCheckpoints int64
+	Replayed        int64
 	// BatchRejections counts vectorized inserts in which an armed WAL append
 	// fault actually rejected tuples; PartialRejections counts those among
 	// them that were also partly acked (0 < acked < len) — the only ones in
@@ -154,7 +160,7 @@ const (
 	opFlush
 	opBalance
 	opRetention
-	opTruncateWAL
+	opCheckpoint
 	opKillDFS
 	opReviveDFS
 	opWriteFaults
@@ -173,7 +179,7 @@ var opNames = map[opKind]string{
 	opInsert: "insert", opInsertBatch: "insert-batch", opQuery: "query",
 	opQueryConcurrent: "query-concurrent", opFlush: "flush-all",
 	opAggQuery: "agg-query", opBalance: "tick-balance", opRetention: "retention",
-	opTruncateWAL: "truncate-wal", opKillDFS: "kill-dfs",
+	opCheckpoint: "checkpoint", opKillDFS: "kill-dfs",
 	opReviveDFS: "revive-dfs", opWriteFaults: "write-faults",
 	opReadFaults: "read-faults", opCrash: "crash",
 	opCrashMidFlush: "crash-mid-flush", opBarrier: "barrier",
@@ -219,7 +225,7 @@ var weights = []struct {
 }{
 	{opInsert, 22}, {opInsertBatch, 8}, {opQuery, 14}, {opQueryConcurrent, 6},
 	{opAggQuery, 8}, {opFlush, 7}, {opBalance, 5},
-	{opRetention, 4}, {opTruncateWAL, 4}, {opKillDFS, 4}, {opReviveDFS, 6},
+	{opRetention, 4}, {opCheckpoint, 4}, {opKillDFS, 4}, {opReviveDFS, 6},
 	{opWriteFaults, 5}, {opReadFaults, 5}, {opCrash, 3}, {opCrashMidFlush, 2},
 	{opBarrier, 7},
 }
@@ -456,6 +462,7 @@ func (r *runner) hardCrashEpilogue(i int) error {
 		policy = "ack-on-write"
 	}
 	r.trace(i, "hard-crash: %d acked tail tuples under %s, then host dies", tail, policy)
+	r.rep.AutoCheckpoints = r.c.AutoCheckpoints()
 	if err := r.c.HardCrash(); err != nil {
 		r.violate(i, "hard crash: %v", err)
 	}
@@ -467,6 +474,7 @@ func (r *runner) hardCrashEpilogue(i int) error {
 	c2.Start()
 	r.trace(i+1, "hard-crash: reopened from %s", r.opts.DataDir)
 	c2.Drain()
+	r.rep.Replayed = c2.Recovered()
 	r.ackLossOK = r.opts.Durability != "ack-on-fsync"
 	r.verifyComplete(i + 1)
 	c2.Stop()
@@ -514,8 +522,10 @@ func (r *runner) exec(i int, o op) {
 		r.c.TickBalance()
 	case opRetention:
 		r.retention(i)
-	case opTruncateWAL:
-		r.c.TruncateWALBefore()
+	case opCheckpoint:
+		if err := r.c.Checkpoint(); err != nil {
+			r.violate(i, "checkpoint: %v", err)
+		}
 	case opKillDFS:
 		r.c.FS().KillNode(o.n)
 		r.killedDFS[o.n] = true
@@ -973,9 +983,8 @@ func (r *runner) barrier(i int) {
 	r.verifyComplete(i)
 	r.readFaultsPossible = false
 	if r.opts.DataDir != "" {
-		// Durable runs checkpoint at barriers so truncate-wal ops exercise
-		// the checkpoint-gated retention floor and hard crashes have a
-		// recent snapshot to restore from.
+		// Durable runs checkpoint at barriers too, so a hard crash has a
+		// recent snapshot to restore from whatever the flush cadence was.
 		if err := r.c.Checkpoint(); err != nil {
 			r.violate(i, "checkpoint at barrier: %v", err)
 		}

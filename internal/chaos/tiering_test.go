@@ -31,7 +31,7 @@ func TestChaosRetentionTieringSchedule(t *testing.T) {
 		case 2:
 			sched = append(sched, op{kind: opRetention}, op{kind: opQueryConcurrent, n: 4})
 		case 3:
-			sched = append(sched, op{kind: opTruncateWAL}, op{kind: opAggQuery})
+			sched = append(sched, op{kind: opCheckpoint}, op{kind: opAggQuery})
 		case 4:
 			sched = append(sched, op{kind: opKillWithStandby, n: k}, op{kind: opQuery})
 		case 5:

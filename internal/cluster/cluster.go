@@ -24,6 +24,7 @@ import (
 	"waterwheel/internal/compact"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/dispatcher"
+	"waterwheel/internal/durable"
 	"waterwheel/internal/ingest"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
@@ -100,11 +101,15 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// DataDir, when non-empty, makes the deployment durable: chunks back
 	// onto DataDir/dfs, the WAL onto DataDir/wal, and the metadata server
-	// snapshots to DataDir/meta.snap (written by Checkpoint and Stop). A
-	// cluster opened over an existing DataDir restores the previous state
-	// and replays each indexing server's WAL tail from its recorded offset
-	// (§V).
+	// snapshots to DataDir/meta.snap (written by every checkpoint: see
+	// Checkpoint). A cluster opened over an existing DataDir restores the
+	// previous state and replays each indexing server's WAL tail from its
+	// recorded offset (§V).
 	DataDir string
+	// Files performs the fsyncs, renames and unlinks of the durable files
+	// (nil: the plain OS) — the seam a test watches a checkpoint's order
+	// through, or fails one of its steps at.
+	Files *durable.Files
 	// Durability selects when inserts are acknowledged relative to WAL
 	// fsync in DataDir mode: "" or "ack-on-write" (ack once the record is
 	// in the OS page cache — fastest, but a host crash can drop acked
@@ -234,13 +239,19 @@ type Cluster struct {
 	handoffLag   *telemetry.Histogram
 	handoffPause *telemetry.Histogram
 
-	// ckptOffsets[i] is partition i's flush offset as of the last durable
-	// checkpoint — the retention floor in DataDir mode: a hard crash
-	// restores metadata from that snapshot, so WAL records above these
-	// offsets must stay replayable even though newer flush offsets exist
-	// in memory.
+	// ckptMu makes checkpoints take turns; commits counts flush commits
+	// cluster-wide, and the checkpointer parks on it (see Checkpoint).
+	// ckptStarted numbers the checkpoints as they begin, and ckptDurable is
+	// the number of the last one that completed: what was dropped from
+	// metadata before checkpoint n began is absent from every snapshot once
+	// ckptDurable >= n (the retirer's rule for unlinking a chunk file).
 	ckptMu      sync.Mutex
-	ckptOffsets []int64
+	commits     wal.Watermark
+	ckptStarted atomic.Int64
+	ckptDurable atomic.Int64
+	ckptAuto    atomic.Int64 // how many the checkpointer took by itself
+	checkpoints *telemetry.Counter
+	ckptNanos   *telemetry.Histogram
 
 	rr   atomic.Uint64 // round-robin dispatcher pick for Insert
 	stop chan struct{}
@@ -290,6 +301,7 @@ func Open(cfg Config) (*Cluster, error) {
 		Seed:        cfg.Seed,
 		FaultSeed:   cfg.DFSFaultSeed,
 		Sleep:       cfg.SleepFn,
+		Files:       cfg.Files,
 	}
 	if reg != nil {
 		localReads := reg.Histogram(`waterwheel_dfs_read_seconds{locality="local"}`,
@@ -330,9 +342,17 @@ func Open(cfg Config) (*Cluster, error) {
 		if s := ms.Schema().Servers; s > nTotal {
 			nTotal = s
 		}
+		// Claim every slot, retired ones included, the way a crash
+		// replacement does — in a new epoch generation: chunk names carry the
+		// slot's ownership epoch, and whatever the previous process wrote
+		// under the restored one or a later one it never checkpointed must
+		// not be met again. The claim is checkpointed below, before any
+		// consumer starts.
+		ms.StartGeneration()
 		walCfg := wal.Config{
 			Durability: durPolicy,
 			Interval:   time.Duration(cfg.FsyncIntervalMillis) * time.Millisecond,
+			Files:      cfg.Files,
 			Metrics: wal.Metrics{
 				FsyncBatch: reg.Histogram("waterwheel_wal_fsync_batch_records",
 					"records made durable per WAL group-commit fsync (unit: records, not seconds)"),
@@ -391,6 +411,10 @@ func Open(cfg Config) (*Cluster, error) {
 		"standby replay lag behind the partition head at an ownership flip (unit: records, not seconds)")
 	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
 		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
+	c.checkpoints = reg.Counter("waterwheel_checkpoints_total",
+		"completed checkpoints: metadata snapshot and chunk files on stable storage, WAL segments behind them unlinked")
+	c.ckptNanos = reg.Histogram("waterwheel_checkpoint_seconds",
+		"checkpoint latency, capture to last unlink (stage: checkpoint)")
 	c.coord = queryexec.NewCoordinator(queryexec.CoordinatorConfig{
 		Policy:  queryexec.PolicyByName(cfg.Policy),
 		Metrics: queryexec.NewCoordinatorMetrics(reg),
@@ -440,19 +464,15 @@ func Open(cfg Config) (*Cluster, error) {
 		Leaves:          cfg.TemplateLeaves,
 		Build:           compBuild,
 	}, c.fs, c.ms, compact.NewMetrics(reg), c.ret.retire)
-	if cfg.DataDir != "" {
-		c.ckptOffsets = make([]int64, nTotal)
-		for i := range c.ckptOffsets {
-			// A restored snapshot's offsets are already durable; a fresh
-			// deployment starts at zero either way.
-			c.ckptOffsets[i] = ms.Offset(i)
-		}
-	}
 	nDisp := cfg.Nodes * cfg.DispatchersPerNode
 	for i := 0; i < nDisp; i++ {
 		c.disp = append(c.disp, dispatcher.New(schema, walSink{c: c}, dispatcher.SamplerConfig{Seed: cfg.Seed + int64(i)}))
 	}
 	c.registerFuncMetrics()
+	if err := c.Checkpoint(); err != nil {
+		c.Stop()
+		return nil, fmt.Errorf("cluster: open checkpoint: %w", err)
+	}
 	return c, nil
 }
 
@@ -624,8 +644,9 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// watermark (consumers index straight from memory, possibly before any
 	// fsync), so the flusher syncs its unit's offset into the log before
 	// registering chunks and committing. ReleaseWAL: once it has committed,
-	// the partition drops its resident copy of what no replay will read, and
-	// the slot's standby, possibly parked, looks at the commit (reset rule).
+	// the partition drops its resident copy of what no replay will read, the
+	// slot's standby, possibly parked, looks at the commit (reset rule), and
+	// the checkpointer counts it.
 	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -642,6 +663,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 			if h := c.standby(i); h != nil {
 				h.sb.Wake()
 			}
+			c.commits.Add(1)
 		},
 		Metrics: c.ingestMetrics,
 		Epoch:   epoch,
@@ -652,17 +674,39 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 // metaSnapPath is the metadata snapshot file within a data directory.
 func metaSnapPath(dataDir string) string { return filepath.Join(dataDir, "meta.snap") }
 
-// Checkpoint persists the metadata server's state (chunk registry,
-// partition schema, WAL offsets) to the data directory. No-op without a
-// DataDir. Stop checkpoints automatically; call this for crash-safety
-// points in between.
+// checkpointCommits is the checkpoint cadence: one after this many flush
+// commits, cluster-wide. With FlushQueueDepth units in flight and one being
+// swapped it bounds what the log holds on disk, and what a hard crash
+// replays, at (checkpointCommits + FlushQueueDepth + 1) chunks' worth per
+// slot, whatever the uptime. A constant: a checkpoint is a full metadata
+// image, cheap against eight chunk writes while the registry holds thousands
+// of chunks (DESIGN, "The log on disk", says where that stops).
+const checkpointCommits = 8
+
+// Checkpoint makes everything flushed so far survive a host crash without
+// the log, then lets go of the log behind it. No-op without a DataDir. It
+// is a chain, and the order is the point — nothing is unlinked until what
+// replaces it is on stable storage:
+//
+//	capture the flush offsets → snapshot the metadata (offsets only grow, so
+//	the image records at least the captured ones) → fsync the chunk files
+//	written since the last checkpoint, the DFS manifest and their directory
+//	(the flusher does not: dfs.FS.Sync) → write meta.snap.tmp, fsync it,
+//	rename it over meta.snap, fsync the directory → fsync the log → unlink
+//	every WAL segment wholly below min(captured offset, replay floor), and
+//	the files of the chunks that retention or compaction had dropped.
+//
+// A failure at any step ends the chain there: every segment stays. The
+// checkpointer runs it every checkpointCommits flush commits; FlushAll, Open
+// (the epoch generation that names this process's chunks is durable before
+// it writes one), AddIndexServer and Stop run it synchronously.
 func (c *Cluster) Checkpoint() error {
 	if c.cfg.DataDir == "" {
 		return nil
 	}
-	// Capture the flush offsets BEFORE taking the snapshot: offsets only
-	// grow, so whatever the snapshot records is at least these values —
-	// making them a safe retention floor once the snapshot is durable.
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
+	start, n := time.Now(), c.ckptStarted.Add(1)
 	offs := make([]int64, c.log.Partitions())
 	for i := range offs {
 		offs[i] = c.ms.Offset(i)
@@ -671,26 +715,59 @@ func (c *Cluster) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	tmp := metaSnapPath(c.cfg.DataDir) + ".tmp"
-	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
+	if err := c.fs.Sync(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, metaSnapPath(c.cfg.DataDir)); err != nil {
+	path := metaSnapPath(c.cfg.DataDir)
+	if err := os.WriteFile(path+".tmp", snap, 0o644); err != nil {
 		return err
 	}
-	for i := 0; i < c.log.Partitions(); i++ {
+	if err := c.cfg.Files.Sync(path + ".tmp"); err != nil {
+		return err
+	}
+	if err := c.cfg.Files.Rename(path+".tmp", path); err != nil {
+		return err
+	}
+	if err := c.cfg.Files.Sync(c.cfg.DataDir); err != nil {
+		return err
+	}
+	for i := range offs {
 		if err := c.log.Partition(i).Sync(); err != nil {
 			return err
 		}
 	}
-	c.ckptMu.Lock()
-	copy(c.ckptOffsets, offs)
-	c.ckptMu.Unlock()
+	// The snapshot a hard crash restores names offs: records below them are
+	// in chunks it registers. The floor a lagging standby imposes is the
+	// same as for the memory release; a slot added since the capture has no
+	// durable floor yet and keeps everything.
+	for i, off := range offs {
+		c.log.Partition(i).Truncate(c.replayFloor(i, off))
+	}
+	// Likewise the files of chunks dropped before the snapshot was taken.
+	c.ckptDurable.Store(n)
+	c.ret.sweep()
+	c.checkpoints.Inc()
+	c.ckptNanos.Observe(time.Since(start))
 	return nil
 }
 
-// Start launches the ingestion consumers and, when configured, the
-// balancer loop.
+// checkpointer takes a checkpoint every checkpointCommits flush commits. It
+// parks on the commit count: an idle deployment checkpoints nothing.
+func (c *Cluster) checkpointer() {
+	defer c.wg.Done()
+	for next := int64(checkpointCommits); c.commits.Wait(next, c.stop) == nil; {
+		// Counted from before the capture: commits that land while the chain
+		// runs belong to the next one.
+		next = c.commits.Load() + checkpointCommits
+		// A failed chain leaves the log whole; the next cadence tries again.
+		if c.Checkpoint() == nil {
+			c.ckptAuto.Add(1)
+		}
+	}
+}
+
+// Start launches the ingestion consumers, with a DataDir the checkpointer,
+// and, when configured, the balancer loop.
 func (c *Cluster) Start() {
 	if c.started.Swap(true) {
 		return
@@ -703,6 +780,10 @@ func (c *Cluster) Start() {
 		if c.cfg.HotStandby {
 			c.StartStandby(i)
 		}
+	}
+	if c.cfg.DataDir != "" {
+		c.wg.Add(1)
+		go c.checkpointer()
 	}
 	if !c.cfg.DisableAdaptive && c.cfg.BalanceIntervalMillis > 0 {
 		c.wg.Add(1)
@@ -730,11 +811,11 @@ func (c *Cluster) Stop() {
 	// Close the flushers: they drain their queued snapshots, so the final
 	// checkpoint records their offsets.
 	c.stopIngest((*ingest.Server).Close)
+	_ = c.Checkpoint() // best effort; what it would record is also in the WAL
 	// Query traffic is over; force-delete any chunk files still parked
 	// behind in-flight-query horizons.
 	c.ret.drain()
 	if c.cfg.DataDir != "" {
-		c.Checkpoint() // best effort; state is also rebuildable from the WAL
 		for i := 0; i < c.log.Partitions(); i++ {
 			c.log.Partition(i).CloseFile()
 		}
@@ -853,7 +934,8 @@ func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 // over mid-wait is waited for on its successor. A non-nil error says the
 // barrier cannot be met: the error a slot's consumer died of (a replay
 // gap, an undecodable record — the slot's inserts are still acked from the
-// log, and applied by nobody until it is taken over), or ErrClosed.
+// log, and applied by nobody until it is taken over), the error a flusher
+// died of because no retry could mend it, or ErrClosed.
 func (c *Cluster) Drain() error {
 	if c.stopped.Load() {
 		return ErrClosed
@@ -869,7 +951,9 @@ func (c *Cluster) Drain() error {
 	// against the memtable's true extent, and the flusher's WAL release.
 	for i, srv := range c.servers() {
 		if srv != nil {
-			srv.DrainFlushes()
+			if err := srv.DrainFlushes(); err != nil {
+				return err
+			}
 			srv.PublishLive()
 			c.log.Partition(i).Release(c.replayFloor(i, c.ms.Offset(i)))
 		}
@@ -906,13 +990,19 @@ func (c *Cluster) waitApplied(slot int, head int64) error {
 	}
 }
 
-// FlushAll forces every indexing server to flush its memtables.
-func (c *Cluster) FlushAll() {
+// FlushAll forces every indexing server to flush its memtables and ends
+// with a checkpoint: an explicit flush is a durability point — when it
+// returns nil, what was buffered is in chunks on stable storage, the
+// metadata naming them is too, and the log holds only what arrived since.
+// The error is a flusher's that no retry can mend, or the checkpoint's.
+func (c *Cluster) FlushAll() error {
+	var errs []error
 	for _, srv := range c.servers() {
 		if srv != nil {
-			srv.FlushAll()
+			errs = append(errs, srv.FlushAll())
 		}
 	}
+	return errors.Join(append(errs, c.Checkpoint())...)
 }
 
 // TickBalance runs one adaptive-partitioning round: rotate the dispatcher
@@ -993,38 +1083,25 @@ func (c *Cluster) TickCompact() (demoted, merged int) {
 	return demoted, merged
 }
 
+// AutoCheckpoints reports how many checkpoints the checkpointer has taken on
+// its flush-commit cadence, not counting the ones a caller asked for.
+func (c *Cluster) AutoCheckpoints() int64 { return c.ckptAuto.Load() }
+
+// Recovered reports how many WAL records the current indexing servers
+// replayed on start — what the last crash or restart cost in replay.
+func (c *Cluster) Recovered() int64 {
+	var n int64
+	for _, srv := range c.servers() {
+		if srv != nil {
+			n += srv.Stats().Recovered.Load()
+		}
+	}
+	return n
+}
+
 // PendingRetiredDeletes reports how many retired chunk files are parked
 // awaiting in-flight-query drain.
 func (c *Cluster) PendingRetiredDeletes() int { return c.ret.pending() }
-
-// TruncateWALBefore advances each partition's logical retention horizon
-// to its replay floor: records already represented in chunks are no longer
-// needed for recovery. In DataDir mode the horizon is additionally capped
-// at the last durable checkpoint's offset — a hard crash restores metadata
-// from that snapshot, and records between its offset and the in-memory one
-// would be needed for replay. That cap is the only difference from the
-// memory horizon, which every flush commit advances to the replay floor by
-// itself (newIndexServer's ReleaseWAL): without a DataDir the two coincide
-// and this call finds nothing left to do.
-func (c *Cluster) TruncateWALBefore() {
-	for i := 0; i < c.log.Partitions(); i++ {
-		off := c.replayFloor(i, c.ms.Offset(i))
-		if c.cfg.DataDir != "" {
-			c.ckptMu.Lock()
-			if i < len(c.ckptOffsets) {
-				if ck := c.ckptOffsets[i]; ck < off {
-					off = ck
-				}
-			} else {
-				// A slot added after the last checkpoint has no durable
-				// floor yet: retain everything.
-				off = 0
-			}
-			c.ckptMu.Unlock()
-		}
-		c.log.Partition(i).Truncate(off)
-	}
-}
 
 // replayFloor returns the lowest offset of slot i's partition an in-process
 // reader may still ask for, given the slot's committed flush offset: a
@@ -1338,10 +1415,11 @@ func (c *Cluster) AddIndexServer() (int, error) {
 	if pi != id {
 		return 0, fmt.Errorf("cluster: slot/partition misalignment: slot %d, partition %d", id, pi)
 	}
-	if c.cfg.DataDir != "" {
-		c.ckptMu.Lock()
-		c.ckptOffsets = append(c.ckptOffsets, 0)
-		c.ckptMu.Unlock()
+	// The slot and its partition are durable before a tuple is routed to
+	// it: a hard crash must not restore a schema that has never heard of a
+	// partition holding acked records.
+	if err := c.Checkpoint(); err != nil {
+		return 0, fmt.Errorf("cluster: add server: %w", err)
 	}
 	srv := c.newIndexServer(id, newSchema.IntervalOf(id), c.ms.Epoch(id), false)
 	c.idxMu.Lock()
@@ -1459,7 +1537,9 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 		if c.stopped.Load() {
 			return fmt.Errorf("cluster: decommission (slot %d): %w", i, ErrClosed)
 		}
-		srv.FlushAll()
+		if err := srv.FlushAll(); err != nil {
+			return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
+		}
 	}
 	// 6. Fence forever: even a flusher goroutine that somehow survived
 	// cannot register under the retired slot again.

@@ -1,0 +1,92 @@
+package cluster
+
+import (
+	"path/filepath"
+	"strings"
+	"sync"
+
+	"waterwheel/internal/durable"
+)
+
+// fileOps records, in order, the durable-file operations a cluster performs
+// through its Config.Files seam, each classified by what the file is to a
+// checkpoint, and can fail the first operation of one class.
+type fileOps struct {
+	mu     sync.Mutex
+	on     bool
+	ops    []string
+	failAt string
+}
+
+// Classes of fileOps.ops entries.
+const (
+	opChunkSync    = "sync chunk"
+	opManifestSync = "sync manifest"
+	opDFSDirSync   = "sync dfs dir"
+	opSnapSync     = "sync meta.snap.tmp"
+	opSnapRename   = "rename meta.snap"
+	opDataDirSync  = "sync data dir"
+	opSegmentSync  = "sync segment"
+	opWALDirSync   = "sync wal dir"
+	opSegmentRm    = "remove segment"
+)
+
+func classify(dataDir string, op durable.Op, path string) string {
+	rel, err := filepath.Rel(dataDir, path)
+	if err != nil {
+		return string(op) + " " + path
+	}
+	switch {
+	case op == durable.OpSync && rel == ".":
+		return opDataDirSync
+	case op == durable.OpSync && rel == "dfs":
+		return opDFSDirSync
+	case op == durable.OpSync && rel == filepath.Join("dfs", "MANIFEST.json"):
+		return opManifestSync
+	case op == durable.OpSync && strings.HasPrefix(rel, "dfs"):
+		return opChunkSync
+	case op == durable.OpSync && rel == "meta.snap.tmp":
+		return opSnapSync
+	case op == durable.OpRename && rel == "meta.snap":
+		return opSnapRename
+	case op == durable.OpSync && strings.HasSuffix(rel, ".seg"):
+		return opSegmentSync
+	case op == durable.OpSync && strings.HasPrefix(rel, "wal"):
+		return opWALDirSync
+	case op == durable.OpRemove && strings.HasSuffix(rel, ".seg"):
+		return opSegmentRm
+	}
+	return string(op) + " " + rel
+}
+
+// files returns the seam to put in Config.Files for a cluster over dataDir.
+func (f *fileOps) files(dataDir string) *durable.Files {
+	return &durable.Files{Hook: func(op durable.Op, path string) error {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if !f.on {
+			return nil
+		}
+		class := classify(dataDir, op, path)
+		f.ops = append(f.ops, class)
+		if class == f.failAt {
+			f.failAt = ""
+			return errInjectedFileOp
+		}
+		return nil
+	}}
+}
+
+// record starts a recording, failing the first operation of class failAt
+// ("" for none); the returned func ends it and returns what was seen.
+func (f *fileOps) record(failAt string) (stop func() []string) {
+	f.mu.Lock()
+	f.on, f.ops, f.failAt = true, nil, failAt
+	f.mu.Unlock()
+	return func() []string {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.on = false
+		return f.ops
+	}
+}

@@ -43,6 +43,7 @@ func TestTruncateFloorsAtStandbyReplay(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 1
 	cfg.IndexServersPerNode = 1
+	cfg.DataDir = t.TempDir() // a log on disk: what a checkpoint truncates
 	c := startCluster(t, cfg)
 	if err := c.StartStandby(0); err != nil {
 		t.Fatal(err)
@@ -74,7 +75,9 @@ func TestTruncateFloorsAtStandbyReplay(t *testing.T) {
 	if fl := c.replayFloor(0, c.Metadata().Offset(0)); fl != pos {
 		t.Fatalf("replayFloor = %d, want the standby's frozen position %d", fl, pos)
 	}
-	c.TruncateWALBefore()
+	if err := c.Checkpoint(); err != nil { // FlushAll took one already; either truncates
+		t.Fatal(err)
+	}
 	if base := c.WAL().Partition(0).Base(); base > pos {
 		t.Fatalf("truncation compacted past the standby: base %d > replay position %d", base, pos)
 	}
@@ -90,6 +93,7 @@ func TestPromoteAfterTruncateKeepsAckedTuples(t *testing.T) {
 	// Let the planned handoff proceed however far behind the standby is —
 	// the point of the test is promoting a lagging shadow.
 	cfg.StandbyLagRecords = 1 << 30
+	cfg.DataDir = t.TempDir()
 	c := startCluster(t, cfg)
 	if err := c.StartStandby(0); err != nil {
 		t.Fatal(err)
@@ -108,9 +112,8 @@ func TestPromoteAfterTruncateKeepsAckedTuples(t *testing.T) {
 		}
 	}
 	c.Drain()
-	c.FlushAll()
+	c.FlushAll() // ends with a checkpoint, which truncates the log
 	c.Drain()
-	c.TruncateWALBefore()
 	if err := c.PromoteStandby(0); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,6 @@ func TestRetentionAfterDecommission(t *testing.T) {
 	if n := c.DropChunksBefore(1026); n == 0 {
 		t.Fatal("retention dropped nothing")
 	}
-	c.TruncateWALBefore()
 	// Queries still answer correctly over the remaining data — dropped
 	// chunks held only tuples below the horizon.
 	res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 1026, Hi: 2999}})

@@ -8,9 +8,16 @@
 // race (file deleted between metadata drop and its read) gets the typed
 // queryexec.ErrRetired, which the coordinator resolves against current
 // metadata instead of failing the query.
+//
+// With a DataDir the file must also outlive every metadata snapshot that
+// still names it: a crash restores the last checkpoint, and a registry
+// pointing at an unlinked file fails every query that touches it. So the
+// delete waits for a checkpoint taken after the drop (Cluster.Checkpoint
+// sweeps when it is done) — the same rule the WAL's segments follow.
 package cluster
 
 import (
+	"math"
 	"sync"
 
 	"waterwheel/internal/meta"
@@ -23,6 +30,9 @@ type retiredChunk struct {
 	// query that could have planned this chunk has ID <= horizon. The
 	// file is deletable once every active query ID exceeds it.
 	horizon uint64
+	// ckpt is the number of checkpoints started when the chunk was dropped:
+	// one numbered above it snapshots metadata that no longer names the chunk.
+	ckpt int64
 }
 
 // retirer defers chunk-file deletion until in-flight queries drain.
@@ -47,41 +57,36 @@ func (r *retirer) retire(infos []meta.ChunkInfo) {
 			qs.EvictChunk(ci.ID)
 		}
 	}
-	horizon := r.c.ms.QueryHorizon()
+	horizon, ckpt := r.c.ms.QueryHorizon(), r.c.ckptStarted.Load()
 	r.mu.Lock()
 	for _, ci := range infos {
-		r.q = append(r.q, retiredChunk{info: ci, horizon: horizon})
+		r.q = append(r.q, retiredChunk{info: ci, horizon: horizon, ckpt: ckpt})
 	}
 	r.mu.Unlock()
 	r.sweep()
 }
 
-// sweep deletes every queued file whose gating queries have completed.
-func (r *retirer) sweep() {
-	oldest := r.c.ms.OldestActiveQuery()
+// sweep deletes every queued file whose gating queries have completed and
+// whose drop a durable checkpoint records.
+func (r *retirer) sweep() { r.unlink(r.c.ms.OldestActiveQuery()) }
+
+// drain deletes everything queued that a checkpoint covers, regardless of
+// query horizons. Only for shutdown, after query traffic has stopped.
+func (r *retirer) drain() { r.unlink(math.MaxUint64) }
+
+func (r *retirer) unlink(oldestQuery uint64) {
+	durable := r.c.ckptDurable.Load()
 	r.mu.Lock()
 	var doomed []retiredChunk
 	kept := r.q[:0]
 	for _, rc := range r.q {
-		if rc.horizon < oldest {
+		if rc.horizon < oldestQuery && (r.c.cfg.DataDir == "" || rc.ckpt < durable) {
 			doomed = append(doomed, rc)
 		} else {
 			kept = append(kept, rc)
 		}
 	}
 	r.q = kept
-	r.mu.Unlock()
-	for _, rc := range doomed {
-		r.c.fs.Delete(rc.info.Path)
-	}
-}
-
-// drain force-deletes everything queued, regardless of query horizons.
-// Only for shutdown, after query traffic has stopped.
-func (r *retirer) drain() {
-	r.mu.Lock()
-	doomed := r.q
-	r.q = nil
 	r.mu.Unlock()
 	for _, rc := range doomed {
 		r.c.fs.Delete(rc.info.Path)

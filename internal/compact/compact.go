@@ -265,7 +265,11 @@ func (cp *Compactor) merge(server int, day int64, g []meta.ChunkInfo) error {
 	if err != nil {
 		return fmt.Errorf("compact: build downsampled chunk: %w", err)
 	}
-	path := fmt.Sprintf("chunks/compact-is%d-d%d-%d", server, day, cp.seq.Add(1))
+	// Named like the slot's own chunks: under its ownership epoch, which a
+	// process claims afresh for every slot, in a generation of its own,
+	// before it runs (meta.StartGeneration): the per-process sequence never
+	// meets an old name.
+	path := fmt.Sprintf("chunks/compact-is%d-e%d-d%d-%d", server, cp.ms.Epoch(server), day, cp.seq.Add(1))
 	if err := cp.fs.Write(path, data); err != nil {
 		return fmt.Errorf("compact: write %s: %w", path, err)
 	}

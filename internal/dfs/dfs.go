@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"waterwheel/internal/durable"
 )
 
 // Errors returned by the file system.
@@ -93,6 +94,9 @@ type Config struct {
 	// served by a co-located replica — the telemetry hook for injected
 	// I/O cost. Must be cheap; called on the read path.
 	ObserveRead func(latency time.Duration, local bool)
+	// Files performs Sync's fsyncs (nil: the plain OS), so a test can watch
+	// their order against a checkpoint's other files.
+	Files *durable.Files
 }
 
 // Metrics counts file-system activity.
@@ -128,6 +132,11 @@ type FS struct {
 	alive []bool
 	used  []int64 // bytes per node
 	rng   *rand.Rand
+	// unsynced lists the Dir-backed files written since the last Sync, and
+	// manifestUnsynced says the manifest was rewritten since; see Sync.
+	unsynced         []string
+	manifestUnsynced bool
+	syncMu           sync.Mutex
 
 	// Fault injection (chaos testing): transient error rates and one-shot
 	// failure budgets, under their own lock so read-path injection does not

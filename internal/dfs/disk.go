@@ -101,6 +101,7 @@ func (fs *FS) saveManifestLocked() error {
 	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 		return err
 	}
+	fs.manifestUnsynced = true
 	return os.Rename(tmp, filepath.Join(fs.cfg.Dir, manifestName))
 }
 
@@ -110,7 +111,55 @@ func (fs *FS) persistWriteLocked(name string, data []byte) error {
 	if err := os.WriteFile(fs.diskPath(name), data, 0o644); err != nil {
 		return fmt.Errorf("dfs: persist %s: %w", name, err)
 	}
+	fs.unsynced = append(fs.unsynced, name)
 	return fs.saveManifestLocked()
+}
+
+// Sync puts every Dir-backed file written since the last Sync, the manifest
+// that names them and the directory on stable storage — outside fs.mu, so
+// writes and reads go on meanwhile. Write itself does not fsync (a flusher
+// must not wait on the disk's sync rate); a checkpoint calls Sync before it
+// lets go of the log records the files replace. The manifest is synced after
+// the files and a pass repeats while writes keep landing, so the manifest
+// that ends up durable never names a file that is not. A no-op in memory.
+func (fs *FS) Sync() error {
+	if fs.cfg.Dir == "" {
+		return nil
+	}
+	fs.syncMu.Lock()
+	defer fs.syncMu.Unlock()
+	for {
+		fs.mu.Lock()
+		names, manifest := fs.unsynced, fs.manifestUnsynced
+		fs.unsynced, fs.manifestUnsynced = nil, false
+		fs.mu.Unlock()
+		if len(names) == 0 && !manifest {
+			return nil
+		}
+		err := fs.syncFiles(names)
+		if err != nil {
+			// Owed again at the next Sync.
+			fs.mu.Lock()
+			fs.unsynced = append(names, fs.unsynced...)
+			fs.manifestUnsynced = true
+			fs.mu.Unlock()
+			return fmt.Errorf("dfs: sync: %w", err)
+		}
+	}
+}
+
+// syncFiles fsyncs the named files, then the manifest, then the directory.
+func (fs *FS) syncFiles(names []string) error {
+	for _, name := range names {
+		// A file deleted since it was written has nothing left to keep.
+		if err := fs.cfg.Files.Sync(fs.diskPath(name)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	if err := fs.cfg.Files.Sync(filepath.Join(fs.cfg.Dir, manifestName)); err != nil {
+		return err
+	}
+	return fs.cfg.Files.Sync(fs.cfg.Dir)
 }
 
 // readBacking reads [offset, offset+length) of a file's backing bytes. The

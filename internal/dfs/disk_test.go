@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"waterwheel/internal/durable"
 )
 
 func newDiskFS(t *testing.T, dir string) *FS {
@@ -250,5 +254,75 @@ func TestDirSizeMismatchIsTypedOpenError(t *testing.T) {
 	}
 	if _, err := Open(cfg); err == nil || errors.Is(err, ErrSizeMismatch) {
 		t.Fatalf("open over a missing backing file = %v, want a load error", err)
+	}
+}
+
+// TestSyncCoversFilesManifestAndDirectory: Write does not fsync; Sync does,
+// for every file written since the last one, then the manifest naming them,
+// then the directory — and owes it all again after a failure. Nothing is
+// owed twice, a deleted file is skipped, and in memory it is a no-op.
+func TestSyncCoversFilesManifestAndDirectory(t *testing.T) {
+	dir := t.TempDir()
+	var ops []string
+	var fail string
+	files := &durable.Files{Hook: func(op durable.Op, path string) error {
+		rel, _ := filepath.Rel(dir, path)
+		ops = append(ops, string(op)+" "+rel)
+		if rel == fail {
+			fail = ""
+			return errors.New("injected fsync failure")
+		}
+		return nil
+	}}
+	fs, err := Open(Config{Nodes: 3, Replication: 2, Seed: 1, Dir: dir, Files: files, Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncOps := func() []string {
+		t.Helper()
+		ops = nil
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return ops
+	}
+	if got := syncOps(); len(got) != 0 {
+		t.Fatalf("Sync over a fresh directory did %v", got)
+	}
+	fs.Write("chunks/a", []byte("alpha"))
+	fs.Write("chunks/b", []byte("beta"))
+	if len(ops) != 0 {
+		t.Fatalf("Write synced by itself: %v", ops)
+	}
+	want := []string{"sync chunks%2Fa", "sync chunks%2Fb", "sync " + manifestName, "sync ."}
+	if got := syncOps(); !slices.Equal(got, want) {
+		t.Fatalf("Sync did %v, want %v", got, want)
+	}
+	if got := syncOps(); len(got) != 0 {
+		t.Fatalf("a second Sync with nothing written did %v", got)
+	}
+
+	// A failure leaves everything owed; a delete owes the manifest alone.
+	fs.Write("chunks/c", []byte("gamma"))
+	fs.Write("chunks/d", []byte("delta"))
+	fs.Delete("chunks/c")
+	fail, ops = manifestName, nil
+	if err := fs.Sync(); err == nil {
+		t.Fatal("Sync swallowed an fsync failure")
+	}
+	want = []string{"sync chunks%2Fc", "sync chunks%2Fd", "sync " + manifestName, "sync ."}
+	if got := syncOps(); !slices.Equal(got, want) {
+		t.Fatalf("Sync after a failed one did %v, want %v", got, want)
+	}
+	fs.Delete("chunks/d")
+	if got := syncOps(); !slices.Equal(got, want[2:]) {
+		t.Fatalf("Sync after a delete did %v, want %v", got, want[2:])
+	}
+
+	mem := New(Config{Nodes: 1, Files: files})
+	mem.Write("x", []byte("y"))
+	ops = nil
+	if err := mem.Sync(); err != nil || len(ops) != 0 {
+		t.Fatalf("in-memory Sync: %v, ops %v", err, ops)
 	}
 }

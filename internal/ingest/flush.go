@@ -18,16 +18,20 @@
 // parks the flusher ("stop the line"); the snapshot stays queryable and is
 // retried on the next flush trigger. WAL offsets commit only for the
 // contiguous persisted prefix, so SetOffset never advances past data that
-// is not yet durable and a restart replays no gap.
+// is not yet durable and a restart replays no gap. A write that cannot
+// succeed on retry (the name is taken) ends the flusher instead: the error
+// fails the pipeline's event count, and Drain and Flush report it.
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"waterwheel/internal/chunk"
 	"waterwheel/internal/core"
+	"waterwheel/internal/dfs"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
 )
@@ -250,10 +254,27 @@ func (s *Server) flusher() {
 }
 
 // flushWithRetry persists one snapshot, parking between failed attempts.
-// Returns false when the server stopped before the snapshot persisted.
+// Returns false when the server stopped before the snapshot persisted, or
+// the attempt failed in a way no retry can mend.
 func (s *Server) flushWithRetry(pf *pendingFlush) bool {
 	backoff := time.Millisecond
-	for !s.processFlush(pf) {
+	for {
+		err := s.processFlush(pf)
+		if err == nil {
+			return true
+		}
+		if errors.Is(err, dfs.ErrExists) || errors.Is(err, dfs.ErrSizeMismatch) {
+			// The chunk's name is taken, or the store disowns what it holds
+			// under it: the same write fails the same way for good. Say so to
+			// whoever waits on the pipeline, and let go of an inserter blocked
+			// on the full queue; the unit stays queryable, uncommitted, and
+			// the log replays it for whoever takes the slot over.
+			s.flushEvents.Fail(fmt.Errorf("ingest: flush (server %d): %w", s.cfg.ID, err))
+			if !s.stopped.Swap(true) {
+				close(s.stopCh)
+			}
+			return false
+		}
 		if s.fenced.Load() {
 			// Deposed incarnation: the metadata server rejects its writes
 			// for good. Exit instead of retrying forever; the new owner
@@ -282,23 +303,27 @@ func (s *Server) flushWithRetry(pf *pendingFlush) bool {
 		}
 		s.parked.Store(false)
 	}
-	return true
 }
+
+// errFlushAbandoned is processFlush's answer on a server that may persist
+// nothing any more (fenced or aborted).
+var errFlushAbandoned = errors.New("ingest: flush abandoned")
 
 // processFlush builds, writes and registers one flush unit. Every part is
 // written to the DFS before any is registered, and all parts register in a
 // single metadata critical section (RegisterChunks) together with the offset
 // commit: a query plan sees either none or all of the unit's chunks, and the
-// WAL offset never covers a part that is not durable. Returns false when the
-// DFS refused a write; the unit then stays queryable in the pending list and
-// the caller decides when to retry. The attempt count moves last, whatever
-// the outcome (it publishes it), then the pipeline's event count.
-func (s *Server) processFlush(pf *pendingFlush) bool {
+// WAL offset never covers a part that is not durable. Returns the error when
+// the DFS refused a write (or the log its sync, or metadata the registration);
+// the unit then stays queryable in the pending list and the caller decides
+// whether a retry can help. The attempt count moves last, whatever the outcome
+// (it publishes it), then the pipeline's event count.
+func (s *Server) processFlush(pf *pendingFlush) error {
 	defer func() { pf.attempts.Add(1); s.flushEvents.Add(1) }()
 	if s.fenced.Load() || s.aborted.Load() {
 		// Deposed or crashed: nothing may persist or commit any more, and
 		// this entry will never reach flushDone.
-		return false
+		return errFlushAbandoned
 	}
 	flushStart := time.Now()
 	infos := make([]meta.ChunkInfo, len(pf.parts))
@@ -324,7 +349,10 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 		if part.side {
 			kind = "side"
 		}
-		path := fmt.Sprintf("chunks/is%d-g%d-%s%d", s.cfg.ID, s.incarnation, kind, pf.seq)
+		// An ownership epoch is never handed out twice (meta.StartGeneration),
+		// so neither a successor in this process nor one in the next can take
+		// this name.
+		path := fmt.Sprintf("chunks/is%d-e%d-%s%d", s.cfg.ID, s.epoch.Load(), kind, pf.seq)
 		werr := error(nil)
 		if s.cfg.FlushFailHook != nil {
 			werr = s.cfg.FlushFailHook(s.cfg.ID, pf.seq, pf.attempts.Load())
@@ -337,7 +365,7 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 			// registers and no offset commits until every part is written.
 			s.stats.FlushFailures.Add(1)
 			pf.state.Store(int32(flushFailed))
-			return false
+			return werr
 		}
 		// The chunk's data region: the tuples' exact bounding box, which is
 		// at least as tight as the actual key interval × flush window.
@@ -367,7 +395,7 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 		if err := s.cfg.SyncWAL(pf.offset); err != nil {
 			s.stats.FlushFailures.Add(1)
 			pf.state.Store(int32(flushFailed))
-			return false
+			return err
 		}
 	}
 	// Registration, horizon publication and offset commit happen in one
@@ -382,7 +410,7 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 		// covers these tuples. Abort's pendMu barrier orders this check
 		// strictly against the crash.
 		s.pendMu.Unlock()
-		return false
+		return errFlushAbandoned
 	}
 	var regs []meta.ChunkInfo
 	if e := s.epoch.Load(); e > 0 {
@@ -412,7 +440,7 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 			s.stats.FlushFailures.Add(1)
 			pf.state.Store(int32(flushFailed))
 			s.pendMu.Unlock()
-			return false
+			return rerr
 		}
 		if commit > s.committedOff {
 			s.committedOff = commit
@@ -442,7 +470,7 @@ func (s *Server) processFlush(pf *pendingFlush) bool {
 	s.stats.FlushBytes.Add(totalBytes)
 	s.cfg.Metrics.FlushNanos.Observe(time.Since(flushStart))
 	s.reportLive()
-	return true
+	return nil
 }
 
 // commitOffsetsLocked records the WAL replay offset (§V) covering the
@@ -500,7 +528,7 @@ func (s *Server) processBacklogUpTo(maxSeq int) {
 		if next == nil {
 			return
 		}
-		if !s.processFlush(next) {
+		if s.processFlush(next) != nil {
 			return // outage: leave the rest for a later retry
 		}
 	}
@@ -581,9 +609,16 @@ func (s *Server) PendingFlushes() int {
 // DrainFlushes blocks until every enqueued snapshot has been attempted —
 // registered, or failed with the flusher parked awaiting a retry trigger —
 // or the flusher has exited. After a clean drain (no failures) all swapped
-// data is in registered chunks and the committed WAL offset covers it.
-func (s *Server) DrainFlushes() {
+// data is in registered chunks and the committed WAL offset covers it. The
+// error is the one a flusher died of because no retry could mend it; a
+// server stopped from outside (Close, Abort, fenced) drains to nil.
+func (s *Server) DrainFlushes() error {
 	s.awaitFlush(nil, func() bool { return s.flushBacklog() == 0 || s.parked.Load() })
+	// A flusher that died leaves no backlog behind either: ask how it ended.
+	if err := s.flushEvents.Err(); !errors.Is(err, ErrStopped) {
+		return err
+	}
+	return nil
 }
 
 // AwaitPendingFlush blocks until PendingFlushes() > 0; false when cancel

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -384,5 +385,52 @@ func TestSwapBetweenBoundsAndInsertKeepsLiveRegion(t *testing.T) {
 	}
 	if lr.MinTime > 4000 || !lr.Keys.Contains(7) || !lr.Keys.Contains(9) {
 		t.Fatalf("live region %+v does not cover the batch (keys 7, 9 from time 4000)", lr)
+	}
+}
+
+// squattedWriter refuses every Write the way the DFS refuses a taken name.
+type squattedWriter struct{ inner ChunkWriter }
+
+func (w squattedWriter) Write(name string, data []byte) error {
+	return fmt.Errorf("%w: %s", dfs.ErrExists, name)
+}
+
+// TestUnretryableWriteEndsTheFlusher: dfs.ErrExists fails the same way at
+// every retry. The flusher gives up after one attempt instead of parking:
+// Flush and DrainFlushes return, DrainFlushes with the error, an inserter
+// blocked on the full queue is let go, and the tuples stay queryable from
+// memory — uncommitted, for whoever replays the log.
+func TestUnretryableWriteEndsTheFlusher(t *testing.T) {
+	srv, ms := newPipelineEnv(t, func(fs ChunkWriter) ChunkWriter { return squattedWriter{fs} },
+		Config{ChunkBytes: 4 << 10, FlushQueueDepth: 1})
+	done := make(chan error, 1)
+	go func() {
+		// Several thresholds' worth: without the release the second or third
+		// crossing would block on the one-slot queue for good.
+		for i := 0; i < 2000; i++ {
+			srv.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(1000 + i), Payload: make([]byte, 16)})
+		}
+		done <- srv.FlushAll()
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, dfs.ErrExists) {
+			t.Fatalf("FlushAll: %v, want dfs.ErrExists", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("inserts or FlushAll parked behind a write that cannot succeed")
+	}
+	if err := srv.DrainFlushes(); !errors.Is(err, dfs.ErrExists) {
+		t.Fatalf("DrainFlushes: %v, want dfs.ErrExists", err)
+	}
+	if n := srv.Stats().FlushFailures.Load(); n != 1 {
+		t.Fatalf("%d flush attempts failed, want the one that ended the flusher", n)
+	}
+	if ms.ChunkCount() != 0 || ms.Offset(0) != 0 {
+		t.Fatalf("%d chunks registered, offset %d committed, by a flusher that wrote nothing", ms.ChunkCount(), ms.Offset(0))
+	}
+	res := srv.ExecuteSubQuery(&model.SubQuery{Region: model.FullRegion()})
+	if len(res.Tuples) != 2000 {
+		t.Fatalf("%d of 2000 tuples still served from memory", len(res.Tuples))
 	}
 }

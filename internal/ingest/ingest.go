@@ -138,9 +138,6 @@ func (c *Config) fill() {
 	}
 }
 
-// nextIncarnation hands every server instance a process-unique id.
-var nextIncarnation atomic.Uint64
-
 // Stats counts indexing-server activity.
 type Stats struct {
 	Ingested      atomic.Int64
@@ -228,9 +225,6 @@ type Server struct {
 	// incarnation has been deposed and its flusher must stop retrying.
 	fenced atomic.Bool
 
-	// incarnation distinguishes chunk paths across server restarts, so a
-	// recovered server never collides with its predecessor's files.
-	incarnation uint64
 	// consumed is the WAL offset of the next record to consume; every record
 	// below it has been applied to the trees (see insertBatchAt). Consume,
 	// Close and Abort fail it: this incarnation applies nothing more.
@@ -258,7 +252,6 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		retryCh:      make(chan struct{}, 1),
 		stopCh:       make(chan struct{}),
 		flusherDone:  make(chan struct{}),
-		incarnation:  nextIncarnation.Add(1),
 	}
 	if cfg.SideThresholdMillis > 0 {
 		sideCfg := tc
@@ -577,10 +570,10 @@ func (s *Server) Flush() (meta.ChunkInfo, bool) {
 // FlushAll flushes both the main memtable and the side store (a single
 // Flush swaps both trees as one unit), then drains the pipeline so every
 // snapshot is persisted (or awaiting retry after a DFS outage) when it
-// returns.
-func (s *Server) FlushAll() {
+// returns; the error is DrainFlushes's.
+func (s *Server) FlushAll() error {
 	s.Flush()
-	s.DrainFlushes()
+	return s.DrainFlushes()
 }
 
 // boundingKeys computes the exact key bounding box of a snapshot from its

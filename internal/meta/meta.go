@@ -196,6 +196,7 @@ type Server struct {
 	offsets   []int64
 	epochs    []int64
 	handoffs  []int64
+	gen       int64 // process generation new epochs start in; see StartGeneration
 	queries   map[uint64]QueryInfo
 	nextChunk uint64
 	nextQuery uint64

@@ -13,6 +13,33 @@ import (
 // reach the chunk registry or the replay offsets.
 var ErrFenced = errors.New("meta: ownership epoch fenced")
 
+// epochGenShift splits an ownership epoch in two: the high half counts the
+// processes that opened the deployment (StartGeneration), the low half the
+// ownership transfers within one. Transfers move the low half in memory, and
+// reach a snapshot only at the next checkpoint; the high half is durable
+// before its process writes anything. So an epoch — and a chunk name carrying
+// it — is never handed out twice, whatever the last process left unsaved.
+const epochGenShift = 32
+
+// StartGeneration claims every slot, retired ones included, for a process
+// that has just restored (or created) this server: each epoch moves to the
+// first of a generation no earlier process used, which fences whatever the
+// previous owner might still have had in flight, and each handoff offset to
+// the slot's committed offset, where the claimant's replay starts. The
+// caller makes the claim durable before it builds a server under it.
+func (s *Server) StartGeneration() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.epochs {
+		s.gen = max(s.gen, e>>epochGenShift)
+	}
+	s.gen++
+	for i := range s.epochs {
+		s.epochs[i] = s.gen<<epochGenShift + 1
+		s.handoffs[i] = s.offsets[i]
+	}
+}
+
 // Epoch returns the current ownership epoch of a slot. Epochs start at 1
 // and bump on every TransferOwnership; an indexing-server incarnation
 // records the epoch it was built under and is fenced once it lags.
@@ -133,7 +160,7 @@ func (s *Server) AddServer(splitFrom int, at model.Key) (PartitionSchema, int, e
 		Bounds:  bounds,
 	}
 	s.offsets = append(s.offsets, 0)
-	s.epochs = append(s.epochs, 1)
+	s.epochs = append(s.epochs, s.gen<<epochGenShift+1)
 	s.handoffs = append(s.handoffs, 0)
 	s.actual = append(s.actual, s.schema.IntervalOf(id))
 	s.live = append(s.live, LiveRegion{Server: id, Keys: s.actual[id], Empty: true})

@@ -199,3 +199,57 @@ func TestSetSchemaOverActiveSlots(t *testing.T) {
 		t.Fatal("bound count not validated against active slots")
 	}
 }
+
+// TestStartGenerationNeverReusesAnEpoch: a process claims every slot in an
+// epoch generation of its own, so the epochs it hands out later — in memory,
+// snapshotted only at the next checkpoint — cannot come back after a crash
+// that restores the older snapshot.
+func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
+	s := NewServer(2)
+	s.SetOffset(1, 40)
+	s.StartGeneration()
+	first := s.Epoch(0)
+	if first>>epochGenShift != 1 || s.Epoch(1) != first {
+		t.Fatalf("claimed epochs %#x, %#x; want the first of generation 1", first, s.Epoch(1))
+	}
+	if got := s.HandoffOffset(1); got != 40 {
+		t.Fatalf("claim recorded handoff offset %d, want the committed 40", got)
+	}
+	// The previous owner (epoch 1) is fenced by the claim.
+	if err := s.SetOffsetOwned(0, 1, 7); !errors.Is(err, ErrFenced) {
+		t.Fatalf("pre-claim epoch still writes: %v", err)
+	}
+	durable, err := s.Snapshot() // what a checkpoint right after Open holds
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Later, in memory only: two takeovers and a new slot.
+	used := map[int64]bool{first: true}
+	for i := 0; i < 2; i++ {
+		e, _, _ := s.TransferOwnership(0, 0)
+		used[e] = true
+	}
+	_, id, err := s.AddServer(0, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := s.Epoch(id); e>>epochGenShift != 1 {
+		t.Fatalf("slot added in generation 1 starts at epoch %#x", e)
+	}
+	used[s.Epoch(id)] = true
+
+	// Crash: the next process restores the older snapshot and claims.
+	r, err := Restore(durable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.StartGeneration()
+	for i := 0; i < 4; i++ {
+		if e, _, _ := r.TransferOwnership(0, 0); used[e] {
+			t.Fatalf("epoch %#x handed out by two processes", e)
+		}
+	}
+	if used[r.Epoch(1)] || r.Epoch(1)>>epochGenShift != 2 {
+		t.Fatalf("second process claimed epoch %#x", r.Epoch(1))
+	}
+}

@@ -63,7 +63,7 @@ func TestAppendBatchCopiesData(t *testing.T) {
 
 func TestAppendBatchPersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, err := OpenPartitionFile(path)
+	p, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAppendBatchPersistsAcrossReopen(t *testing.T) {
 	p.Sync()
 	p.CloseFile()
 
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAppendBatchAllOrNothingOnDiskFailure(t *testing.T) {
 	// did not take. Inject the failure by swapping the handle for a
 	// read-only one.
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, err := OpenPartitionFile(path)
+	p, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAppendBatchAllOrNothingOnDiskFailure(t *testing.T) {
 	}
 	p.mu.Lock()
 	p.file.Close()
-	ro, err := os.Open(path) // O_RDONLY: writes fail with EBADF
+	ro, err := os.Open(lastSegment(t, path)) // O_RDONLY: writes fail with EBADF
 	if err != nil {
 		p.mu.Unlock()
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestAppendBatchSingleFsyncCohort(t *testing.T) {
 	if err := p.CrashDiscardUnsynced(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,18 @@ package wal
 // The watermark (Partition.synced) is also the ceiling for everything else
 // that claims durability: flush-offset commits call SyncTo so a committed
 // offset never exceeds what the log can actually replay after a host
-// crash, and the chaos harness's hard-crash mode truncates the segment
-// back to syncedBytes to simulate losing the page cache.
+// crash, and the chaos harness's hard-crash mode cuts the segments back to
+// it to simulate losing the page cache.
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/telemetry"
 )
 
@@ -90,6 +93,9 @@ type Config struct {
 	// (default 50ms).
 	Interval time.Duration
 	Metrics  Metrics
+	// Files performs the directory syncs and unlinks (nil: the plain OS), so
+	// a test can watch their order against a checkpoint's other files.
+	Files *durable.Files
 }
 
 const defaultFsyncInterval = 50 * time.Millisecond
@@ -187,8 +193,9 @@ func (p *Partition) stopCommitter() {
 }
 
 // HoldFsyncs keeps the partition from issuing any fsync — committer
-// cohorts, SyncTo, Sync — until the returned release is called; appends keep
-// landing in the segment meanwhile. Test hook, like FailNextAppends: it
+// cohorts, SyncTo, Sync, and with them Truncate — until the returned release
+// is called; appends keep landing in the segments, and rolling them,
+// meanwhile. Test hook, like FailNextAppends: it
 // freezes the watermark so a test can observe what reached the log before
 // anyone was acked.
 func (p *Partition) HoldFsyncs() (release func()) {
@@ -220,10 +227,14 @@ func (p *Partition) waitSyncedLocked(target int64) error {
 	return p.fileErr
 }
 
-// syncCohort issues one fsync covering everything appended so far and
-// advances the watermark. syncMu keeps fsyncs from racing Compact's file
-// swap; p.mu is dropped for the fsync itself so appends keep flowing —
-// that in-flight window is precisely where the next cohort accumulates.
+// syncCohort makes everything appended so far durable and advances the
+// watermark: one fsync of the active segment, plus — when the log rolled
+// since the last cohort — one of each segment closed in between and one of
+// the directory that names the new files. The files are synced by path,
+// through descriptors of the cohort's own, so a roll may close the handle it
+// wrote through at any time. p.mu is dropped for the fsyncs so appends keep
+// flowing — that in-flight window is precisely where the next cohort
+// accumulates.
 func (p *Partition) syncCohort() error {
 	p.syncMu.Lock()
 	defer p.syncMu.Unlock()
@@ -239,16 +250,23 @@ func (p *Partition) syncCohort() error {
 		return nil
 	}
 	head := p.headLocked()
-	bytes := p.fileBytes
 	if head <= p.synced {
 		p.mu.Unlock()
 		return nil
 	}
-	f := p.file
+	unsynced := slices.Clone(p.unsyncedLocked())
 	start := time.Now()
 	p.mu.Unlock()
 
-	err := f.Sync()
+	var err error
+	for _, s := range unsynced {
+		if err = p.files.Sync(p.segPath(s.base)); err != nil {
+			break
+		}
+	}
+	if err == nil && len(unsynced) > 1 {
+		err = p.files.Sync(p.path)
+	}
 
 	p.mu.Lock()
 	if err != nil {
@@ -262,12 +280,22 @@ func (p *Partition) syncCohort() error {
 		if head > p.synced {
 			p.met.FsyncBatch.Observe(time.Duration(head-p.synced) * time.Second)
 			p.synced = head
-			p.syncedBytes = bytes
+			p.syncedAt = unsynced[len(unsynced)-1]
 		}
 	}
 	p.syncedCond.Broadcast()
 	p.mu.Unlock()
 	return err
+}
+
+// unsyncedLocked returns the segments the fsync watermark has not passed:
+// the one it lies in and every one rolled since. Requires mu.
+func (p *Partition) unsyncedLocked() []segment {
+	i := len(p.segs) - 1
+	for i > 0 && p.segs[i].base > p.syncedAt.base {
+		i--
+	}
+	return p.segs[i:]
 }
 
 // SyncTo ensures every record below upTo is on stable storage before
@@ -312,15 +340,20 @@ func (p *Partition) UnsyncedBytes() int64 {
 	if p.file == nil {
 		return 0
 	}
-	return p.fileBytes - p.syncedBytes
+	n := -p.syncedAt.bytes
+	for _, s := range p.unsyncedLocked() {
+		n += s.bytes
+	}
+	return n
 }
 
 // CrashDiscardUnsynced simulates the page-cache loss of a host crash: it
-// poisons the partition, stops the committer, closes the segment file and
-// truncates it on disk to the last fsync watermark, discarding every byte
-// whose durability was never confirmed. The in-memory state keeps serving
-// (the dying incarnation is about to be thrown away); reopening the path
-// yields exactly the durable prefix.
+// poisons the partition, stops the committer, closes the active segment and
+// cuts the files on disk back to the last fsync watermark — the segment
+// holding it is truncated there and every segment rolled after it removed —
+// discarding every byte whose durability was never confirmed. The in-memory
+// state keeps serving (the dying incarnation is about to be thrown away);
+// reopening the path yields exactly the durable prefix.
 func (p *Partition) CrashDiscardUnsynced() error {
 	p.mu.Lock()
 	if p.file == nil && p.fileErr == nil {
@@ -344,5 +377,10 @@ func (p *Partition) CrashDiscardUnsynced() error {
 	}
 	p.file.Close()
 	p.file = nil
-	return os.Truncate(p.path, walMagicLen+p.syncedBytes)
+	tail := p.unsyncedLocked()
+	err := os.Truncate(p.segPath(tail[0].base), walMagicLen+p.syncedAt.bytes)
+	for _, s := range tail[1:] {
+		err = cmp.Or(err, os.Remove(p.segPath(s.base)))
+	}
+	return err
 }

@@ -3,136 +3,210 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// Disk backing: a partition can be bound to an append-only segment file so
-// records survive process restarts — the durability Kafka provided the
-// paper's prototype. Record framing is [8B offset][4B length][payload].
-// Truncation persists only the retention horizon (a small side file);
-// retained records below it are skipped on reload and physically reclaimed
-// by Compact. Everything that reads a segment back — reload, reads below
-// the memory start, Compact — steps through it with one frameWalker.
+// Disk backing: a partition bound to a directory keeps its records in a run
+// of segment files, each named by the offset of its first record — Kafka's
+// layout, the durability the paper's prototype took from it (§V). A segment
+// is walMagic followed by [8B offset][4B length][payload] frames. Appends go
+// to the last (active) segment; once its body reaches SegmentBytes a fresh
+// file based at the head takes over (rollLocked). Retention is by whole
+// segment: Truncate unlinks every segment lying wholly below the horizon, so
+// the horizon a reopen reports is the first surviving segment's base.
+// Everything that reads a segment back — reopen, reads below the memory
+// start — steps through it with one frameWalker.
 
 const walMagicLen = 8
 
 var walMagic = [walMagicLen]byte{'W', 'W', 'W', 'A', 'L', '0', '0', '1'}
 
-// OpenPartitionFile opens (or creates) a disk-backed partition with the
-// default (ack-on-write) durability config. Existing records above the
-// stored retention horizon are loaded; appends go to both memory and the
-// file.
-func OpenPartitionFile(path string) (*Partition, error) {
-	return OpenPartition(path, Config{})
+// SegmentBytes is the body size at which the active segment rolls. It is the
+// unit of retention (a checkpoint frees whole segments) and the most a read
+// below the memory start walks, so it is a constant of the layout, not a
+// knob: at 70 MB/s of log it is some 18 file creates a second.
+const SegmentBytes = 4 << 20
+
+const segSuffix = ".seg"
+
+// ErrLegacyLayout is returned by OpenPartition when its path holds the
+// single-file log of an older layout instead of a segment directory.
+var ErrLegacyLayout = errors.New("wal: single-file log of an older layout (not a segment directory)")
+
+// segment is one file of a disk-backed partition's run.
+type segment struct {
+	base  int64 // offset of its first record, and its file name
+	bytes int64 // body bytes: the frames after the magic
 }
 
-// OpenPartition opens (or creates) a disk-backed partition with an
-// explicit durability config. A torn tail (crash mid-append) is cut back
-// to the last intact record so future appends cannot interleave with the
-// partial frame — without the cut, a half-written payload followed by new
-// records would misparse as an offset gap on the next open and fail the
-// whole partition.
+func (p *Partition) segPath(base int64) string {
+	return filepath.Join(p.path, fmt.Sprintf("%020d%s", base, segSuffix))
+}
+
+// OpenPartition opens (or creates) a disk-backed partition in the directory
+// path, every retained record resident. A torn tail (crash mid-append) is
+// cut back to the last intact record so future appends cannot interleave
+// with the partial frame — without the cut, a half-written payload followed
+// by new records would misparse as an offset gap on the next open and fail
+// the whole partition.
 func OpenPartition(path string, cfg Config) (*Partition, error) {
 	return openPartition(path, cfg, 0)
 }
 
 // openPartition is OpenPartition with a memory floor: records below
-// resident are left in the segment file instead of loaded, so a reopen
+// resident are left in their segment files instead of loaded, so a reopen
 // costs the heap of the tail somebody will replay, not of the whole log.
 func openPartition(path string, cfg Config, resident int64) (*Partition, error) {
+	if st, err := os.Stat(path); err == nil && !st.IsDir() {
+		return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, path)
+	}
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", path, err)
+	}
 	p := NewPartition()
 	p.path = path
 	p.dur = cfg.Durability
 	p.interval = cfg.Interval
 	p.met = cfg.Metrics
+	p.files = cfg.Files
+	p.segBytes = SegmentBytes
 
-	base, err := readBaseFile(basePath(path))
+	bases, err := listSegments(path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	head := base
-	if st.Size() == 0 {
-		if _, err := f.Write(walMagic[:]); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: init %s: %w", path, err)
-		}
-	} else {
-		first, next, end, err := loadSegment(f, p, max(base, resident))
-		if err != nil {
-			f.Close()
+	var head int64
+	if len(bases) == 0 {
+		if p.file, err = createSegment(p.segPath(0)); err != nil {
 			return nil, err
 		}
-		if end < st.Size() {
-			if err := f.Truncate(end); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("wal: drop torn tail of %s: %w", path, err)
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("wal: drop torn tail of %s: %w", path, err)
+		p.segs = []segment{{}}
+		// The first segment's name, and the directory's own, are what a
+		// reopen after a host crash finds the log by.
+		for _, dir := range []string{path, filepath.Dir(path)} {
+			if err := p.files.Sync(dir); err != nil {
+				p.file.Close()
+				return nil, fmt.Errorf("wal: open %s: %w", path, err)
 			}
 		}
-		p.fileBytes = end - walMagicLen
-		// A segment that starts above the stored horizon (Compact renamed
-		// it in, then crashed before persisting the horizon) or ends below
-		// it (everything retained was truncated) moves the horizon or the
-		// head to match.
-		base = max(base, first)
-		head = max(base, next)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
+	} else if head, err = p.loadSegments(bases, resident); err != nil {
 		return nil, err
 	}
-	p.file = f
-	p.base = base
+	p.base = p.segs[0].base
 	p.memStart = head - int64(len(p.store))
 	p.head.Set(head)
-	// Everything that survived into the file counts as the durable
+	// Everything that survived into the files counts as the durable
 	// baseline: it is what a reopen after a crash would see.
 	p.synced = head
-	p.syncedBytes = p.fileBytes
+	p.syncedAt = p.segs[len(p.segs)-1]
 	p.startCommitter()
 	return p, nil
 }
 
-func basePath(path string) string { return path + ".base" }
-
-func readBaseFile(path string) (int64, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
+// listSegments returns the bases of the segment files in dir, ascending.
+func listSegments(dir string) ([]int64, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, fmt.Errorf("wal: base file: %w", err)
+		return nil, fmt.Errorf("wal: list %s: %w", dir, err)
 	}
-	if len(raw) != 8 {
-		return 0, fmt.Errorf("wal: base file corrupt (%d bytes)", len(raw))
+	var bases []int64
+	for _, e := range entries {
+		digits, ok := strings.CutSuffix(e.Name(), segSuffix)
+		if !ok {
+			continue
+		}
+		if base, err := strconv.ParseInt(digits, 10, 64); err == nil && base >= 0 {
+			bases = append(bases, base)
+		}
 	}
-	return int64(binary.BigEndian.Uint64(raw)), nil
+	slices.Sort(bases)
+	return bases, nil
 }
 
-func writeBaseFile(path string, base int64) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(base))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf[:], 0o644); err != nil {
-		return err
+// createSegment creates an empty segment file: the magic and no frame.
+func createSegment(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	return os.Rename(tmp, path)
+	if _, err := f.Write(walMagic[:]); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, fmt.Errorf("wal: create segment: %w", err)
+	}
+	return f, nil
+}
+
+// loadSegments rebuilds the partition from the segment files named by
+// bases: the one loader. Segments wholly below resident are listed, not
+// read; from the one holding resident on, each is walked — its first frame
+// must carry the offset in its name and it must end where the next begins —
+// and the records at or above resident are loaded. The run ends at the first
+// torn tail; a crash leaves behind it only segments rolled after the last
+// fsync, which are dropped if, and only if, they hold no intact record. The
+// last surviving segment is cut to its last intact frame and becomes the
+// active one. It returns the head.
+func (p *Partition) loadSegments(bases []int64, resident int64) (head int64, err error) {
+	first := max(sort.Search(len(bases), func(i int) bool { return bases[i] > resident })-1, 0)
+	for _, b := range bases[:first] {
+		st, err := os.Stat(p.segPath(b))
+		if err != nil {
+			return 0, fmt.Errorf("wal: load: %w", err)
+		}
+		p.segs = append(p.segs, segment{base: b, bytes: max(st.Size()-walMagicLen, 0)})
+	}
+	head = bases[first]
+	torn := false
+	k := first
+	for k < len(bases) && bases[k] == head && !torn {
+		var body int64
+		if head, body, torn, err = loadSegment(p.segPath(bases[k]), p, bases[k], resident); err != nil {
+			return 0, err
+		}
+		p.segs = append(p.segs, segment{base: bases[k], bytes: body})
+		k++
+	}
+	for _, b := range bases[k:] {
+		if _, body, _, err := loadSegment(p.segPath(b), p, b, math.MaxInt64); err != nil || body > 0 {
+			return 0, fmt.Errorf("%w: segment %d in %s does not follow offset %d", ErrCorruptSegment, b, p.path, head)
+		}
+		if err := p.files.Remove(p.segPath(b)); err != nil {
+			return 0, fmt.Errorf("wal: drop stray segment: %w", err)
+		}
+	}
+	active := p.segs[len(p.segs)-1]
+	f, err := os.OpenFile(p.segPath(active.base), os.O_RDWR, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("wal: open %s: %w", p.path, err)
+	}
+	if torn {
+		// Cut the tail; a file torn inside its magic gets the magic again.
+		err = f.Truncate(walMagicLen + active.bytes)
+		if err == nil {
+			_, err = f.WriteAt(walMagic[:], 0)
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(0, io.SeekEnd)
+	}
+	if err != nil {
+		f.Close()
+		return 0, fmt.Errorf("wal: drop torn tail of %s: %w", f.Name(), err)
+	}
+	p.file = f
+	return head, nil
 }
 
 // frameWalker steps through a segment body frame by frame: next reads a
@@ -200,25 +274,32 @@ func (w *frameWalker) take(load bool) (data []byte, ok bool, err error) {
 	return data, true, nil
 }
 
-// loadSegment replays a segment file into the partition's memory window,
-// passing over records below keep. A torn final record (crash mid-append)
-// is tolerated and dropped. It returns the offset of the first frame and
-// the offset after the last intact one (both -1 for an empty body), and the
-// file position where the last intact frame ends so the caller can cut the
-// torn tail off.
-func loadSegment(f *os.File, p *Partition, keep int64) (first, next, end int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, 0, err
+// loadSegment walks one segment file, whose first frame must carry offset
+// base, and appends the records at or above keep to the partition's window.
+// It returns the offset after the last intact frame, the bytes the intact
+// frames take, and whether the file holds anything else: a torn final record
+// (crash mid-append), which only the last segment of a log may have.
+func loadSegment(path string, p *Partition, base, keep int64) (next, body int64, torn bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("wal: load: %w", err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("wal: load: %w", err)
 	}
 	var magic [walMagicLen]byte
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: segment header: %w", err)
+		if cut(err) == nil {
+			return base, 0, true, nil // crashed before the magic was whole
+		}
+		return 0, 0, false, fmt.Errorf("wal: segment header: %w", err)
 	}
 	if magic != walMagic {
-		return 0, 0, 0, fmt.Errorf("wal: bad segment magic in %s", f.Name())
+		return 0, 0, false, fmt.Errorf("wal: bad segment magic in %s", path)
 	}
-	w := newFrameWalker(f, -1)
-	first = -1
+	w := newFrameWalker(f, base)
 	for {
 		off, ok, err := w.next()
 		var data []byte
@@ -226,13 +307,10 @@ func loadSegment(f *os.File, p *Partition, keep int64) (first, next, end int64, 
 			data, ok, err = w.take(off >= keep)
 		}
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("wal: load %s: %w", f.Name(), err)
+			return 0, 0, false, fmt.Errorf("wal: load %s: %w", path, err)
 		}
 		if !ok {
-			return first, w.want, walMagicLen + w.end, nil
-		}
-		if first < 0 {
-			first = off
+			return w.want, w.end, walMagicLen+w.end < st.Size(), nil
 		}
 		if off >= keep {
 			p.store = append(p.store, data)
@@ -241,55 +319,80 @@ func loadSegment(f *os.File, p *Partition, keep int64) (first, next, end int64, 
 	}
 }
 
+// rollLocked makes a fresh segment based at the head the active one. The
+// full segment's handle is closed here and nothing else: its bytes reach
+// stable storage, by path, with the next syncCohort, which is what keeps
+// every fsync off the append path. When the file cannot be created the
+// active segment simply grows on, and the next append tries again.
+// Requires mu.
+func (p *Partition) rollLocked() {
+	head := p.headLocked()
+	f, err := createSegment(p.segPath(head))
+	if err != nil {
+		return
+	}
+	p.file.Close()
+	p.file = f
+	p.segs = append(p.segs, segment{base: head})
+}
+
 // readCold serves a read of [offset, offset+max) below the memory start
-// from the segment file, ending at the memory start at the latest. The walk
-// resumes where the previous cold read stopped when that is at or before
-// offset — a reader tailing the cold range pays for the file once, not once
-// per call — and starts over from the head of the segment otherwise.
+// from the segment holding offset, found by base, ending at that segment's
+// end or the memory start at the latest. The walk resumes where the previous
+// cold read stopped when that is in the same segment and at or before offset
+// — a reader tailing the cold range pays for each file once, not once per
+// call — and starts at the head of the segment otherwise: a cold read costs
+// at most one segment. segMu keeps Truncate from unlinking the file under
+// the walk.
 func (p *Partition) readCold(offset int64, max int) ([]Record, error) {
 	p.segMu.Lock()
 	defer p.segMu.Unlock()
 	p.mu.Lock()
-	f, limit, stop, base := p.file, p.fileBytes, p.memStart, p.base
+	base, stop := p.base, p.memStart
+	i := sort.Search(len(p.segs), func(i int) bool { return p.segs[i].base > offset }) - 1
+	var seg segment
+	if i >= 0 {
+		seg = p.segs[i]
+		if i+1 < len(p.segs) {
+			stop = min(stop, p.segs[i+1].base)
+		}
+	}
 	p.mu.Unlock()
-	if offset < base {
+	if offset < base || i < 0 {
 		return nil, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, base)
 	}
-	if f == nil {
-		return nil, fmt.Errorf("wal: read %d below the memory start %d: segment closed", offset, stop)
+	stop = min(stop, offset+int64(max))
+	f, err := os.Open(p.segPath(seg.base))
+	if err != nil {
+		return nil, fmt.Errorf("wal: read %d from %s: %w", offset, p.path, err)
 	}
-	if stop > offset+int64(max) {
-		stop = offset + int64(max)
+	defer f.Close()
+	start, want := int64(0), seg.base
+	if p.cold.seg == seg.base && p.cold.off >= 0 && p.cold.off <= offset {
+		start, want = p.cold.pos, p.cold.off
 	}
-	start, want := int64(0), int64(-1)
-	if p.coldOff >= 0 && p.coldOff <= offset {
-		start, want = p.coldPos, p.coldOff
-	}
-	w := newFrameWalker(io.NewSectionReader(f, walMagicLen+start, limit-start), want)
+	w := newFrameWalker(io.NewSectionReader(f, walMagicLen+start, seg.bytes-start), want)
 	var out []Record
 	for size := 0; w.want < stop && size < coldReadBytes; {
 		off, ok, err := w.next()
 		var data []byte
 		if ok {
-			if off > offset && len(out) == 0 {
-				// The segment starts above the stored horizon (see openPartition).
-				return nil, fmt.Errorf("%w: want %d, segment starts at %d", ErrCompacted, offset, off)
-			}
 			data, ok, err = w.take(off >= offset)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("wal: read %d from %s: %w", offset, p.path, err)
 		}
 		if !ok {
-			// Every byte below limit was written whole under mu.
-			return nil, fmt.Errorf("wal: read %d from %s: %w: segment ends at offset %d, below the memory start", offset, p.path, ErrCorruptSegment, w.want)
+			// Every byte below seg.bytes was written whole under mu.
+			return nil, fmt.Errorf("wal: read %d from %s: %w: segment %d ends at offset %d", offset, p.path, ErrCorruptSegment, seg.base, w.want)
 		}
 		if off >= offset {
 			out = append(out, Record{Offset: off, Data: data})
 			size += len(data)
 		}
 	}
-	p.coldOff, p.coldPos = w.want, start+w.end
+	p.cold.seg, p.cold.off, p.cold.pos = seg.base, w.want, start+w.end
+	p.coldWalked += w.end
 	return out, nil
 }
 
@@ -303,120 +406,92 @@ const MaxRecordBytes = 16 << 20
 // recordHeaderLen is the per-record frame overhead: [8B offset][4B length].
 const recordHeaderLen = 12
 
-// Sync flushes the segment file to stable storage and advances the fsync
+// Sync flushes the segment files to stable storage and advances the fsync
 // watermark (no-op for in-memory partitions).
 func (p *Partition) Sync() error {
 	return p.syncCohort()
 }
 
-// compactHook, when set (tests only), runs after Compact has taken its
-// snapshot and released the partition lock — a deterministic window in
-// which concurrent appends must succeed.
-var compactHook func()
-
-// Compact rewrites the segment file to contain only records at or above
-// the logical horizon, reclaiming the space Truncate freed logically. The
-// retained run is copied out of the old segment, not out of memory — the
-// resident window may have been released well past the horizon. The rewrite
-// works on the bytes present when it started without holding p.mu — appends
-// and resident reads proceed concurrently — and only the file swap takes
-// the lock: bytes appended during the rewrite are copied across inside the
-// swap's critical section, whose cost is bounded by the rewrite's duration
-// rather than the segment size. The new file is fully fsynced before it
-// replaces the old one, so the fsync watermark jumps to the head and parked
-// group-commit waiters are released. No-op for in-memory partitions.
-func (p *Partition) Compact() error {
-	// segMu for the whole rewrite: it keeps the source handle from being
-	// swapped out by a second Compact, and cold reads off the file they
-	// are walking.
+// truncateDisk is Truncate for a disk-backed partition: the exact horizon
+// moves in memory, and every segment lying wholly below it is unlinked —
+// outside mu, oldest first, never a file a cold read is walking (segMu). A
+// horizon that reaches the head covers the active segment too: a fresh one
+// based at the head replaces it, so a log with nothing left to replay is one
+// 8-byte file whose name is its head. The horizon never passes the fsync
+// watermark — what is unlinked must not be all that was durable — so the log
+// is synced up to it first. A segment stays listed until its file is gone:
+// an unlink that failed is tried again by the next call.
+func (p *Partition) truncateDisk(before int64) {
+	p.SyncTo(before)
+	// syncMu: no cohort is about to fsync, by path, a segment doomed here.
+	p.syncMu.Lock()
+	p.mu.Lock()
+	if p.file == nil || p.fileErr != nil {
+		p.truncateLocked(before)
+		p.mu.Unlock()
+		p.syncMu.Unlock()
+		return
+	}
+	p.truncateLocked(min(before, p.synced))
+	n := 0
+	for n+1 < len(p.segs) && p.segs[n+1].base <= p.base {
+		n++
+	}
+	replaced := false
+	if head := p.headLocked(); n == len(p.segs)-1 && p.base == head && p.segs[n].bytes > 0 {
+		if f, err := createSegment(p.segPath(head)); err == nil {
+			p.file.Close()
+			p.file = f
+			p.segs = append(p.segs, segment{base: head})
+			n++
+			replaced = true
+		}
+	}
+	doomed := slices.Clone(p.segs[:n])
+	if p.syncedAt.base < p.segs[n].base {
+		p.syncedAt = segment{base: p.segs[n].base}
+	}
+	p.mu.Unlock()
+	p.syncMu.Unlock()
+	if len(doomed) == 0 {
+		return
+	}
+	// A cold read that found one of the doomed segments before the horizon
+	// moved finishes its walk first; none can find them any more.
 	p.segMu.Lock()
 	defer p.segMu.Unlock()
-	p.mu.Lock()
-	if p.file == nil || p.fileErr != nil {
-		err := p.fileErr
-		p.mu.Unlock()
-		return err
+	if replaced && p.files.Sync(p.path) != nil {
+		return // the fresh segment's name is not durable: keep the old ones
 	}
-	base, limit, src := p.base, p.fileBytes, p.file
+	gone := 0
+	for _, s := range doomed {
+		if err := p.files.Remove(p.segPath(s.base)); err != nil && !os.IsNotExist(err) {
+			break // what is left is a whole suffix of the log
+		}
+		gone++
+	}
+	p.files.Sync(p.path)
+	p.mu.Lock()
+	for gone > 0 && p.segs[0].base <= doomed[gone-1].base {
+		p.segs = slices.Delete(p.segs, 0, 1)
+	}
 	p.mu.Unlock()
-
-	if compactHook != nil {
-		compactHook()
-	}
-
-	tmpPath := p.path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if _, err := tmp.Write(walMagic[:]); err != nil {
-		return abort(err)
-	}
-	// Find where the horizon's frame starts; from there on the old body is
-	// the new body, byte for byte.
-	w := newFrameWalker(io.NewSectionReader(src, walMagicLen, limit), -1)
-	for {
-		off, ok, err := w.next()
-		if ok && off < base {
-			_, ok, err = w.take(false)
-		}
-		if err != nil {
-			return abort(fmt.Errorf("wal: compact %s: %w", p.path, err))
-		}
-		if !ok || off >= base {
-			break
-		}
-	}
-	copyBody := func(from, to int64) error {
-		_, err := io.Copy(tmp, io.NewSectionReader(src, walMagicLen+from, to-from))
-		return err
-	}
-	if err := copyBody(w.end, limit); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return abort(err)
-	}
-
-	// Swap: appends stall only from here. syncMu keeps an in-flight cohort
-	// fsync from targeting the handle being swapped out.
-	p.syncMu.Lock()
-	defer p.syncMu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.file == nil || p.fileErr != nil {
-		return abort(p.fileErr)
-	}
-	// Catch up on bytes appended during the rewrite.
-	if p.fileBytes > limit {
-		if err := copyBody(limit, p.fileBytes); err != nil {
-			return abort(err)
-		}
-		if err := tmp.Sync(); err != nil {
-			return abort(err)
-		}
-	}
-	if err := os.Rename(tmpPath, p.path); err != nil {
-		return abort(err)
-	}
-	p.file = tmp // keep writing through the renamed handle
-	p.fileBytes -= w.end
-	p.syncedBytes = p.fileBytes
-	p.coldOff = -1
-	if head := p.headLocked(); p.synced < head {
-		p.synced = head
-		p.syncedCond.Broadcast()
-	}
-	src.Close()
-	return writeBaseFile(basePath(p.path), p.base)
 }
 
-// CloseFile stops the committer and releases the backing file handle
+// DiskBytes returns the size of the partition's segment files.
+func (p *Partition) DiskBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	if p.file != nil {
+		for _, s := range p.segs {
+			n += walMagicLen + s.bytes
+		}
+	}
+	return n
+}
+
+// CloseFile stops the committer and releases the active segment's handle
 // (retained records stay readable from memory). Further appends fail.
 func (p *Partition) CloseFile() error {
 	p.stopCommitter()
@@ -443,10 +518,10 @@ func OpenLogDir(dir string, n int) (*Log, error) {
 }
 
 // OpenLogDirConfig opens a disk-backed log with n partitions under dir
-// (partition i lives in dir/p<i>.wal), all sharing one durability config.
-// resident gives each partition's memory floor: records below resident(i)
-// stay in the segment file instead of being loaded — the caller names the
-// offset its replay starts from.
+// (partition i lives in the directory dir/p<i>.wal), all sharing one
+// durability config. resident gives each partition's memory floor: records
+// below resident(i) stay in their segment files instead of being loaded —
+// the caller names the offset its replay starts from.
 func OpenLogDirConfig(dir string, n int, cfg Config, resident func(part int) int64) (*Log, error) {
 	if n < 1 {
 		n = 1

@@ -1,19 +1,22 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/telemetry"
 )
 
 func TestDiskPartitionPersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p0.wal")
-	p, err := OpenPartitionFile(path)
+	p, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +32,7 @@ func TestDiskPartitionPersistsAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +51,24 @@ func TestDiskPartitionPersistsAcrossReopen(t *testing.T) {
 
 func TestDiskTruncateSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, _ := OpenPartitionFile(path)
+	p := openSmall(t, path, Config{}, 64) // 13 bytes a record: 5 to a segment
 	for i := 0; i < 30; i++ {
 		p.Append([]byte{byte(i)})
 	}
 	p.Truncate(12)
+	if p.Base() != 12 {
+		t.Fatalf("live horizon %d, want the exact 12", p.Base())
+	}
 	p.CloseFile()
 
-	p2, err := OpenPartitionFile(path)
+	// The persisted horizon is segment-granular: the base of the segment
+	// holding offset 12, never above it.
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Base() != 12 || p2.Len() != 18 {
-		t.Fatalf("base=%d len=%d", p2.Base(), p2.Len())
+	if p2.Base() != 10 || p2.Len() != 20 || p2.Next() != 30 {
+		t.Fatalf("base=%d len=%d next=%d, want 10/20/30", p2.Base(), p2.Len(), p2.Next())
 	}
 	if _, err := p2.Read(5, 5); err == nil {
 		t.Error("read below persisted horizon succeeded")
@@ -71,51 +79,55 @@ func TestDiskTruncateSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestDiskCompactReclaims(t *testing.T) {
+func TestDiskTruncateReclaims(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, _ := OpenPartitionFile(path)
+	p := openSmall(t, path, Config{}, 1024) // 112 bytes a record: 10 to a segment
 	for i := 0; i < 100; i++ {
 		p.Append(make([]byte, 100))
 	}
+	before := dirSize(t, path)
 	p.Truncate(90)
-	before, _ := os.Stat(path)
-	if err := p.Compact(); err != nil {
-		t.Fatal(err)
+	if after := dirSize(t, path); after >= before/5 {
+		t.Fatalf("truncate did not shrink the log: %d -> %d bytes", before, after)
 	}
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Fatalf("compact did not shrink: %d -> %d", before.Size(), after.Size())
+	if got := segBases(t, path); !slices.Equal(got, []int64{90, 100}) {
+		t.Fatalf("segments after Truncate(90): %v, want [90 100]", got)
 	}
-	// Data still correct post-compact, and appends still work.
+	if got := p.DiskBytes(); got != dirSize(t, path) {
+		t.Fatalf("DiskBytes %d, the directory holds %d", got, dirSize(t, path))
+	}
+	// Data still correct, and appends still work.
+	p.Release(p.Next())
 	recs, err := p.Read(90, 100)
 	if err != nil || len(recs) != 10 {
-		t.Fatalf("post-compact read: %d recs, %v", len(recs), err)
+		t.Fatalf("post-truncate read: %d recs, %v", len(recs), err)
 	}
 	if off, err := p.Append([]byte("x")); err != nil || off != 100 {
-		t.Fatalf("post-compact append offset %d, err %v", off, err)
+		t.Fatalf("post-truncate append offset %d, err %v", off, err)
 	}
 	p.CloseFile()
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2.Base() != 90 || p2.Next() != 101 {
-		t.Fatalf("reopened after compact: base=%d next=%d", p2.Base(), p2.Next())
+		t.Fatalf("reopened after truncate: base=%d next=%d", p2.Base(), p2.Next())
 	}
 }
 
 func TestDiskTornRecordDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, _ := OpenPartitionFile(path)
+	p, _ := OpenPartition(path, Config{})
 	p.Append([]byte("good-one"))
 	p.Append([]byte("good-two"))
 	p.Sync()
 	p.CloseFile()
 	// Simulate a crash mid-append: truncate the file inside the last record.
-	st, _ := os.Stat(path)
-	os.Truncate(path, st.Size()-3)
+	seg := lastSegment(t, path)
+	st, _ := os.Stat(seg)
+	os.Truncate(seg, st.Size()-3)
 
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +142,20 @@ func TestDiskTornRecordDropped(t *testing.T) {
 
 func TestDiskBadMagicRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	os.WriteFile(path, []byte("NOTAWALFILE"), 0o644)
-	if _, err := OpenPartitionFile(path); err == nil {
+	os.Mkdir(path, 0o755)
+	os.WriteFile(filepath.Join(path, fmt.Sprintf("%020d.seg", 0)), []byte("NOTAWALFILE"), 0o644)
+	if _, err := OpenPartition(path, Config{}); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestDiskLegacyFileRefused: a single-file log of the old layout sits where
+// the segment directory belongs; it is refused by name, not misread.
+func TestDiskLegacyFileRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.wal")
+	os.WriteFile(path, walMagic[:], 0o644)
+	if _, err := OpenPartition(path, Config{}); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("open over a single-file log: %v, want ErrLegacyLayout", err)
 	}
 }
 
@@ -160,7 +183,7 @@ func TestOpenLogDir(t *testing.T) {
 
 func TestAppendAfterCloseFileSticksError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, _ := OpenPartitionFile(path)
+	p, _ := OpenPartition(path, Config{})
 	p.Append([]byte("a"))
 	p.CloseFile()
 	// Stop-the-line: a record the segment cannot hold must not be acked or
@@ -182,7 +205,7 @@ func TestAppendDiskFailureStopsTheLine(t *testing.T) {
 	// committed past it, so a restart silently lost an acked tuple. Inject
 	// a failing file by swapping the handle for a read-only one.
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, err := OpenPartitionFile(path)
+	p, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +214,7 @@ func TestAppendDiskFailureStopsTheLine(t *testing.T) {
 	}
 	p.mu.Lock()
 	p.file.Close()
-	ro, err := os.Open(path) // O_RDONLY: writes fail with EBADF
+	ro, err := os.Open(lastSegment(t, path)) // O_RDONLY: writes fail with EBADF
 	if err != nil {
 		p.mu.Unlock()
 		t.Fatal(err)
@@ -224,23 +247,24 @@ func TestDiskTornTailTruncatedOnOpen(t *testing.T) {
 	// and the restart after THAT misparsed the interleaving as an offset
 	// gap and refused to open. Truncating the tail on open fixes it.
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, _ := OpenPartitionFile(path)
+	p, _ := OpenPartition(path, Config{})
 	p.Append([]byte("keep-one"))
 	p.Append([]byte("keep-two"))
 	p.Append([]byte("torn-payload"))
 	p.Sync()
 	p.CloseFile()
-	st, _ := os.Stat(path)
-	os.Truncate(path, st.Size()-5) // crash mid-append: payload short
+	seg := lastSegment(t, path)
+	st, _ := os.Stat(seg)
+	os.Truncate(seg, st.Size()-5) // crash mid-append: payload short
 
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2.Next() != 2 {
 		t.Fatalf("after torn open: next=%d, want 2", p2.Next())
 	}
-	if st2, _ := os.Stat(path); st2.Size() >= st.Size()-5 {
+	if st2, _ := os.Stat(seg); st2.Size() >= st.Size()-5 {
 		t.Fatalf("torn tail not cut: %d bytes on disk", st2.Size())
 	}
 	// Appends after the torn open land where the torn record was.
@@ -251,7 +275,7 @@ func TestDiskTornTailTruncatedOnOpen(t *testing.T) {
 	p2.Sync()
 	p2.CloseFile()
 
-	p3, err := OpenPartitionFile(path)
+	p3, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatalf("reopen after post-torn appends: %v", err)
 	}
@@ -272,7 +296,7 @@ func TestDiskCrashDiscardUnsyncedKeepsWatermarkOnly(t *testing.T) {
 	// survive, and the reopened partition must report exactly the
 	// committed watermark.
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, err := OpenPartitionFile(path)
+	p, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +319,7 @@ func TestDiskCrashDiscardUnsyncedKeepsWatermarkOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +375,7 @@ func TestDiskGroupCommitAmortizesAndLosesNothing(t *testing.T) {
 	if err := p.CrashDiscardUnsynced(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,49 +384,43 @@ func TestDiskGroupCommitAmortizesAndLosesNothing(t *testing.T) {
 	}
 }
 
-func TestDiskCompactDoesNotBlockAppends(t *testing.T) {
-	// Regression: Compact used to hold the partition lock across the whole
-	// rewrite + fsync, stalling every append for the duration. The hook
-	// parks Compact mid-rewrite (no locks held); an append must complete
-	// while it is parked.
+func TestDiskTruncateDoesNotBlockAppends(t *testing.T) {
+	// Truncate unlinks outside the partition lock: with its unlinks parked
+	// (the file hook blocks the first one), an append must complete.
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, _ := OpenPartitionFile(path)
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	files := &durable.Files{Hook: func(op durable.Op, _ string) error {
+		if op == durable.OpRemove {
+			once.Do(func() { close(parked); <-release })
+		}
+		return nil
+	}}
+	p := openSmall(t, path, Config{Files: files}, 1024)
 	for i := 0; i < 200; i++ {
 		p.Append(make([]byte, 64))
 	}
-	p.Truncate(150)
-
-	parked := make(chan struct{})
-	release := make(chan struct{})
-	compactHook = func() {
-		close(parked)
-		<-release
-	}
-	defer func() { compactHook = nil }()
-
-	done := make(chan error, 1)
-	go func() { done <- p.Compact() }()
+	done := make(chan struct{})
+	go func() { p.Truncate(150); close(done) }()
 	<-parked
-	// Compaction is in flight and parked; the append must not wait for it.
-	if off, err := p.Append([]byte("during-compact")); err != nil || off != 200 {
+	// The unlinks are in flight and parked; the append must not wait for them.
+	if off, err := p.Append([]byte("during-truncate")); err != nil || off != 200 {
 		close(release)
-		t.Fatalf("append during compaction: off=%d err=%v", off, err)
+		t.Fatalf("append during truncate: off=%d err=%v", off, err)
 	}
 	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The record appended during the rewrite made it into the new file.
+	<-done
 	p.CloseFile()
-	p2, err := OpenPartitionFile(path)
+	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Base() != 150 || p2.Next() != 201 {
-		t.Fatalf("after compact: base=%d next=%d", p2.Base(), p2.Next())
+	if p2.Base() > 150 || p2.Base() < 150-14 || p2.Next() != 201 {
+		t.Fatalf("after truncate: base=%d next=%d", p2.Base(), p2.Next())
 	}
 	recs, _ := p2.Read(200, 1)
-	if len(recs) != 1 || string(recs[0].Data) != "during-compact" {
-		t.Fatalf("delta record lost: %v", recs)
+	if len(recs) != 1 || string(recs[0].Data) != "during-truncate" {
+		t.Fatalf("record appended during the truncate lost: %v", recs)
 	}
 }

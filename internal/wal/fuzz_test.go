@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -37,14 +38,14 @@ func walkAll(body []byte) (recs []Record, end int64, err error) {
 func FuzzSegmentWalk(f *testing.F) {
 	// A real segment, written by a partition.
 	path := filepath.Join(f.TempDir(), "seed.wal")
-	p, err := OpenPartitionFile(path)
+	p, err := OpenPartition(path, Config{})
 	if err != nil {
 		f.Fatal(err)
 	}
 	p.AppendBatch([][]byte{[]byte("alpha"), {}, []byte("gamma-gamma")})
 	p.Append(bytes.Repeat([]byte{0xAB}, 300))
 	p.CloseFile()
-	seg, err := os.ReadFile(path)
+	seg, err := os.ReadFile(lastSegment(f, path))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -60,6 +61,27 @@ func FuzzSegmentWalk(f *testing.F) {
 	huge := bytes.Clone(body) // first frame claims MaxRecordBytes+1
 	binary.BigEndian.PutUint32(huge[8:], MaxRecordBytes+1)
 	f.Add(huge)
+	// Bodies cut at a segment boundary: a log that rolled twice gives a
+	// segment that ends exactly where the next begins, one that starts above
+	// offset zero, the two as one run, and a run with the middle one missing.
+	rolled := filepath.Join(f.TempDir(), "rolled.wal")
+	p = openSmall(f, rolled, Config{}, 64)
+	for i := 0; i < 12; i++ {
+		p.Append([]byte{byte(i), byte(i)}) // 14 bytes a record: 5 to a segment
+	}
+	p.CloseFile()
+	var segs [][]byte
+	for _, base := range segBases(f, rolled)[:3] {
+		seg, err := os.ReadFile(segFile(rolled, base))
+		if err != nil {
+			f.Fatal(err)
+		}
+		segs = append(segs, seg[walMagicLen:])
+	}
+	f.Add(segs[0])
+	f.Add(segs[1])
+	f.Add(slices.Concat(segs[0], segs[1]))
+	f.Add(slices.Concat(segs[0], segs[2]))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		recs, end, err := walkAll(body)
@@ -102,12 +124,21 @@ func FuzzSegmentWalk(f *testing.F) {
 			t.Fatalf("skipping saw %d frames ending at %d, reading %d ending at %d", n, w.end, len(recs), end)
 		}
 
-		// The same bytes as a segment file.
-		path := filepath.Join(t.TempDir(), "p.wal")
+		// The same bytes as a segment file, named — as every segment is — by
+		// the offset its first frame carries.
+		var base int64
+		if len(body) >= 8 {
+			if off := int64(binary.BigEndian.Uint64(body)); off >= 0 {
+				base = off
+			}
+		}
+		dir := filepath.Join(t.TempDir(), "p.wal")
+		path := segFile(dir, base)
+		os.Mkdir(dir, 0o755)
 		if werr := os.WriteFile(path, append(walMagic[:], body...), 0o644); werr != nil {
 			t.Fatal(werr)
 		}
-		p, oerr := OpenPartitionFile(path)
+		p, oerr := OpenPartition(dir, Config{})
 		if err != nil {
 			if !errors.Is(oerr, ErrCorruptSegment) {
 				t.Fatalf("open accepted a segment the walker rejects (%v): %v", err, oerr)
@@ -118,7 +149,7 @@ func FuzzSegmentWalk(f *testing.F) {
 			t.Fatalf("open rejected a segment the walker accepts: %v", oerr)
 		}
 		defer p.CloseFile()
-		if p.Len() != len(recs) || p.Next()-p.Base() != int64(len(recs)) {
+		if p.Len() != len(recs) || p.Next()-p.Base() != int64(len(recs)) || p.Base() != base {
 			t.Fatalf("open loaded %d records over [%d, %d), walker saw %d", p.Len(), p.Base(), p.Next(), len(recs))
 		}
 		if st, _ := os.Stat(path); st.Size() != walMagicLen+end {

@@ -15,13 +15,15 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"waterwheel/internal/durable"
 )
 
 // ErrCompacted is returned when a read targets offsets below the retention
 // horizon.
 var ErrCompacted = errors.New("wal: offset below retention horizon")
 
-// ErrCorruptSegment is returned when a segment file's frames do not form
+// ErrCorruptSegment is returned when a partition's segment files do not hold
 // one gapless run of bounded records.
 var ErrCorruptSegment = errors.New("wal: corrupt segment")
 
@@ -53,12 +55,12 @@ type Partition struct {
 	// every append for ReadBlocking to park on; Close fails it.
 	head Watermark
 	// Two horizons. base is the logical one: offsets below it are gone and
-	// read as ErrCompacted; only Truncate moves it (and persists it for a
-	// disk-backed partition). memStart is the memory one: the offset of the
-	// first resident record, base <= memStart <= head. Release moves it
-	// without touching the file, and a disk-backed partition serves
-	// [base, memStart) from its segment (readCold). A memory-only partition
-	// has nowhere else to read from, so there the two always coincide.
+	// read as ErrCompacted; only Truncate moves it. memStart is the memory one:
+	// the offset of the first resident record, base <= memStart <= head.
+	// Release moves it without touching the files, and a disk-backed partition
+	// serves [base, memStart) from its segments (readCold). A memory-only
+	// partition has nowhere else to read from, so there the two always
+	// coincide.
 	base     int64
 	memStart int64
 	// store[lo:] is the resident window, store[lo+i] holding offset
@@ -70,41 +72,49 @@ type Partition struct {
 	bytes  int64
 	sealed bool
 
-	// Disk backing (nil for in-memory partitions); see disk.go. segMu keeps
-	// a cold read's walk over the segment apart from Compact's file swap and
-	// guards the walk's resume point; it is taken before syncMu and mu.
-	path    string
-	file    *os.File
-	fileErr error
-	segMu   sync.Mutex
-	coldOff int64 // offset of the frame at body position coldPos; -1 unknown
-	coldPos int64
+	// Disk backing (path empty for in-memory partitions); see disk.go. segs is
+	// the run of segment files in path, ascending, the last one active: file
+	// is its handle, the only one the partition keeps. segMu keeps a cold
+	// read's walk apart from Truncate's unlinks and guards the walk's resume
+	// point; it is taken before mu, never with syncMu.
+	path     string
+	files    *durable.Files
+	segs     []segment
+	segBytes int64
+	file     *os.File
+	fileErr  error
+	segMu    sync.Mutex
+	// cold is where the last cold read stopped: the frame carrying offset off
+	// starts at body position pos of segment seg. coldWalked counts the body
+	// bytes cold reads walked.
+	cold       struct{ seg, off, pos int64 }
+	coldWalked int64
 	// failAppends arms FailNextAppends's transient (non-sticky) faults.
 	failAppends int
 
 	// Durability pipeline (disk-backed partitions only); see commit.go.
-	// syncMu serializes fsyncs against file swaps (Compact) and is always
-	// taken before mu. synced/syncedBytes form the fsync watermark: every
-	// record below offset `synced` — the first fileBytes bytes of the
-	// segment body being syncedBytes — is on stable storage.
-	dur         Durability
-	interval    time.Duration
-	met         Metrics
-	syncMu      sync.Mutex
-	syncedCond  *sync.Cond
-	synced      int64
-	fileBytes   int64
-	syncedBytes int64
-	kick        chan struct{}
-	commStop    chan struct{}
-	commDone    chan struct{}
-	commClosed  bool
-	stopOnce    sync.Once
+	// syncMu serializes fsyncs against each other and against Truncate's
+	// unlinks, and is always taken before mu. synced/syncedAt form the fsync
+	// watermark: every record below offset `synced` — every segment below
+	// syncedAt.base and the first syncedAt.bytes body bytes of that one — is
+	// on stable storage.
+	dur        Durability
+	interval   time.Duration
+	met        Metrics
+	syncMu     sync.Mutex
+	syncedCond *sync.Cond
+	synced     int64
+	syncedAt   segment
+	kick       chan struct{}
+	commStop   chan struct{}
+	commDone   chan struct{}
+	commClosed bool
+	stopOnce   sync.Once
 }
 
 // NewPartition creates an empty partition.
 func NewPartition() *Partition {
-	p := &Partition{coldOff: -1}
+	p := &Partition{}
 	p.syncedCond = sync.NewCond(&p.mu)
 	return p
 }
@@ -142,7 +152,7 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 //
 // The data is copied: the batch is framed into a single buffer outside the
 // lock, offsets are patched in under it once they are known, and the
-// segment takes one file write; the retained in-memory records alias the
+// active segment takes one file write (a batch never straddles two); the retained in-memory records alias the
 // payload sections of that buffer, so a batch of any size costs one
 // allocation.
 //
@@ -195,9 +205,12 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 			p.syncedCond.Broadcast()
 			return 0, p.fileErr
 		}
-		p.fileBytes += int64(total)
 		if p.dur == DurabilityAckOnFsync {
 			p.kickCommitter()
+		}
+		active := &p.segs[len(p.segs)-1]
+		if active.bytes += int64(total); active.bytes >= p.segBytes {
+			p.rollLocked()
 		}
 	}
 	p.bytes += int64(total) - int64(len(datas))*recordHeaderLen
@@ -276,8 +289,9 @@ func (p *Partition) Base() int64 {
 // Read returns up to max records starting at offset, without blocking. It
 // returns ErrCompacted when offset precedes the retention horizon. Reading
 // at the head returns an empty slice. A disk-backed partition answers
-// offsets below its memory start from the segment file; such a read ends at
-// the memory start at the latest, and the next one continues from memory.
+// offsets below its memory start from the segment holding them; such a read
+// ends with that segment, or at the memory start, at the latest, and the
+// next one continues from there.
 func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1024
@@ -330,38 +344,32 @@ func (p *Partition) ReadBlocking(offset int64, max int, cancel <-chan struct{}) 
 }
 
 // Truncate advances the logical horizon: records with offsets below before
-// are gone (retention) — from memory now, from a segment file at the next
-// Compact. Truncating past the head drops everything retained.
+// are gone (retention) — from memory, and from a disk-backed partition every
+// segment file lying wholly below the horizon (truncateDisk). Truncating
+// past the head drops everything retained.
 func (p *Partition) Truncate(before int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if head := p.headLocked(); before > head {
-		before = head
-	}
-	if before <= p.base {
+	if p.path != "" {
+		p.truncateDisk(before)
 		return
 	}
-	p.releaseLocked(before)
-	p.base = before
-	if p.file != nil && p.fileErr == nil {
-		if err := writeBaseFile(basePath(p.path), p.base); err != nil {
-			p.fileErr = fmt.Errorf("wal: persist horizon: %w", err)
-			p.syncedCond.Broadcast()
-		}
-	}
-	// The logical horizon can pass the fsync watermark (records may be
-	// retired before they were ever synced); the watermark never regresses,
-	// but it must keep covering at least the horizon so SyncTo on retired
-	// offsets stays a no-op.
-	if p.synced < p.base {
-		p.synced = p.base
+	p.mu.Lock()
+	p.truncateLocked(before)
+	p.mu.Unlock()
+}
+
+// truncateLocked moves the logical horizon up to before (clamped to the
+// head) and drops the resident records below it. Requires mu.
+func (p *Partition) truncateLocked(before int64) {
+	if before = min(before, p.headLocked()); before > p.base {
+		p.releaseLocked(before)
+		p.base = before
 	}
 }
 
 // Release drops the resident copy of every record below before — the memory
 // horizon, which the owner advances when a flush commit makes those records
 // dead to every in-process reader. A disk-backed partition does no file I/O
-// here and keeps answering the released offsets from its segment, whose
+// here and keeps answering the released offsets from its segments, whose
 // logical horizon stays where Truncate left it (a crash may restore older
 // offsets than the commit that released them). For a memory-only partition
 // releasing is truncating. A partition nobody releases keeps everything.

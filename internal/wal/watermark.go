@@ -44,6 +44,13 @@ func (w *Watermark) Add(delta int64) { w.v.Add(delta); w.wakeAll(nil) }
 // returns err, now and from here on. The first error given stays.
 func (w *Watermark) Fail(err error) { w.wakeAll(err) }
 
+// Err returns what the watermark was failed with, nil while it is live.
+func (w *Watermark) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
 func (w *Watermark) wakeAll(err error) {
 	if err == nil && w.waiting.Load() == 0 {
 		return

@@ -248,8 +248,10 @@ func Open(opts Options) (*DB, error) {
 	return &DB{c: c}, nil
 }
 
-// Checkpoint persists metadata and syncs the WAL when the store was
-// opened with a DataDir; otherwise it is a no-op.
+// Checkpoint puts the chunks flushed so far and the metadata naming them on
+// stable storage and unlinks the WAL segments they replace, when the store
+// was opened with a DataDir; otherwise it is a no-op. The store takes one by
+// itself every few flushes, and at the end of every Flush.
 func (db *DB) Checkpoint() error { return db.c.Checkpoint() }
 
 // Insert ingests one tuple — InsertBatch of one. Safe for concurrent use.
@@ -339,13 +341,15 @@ func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 // stay acked, and unapplied until the slot is taken over), or ErrClosed.
 func (db *DB) Drain() error { return db.c.Drain() }
 
-// Flush forces every indexing server to flush its memtables to chunks.
+// Flush forces every indexing server to flush its memtables to chunks and,
+// with a DataDir, checkpoints: when it returns nil, everything inserted
+// before the call is in chunks on stable storage and a restart replays none
+// of it. The error is a flush failure no retry can mend, or the checkpoint's.
 func (db *DB) Flush() error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	db.c.FlushAll()
-	return nil
+	return db.c.FlushAll()
 }
 
 // Rebalance runs one adaptive-key-partitioning round, returning whether
@@ -447,16 +451,11 @@ func (db *DB) Telemetry() *telemetry.Registry { return db.c.Telemetry() }
 func (db *DB) Traces() []*QueryTrace { return db.c.TraceRing().Recent() }
 
 // DropBefore removes all chunks that end before the horizon (retention),
-// returning how many were dropped, and advances the WAL's logical horizon
-// past the records already covered by flushed chunks (as of the last
-// checkpoint, in DataDir mode). Chunk files are deleted only after queries
-// planned before the drop have drained; WAL truncation is floored at any
-// hot standby's replay position so a planned handoff never loses acked
-// records. The WAL's memory needs no call: every flush commit releases it.
+// returning how many were dropped. Chunk files are deleted only after
+// queries planned before the drop have drained. The log needs no call:
+// every flush commit releases its memory and every checkpoint its disk.
 func (db *DB) DropBefore(horizon Timestamp) int {
-	n := db.c.DropChunksBefore(horizon)
-	db.c.TruncateWALBefore()
-	return n
+	return db.c.DropChunksBefore(horizon)
 }
 
 // Compact runs one tiering round: chunks aging past the configured
@@ -545,13 +544,16 @@ func (db *DB) ActiveSlots() []int { return db.c.ActiveSlots() }
 func (db *DB) Cluster() *cluster.Cluster { return db.c }
 
 // Close stops the deployment. Buffered tuples are flushed first; the error
-// is Drain's, when acked tuples could not all be applied before the flush.
+// is Drain's, when acked tuples could not all be applied before the flush,
+// or else the flush's.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
 	err := db.c.Drain()
-	db.c.FlushAll()
+	if ferr := db.c.FlushAll(); err == nil {
+		err = ferr
+	}
 	db.c.Stop()
 	return err
 }

@@ -68,8 +68,8 @@ func runChaos(args []string) {
 			failed = true
 		}
 		if *crash {
-			status = fmt.Sprintf("auto-checkpoints %d replayed %d lost-acked %d (expected 0 only under ack-on-fsync): %s",
-				rep.AutoCheckpoints, rep.Replayed, rep.LostAcked, status)
+			status = fmt.Sprintf("auto-checkpoints %d orphans-swept %d replayed %d lost-acked %d (expected 0 only under ack-on-fsync): %s",
+				rep.AutoCheckpoints, rep.OrphansSwept, rep.Replayed, rep.LostAcked, status)
 		}
 		fmt.Printf("seed %-4d ops %-4d inserted %-6d queries %-4d faults %d: %s\n",
 			rep.Seed, *ops, rep.Inserted, rep.Queries, len(rep.FaultsSeen), status)

@@ -104,9 +104,6 @@ func (f *Filter) Bits() uint64 { return f.nbits }
 // K returns the number of hash functions.
 func (f *Filter) K() int { return f.k }
 
-// SizeBytes returns the in-memory footprint of the bit array.
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
 // errCorrupt reports a malformed encoded filter.
 var errCorrupt = errors.New("bloom: corrupt encoding")
 

@@ -136,9 +136,11 @@ type Report struct {
 	// AutoCheckpoints counts the checkpoints the cluster took by itself, on
 	// its flush-commit cadence, before a hard crash; Replayed the WAL records
 	// the reopened cluster replayed after it — bounded by that cadence, not
-	// by the length of the run.
+	// by the length of the run; OrphansSwept the DFS files its Open deleted
+	// because no snapshot named them.
 	AutoCheckpoints int64
 	Replayed        int64
+	OrphansSwept    int64
 	// BatchRejections counts vectorized inserts in which an armed WAL append
 	// fault actually rejected tuples; PartialRejections counts those among
 	// them that were also partly acked (0 < acked < len) — the only ones in
@@ -474,7 +476,7 @@ func (r *runner) hardCrashEpilogue(i int) error {
 	c2.Start()
 	r.trace(i+1, "hard-crash: reopened from %s", r.opts.DataDir)
 	c2.Drain()
-	r.rep.Replayed = c2.Recovered()
+	r.rep.Replayed, r.rep.OrphansSwept = c2.Recovered(), c2.OrphansSwept()
 	r.ackLossOK = r.opts.Durability != "ack-on-fsync"
 	r.verifyComplete(i + 1)
 	c2.Stop()

@@ -252,6 +252,8 @@ type Cluster struct {
 	ckptAuto    atomic.Int64 // how many the checkpointer took by itself
 	checkpoints *telemetry.Counter
 	ckptNanos   *telemetry.Histogram
+	// orphansSwept is how many unregistered DFS files Open deleted.
+	orphansSwept int64
 
 	rr   atomic.Uint64 // round-robin dispatcher pick for Insert
 	stop chan struct{}
@@ -378,14 +380,20 @@ func Open(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Now, with nothing in flight (and nothing to do without a DataDir).
+	swept, err := sweepOrphans(fs, ms)
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{
-		cfg:  cfg,
-		fs:   fs,
-		ms:   ms,
-		log:  log,
-		bal:  dispatcher.NewBalancer(),
-		reg:  reg,
-		stop: make(chan struct{}),
+		cfg:          cfg,
+		fs:           fs,
+		ms:           ms,
+		log:          log,
+		bal:          dispatcher.NewBalancer(),
+		reg:          reg,
+		orphansSwept: swept,
+		stop:         make(chan struct{}),
 	}
 	if reg != nil {
 		c.traces = telemetry.NewTraceRing(traceRingSize)
@@ -412,7 +420,7 @@ func Open(cfg Config) (*Cluster, error) {
 	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
 		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
 	c.checkpoints = reg.Counter("waterwheel_checkpoints_total",
-		"completed checkpoints: metadata snapshot and chunk files on stable storage, WAL segments behind them unlinked")
+		"completed checkpoints: chunk files and metadata snapshot on stable storage, WAL segments behind them unlinked")
 	c.ckptNanos = reg.Histogram("waterwheel_checkpoint_seconds",
 		"checkpoint latency, capture to last unlink (stage: checkpoint)")
 	c.coord = queryexec.NewCoordinator(queryexec.CoordinatorConfig{
@@ -474,6 +482,42 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: open checkpoint: %w", err)
 	}
 	return c, nil
+}
+
+// sweepOrphans holds the file system to the restored registry, the one record
+// of which chunks exist. Every registered chunk must be there with exactly
+// its registered bytes (the size in the snapshot was fsynced after the file
+// was: a mismatch is damage no replay mends, and Open fails); every other
+// file is deleted. A file the durable registry does not name is a chunk
+// written after the last checkpoint (its records are still in the log, whose
+// segments go only behind a snapshot naming the chunks that replace them, and
+// this process re-flushes them under its own epoch generation), a retired
+// chunk whose drop the snapshot records, or the output of a compaction or a
+// flush that never registered. Only Open may do this: while the deployment
+// runs, a file between its Write and its registration looks the same.
+func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
+	registered := make(map[string]struct{})
+	for _, ci := range ms.ChunksFor(model.FullRegion()) {
+		size, err := fs.Size(ci.Path)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: registered chunk %d: %w", ci.ID, err)
+		}
+		if size != ci.Size {
+			return 0, fmt.Errorf("cluster: registered chunk %d: %w: %s holds %d bytes, the registry says %d",
+				ci.ID, dfs.ErrSizeMismatch, ci.Path, size, ci.Size)
+		}
+		registered[ci.Path] = struct{}{}
+	}
+	for _, name := range fs.List() {
+		if _, ok := registered[name]; ok {
+			continue
+		}
+		if err := fs.Delete(name); err != nil {
+			return swept, fmt.Errorf("cluster: orphan sweep: %w", err)
+		}
+		swept++
+	}
+	return swept, nil
 }
 
 // standbyHandle pairs a hot standby with the resources backing its tail.
@@ -690,8 +734,8 @@ const checkpointCommits = 8
 //
 //	capture the flush offsets → snapshot the metadata (offsets only grow, so
 //	the image records at least the captured ones) → fsync the chunk files
-//	written since the last checkpoint, the DFS manifest and their directory
-//	(the flusher does not: dfs.FS.Sync) → write meta.snap.tmp, fsync it,
+//	written since the last checkpoint, then their directory (the flusher
+//	does not: dfs.FS.Sync) → write meta.snap.tmp, fsync it,
 //	rename it over meta.snap, fsync the directory → fsync the log → unlink
 //	every WAL segment wholly below min(captured offset, replay floor), and
 //	the files of the chunks that retention or compaction had dropped.
@@ -858,8 +902,9 @@ func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 }
 
 // HardCrash simulates a host crash in DataDir mode: no checkpoint, no
-// drain, and every WAL byte past the last fsync watermark is discarded
-// (the OS page cache dies with the host). The cluster is unusable
+// drain, and the OS page cache dies with the host — every WAL byte past the
+// last fsync watermark is discarded, and every chunk file no checkpoint has
+// synced is cut to zero bytes (its name may survive). The cluster is unusable
 // afterwards; Open the same DataDir to get the surviving state. This is
 // the probe for the ack-durability gap: under "ack-on-fsync" every acked
 // tuple is below the watermark and survives; under "ack-on-write" acked
@@ -874,7 +919,7 @@ func (c *Cluster) HardCrash() error {
 	// Abort (not Close) the flushers: in-flight work dies without
 	// checkpointing, like the host it ran on.
 	c.stopIngest((*ingest.Server).Abort)
-	var first error
+	first := c.fs.CrashDiscardUnsynced()
 	for i := 0; i < c.log.Partitions(); i++ {
 		if err := c.log.Partition(i).CrashDiscardUnsynced(); err != nil && first == nil {
 			first = err
@@ -1082,6 +1127,10 @@ func (c *Cluster) TickCompact() (demoted, merged int) {
 	c.ret.sweep()
 	return demoted, merged
 }
+
+// OrphansSwept reports how many DFS files Open deleted because the restored
+// metadata does not name them.
+func (c *Cluster) OrphansSwept() int64 { return c.orphansSwept }
 
 // AutoCheckpoints reports how many checkpoints the checkpointer has taken on
 // its flush-commit cadence, not counting the ones a caller asked for.
@@ -1292,19 +1341,6 @@ func (c *Cluster) startStandbyLocked(i int) error {
 	c.standbys[i] = &standbyHandle{sb: sb, closeTail: closeTail}
 	c.standbyMu.Unlock()
 	sb.Start()
-	return nil
-}
-
-// StopStandby halts and discards slot i's hot standby without promoting.
-func (c *Cluster) StopStandby(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	h := c.takeStandby(i)
-	if h == nil {
-		return fmt.Errorf("cluster: slot %d has no standby", i)
-	}
-	h.release()
-	h.sb.Close()
 	return nil
 }
 

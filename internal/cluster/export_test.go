@@ -20,15 +20,14 @@ type fileOps struct {
 
 // Classes of fileOps.ops entries.
 const (
-	opChunkSync    = "sync chunk"
-	opManifestSync = "sync manifest"
-	opDFSDirSync   = "sync dfs dir"
-	opSnapSync     = "sync meta.snap.tmp"
-	opSnapRename   = "rename meta.snap"
-	opDataDirSync  = "sync data dir"
-	opSegmentSync  = "sync segment"
-	opWALDirSync   = "sync wal dir"
-	opSegmentRm    = "remove segment"
+	opChunkSync   = "sync chunk"
+	opDFSDirSync  = "sync dfs dir"
+	opSnapSync    = "sync meta.snap.tmp"
+	opSnapRename  = "rename meta.snap"
+	opDataDirSync = "sync data dir"
+	opSegmentSync = "sync segment"
+	opWALDirSync  = "sync wal dir"
+	opSegmentRm   = "remove segment"
 )
 
 func classify(dataDir string, op durable.Op, path string) string {
@@ -41,8 +40,6 @@ func classify(dataDir string, op durable.Op, path string) string {
 		return opDataDirSync
 	case op == durable.OpSync && rel == "dfs":
 		return opDFSDirSync
-	case op == durable.OpSync && rel == filepath.Join("dfs", "MANIFEST.json"):
-		return opManifestSync
 	case op == durable.OpSync && strings.HasPrefix(rel, "dfs"):
 		return opChunkSync
 	case op == durable.OpSync && rel == "meta.snap.tmp":

@@ -1,0 +1,271 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"waterwheel/internal/dfs"
+	"waterwheel/internal/model"
+	"waterwheel/internal/telemetry"
+)
+
+func dfsDir(t *testing.T, dataDir string) map[string]int64 {
+	t.Helper()
+	return filesUnder(t, dataDir, "dfs")
+}
+
+// requireOnlyRegisteredChunks: the directory under the DFS holds the
+// registered chunks — as many files, as many bytes — and nothing else.
+func requireOnlyRegisteredChunks(t *testing.T, c *Cluster, dataDir, when string) {
+	t.Helper()
+	var registered int64
+	for _, ci := range c.Metadata().ChunksFor(model.FullRegion()) {
+		registered += ci.Size
+	}
+	var onDisk int64
+	files := dfsDir(t, dataDir)
+	for _, size := range files {
+		onDisk += size
+	}
+	if chunks := c.Metadata().ChunkCount(); len(files) != chunks || len(c.FS().List()) != chunks || onDisk != registered {
+		t.Fatalf("%s: dfs/ holds %d files (%d listed) and %d bytes; the registry names %d chunks of %d bytes",
+			when, len(files), len(c.FS().List()), onDisk, chunks, registered)
+	}
+}
+
+// orphanConfig is walMemConfig on disk under ack-on-fsync: every acked tuple
+// must come back after a HardCrash.
+func orphanConfig(t *testing.T) Config {
+	cfg := walMemConfig(t, true)
+	cfg.Durability = "ack-on-fsync"
+	return cfg
+}
+
+func countStar(t *testing.T, c *Cluster) uint64 {
+	t.Helper()
+	res, err := c.Aggregate(model.AggregateQuery{Keys: model.FullKeyRange(), Times: model.FullTimeRange(), Kind: model.AggCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Count
+}
+
+// TestHardCrashLosesUnsyncedChunkBytes: a host crash takes the page cache
+// with it — the chunks flushed since the last checkpoint keep their names and
+// lose their bytes. The registry never named them and the log still holds
+// their records, so Open sweeps them (and counts them) instead of refusing,
+// and replay returns every acked tuple exactly once.
+func TestHardCrashLosesUnsyncedChunkBytes(t *testing.T) {
+	const total = 3000 // four threshold flushes and a tail: below the checkpoint cadence
+	cfg := orphanConfig(t)
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	seqBatch(t, c, 0, total, 100)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.IndexServers()[0].DrainFlushes(); err != nil {
+		t.Fatal(err)
+	}
+	written := c.Metadata().ChunkCount()
+	if written < 3 || c.AutoCheckpoints() != 0 {
+		t.Fatalf("test premise: %d chunks flushed and %d checkpoints since Open's, want >= 3 and none", written, c.AutoCheckpoints())
+	}
+	if err := c.HardCrash(); err != nil {
+		t.Fatal(err)
+	}
+	files := dfsDir(t, cfg.DataDir)
+	for name, size := range files {
+		if size != 0 {
+			t.Fatalf("%s kept %d bytes no fsync covered", name, size)
+		}
+	}
+	if len(files) != written {
+		t.Fatalf("dfs/ holds %d names after the crash, want the %d chunks written", len(files), written)
+	}
+
+	cfg.Telemetry = telemetry.NewRegistry()
+	c2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen over chunk names without bytes, with every record still in the log: %v", err)
+	}
+	defer c2.Stop()
+	if got := c2.OrphansSwept(); got != int64(written) {
+		t.Fatalf("Open swept %d files, want the %d chunks written since the last checkpoint", got, written)
+	}
+	if got := metricValue(t, cfg.Telemetry, "waterwheel_dfs_orphans_swept_total"); got != float64(written) {
+		t.Fatalf("waterwheel_dfs_orphans_swept_total = %v, want %d", got, written)
+	}
+	requireOnlyRegisteredChunks(t, c2, cfg.DataDir, "after the reopen")
+	c2.Start()
+	if err := c2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := recovered(c2)[0]; n != total {
+		t.Fatalf("replayed %d records, want all %d: no chunk survived", n, total)
+	}
+	verifyExactlyOnce(t, c2, total)
+	if got := countStar(t, c2); got != total {
+		t.Fatalf("COUNT(*) = %d after the replay, want %d", got, total)
+	}
+}
+
+// TestOrphansDoNotOutliveARestart: every crash leaves the chunks flushed
+// since the last checkpoint unregistered, and the replay writes the same
+// tuples again under new names. After every Open the directory holds the
+// registered chunks and nothing else, however many times that happens.
+func TestOrphansDoNotOutliveARestart(t *testing.T) {
+	const total = 5000
+	cfg := orphanConfig(t)
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	seqBatch(t, c, 0, 3000, 100)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil { // the registered, checkpointed history
+		t.Fatal(err)
+	}
+	seqBatch(t, c, 3000, total-3000, 100) // flushed by threshold, in no snapshot
+	for cycle := 1; cycle <= 5; cycle++ {
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.IndexServers()[0].DrainFlushes(); err != nil {
+			t.Fatal(err)
+		}
+		filesBefore := len(c.FS().List())
+		if err := c.HardCrash(); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(cfg); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		when := fmt.Sprintf("cycle %d, after Open", cycle)
+		requireOnlyRegisteredChunks(t, c, cfg.DataDir, when)
+		swept := int64(filesBefore - c.Metadata().ChunkCount())
+		if swept < 2 || c.OrphansSwept() != swept {
+			t.Fatalf("%s: swept %d files; %d were there and %d are registered (want a replay's worth, at least 2)",
+				when, c.OrphansSwept(), filesBefore, c.Metadata().ChunkCount())
+		}
+		c.Start()
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		verifyExactlyOnce(t, c, total)
+	}
+	c.Stop()
+	requireOnlyRegisteredChunks(t, c, cfg.DataDir, "after Stop")
+}
+
+// TestAbandonedCompactionOutputIsSwept: a kill between a compaction's Write
+// and its ReplaceChunks leaves the output file beside inputs that are still
+// registered. Whether or not its bytes reached the disk, the reopened
+// deployment sweeps it and serves the inputs: no row is counted twice.
+func TestAbandonedCompactionOutputIsSwept(t *testing.T) {
+	for _, synced := range []bool{true, false} {
+		t.Run(fmt.Sprintf("synced=%v", synced), func(t *testing.T) {
+			const total = 3000
+			cfg := orphanConfig(t)
+			c, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			seqBatch(t, c, 0, total, 100)
+			if err := c.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			inputs := c.Metadata().ChunksFor(model.FullRegion())
+			// A whole, readable chunk under the name the compactor would
+			// use: served, it would return its input's rows a second time.
+			body, err := c.FS().Read(inputs[0].Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			output := fmt.Sprintf("chunks/compact-is0-e%d-d0-1", c.Metadata().Epoch(0))
+			if err := c.FS().Write(output, body); err != nil {
+				t.Fatal(err)
+			}
+			if synced {
+				if err := c.FS().Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.HardCrash(); err != nil {
+				t.Fatal(err)
+			}
+
+			c2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Stop()
+			if _, err := c2.FS().Size(output); !errors.Is(err, dfs.ErrNotFound) || c2.OrphansSwept() != 1 {
+				t.Fatalf("the abandoned output after the reopen: %v, %d files swept; want it gone and 1", err, c2.OrphansSwept())
+			}
+			if got := c2.Metadata().ChunkCount(); got != len(inputs) {
+				t.Fatalf("%d chunks registered after the reopen, want the %d inputs", got, len(inputs))
+			}
+			requireOnlyRegisteredChunks(t, c2, cfg.DataDir, "after the reopen")
+			c2.Start()
+			if err := c2.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			verifyExactlyOnce(t, c2, total)
+			if got := countStar(t, c2); got != total {
+				t.Fatalf("COUNT(*) = %d, want %d", got, total)
+			}
+		})
+	}
+}
+
+// TestDirSizeMismatchIsTypedOpenError: the registry's copy of a chunk's size
+// was fsynced behind the chunk's bytes, so a registered chunk whose file is
+// short or long is damage no replay mends — Open fails with
+// dfs.ErrSizeMismatch — and a missing one fails it with dfs.ErrNotFound.
+func TestDirSizeMismatchIsTypedOpenError(t *testing.T) {
+	cfg := orphanConfig(t)
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	seqBatch(t, c, 0, 2000, 100)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	victim := c.Metadata().ChunksFor(model.FullRegion())[0]
+	c.Stop()
+	path := filepath.Join(cfg.DataDir, "dfs", strings.ReplaceAll(victim.Path, "/", "%2F"))
+	for what, size := range map[string]int64{"short": victim.Size / 2, "long": victim.Size + 1} {
+		if err := os.Truncate(path, size); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(cfg); !errors.Is(err, dfs.ErrSizeMismatch) {
+			t.Fatalf("open over a %s registered chunk = %v, want dfs.ErrSizeMismatch", what, err)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(cfg); !errors.Is(err, dfs.ErrNotFound) || errors.Is(err, dfs.ErrSizeMismatch) {
+		t.Fatalf("open over a missing registered chunk = %v, want dfs.ErrNotFound", err)
+	}
+}

@@ -157,6 +157,7 @@ func (c *Cluster) registerFuncMetrics() {
 	reg.CounterFunc("waterwheel_dfs_read_bytes_total", "bytes read from the DFS", func() int64 {
 		return c.fs.Metrics().BytesRead.Load()
 	})
+	reg.CounterFunc("waterwheel_dfs_orphans_swept_total", "DFS files Open deleted because the restored metadata does not name them: chunks written after the last checkpoint (replayed from the WAL), retired chunks, abandoned outputs", c.OrphansSwept)
 	reg.CounterFunc("waterwheel_dfs_writes_total", "DFS write accesses", func() int64 {
 		return c.fs.Metrics().Writes.Load()
 	})

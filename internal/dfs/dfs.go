@@ -2,8 +2,8 @@
 // immutable data chunks in. It stands in for HDFS and models the properties
 // the paper's experiments depend on:
 //
-//   - N datanodes with R-way replication on random distinct nodes (HDFS
-//     default 3, §IV-C);
+//   - N datanodes with R-way replication on distinct nodes, spread evenly
+//     and derived from the file's name (HDFS default 3, §IV-C);
 //   - replica locality: readers co-located with a replica avoid the remote
 //     transfer cost, which is what LADA's chunk locality exploits;
 //   - a per-access open delay of 2–50 ms regardless of read size (§VI-B),
@@ -14,12 +14,15 @@
 package dfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
 	"waterwheel/internal/durable"
 )
 
@@ -30,9 +33,9 @@ var (
 	ErrUnavailable = errors.New("dfs: no live replica")
 	ErrBadRange    = errors.New("dfs: read range out of bounds")
 	ErrNoNodes     = errors.New("dfs: no live datanodes for placement")
-	// ErrSizeMismatch is returned by Open when a backing file's length is
-	// not the one the manifest recorded for it.
-	ErrSizeMismatch = errors.New("dfs: backing file size does not match the manifest")
+	// ErrSizeMismatch says a backing file's length is not the one its owner
+	// recorded for it (cluster.Open checks every registered chunk).
+	ErrSizeMismatch = errors.New("dfs: backing file size does not match the recorded size")
 	// ErrInjected marks a transient failure produced by the fault-injection
 	// hooks (SetWriteFailRate and friends) — the chaos-testing analogue of a
 	// flaky datanode or a timed-out pipeline.
@@ -75,7 +78,8 @@ type Config struct {
 	Replication int
 	// Latency is the I/O cost model; the zero value charges nothing.
 	Latency LatencyModel
-	// Seed drives replica placement and open-delay jitter.
+	// Seed makes replica placement (a function of Seed, the file's name and
+	// the live nodes: see place) and open-delay jitter deterministic.
 	Seed int64
 	// FaultSeed seeds the fault-injection RNG. It is deliberately separate
 	// from Seed so enabling error rates never perturbs replica placement —
@@ -85,17 +89,20 @@ type Config struct {
 	Sleep func(time.Duration)
 	// Dir, when non-empty, keeps file contents in the local filesystem
 	// under this directory and nowhere else (one physical copy, read back
-	// on every ReadAt; replica placement stays simulated via a manifest).
-	// Files survive process restarts: New loads the manifest and serves
-	// existing files.
+	// on every ReadAt; replica placement stays simulated). The directory is
+	// the only record of what is stored: Open serves every file it finds
+	// there, so files survive process restarts; which of them should not
+	// have is the caller's to say (cluster.Open deletes what the metadata
+	// registry does not name).
 	Dir string
 	// ObserveRead, when set, receives the simulated latency charged to
 	// each chunk read (open delay + transfer) and whether the read was
 	// served by a co-located replica — the telemetry hook for injected
 	// I/O cost. Must be cheap; called on the read path.
 	ObserveRead func(latency time.Duration, local bool)
-	// Files performs Sync's fsyncs (nil: the plain OS), so a test can watch
-	// their order against a checkpoint's other files.
+	// Files performs Write's rename and Sync's fsyncs (nil: the plain OS), so
+	// a test can watch their order against a checkpoint's other files, fail
+	// one, or hold a write at the point its name appears.
 	Files *durable.Files
 }
 
@@ -129,14 +136,19 @@ type FS struct {
 
 	mu    sync.RWMutex
 	files map[string]*file
+	// busy holds the names whose bytes are on their way in (Write) or out
+	// (Delete), outside mu: taken for a writer, absent for a reader.
+	busy  map[string]struct{}
 	alive []bool
 	used  []int64 // bytes per node
-	rng   *rand.Rand
-	// unsynced lists the Dir-backed files written since the last Sync, and
-	// manifestUnsynced says the manifest was rewritten since; see Sync.
-	unsynced         []string
-	manifestUnsynced bool
-	syncMu           sync.Mutex
+	// unsynced lists the Dir-backed files written since the last Sync.
+	unsynced []string
+	syncMu   sync.Mutex
+
+	// Open-delay jitter, under its own lock: a read never takes mu for
+	// writing.
+	jitterMu sync.Mutex
+	jitter   *rand.Rand
 
 	// Fault injection (chaos testing): transient error rates and one-shot
 	// failure budgets, under their own lock so read-path injection does not
@@ -161,8 +173,8 @@ func New(cfg Config) *FS {
 	return fs
 }
 
-// Open creates a file system. With Config.Dir set, the files the manifest
-// in the backing directory lists are served (their bytes stay on disk).
+// Open creates a file system. With Config.Dir set, the files found in the
+// backing directory are served (their bytes stay on disk).
 func Open(cfg Config) (*FS, error) {
 	if cfg.Nodes < 1 {
 		cfg.Nodes = 1
@@ -181,9 +193,10 @@ func Open(cfg Config) (*FS, error) {
 		cfg:      cfg,
 		sleep:    sleep,
 		files:    make(map[string]*file),
+		busy:     make(map[string]struct{}),
 		alive:    make([]bool, cfg.Nodes),
 		used:     make([]int64, cfg.Nodes),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		jitter:   rand.New(rand.NewSource(cfg.Seed)),
 		faultRng: rand.New(rand.NewSource(cfg.FaultSeed)),
 	}
 	for i := range fs.alive {
@@ -209,9 +222,9 @@ func (fs *FS) openDelay() time.Duration {
 	if lm.OpenMax <= lm.OpenMin {
 		return lm.OpenMin
 	}
-	fs.mu.Lock()
-	d := lm.OpenMin + time.Duration(fs.rng.Int63n(int64(lm.OpenMax-lm.OpenMin)))
-	fs.mu.Unlock()
+	fs.jitterMu.Lock()
+	d := lm.OpenMin + time.Duration(fs.jitter.Int63n(int64(lm.OpenMax-lm.OpenMin)))
+	fs.jitterMu.Unlock()
 	return d
 }
 
@@ -286,55 +299,92 @@ func (fs *FS) injectReadFault() bool {
 	return fs.readFailRate > 0 && fs.faultRng.Float64() < fs.readFailRate
 }
 
-// Write stores a file, placing Replication replicas on random distinct
-// live nodes. The data is copied — into memory, or with Config.Dir into the
-// backing file only. Writing an existing name fails.
+// place picks a file's replicas: r distinct nodes among the live ones, by
+// rendezvous hashing — every live node scores a hash of (seed, name, node)
+// and the r highest win. It is a pure function, so both residencies place
+// alike, Seed makes a layout repeatable, and a reopen (every node alive)
+// recomputes what Write chose; a file written while a node was down reads,
+// after a restart, the placement re-replication would have moved it to.
+// Fewer than r live nodes yield them all; none, nil.
+func place(seed int64, name string, alive []bool, r int) []int {
+	h := uint64(seed) ^ 14695981039346656037 // FNV-1a over the name
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	score := func(node int) uint64 {
+		// splitmix64's finalizer: consecutive nodes, unrelated scores.
+		x := h + uint64(node+1)*0x9E3779B97F4A7C15
+		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		x = (x ^ x>>27) * 0x94D049BB133111EB
+		return x ^ x>>31
+	}
+	var live []int
+	for n, a := range alive {
+		if a {
+			live = append(live, n)
+		}
+	}
+	slices.SortFunc(live, func(a, b int) int {
+		return cmp.Or(cmp.Compare(score(b), score(a)), cmp.Compare(a, b))
+	})
+	return live[:min(r, len(live))]
+}
+
+// publishLocked enters a file whose bytes are in place into the table.
+// Caller holds fs.mu.
+func (fs *FS) publishLocked(name string, f *file) {
+	fs.files[name] = f
+	for _, n := range f.replicas {
+		fs.used[n] += f.size
+	}
+}
+
+// Write stores a file on Replication distinct live nodes (see place). The
+// data is copied — into memory, or with Config.Dir into the backing file
+// only, outside the file-table lock: the name is reserved, the bytes go to a
+// temporary file that is renamed into place, and only then does the entry
+// appear, so a reader never sees a name before its bytes and a name in the
+// directory means a write that finished. Write does not fsync (see Sync).
+// Writing a name that exists, or is being written, fails; a failed write
+// leaves nothing behind and may be retried.
 func (fs *FS) Write(name string, data []byte) error {
 	if fs.injectWriteFault() {
 		fs.m.InjectedWriteFailures.Add(1)
 		return fmt.Errorf("%w: write %s", ErrInjected, name)
 	}
+	f := &file{size: int64(len(data))}
 	fs.mu.Lock()
-	if _, ok := fs.files[name]; ok {
+	_, exists := fs.files[name]
+	if _, busy := fs.busy[name]; exists || busy {
 		fs.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	var live []int
-	for i, a := range fs.alive {
-		if a {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
+	if f.replicas = place(fs.cfg.Seed, name, fs.alive, fs.cfg.Replication); len(f.replicas) == 0 {
 		fs.mu.Unlock()
 		return ErrNoNodes
 	}
-	r := fs.cfg.Replication
-	if r > len(live) {
-		r = len(live)
-	}
-	fs.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
-	replicas := append([]int(nil), live[:r]...)
-	f := &file{size: int64(len(data)), replicas: replicas}
+	fs.busy[name] = struct{}{}
+	fs.mu.Unlock()
+
+	var err error
 	if fs.cfg.Dir == "" {
 		f.data = append([]byte(nil), data...)
+	} else {
+		err = fs.writeBacking(name, data)
 	}
-	fs.files[name] = f
-	for _, n := range replicas {
-		fs.used[n] += int64(len(data))
-	}
-	if fs.cfg.Dir != "" {
-		if err := fs.persistWriteLocked(name, data); err != nil {
-			// Roll the in-memory state back so callers can retry safely.
-			delete(fs.files, name)
-			for _, n := range replicas {
-				fs.used[n] -= int64(len(data))
-			}
-			fs.mu.Unlock()
-			return err
+
+	fs.mu.Lock()
+	delete(fs.busy, name)
+	if err == nil {
+		fs.publishLocked(name, f)
+		if fs.cfg.Dir != "" {
+			fs.unsynced = append(fs.unsynced, name)
 		}
 	}
 	fs.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	fs.m.Writes.Add(1)
 	fs.m.BytesWrite.Add(int64(len(data)))
@@ -447,17 +497,6 @@ func (fs *FS) Size(name string) (int64, error) {
 	return f.size, nil
 }
 
-// Locations returns the replica node ids of a file (including dead nodes).
-func (fs *FS) Locations(name string) ([]int, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return append([]int(nil), f.replicas...), nil
-}
-
 // LocationsBatch returns the replica node ids of each named file in a
 // single metadata round-trip (one lock acquisition instead of one per
 // file) — the coordinator's per-query locality lookup. Unknown or empty
@@ -475,22 +514,31 @@ func (fs *FS) LocationsBatch(names []string) [][]int {
 	return out
 }
 
-// Delete removes a file.
+// Delete removes a file. With Config.Dir the entry goes under the lock and
+// the backing file is unlinked after it, the name staying reserved until it
+// is: a Write of the same name cannot land under the unlink.
 func (fs *FS) Delete(name string) error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
+		fs.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	for _, n := range f.replicas {
 		fs.used[n] -= f.size
 	}
 	delete(fs.files, name)
-	if fs.cfg.Dir != "" {
-		return fs.persistDeleteLocked(name)
+	if fs.cfg.Dir == "" {
+		fs.mu.Unlock()
+		return nil
 	}
-	return nil
+	fs.busy[name] = struct{}{}
+	fs.mu.Unlock()
+	err := fs.removeBacking(name)
+	fs.mu.Lock()
+	delete(fs.busy, name)
+	fs.mu.Unlock()
+	return err
 }
 
 // List returns all file names (unordered).
@@ -520,14 +568,4 @@ func (fs *FS) ReviveNode(id int) {
 	if id >= 0 && id < len(fs.alive) {
 		fs.alive[id] = true
 	}
-}
-
-// NodeUsed returns bytes stored on a node.
-func (fs *FS) NodeUsed(id int) int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if id < 0 || id >= len(fs.used) {
-		return 0
-	}
-	return fs.used[id]
 }

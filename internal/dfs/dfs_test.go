@@ -12,6 +12,11 @@ func newTestFS(nodes, repl int) *FS {
 	return New(Config{Nodes: nodes, Replication: repl, Seed: 1, Sleep: func(time.Duration) {}})
 }
 
+// locations returns a file's replica nodes, nil when it is not there.
+func locations(fs *FS, name string) []int {
+	return fs.LocationsBatch([]string{name})[0]
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	fs := newTestFS(4, 3)
 	data := []byte("hello chunk data")
@@ -80,10 +85,7 @@ func TestReplicationPlacement(t *testing.T) {
 		fs.Write(fmt.Sprintf("f%d", i), []byte("data"))
 	}
 	for i := 0; i < 50; i++ {
-		locs, err := fs.Locations(fmt.Sprintf("f%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		locs := locations(fs, fmt.Sprintf("f%d", i))
 		if len(locs) != 3 {
 			t.Fatalf("file %d has %d replicas", i, len(locs))
 		}
@@ -100,7 +102,7 @@ func TestReplicationPlacement(t *testing.T) {
 func TestReplicationClamped(t *testing.T) {
 	fs := New(Config{Nodes: 2, Replication: 5, Sleep: func(time.Duration) {}})
 	fs.Write("f", []byte("x"))
-	locs, _ := fs.Locations("f")
+	locs := locations(fs, "f")
 	if len(locs) != 2 {
 		t.Errorf("replicas = %v, want 2", locs)
 	}
@@ -109,7 +111,7 @@ func TestReplicationClamped(t *testing.T) {
 func TestLocalityDetection(t *testing.T) {
 	fs := newTestFS(4, 2)
 	fs.Write("f", []byte("abc"))
-	locs, _ := fs.Locations("f")
+	locs := locations(fs, "f")
 	_, info, err := fs.ReadAt("f", 0, -1, locs[0])
 	if err != nil || !info.Local || info.Node != locs[0] {
 		t.Errorf("co-located read not local: %+v, %v", info, err)
@@ -141,7 +143,7 @@ func TestLocalityDetection(t *testing.T) {
 func TestNodeFailureAndRecovery(t *testing.T) {
 	fs := newTestFS(3, 2)
 	fs.Write("f", []byte("x"))
-	locs, _ := fs.Locations("f")
+	locs := locations(fs, "f")
 	// Kill one replica: still readable.
 	fs.KillNode(locs[0])
 	if _, err := fs.Read("f"); err != nil {
@@ -168,7 +170,7 @@ func TestWritePlacementAvoidsDeadNodes(t *testing.T) {
 		if err := fs.Write(name, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
-		locs, _ := fs.Locations(name)
+		locs := locations(fs, name)
 		for _, n := range locs {
 			if n == 0 || n == 1 {
 				t.Fatalf("placed on dead node: %v", locs)

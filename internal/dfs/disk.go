@@ -1,9 +1,9 @@
 package dfs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,27 +12,18 @@ import (
 // Disk backing: when Config.Dir is set, file contents live on the local
 // filesystem and only there (one physical copy per logical file, no copy on
 // the heap: the file table keeps size and placement, so memory does not
-// grow with the bytes stored and a restart loads none of them). The replica
-// placement metadata persists in a JSON manifest, so a restarted process
-// serves the chunks written by its predecessor. A read opens the backing
-// file, preads the range and closes it again: no descriptor outlives the
-// read. Simulated latencies and locality semantics are unchanged.
+// grow with the bytes stored and a restart loads none of them). The
+// directory is the file table's durable form — a file's name is its entry's
+// name, its length the entry's size, and its placement is recomputed (see
+// place) — so a restarted process serves the chunks written by its
+// predecessor with nothing else to read, rewrite or keep in step. A read
+// opens the backing file, preads the range and closes it again: no
+// descriptor outlives the read. Simulated latencies and locality semantics
+// are unchanged.
 
-// manifestName is the metadata file inside the backing directory.
-const manifestName = "MANIFEST.json"
-
-// manifestEntry records one file's placement.
-type manifestEntry struct {
-	Name     string `json:"name"`
-	Size     int64  `json:"size"`
-	Replicas []int  `json:"replicas"`
-}
-
-// manifest is the persistent image of the file table.
-type manifest struct {
-	Nodes int             `json:"nodes"`
-	Files []manifestEntry `json:"files"`
-}
+// tmpSuffix ends the name of a backing file still being written. diskPath
+// follows every '%' with "25" or "2F", so no logical name encodes to it.
+const tmpSuffix = "%tmp"
 
 // diskPath maps a logical name to a backing file path. Logical names use
 // '/' separators; they flatten to one directory level to avoid surprises
@@ -43,112 +34,103 @@ func (fs *FS) diskPath(name string) string {
 	return filepath.Join(fs.cfg.Dir, enc)
 }
 
-// loadDir restores the file table from the backing directory. Called by
-// New with the lock not yet shared.
+// logicalName inverts diskPath for a directory entry; ok is false for an
+// entry that is not the encoding of any name, which no Write can have made.
+func (fs *FS) logicalName(entry string) (name string, ok bool) {
+	name, err := url.PathUnescape(entry)
+	return name, err == nil && fs.diskPath(name) == filepath.Join(fs.cfg.Dir, entry)
+}
+
+// loadDir builds the file table from the backing directory: every regular
+// file whose name decodes is served at the length it has; a temporary file a
+// dead writer left is removed; anything else is not ours and is left alone.
+// Called by Open with the lock not yet shared and every node alive.
 func (fs *FS) loadDir() error {
 	if err := os.MkdirAll(fs.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("dfs: backing dir: %w", err)
 	}
-	raw, err := os.ReadFile(filepath.Join(fs.cfg.Dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil
-	}
+	entries, err := os.ReadDir(fs.cfg.Dir)
 	if err != nil {
-		return fmt.Errorf("dfs: manifest: %w", err)
+		return fmt.Errorf("dfs: backing dir: %w", err)
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return fmt.Errorf("dfs: manifest decode: %w", err)
-	}
-	for _, e := range m.Files {
-		st, err := os.Stat(fs.diskPath(e.Name))
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		if strings.HasSuffix(e.Name(), tmpSuffix) {
+			os.Remove(filepath.Join(fs.cfg.Dir, e.Name())) // never served; the next Open tries again
+			continue
+		}
+		name, ok := fs.logicalName(e.Name())
+		if !ok {
+			continue
+		}
+		info, err := e.Info()
 		if err != nil {
-			return fmt.Errorf("dfs: load %s: %w", e.Name, err)
+			return fmt.Errorf("dfs: load %s: %w", name, err)
 		}
-		if st.Size() != e.Size {
-			return fmt.Errorf("%w: %s holds %d bytes, manifest says %d", ErrSizeMismatch, e.Name, st.Size(), e.Size)
-		}
-		replicas := e.Replicas
-		for _, n := range replicas {
-			if n < 0 || n >= fs.cfg.Nodes {
-				// The cluster shrank across restarts; re-place the replica
-				// on node 0 to stay within bounds.
-				replicas = []int{0}
-				break
-			}
-		}
-		fs.files[e.Name] = &file{size: e.Size, replicas: replicas}
-		for _, n := range replicas {
-			fs.used[n] += e.Size
-		}
+		fs.publishLocked(name, &file{
+			size:     info.Size(),
+			replicas: place(fs.cfg.Seed, name, fs.alive, fs.cfg.Replication),
+		})
 	}
 	return nil
 }
 
-// saveManifestLocked rewrites the manifest. Caller holds fs.mu.
-func (fs *FS) saveManifestLocked() error {
-	m := manifest{Nodes: fs.cfg.Nodes}
-	for name, f := range fs.files {
-		m.Files = append(m.Files, manifestEntry{
-			Name: name, Size: f.size, Replicas: f.replicas,
-		})
+// writeBacking puts a file's bytes in place: written under a temporary name,
+// then renamed. The caller reserved the name and holds no lock. On failure
+// nothing is left under either name.
+func (fs *FS) writeBacking(name string, data []byte) error {
+	path := fs.diskPath(name)
+	err := os.WriteFile(path+tmpSuffix, data, 0o644)
+	if err == nil {
+		err = fs.cfg.Files.Rename(path+tmpSuffix, path)
 	}
-	raw, err := json.Marshal(&m)
 	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(fs.cfg.Dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	fs.manifestUnsynced = true
-	return os.Rename(tmp, filepath.Join(fs.cfg.Dir, manifestName))
-}
-
-// persistWrite stores a file's bytes and updates the manifest. Caller
-// holds fs.mu.
-func (fs *FS) persistWriteLocked(name string, data []byte) error {
-	if err := os.WriteFile(fs.diskPath(name), data, 0o644); err != nil {
+		os.Remove(path + tmpSuffix) // best effort: Open removes what this leaves
 		return fmt.Errorf("dfs: persist %s: %w", name, err)
 	}
-	fs.unsynced = append(fs.unsynced, name)
-	return fs.saveManifestLocked()
+	return nil
 }
 
-// Sync puts every Dir-backed file written since the last Sync, the manifest
-// that names them and the directory on stable storage — outside fs.mu, so
-// writes and reads go on meanwhile. Write itself does not fsync (a flusher
-// must not wait on the disk's sync rate); a checkpoint calls Sync before it
-// lets go of the log records the files replace. The manifest is synced after
-// the files and a pass repeats while writes keep landing, so the manifest
-// that ends up durable never names a file that is not. A no-op in memory.
+// removeBacking unlinks a file's bytes. The caller reserved the name and
+// holds no lock.
+func (fs *FS) removeBacking(name string) error {
+	if err := os.Remove(fs.diskPath(name)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("dfs: unpersist %s: %w", name, err)
+	}
+	return nil
+}
+
+// Sync puts every Dir-backed file written since the last Sync, and the
+// directory that names them, on stable storage — outside fs.mu, so writes
+// and reads go on meanwhile. Write itself does not fsync (a flusher must not
+// wait on the disk's sync rate); a checkpoint calls Sync before it lets go
+// of the log records the files replace. A failed pass owes everything again.
+// A no-op in memory.
 func (fs *FS) Sync() error {
 	if fs.cfg.Dir == "" {
 		return nil
 	}
 	fs.syncMu.Lock()
 	defer fs.syncMu.Unlock()
-	for {
-		fs.mu.Lock()
-		names, manifest := fs.unsynced, fs.manifestUnsynced
-		fs.unsynced, fs.manifestUnsynced = nil, false
-		fs.mu.Unlock()
-		if len(names) == 0 && !manifest {
-			return nil
-		}
-		err := fs.syncFiles(names)
-		if err != nil {
-			// Owed again at the next Sync.
-			fs.mu.Lock()
-			fs.unsynced = append(names, fs.unsynced...)
-			fs.manifestUnsynced = true
-			fs.mu.Unlock()
-			return fmt.Errorf("dfs: sync: %w", err)
-		}
+	fs.mu.Lock()
+	names := fs.unsynced
+	fs.unsynced = nil
+	fs.mu.Unlock()
+	if len(names) == 0 {
+		return nil
 	}
+	if err := fs.syncFiles(names); err != nil {
+		fs.mu.Lock()
+		fs.unsynced = append(names, fs.unsynced...)
+		fs.mu.Unlock()
+		return fmt.Errorf("dfs: sync: %w", err)
+	}
+	return nil
 }
 
-// syncFiles fsyncs the named files, then the manifest, then the directory.
+// syncFiles fsyncs the named files, then the directory.
 func (fs *FS) syncFiles(names []string) error {
 	for _, name := range names {
 		// A file deleted since it was written has nothing left to keep.
@@ -156,10 +138,27 @@ func (fs *FS) syncFiles(names []string) error {
 			return err
 		}
 	}
-	if err := fs.cfg.Files.Sync(filepath.Join(fs.cfg.Dir, manifestName)); err != nil {
-		return err
-	}
 	return fs.cfg.Files.Sync(fs.cfg.Dir)
+}
+
+// CrashDiscardUnsynced is the DFS's share of a simulated host crash: every
+// backing file no completed Sync covers is cut to zero bytes, as the page
+// cache that held them dies. The names stay — a directory entry can outlive
+// its bytes, and that is the case a design that trusts names must survive.
+// The file system must not be used afterwards; Open the directory again.
+func (fs *FS) CrashDiscardUnsynced() error {
+	fs.syncMu.Lock()
+	defer fs.syncMu.Unlock()
+	fs.mu.Lock()
+	names := fs.unsynced
+	fs.unsynced = nil
+	fs.mu.Unlock()
+	for _, name := range names {
+		if err := os.Truncate(fs.diskPath(name), 0); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("dfs: crash: %w", err)
+		}
+	}
+	return nil
 }
 
 // readBacking reads [offset, offset+length) of a file's backing bytes. The
@@ -184,12 +183,4 @@ func (fs *FS) readBacking(name string, offset, length int64) ([]byte, error) {
 		return nil, fmt.Errorf("dfs: read %s: %w", name, err)
 	}
 	return out, nil
-}
-
-// persistDeleteLocked removes a file's backing bytes. Caller holds fs.mu.
-func (fs *FS) persistDeleteLocked(name string) error {
-	if err := os.Remove(fs.diskPath(name)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("dfs: unpersist %s: %w", name, err)
-	}
-	return fs.saveManifestLocked()
 }

@@ -263,12 +263,12 @@ func (s *Server) flushWithRetry(pf *pendingFlush) bool {
 		if err == nil {
 			return true
 		}
-		if errors.Is(err, dfs.ErrExists) || errors.Is(err, dfs.ErrSizeMismatch) {
-			// The chunk's name is taken, or the store disowns what it holds
-			// under it: the same write fails the same way for good. Say so to
-			// whoever waits on the pipeline, and let go of an inserter blocked
-			// on the full queue; the unit stays queryable, uncommitted, and
-			// the log replays it for whoever takes the slot over.
+		if errors.Is(err, dfs.ErrExists) {
+			// The chunk's name is taken: the same write fails the same way
+			// for good. Say so to whoever waits on the pipeline, and let go
+			// of an inserter blocked on the full queue; the unit stays
+			// queryable, uncommitted, and the log replays it for whoever
+			// takes the slot over.
 			s.flushEvents.Fail(fmt.Errorf("ingest: flush (server %d): %w", s.cfg.ID, err))
 			if !s.stopped.Swap(true) {
 				close(s.stopCh)

@@ -1,6 +1,6 @@
 // Package stats provides the small measurement toolkit the experiment
-// harness uses: latency recorders with percentiles, throughput meters, and
-// formatting helpers for the tables in EXPERIMENTS.md.
+// harness uses: latency recorders with percentiles, and rate and formatting
+// helpers for the tables in EXPERIMENTS.md.
 package stats
 
 import (
@@ -90,87 +90,6 @@ func (r *Recorder) Min() time.Duration { return r.Percentile(0) }
 
 // Max returns the largest sample; zero when empty.
 func (r *Recorder) Max() time.Duration { return r.Percentile(100) }
-
-// Summary is a compact snapshot of a recorder.
-type Summary struct {
-	Count            int
-	Mean             time.Duration
-	P50, P95, P99    time.Duration
-	MinVal, MaxVal   time.Duration
-	TotalWall        time.Duration // optional; set by callers
-	ThroughputPerSec float64       // optional; set by callers
-}
-
-// Summarize returns a Summary of the recorder, taking the lock and
-// sorting at most once for the whole snapshot.
-func (r *Recorder) Summarize() Summary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ensureSortedLocked()
-	s := Summary{
-		Count:  len(r.samples),
-		P50:    r.percentileLocked(50),
-		P95:    r.percentileLocked(95),
-		P99:    r.percentileLocked(99),
-		MinVal: r.percentileLocked(0),
-		MaxVal: r.percentileLocked(100),
-	}
-	if s.Count > 0 {
-		s.Mean = r.sum / time.Duration(s.Count)
-	}
-	return s
-}
-
-// String renders a one-line summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond),
-		s.MaxVal.Round(time.Microsecond))
-}
-
-// Meter measures event throughput over a wall-clock window.
-type Meter struct {
-	mu    sync.Mutex
-	n     int64
-	start time.Time
-}
-
-// NewMeter creates a meter starting now.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Add counts n events.
-func (m *Meter) Add(n int64) {
-	m.mu.Lock()
-	m.n += n
-	m.mu.Unlock()
-}
-
-// Rate returns events per second since the meter started.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el := time.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.n) / el
-}
-
-// Count returns the events counted so far.
-func (m *Meter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-// Reset zeroes the meter and restarts the clock.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.n = 0
-	m.start = time.Now()
-	m.mu.Unlock()
-}
 
 // Rate computes a throughput given a count and elapsed wall time.
 func Rate(count int64, elapsed time.Duration) float64 {

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"waterwheel/internal/model"
 )
 
 // A restart is a second PROCESS over the DataDir: everything a process
@@ -205,12 +208,44 @@ func TestRestartOverUsedDataDir(t *testing.T) {
 	}
 }
 
+// restartOnlyRegistered requires dir/dfs to hold the registered chunks — as
+// many files, as many bytes — and nothing else: what the first process wrote
+// and no snapshot names went at Open, and Close leaves nothing unregistered.
+func restartOnlyRegistered(db *DB, dir, when string) error {
+	entries, err := os.ReadDir(filepath.Join(dir, "dfs"))
+	if err != nil {
+		return err
+	}
+	var onDisk int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			return err
+		}
+		onDisk += info.Size()
+	}
+	chunks := db.Cluster().Metadata().ChunksFor(model.FullRegion())
+	var registered int64
+	for _, ci := range chunks {
+		registered += ci.Size
+	}
+	if len(entries) != len(chunks) || onDisk != registered {
+		return fmt.Errorf("%s: dfs/ holds %d files and %d bytes, the registry names %d chunks of %d bytes",
+			when, len(entries), onDisk, len(chunks), registered)
+	}
+	return nil
+}
+
 // restartSecondProcess is what the restarted deployment does, every step of
 // it required to work.
 func restartSecondProcess(dir string) error {
 	db, err := Open(restartOptions(dir))
 	if err != nil {
 		return fmt.Errorf("reopen: %w", err)
+	}
+	if err := restartOnlyRegistered(db, dir, "after the second process's Open"); err != nil {
+		db.Close()
+		return err
 	}
 	fresh := map[uint64]uint64{0: restartFresh + restartTail, restartGen: restartFresh}
 	steps := []func() error{
@@ -232,6 +267,7 @@ func restartSecondProcess(dir string) error {
 		func() error { return restartCompact(db) },
 		func() error { return restartVerify(db, restartDay10, fresh) },
 		db.Close,
+		func() error { return restartOnlyRegistered(db, dir, "after the second process's Close") },
 	}
 	for i, step := range steps {
 		if err := step(); err != nil {

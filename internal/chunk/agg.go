@@ -54,24 +54,15 @@ type LeafAgg struct {
 	Buckets []AggBucket
 }
 
-// floorDiv is integer division rounding toward negative infinity.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
 // buildLeafAgg folds a leaf's columns into time buckets.
 func buildLeafAgg(lc *core.LeafCols, field uint32, width, minT, maxT int64) LeafAgg {
 	if width <= 0 {
 		width = 1000
 	}
-	first := floorDiv(minT, width) * width
+	first := model.FloorDiv(minT, width) * width
 	for (maxT-first)/width+1 > maxAggBuckets {
 		width *= 2
-		first = floorDiv(minT, width) * width
+		first = model.FloorDiv(minT, width) * width
 	}
 	la := LeafAgg{
 		Width:   width,
@@ -209,8 +200,8 @@ func (h *Header) FoldLeafAgg(li int, tr model.TimeRange, countOnly bool, agg *mo
 	w := la.Width
 	// First bucket starting at or after tr.Lo; last bucket ending at or
 	// before tr.Hi (bucket b spans [First+b·w, First+(b+1)·w − 1]).
-	bLo := floorDiv(int64(tr.Lo)-la.First+w-1, w)
-	bHi := floorDiv(int64(tr.Hi)-la.First+1, w) - 1
+	bLo := model.FloorDiv(int64(tr.Lo)-la.First+w-1, w)
+	bHi := model.FloorDiv(int64(tr.Hi)-la.First+1, w) - 1
 	if bLo < 0 {
 		bLo = 0
 	}

@@ -193,22 +193,19 @@ type Cluster struct {
 	comp  *compact.Compactor
 	ret   *retirer
 
-	// idx[i] is slot i's indexing server — nil once the slot is retired.
-	// retired[i] flips (permanently) when slot i is decommissioned; the WAL
-	// sink consults it to reroute stragglers dispatched under a pre-removal
-	// schema. Both grow under idxMu as elastic scale-out adds slots.
-	idxMu   sync.RWMutex
-	idx     []*ingest.Server
-	retired []bool
-
 	// elasticMu serializes topology operations (add, decommission, kill,
 	// promote, rebalance) against each other; the data path never takes it.
 	elasticMu sync.Mutex
 
-	// standbys maps slot -> its hot standby (HotStandby mode or explicit
-	// StartStandby). closeTail releases a shipping client, when one exists.
-	standbyMu sync.Mutex
-	standbys  map[int]*standbyHandle
+	// slots is the slot table (lifecycle.go): slots[i] is everything the
+	// deployment runs for slot i <-> WAL partition i. It grows as elastic
+	// scale-out adds slots and never shrinks. carried holds the counts of
+	// the incarnations that have left it. Lock order is elasticMu → slotMu,
+	// and slotMu is a leaf: copy out what is needed and call nothing that
+	// can block while it is held.
+	slotMu  sync.RWMutex
+	slots   []slot
+	carried Totals
 
 	// shipSrv is the lazily started loopback WAL-shipping endpoint used
 	// when ShipStandbyWAL routes standby tails through the transport.
@@ -257,10 +254,6 @@ type Cluster struct {
 
 	rr   atomic.Uint64 // round-robin dispatcher pick for Insert
 	stop chan struct{}
-	// consStop holds one stop channel per indexing-server consumer so a
-	// single consumer can be "crashed" without stopping the cluster.
-	consMu   sync.Mutex
-	consStop []chan struct{}
 	// takeovers counts completed ownership flips: waitApplied parks here
 	// until a deposed incarnation's successor is in the slot table.
 	takeovers wal.Watermark
@@ -398,35 +391,21 @@ func Open(cfg Config) (*Cluster, error) {
 	if reg != nil {
 		c.traces = telemetry.NewTraceRing(traceRingSize)
 	}
-	c.ingestMetrics = ingest.Metrics{
-		InsertNanos: reg.Histogram("waterwheel_ingest_insert_seconds",
-			"sampled end-to-end insert latency on indexing servers"),
-		FlushNanos: reg.Histogram("waterwheel_ingest_flush_seconds",
-			"memtable flush latency (chunk build + DFS write + registration)"),
-		BackpressureNanos: reg.Histogram("waterwheel_ingest_backpressure_seconds",
-			"time threshold-crossing inserts spent blocked on a full flush queue"),
-	}
-	c.walAppends = reg.Counter("waterwheel_wal_appends_total", "records appended to WAL partitions")
-	c.walAppendCalls = reg.Counter("waterwheel_wal_append_calls_total",
-		"append calls on WAL partitions: one per indexing server a batch routes to, one per single insert")
-	c.repartitions = reg.Counter("waterwheel_repartitions_total", "adaptive key repartitions installed")
-	c.insertBatches = reg.Counter("waterwheel_insert_batches_total", "batches routed through InsertBatch")
-	c.batchRecords = reg.Histogram("waterwheel_insert_batch_records",
-		"tuples per InsertBatch call (unit: records, not seconds)")
-	c.handoffs = reg.Counter("waterwheel_handoffs_total",
-		"region ownership handoffs (planned promotions and standby takeovers)")
-	c.handoffLag = reg.Histogram("waterwheel_handoff_lag_records",
-		"standby replay lag behind the partition head at an ownership flip (unit: records, not seconds)")
-	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
-		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
-	c.checkpoints = reg.Counter("waterwheel_checkpoints_total",
-		"completed checkpoints: chunk files and metadata snapshot on stable storage, WAL segments behind them unlinked")
-	c.ckptNanos = reg.Histogram("waterwheel_checkpoint_seconds",
-		"checkpoint latency, capture to last unlink (stage: checkpoint)")
+	c.registerHandles()
 	c.coord = queryexec.NewCoordinator(queryexec.CoordinatorConfig{
 		Policy:  queryexec.PolicyByName(cfg.Policy),
 		Metrics: queryexec.NewCoordinatorMetrics(reg),
 		Traces:  c.traces,
+		// The coordinator asks the slot table at dispatch time: a successor
+		// serves queries the instant it is installed, a retired slot nobody.
+		// (An untyped nil — a nil *ingest.Server in the interface would pass
+		// the coordinator's "no executor" check and panic in the call.)
+		MemExecutor: func(slot int) queryexec.MemExecutor {
+			if srv := c.server(slot); srv != nil {
+				return srv
+			}
+			return nil
+		},
 	}, c.ms, c.fs)
 
 	schema := c.ms.Schema()
@@ -434,19 +413,15 @@ func Open(cfg Config) (*Cluster, error) {
 	if schema.Servers > nTotal {
 		nTotal = schema.Servers
 	}
-	c.standbys = make(map[int]*standbyHandle)
-	for i := 0; i < nTotal; i++ {
+	c.slots = make([]slot, nTotal)
+	for i := range c.slots {
 		if !schema.Active(i) {
 			// Retired (or never-provisioned) slot: it keeps its WAL
 			// partition and chunk history but runs no server.
-			c.idx = append(c.idx, nil)
-			c.retired = append(c.retired, true)
+			c.slots[i].retired = true
 			continue
 		}
-		srv := c.newIndexServer(i, schema.IntervalOf(i), ms.Epoch(i), false)
-		c.idx = append(c.idx, srv)
-		c.retired = append(c.retired, false)
-		c.coord.SetMemExecutor(i, srv)
+		c.slots[i].srv = c.newIndexServer(i, schema.IntervalOf(i), ms.Epoch(i), false)
 	}
 	qsMetrics := queryexec.NewServerMetrics(reg)
 	for n := 0; n < cfg.Nodes; n++ {
@@ -482,82 +457,6 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: open checkpoint: %w", err)
 	}
 	return c, nil
-}
-
-// sweepOrphans holds the file system to the restored registry, the one record
-// of which chunks exist. Every registered chunk must be there with exactly
-// its registered bytes (the size in the snapshot was fsynced after the file
-// was: a mismatch is damage no replay mends, and Open fails); every other
-// file is deleted. A file the durable registry does not name is a chunk
-// written after the last checkpoint (its records are still in the log, whose
-// segments go only behind a snapshot naming the chunks that replace them, and
-// this process re-flushes them under its own epoch generation), a retired
-// chunk whose drop the snapshot records, or the output of a compaction or a
-// flush that never registered. Only Open may do this: while the deployment
-// runs, a file between its Write and its registration looks the same.
-func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
-	registered := make(map[string]struct{})
-	for _, ci := range ms.ChunksFor(model.FullRegion()) {
-		size, err := fs.Size(ci.Path)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: registered chunk %d: %w", ci.ID, err)
-		}
-		if size != ci.Size {
-			return 0, fmt.Errorf("cluster: registered chunk %d: %w: %s holds %d bytes, the registry says %d",
-				ci.ID, dfs.ErrSizeMismatch, ci.Path, size, ci.Size)
-		}
-		registered[ci.Path] = struct{}{}
-	}
-	for _, name := range fs.List() {
-		if _, ok := registered[name]; ok {
-			continue
-		}
-		if err := fs.Delete(name); err != nil {
-			return swept, fmt.Errorf("cluster: orphan sweep: %w", err)
-		}
-		swept++
-	}
-	return swept, nil
-}
-
-// standbyHandle pairs a hot standby with the resources backing its tail.
-type standbyHandle struct {
-	sb        *ingest.Standby
-	closeTail func() // releases a WAL-shipping client; nil for local tails
-}
-
-// release closes a shipped tail's client — BEFORE the standby is halted:
-// that is what ends a wal.read parked on the server ahead of its bound.
-func (h *standbyHandle) release() {
-	if h.closeTail != nil {
-		h.closeTail()
-		h.closeTail = nil
-	}
-}
-
-// server returns slot i's indexing server, nil when the slot is retired
-// or out of range.
-func (c *Cluster) server(i int) *ingest.Server {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	if i < 0 || i >= len(c.idx) {
-		return nil
-	}
-	return c.idx[i]
-}
-
-// servers returns a snapshot of the slot table; retired slots are nil.
-func (c *Cluster) servers() []*ingest.Server {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	return append([]*ingest.Server(nil), c.idx...)
-}
-
-// isRetired reports whether slot i has been decommissioned.
-func (c *Cluster) isRetired(i int) bool {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	return i >= 0 && i < len(c.retired) && c.retired[i]
 }
 
 // walSink is the dispatcher sink: routed tuples are appended to the
@@ -672,260 +571,6 @@ func encodeRecords(ts []model.Tuple) [][]byte {
 		datas[i] = buf[pos:len(buf):len(buf)]
 	}
 	return datas
-}
-
-// newIndexServer builds indexing server i from the cluster config — the
-// single source of per-server settings, shared by Open, crash recovery,
-// elastic scale-out and standby shadows so a replacement server never
-// silently diverges from the original. epoch is the ownership epoch the
-// incarnation registers flushes under; passive builds a standby shadow
-// that neither flushes nor reports a live region until promoted.
-func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passive bool) *ingest.Server {
-	// Added servers can outnumber the configured nodes; wrap the DFS
-	// placement preference instead of pointing past the last node.
-	node := (i / c.cfg.IndexServersPerNode) % c.cfg.Nodes
-	// SyncWAL: flush-offset commits must not run ahead of the WAL fsync
-	// watermark (consumers index straight from memory, possibly before any
-	// fsync), so the flusher syncs its unit's offset into the log before
-	// registering chunks and committing. ReleaseWAL: once it has committed,
-	// the partition drops its resident copy of what no replay will read, the
-	// slot's standby, possibly parked, looks at the commit (reset rule), and
-	// the checkpointer counts it.
-	return ingest.NewServer(ingest.Config{
-		ID:                  i,
-		Keys:                keys,
-		ChunkBytes:          c.cfg.ChunkBytes,
-		Leaves:              c.cfg.TemplateLeaves,
-		SideThresholdMillis: c.cfg.SideThresholdMillis,
-		Bloom:               c.cfg.Bloom,
-		NoTemplateReuse:     c.cfg.NoTemplateReuse,
-		FlushQueueDepth:     c.cfg.FlushQueueDepth,
-		FlushFailHook:       c.cfg.FlushFailHook,
-		SyncWAL:             c.log.Partition(i).SyncTo,
-		ReleaseWAL: func(committed int64) {
-			c.log.Partition(i).Release(c.replayFloor(i, committed))
-			if h := c.standby(i); h != nil {
-				h.sb.Wake()
-			}
-			c.commits.Add(1)
-		},
-		Metrics: c.ingestMetrics,
-		Epoch:   epoch,
-		Passive: passive,
-	}, c.fs, c.ms, node)
-}
-
-// metaSnapPath is the metadata snapshot file within a data directory.
-func metaSnapPath(dataDir string) string { return filepath.Join(dataDir, "meta.snap") }
-
-// checkpointCommits is the checkpoint cadence: one after this many flush
-// commits, cluster-wide. With FlushQueueDepth units in flight and one being
-// swapped it bounds what the log holds on disk, and what a hard crash
-// replays, at (checkpointCommits + FlushQueueDepth + 1) chunks' worth per
-// slot, whatever the uptime. A constant: a checkpoint is a full metadata
-// image, cheap against eight chunk writes while the registry holds thousands
-// of chunks (DESIGN, "The log on disk", says where that stops).
-const checkpointCommits = 8
-
-// Checkpoint makes everything flushed so far survive a host crash without
-// the log, then lets go of the log behind it. No-op without a DataDir. It
-// is a chain, and the order is the point — nothing is unlinked until what
-// replaces it is on stable storage:
-//
-//	capture the flush offsets → snapshot the metadata (offsets only grow, so
-//	the image records at least the captured ones) → fsync the chunk files
-//	written since the last checkpoint, then their directory (the flusher
-//	does not: dfs.FS.Sync) → write meta.snap.tmp, fsync it,
-//	rename it over meta.snap, fsync the directory → fsync the log → unlink
-//	every WAL segment wholly below min(captured offset, replay floor), and
-//	the files of the chunks that retention or compaction had dropped.
-//
-// A failure at any step ends the chain there: every segment stays. The
-// checkpointer runs it every checkpointCommits flush commits; FlushAll, Open
-// (the epoch generation that names this process's chunks is durable before
-// it writes one), AddIndexServer and Stop run it synchronously.
-func (c *Cluster) Checkpoint() error {
-	if c.cfg.DataDir == "" {
-		return nil
-	}
-	c.ckptMu.Lock()
-	defer c.ckptMu.Unlock()
-	start, n := time.Now(), c.ckptStarted.Add(1)
-	offs := make([]int64, c.log.Partitions())
-	for i := range offs {
-		offs[i] = c.ms.Offset(i)
-	}
-	snap, err := c.ms.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := c.fs.Sync(); err != nil {
-		return err
-	}
-	path := metaSnapPath(c.cfg.DataDir)
-	if err := os.WriteFile(path+".tmp", snap, 0o644); err != nil {
-		return err
-	}
-	if err := c.cfg.Files.Sync(path + ".tmp"); err != nil {
-		return err
-	}
-	if err := c.cfg.Files.Rename(path+".tmp", path); err != nil {
-		return err
-	}
-	if err := c.cfg.Files.Sync(c.cfg.DataDir); err != nil {
-		return err
-	}
-	for i := range offs {
-		if err := c.log.Partition(i).Sync(); err != nil {
-			return err
-		}
-	}
-	// The snapshot a hard crash restores names offs: records below them are
-	// in chunks it registers. The floor a lagging standby imposes is the
-	// same as for the memory release; a slot added since the capture has no
-	// durable floor yet and keeps everything.
-	for i, off := range offs {
-		c.log.Partition(i).Truncate(c.replayFloor(i, off))
-	}
-	// Likewise the files of chunks dropped before the snapshot was taken.
-	c.ckptDurable.Store(n)
-	c.ret.sweep()
-	c.checkpoints.Inc()
-	c.ckptNanos.Observe(time.Since(start))
-	return nil
-}
-
-// checkpointer takes a checkpoint every checkpointCommits flush commits. It
-// parks on the commit count: an idle deployment checkpoints nothing.
-func (c *Cluster) checkpointer() {
-	defer c.wg.Done()
-	for next := int64(checkpointCommits); c.commits.Wait(next, c.stop) == nil; {
-		// Counted from before the capture: commits that land while the chain
-		// runs belong to the next one.
-		next = c.commits.Load() + checkpointCommits
-		// A failed chain leaves the log whole; the next cadence tries again.
-		if c.Checkpoint() == nil {
-			c.ckptAuto.Add(1)
-		}
-	}
-}
-
-// Start launches the ingestion consumers, with a DataDir the checkpointer,
-// and, when configured, the balancer loop.
-func (c *Cluster) Start() {
-	if c.started.Swap(true) {
-		return
-	}
-	for i, srv := range c.servers() {
-		if srv == nil {
-			continue // a retired slot has no consumer
-		}
-		c.runConsumer(i, srv, c.detachConsumer(i))
-		if c.cfg.HotStandby {
-			c.StartStandby(i)
-		}
-	}
-	if c.cfg.DataDir != "" {
-		c.wg.Add(1)
-		go c.checkpointer()
-	}
-	if !c.cfg.DisableAdaptive && c.cfg.BalanceIntervalMillis > 0 {
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			tick := time.NewTicker(time.Duration(c.cfg.BalanceIntervalMillis) * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-c.stop:
-					return
-				case <-tick.C:
-					c.TickBalance()
-				}
-			}
-		}()
-	}
-}
-
-// Stop drains and shuts the cluster down, checkpointing persistent state.
-func (c *Cluster) Stop() {
-	if c.stopped.Swap(true) {
-		return
-	}
-	// Close the flushers: they drain their queued snapshots, so the final
-	// checkpoint records their offsets.
-	c.stopIngest((*ingest.Server).Close)
-	_ = c.Checkpoint() // best effort; what it would record is also in the WAL
-	// Query traffic is over; force-delete any chunk files still parked
-	// behind in-flight-query horizons.
-	c.ret.drain()
-	if c.cfg.DataDir != "" {
-		for i := 0; i < c.log.Partitions(); i++ {
-			c.log.Partition(i).CloseFile()
-		}
-	}
-}
-
-// stopIngest is every shutdown's first half (c.stopped is set): release
-// whoever waits on c.stop, detach the consumers, discard the standbys,
-// close the log (which wakes a parked wal.read, so the shipping endpoint
-// closes at once), wait for consumers and balancer, stop the servers.
-func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
-	close(c.stop)
-	for i := range c.servers() {
-		c.detachConsumer(i)
-	}
-	c.standbyMu.Lock()
-	hs := make([]*standbyHandle, 0, len(c.standbys))
-	for slot, h := range c.standbys {
-		hs = append(hs, h)
-		delete(c.standbys, slot)
-	}
-	c.standbyMu.Unlock()
-	for _, h := range hs {
-		h.release()
-		h.sb.Close()
-	}
-	c.log.Close()
-	c.shipMu.Lock()
-	if c.shipSrv != nil {
-		c.shipSrv.Close()
-		c.shipSrv = nil
-	}
-	c.shipMu.Unlock()
-	c.wg.Wait()
-	for _, srv := range c.servers() {
-		if srv != nil {
-			stopServer(srv)
-		}
-	}
-}
-
-// HardCrash simulates a host crash in DataDir mode: no checkpoint, no
-// drain, and the OS page cache dies with the host — every WAL byte past the
-// last fsync watermark is discarded, and every chunk file no checkpoint has
-// synced is cut to zero bytes (its name may survive). The cluster is unusable
-// afterwards; Open the same DataDir to get the surviving state. This is
-// the probe for the ack-durability gap: under "ack-on-fsync" every acked
-// tuple is below the watermark and survives; under "ack-on-write" acked
-// tuples still in the page cache are lost.
-func (c *Cluster) HardCrash() error {
-	if c.cfg.DataDir == "" {
-		return fmt.Errorf("cluster: HardCrash requires DataDir")
-	}
-	if c.stopped.Swap(true) {
-		return fmt.Errorf("cluster: already stopped")
-	}
-	// Abort (not Close) the flushers: in-flight work dies without
-	// checkpointing, like the host it ran on.
-	c.stopIngest((*ingest.Server).Abort)
-	first := c.fs.CrashDiscardUnsynced()
-	for i := 0; i < c.log.Partitions(); i++ {
-		if err := c.log.Partition(i).CrashDiscardUnsynced(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Insert routes one tuple through a dispatcher (round-robin across the
@@ -1050,50 +695,6 @@ func (c *Cluster) FlushAll() error {
 	return errors.Join(append(errs, c.Checkpoint())...)
 }
 
-// TickBalance runs one adaptive-partitioning round: rotate the dispatcher
-// samplers' windows, pool their samples, and — if the estimated load of
-// any indexing server deviates beyond the threshold — install a new key
-// partitioning (paper §III-D). Returns whether a repartition happened.
-func (c *Cluster) TickBalance() bool {
-	if c.cfg.DisableAdaptive {
-		return false
-	}
-	// Repartitioning is a topology change: serialize it against elastic
-	// operations so a balance round never fans out intervals computed from
-	// a schema an add/decommission is concurrently replacing.
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	var sample []model.Key
-	for _, d := range c.disp {
-		sample = append(sample, d.Sampler().Sample()...)
-		d.Sampler().Rotate()
-	}
-	schema := c.ms.Schema()
-	bounds, ok := c.bal.Rebalance(schema, sample)
-	if !ok {
-		return false
-	}
-	newSchema, err := c.ms.SetSchema(bounds)
-	if err != nil {
-		return false
-	}
-	for _, d := range c.disp {
-		d.UpdateSchema(newSchema)
-	}
-	for i, srv := range c.servers() {
-		if srv != nil {
-			srv.SetKeys(newSchema.IntervalOf(i))
-		}
-	}
-	c.standbyMu.Lock()
-	for slot, h := range c.standbys {
-		h.sb.SetKeys(newSchema.IntervalOf(slot))
-	}
-	c.standbyMu.Unlock()
-	c.repartitions.Inc()
-	return true
-}
-
 // DropChunksBefore removes every chunk whose temporal region ends before
 // the horizon — stream-store retention. The chunk leaves the metadata
 // registry first (no new subqueries can target it); its cached bytes are
@@ -1136,37 +737,13 @@ func (c *Cluster) OrphansSwept() int64 { return c.orphansSwept }
 // its flush-commit cadence, not counting the ones a caller asked for.
 func (c *Cluster) AutoCheckpoints() int64 { return c.ckptAuto.Load() }
 
-// Recovered reports how many WAL records the current indexing servers
-// replayed on start — what the last crash or restart cost in replay.
-func (c *Cluster) Recovered() int64 {
-	var n int64
-	for _, srv := range c.servers() {
-		if srv != nil {
-			n += srv.Stats().Recovered.Load()
-		}
-	}
-	return n
-}
+// Recovered reports how many WAL records indexing servers replayed on start
+// — what the restart and every crash since cost in replay.
+func (c *Cluster) Recovered() int64 { return c.Totals().Recovered }
 
 // PendingRetiredDeletes reports how many retired chunk files are parked
 // awaiting in-flight-query drain.
 func (c *Cluster) PendingRetiredDeletes() int { return c.ret.pending() }
-
-// replayFloor returns the lowest offset of slot i's partition an in-process
-// reader may still ask for, given the slot's committed flush offset: a
-// crash replacement replays from committed, and a hot standby from its own
-// replay position, which can lag behind it. A planned promotion replays the
-// partition from the standby's position at handoff; dropping records
-// between its catch-up check and the ownership flip would lose acked
-// tuples. The standby's position only moves forward, so the floor read here
-// is safe against a concurrent promotion: at worst a few extra records stay
-// until the next commit.
-func (c *Cluster) replayFloor(i int, committed int64) int64 {
-	if h := c.standby(i); h != nil {
-		return min(committed, h.sb.Consumed())
-	}
-	return committed
-}
 
 // Accessors used by experiments, examples and the public API.
 
@@ -1186,15 +763,7 @@ func (c *Cluster) IndexServers() []*ingest.Server { return c.servers() }
 
 // ActiveSlots returns the slot ids that currently run an indexing server.
 func (c *Cluster) ActiveSlots() []int {
-	c.idxMu.RLock()
-	defer c.idxMu.RUnlock()
-	out := make([]int, 0, len(c.idx))
-	for i, srv := range c.idx {
-		if srv != nil {
-			out = append(out, i)
-		}
-	}
-	return out
+	return fold(c, []int{}, func(ids []int, i int, _ *ingest.Server) []int { return append(ids, i) })
 }
 
 // QueryServers returns the query servers.
@@ -1213,412 +782,15 @@ func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
 func (c *Cluster) TraceRing() *telemetry.TraceRing { return c.traces }
 
 // Ingested returns the total tuples accepted by the indexing servers.
-func (c *Cluster) Ingested() int64 {
-	var n int64
-	for _, srv := range c.servers() {
-		if srv != nil {
-			n += srv.Stats().Ingested.Load()
-		}
-	}
-	return n
-}
+func (c *Cluster) Ingested() int64 { return c.Totals().Ingested }
 
 // MemLen returns the total buffered (unflushed) tuples.
 func (c *Cluster) MemLen() int {
-	n := 0
-	for _, srv := range c.servers() {
-		if srv != nil {
-			n += srv.MemLen()
-		}
-	}
-	return n
+	return fold(c, 0, func(n, _ int, srv *ingest.Server) int { return n + srv.MemLen() })
 }
 
-// detachConsumer stops slot i's consumer, if one runs, and installs a fresh
-// stop channel for its successor (the table grows with scale-out).
-func (c *Cluster) detachConsumer(i int) chan struct{} {
-	c.consMu.Lock()
-	defer c.consMu.Unlock()
-	for len(c.consStop) <= i {
-		c.consStop = append(c.consStop, nil)
-	}
-	if cs := c.consStop[i]; cs != nil {
-		close(cs)
-	}
-	cs := make(chan struct{})
-	c.consStop[i] = cs
-	if c.stopped.Load() { // no successor: stopIngest has been (or is) here
-		close(cs)
-		c.consStop[i] = nil
-	}
-	return cs
-}
-
-// runConsumer starts slot i's WAL consumption goroutine. Consume keeps its
-// own error: it fails the applied watermark with it, and Drain reports it.
-func (c *Cluster) runConsumer(i int, srv *ingest.Server, cs chan struct{}) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		_ = srv.Consume(c.log.Partition(i), cs)
-	}()
-}
-
-// takeStandby removes and returns slot i's standby handle, nil if none.
-func (c *Cluster) takeStandby(i int) *standbyHandle {
-	c.standbyMu.Lock()
-	defer c.standbyMu.Unlock()
-	h := c.standbys[i]
-	delete(c.standbys, i)
-	return h
-}
-
-// standby returns slot i's standby handle, nil if it has none.
-func (c *Cluster) standby(i int) *standbyHandle {
-	c.standbyMu.Lock()
-	defer c.standbyMu.Unlock()
-	return c.standbys[i]
-}
-
-// shipTail opens a WAL-shipping tail for partition i through the lazily
-// started loopback transport endpoint.
-func (c *Cluster) shipTail(i int) (wal.Tail, func(), error) {
-	c.shipMu.Lock()
-	defer c.shipMu.Unlock()
-	if c.shipSrv == nil {
-		srv := transport.NewServer()
-		wal.RegisterShipping(srv, c.log)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: wal shipping listen: %w", err)
-		}
-		c.shipSrv, c.shipAddr = srv, addr
-	}
-	cl, err := transport.Dial(c.shipAddr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: wal shipping dial: %w", err)
-	}
-	return wal.NewRemoteTail(cl, i), func() { cl.Close() }, nil
-}
-
-// StartStandby launches a hot standby for slot i: a passive shadow server
-// tailing the slot's WAL partition (through the shipping transport when
-// ShipStandbyWAL is set), ready to take over on PromoteStandby or a kill.
-// One standby per slot — a slot that already has one is a
-// no-op (idempotent for operator scripts and the HotStandby auto-attach).
-func (c *Cluster) StartStandby(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	return c.startStandbyLocked(i)
-}
-
-func (c *Cluster) startStandbyLocked(i int) error {
-	if c.server(i) == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
-	}
-	if c.standby(i) != nil {
-		return nil
-	}
-	var (
-		tail      wal.Tail = c.log.Partition(i)
-		closeTail func()
-	)
-	if c.cfg.ShipStandbyWAL {
-		rt, release, err := c.shipTail(i)
-		if err != nil {
-			return err
-		}
-		tail, closeTail = rt, release
-	}
-	keys := c.ms.Schema().IntervalOf(i)
-	sb := ingest.NewStandby(ingest.StandbyConfig{
-		Slot:      i,
-		NewServer: func() *ingest.Server { return c.newIndexServer(i, keys, 0, true) },
-		ReplayOffset: c.reg.Gauge(fmt.Sprintf(`waterwheel_standby_replay_offset{slot="%d"}`, i),
-			"next WAL offset the slot's hot standby will replay"),
-	}, c.ms, tail)
-	c.standbyMu.Lock()
-	c.standbys[i] = &standbyHandle{sb: sb, closeTail: closeTail}
-	c.standbyMu.Unlock()
-	sb.Start()
-	return nil
-}
-
-// takeover flips slot i's ownership to a successor: the promoted standby
-// shadow when h is non-nil, else a fresh server replaying the WAL from
-// the committed offset. The flip is one metadata CAS (TransferOwnership
-// bumps the fencing epoch, records the handoff offset and reads the
-// nominal interval atomically), so a flush the deposed incarnation still
-// has in flight fails with ErrFenced instead of committing chunks or
-// offsets under the new owner. Ingest into the partition never pauses —
-// the measured handoff pause is consumer detach to successor consuming.
-func (c *Cluster) takeover(i int, h *standbyHandle) error {
-	pauseStart := time.Now()
-	cs := c.detachConsumer(i)
-	old := c.server(i)
-	handoffOff := c.ms.Offset(i)
-	if h != nil {
-		handoffOff = h.sb.Consumed()
-	}
-	lag := c.log.Partition(i).Next() - handoffOff
-	if lag < 0 {
-		lag = 0
-	}
-	epoch, kr, err := c.ms.TransferOwnership(i, handoffOff)
-	if err != nil {
-		return err
-	}
-	// Abort AFTER the fence: the old flusher exits on its next (rejected)
-	// registration attempt, and Abort reaps it without letting in-flight
-	// work move the metadata the successor starts from.
-	if old != nil {
-		old.Abort()
-	}
-	var repl *ingest.Server
-	if h != nil {
-		h.release()
-		h.sb.Halt()
-		repl = h.sb.Promote(epoch)
-		repl.SetKeys(kr)
-	} else {
-		repl = c.newIndexServer(i, kr, epoch, false)
-	}
-	c.idxMu.Lock()
-	c.idx[i] = repl
-	c.idxMu.Unlock()
-	c.coord.SetMemExecutor(i, repl)
-	c.runConsumer(i, repl, cs)
-	c.takeovers.Add(1)
-	c.handoffs.Inc()
-	c.handoffLag.Observe(time.Duration(lag) * time.Second)
-	c.handoffPause.Observe(time.Since(pauseStart))
-	if c.cfg.HotStandby && !c.stopped.Load() {
-		c.startStandbyLocked(i)
-	}
-	return nil
-}
-
-// PromoteStandby performs a planned region handoff: wait for slot i's
-// standby to catch up within StandbyLagRecords of the partition head,
-// then atomically transfer ownership to the promoted shadow. The old
-// owner is fenced; ingest into the slot's partition continues throughout.
-func (c *Cluster) PromoteStandby(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	// Catch-up gate: flip only once the shadow is near the head, bounding
-	// the replay debt the new owner inherits.
-	if err := c.AwaitStandby(i, c.stop); err != nil {
-		return err
-	}
-	return c.takeover(i, c.takeStandby(i))
-}
-
-// AwaitStandby blocks until slot i's standby is within StandbyLagRecords of
-// the partition head read at the call; it fails with the standby's replay
-// error, or when cancel fires.
-func (c *Cluster) AwaitStandby(i int, cancel <-chan struct{}) error {
-	h := c.standby(i)
-	if h == nil {
-		return fmt.Errorf("cluster: slot %d has no standby", i)
-	}
-	target := c.log.Partition(i).Next() - int64(c.cfg.StandbyLagRecords)
-	if err := h.sb.WaitReplayed(target, cancel); err != nil {
-		return fmt.Errorf("cluster: standby catch-up (slot %d): %w", i, err)
-	}
-	return nil
-}
-
-// AddIndexServer grows the cluster by one indexing server (elastic
-// scale-out): the widest active nominal key interval splits at its
-// midpoint, the log grows the matching WAL partition (slot i <->
-// partition i), and the new server starts consuming immediately —
-// ingest never pauses. Returns the new slot id.
-func (c *Cluster) AddIndexServer() (int, error) {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	split, at, ok := widestSplit(c.ms.Schema())
-	if !ok {
-		return 0, fmt.Errorf("cluster: no splittable key interval")
-	}
-	newSchema, id, err := c.ms.AddServer(split, at)
-	if err != nil {
-		return 0, err
-	}
-	_, pi, err := c.log.AddPartition()
-	if err != nil {
-		return 0, err
-	}
-	if pi != id {
-		return 0, fmt.Errorf("cluster: slot/partition misalignment: slot %d, partition %d", id, pi)
-	}
-	// The slot and its partition are durable before a tuple is routed to
-	// it: a hard crash must not restore a schema that has never heard of a
-	// partition holding acked records.
-	if err := c.Checkpoint(); err != nil {
-		return 0, fmt.Errorf("cluster: add server: %w", err)
-	}
-	srv := c.newIndexServer(id, newSchema.IntervalOf(id), c.ms.Epoch(id), false)
-	c.idxMu.Lock()
-	c.idx = append(c.idx, srv)
-	c.retired = append(c.retired, false)
-	c.idxMu.Unlock()
-	c.coord.SetMemExecutor(id, srv)
-	if c.started.Load() {
-		c.runConsumer(id, srv, c.detachConsumer(id))
-	}
-	// The split slot's nominal interval narrowed; its actual interval
-	// stays wide until its buffered tuples flush (§III-D), handled by the
-	// metadata server. Only then do the dispatchers learn the new schema —
-	// the new slot's consumer is already running, so no tuple ever waits.
-	if old := c.server(split); old != nil {
-		old.SetKeys(newSchema.IntervalOf(split))
-	}
-	c.standbyMu.Lock()
-	if h := c.standbys[split]; h != nil {
-		h.sb.SetKeys(newSchema.IntervalOf(split))
-	}
-	c.standbyMu.Unlock()
-	for _, d := range c.disp {
-		d.UpdateSchema(newSchema)
-	}
-	if c.cfg.HotStandby && c.started.Load() {
-		c.startStandbyLocked(id)
-	}
-	return id, nil
-}
-
-// widestSplit picks the active slot with the widest nominal interval and
-// the midpoint key to split it at; ok is false when every active interval
-// is a single key.
-func widestSplit(schema meta.PartitionSchema) (split int, at model.Key, ok bool) {
-	var best uint64
-	for _, id := range schema.ActiveSlots() {
-		kr := schema.IntervalOf(id)
-		if kr.Hi <= kr.Lo {
-			continue
-		}
-		if w := uint64(kr.Hi - kr.Lo); !ok || w > best {
-			split, at, best, ok = id, kr.Lo+(kr.Hi-kr.Lo)/2+1, w, true
-		}
-	}
-	return split, at, ok
-}
-
-// DecommissionIndexServer retires slot i with zero acked-tuple loss: the
-// schema drops the slot (new traffic routes to the absorbing neighbor),
-// stragglers already routed to it reroute off the retired mask and the
-// partition seal, the consumer drains the now-final partition head, a
-// final flush turns everything buffered into registered chunks, and a
-// last ownership transfer fences the slot forever. The slot's WAL
-// partition and chunk history remain readable. The last active slot
-// cannot retire.
-func (c *Cluster) DecommissionIndexServer(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	srv := c.server(i)
-	if srv == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
-	}
-	// 1. Drop the slot from the schema and fan the change out: new tuples
-	// route to the absorbing neighbors, whose key sets widen.
-	newSchema, err := c.ms.RemoveServer(i)
-	if err != nil {
-		return err
-	}
-	for j, s := range c.servers() {
-		if s != nil && j != i {
-			s.SetKeys(newSchema.IntervalOf(j))
-		}
-	}
-	c.standbyMu.Lock()
-	for slot, h := range c.standbys {
-		if slot != i {
-			h.sb.SetKeys(newSchema.IntervalOf(slot))
-		}
-	}
-	c.standbyMu.Unlock()
-	for _, d := range c.disp {
-		d.UpdateSchema(newSchema)
-	}
-	// 2. Retire + seal: a straggler dispatched under the old schema either
-	// sees the mask before appending or bounces off the sealed partition —
-	// both reroute it through the new schema, so after this point the
-	// partition head is final (modulo appends already inside the lock,
-	// which land before Seal returns).
-	c.idxMu.Lock()
-	c.retired[i] = true
-	c.idxMu.Unlock()
-	p := c.log.Partition(i)
-	p.Seal()
-	// 3. The standby is moot: the final flush will empty the partition.
-	if h := c.takeStandby(i); h != nil {
-		h.release()
-		h.sb.Close()
-	}
-	// 4. Drain the final head, then stop the consumer.
-	head := p.Next()
-	if err := c.waitApplied(i, head); err != nil {
-		return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
-	}
-	c.detachConsumer(i)
-	// 5. Final flush: every buffered tuple becomes a registered chunk, the
-	// replay offset commits to the head, and the live region empties (the
-	// coordinator stops planning mem-subqueries for the slot). A transient
-	// DFS fault can park the flusher with the snapshot unregistered — and
-	// DrainFlushes returns on a parked flusher — so keep re-driving the
-	// flush until the committed offset provably covers the sealed head.
-	// Each Flush re-signals a parked retry and waits for its outcome, so
-	// this loop spins only as fast as DFS attempts fail.
-	for c.ms.Offset(i) < head {
-		if c.stopped.Load() {
-			return fmt.Errorf("cluster: decommission (slot %d): %w", i, ErrClosed)
-		}
-		if err := srv.FlushAll(); err != nil {
-			return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
-		}
-	}
-	// 6. Fence forever: even a flusher goroutine that somehow survived
-	// cannot register under the retired slot again.
-	if _, _, err := c.ms.TransferOwnership(i, head); err != nil {
-		return err
-	}
-	srv.Close()
-	c.idxMu.Lock()
-	c.idx[i] = nil
-	c.idxMu.Unlock()
-	c.handoffs.Inc()
-	return nil
-}
-
-// KillIndexServer crashes indexing server i without waiting for recovery:
-// the consumer goroutine detaches and ownership transfers atomically to a
-// successor — the hot standby's warm shadow when one is running, else a
-// fresh server replaying the WAL partition from the last committed
-// offset. The transfer bumps the slot's fencing epoch BEFORE the
-// successor starts, so a chunk registration the dead incarnation still
-// has in flight is rejected instead of committing an offset the
-// successor's replay assumed stable. It returns as soon as the successor is
-// consuming; use CrashIndexServer to also wait for catch-up.
-func (c *Cluster) KillIndexServer(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	if c.server(i) == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
-	}
-	return c.takeover(i, c.takeStandby(i))
-}
-
-// CrashIndexServer simulates an indexing-server failure and recovery (§V):
-// the server's goroutine stops, its in-memory state is discarded, and a
-// successor (standby shadow or WAL replay) takes over. The call blocks
-// until the successor has caught up with the partition head at call time.
-func (c *Cluster) CrashIndexServer(i int) error {
-	if c.server(i) == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
-	}
-	head := c.log.Partition(i).Next()
-	if err := c.KillIndexServer(i); err != nil {
-		return err
-	}
-	return c.waitApplied(i, head)
+// MemBytes returns the memtable footprint (trees, side stores and snapshots
+// not yet registered as chunks).
+func (c *Cluster) MemBytes() int64 {
+	return fold(c, int64(0), func(n int64, _ int, srv *ingest.Server) int64 { return n + srv.MemBytes() })
 }

@@ -1,0 +1,288 @@
+// What survives the process and how it ends: the checkpoint chain, the
+// checkpointer, the orphan sweep Open runs, the replay floor the log is held
+// to, and Start / Stop / HardCrash.
+
+package cluster
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"time"
+
+	"waterwheel/internal/dfs"
+	"waterwheel/internal/ingest"
+	"waterwheel/internal/meta"
+	"waterwheel/internal/model"
+)
+
+// sweepOrphans holds the file system to the restored registry, the one record
+// of which chunks exist. Every registered chunk must be there with exactly
+// its registered bytes (the size in the snapshot was fsynced after the file
+// was: a mismatch is damage no replay mends, and Open fails); every other
+// file is deleted. A file the durable registry does not name is a chunk
+// written after the last checkpoint (its records are still in the log, whose
+// segments go only behind a snapshot naming the chunks that replace them, and
+// this process re-flushes them under its own epoch generation), a retired
+// chunk whose drop the snapshot records, or the output of a compaction or a
+// flush that never registered. Only Open may do this: while the deployment
+// runs, a file between its Write and its registration looks the same.
+func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
+	registered := make(map[string]struct{})
+	for _, ci := range ms.ChunksFor(model.FullRegion()) {
+		size, err := fs.Size(ci.Path)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: registered chunk %d: %w", ci.ID, err)
+		}
+		if size != ci.Size {
+			return 0, fmt.Errorf("cluster: registered chunk %d: %w: %s holds %d bytes, the registry says %d",
+				ci.ID, dfs.ErrSizeMismatch, ci.Path, size, ci.Size)
+		}
+		registered[ci.Path] = struct{}{}
+	}
+	for _, name := range fs.List() {
+		if _, ok := registered[name]; ok {
+			continue
+		}
+		if err := fs.Delete(name); err != nil {
+			return swept, fmt.Errorf("cluster: orphan sweep: %w", err)
+		}
+		swept++
+	}
+	return swept, nil
+}
+
+// metaSnapPath is the metadata snapshot file within a data directory.
+func metaSnapPath(dataDir string) string { return filepath.Join(dataDir, "meta.snap") }
+
+// checkpointCommits is the checkpoint cadence: one after this many flush
+// commits, cluster-wide. With FlushQueueDepth units in flight and one being
+// swapped it bounds what the log holds on disk, and what a hard crash
+// replays, at (checkpointCommits + FlushQueueDepth + 1) chunks' worth per
+// slot, whatever the uptime. A constant: a checkpoint is a full metadata
+// image, cheap against eight chunk writes while the registry holds thousands
+// of chunks (DESIGN, "The log on disk", says where that stops).
+const checkpointCommits = 8
+
+// Checkpoint makes everything flushed so far survive a host crash without
+// the log, then lets go of the log behind it. No-op without a DataDir. It
+// is a chain, and the order is the point — nothing is unlinked until what
+// replaces it is on stable storage:
+//
+//	capture the flush offsets → snapshot the metadata (offsets only grow, so
+//	the image records at least the captured ones) → fsync the chunk files
+//	written since the last checkpoint, then their directory (the flusher
+//	does not: dfs.FS.Sync) → write meta.snap.tmp, fsync it,
+//	rename it over meta.snap, fsync the directory → fsync the log → unlink
+//	every WAL segment wholly below min(captured offset, replay floor), and
+//	the files of the chunks that retention or compaction had dropped.
+//
+// A failure at any step ends the chain there: every segment stays. The
+// checkpointer runs it every checkpointCommits flush commits; FlushAll, Open
+// (the epoch generation that names this process's chunks is durable before
+// it writes one), AddIndexServer and Stop run it synchronously.
+func (c *Cluster) Checkpoint() error {
+	if c.cfg.DataDir == "" {
+		return nil
+	}
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
+	start, n := time.Now(), c.ckptStarted.Add(1)
+	offs := make([]int64, c.log.Partitions())
+	for i := range offs {
+		offs[i] = c.ms.Offset(i)
+	}
+	snap, err := c.ms.Snapshot()
+	if err != nil {
+		return err
+	}
+	if err := c.fs.Sync(); err != nil {
+		return err
+	}
+	path := metaSnapPath(c.cfg.DataDir)
+	if err := os.WriteFile(path+".tmp", snap, 0o644); err != nil {
+		return err
+	}
+	if err := c.cfg.Files.Sync(path + ".tmp"); err != nil {
+		return err
+	}
+	if err := c.cfg.Files.Rename(path+".tmp", path); err != nil {
+		return err
+	}
+	if err := c.cfg.Files.Sync(c.cfg.DataDir); err != nil {
+		return err
+	}
+	for i := range offs {
+		if err := c.log.Partition(i).Sync(); err != nil {
+			return err
+		}
+	}
+	// The snapshot a hard crash restores names offs: records below them are
+	// in chunks it registers. The floor a lagging standby imposes is the
+	// same as for the memory release; a slot added since the capture has no
+	// durable floor yet and keeps everything.
+	for i, off := range offs {
+		c.log.Partition(i).Truncate(c.replayFloor(i, off))
+	}
+	// Likewise the files of chunks dropped before the snapshot was taken.
+	c.ckptDurable.Store(n)
+	c.ret.sweep()
+	c.checkpoints.Inc()
+	c.ckptNanos.Observe(time.Since(start))
+	return nil
+}
+
+// checkpointer takes a checkpoint every checkpointCommits flush commits. It
+// parks on the commit count: an idle deployment checkpoints nothing.
+func (c *Cluster) checkpointer() {
+	defer c.wg.Done()
+	for next := int64(checkpointCommits); c.commits.Wait(next, c.stop) == nil; {
+		// Counted from before the capture: commits that land while the chain
+		// runs belong to the next one.
+		next = c.commits.Load() + checkpointCommits
+		// A failed chain leaves the log whole; the next cadence tries again.
+		if c.Checkpoint() == nil {
+			c.ckptAuto.Add(1)
+		}
+	}
+}
+
+// Start launches the ingestion consumers, with a DataDir the checkpointer,
+// and, when configured, the balancer loop.
+func (c *Cluster) Start() {
+	if c.started.Swap(true) {
+		return
+	}
+	for i, srv := range c.servers() {
+		if srv == nil {
+			continue // a retired slot has no consumer
+		}
+		c.runConsumer(i, srv, c.detachConsumer(i))
+		if c.cfg.HotStandby {
+			c.StartStandby(i)
+		}
+	}
+	if c.cfg.DataDir != "" {
+		c.wg.Add(1)
+		go c.checkpointer()
+	}
+	if !c.cfg.DisableAdaptive && c.cfg.BalanceIntervalMillis > 0 {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			tick := time.NewTicker(time.Duration(c.cfg.BalanceIntervalMillis) * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-c.stop:
+					return
+				case <-tick.C:
+					c.TickBalance()
+				}
+			}
+		}()
+	}
+}
+
+// Stop drains and shuts the cluster down, checkpointing persistent state.
+func (c *Cluster) Stop() {
+	if c.stopped.Swap(true) {
+		return
+	}
+	// Close the flushers: they drain their queued snapshots, so the final
+	// checkpoint records their offsets.
+	c.stopIngest((*ingest.Server).Close)
+	_ = c.Checkpoint() // best effort; what it would record is also in the WAL
+	// Query traffic is over; force-delete any chunk files still parked
+	// behind in-flight-query horizons.
+	c.ret.drain()
+	if c.cfg.DataDir != "" {
+		for i := 0; i < c.log.Partitions(); i++ {
+			c.log.Partition(i).CloseFile()
+		}
+	}
+}
+
+// stopIngest is every shutdown's first half (c.stopped is set): release
+// whoever waits on c.stop, detach the consumers and take the standbys in one
+// walk of the slot table, discard the standbys, close the log (which wakes a
+// parked wal.read, so the shipping endpoint closes at once), wait for
+// consumers and balancer, stop the servers. The servers stay in the table:
+// a stopped deployment still answers Stats and IndexServers.
+func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
+	close(c.stop)
+	var hs []*standbyHandle
+	c.slotMu.Lock()
+	for i := range c.slots {
+		row := &c.slots[i]
+		if row.stopConsumer != nil {
+			close(row.stopConsumer)
+			row.stopConsumer = nil
+		}
+		if row.standby != nil {
+			hs = append(hs, row.standby)
+			row.standby = nil
+		}
+	}
+	c.slotMu.Unlock()
+	for _, h := range hs {
+		h.release()
+		h.sb.Close()
+	}
+	c.log.Close()
+	c.shipMu.Lock()
+	if c.shipSrv != nil {
+		c.shipSrv.Close()
+		c.shipSrv = nil
+	}
+	c.shipMu.Unlock()
+	c.wg.Wait()
+	for _, srv := range c.servers() {
+		if srv != nil {
+			stopServer(srv)
+		}
+	}
+}
+
+// HardCrash simulates a host crash in DataDir mode: no checkpoint, no
+// drain, and the OS page cache dies with the host — every WAL byte past the
+// last fsync watermark is discarded, and every chunk file no checkpoint has
+// synced is cut to zero bytes (its name may survive). The cluster is unusable
+// afterwards; Open the same DataDir to get the surviving state. This is
+// the probe for the ack-durability gap: under "ack-on-fsync" every acked
+// tuple is below the watermark and survives; under "ack-on-write" acked
+// tuples still in the page cache are lost.
+func (c *Cluster) HardCrash() error {
+	if c.cfg.DataDir == "" {
+		return fmt.Errorf("cluster: HardCrash requires DataDir")
+	}
+	if c.stopped.Swap(true) {
+		return fmt.Errorf("cluster: already stopped")
+	}
+	// Abort (not Close) the flushers: in-flight work dies without
+	// checkpointing, like the host it ran on.
+	c.stopIngest((*ingest.Server).Abort)
+	first := c.fs.CrashDiscardUnsynced()
+	for i := 0; i < c.log.Partitions(); i++ {
+		if err := c.log.Partition(i).CrashDiscardUnsynced(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// replayFloor returns the lowest offset of slot i's partition an in-process
+// reader may still ask for, given the slot's committed flush offset: a
+// crash replacement replays from committed, and a hot standby from its own
+// replay position, which can lag behind it. A planned promotion replays the
+// partition from the standby's position at handoff; dropping records
+// between its catch-up check and the ownership flip would lose acked
+// tuples. The standby's position only moves forward, so the floor read here
+// is safe against a concurrent promotion: at worst a few extra records stay
+// until the next commit.
+func (c *Cluster) replayFloor(i int, committed int64) int64 {
+	if h := c.standby(i); h != nil {
+		return min(committed, h.sb.Consumed())
+	}
+	return committed
+}

@@ -12,9 +12,7 @@ import (
 // partition head.
 func waitStandbyCaughtUp(t *testing.T, c *Cluster, i int) {
 	t.Helper()
-	c.standbyMu.Lock()
-	h := c.standbys[i]
-	c.standbyMu.Unlock()
+	h := c.standby(i)
 	if err := h.sb.WaitReplayed(c.log.Partition(i).Next(), wal.Deadline(5*time.Second)); err != nil {
 		t.Fatalf("standby %d never caught up (at %d): %v", i, h.sb.Consumed(), err)
 	}
@@ -26,9 +24,7 @@ func waitStandbyCaughtUp(t *testing.T, c *Cluster, i int) {
 // a later promotion still see it — this is the "standby fell behind"
 // state the truncation race needs.
 func haltStandby(c *Cluster, i int) int64 {
-	c.standbyMu.Lock()
-	h := c.standbys[i]
-	c.standbyMu.Unlock()
+	h := c.standby(i)
 	h.sb.Halt()
 	return h.sb.Consumed()
 }

@@ -1,9 +1,41 @@
 package cluster
 
 import (
+	"waterwheel/internal/ingest"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
 )
+
+// registerHandles creates the counters and histograms the cluster itself
+// feeds; every handle is a nil-safe no-op when the cluster has no registry.
+func (c *Cluster) registerHandles() {
+	reg := c.reg
+	c.ingestMetrics = ingest.Metrics{
+		InsertNanos: reg.Histogram("waterwheel_ingest_insert_seconds",
+			"sampled end-to-end insert latency on indexing servers"),
+		FlushNanos: reg.Histogram("waterwheel_ingest_flush_seconds",
+			"memtable flush latency (chunk build + DFS write + registration)"),
+		BackpressureNanos: reg.Histogram("waterwheel_ingest_backpressure_seconds",
+			"time threshold-crossing inserts spent blocked on a full flush queue"),
+	}
+	c.walAppends = reg.Counter("waterwheel_wal_appends_total", "records appended to WAL partitions")
+	c.walAppendCalls = reg.Counter("waterwheel_wal_append_calls_total",
+		"append calls on WAL partitions: one per indexing server a batch routes to, one per single insert")
+	c.repartitions = reg.Counter("waterwheel_repartitions_total", "adaptive key repartitions installed")
+	c.insertBatches = reg.Counter("waterwheel_insert_batches_total", "batches routed through InsertBatch")
+	c.batchRecords = reg.Histogram("waterwheel_insert_batch_records",
+		"tuples per InsertBatch call (unit: records, not seconds)")
+	c.handoffs = reg.Counter("waterwheel_handoffs_total",
+		"region ownership handoffs (planned promotions and standby takeovers)")
+	c.handoffLag = reg.Histogram("waterwheel_handoff_lag_records",
+		"standby replay lag behind the partition head at an ownership flip (unit: records, not seconds)")
+	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
+		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
+	c.checkpoints = reg.Counter("waterwheel_checkpoints_total",
+		"completed checkpoints: chunk files and metadata snapshot on stable storage, WAL segments behind them unlinked")
+	c.ckptNanos = reg.Histogram("waterwheel_checkpoint_seconds",
+		"checkpoint latency, capture to last unlink (stage: checkpoint)")
+}
 
 // registerFuncMetrics bridges the cluster's always-on counters (ingest
 // stats, DFS metrics, dispatcher/balancer state, caches) into the metric
@@ -17,103 +49,41 @@ func (c *Cluster) registerFuncMetrics() {
 		return
 	}
 
-	// Ingestion path.
+	// Ingestion path. The counters are Totals: cumulative over every
+	// incarnation the process has run, not a sum over the ones serving now.
 	reg.CounterFunc("waterwheel_ingest_tuples_total", "tuples accepted by indexing servers", c.Ingested)
 	reg.CounterFunc("waterwheel_ingest_flushes_total", "memtable flushes to DFS chunks", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.Stats().Flushes.Load()
-		}
-		return n
+		return c.Totals().Flushes
 	})
 	reg.CounterFunc("waterwheel_ingest_flush_bytes_total", "chunk bytes written by flushes", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.Stats().FlushBytes.Load()
-		}
-		return n
+		return c.Totals().FlushBytes
 	})
 	reg.CounterFunc("waterwheel_ingest_flush_failures_total", "flushes that failed to write or register", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.Stats().FlushFailures.Load()
-		}
-		return n
+		return c.Totals().FlushFailures
 	})
 	reg.CounterFunc("waterwheel_ingest_side_routed_total", "very-late tuples admitted to side stores", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.Stats().SideRouted.Load()
-		}
-		return n
+		return c.Totals().SideRouted
 	})
 	reg.CounterFunc("waterwheel_ingest_recovered_total", "tuples replayed from the WAL after crashes", c.Recovered)
 	reg.CounterFunc("waterwheel_template_updates_total", "adaptive template rebuilds across memtable trees", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.TreeStats().TemplateUpdates.Load()
-		}
-		return n
+		return c.Totals().TemplateUpdates
 	})
 	reg.GaugeFunc("waterwheel_memtable_bytes", "bytes buffered in memtables (tree + side store)", func() float64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.MemBytes()
-		}
-		return float64(n)
+		return float64(c.MemBytes())
 	})
 	reg.GaugeFunc("waterwheel_memtable_tuples", "tuples buffered in memtables", func() float64 {
 		return float64(c.MemLen())
 	})
 	reg.GaugeFunc("waterwheel_flush_queue_depth", "memtable snapshots swapped out but not yet registered as chunks", func() float64 {
-		n := 0
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.PendingFlushes()
-		}
-		return float64(n)
+		return float64(fold(c, 0, func(n, _ int, srv *ingest.Server) int { return n + srv.PendingFlushes() }))
 	})
 	reg.CounterFunc("waterwheel_ingest_backpressure_total", "threshold-crossing inserts that blocked on a full flush queue", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.Stats().Backpressure.Load()
-		}
-		return n
+		return c.Totals().Backpressure
 	})
 	reg.GaugeFunc("waterwheel_skewness_max", "worst current template skewness S(P,D) across indexing servers", func() float64 {
-		worst := 0.0
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			if s := srv.SkewnessFactor(); s > worst {
-				worst = s
-			}
-		}
-		return worst
+		return fold(c, 0.0, func(worst float64, _ int, srv *ingest.Server) float64 {
+			return max(worst, srv.SkewnessFactor())
+		})
 	})
 
 	// Dispatch and adaptive partitioning.
@@ -168,16 +138,9 @@ func (c *Cluster) registerFuncMetrics() {
 	// WAL backlog: records appended but not yet applied to a memtable, the
 	// ingestion pipeline's queue depth.
 	reg.GaugeFunc("waterwheel_wal_backlog", "WAL records appended but not yet applied by their indexing server", func() float64 {
-		var lag int64
-		for i, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			if d := c.log.Partition(i).Next() - srv.Consumed(); d > 0 {
-				lag += d
-			}
-		}
-		return float64(lag)
+		return float64(fold(c, int64(0), func(lag int64, i int, srv *ingest.Server) int64 {
+			return lag + max(0, c.log.Partition(i).Next()-srv.Consumed())
+		}))
 	})
 	// The WAL's resident window: what the log holds on the heap, which a
 	// flush commit cuts back to the unflushed suffix (plus a lagging
@@ -197,14 +160,7 @@ func (c *Cluster) registerFuncMetrics() {
 		return float64(n)
 	})
 	reg.CounterFunc("waterwheel_ingest_replay_gaps_total", "consumers that refused to start because the WAL no longer held their replay offset", func() int64 {
-		var n int64
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			n += srv.Stats().ReplayGaps.Load()
-		}
-		return n
+		return c.Totals().ReplayGaps
 	})
 	// Page-cache exposure: segment bytes a host crash would lose. Zero
 	// by construction while inserters are quiescent under ack-on-fsync.
@@ -236,15 +192,8 @@ func (c *Cluster) registerFuncMetrics() {
 
 	// Watermark: the largest event time observed, for stream-lag panels.
 	reg.GaugeFunc("waterwheel_watermark_millis", "largest event timestamp observed by any indexing server", func() float64 {
-		var hi model.Timestamp
-		for _, srv := range c.servers() {
-			if srv == nil {
-				continue
-			}
-			if w := srv.Watermark(); w > hi {
-				hi = w
-			}
-		}
-		return float64(hi)
+		return float64(fold(c, model.Timestamp(0), func(hi model.Timestamp, _ int, srv *ingest.Server) model.Timestamp {
+			return max(hi, srv.Watermark())
+		}))
 	})
 }

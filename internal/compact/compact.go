@@ -163,7 +163,7 @@ func (cp *Compactor) Tick() (demoted, merged int) {
 		if ci.Tier != meta.TierCold || ci.Downsampled {
 			continue
 		}
-		k := gkey{ci.Server, floorDiv(int64(ci.Region.Times.Lo), meta.DayMillis)}
+		k := gkey{ci.Server, model.FloorDiv(int64(ci.Region.Times.Lo), meta.DayMillis)}
 		groups[k] = append(groups[k], ci)
 	}
 	keys := make([]gkey, 0, len(groups))
@@ -336,13 +336,4 @@ func unionRegion(a, b model.Region) model.Region {
 		a.Times.Hi = b.Times.Hi
 	}
 	return a
-}
-
-// floorDiv is integer division rounding toward negative infinity.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }

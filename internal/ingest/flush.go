@@ -412,41 +412,37 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 		s.pendMu.Unlock()
 		return errFlushAbandoned
 	}
-	var regs []meta.ChunkInfo
-	if e := s.epoch.Load(); e > 0 {
-		// Epoch-guarded path: the chunks and the replay offset commit in
-		// ONE metadata critical section (RegisterFlushOwned), so an
-		// ownership transfer can never land between them — the promoted
-		// standby would otherwise replay records already in a registered
-		// chunk. The committed offset is the contiguous persisted prefix
-		// with this unit counted done.
-		commit := int64(-1)
-		for _, q := range s.pending {
-			if q != pf && flushState(q.state.Load()) != flushDone {
-				break
-			}
-			commit = q.offset
-			if q == pf {
-				break
-			}
+	// The chunks and the replay offset commit in ONE epoch-guarded metadata
+	// critical section (RegisterFlushOwned), so an ownership transfer can
+	// never land between them — the promoted standby would otherwise replay
+	// records already in a registered chunk. The committed offset is the
+	// contiguous persisted prefix with this unit counted done: snapshots
+	// persist in seq order, so the walk stops at the first unpersisted
+	// entry and the offset never advances past a snapshot that failed or is
+	// still in flight, even when a later one has already been written.
+	commit := int64(-1)
+	for _, q := range s.pending {
+		if q != pf && flushState(q.state.Load()) != flushDone {
+			break
 		}
-		var rerr error
-		regs, rerr = s.ms.RegisterFlushOwned(s.cfg.ID, e, infos, commit)
-		if rerr != nil {
-			// Fenced: ownership of the slot moved to a newer incarnation.
-			// This server is deposed — nothing it buffers may ever reach
-			// metadata again, and retrying is pointless by construction.
-			s.fenced.Store(true)
-			s.stats.FlushFailures.Add(1)
-			pf.state.Store(int32(flushFailed))
-			s.pendMu.Unlock()
-			return rerr
+		commit = q.offset
+		if q == pf {
+			break
 		}
-		if commit > s.committedOff {
-			s.committedOff = commit
-		}
-	} else {
-		regs = s.ms.RegisterChunks(infos)
+	}
+	regs, rerr := s.ms.RegisterFlushOwned(s.cfg.ID, s.epoch.Load(), infos, commit)
+	if rerr != nil {
+		// Fenced: ownership of the slot moved to a newer incarnation.
+		// This server is deposed — nothing it buffers may ever reach
+		// metadata again, and retrying is pointless by construction.
+		s.fenced.Store(true)
+		s.stats.FlushFailures.Add(1)
+		pf.state.Store(int32(flushFailed))
+		s.pendMu.Unlock()
+		return rerr
+	}
+	if commit > s.committedOff {
+		s.committedOff = commit
 	}
 	for i := range pf.parts {
 		pf.parts[i].info = regs[i]
@@ -457,9 +453,6 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 	// the visibility check (ExecuteSubQuery) and the sweep.
 	pf.chunk.Store(uint64(regs[0].ID))
 	pf.state.Store(int32(flushDone))
-	if s.epoch.Load() <= 0 {
-		s.commitOffsetsLocked()
-	}
 	committed := s.committedOff
 	s.sweepLocked()
 	s.pendMu.Unlock()
@@ -471,25 +464,6 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 	s.cfg.Metrics.FlushNanos.Observe(time.Since(flushStart))
 	s.reportLive()
 	return nil
-}
-
-// commitOffsetsLocked records the WAL replay offset (§V) covering the
-// contiguous prefix of persisted snapshots. Snapshots persist in seq
-// order, so the walk stops at the first unpersisted entry: SetOffset never
-// advances past a snapshot that failed or is still in flight, even when a
-// later one (enqueued behind it) has already been written. Requires pendMu.
-func (s *Server) commitOffsetsLocked() {
-	commit := int64(-1)
-	for _, pf := range s.pending {
-		if flushState(pf.state.Load()) != flushDone {
-			break
-		}
-		commit = pf.offset
-	}
-	if commit > s.committedOff {
-		s.committedOff = commit
-		s.ms.SetOffset(s.cfg.ID, commit)
-	}
 }
 
 // sweepLocked drops registered snapshots that no active query can still
@@ -578,20 +552,6 @@ func (s *Server) awaitFlush(cancel <-chan struct{}, cond func() bool) bool {
 	return true
 }
 
-// flushBacklog counts snapshots still waiting for a (re)attempt or being
-// written — the flush queue depth the telemetry gauge exposes.
-func (s *Server) flushBacklog() int {
-	s.pendMu.RLock()
-	defer s.pendMu.RUnlock()
-	n := 0
-	for _, pf := range s.pending {
-		if flushState(pf.state.Load()) == flushQueued {
-			n++
-		}
-	}
-	return n
-}
-
 // PendingFlushes returns the number of swapped-out snapshots whose chunk
 // is not yet registered (queued, in flight, or failed awaiting retry).
 func (s *Server) PendingFlushes() int {
@@ -613,7 +573,10 @@ func (s *Server) PendingFlushes() int {
 // error is the one a flusher died of because no retry could mend it; a
 // server stopped from outside (Close, Abort, fenced) drains to nil.
 func (s *Server) DrainFlushes() error {
-	s.awaitFlush(nil, func() bool { return s.flushBacklog() == 0 || s.parked.Load() })
+	// A unit that failed counts until the flusher has said what comes next —
+	// parked for a retry, or ended (its error, below): the attempt's own
+	// event comes a beat before either.
+	s.awaitFlush(nil, func() bool { return s.PendingFlushes() == 0 || s.parked.Load() })
 	// A flusher that died leaves no backlog behind either: ask how it ended.
 	if err := s.flushEvents.Err(); !errors.Is(err, ErrStopped) {
 		return err

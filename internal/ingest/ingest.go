@@ -82,11 +82,13 @@ type Config struct {
 	// Metrics holds optional telemetry handles; the zero value (nil
 	// handles) disables instrumentation at no cost.
 	Metrics Metrics
-	// Epoch is the ownership epoch this incarnation holds its slot under.
-	// When positive, chunk registrations and offset commits go through the
-	// epoch-guarded metadata APIs and are rejected once ownership moves
+	// Epoch is the ownership epoch this incarnation holds its slot under
+	// (zero: the slot's current one, read from the metadata server). Chunk
+	// registrations and offset commits go through the epoch-guarded
+	// metadata API and are rejected once ownership moves
 	// (meta.TransferOwnership bumps the slot's epoch): a deposed owner can
-	// linger, but it cannot write metadata. Zero bypasses fencing.
+	// linger, but it cannot write metadata. A passive shadow holds none
+	// until Activate.
 	Epoch int64
 	// Passive builds the server as a hot standby's shadow: it indexes
 	// tuples normally (so a promotion inherits a warm memtable) but never
@@ -201,7 +203,7 @@ type Server struct {
 	// place" atomic from a reader's point of view.
 	pendMu  sync.RWMutex
 	pending []*pendingFlush
-	// committedOff is the last WAL offset handed to meta.SetOffset.
+	// committedOff is the last WAL offset committed to the metadata server.
 	committedOff int64
 
 	flushCh     chan *pendingFlush
@@ -259,6 +261,9 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		s.side = core.NewTemplateTree(sideCfg)
 	}
 	s.watermark.Store(int64(model.MinTimestamp))
+	if cfg.Epoch == 0 && !cfg.Passive {
+		cfg.Epoch = ms.Epoch(cfg.ID)
+	}
 	s.epoch.Store(cfg.Epoch)
 	s.passive.Store(cfg.Passive)
 	go s.flusher()

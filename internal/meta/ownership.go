@@ -112,22 +112,6 @@ func (s *Server) RegisterFlushOwned(server int, epoch int64, infos []ChunkInfo, 
 	return out, nil
 }
 
-// SetOffsetOwned is the epoch-guarded form of SetOffset.
-func (s *Server) SetOffsetOwned(server int, epoch int64, off int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if server < 0 || server >= len(s.epochs) {
-		return fmt.Errorf("meta: set offset: no slot %d", server)
-	}
-	if epoch != s.epochs[server] {
-		return ErrFenced
-	}
-	if off > s.offsets[server] {
-		s.offsets[server] = off
-	}
-	return nil
-}
-
 // AddServer allocates a new slot by splitting an active slot's interval
 // at key `at`: splitFrom keeps [lo, at-1] and the new slot owns [at, hi].
 // The new slot's id equals the previous total slot count (slot i <-> WAL

@@ -46,8 +46,8 @@ func TestTransferOwnershipFences(t *testing.T) {
 	if got := s.Offset(0); got != 5 {
 		t.Fatalf("fenced register moved offset to %d", got)
 	}
-	if err := s.SetOffsetOwned(0, 1, 9); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale set-offset err = %v, want ErrFenced", err)
+	if _, err := s.RegisterFlushOwned(0, 1, nil, 9); !errors.Is(err, ErrFenced) {
+		t.Fatalf("stale offset-only commit err = %v, want ErrFenced", err)
 	}
 	// The new owner (epoch 2) proceeds.
 	if _, err := s.RegisterFlushOwned(0, 2, []ChunkInfo{info}, 9); err != nil {
@@ -57,7 +57,7 @@ func TestTransferOwnershipFences(t *testing.T) {
 		t.Fatalf("offset = %d, want 9", got)
 	}
 	// Offsets only move forward.
-	if err := s.SetOffsetOwned(0, 2, 3); err != nil {
+	if _, err := s.RegisterFlushOwned(0, 2, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Offset(0); got != 9 {
@@ -216,7 +216,7 @@ func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
 		t.Fatalf("claim recorded handoff offset %d, want the committed 40", got)
 	}
 	// The previous owner (epoch 1) is fenced by the claim.
-	if err := s.SetOffsetOwned(0, 1, 7); !errors.Is(err, ErrFenced) {
+	if _, err := s.RegisterFlushOwned(0, 1, nil, 7); !errors.Is(err, ErrFenced) {
 		t.Fatalf("pre-claim epoch still writes: %v", err)
 	}
 	durable, err := s.Snapshot() // what a checkpoint right after Open holds

@@ -43,15 +43,6 @@ const (
 // hierarchy; wider chunks fall back to the always-matching wide count.
 const maxTrackedHours = 1 << 14
 
-// floorDivMs is integer division rounding toward negative infinity.
-func floorDivMs(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
 // tierIndex is the hour → day → week bucket hierarchy. Keys are bucket
 // indexes (timestamp floor-divided by the bucket width); values count the
 // chunk regions intersecting the bucket.
@@ -79,8 +70,8 @@ func newTierIndex() *tierIndex {
 // span returns the hour-bucket span of a time range and whether it is
 // narrow enough to track per-bucket.
 func (t *tierIndex) span(tr model.TimeRange) (hLo, hHi int64, tracked bool) {
-	hLo = floorDivMs(int64(tr.Lo), HourMillis)
-	hHi = floorDivMs(int64(tr.Hi), HourMillis)
+	hLo = model.FloorDiv(int64(tr.Lo), HourMillis)
+	hHi = model.FloorDiv(int64(tr.Hi), HourMillis)
 	return hLo, hHi, hHi-hLo+1 <= maxTrackedHours
 }
 
@@ -100,10 +91,10 @@ func (t *tierIndex) add(tr model.TimeRange) {
 	for h := hLo; h <= hHi; h++ {
 		t.hours[h]++
 	}
-	for d := floorDivMs(int64(tr.Lo), DayMillis); d <= floorDivMs(int64(tr.Hi), DayMillis); d++ {
+	for d := model.FloorDiv(int64(tr.Lo), DayMillis); d <= model.FloorDiv(int64(tr.Hi), DayMillis); d++ {
 		t.days[d]++
 	}
-	for w := floorDivMs(int64(tr.Lo), WeekMillis); w <= floorDivMs(int64(tr.Hi), WeekMillis); w++ {
+	for w := model.FloorDiv(int64(tr.Lo), WeekMillis); w <= model.FloorDiv(int64(tr.Hi), WeekMillis); w++ {
 		t.weeks[w]++
 	}
 }
@@ -127,10 +118,10 @@ func (t *tierIndex) remove(tr model.TimeRange) {
 	for h := hLo; h <= hHi; h++ {
 		dec(t.hours, h)
 	}
-	for d := floorDivMs(int64(tr.Lo), DayMillis); d <= floorDivMs(int64(tr.Hi), DayMillis); d++ {
+	for d := model.FloorDiv(int64(tr.Lo), DayMillis); d <= model.FloorDiv(int64(tr.Hi), DayMillis); d++ {
 		dec(t.days, d)
 	}
-	for w := floorDivMs(int64(tr.Lo), WeekMillis); w <= floorDivMs(int64(tr.Hi), WeekMillis); w++ {
+	for w := model.FloorDiv(int64(tr.Lo), WeekMillis); w <= model.FloorDiv(int64(tr.Hi), WeekMillis); w++ {
 		dec(t.weeks, w)
 	}
 }
@@ -153,11 +144,11 @@ func (t *tierIndex) matchHours(windows []model.TimeRange, dst map[int64]struct{}
 			hHi = t.maxHour
 		}
 		for h := hLo; h <= hHi; {
-			if wk := floorDivMs(h, hoursPerWeek); t.weeks[wk] == 0 {
+			if wk := model.FloorDiv(h, hoursPerWeek); t.weeks[wk] == 0 {
 				h = (wk + 1) * hoursPerWeek
 				continue
 			}
-			if d := floorDivMs(h, hoursPerDay); t.days[d] == 0 {
+			if d := model.FloorDiv(h, hoursPerDay); t.days[d] == 0 {
 				h = (d + 1) * hoursPerDay
 				continue
 			}

@@ -69,7 +69,7 @@ func (rc *Recurrence) Windows(span TimeRange) []TimeRange {
 		return nil
 	}
 	// First period whose window could end at or after span.Lo.
-	k := floorDivInt64(int64(span.Lo)-st-ln+1, p)
+	k := FloorDiv(int64(span.Lo)-st-ln+1, p)
 	out := make([]TimeRange, 0, 8)
 	for ; ; k++ {
 		lo, hi := k*p+st, k*p+st+ln-1
@@ -96,12 +96,13 @@ func (rc *Recurrence) Contains(ts Timestamp) bool {
 	if rc == nil || rc.PeriodMillis <= 0 || rc.LengthMillis <= 0 {
 		return false
 	}
-	off := int64(ts) - floorDivInt64(int64(ts), rc.PeriodMillis)*rc.PeriodMillis
+	off := int64(ts) - FloorDiv(int64(ts), rc.PeriodMillis)*rc.PeriodMillis
 	return off >= rc.StartMillis && off < rc.StartMillis+rc.LengthMillis
 }
 
-// floorDivInt64 is integer division rounding toward negative infinity.
-func floorDivInt64(a, b int64) int64 {
+// FloorDiv is integer division rounding toward negative infinity: the
+// bucket of a timestamp, negative ones included.
+func FloorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--

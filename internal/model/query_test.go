@@ -161,3 +161,18 @@ func TestRecurrenceContains(t *testing.T) {
 		}
 	}
 }
+
+// TestFloorDiv pins the one floor division every time-bucketing site uses
+// (recurrence windows, leaf pre-aggregates, tier buckets, compaction days):
+// a negative timestamp belongs to the bucket below zero, not to bucket 0.
+func TestFloorDiv(t *testing.T) {
+	for _, c := range []struct{ a, b, want int64 }{
+		{7, 2, 3}, {6, 2, 3}, {0, 5, 0},
+		{-1, 5, -1}, {-5, 5, -1}, {-6, 5, -2}, {-7, 2, -4},
+		{7, -2, -4}, {-7, -2, 3}, {-6, -2, 3},
+	} {
+		if got := FloorDiv(c.a, c.b); got != c.want {
+			t.Errorf("FloorDiv(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -38,6 +38,10 @@ type CoordinatorConfig struct {
 	// Traces, when non-nil, retains a QueryTrace for every executed query
 	// (a bounded ring; see telemetry.NewTraceRing).
 	Traces *telemetry.TraceRing
+	// MemExecutor resolves the fresh-data executor currently serving an
+	// indexing-server slot, at the moment a mem-subquery is dispatched; it
+	// returns nil for a slot nobody serves. Nil: there are none.
+	MemExecutor func(slot int) MemExecutor
 }
 
 // CoordinatorMetrics are the telemetry handles the query path feeds. All
@@ -77,18 +81,18 @@ type CoordinatorMetrics struct {
 // gives all-nil, no-op handles).
 func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 	return &CoordinatorMetrics{
-		Queries:         r.Counter("waterwheel_queries_total", "queries executed by the coordinator"),
-		QueryErrors:     r.Counter("waterwheel_query_errors_total", "queries that returned an error"),
-		MemSubQueries:   r.Counter("waterwheel_query_mem_subqueries_total", "fresh-data subqueries dispatched to indexing servers"),
-		ChunkSubQueries: r.Counter("waterwheel_query_chunk_subqueries_total", "chunk subqueries dispatched to query servers"),
-		Redispatches:    r.Counter("waterwheel_query_redispatches_total", "chunk subqueries returned to the pending set after a query-server failure"),
-		QueryNanos:      r.Histogram("waterwheel_query_seconds", "end-to-end query latency"),
-		WorkersBusy:     r.Gauge("waterwheel_query_workers_busy", "chunk subqueries currently executing on query servers"),
-		AggQueries:      r.Counter("waterwheel_agg_queries_total", "aggregate queries executed by the coordinator"),
-		AggMetaChunks:   r.Counter("waterwheel_agg_meta_chunks_total", "chunks answered from metadata summaries during aggregate queries"),
-		TierPruned:      r.Counter("waterwheel_tier_pruned_chunks_total", "chunk candidates pruned by the time-bucket hierarchy on recurring-window queries"),
+		Queries:           r.Counter("waterwheel_queries_total", "queries executed by the coordinator"),
+		QueryErrors:       r.Counter("waterwheel_query_errors_total", "queries that returned an error"),
+		MemSubQueries:     r.Counter("waterwheel_query_mem_subqueries_total", "fresh-data subqueries dispatched to indexing servers"),
+		ChunkSubQueries:   r.Counter("waterwheel_query_chunk_subqueries_total", "chunk subqueries dispatched to query servers"),
+		Redispatches:      r.Counter("waterwheel_query_redispatches_total", "chunk subqueries returned to the pending set after a query-server failure"),
+		QueryNanos:        r.Histogram("waterwheel_query_seconds", "end-to-end query latency"),
+		WorkersBusy:       r.Gauge("waterwheel_query_workers_busy", "chunk subqueries currently executing on query servers"),
+		AggQueries:        r.Counter("waterwheel_agg_queries_total", "aggregate queries executed by the coordinator"),
+		AggMetaChunks:     r.Counter("waterwheel_agg_meta_chunks_total", "chunks answered from metadata summaries during aggregate queries"),
+		TierPruned:        r.Counter("waterwheel_tier_pruned_chunks_total", "chunk candidates pruned by the time-bucket hierarchy on recurring-window queries"),
 		RetiredSubQueries: r.Counter("waterwheel_query_retired_subqueries_total", "chunk subqueries completed empty because their chunk retired mid-flight"),
-		reg:             r,
+		reg:               r,
 	}
 }
 
@@ -133,7 +137,6 @@ type Coordinator struct {
 
 	mu       sync.RWMutex
 	qservers []*Server
-	memExec  map[int]MemExecutor
 }
 
 // NewCoordinator creates a coordinator.
@@ -148,7 +151,10 @@ func NewCoordinator(cfg CoordinatorConfig, ms *meta.Server, fs *dfs.FS) *Coordin
 	if m == nil {
 		m = &CoordinatorMetrics{}
 	}
-	return &Coordinator{cfg: cfg, ms: ms, fs: fs, m: m, memExec: make(map[int]MemExecutor)}
+	if cfg.MemExecutor == nil {
+		cfg.MemExecutor = func(int) MemExecutor { return nil }
+	}
+	return &Coordinator{cfg: cfg, ms: ms, fs: fs, m: m}
 }
 
 // Traces returns the coordinator's trace ring (nil when tracing is off).
@@ -158,13 +164,6 @@ func (c *Coordinator) Traces() *telemetry.TraceRing { return c.cfg.Traces }
 func (c *Coordinator) AddQueryServer(s *Server) {
 	c.mu.Lock()
 	c.qservers = append(c.qservers, s)
-	c.mu.Unlock()
-}
-
-// SetMemExecutor registers the fresh-data executor of an indexing server.
-func (c *Coordinator) SetMemExecutor(indexServer int, e MemExecutor) {
-	c.mu.Lock()
-	c.memExec[indexServer] = e
 	c.mu.Unlock()
 }
 
@@ -268,26 +267,41 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 	return memSubs, chunkSubs, chunks
 }
 
+// plan is Decompose plus the executor of every mem-subquery, resolved through
+// CoordinatorConfig.MemExecutor at this instant. A slot whose decommission
+// completed between the plan and the lookup has no executor, and what it
+// buffered is in chunks the plan predates: the plan is stale, not the query
+// wrong, so it is made once more — a retiring slot's live region is emptied
+// before the slot stops being served, and the second plan holds its chunks
+// instead. A slot that is planned again and still unserved is an error.
+func (c *Coordinator) plan(q model.Query, agg *model.AggSpec) (memSubs, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo, execs []MemExecutor, err error) {
+	for attempt := 0; attempt < 2; attempt++ {
+		memSubs, chunkSubs, chunks = c.Decompose(q, agg)
+		execs, err = make([]MemExecutor, len(memSubs)), nil
+		for i, sq := range memSubs {
+			if execs[i] = c.cfg.MemExecutor(sq.IndexServer); execs[i] == nil {
+				err = fmt.Errorf("queryexec: no executor for indexing server %d", sq.IndexServer)
+				break
+			}
+		}
+		if err == nil {
+			break
+		}
+	}
+	return memSubs, chunkSubs, chunks, execs, err
+}
+
 // run is the coordinator's one dispatch loop (§IV-B/C): the fresh-data
-// subqueries run on their indexing servers in parallel with the chunk
-// fan-out, every result is handed to collect (from the delivering
-// goroutine — collect synchronizes), and the dispatch latency is observed
-// under the policy in force. root may be nil (tracing off).
-func (c *Coordinator) run(memSubs, chunkSubs []*model.SubQuery, collect func(*model.Result), root *telemetry.Span) error {
+// subqueries run on their indexing servers (execs, aligned with memSubs) in
+// parallel with the chunk fan-out, every result is handed to collect (from
+// the delivering goroutine — collect synchronizes), and the dispatch latency
+// is observed under the policy in force. root may be nil (tracing off).
+func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, collect func(*model.Result), root *telemetry.Span) error {
 	c.m.MemSubQueries.Add(int64(len(memSubs)))
 	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
 	c.mu.RLock()
 	pname := policyName(c.cfg.Policy)
-	execs := make([]MemExecutor, 0, len(memSubs))
-	for _, sq := range memSubs {
-		execs = append(execs, c.memExec[sq.IndexServer])
-	}
 	c.mu.RUnlock()
-	for i, sq := range memSubs {
-		if execs[i] == nil {
-			return fmt.Errorf("queryexec: no executor for indexing server %d", sq.IndexServer)
-		}
-	}
 	dispSp := root.StartChild("dispatch")
 	dispSp.SetStr("policy", pname)
 	dispStart := time.Now()
@@ -364,10 +378,14 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Resul
 	}
 
 	decSp := root.StartChild("decompose")
-	memSubs, chunkSubs, _ := c.Decompose(q, nil)
+	memSubs, chunkSubs, _, execs, err := c.plan(q, nil)
 	decSp.SetInt("mem_subqueries", int64(len(memSubs)))
 	decSp.SetInt("chunk_subqueries", int64(len(chunkSubs)))
 	decSp.End()
+	if err != nil {
+		finish(err)
+		return nil, tr, err
+	}
 
 	res := &model.Result{QueryID: q.ID, SubQueries: len(memSubs) + len(chunkSubs)}
 
@@ -403,7 +421,7 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Resul
 		}
 		mu.Unlock()
 	}
-	if err := c.run(memSubs, chunkSubs, collect, root); err != nil {
+	if err := c.run(memSubs, execs, chunkSubs, collect, root); err != nil {
 		finish(err)
 		return nil, tr, err
 	}
@@ -442,7 +460,11 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 	spec := &model.AggSpec{Field: q.Field, CountOnly: q.Kind == model.AggCount}
 	res := &model.AggResult{QueryID: mq.ID, Kind: q.Kind}
 
-	memSubs, planned, chunks := c.Decompose(mq, spec)
+	memSubs, planned, chunks, execs, err := c.plan(mq, spec)
+	if err != nil {
+		c.m.QueryErrors.Inc()
+		return nil, err
+	}
 	// Meta-level pushdown: every tuple of a fully covered chunk matches an
 	// unfiltered query, so its registered count/summary is exact and its
 	// subquery is dropped from the plan.
@@ -482,7 +504,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 		res.CacheHits += r.CacheHits
 		mu.Unlock()
 	}
-	err := c.run(memSubs, chunkSubs, collect, nil)
+	err = c.run(memSubs, execs, chunkSubs, collect, nil)
 	c.m.QueryNanos.Observe(time.Since(start))
 	if err != nil {
 		c.m.QueryErrors.Inc()

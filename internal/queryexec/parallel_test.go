@@ -38,13 +38,14 @@ func newMetricCluster(t *testing.T, nIdx, nQry, nNodes int, scfg ServerConfig, l
 		testCluster: &testCluster{fs: fs, ms: ms},
 		reg:         reg, cm: cm, sm: sm,
 	}
-	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, Metrics: cm}, ms, fs)
+	execs := memExecs{}
+	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, Metrics: cm, MemExecutor: execs.lookup}, ms, fs)
 	for i := 0; i < nIdx; i++ {
 		srv := ingest.NewServer(ingest.Config{
 			ID: i, Keys: ms.Schema().IntervalOf(i), ChunkBytes: 1 << 30, Leaves: 16,
 		}, fs, ms, i%nNodes)
 		c.is = append(c.is, srv)
-		c.coord.SetMemExecutor(i, srv)
+		execs[i] = srv
 	}
 	for i := 0; i < nQry; i++ {
 		cfg := scfg

@@ -23,7 +23,8 @@ func TestPlannerProperty(t *testing.T) {
 	const nIdx = 2
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(nIdx)
-	coord := NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000}, ms, fs)
+	execs := memExecs{}
+	coord := NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, MemExecutor: execs.lookup}, ms, fs)
 	var dfsDown atomic.Bool
 	var is []*ingest.Server
 	for i := 0; i < nIdx; i++ {
@@ -38,7 +39,7 @@ func TestPlannerProperty(t *testing.T) {
 		}, fs, ms, i)
 		t.Cleanup(srv.Close)
 		is = append(is, srv)
-		coord.SetMemExecutor(i, srv)
+		execs[i] = srv
 	}
 	for i := 0; i < 2; i++ {
 		coord.AddQueryServer(NewServer(ServerConfig{ID: i, Node: i, CacheBytes: 1 << 20, UseBloom: true}, fs, ms))

@@ -12,6 +12,12 @@ import (
 	"waterwheel/internal/model"
 )
 
+// memExecs is a test's own slot table: the coordinator resolves each
+// mem-subquery's executor through lookup (an unknown slot is an untyped nil).
+type memExecs map[int]MemExecutor
+
+func (m memExecs) lookup(slot int) MemExecutor { return m[slot] }
+
 // testCluster wires indexing servers, query servers, a DFS and a
 // coordinator in-process.
 type testCluster struct {
@@ -27,13 +33,14 @@ func newCluster(t *testing.T, nIdx, nQry, nNodes int) *testCluster {
 	fs := dfs.New(dfs.Config{Nodes: nNodes, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(nIdx)
 	c := &testCluster{fs: fs, ms: ms}
-	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000}, ms, fs)
+	execs := memExecs{}
+	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, MemExecutor: execs.lookup}, ms, fs)
 	for i := 0; i < nIdx; i++ {
 		srv := ingest.NewServer(ingest.Config{
 			ID: i, Keys: ms.Schema().IntervalOf(i), ChunkBytes: 1 << 30, Leaves: 16,
 		}, fs, ms, i%nNodes)
 		c.is = append(c.is, srv)
-		c.coord.SetMemExecutor(i, srv)
+		execs[i] = srv
 	}
 	for i := 0; i < nQry; i++ {
 		qs := NewServer(ServerConfig{ID: i, Node: i % nNodes, CacheBytes: 1 << 20, UseBloom: true}, fs, ms)

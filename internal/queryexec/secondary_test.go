@@ -34,8 +34,7 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	}
 	is.Flush()
 
-	coord := NewCoordinator(CoordinatorConfig{}, ms, fs)
-	coord.SetMemExecutor(0, is)
+	coord := NewCoordinator(CoordinatorConfig{MemExecutor: memExecs{0: is}.lookup}, ms, fs)
 	qs := NewServer(ServerConfig{ID: 0, Node: 0, CacheBytes: 1 << 20, UseBloom: true}, fs, ms)
 	coord.AddQueryServer(qs)
 

@@ -395,21 +395,19 @@ type Stats struct {
 
 // Stats returns a snapshot of deployment counters.
 func (db *DB) Stats() Stats {
+	// The ingest counters are the cluster's totals: cumulative over every
+	// server incarnation, so a crash or a decommission never lowers them.
+	tot := db.c.Totals()
 	st := Stats{
-		Ingested:      db.c.Ingested(),
-		Buffered:      db.c.MemLen(),
-		Chunks:        db.c.Metadata().ChunkCount(),
-		SchemaVersion: db.c.Metadata().Schema().Version,
-	}
-	for _, srv := range db.c.IndexServers() {
-		if srv == nil { // retired slot
-			continue
-		}
-		st.BufferedBytes += srv.MemBytes()
-		st.Flushes += srv.Stats().Flushes.Load()
-		st.FlushBytes += srv.Stats().FlushBytes.Load()
-		st.SideRouted += srv.Stats().SideRouted.Load()
-		st.TemplateUpdates += srv.TreeStats().TemplateUpdates.Load()
+		Ingested:        tot.Ingested,
+		Buffered:        db.c.MemLen(),
+		BufferedBytes:   db.c.MemBytes(),
+		Chunks:          db.c.Metadata().ChunkCount(),
+		Flushes:         tot.Flushes,
+		FlushBytes:      tot.FlushBytes,
+		SideRouted:      tot.SideRouted,
+		TemplateUpdates: tot.TemplateUpdates,
+		SchemaVersion:   db.c.Metadata().Schema().Version,
 	}
 	for _, d := range db.c.Dispatchers() {
 		st.Dispatched += int64(d.Dispatched())

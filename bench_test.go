@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"waterwheel/internal/baseline"
 	"waterwheel/internal/bench"
 	"waterwheel/internal/chunk"
 	"waterwheel/internal/cluster"
@@ -35,6 +36,16 @@ func runExperiment(t *testing.T, id string, scale float64) {
 	t.Logf("\n%s", rep)
 }
 
+// coldCaches empties every query server's cache the way retirement does:
+// chunk by chunk.
+func coldCaches(c *cluster.Cluster) {
+	for _, ci := range c.Metadata().ChunksFor(model.FullRegion()) {
+		for _, qs := range c.QueryServers() {
+			qs.EvictChunk(ci.ID)
+		}
+	}
+}
+
 // --- Table I ---
 
 func TestTable1Capabilities(t *testing.T) { runExperiment(t, "table1", 0.1) }
@@ -50,12 +61,12 @@ func BenchmarkFig7aInsertThroughput(b *testing.B) {
 	for i := range tuples {
 		tuples[i] = g.Next()
 	}
-	for name, mk := range map[string]func() core.Index{
-		"template": func() core.Index {
-			return core.NewTemplateTree(core.TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 1 << 32}, Leaves: 1024})
+	for name, mk := range map[string]func() baseline.Index{
+		"template": func() baseline.Index {
+			return baseline.Template{TemplateTree: core.NewTemplateTree(core.TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 1 << 32}, Leaves: 1024})}
 		},
-		"concurrent": func() core.Index { return core.NewConcurrentTree(0, 0) },
-		"bulk":       func() core.Index { return core.NewBulkTree(0, 0) },
+		"concurrent": func() baseline.Index { return baseline.NewConcurrentTree(0, 0) },
+		"bulk":       func() baseline.Index { return baseline.NewBulkTree(0, 0) },
 	} {
 		b.Run(name, func(b *testing.B) {
 			idx := mk()
@@ -67,7 +78,7 @@ func BenchmarkFig7aInsertThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				idx.Insert(sub[i%len(sub)])
 			}
-			if bt, ok := idx.(*core.BulkTree); ok {
+			if bt, ok := idx.(*baseline.BulkTree); ok {
 				bt.Build()
 			}
 		})
@@ -90,8 +101,8 @@ func BenchmarkFig8Mixed(b *testing.B) {
 				if float64(i%100)/100 < frac {
 					tree.Insert(tp)
 				} else {
-					tree.Range(model.KeyRange{Lo: tp.Key, Hi: tp.Key}, model.FullTimeRange(), nil,
-						func(*model.Tuple) bool { return true })
+					tree.RangeCols(model.KeyRange{Lo: tp.Key, Hi: tp.Key}, model.FullTimeRange(), nil,
+						func(model.Key, model.Timestamp, []byte) bool { return true })
 				}
 			}
 		})
@@ -110,8 +121,8 @@ func BenchmarkFig9MixedRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
-		tree.Range(model.KeyRange{Lo: k, Hi: k}, model.FullTimeRange(), nil,
-			func(*model.Tuple) bool { return true })
+		tree.RangeCols(model.KeyRange{Lo: k, Hi: k}, model.FullTimeRange(), nil,
+			func(model.Key, model.Timestamp, []byte) bool { return true })
 	}
 }
 
@@ -455,9 +466,7 @@ func BenchmarkColdMultiChunkQuery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, qs := range c.QueryServers() {
-					qs.ClearCache()
-				}
+				coldCaches(c)
 				b.StartTimer()
 				res, err := c.Query(q)
 				if err != nil {
@@ -851,9 +860,7 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for _, qs := range c.QueryServers() {
-					qs.ClearCache()
-				}
+				coldCaches(c)
 				b.StartTimer()
 				res, err := c.Aggregate(q)
 				if err != nil {

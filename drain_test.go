@@ -44,6 +44,40 @@ func TestDrainAfterStopReturnsErrClosed(t *testing.T) {
 	}
 }
 
+// TestInsertAfterCloseIsRejected: an insert into a closed store is refused
+// with ErrClosed — embedded and over the wire, with and without a DataDir —
+// instead of being acked into a log no consumer will ever apply (memory
+// residency used to return nil; a DataDir answered "wal: segment closed").
+// The log refuses on its own too, for a caller that holds the cluster or
+// races Close past the DB's door.
+func TestInsertAfterCloseIsRejected(t *testing.T) {
+	for name, opts := range map[string]Options{"memory": {}, "datadir": {DataDir: t.TempDir()}} {
+		t.Run(name, func(t *testing.T) {
+			db, cl, ts := netFixture(t, opts, 10)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := db.Stats()
+			late := Tuple{Key: 7, Time: 9000, Payload: []byte("late")}
+			for what, insert := range map[string]func() error{
+				"Insert":              func() error { return db.Insert(late) },
+				"InsertBatch":         func() error { return db.InsertBatch(ts) },
+				"wire Insert":         func() error { return cl.Insert(late) },
+				"wire InsertBatch":    func() error { return cl.InsertBatch(ts) },
+				"cluster Insert":      func() error { return db.Cluster().Insert(late) },
+				"cluster InsertBatch": func() error { _, err := db.Cluster().InsertBatch(ts); return err },
+			} {
+				if err := returns(t, what+" after Close", insert); !errors.Is(err, ErrClosed) {
+					t.Errorf("%s after Close = %v, want ErrClosed", what, err)
+				}
+			}
+			if after := db.Stats(); after.Ingested != before.Ingested {
+				t.Errorf("ingested moved %d -> %d after Close", before.Ingested, after.Ingested)
+			}
+		})
+	}
+}
+
 // TestDrainReportsDeadConsumer: one undecodable record stops its slot's
 // consumer while inserts keep being acked from the log. Drain says so — the
 // consumer's error, in process and over TCP — instead of hanging, and the

@@ -1,6 +1,14 @@
-// Package baseline implements the two comparison systems of the paper's
-// overall evaluation (§VI-D): an LSM-tree key-value store modelled on
-// HBase and a time-partitioned segment store modelled on Druid. Both run
+// Package baseline holds what the paper's evaluation measures Waterwheel
+// against and nothing production runs.
+//
+// For the index comparison (§VI-A, Fig. 7–9): a traditional concurrent B+
+// tree with latch coupling and node splits (ConcurrentTree), a bulk-loading
+// B+ tree that sorts batches and builds bottom-up (BulkTree), and the Index
+// surface the figure drivers put all three trees behind — the template tree
+// through the Template adapter.
+//
+// For the overall evaluation (§VI-D): an LSM-tree key-value store modelled
+// on HBase and a time-partitioned segment store modelled on Druid. Both run
 // against the same simulated distributed file system as Waterwheel so the
 // comparison isolates the architectural differences the paper attributes
 // the gap to:

@@ -50,6 +50,17 @@ func randQueries(n int, rng *rand.Rand) []model.Query {
 	return out
 }
 
+// Runs returns the total number of persisted runs.
+func (l *LSM) Runs() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, lvl := range l.levels {
+		n += len(lvl)
+	}
+	return n
+}
+
 func TestLSMCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	store := NewLSM(LSMConfig{MemBytes: 8 << 10, MaxRunsPerLevel: 3}, testFS())
@@ -100,7 +111,7 @@ func TestLSMQueryAfterExplicitFlush(t *testing.T) {
 		store.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)})
 	}
 	store.Flush()
-	if store.MemLen() != 0 {
+	if store.mem.Len() != 0 {
 		t.Fatal("memtable not drained")
 	}
 	res, err := store.Query(model.Query{
@@ -123,7 +134,7 @@ func TestTSCorrectness(t *testing.T) {
 	for _, tp := range tuples {
 		store.Insert(tp)
 	}
-	if store.Segments() == 0 {
+	if len(store.segments) == 0 {
 		t.Fatal("no segments sealed")
 	}
 	for _, q := range randQueries(30, rng) {

@@ -1,10 +1,11 @@
-package core
+package baseline
 
 import (
 	"sort"
 	"sync"
 	"time"
 
+	"waterwheel/internal/core"
 	"waterwheel/internal/model"
 )
 
@@ -22,11 +23,8 @@ type BulkTree struct {
 	leafCap int
 	fanout  int
 
-	stats     *Stats
-	ownsStats bool
+	stats *core.Stats
 }
-
-var _ Index = (*BulkTree)(nil)
 
 // bnode is an immutable node of a built bulk tree.
 type bnode struct {
@@ -40,24 +38,16 @@ type bnode struct {
 // fanout (defaults apply when <= 0).
 func NewBulkTree(leafCap, fanout int) *BulkTree {
 	if leafCap <= 0 {
-		leafCap = DefaultLeafCap
+		leafCap = core.DefaultLeafCap
 	}
 	if fanout < 2 {
-		fanout = DefaultFanout
+		fanout = core.DefaultFanout
 	}
-	return &BulkTree{leafCap: leafCap, fanout: fanout, stats: &Stats{}, ownsStats: true}
-}
-
-// SetStats redirects instrumentation to a shared Stats collector.
-func (t *BulkTree) SetStats(s *Stats) {
-	if s != nil {
-		t.stats = s
-		t.ownsStats = false
-	}
+	return &BulkTree{leafCap: leafCap, fanout: fanout, stats: &core.Stats{}}
 }
 
 // Stats returns the tree's instrumentation counters.
-func (t *BulkTree) Stats() *Stats { return t.stats }
+func (t *BulkTree) Stats() *core.Stats { return t.stats }
 
 // Insert buffers one tuple; it is not queryable until Build.
 func (t *BulkTree) Insert(tp model.Tuple) {
@@ -65,13 +55,6 @@ func (t *BulkTree) Insert(tp model.Tuple) {
 	t.pending = append(t.pending, tp)
 	t.mu.Unlock()
 	t.stats.Inserts.Add(1)
-}
-
-// Pending returns the number of buffered, not-yet-built tuples.
-func (t *BulkTree) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
 }
 
 // Build sorts the pending batch together with any previously built data

@@ -1,10 +1,11 @@
-package core
+package baseline
 
 import (
 	"sort"
 	"sync"
 	"time"
 
+	"waterwheel/internal/core"
 	"waterwheel/internal/model"
 )
 
@@ -26,11 +27,8 @@ type ConcurrentTree struct {
 	countMu sync.Mutex
 	count   int
 
-	stats     *Stats
-	ownsStats bool
+	stats *core.Stats
 }
-
-var _ Index = (*ConcurrentTree)(nil)
 
 // cnode is a node of the concurrent tree. Leaves hold sorted entries;
 // inner nodes hold separators and children (child i covers keys <
@@ -47,30 +45,21 @@ type cnode struct {
 // capacity and inner fanout (defaults apply when <= 0).
 func NewConcurrentTree(leafCap, fanout int) *ConcurrentTree {
 	if leafCap <= 0 {
-		leafCap = DefaultLeafCap
+		leafCap = core.DefaultLeafCap
 	}
 	if fanout < 3 {
-		fanout = DefaultFanout
+		fanout = core.DefaultFanout
 	}
 	return &ConcurrentTree{
-		root:      &cnode{isLeaf: true},
-		leafCap:   leafCap,
-		fanout:    fanout,
-		stats:     &Stats{},
-		ownsStats: true,
-	}
-}
-
-// SetStats redirects instrumentation to a shared Stats collector.
-func (t *ConcurrentTree) SetStats(s *Stats) {
-	if s != nil {
-		t.stats = s
-		t.ownsStats = false
+		root:    &cnode{isLeaf: true},
+		leafCap: leafCap,
+		fanout:  fanout,
+		stats:   &core.Stats{},
 	}
 }
 
 // Stats returns the tree's instrumentation counters.
-func (t *ConcurrentTree) Stats() *Stats { return t.stats }
+func (t *ConcurrentTree) Stats() *core.Stats { return t.stats }
 
 func (n *cnode) childIndex(k model.Key) int {
 	return sort.Search(len(n.keys), func(i int) bool { return k < n.keys[i] })
@@ -295,15 +284,4 @@ func (t *ConcurrentTree) Len() int {
 	t.countMu.Lock()
 	defer t.countMu.Unlock()
 	return t.count
-}
-
-// Depth returns the tree height (1 for a lone leaf root).
-func (t *ConcurrentTree) Depth() int {
-	t.rootMu.RLock()
-	defer t.rootMu.RUnlock()
-	d := 1
-	for n := t.root; !n.isLeaf; n = n.children[0] {
-		d++
-	}
-	return d
 }

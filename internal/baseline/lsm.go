@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"waterwheel/internal/core"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/model"
 )
@@ -53,7 +52,7 @@ type LSM struct {
 	fs  *dfs.FS
 
 	mu       sync.Mutex
-	mem      *core.ConcurrentTree
+	mem      *ConcurrentTree
 	memBytes int64
 	levels   [][]run
 	seq      int
@@ -64,7 +63,7 @@ var _ Store = (*LSM)(nil)
 // NewLSM creates an LSM store over the given file system.
 func NewLSM(cfg LSMConfig, fs *dfs.FS) *LSM {
 	cfg.fill()
-	return &LSM{cfg: cfg, fs: fs, mem: core.NewConcurrentTree(0, 0)}
+	return &LSM{cfg: cfg, fs: fs, mem: NewConcurrentTree(0, 0)}
 }
 
 // Insert adds a tuple to the memtable, flushing (and possibly compacting)
@@ -94,7 +93,7 @@ func (l *LSM) Flush() {
 		tuples = append(tuples, cp)
 		return true
 	})
-	l.mem = core.NewConcurrentTree(0, 0)
+	l.mem = NewConcurrentTree(0, 0)
 	l.memBytes = 0
 	r := l.writeRun(tuples)
 	if len(l.levels) == 0 {
@@ -292,20 +291,6 @@ func (l *LSM) Query(q model.Query) (*model.Result, error) {
 	res.SortTuples()
 	return res, nil
 }
-
-// Runs returns the total number of persisted runs (for tests).
-func (l *LSM) Runs() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, lvl := range l.levels {
-		n += len(lvl)
-	}
-	return n
-}
-
-// MemLen returns the memtable tuple count.
-func (l *LSM) MemLen() int { return l.mem.Len() }
 
 // Close implements Store.
 func (l *LSM) Close() {}

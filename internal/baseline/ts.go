@@ -255,19 +255,5 @@ func (t *TS) Query(q model.Query) (*model.Result, error) {
 	return res, nil
 }
 
-// Segments returns the sealed segment count (for tests).
-func (t *TS) Segments() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.segments)
-}
-
-// MemLen returns the live-segment tuple count.
-func (t *TS) MemLen() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.cur)
-}
-
 // Close implements Store.
 func (t *TS) Close() {}

@@ -8,7 +8,6 @@ import (
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
 	"waterwheel/internal/queryexec"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -59,7 +58,7 @@ func runAblationBloom(opt Options) (*Report, error) {
 		Header: []string{"metric", "bloom on", "bloom off"},
 	}
 	type agg struct {
-		lat                 *stats.Recorder
+		lat                 *recorder
 		leaves, skipped, mb int64
 	}
 	results := map[bool]*agg{}
@@ -89,7 +88,7 @@ func runAblationBloom(opt Options) (*Report, error) {
 		}
 		c.Drain()
 		c.FlushAll() // everything queryable from chunks
-		a := &agg{lat: stats.NewRecorder()}
+		a := &agg{lat: &recorder{}}
 		qg := workload.NewQueryGen(model.FullKeyRange(), opt.Seed)
 		windows := int(now / burst)
 		if windows < 2 {
@@ -155,13 +154,13 @@ func runAblationTemplate(opt Options) (*Report, error) {
 			c.Insert(tuples[i])
 		}
 		c.Drain() // the rate covers dispatch → WAL → consume, not just the ack
-		rate := stats.Rate(int64(n), time.Since(start))
+		rate := perSecond(int64(n), time.Since(start))
 		c.Stop()
 		label := "template reuse"
 		if noReuse {
 			label = "rebuild every flush"
 		}
-		rep.Add(label, stats.HumanRate(rate))
+		rep.Add(label, humanRate(rate))
 		opt.logf("ablation-template noReuse=%v done", noReuse)
 	}
 	return rep, nil
@@ -181,7 +180,7 @@ func runAblationLADA(opt Options) (*Report, error) {
 		c, g, _ := ablationCluster(opt, false, policy)
 		qg := workload.NewQueryGen(g.KeySpan(), opt.Seed)
 		now := g.Now()
-		rec := stats.NewRecorder()
+		rec := &recorder{}
 		var hits int64
 		for q := 0; q < queries; q++ {
 			t0 := time.Now()
@@ -240,7 +239,7 @@ func runAblationSideStore(opt Options) (*Report, error) {
 		c.Drain()
 		qg := workload.NewQueryGen(g.KeySpan(), opt.Seed)
 		now := g.Now()
-		rec := stats.NewRecorder()
+		rec := &recorder{}
 		var subs int64
 		for q := 0; q < queries; q++ {
 			t0 := time.Now()

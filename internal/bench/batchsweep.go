@@ -8,7 +8,6 @@ import (
 
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/telemetry"
 	"waterwheel/internal/workload"
 )
@@ -78,8 +77,8 @@ func runBatchSweep(opt Options) (*Report, error) {
 		}
 
 		rep.Add(size,
-			stats.HumanRate(memRate),
-			stats.HumanRate(fsRate),
+			humanRate(memRate),
+			humanRate(fsRate),
 			fmt.Sprintf("%.2f", fsyncsPerBatch))
 		opt.logf("batchsweep batch=%d done", size)
 	}
@@ -117,7 +116,7 @@ func sweepLeg(cfg cluster.Config, tuples []model.Tuple, size int) (rate float64,
 	if batches > 0 {
 		fsyncsPerBatch = fsyncs / float64(batches)
 	}
-	return stats.Rate(int64(len(tuples)), elapsed), fsyncsPerBatch, nil
+	return perSecond(int64(len(tuples)), elapsed), fsyncsPerBatch, nil
 }
 
 func init() {

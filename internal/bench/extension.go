@@ -8,7 +8,6 @@ import (
 	"waterwheel/internal/chunk"
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 )
 
 // ExtSecondary measures the §VIII extension: per-leaf bloom filters over a
@@ -28,7 +27,7 @@ func runExtSecondary(opt Options) (*Report, error) {
 		},
 	}
 	type agg struct {
-		lat            *stats.Recorder
+		lat            *recorder
 		leaves, pruned int64
 		bytes          int64
 	}
@@ -59,7 +58,7 @@ func runExtSecondary(opt Options) (*Report, error) {
 			c.Insert(model.Tuple{Key: key, Time: model.Timestamp(i), Payload: payload})
 		}
 		c.Drain()
-		a := &agg{lat: stats.NewRecorder()}
+		a := &agg{lat: &recorder{}}
 		for q := 0; q < queries; q++ {
 			group := uint64(q % groups)
 			t0 := time.Now()

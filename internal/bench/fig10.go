@@ -2,8 +2,6 @@ package bench
 
 import (
 	"time"
-
-	"waterwheel/internal/stats"
 )
 
 // Fig10: template update latency as a function of tree fill percentage,
@@ -26,7 +24,7 @@ func runFig10(opt Options) (*Report, error) {
 	for _, ds := range []string{"tdrive", "network"} {
 		results[ds] = map[int]time.Duration{}
 		for _, fill := range fills {
-			rec := stats.NewRecorder()
+			rec := &recorder{}
 			for r := 0; r < repeats; r++ {
 				g := generatorByName(ds, opt.Seed+int64(r))
 				n := capacity * fill / 100

@@ -11,7 +11,6 @@ import (
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
 	"waterwheel/internal/queryexec"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -78,9 +77,9 @@ func runFig11a(opt Options) (*Report, error) {
 			c.Insert(tuples[i])
 		}
 		c.Drain() // the rate covers dispatch → WAL → consume → flush
-		rate := stats.Rate(int64(n), time.Since(start))
+		rate := perSecond(int64(n), time.Since(start))
 		c.Stop()
-		rep.Add(chunkSizeLabel(cs), stats.HumanRate(rate))
+		rep.Add(chunkSizeLabel(cs), humanRate(rate))
 		opt.logf("fig11a chunk=%s done", chunkSizeLabel(cs))
 	}
 	return rep, nil
@@ -148,7 +147,7 @@ func runFig11b(opt Options) (*Report, error) {
 		row := []any{chunkSizeLabel(cs)}
 		for _, sel := range []float64{0.01, 0.05, 0.1} {
 			qg := workload.NewQueryGen(span, opt.Seed+int64(sel*1000))
-			rec := stats.NewRecorder()
+			rec := &recorder{}
 			for q := 0; q < queries; q++ {
 				// Fresh cache per query: measure cold subquery latency.
 				qs := queryexec.NewServer(queryexec.ServerConfig{

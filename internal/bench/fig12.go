@@ -5,7 +5,6 @@ import (
 
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -97,7 +96,7 @@ func runFig12a(opt Options) (*Report, error) {
 		rateS := ingestMakespan(cs, tuples, 0)
 		cs.Stop()
 
-		rep.Add(sigma, stats.HumanRate(rateA), stats.HumanRate(rateS))
+		rep.Add(sigma, humanRate(rateA), humanRate(rateS))
 		opt.logf("fig12a sigma=%.0f done", sigma)
 	}
 	return rep, nil
@@ -132,7 +131,7 @@ func runFig12b(opt Options) (*Report, error) {
 			c.Drain()
 			qg := workload.NewQueryGen(g.KeySpan(), opt.Seed)
 			now := g.Now()
-			rec := stats.NewRecorder()
+			rec := &recorder{}
 			for q := 0; q < queries; q++ {
 				t0 := time.Now()
 				if _, err := c.Query(model.Query{

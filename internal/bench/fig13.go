@@ -7,7 +7,6 @@ import (
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/model"
 	"waterwheel/internal/queryexec"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -75,7 +74,7 @@ func runFig13(opt Options) (*Report, error) {
 			for i := range hot {
 				hot[i] = rect{kr: qg.KeyRange(0.2), tr: qg.Historical(0, now, span/4)}
 			}
-			rec := stats.NewRecorder()
+			rec := &recorder{}
 			for q := 0; q < queries; q++ {
 				r := hot[q%len(hot)]
 				if q%5 == 4 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"waterwheel/internal/cluster"
-	"waterwheel/internal/stats"
 )
 
 // Fig17: insertion throughput as the cluster grows (paper: 16→128 EC2
@@ -48,7 +47,7 @@ func runFig17(opt Options) (*Report, error) {
 			// warm-up would otherwise dominate the makespan.
 			rate := ingestMakespan(c, tuples, n/100)
 			c.Stop()
-			row = append(row, stats.HumanRate(rate))
+			row = append(row, humanRate(rate))
 			if ds == "tdrive" {
 				tdriveRate = rate
 			}

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"waterwheel/internal/baseline"
 	"waterwheel/internal/core"
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -37,7 +37,7 @@ func pregenerate(g workload.Generator, n int) []model.Tuple {
 // newTemplateForSpan builds a template tree sized for n tuples over the
 // generator's span, seeded with a sample so the initial partition matches
 // the distribution (as a warmed-up production tree would be).
-func newTemplateForSpan(span model.KeyRange, tuples []model.Tuple, n int) *core.TemplateTree {
+func newTemplateForSpan(span model.KeyRange, tuples []model.Tuple, n int) baseline.Template {
 	leaves := n / core.DefaultLeafCap
 	if leaves < 4 {
 		leaves = 4
@@ -50,15 +50,15 @@ func newTemplateForSpan(span model.KeyRange, tuples []model.Tuple, n int) *core.
 	for i := range sample {
 		sample[i] = tuples[i*len(tuples)/sampleN].Key
 	}
-	return core.NewTemplateTreeFromSample(core.TemplateConfig{
+	return baseline.Template{TemplateTree: core.NewTemplateTreeFromSample(core.TemplateConfig{
 		Keys:   span,
 		Leaves: leaves,
-	}, sample)
+	}, sample)}
 }
 
 // insertParallel spreads the tuples across `threads` inserters and returns
 // the wall time.
-func insertParallel(idx core.Index, tuples []model.Tuple, threads int) time.Duration {
+func insertParallel(idx baseline.Index, tuples []model.Tuple, threads int) time.Duration {
 	if threads < 1 {
 		threads = 1
 	}
@@ -124,21 +124,21 @@ func runFig7a(opt Options) (*Report, error) {
 		dTmpl := insertParallel(tmpl, tuples, threads)
 		waitTmpl := mutexWaitSeconds() - w0
 
-		conc := core.NewConcurrentTree(0, 0)
+		conc := baseline.NewConcurrentTree(0, 0)
 		w0 = mutexWaitSeconds()
 		dConc := insertParallel(conc, tuples, threads)
 		waitConc := mutexWaitSeconds() - w0
 
-		bulk := core.NewBulkTree(0, 0)
+		bulk := baseline.NewBulkTree(0, 0)
 		startBulk := time.Now()
 		insertParallel(bulk, tuples, threads)
 		bulk.Build()
 		dBulk := time.Since(startBulk)
 
 		rep.Add(threads,
-			stats.HumanRate(stats.Rate(int64(n), dTmpl)),
-			stats.HumanRate(stats.Rate(int64(n), dConc)),
-			stats.HumanRate(stats.Rate(int64(n), dBulk)),
+			humanRate(perSecond(int64(n), dTmpl)),
+			humanRate(perSecond(int64(n), dConc)),
+			humanRate(perSecond(int64(n), dBulk)),
 			fmt.Sprintf("%.1fms", waitTmpl*1000),
 			fmt.Sprintf("%.1fms", waitConc*1000))
 		opt.logf("fig7a threads=%d done", threads)
@@ -175,13 +175,13 @@ func runFig7b(opt Options) (*Report, error) {
 		ms(st.TemplateUpdateNanos),
 		(dTmpl - time.Duration(st.TemplateUpdateNanos)).Round(time.Millisecond).String())
 
-	conc := core.NewConcurrentTree(0, 0)
+	conc := baseline.NewConcurrentTree(0, 0)
 	dConc := insertParallel(conc, tuples, 1)
 	sc := conc.Stats().Snapshot()
 	rep.Add("concurrent", dConc.Round(time.Millisecond).String(), ms(sc.SplitNanos), ms(0), ms(0), ms(0),
 		(dConc - time.Duration(sc.SplitNanos)).Round(time.Millisecond).String())
 
-	bulk := core.NewBulkTree(0, 0)
+	bulk := baseline.NewBulkTree(0, 0)
 	startBulk := time.Now()
 	insertParallel(bulk, tuples, 1)
 	bulk.Build()

@@ -5,17 +5,16 @@ import (
 	"sync"
 	"time"
 
-	"waterwheel/internal/core"
+	"waterwheel/internal/baseline"
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 )
 
 // mixedRun drives an index with the given insert fraction across 4
 // threads: each op is an insert or a point read on a random key (paper
 // §VI-A2). Returns insert throughput and the read-latency recorder.
-func mixedRun(idx core.Index, tuples []model.Tuple, insertFrac float64, seed int64) (float64, *stats.Recorder) {
+func mixedRun(idx baseline.Index, tuples []model.Tuple, insertFrac float64, seed int64) (float64, *recorder) {
 	const threads = 4
-	rec := stats.NewRecorder()
+	rec := &recorder{}
 	var inserted int64
 	var mu sync.Mutex
 	start := time.Now()
@@ -53,7 +52,7 @@ func mixedRun(idx core.Index, tuples []model.Tuple, insertFrac float64, seed int
 		}(tuples[lo:hi], seed+int64(w))
 	}
 	wg.Wait()
-	return stats.Rate(inserted, time.Since(start)), rec
+	return perSecond(inserted, time.Since(start)), rec
 }
 
 // Fig8: insertion throughput under mixed workloads (100%, 75%, 50%
@@ -77,9 +76,9 @@ func runFig8(opt Options) (*Report, error) {
 		}{{"100% insert", 1.0}, {"75% ins / 25% read", 0.75}, {"50% ins / 50% read", 0.5}} {
 			tmpl := newTemplateForSpan(span, tuples, n)
 			rateT, _ := mixedRun(tmpl, tuples, mix.frac, opt.Seed)
-			conc := core.NewConcurrentTree(0, 0)
+			conc := baseline.NewConcurrentTree(0, 0)
 			rateC, _ := mixedRun(conc, tuples, mix.frac, opt.Seed)
-			rep.Add(ds, mix.name, stats.HumanRate(rateT), stats.HumanRate(rateC))
+			rep.Add(ds, mix.name, humanRate(rateT), humanRate(rateC))
 			opt.logf("fig8 %s %s done", ds, mix.name)
 		}
 	}
@@ -111,7 +110,7 @@ func runFig9(opt Options) (*Report, error) {
 		}{{"75% ins / 25% read", 0.75}, {"50% ins / 50% read", 0.5}} {
 			tmpl := newTemplateForSpan(span, tuples, n)
 			_, recT := mixedRun(tmpl, tuples, mix.frac, opt.Seed)
-			conc := core.NewConcurrentTree(0, 0)
+			conc := baseline.NewConcurrentTree(0, 0)
 			_, recC := mixedRun(conc, tuples, mix.frac, opt.Seed)
 			rep.Add(ds, mix.name,
 				recT.Percentile(50).Round(time.Nanosecond).String(),

@@ -7,7 +7,6 @@ import (
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -158,7 +157,7 @@ func runOverallQueries(id, dataset string, opt Options) (*Report, error) {
 			row := []any{w.name, sel}
 			for _, name := range storeOrder {
 				qg := workload.NewQueryGen(g.KeySpan(), opt.Seed+int64(sel*1000))
-				rec := stats.NewRecorder()
+				rec := &recorder{}
 				for q := 0; q < perCell; q++ {
 					var tr model.TimeRange
 					if w.recent {
@@ -218,8 +217,8 @@ func runFig15(opt Options) (*Report, error) {
 			s := stores[name]
 			start := time.Now()
 			ingestTuples(s, tuples, opt.Batch)
-			rate := stats.Rate(int64(n), time.Since(start))
-			row = append(row, stats.HumanRate(rate))
+			rate := perSecond(int64(n), time.Since(start))
+			row = append(row, humanRate(rate))
 			opt.logf("fig15 %s %s done", ds, name)
 		}
 		for _, s := range stores {

@@ -1,4 +1,4 @@
-package stats
+package bench
 
 import (
 	"sync"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestRecorderPercentiles(t *testing.T) {
-	r := NewRecorder()
+	r := &recorder{}
 	for i := 1; i <= 100; i++ {
 		r.Record(time.Duration(i) * time.Millisecond)
 	}
@@ -17,10 +17,10 @@ func TestRecorderPercentiles(t *testing.T) {
 	if got := r.Percentile(99); got != 99*time.Millisecond {
 		t.Errorf("p99 = %v", got)
 	}
-	if got := r.Min(); got != 1*time.Millisecond {
+	if got := r.Percentile(0); got != 1*time.Millisecond {
 		t.Errorf("min = %v", got)
 	}
-	if got := r.Max(); got != 100*time.Millisecond {
+	if got := r.Percentile(100); got != 100*time.Millisecond {
 		t.Errorf("max = %v", got)
 	}
 	if got := r.Mean(); got != 50500*time.Microsecond {
@@ -29,24 +29,24 @@ func TestRecorderPercentiles(t *testing.T) {
 }
 
 func TestRecorderEmpty(t *testing.T) {
-	r := NewRecorder()
-	if r.Percentile(50) != 0 || r.Mean() != 0 || r.Count() != 0 {
+	r := &recorder{}
+	if r.Percentile(50) != 0 || r.Mean() != 0 || len(r.samples) != 0 {
 		t.Error("empty recorder should report zeros")
 	}
 }
 
 func TestRecorderInterleavedRecordAndRead(t *testing.T) {
-	r := NewRecorder()
+	r := &recorder{}
 	r.Record(5 * time.Millisecond)
 	_ = r.Percentile(50) // sorts
 	r.Record(1 * time.Millisecond)
-	if got := r.Min(); got != 1*time.Millisecond {
+	if got := r.Percentile(0); got != 1*time.Millisecond {
 		t.Errorf("min after re-record = %v", got)
 	}
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
+	r := &recorder{}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -61,16 +61,16 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Count() != 8000 {
-		t.Errorf("count = %d", r.Count())
+	if len(r.samples) != 8000 {
+		t.Errorf("count = %d", len(r.samples))
 	}
 }
 
 func TestRateAndHumanRate(t *testing.T) {
-	if got := Rate(1000, time.Second); got != 1000 {
+	if got := perSecond(1000, time.Second); got != 1000 {
 		t.Errorf("Rate = %f", got)
 	}
-	if got := Rate(1000, 0); got != 0 {
+	if got := perSecond(1000, 0); got != 0 {
 		t.Errorf("zero-elapsed Rate = %f", got)
 	}
 	cases := map[float64]string{
@@ -79,7 +79,7 @@ func TestRateAndHumanRate(t *testing.T) {
 		12:        "12/s",
 	}
 	for in, want := range cases {
-		if got := HumanRate(in); got != want {
+		if got := humanRate(in); got != want {
 			t.Errorf("HumanRate(%f) = %q, want %q", in, got, want)
 		}
 	}

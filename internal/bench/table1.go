@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"waterwheel/internal/model"
-	"waterwheel/internal/stats"
 	"waterwheel/internal/workload"
 )
 
@@ -46,7 +45,7 @@ func runTable1(opt Options) (*Report, error) {
 		for i := range tuples {
 			s.Insert(tuples[i])
 		}
-		ingestRate := stats.Rate(int64(n), time.Since(start))
+		ingestRate := perSecond(int64(n), time.Since(start))
 		s.Flush()
 		now := g.Now()
 
@@ -82,7 +81,7 @@ func runTable1(opt Options) (*Report, error) {
 			}
 			return "no"
 		}
-		rep.Add(name, mark(keySel, full), mark(timeSel, full), stats.HumanRate(ingestRate))
+		rep.Add(name, mark(keySel, full), mark(timeSel, full), humanRate(ingestRate))
 		opt.logf("table1 %s done", name)
 	}
 	return rep, nil

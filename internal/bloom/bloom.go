@@ -91,19 +91,6 @@ func (f *Filter) MayContain(item uint64) bool {
 	return true
 }
 
-// Reset clears all bits, reusing the allocation.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-}
-
-// Bits returns the number of bits in the filter.
-func (f *Filter) Bits() uint64 { return f.nbits }
-
-// K returns the number of hash functions.
-func (f *Filter) K() int { return f.k }
-
 // errCorrupt reports a malformed encoded filter.
 var errCorrupt = errors.New("bloom: corrupt encoding")
 
@@ -204,9 +191,6 @@ func (s *TimeSketch) MayOverlap(lo, hi int64) bool {
 		}
 	}
 }
-
-// Reset clears the sketch for reuse.
-func (s *TimeSketch) Reset() { s.F.Reset() }
 
 // AppendTo appends a binary encoding: [8B bucketMillis][filter].
 func (s *TimeSketch) AppendTo(dst []byte) []byte {

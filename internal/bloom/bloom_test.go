@@ -75,15 +75,15 @@ func TestReset(t *testing.T) {
 
 func TestNewClamps(t *testing.T) {
 	f := New(0, 0)
-	if f.Bits() == 0 || f.K() < 1 {
-		t.Errorf("New(0,0) produced unusable filter: bits=%d k=%d", f.Bits(), f.K())
+	if f.nbits == 0 || f.k < 1 {
+		t.Errorf("New(0,0) produced unusable filter: bits=%d k=%d", f.nbits, f.k)
 	}
 	f = New(100, 99)
-	if f.K() > 16 {
-		t.Errorf("k not clamped: %d", f.K())
+	if f.k > 16 {
+		t.Errorf("k not clamped: %d", f.k)
 	}
-	if f.Bits()%64 != 0 {
-		t.Errorf("bits not rounded to word: %d", f.Bits())
+	if f.nbits%64 != 0 {
+		t.Errorf("bits not rounded to word: %d", f.nbits)
 	}
 }
 

@@ -208,11 +208,10 @@ func payloadU64(p []byte, off uint32) (uint64, bool) {
 	return binary.BigEndian.Uint64(p[off : off+8]), true
 }
 
-// PeekHeaderLen returns the header block length from a chunk prefix of at
-// least 12 bytes, so a reader can fetch exactly the header. A Waterwheel
-// magic with any version byte but this build's returns
-// ErrUnsupportedVersion.
-func PeekHeaderLen(prefix []byte) (int, error) {
+// peekHeaderLen returns the header block length from a chunk prefix of at
+// least 12 bytes. A Waterwheel magic with any version byte but this
+// build's returns ErrUnsupportedVersion.
+func peekHeaderLen(prefix []byte) (int, error) {
 	if len(prefix) < 12 {
 		return 0, fmt.Errorf("%w: short prefix", ErrCorrupt)
 	}
@@ -225,7 +224,7 @@ func PeekHeaderLen(prefix []byte) (int, error) {
 // ParseHeader decodes the header block (buf must hold at least HeaderLen
 // bytes).
 func ParseHeader(buf []byte) (*Header, error) {
-	hlen, err := PeekHeaderLen(buf)
+	hlen, err := peekHeaderLen(buf)
 	if err != nil {
 		return nil, err
 	}
@@ -392,26 +391,6 @@ func (h *Header) SelectLeavesFor(kr model.KeyRange, tr model.TimeRange, useBloom
 		read = append(read, i)
 	}
 	return read, pruned
-}
-
-// DecodeLeaf decodes the tuples of leaf li (body holds the bytes at
-// Dir[li].Offset..+Length) — the one tuple-shaped view of a leaf, for
-// inspection and tests; queries scan columns (ScanLeafColsWith). Payloads
-// alias body.
-func (h *Header) DecodeLeaf(li int, body []byte) ([]model.Tuple, error) {
-	var cols LeafColumns
-	if err := h.DecodeColumns(li, body, &cols); err != nil {
-		return nil, err
-	}
-	out := make([]model.Tuple, len(cols.Keys))
-	for j := range out {
-		out[j] = model.Tuple{
-			Key:     cols.Keys[j],
-			Time:    cols.Times[j],
-			Payload: cols.Payload[cols.Starts[j]:cols.Starts[j+1]],
-		}
-	}
-	return out, nil
 }
 
 // ScanLeafColsWith visits leaf li's tuples matching the ranges and filter

@@ -29,6 +29,24 @@ func buildSnapshot(t testing.TB, n int, leaves int) *core.FlushSnapshot {
 	return snap
 }
 
+// leafTuples decodes leaf li through DecodeColumns — the one leaf decode —
+// and presents the columns as tuples. Payloads alias body.
+func leafTuples(h *Header, li int, body []byte) ([]model.Tuple, error) {
+	var cols LeafColumns
+	if err := h.DecodeColumns(li, body, &cols); err != nil {
+		return nil, err
+	}
+	out := make([]model.Tuple, len(cols.Keys))
+	for j := range out {
+		out[j] = model.Tuple{
+			Key:     cols.Keys[j],
+			Time:    cols.Times[j],
+			Payload: cols.Payload[cols.Starts[j]:cols.Starts[j+1]],
+		}
+	}
+	return out, nil
+}
+
 func TestBuildAndParseRoundTrip(t *testing.T) {
 	snap := buildSnapshot(t, 500, 8)
 	data, meta, err := Build(snap, BuildOptions{})
@@ -38,8 +56,8 @@ func TestBuildAndParseRoundTrip(t *testing.T) {
 	if meta.Count != 500 || meta.Leaves != 8 || meta.Size != int64(len(data)) {
 		t.Fatalf("meta = %+v", meta)
 	}
-	if hl, err := PeekHeaderLen(data); err != nil || hl != meta.HeaderLen {
-		t.Fatalf("PeekHeaderLen = %d, %v; want %d", hl, err, meta.HeaderLen)
+	if hl, err := peekHeaderLen(data); err != nil || hl != meta.HeaderLen {
+		t.Fatalf("peekHeaderLen = %d, %v; want %d", hl, err, meta.HeaderLen)
 	}
 	h, err := ParseHeader(data)
 	if err != nil {
@@ -58,7 +76,7 @@ func TestBuildAndParseRoundTrip(t *testing.T) {
 	total := 0
 	var prev model.Key
 	for i, d := range h.Dir {
-		tuples, err := h.DecodeLeaf(i, data[d.Offset:d.Offset+d.Length])
+		tuples, err := leafTuples(h, i, data[d.Offset:d.Offset+d.Length])
 		if err != nil {
 			t.Fatalf("leaf %d: %v", i, err)
 		}
@@ -178,7 +196,7 @@ func TestScanLeaf(t *testing.T) {
 	}
 	want := 0
 	for li, d := range h.Dir {
-		tuples, _ := h.DecodeLeaf(li, data[d.Offset:d.Offset+d.Length])
+		tuples, _ := leafTuples(h, li, data[d.Offset:d.Offset+d.Length])
 		for i := range tuples {
 			tp := &tuples[i]
 			if kr.Contains(tp.Key) && tr.Contains(tp.Time) && f.Matches(tp) {
@@ -227,8 +245,8 @@ func TestParseCorrupt(t *testing.T) {
 		if _, err := ParseHeader(other); !errors.Is(err, ErrUnsupportedVersion) {
 			t.Errorf("ParseHeader of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
 		}
-		if _, err := PeekHeaderLen(other[:12]); !errors.Is(err, ErrUnsupportedVersion) {
-			t.Errorf("PeekHeaderLen of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
+		if _, err := peekHeaderLen(other[:12]); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("peekHeaderLen of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
 		}
 	}
 }
@@ -256,7 +274,7 @@ func TestSingleLeafChunk(t *testing.T) {
 	if h.Leaves != 1 || len(h.Bounds) != 0 || meta.Count != 1 {
 		t.Fatalf("h=%+v meta=%+v", h.Meta, meta)
 	}
-	tuples, _ := h.DecodeLeaf(0, data[h.Dir[0].Offset:h.Dir[0].Offset+h.Dir[0].Length])
+	tuples, _ := leafTuples(h, 0, data[h.Dir[0].Offset:h.Dir[0].Offset+h.Dir[0].Length])
 	if len(tuples) != 1 || tuples[0].Key != 5 || string(tuples[0].Payload) != "p" {
 		t.Fatalf("tuples = %v", tuples)
 	}

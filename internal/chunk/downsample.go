@@ -6,8 +6,6 @@
 // resolution in a fraction of the space.
 package chunk
 
-import "encoding/binary"
-
 // DownsampledPayloadLen is the payload size of a downsampled row:
 // [4B count][4B values][8B min][8B max][8B sum], big-endian.
 const DownsampledPayloadLen = 32
@@ -20,19 +18,4 @@ func AppendDownsampledPayload(dst []byte, b AggBucket) []byte {
 	dst = appendU64(dst, b.Min)
 	dst = appendU64(dst, b.Max)
 	return appendU64(dst, b.Sum)
-}
-
-// ParseDownsampledPayload decodes a downsampled-row payload. ok is false
-// when p is not the downsampled layout.
-func ParseDownsampledPayload(p []byte) (AggBucket, bool) {
-	if len(p) != DownsampledPayloadLen {
-		return AggBucket{}, false
-	}
-	return AggBucket{
-		Count:  binary.BigEndian.Uint32(p[0:]),
-		Values: binary.BigEndian.Uint32(p[4:]),
-		Min:    binary.BigEndian.Uint64(p[8:]),
-		Max:    binary.BigEndian.Uint64(p[16:]),
-		Sum:    binary.BigEndian.Uint64(p[24:]),
-	}, true
 }

@@ -75,8 +75,8 @@ func FuzzChunkOpen(f *testing.F) {
 				continue
 			}
 			body := data[d.Offset : d.Offset+d.Length]
-			if _, err := h.DecodeLeaf(li, body); err != nil && !decodeErrOK(err) {
-				t.Fatalf("DecodeLeaf(%d) error class: %v", li, err)
+			if err := h.DecodeColumns(li, body, &cols); err != nil && !decodeErrOK(err) {
+				t.Fatalf("DecodeColumns(%d) error class: %v", li, err)
 			}
 			err := h.ScanLeafColsWith(&cols, li, body, model.FullKeyRange(), full, nil,
 				func(model.Key, model.Timestamp, []byte) bool { return true })

@@ -147,7 +147,7 @@ func TestAggFoldEquivalence(t *testing.T) {
 	// Chunk-level: Meta.Agg vs all tuples.
 	var all []model.Tuple
 	for li, d := range h.Dir {
-		tuples, err := h.DecodeLeaf(li, data[d.Offset:d.Offset+d.Length])
+		tuples, err := leafTuples(h, li, data[d.Offset:d.Offset+d.Length])
 		if err != nil {
 			t.Fatalf("leaf %d: %v", li, err)
 		}
@@ -179,7 +179,7 @@ func TestAggFoldEquivalence(t *testing.T) {
 		if d.Count == 0 {
 			continue
 		}
-		tuples, _ := h.DecodeLeaf(li, data[d.Offset:d.Offset+d.Length])
+		tuples, _ := leafTuples(h, li, data[d.Offset:d.Offset+d.Length])
 		for trial := 0; trial < 50; trial++ {
 			span := int64(d.MaxT - d.MinT + 1)
 			lo := int64(d.MinT) + rng.Int63n(span+2000) - 1000

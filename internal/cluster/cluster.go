@@ -262,7 +262,8 @@ type Cluster struct {
 	stopped   atomic.Bool
 }
 
-// ErrClosed is returned by Drain and the catch-up waits on a stopped cluster.
+// ErrClosed is returned by inserts, Drain and the catch-up waits on a stopped
+// cluster.
 var ErrClosed = errors.New("waterwheel: closed")
 
 // New builds a cluster, panicking on persistence errors; use Open to
@@ -528,6 +529,8 @@ func (s walSink) SendGroups(groups []dispatcher.Group) (rejected []int, err erro
 			flights = append(flights, inFlight{g, p, end})
 		case errors.Is(err, wal.ErrSealed):
 			reroute = append(reroute, g)
+		case errors.Is(err, wal.ErrClosed):
+			reject(g, ErrClosed)
 		default:
 			reject(g, fmt.Errorf("cluster: wal append (server %d): %w", g.Server, err))
 		}
@@ -740,10 +743,6 @@ func (c *Cluster) AutoCheckpoints() int64 { return c.ckptAuto.Load() }
 // Recovered reports how many WAL records indexing servers replayed on start
 // — what the restart and every crash since cost in replay.
 func (c *Cluster) Recovered() int64 { return c.Totals().Recovered }
-
-// PendingRetiredDeletes reports how many retired chunk files are parked
-// awaiting in-flight-query drain.
-func (c *Cluster) PendingRetiredDeletes() int { return c.ret.pending() }
 
 // Accessors used by experiments, examples and the public API.
 

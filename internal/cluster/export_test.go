@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -86,4 +87,19 @@ func (f *fileOps) record(failAt string) (stop func() []string) {
 		f.on = false
 		return f.ops
 	}
+}
+
+// CrashIndexServer simulates an indexing-server failure and recovery (§V):
+// the server's goroutine stops, its in-memory state is discarded, and a
+// successor (standby shadow or WAL replay) takes over. The call blocks
+// until the successor has caught up with the partition head at call time.
+func (c *Cluster) CrashIndexServer(i int) error {
+	if c.server(i) == nil {
+		return fmt.Errorf("cluster: no indexing server %d", i)
+	}
+	head := c.log.Partition(i).Next()
+	if err := c.KillIndexServer(i); err != nil {
+		return err
+	}
+	return c.waitApplied(i, head)
 }

@@ -580,7 +580,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 // successor starts, so a chunk registration the dead incarnation still
 // has in flight is rejected instead of committing an offset the
 // successor's replay assumed stable. It returns as soon as the successor is
-// consuming; use CrashIndexServer to also wait for catch-up.
+// consuming; Drain waits for its catch-up.
 func (c *Cluster) KillIndexServer(i int) error {
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
@@ -588,19 +588,4 @@ func (c *Cluster) KillIndexServer(i int) error {
 		return fmt.Errorf("cluster: no indexing server %d", i)
 	}
 	return c.takeover(i, c.takeStandby(i))
-}
-
-// CrashIndexServer simulates an indexing-server failure and recovery (§V):
-// the server's goroutine stops, its in-memory state is discarded, and a
-// successor (standby shadow or WAL replay) takes over. The call blocks
-// until the successor has caught up with the partition head at call time.
-func (c *Cluster) CrashIndexServer(i int) error {
-	if c.server(i) == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
-	}
-	head := c.log.Partition(i).Next()
-	if err := c.KillIndexServer(i); err != nil {
-		return err
-	}
-	return c.waitApplied(i, head)
 }

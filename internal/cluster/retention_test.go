@@ -142,7 +142,7 @@ func TestDropChunksBeforeDrainSafe(t *testing.T) {
 	if c.Metadata().ChunkCount() != 0 {
 		t.Fatal("dropped chunks still registered")
 	}
-	if got := c.PendingRetiredDeletes(); got != n {
+	if got := c.ret.pending(); got != n {
 		t.Fatalf("%d deletes pending, want %d (parked behind the active query)", got, n)
 	}
 	// The files are still readable while the query is in flight.
@@ -153,7 +153,7 @@ func TestDropChunksBeforeDrainSafe(t *testing.T) {
 	}
 	c.Metadata().CompleteQuery(q.ID)
 	c.Drain() // sweeps the retirement queue
-	if got := c.PendingRetiredDeletes(); got != 0 {
+	if got := c.ret.pending(); got != 0 {
 		t.Fatalf("%d deletes still pending after drain", got)
 	}
 	for _, ci := range chunks {

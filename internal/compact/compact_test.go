@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"waterwheel/internal/chunk"
@@ -33,14 +34,14 @@ func buildChunk(t *testing.T, fs *dfs.FS, ms *meta.Server, path string, t0, span
 	if err := fs.Write(path, data); err != nil {
 		t.Fatal(err)
 	}
-	return ms.RegisterChunk(meta.ChunkInfo{
+	return ms.RegisterChunks([]meta.ChunkInfo{{
 		Path:      path,
 		Region:    model.Region{Keys: cm.Keys, Times: model.TimeRange{Lo: cm.MinTime, Hi: cm.MaxTime}},
 		Count:     cm.Count,
 		Size:      cm.Size,
 		HeaderLen: cm.HeaderLen,
 		Agg:       cm.Agg,
-	})
+	}})[0]
 }
 
 func TestTickDemotesByAge(t *testing.T) {
@@ -121,16 +122,16 @@ func TestTickMergesColdChunks(t *testing.T) {
 			continue
 		}
 		body := data[lf.Offset : lf.Offset+lf.Length]
-		rows, err := h.DecodeLeaf(li, body)
-		if err != nil {
+		var cols chunk.LeafColumns
+		if err := h.DecodeColumns(li, body, &cols); err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
-			bkt, ok := chunk.ParseDownsampledPayload(row.Payload)
-			if !ok {
-				t.Fatalf("row payload not downsampled: %d bytes", len(row.Payload))
+		for j := range cols.Keys {
+			row := cols.Payload[cols.Starts[j]:cols.Starts[j+1]]
+			if len(row) != chunk.DownsampledPayloadLen {
+				t.Fatalf("row payload not downsampled: %d bytes", len(row))
 			}
-			total += bkt.Count
+			total += binary.BigEndian.Uint32(row) // the bucket's count leads the layout
 		}
 	}
 	if want := uint32(a.Count + b.Count); total != want {

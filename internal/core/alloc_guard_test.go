@@ -77,7 +77,7 @@ func TestRangeScanAllocs(t *testing.T) {
 		t.Errorf("RangeCols allocates %.2f per full scan, want 0", cols)
 	}
 	shim := testing.AllocsPerRun(20, func() {
-		tree.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(tp *model.Tuple) bool {
+		scan(tree, model.FullKeyRange(), model.FullTimeRange(), nil, func(tp *model.Tuple) bool {
 			sink += len(tp.Payload)
 			return true
 		})

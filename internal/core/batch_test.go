@@ -77,11 +77,11 @@ func TestInsertBatchSerialEquivalence(t *testing.T) {
 		}
 		for qi, q := range queries {
 			var got, want []model.Tuple
-			serial.Range(q.kr, q.tr, nil, func(tp *model.Tuple) bool {
+			scan(serial, q.kr, q.tr, nil, func(tp *model.Tuple) bool {
 				want = append(want, *tp)
 				return true
 			})
-			batched.Range(q.kr, q.tr, nil, func(tp *model.Tuple) bool {
+			scan(batched, q.kr, q.tr, nil, func(tp *model.Tuple) bool {
 				got = append(got, *tp)
 				return true
 			})
@@ -154,7 +154,7 @@ func TestMergeDirectionsPreserveEqualKeyOrder(t *testing.T) {
 
 			var got, want []uint64
 			collect := func(tree *TemplateTree, out *[]uint64) {
-				tree.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(tp *model.Tuple) bool {
+				scan(tree, model.FullKeyRange(), model.FullTimeRange(), nil, func(tp *model.Tuple) bool {
 					*out = append(*out, binary.BigEndian.Uint64(tp.Payload))
 					return true
 				})
@@ -210,7 +210,7 @@ func TestInsertBatchConcurrentWithScans(t *testing.T) {
 			}
 			prev := model.Key(0)
 			count := 0
-			tree.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(tp *model.Tuple) bool {
+			scan(tree, model.FullKeyRange(), model.FullTimeRange(), nil, func(tp *model.Tuple) bool {
 				if count > 0 && tp.Key < prev {
 					t.Error("scan out of key order during concurrent batches")
 					return false

@@ -1,21 +1,22 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"waterwheel/internal/baseline"
 	"waterwheel/internal/model"
 )
 
 func TestBulkVisibilityOnlyAfterBuild(t *testing.T) {
-	tree := NewBulkTree(8, 8)
+	tree := baseline.NewBulkTree(8, 8)
 	for i := 0; i < 100; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)})
 	}
 	if got := collect(tree, model.FullKeyRange(), model.FullTimeRange(), nil); len(got) != 0 {
 		t.Fatalf("tuples visible before Build: %d", len(got))
 	}
-	if tree.Pending() != 100 {
-		t.Fatalf("Pending = %d, want 100", tree.Pending())
+	if tree.Len() != 0 {
+		t.Fatalf("Len before Build = %d, want 0", tree.Len())
 	}
 	if n := tree.Build(); n != 100 {
 		t.Fatalf("Build = %d, want 100", n)
@@ -23,13 +24,13 @@ func TestBulkVisibilityOnlyAfterBuild(t *testing.T) {
 	if got := collect(tree, model.FullKeyRange(), model.FullTimeRange(), nil); len(got) != 100 {
 		t.Fatalf("after Build visible %d, want 100", len(got))
 	}
-	if tree.Pending() != 0 {
-		t.Errorf("Pending after build = %d", tree.Pending())
+	if tree.Len() != 100 {
+		t.Errorf("Len after Build = %d, want 100", tree.Len())
 	}
 }
 
 func TestBulkIncrementalRebuild(t *testing.T) {
-	tree := NewBulkTree(8, 8)
+	tree := baseline.NewBulkTree(8, 8)
 	for i := 0; i < 50; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i * 2), Time: 0})
 	}
@@ -52,7 +53,7 @@ func TestBulkIncrementalRebuild(t *testing.T) {
 }
 
 func TestBulkRangeAndFilters(t *testing.T) {
-	tree := NewBulkTree(4, 4)
+	tree := baseline.NewBulkTree(4, 4)
 	for i := 0; i < 300; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i * 5)})
 	}
@@ -72,7 +73,7 @@ func TestBulkRangeAndFilters(t *testing.T) {
 }
 
 func TestBulkDuplicateKeysAcrossLeafBoundary(t *testing.T) {
-	tree := NewBulkTree(4, 4)
+	tree := baseline.NewBulkTree(4, 4)
 	// 10 copies each of 20 keys — runs far exceed leaf capacity.
 	for k := 0; k < 20; k++ {
 		for c := 0; c < 10; c++ {
@@ -89,7 +90,7 @@ func TestBulkDuplicateKeysAcrossLeafBoundary(t *testing.T) {
 }
 
 func TestBulkEmptyBuild(t *testing.T) {
-	tree := NewBulkTree(4, 4)
+	tree := baseline.NewBulkTree(4, 4)
 	if n := tree.Build(); n != 0 {
 		t.Fatalf("empty Build = %d", n)
 	}
@@ -99,7 +100,7 @@ func TestBulkEmptyBuild(t *testing.T) {
 }
 
 func TestBulkStatsRecorded(t *testing.T) {
-	tree := NewBulkTree(8, 8)
+	tree := baseline.NewBulkTree(8, 8)
 	for i := 0; i < 10000; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(splitmixKey(uint64(i))), Time: 0})
 	}
@@ -114,7 +115,7 @@ func TestBulkStatsRecorded(t *testing.T) {
 }
 
 func TestBulkEarlyStop(t *testing.T) {
-	tree := NewBulkTree(4, 4)
+	tree := baseline.NewBulkTree(4, 4)
 	for i := 0; i < 64; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: 0})
 	}

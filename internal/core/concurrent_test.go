@@ -1,26 +1,39 @@
-package core
+// The comparison trees of §VI-A live in internal/baseline; their unit tests
+// (this file and bulk_test.go) run from core's external test package, under
+// the test ids they have always had.
+package core_test
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 
+	"waterwheel/internal/baseline"
+	"waterwheel/internal/core"
 	"waterwheel/internal/model"
 )
 
+func collect(idx baseline.Index, kr model.KeyRange, tr model.TimeRange, f *model.Filter) []model.Tuple {
+	var out []model.Tuple
+	idx.Range(kr, tr, f, func(t *model.Tuple) bool {
+		out = append(out, *t)
+		return true
+	})
+	return out
+}
+
 func TestConcurrentInsertAndRange(t *testing.T) {
-	tree := NewConcurrentTree(4, 4) // tiny nodes to force deep splits
+	tree := baseline.NewConcurrentTree(4, 4) // tiny nodes to force deep splits
 	for k := 0; k < 1000; k++ {
 		tree.Insert(model.Tuple{Key: model.Key(k), Time: model.Timestamp(k)})
 	}
 	if tree.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", tree.Len())
 	}
-	if tree.Depth() < 3 {
-		t.Errorf("depth %d suspiciously small for 1000 entries at cap 4", tree.Depth())
-	}
-	if tree.Stats().Splits.Load() == 0 {
-		t.Error("no splits recorded — baseline must split")
+	// 1000 entries in leaves of at most 4 need at least 250 leaves, each but
+	// the first made by a split.
+	if n := tree.Stats().Splits.Load(); n < 249 {
+		t.Errorf("%d splits recorded for 1000 entries at cap 4 — baseline must split", n)
 	}
 	got := collect(tree, model.KeyRange{Lo: 100, Hi: 199}, model.FullTimeRange(), nil)
 	if len(got) != 100 {
@@ -38,7 +51,7 @@ func TestConcurrentReverseAndRandomOrders(t *testing.T) {
 		"reverse": func(i int) model.Key { return model.Key(5000 - i) },
 		"random":  func(i int) model.Key { return model.Key(splitmixKey(uint64(i))) },
 	} {
-		tree := NewConcurrentTree(8, 8)
+		tree := baseline.NewConcurrentTree(8, 8)
 		seen := map[model.Key]int{}
 		for i := 0; i < 5000; i++ {
 			k := gen(i)
@@ -68,7 +81,7 @@ func splitmixKey(x uint64) uint64 {
 }
 
 func TestConcurrentDuplicateKeys(t *testing.T) {
-	tree := NewConcurrentTree(4, 4)
+	tree := baseline.NewConcurrentTree(4, 4)
 	// 100 copies of one key overflow any leaf: tree must keep them findable.
 	for i := 0; i < 100; i++ {
 		tree.Insert(model.Tuple{Key: 7, Time: model.Timestamp(i)})
@@ -84,7 +97,7 @@ func TestConcurrentDuplicateKeys(t *testing.T) {
 }
 
 func TestConcurrentDuplicatePointQueryExact(t *testing.T) {
-	tree := NewConcurrentTree(4, 4)
+	tree := baseline.NewConcurrentTree(4, 4)
 	for i := 0; i < 64; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i % 4), Time: model.Timestamp(i)})
 	}
@@ -97,7 +110,7 @@ func TestConcurrentDuplicatePointQueryExact(t *testing.T) {
 }
 
 func TestConcurrentTimeFilterAndPredicate(t *testing.T) {
-	tree := NewConcurrentTree(16, 16)
+	tree := baseline.NewConcurrentTree(16, 16)
 	for i := 0; i < 500; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i * 10)})
 	}
@@ -112,7 +125,7 @@ func TestConcurrentTimeFilterAndPredicate(t *testing.T) {
 }
 
 func TestConcurrentParallelInserts(t *testing.T) {
-	tree := NewConcurrentTree(DefaultLeafCap, DefaultFanout)
+	tree := baseline.NewConcurrentTree(core.DefaultLeafCap, core.DefaultFanout)
 	const (
 		writers = 8
 		perW    = 3000
@@ -157,7 +170,7 @@ func TestConcurrentParallelInserts(t *testing.T) {
 }
 
 func TestConcurrentEarlyStop(t *testing.T) {
-	tree := NewConcurrentTree(4, 4)
+	tree := baseline.NewConcurrentTree(4, 4)
 	for i := 0; i < 100; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: 0})
 	}
@@ -168,5 +181,31 @@ func TestConcurrentEarlyStop(t *testing.T) {
 	})
 	if n != 5 {
 		t.Errorf("visited %d, want 5", n)
+	}
+}
+
+// TestSharedStatsCollector: core.Stats is the one counter block all three
+// compared trees report into (Fig. 7b reads one per tree); each feeds the
+// fields that describe it and leaves the others alone.
+func TestSharedStatsCollector(t *testing.T) {
+	tmpl := core.NewTemplateTree(core.TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 100}, Leaves: 4})
+	conc := baseline.NewConcurrentTree(4, 4)
+	bulk := baseline.NewBulkTree(4, 4)
+	for i := 0; i < 50; i++ {
+		tp := model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)}
+		tmpl.Insert(tp)
+		conc.Insert(tp)
+		bulk.Insert(tp)
+	}
+	bulk.Build()
+	st, sc, sb := tmpl.Stats().Snapshot(), conc.Stats().Snapshot(), bulk.Stats().Snapshot()
+	if st.Inserts != 50 || sc.Inserts != 50 || sb.Inserts != 50 {
+		t.Errorf("inserts = %d/%d/%d, want 50 each", st.Inserts, sc.Inserts, sb.Inserts)
+	}
+	if sc.Splits == 0 || st.Splits != 0 || sb.Splits != 0 {
+		t.Errorf("splits = %d/%d/%d, want only the concurrent tree to split", st.Splits, sc.Splits, sb.Splits)
+	}
+	if sb.SortNanos == 0 || st.SortNanos != 0 || sc.SortNanos != 0 {
+		t.Errorf("sort nanos = %d/%d/%d, want only the bulk tree to sort", st.SortNanos, sc.SortNanos, sb.SortNanos)
 	}
 }

@@ -1,21 +1,15 @@
 // Package core implements Waterwheel's primary contribution: the
-// template-based B+ tree (paper §III-B, §III-C) together with the two
-// baseline indexes it is evaluated against in §VI-A — a traditional
-// concurrent B+ tree with latch coupling and node splits, and a
-// bulk-loading B+ tree that sorts batches and builds bottom-up.
-//
-// All three index a stream of tuples on the key domain and answer
-// key-range scans with optional time-range and predicate filtering. The
-// template tree additionally supports FlushReset (retain the inner-node
-// template, discard leaves) and adaptive template update driven by the
-// skewness factor S(P,D) = max_i (|Ki(D)| - n)/n.
+// template-based B+ tree (paper §III-B, §III-C). It indexes a stream of
+// tuples on the key domain, answers key-range scans with optional
+// time-range and predicate filtering through one columnar scan
+// (RangeCols), hands its leaves to the chunk builder while retaining the
+// inner-node template (FlushReset), and rebuilds the template when the
+// skewness factor S(P,D) = max_i (|Ki(D)| - n)/n says the partition no
+// longer fits the keys. The two B+ trees it is evaluated against in §VI-A
+// live in internal/baseline, beside the other comparison systems.
 package core
 
-import (
-	"sync/atomic"
-
-	"waterwheel/internal/model"
-)
+import "sync/atomic"
 
 // Default structural parameters. Fanout applies to inner nodes; LeafCap is
 // the target number of entries per leaf (template leaves may overflow it —
@@ -25,22 +19,11 @@ const (
 	DefaultLeafCap = 64
 )
 
-// Index is the common surface of the three B+ tree variants.
-type Index interface {
-	// Insert adds one tuple. Implementations are safe for concurrent use
-	// unless documented otherwise.
-	Insert(t model.Tuple)
-	// Range visits every tuple with key in kr, time in tr and matching
-	// filter, stopping early if fn returns false. Visit order is by key
-	// within a leaf; cross-leaf order is ascending key ranges.
-	Range(kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(*model.Tuple) bool)
-	// Len returns the number of tuples currently in the index.
-	Len() int
-}
-
 // Stats aggregates instrumentation counters for the insertion-time
-// breakdown experiment (paper Fig. 7b). Counters are cumulative and safe
-// for concurrent update.
+// breakdown experiment (paper Fig. 7b), which reads one Stats per compared
+// tree — the template tree's here, the concurrent and bulk trees' in
+// internal/baseline. Counters are cumulative and safe for concurrent
+// update.
 type Stats struct {
 	// Inserts counts tuples inserted.
 	Inserts atomic.Int64
@@ -49,8 +32,7 @@ type Stats struct {
 	Splits atomic.Int64
 	// SplitNanos accumulates wall time spent splitting nodes.
 	SplitNanos atomic.Int64
-	// SortNanos accumulates wall time spent sorting (bulk tree builds and
-	// template updates).
+	// SortNanos accumulates wall time spent sorting (bulk tree builds).
 	SortNanos atomic.Int64
 	// BuildNanos accumulates wall time spent building index structure
 	// bottom-up (bulk tree).

@@ -89,7 +89,7 @@ func FuzzTemplateTreeInsertScan(f *testing.F) {
 
 		scan := func(kr model.KeyRange, tr model.TimeRange) {
 			var got []model.Tuple
-			tree.Range(kr, tr, nil, func(tp *model.Tuple) bool {
+			scan(tree, kr, tr, nil, func(tp *model.Tuple) bool {
 				// The visitor tuple is reused and its payload aliases the
 				// leaf arena; copy what outlives the callback.
 				got = append(got, model.Tuple{Key: tp.Key, Time: tp.Time, Payload: append([]byte(nil), tp.Payload...)})

@@ -14,8 +14,6 @@ type refIndex struct {
 	tuples []model.Tuple
 }
 
-func (r *refIndex) Insert(t model.Tuple) { r.tuples = append(r.tuples, t) }
-
 func (r *refIndex) query(kr model.KeyRange, tr model.TimeRange, f *model.Filter) []model.Tuple {
 	var out []model.Tuple
 	for i := range r.tuples {
@@ -49,33 +47,44 @@ func sameTuples(t *testing.T, name string, got, want []model.Tuple) {
 	}
 }
 
-// TestAllVariantsAgreeWithReference cross-checks the three tree variants
-// against the reference on randomized workloads and queries.
+// TestAllVariantsAgreeWithReference cross-checks every way a template tree
+// is built and filled — an even partition fed tuple by tuple, the same fed
+// in batches, a partition seeded from a key sample — against the reference
+// on randomized workloads and queries. (The comparison against the
+// concurrent and bulk-loading trees lives with them, in internal/baseline.)
 func TestAllVariantsAgreeWithReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 20; round++ {
-		ref := &refIndex{}
-		tmpl := NewTemplateTree(TemplateConfig{
+		cfg := TemplateConfig{
 			Keys: model.KeyRange{Lo: 0, Hi: 1 << 16}, Leaves: 16,
 			CheckEvery: 128, SkewThreshold: 0.8, MinPerLeaf: 2,
-		})
-		conc := NewConcurrentTree(8, 8)
-		bulk := NewBulkTree(8, 8)
-
+		}
 		n := 200 + rng.Intn(800)
-		for i := 0; i < n; i++ {
-			tp := model.Tuple{
+		tuples := make([]model.Tuple, n)
+		sample := make([]model.Key, n)
+		for i := range tuples {
+			tuples[i] = model.Tuple{
 				Key:  model.Key(rng.Intn(1 << 16)),
 				Time: model.Timestamp(rng.Intn(10000)),
 			}
-			ref.Insert(tp)
-			tmpl.Insert(tp)
-			conc.Insert(tp)
-			bulk.Insert(tp)
+			sample[i] = tuples[i].Key
 		}
-		bulk.Build()
+		ref := &refIndex{tuples: tuples}
+		single, batched, sampled := NewTemplateTree(cfg), NewTemplateTree(cfg), NewTemplateTreeFromSample(cfg, sample)
+		for i := range tuples {
+			single.Insert(tuples[i])
+			sampled.Insert(tuples[i])
+		}
+		for rest := tuples; len(rest) > 0; {
+			m := 1 + rng.Intn(100)
+			if m > len(rest) {
+				m = len(rest)
+			}
+			batched.InsertBatch(rest[:m])
+			rest = rest[m:]
+		}
 		if round%3 == 0 {
-			tmpl.UpdateTemplate() // updates must not change results
+			single.UpdateTemplate() // updates must not change results
 		}
 
 		for q := 0; q < 10; q++ {
@@ -93,8 +102,8 @@ func TestAllVariantsAgreeWithReference(t *testing.T) {
 				filter = model.KeyMod(3, uint64(q%3))
 			}
 			want := ref.query(kr, tr, filter)
-			for name, idx := range map[string]Index{"template": tmpl, "concurrent": conc, "bulk": bulk} {
-				got := collect(idx, kr, tr, filter)
+			for name, tree := range map[string]*TemplateTree{"insert": single, "batch": batched, "sample": sampled} {
+				got := collect(tree, kr, tr, filter)
 				sortTuples(got)
 				sameTuples(t, name, got, want)
 			}
@@ -116,7 +125,7 @@ func TestTemplateRangeSortedInvariant(t *testing.T) {
 		prev := model.Key(0)
 		okOrder := true
 		n := 0
-		tree.Range(model.KeyRange{Lo: model.Key(lo), Hi: model.Key(hi)}, model.FullTimeRange(), nil,
+		scan(tree, model.KeyRange{Lo: model.Key(lo), Hi: model.Key(hi)}, model.FullTimeRange(), nil,
 			func(tp *model.Tuple) bool {
 				if n > 0 && tp.Key < prev {
 					okOrder = false

@@ -1,44 +1,10 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"waterwheel/internal/model"
 )
-
-func TestSharedStatsCollector(t *testing.T) {
-	shared := &Stats{}
-	tmpl := NewTemplateTree(TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 100}, Leaves: 4})
-	conc := NewConcurrentTree(4, 4)
-	bulk := NewBulkTree(4, 4)
-	tmpl.SetStats(shared)
-	conc.SetStats(shared)
-	bulk.SetStats(shared)
-	for i := 0; i < 50; i++ {
-		tp := model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)}
-		tmpl.Insert(tp)
-		conc.Insert(tp)
-		bulk.Insert(tp)
-	}
-	bulk.Build()
-	snap := shared.Snapshot()
-	if snap.Inserts != 150 {
-		t.Errorf("shared inserts = %d, want 150", snap.Inserts)
-	}
-	if snap.Splits == 0 {
-		t.Error("concurrent splits not recorded in shared stats")
-	}
-	if snap.SortNanos == 0 {
-		t.Error("bulk sort not recorded in shared stats")
-	}
-	// SetStats(nil) keeps the existing collector.
-	tmpl.SetStats(nil)
-	tmpl.Insert(model.Tuple{Key: 1})
-	if shared.Inserts.Load() != 151 {
-		t.Error("SetStats(nil) detached the collector")
-	}
-}
 
 func TestSnapshotSub(t *testing.T) {
 	a := StatsSnapshot{Inserts: 10, Splits: 4, SplitNanos: 100, SortNanos: 50, BuildNanos: 20, TemplateUpdates: 2, TemplateUpdateNanos: 30}
@@ -52,14 +18,8 @@ func TestSnapshotSub(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	tmpl := NewTemplateTree(TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 1000}, Leaves: 8})
-	if tmpl.LeafCount() != 8 {
-		t.Errorf("LeafCount = %d", tmpl.LeafCount())
-	}
-	if d := tmpl.Depth(); d < 1 {
-		t.Errorf("Depth = %d", d)
-	}
-	if s := tmpl.String(); !strings.Contains(s, "templatetree") {
-		t.Errorf("String = %q", s)
+	if len(tmpl.leaves) != 8 {
+		t.Errorf("leaves = %d, want 8", len(tmpl.leaves))
 	}
 	if b := tmpl.Bytes(); b != 0 {
 		t.Errorf("empty tree bytes = %d", b)
@@ -68,17 +28,7 @@ func TestAccessors(t *testing.T) {
 	if b := tmpl.Bytes(); b != 26 {
 		t.Errorf("bytes = %d, want 26", b)
 	}
-	conc := NewConcurrentTree(4, 4)
-	if conc.Depth() != 1 {
-		t.Errorf("fresh concurrent depth = %d", conc.Depth())
-	}
-	for i := 0; i < 100; i++ {
-		conc.Insert(model.Tuple{Key: model.Key(i)})
-	}
-	if conc.Depth() < 2 {
-		t.Errorf("grown concurrent depth = %d", conc.Depth())
-	}
-	if conc.Stats() == nil || tmpl.Stats() == nil || NewBulkTree(0, 0).Stats() == nil {
+	if tmpl.Stats() == nil {
 		t.Error("nil stats accessor")
 	}
 }
@@ -86,7 +36,11 @@ func TestAccessors(t *testing.T) {
 func TestTemplateDeepTree(t *testing.T) {
 	// Enough leaves for three inner levels at fanout 4.
 	tree := NewTemplateTree(TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 1 << 20}, Leaves: 64, Fanout: 4})
-	if d := tree.Depth(); d != 3 {
+	d := 1
+	for n := tree.root; n.leaves == nil; n = n.children[0] {
+		d++
+	}
+	if d != 3 {
 		t.Errorf("depth = %d, want 3 (64 leaves at fanout 4)", d)
 	}
 	for i := 0; i < 4096; i++ {

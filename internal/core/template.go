@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -393,7 +392,6 @@ type TemplateTree struct {
 	// re-triggering below ~2x the residue would rebuild in vain.
 	floorSkew atomic.Uint64
 	stats     *Stats
-	ownsStats bool
 
 	// scratch recycles InsertBatch's routing tags and gather buffer so the
 	// steady-state batch path allocates nothing.
@@ -409,13 +407,11 @@ type insertScratch struct {
 	refs []PayloadRef
 }
 
-var _ Index = (*TemplateTree)(nil)
-
 // NewTemplateTree creates a template tree whose initial partition divides
 // cfg.Keys evenly across cfg.Leaves leaves.
 func NewTemplateTree(cfg TemplateConfig) *TemplateTree {
 	cfg.fill()
-	t := &TemplateTree{cfg: cfg, stats: &Stats{}, ownsStats: true}
+	t := &TemplateTree{cfg: cfg, stats: &Stats{}}
 	t.installPartition(evenBoundaries(cfg.Keys, cfg.Leaves))
 	return t
 }
@@ -425,7 +421,7 @@ func NewTemplateTree(cfg TemplateConfig) *TemplateTree {
 // sample evenly across leaves.
 func NewTemplateTreeFromSample(cfg TemplateConfig, sample []model.Key) *TemplateTree {
 	cfg.fill()
-	t := &TemplateTree{cfg: cfg, stats: &Stats{}, ownsStats: true}
+	t := &TemplateTree{cfg: cfg, stats: &Stats{}}
 	if len(sample) == 0 {
 		t.installPartition(evenBoundaries(cfg.Keys, cfg.Leaves))
 		return t
@@ -434,14 +430,6 @@ func NewTemplateTreeFromSample(cfg TemplateConfig, sample []model.Key) *Template
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	t.installPartition(boundariesFromSorted(s, cfg.Leaves))
 	return t
-}
-
-// SetStats redirects instrumentation to a shared Stats collector.
-func (t *TemplateTree) SetStats(s *Stats) {
-	if s != nil {
-		t.stats = s
-		t.ownsStats = false
-	}
 }
 
 // Stats returns the tree's instrumentation counters.
@@ -919,51 +907,12 @@ func (t *TemplateTree) RangeCols(kr model.KeyRange, tr model.TimeRange, filter *
 	}
 }
 
-// Range visits matching tuples in key order — the core.Index compatibility
-// shim over RangeCols. One tuple value is reused across the whole scan;
-// callers must not retain the pointer (or its payload) past the callback.
-func (t *TemplateTree) Range(kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn func(*model.Tuple) bool) {
-	var tp model.Tuple
-	t.RangeCols(kr, tr, filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
-		tp.Key, tp.Time, tp.Payload = k, ts, p
-		return fn(&tp)
-	})
-}
-
 // Len returns the number of tuples in the tree.
 func (t *TemplateTree) Len() int { return int(t.count.Load()) }
 
 // Bytes returns the approximate payload footprint of the tree, used by
 // flush policies.
 func (t *TemplateTree) Bytes() int64 { return t.bytes.Load() }
-
-// LeafCount returns the number of leaves l.
-func (t *TemplateTree) LeafCount() int { return len(t.leaves) }
-
-// TimeBounds returns the min/max timestamp over all tuples, and ok=false
-// when the tree is empty.
-func (t *TemplateTree) TimeBounds() (lo, hi model.Timestamp, ok bool) {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	first := true
-	for _, lf := range t.leaves {
-		lf.mu.Lock()
-		if lf.cnt > 0 {
-			if first {
-				lo, hi, first = lf.minT, lf.maxT, false
-			} else {
-				if lf.minT < lo {
-					lo = lf.minT
-				}
-				if lf.maxT > hi {
-					hi = lf.maxT
-				}
-			}
-		}
-		lf.mu.Unlock()
-	}
-	return lo, hi, !first
-}
 
 // FlushSnapshot is the content handed to the chunk builder by FlushReset:
 // the per-leaf columns, the leaf partition that produced them, and summary
@@ -1109,20 +1058,4 @@ func (t *TemplateTree) Keys() model.KeyRange {
 	t.gate.RLock()
 	defer t.gate.RUnlock()
 	return t.cfg.Keys
-}
-
-// Depth returns the height of the inner template (levels of inner nodes).
-func (t *TemplateTree) Depth() int {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	d := 1
-	for n := t.root; n.leaves == nil; n = n.children[0] {
-		d++
-	}
-	return d
-}
-
-// String implements fmt.Stringer.
-func (t *TemplateTree) String() string {
-	return fmt.Sprintf("templatetree(leaves=%d, count=%d, keys=%s)", len(t.leaves), t.Len(), t.cfg.Keys)
 }

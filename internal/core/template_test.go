@@ -8,9 +8,20 @@ import (
 	"waterwheel/internal/model"
 )
 
-func collect(idx Index, kr model.KeyRange, tr model.TimeRange, f *model.Filter) []model.Tuple {
+// scan is how this package's tests read a tree: RangeCols — the one scan —
+// with each visit presented as a tuple. The tuple value is reused across
+// the scan and its payload aliases the leaf arena; copy what outlives fn.
+func scan(tree *TemplateTree, kr model.KeyRange, tr model.TimeRange, f *model.Filter, fn func(*model.Tuple) bool) {
+	var tp model.Tuple
+	tree.RangeCols(kr, tr, f, func(k model.Key, ts model.Timestamp, p []byte) bool {
+		tp.Key, tp.Time, tp.Payload = k, ts, p
+		return fn(&tp)
+	})
+}
+
+func collect(tree *TemplateTree, kr model.KeyRange, tr model.TimeRange, f *model.Filter) []model.Tuple {
 	var out []model.Tuple
-	idx.Range(kr, tr, f, func(t *model.Tuple) bool {
+	scan(tree, kr, tr, f, func(t *model.Tuple) bool {
 		out = append(out, *t)
 		return true
 	})
@@ -57,7 +68,7 @@ func TestTemplatePredicateAndEarlyStop(t *testing.T) {
 		t.Fatalf("predicate returned %d, want 50", len(got))
 	}
 	n := 0
-	tree.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(*model.Tuple) bool {
+	scan(tree, model.FullKeyRange(), model.FullTimeRange(), nil, func(*model.Tuple) bool {
 		n++
 		return n < 7
 	})
@@ -144,7 +155,7 @@ func TestTemplateFlushReset(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i * 2), Time: model.Timestamp(1000 + i), Payload: []byte{byte(i)}})
 	}
-	depthBefore := tree.Depth()
+	rootBefore := tree.root
 	snap := tree.FlushReset()
 	if snap == nil || snap.Count != 500 {
 		t.Fatalf("snapshot count = %v, want 500", snap)
@@ -175,8 +186,8 @@ func TestTemplateFlushReset(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Errorf("tree not empty after flush: %d", tree.Len())
 	}
-	if tree.Depth() != depthBefore {
-		t.Errorf("template depth changed across flush: %d -> %d", depthBefore, tree.Depth())
+	if tree.root != rootBefore {
+		t.Error("inner template replaced across flush")
 	}
 	// Tree remains usable after flush.
 	tree.Insert(model.Tuple{Key: 10, Time: 5})
@@ -185,17 +196,24 @@ func TestTemplateFlushReset(t *testing.T) {
 	}
 }
 
+// TestTemplateTimeBounds: the per-leaf time bounds are what a flush
+// snapshot's MinTime/MaxTime are folded from, and they start afresh after a
+// reset rather than remembering the previous chunk's.
 func TestTemplateTimeBounds(t *testing.T) {
 	tree := NewTemplateTree(TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 100}, Leaves: 4})
-	if _, _, ok := tree.TimeBounds(); ok {
-		t.Fatal("empty tree should report no time bounds")
-	}
 	tree.Insert(model.Tuple{Key: 1, Time: 500})
 	tree.Insert(model.Tuple{Key: 99, Time: 100})
 	tree.Insert(model.Tuple{Key: 50, Time: 900})
-	lo, hi, ok := tree.TimeBounds()
-	if !ok || lo != 100 || hi != 900 {
-		t.Errorf("TimeBounds = (%d,%d,%v), want (100,900,true)", lo, hi, ok)
+	if got := collect(tree, model.FullKeyRange(), model.TimeRange{Lo: 901, Hi: 2000}, nil); len(got) != 0 {
+		t.Errorf("scan past every leaf's max time returned %d tuples", len(got))
+	}
+	snap := tree.FlushReset()
+	if snap.MinTime != 100 || snap.MaxTime != 900 {
+		t.Errorf("snapshot time bounds = [%d,%d], want [100,900]", snap.MinTime, snap.MaxTime)
+	}
+	tree.Insert(model.Tuple{Key: 50, Time: 300})
+	if snap = tree.FlushReset(); snap.MinTime != 300 || snap.MaxTime != 300 {
+		t.Errorf("bounds after reset = [%d,%d], want [300,300]", snap.MinTime, snap.MaxTime)
 	}
 }
 
@@ -232,7 +250,7 @@ func TestTemplateConcurrentInsertAndQuery(t *testing.T) {
 					return
 				default:
 				}
-				tree.Range(model.FullKeyRange(), model.FullTimeRange(), nil, func(*model.Tuple) bool { return true })
+				scan(tree, model.FullKeyRange(), model.FullTimeRange(), nil, func(*model.Tuple) bool { return true })
 			}
 		}()
 	}

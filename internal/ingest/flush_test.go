@@ -74,7 +74,7 @@ func TestQueryableWhileFlushInFlight(t *testing.T) {
 	if got := memQuery(srv, model.FullKeyRange(), model.FullTimeRange()); len(got) != 300 {
 		t.Fatalf("mid-flight query saw %d tuples, want 300", len(got))
 	}
-	if min, ok := srv.MemMinTime(); !ok || min != 1000 {
+	if min, _, ok := srv.MemBounds(); !ok || min != 1000 {
 		t.Fatalf("live region dropped the pending snapshot: min=%d ok=%v", min, ok)
 	}
 	if n := srv.PendingFlushes(); n != 1 {
@@ -89,7 +89,7 @@ func TestQueryableWhileFlushInFlight(t *testing.T) {
 	if got := memQuery(srv, model.FullKeyRange(), model.FullTimeRange()); len(got) != 0 {
 		t.Fatalf("tuples duplicated after registration: %d", len(got))
 	}
-	if min, ok := srv.MemMinTime(); ok {
+	if min, _, ok := srv.MemBounds(); ok {
 		t.Fatalf("live region should be empty after flush, got min=%d", min)
 	}
 }

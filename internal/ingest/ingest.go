@@ -445,13 +445,6 @@ func (s *Server) growKeyBoxLocked(lo, hi model.Key) bool {
 	return changed
 }
 
-// MemMinTime returns the left temporal bound of the live (memtable) region
-// and whether any data is buffered.
-func (s *Server) MemMinTime() (model.Timestamp, bool) {
-	min, _, ok := s.MemBounds()
-	return min, ok
-}
-
 // MemBounds returns the live (memtable) region's exact extent: the minimum
 // timestamp and the key bounding box over both trees and every pending
 // snapshot whose chunk is not yet registered (those tuples are still served
@@ -542,10 +535,6 @@ func (s *Server) Activate(epoch int64) {
 
 // Epoch returns the ownership epoch this incarnation writes metadata under.
 func (s *Server) Epoch() int64 { return s.epoch.Load() }
-
-// Fenced reports whether a metadata write was rejected because ownership
-// of the slot moved to a newer incarnation.
-func (s *Server) Fenced() bool { return s.fenced.Load() }
 
 // Flush forces the in-memory state out as chunks — the memtable and, when
 // non-empty, the side store swap together as one flush unit — and waits for
@@ -853,27 +842,20 @@ func (s *Server) WaitApplied(offset int64, cancel <-chan struct{}) error {
 	return s.consumed.Wait(offset, cancel)
 }
 
-// decodeRecords decodes WAL records into tuples, arena-copying payloads
-// into a single buffer: decoded payloads alias the WAL's retained record
-// buffers (for AppendBatch, one buffer per *batch*), and without the copy
-// each tuple would pin its entire source buffer for its lifetime in the
-// tree. Shared by the consumption loop and the standby replayer.
+// decodeRecords decodes WAL records into tuples — one allocation, the tuple
+// slice. The payloads alias the records' buffers (the WAL's resident window,
+// or a cold read's): the trees copy every payload into a leaf arena on
+// insert, so nothing retains the aliases past insertBatchAt and the window's
+// buffers are not pinned by what was decoded from them. Shared by the
+// consumption loop and the standby replayer.
 func decodeRecords(recs []wal.Record) ([]model.Tuple, error) {
 	batch := make([]model.Tuple, len(recs))
-	arenaLen := 0
 	for i, r := range recs {
 		t, _, err := model.DecodeTuple(r.Data)
 		if err != nil {
 			return nil, fmt.Errorf("bad record at offset %d: %w", r.Offset, err)
 		}
 		batch[i] = t
-		arenaLen += len(t.Payload)
-	}
-	arena := make([]byte, 0, arenaLen)
-	for i := range batch {
-		pos := len(arena)
-		arena = append(arena, batch[i].Payload...)
-		batch[i].Payload = arena[pos:len(arena):len(arena)]
 	}
 	return batch, nil
 }

@@ -54,7 +54,6 @@ type Standby struct {
 	mu       sync.Mutex
 	srv      *Server
 	base     int64 // owner's committed offset the shadow starts at
-	resets   int
 	promoted bool
 
 	// The tail loop parks in tail.ReadBlocking with wake as its cancel: a
@@ -144,7 +143,6 @@ func (sb *Standby) resetLocked(committed int64) {
 	sb.srv = sb.cfg.NewServer()
 	sb.base = committed
 	sb.pos.Set(committed)
-	sb.resets++
 	old.Abort()
 }
 
@@ -192,13 +190,6 @@ func (sb *Standby) Consumed() int64 { return sb.pos.Load() }
 // error (a corrupt record), ErrStopped if halted, wal.ErrCanceled.
 func (sb *Standby) WaitReplayed(offset int64, cancel <-chan struct{}) error {
 	return sb.pos.Wait(offset, cancel)
-}
-
-// Resets counts shadow discards (owner commits passing the replay base).
-func (sb *Standby) Resets() int {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.resets
 }
 
 // SetKeys forwards a repartition to the current shadow server.

@@ -96,7 +96,12 @@ func TestStandbyResetsOnOwnerCommit(t *testing.T) {
 	if committed != p.Next() {
 		t.Fatalf("committed = %d, head = %d", committed, p.Next())
 	}
-	waitCond(t, "standby reset", func() bool { return sb.Resets() > 0 && sb.Consumed() >= committed })
+	waitCond(t, "standby reset", func() bool {
+		sb.mu.Lock()
+		base := sb.base
+		sb.mu.Unlock()
+		return base == committed && sb.Consumed() >= committed
+	})
 	appendTuples(t, p, 40, 10)
 	waitCond(t, "standby tail resume", func() bool { return sb.Consumed() == p.Next() })
 	sb.Halt()
@@ -163,7 +168,7 @@ func TestFencedOwnerCannotRegister(t *testing.T) {
 	if _, ok := owner.Flush(); ok {
 		t.Fatal("deposed owner's flush reported success")
 	}
-	if !owner.Fenced() {
+	if !owner.fenced.Load() {
 		t.Fatal("owner not marked fenced")
 	}
 	if ms.ChunkCount() != 0 {

@@ -11,9 +11,9 @@ import "sync"
 // Unlike a cache, the group retains nothing: the key is forgotten the
 // moment the leader's fn returns, so a failed read is retried by the next
 // caller and successful results live only in the LRU the leader populated.
-type FlightGroup struct {
+type FlightGroup[K comparable] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[K]*flightCall
 }
 
 type flightCall struct {
@@ -25,7 +25,7 @@ type flightCall struct {
 // Do executes fn under key, deduplicating concurrent callers. It returns
 // fn's result and whether this caller shared a flight led by another
 // (shared is false for the leader).
-func (g *FlightGroup) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
+func (g *FlightGroup[K]) Do(key K, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
@@ -34,7 +34,7 @@ func (g *FlightGroup) Do(key string, fn func() (any, error)) (val any, err error
 	}
 	c := &flightCall{done: make(chan struct{})}
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[K]*flightCall)
 	}
 	g.calls[key] = c
 	g.mu.Unlock()

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFlightGroupDedupsConcurrentCallers(t *testing.T) {
-	var g FlightGroup
+	var g FlightGroup[string]
 	var execs atomic.Int64
 	gate := make(chan struct{})
 	entered := make(chan struct{})
@@ -56,7 +56,7 @@ func TestFlightGroupDedupsConcurrentCallers(t *testing.T) {
 }
 
 func TestFlightGroupErrorsShared(t *testing.T) {
-	var g FlightGroup
+	var g FlightGroup[string]
 	wantErr := errors.New("boom")
 	gate := make(chan struct{})
 	entered := make(chan struct{})
@@ -89,7 +89,7 @@ func TestFlightGroupErrorsShared(t *testing.T) {
 }
 
 func TestFlightGroupKeyForgottenAfterReturn(t *testing.T) {
-	var g FlightGroup
+	var g FlightGroup[string]
 	var execs int
 	for i := 0; i < 3; i++ {
 		_, _, shared := g.Do("k", func() (any, error) { execs++; return nil, nil })

@@ -8,15 +8,16 @@ import (
 	"sync"
 )
 
-// Cache is a concurrency-safe LRU cache with a byte budget. Each entry
-// carries its own size; inserting past the budget evicts least-recently
-// used entries until the new entry fits.
-type Cache struct {
+// Cache is a concurrency-safe LRU cache with a byte budget, keyed by any
+// comparable type (the query server's key is a small struct, so a lookup
+// builds no string). Each entry carries its own size; inserting past the
+// budget evicts least-recently used entries until the new entry fits.
+type Cache[K comparable] struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[K]*list.Element
 
 	hits      int64
 	misses    int64
@@ -25,29 +26,29 @@ type Cache struct {
 	// onEvict, when set, observes each eviction. Called with the cache
 	// lock held: the hook must be cheap and must not call back into the
 	// cache.
-	onEvict func(key string, size int64)
+	onEvict func(key K, size int64)
 }
 
-type entry struct {
-	key   string
+type entry[K comparable] struct {
+	key   K
 	value any
 	size  int64
 }
 
 // New creates a cache with the given byte capacity. A capacity <= 0
 // disables caching (every Get misses, every Put is dropped).
-func New(capacity int64) *Cache {
-	return &Cache{
+func New[K comparable](capacity int64) *Cache[K] {
+	return &Cache[K]{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[K]*list.Element),
 	}
 }
 
 // SetEvictHook installs a callback observing evictions (telemetry). The
 // hook runs with the cache lock held; it must be cheap and must not call
 // back into the cache. Install before concurrent use.
-func (c *Cache) SetEvictHook(fn func(key string, size int64)) {
+func (c *Cache[K]) SetEvictHook(fn func(key K, size int64)) {
 	c.mu.Lock()
 	c.onEvict = fn
 	c.mu.Unlock()
@@ -55,7 +56,7 @@ func (c *Cache) SetEvictHook(fn func(key string, size int64)) {
 
 // Get returns the cached value and whether it was present, promoting the
 // entry to most-recently-used.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache[K]) Get(key K) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -65,12 +66,12 @@ func (c *Cache) Get(key string) (any, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry).value, true
+	return el.Value.(*entry[K]).value, true
 }
 
 // Put inserts or replaces a value with the given size in bytes. Entries
 // larger than the whole capacity are not cached.
-func (c *Cache) Put(key string, value any, size int64) {
+func (c *Cache[K]) Put(key K, value any, size int64) {
 	if size < 0 {
 		size = 0
 	}
@@ -82,12 +83,12 @@ func (c *Cache) Put(key string, value any, size int64) {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
+		e := el.Value.(*entry[K])
 		c.used += size - e.size
 		e.value, e.size = value, size
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&entry{key: key, value: value, size: size})
+		el := c.ll.PushFront(&entry[K]{key: key, value: value, size: size})
 		c.items[key] = el
 		c.used += size
 	}
@@ -96,20 +97,13 @@ func (c *Cache) Put(key string, value any, size int64) {
 	}
 }
 
-// Remove drops an entry if present.
-func (c *Cache) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.removeLocked(key)
-}
-
 // RemoveFunc drops every entry whose key satisfies pred, returning the
 // number removed. Chunk retirement uses it to purge a dropped chunk's
-// header, leaf, and extent entries in one pass.
-func (c *Cache) RemoveFunc(pred func(key string) bool) int {
+// header and leaves in one pass.
+func (c *Cache[K]) RemoveFunc(pred func(key K) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var doomed []string
+	var doomed []K
 	for key := range c.items {
 		if pred(key) {
 			doomed = append(doomed, key)
@@ -121,21 +115,21 @@ func (c *Cache) RemoveFunc(pred func(key string) bool) int {
 	return len(doomed)
 }
 
-func (c *Cache) removeLocked(key string) {
+func (c *Cache[K]) removeLocked(key K) {
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
+		e := el.Value.(*entry[K])
 		c.ll.Remove(el)
 		delete(c.items, key)
 		c.used -= e.size
 	}
 }
 
-func (c *Cache) evictOldestLocked() {
+func (c *Cache[K]) evictOldestLocked() {
 	el := c.ll.Back()
 	if el == nil {
 		return
 	}
-	e := el.Value.(*entry)
+	e := el.Value.(*entry[K])
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.used -= e.size
@@ -145,23 +139,6 @@ func (c *Cache) evictOldestLocked() {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Used returns the bytes currently cached.
-func (c *Cache) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
-// Capacity returns the byte budget.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // Metrics is a snapshot of the cache counters.
 type Metrics struct {
 	Hits, Misses, Evictions int64
@@ -170,20 +147,11 @@ type Metrics struct {
 }
 
 // Metrics returns a snapshot of the counters.
-func (c *Cache) Metrics() Metrics {
+func (c *Cache[K]) Metrics() Metrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Metrics{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Used: c.used, Capacity: c.capacity, Entries: c.ll.Len(),
 	}
-}
-
-// Clear drops every entry, keeping counters.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.used = 0
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBasicPutGet(t *testing.T) {
-	c := New(100)
+	c := New[string](100)
 	c.Put("a", 1, 10)
 	v, ok := c.Get("a")
 	if !ok || v.(int) != 1 {
@@ -23,7 +23,7 @@ func TestBasicPutGet(t *testing.T) {
 }
 
 func TestEvictionOrder(t *testing.T) {
-	c := New(30)
+	c := New[string](30)
 	c.Put("a", "A", 10)
 	c.Put("b", "B", 10)
 	c.Put("c", "C", 10)
@@ -43,16 +43,16 @@ func TestEvictionOrder(t *testing.T) {
 }
 
 func TestByteBudgetMultiEvict(t *testing.T) {
-	c := New(100)
+	c := New[string](100)
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i, 10)
 	}
-	if c.Used() != 100 {
-		t.Fatalf("used = %d", c.Used())
+	if c.Metrics().Used != 100 {
+		t.Fatalf("used = %d", c.Metrics().Used)
 	}
 	c.Put("big", "x", 55) // must evict several
-	if c.Used() > 100 {
-		t.Fatalf("over budget: %d", c.Used())
+	if c.Metrics().Used > 100 {
+		t.Fatalf("over budget: %d", c.Metrics().Used)
 	}
 	if _, ok := c.Get("big"); !ok {
 		t.Error("big entry missing")
@@ -60,7 +60,7 @@ func TestByteBudgetMultiEvict(t *testing.T) {
 }
 
 func TestOversizeEntryDropped(t *testing.T) {
-	c := New(50)
+	c := New[string](50)
 	c.Put("huge", "x", 51)
 	if _, ok := c.Get("huge"); ok {
 		t.Error("oversize entry should not cache")
@@ -71,20 +71,20 @@ func TestOversizeEntryDropped(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("entry replaced by oversize value should be gone")
 	}
-	if c.Used() != 0 {
-		t.Errorf("used = %d, want 0", c.Used())
+	if c.Metrics().Used != 0 {
+		t.Errorf("used = %d, want 0", c.Metrics().Used)
 	}
 }
 
 func TestReplaceAdjustsSize(t *testing.T) {
-	c := New(100)
+	c := New[string](100)
 	c.Put("a", 1, 40)
 	c.Put("a", 2, 10)
-	if c.Used() != 10 {
-		t.Errorf("used = %d, want 10", c.Used())
+	if c.Metrics().Used != 10 {
+		t.Errorf("used = %d, want 10", c.Metrics().Used)
 	}
-	if c.Len() != 1 {
-		t.Errorf("len = %d, want 1", c.Len())
+	if c.Metrics().Entries != 1 {
+		t.Errorf("len = %d, want 1", c.Metrics().Entries)
 	}
 	v, _ := c.Get("a")
 	if v.(int) != 2 {
@@ -93,25 +93,27 @@ func TestReplaceAdjustsSize(t *testing.T) {
 }
 
 func TestRemoveAndClear(t *testing.T) {
-	c := New(100)
+	c := New[string](100)
 	c.Put("a", 1, 10)
 	c.Put("b", 2, 10)
-	c.Remove("a")
-	c.Remove("nonexistent") // no-op
+	c.RemoveFunc(func(k string) bool { return k == "a" })
+	c.RemoveFunc(func(k string) bool { return k == "nonexistent" }) // no-op
 	if _, ok := c.Get("a"); ok {
 		t.Error("removed key found")
 	}
-	if c.Used() != 10 {
-		t.Errorf("used = %d, want 10", c.Used())
+	if c.Metrics().Used != 10 {
+		t.Errorf("used = %d, want 10", c.Metrics().Used)
 	}
-	c.Clear()
-	if c.Len() != 0 || c.Used() != 0 {
-		t.Errorf("after clear: len=%d used=%d", c.Len(), c.Used())
+	if n := c.RemoveFunc(func(string) bool { return true }); n != 1 {
+		t.Errorf("clearing removed %d entries, want 1", n)
+	}
+	if c.Metrics().Entries != 0 || c.Metrics().Used != 0 {
+		t.Errorf("after clear: len=%d used=%d", c.Metrics().Entries, c.Metrics().Used)
 	}
 }
 
 func TestZeroCapacityDisables(t *testing.T) {
-	c := New(0)
+	c := New[string](0)
 	c.Put("a", 1, 1)
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache stored an entry")
@@ -119,7 +121,7 @@ func TestZeroCapacityDisables(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(1000)
+	c := New[string](1000)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -136,13 +138,13 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Used() > 1000 {
-		t.Errorf("over budget after concurrency: %d", c.Used())
+	if c.Metrics().Used > 1000 {
+		t.Errorf("over budget after concurrency: %d", c.Metrics().Used)
 	}
 }
 
 func TestRemoveFunc(t *testing.T) {
-	c := New(1000)
+	c := New[string](1000)
 	c.Put("h5", 1, 10)
 	c.Put("l5:0", 2, 10)
 	c.Put("l5:1", 3, 10)
@@ -161,7 +163,7 @@ func TestRemoveFunc(t *testing.T) {
 	if _, ok := c.Get("h5"); ok {
 		t.Fatal("matched entry survived")
 	}
-	if c.Used() != 10 {
-		t.Fatalf("used = %d, want 10", c.Used())
+	if c.Metrics().Used != 10 {
+		t.Fatalf("used = %d, want 10", c.Metrics().Used)
 	}
 }

@@ -43,7 +43,7 @@ func TestRestoreSnapshotWithFormatField(t *testing.T) {
 		t.Errorf("offset(1) = %d, want 4242", s.Offset(1))
 	}
 	// New registrations continue after the restored ids.
-	if c := s.RegisterChunk(ChunkInfo{Path: "next", Region: region(0, 1, 0, 1)}); c.ID != 3 {
+	if c := s.RegisterChunks([]ChunkInfo{{Path: "next", Region: region(0, 1, 0, 1)}})[0]; c.ID != 3 {
 		t.Errorf("next chunk id = %d, want 3", c.ID)
 	}
 }

@@ -335,19 +335,6 @@ func (s *Server) LiveRegions() []LiveRegion {
 	return append([]LiveRegion(nil), s.live...)
 }
 
-// RegisterChunk assigns a chunk ID, records the chunk metadata, and indexes
-// its region. The caller fills every field except ID.
-func (s *Server) RegisterChunk(info ChunkInfo) ChunkInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextChunk++
-	info.ID = model.ChunkID(s.nextChunk)
-	s.chunks[info.ID] = info
-	s.regions.Insert(info.Region, info.ID)
-	s.trackLocked(info)
-	return info
-}
-
 // RegisterChunks registers several chunks in one critical section, so their
 // IDs are consecutive and no watermark read (ChunksForWithWatermark) can
 // land between them: a query plan sees either none or all of the batch.
@@ -422,16 +409,6 @@ func (s *Server) DropChunk(id model.ChunkID) bool {
 	return true
 }
 
-// SetOffset records the WAL read offset of an indexing server at flush time
-// (§V): on recovery the server replays from here.
-func (s *Server) SetOffset(server int, off int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if server >= 0 && server < len(s.offsets) {
-		s.offsets[server] = off
-	}
-}
-
 // Offset returns the stored WAL offset of an indexing server.
 func (s *Server) Offset(server int) int64 {
 	s.mu.RLock()
@@ -480,19 +457,6 @@ func (s *Server) CompleteQuery(id uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.queries, id)
-}
-
-// ActiveQueries returns the registered, unfinished queries — what a new
-// coordinator re-initializes after a failover (§V).
-func (s *Server) ActiveQueries() []QueryInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]QueryInfo, 0, len(s.queries))
-	for _, q := range s.queries {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // persistentState is the gob image of the server.

@@ -91,8 +91,8 @@ func TestRepartitionWidensActualIntervals(t *testing.T) {
 
 func TestChunkRegistryAndSearch(t *testing.T) {
 	srv := NewServer(2)
-	c1 := srv.RegisterChunk(ChunkInfo{Path: "c1", Region: region(0, 100, 0, 10), Count: 5})
-	c2 := srv.RegisterChunk(ChunkInfo{Path: "c2", Region: region(200, 300, 0, 10), Count: 7})
+	c1 := srv.RegisterChunks([]ChunkInfo{{Path: "c1", Region: region(0, 100, 0, 10), Count: 5}})[0]
+	c2 := srv.RegisterChunks([]ChunkInfo{{Path: "c2", Region: region(200, 300, 0, 10), Count: 7}})[0]
 	if c1.ID == 0 || c2.ID == 0 || c1.ID == c2.ID {
 		t.Fatalf("ids %d, %d", c1.ID, c2.ID)
 	}
@@ -139,7 +139,7 @@ func TestLiveRegions(t *testing.T) {
 
 func TestOffsets(t *testing.T) {
 	srv := NewServer(3)
-	srv.SetOffset(1, 4242)
+	srv.RegisterFlushOwned(1, srv.Epoch(1), nil, 4242)
 	if srv.Offset(1) != 4242 || srv.Offset(0) != 0 {
 		t.Error("offset storage broken")
 	}
@@ -169,8 +169,8 @@ func TestSnapshotRestore(t *testing.T) {
 	srv := NewServer(3)
 	srv.SetSchema([]model.Key{1000, 2000})
 	srv.ReportLive(1, 777, srv.Actual(1), false)
-	c := srv.RegisterChunk(ChunkInfo{Path: "p", Region: region(0, 10, 0, 10), Count: 3, Size: 99, Server: 1})
-	srv.SetOffset(2, 555)
+	c := srv.RegisterChunks([]ChunkInfo{{Path: "p", Region: region(0, 10, 0, 10), Count: 3, Size: 99, Server: 1}})[0]
+	srv.RegisterFlushOwned(2, srv.Epoch(2), nil, 555)
 	q := srv.RegisterQuery(model.Query{Keys: model.KeyRange{Lo: 1, Hi: 2}, Times: model.TimeRange{Lo: 3, Hi: 4}})
 
 	data, err := srv.Snapshot()
@@ -200,7 +200,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Errorf("live regions lost: %+v", lr)
 	}
 	// IDs keep increasing after restore.
-	c2 := got.RegisterChunk(ChunkInfo{Path: "p2", Region: region(0, 1, 0, 1)})
+	c2 := got.RegisterChunks([]ChunkInfo{{Path: "p2", Region: region(0, 1, 0, 1)}})[0]
 	if c2.ID <= c.ID {
 		t.Errorf("chunk id reused: %d <= %d", c2.ID, c.ID)
 	}

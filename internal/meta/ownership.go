@@ -52,17 +52,6 @@ func (s *Server) Epoch(server int) int64 {
 	return s.epochs[server]
 }
 
-// HandoffOffset returns the WAL offset recorded at the slot's last
-// ownership transfer — where the incoming owner resumed replay.
-func (s *Server) HandoffOffset(server int) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if server < 0 || server >= len(s.handoffs) {
-		return 0
-	}
-	return s.handoffs[server]
-}
-
 // TransferOwnership is the atomic ownership flip of a region handoff (and
 // equally the claim a crash replacement makes before replaying): in one
 // critical section it bumps the slot's fencing epoch, records the WAL

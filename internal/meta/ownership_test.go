@@ -206,7 +206,7 @@ func TestSetSchemaOverActiveSlots(t *testing.T) {
 // that restores the older snapshot.
 func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
 	s := NewServer(2)
-	s.SetOffset(1, 40)
+	s.RegisterFlushOwned(1, s.Epoch(1), nil, 40)
 	s.StartGeneration()
 	first := s.Epoch(0)
 	if first>>epochGenShift != 1 || s.Epoch(1) != first {

@@ -63,7 +63,7 @@ func TestChunksForWindowsPrunes(t *testing.T) {
 	s := NewServer(1)
 	// One chunk per hour across three days.
 	for h := int64(0); h < 72; h++ {
-		s.RegisterChunk(ChunkInfo{Region: hourRegion(h), Server: 0})
+		s.RegisterChunks([]ChunkInfo{{Region: hourRegion(h), Server: 0}})
 	}
 	full := model.Region{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: model.Timestamp(72*HourMillis - 1)}}
 	// Daily window 09:00–17:00: hours 9..16 of each day qualify.
@@ -97,7 +97,7 @@ func TestChunksForWindowsPrunes(t *testing.T) {
 func TestChunksForWindowsKeepsWideChunks(t *testing.T) {
 	s := NewServer(1)
 	wide := region(0, 100, 0, (maxTrackedHours+10)*HourMillis)
-	s.RegisterChunk(ChunkInfo{Region: wide, Server: 0})
+	s.RegisterChunks([]ChunkInfo{{Region: wide, Server: 0}})
 	full := model.Region{Keys: model.FullKeyRange(), Times: model.FullTimeRange()}
 	windows := []model.TimeRange{{Lo: 9 * model.Timestamp(HourMillis), Hi: 10*model.Timestamp(HourMillis) - 1}}
 	chunks, pruned, _ := s.ChunksForWindowsWithWatermark(full, windows)
@@ -108,8 +108,8 @@ func TestChunksForWindowsKeepsWideChunks(t *testing.T) {
 
 func TestSetTierAndCounts(t *testing.T) {
 	s := NewServer(1)
-	a := s.RegisterChunk(ChunkInfo{Region: hourRegion(0)})
-	b := s.RegisterChunk(ChunkInfo{Region: hourRegion(1)})
+	a := s.RegisterChunks([]ChunkInfo{{Region: hourRegion(0)}})[0]
+	b := s.RegisterChunks([]ChunkInfo{{Region: hourRegion(1)}})[0]
 	if got := s.TierCounts(); got != [3]int{2, 0, 0} {
 		t.Fatalf("counts = %v", got)
 	}
@@ -132,8 +132,8 @@ func TestMaxTimeAdvances(t *testing.T) {
 	if s.MaxTime() != 0 {
 		t.Fatal("fresh server has a max time")
 	}
-	s.RegisterChunk(ChunkInfo{Region: region(0, 1, 0, 5000)})
-	s.RegisterChunk(ChunkInfo{Region: region(0, 1, 0, 2000)}) // late, lower
+	s.RegisterChunks([]ChunkInfo{{Region: region(0, 1, 0, 5000)}})
+	s.RegisterChunks([]ChunkInfo{{Region: region(0, 1, 0, 2000)}}) // late, lower
 	if s.MaxTime() != 5000 {
 		t.Fatalf("MaxTime = %d", s.MaxTime())
 	}
@@ -141,8 +141,8 @@ func TestMaxTimeAdvances(t *testing.T) {
 
 func TestReplaceChunksAtomic(t *testing.T) {
 	s := NewServer(1)
-	a := s.RegisterChunk(ChunkInfo{Region: hourRegion(0), Path: "a"})
-	b := s.RegisterChunk(ChunkInfo{Region: hourRegion(1), Path: "b"})
+	a := s.RegisterChunks([]ChunkInfo{{Region: hourRegion(0), Path: "a"}})[0]
+	b := s.RegisterChunks([]ChunkInfo{{Region: hourRegion(1), Path: "b"}})[0]
 	out := ChunkInfo{Region: region(0, 100, 0, 2*HourMillis-1), Path: "merged", Tier: TierCold, Downsampled: true}
 	registered, dropped, ok := s.ReplaceChunks([]ChunkInfo{out}, []model.ChunkID{a.ID, b.ID})
 	if !ok || len(registered) != 1 || len(dropped) != 2 {
@@ -193,7 +193,7 @@ func TestQueryHorizonAndOldestActive(t *testing.T) {
 
 func TestTiersSurviveSnapshotRestore(t *testing.T) {
 	s := NewServer(1)
-	a := s.RegisterChunk(ChunkInfo{Region: hourRegion(9), Path: "a"})
+	a := s.RegisterChunks([]ChunkInfo{{Region: hourRegion(9), Path: "a"}})[0]
 	s.SetTier(a.ID, TierCold)
 	blob, err := s.Snapshot()
 	if err != nil {

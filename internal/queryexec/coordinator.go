@@ -167,13 +167,6 @@ func (c *Coordinator) AddQueryServer(s *Server) {
 	c.mu.Unlock()
 }
 
-// SetPolicy switches the dispatch policy (used by the experiments).
-func (c *Coordinator) SetPolicy(p Policy) {
-	c.mu.Lock()
-	c.cfg.Policy = p
-	c.mu.Unlock()
-}
-
 // Decompose is the coordinator's one planner (§IV-A): it splits a query
 // into memtable subqueries (fresh data on indexing servers) and chunk
 // subqueries (historical data on query servers), using the metadata R-tree

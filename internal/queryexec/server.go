@@ -10,7 +10,6 @@ package queryexec
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +32,12 @@ var ErrServerDown = errors.New("queryexec: query server down")
 // retries, otherwise the data aged out of the store and the subquery
 // completes empty.
 var ErrRetired = errors.New("queryexec: chunk retired")
+
+// errNoHeaderLen is returned for a chunk registered without its header
+// length. Flush and compaction always record it, so the only source is a
+// metadata snapshot written by something else; the server reports that
+// instead of guessing the length with a second read.
+var errNoHeaderLen = errors.New("queryexec: chunk registered without a header length")
 
 // ServerConfig configures a query server.
 type ServerConfig struct {
@@ -123,7 +128,7 @@ type Server struct {
 	// m mirrors cfg.Metrics, defaulted to a no-op set so the read path
 	// never branches on nil.
 	m     *ServerMetrics
-	cache *lru.Cache
+	cache *lru.Cache[unitKey]
 	down  atomic.Bool
 
 	// workers is the resolved ServerConfig.Workers; inflight is the
@@ -131,7 +136,7 @@ type Server struct {
 	// concurrent identical header/extent fetches across subqueries.
 	workers  int
 	inflight chan struct{}
-	flights  lru.FlightGroup
+	flights  lru.FlightGroup[unitKey]
 
 	executed atomic.Int64
 }
@@ -152,12 +157,11 @@ func NewServer(cfg ServerConfig, fs *dfs.FS, ms *meta.Server) *Server {
 		inflight = 4
 	}
 	s := &Server{
-		cfg: cfg, fs: fs, ms: ms, m: m, cache: lru.New(cfg.CacheBytes),
+		cfg: cfg, fs: fs, ms: ms, m: m, cache: lru.New[unitKey](cfg.CacheBytes),
 		workers: workers, inflight: make(chan struct{}, inflight),
 	}
-	s.cache.SetEvictHook(func(key string, _ int64) {
-		// Cache keys are "h<chunk>" for headers and "l<chunk>:<leaf>".
-		if len(key) > 0 && key[0] == 'h' {
+	s.cache.SetEvictHook(func(key unitKey, _ int64) {
+		if key.unit == headerUnit {
 			m.HeaderEvictions.Inc()
 		} else {
 			m.LeafEvictions.Inc()
@@ -176,78 +180,54 @@ func (s *Server) Node() int { return s.cfg.Node }
 // goroutines the coordinator runs against it.
 func (s *Server) Workers() int { return s.workers }
 
-// ClearCache drops every cached header and leaf — for cold-cache
-// benchmarks and experiments.
-func (s *Server) ClearCache() { s.cache.Clear() }
-
 // Executed returns the number of subqueries this server has run.
 func (s *Server) Executed() int64 { return s.executed.Load() }
 
 // CacheMetrics exposes the LRU counters.
 func (s *Server) CacheMetrics() lru.Metrics { return s.cache.Metrics() }
 
-// EvictChunk drops every cached unit of a chunk — header, leaves, and
-// coalesced extents — returning the number of entries removed. Retirement
-// calls this on every query server after the metadata drop so no future
-// subquery is served stale bytes of a deleted file.
+// EvictChunk drops every cached unit of a chunk — its header and its
+// leaves — returning the number of entries removed. Retirement calls this
+// on every query server after the metadata drop so no future subquery is
+// served stale bytes of a deleted file.
 func (s *Server) EvictChunk(id model.ChunkID) int {
-	hk := headerKey(id)
-	lp := leafKey(id, 0)
-	lp = lp[:len(lp)-1] // "l<chunk>:" prefix
-	ep := extentKey(id, 0, 0)
-	ep = ep[:len(ep)-3] // "e<chunk>:" prefix
-	return s.cache.RemoveFunc(func(key string) bool {
-		return key == hk ||
-			(len(key) > len(lp) && key[:len(lp)] == lp) ||
-			(len(key) > len(ep) && key[:len(ep)] == ep)
-	})
+	return s.cache.RemoveFunc(func(key unitKey) bool { return key.chunk == id })
 }
 
-// Fail injects a failure: subsequent subqueries error until Recover.
-func (s *Server) Fail() { s.down.Store(true) }
-
-// Recover clears an injected failure.
-func (s *Server) Recover() { s.down.Store(false) }
-
-// Down reports whether a failure is injected.
+// Down reports whether the server is failed. Nothing in production sets
+// it: the flag is the seam tests fail a server through, and the
+// coordinator's redispatch reads it.
 func (s *Server) Down() bool { return s.down.Load() }
 
-// headerKey and leafKey build cache keys ("h<chunk>", "l<chunk>:<leaf>")
-// with strconv appends into stack buffers — these run once per wanted leaf
-// on every subquery, and fmt.Sprintf's interface boxing made them the
-// dominant allocation on the cache-hit path. The single string conversion
-// that remains is the map key the cache needs anyway.
-func headerKey(id model.ChunkID) string {
-	var buf [21]byte // 'h' + max uint64 digits
-	b := append(buf[:0], 'h')
-	b = strconv.AppendUint(b, uint64(id), 10)
-	return string(b)
+// unitKey names one unit of a chunk: in the cache, its header or one leaf;
+// in the flight group, the read in progress for its header or for one
+// coalesced extent (extents are read, never cached — their leaves are). A
+// comparable struct rather than a formatted string: a key is built once per
+// wanted leaf on every subquery, and this one costs no allocation.
+type unitKey struct {
+	chunk model.ChunkID
+	unit  unitKind
+	// a is the leaf index of a leafUnit; a and b are the byte offset and
+	// length of an extentUnit.
+	a, b int64
 }
 
-func leafKey(id model.ChunkID, i int) string {
-	var buf [41]byte // 'l' + uint64 + ':' + int
-	b := append(buf[:0], 'l')
-	b = strconv.AppendUint(b, uint64(id), 10)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(i), 10)
-	return string(b)
-}
+type unitKind uint8
 
-func extentKey(id model.ChunkID, off, length int64) string {
-	var buf [62]byte // 'e' + uint64 + ':' + int64 + ':' + int64
-	b := append(buf[:0], 'e')
-	b = strconv.AppendUint(b, uint64(id), 10)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, off, 10)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, length, 10)
-	return string(b)
+const (
+	headerUnit unitKind = iota
+	leafUnit
+	extentUnit
+)
+
+func leafKey(id model.ChunkID, leaf int) unitKey {
+	return unitKey{chunk: id, unit: leafUnit, a: int64(leaf)}
 }
 
 // readAt is the server's single DFS read site. It bounds the server's
 // outstanding reads with the inflight semaphore and counts the bytes
 // actually transferred — so the byte metric agrees with per-result
-// accounting on every path, including the header fallback's 12-byte peek.
+// accounting on every path.
 func (s *Server) readAt(path string, off, length int64) ([]byte, error) {
 	s.inflight <- struct{}{}
 	s.m.InflightReads.Add(1)
@@ -278,40 +258,27 @@ type headerFetch struct {
 // plus the DFS bytes this call caused to be read. Concurrent misses of
 // the same header share one fetch via the flight group.
 func (s *Server) header(ci meta.ChunkInfo) (*chunk.Header, int64, bool, error) {
-	key := headerKey(ci.ID)
+	key := unitKey{chunk: ci.ID, unit: headerUnit}
 	if v, ok := s.cache.Get(key); ok {
 		s.m.HeaderHits.Inc()
 		return v.(*chunk.Header), 0, true, nil
 	}
 	s.m.HeaderMisses.Inc()
 	v, err, shared := s.flights.Do(key, func() (any, error) {
-		var read int64
 		hlen := int64(ci.HeaderLen)
 		if hlen <= 0 {
-			// Fallback: peek, then read (two accesses; only for foreign
-			// chunks registered without header metadata).
-			prefix, err := s.readAt(ci.Path, 0, 12)
-			if err != nil {
-				return nil, err
-			}
-			read += int64(len(prefix))
-			n, err := chunk.PeekHeaderLen(prefix)
-			if err != nil {
-				return nil, err
-			}
-			hlen = int64(n)
+			return nil, errNoHeaderLen
 		}
 		buf, err := s.readAt(ci.Path, 0, hlen)
 		if err != nil {
 			return nil, err
 		}
-		read += int64(len(buf))
 		h, err := chunk.ParseHeader(buf)
 		if err != nil {
 			return nil, err
 		}
 		s.cache.Put(key, h, hlen)
-		return headerFetch{h: h, bytes: read}, nil
+		return headerFetch{h: h, bytes: int64(len(buf))}, nil
 	})
 	if err != nil {
 		return nil, 0, false, err
@@ -364,10 +331,10 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 		res.CacheHits++
 		openSp.SetInt("cache_hit", 1)
 	} else {
-		// hbytes is what the fetch actually transferred (header, plus the
-		// 12-byte peek on the fallback path; zero when a concurrent
-		// subquery's fetch was shared), already counted in the byte metric
-		// at the read site — so metric and result accounting agree.
+		// hbytes is what the fetch actually transferred (zero when a
+		// concurrent subquery's fetch was shared), already counted in the
+		// byte metric at the read site — so metric and result accounting
+		// agree.
 		res.BytesRead += hbytes
 		openSp.SetInt("header_bytes", hbytes)
 	}
@@ -418,14 +385,14 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 		*scratch = matches[:0]
 		matchPool.Put(scratch)
 	}()
-	for _, li := range leaves {
+	for pos, li := range leaves {
 		res.LeavesRead++
 		// Matched payloads alias the (cached, shared) leaf body during the
 		// scan and are un-aliased afterwards into one arena per leaf — a
 		// single allocation instead of one per tuple.
 		arenaStart := len(matches)
 		payloadBytes := 0
-		err := h.ScanLeafColsWith(cols, li, bodies[li], sq.Region.Keys, sq.Region.Times, sq.Filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
+		err := h.ScanLeafColsWith(cols, li, bodies[pos], sq.Region.Keys, sq.Region.Times, sq.Filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
 			matches = append(matches, model.Tuple{Key: k, Time: ts, Payload: p})
 			payloadBytes += len(p)
 			return sq.Limit <= 0 || len(matches) < sq.Limit
@@ -476,9 +443,10 @@ var matchPool = sync.Pool{New: func() any { return new([]model.Tuple) }}
 
 const maxPooledMatches = 64 << 10
 
-// fetchLeafBodies returns the bodies of the given leaves (indexed by leaf
-// number), reading uncached ones from the DFS with extent coalescing and
-// single-flight dedup, and charging bytes and cache counters to res.
+// fetchLeafBodies returns the bodies of the given leaves (ascending leaf
+// numbers; bodies[i] is the body of leaves[i]), reading uncached ones from
+// the DFS with extent coalescing and single-flight dedup, and charging
+// bytes and cache counters to res.
 func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.Result, sp *telemetry.Span) ([][]byte, error) {
 	// Partition wanted leaves into cached and missing, then coalesce
 	// missing extents into ranged reads. Gaps (cached or pruned leaves)
@@ -486,15 +454,15 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 	// access costs, an extra open is dearer than a few hundred KB of
 	// sequential bytes, so pruning must not fragment the read pattern.
 	const maxGapBytes = 512 << 10
-	bodies := make([][]byte, len(h.Dir))
-	var missing []int
-	for _, li := range leaves {
+	bodies := make([][]byte, len(leaves))
+	var missing []int // positions in leaves
+	for pos, li := range leaves {
 		if v, ok := s.cache.Get(leafKey(ci.ID, li)); ok {
-			bodies[li] = v.([]byte)
+			bodies[pos] = v.([]byte)
 			res.CacheHits++
 			s.m.LeafHits.Inc()
 		} else {
-			missing = append(missing, li)
+			missing = append(missing, pos)
 			s.m.LeafMisses.Inc()
 		}
 	}
@@ -510,13 +478,13 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 	for i := 0; i < len(missing); {
 		j := i
 		for j+1 < len(missing) {
-			prev, next := h.Dir[missing[j]], h.Dir[missing[j+1]]
+			prev, next := h.Dir[leaves[missing[j]]], h.Dir[leaves[missing[j+1]]]
 			if next.Offset-(prev.Offset+prev.Length) > maxGapBytes {
 				break
 			}
 			j++
 		}
-		first, last := missing[i], missing[j]
+		first, last := leaves[missing[i]], leaves[missing[j]]
 		off := h.Dir[first].Offset
 		exts = append(exts, extent{
 			lo: i, hi: j, off: off,
@@ -526,16 +494,16 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 	}
 	// readExtent fetches one extent (or joins an identical in-flight
 	// fetch) and slices it into bodies; extents cover disjoint leaves, so
-	// concurrent calls write disjoint bodies indices. It returns the bytes
+	// concurrent calls write disjoint positions of bodies. It returns the bytes
 	// this subquery caused to be read — zero for a shared flight.
 	readExtent := func(e extent) (int64, bool, error) {
-		v, err, shared := s.flights.Do(extentKey(ci.ID, e.off, e.length), func() (any, error) {
+		v, err, shared := s.flights.Do(unitKey{chunk: ci.ID, unit: extentUnit, a: e.off, b: e.length}, func() (any, error) {
 			b, err := s.readAt(ci.Path, e.off, e.length)
 			if err != nil {
 				return nil, err
 			}
 			for k := e.lo; k <= e.hi; k++ {
-				li := missing[k]
+				li := leaves[missing[k]]
 				lb := b[h.Dir[li].Offset-e.off : h.Dir[li].Offset-e.off+h.Dir[li].Length]
 				s.cache.Put(leafKey(ci.ID, li), lb, int64(len(lb)))
 			}
@@ -546,8 +514,8 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 		}
 		b := v.([]byte)
 		for k := e.lo; k <= e.hi; k++ {
-			li := missing[k]
-			bodies[li] = b[h.Dir[li].Offset-e.off : h.Dir[li].Offset-e.off+h.Dir[li].Length]
+			li := leaves[missing[k]]
+			bodies[missing[k]] = b[h.Dir[li].Offset-e.off : h.Dir[li].Offset-e.off+h.Dir[li].Length]
 		}
 		if shared {
 			s.m.SingleFlightDedup.Inc()
@@ -668,13 +636,13 @@ func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Head
 		scanSp := sp.StartChild("agg_scan")
 		cols := chunk.BorrowColumns()
 		defer chunk.ReturnColumns(cols)
-		for _, li := range scan {
+		for pos, li := range scan {
 			res.LeavesRead++
 			var ex *model.TimeRange
 			if w, ok := exclude[li]; ok {
 				ex = &w
 			}
-			if err := h.AggregateLeaf(li, bodies[li], cols, kr, tr, sq.Filter, ex, spec.Field, spec.CountOnly, agg); err != nil {
+			if err := h.AggregateLeaf(li, bodies[pos], cols, kr, tr, sq.Filter, ex, spec.Field, spec.CountOnly, agg); err != nil {
 				err = fmt.Errorf("queryexec: chunk %d leaf %d: %w", ci.ID, li, err)
 				scanSp.SetStr("error", err.Error())
 				scanSp.End()

@@ -196,30 +196,6 @@ func searchNode(n *node, r model.Region, out *[]any) {
 	}
 }
 
-// Visit calls fn for every entry overlapping r, stopping early when fn
-// returns false.
-func (t *Tree) Visit(r model.Region, fn func(model.Region, any) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	visitNode(t.root, r, fn)
-}
-
-func visitNode(n *node, r model.Region, fn func(model.Region, any) bool) bool {
-	for i := range n.entries {
-		if !n.entries[i].mbr.Overlaps(r) {
-			continue
-		}
-		if n.leaf {
-			if !fn(n.entries[i].mbr, n.entries[i].value) {
-				return false
-			}
-		} else if !visitNode(n.entries[i].child, r, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // Delete removes one entry with an exactly matching region for which match
 // returns true, reporting whether anything was removed.
 func (t *Tree) Delete(r model.Region, match func(any) bool) bool {
@@ -301,11 +277,6 @@ func collectLeafEntries(n *node) []entry {
 		out = append(out, collectLeafEntries(n.entries[i].child)...)
 	}
 	return out
-}
-
-// All returns every stored value.
-func (t *Tree) All() []any {
-	return t.Search(model.FullRegion())
 }
 
 // Geometry helpers. Heuristics (areas) use float64; correctness predicates

@@ -77,21 +77,6 @@ func (s *Span) SetStr(key, v string) {
 	s.mu.Unlock()
 }
 
-// AttrInt returns the named integer attribute and whether it is present.
-func (s *Span) AttrInt(key string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.Attrs {
-		if s.Attrs[i].Key == key && s.Attrs[i].Str == "" {
-			return s.Attrs[i].Value, true
-		}
-	}
-	return 0, false
-}
-
 // Find returns the first descendant span (depth-first, including s) with
 // the given name, or nil.
 func (s *Span) Find(name string) *Span {

@@ -34,8 +34,8 @@ func TestSpanTree(t *testing.T) {
 	if root.Dur <= 0 {
 		t.Error("root duration not set")
 	}
-	if v, ok := dec.AttrInt("chunks"); !ok || v != 3 {
-		t.Errorf("attr chunks = %d,%v", v, ok)
+	if len(dec.Attrs) != 1 || dec.Attrs[0] != (Attr{Key: "chunks", Value: 3}) {
+		t.Errorf("attrs = %+v, want chunks=3", dec.Attrs)
 	}
 	if root.Find("decompose") != dec {
 		t.Error("Find failed")

@@ -511,12 +511,6 @@ func (p *Partition) CloseFile() error {
 	return err
 }
 
-// OpenLogDir opens a disk-backed log with n partitions under dir with the
-// default (ack-on-write) durability config, every retained record resident.
-func OpenLogDir(dir string, n int) (*Log, error) {
-	return OpenLogDirConfig(dir, n, Config{}, func(int) int64 { return 0 })
-}
-
 // OpenLogDirConfig opens a disk-backed log with n partitions under dir
 // (partition i lives in the directory dir/p<i>.wal), all sharing one
 // durability config. resident gives each partition's memory floor: records

@@ -159,9 +159,15 @@ func TestDiskLegacyFileRefused(t *testing.T) {
 	}
 }
 
+// openLogDir opens a disk-backed log with the default (ack-on-write)
+// durability config, every retained record resident.
+func openLogDir(dir string, n int) (*Log, error) {
+	return OpenLogDirConfig(dir, n, Config{}, func(int) int64 { return 0 })
+}
+
 func TestOpenLogDir(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLogDir(dir, 3)
+	l, err := openLogDir(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +177,7 @@ func TestOpenLogDir(t *testing.T) {
 		l.Partition(i).Sync()
 		l.Partition(i).CloseFile()
 	}
-	l2, err := OpenLogDir(dir, 3)
+	l2, err := openLogDir(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

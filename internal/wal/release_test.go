@@ -181,7 +181,7 @@ func TestWindowArrayStaysBounded(t *testing.T) {
 // tail at or above it; the rest stays readable from the segments.
 func TestOpenLogDirResidentFloor(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLogDir(dir, 2)
+	l, err := openLogDir(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestOpenLogDirResidentFloor(t *testing.T) {
 // the payload its appender framed. Run under -race.
 func TestReleaseConcurrentWithEverything(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLogDir(dir, 1)
+	l, err := openLogDir(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

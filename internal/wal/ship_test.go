@@ -148,7 +148,7 @@ func TestLogAddPartition(t *testing.T) {
 	// Disk-backed logs grow with files beside their siblings and recover
 	// the added partition on reopen.
 	dir := t.TempDir()
-	dl, err := OpenLogDir(dir, 1)
+	dl, err := openLogDir(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestLogAddPartition(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "p1.wal")); err != nil {
 		t.Fatalf("added partition file: %v", err)
 	}
-	re, err := OpenLogDir(dir, 2)
+	re, err := openLogDir(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

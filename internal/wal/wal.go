@@ -27,7 +27,8 @@ var ErrCompacted = errors.New("wal: offset below retention horizon")
 // one gapless run of bounded records.
 var ErrCorruptSegment = errors.New("wal: corrupt segment")
 
-// ErrClosed is returned by blocking reads once the partition is closed.
+// ErrClosed is returned by blocking reads and by appends once the partition
+// is closed: a closed partition has no consumer left to apply what it takes.
 var ErrClosed = errors.New("wal: partition closed")
 
 // ErrInjectedAppend is the transient failure armed by FailNextAppends.
@@ -69,8 +70,10 @@ type Partition struct {
 	store [][]byte
 	lo    int
 	// bytes is the resident payload size.
-	bytes  int64
-	sealed bool
+	bytes int64
+	// sealed and closed both refuse appends: sealed because the slot was
+	// decommissioned (the sink reroutes), closed because the log was.
+	sealed, closed bool
 
 	// Disk backing (path empty for in-memory partitions); see disk.go. segs is
 	// the run of segment files in path, ascending, the last one active: file
@@ -175,6 +178,9 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return 0, ErrClosed
+	}
 	if p.sealed {
 		return 0, ErrSealed
 	}
@@ -421,8 +427,14 @@ func (p *Partition) Seal() {
 	p.mu.Unlock()
 }
 
-// Close marks the partition closed, waking blocked readers.
-func (p *Partition) Close() { p.head.Fail(ErrClosed) }
+// Close marks the partition closed: blocked readers wake and further
+// appends fail, both with ErrClosed. Idempotent.
+func (p *Partition) Close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.head.Fail(ErrClosed)
+}
 
 // Len returns the number of records resident in memory.
 func (p *Partition) Len() int {

@@ -122,8 +122,9 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		}
 		// The payloads alias the request frame, and that is safe to hand on:
 		// a frame is its own allocation that the transport never reuses, and
-		// nothing keeps the payloads past InsertBatch anyway — the WAL frames
-		// every tuple into its own buffer before the call returns and the
+		// nothing keeps the payloads past InsertBatch anyway — the WAL copies
+		// each server's share of the batch into one buffer of its own
+		// (wal.Partition.StartAppend) before the call returns, and the
 		// dispatcher's sampler keeps keys only.
 		// Do not ack over the wire what the log did not take; on failure the
 		// returned BatchError tells the client which positions were rejected.

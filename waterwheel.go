@@ -261,8 +261,11 @@ func (db *DB) Checkpoint() error { return db.c.Checkpoint() }
 // is the ack — under Durability "ack-on-fsync" it means the tuple is on
 // stable storage; an error means the tuple was NOT accepted (e.g. the WAL
 // segment hit a disk error) and should be resubmitted after the fault is
-// resolved.
+// resolved. After Close the error is ErrClosed.
 func (db *DB) Insert(t Tuple) error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
 	return db.c.Insert(t)
 }
 
@@ -300,8 +303,12 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // a *BatchError naming exactly the unacked positions: each server's share
 // is all-or-nothing, a failed server rejects only the tuples routed to it.
 // Tuples of one key keep their arrival order; across servers a batch has no
-// order. A batch of one behaves identically to Insert.
+// order. A batch of one behaves identically to Insert. After Close nothing is
+// accepted and the error is ErrClosed.
 func (db *DB) InsertBatch(ts []Tuple) error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
 	rejected, err := db.c.InsertBatch(ts)
 	if err != nil {
 		return &BatchError{Index: rejected[0], Len: len(ts), Rejected: rejected, Err: err}
@@ -543,7 +550,9 @@ func (db *DB) Cluster() *cluster.Cluster { return db.c }
 
 // Close stops the deployment. Buffered tuples are flushed first; the error
 // is Drain's, when acked tuples could not all be applied before the flush,
-// or else the flush's.
+// or else the flush's. Every later call — inserts as well as queries, Drain
+// and Flush — answers ErrClosed (errors.Is), over the wire too; a second
+// Close is a no-op.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil

@@ -342,10 +342,10 @@ func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 		if err := fs.Write(path, data); err != nil {
 			t.Fatal(err)
 		}
-		ms.RegisterChunk(meta.ChunkInfo{
+		ms.RegisterChunks([]meta.ChunkInfo{{
 			Path: path, Region: Region{Keys: FullKeyRange(), Times: times},
 			Count: 1, Size: int64(len(data)), HeaderLen: chunks[0].HeaderLen,
-		})
+		}})
 	}
 	v1Times, garbageTimes := TimeRange{Lo: 5000, Hi: 5999}, TimeRange{Lo: 7000, Hi: 7999}
 	register("chunks/foreign-v1", v1, v1Times)

@@ -1,8 +1,9 @@
 // Pre-aggregate block (flagAgg): per-leaf, per-time-mini-range
-// summaries of a designated big-endian uint64 payload field, sitting in
-// the header next to the bloom sketches. An aggregate subquery answers
-// fully covered leaves from these buckets without touching the leaf body,
-// and shrinks the scan window of boundary leaves to the uncovered buckets.
+// summaries of a designated big-endian uint64 payload field, the last
+// section of the header. It lies past IndexLen, so a range subquery's
+// header read stops before it. An aggregate subquery answers fully
+// covered leaves from these buckets without touching the leaf body, and
+// shrinks the scan window of boundary leaves to the uncovered buckets.
 //
 // Serialized layout, after the secondary-filter section:
 //
@@ -114,19 +115,19 @@ func appendAggBlock(out []byte, field uint32, leafAggs []LeafAgg) []byte {
 	return out
 }
 
-// parseAggBlock decodes the pre-aggregate block at pos, returning the new
-// position.
-func parseAggBlock(h *Header, buf []byte, pos int) (int, error) {
-	if pos+4 > len(buf) {
-		return 0, fmt.Errorf("%w: agg block truncated", ErrCorrupt)
+// parseAggBlock decodes the pre-aggregate block that buf starts with into
+// h, which the index sections already fill.
+func parseAggBlock(h *Header, buf []byte) error {
+	if len(buf) < 4 {
+		return fmt.Errorf("%w: agg block truncated", ErrCorrupt)
 	}
-	h.AggField = binary.BigEndian.Uint32(buf[pos:])
+	h.AggField = binary.BigEndian.Uint32(buf)
 	h.HasAgg = true
-	pos += 4
+	pos := 4
 	h.LeafAggs = make([]LeafAgg, h.Leaves)
 	for i := range h.LeafAggs {
 		if pos+aggLeafFixed > len(buf) {
-			return 0, fmt.Errorf("%w: agg leaf %d truncated", ErrCorrupt, i)
+			return fmt.Errorf("%w: agg leaf %d truncated", ErrCorrupt, i)
 		}
 		la := &h.LeafAggs[i]
 		la.Width = int64(binary.BigEndian.Uint64(buf[pos:]))
@@ -136,10 +137,10 @@ func parseAggBlock(h *Header, buf []byte, pos int) (int, error) {
 		// Bound the allocation by the remaining header bytes before making
 		// the slice: a corrupt count must not OOM.
 		if nb < 0 || pos+nb*aggBucketSize > len(buf) {
-			return 0, fmt.Errorf("%w: agg leaf %d bucket count %d", ErrCorrupt, i, nb)
+			return fmt.Errorf("%w: agg leaf %d bucket count %d", ErrCorrupt, i, nb)
 		}
 		if nb > 0 && la.Width <= 0 {
-			return 0, fmt.Errorf("%w: agg leaf %d bucket width %d", ErrCorrupt, i, la.Width)
+			return fmt.Errorf("%w: agg leaf %d bucket width %d", ErrCorrupt, i, la.Width)
 		}
 		la.Buckets = make([]AggBucket, nb)
 		for j := range la.Buckets {
@@ -152,7 +153,7 @@ func parseAggBlock(h *Header, buf []byte, pos int) (int, error) {
 			pos += aggBucketSize
 		}
 	}
-	return pos, nil
+	return nil
 }
 
 // foldBucket folds one bucket into a partial, optionally counts only.

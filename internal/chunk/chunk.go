@@ -2,10 +2,11 @@
 // serialized form of a flushed in-memory template B+ tree (paper §III-A).
 // The layout keeps everything a subquery needs for pruning — leaf
 // boundaries, per-leaf extents, per-leaf time-range bloom sketches — in a
-// single contiguous header block, so a query server fetches the header
-// once (cacheable) and then reads only the leaf extents selected by the
-// key range and the bloom filters (§IV-B, §VI-B: "the data layout in our
-// data chunks allows the system to read only the needed leaf nodes").
+// single contiguous header block, so a query server fetches the header's
+// index prefix once (cacheable) and then reads only the leaf extents
+// selected by the key range and the bloom filters (§IV-B, §VI-B: "the data
+// layout in our data chunks allows the system to read only the needed leaf
+// nodes").
 //
 // Layout (one format; the magic's last byte is its version):
 //
@@ -17,9 +18,18 @@
 //	[flagBloom: nLeaves × {4B sketch length, sketch bytes}]
 //	[flagSecondary: 4B attribute offset,
 //	 nLeaves × {4B filter length, filter bytes}]
+//	--- index prefix ends at offset IndexLen (= H without flagAgg) ---
 //	[flagAgg: pre-aggregate block, see agg.go]
 //	--- header ends at offset H ---
 //	[leaf 0 columns][leaf 1 columns]…
+//
+// The header is read as two units. The index prefix [0, IndexLen) is all
+// a range subquery needs to select and scan leaves; the pre-aggregate
+// block [IndexLen, H) is read only by aggregates. Meta records IndexLen at
+// build time (the format itself does not store it: it is where the
+// secondary section ends), ParseHeader accepts either the whole header or
+// exactly the index prefix, and WithAggs adds the block to an index-only
+// header.
 //
 // Leaf bodies are columns, key-sorted (see v2.go for the encodings):
 //
@@ -135,6 +145,9 @@ type Meta struct {
 	Leaves           int
 	// HeaderLen is the byte length of the header block.
 	HeaderLen int
+	// IndexLen is the byte length of the header's index prefix: everything
+	// before the pre-aggregate block, HeaderLen when there is none.
+	IndexLen int
 	// Size is the total chunk size in bytes.
 	Size int64
 	// Agg summarizes the designated aggregate field over the whole chunk
@@ -190,8 +203,12 @@ type Header struct {
 	// LeafKeys bounds each leaf's keys exactly. Entries of empty leaves
 	// are zero and must be gated on Dir.Count.
 	LeafKeys []model.KeyRange
-	// HasAgg reports whether the pre-aggregate block is present.
+	// HasAgg reports whether the pre-aggregate block is present and
+	// parsed.
 	HasAgg bool
+	// AggUnloaded reports a header parsed from the index prefix alone: the
+	// chunk has a pre-aggregate block, and WithAggs loads it.
+	AggUnloaded bool
 	// AggField is the payload offset of the pre-aggregated uint64 field;
 	// valid only when HasAgg.
 	AggField uint32
@@ -221,19 +238,25 @@ func peekHeaderLen(prefix []byte) (int, error) {
 	return int(binary.BigEndian.Uint32(prefix[8:12])), nil
 }
 
-// ParseHeader decodes the header block (buf must hold at least HeaderLen
-// bytes).
+// ParseHeader decodes the header block from whatever prefix of the chunk
+// buf holds. Given at least HeaderLen bytes it parses every section. Given
+// exactly the index prefix (IndexLen bytes of a chunk with a pre-aggregate
+// block) it parses everything but that block and sets AggUnloaded. Any
+// other short buffer is ErrCorrupt.
 func ParseHeader(buf []byte) (*Header, error) {
 	hlen, err := peekHeaderLen(buf)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < hlen {
-		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), hlen)
-	}
 	const fixed = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 1
 	if hlen < fixed {
 		return nil, fmt.Errorf("%w: header too small", ErrCorrupt)
+	}
+	if len(buf) > hlen {
+		buf = buf[:hlen]
+	}
+	if len(buf) < fixed {
+		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), hlen)
 	}
 	h := &Header{}
 	h.HeaderLen = hlen
@@ -254,7 +277,7 @@ func ParseHeader(buf []byte) (*Header, error) {
 	}
 	pos := fixed
 	// Bounds, directory, per-leaf key bounds.
-	if hlen < pos+(nLeaves-1)*8+nLeaves*36+nLeaves*16 {
+	if len(buf) < pos+(nLeaves-1)*8+nLeaves*36+nLeaves*16 {
 		return nil, fmt.Errorf("%w: directory truncated", ErrCorrupt)
 	}
 	h.Bounds = make([]model.Key, nLeaves-1)
@@ -294,7 +317,7 @@ func ParseHeader(buf []byte) (*Header, error) {
 	h.Sketches = make([]*bloom.TimeSketch, nLeaves)
 	if flags&flagBloom != 0 {
 		for i := 0; i < nLeaves; i++ {
-			if pos+4 > hlen {
+			if pos+4 > len(buf) {
 				return nil, fmt.Errorf("%w: sketch block truncated", ErrCorrupt)
 			}
 			slen := int(binary.BigEndian.Uint32(buf[pos:]))
@@ -302,7 +325,7 @@ func ParseHeader(buf []byte) (*Header, error) {
 			if slen == 0 {
 				continue
 			}
-			if pos+slen > hlen {
+			if pos+slen > len(buf) {
 				return nil, fmt.Errorf("%w: sketch truncated", ErrCorrupt)
 			}
 			sk, _, err := bloom.DecodeTimeSketch(buf[pos : pos+slen])
@@ -315,14 +338,14 @@ func ParseHeader(buf []byte) (*Header, error) {
 	}
 	h.SecondaryFilters = make([]*bloom.Filter, nLeaves)
 	if flags&flagSecondary != 0 {
-		if pos+4 > hlen {
+		if pos+4 > len(buf) {
 			return nil, fmt.Errorf("%w: secondary offset truncated", ErrCorrupt)
 		}
 		h.SecondaryOffset = binary.BigEndian.Uint32(buf[pos:])
 		h.HasSecondary = true
 		pos += 4
 		for i := 0; i < nLeaves; i++ {
-			if pos+4 > hlen {
+			if pos+4 > len(buf) {
 				return nil, fmt.Errorf("%w: secondary block truncated", ErrCorrupt)
 			}
 			slen := int(binary.BigEndian.Uint32(buf[pos:]))
@@ -330,7 +353,7 @@ func ParseHeader(buf []byte) (*Header, error) {
 			if slen == 0 {
 				continue
 			}
-			if pos+slen > hlen {
+			if pos+slen > len(buf) {
 				return nil, fmt.Errorf("%w: secondary filter truncated", ErrCorrupt)
 			}
 			f, _, err := bloom.Decode(buf[pos : pos+slen])
@@ -341,14 +364,44 @@ func ParseHeader(buf []byte) (*Header, error) {
 			pos += slen
 		}
 	}
-	if flags&flagAgg != 0 {
-		n, err := parseAggBlock(h, buf[:hlen], pos)
-		if err != nil {
-			return nil, err
+	// The index prefix ends here, or at hlen when no agg block follows.
+	hasAgg := flags&flagAgg != 0
+	h.IndexLen = hlen
+	if hasAgg {
+		h.IndexLen = pos
+	}
+	switch {
+	case len(buf) == hlen:
+		if hasAgg {
+			if err := parseAggBlock(h, buf[pos:]); err != nil {
+				return nil, err
+			}
 		}
-		pos = n
+	case hasAgg && len(buf) == pos:
+		h.AggUnloaded = true
+	default:
+		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), hlen)
 	}
 	return h, nil
+}
+
+// WithAggs returns a copy of the index-only header h with the
+// pre-aggregate block parsed from block, the chunk's bytes [IndexLen,
+// HeaderLen). h is not modified: a cached index header stays shared while
+// aggregate readers hold the copy.
+func (h *Header) WithAggs(block []byte) (*Header, error) {
+	if !h.AggUnloaded {
+		return nil, fmt.Errorf("%w: header has no unloaded pre-aggregate block", ErrCorrupt)
+	}
+	if len(block) != h.HeaderLen-h.IndexLen {
+		return nil, fmt.Errorf("%w: pre-aggregate block is %d bytes, want %d", ErrCorrupt, len(block), h.HeaderLen-h.IndexLen)
+	}
+	full := *h
+	full.AggUnloaded = false
+	if err := parseAggBlock(&full, block); err != nil {
+		return nil, err
+	}
+	return &full, nil
 }
 
 // SelectLeaves returns the indices of leaves a subquery must read for the

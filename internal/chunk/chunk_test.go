@@ -2,7 +2,10 @@ package chunk
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"waterwheel/internal/core"
@@ -247,6 +250,89 @@ func TestParseCorrupt(t *testing.T) {
 		}
 		if _, err := peekHeaderLen(other[:12]); !errors.Is(err, ErrUnsupportedVersion) {
 			t.Errorf("peekHeaderLen of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
+		}
+	}
+}
+
+// TestIndexPrefixPlusAggsIsTheWholeHeader: the header a query server
+// assembles from its two cache units — ParseHeader of the index prefix,
+// then WithAggs of the pre-aggregate block — is the header ParseHeader
+// reads from the whole block, for every section combination and for the
+// committed fixture. A cut one byte either side of the prefix is corrupt.
+func TestIndexPrefixPlusAggsIsTheWholeHeader(t *testing.T) {
+	snap := buildMixedSnapshot(t, 1200, 8, 5)
+	golden, err := os.ReadFile("testdata/golden_v2.chunk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, goldenMeta, err := Build(goldenSnapshot(t), goldenOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type built struct {
+		data []byte
+		meta Meta
+	}
+	cases := map[string]built{"golden": {golden, goldenMeta}}
+	for _, noBloom := range []bool{false, true} {
+		for _, sec := range []*SecondarySpec{nil, {Offset: 0}} {
+			for _, noAgg := range []bool{false, true} {
+				opts := BuildOptions{DisableBloom: noBloom, Secondary: sec, DisableAgg: noAgg}
+				data, meta, err := Build(snap, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cases[fmt.Sprintf("bloom=%v secondary=%v agg=%v", !noBloom, sec != nil, !noAgg)] = built{data, meta}
+			}
+		}
+	}
+	for name, c := range cases {
+		whole, err := ParseHeader(c.data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if whole.IndexLen != c.meta.IndexLen || whole.HeaderLen != c.meta.HeaderLen || whole.AggUnloaded {
+			t.Fatalf("%s: parsed index/header length %d/%d (unloaded %v), built %d/%d",
+				name, whole.IndexLen, whole.HeaderLen, whole.AggUnloaded, c.meta.IndexLen, c.meta.HeaderLen)
+		}
+		// Three-index slices throughout: the parser must not reach into the
+		// bytes past what it was given.
+		idx, err := ParseHeader(c.data[:whole.IndexLen:whole.IndexLen])
+		if err != nil {
+			t.Fatalf("%s: index prefix: %v", name, err)
+		}
+		if !whole.HasAgg {
+			// No block: the prefix is the whole header, and nothing is left
+			// to load.
+			if whole.IndexLen != whole.HeaderLen || !reflect.DeepEqual(idx, whole) {
+				t.Fatalf("%s: without a pre-aggregate block the index prefix parses to %+v, want %+v", name, idx.Meta, whole.Meta)
+			}
+			if _, err := idx.WithAggs(nil); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: WithAggs on a header with no block: %v", name, err)
+			}
+			continue
+		}
+		if !idx.AggUnloaded || idx.HasAgg || idx.LeafAggs != nil || idx.IndexLen >= idx.HeaderLen {
+			t.Fatalf("%s: index-only header: unloaded=%v hasAgg=%v aggs=%d index/header %d/%d",
+				name, idx.AggUnloaded, idx.HasAgg, len(idx.LeafAggs), idx.IndexLen, idx.HeaderLen)
+		}
+		got, err := idx.WithAggs(c.data[whole.IndexLen:whole.HeaderLen:whole.HeaderLen])
+		if err != nil {
+			t.Fatalf("%s: WithAggs: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, whole) {
+			t.Fatalf("%s: index prefix + pre-aggregates differ from the whole header", name)
+		}
+		if !idx.AggUnloaded || idx.HasAgg || idx.LeafAggs != nil {
+			t.Fatalf("%s: WithAggs modified the index-only header it copied", name)
+		}
+		for _, cut := range []int{whole.IndexLen - 1, whole.IndexLen + 1} {
+			if _, err := ParseHeader(c.data[:cut:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: a %d-byte prefix (index prefix %d): %v, want ErrCorrupt", name, cut, whole.IndexLen, err)
+			}
+		}
+		if _, err := idx.WithAggs(c.data[whole.IndexLen : whole.HeaderLen-1 : whole.HeaderLen-1]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: a short pre-aggregate block: %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package chunk
 import (
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 
 	"waterwheel/internal/model"
@@ -17,11 +18,14 @@ func decodeErrOK(err error) bool {
 }
 
 // FuzzChunkOpen throws arbitrary bytes at the whole chunk read path —
-// header parse, leaf selection, columnar decode, scans and pre-aggregate
-// folds. The invariant: malformed input is rejected with a typed error,
-// never a panic, an over-read past the input, or an unbounded allocation.
-// The seed corpus covers every section combination and the committed
-// golden fixture, plus truncations and past- and future-version magics.
+// header parse, the split into index prefix and pre-aggregate block, leaf
+// selection, columnar decode, scans and pre-aggregate folds. The
+// invariant: malformed input is rejected with a typed error, never a
+// panic, an over-read past the input, or an unbounded allocation; and a
+// header that parses reads the same from its two units. The seed corpus
+// covers every section combination and the committed golden fixture, plus
+// truncations (at and either side of the index prefix among them) and
+// past- and future-version magics.
 func FuzzChunkOpen(f *testing.F) {
 	snap := buildSnapshot(f, 300, 8)
 	add := func(opts BuildOptions) []byte {
@@ -33,6 +37,13 @@ func FuzzChunkOpen(f *testing.F) {
 		return data
 	}
 	v2 := add(BuildOptions{})
+	_, v2Meta, err := Build(snap, BuildOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cut := range []int{v2Meta.IndexLen - 1, v2Meta.IndexLen, v2Meta.IndexLen + 1} {
+		f.Add(v2[:cut])
+	}
 	add(BuildOptions{DisableBloom: true})
 	add(BuildOptions{DisableAgg: true})
 	add(BuildOptions{Secondary: &SecondarySpec{Offset: 0}})
@@ -54,12 +65,42 @@ func FuzzChunkOpen(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Truncated seeds share their backing array with the whole chunk:
+		// clip the capacity, so that a read past the input panics instead of
+		// finding the bytes that were cut off.
+		data = data[:len(data):len(data)]
 		h, err := ParseHeader(data)
 		if err != nil {
 			if !decodeErrOK(err) {
 				t.Fatalf("ParseHeader error class: %v", err)
 			}
 			return
+		}
+		// Read as two units, the header is the same header.
+		if !h.AggUnloaded {
+			idx, err := ParseHeader(data[:h.IndexLen:h.IndexLen])
+			if err != nil {
+				t.Fatalf("index prefix of a header that parses: %v", err)
+			}
+			split := idx
+			if idx.AggUnloaded {
+				if split, err = idx.WithAggs(data[h.IndexLen:h.HeaderLen]); err != nil {
+					t.Fatalf("pre-aggregate block of a header that parses: %v", err)
+				}
+			}
+			if !reflect.DeepEqual(split, h) {
+				t.Fatal("index prefix + pre-aggregate block parse differently from the whole header")
+			}
+		} else if n := h.HeaderLen - h.IndexLen; n <= len(data) {
+			// An index-only header: its block parse takes arbitrary bytes
+			// too, and what it accepts goes down the fold paths below.
+			full, err := h.WithAggs(data[len(data)-n:])
+			if err != nil && !decodeErrOK(err) {
+				t.Fatalf("WithAggs error class: %v", err)
+			}
+			if err == nil {
+				h = full
+			}
 		}
 		// The header parsed: every downstream read must stay inside data
 		// and fail typed on inconsistencies the header could not catch.

@@ -209,6 +209,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 			hlen += 4 + len(s)
 		}
 	}
+	indexLen := hlen
 	if leafAggs != nil {
 		hlen += aggBlockSize(leafAggs)
 	}
@@ -280,6 +281,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		Keys:      snap.Keys,
 		Leaves:    nLeaves,
 		HeaderLen: hlen,
+		IndexLen:  indexLen,
 		Size:      int64(len(out)),
 		Agg:       chunkAgg,
 	}

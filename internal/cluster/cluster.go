@@ -370,13 +370,15 @@ func Open(cfg Config) (*Cluster, error) {
 		ms = meta.NewServer(nIdx)
 		log = wal.NewLog(nIdx)
 	}
+	var swept int64
 	fs, err := dfs.Open(fsCfg)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		// Now, with nothing in flight (and nothing to do without a DataDir).
+		swept, err = sweepOrphans(fs, ms)
 	}
-	// Now, with nothing in flight (and nothing to do without a DataDir).
-	swept, err := sweepOrphans(fs, ms)
 	if err != nil {
+		log.Close()
+		closeSegments(log)
 		return nil, err
 	}
 	c := &Cluster{

@@ -14,6 +14,7 @@ import (
 	"waterwheel/internal/ingest"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 // sweepOrphans holds the file system to the restored registry, the one record
@@ -196,10 +197,16 @@ func (c *Cluster) Stop() {
 	// Query traffic is over; force-delete any chunk files still parked
 	// behind in-flight-query horizons.
 	c.ret.drain()
-	if c.cfg.DataDir != "" {
-		for i := 0; i < c.log.Partitions(); i++ {
-			c.log.Partition(i).CloseFile()
-		}
+	closeSegments(c.log)
+}
+
+// closeSegments stops every partition's committer and releases its active
+// segment's descriptor: the last step of Stop, and what an Open that fails
+// after opening the log does instead of leaking them. A memory-only log
+// holds neither.
+func closeSegments(log *wal.Log) {
+	for i := 0; i < log.Partitions(); i++ {
+		log.Partition(i).CloseFile()
 	}
 }
 

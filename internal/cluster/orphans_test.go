@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -267,5 +268,61 @@ func TestDirSizeMismatchIsTypedOpenError(t *testing.T) {
 	}
 	if _, err := Open(cfg); !errors.Is(err, dfs.ErrNotFound) || errors.Is(err, dfs.ErrSizeMismatch) {
 		t.Fatalf("open over a missing registered chunk = %v, want dfs.ErrNotFound", err)
+	}
+}
+
+// TestFailedOpenClosesTheLog: an Open that fails after the log is open —
+// the orphan sweep finds a registered chunk's file gone, or the DFS
+// directory cannot be loaded — closes every segment descriptor it opened.
+func TestFailedOpenClosesTheLog(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts the process's descriptors in /proc/self/fd")
+	}
+	openFDs := func() int {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	cfg := orphanConfig(t)
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	seqBatch(t, c, 0, 2000, 100)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	victim := c.Metadata().ChunksFor(model.FullRegion())[0]
+	c.Stop()
+	dfsPath := filepath.Join(cfg.DataDir, "dfs")
+	if err := os.Remove(filepath.Join(dfsPath, strings.ReplaceAll(victim.Path, "/", "%2F"))); err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs()
+	if _, err := Open(cfg); !errors.Is(err, dfs.ErrNotFound) {
+		t.Fatalf("open over a missing registered chunk = %v, want dfs.ErrNotFound", err)
+	}
+	if leaked := openFDs() - before; leaked != 0 {
+		t.Errorf("the failed sweep left %d descriptors open", leaked)
+	}
+	if err := os.RemoveAll(dfsPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dfsPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before = openFDs()
+	if _, err := Open(cfg); err == nil {
+		t.Fatal("open with a file where the DFS directory should be succeeded")
+	}
+	if leaked := openFDs() - before; leaked != 0 {
+		t.Errorf("the failed DFS open left %d descriptors open", leaked)
 	}
 }

@@ -279,6 +279,7 @@ func (cp *Compactor) merge(server int, day int64, g []meta.ChunkInfo) error {
 		Count:       cm.Count,
 		Size:        cm.Size,
 		HeaderLen:   cm.HeaderLen,
+		IndexLen:    cm.IndexLen,
 		Server:      server,
 		Tier:        meta.TierCold,
 		Downsampled: true,

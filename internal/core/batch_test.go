@@ -109,7 +109,7 @@ func TestInsertBatchSerialEquivalence(t *testing.T) {
 // run's own arrival order intact — exactly what serial insertion yields.
 func TestMergeDirectionsPreserveEqualKeyOrder(t *testing.T) {
 	cases := []struct {
-		name    string
+		name     string
 		resident []model.Key // inserted serially first
 		run      []model.Key // delivered as one InsertBatch
 	}{

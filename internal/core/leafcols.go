@@ -27,8 +27,8 @@ import (
 type PayloadRef uint64
 
 const (
-	refLenBits  = 24
-	refLenMask  = 1<<refLenBits - 1
+	refLenBits   = 24
+	refLenMask   = 1<<refLenBits - 1
 	refEscapeLen = refLenMask
 )
 

@@ -121,9 +121,9 @@ func TestSnapshotIsolationUnderMutation(t *testing.T) {
 	}
 	// Deep-copy the snapshot's logical contents.
 	type row struct {
-		k model.Key
+		k  model.Key
 		ts model.Timestamp
-		p string
+		p  string
 	}
 	capture := func() []row {
 		var rows []row

@@ -378,6 +378,7 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 			Count:     cmeta.Count,
 			Size:      cmeta.Size,
 			HeaderLen: cmeta.HeaderLen,
+			IndexLen:  cmeta.IndexLen,
 			Server:    s.cfg.ID,
 			Agg:       cmeta.Agg,
 		}

@@ -12,6 +12,8 @@ import (
 // 0913109, whose ChunkInfo still carried a Format field (2 on both chunks
 // here). Dropping the field must not cost a reopened data directory its
 // catalog: gob skips the unknown field and every remaining one survives.
+// IndexLen, which the snapshot predates, decodes as 0 — the value a query
+// server takes to read the whole header.
 func TestRestoreSnapshotWithFormatField(t *testing.T) {
 	data, err := os.ReadFile("testdata/pr13_format_field.snap")
 	if err != nil {

@@ -38,6 +38,11 @@ type ChunkInfo struct {
 	// HeaderLen is the chunk's header-block length, letting query servers
 	// fetch exactly the header (the cacheable "template" unit) in one read.
 	HeaderLen int
+	// IndexLen is the length of the header's index prefix, the part before
+	// the pre-aggregate block: what a range subquery reads. Snapshots
+	// written before it existed decode it as 0, and a query server then
+	// reads the whole header.
+	IndexLen int
 	// Server is the indexing server that produced the chunk.
 	Server int
 	// Agg, when present, summarizes the chunk's designated payload field —

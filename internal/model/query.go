@@ -154,14 +154,16 @@ type SubQuery struct {
 	// included it). Zero means "live memtable only" — pending snapshots
 	// whose chunks are registered are skipped entirely.
 	AsOfChunk uint64
-	// ChunkPath and ChunkHeaderLen thread the planned chunk's file metadata
-	// from the coordinator's decomposition (which already holds the full
-	// ChunkInfo) to the executing query server, so neither the dispatch
-	// loop nor the executor repeats the metadata lookup. An empty ChunkPath
-	// means "unplanned" — executors fall back to a metadata fetch, keeping
-	// hand-built subqueries (tests, tools) working.
+	// ChunkPath, ChunkHeaderLen and ChunkIndexLen thread the planned
+	// chunk's file metadata from the coordinator's decomposition (which
+	// already holds the full ChunkInfo) to the executing query server, so
+	// neither the dispatch loop nor the executor repeats the metadata
+	// lookup. An empty ChunkPath means "unplanned" — executors fall back to
+	// a metadata fetch, keeping hand-built subqueries (tests, tools)
+	// working. A zero ChunkIndexLen makes the server read the whole header.
 	ChunkPath      string
 	ChunkHeaderLen int
+	ChunkIndexLen  int
 	// Agg, when non-nil, turns this into an aggregate subquery: the
 	// executor folds matching tuples into Result.Agg instead of returning
 	// them, using chunk pre-aggregates where leaves are fully covered.

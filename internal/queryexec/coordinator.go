@@ -224,9 +224,9 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 			Limit: subLimit,
 			// Thread the chunk's file metadata through the plan: the
 			// dispatch loop needs Path for replica locality and the query
-			// server needs Path+HeaderLen to open the chunk — neither
-			// should repeat the metadata lookup this loop already did.
-			ChunkPath: ci.Path, ChunkHeaderLen: ci.HeaderLen,
+			// server needs Path and the header lengths to open the chunk —
+			// neither should repeat the metadata lookup this loop already did.
+			ChunkPath: ci.Path, ChunkHeaderLen: ci.HeaderLen, ChunkIndexLen: ci.IndexLen,
 			Agg: agg,
 		})
 		seq++
@@ -664,7 +664,7 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 	for i, sq := range sqs {
 		if sq.ChunkPath == "" {
 			if ci, ok := c.ms.Chunk(sq.Chunk); ok {
-				sq.ChunkPath, sq.ChunkHeaderLen = ci.Path, ci.HeaderLen
+				sq.ChunkPath, sq.ChunkHeaderLen, sq.ChunkIndexLen = ci.Path, ci.HeaderLen, ci.IndexLen
 			}
 		}
 		paths[i] = sq.ChunkPath

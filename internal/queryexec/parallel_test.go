@@ -88,7 +88,7 @@ func TestConcurrentMissesShareOneDFSRead(t *testing.T) {
 		t.Fatal("chunk 1 not registered")
 	}
 	// Warm the header so the gated flight below is the leaf extent read.
-	h, _, _, err := s.header(ci)
+	h, _, _, err := s.header(ci, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,6 +79,11 @@ type ServerMetrics struct {
 	LeafMisses      *telemetry.Counter
 	HeaderEvictions *telemetry.Counter
 	LeafEvictions   *telemetry.Counter
+	// AggHits, AggMisses and AggEvictions count the pre-aggregate unit,
+	// the header bytes past the index prefix that only aggregates read.
+	AggHits      *telemetry.Counter
+	AggMisses    *telemetry.Counter
+	AggEvictions *telemetry.Counter
 	// SingleFlightDedup counts reads a subquery skipped because a
 	// concurrent subquery was already fetching the same bytes.
 	SingleFlightDedup *telemetry.Counter
@@ -110,6 +115,9 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 		LeafMisses:        r.Counter(`waterwheel_cache_misses_total{unit="leaf"}`, "query-server cache misses by unit"),
 		HeaderEvictions:   r.Counter(`waterwheel_cache_evictions_total{unit="header"}`, "query-server cache evictions by unit"),
 		LeafEvictions:     r.Counter(`waterwheel_cache_evictions_total{unit="leaf"}`, "query-server cache evictions by unit"),
+		AggHits:           r.Counter(`waterwheel_cache_hits_total{unit="agg"}`, "query-server cache hits by unit"),
+		AggMisses:         r.Counter(`waterwheel_cache_misses_total{unit="agg"}`, "query-server cache misses by unit"),
+		AggEvictions:      r.Counter(`waterwheel_cache_evictions_total{unit="agg"}`, "query-server cache evictions by unit"),
 		SingleFlightDedup: r.Counter("waterwheel_chunk_singleflight_dedup_total", "chunk reads deduplicated into a concurrent identical read"),
 		InflightReads:     r.Gauge("waterwheel_chunk_inflight_reads", "DFS reads currently outstanding on query servers"),
 		SubQueryNanos:     r.Histogram("waterwheel_chunk_subquery_seconds", "chunk subquery execution latency"),
@@ -161,9 +169,12 @@ func NewServer(cfg ServerConfig, fs *dfs.FS, ms *meta.Server) *Server {
 		workers: workers, inflight: make(chan struct{}, inflight),
 	}
 	s.cache.SetEvictHook(func(key unitKey, _ int64) {
-		if key.unit == headerUnit {
+		switch key.unit {
+		case headerUnit:
 			m.HeaderEvictions.Inc()
-		} else {
+		case aggUnit:
+			m.AggEvictions.Inc()
+		default:
 			m.LeafEvictions.Inc()
 		}
 	})
@@ -186,10 +197,10 @@ func (s *Server) Executed() int64 { return s.executed.Load() }
 // CacheMetrics exposes the LRU counters.
 func (s *Server) CacheMetrics() lru.Metrics { return s.cache.Metrics() }
 
-// EvictChunk drops every cached unit of a chunk — its header and its
-// leaves — returning the number of entries removed. Retirement calls this
-// on every query server after the metadata drop so no future subquery is
-// served stale bytes of a deleted file.
+// EvictChunk drops every cached unit of a chunk — its header, its
+// pre-aggregates and its leaves — returning the number of entries removed.
+// Retirement calls this on every query server after the metadata drop so no
+// future subquery is served stale bytes of a deleted file.
 func (s *Server) EvictChunk(id model.ChunkID) int {
 	return s.cache.RemoveFunc(func(key unitKey) bool { return key.chunk == id })
 }
@@ -199,11 +210,12 @@ func (s *Server) EvictChunk(id model.ChunkID) int {
 // coordinator's redispatch reads it.
 func (s *Server) Down() bool { return s.down.Load() }
 
-// unitKey names one unit of a chunk: in the cache, its header or one leaf;
-// in the flight group, the read in progress for its header or for one
-// coalesced extent (extents are read, never cached — their leaves are). A
-// comparable struct rather than a formatted string: a key is built once per
-// wanted leaf on every subquery, and this one costs no allocation.
+// unitKey names one unit of a chunk: in the cache, its header (the index
+// prefix), its pre-aggregate block or one leaf; in the flight group, the
+// read in progress for one of the first two or for one coalesced extent
+// (extents are read, never cached — their leaves are). A comparable struct
+// rather than a formatted string: a key is built once per wanted leaf on
+// every subquery, and this one costs no allocation.
 type unitKey struct {
 	chunk model.ChunkID
 	unit  unitKind
@@ -216,6 +228,7 @@ type unitKind uint8
 
 const (
 	headerUnit unitKind = iota
+	aggUnit
 	leafUnit
 	extentUnit
 )
@@ -255,9 +268,17 @@ type headerFetch struct {
 }
 
 // header returns the parsed chunk header, from cache or the file system,
-// plus the DFS bytes this call caused to be read. Concurrent misses of
-// the same header share one fetch via the flight group.
-func (s *Server) header(ci meta.ChunkInfo) (*chunk.Header, int64, bool, error) {
+// plus the DFS bytes this call caused to be read. A header is two cache
+// units: the header unit, the index prefix [0, IndexLen) that selects and
+// scans leaves, and the agg unit, the pre-aggregate block [IndexLen,
+// HeaderLen) that only aggregates fold. A miss reads the index prefix, or
+// with wholeOnMiss the whole header in one access, caching both units and
+// returning the header with its block loaded. An aggregate handed a header
+// without its block (AggUnloaded) gets it from loadAggs. A chunk registered
+// without IndexLen has its whole header read and cached as the header
+// unit. Concurrent misses of the same header share one fetch via the
+// flight group.
+func (s *Server) header(ci meta.ChunkInfo, wholeOnMiss bool) (*chunk.Header, int64, bool, error) {
 	key := unitKey{chunk: ci.ID, unit: headerUnit}
 	if v, ok := s.cache.Get(key); ok {
 		s.m.HeaderHits.Inc()
@@ -265,20 +286,34 @@ func (s *Server) header(ci meta.ChunkInfo) (*chunk.Header, int64, bool, error) {
 	}
 	s.m.HeaderMisses.Inc()
 	v, err, shared := s.flights.Do(key, func() (any, error) {
-		hlen := int64(ci.HeaderLen)
+		hlen, ilen := int64(ci.HeaderLen), int64(ci.IndexLen)
 		if hlen <= 0 {
 			return nil, errNoHeaderLen
 		}
-		buf, err := s.readAt(ci.Path, 0, hlen)
+		if ilen <= 0 || ilen > hlen {
+			ilen = hlen
+		}
+		n := ilen
+		if wholeOnMiss {
+			n = hlen
+		}
+		buf, err := s.readAt(ci.Path, 0, n)
 		if err != nil {
 			return nil, err
 		}
-		h, err := chunk.ParseHeader(buf)
+		h, err := chunk.ParseHeader(buf[:ilen])
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(key, h, hlen)
-		return headerFetch{h: h, bytes: int64(len(buf))}, nil
+		s.cache.Put(key, h, ilen)
+		if n > ilen {
+			if h, err = h.WithAggs(buf[ilen:]); err != nil {
+				return nil, err
+			}
+			s.m.AggMisses.Inc()
+			s.cache.Put(unitKey{chunk: ci.ID, unit: aggUnit}, h, n-ilen)
+		}
+		return headerFetch{h: h, bytes: n}, nil
 	})
 	if err != nil {
 		return nil, 0, false, err
@@ -289,6 +324,48 @@ func (s *Server) header(ci meta.ChunkInfo) (*chunk.Header, int64, bool, error) {
 		return hf.h, 0, false, nil
 	}
 	return hf.h, hf.bytes, false, nil
+}
+
+// loadAggs returns the index-only header h with its pre-aggregate block
+// loaded: the agg unit from cache, or the block read and parsed into a
+// copy of h, with the hit or the bytes charged to res as header charges
+// the header unit's.
+func (s *Server) loadAggs(ci meta.ChunkInfo, h *chunk.Header, res *model.Result, sp *telemetry.Span) (*chunk.Header, error) {
+	openSp := sp.StartChild("chunk_open")
+	defer openSp.End()
+	key := unitKey{chunk: ci.ID, unit: aggUnit}
+	if v, ok := s.cache.Get(key); ok {
+		s.m.AggHits.Inc()
+		res.CacheHits++
+		openSp.SetInt("cache_hit", 1)
+		return v.(*chunk.Header), nil
+	}
+	s.m.AggMisses.Inc()
+	n := int64(h.HeaderLen - h.IndexLen)
+	v, err, shared := s.flights.Do(key, func() (any, error) {
+		buf, err := s.readAt(ci.Path, int64(h.IndexLen), n)
+		if err != nil {
+			return nil, err
+		}
+		full, err := h.WithAggs(buf)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.Put(key, full, n)
+		return full, nil
+	})
+	if err != nil {
+		err = fmt.Errorf("queryexec: chunk %d pre-aggregates (%s): %w", ci.ID, ci.Path, err)
+		openSp.SetStr("error", err.Error())
+		return nil, err
+	}
+	if shared {
+		s.m.SingleFlightDedup.Inc()
+		n = 0
+	}
+	res.BytesRead += n
+	openSp.SetInt("agg_bytes", n)
+	return v.(*chunk.Header), nil
 }
 
 // ExecuteSubQuery runs one chunk subquery: select leaves by key range and
@@ -311,7 +388,7 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 	res := &model.Result{QueryID: sq.QueryID}
 	// Planned subqueries carry the chunk's file metadata; only hand-built
 	// ones pay a metadata-server round trip here.
-	ci := meta.ChunkInfo{ID: sq.Chunk, Path: sq.ChunkPath, HeaderLen: sq.ChunkHeaderLen}
+	ci := meta.ChunkInfo{ID: sq.Chunk, Path: sq.ChunkPath, HeaderLen: sq.ChunkHeaderLen, IndexLen: sq.ChunkIndexLen}
 	if ci.Path == "" {
 		info, ok := s.ms.Chunk(sq.Chunk)
 		if !ok {
@@ -320,7 +397,7 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 		ci = info
 	}
 	openSp := sp.StartChild("chunk_open")
-	h, hbytes, hit, err := s.header(ci)
+	h, hbytes, hit, err := s.header(ci, sq.Agg != nil)
 	if err != nil {
 		err = fmt.Errorf("queryexec: chunk %d header (%s): %w", ci.ID, ci.Path, err)
 		openSp.SetStr("error", err.Error())
@@ -579,7 +656,9 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 // inside the query range are answered from the header — the leaf count for
 // COUNT, the pre-aggregate buckets otherwise — without reading their
 // bodies. Only boundary leaves (and leaves the header can't answer) are
-// fetched and column-scanned, with the bucket-folded window excluded.
+// fetched and column-scanned, with the bucket-folded window excluded. The
+// pre-aggregate block is loaded (h.AggUnloaded) only when a leaf's buckets
+// can answer for it, so a COUNT that whole leaves answer never reads it.
 func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.Result, sp *telemetry.Span) error {
 	spec := sq.Agg
 	agg := &model.AggPartial{}
@@ -598,20 +677,25 @@ func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Head
 		// Pushdown needs the leaf's exact key bounds inside the query's, no
 		// filter, and — for value aggregates — a pre-aggregate block over the
 		// queried field. COUNT folds bucket/directory counts regardless of
-		// field.
-		pushable := sq.Filter == nil &&
-			kr.Lo <= h.LeafKeys[li].Lo && h.LeafKeys[li].Hi <= kr.Hi &&
-			(spec.CountOnly || (h.HasAgg && h.AggField == spec.Field))
-		if pushable {
-			if tr.Lo <= d.MinT && d.MaxT <= tr.Hi {
-				// Whole leaf matches: exact from the directory count alone
-				// for COUNT, else from folding every bucket.
-				if spec.CountOnly {
-					agg.Count += uint64(d.Count)
-					res.AggPushdown++
-					savedBytes += d.Length
-					continue
-				}
+		// field; only a leaf the time range cuts needs its buckets.
+		covered := sq.Filter == nil && kr.Lo <= h.LeafKeys[li].Lo && h.LeafKeys[li].Hi <= kr.Hi
+		whole := tr.Lo <= d.MinT && d.MaxT <= tr.Hi
+		if covered && whole && spec.CountOnly {
+			// Whole leaf matches: exact from the directory count alone.
+			agg.Count += uint64(d.Count)
+			res.AggPushdown++
+			savedBytes += d.Length
+			continue
+		}
+		if covered && h.AggUnloaded {
+			var err error
+			if h, err = s.loadAggs(ci, h, res, sp); err != nil {
+				return err
+			}
+		}
+		if covered && (spec.CountOnly || (h.HasAgg && h.AggField == spec.Field)) {
+			if whole {
+				// Whole leaf matches: exact from folding every bucket.
 				if h.FoldLeafAggAll(li, false, agg) {
 					res.AggPushdown++
 					savedBytes += d.Length

@@ -149,26 +149,19 @@ func netFixture(t *testing.T, opts Options, n int) (*DB, *Client, []Tuple) {
 	return db, cl, ts
 }
 
-// awaitTuples drains and then waits until a full-range query sees n
-// tuples: on several cores Drain can return while the last block is still
-// being merged (ROADMAP Open item 1), and the wire tests are about the
-// wire — the faster it gets, the likelier a query lands inside that gap.
+// awaitTuples is the insert→query barrier: after Drain every acked tuple
+// is visible, so one full-range query must see exactly n.
 func awaitTuples(t *testing.T, cl *Client, n int) {
 	t.Helper()
 	if err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		res, err := cl.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Tuples) == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("store holds %d tuples, want %d", len(res.Tuples), n)
-		}
+	res, err := cl.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != n {
+		t.Fatalf("after Drain the store holds %d tuples, want %d", len(res.Tuples), n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"waterwheel/internal/model"
 )
 
 // returns fails the test if f has not returned after 10 s: these calls used
@@ -117,4 +119,44 @@ func TestDrainReportsDeadConsumer(t *testing.T) {
 	if err := returns(t, "Close", db.Close); err == nil || !strings.Contains(err.Error(), "bad record") {
 		t.Fatalf("Close over unapplied acked tuples = %v, want the consumer's error", err)
 	}
+}
+
+// TestFlushLeavesNothingBuffered: when Flush returns, every tuple acked
+// before it is in a registered chunk — embedded and over the wire. Inserts
+// are acked from the log ahead of the consumers, so a Flush that flushed
+// only what they had applied left part of a just-acked batch in memtables.
+func TestFlushLeavesNothingBuffered(t *testing.T) {
+	const n = 20_000
+	ts := make([]Tuple, n)
+	for i := range ts {
+		ts[i] = Tuple{Key: Key(uint64(i) * 0x9E3779B97F4A7C15), Time: Timestamp(1000 + i), Payload: []byte{byte(i)}}
+	}
+	check := func(t *testing.T, db *DB, insert func([]Tuple) error, flush func() error, stats func() (Stats, error)) {
+		t.Helper()
+		if err := insert(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := flush(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inChunks := 0
+		for _, ci := range db.Cluster().Metadata().ChunksFor(model.FullRegion()) {
+			inChunks += ci.Count
+		}
+		if st.Buffered != 0 || inChunks != n {
+			t.Fatalf("after Flush: %d tuples buffered, %d in chunks; want 0 and %d", st.Buffered, inChunks, n)
+		}
+	}
+	t.Run("embedded", func(t *testing.T) {
+		db := openTestDB(t, Options{ChunkBytes: 64 << 20})
+		check(t, db, db.InsertBatch, db.Flush, func() (Stats, error) { return db.Stats(), nil })
+	})
+	t.Run("wire", func(t *testing.T) {
+		db, cl, _ := netFixture(t, Options{ChunkBytes: 64 << 20}, 0)
+		check(t, db, cl.InsertBatch, cl.Flush, cl.Stats)
+	})
 }

@@ -421,10 +421,13 @@ func (h *Header) SelectLeavesFor(kr model.KeyRange, tr model.TimeRange, useBloom
 		return nil, 0
 	}
 	lo := sort.Search(len(h.Bounds), func(i int) bool { return kr.Lo < h.Bounds[i] })
-	for i := lo; i < h.Leaves; i++ {
-		if i > 0 && h.Bounds[i-1] > kr.Hi {
-			break
-		}
+	// Leaves lo..hi are the ones the key range reaches: read is sized for
+	// them once instead of growing leaf by leaf.
+	hi := min(sort.Search(len(h.Bounds), func(i int) bool { return kr.Hi < h.Bounds[i] }), h.Leaves-1)
+	if hi >= lo {
+		read = make([]int, 0, hi-lo+1)
+	}
+	for i := lo; i <= hi; i++ {
 		d := h.Dir[i]
 		if d.Count == 0 {
 			continue

@@ -635,10 +635,8 @@ func (c *Cluster) Drain() error {
 	if c.stopped.Load() {
 		return ErrClosed
 	}
-	for i := 0; i < c.log.Partitions(); i++ {
-		if err := c.waitApplied(i, c.log.Partition(i).Next()); err != nil {
-			return err
-		}
+	if err := c.waitHeads(); err != nil {
+		return err
 	}
 	// Applied is not persisted: wait out the flush pipelines too ("insert,
 	// Drain, query/crash" stays deterministic), then force what trails an
@@ -656,6 +654,17 @@ func (c *Cluster) Drain() error {
 	// A quiet moment: whatever retired files were gated on queries that
 	// have since completed can go now.
 	c.ret.sweep()
+	return nil
+}
+
+// waitHeads blocks until every slot has applied its log up to the head as
+// read now, or says why it cannot (see waitApplied).
+func (c *Cluster) waitHeads() error {
+	for i := 0; i < c.log.Partitions(); i++ {
+		if err := c.waitApplied(i, c.log.Partition(i).Next()); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -687,10 +696,16 @@ func (c *Cluster) waitApplied(slot int, head int64) error {
 
 // FlushAll forces every indexing server to flush its memtables and ends
 // with a checkpoint: an explicit flush is a durability point — when it
-// returns nil, what was buffered is in chunks on stable storage, the
-// metadata naming them is too, and the log holds only what arrived since.
-// The error is a flusher's that no retry can mend, or the checkpoint's.
+// returns nil, everything acked before the call is in chunks on stable
+// storage, the metadata naming them is too, and the log holds only what
+// arrived since. Inserts are acked from the log ahead of the consumers, so
+// it first waits, as Drain does, until each slot has applied its log's
+// head; a consumer's error ends it there, as it ends Drain. Otherwise the
+// error is a flusher's that no retry can mend, or the checkpoint's.
 func (c *Cluster) FlushAll() error {
+	if err := c.waitHeads(); err != nil {
+		return err
+	}
 	var errs []error
 	for _, srv := range c.servers() {
 		if srv != nil {

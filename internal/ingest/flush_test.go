@@ -120,16 +120,16 @@ func TestPendingSnapshotServedForPlannedQuery(t *testing.T) {
 		Region:    model.Region{Keys: model.FullKeyRange(), Times: model.FullTimeRange()},
 		AsOfChunk: horizon,
 	}
-	if got := srv.ExecuteSubQuery(planned); len(got.Tuples) != 100 {
-		t.Fatalf("pre-registration plan got %d tuples from memory, want 100", len(got.Tuples))
+	if got := srv.ExecuteSubQuery(planned); got.Len() != 100 {
+		t.Fatalf("pre-registration plan got %d tuples from memory, want 100", got.Len())
 	}
 	_, after := ms.ChunksForWithWatermark(model.FullRegion())
 	late := &model.SubQuery{
 		Region:    model.Region{Keys: model.FullKeyRange(), Times: model.FullTimeRange()},
 		AsOfChunk: after,
 	}
-	if got := srv.ExecuteSubQuery(late); len(got.Tuples) != 0 {
-		t.Fatalf("post-registration plan got %d tuples from memory, want 0 (chunk serves them)", len(got.Tuples))
+	if got := srv.ExecuteSubQuery(late); got.Len() != 0 {
+		t.Fatalf("post-registration plan got %d tuples from memory, want 0 (chunk serves them)", got.Len())
 	}
 }
 
@@ -430,7 +430,7 @@ func TestUnretryableWriteEndsTheFlusher(t *testing.T) {
 		t.Fatalf("%d chunks registered, offset %d committed, by a flusher that wrote nothing", ms.ChunkCount(), ms.Offset(0))
 	}
 	res := srv.ExecuteSubQuery(&model.SubQuery{Region: model.FullRegion()})
-	if len(res.Tuples) != 2000 {
-		t.Fatalf("%d of 2000 tuples still served from memory", len(res.Tuples))
+	if res.Len() != 2000 {
+		t.Fatalf("%d of 2000 tuples still served from memory", res.Len())
 	}
 }

@@ -595,11 +595,14 @@ func boundingKeys(snap *core.FlushSnapshot) model.KeyRange {
 // and pending flush snapshots whose chunk the query's plan could not have
 // included. The pending list is frozen against swaps and registrations for
 // the duration of the scan (pendMu.RLock), so each tuple is seen in
-// exactly one place regardless of concurrent flush progress.
-func (s *Server) ExecuteSubQuery(sq *model.SubQuery) *model.Result {
+// exactly one place regardless of concurrent flush progress. Every source
+// answers in a run of its own, scanned with the whole Limit as its budget:
+// one source may hold lower keys than where another's limit cut off, and
+// the coordinator's merge makes the cut.
+func (s *Server) ExecuteSubQuery(sq *model.SubQuery) *model.SubResult {
 	s.pendMu.RLock()
 	defer s.pendMu.RUnlock()
-	res := &model.Result{QueryID: sq.QueryID}
+	res := &model.SubResult{QueryID: sq.QueryID}
 	if sq.Agg != nil {
 		// Aggregate subquery: fold matching columns instead of copying
 		// tuples out. Limit does not apply to aggregates.
@@ -618,39 +621,21 @@ func (s *Server) ExecuteSubQuery(sq *model.SubQuery) *model.Result {
 		})
 		return res
 	}
-	sources := 0
+	// Payloads alias leaf arenas during the scan (append-only, so the bytes
+	// stay valid) and are encoded into pooled scratch, which each run is
+	// copied out of.
+	app := model.BorrowRunAppender()
+	defer model.ReturnRunAppender(app)
+	visit := func(k model.Key, ts model.Timestamp, p []byte) bool {
+		app.Append(k, ts, p)
+		return sq.Limit <= 0 || app.Len() < sq.Limit
+	}
 	s.scanSources(sq, func(rangeFn treeRange) {
-		base := len(res.Tuples)
-		payloadBytes := 0
-		rangeFn(sq.Region.Keys, sq.Region.Times, sq.Filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
-			// Payloads alias leaf arenas during the scan (append-only, so
-			// the bytes stay valid) and are un-aliased into one arena per
-			// source below — a handful of allocations per scan instead of
-			// one per tuple.
-			res.Tuples = append(res.Tuples, model.Tuple{Key: k, Time: ts, Payload: p})
-			payloadBytes += len(p)
-			// Each source may hold lower keys than where the previous
-			// source's limit cut off, so every source scans with its own
-			// budget and the combined result is re-cut on sorted order below.
-			return sq.Limit <= 0 || len(res.Tuples)-base < sq.Limit
-		})
-		if payloadBytes > 0 {
-			arena := make([]byte, 0, payloadBytes)
-			for i := base; i < len(res.Tuples); i++ {
-				t := &res.Tuples[i]
-				off := len(arena)
-				arena = append(arena, t.Payload...)
-				t.Payload = arena[off:len(arena):len(arena)]
-			}
-		}
-		if len(res.Tuples) > base {
-			sources++
+		rangeFn(sq.Region.Keys, sq.Region.Times, sq.Filter, visit)
+		if app.Len() > 0 {
+			res.Runs = append(res.Runs, app.Take())
 		}
 	})
-	if sources > 1 && sq.Limit > 0 && len(res.Tuples) > sq.Limit {
-		res.SortTuples()
-		res.Tuples = res.Tuples[:sq.Limit]
-	}
 	return res
 }
 

@@ -25,7 +25,15 @@ func memQuery(s *Server, kr model.KeyRange, tr model.TimeRange) []model.Tuple {
 	res := s.ExecuteSubQuery(&model.SubQuery{
 		Region: model.Region{Keys: kr, Times: tr},
 	})
-	return res.Tuples
+	var out []model.Tuple
+	for _, run := range res.Runs {
+		ts, err := model.DecodeTuples(run.Buf)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, ts...)
+	}
+	return out
 }
 
 func TestInsertImmediatelyVisible(t *testing.T) {
@@ -175,8 +183,8 @@ func TestMemtableSubQueryFilters(t *testing.T) {
 		Filter: model.KeyMod(2, 0),
 	})
 	// Keys 20..40 even → 11 tuples.
-	if len(res.Tuples) != 11 {
-		t.Fatalf("got %d tuples, want 11", len(res.Tuples))
+	if res.Len() != 11 {
+		t.Fatalf("got %d tuples, want 11", res.Len())
 	}
 }
 

@@ -27,12 +27,17 @@ func EncodedSize(t *Tuple) int { return tupleHeaderSize + len(t.Payload) }
 // AppendTuple appends the binary encoding of t to dst and returns the
 // extended slice.
 func AppendTuple(dst []byte, t *Tuple) []byte {
+	return appendRecord(dst, t.Key, t.Time, t.Payload)
+}
+
+// appendRecord is AppendTuple from the tuple's columns.
+func appendRecord(dst []byte, k Key, ts Timestamp, p []byte) []byte {
 	var hdr [tupleHeaderSize]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(t.Key))
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(t.Time))
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(len(t.Payload)))
+	binary.BigEndian.PutUint64(hdr[0:8], uint64(k))
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(ts))
+	binary.BigEndian.PutUint32(hdr[16:20], uint32(len(p)))
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, t.Payload...)
+	dst = append(dst, p...)
 	return dst
 }
 
@@ -63,11 +68,7 @@ func AppendTuples(dst []byte, ts []Tuple) []byte {
 	for i := range ts {
 		total += EncodedSize(&ts[i])
 	}
-	return appendTuples(slices.Grow(dst, total), ts)
-}
-
-// appendTuples is AppendTuples for a dst the caller has already sized.
-func appendTuples(dst []byte, ts []Tuple) []byte {
+	dst = slices.Grow(dst, total)
 	for i := range ts {
 		dst = AppendTuple(dst, &ts[i])
 	}

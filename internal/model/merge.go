@@ -26,9 +26,10 @@ func CompareTuples(a, b *Tuple) int {
 
 // MergeSortedTuples k-way merges parts, each already sorted in canonical
 // tuple order, into one sorted slice. With limit > 0 the merge stops after
-// limit tuples — a LIMIT query pays for the tuples it returns, not for
-// sorting everything its subqueries delivered. Ties break by part index,
-// keeping the result deterministic for identical inputs.
+// limit tuples. Ties break by part index, keeping the result deterministic
+// for identical inputs. The query path merges runs instead (MergeRuns);
+// this is the tuple-slice merge the ledger's model.merge_ns_per_tuple leg
+// times.
 func MergeSortedTuples(parts [][]Tuple, limit int) []Tuple {
 	// Drop empty parts up front; the heap then never holds exhausted cursors.
 	heads := make([]mergeCursor, 0, len(parts))

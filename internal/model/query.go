@@ -193,8 +193,8 @@ type Result struct {
 	BytesRead int64
 	// CacheHits counts subquery cache-unit hits on query servers.
 	CacheHits int
-	// Agg is the partial aggregate of an aggregate subquery (SubQuery.Agg
-	// set); nil on the tuple-returning path.
+	// Agg is the partial aggregate folded in from subquery answers that
+	// carried one (MergeCounters); nil on the tuple-returning path.
 	Agg *AggPartial
 	// AggPushdown counts leaves answered from header pre-aggregates
 	// without reading the leaf body.
@@ -212,13 +212,46 @@ func (r *Result) SortTuples() {
 // Merge folds the tuples and counters of o into r.
 func (r *Result) Merge(o *Result) {
 	r.Tuples = append(r.Tuples, o.Tuples...)
-	r.MergeCounters(o)
+	r.MergeCounters(&SubResult{
+		LeavesRead: o.LeavesRead, LeavesSkipped: o.LeavesSkipped, BytesRead: o.BytesRead,
+		CacheHits: o.CacheHits, Agg: o.Agg, AggPushdown: o.AggPushdown,
+	})
 }
 
-// MergeCounters folds only the execution counters of o into r, leaving the
-// tuples alone — for callers that combine tuples separately (e.g. the
-// coordinator's k-way merge).
-func (r *Result) MergeCounters(o *Result) {
+// SubResult is one subquery's answer, from a chunk on a query server or
+// from an indexing server's memory: its matches as runs, or the partial
+// aggregate of an aggregate subquery, plus the execution counters a query's
+// Result sums.
+type SubResult struct {
+	QueryID uint64
+	// Runs hold the matches, one run per source scanned (a chunk subquery
+	// has one source; a memtable subquery one per tree and pending
+	// snapshot), each in canonical order. Nil for an aggregate subquery.
+	Runs []Run
+	// LeavesRead, LeavesSkipped, BytesRead, CacheHits and AggPushdown are
+	// the Result counters of the same names, for this subquery alone.
+	LeavesRead    int
+	LeavesSkipped int
+	BytesRead     int64
+	CacheHits     int
+	AggPushdown   int
+	// Agg is the partial aggregate of an aggregate subquery (SubQuery.Agg
+	// set); nil on the tuple-returning path.
+	Agg *AggPartial
+}
+
+// Len returns the number of matches across the runs.
+func (r *SubResult) Len() int {
+	n := 0
+	for i := range r.Runs {
+		n += r.Runs[i].N
+	}
+	return n
+}
+
+// MergeCounters folds the execution counters and the partial aggregate of
+// a subquery's answer into r; its runs are the caller's to merge.
+func (r *Result) MergeCounters(o *SubResult) {
 	r.LeavesRead += o.LeavesRead
 	r.LeavesSkipped += o.LeavesSkipped
 	r.BytesRead += o.BytesRead

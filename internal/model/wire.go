@@ -183,33 +183,25 @@ func DecodeAggregateQuery(buf []byte) (AggregateQuery, error) {
 	return q, err
 }
 
-// resultWireSize is the exact number of bytes AppendResult writes for r.
-func resultWireSize(r *Result) int {
-	n := resultWireFixed + 4
+// resultHeaderSize is the number of bytes of r's wire form before its
+// tuples.
+func resultHeaderSize(r *Result) int {
 	if r.Agg != nil {
-		n += aggPartialSize
+		return resultWireFixed + aggPartialSize + 4
 	}
-	for i := range r.Tuples {
-		n += EncodedSize(&r.Tuples[i])
-	}
-	return n
+	return resultWireFixed + 4
 }
 
-// AppendResult appends the wire form of r, growing dst once to the exact
-// size:
-//
-//	[u64 QueryID][i64 SubQueries][i64 LeavesRead][i64 LeavesSkipped]
-//	[i64 BytesRead][i64 CacheHits][i64 AggPushdown][u8 flags]
-//	[Agg: 5×u64, if flagged][u32 tuple count][tuples, as AppendTuples]
-func AppendResult(dst []byte, r *Result) []byte {
+// appendResultHeader appends r's wire form up to its tuples, with n as the
+// tuple count and hasTuples as the flag.
+func appendResultHeader(dst []byte, r *Result, n int, hasTuples bool) []byte {
 	var flags byte
 	if r.Agg != nil {
 		flags |= wireHasAgg
 	}
-	if r.Tuples != nil {
+	if hasTuples {
 		flags |= wireHasTuples
 	}
-	dst = slices.Grow(dst, resultWireSize(r))
 	dst = be.AppendUint64(dst, r.QueryID)
 	dst = appendInts(dst, int64(r.SubQueries), int64(r.LeavesRead), int64(r.LeavesSkipped),
 		r.BytesRead, int64(r.CacheHits), int64(r.AggPushdown))
@@ -217,12 +209,37 @@ func AppendResult(dst []byte, r *Result) []byte {
 	if r.Agg != nil {
 		dst = appendAggPartial(dst, r.Agg)
 	}
-	dst = be.AppendUint32(dst, uint32(len(r.Tuples)))
-	return appendTuples(dst, r.Tuples)
+	return be.AppendUint32(dst, uint32(n))
 }
 
-// DecodeResult decodes a whole AppendResult message. The tuples come back
-// in one slice whose payloads alias buf: the result owns buf from here on.
+// AppendMergedResult appends the wire form of r whose tuples are the k-way
+// merge of runs cut at limit, and returns dst with the number of tuples
+// merged:
+//
+//	[u64 QueryID][i64 SubQueries][i64 LeavesRead][i64 LeavesSkipped]
+//	[i64 BytesRead][i64 CacheHits][i64 AggPushdown][u8 flags]
+//	[Agg: 5×u64, if flagged][u32 tuple count][tuples, as AppendTuples]
+//
+// The has-tuples flag is set when the merge holds a tuple; r.Tuples is
+// ignored. The header goes first with a zero count, MergeRuns appends
+// straight behind it, and the count and the flag are filled in after: the
+// result is encoded once, into a buffer grown once, and no Tuple is built
+// for it.
+func AppendMergedResult(dst []byte, r *Result, runs []Run, limit int) ([]byte, int) {
+	at := len(dst)
+	dst = appendResultHeader(slices.Grow(dst, resultHeaderSize(r)+mergedSize(runs, limit)), r, 0, false)
+	countAt := len(dst) - 4
+	dst, n := MergeRuns(dst, runs, limit)
+	if n > 0 {
+		dst[at+resultWireFixed-1] |= wireHasTuples
+		be.PutUint32(dst[countAt:], uint32(n))
+	}
+	return dst, n
+}
+
+// DecodeResult decodes a whole AppendMergedResult message. The tuples come
+// back in one slice whose payloads alias buf: the result owns buf from here
+// on.
 func DecodeResult(buf []byte) (*Result, error) {
 	if len(buf) < resultWireFixed+4 {
 		return nil, fmt.Errorf("%w: result of %d bytes", ErrBadWire, len(buf))

@@ -170,8 +170,12 @@ func TestResultWireRoundTrip(t *testing.T) {
 	for _, n := range sizes {
 		r := randResult(rng, n)
 		enc := AppendResult(nil, r)
-		if len(enc) != resultWireSize(r) {
-			t.Fatalf("n=%d: encoded %d bytes, sized %d", n, len(enc), resultWireSize(r))
+		size := resultHeaderSize(r)
+		for i := range r.Tuples {
+			size += EncodedSize(&r.Tuples[i])
+		}
+		if len(enc) != size {
+			t.Fatalf("n=%d: encoded %d bytes, sized %d", n, len(enc), size)
 		}
 		got, err := DecodeResult(enc)
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 // MemExecutor answers subqueries against an indexing server's in-memory
 // trees (the fresh-data path). Implemented by *ingest.Server.
 type MemExecutor interface {
-	ExecuteSubQuery(sq *model.SubQuery) *model.Result
+	ExecuteSubQuery(sq *model.SubQuery) *model.SubResult
 }
 
 // ErrNoQueryServers is returned when chunk subqueries exist but no query
@@ -179,7 +179,15 @@ func (c *Coordinator) AddQueryServer(s *Server) {
 func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo) {
 	qRegion := q.Region()
 	seq := 0
+	// A recurrence's exactness comes from the coordinator's filter on the
+	// collected runs, so per-subquery limits are unsound under one (a
+	// subquery's first Limit matches may all fall outside the windows): the
+	// merge applies q.Limit after the filter instead. That holds whether or
+	// not the windows below could be enumerated for pruning.
 	subLimit := q.Limit
+	if q.Recur != nil {
+		subLimit = 0
+	}
 	// The live regions are read BEFORE the chunk list. A flush registers
 	// its chunk and only then reports the drained live region; a plan that
 	// read chunks first and live regions second could land on both sides of
@@ -200,15 +208,10 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 	if windows := q.Recur.Windows(q.Times); windows != nil {
 		// Recurring-window query: the metadata time-bucket hierarchy prunes
 		// candidates whose hour buckets meet no window before any header is
-		// read. The windows are hour-superset at this level; exactness comes
-		// from the coordinator's recurrence filter on collected tuples, so
-		// per-subquery limits are unsound here (a subquery's first Limit
-		// matches may all fall outside the windows) — the merge applies
-		// q.Limit after the filter instead.
+		// read. The windows are hour-superset at this level.
 		var pruned int
 		cands, pruned, watermark = c.ms.ChunksForWindowsWithWatermark(qRegion, windows)
 		c.m.TierPruned.Add(int64(pruned))
-		subLimit = 0
 	} else {
 		cands, watermark = c.ms.ChunksForWithWatermark(qRegion)
 	}
@@ -289,7 +292,7 @@ func (c *Coordinator) plan(q model.Query, agg *model.AggSpec) (memSubs, chunkSub
 // parallel with the chunk fan-out, every result is handed to collect (from
 // the delivering goroutine — collect synchronizes), and the dispatch latency
 // is observed under the policy in force. root may be nil (tracing off).
-func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, collect func(*model.Result), root *telemetry.Span) error {
+func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, collect func(*model.SubResult), root *telemetry.Span) error {
 	c.m.MemSubQueries.Add(int64(len(memSubs)))
 	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
 	c.mu.RLock()
@@ -307,7 +310,7 @@ func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkS
 			memSp.SetInt("index_server", int64(sq.IndexServer))
 			r := e.ExecuteSubQuery(sq)
 			if r != nil {
-				memSp.SetInt("tuples", int64(len(r.Tuples)))
+				memSp.SetInt("tuples", int64(r.Len()))
 			}
 			memSp.End()
 			collect(r)
@@ -324,14 +327,11 @@ func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkS
 }
 
 // Execute runs a query to completion and returns the merged result with
-// tuples sorted by (key, time). When the coordinator was configured with
-// a trace ring, the query's trace is retained there.
+// tuples sorted by (key, time, payload). The tuples are decoded once from
+// the merged run and their payloads alias it. When the coordinator was
+// configured with a trace ring, the query's trace is retained there.
 func (c *Coordinator) Execute(q model.Query) (*model.Result, error) {
-	var root *telemetry.Span
-	if c.cfg.Traces != nil {
-		root = telemetry.StartSpan("query")
-	}
-	res, _, err := c.execute(q, root)
+	res, _, _, err := c.execute(q, c.ringRoot(), false)
 	return res, err
 }
 
@@ -339,15 +339,38 @@ func (c *Coordinator) Execute(q model.Query) (*model.Result, error) {
 // span tree — Waterwheel's EXPLAIN ANALYZE. Tracing is forced on for this
 // query even when no trace ring is configured.
 func (c *Coordinator) ExecuteTraced(q model.Query) (*model.Result, *telemetry.QueryTrace, error) {
-	root := telemetry.StartSpan("query")
-	res, tr, err := c.execute(q, root)
+	res, _, tr, err := c.execute(q, telemetry.StartSpan("query"), false)
 	return res, tr, err
 }
 
-// execute is the tuple-query engine behind Execute and ExecuteTraced: plan,
-// run, k-way merge. root may be nil (tracing off): every span operation
+// ExecuteEncoded runs a query like Execute — like ExecuteTraced, returning
+// its span tree, when traced is set — and returns the result in its wire
+// form: the merge is written straight behind the result header
+// (model.AppendMergedResult), and no Tuple is built.
+func (c *Coordinator) ExecuteEncoded(q model.Query, traced bool) ([]byte, *telemetry.QueryTrace, error) {
+	root := c.ringRoot()
+	if traced {
+		root = telemetry.StartSpan("query")
+	}
+	_, wire, tr, err := c.execute(q, root, true)
+	return wire, tr, err
+}
+
+// ringRoot starts the root span of an untraced query: one that the trace
+// ring retains, or nil when there is no ring.
+func (c *Coordinator) ringRoot() *telemetry.Span {
+	if c.cfg.Traces == nil {
+		return nil
+	}
+	return telemetry.StartSpan("query")
+}
+
+// execute is the tuple-query engine behind Execute, ExecuteTraced and
+// ExecuteEncoded: plan, run, k-way merge of the subqueries' runs — decoded
+// into res.Tuples, or with encode set appended to the wire form of res and
+// returned as wire. root may be nil (tracing off): every span operation
 // degrades to a nil check.
-func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Result, *telemetry.QueryTrace, error) {
+func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) (*model.Result, []byte, *telemetry.QueryTrace, error) {
 	q = c.ms.RegisterQuery(q)
 	defer c.ms.CompleteQuery(q.ID)
 
@@ -377,56 +400,66 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span) (*model.Resul
 	decSp.End()
 	if err != nil {
 		finish(err)
-		return nil, tr, err
+		return nil, nil, tr, err
 	}
 
 	res := &model.Result{QueryID: q.ID, SubQueries: len(memSubs) + len(chunkSubs)}
 
 	var (
 		mu sync.Mutex
-		// parts collects each subquery's tuples, sorted in canonical order
-		// by the delivering goroutine, for the final k-way merge. Memtable
-		// results need the sort (tree, side store and pending snapshots are
-		// concatenated); chunk results need it only to canonicalize time
-		// order within equal keys.
-		parts [][]model.Tuple
+		// runs collects every subquery's runs, each already in canonical
+		// order, for the final k-way merge.
+		runs []model.Run
 	)
-	collect := func(r *model.Result) {
+	collect := func(r *model.SubResult) {
 		if r == nil {
 			return
 		}
 		if q.Recur != nil {
 			// The recurrence is the query's exact time semantics; subquery
-			// regions are only pruned to it at hour-bucket granularity.
-			kept := r.Tuples[:0]
-			for _, t := range r.Tuples {
-				if q.Recur.Contains(t.Time) {
-					kept = append(kept, t)
-				}
+			// regions are only pruned to it at hour-bucket granularity. The
+			// runs are this query's own, so they are filtered in place.
+			for i := range r.Runs {
+				r.Runs[i].Keep(func(_ model.Key, t model.Timestamp) bool { return q.Recur.Contains(t) })
 			}
-			r.Tuples = kept
 		}
-		r.SortTuples()
 		mu.Lock()
 		res.MergeCounters(r)
-		if len(r.Tuples) > 0 {
-			parts = append(parts, r.Tuples)
+		for _, run := range r.Runs {
+			if run.N > 0 {
+				runs = append(runs, run)
+			}
 		}
 		mu.Unlock()
 	}
 	if err := c.run(memSubs, execs, chunkSubs, collect, root); err != nil {
 		finish(err)
-		return nil, tr, err
+		return nil, nil, tr, err
 	}
-	// K-way merge of the per-subquery sorted runs, stopping at Limit: a
-	// LIMIT n query pays O(n log k), not a full sort of everything the
-	// subqueries delivered.
+	// K-way merge of the runs, stopping at Limit: a LIMIT n query pays
+	// O(n log k), not a full sort of everything the subqueries delivered.
 	mergeSp := root.StartChild("merge")
-	res.Tuples = model.MergeSortedTuples(parts, q.Limit)
-	mergeSp.SetInt("tuples", int64(len(res.Tuples)))
+	var (
+		wire []byte
+		n    int
+	)
+	if encode {
+		wire, n = model.AppendMergedResult(nil, res, runs, q.Limit)
+	} else {
+		var buf []byte
+		if buf, n = model.MergeRuns(nil, runs, q.Limit); n > 0 {
+			// Payloads alias the merged run, which the result now owns.
+			if res.Tuples, err = model.DecodeTuplesInto(make([]model.Tuple, 0, n), buf); err != nil {
+				mergeSp.End()
+				finish(err)
+				return nil, nil, tr, err
+			}
+		}
+	}
+	mergeSp.SetInt("tuples", int64(n))
 	mergeSp.End()
 	finish(nil)
-	return res, tr, nil
+	return res, wire, tr, nil
 }
 
 // regionCovers reports whether outer fully contains inner.
@@ -482,7 +515,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 	res.SubQueries = len(memSubs) + len(chunkSubs)
 
 	var mu sync.Mutex
-	collect := func(r *model.Result) {
+	collect := func(r *model.SubResult) {
 		if r == nil {
 			return
 		}
@@ -635,7 +668,7 @@ func (b *board) doneCount() int {
 // for still-pending work, parking on the board (no busy-wait) until a
 // redispatch or completion wakes them. A chunk that cannot be decoded is
 // not a server failure: the first such error fails the query at once.
-func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*model.Result), sp *telemetry.Span) error {
+func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*model.SubResult), sp *telemetry.Span) error {
 	c.mu.RLock()
 	servers := append([]*Server(nil), c.qservers...)
 	policy := c.cfg.Policy

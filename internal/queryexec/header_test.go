@@ -86,8 +86,8 @@ func TestColdRangeSubQueryReadsOnlyTheIndexPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tuples) != 201 {
-		t.Fatalf("%d tuples, want 201", len(res.Tuples))
+	if res.Len() != 201 {
+		t.Fatalf("%d tuples, want 201", res.Len())
 	}
 	if want := int64(ci.IndexLen) + span; res.BytesRead != want {
 		t.Errorf("BytesRead = %d, want the index prefix %d + extents %d", res.BytesRead, ci.IndexLen, span)
@@ -123,7 +123,7 @@ func TestColdAggregateSubQueryReadsTheHeaderOnce(t *testing.T) {
 		{"sum-time-cut", model.Region{Keys: model.FullKeyRange(), Times: cut}, model.AggSpec{}},
 		{"sum-key-cut", model.Region{Keys: model.KeyRange{Lo: 70, Hi: 900}, Times: cut}, model.AggSpec{}},
 	} {
-		var got [2]*model.Result
+		var got [2]*model.SubResult
 		var reads, bytes [2]int64
 		var srv [2]*Server
 		for i, indexLen := range []int{ci.IndexLen, 0} {
@@ -175,7 +175,7 @@ func TestAggregateLoadsTheAggUnitOnlyWhenBucketsAnswer(t *testing.T) {
 	if _, err := s.ExecuteSubQuery(plannedSub(ci, ci.IndexLen, model.Region{Keys: model.KeyRange{Lo: 0, Hi: 0}, Times: model.FullTimeRange()}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	run := func(spec model.AggSpec) (*model.Result, int64) {
+	run := func(spec model.AggSpec) (*model.SubResult, int64) {
 		t.Helper()
 		r0 := fs.Metrics().Reads.Load()
 		res, err := s.ExecuteSubQuery(plannedSub(ci, ci.IndexLen, model.FullRegion(), &spec))
@@ -215,8 +215,8 @@ func TestSubQueryWithoutIndexLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(ci.HeaderLen) + span; len(res.Tuples) != 21 || res.BytesRead != want {
-		t.Errorf("%d tuples, %d bytes; want 21 and the whole header %d + extents %d", len(res.Tuples), res.BytesRead, ci.HeaderLen, span)
+	if want := int64(ci.HeaderLen) + span; res.Len() != 21 || res.BytesRead != want {
+		t.Errorf("%d tuples, %d bytes; want 21 and the whole header %d + extents %d", res.Len(), res.BytesRead, ci.HeaderLen, span)
 	}
 	r0 := fs.Metrics().Reads.Load()
 	res, err = s.ExecuteSubQuery(plannedSub(ci, 0, model.FullRegion(), &model.AggSpec{}))

@@ -105,7 +105,7 @@ func TestConcurrentMissesShareOneDFSRead(t *testing.T) {
 
 	armed.Store(true)
 	var wg sync.WaitGroup
-	results := make([]*model.Result, callers)
+	results := make([]*model.SubResult, callers)
 	errs := make([]error, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -131,7 +131,7 @@ func TestConcurrentMissesShareOneDFSRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
-		if got := len(results[i].Tuples); got != 512 {
+		if got := results[i].Len(); got != 512 {
 			t.Fatalf("caller %d: %d tuples, want 512", i, got)
 		}
 	}

@@ -1,8 +1,7 @@
 package queryexec
 
 import (
-	"math/rand"
-	"sort"
+	"slices"
 
 	"waterwheel/internal/model"
 )
@@ -102,33 +101,23 @@ func (LADA) Name() string { return "lada" }
 func (LADA) Plan(sqs []*model.SubQuery, locations [][]int, servers []ServerPlacement) [][]int {
 	type ranked struct{ rank, sq int }
 	perServer := make([][]ranked, len(servers))
+	for s := range perServer {
+		perServer[s] = make([]ranked, 0, len(sqs)) // every server ranks every subquery
+	}
+	vec := make([]int, 0, len(servers))
 	for i, sq := range sqs {
-		coLocated := make([]int, 0, 4)
-		rest := make([]int, 0, len(servers))
-		nodeHasReplica := map[int]bool{}
+		var replicas []int
 		if i < len(locations) {
-			for _, n := range locations[i] {
-				nodeHasReplica[n] = true
-			}
+			replicas = locations[i]
 		}
-		for sIdx, sp := range servers {
-			if nodeHasReplica[sp.Node] {
-				coLocated = append(coLocated, sIdx)
-			} else {
-				rest = append(rest, sIdx)
-			}
-		}
-		rng := rand.New(rand.NewSource(int64(mix(uint64(sq.Chunk)))))
-		rng.Shuffle(len(coLocated), func(a, b int) { coLocated[a], coLocated[b] = coLocated[b], coLocated[a] })
-		rng.Shuffle(len(rest), func(a, b int) { rest[a], rest[b] = rest[b], rest[a] })
-		vec := append(coLocated, rest...)
+		vec = ladaVector(vec, sq.Chunk, replicas, servers)
 		for rank, sIdx := range vec {
 			perServer[sIdx] = append(perServer[sIdx], ranked{rank: rank, sq: i})
 		}
 	}
 	pref := make([][]int, len(servers))
 	for sIdx, rs := range perServer {
-		sort.SliceStable(rs, func(a, b int) bool { return rs[a].rank < rs[b].rank })
+		slices.SortStableFunc(rs, func(a, b ranked) int { return a.rank - b.rank })
 		lst := make([]int, len(rs))
 		for j, r := range rs {
 			lst[j] = r.sq
@@ -136,6 +125,48 @@ func (LADA) Plan(sqs []*model.SubQuery, locations [][]int, servers []ServerPlace
 		pref[sIdx] = lst
 	}
 	return pref
+}
+
+// ladaVector refills vec with S⃗(q) for a subquery on chunk: the indices of
+// the servers on a node in replicas (one entry per replica), then the rest,
+// each group shuffled by a Fisher–Yates whose random source is a splitmix64
+// sequence seeded from the chunk ID — so the order is a function of the
+// chunk alone, and costs no allocation.
+func ladaVector(vec []int, chunk model.ChunkID, replicas []int, servers []ServerPlacement) []int {
+	vec = vec[:0]
+	for sIdx, sp := range servers {
+		if slices.Contains(replicas, sp.Node) {
+			vec = append(vec, sIdx)
+		}
+	}
+	coLocated := len(vec)
+	for sIdx, sp := range servers {
+		if !slices.Contains(replicas, sp.Node) {
+			vec = append(vec, sIdx)
+		}
+	}
+	state := mix(uint64(chunk))
+	shuffle(vec[:coLocated], &state)
+	shuffle(vec[coLocated:], &state)
+	return vec
+}
+
+// shuffle permutes a by Fisher–Yates, drawing from the splitmix64 sequence
+// at *state.
+func shuffle(a []int, state *uint64) {
+	for i := len(a) - 1; i > 0; i-- {
+		j := int(splitmix(state) % uint64(i+1))
+		a[i], a[j] = a[j], a[i]
+	}
+}
+
+// splitmix advances a splitmix64 state and returns its next output.
+func splitmix(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // mix is a 64-bit finalizer used to derive hashes and shuffle seeds from

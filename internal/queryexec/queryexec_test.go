@@ -1,9 +1,11 @@
 package queryexec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -277,6 +279,54 @@ func TestLADAConsistentAcrossQueries(t *testing.T) {
 	}
 }
 
+// TestLADAPlanAllocatesNoSourcePerSubquery: planning costs a fixed handful
+// of allocations per server, however many subqueries it ranks — no random
+// source (a 4.9 KB allocation) and no replica map per subquery.
+func TestLADAPlanAllocatesNoSourcePerSubquery(t *testing.T) {
+	servers := []ServerPlacement{{ID: 0, Node: 0}, {ID: 1, Node: 1}}
+	const runs = 20
+	plan := func(n int) (allocs, bytes float64) {
+		sqs := make([]*model.SubQuery, n)
+		locations := make([][]int, n)
+		for i := range sqs {
+			sqs[i] = &model.SubQuery{Chunk: model.ChunkID(i + 1)}
+			locations[i] = []int{i % 2, 2}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { LADA{}.Plan(sqs, locations, servers) })
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	}
+	fewAllocs, fewBytes := plan(10)
+	manyAllocs, manyBytes := plan(410)
+	t.Logf("Plan: %.0f allocations, %.0f B for 10 subqueries; %.0f, %.0f B for 410", fewAllocs, fewBytes, manyAllocs, manyBytes)
+	if manyAllocs != fewAllocs || manyAllocs > 4*float64(len(servers))+4 {
+		t.Errorf("Plan allocates %.0f times for 10 subqueries and %.0f for 410, want the same few", fewAllocs, manyAllocs)
+	}
+	if perSub := (manyBytes - fewBytes) / 400; perSub > 128 {
+		t.Errorf("Plan allocates %.0f B per subquery, want only its share of the preference lists", perSub)
+	}
+}
+
+// TestLADASpreadsFirstPreference: with a replica on every server's node,
+// the chunk-seeded shuffle puts each of three servers first for a third of
+// 1 000 consecutive chunk IDs, within ±20 %.
+func TestLADASpreadsFirstPreference(t *testing.T) {
+	servers := []ServerPlacement{{ID: 0, Node: 0}, {ID: 1, Node: 1}, {ID: 2, Node: 2}}
+	var first [3]int
+	var vec []int
+	for id := 1; id <= 1000; id++ {
+		vec = ladaVector(vec, model.ChunkID(id), []int{0, 1, 2}, servers)
+		first[vec[0]]++
+	}
+	for s, n := range first {
+		if n < 267 || n > 400 {
+			t.Errorf("server %d ranks first for %d of 1000 chunks, want 333 ± 20 %% (all: %v)", s, n, first)
+		}
+	}
+}
+
 func TestRoundRobinAndHashingDisjoint(t *testing.T) {
 	sqs := make([]*model.SubQuery, 10)
 	for i := range sqs {
@@ -498,11 +548,11 @@ func TestSubQueryLimitOnChunks(t *testing.T) {
 	}
 }
 
-// TestChunkSubQueryResultIsExactlySized: a chunk subquery gathers its
-// matches in recycled scratch and hands the result over in one allocation of
-// exactly its size — across several leaves, with and without a limit — and
-// the scratch it gives back holds no reference to the payloads it saw.
-func TestChunkSubQueryResultIsExactlySized(t *testing.T) {
+// TestChunkSubQueryRunIsExactlySized: a chunk subquery encodes its matches
+// into pooled scratch and hands them over as one run of exactly their
+// encoded size — across several leaves, with and without a limit — and the
+// scratch it gives back holds nothing.
+func TestChunkSubQueryRunIsExactlySized(t *testing.T) {
 	c := newCluster(t, 1, 1, 1)
 	c.ingest(seqTuples(5000, 1<<50, 0)) // keys spread over all 16 leaves
 	c.flushAll()
@@ -523,31 +573,100 @@ func TestChunkSubQueryResultIsExactlySized(t *testing.T) {
 		if limit > 0 {
 			want = limit
 		}
-		if len(res.Tuples) != want || cap(res.Tuples) != want {
-			t.Fatalf("limit %d: %d tuples in a slice of %d, want %d exactly sized", limit, len(res.Tuples), cap(res.Tuples), want)
+		if len(res.Runs) != 1 {
+			t.Fatalf("limit %d: %d runs, want 1", limit, len(res.Runs))
+		}
+		run := res.Runs[0]
+		if size := want * (model.EncodedSize(&model.Tuple{}) + 1); run.N != want || len(run.Buf) != size || cap(run.Buf) != size {
+			t.Fatalf("limit %d: %d tuples in %d bytes of a %d-byte buffer, want %d in exactly %d", limit, run.N, len(run.Buf), cap(run.Buf), want, size)
 		}
 		if res.LeavesRead < 2 {
 			t.Fatalf("limit %d: %d leaves read: the result did not come from several leaves", limit, res.LeavesRead)
 		}
-		for i := range res.Tuples {
-			if tp := &res.Tuples[i]; len(tp.Payload) != 1 || tp.Payload[0] != byte(tp.Time) {
+		ts, err := model.DecodeTuples(run.Buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tp := range ts {
+			if len(tp.Payload) != 1 || tp.Payload[0] != byte(tp.Time) || tp.Time != model.Timestamp(100+i) {
 				t.Fatalf("limit %d: tuple %d carries payload %v at time %d", limit, i, tp.Payload, tp.Time)
 			}
 		}
 	}
-	scratch := matchPool.Get().(*[]model.Tuple)
-	defer matchPool.Put(scratch)
-	for _, tp := range (*scratch)[:cap(*scratch)] {
-		if tp.Payload != nil {
-			t.Fatal("recycled scratch still references a payload")
-		}
+	app := model.BorrowRunAppender()
+	defer model.ReturnRunAppender(app)
+	if app.Len() != 0 {
+		t.Fatalf("recycled scratch still holds %d records", app.Len())
 	}
-	// A subquery that matches nothing returns no slice at all.
+	// A subquery that matches nothing returns no run at all.
 	res, err := c.qs[0].ExecuteSubQuery(&model.SubQuery{
 		Chunk:  chunks[0].ID,
 		Region: model.Region{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 1 << 40, Hi: 1 << 41}},
 	})
-	if err != nil || res.Tuples != nil {
-		t.Fatalf("empty subquery = %v, %v", res.Tuples, err)
+	if err != nil || res.Runs != nil {
+		t.Fatalf("empty subquery = %v, %v", res.Runs, err)
+	}
+}
+
+// TestRunsDoNotAliasCachedLeaves: what a chunk subquery and a memtable
+// subquery return, and the tuples a query decodes from their merge, are
+// copies — writing over every byte of them changes nothing a re-query
+// returns, however warm the leaf cache.
+func TestRunsDoNotAliasCachedLeaves(t *testing.T) {
+	c := newCluster(t, 1, 1, 1)
+	c.ingest(seqTuples(2000, 1<<52, 0))
+	c.flushAll()
+	c.ingest(seqTuples(300, 1<<52+1, 5000)) // stays in the memtable
+	chunks := c.ms.ChunksFor(model.FullRegion())
+	if len(chunks) != 1 {
+		t.Fatalf("%d chunks, want 1", len(chunks))
+	}
+	concat := func(r *model.SubResult) []byte {
+		var b []byte
+		for _, run := range r.Runs {
+			b = append(b, run.Buf...)
+		}
+		return b
+	}
+	for _, e := range []struct {
+		name string
+		exec func() *model.SubResult
+	}{
+		{"chunk", func() *model.SubResult {
+			r, err := c.qs[0].ExecuteSubQuery(&model.SubQuery{Chunk: chunks[0].ID, Region: model.FullRegion()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+		{"memtable", func() *model.SubResult { return c.is[0].ExecuteSubQuery(&model.SubQuery{Region: model.FullRegion()}) }},
+	} {
+		first := e.exec()
+		want := concat(first)
+		if len(want) == 0 {
+			t.Fatalf("%s: nothing matched", e.name)
+		}
+		for _, run := range first.Runs {
+			for i := range run.Buf {
+				run.Buf[i] ^= 0xff
+			}
+		}
+		if got := concat(e.exec()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: writing over a returned run changed what a re-query returns", e.name)
+		}
+	}
+	q := model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()}
+	res, err := c.coord.Execute(q)
+	if err != nil || len(res.Tuples) != 2300 {
+		t.Fatalf("query: %d tuples, %v", len(res.Tuples), err)
+	}
+	want := model.AppendTuples(nil, res.Tuples)
+	for _, tp := range res.Tuples {
+		for i := range tp.Payload {
+			tp.Payload[i] ^= 0xff
+		}
+	}
+	if again, err := c.coord.Execute(q); err != nil || !bytes.Equal(model.AppendTuples(nil, again.Tuples), want) {
+		t.Fatalf("writing over a result's payloads changed what a re-query returns (%v)", err)
 	}
 }

@@ -330,7 +330,7 @@ func (s *Server) header(ci meta.ChunkInfo, wholeOnMiss bool) (*chunk.Header, int
 // loaded: the agg unit from cache, or the block read and parsed into a
 // copy of h, with the hit or the bytes charged to res as header charges
 // the header unit's.
-func (s *Server) loadAggs(ci meta.ChunkInfo, h *chunk.Header, res *model.Result, sp *telemetry.Span) (*chunk.Header, error) {
+func (s *Server) loadAggs(ci meta.ChunkInfo, h *chunk.Header, res *model.SubResult, sp *telemetry.Span) (*chunk.Header, error) {
 	openSp := sp.StartChild("chunk_open")
 	defer openSp.End()
 	key := unitKey{chunk: ci.ID, unit: aggUnit}
@@ -370,22 +370,22 @@ func (s *Server) loadAggs(ci meta.ChunkInfo, h *chunk.Header, res *model.Result,
 
 // ExecuteSubQuery runs one chunk subquery: select leaves by key range and
 // time sketches, read uncached leaves (coalescing adjacent extents into
-// single file accesses), and scan.
-func (s *Server) ExecuteSubQuery(sq *model.SubQuery) (*model.Result, error) {
+// single file accesses), and scan into one run.
+func (s *Server) ExecuteSubQuery(sq *model.SubQuery) (*model.SubResult, error) {
 	return s.ExecuteSubQueryTraced(sq, nil)
 }
 
 // ExecuteSubQueryTraced runs one chunk subquery, attaching per-stage
 // child spans (chunk_open, leaf_read, scan) to sp when tracing. A nil sp
 // costs only nil checks.
-func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (*model.Result, error) {
+func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (*model.SubResult, error) {
 	if s.down.Load() {
 		return nil, ErrServerDown
 	}
 	s.executed.Add(1)
 	s.m.SubQueries.Inc()
 	start := time.Now()
-	res := &model.Result{QueryID: sq.QueryID}
+	res := &model.SubResult{QueryID: sq.QueryID}
 	// Planned subqueries carry the chunk's file metadata; only hand-built
 	// ones pay a metadata-server round trip here.
 	ci := meta.ChunkInfo{ID: sq.Chunk, Path: sq.ChunkPath, HeaderLen: sq.ChunkHeaderLen, IndexLen: sq.ChunkIndexLen}
@@ -447,84 +447,46 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 	scanSp := sp.StartChild("scan")
 	cols := chunk.BorrowColumns()
 	defer chunk.ReturnColumns(cols)
-	// Matches are gathered in a recycled scratch slice and handed over in
-	// one exactly sized allocation. Growing the result itself by append left
-	// four to five times its final size behind in abandoned backing arrays —
-	// a quarter of everything a cold query allocated, and on a read-heavy
-	// process allocation rate is collector cadence.
-	scratch := matchPool.Get().(*[]model.Tuple)
-	matches := (*scratch)[:0]
-	defer func() {
-		if cap(matches) > maxPooledMatches {
-			return // a one-off huge result: leave its scratch to the collector
-		}
-		clear(matches) // what is left in them must not pin payload arenas
-		*scratch = matches[:0]
-		matchPool.Put(scratch)
-	}()
+	// Matches are encoded from the columns into pooled scratch and handed
+	// over as one exactly sized run: nothing of a result aliases the
+	// (cached, shared) leaf bodies, and growing the result itself would
+	// leave several times its size behind in abandoned buffers — on a
+	// read-heavy process allocation rate is collector cadence.
+	app := model.BorrowRunAppender()
+	defer model.ReturnRunAppender(app)
+	visit := func(k model.Key, ts model.Timestamp, p []byte) bool {
+		app.Append(k, ts, p)
+		return sq.Limit <= 0 || app.Len() < sq.Limit
+	}
 	for pos, li := range leaves {
 		res.LeavesRead++
-		// Matched payloads alias the (cached, shared) leaf body during the
-		// scan and are un-aliased afterwards into one arena per leaf — a
-		// single allocation instead of one per tuple.
-		arenaStart := len(matches)
-		payloadBytes := 0
-		err := h.ScanLeafColsWith(cols, li, bodies[pos], sq.Region.Keys, sq.Region.Times, sq.Filter, func(k model.Key, ts model.Timestamp, p []byte) bool {
-			matches = append(matches, model.Tuple{Key: k, Time: ts, Payload: p})
-			payloadBytes += len(p)
-			return sq.Limit <= 0 || len(matches) < sq.Limit
-		})
-		if err != nil {
+		if err := h.ScanLeafColsWith(cols, li, bodies[pos], sq.Region.Keys, sq.Region.Times, sq.Filter, visit); err != nil {
 			err = fmt.Errorf("queryexec: chunk %d leaf %d: %w", ci.ID, li, err)
 			scanSp.SetStr("error", err.Error())
 			scanSp.End()
 			return nil, err
 		}
-		if len(matches) > arenaStart {
-			var arena []byte
-			if payloadBytes > 0 {
-				arena = make([]byte, 0, payloadBytes)
-			}
-			for i := arenaStart; i < len(matches); i++ {
-				t := &matches[i]
-				if len(t.Payload) == 0 {
-					// Empty slices still point into the body; drop the
-					// reference so results never pin leaf buffers.
-					t.Payload = nil
-					continue
-				}
-				off := len(arena)
-				arena = append(arena, t.Payload...)
-				t.Payload = arena[off:len(arena):len(arena)]
-			}
-		}
-		if sq.Limit > 0 && len(matches) >= sq.Limit {
+		if sq.Limit > 0 && app.Len() >= sq.Limit {
 			break
 		}
 	}
-	if len(matches) > 0 {
-		res.Tuples = append(make([]model.Tuple, 0, len(matches)), matches...)
+	scanSp.SetInt("tuples", int64(app.Len()))
+	if app.Len() > 0 {
+		res.Runs = []model.Run{app.Take()}
 	}
 	scanSp.SetInt("leaves", int64(res.LeavesRead))
 	scanSp.SetInt("bloom_skipped", int64(res.LeavesSkipped))
-	scanSp.SetInt("tuples", int64(len(res.Tuples)))
 	scanSp.End()
 	s.m.LeavesRead.Add(int64(res.LeavesRead))
 	s.m.SubQueryNanos.Observe(time.Since(start))
 	return res, nil
 }
 
-// matchPool recycles the scratch a chunk subquery gathers its matches in,
-// up to maxPooledMatches tuples of it.
-var matchPool = sync.Pool{New: func() any { return new([]model.Tuple) }}
-
-const maxPooledMatches = 64 << 10
-
 // fetchLeafBodies returns the bodies of the given leaves (ascending leaf
 // numbers; bodies[i] is the body of leaves[i]), reading uncached ones from
 // the DFS with extent coalescing and single-flight dedup, and charging
 // bytes and cache counters to res.
-func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.Result, sp *telemetry.Span) ([][]byte, error) {
+func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.SubResult, sp *telemetry.Span) ([][]byte, error) {
 	// Partition wanted leaves into cached and missing, then coalesce
 	// missing extents into ranged reads. Gaps (cached or pruned leaves)
 	// up to maxGapBytes are read through rather than split: at HDFS-like
@@ -659,7 +621,7 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 // fetched and column-scanned, with the bucket-folded window excluded. The
 // pre-aggregate block is loaded (h.AggUnloaded) only when a leaf's buckets
 // can answer for it, so a COUNT that whole leaves answer never reads it.
-func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.Result, sp *telemetry.Span) error {
+func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.SubResult, sp *telemetry.Span) error {
 	spec := sq.Agg
 	agg := &model.AggPartial{}
 	res.Agg = agg

@@ -138,11 +138,11 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		if err != nil {
 			return nil, transport.BadRequestf("waterwheel: bad query: %v", err)
 		}
-		res, err := db.Query(q)
+		reply, _, err := db.queryEncoded(q, false)
 		if err != nil {
 			return nil, wireError(err)
 		}
-		return model.AppendResult(nil, res), nil
+		return reply, nil
 	})
 	s.Handle("agg", func(payload []byte) ([]byte, error) {
 		q, err := model.DecodeAggregateQuery(payload)
@@ -164,14 +164,15 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 	s.Handle("stats", func([]byte) ([]byte, error) {
 		return json.Marshal(db.Stats())
 	})
-	// trace answers [u32 span-tree length][span tree, JSON][result]: the
-	// result comes last so it is encoded once into the reply's tail.
+	// trace answers [u32 span-tree length][span tree, JSON][result]. The
+	// span tree is complete only once the merge is, so the result, encoded
+	// by the merge, is copied in behind it.
 	s.Handle("trace", func(payload []byte) ([]byte, error) {
 		q, err := model.DecodeQuery(payload)
 		if err != nil {
 			return nil, transport.BadRequestf("waterwheel: bad trace query: %v", err)
 		}
-		res, tr, err := db.QueryTraced(q)
+		reply, tr, err := db.queryEncoded(q, true)
 		if err != nil {
 			return nil, wireError(err)
 		}
@@ -179,8 +180,8 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(tree)), uint32(len(tree)))
-		return model.AppendResult(append(out, tree...), res), nil
+		out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(tree)+len(reply)), uint32(len(tree)))
+		return append(append(out, tree...), reply...), nil
 	})
 	s.Handle("admin", func(payload []byte) ([]byte, error) {
 		var req adminRequest

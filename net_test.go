@@ -711,3 +711,112 @@ func TestNetAdminElasticOps(t *testing.T) {
 		t.Errorf("slots after bad op: %v", err)
 	}
 }
+
+// TestQueryReplyIsTheMergedResultEncoded: the query verb's reply, merged
+// straight from the subqueries' runs, is byte for byte the wire form of the
+// merged tuples — the sorted matches, cut at the limit, encoded as one run
+// (which model's tests prove is what encoding the tuples gives) — for limit,
+// filter, recurrence and empty queries on memtable-only, chunk-only and
+// mixed plans. The data has what the runs must canonicalize: equal keys,
+// a late tuple behind a later time of its key, equal (key, time) arriving
+// with the larger payload first, and a duplicated group. In-process and
+// traced results decode to the same tuples.
+func TestQueryReplyIsTheMergedResultEncoded(t *testing.T) {
+	db, cl, _ := netFixture(t, Options{}, 0)
+	var all []Tuple
+	insert := func(g0, g1 int) {
+		t.Helper()
+		var ts []Tuple
+		for g := g0; g < g1; g++ {
+			k, t0 := Key(uint64(g)*0x9E3779B97F4A7C15), Timestamp(1000+3*g)
+			grp := []Tuple{
+				{Key: k, Time: t0 + 2, Payload: []byte{'b', byte(g)}},
+				{Key: k, Time: t0 + 2, Payload: []byte{'a', byte(g)}},
+				{Key: k, Time: t0 + 1, Payload: []byte{'c'}},
+			}
+			ts = append(ts, grp...)
+			if g%17 == 0 {
+				ts = append(ts, grp...)
+			}
+		}
+		if err := cl.InsertBatch(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, ts...)
+	}
+	// want is the oracle: every match of q, sorted, cut at the limit.
+	want := func(q Query) []Tuple {
+		var out []Tuple
+		for i := range all {
+			tp := &all[i]
+			if q.Keys.Contains(tp.Key) && q.Times.Contains(tp.Time) && q.Filter.Matches(tp) &&
+				(q.Recur == nil || q.Recur.Contains(tp.Time)) {
+				out = append(out, *tp)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return model.CompareTuples(&out[i], &out[j]) < 0 })
+		if q.Limit > 0 && q.Limit < len(out) {
+			out = out[:q.Limit]
+		}
+		return out
+	}
+	// groupCut is the first tuple count of at least n that ends a key group,
+	// where a LIMIT has one right answer.
+	groupCut := func(n int) int {
+		s := want(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
+		for n < len(s) && s[n].Key == s[n-1].Key {
+			n++
+		}
+		return n
+	}
+	check := func(plan string) {
+		t.Helper()
+		full := Query{Keys: FullKeyRange(), Times: FullTimeRange()}
+		for name, q := range map[string]Query{
+			"all":    full,
+			"limit":  {Keys: FullKeyRange(), Times: FullTimeRange(), Limit: groupCut(25)},
+			"filter": {Keys: FullKeyRange(), Times: TimeRange{Lo: 1100, Hi: 1900}, Filter: Or(PayloadBytes(0, EQ, []byte{'a'}), TimeCmp(GT, 1500))},
+			"recur":  {Keys: FullKeyRange(), Times: TimeRange{Lo: 1000, Hi: 2500}, Recur: &Recurrence{PeriodMillis: 10, StartMillis: 2, LengthMillis: 5}, Limit: 40},
+			// Too many periods to enumerate windows for: no pruning, and the
+			// limit must still wait for the recurrence filter.
+			"recur-wide": {Keys: FullKeyRange(), Times: FullTimeRange(), Recur: &Recurrence{PeriodMillis: 10, StartMillis: 2, LengthMillis: 5}, Limit: 40},
+			"empty":      {Keys: FullKeyRange(), Times: TimeRange{Lo: 1 << 40, Hi: 1 << 41}},
+		} {
+			w := want(q)
+			reply, err := cl.call("query", model.AppendQuery(nil, &q))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", plan, name, err)
+			}
+			res, err := model.DecodeResult(bytes.Clone(reply))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", plan, name, err)
+			}
+			oracle := []model.Run{{Buf: model.AppendTuples(nil, w), N: len(w)}}
+			if enc, _ := model.AppendMergedResult(nil, res, oracle, 0); !bytes.Equal(reply, enc) {
+				t.Fatalf("%s/%s: the reply is not the wire form of the %d merged tuples", plan, name, len(w))
+			}
+			in, err := db.Query(q)
+			if err != nil || !sameTuples(in.Tuples, w) || (len(w) == 0) != (in.Tuples == nil) {
+				t.Fatalf("%s/%s: in process %d tuples (%v), want %d", plan, name, len(in.Tuples), err, len(w))
+			}
+			tr, _, err := cl.QueryTraced(q)
+			if err != nil || !sameTuples(tr.Tuples, w) {
+				t.Fatalf("%s/%s: traced %d tuples (%v), want %d", plan, name, len(tr.Tuples), err, len(w))
+			}
+		}
+	}
+	insert(0, 300)
+	check("memtable")
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Buffered != 0 || st.Chunks == 0 {
+		t.Fatalf("after Flush: %d buffered, %d chunks", st.Buffered, st.Chunks)
+	}
+	check("chunks")
+	insert(300, 450)
+	check("mixed")
+}

@@ -172,7 +172,7 @@ func TestMemSubQueryAllocBudget(t *testing.T) {
 			Times: model.FullTimeRange(),
 		},
 	}
-	if res := is.ExecuteSubQuery(sq); len(res.Tuples) == 0 {
+	if res := is.ExecuteSubQuery(sq); res.Len() == 0 {
 		t.Fatal("mem subquery matched no tuples; key window too narrow")
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
@@ -181,5 +181,61 @@ func TestMemSubQueryAllocBudget(t *testing.T) {
 	t.Logf("mem subquery allocs: %.2f", allocs)
 	if allocs > 20 {
 		t.Errorf("mem subquery allocates %.2f times, want <= 20", allocs)
+	}
+}
+
+// TestCachedRangeSubQueryAllocsAreConstant: a cache-hit range subquery on a
+// 16-leaf chunk allocates the same small number of times whether it reads
+// one leaf or all of them and returns a few tuples or thousands. Its
+// matches are encoded into pooled scratch and leave as one exactly sized
+// run; nothing is allocated per leaf or per tuple.
+func TestCachedRangeSubQueryAllocsAreConstant(t *testing.T) {
+	skipAllocGuardUnderRace(t)
+	fs := dfs.New(dfs.Config{Nodes: 3, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
+	ms := meta.NewServer(1)
+	is := ingest.NewServer(ingest.Config{ID: 0, ChunkBytes: 1 << 30, Leaves: 16}, fs, ms, 0)
+	t.Cleanup(is.Close)
+	for i := 0; i < 8000; i++ {
+		is.Insert(model.Tuple{
+			Key:     model.Key(uint64(i) * 0x9E3779B97F4A7C15),
+			Time:    model.Timestamp(1000 + i),
+			Payload: []byte{byte(i), byte(i >> 8), 0, 0, 0, 0, 0, 0},
+		})
+	}
+	info, ok := is.Flush()
+	if !ok {
+		t.Fatal("flush produced no chunk")
+	}
+	qs := queryexec.NewServer(queryexec.ServerConfig{ID: 0, Node: 0, CacheBytes: 64 << 20, UseBloom: true}, fs, ms)
+	var base float64
+	for i, c := range []struct {
+		name           string
+		region         model.Region
+		leaves, tuples int // at least
+	}{
+		{"one leaf, a few tuples", model.Region{Keys: model.KeyRange{Lo: 0, Hi: 1 << 52}, Times: model.FullTimeRange()}, 1, 1},
+		{"every leaf, every tuple", model.FullRegion(), 16, 8000},
+		{"many leaves, a few tuples", model.Region{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 1000, Hi: 1009}}, 8, 10},
+	} {
+		sq := &model.SubQuery{Region: c.region, Chunk: info.ID}
+		res, err := qs.ExecuteSubQuery(sq) // fills the cache
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LeavesRead < c.leaves || res.Len() < c.tuples || (c.leaves == 1 && res.LeavesRead != 1) {
+			t.Fatalf("%s: %d leaves read, %d tuples", c.name, res.LeavesRead, res.Len())
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := qs.ExecuteSubQuery(sq); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d leaves, %d tuples, %.0f allocations", c.name, res.LeavesRead, res.Len(), allocs)
+		if i == 0 {
+			base = allocs
+		}
+		if allocs != base || allocs > 8 {
+			t.Errorf("%s allocates %.0f times, the one-leaf subquery %.0f; want the same, at most 8", c.name, allocs, base)
+		}
 	}
 }

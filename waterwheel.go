@@ -447,6 +447,16 @@ func (db *DB) QueryTraced(q Query) (*Result, *QueryTrace, error) {
 	return db.c.Coordinator().ExecuteTraced(q)
 }
 
+// queryEncoded is Query — QueryTraced when traced is set — for the network
+// front end: the result comes back in its wire form
+// (model.AppendMergedResult), merged straight into it.
+func (db *DB) queryEncoded(q Query, traced bool) ([]byte, *QueryTrace, error) {
+	if db.closed.Load() {
+		return nil, nil, ErrClosed
+	}
+	return db.c.Coordinator().ExecuteEncoded(q, traced)
+}
+
 // Telemetry returns the deployment's metric registry, or nil when opened
 // with DisableTelemetry.
 func (db *DB) Telemetry() *telemetry.Registry { return db.c.Telemetry() }

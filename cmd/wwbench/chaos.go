@@ -26,7 +26,6 @@ func runChaos(args []string) {
 		dur      = fs.String("durability", "", "insert ack policy with -datadir: ack-on-write, ack-on-fsync, interval")
 		crash    = fs.Bool("hardcrash", false, "with -datadir: hard-crash after the schedule (discard unsynced WAL bytes), reopen, re-verify")
 		elastic  = fs.Bool("elastic", false, "mix elastic topology ops (add/decommission/kill-with-standby/promote) into the schedule, with hot standbys on every slot")
-		shipWAL  = fs.Bool("shipwal", false, "standbys tail their slot's WAL over the shipping transport (implies -elastic semantics for standby setup)")
 		takeover = fs.Bool("takeover", false, "run the scripted takeover suite (every seeded schedule) instead of random seeds")
 		tiering  = fs.Bool("tiering", false, "run with hierarchical time tiering: retention ops demote and compact before dropping")
 	)
@@ -43,7 +42,7 @@ func runChaos(args []string) {
 	failed := false
 	for s := *seed; s < *seed+int64(*seeds); s++ {
 		opts := chaos.Options{Seed: s, Ops: *ops, Nodes: *nodes, Durability: *dur,
-			Elastic: *elastic || *shipWAL, ShipWAL: *shipWAL, Tiering: *tiering}
+			Elastic: *elastic, Tiering: *tiering}
 		if *dataDir != "" {
 			dir, err := os.MkdirTemp(*dataDir, fmt.Sprintf("chaos-seed%d-", s))
 			if err != nil {

@@ -2,6 +2,7 @@ package waterwheel
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -77,6 +78,55 @@ func TestInsertAfterCloseIsRejected(t *testing.T) {
 				t.Errorf("ingested moved %d -> %d after Close", before.Ingested, after.Ingested)
 			}
 		})
+	}
+}
+
+// TestCloseWithNetServerLeavesNoGoroutines: Close while a network server
+// serves a client that keeps writing, with hot standbys running. The late
+// writes are answered ErrClosed over the wire, and once the network server
+// and the client are closed too, no goroutine of the deployment is left:
+// the count is back at its value before Open.
+func TestCloseWithNetServerLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	db, err := Open(Options{HotStandby: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := db.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(ns.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			if err := cl.Insert(Tuple{Key: Key(i), Time: Timestamp(i), Payload: []byte("x")}); err != nil {
+				writer <- err
+				return
+			}
+		}
+	}()
+	for db.Stats().Ingested < 100 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	if err := returns(t, "Close", db.Close); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-writer; !errors.Is(err, ErrClosed) {
+		t.Fatalf("a write after Close = %v, want ErrClosed", err)
+	}
+	ns.Close()
+	cl.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines after Close, %d before Open:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -93,9 +93,6 @@ type Options struct {
 	// time, so the op sequence stays a pure function of the seed even as
 	// the slot set changes.
 	Elastic bool
-	// ShipWAL, with Elastic, tails the standbys over the WAL-shipping
-	// transport (loopback RPC) instead of in-process partition reads.
-	ShipWAL bool
 	// Telemetry, when set, is plumbed into the cluster so the run's
 	// handoff metrics (pause, lag, count) can be asserted afterwards.
 	Telemetry *telemetry.Registry
@@ -369,7 +366,6 @@ func clusterConfig(opts Options) cluster.Config {
 		DataDir:               opts.DataDir,
 		Durability:            opts.Durability,
 		HotStandby:            opts.Elastic,
-		ShipStandbyWAL:        opts.ShipWAL,
 		StandbyLagRecords:     32,
 		Telemetry:             opts.Telemetry,
 	}

@@ -47,10 +47,9 @@ type tkStep struct {
 
 // TakeoverSchedule is one named scripted scenario.
 type TakeoverSchedule struct {
-	Name    string
-	Seed    int64
-	ShipWAL bool // tail standbys over the WAL-shipping transport
-	Steps   []tkStep
+	Name  string
+	Seed  int64
+	Steps []tkStep
 }
 
 // TakeoverSchedules is the suite: every scenario the acceptance gate runs.
@@ -139,9 +138,9 @@ var TakeoverSchedules = []TakeoverSchedule{
 		},
 	},
 	{
-		// Two planned handoffs under sustained load, standbys tailing over
-		// the WAL-shipping transport — the cross-host path.
-		Name: "planned-handoff-shipped-wal", Seed: 9010, ShipWAL: true,
+		// Two planned handoffs back to back under sustained load: each
+		// promoted shadow inherits a moving WAL tail.
+		Name: "planned-handoffs-under-load", Seed: 9010,
 		Steps: []tkStep{
 			{"burst-bg", 600}, {"promote", 1}, {"promote", 3}, {"join", 0},
 			{"barrier", 0},
@@ -190,7 +189,6 @@ func RunTakeover(s TakeoverSchedule, dataDir string) (*TakeoverReport, error) {
 		DataDir:    dataDir,
 		Durability: "ack-on-fsync",
 		Elastic:    true,
-		ShipWAL:    s.ShipWAL,
 		Telemetry:  telemetry.NewRegistry(),
 	}
 	r, err := newRunner(opts)

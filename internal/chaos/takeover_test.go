@@ -97,20 +97,3 @@ func TestChaosElasticSeeds(t *testing.T) {
 		})
 	}
 }
-
-// TestChaosElasticShippedWAL repeats one elastic seed with standbys tailing
-// over the WAL-shipping transport — the exact read path a standby on a
-// remote host would use.
-func TestChaosElasticShippedWAL(t *testing.T) {
-	rep, err := Run(Options{
-		Seed: 61, Ops: 60, DataDir: t.TempDir(),
-		Durability: "ack-on-fsync", Elastic: true, ShipWAL: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report(t, rep)
-	if rep.Inserted == 0 {
-		t.Error("degenerate schedule: nothing inserted")
-	}
-}

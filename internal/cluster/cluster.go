@@ -30,7 +30,6 @@ import (
 	"waterwheel/internal/model"
 	"waterwheel/internal/queryexec"
 	"waterwheel/internal/telemetry"
-	"waterwheel/internal/transport"
 	"waterwheel/internal/wal"
 )
 
@@ -121,9 +120,10 @@ type Config struct {
 	// FsyncIntervalMillis is the background fsync cadence for the
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
-	// HotStandby keeps a WAL-tailing standby shadow per active indexing
-	// server: a kill becomes a takeover instead of a
-	// replay-from-offset, and PromoteStandby performs a planned handoff.
+	// HotStandby keeps a standby per active indexing server — a passive
+	// shadow consuming the slot's WAL partition: a kill becomes a takeover
+	// instead of a replay-from-offset, and PromoteStandby performs a planned
+	// handoff.
 	// After every takeover or promotion a fresh standby is started for the
 	// new owner automatically.
 	HotStandby bool
@@ -132,10 +132,6 @@ type Config struct {
 	// this many records of the partition head before flipping ownership
 	// (default 64).
 	StandbyLagRecords int
-	// ShipStandbyWAL tails standbys through the WAL-shipping transport (a
-	// loopback RPC server) instead of in-process partition reads —
-	// exercising the exact path a standby on another host would use.
-	ShipStandbyWAL bool
 	// TierWarmAfterMillis / TierColdAfterMillis age chunks through the
 	// retention tiers: a chunk whose max time lags the newest registered
 	// data by WarmAfter is demoted to warm, by ColdAfter to cold. Cold
@@ -206,12 +202,6 @@ type Cluster struct {
 	slotMu  sync.RWMutex
 	slots   []slot
 	carried Totals
-
-	// shipSrv is the lazily started loopback WAL-shipping endpoint used
-	// when ShipStandbyWAL routes standby tails through the transport.
-	shipMu   sync.Mutex
-	shipSrv  *transport.Server
-	shipAddr string
 
 	// Telemetry plumbing; all handles are nil-safe no-ops when
 	// Config.Telemetry is unset.
@@ -701,8 +691,12 @@ func (c *Cluster) waitApplied(slot int, head int64) error {
 // arrived since. Inserts are acked from the log ahead of the consumers, so
 // it first waits, as Drain does, until each slot has applied its log's
 // head; a consumer's error ends it there, as it ends Drain. Otherwise the
-// error is a flusher's that no retry can mend, or the checkpoint's.
+// error is a flusher's that no retry can mend, or the checkpoint's; on a
+// stopped cluster it is ErrClosed.
 func (c *Cluster) FlushAll() error {
+	if c.stopped.Load() {
+		return ErrClosed
+	}
 	if err := c.waitHeads(); err != nil {
 		return err
 	}

@@ -151,15 +151,22 @@ func (c *Cluster) checkpointer() {
 // Start launches the ingestion consumers, with a DataDir the checkpointer,
 // and, when configured, the balancer loop.
 func (c *Cluster) Start() {
+	// started flips under slotMu, where install reads it: every serving
+	// incarnation gets exactly one consumer, from here or from install.
+	c.slotMu.Lock()
 	if c.started.Swap(true) {
+		c.slotMu.Unlock()
 		return
 	}
-	for i, srv := range c.servers() {
-		if srv == nil {
-			continue // a retired slot has no consumer
+	for i := range c.slots {
+		// A retired slot has no consumer; a stopped cluster starts none.
+		if row := &c.slots[i]; row.srv != nil && !c.stopped.Load() {
+			row.stopConsumer, _ = c.spawnLocked(i, row.srv)
 		}
-		c.runConsumer(i, srv, c.detachConsumer(i))
-		if c.cfg.HotStandby {
+	}
+	c.slotMu.Unlock()
+	if c.cfg.HotStandby {
+		for _, i := range c.ActiveSlots() {
 			c.StartStandby(i)
 		}
 	}
@@ -212,13 +219,13 @@ func closeSegments(log *wal.Log) {
 
 // stopIngest is every shutdown's first half (c.stopped is set): release
 // whoever waits on c.stop, detach the consumers and take the standbys in one
-// walk of the slot table, discard the standbys, close the log (which wakes a
-// parked wal.read, so the shipping endpoint closes at once), wait for
+// walk of the slot table, discard the standbys, close the log, wait for
 // consumers and balancer, stop the servers. The servers stay in the table:
-// a stopped deployment still answers Stats and IndexServers.
+// a stopped deployment still answers Stats and IndexServers. Nothing spawns
+// a consumer once c.stopped is set (spawnLocked), so the walk sees them all.
 func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 	close(c.stop)
-	var hs []*standbyHandle
+	var hs []*standby
 	c.slotMu.Lock()
 	for i := range c.slots {
 		row := &c.slots[i]
@@ -233,16 +240,9 @@ func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 	}
 	c.slotMu.Unlock()
 	for _, h := range hs {
-		h.release()
-		h.sb.Close()
+		h.discard()
 	}
 	c.log.Close()
-	c.shipMu.Lock()
-	if c.shipSrv != nil {
-		c.shipSrv.Close()
-		c.shipSrv = nil
-	}
-	c.shipMu.Unlock()
 	c.wg.Wait()
 	for _, srv := range c.servers() {
 		if srv != nil {
@@ -289,7 +289,7 @@ func (c *Cluster) HardCrash() error {
 // until the next commit.
 func (c *Cluster) replayFloor(i int, committed int64) int64 {
 	if h := c.standby(i); h != nil {
-		return min(committed, h.sb.Consumed())
+		return min(committed, h.srv.Consumed())
 	}
 	return committed
 }

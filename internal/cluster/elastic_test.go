@@ -12,6 +12,7 @@ import (
 
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 // elasticConfig is a WAL-mode cluster with hot standbys on every slot —
@@ -322,4 +323,39 @@ func TestCoordinatorRestartFromMetadata(t *testing.T) {
 	}
 	c2.Drain()
 	verifyExactlyOnce(t, c2, seq)
+}
+
+// TestPromotionKeepsOnlyWhatTheShadowKept: a standby that had replayed its
+// slot's tuples and was then overtaken by the owner's flush commit holds
+// nothing, neither those tuples nor their counts. Promoted, it serves none
+// of them a second time, and the ingest total counts each once.
+func TestPromotionKeepsOnlyWhatTheShadowKept(t *testing.T) {
+	cfg := testConfig() // two slots
+	cfg.HotStandby = true
+	c := startCluster(t, cfg)
+	const n = 1000
+	for seq := uint64(0); seq < n; seq++ {
+		if err := seqInsert(c, seq, model.Key(seq<<52)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots := c.ActiveSlots()
+	for _, i := range slots {
+		waitStandbyCaughtUp(t, c, i) // the shadow holds its slot's share
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range slots {
+		if err := c.AwaitStandby(i, wal.Deadline(5*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PromoteStandby(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Totals().Ingested; got != n {
+		t.Fatalf("Totals().Ingested = %d after the promotions, want %d", got, n)
+	}
+	verifyExactlyOnce(t, c, n)
 }

@@ -11,13 +11,12 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"waterwheel/internal/ingest"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
-	"waterwheel/internal/transport"
-	"waterwheel/internal/wal"
 )
 
 // slot is row i of the slot table, guarded by Cluster.slotMu. Topology
@@ -35,11 +34,11 @@ type slot struct {
 	retired bool
 	// standby is the slot's hot standby (HotStandby mode or StartStandby),
 	// nil when it has none: startStandbyLocked sets it, whoever takes it
-	// (takeover, decommission, stopIngest) owns shutting it down.
-	standby *standbyHandle
-	// stopConsumer stops the running consumer goroutine when closed, so one
+	// (takeover, decommission, stopIngest) owns stopping it.
+	standby *standby
+	// stopConsumer stops srv's consumer goroutine when closed, so one
 	// consumer can be "crashed" without stopping the cluster; nil when none
-	// runs. Written by detachConsumer only.
+	// runs. install sets it, detachConsumer and stopIngest close it.
 	stopConsumer chan struct{}
 }
 
@@ -96,19 +95,27 @@ func fold[T any](c *Cluster, acc T, f func(acc T, slot int, srv *ingest.Server) 
 	return acc
 }
 
-// standbyHandle pairs a hot standby with the resources backing its tail.
-type standbyHandle struct {
-	sb        *ingest.Standby
-	closeTail func() // releases a WAL-shipping client; nil for local tails
+// standby is a slot's hot standby: a passive server run by the same
+// consumer loop as the owner, under a stop channel of its own (DESIGN §14).
+type standby struct {
+	srv        *ingest.Server
+	stop, done chan struct{} // see spawnLocked
+	stopOnce   sync.Once
 }
 
-// release closes a shipped tail's client — BEFORE the standby is halted:
-// that is what ends a wal.read parked on the server ahead of its bound.
-func (h *standbyHandle) release() {
-	if h.closeTail != nil {
-		h.closeTail()
-		h.closeTail = nil
-	}
+// halt stops the standby's consumer and waits for it to return: closing
+// stop ends the loop, the wake ends a read parked at the partition head. The
+// shadow keeps its replay position. A second call finds the consumer gone.
+func (h *standby) halt() {
+	h.stopOnce.Do(func() { close(h.stop) })
+	h.srv.Wake()
+	<-h.done
+}
+
+// discard halts the standby and aborts its shadow: it will not be promoted.
+func (h *standby) discard() {
+	h.halt()
+	h.srv.Abort()
 }
 
 // slotAt returns a copy of row i, the zero row when i is out of range.
@@ -128,8 +135,8 @@ func (c *Cluster) server(i int) *ingest.Server { return c.slotAt(i).srv }
 // isRetired reports whether slot i has been decommissioned.
 func (c *Cluster) isRetired(i int) bool { return c.slotAt(i).retired }
 
-// standby returns slot i's standby handle, nil if it has none.
-func (c *Cluster) standby(i int) *standbyHandle { return c.slotAt(i).standby }
+// standby returns slot i's standby, nil if it has none.
+func (c *Cluster) standby(i int) *standby { return c.slotAt(i).standby }
 
 // servers returns the serving incarnations by slot id; a slot nobody serves
 // is nil.
@@ -143,17 +150,50 @@ func (c *Cluster) servers() []*ingest.Server {
 	return out
 }
 
-// install makes srv slot i's serving incarnation (nil: nobody serves it any
-// more) and carries the outgoing one's counts over, in one write section.
-// The caller has stopped the outgoing incarnation (Abort, Close): but for a
-// batch its detached consumer may still be applying, its counts are final.
-func (c *Cluster) install(i int, srv *ingest.Server) {
+// install makes srv slot i's serving incarnation and, once the cluster has
+// started, starts its consumer (nil srv: nobody serves the slot any more),
+// carrying the outgoing one's counts over, in one write section. The caller
+// has stopped the outgoing incarnation (Abort, Close): but for a batch its
+// detached consumer may still be applying, its counts are final. A stopping
+// cluster takes no new server — stopIngest may have walked the table
+// already, and nothing would stop it — so install aborts srv instead and
+// answers ErrClosed.
+func (c *Cluster) install(i int, srv *ingest.Server) error {
 	c.slotMu.Lock()
-	if old := c.slots[i].srv; old != nil {
-		c.carried.count(old)
+	if srv != nil && c.stopped.Load() {
+		c.slotMu.Unlock()
+		srv.Abort()
+		return ErrClosed
 	}
-	c.slots[i].srv = srv
+	row := &c.slots[i]
+	if row.srv != nil {
+		c.carried.count(row.srv)
+	}
+	row.srv = srv
+	if srv != nil && c.started.Load() {
+		row.stopConsumer, _ = c.spawnLocked(i, srv)
+	}
 	c.slotMu.Unlock()
+	return nil
+}
+
+// spawnLocked starts srv's consumer on slot i's partition and returns the
+// channel that stops it and the one closed once it has returned. Requires
+// slotMu, held for writing, and c.stopped unset: stopIngest sets c.stopped
+// before it walks the table under slotMu, and waits for c.wg after the walk,
+// so a consumer is either spawned before the walk, which stops it, or not
+// at all.
+func (c *Cluster) spawnLocked(i int, srv *ingest.Server) (stop, done chan struct{}) {
+	stop, done = make(chan struct{}), make(chan struct{})
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		defer close(done)
+		// Consume keeps its own error: it fails the applied watermark with
+		// it, and Drain (AwaitStandby for a standby) reports it.
+		_ = srv.Consume(c.log.Partition(i), stop)
+	}()
+	return stop, done
 }
 
 // installSchema is the one schema fan-out: every serving incarnation and
@@ -175,7 +215,7 @@ func (c *Cluster) installSchema(newSchema meta.PartitionSchema) {
 			row.srv.SetKeys(newSchema.IntervalOf(i))
 		}
 		if row.standby != nil {
-			row.standby.sb.SetKeys(newSchema.IntervalOf(i))
+			row.standby.srv.SetKeys(newSchema.IntervalOf(i))
 		}
 	}
 	for _, d := range c.disp {
@@ -198,8 +238,8 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// fsync), so the flusher syncs its unit's offset into the log before
 	// registering chunks and committing. ReleaseWAL: once it has committed,
 	// the partition drops its resident copy of what no replay will read, the
-	// slot's standby, possibly parked, looks at the commit (reset rule), and
-	// the checkpointer counts it.
+	// slot's standby, possibly parked, looks at the commit (reset on
+	// commit), and the checkpointer counts it.
 	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -214,7 +254,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		ReleaseWAL: func(committed int64) {
 			c.log.Partition(i).Release(c.replayFloor(i, committed))
 			if h := c.standby(i); h != nil {
-				h.sb.Wake()
+				h.srv.Wake()
 			}
 			c.commits.Add(1)
 		},
@@ -256,36 +296,18 @@ func (c *Cluster) TickBalance() bool {
 	return true
 }
 
-// detachConsumer stops slot i's consumer, if one runs, and returns the stop
-// channel its successor is to run under — already closed, and not recorded,
-// when there is no successor because stopIngest has been (or is) here.
-func (c *Cluster) detachConsumer(i int) chan struct{} {
+// detachConsumer stops slot i's consumer, if one runs.
+func (c *Cluster) detachConsumer(i int) {
 	c.slotMu.Lock()
 	defer c.slotMu.Unlock()
 	if cs := c.slots[i].stopConsumer; cs != nil {
 		close(cs)
-	}
-	cs := make(chan struct{})
-	c.slots[i].stopConsumer = cs
-	if c.stopped.Load() {
-		close(cs)
 		c.slots[i].stopConsumer = nil
 	}
-	return cs
 }
 
-// runConsumer starts slot i's WAL consumption goroutine. Consume keeps its
-// own error: it fails the applied watermark with it, and Drain reports it.
-func (c *Cluster) runConsumer(i int, srv *ingest.Server, cs chan struct{}) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		_ = srv.Consume(c.log.Partition(i), cs)
-	}()
-}
-
-// takeStandby removes and returns slot i's standby handle, nil if none.
-func (c *Cluster) takeStandby(i int) *standbyHandle {
+// takeStandby removes and returns slot i's standby, nil if none.
+func (c *Cluster) takeStandby(i int) *standby {
 	c.slotMu.Lock()
 	defer c.slotMu.Unlock()
 	h := c.slots[i].standby
@@ -293,32 +315,11 @@ func (c *Cluster) takeStandby(i int) *standbyHandle {
 	return h
 }
 
-// shipTail opens a WAL-shipping tail for partition i through the lazily
-// started loopback transport endpoint.
-func (c *Cluster) shipTail(i int) (wal.Tail, func(), error) {
-	c.shipMu.Lock()
-	defer c.shipMu.Unlock()
-	if c.shipSrv == nil {
-		srv := transport.NewServer()
-		wal.RegisterShipping(srv, c.log)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: wal shipping listen: %w", err)
-		}
-		c.shipSrv, c.shipAddr = srv, addr
-	}
-	cl, err := transport.Dial(c.shipAddr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: wal shipping dial: %w", err)
-	}
-	return wal.NewRemoteTail(cl, i), func() { cl.Close() }, nil
-}
-
 // StartStandby launches a hot standby for slot i: a passive shadow server
-// tailing the slot's WAL partition (through the shipping transport when
-// ShipStandbyWAL is set), ready to take over on PromoteStandby or a kill.
-// One standby per slot — a slot that already has one is a
-// no-op (idempotent for operator scripts and the HotStandby auto-attach).
+// consuming the slot's WAL partition, ready to take over on PromoteStandby
+// or a kill. One standby per slot — a slot that already has one is a no-op
+// (idempotent for operator scripts and the HotStandby auto-attach). A
+// stopping cluster refuses it with ErrClosed.
 func (c *Cluster) StartStandby(i int) error {
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()
@@ -332,53 +333,55 @@ func (c *Cluster) startStandbyLocked(i int) error {
 	if c.standby(i) != nil {
 		return nil
 	}
-	var (
-		tail      wal.Tail = c.log.Partition(i)
-		closeTail func()
-	)
-	if c.cfg.ShipStandbyWAL {
-		rt, release, err := c.shipTail(i)
-		if err != nil {
-			return err
-		}
-		tail, closeTail = rt, release
-	}
-	keys := c.ms.Schema().IntervalOf(i)
-	sb := ingest.NewStandby(ingest.StandbyConfig{
-		Slot:      i,
-		NewServer: func() *ingest.Server { return c.newIndexServer(i, keys, 0, true) },
-		ReplayOffset: c.reg.Gauge(fmt.Sprintf(`waterwheel_standby_replay_offset{slot="%d"}`, i),
-			"next WAL offset the slot's hot standby will replay"),
-	}, c.ms, tail)
+	srv := c.newIndexServer(i, c.ms.Schema().IntervalOf(i), 0, true)
+	// The stop channel is made under slotMu with the check install makes: an
+	// attach after stopIngest's walk would run for ever.
 	c.slotMu.Lock()
-	c.slots[i].standby = &standbyHandle{sb: sb, closeTail: closeTail}
+	if c.stopped.Load() {
+		c.slotMu.Unlock()
+		srv.Abort()
+		return ErrClosed
+	}
+	h := &standby{srv: srv}
+	h.stop, h.done = c.spawnLocked(i, srv)
+	c.slots[i].standby = h
 	c.slotMu.Unlock()
-	sb.Start()
+	c.reg.GaugeFunc(fmt.Sprintf(`waterwheel_standby_replay_offset{slot="%d"}`, i),
+		"next WAL offset the slot's hot standby will replay (0: it has none)", func() float64 {
+			if h := c.standby(i); h != nil {
+				return float64(h.srv.Consumed())
+			}
+			return 0
+		})
 	return nil
 }
 
 // takeover flips slot i's ownership to a successor: the promoted standby
-// shadow when h is non-nil, else a fresh server replaying the WAL from
-// the committed offset. The flip is one metadata CAS (TransferOwnership
-// bumps the fencing epoch, records the handoff offset and reads the
-// nominal interval atomically), so a flush the deposed incarnation still
-// has in flight fails with ErrFenced instead of committing chunks or
-// offsets under the new owner. Ingest into the partition never pauses —
-// the measured handoff pause is consumer detach to successor consuming.
-func (c *Cluster) takeover(i int, h *standbyHandle) error {
+// when h is non-nil, else a fresh server replaying the WAL from the
+// committed offset. The flip is one metadata CAS (TransferOwnership bumps
+// the fencing epoch, records the handoff offset and reads the nominal
+// interval atomically), so a flush the deposed incarnation still has in
+// flight fails with ErrFenced instead of committing chunks or offsets under
+// the new owner. A promotion stops the standby's consumer first, so the
+// handoff offset is where the shadow stopped; after the fence, Activate's
+// reset check drops what the deposed owner committed meanwhile. Ingest into
+// the partition never pauses — the measured handoff pause is consumer
+// detach to successor consuming.
+func (c *Cluster) takeover(i int, h *standby) error {
 	pauseStart := time.Now()
-	cs := c.detachConsumer(i)
+	c.detachConsumer(i)
 	old := c.server(i)
 	handoffOff := c.ms.Offset(i)
 	if h != nil {
-		handoffOff = h.sb.Consumed()
+		h.halt()
+		handoffOff = h.srv.Consumed()
 	}
-	lag := c.log.Partition(i).Next() - handoffOff
-	if lag < 0 {
-		lag = 0
-	}
+	lag := max(c.log.Partition(i).Next()-handoffOff, 0)
 	epoch, kr, err := c.ms.TransferOwnership(i, handoffOff)
 	if err != nil {
+		if h != nil {
+			h.srv.Abort()
+		}
 		return err
 	}
 	// Abort AFTER the fence: the old flusher exits on its next (rejected)
@@ -389,21 +392,21 @@ func (c *Cluster) takeover(i int, h *standbyHandle) error {
 	}
 	var repl *ingest.Server
 	if h != nil {
-		h.release()
-		h.sb.Halt()
-		repl = h.sb.Promote(epoch)
+		repl = h.srv
+		repl.Activate(epoch)
 		repl.SetKeys(kr)
 	} else {
 		repl = c.newIndexServer(i, kr, epoch, false)
 	}
-	c.install(i, repl)
-	c.runConsumer(i, repl, cs)
+	if err := c.install(i, repl); err != nil {
+		return err
+	}
 	c.takeovers.Add(1)
 	c.handoffs.Inc()
 	c.handoffLag.Observe(time.Duration(lag) * time.Second)
 	c.handoffPause.Observe(time.Since(pauseStart))
-	if c.cfg.HotStandby && !c.stopped.Load() {
-		c.startStandbyLocked(i)
+	if c.cfg.HotStandby {
+		c.startStandbyLocked(i) // ErrClosed once stopping: nothing to attach to
 	}
 	return nil
 }
@@ -432,7 +435,7 @@ func (c *Cluster) AwaitStandby(i int, cancel <-chan struct{}) error {
 		return fmt.Errorf("cluster: slot %d has no standby", i)
 	}
 	target := c.log.Partition(i).Next() - int64(c.cfg.StandbyLagRecords)
-	if err := h.sb.WaitReplayed(target, cancel); err != nil {
+	if err := h.srv.WaitApplied(target, cancel); err != nil {
 		return fmt.Errorf("cluster: standby catch-up (slot %d): %w", i, err)
 	}
 	return nil
@@ -469,10 +472,10 @@ func (c *Cluster) AddIndexServer() (int, error) {
 	}
 	srv := c.newIndexServer(id, newSchema.IntervalOf(id), c.ms.Epoch(id), false)
 	c.slotMu.Lock()
-	c.slots = append(c.slots, slot{srv: srv})
+	c.slots = append(c.slots, slot{})
 	c.slotMu.Unlock()
-	if c.started.Load() {
-		c.runConsumer(id, srv, c.detachConsumer(id))
+	if err := c.install(id, srv); err != nil {
+		return 0, err
 	}
 	// The split slot's nominal interval narrowed; its actual interval
 	// stays wide until its buffered tuples flush (§III-D), handled by the
@@ -536,8 +539,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	p.Seal()
 	// 3. The standby is moot: the final flush will empty the partition.
 	if h := c.takeStandby(i); h != nil {
-		h.release()
-		h.sb.Close()
+		h.discard()
 	}
 	// 4. Drain the final head, then stop the consumer.
 	head := p.Next()

@@ -13,20 +13,20 @@ import (
 func waitStandbyCaughtUp(t *testing.T, c *Cluster, i int) {
 	t.Helper()
 	h := c.standby(i)
-	if err := h.sb.WaitReplayed(c.log.Partition(i).Next(), wal.Deadline(5*time.Second)); err != nil {
-		t.Fatalf("standby %d never caught up (at %d): %v", i, h.sb.Consumed(), err)
+	if err := h.srv.WaitApplied(c.log.Partition(i).Next(), wal.Deadline(5*time.Second)); err != nil {
+		t.Fatalf("standby %d never caught up (at %d): %v", i, h.srv.Consumed(), err)
 	}
 }
 
 // haltStandby freezes slot i's standby at its current replay position:
-// the tail loop exits, so the position neither advances nor resets on a
+// its consumer returns, so the position neither advances nor resets on a
 // later commit. The handle stays installed, so the truncation floor and
 // a later promotion still see it — this is the "standby fell behind"
 // state the truncation race needs.
 func haltStandby(c *Cluster, i int) int64 {
 	h := c.standby(i)
-	h.sb.Halt()
-	return h.sb.Consumed()
+	h.halt()
+	return h.srv.Consumed()
 }
 
 // TestTruncateFloorsAtStandbyReplay is the regression test for the

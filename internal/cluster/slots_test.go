@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -136,8 +137,8 @@ func TestDecommissionedServerIsLetGo(t *testing.T) {
 // TestStopLeavesNoGoroutines drives every lifecycle edge with a writer and a
 // reader running, checks that every acked tuple comes back exactly once, and
 // then holds Stop (once HardCrash) to leaving no goroutine behind: consumers,
-// standbys and their shipped tails, flushers, the checkpointer, the balancer
-// ticker and the shipping endpoint all have to end.
+// owners' and standbys', flushers, the checkpointer and the balancer ticker
+// all have to end.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -148,9 +149,9 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		{"memory-only", func(*Config) {}, 500, false},
 		{"HotStandby", func(cfg *Config) { cfg.HotStandby = true }, 500, false},
 		// Every insert waits out an fsync here: fewer of them.
-		{"DataDir+ack-on-fsync+HotStandby+ShipStandbyWAL", func(cfg *Config) {
+		{"DataDir+ack-on-fsync+HotStandby", func(cfg *Config) {
 			cfg.DataDir, cfg.Durability = t.TempDir(), "ack-on-fsync"
-			cfg.HotStandby, cfg.ShipStandbyWAL = true, true
+			cfg.HotStandby = true
 		}, 50, true},
 		{"DataDir+interval+balancer+tiering", func(cfg *Config) {
 			cfg.DataDir, cfg.Durability, cfg.FsyncIntervalMillis = t.TempDir(), "interval", 5
@@ -266,5 +267,63 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("%d goroutines after the shutdown, %d before Open:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 			}
 		})
+	}
+}
+
+// TestStandbyAttachRacesStop: StartStandby, and KillIndexServer (whose
+// takeover attaches a fresh standby under HotStandby), race Stop. A standby
+// attached after Stop's walk of the slot table used to run for ever; an
+// attach, or a successor's install, that finds the cluster stopping is now
+// refused with ErrClosed, and every shutdown leaves the goroutine count
+// where it was before Open.
+func TestStandbyAttachRacesStop(t *testing.T) {
+	rounds := 60
+	if testing.Short() {
+		rounds = 12
+	}
+	baseline := runtime.NumGoroutine()
+	for r := 0; r < rounds; r++ {
+		cfg := testConfig() // two slots
+		cfg.HotStandby = r%2 == 0
+		c, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		for seq := uint64(0); seq < 100; seq++ {
+			if err := seqInsert(c, seq, model.Key(seq<<56)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			check := func(what string, err error) {
+				if err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("round %d: %s racing Stop: %v", r, what, err)
+				}
+			}
+			for _, i := range []int{0, 1} {
+				check("StartStandby", c.StartStandby(i))
+				check("KillIndexServer", c.KillIndexServer(i))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for k := 0; k < r%8; k++ {
+				runtime.Gosched()
+			}
+			c.Stop()
+		}()
+		wg.Wait()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("round %d: %d goroutines after Stop, %d before Open:\n%s", r, n, baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -207,7 +207,6 @@ func TestReopenLoadsOnlyTheReplayTail(t *testing.T) {
 func TestCrashPathsAfterRelease(t *testing.T) {
 	eachLog(t, func(t *testing.T, disk bool) {
 		cfg := walMemConfig(t, disk)
-		cfg.ShipStandbyWAL = disk // the standby tails through wal.ship
 		c := startCluster(t, cfg)
 		var seq uint64
 		more := func(n uint64) {
@@ -257,7 +256,6 @@ func TestPromotionRacesCommits(t *testing.T) {
 	eachLog(t, func(t *testing.T, disk bool) {
 		cfg := walMemConfig(t, disk)
 		cfg.HotStandby = true
-		cfg.ShipStandbyWAL = disk
 		cfg.StandbyLagRecords = 1 << 30 // flip however far behind the standby is
 		c := startCluster(t, cfg)
 		var acked atomic.Uint64

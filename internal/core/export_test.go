@@ -1,5 +1,7 @@
 package core
 
+import "waterwheel/internal/model"
+
 // Sub returns the counter deltas s - o.
 func (s StatsSnapshot) Sub(o StatsSnapshot) StatsSnapshot {
 	return StatsSnapshot{
@@ -11,4 +13,11 @@ func (s StatsSnapshot) Sub(o StatsSnapshot) StatsSnapshot {
 		TemplateUpdates:     s.TemplateUpdates - o.TemplateUpdates,
 		TemplateUpdateNanos: s.TemplateUpdateNanos - o.TemplateUpdateNanos,
 	}
+}
+
+// Keys returns the tree's nominal key interval.
+func (t *TemplateTree) Keys() model.KeyRange {
+	t.gate.RLock()
+	defer t.gate.RUnlock()
+	return t.cfg.Keys
 }

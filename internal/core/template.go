@@ -1052,10 +1052,3 @@ func (t *TemplateTree) SetKeys(kr model.KeyRange) {
 	t.cfg.Keys = kr
 	t.gate.Unlock()
 }
-
-// Keys returns the tree's nominal key interval.
-func (t *TemplateTree) Keys() model.KeyRange {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	return t.cfg.Keys
-}

@@ -210,9 +210,6 @@ func Open(cfg Config) (*FS, error) {
 	return fs, nil
 }
 
-// Nodes returns the datanode count.
-func (fs *FS) Nodes() int { return fs.cfg.Nodes }
-
 // Metrics returns the activity counters.
 func (fs *FS) Metrics() *Metrics { return &fs.m }
 

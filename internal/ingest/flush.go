@@ -103,7 +103,8 @@ func (pf *pendingFlush) mainInfo() meta.ChunkInfo {
 // hands them to the flusher as one unit. threshold marks calls from the
 // insert hot path, which re-check the triggering tree's threshold under
 // swapMu so concurrent crossings don't flush tiny residue trees.
-// Returns nil when there was nothing to flush.
+// Returns nil when there was nothing to flush, and on a closed server, which
+// swaps nothing: what it buffers stays in the memtable, and in the log.
 //
 // The trees swap together because the WAL offset recorded with the unit
 // (s.consumed at swap time) covers every consumed tuple regardless of which
@@ -124,8 +125,8 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if threshold && tree.Bytes() < s.thresholdFor(isSide) {
-		return nil // another inserter already swapped this tree out
+	if s.closed || threshold && tree.Bytes() < s.thresholdFor(isSide) {
+		return nil // closed, or another inserter already swapped this tree out
 	}
 	s.pendMu.Lock()
 	var parts []flushPart
@@ -165,16 +166,6 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 	// Wake a flusher parked on an earlier failure so retries precede the
 	// new snapshot (preserving seq order), whether or not we swapped.
 	s.signalRetry()
-	if s.closed {
-		// Post-Close stragglers process inline, oldest first, still in seq
-		// order. This branch runs even when nothing was swapped (pf == nil):
-		// a bare Flush() over an empty memtable must still re-drive an
-		// earlier failed snapshot, since the background flusher that would
-		// retry it has exited.
-		<-s.flusherDone
-		s.processBacklogUpTo(s.flushSeq)
-		return pf
-	}
 	if pf == nil {
 		return nil
 	}
@@ -486,29 +477,6 @@ func (s *Server) sweepLocked() {
 	s.pending = keep
 }
 
-// processBacklogUpTo persists every unregistered pending snapshot with
-// seq <= maxSeq inline, in order, one attempt each. Used by flushes
-// arriving after Close.
-func (s *Server) processBacklogUpTo(maxSeq int) {
-	for {
-		s.pendMu.RLock()
-		var next *pendingFlush
-		for _, pf := range s.pending {
-			if flushState(pf.state.Load()) != flushDone && pf.seq <= maxSeq {
-				next = pf
-				break
-			}
-		}
-		s.pendMu.RUnlock()
-		if next == nil {
-			return
-		}
-		if s.processFlush(next) != nil {
-			return // outage: leave the rest for a later retry
-		}
-	}
-}
-
 // oldestUnpersisted returns the first pending snapshot that is not yet in
 // a registered chunk, or nil.
 func (s *Server) oldestUnpersisted() *pendingFlush {
@@ -593,7 +561,9 @@ func (s *Server) AwaitPendingFlush(cancel <-chan struct{}) bool {
 
 // Close stops the background flusher, draining queued snapshots first
 // (failures during an outage are abandoned to WAL replay rather than
-// retried forever). Further Flush calls process inline. Idempotent.
+// retried forever). A closed server flushes nothing more: a later Flush
+// returns at once, what is buffered stays in the memtable and in the log.
+// Idempotent.
 func (s *Server) Close() {
 	s.consumed.Fail(ErrStopped)
 	s.swapMu.Lock()
@@ -626,9 +596,9 @@ func (s *Server) Abort() {
 	}
 	<-s.flusherDone
 	// Barrier: a registration already inside its pendMu critical section
-	// (e.g. the post-Close inline path) completes or observes the
-	// abort before this returns, so the caller reads WAL offsets only after
-	// the last possible commit from this incarnation.
+	// completes or observes the abort before this returns, so the caller
+	// reads WAL offsets only after the last possible commit from this
+	// incarnation.
 	s.pendMu.Lock()
 	s.pendMu.Unlock() //nolint:staticcheck // empty section is the barrier
 }

@@ -320,14 +320,44 @@ func TestCloseDrainsQueue(t *testing.T) {
 	}
 	srv.Close()
 	srv.DrainFlushes()
-	waitFor(t, func() bool { return ms.ChunkCount() >= 2 })
-	if _, ok := srv.Flush(); !ok { // the ~50-tuple tail, flushed inline post-Close
-		t.Fatal("post-Close flush failed")
+	// Close drained the queued snapshots: every full memtable is a chunk.
+	chunks, tail := ms.ChunkCount(), srv.MemLen()
+	if chunks < 2 || tail == 0 || tail >= 250 {
+		t.Fatalf("after Close: %d chunks, %d tuples buffered; want >= 2 chunks and the tail buffered", chunks, tail)
 	}
-	if srv.MemLen() != 0 {
-		t.Fatalf("MemLen = %d after close+flush, want 0", srv.MemLen())
+	// A closed server flushes nothing more: Flush returns at once, and the
+	// ~50-tuple tail stays in the memtable (and in the log, for a replay).
+	if _, ok := returnsWithin(t, srv.Flush); ok {
+		t.Fatal("a flush after Close reported success")
+	}
+	if got := ms.ChunkCount(); got != chunks {
+		t.Fatalf("a flush after Close registered %d chunks", got-chunks)
+	}
+	if got := srv.MemLen(); got != tail {
+		t.Fatalf("MemLen = %d after Close + Flush, want the %d-tuple tail", got, tail)
 	}
 	srv.Close() // idempotent
+}
+
+// returnsWithin runs flush and fails the test unless it returns within 3 s.
+func returnsWithin(t *testing.T, flush func() (meta.ChunkInfo, bool)) (meta.ChunkInfo, bool) {
+	t.Helper()
+	type out struct {
+		info meta.ChunkInfo
+		ok   bool
+	}
+	ret := make(chan out, 1)
+	go func() {
+		info, ok := flush()
+		ret <- out{info, ok}
+	}()
+	select {
+	case o := <-ret:
+		return o.info, o.ok
+	case <-time.After(3 * time.Second):
+		t.Fatal("HANG: Flush never returned on a closed server")
+		return meta.ChunkInfo{}, false
+	}
 }
 
 // TestSwapBetweenBoundsAndInsertKeepsLiveRegion is the regression test for

@@ -90,11 +90,12 @@ type Config struct {
 	// linger, but it cannot write metadata. A passive shadow holds none
 	// until Activate.
 	Epoch int64
-	// Passive builds the server as a hot standby's shadow: it indexes
-	// tuples normally (so a promotion inherits a warm memtable) but never
-	// flushes, never reports a live region, and never commits offsets —
-	// the active owner of the slot does all three. Activate flips the
-	// server live.
+	// Passive builds the server as a hot standby's shadow: it consumes the
+	// slot's partition and indexes tuples normally (so a promotion inherits
+	// a warm memtable) but never flushes, never reports a live region, and
+	// never commits offsets — the active owner of the slot does all three.
+	// It holds only the owner's unflushed suffix (reset on commit, see
+	// Consume). Activate flips the server live.
 	Passive bool
 }
 
@@ -231,6 +232,14 @@ type Server struct {
 	// below it has been applied to the trees (see insertBatchAt). Consume,
 	// Close and Abort fail it: this incarnation applies nothing more.
 	consumed wal.Watermark
+	// shadowBase is, on a passive server, the slot's committed offset its
+	// tuples start at: once the commit passes it, the shadow resets
+	// (resetOnCommit). Written by the consumer only, and by Activate after
+	// the consumer has returned.
+	shadowBase int64
+	// wake is what a passive server's consumer parks on at the partition
+	// head (Wake).
+	wake chan struct{}
 	// flushEvents counts flush-pipeline steps (a unit enqueued, an attempt
 	// finished, the flusher parked) for awaitFlush; the flusher fails it.
 	flushEvents wal.Watermark
@@ -254,6 +263,7 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		retryCh:      make(chan struct{}, 1),
 		stopCh:       make(chan struct{}),
 		flusherDone:  make(chan struct{}),
+		wake:         make(chan struct{}, 1),
 	}
 	if cfg.SideThresholdMillis > 0 {
 		sideCfg := tc
@@ -261,7 +271,13 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		s.side = core.NewTemplateTree(sideCfg)
 	}
 	s.watermark.Store(int64(model.MinTimestamp))
-	if cfg.Epoch == 0 && !cfg.Passive {
+	switch {
+	case cfg.Passive:
+		// A shadow starts empty at the slot's commit: its replay position
+		// from the start, so it floors the log's release from the start.
+		s.shadowBase = ms.Offset(cfg.ID)
+		s.consumed.Set(s.shadowBase)
+	case cfg.Epoch == 0:
 		cfg.Epoch = ms.Epoch(cfg.ID)
 	}
 	s.epoch.Store(cfg.Epoch)
@@ -519,10 +535,14 @@ func (s *Server) PublishLive() { s.reportLive() }
 
 // Activate flips a passive shadow live under the given ownership epoch —
 // the final step of a promotion, after meta.TransferOwnership fenced the
-// old owner. The committed-offset floor snaps to the slot's metadata
-// offset (final once the old owner is fenced) and the live region is
-// published.
+// old owner and the shadow's consumer has returned. The slot's committed
+// offset is final now, so one last reset check aligns the shadow with it:
+// every tuple it keeps is then in no chunk, and every record below its
+// position is in exactly one. The committed-offset floor snaps to that
+// offset and the live region is published. The caller then runs Consume,
+// which resumes at the shadow's position.
 func (s *Server) Activate(epoch int64) {
+	s.resetOnCommit()
 	s.epoch.Store(epoch)
 	s.pendMu.Lock()
 	if off := s.ms.Offset(s.cfg.ID); off > s.committedOff {
@@ -533,8 +553,41 @@ func (s *Server) Activate(epoch int64) {
 	s.reportLive()
 }
 
-// Epoch returns the ownership epoch this incarnation writes metadata under.
-func (s *Server) Epoch() int64 { return s.epoch.Load() }
+// resetOnCommit is a passive shadow's one rule: once the slot's committed
+// offset has passed the shadow's base, every record below the commit is in a
+// registered chunk, and keeping the shadow's copy would serve it twice after
+// a promotion. So the shadow drops its tuples and their counts and resumes
+// replay at the commit; the work lost is at most one memtable. The template
+// survives, as it does a flush.
+func (s *Server) resetOnCommit() {
+	committed := s.ms.Offset(s.cfg.ID)
+	if committed <= s.shadowBase {
+		return
+	}
+	s.pendMu.Lock()
+	s.tree.FlushReset()
+	if s.side != nil {
+		s.side.FlushReset()
+	}
+	s.minMu.Lock()
+	s.hasData, s.sideData, s.keysSet = false, false, false
+	s.minMu.Unlock()
+	s.pendMu.Unlock()
+	s.stats.Ingested.Store(0)
+	s.stats.SideRouted.Store(0)
+	s.shadowBase = committed
+	s.consumed.Set(committed)
+}
+
+// Wake makes a passive server's consumer, parked at the partition head,
+// look at the slot's committed offset again: the owner's flush commit calls
+// it (reset on commit), and so does whoever stops the consumer.
+func (s *Server) Wake() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
 
 // Flush forces the in-memory state out as chunks — the memtable and, when
 // non-empty, the side store swap together as one flush unit — and waits for
@@ -729,17 +782,27 @@ func (s *Server) SetKeys(kr model.KeyRange) {
 
 // --- WAL consumption and recovery (§V) ---
 
-// ErrStopped fails the watermarks of a server (or standby) stopped from
-// outside — consumer detached, Close, Abort — not by an error of its own:
-// whoever waits on the slot should look for its successor.
+// ErrStopped fails the watermarks of a server stopped from outside —
+// consumer detached, Close, Abort — not by an error of its own: whoever
+// waits on the slot should look for its successor.
 var ErrStopped = errors.New("ingest: server stopped")
+
+// tailReadMax bounds the records of one log read.
+const tailReadMax = 2048
 
 // Consume runs the ingestion loop: it replays the partition from the
 // offset stored in the metadata server (recovery), then keeps consuming
 // until the partition closes or stop fires, parked on the partition head
 // whenever it has caught up. Fresh tuples become queryable the moment
 // Insert returns. However it ends, the applied watermark fails with it —
-// the returned error when there is one, ErrStopped otherwise.
+// the returned error when there is one, ErrStopped otherwise — except on a
+// passive server stopped from outside, which may yet be promoted.
+//
+// A passive server runs the same loop with one step more per read: reset on
+// commit (resetOnCommit). It parks on its wake channel rather than on stop,
+// so the owner's flush commit can send it back to that check; whoever stops
+// it closes stop and then wakes it. Its replay recovers nothing: it counts
+// no record as Recovered.
 //
 // The log's horizon never passes min(committed offset, standby position)
 // (wal retention is gated on exactly those), so the replay offset is always
@@ -747,30 +810,51 @@ var ErrStopped = errors.New("ingest: server stopped")
 // in no chunk: Consume counts a replay gap and returns an error wrapping
 // wal.ErrCompacted instead of skipping them.
 func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
-	defer func() { s.consumed.Fail(cmp.Or(err, ErrStopped)) }()
+	passive := s.passive.Load()
+	defer func() {
+		if err != nil || !passive {
+			s.consumed.Fail(cmp.Or(err, ErrStopped))
+		}
+	}()
 	start := s.ms.Offset(s.cfg.ID)
 	// A promoted standby already replayed its shadow memtable up to
 	// consumed; resuming below that would insert those records twice.
 	if c := s.consumed.Load(); c > start {
 		start = c
 	}
-	if base := p.Base(); start < base {
+	// A shadow's start can fall behind the log's horizon only once the owner
+	// has committed past it (the horizon never passes the commit, and a
+	// shadow taken out of the slot table floors it no more): the loop's
+	// first reset moves it up to the commit.
+	if base := p.Base(); start < base && !passive {
 		s.stats.ReplayGaps.Add(1)
 		return fmt.Errorf("ingest: consume (server %d): replay offset %d: %w: log starts at %d", s.cfg.ID, start, wal.ErrCompacted, base)
 	}
 	s.consumed.Set(start)
-	head := p.Next() // records before head are replayed backlog (recovery)
+	head, cancel := p.Next(), stop // records before head are replayed backlog (recovery)
+	if passive {
+		head, cancel = start, s.wake
+	}
 	for {
 		select {
 		case <-stop:
 			return nil
 		default:
 		}
-		recs, err := p.ReadBlocking(s.consumed.Load(), tailReadMax, stop)
+		if passive {
+			s.resetOnCommit()
+		}
+		recs, err := p.ReadBlocking(s.consumed.Load(), tailReadMax, cancel)
 		if errors.Is(err, wal.ErrClosed) {
 			return nil
 		}
 		if err != nil {
+			if passive && errors.Is(err, wal.ErrCompacted) {
+				// The log's horizon never passes the commit, so a shadow finds
+				// its position truncated only once the owner has committed past
+				// its base: the reset above moves it up to the commit.
+				continue
+			}
 			return fmt.Errorf("ingest: consume: %w", err)
 		}
 		if len(recs) == 0 {
@@ -831,8 +915,7 @@ func (s *Server) WaitApplied(offset int64, cancel <-chan struct{}) error {
 // slice. The payloads alias the records' buffers (the WAL's resident window,
 // or a cold read's): the trees copy every payload into a leaf arena on
 // insert, so nothing retains the aliases past insertBatchAt and the window's
-// buffers are not pinned by what was decoded from them. Shared by the
-// consumption loop and the standby replayer.
+// buffers are not pinned by what was decoded from them.
 func decodeRecords(recs []wal.Record) ([]model.Tuple, error) {
 	batch := make([]model.Tuple, len(recs))
 	for i, r := range recs {

@@ -14,34 +14,30 @@ func encodeTuple(t model.Tuple) []byte {
 	return model.AppendTuple(nil, &t)
 }
 
-// standbyEnv wires an active owner consuming a partition plus a standby
-// tailing the same partition.
-func standbyEnv(t *testing.T, chunkBytes int64) (*Server, *Standby, *wal.Partition, *meta.Server, func()) {
+// standbyEnv wires an active owner consuming a partition plus a standby: a
+// passive server consuming the same partition. halt stops the standby's
+// consumer and waits for it, as the cluster does before a promotion.
+func standbyEnv(t *testing.T, chunkBytes int64) (owner, shadow *Server, p *wal.Partition, ms *meta.Server, halt, cleanup func()) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{Nodes: 3, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
-	ms := meta.NewServer(1)
+	ms = meta.NewServer(1)
 	// As in the cluster, the owner's flush commit is what wakes a standby
 	// parked on a quiet partition.
-	var sb *Standby
-	owner := NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Epoch: ms.Epoch(0),
-		ReleaseWAL: func(int64) { sb.Wake() }}, fs, ms, 0)
-	p := wal.NewPartition()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); owner.Consume(p, stop) }()
-	sb = NewStandby(StandbyConfig{
-		Slot: 0,
-		NewServer: func() *Server {
-			return NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Passive: true}, fs, ms, 0)
-		},
-	}, ms, p)
-	sb.Start()
-	cleanup := func() {
-		close(stop)
-		<-done
+	owner = NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Epoch: ms.Epoch(0),
+		ReleaseWAL: func(int64) { shadow.Wake() }}, fs, ms, 0)
+	shadow = NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Passive: true}, fs, ms, 0)
+	p = wal.NewPartition()
+	run := func(srv *Server) (stop func()) {
+		ch, done := make(chan struct{}), make(chan struct{})
+		go func() { defer close(done); srv.Consume(p, ch) }()
+		return func() { close(ch); srv.Wake(); <-done }
+	}
+	stopOwner, halt := run(owner), run(shadow)
+	cleanup = func() {
+		stopOwner()
 		owner.Close()
 	}
-	return owner, sb, p, ms, cleanup
+	return owner, shadow, p, ms, halt, cleanup
 }
 
 func appendTuples(t *testing.T, p *wal.Partition, lo, n int) {
@@ -66,29 +62,33 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 }
 
 func TestStandbyShadowsOwner(t *testing.T) {
-	_, sb, p, _, cleanup := standbyEnv(t, 1<<30)
+	_, shadow, p, _, halt, cleanup := standbyEnv(t, 1<<30)
 	defer cleanup()
 	appendTuples(t, p, 0, 50)
-	if err := sb.WaitReplayed(p.Next(), nil); err != nil {
+	if err := shadow.WaitApplied(p.Next(), nil); err != nil {
 		t.Fatal(err)
 	}
-	// The shadow indexed every unflushed record but reported no live
-	// region and flushed nothing.
-	sb.Halt()
-	srv := sb.Promote(2)
-	if got := srv.MemLen(); got != 50 {
+	// The shadow indexed every unflushed record but flushed nothing. Halted,
+	// it keeps its position live for the promotion.
+	halt()
+	if err := shadow.consumed.Err(); err != nil {
+		t.Fatalf("halting the standby failed its position: %v", err)
+	}
+	shadow.Activate(2)
+	if got := shadow.MemLen(); got != 50 {
 		t.Fatalf("shadow memtable holds %d tuples, want 50", got)
 	}
 }
 
 func TestStandbyResetsOnOwnerCommit(t *testing.T) {
-	owner, sb, p, ms, cleanup := standbyEnv(t, 1<<30)
+	owner, shadow, p, ms, halt, cleanup := standbyEnv(t, 1<<30)
 	defer cleanup()
 	appendTuples(t, p, 0, 40)
 	waitCond(t, "owner catch-up", func() bool { return owner.Consumed() == p.Next() })
-	waitCond(t, "standby catch-up", func() bool { return sb.Consumed() == p.Next() })
+	waitCond(t, "standby catch-up", func() bool { return shadow.Consumed() == p.Next() })
 	// The owner flushes: its committed offset passes the standby's base,
-	// so the shadow must reset and re-tail from the commit.
+	// so the shadow must drop its tuples and their counts and resume at the
+	// commit — woken by the commit itself, with nothing appended after it.
 	if _, ok := owner.Flush(); !ok {
 		t.Fatal("owner flush did not happen")
 	}
@@ -97,38 +97,36 @@ func TestStandbyResetsOnOwnerCommit(t *testing.T) {
 		t.Fatalf("committed = %d, head = %d", committed, p.Next())
 	}
 	waitCond(t, "standby reset", func() bool {
-		sb.mu.Lock()
-		base := sb.base
-		sb.mu.Unlock()
-		return base == committed && sb.Consumed() >= committed
+		return shadow.MemLen() == 0 && shadow.Stats().Ingested.Load() == 0 && shadow.Consumed() == committed
 	})
 	appendTuples(t, p, 40, 10)
-	waitCond(t, "standby tail resume", func() bool { return sb.Consumed() == p.Next() })
-	sb.Halt()
-	srv := sb.Promote(2)
-	if got := srv.MemLen(); got != 10 {
-		t.Fatalf("shadow holds %d tuples after reset, want only the 10 post-commit ones", got)
+	waitCond(t, "standby resume", func() bool { return shadow.Consumed() == p.Next() })
+	halt()
+	shadow.Activate(2)
+	if got, ingested := shadow.MemLen(), shadow.Stats().Ingested.Load(); got != 10 || ingested != 10 {
+		t.Fatalf("shadow holds %d tuples and counts %d after reset, want only the 10 post-commit ones", got, ingested)
 	}
 }
 
 func TestPromoteAfterFenceResumesExactlyOnce(t *testing.T) {
-	owner, sb, p, ms, cleanup := standbyEnv(t, 1<<30)
+	owner, shadow, p, ms, halt, cleanup := standbyEnv(t, 1<<30)
 	appendTuples(t, p, 0, 30)
 	waitCond(t, "owner catch-up", func() bool { return owner.Consumed() == p.Next() })
-	waitCond(t, "standby catch-up", func() bool { return sb.Consumed() == p.Next() })
+	waitCond(t, "standby catch-up", func() bool { return shadow.Consumed() == p.Next() })
 	cleanup() // owner crashes (consumer detached)
 
-	epoch, _, err := ms.TransferOwnership(0, sb.Consumed())
+	halt()
+	epoch, _, err := ms.TransferOwnership(0, shadow.Consumed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb.Halt()
-	srv := sb.Promote(epoch)
-	if srv.Epoch() != epoch {
-		t.Fatalf("promoted epoch = %d, want %d", srv.Epoch(), epoch)
+	shadow.Activate(epoch)
+	if shadow.epoch.Load() != epoch {
+		t.Fatalf("promoted epoch = %d, want %d", shadow.epoch.Load(), epoch)
 	}
 	// The promoted server resumes consumption from its own replay
 	// position, not the (stale) metadata offset — no duplicate replay.
+	srv := shadow
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() { defer close(done); srv.Consume(p, stop) }()

@@ -1,6 +1,10 @@
 package meta
 
-import "sort"
+import (
+	"sort"
+
+	"waterwheel/internal/model"
+)
 
 // Read-backs of state production only writes and persists: the registered
 // queries (what a replacement coordinator would re-run, §V) and the WAL
@@ -28,4 +32,11 @@ func (s *Server) HandoffOffset(server int) int64 {
 		return 0
 	}
 	return s.handoffs[server]
+}
+
+// Actual returns the actual key interval of an indexing server.
+func (s *Server) Actual(server int) model.KeyRange {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.actual[server]
 }

@@ -289,13 +289,6 @@ func (s *Server) SetSchema(bounds []model.Key) (PartitionSchema, error) {
 	return clonedSchema(s.schema), nil
 }
 
-// Actual returns the actual key interval of an indexing server.
-func (s *Server) Actual(server int) model.KeyRange {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.actual[server]
-}
-
 // ReportLive updates an indexing server's live region after inserts or a
 // flush. keys is the exact key bounding box of the server's in-memory
 // tuples (memtable, side store, unregistered snapshots); the actual

@@ -14,3 +14,6 @@ func AppendResult(dst []byte, r *Result) []byte {
 	dst = appendResultHeader(slices.Grow(dst, n), r, len(r.Tuples), r.Tuples != nil)
 	return AppendTuples(dst, r.Tuples)
 }
+
+// IsValid reports whether both intervals are non-empty.
+func (r Region) IsValid() bool { return r.Keys.IsValid() && r.Times.IsValid() }

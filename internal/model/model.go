@@ -179,9 +179,6 @@ func (r Region) Intersect(o Region) (Region, bool) {
 	return Region{Keys: k, Times: t}, true
 }
 
-// IsValid reports whether both intervals are non-empty.
-func (r Region) IsValid() bool { return r.Keys.IsValid() && r.Times.IsValid() }
-
 // String implements fmt.Stringer.
 func (r Region) String() string {
 	return fmt.Sprintf("region(keys=%s, times=%s)", r.Keys, r.Times)

@@ -116,14 +116,6 @@ func (m *CoordinatorMetrics) dispatchHist(policy string) *telemetry.Histogram {
 	return h
 }
 
-// policyName names a dispatch policy for labels and traces.
-func policyName(p Policy) string {
-	if n, ok := p.(interface{ Name() string }); ok {
-		return n.Name()
-	}
-	return fmt.Sprintf("%T", p)
-}
-
 // Coordinator decomposes user queries into subqueries, dispatches them
 // across indexing servers (fresh data) and query servers (chunks), and
 // merges the results (§IV-A).
@@ -156,9 +148,6 @@ func NewCoordinator(cfg CoordinatorConfig, ms *meta.Server, fs *dfs.FS) *Coordin
 	}
 	return &Coordinator{cfg: cfg, ms: ms, fs: fs, m: m}
 }
-
-// Traces returns the coordinator's trace ring (nil when tracing is off).
-func (c *Coordinator) Traces() *telemetry.TraceRing { return c.cfg.Traces }
 
 // AddQueryServer registers a query server.
 func (c *Coordinator) AddQueryServer(s *Server) {
@@ -296,7 +285,7 @@ func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkS
 	c.m.MemSubQueries.Add(int64(len(memSubs)))
 	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
 	c.mu.RLock()
-	pname := policyName(c.cfg.Policy)
+	pname := c.cfg.Policy.Name()
 	c.mu.RUnlock()
 	dispSp := root.StartChild("dispatch")
 	dispSp.SetStr("policy", pname)
@@ -386,7 +375,7 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) 
 		root.End()
 		if root != nil {
 			c.mu.RLock()
-			pname := policyName(c.cfg.Policy)
+			pname := c.cfg.Policy.Name()
 			c.mu.RUnlock()
 			tr = &telemetry.QueryTrace{QueryID: q.ID, Policy: pname, Root: root}
 			c.cfg.Traces.Add(tr)

@@ -44,13 +44,6 @@ func New(maxEntries int) *Tree {
 	}
 }
 
-// Len returns the number of stored entries.
-func (t *Tree) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.size
-}
-
 // Insert stores value under the given region. Duplicate regions are
 // allowed.
 func (t *Tree) Insert(r model.Region, value any) {

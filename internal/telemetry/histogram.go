@@ -59,14 +59,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(n)
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistogramSnapshot is a point-in-time summary of a histogram. Quantiles
 // are upper-bound estimates from the bucket layout (within 2x of the true
 // value).

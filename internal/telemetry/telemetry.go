@@ -55,13 +55,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
 // Add atomically adds delta (may be negative) — the up/down gauge used for
 // occupancy-style metrics such as busy workers or inflight reads.
 func (g *Gauge) Add(delta float64) {

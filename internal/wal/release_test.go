@@ -10,13 +10,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"waterwheel/internal/transport"
 )
 
 // readThrough reads [from, to) with small reads and fails unless every
 // offset comes back exactly once, in order, carrying payload(off).
-func readThrough(t *testing.T, tail Tail, from, to int64, payload func(int64) []byte) {
+func readThrough(t *testing.T, tail *Partition, from, to int64, payload func(int64) []byte) {
 	t.Helper()
 	for next := from; next < to; {
 		recs, err := tail.ReadBlocking(next, 37, nil)
@@ -215,8 +213,8 @@ func TestOpenLogDirResidentFloor(t *testing.T) {
 // TestReleaseConcurrentWithEverything runs every actor that touches one
 // disk-backed partition at once — appenders (single records and batches),
 // a consumer reading the head, a flusher releasing what the consumer
-// applied, a standby tailing through the shipping transport from far
-// behind, and a retention loop moving the logical horizon and unlinking the
+// applied, a standby reading small blocks from far behind, and a retention
+// loop moving the logical horizon and unlinking the
 // segments below it, on a log that rolls every few hundred records — and
 // requires that both readers see every offset exactly once, in order, with
 // the payload its appender framed. Run under -race.
@@ -228,18 +226,6 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	}
 	p := l.Partition(0)
 	p.segBytes = 4096
-	srv := transport.NewServer()
-	RegisterShipping(srv, l)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := transport.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 
 	total := int64(20_000)
 	if testing.Short() {
@@ -276,14 +262,13 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	go func() { wg.Wait(); close(writersDone) }()
 
 	// follow reads tail from offset 0 until the writers are done and the
-	// head is reached, checking order; publish reports progress.
-	// A local read parks until the writers are done (its cancel), a shipped
-	// one until the long-poll bound: a cancelled call would drop its reply.
-	follow := func(name string, tail Tail, cancel <-chan struct{}, publish func(int64)) {
+	// head is reached, checking order, max records a read; publish reports
+	// progress. A read parks until the writers are done (its cancel).
+	follow := func(name string, max int, publish func(int64)) {
 		var next int64
 		seqs := make([]int, writers)
 		for {
-			recs, err := tail.ReadBlocking(next, 256, cancel)
+			recs, err := p.ReadBlocking(next, max, writersDone)
 			if err != nil {
 				t.Errorf("%s: read at %d: %v", name, next, err)
 				return
@@ -314,21 +299,22 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 			}
 		}
 	}
-	var consumed, shipped atomic.Int64
+	var consumed, standby atomic.Int64
 	var readers sync.WaitGroup
 	readers.Add(2)
 	go func() {
 		defer readers.Done()
-		follow("consumer", p, writersDone, func(n int64) {
+		follow("consumer", 256, func(n int64) {
 			consumed.Store(n)
 			// Release-on-commit: everything applied is released at once, so
-			// the shipped tail behind it reads cold almost all the time.
+			// the standby behind it, reading 16 records at a time, reads cold
+			// almost all the time.
 			p.Release(n)
 		})
 	}()
 	go func() {
 		defer readers.Done()
-		follow("shipped tail", NewRemoteTail(cl, 0), nil, shipped.Store)
+		follow("standby", 16, standby.Store)
 	}()
 
 	// Retention: the logical horizon follows the slower reader (the floor a
@@ -344,7 +330,7 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 				return
 			default:
 			}
-			p.Truncate(min(consumed.Load(), shipped.Load()))
+			p.Truncate(min(consumed.Load(), standby.Load()))
 			runtime.Gosched()
 		}
 	}()
@@ -356,11 +342,14 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	}
 
 	head := p.Next()
-	if head < total || consumed.Load() != head || shipped.Load() != head {
-		t.Fatalf("head %d (want >= %d), consumer at %d, shipped tail at %d", head, total, consumed.Load(), shipped.Load())
+	if head < total || consumed.Load() != head || standby.Load() != head {
+		t.Fatalf("head %d (want >= %d), consumer at %d, standby at %d", head, total, consumed.Load(), standby.Load())
 	}
 	if p.Len() != 0 {
 		t.Fatalf("%d records resident after everything was released", p.Len())
+	}
+	if p.coldWalked == 0 {
+		t.Fatal("the standby never read below the released window")
 	}
 	// What the horizon still covers survives a reopen, which reports the
 	// first surviving segment's base: at or below the exact horizon, within

@@ -331,7 +331,7 @@ func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 const readLinger = 200 * time.Microsecond
 
 // ReadBlocking is Read that waits at the head: the one waited read, in
-// which the consumer, the standby tail and the wal.read long-poll park. It
+// which every consumer, an owner's or a hot standby's, parks. It
 // answers ErrClosed once the partition is closed and every retained record
 // past offset was delivered, and an empty read when cancel fires first.
 func (p *Partition) ReadBlocking(offset int64, max int, cancel <-chan struct{}) ([]Record, error) {
@@ -448,13 +448,6 @@ func (p *Partition) Bytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes
-}
-
-// Tail is the read side a standby replays a partition through: either a
-// *Partition directly (in-process) or a RemoteTail long-polling it over the
-// cluster transport (see ship.go).
-type Tail interface {
-	ReadBlocking(offset int64, max int, cancel <-chan struct{}) ([]Record, error)
 }
 
 // Log is a topic: a set of partitions, growable while live (elastic

@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -265,5 +267,55 @@ func TestLog(t *testing.T) {
 	}
 	if nl := NewLog(0); nl.Partitions() != 1 {
 		t.Error("minimum one partition")
+	}
+}
+
+func TestLogAddPartition(t *testing.T) {
+	l := NewLog(1)
+	p, i, err := l.AddPartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != 1 || l.Partitions() != 2 || l.Partition(1) != p {
+		t.Fatalf("add partition: i=%d n=%d", i, l.Partitions())
+	}
+	if _, err := p.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Disk-backed logs grow with files beside their siblings and recover
+	// the added partition on reopen.
+	dir := t.TempDir()
+	dl, err := openLogDir(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, di, err := dl.AddPartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if di != 1 {
+		t.Fatalf("disk add partition index = %d", di)
+	}
+	if _, err := dp.Append([]byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	dl.Close()
+	for i := 0; i < dl.Partitions(); i++ {
+		if err := dl.Partition(i).CloseFile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "p1.wal")); err != nil {
+		t.Fatalf("added partition file: %v", err)
+	}
+	re, err := openLogDir(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	recs, err := re.Partition(1).Read(0, 10)
+	if err != nil || len(recs) != 1 || string(recs[0].Data) != "y" {
+		t.Fatalf("reopened added partition read = %v, %v", recs, err)
 	}
 }

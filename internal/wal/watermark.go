@@ -12,7 +12,7 @@ var ErrCanceled = errors.New("wal: wait canceled")
 
 // Watermark is an int64 a goroutine can block on — the one way anything in
 // Waterwheel waits for progress (DESIGN.md, "Waiting"): a partition's head,
-// a server's applied offset, a standby's replay position, a flusher's event
+// a server's applied offset (a standby's replay position), a flusher's event
 // count. Its owner moves it with Set or Add and ends it with Fail; anyone
 // may Wait for a target. The zero value is a watermark at 0.
 //

@@ -174,9 +174,6 @@ func (g *TDrive) Next() model.Tuple {
 	return model.Tuple{Key: key, Time: t, Payload: payload}
 }
 
-// Grid exposes the z-order grid so queries can cover geo rectangles.
-func (g *TDrive) Grid() *zorder.Grid { return g.grid }
-
 // KeySpan implements Generator: the full z-code range of the grid.
 func (g *TDrive) KeySpan() model.KeyRange {
 	cells := uint64(1) << g.cfg.Bits

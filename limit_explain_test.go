@@ -93,7 +93,7 @@ func TestExplain(t *testing.T) {
 	// Explain must not execute anything: stats unchanged afterwards is hard
 	// to assert directly; at minimum it returns the clipped regions.
 	for _, sq := range info.ChunkSubQueries {
-		if !sq.Region.IsValid() {
+		if !sq.Region.Keys.IsValid() || !sq.Region.Times.IsValid() {
 			t.Fatalf("invalid clipped region %v", sq.Region)
 		}
 	}

@@ -161,14 +161,10 @@ type Options struct {
 	// FsyncIntervalMillis is the background fsync cadence for the
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
-	// HotStandby keeps a passive shadow server tailing each slot's WAL
+	// HotStandby keeps a passive shadow server consuming each slot's WAL
 	// partition, building a shadow memtable so a takeover (KillIndexServer,
 	// PromoteStandby) flips ownership without replaying the whole backlog.
 	HotStandby bool
-	// ShipStandbyWAL makes standbys tail their slot's WAL over the
-	// internal transport (the path a standby on a remote host would use)
-	// instead of reading the partition directly.
-	ShipStandbyWAL bool
 	// StandbyLagRecords is the catch-up gate for planned handoffs: a
 	// PromoteStandby waits until the standby's replay position is within
 	// this many records of the partition head before flipping ownership
@@ -220,7 +216,6 @@ func (o Options) config() cluster.Config {
 		Durability:            o.Durability,
 		FsyncIntervalMillis:   o.FsyncIntervalMillis,
 		HotStandby:            o.HotStandby,
-		ShipStandbyWAL:        o.ShipStandbyWAL,
 		StandbyLagRecords:     o.StandbyLagRecords,
 		TierWarmAfterMillis:   o.TierWarmAfterMillis,
 		TierColdAfterMillis:   o.TierColdAfterMillis,
@@ -518,10 +513,9 @@ func (db *DB) DecommissionIndexServer(i int) error {
 }
 
 // StartStandby attaches a hot standby to slot i: a passive shadow server
-// that tails the slot's WAL partition (over the shipping transport when
-// ShipStandbyWAL is set) and builds a shadow memtable, ready for
-// PromoteStandby or a takeover after KillIndexServer. A no-op error-free
-// call when the slot already has one.
+// that consumes the slot's WAL partition and builds a shadow memtable,
+// ready for PromoteStandby or a takeover after KillIndexServer. A no-op
+// error-free call when the slot already has one.
 func (db *DB) StartStandby(i int) error {
 	if db.closed.Load() {
 		return ErrClosed

@@ -6,6 +6,7 @@
 //	wwql -addr 127.0.0.1:7070 insert 42 1700000000000 hello
 //	wwql -addr 127.0.0.1:7070 query -keys 0:100 -times 0:2000000000000
 //	wwql -addr 127.0.0.1:7070 query -keys 0:100 -daily 09:00-17:00
+//	wwql -addr 127.0.0.1:7070 query -keys 0:100 -daily 22:00-02:00
 //	wwql -addr 127.0.0.1:7070 trace -keys 0:100 -times 0:2000000000000
 //	wwql -addr 127.0.0.1:7070 agg -kind sum -field 0 -keys 0:100 -times 0:2000000000000
 //	wwql -addr 127.0.0.1:7070 stats
@@ -46,7 +47,8 @@ func parseRange(s string) (lo, hi uint64, err error) {
 }
 
 // parseDaily parses a "hh:mm-hh:mm" recurring daily window ("between
-// 09:00 and 17:00 daily") into a Recurrence.
+// 09:00 and 17:00 daily") into a Recurrence. A window that ends before it
+// starts crosses midnight: 22:00-02:00 is four hours a night.
 func parseDaily(s string) (*waterwheel.Recurrence, error) {
 	parts := strings.SplitN(s, "-", 2)
 	if len(parts) != 2 {
@@ -75,10 +77,14 @@ func parseDaily(s string) (*waterwheel.Recurrence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if to <= from {
-		return nil, fmt.Errorf("window %q must end after it starts", s)
+	length := to - from
+	if length < 0 {
+		length += 24 * 60
 	}
-	return waterwheel.Daily(from*60_000, (to-from)*60_000), nil
+	if length == 0 {
+		return nil, fmt.Errorf("window %q is empty", s)
+	}
+	return waterwheel.Daily(from*60_000, length*60_000), nil
 }
 
 // parseQueryArgs parses the shared query/trace flags into a query and the

@@ -359,25 +359,24 @@ func (c *Cluster) startStandbyLocked(i int) error {
 // takeover flips slot i's ownership to a successor: the promoted standby
 // when h is non-nil, else a fresh server replaying the WAL from the
 // committed offset. The flip is one metadata CAS (TransferOwnership bumps
-// the fencing epoch, records the handoff offset and reads the nominal
-// interval atomically), so a flush the deposed incarnation still has in
-// flight fails with ErrFenced instead of committing chunks or offsets under
-// the new owner. A promotion stops the standby's consumer first, so the
-// handoff offset is where the shadow stopped; after the fence, Activate's
-// reset check drops what the deposed owner committed meanwhile. Ingest into
-// the partition never pauses — the measured handoff pause is consumer
-// detach to successor consuming.
+// the fencing epoch and reads the nominal interval atomically), so a flush
+// the deposed incarnation still has in flight fails with ErrFenced instead
+// of committing chunks or offsets under the new owner. A promotion stops the
+// standby's consumer first, so the successor resumes where the shadow
+// stopped; after the fence, Activate's reset check drops what the deposed
+// owner committed meanwhile. Ingest into the partition never pauses — the
+// measured handoff pause is consumer detach to successor consuming.
 func (c *Cluster) takeover(i int, h *standby) error {
 	pauseStart := time.Now()
 	c.detachConsumer(i)
 	old := c.server(i)
-	handoffOff := c.ms.Offset(i)
+	resume := c.ms.Offset(i)
 	if h != nil {
 		h.halt()
-		handoffOff = h.srv.Consumed()
+		resume = h.srv.Consumed()
 	}
-	lag := max(c.log.Partition(i).Next()-handoffOff, 0)
-	epoch, kr, err := c.ms.TransferOwnership(i, handoffOff)
+	lag := max(c.log.Partition(i).Next()-resume, 0)
+	epoch, kr, err := c.ms.TransferOwnership(i)
 	if err != nil {
 		if h != nil {
 			h.srv.Abort()
@@ -565,7 +564,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	}
 	// 6. Fence forever: even a flusher goroutine that somehow survived
 	// cannot register under the retired slot again.
-	if _, _, err := c.ms.TransferOwnership(i, head); err != nil {
+	if _, _, err := c.ms.TransferOwnership(i); err != nil {
 		return err
 	}
 	srv.Close()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,5 +218,56 @@ func TestCheckpointWithoutDataDirIsNoop(t *testing.T) {
 	defer c.Stop()
 	if err := c.Checkpoint(); err != nil {
 		t.Fatalf("no-op checkpoint errored: %v", err)
+	}
+}
+
+// TestReopenedDeploymentPinsNothing: a checkpoint taken while a query runs
+// must not bring the query back. Restored, it would run forever in a process
+// that never started it, pinning every later flush's in-memory copy
+// (MinQueryAsOf) and keeping every retired chunk's file (OldestActiveQuery).
+func TestReopenedDeploymentPinsNothing(t *testing.T) {
+	cfg := persistentConfig(t.TempDir())
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	for i := 0; i < 2000; i++ {
+		c.Insert(model.Tuple{Key: model.Key(uint64(i) << 45), Time: model.Timestamp(i)})
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	q := c.Metadata().RegisterQuery(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+
+	c2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2.Start()
+	defer c2.Stop()
+	ms := c2.Metadata()
+	if ms.OldestActiveQuery() != math.MaxUint64 || ms.MinQueryAsOf() != math.MaxUint64 {
+		t.Fatalf("query %d of the previous process runs after the reopen: oldest %d, horizon %d",
+			q.ID, ms.OldestActiveQuery(), ms.MinQueryAsOf())
+	}
+	chunks := ms.ChunksFor(model.FullRegion())
+	if n := c2.DropChunksBefore(model.MaxTimestamp); n == 0 || n != len(chunks) {
+		t.Fatalf("dropped %d of %d chunks", n, len(chunks))
+	}
+	if err := c2.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c2.ret.pending(); got != 0 {
+		t.Fatalf("%d dropped chunk files still wait after Flush with no query running", got)
+	}
+	for _, ci := range chunks {
+		if _, err := c2.FS().Read(ci.Path); err == nil {
+			t.Fatalf("dropped chunk %s was not unlinked", ci.Path)
+		}
 	}
 }

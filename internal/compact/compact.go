@@ -163,7 +163,7 @@ func (cp *Compactor) Tick() (demoted, merged int) {
 		if ci.Tier != meta.TierCold || ci.Downsampled {
 			continue
 		}
-		k := gkey{ci.Server, model.FloorDiv(int64(ci.Region.Times.Lo), meta.DayMillis)}
+		k := gkey{ci.Server, model.FloorDiv(int64(ci.Region.Times.Lo), 24*3_600_000)}
 		groups[k] = append(groups[k], ci)
 	}
 	keys := make([]gkey, 0, len(groups))

@@ -116,7 +116,7 @@ func TestPromoteAfterFenceResumesExactlyOnce(t *testing.T) {
 	cleanup() // owner crashes (consumer detached)
 
 	halt()
-	epoch, _, err := ms.TransferOwnership(0, shadow.Consumed())
+	epoch, _, err := ms.TransferOwnership(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFencedOwnerCannotRegister(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		owner.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i), Payload: []byte("x")})
 	}
-	if _, _, err := ms.TransferOwnership(0, 0); err != nil {
+	if _, _, err := ms.TransferOwnership(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := owner.Flush(); ok {

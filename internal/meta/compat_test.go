@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"reflect"
 	"testing"
@@ -47,5 +49,62 @@ func TestRestoreSnapshotWithFormatField(t *testing.T) {
 	// New registrations continue after the restored ids.
 	if c := s.RegisterChunks([]ChunkInfo{{Path: "next", Region: region(0, 1, 0, 1)}})[0]; c.ID != 3 {
 		t.Errorf("next chunk id = %d, want 3", c.ID)
+	}
+}
+
+// TestRestoreOlderImageRunsNoQuery restores an image laid out the way
+// snapshots were before the query registry left them: with the running
+// queries, the handoff offsets and a second copy of every slot's key
+// interval. Restore reads what it keeps and starts with no running query —
+// a restored registry would pin every later flush's in-memory copy and
+// every retired chunk file for queries no process runs.
+func TestRestoreOlderImageRunsNoQuery(t *testing.T) {
+	type queryInfo struct {
+		ID    uint64
+		Query model.Query
+		AsOf  uint64
+	}
+	old := struct {
+		Schema    PartitionSchema
+		Actual    []model.KeyRange
+		Live      []LiveRegion
+		Chunks    []ChunkInfo
+		Offsets   []int64
+		Epochs    []int64
+		Handoffs  []int64
+		Queries   []queryInfo
+		NextChunk uint64
+		NextQuery uint64
+	}{
+		Schema:    EvenSchema(2),
+		Actual:    []model.KeyRange{{Lo: 0, Hi: 99}, {Lo: 100, Hi: model.MaxKey}},
+		Live:      []LiveRegion{{Server: 0, Keys: model.KeyRange{Lo: 0, Hi: 99}, MinTime: 5}, {Server: 1, Keys: model.KeyRange{Lo: 100, Hi: model.MaxKey}, Empty: true}},
+		Chunks:    []ChunkInfo{{ID: 4, Path: "c4", Region: region(0, 9, 0, 9), Count: 3}},
+		Offsets:   []int64{7, 8},
+		Epochs:    []int64{3, 1},
+		Handoffs:  []int64{7, 0},
+		Queries:   []queryInfo{{ID: 1, Query: model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()}, AsOf: 2}, {ID: 2}},
+		NextChunk: 4,
+		NextQuery: 2,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Restore(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.OldestActiveQuery() != ^uint64(0) || s.MinQueryAsOf() != ^uint64(0) {
+		t.Fatalf("restored queries run: oldest %d, horizon %d", s.OldestActiveQuery(), s.MinQueryAsOf())
+	}
+	if s.Offset(1) != 8 || s.Epoch(0) != 3 || s.Actual(0) != old.Live[0].Keys {
+		t.Fatalf("restored offset %d, epoch %d, actual %v", s.Offset(1), s.Epoch(0), s.Actual(0))
+	}
+	if c, ok := s.Chunk(4); !ok || c.Path != "c4" {
+		t.Fatalf("chunk 4 restored as %+v (present=%v)", c, ok)
+	}
+	if q := s.RegisterQuery(model.Query{}); q.ID != 1 || s.MinQueryAsOf() != 5 {
+		t.Fatalf("first query after restore: id %d, horizon %d", q.ID, s.MinQueryAsOf())
 	}
 }

@@ -1,14 +1,15 @@
 // Package meta implements Waterwheel's metadata server (paper §II-B). It
 // maintains the states of the system: the global key-partitioning schema of
-// the dispatchers (including the *actual*, possibly overlapping key
-// intervals right after a repartition, §III-D), the property information of
-// every flushed data chunk (indexed by an R-tree for query decomposition,
-// §IV-A), the live in-memory regions of the indexing servers, the WAL read
-// offsets recorded at each flush (§V), and the registry of running queries
-// used for coordinator failover.
+// the dispatchers, the live in-memory regions of the indexing servers (whose
+// key intervals are the *actual*, possibly overlapping ones right after a
+// repartition, §III-D), the property information of every flushed data
+// chunk (indexed by one R-tree for query decomposition, §IV-A), the WAL read
+// offsets recorded at each flush (§V), the ownership epochs that fence
+// deposed servers, and the plan horizons of the running queries.
 //
-// Durability stands in for ZooKeeper: Snapshot/Restore round-trips the
-// whole state through a gob encoding.
+// Durability stands in for ZooKeeper: Snapshot/Restore round-trip the state
+// a restart resumes from through a gob encoding. Running queries are not
+// part of it — they end with the process that ran them.
 package meta
 
 import (
@@ -168,8 +169,9 @@ func EvenSchema(servers int) PartitionSchema {
 // server: its actual key interval × [MinTime, now].
 type LiveRegion struct {
 	Server int
-	// Keys is the actual key interval, which may overlap other servers'
-	// right after a repartition.
+	// Keys is the slot's actual key interval, the one record of it: the
+	// nominal interval widened to cover every key the slot may still buffer,
+	// so it may overlap other slots' right after a repartition.
 	Keys model.KeyRange
 	// MinTime is the left temporal boundary of the in-memory B+ tree; zero
 	// tuples is signalled by Empty.
@@ -177,36 +179,29 @@ type LiveRegion struct {
 	Empty   bool
 }
 
-// QueryInfo tracks a running query for coordinator failover (§V).
-type QueryInfo struct {
-	ID    uint64
-	Query model.Query
-	// AsOf is the query's plan horizon: the smallest chunk ID that could
-	// not have been in the query's plan because it registered after the
-	// query did. Indexing servers keep flushed-but-in-plan-limbo snapshots
-	// in memory until every active query's horizon has passed the chunk
-	// (see Server.MinQueryAsOf). Zero means "no horizon recorded" (queries
-	// restored from snapshots predating this field).
-	AsOf uint64
-}
-
 // Server is the metadata server.
 type Server struct {
-	mu        sync.RWMutex
-	schema    PartitionSchema
-	actual    []model.KeyRange
-	live      []LiveRegion
-	chunks    map[model.ChunkID]ChunkInfo
-	regions   *rtree.Tree // region -> ChunkID
-	offsets   []int64
-	epochs    []int64
-	handoffs  []int64
-	gen       int64 // process generation new epochs start in; see StartGeneration
-	queries   map[uint64]QueryInfo
+	mu      sync.RWMutex
+	schema  PartitionSchema
+	live    []LiveRegion
+	chunks  map[model.ChunkID]ChunkInfo
+	regions *rtree.Tree // region -> ChunkID
+	offsets []int64
+	epochs  []int64
+	gen     int64 // process generation new epochs start in; see StartGeneration
+	// queries maps each running query's ID to its plan horizon: the
+	// smallest chunk ID that cannot be in its plan because it registered
+	// after the query did (see MinQueryAsOf).
+	queries   map[uint64]uint64
 	nextChunk uint64
 	nextQuery uint64
-	tiers     *tierIndex
 	maxTime   model.Timestamp // max Region.Times.Hi ever registered
+}
+
+// emptyLive is a new slot's live region: no tuples, and a key interval
+// that starts empty and widens to the nominal one (widenLocked).
+func emptyLive(server int) LiveRegion {
+	return LiveRegion{Server: server, Keys: model.KeyRange{Lo: model.MaxKey}, Empty: true}
 }
 
 // NewServer creates a metadata server for the given number of indexing
@@ -216,22 +211,19 @@ func NewServer(indexServers int) *Server {
 		indexServers = 1
 	}
 	s := &Server{
-		schema:   EvenSchema(indexServers),
-		chunks:   make(map[model.ChunkID]ChunkInfo),
-		regions:  rtree.New(16),
-		offsets:  make([]int64, indexServers),
-		epochs:   make([]int64, indexServers),
-		handoffs: make([]int64, indexServers),
-		queries:  make(map[uint64]QueryInfo),
-		actual:   make([]model.KeyRange, indexServers),
-		live:     make([]LiveRegion, indexServers),
-		tiers:    newTierIndex(),
+		schema:  EvenSchema(indexServers),
+		chunks:  make(map[model.ChunkID]ChunkInfo),
+		regions: rtree.New(16),
+		offsets: make([]int64, indexServers),
+		epochs:  make([]int64, indexServers),
+		queries: make(map[uint64]uint64),
+		live:    make([]LiveRegion, indexServers),
 	}
-	for i := range s.actual {
-		s.actual[i] = s.schema.IntervalOf(i)
-		s.live[i] = LiveRegion{Server: i, Keys: s.actual[i], Empty: true}
+	for i := range s.live {
+		s.live[i] = emptyLive(i)
 		s.epochs[i] = 1
 	}
+	s.widenLocked()
 	return s
 }
 
@@ -252,8 +244,8 @@ func clonedSchema(p PartitionSchema) PartitionSchema {
 
 // SetSchema installs a new key partitioning (same active-slot set),
 // bumping the version. Each server's actual interval becomes the union of
-// its old actual interval and its new nominal interval until the next
-// flush shrinks it (§III-D).
+// its old actual interval and its new nominal interval until its next
+// ReportLive shrinks it (§III-D).
 func (s *Server) SetSchema(bounds []model.Key) (PartitionSchema, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -271,22 +263,21 @@ func (s *Server) SetSchema(bounds []model.Key) (PartitionSchema, error) {
 		Slots:   s.schema.Slots,
 		Bounds:  append([]model.Key(nil), bounds...),
 	}
-	for i := range s.actual {
-		// Widen unconditionally — never snap to nominal here. The live
-		// region's Empty flag can be stale (WAL backlog acked but not yet
-		// consumed), so narrowing on it would hide backlog tuples routed
-		// under the old schema. The next ReportLive shrinks the actual
-		// interval to nominal ∪ the server's measured key box.
-		nom := s.schema.IntervalOf(i)
-		if nom.Lo < s.actual[i].Lo {
-			s.actual[i].Lo = nom.Lo
-		}
-		if nom.Hi > s.actual[i].Hi {
-			s.actual[i].Hi = nom.Hi
-		}
-		s.live[i].Keys = s.actual[i]
-	}
+	s.widenLocked()
 	return clonedSchema(s.schema), nil
+}
+
+// widenLocked grows every active slot's actual interval to cover its
+// nominal one, after a schema change or for a new slot. It never narrows:
+// the live region's Empty flag can be stale (WAL backlog acked but not yet
+// consumed), so narrowing on it would hide backlog tuples routed under the
+// old schema. The slot's next ReportLive shrinks the interval to nominal ∪
+// the server's measured key box. Requires mu.
+func (s *Server) widenLocked() {
+	for _, id := range s.schema.ActiveSlots() {
+		nom, keys := s.schema.IntervalOf(id), &s.live[id].Keys
+		keys.Lo, keys.Hi = min(keys.Lo, nom.Lo), max(keys.Hi, nom.Hi)
+	}
 }
 
 // ReportLive updates an indexing server's live region after inserts or a
@@ -307,23 +298,10 @@ func (s *Server) ReportLive(server int, minTime model.Timestamp, keys model.KeyR
 		return
 	}
 	nom := s.schema.IntervalOf(server)
-	if empty {
-		s.actual[server] = nom
-	} else {
-		if keys.Lo < nom.Lo {
-			nom.Lo = keys.Lo
-		}
-		if keys.Hi > nom.Hi {
-			nom.Hi = keys.Hi
-		}
-		s.actual[server] = nom
+	if !empty {
+		nom.Lo, nom.Hi = min(nom.Lo, keys.Lo), max(nom.Hi, keys.Hi)
 	}
-	s.live[server] = LiveRegion{
-		Server:  server,
-		Keys:    s.actual[server],
-		MinTime: minTime,
-		Empty:   empty,
-	}
+	s.live[server] = LiveRegion{Server: server, Keys: nom, MinTime: minTime, Empty: empty}
 }
 
 // LiveRegions returns the current live regions of all indexing servers.
@@ -341,13 +319,25 @@ func (s *Server) LiveRegions() []LiveRegion {
 func (s *Server) RegisterChunks(infos []ChunkInfo) []ChunkInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.indexLocked(infos, false)
+}
+
+// indexLocked files chunks in the registry and the R-tree and advances the
+// max-time clock: the one place a chunk gets its ID. A registration
+// (keep=false) hands out the next IDs, consecutive and in order. Restore
+// (keep=true) files saved chunks under their saved IDs, so a gap a drop
+// left stays a gap, and nextChunk stays at or above every ID filed: no ID is
+// handed out twice. Returns the filed chunks. Requires mu.
+func (s *Server) indexLocked(infos []ChunkInfo, keep bool) []ChunkInfo {
 	out := make([]ChunkInfo, len(infos))
 	for i, info := range infos {
-		s.nextChunk++
-		info.ID = model.ChunkID(s.nextChunk)
+		if !keep {
+			info.ID = model.ChunkID(s.nextChunk + 1)
+		}
+		s.nextChunk = max(s.nextChunk, uint64(info.ID))
 		s.chunks[info.ID] = info
 		s.regions.Insert(info.Region, info.ID)
-		s.trackLocked(info)
+		s.maxTime = max(s.maxTime, info.Region.Times.Hi)
 		out[i] = info
 	}
 	return out
@@ -398,13 +388,41 @@ func (s *Server) DropChunk(id model.ChunkID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info, ok := s.chunks[id]
-	if !ok {
-		return false
+	if ok {
+		s.unindexLocked(info)
 	}
-	delete(s.chunks, id)
-	s.regions.Delete(info.Region, func(v any) bool { return v.(model.ChunkID) == id })
-	s.tiers.remove(info.Region.Times)
-	return true
+	return ok
+}
+
+// unindexLocked removes a chunk from the registry and the R-tree. Requires
+// mu.
+func (s *Server) unindexLocked(info ChunkInfo) {
+	delete(s.chunks, info.ID)
+	s.regions.Delete(info.Region, func(v any) bool { return v.(model.ChunkID) == info.ID })
+}
+
+// ReplaceChunks atomically swaps a set of input chunks for their
+// compacted outputs: in one critical section the inputs are verified and
+// dropped, and the outputs registered with fresh IDs. A concurrent
+// ChunksForWithWatermark sees either every input or every output, never
+// a mix, so no query plan can double-count or miss the region. Returns
+// the registered outputs, the dropped input infos (the caller retires
+// their files), and false — with no change — if any input is missing.
+func (s *Server) ReplaceChunks(outs []ChunkInfo, ins []model.ChunkID) (registered, dropped []ChunkInfo, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dropped = make([]ChunkInfo, len(ins))
+	for i, id := range ins {
+		info, found := s.chunks[id]
+		if !found {
+			return nil, nil, false
+		}
+		dropped[i] = info
+	}
+	for _, info := range dropped {
+		s.unindexLocked(info)
+	}
+	return s.indexLocked(outs, false), dropped, true
 }
 
 // Offset returns the stored WAL offset of an indexing server.
@@ -417,37 +435,51 @@ func (s *Server) Offset(server int) int64 {
 	return s.offsets[server]
 }
 
-// RegisterQuery stores a running query and assigns its ID. The query's
-// plan horizon (AsOf) is captured here: chunks registered from now on
-// cannot appear in its plan.
+// RegisterQuery records a running query and assigns its ID. The query's
+// plan horizon is captured here: chunks registered from now on cannot
+// appear in its plan.
 func (s *Server) RegisterQuery(q model.Query) model.Query {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextQuery++
 	q.ID = s.nextQuery
-	s.queries[q.ID] = QueryInfo{ID: q.ID, Query: q, AsOf: s.nextChunk + 1}
+	s.queries[q.ID] = s.nextChunk + 1
 	return q
 }
 
-// MinQueryAsOf returns the smallest plan horizon over the active queries —
-// the chunk-ID floor below which no active query can still need a flushed
-// snapshot's in-memory copy. With no active queries it returns MaxUint64.
-// A zero AsOf (query restored from an old snapshot, horizon unknown) pins
-// everything, erring on the safe side.
+// MinQueryAsOf returns the smallest plan horizon over the running queries —
+// the chunk-ID floor below which no running query can still need a flushed
+// snapshot's in-memory copy. With no running queries it returns MaxUint64.
 func (s *Server) MinQueryAsOf() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	min := ^uint64(0)
-	for _, q := range s.queries {
-		asOf := q.AsOf
-		if asOf == 0 {
-			return 0
-		}
-		if asOf < min {
-			min = asOf
-		}
+	floor := ^uint64(0)
+	for _, asOf := range s.queries {
+		floor = min(floor, asOf)
 	}
-	return min
+	return floor
+}
+
+// QueryHorizon returns the last query ID assigned. Every query planned
+// before now has ID <= QueryHorizon(); the drain-safe retirement path
+// captures this at drop time and defers the file delete until
+// OldestActiveQuery has passed it.
+func (s *Server) QueryHorizon() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.nextQuery
+}
+
+// OldestActiveQuery returns the smallest running query ID, or MaxUint64
+// when no query is running.
+func (s *Server) OldestActiveQuery() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	oldest := ^uint64(0)
+	for id := range s.queries {
+		oldest = min(oldest, id)
+	}
+	return oldest
 }
 
 // CompleteQuery removes a finished query.
@@ -457,38 +489,32 @@ func (s *Server) CompleteQuery(id uint64) {
 	delete(s.queries, id)
 }
 
-// persistentState is the gob image of the server.
+// persistentState is the gob image of the server: the state a restart
+// resumes from. Running queries are not in it — a restored registry would
+// pin flushed snapshots and retired chunk files for queries no process
+// runs — and gob skips the Actual, Handoffs, Queries and NextQuery fields
+// that older images carry.
 type persistentState struct {
 	Schema    PartitionSchema
-	Actual    []model.KeyRange
 	Live      []LiveRegion
 	Chunks    []ChunkInfo
 	Offsets   []int64
 	Epochs    []int64
-	Handoffs  []int64
-	Queries   []QueryInfo
 	NextChunk uint64
-	NextQuery uint64
 }
 
-// Snapshot serializes the full metadata state.
+// Snapshot serializes the durable metadata state.
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	st := persistentState{
 		Schema:    clonedSchema(s.schema),
-		Actual:    append([]model.KeyRange(nil), s.actual...),
 		Live:      append([]LiveRegion(nil), s.live...),
 		Offsets:   append([]int64(nil), s.offsets...),
 		Epochs:    append([]int64(nil), s.epochs...),
-		Handoffs:  append([]int64(nil), s.handoffs...),
 		NextChunk: s.nextChunk,
-		NextQuery: s.nextQuery,
 	}
 	for _, c := range s.chunks {
 		st.Chunks = append(st.Chunks, c)
-	}
-	for _, q := range s.queries {
-		st.Queries = append(st.Queries, q)
 	}
 	s.mu.RUnlock()
 	var buf bytes.Buffer
@@ -498,7 +524,8 @@ func (s *Server) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Restore rebuilds a metadata server from a snapshot.
+// Restore rebuilds a metadata server from a snapshot. It starts with no
+// running query.
 func Restore(data []byte) (*Server, error) {
 	var st persistentState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -506,7 +533,6 @@ func Restore(data []byte) (*Server, error) {
 	}
 	s := NewServer(st.Schema.Servers)
 	s.schema = st.Schema
-	s.actual = st.Actual
 	s.live = st.Live
 	s.offsets = st.Offsets
 	// Snapshots predating ownership epochs carry none: every slot starts
@@ -514,18 +540,7 @@ func Restore(data []byte) (*Server, error) {
 	if st.Epochs != nil {
 		s.epochs = st.Epochs
 	}
-	if st.Handoffs != nil {
-		s.handoffs = st.Handoffs
-	}
 	s.nextChunk = st.NextChunk
-	s.nextQuery = st.NextQuery
-	for _, c := range st.Chunks {
-		s.chunks[c.ID] = c
-		s.regions.Insert(c.Region, c.ID)
-		s.trackLocked(c)
-	}
-	for _, q := range st.Queries {
-		s.queries[q.ID] = q
-	}
+	s.indexLocked(st.Chunks, true)
 	return s, nil
 }

@@ -148,20 +148,29 @@ func TestOffsets(t *testing.T) {
 	}
 }
 
+// TestQueryRegistry: a running query is its ID and its plan horizon — the
+// first chunk ID its plan cannot hold — and MinQueryAsOf is the smallest
+// horizon still running.
 func TestQueryRegistry(t *testing.T) {
 	srv := NewServer(1)
+	if srv.MinQueryAsOf() != ^uint64(0) {
+		t.Fatal("an idle server pins flushed snapshots")
+	}
 	q1 := srv.RegisterQuery(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+	srv.RegisterChunks([]ChunkInfo{{Path: "c", Region: region(0, 1, 0, 1)}})
 	q2 := srv.RegisterQuery(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
 	if q1.ID == q2.ID || q1.ID == 0 {
 		t.Fatalf("ids %d, %d", q1.ID, q2.ID)
 	}
-	if got := srv.ActiveQueries(); len(got) != 2 {
-		t.Fatalf("active = %d", len(got))
+	if got := srv.MinQueryAsOf(); got != 1 {
+		t.Fatalf("MinQueryAsOf = %d, want q1's horizon 1", got)
 	}
 	srv.CompleteQuery(q1.ID)
-	got := srv.ActiveQueries()
-	if len(got) != 1 || got[0].ID != q2.ID {
-		t.Fatalf("after complete: %+v", got)
+	if got := srv.MinQueryAsOf(); got != 2 {
+		t.Fatalf("MinQueryAsOf after q1 = %d, want q2's horizon 2", got)
+	}
+	if got := srv.OldestActiveQuery(); got != q2.ID {
+		t.Fatalf("oldest = %d, want %d", got, q2.ID)
 	}
 }
 
@@ -193,8 +202,10 @@ func TestSnapshotRestore(t *testing.T) {
 	if hits := got.ChunksFor(region(5, 6, 5, 6)); len(hits) != 1 {
 		t.Errorf("restored R-tree broken: %d hits", len(hits))
 	}
-	if aq := got.ActiveQueries(); len(aq) != 1 || aq[0].ID != q.ID {
-		t.Errorf("queries lost: %+v", aq)
+	// The query ran in the process that took the snapshot, not in this one:
+	// nothing it planned pins a snapshot or a retired file here.
+	if got.OldestActiveQuery() != ^uint64(0) || got.MinQueryAsOf() != ^uint64(0) {
+		t.Errorf("query %d restored as running: oldest %d, horizon %d", q.ID, got.OldestActiveQuery(), got.MinQueryAsOf())
 	}
 	if lr := got.LiveRegions(); lr[1].MinTime != 777 {
 		t.Errorf("live regions lost: %+v", lr)
@@ -203,5 +214,44 @@ func TestSnapshotRestore(t *testing.T) {
 	c2 := got.RegisterChunks([]ChunkInfo{{Path: "p2", Region: region(0, 1, 0, 1)}})[0]
 	if c2.ID <= c.ID {
 		t.Errorf("chunk id reused: %d <= %d", c2.ID, c.ID)
+	}
+}
+
+// TestRestoreKeepsChunkIDGaps: Restore files every saved chunk under the ID
+// it was saved with — a chunk's ID names it in plans, caches and pending
+// snapshots — so a drop's gap survives, and the next registration takes an
+// ID above every saved one.
+func TestRestoreKeepsChunkIDGaps(t *testing.T) {
+	srv := NewServer(1)
+	regs := srv.RegisterChunks([]ChunkInfo{
+		{Path: "a", Region: region(0, 10, 0, 10)},
+		{Path: "b", Region: region(20, 30, 0, 10)},
+		{Path: "c", Region: region(40, 50, 0, 10)},
+	})
+	if regs[0].ID != 1 || regs[1].ID != 2 || regs[2].ID != 3 {
+		t.Fatalf("registered ids %d, %d, %d", regs[0].ID, regs[1].ID, regs[2].ID)
+	}
+	srv.DropChunk(2)
+	data, err := srv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, path := range map[model.ChunkID]string{1: "a", 3: "c"} {
+		if ci, ok := got.Chunk(id); !ok || ci.Path != path || ci.ID != id {
+			t.Errorf("chunk %d restored as %+v (present=%v), want %q", id, ci, ok, path)
+		}
+	}
+	if _, ok := got.Chunk(2); ok || got.ChunkCount() != 2 {
+		t.Errorf("restored %d chunks, dropped chunk 2 present=%v", got.ChunkCount(), ok)
+	}
+	if hits := got.ChunksFor(region(45, 45, 5, 5)); len(hits) != 1 || hits[0].ID != 3 {
+		t.Errorf("the R-tree files chunk c as %+v", hits)
+	}
+	if c := got.RegisterChunks([]ChunkInfo{{Path: "d", Region: region(0, 1, 0, 1)}})[0]; c.ID != 4 {
+		t.Errorf("next chunk id = %d, want 4", c.ID)
 	}
 }

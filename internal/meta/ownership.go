@@ -24,9 +24,9 @@ const epochGenShift = 32
 // StartGeneration claims every slot, retired ones included, for a process
 // that has just restored (or created) this server: each epoch moves to the
 // first of a generation no earlier process used, which fences whatever the
-// previous owner might still have had in flight, and each handoff offset to
-// the slot's committed offset, where the claimant's replay starts. The
-// caller makes the claim durable before it builds a server under it.
+// previous owner might still have had in flight. The claimant's replay
+// starts at the slot's committed offset. The caller makes the claim durable
+// before it builds a server under it.
 func (s *Server) StartGeneration() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -36,7 +36,6 @@ func (s *Server) StartGeneration() {
 	s.gen++
 	for i := range s.epochs {
 		s.epochs[i] = s.gen<<epochGenShift + 1
-		s.handoffs[i] = s.offsets[i]
 	}
 }
 
@@ -54,19 +53,17 @@ func (s *Server) Epoch(server int) int64 {
 
 // TransferOwnership is the atomic ownership flip of a region handoff (and
 // equally the claim a crash replacement makes before replaying): in one
-// critical section it bumps the slot's fencing epoch, records the WAL
-// handoff offset, and reads the slot's nominal key interval. After it
-// returns, any flush the deposed incarnation still has in flight fails
-// with ErrFenced, so the metadata the new owner starts from cannot change
-// under it.
-func (s *Server) TransferOwnership(server int, handoffOff int64) (int64, model.KeyRange, error) {
+// critical section it bumps the slot's fencing epoch and reads the slot's
+// nominal key interval. After it returns, any flush the deposed
+// incarnation still has in flight fails with ErrFenced, so the metadata
+// the new owner starts from cannot change under it.
+func (s *Server) TransferOwnership(server int) (int64, model.KeyRange, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if server < 0 || server >= len(s.epochs) {
 		return 0, model.KeyRange{}, fmt.Errorf("meta: transfer ownership: no slot %d", server)
 	}
 	s.epochs[server]++
-	s.handoffs[server] = handoffOff
 	return s.epochs[server], s.schema.IntervalOf(server), nil
 }
 
@@ -86,19 +83,8 @@ func (s *Server) RegisterFlushOwned(server int, epoch int64, infos []ChunkInfo, 
 	if epoch != s.epochs[server] {
 		return nil, ErrFenced
 	}
-	out := make([]ChunkInfo, len(infos))
-	for i, info := range infos {
-		s.nextChunk++
-		info.ID = model.ChunkID(s.nextChunk)
-		s.chunks[info.ID] = info
-		s.regions.Insert(info.Region, info.ID)
-		s.trackLocked(info)
-		out[i] = info
-	}
-	if off > s.offsets[server] {
-		s.offsets[server] = off
-	}
-	return out, nil
+	s.offsets[server] = max(s.offsets[server], off)
+	return s.indexLocked(infos, false), nil
 }
 
 // AddServer allocates a new slot by splitting an active slot's interval
@@ -134,21 +120,19 @@ func (s *Server) AddServer(splitFrom int, at model.Key) (PartitionSchema, int, e
 	}
 	s.offsets = append(s.offsets, 0)
 	s.epochs = append(s.epochs, s.gen<<epochGenShift+1)
-	s.handoffs = append(s.handoffs, 0)
-	s.actual = append(s.actual, s.schema.IntervalOf(id))
-	s.live = append(s.live, LiveRegion{Server: id, Keys: s.actual[id], Empty: true})
-	// splitFrom's nominal interval shrank, but its actual interval stays
-	// wide: the slot may hold buffered tuples from the old interval — or
-	// acked WAL backlog it has not consumed yet, which its live region
-	// cannot reflect — so narrowing here would hide them from queries
-	// (§III-D). The slot's next ReportLive shrinks the actual interval to
-	// nominal ∪ its measured in-memory key box.
+	s.live = append(s.live, emptyLive(id))
+	// The new slot's actual interval widens to its nominal one. splitFrom's
+	// nominal interval shrank, but its actual interval stays wide: the slot
+	// may hold buffered tuples from the old interval — or acked WAL backlog
+	// it has not consumed yet, which its live region cannot reflect — so
+	// narrowing here would hide them from queries (§III-D).
+	s.widenLocked()
 	return clonedSchema(s.schema), id, nil
 }
 
 // RemoveServer retires an active slot, merging its key interval into a
-// neighbor (the left one when it exists, else the right). The slot's
-// actual interval and live region are left untouched: the outgoing server
+// neighbor (the left one when it exists, else the right). The slot's live
+// region, actual interval included, is left untouched: the outgoing server
 // still holds buffered tuples it must flush, and its region stays
 // queryable until it reports its memtable drained. The epoch is not
 // bumped here — the caller fences the slot with TransferOwnership after
@@ -179,18 +163,8 @@ func (s *Server) RemoveServer(server int) (PartitionSchema, error) {
 		Slots:   slots,
 		Bounds:  bounds,
 	}
-	// The absorbing neighbors' nominal intervals grew; widen their
-	// actual intervals the same way SetSchema does (never snap here —
-	// the Empty flag may be stale against acked WAL backlog).
-	for _, id := range slots {
-		nom := s.schema.IntervalOf(id)
-		if nom.Lo < s.actual[id].Lo {
-			s.actual[id].Lo = nom.Lo
-		}
-		if nom.Hi > s.actual[id].Hi {
-			s.actual[id].Hi = nom.Hi
-		}
-		s.live[id].Keys = s.actual[id]
-	}
+	// The absorbing neighbors' nominal intervals grew; so do their actual
+	// intervals.
+	s.widenLocked()
 	return clonedSchema(s.schema), nil
 }

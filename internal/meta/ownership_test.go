@@ -21,7 +21,7 @@ func TestTransferOwnershipFences(t *testing.T) {
 		t.Fatalf("offset = %d, want 5", got)
 	}
 
-	epoch, keys, err := s.TransferOwnership(0, 5)
+	epoch, keys, err := s.TransferOwnership(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +30,6 @@ func TestTransferOwnershipFences(t *testing.T) {
 	}
 	if want := s.Schema().IntervalOf(0); keys != want {
 		t.Fatalf("transfer keys = %v, want %v", keys, want)
-	}
-	if got := s.HandoffOffset(0); got != 5 {
-		t.Fatalf("handoff offset = %d, want 5", got)
 	}
 
 	// The deposed incarnation (epoch 1) must register nothing.
@@ -143,7 +140,7 @@ func TestElasticStateSnapshotRoundTrip(t *testing.T) {
 	if _, _, err := s.AddServer(1, at); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.TransferOwnership(0, 7); err != nil {
+	if _, _, err := s.TransferOwnership(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RemoveServer(1); err != nil {
@@ -170,13 +167,10 @@ func TestElasticStateSnapshotRoundTrip(t *testing.T) {
 		if s.Epoch(i) != r.Epoch(i) {
 			t.Fatalf("epoch[%d] = %d vs %d", i, s.Epoch(i), r.Epoch(i))
 		}
-		if s.HandoffOffset(i) != r.HandoffOffset(i) {
-			t.Fatalf("handoff[%d] mismatch", i)
-		}
 	}
 	// A transfer on the restored server yields the same epoch sequence.
-	e1, _, _ := s.TransferOwnership(0, 9)
-	e2, _, _ := r.TransferOwnership(0, 9)
+	e1, _, _ := s.TransferOwnership(0)
+	e2, _, _ := r.TransferOwnership(0)
 	if e1 != e2 {
 		t.Fatalf("post-restore transfer epochs diverge: %d vs %d", e1, e2)
 	}
@@ -212,8 +206,8 @@ func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
 	if first>>epochGenShift != 1 || s.Epoch(1) != first {
 		t.Fatalf("claimed epochs %#x, %#x; want the first of generation 1", first, s.Epoch(1))
 	}
-	if got := s.HandoffOffset(1); got != 40 {
-		t.Fatalf("claim recorded handoff offset %d, want the committed 40", got)
+	if got := s.Offset(1); got != 40 {
+		t.Fatalf("claim moved the committed offset to %d, want 40", got)
 	}
 	// The previous owner (epoch 1) is fenced by the claim.
 	if _, err := s.RegisterFlushOwned(0, 1, nil, 7); !errors.Is(err, ErrFenced) {
@@ -226,7 +220,7 @@ func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
 	// Later, in memory only: two takeovers and a new slot.
 	used := map[int64]bool{first: true}
 	for i := 0; i < 2; i++ {
-		e, _, _ := s.TransferOwnership(0, 0)
+		e, _, _ := s.TransferOwnership(0)
 		used[e] = true
 	}
 	_, id, err := s.AddServer(0, 1<<40)
@@ -245,7 +239,7 @@ func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
 	}
 	r.StartGeneration()
 	for i := 0; i < 4; i++ {
-		if e, _, _ := r.TransferOwnership(0, 0); used[e] {
+		if e, _, _ := r.TransferOwnership(0); used[e] {
 			t.Fatalf("epoch %#x handed out by two processes", e)
 		}
 	}

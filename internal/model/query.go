@@ -23,81 +23,69 @@ type Query struct {
 	// subquery also stops after Limit matches, bounding work.
 	Limit int
 	// Recur, when non-nil, restricts Times to a repeating window — "between
-	// 09:00 and 17:00 daily". The coordinator expands the recurrence into
-	// concrete windows inside Times and answers them through the metadata
-	// time-bucket hierarchy, pruning chunks outside every window.
+	// 09:00 and 17:00 daily". The coordinator plans the query's region as
+	// usual, skips every chunk whose part of Times meets no window
+	// (Recurrence.Overlaps), and keeps only the matches Contains accepts.
 	Recur *Recurrence
 }
 
-// Recurrence is a repeating time-of-period window: within every period
-// [k·Period, (k+1)·Period), timestamps in [k·Period+Start,
-// k·Period+Start+Length) match. All fields are milliseconds; Start is the
-// offset within the period (epoch-aligned, like the rest of the time
-// domain). A daily 09:00–17:00 window is {Period: 86_400_000, Start:
-// 32_400_000, Length: 28_800_000}.
+// Recurrence is a repeating window: window k is [k·Period+Start,
+// k·Period+Start+Length) for every integer k. All fields are milliseconds,
+// epoch-aligned like the rest of the time domain. A daily 09:00–17:00
+// window is {Period: 86_400_000, Start: 32_400_000, Length: 28_800_000}. A
+// window may run past the end of its period — {Period: one day, Start:
+// 22:00, Length: 4h} matches 22:00–02:00 — and a Length of at least Period
+// matches every timestamp. A Period or Length of zero or less matches none.
 type Recurrence struct {
 	PeriodMillis int64
 	StartMillis  int64
 	LengthMillis int64
 }
 
-// maxRecurWindows bounds recurrence expansion; spans needing more
-// windows fall back to the plain (unpruned) time range.
-const maxRecurWindows = 100_000
-
-// Windows expands the recurrence into the concrete windows intersecting
-// span, clipped to it and in ascending order. Returns nil (caller falls
-// back to the plain range) when the recurrence is malformed or the span
-// covers too many periods to enumerate.
-func (rc *Recurrence) Windows(span TimeRange) []TimeRange {
-	if rc == nil || rc.PeriodMillis <= 0 || rc.LengthMillis <= 0 ||
-		rc.LengthMillis > rc.PeriodMillis ||
-		rc.StartMillis < 0 || rc.StartMillis >= rc.PeriodMillis ||
-		span.Lo > span.Hi {
-		return nil
+// phase returns how far ts lies past the start of the latest window
+// starting at or before it, floorMod(ts−Start, Period), without
+// overflowing for any ts or Start. Period must be positive.
+func (rc *Recurrence) phase(ts Timestamp) int64 {
+	p := rc.PeriodMillis
+	d := floorMod(int64(ts), p) - floorMod(rc.StartMillis, p) // in (−p, p)
+	if d < 0 {
+		d += p
 	}
-	// Keep every intermediate well inside int64 (the time domain is
-	// milliseconds since the epoch; 2^61 ms is ~73M years).
-	if span.Lo < -(1<<61) || span.Hi > 1<<61 {
-		return nil
-	}
-	p, st, ln := rc.PeriodMillis, rc.StartMillis, rc.LengthMillis
-	// Bound the expansion (and keep the k·p arithmetic below well inside
-	// int64) before enumerating: a span covering more periods than
-	// maxRecurWindows gets no expansion.
-	if uint64(span.Hi-span.Lo)/uint64(p) > maxRecurWindows {
-		return nil
-	}
-	// First period whose window could end at or after span.Lo.
-	k := FloorDiv(int64(span.Lo)-st-ln+1, p)
-	out := make([]TimeRange, 0, 8)
-	for ; ; k++ {
-		lo, hi := k*p+st, k*p+st+ln-1
-		if lo > int64(span.Hi) {
-			break
-		}
-		if hi < int64(span.Lo) {
-			continue
-		}
-		if lo < int64(span.Lo) {
-			lo = int64(span.Lo)
-		}
-		if hi > int64(span.Hi) {
-			hi = int64(span.Hi)
-		}
-		out = append(out, TimeRange{Lo: Timestamp(lo), Hi: Timestamp(hi)})
-	}
-	return out
+	return d
 }
 
-// Contains reports whether ts falls inside the recurring window — the
-// exact membership test complementing the hour-granular bucket pruning.
+// floorMod is a modulo p rounded toward negative infinity, in [0, p) for
+// a positive p.
+func floorMod(a, p int64) int64 {
+	m := a % p
+	if m < 0 {
+		m += p
+	}
+	return m
+}
+
+// Contains reports whether ts falls inside a window of the recurrence.
 func (rc *Recurrence) Contains(ts Timestamp) bool {
 	if rc == nil || rc.PeriodMillis <= 0 || rc.LengthMillis <= 0 {
 		return false
 	}
-	off := int64(ts) - FloorDiv(int64(ts), rc.PeriodMillis)*rc.PeriodMillis
-	return off >= rc.StartMillis && off < rc.StartMillis+rc.LengthMillis
+	return rc.phase(ts) < rc.LengthMillis
+}
+
+// Overlaps reports whether some timestamp of tr falls inside a window of
+// the recurrence — exactly whether Contains accepts any t in tr, in O(1)
+// however many periods tr spans. An empty (inverted) tr overlaps nothing.
+func (rc *Recurrence) Overlaps(tr TimeRange) bool {
+	if rc == nil || rc.PeriodMillis <= 0 || rc.LengthMillis <= 0 || tr.Lo > tr.Hi {
+		return false
+	}
+	off := rc.phase(tr.Lo)
+	if off < rc.LengthMillis {
+		return true
+	}
+	// tr.Lo lies in a gap; the next window starts Period−off later. The
+	// difference is taken unsigned, so [MinInt64, MaxInt64] does not wrap.
+	return uint64(tr.Hi)-uint64(tr.Lo) >= uint64(rc.PeriodMillis-off)
 }
 
 // FloorDiv is integer division rounding toward negative infinity: the

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -91,52 +93,77 @@ func TestResultSortTieBreaksOnPayload(t *testing.T) {
 	}
 }
 
-func TestRecurrenceWindows(t *testing.T) {
-	day := int64(86_400_000)
-	rc := &Recurrence{PeriodMillis: day, StartMillis: 9 * 3_600_000, LengthMillis: 8 * 3_600_000}
-	span := TimeRange{Lo: 0, Hi: Timestamp(3*day - 1)}
-	ws := rc.Windows(span)
-	if len(ws) != 3 {
-		t.Fatalf("windows = %d, want 3", len(ws))
+// overlapsByScan is Overlaps by definition: some t in tr that Contains
+// accepts. tr must hold few timestamps; t never steps past tr.Hi, so it
+// cannot wrap at MaxInt64.
+func overlapsByScan(rc *Recurrence, tr TimeRange) bool {
+	for t := tr.Lo; t <= tr.Hi; t++ {
+		if rc.Contains(t) {
+			return true
+		}
+		if t == tr.Hi {
+			break
+		}
 	}
-	for i, w := range ws {
-		wantLo := Timestamp(int64(i)*day + 9*3_600_000)
-		wantHi := Timestamp(int64(i)*day + 17*3_600_000 - 1)
-		if w.Lo != wantLo || w.Hi != wantHi {
-			t.Fatalf("window %d = %v, want [%d,%d]", i, w, wantLo, wantHi)
+	return false
+}
+
+// TestRecurrenceWindows: a daily 09:00–17:00 recurrence has one window a
+// day, and a range meets it exactly when it reaches into one.
+func TestRecurrenceWindows(t *testing.T) {
+	const hour, day = int64(3_600_000), int64(86_400_000)
+	rc := &Recurrence{PeriodMillis: day, StartMillis: 9 * hour, LengthMillis: 8 * hour}
+	for d := int64(0); d < 3; d++ {
+		lo, hi := Timestamp(d*day+9*hour), Timestamp(d*day+17*hour-1)
+		if !rc.Overlaps(TimeRange{Lo: lo, Hi: hi}) || !rc.Overlaps(TimeRange{Lo: hi, Hi: hi}) || !rc.Overlaps(TimeRange{Lo: lo - 5, Hi: lo}) {
+			t.Fatalf("day %d: window [%d, %d] not met", d, lo, hi)
+		}
+		// The gap after the window, to the next day's 09:00.
+		if rc.Overlaps(TimeRange{Lo: hi + 1, Hi: lo + Timestamp(day) - 1}) {
+			t.Fatalf("day %d: the gap after [%d, %d] meets a window", d, lo, hi)
 		}
 	}
 }
 
+// TestRecurrenceWindowsClipped: the part of a range that lies in a window
+// counts, however little of the window it clips.
 func TestRecurrenceWindowsClipped(t *testing.T) {
 	rc := &Recurrence{PeriodMillis: 1000, StartMillis: 200, LengthMillis: 300}
-	ws := rc.Windows(TimeRange{Lo: 250, Hi: 1250})
-	// Period 0's window [200,499] clips to [250,499]; period 1's [1200,1499]
-	// clips to [1200,1250].
-	if len(ws) != 2 || ws[0].Lo != 250 || ws[0].Hi != 499 || ws[1].Lo != 1200 || ws[1].Hi != 1250 {
-		t.Fatalf("windows = %v", ws)
+	for _, c := range []struct {
+		tr   TimeRange
+		want bool
+	}{
+		{TimeRange{Lo: 250, Hi: 1250}, true},
+		{TimeRange{Lo: 499, Hi: 1199}, true},  // the last instant of period 0's window
+		{TimeRange{Lo: 500, Hi: 1199}, false}, // exactly the gap between two windows
+		{TimeRange{Lo: 500, Hi: 1200}, true},  // the first instant of period 1's
+		{TimeRange{Lo: -900, Hi: -801}, false},
+		{TimeRange{Lo: -900, Hi: -800}, true}, // period −1's window starts at −800
+	} {
+		if got := rc.Overlaps(c.tr); got != c.want {
+			t.Errorf("Overlaps(%v) = %v, want %v", c.tr, got, c.want)
+		}
 	}
 }
 
+// TestRecurrenceWindowsMalformed: a recurrence with no positive period or
+// length has no windows at all, and an empty range meets none.
 func TestRecurrenceWindowsMalformed(t *testing.T) {
-	span := TimeRange{Lo: 0, Hi: 10_000}
 	for _, rc := range []*Recurrence{
 		nil,
 		{PeriodMillis: 0, StartMillis: 0, LengthMillis: 1},
+		{PeriodMillis: -100, StartMillis: 0, LengthMillis: 10},
+		{PeriodMillis: math.MinInt64, StartMillis: 0, LengthMillis: 10},
 		{PeriodMillis: 100, StartMillis: 0, LengthMillis: 0},
-		{PeriodMillis: 100, StartMillis: 0, LengthMillis: 200},
-		{PeriodMillis: 100, StartMillis: -1, LengthMillis: 10},
-		{PeriodMillis: 100, StartMillis: 100, LengthMillis: 10},
+		{PeriodMillis: 100, StartMillis: 0, LengthMillis: math.MinInt64},
 	} {
-		if ws := rc.Windows(span); ws != nil {
-			t.Fatalf("malformed %+v expanded to %v", rc, ws)
+		if rc.Overlaps(FullTimeRange()) || rc.Contains(0) || rc.Contains(math.MaxInt64) {
+			t.Fatalf("malformed %+v matches", rc)
 		}
 	}
-	// Too many periods: fall back to nil rather than enumerating millions.
-	wideSpan := FullTimeRange()
-	rc := &Recurrence{PeriodMillis: 1000, StartMillis: 0, LengthMillis: 1}
-	if ws := rc.Windows(wideSpan); ws != nil {
-		t.Fatalf("huge span expanded to %d windows", len(ws))
+	rc := &Recurrence{PeriodMillis: 100, StartMillis: 0, LengthMillis: 100}
+	if rc.Overlaps(TimeRange{Lo: 10, Hi: 9}) {
+		t.Fatal("an inverted range meets a window")
 	}
 }
 
@@ -154,16 +181,92 @@ func TestRecurrenceContains(t *testing.T) {
 	if !rc.Contains(edgeLo) || !rc.Contains(edgeHi) || rc.Contains(past) {
 		t.Fatal("window edges wrong")
 	}
-	// Windows and Contains agree on every enumerated window bound.
-	for _, w := range rc.Windows(TimeRange{Lo: 0, Hi: Timestamp(3 * day)}) {
-		if !rc.Contains(w.Lo) || !rc.Contains(w.Hi) {
-			t.Fatalf("window %v not contained by its own recurrence", w)
+	if !rc.Contains(edgeLo-Timestamp(day)) || rc.Contains(past-Timestamp(day)) {
+		t.Fatal("the window before the epoch is not the same window")
+	}
+}
+
+// TestRecurrenceWrapsPastPeriodEnd: window k is [k·P+S, k·P+S+L) even when
+// it runs into the next period, and a window at least a period long
+// matches everything.
+func TestRecurrenceWrapsPastPeriodEnd(t *testing.T) {
+	rc := &Recurrence{PeriodMillis: 1000, StartMillis: 900, LengthMillis: 200}
+	for ts, want := range map[Timestamp]bool{
+		899: false, 900: true, 999: true, 1000: true, 1050: true, 1099: true, 1100: false,
+		0: true, 99: true, 100: false, -100: true, -101: false,
+	} {
+		if got := rc.Contains(ts); got != want {
+			t.Errorf("{1000, 900, 200}.Contains(%d) = %v, want %v", ts, got, want)
 		}
+	}
+	if !rc.Overlaps(TimeRange{Lo: 1000, Hi: 1099}) || rc.Overlaps(TimeRange{Lo: 100, Hi: 899}) {
+		t.Error("Overlaps cuts the window at the period end")
+	}
+	night := &Recurrence{PeriodMillis: 86_400_000, StartMillis: 22 * 3_600_000, LengthMillis: 4 * 3_600_000}
+	if !night.Contains(86_400_000+3_600_000) || night.Contains(86_400_000+2*3_600_000) {
+		t.Error("22:00+4h does not run to 02:00 the next day")
+	}
+	all := &Recurrence{PeriodMillis: 10, StartMillis: 3, LengthMillis: 25}
+	if !all.Contains(math.MinInt64) || !all.Contains(7) || !all.Overlaps(TimeRange{Lo: 4, Hi: 4}) {
+		t.Error("a window longer than its period misses timestamps")
+	}
+}
+
+// TestRecurrenceOverlapsIsContainsOverTheRange holds Overlaps to its
+// definition, ∃t∈tr: Contains(t), over random small recurrences and ranges
+// — wrapping windows, L ≥ P, negative and extreme starts, inverted ranges —
+// and over ranges pinned to MinInt64 and MaxInt64, where a wrong offset
+// rule would overflow.
+func TestRecurrenceOverlapsIsContainsOverTheRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	starts := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64}
+	for i := 0; i < 20_000; i++ {
+		rc := &Recurrence{PeriodMillis: rng.Int63n(24) - 2, StartMillis: rng.Int63n(80) - 40, LengthMillis: rng.Int63n(30) - 2}
+		if i%4 == 0 {
+			rc.StartMillis = starts[rng.Intn(len(starts))]
+		}
+		if i%50 == 0 {
+			rc.PeriodMillis = math.MaxInt64 - rng.Int63n(3)
+			rc.LengthMillis = rc.PeriodMillis - rng.Int63n(100)
+		}
+		lo := Timestamp(rng.Int63n(200) - 100)
+		switch i % 5 {
+		case 1:
+			lo = math.MinInt64 + Timestamp(rng.Int63n(40))
+		case 2:
+			lo = math.MaxInt64 - Timestamp(rng.Int63n(40))
+		}
+		n := rng.Int63n(50) - 5 // some ranges come out inverted
+		hi := lo + Timestamp(n)
+		if n >= 0 && hi < lo { // ran past MaxInt64
+			hi = math.MaxInt64
+		}
+		if n < 0 && hi > lo {
+			hi = math.MinInt64
+		}
+		tr := TimeRange{Lo: lo, Hi: hi}
+		if got, want := rc.Overlaps(tr), overlapsByScan(rc, tr); got != want {
+			t.Fatalf("%+v.Overlaps(%v) = %v, a scan says %v", *rc, tr, got, want)
+		}
+	}
+	// Spans of more than 100 000 periods, out to the whole time domain.
+	for _, rc := range []*Recurrence{
+		{PeriodMillis: 1000, StartMillis: 999, LengthMillis: 1},
+		{PeriodMillis: 86_400_000, StartMillis: 22 * 3_600_000, LengthMillis: 4 * 3_600_000},
+		{PeriodMillis: math.MaxInt64, StartMillis: math.MinInt64, LengthMillis: 1},
+	} {
+		if !rc.Overlaps(FullTimeRange()) || !rc.Overlaps(TimeRange{Lo: 0, Hi: Timestamp(rc.PeriodMillis)}) {
+			t.Fatalf("%+v misses a span longer than its period", *rc)
+		}
+	}
+	wide := &Recurrence{PeriodMillis: 1000, StartMillis: 999, LengthMillis: 1}
+	if wide.Overlaps(TimeRange{Lo: 1_000_000_000_000, Hi: 1_000_000_000_998}) || !wide.Overlaps(TimeRange{Lo: 1_000, Hi: 1_000_000_000_000}) {
+		t.Fatal("Overlaps over a span of 10⁹ periods is not exact")
 	}
 }
 
 // TestFloorDiv pins the one floor division every time-bucketing site uses
-// (recurrence windows, leaf pre-aggregates, tier buckets, compaction days):
+// (leaf pre-aggregates, compaction days):
 // a negative timestamp belongs to the bucket below zero, not to bucket 0.
 func TestFloorDiv(t *testing.T) {
 	for _, c := range []struct{ a, b, want int64 }{

@@ -62,8 +62,8 @@ type CoordinatorMetrics struct {
 	// header read.
 	AggQueries    *telemetry.Counter
 	AggMetaChunks *telemetry.Counter
-	// TierPruned counts chunk candidates a recurring-window query
-	// eliminated through the metadata time-bucket hierarchy before any
+	// TierPruned counts R-tree candidates a recurring-window query skipped
+	// because no window meets the chunk's part of the query, before any
 	// header was read.
 	TierPruned *telemetry.Counter
 	// RetiredSubQueries counts chunk subqueries completed empty because
@@ -90,7 +90,7 @@ func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 		WorkersBusy:       r.Gauge("waterwheel_query_workers_busy", "chunk subqueries currently executing on query servers"),
 		AggQueries:        r.Counter("waterwheel_agg_queries_total", "aggregate queries executed by the coordinator"),
 		AggMetaChunks:     r.Counter("waterwheel_agg_meta_chunks_total", "chunks answered from metadata summaries during aggregate queries"),
-		TierPruned:        r.Counter("waterwheel_tier_pruned_chunks_total", "chunk candidates pruned by the time-bucket hierarchy on recurring-window queries"),
+		TierPruned:        r.Counter("waterwheel_tier_pruned_chunks_total", "chunk candidates a recurring-window query skipped because no window meets them"),
 		RetiredSubQueries: r.Counter("waterwheel_query_retired_subqueries_total", "chunk subqueries completed empty because their chunk retired mid-flight"),
 		reg:               r,
 	}
@@ -171,8 +171,7 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 	// A recurrence's exactness comes from the coordinator's filter on the
 	// collected runs, so per-subquery limits are unsound under one (a
 	// subquery's first Limit matches may all fall outside the windows): the
-	// merge applies q.Limit after the filter instead. That holds whether or
-	// not the windows below could be enumerated for pruning.
+	// merge applies q.Limit after the filter instead.
 	subLimit := q.Limit
 	if q.Recur != nil {
 		subLimit = 0
@@ -190,24 +189,18 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 	// is either in this plan or has ID >= watermark, in which case the
 	// producing indexing server still serves it from the pending snapshot
 	// (SubQuery.AsOfChunk below) — never both, never neither.
-	var (
-		cands     []meta.ChunkInfo
-		watermark uint64
-	)
-	if windows := q.Recur.Windows(q.Times); windows != nil {
-		// Recurring-window query: the metadata time-bucket hierarchy prunes
-		// candidates whose hour buckets meet no window before any header is
-		// read. The windows are hour-superset at this level.
-		var pruned int
-		cands, pruned, watermark = c.ms.ChunksForWindowsWithWatermark(qRegion, windows)
-		c.m.TierPruned.Add(int64(pruned))
-	} else {
-		cands, watermark = c.ms.ChunksForWithWatermark(qRegion)
-	}
+	cands, watermark := c.ms.ChunksForWithWatermark(qRegion)
 	chunks = cands[:0]
+	pruned := 0
 	for _, ci := range cands {
 		r, ok := qRegion.Intersect(ci.Region)
 		if !ok {
+			continue
+		}
+		if q.Recur != nil && !q.Recur.Overlaps(r.Times) {
+			// No window of the recurrence meets the chunk's part of the
+			// query: skipped before its header is read.
+			pruned++
 			continue
 		}
 		chunks = append(chunks, ci)
@@ -223,6 +216,9 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 		})
 		seq++
 	}
+	if pruned > 0 {
+		c.m.TierPruned.Add(int64(pruned))
+	}
 	for _, lr := range live {
 		if lr.Empty {
 			continue
@@ -231,9 +227,10 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 			continue
 		}
 		// Widen the live region's left bound by Δt (§IV-D): presume late
-		// tuples up to Δt behind the observed minimum.
+		// tuples up to Δt behind the observed minimum. A bound that would
+		// fall below the time domain (lo wrapped past MinTime) cuts nothing.
 		lo := lr.MinTime - model.Timestamp(c.cfg.LateDeltaMillis)
-		if q.Times.Hi < lo {
+		if lo <= lr.MinTime && q.Times.Hi < lo {
 			continue
 		}
 		kr, _ := lr.Keys.Intersect(q.Keys)
@@ -405,9 +402,10 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) 
 			return
 		}
 		if q.Recur != nil {
-			// The recurrence is the query's exact time semantics; subquery
-			// regions are only pruned to it at hour-bucket granularity. The
-			// runs are this query's own, so they are filtered in place.
+			// The recurrence is the query's exact time semantics; the plan only
+			// skipped chunks no window meets, and a subquery scans its whole
+			// region. The runs are this query's own, so they are filtered in
+			// place.
 			for i := range r.Runs {
 				r.Runs[i].Keep(func(_ model.Key, t model.Timestamp) bool { return q.Recur.Contains(t) })
 			}

@@ -2,7 +2,9 @@ package queryexec
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,17 +16,28 @@ import (
 )
 
 // TestPlannerProperty holds every query class to the one plan: over random
-// regions and filters on a store whose tuples sit in chunks, in a pending
-// flush snapshot (swapped out, its DFS write failing) and in live leaves, a
-// tuple query, an aggregate COUNT and the oracle agree; the aggregate's
-// subqueries are the tuple plan's minus the chunks it answered from
-// metadata; and Explain reports that same plan, chunk metadata included.
+// regions, filters and recurrences on a store whose tuples sit in chunks, in
+// a pending flush snapshot (swapped out, its DFS write failing) and in live
+// leaves, a tuple query, an aggregate COUNT and the oracle agree; the
+// aggregate's subqueries are the tuple plan's minus the chunks it answered
+// from metadata; and Explain reports that same plan, chunk metadata
+// included. The plan itself is held to its definition: the chunks are
+// exactly the R-tree candidates whose part of the query some instant of the
+// recurrence falls in, and the mem-subqueries exactly the live regions
+// whose Δt-widened time span the query reaches. The time ranges include
+// empty and inverted ones, MinInt64/MaxInt64 bounds and ends just inside a
+// live region's Δt widening; the recurrences wrap past their period's end,
+// match everything (L ≥ P), repeat more than 100 000 times in the range, or
+// meet a chunk in its last instant only.
 func TestPlannerProperty(t *testing.T) {
-	const nIdx = 2
+	const (
+		nIdx      = 2
+		lateDelta = 1000 // Δt
+	)
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(nIdx)
 	execs := memExecs{}
-	coord := NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, MemExecutor: execs.lookup}, ms, fs)
+	coord := NewCoordinator(CoordinatorConfig{LateDeltaMillis: lateDelta, MemExecutor: execs.lookup}, ms, fs)
 	var dfsDown atomic.Bool
 	var is []*ingest.Server
 	for i := 0; i < nIdx; i++ {
@@ -47,19 +60,19 @@ func TestPlannerProperty(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(15))
 	var all []model.Tuple
+	insert := func(tp model.Tuple) {
+		tp.Payload = []byte{byte(len(all))}
+		all = append(all, tp)
+		is[ms.Schema().ServerFor(tp.Key)].Insert(tp)
+	}
 	ingestWindow := func(n int, t0 int64) {
 		for i := 0; i < n; i++ {
-			tp := model.Tuple{
-				Key:     model.Key(rng.Uint64()),
-				Time:    model.Timestamp(t0 + rng.Int63n(1000)),
-				Payload: []byte{byte(i)},
-			}
-			all = append(all, tp)
-			is[ms.Schema().ServerFor(tp.Key)].Insert(tp)
+			insert(model.Tuple{Key: model.Key(rng.Uint64()), Time: model.Timestamp(t0 + rng.Int63n(1000))})
 		}
 	}
 	// Three flushed windows, one window swapped out behind a failing DFS,
-	// one live.
+	// one live — with a late tuple from the far past at the bottom of the
+	// time domain, whose Δt-widened live bound falls below MinInt64.
 	for w := int64(0); w < 3; w++ {
 		ingestWindow(300, w*1000)
 		for _, srv := range is {
@@ -77,6 +90,7 @@ func TestPlannerProperty(t *testing.T) {
 		}
 	}
 	ingestWindow(300, 4000)
+	insert(model.Tuple{Key: 5, Time: math.MinInt64 + 7})
 	for _, srv := range is {
 		srv.PublishLive()
 	}
@@ -91,21 +105,69 @@ func TestPlannerProperty(t *testing.T) {
 		}
 		return a, b
 	}
+	times := func() model.TimeRange {
+		lo, hi := span(5000)
+		tr := model.TimeRange{Lo: model.Timestamp(lo), Hi: model.Timestamp(hi)}
+		switch rng.Intn(6) {
+		case 0: // empty or inverted
+			tr.Lo, tr.Hi = tr.Hi+1, tr.Lo
+		case 1: // from the bottom of the time domain
+			tr.Lo = math.MinInt64
+		case 2: // to its top
+			tr.Hi = math.MaxInt64
+		case 3: // ending inside a live region's Δt widening, before its data
+			live := ms.LiveRegions()[rng.Intn(nIdx)]
+			tr.Hi = live.MinTime - 1 - model.Timestamp(rng.Int63n(lateDelta))
+			tr.Lo = tr.Hi - model.Timestamp(rng.Int63n(3000))
+		}
+		return tr
+	}
+	chunks := ms.ChunksFor(model.FullRegion())
+	recurrence := func() *model.Recurrence {
+		switch rng.Intn(7) {
+		case 0:
+			return nil
+		case 1: // wraps past its period's end
+			return &model.Recurrence{PeriodMillis: 1000, StartMillis: 700 + rng.Int63n(300), LengthMillis: 200 + rng.Int63n(400)}
+		case 2: // at least a period long: matches everything
+			return &model.Recurrence{PeriodMillis: 700, StartMillis: rng.Int63n(1400) - 700, LengthMillis: 700 + rng.Int63n(700)}
+		case 3: // short periods: a full-domain range spans far more than 100 000
+			return &model.Recurrence{PeriodMillis: 10, StartMillis: rng.Int63n(10), LengthMillis: 1 + rng.Int63n(3)}
+		case 4: // a window opening on a chunk's last instant, a period longer than the chunk
+			hi := chunks[rng.Intn(len(chunks))].Region.Times.Hi
+			return &model.Recurrence{PeriodMillis: 2000 + rng.Int63n(3000), StartMillis: int64(hi), LengthMillis: 1 + rng.Int63n(20)}
+		}
+		p := 1 + rng.Int63n(3000)
+		return &model.Recurrence{PeriodMillis: p, StartMillis: rng.Int63n(2*p) - p, LengthMillis: 1 + rng.Int63n(p)}
+	}
+	// meets is Recurrence.Overlaps by its definition: some instant of tr
+	// the recurrence contains. Chunk spans are under 1000 ms.
+	meets := func(rc *model.Recurrence, tr model.TimeRange) bool {
+		for ts := tr.Lo; ts <= tr.Hi; ts++ {
+			if rc.Contains(ts) {
+				return true
+			}
+		}
+		return false
+	}
 	filters := []*model.Filter{nil, nil, model.KeyMod(3, 1), model.TimeCmp(model.CmpGE, 2500)}
-	metaAnswered := 0
-	for round := 0; round < 200; round++ {
+	metaAnswered, pruned := 0, 0
+	for round := 0; round < 300; round++ {
 		q := model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()}
 		if round%4 != 0 { // every fourth region is the full one: all chunks covered
 			klo, khi := span(uint64(model.MaxKey))
-			tlo, thi := span(5000)
 			q.Keys = model.KeyRange{Lo: model.Key(klo), Hi: model.Key(khi)}
-			q.Times = model.TimeRange{Lo: model.Timestamp(tlo), Hi: model.Timestamp(thi)}
+			q.Times = times()
 		}
 		q.Filter = filters[rng.Intn(len(filters))]
-		want := 0
+		q.Recur = recurrence()
+		want, wantAll := 0, 0
 		for i := range all {
 			if q.Keys.Contains(all[i].Key) && q.Times.Contains(all[i].Time) && q.Filter.Matches(&all[i]) {
-				want++
+				wantAll++
+				if q.Recur == nil || q.Recur.Contains(all[i].Time) {
+					want++
+				}
 			}
 		}
 
@@ -117,30 +179,66 @@ func TestPlannerProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Tuples) != want || int(agg.Count) != want {
-			t.Fatalf("round %d %v: tuple query %d, aggregate COUNT %d, oracle %d", round, q, len(res.Tuples), agg.Count, want)
-		}
-		if agg.SubQueries+agg.MetaChunks != res.SubQueries {
-			t.Fatalf("round %d: aggregate ran %d subqueries + %d chunks from metadata, tuple plan had %d subqueries",
-				round, agg.SubQueries, agg.MetaChunks, res.SubQueries)
+		if len(res.Tuples) != want || int(agg.Count) != wantAll {
+			t.Fatalf("round %d %v recur %+v: tuple query %d (oracle %d), aggregate COUNT %d (oracle %d)",
+				round, &q, q.Recur, len(res.Tuples), want, agg.Count, wantAll)
 		}
 		if q.Filter != nil && agg.MetaChunks != 0 {
 			t.Fatalf("round %d: filtered aggregate answered %d chunks from metadata", round, agg.MetaChunks)
 		}
 		metaAnswered += agg.MetaChunks
 
-		info := coord.Explain(q)
-		if len(info.MemSubQueries)+len(info.ChunkSubQueries) != res.SubQueries || len(info.Chunks) != len(info.ChunkSubQueries) {
-			t.Fatalf("round %d: explain lists %d mem + %d chunk subqueries over %d chunks, the query ran %d",
-				round, len(info.MemSubQueries), len(info.ChunkSubQueries), len(info.Chunks), res.SubQueries)
+		// The plan, by its definition.
+		var wantChunks []model.ChunkID
+		for _, ci := range ms.ChunksFor(q.Region()) {
+			if r, ok := q.Region().Intersect(ci.Region); ok {
+				if q.Recur == nil || meets(q.Recur, r.Times) {
+					wantChunks = append(wantChunks, ci.ID)
+				} else {
+					pruned++
+				}
+			}
 		}
+		var wantMem []int
+		for _, lr := range ms.LiveRegions() {
+			lo := max(lr.MinTime, math.MinInt64+lateDelta) - lateDelta
+			if !lr.Empty && lr.Keys.Overlaps(q.Keys) && q.Times.Hi >= lo {
+				wantMem = append(wantMem, lr.Server)
+			}
+		}
+		info := coord.Explain(q)
+		var gotChunks []model.ChunkID
 		for i, ci := range info.Chunks {
 			if ci.ID != info.ChunkSubQueries[i].Chunk || ci.Path == "" || ci.Path != info.ChunkSubQueries[i].ChunkPath {
 				t.Fatalf("round %d: explain chunk %d is %+v for subquery %v", round, i, ci, &info.ChunkSubQueries[i])
 			}
+			gotChunks = append(gotChunks, ci.ID)
+		}
+		var gotMem []int
+		for _, sq := range info.MemSubQueries {
+			gotMem = append(gotMem, sq.IndexServer)
+		}
+		if !slices.Equal(gotChunks, wantChunks) || !slices.Equal(gotMem, wantMem) {
+			t.Fatalf("round %d %v recur %+v: planned chunks %v and live regions %v, want %v and %v",
+				round, &q, q.Recur, gotChunks, gotMem, wantChunks, wantMem)
+		}
+		if len(info.MemSubQueries)+len(info.ChunkSubQueries) != res.SubQueries {
+			t.Fatalf("round %d: explain lists %d mem + %d chunk subqueries, the query ran %d",
+				round, len(info.MemSubQueries), len(info.ChunkSubQueries), res.SubQueries)
+		}
+		// The aggregate plans the same region without the recurrence.
+		plain := q
+		plain.Recur = nil
+		pinfo := coord.Explain(plain)
+		if agg.SubQueries+agg.MetaChunks != len(pinfo.MemSubQueries)+len(pinfo.ChunkSubQueries) {
+			t.Fatalf("round %d: aggregate ran %d subqueries + %d chunks from metadata, its plan had %d mem + %d chunk subqueries",
+				round, agg.SubQueries, agg.MetaChunks, len(pinfo.MemSubQueries), len(pinfo.ChunkSubQueries))
 		}
 	}
 	if metaAnswered == 0 {
 		t.Fatal("no round answered a chunk from metadata: the pushdown loop was never exercised")
+	}
+	if pruned == 0 {
+		t.Fatal("no round pruned a chunk: the recurrence test was never exercised")
 	}
 }

@@ -10,13 +10,13 @@ const (
 	dayMs  = 24 * hourMs
 )
 
-// TestTieringRecurringWindowAcceptance is the acceptance run for
-// hierarchical time tiering: three synthetic weeks of hour-bucketed
-// history, a "between 09:00 and 12:00 daily" query answered through the
-// time-bucket hierarchy, results identical to the per-window oracle, and
-// at least 80% of the chunk candidates pruned before the R-tree — read
-// back from the waterwheel_tier_pruned_chunks_total counter. A manual
-// compaction round then demotes and merges the aged weeks.
+// TestTieringRecurringWindowAcceptance is the acceptance run for time
+// tiering: three synthetic weeks of history in 3-hour chunks, a "between
+// 09:00 and 12:00 daily" query whose results are identical to the
+// per-window oracle, and at least 80% of the R-tree's chunk candidates
+// skipped because no window meets them — read back from the
+// waterwheel_tier_pruned_chunks_total counter. A manual compaction round
+// then demotes and merges the aged weeks.
 func TestTieringRecurringWindowAcceptance(t *testing.T) {
 	db := openTestDB(t, Options{
 		ChunkBytes:          1 << 30, // flush manually, one chunk per block
@@ -74,12 +74,13 @@ func TestTieringRecurringWindowAcceptance(t *testing.T) {
 		}
 	}
 
-	// ≥80% of the candidates were pruned at the bucket level, per the
+	// ≥80% of the candidates were pruned before any header read, per the
 	// metric the dashboards watch.
 	pruned := db.Telemetry().Counter("waterwheel_tier_pruned_chunks_total", "").Value()
 	if pruned*5 < int64(chunks)*4 {
-		t.Fatalf("bucket hierarchy pruned %d of %d candidates, want >= 80%%", pruned, chunks)
+		t.Fatalf("recurrence pruned %d of %d candidates, want >= 80%%", pruned, chunks)
 	}
+	t.Logf("recurrence pruned %d of %d chunk candidates", pruned, chunks)
 
 	// One manual compaction round over the aged history: the old weeks
 	// demote, cold days merge into downsampled chunks, and the merge
@@ -100,5 +101,44 @@ func TestTieringRecurringWindowAcceptance(t *testing.T) {
 	// raw/downsampled chunk set.
 	if _, err := db.QueryRange(FullKeyRange(), FullTimeRange()); err != nil {
 		t.Fatalf("query after compaction: %v", err)
+	}
+}
+
+// TestDailyWindowCrossesMidnight: Daily(22h, 4h) is the window 22:00–02:00,
+// so over two days it returns the tuples stamped 23:00 and 01:00 and none of
+// those at 03:00 or 21:00 — from chunks (day 0) and from memory (day 1)
+// alike.
+func TestDailyWindowCrossesMidnight(t *testing.T) {
+	db := openTestDB(t, Options{})
+	var want []Timestamp
+	for d := int64(0); d < 2; d++ {
+		for _, h := range []int64{1, 3, 21, 23} {
+			ts := Timestamp(d*dayMs + h*hourMs)
+			if err := db.Insert(Tuple{Key: Key(ts), Time: ts}); err != nil {
+				t.Fatal(err)
+			}
+			if h == 1 || h == 23 {
+				want = append(want, ts)
+			}
+		}
+		if d == 0 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(Query{Keys: FullKeyRange(), Times: TimeRange{Lo: 0, Hi: Timestamp(2*dayMs - 1)}, Recur: Daily(22*hourMs, 4*hourMs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Timestamp
+	for i := range res.Tuples {
+		got = append(got, res.Tuples[i].Time)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Daily(22h, 4h) over two days returned %v, want %v", got, want)
 	}
 }

@@ -64,13 +64,13 @@ type (
 	AggKind = model.AggKind
 	// Recurrence restricts a query's time range to a repeating window —
 	// "between 09:00 and 17:00 daily". Set Query.Recur to one; the
-	// coordinator prunes chunks outside every concrete window through the
-	// metadata time-bucket hierarchy.
+	// coordinator skips every chunk no window meets before reading it.
 	Recurrence = model.Recurrence
 )
 
-// Daily builds a Recurrence matching [start, start+length) within every
-// UTC day, both arguments in milliseconds-of-day.
+// Daily builds a Recurrence matching [start, start+length) from every UTC
+// midnight, both arguments in milliseconds. A window that crosses midnight
+// continues into the next day: Daily(22h, 4h) matches 22:00–02:00.
 func Daily(startMillis, lengthMillis int64) *Recurrence {
 	return &Recurrence{PeriodMillis: 24 * 3_600_000, StartMillis: startMillis, LengthMillis: lengthMillis}
 }
@@ -100,11 +100,10 @@ func FullTimeRange() TimeRange { return model.FullTimeRange() }
 type Options struct {
 	// Nodes is the simulated cluster size (default 1). Each node runs
 	// IndexServersPerNode indexing servers, QueryServersPerNode query
-	// servers, DispatchersPerNode dispatchers and one DFS datanode.
+	// servers, two dispatchers and one DFS datanode.
 	Nodes               int
 	IndexServersPerNode int
 	QueryServersPerNode int
-	DispatchersPerNode  int
 	// ChunkBytes is the flush threshold (default 16 MB).
 	ChunkBytes int64
 	// CacheBytes is each query server's cache budget (default 1 GB).
@@ -112,22 +111,8 @@ type Options struct {
 	// Policy selects the subquery dispatch policy: "lada" (default),
 	// "round-robin", "hashing" or "shared-queue".
 	Policy string
-	// QueryWorkers is each query server's subquery parallelism: how many
-	// dispatch workers claim subqueries for it concurrently (0 = default
-	// 4; 1 restores serial per-server dispatch).
-	QueryWorkers int
-	// QueryInflightReads bounds each query server's concurrent DFS reads
-	// (0 = default 4; 1 serializes its chunk I/O).
-	QueryInflightReads int
 	// BalanceIntervalMillis runs the balancer on a cadence (0 = manual).
 	BalanceIntervalMillis int64
-	// DisableBloom turns leaf time-sketch pruning off.
-	DisableBloom bool
-	// FlushQueueDepth bounds each indexing server's asynchronous flush
-	// pipeline: at most this many swapped-out memtable snapshots may await
-	// persistence before inserts crossing the chunk threshold block
-	// (default 2). Snapshots stay queryable while in the queue.
-	FlushQueueDepth int
 	// EnableSecondaryIndex builds per-leaf bloom filters over the
 	// big-endian uint64 payload field at SecondaryIndexOffset (the paper's
 	// §VIII future-work extension). Queries whose filter pins that field
@@ -165,11 +150,6 @@ type Options struct {
 	// partition, building a shadow memtable so a takeover (KillIndexServer,
 	// PromoteStandby) flips ownership without replaying the whole backlog.
 	HotStandby bool
-	// StandbyLagRecords is the catch-up gate for planned handoffs: a
-	// PromoteStandby waits until the standby's replay position is within
-	// this many records of the partition head before flipping ownership
-	// (default 64).
-	StandbyLagRecords int
 	// TierWarmAfterMillis / TierColdAfterMillis age chunks through the
 	// hot → warm → cold retention tiers, measured as the lag of a chunk's
 	// max time behind the newest registered data. Cold chunks are merged
@@ -203,20 +183,14 @@ func (o Options) config() cluster.Config {
 		Nodes:                 o.Nodes,
 		IndexServersPerNode:   o.IndexServersPerNode,
 		QueryServersPerNode:   o.QueryServersPerNode,
-		DispatchersPerNode:    o.DispatchersPerNode,
 		ChunkBytes:            o.ChunkBytes,
 		CacheBytes:            o.CacheBytes,
 		Policy:                o.Policy,
-		QueryWorkers:          o.QueryWorkers,
-		QueryInflightReads:    o.QueryInflightReads,
 		BalanceIntervalMillis: o.BalanceIntervalMillis,
-		DisableBloom:          o.DisableBloom,
-		FlushQueueDepth:       o.FlushQueueDepth,
 		DataDir:               o.DataDir,
 		Durability:            o.Durability,
 		FsyncIntervalMillis:   o.FsyncIntervalMillis,
 		HotStandby:            o.HotStandby,
-		StandbyLagRecords:     o.StandbyLagRecords,
 		TierWarmAfterMillis:   o.TierWarmAfterMillis,
 		TierColdAfterMillis:   o.TierColdAfterMillis,
 		Seed:                  o.Seed,
@@ -524,9 +498,10 @@ func (db *DB) StartStandby(i int) error {
 }
 
 // PromoteStandby performs a planned handoff of slot i: once the standby
-// has caught up to within StandbyLagRecords of the partition head,
-// ownership flips in one metadata CAS — new owner, bumped fencing epoch,
-// WAL handoff offset — and the deposed owner is fenced out.
+// has caught up to within 64 records of the partition head, ownership
+// flips in one metadata CAS — new owner, bumped fencing epoch — and the
+// deposed owner is fenced out. The promoted shadow replays on from where
+// it stopped; no handoff offset is recorded.
 func (db *DB) PromoteStandby(i int) error {
 	if db.closed.Load() {
 		return ErrClosed

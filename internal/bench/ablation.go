@@ -18,7 +18,7 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // paper figures; they isolate the contribution of individual mechanisms.
 
 // ablationCluster builds a loaded cluster for query-side ablations.
-func ablationCluster(opt Options, disableBloom bool, policy string) (*cluster.Cluster, workload.Generator, int) {
+func ablationCluster(opt Options, policy string) (*cluster.Cluster, workload.Generator, int) {
 	n := opt.n(150_000)
 	c := cluster.New(cluster.Config{
 		Nodes:               2,
@@ -27,7 +27,6 @@ func ablationCluster(opt Options, disableBloom bool, policy string) (*cluster.Cl
 		ChunkBytes:          256 << 10,
 		CacheBytes:          4 << 20,
 		DFSLatency:          paperLatency(),
-		DisableBloom:        disableBloom,
 		Policy:              policy,
 		Seed:                opt.Seed,
 	})
@@ -71,8 +70,7 @@ func runAblationBloom(opt Options) (*Report, error) {
 			ChunkBytes:          128 << 10,
 			CacheBytes:          4 << 20,
 			DFSLatency:          paperLatency(),
-			DisableBloom:        disable,
-			Bloom:               chunkOpts(1000),
+			Bloom:               chunk.BuildOptions{BucketMillis: 1000, DisableBloom: disable},
 			Seed:                opt.Seed,
 		})
 		c.Start()
@@ -121,11 +119,6 @@ func runAblationBloom(opt Options) (*Report, error) {
 	rep.Add("leaves pruned", on.skipped, off.skipped)
 	rep.Add("chunk bytes read", on.mb, off.mb)
 	return rep, nil
-}
-
-// chunkOpts builds bloom options with the given time bucket width.
-func chunkOpts(bucketMillis int64) chunk.BuildOptions {
-	return chunk.BuildOptions{BucketMillis: bucketMillis}
 }
 
 // AblationTemplate: template reuse on vs off at the system level. With
@@ -177,7 +170,7 @@ func runAblationLADA(opt Options) (*Report, error) {
 		Header: []string{"policy", "mean latency", "cache hits/query"},
 	}
 	for _, policy := range []string{"lada", "hashing", "shared-queue"} {
-		c, g, _ := ablationCluster(opt, false, policy)
+		c, g, _ := ablationCluster(opt, policy)
 		qg := workload.NewQueryGen(g.KeySpan(), opt.Seed)
 		now := g.Now()
 		rec := &recorder{}

@@ -151,7 +151,7 @@ func runFig11b(opt Options) (*Report, error) {
 			for q := 0; q < queries; q++ {
 				// Fresh cache per query: measure cold subquery latency.
 				qs := queryexec.NewServer(queryexec.ServerConfig{
-					ID: 0, Node: 0, CacheBytes: 0, UseBloom: true,
+					ID: 0, Node: 0, CacheBytes: 0,
 				}, fs, ms)
 				ci := ms.ChunksFor(model.FullRegion())[0]
 				sq := &model.SubQuery{

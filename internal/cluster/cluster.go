@@ -63,9 +63,6 @@ type Config struct {
 	// BalanceIntervalMillis is the balancer cadence; 0 disables the
 	// background loop (use TickBalance for manual control).
 	BalanceIntervalMillis int64
-	// UseBloom enables leaf time-sketch pruning (default on; set
-	// DisableBloom to turn off).
-	DisableBloom bool
 	// QueryWorkers is each query server's subquery parallelism — how many
 	// dispatch-pool goroutines the coordinator runs against it (0 =
 	// default 4; 1 restores serial per-server dispatch).
@@ -79,7 +76,8 @@ type Config struct {
 	// at most this many swapped-out memtable snapshots may await
 	// persistence before inserts crossing the threshold block (default 2).
 	FlushQueueDepth int
-	// Bloom tunes chunk sketch construction.
+	// Bloom tunes chunk sketch construction; Bloom.DisableBloom builds chunks
+	// without leaf time sketches, the one switch for sketch pruning.
 	Bloom chunk.BuildOptions
 	// Seed drives DFS placement and samplers.
 	Seed int64
@@ -90,10 +88,6 @@ type Config struct {
 	// clock makes fault-injection runs deterministic and free of wall-clock
 	// waits. Nil uses real sleeps.
 	SleepFn func(time.Duration)
-	// FlushFailHook is handed to every indexing server (including crash
-	// replacements): consulted before each chunk DFS write, a non-nil error
-	// fails the attempt. Chaos-testing injection surface.
-	FlushFailHook func(server, seq int, attempt int32) error
 	// Telemetry, when non-nil, is the metric registry every component
 	// reports into; nil runs the cluster without instrumentation (the
 	// hot paths then cost only nil checks).
@@ -172,7 +166,6 @@ func (c *Config) fill() {
 	if c.StandbyLagRecords <= 0 {
 		c.StandbyLagRecords = 64
 	}
-	c.Bloom.DisableBloom = c.Bloom.DisableBloom || c.DisableBloom
 }
 
 // Cluster is a running Waterwheel deployment.
@@ -423,7 +416,6 @@ func Open(cfg Config) (*Cluster, error) {
 				ID:            n*cfg.QueryServersPerNode + j,
 				Node:          n,
 				CacheBytes:    cfg.CacheBytes,
-				UseBloom:      !cfg.DisableBloom,
 				Workers:       cfg.QueryWorkers,
 				InflightReads: cfg.QueryInflightReads,
 				Metrics:       qsMetrics,

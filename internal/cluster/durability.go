@@ -81,13 +81,25 @@ const checkpointCommits = 8
 // A failure at any step ends the chain there: every segment stays. The
 // checkpointer runs it every checkpointCommits flush commits; FlushAll, Open
 // (the epoch generation that names this process's chunks is durable before
-// it writes one), AddIndexServer and Stop run it synchronously.
+// it writes one), AddIndexServer and Stop run it synchronously. Once the
+// cluster is stopped it answers ErrClosed and writes nothing: by then the
+// data directory may belong to the next process, and this one's image would
+// overwrite that one's registry.
 func (c *Cluster) Checkpoint() error {
+	c.ckptMu.Lock()
+	defer c.ckptMu.Unlock()
+	if c.stopped.Load() {
+		return ErrClosed
+	}
+	return c.checkpointLocked()
+}
+
+// checkpointLocked is the chain itself: Checkpoint's, and Stop's final one.
+// Requires ckptMu.
+func (c *Cluster) checkpointLocked() error {
 	if c.cfg.DataDir == "" {
 		return nil
 	}
-	c.ckptMu.Lock()
-	defer c.ckptMu.Unlock()
 	start, n := time.Now(), c.ckptStarted.Add(1)
 	offs := make([]int64, c.log.Partitions())
 	for i := range offs {
@@ -200,7 +212,11 @@ func (c *Cluster) Stop() {
 	// Close the flushers: they drain their queued snapshots, so the final
 	// checkpoint records their offsets.
 	c.stopIngest((*ingest.Server).Close)
-	_ = c.Checkpoint() // best effort; what it would record is also in the WAL
+	// The last checkpoint, past the stopped check every later one meets. Best
+	// effort: what it would record is also in the WAL.
+	c.ckptMu.Lock()
+	_ = c.checkpointLocked()
+	c.ckptMu.Unlock()
 	// Query traffic is over; force-delete any chunk files still parked
 	// behind in-flight-query horizons.
 	c.ret.drain()

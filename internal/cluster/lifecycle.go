@@ -249,7 +249,6 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		Bloom:               c.cfg.Bloom,
 		NoTemplateReuse:     c.cfg.NoTemplateReuse,
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
-		FlushFailHook:       c.cfg.FlushFailHook,
 		SyncWAL:             c.log.Partition(i).SyncTo,
 		ReleaseWAL: func(committed int64) {
 			c.log.Partition(i).Release(c.replayFloor(i, committed))

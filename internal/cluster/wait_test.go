@@ -3,11 +3,13 @@ package cluster
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 )
 
@@ -77,16 +79,18 @@ func churn(t *testing.T, c *Cluster) (stop func() int64) {
 	}
 }
 
-// gatedFlushes returns a FlushFailHook that parks every flush attempt of
-// the given server while the gate is shut, and the function that opens it.
-func gatedFlushes(server int) (hook func(int, int, int32) error, open func()) {
+// gatedFlushes returns durable files that park every chunk write of slot 0
+// — at the rename that puts its bytes in place — while the gate is shut, and
+// the function that opens it. Chunk files of slot 0 are named
+// chunks/is0-e<epoch>-…, which the DFS escapes to chunks%2Fis0-e….
+func gatedFlushes() (files *durable.Files, open func()) {
 	gate := make(chan struct{})
-	return func(s, _ int, _ int32) error {
-		if s == server {
+	return &durable.Files{Hook: func(op durable.Op, path string) error {
+		if op == durable.OpRename && strings.Contains(path, "chunks%2Fis0-e") {
 			<-gate
 		}
 		return nil
-	}, sync.OnceFunc(func() { close(gate) })
+	}}, sync.OnceFunc(func() { close(gate) })
 }
 
 // TestDrainSurvivesTakeover: Drain used to poll the incarnation it found
@@ -94,17 +98,21 @@ func gatedFlushes(server int) (hook func(int, int, int32) error, open func()) {
 // moved again and Drain hung. First a takeover is forced while a Drain is
 // parked on the slot, and the barrier has to hold on the successor —
 // everything acked before the call, exactly once; then every Drain under a
-// writer and a kill loop has to return.
+// writer and a kill loop has to return. The stall is a chunk write parked in
+// its rename, so the first half runs over a DataDir; the second, whose every
+// kill would replay and checkpoint through the disk, runs memory-only.
 func TestDrainSurvivesTakeover(t *testing.T) {
 	cfg := testConfig()
 	cfg.ChunkBytes = 8 << 10
 	cfg.FlushQueueDepth = 1
-	hook, open := gatedFlushes(0)
-	cfg.FlushFailHook = hook
+	gated := cfg
+	gated.DataDir = t.TempDir()
+	files, open := gatedFlushes()
+	gated.Files = files
 	defer open()
-	c := startCluster(t, cfg)
+	c := startCluster(t, gated)
 
-	// Park slot 0's pipeline: the flusher in the hook, then the consumer on
+	// Park slot 0's pipeline: the flusher in the rename, then the consumer on
 	// the full flush queue, with acked records behind it in the log.
 	var acked int
 	for i := 0; i < 40; i++ {
@@ -121,7 +129,7 @@ func TestDrainSurvivesTakeover(t *testing.T) {
 	go func() { drained <- c.Drain() }()
 	// Give the Drain a moment to park on the stalled incarnation (the test
 	// passes either way; parked is the interesting case), then depose it.
-	// The takeover itself waits for the old flusher, which is in the hook.
+	// The takeover itself waits for the old flusher, which is in the rename.
 	time.Sleep(10 * time.Millisecond)
 	killed := make(chan error, 1)
 	go func() { killed <- c.KillIndexServer(0) }()
@@ -143,13 +151,14 @@ func TestDrainSurvivesTakeover(t *testing.T) {
 	}
 
 	// Now the race: every Drain returns, and returns nil.
+	c = startCluster(t, cfg)
 	stop := churn(t, c)
 	for start, n := time.Now(), 0; n < 300 && time.Since(start) < 300*time.Millisecond; n++ {
 		if err := within(t, "Drain under a kill loop", c.Drain); err != nil {
 			t.Fatalf("Drain %d under a kill loop: %v", n, err)
 		}
 	}
-	total := int(stop()) + acked
+	total := int(stop())
 	// CrashIndexServer's catch-up is the same wait.
 	for slot := 0; slot < 2; slot++ {
 		if err := within(t, "CrashIndexServer", func() error { return c.CrashIndexServer(slot) }); err != nil {

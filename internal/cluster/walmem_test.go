@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -124,21 +123,14 @@ func TestWALMemoryBoundedByUnflushedSuffix(t *testing.T) {
 // returns to the bound.
 func TestWALMemoryGrowsOnlyWithParkedFlusher(t *testing.T) {
 	eachLog(t, func(t *testing.T, disk bool) {
-		var outage atomic.Bool
-		cfg := walMemConfig(t, disk)
-		cfg.FlushFailHook = func(int, int, int32) error {
-			if outage.Load() {
-				return errors.New("injected DFS outage")
-			}
-			return nil
-		}
-		c := startCluster(t, cfg)
+		c := startCluster(t, walMemConfig(t, disk))
 		seqBatch(t, c, 0, 3000, 64)
 		c.Drain()
 		before, _ := walResident(t, c)
 		committed := c.Metadata().Offset(0)
 
-		outage.Store(true)
+		// A DFS outage: every chunk write fails until it ends.
+		c.FS().SetWriteFailRate(1)
 		const backlog = 5000 // ten memtables: the flush queue fills, the consumer blocks
 		seqBatch(t, c, 3000, backlog, 64)
 		p := c.WAL().Partition(0)
@@ -149,7 +141,7 @@ func TestWALMemoryGrowsOnlyWithParkedFlusher(t *testing.T) {
 			t.Fatalf("window %d during the outage, want the %d resident before + the %d acked since", p.Len(), before, backlog)
 		}
 
-		outage.Store(false)
+		c.FS().SetWriteFailRate(0)
 		c.Drain()
 		after, _ := walResident(t, c)
 		if after > walMemBound {

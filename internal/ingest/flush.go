@@ -344,14 +344,7 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 		// so neither a successor in this process nor one in the next can take
 		// this name.
 		path := fmt.Sprintf("chunks/is%d-e%d-%s%d", s.cfg.ID, s.epoch.Load(), kind, pf.seq)
-		werr := error(nil)
-		if s.cfg.FlushFailHook != nil {
-			werr = s.cfg.FlushFailHook(s.cfg.ID, pf.seq, pf.attempts.Load())
-		}
-		if werr == nil {
-			werr = s.fs.Write(path, data)
-		}
-		if werr != nil {
+		if werr := s.fs.Write(path, data); werr != nil {
 			// Parts written so far stay durable-but-unregistered; nothing
 			// registers and no offset commits until every part is written.
 			s.stats.FlushFailures.Add(1)

@@ -57,12 +57,6 @@ type Config struct {
 	// swapped-out snapshots may await persistence before the next
 	// threshold-crossing insert blocks (default 2).
 	FlushQueueDepth int
-	// FlushFailHook, when set, is consulted before every chunk DFS write
-	// with the producing server, the snapshot's flush sequence and the
-	// attempt number; a non-nil error fails the attempt exactly as a DFS
-	// write failure would. Fault-injection surface for chaos testing
-	// (mid-flight flusher failures).
-	FlushFailHook func(server, seq int, attempt int32) error
 	// SyncWAL, when set, is called with a flush unit's WAL offset before
 	// the unit registers its chunks and commits that offset — the cluster
 	// wires it to the partition's fsync barrier (wal.Partition.SyncTo). A

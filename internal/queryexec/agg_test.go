@@ -54,7 +54,7 @@ func TestAggregatePushdownNoLeafReads(t *testing.T) {
 	c.is = append(c.is, srv)
 	execs[0] = srv
 	qs := NewServer(ServerConfig{
-		ID: 0, Node: 0, CacheBytes: 1 << 20, UseBloom: true,
+		ID: 0, Node: 0, CacheBytes: 1 << 20,
 		Metrics: NewServerMetrics(telemetry.NewRegistry()),
 	}, fs, ms)
 	c.qs = append(c.qs, qs)

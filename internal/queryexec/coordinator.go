@@ -12,6 +12,7 @@ import (
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
+	"waterwheel/internal/wal"
 )
 
 // MemExecutor answers subqueries against an indexing server's in-memory
@@ -559,92 +560,6 @@ const (
 	stateDone
 )
 
-// board coordinates the sweep phase of one dispatch: workers that have
-// exhausted their preference lists block here instead of busy-spinning,
-// and are woken when a failure returns a subquery to the pending set
-// (epoch bump), when the last subquery completes, or when a chunk turns
-// out unreadable and the whole dispatch fails (err).
-type board struct {
-	mu    sync.Mutex
-	cond  sync.Cond
-	total int
-	done  int
-	epoch uint64
-	err   error
-}
-
-func newBoard(total int) *board {
-	b := &board{total: total}
-	b.cond.L = &b.mu
-	return b
-}
-
-// finished records one completed subquery, waking sweepers when it was
-// the last.
-func (b *board) finished() {
-	b.mu.Lock()
-	b.done++
-	if b.done == b.total {
-		b.cond.Broadcast()
-	}
-	b.mu.Unlock()
-}
-
-// redispatched signals that a subquery returned to the pending set. The
-// caller must store statePending before calling, so woken sweepers
-// observe the claimable state when they rescan.
-func (b *board) redispatched() {
-	b.mu.Lock()
-	b.epoch++
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// fail ends the dispatch with err (the first one wins): no server can
-// answer the subquery, so sweepers are woken to exit rather than retry.
-func (b *board) fail(err error) {
-	b.mu.Lock()
-	if b.err == nil {
-		b.err = err
-	}
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// failure returns the error the dispatch failed with, if any.
-func (b *board) failure() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
-// snapshot returns (epoch, over) for one sweep round; over means every
-// subquery completed or the dispatch failed. Taking the epoch before the
-// claim scan makes redispatches during the scan impossible to miss:
-// wait(epoch) returns immediately when the epoch has moved on.
-func (b *board) snapshot() (uint64, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.epoch, b.done == b.total || b.err != nil
-}
-
-// wait blocks until the dispatch is over (returns true) or the epoch moved
-// past the caller's snapshot (returns false → rescan).
-func (b *board) wait(epoch uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.done < b.total && b.err == nil && b.epoch == epoch {
-		b.cond.Wait()
-	}
-	return b.done == b.total || b.err != nil
-}
-
-func (b *board) doneCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.done
-}
-
 // runChunkSubqueries drives the dispatch engine: the policy builds the
 // per-server preference lists, then a pool of Workers goroutines per live
 // query server claims subqueries from the shared pending set in the
@@ -652,9 +567,10 @@ func (b *board) doneCount() int {
 // executes several subqueries concurrently (§IV-B). A failed server's
 // claimed subqueries return to the pending set and are picked up by
 // another server's workers (§V); workers that exhaust their list sweep
-// for still-pending work, parking on the board (no busy-wait) until a
-// redispatch or completion wakes them. A chunk that cannot be decoded is
-// not a server failure: the first such error fails the query at once.
+// for still-pending work, parking on one progress watermark (no busy-wait)
+// that a redispatch or the last completion advances. A chunk that cannot be
+// decoded is not a server failure: the first such error fails the watermark,
+// and with it the query, at once.
 func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*model.SubResult), sp *telemetry.Span) error {
 	c.mu.RLock()
 	servers := append([]*Server(nil), c.qservers...)
@@ -692,12 +608,26 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 	locations := c.fs.LocationsBatch(paths)
 	pref := policy.Plan(sqs, locations, placements)
 
+	// A sweeper reads progress before its claim scan and parks on the next
+	// step: a redispatch stores statePending before it advances progress, and
+	// the last completion counts itself before it does, so a sweeper that
+	// scanned while either raced it rescans instead of sleeping.
 	states := make([]atomic.Int32, len(sqs))
-	b := newBoard(len(sqs))
-	var wg sync.WaitGroup
+	total := int64(len(sqs))
+	var (
+		progress wal.Watermark
+		done     atomic.Int64
+		wg       sync.WaitGroup
+	)
+	complete := func(idx int) {
+		states[idx].Store(stateDone)
+		if done.Add(1) == total {
+			progress.Add(1)
+		}
+	}
 
 	runOne := func(s *Server, idx int) bool {
-		if b.failure() != nil {
+		if progress.Err() != nil {
 			return false
 		}
 		c.m.WorkersBusy.Add(1)
@@ -717,8 +647,7 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 					sqSp.SetInt("retired", 1)
 					sqSp.End()
 					c.m.RetiredSubQueries.Inc()
-					states[idx].Store(stateDone)
-					b.finished()
+					complete(idx)
 					return true
 				}
 				// Still registered: a replica hiccup, not retirement — fall
@@ -729,18 +658,17 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 			if errors.Is(err, chunk.ErrCorrupt) || errors.Is(err, chunk.ErrUnsupportedVersion) {
 				// A property of the file, not of this server: every other
 				// server would read the same bytes.
-				b.fail(err)
+				progress.Fail(err)
 				return false
 			}
 			// Return the subquery to the pending set; this worker stops.
 			c.m.Redispatches.Inc()
 			states[idx].Store(statePending)
-			b.redispatched()
+			progress.Add(1)
 			return false
 		}
 		sqSp.End()
-		states[idx].Store(stateDone)
-		b.finished()
+		complete(idx)
 		deliver(r)
 		return true
 	}
@@ -768,8 +696,8 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 				// its claimant failed it returns to pending and is picked
 				// up here.
 				for {
-					epoch, done := b.snapshot()
-					if done {
+					seen := progress.Load()
+					if done.Load() == total || progress.Err() != nil {
 						return
 					}
 					progressed := false
@@ -781,7 +709,7 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 							}
 						}
 					}
-					if !progressed && b.wait(epoch) {
+					if !progressed && progress.Wait(seen+1, nil) != nil {
 						return
 					}
 				}
@@ -789,12 +717,12 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		}
 	}
 	wg.Wait()
-	if err := b.failure(); err != nil {
+	if err := progress.Err(); err != nil {
 		return err
 	}
-	if n := b.doneCount(); n < len(sqs) {
+	if n := done.Load(); n < total {
 		return fmt.Errorf("%w: %d/%d subqueries unserved after failures",
-			ErrNoQueryServers, len(sqs)-n, len(sqs))
+			ErrNoQueryServers, total-n, total)
 	}
 	return nil
 }

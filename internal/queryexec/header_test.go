@@ -49,7 +49,7 @@ func splitFixture(t *testing.T) (*dfs.FS, *meta.Server, meta.ChunkInfo, *chunk.H
 // coldServer is a query server with an empty cache and its own metrics.
 func coldServer(fs *dfs.FS, ms *meta.Server, cacheBytes int64) (*Server, *ServerMetrics) {
 	m := NewServerMetrics(telemetry.NewRegistry())
-	return NewServer(ServerConfig{CacheBytes: cacheBytes, UseBloom: true, Metrics: m}, fs, ms), m
+	return NewServer(ServerConfig{CacheBytes: cacheBytes, Metrics: m}, fs, ms), m
 }
 
 // plannedSub is the subquery the coordinator plans for ci; indexLen stands

@@ -1,11 +1,9 @@
 package queryexec
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,24 +36,17 @@ func TestPlannerProperty(t *testing.T) {
 	ms := meta.NewServer(nIdx)
 	execs := memExecs{}
 	coord := NewCoordinator(CoordinatorConfig{LateDeltaMillis: lateDelta, MemExecutor: execs.lookup}, ms, fs)
-	var dfsDown atomic.Bool
 	var is []*ingest.Server
 	for i := 0; i < nIdx; i++ {
 		srv := ingest.NewServer(ingest.Config{
 			ID: i, Keys: ms.Schema().IntervalOf(i), ChunkBytes: 1 << 30, Leaves: 16,
-			FlushFailHook: func(int, int, int32) error {
-				if dfsDown.Load() {
-					return errors.New("dfs down")
-				}
-				return nil
-			},
 		}, fs, ms, i)
 		t.Cleanup(srv.Close)
 		is = append(is, srv)
 		execs[i] = srv
 	}
 	for i := 0; i < 2; i++ {
-		coord.AddQueryServer(NewServer(ServerConfig{ID: i, Node: i, CacheBytes: 1 << 20, UseBloom: true}, fs, ms))
+		coord.AddQueryServer(NewServer(ServerConfig{ID: i, Node: i, CacheBytes: 1 << 20}, fs, ms))
 	}
 
 	rng := rand.New(rand.NewSource(15))
@@ -80,7 +71,7 @@ func TestPlannerProperty(t *testing.T) {
 		}
 	}
 	ingestWindow(300, 3000)
-	dfsDown.Store(true)
+	fs.SetWriteFailRate(1) // the DFS is down
 	for _, srv := range is {
 		if _, ok := srv.Flush(); ok {
 			t.Fatal("flush succeeded with the DFS down")

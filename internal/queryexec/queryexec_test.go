@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func newCluster(t *testing.T, nIdx, nQry, nNodes int) *testCluster {
 		execs[i] = srv
 	}
 	for i := 0; i < nQry; i++ {
-		qs := NewServer(ServerConfig{ID: i, Node: i % nNodes, CacheBytes: 1 << 20, UseBloom: true}, fs, ms)
+		qs := NewServer(ServerConfig{ID: i, Node: i % nNodes, CacheBytes: 1 << 20}, fs, ms)
 		c.qs = append(c.qs, qs)
 		c.coord.AddQueryServer(qs)
 	}
@@ -443,9 +445,8 @@ func TestAllQueryServersDown(t *testing.T) {
 
 func TestFailureDuringQuery(t *testing.T) {
 	// A server that fails between queries: its claimed subqueries return to
-	// the pending set and complete elsewhere. (Mid-execution failure is
-	// simulated by marking it down before the query; the claimed-subquery
-	// return path is the same.)
+	// the pending set and complete elsewhere. The second half fails one in
+	// the middle of a query instead.
 	c := newCluster(t, 1, 2, 2)
 	for w := 0; w < 6; w++ {
 		c.ingest(seqTuples(100, 100, int64(w*10_000)))
@@ -463,6 +464,61 @@ func TestFailureDuringQuery(t *testing.T) {
 	}
 	if len(res1.Tuples) != len(res2.Tuples) {
 		t.Fatalf("results differ across failure: %d vs %d", len(res1.Tuples), len(res2.Tuples))
+	}
+
+	// Mid-query, with every other worker parked: the first chunk read is
+	// held until the other five subqueries completed and their workers ran
+	// out of work, then the held subquery's next read fails. Nothing but the
+	// redispatch itself can wake a parked sweeper to take it over.
+	var armed atomic.Bool
+	gate, held := make(chan struct{}), make(chan struct{})
+	m := newMetricCluster(t, 1, 2, 2, ServerConfig{}, dfs.LatencyModel{}, func(time.Duration) {
+		if armed.CompareAndSwap(true, false) {
+			close(held)
+			<-gate
+		}
+	})
+	for w := 0; w < 6; w++ {
+		m.ingest(seqTuples(100, 100, int64(w*10_000)))
+		m.flushAll()
+	}
+	armed.Store(true)
+	var res3 *model.Result
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res3, err = m.coord.Execute(q)
+		done <- err
+	}()
+	<-held
+	// Every worker but the held one parks on the dispatch's progress, which
+	// also means the other five subqueries completed.
+	parked := func() (n int) {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "runChunkSubqueries") && strings.Contains(g, "(*Watermark).Wait") {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(10 * time.Second); parked() < m.qs[0].Workers()+m.qs[1].Workers()-1; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the idle workers never parked")
+		}
+	}
+	m.fs.FailNextReads(1)
+	close(gate)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a subquery redispatched while every other worker was parked was never taken over")
+	}
+	if len(res3.Tuples) != len(res1.Tuples) || m.cm.Redispatches.Value() != 1 {
+		t.Fatalf("mid-query failure: %d tuples, want %d; %d redispatches, want 1", len(res3.Tuples), len(res1.Tuples), m.cm.Redispatches.Value())
 	}
 }
 

@@ -35,7 +35,7 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	is.Flush()
 
 	coord := NewCoordinator(CoordinatorConfig{MemExecutor: memExecs{0: is}.lookup}, ms, fs)
-	qs := NewServer(ServerConfig{ID: 0, Node: 0, CacheBytes: 1 << 20, UseBloom: true}, fs, ms)
+	qs := NewServer(ServerConfig{ID: 0, Node: 0, CacheBytes: 1 << 20}, fs, ms)
 	coord.AddQueryServer(qs)
 
 	// Query the full key range but pin the attribute to one value.

@@ -48,8 +48,6 @@ type ServerConfig struct {
 	Node int
 	// CacheBytes is the LRU budget (paper: 1 GB per query server).
 	CacheBytes int64
-	// UseBloom enables time-sketch leaf pruning (ablation switch).
-	UseBloom bool
 	// Workers is the number of dispatch-pool goroutines the coordinator
 	// runs against this server — its subquery-level parallelism. The
 	// workers spend their time parked on (simulated) DFS I/O, so the
@@ -424,7 +422,9 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 			secEQ = &v
 		}
 	}
-	leaves, pruned := h.SelectLeavesFor(sq.Region.Keys, sq.Region.Times, s.cfg.UseBloom, secEQ)
+	// The sketches prune whenever the chunk carries them: a chunk built
+	// without them (chunk.BuildOptions.DisableBloom) prunes by time bounds only.
+	leaves, pruned := h.SelectLeavesFor(sq.Region.Keys, sq.Region.Times, true, secEQ)
 	res.LeavesSkipped += pruned
 	s.m.LeavesBloomSkip.Add(int64(pruned))
 

@@ -6,8 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/telemetry"
 )
 
@@ -285,11 +289,11 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 		}
 		return p, path
 	}
-	durable := [][]byte{[]byte("d")}
+	first := [][]byte{[]byte("d")}
 
 	t.Run("crash", func(t *testing.T) {
 		p, path := open(t)
-		if _, err := p.AppendBatch(durable); err != nil {
+		if _, err := p.AppendBatch(first); err != nil {
 			t.Fatal(err)
 		}
 		release := p.HoldFsyncs()
@@ -299,7 +303,7 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 		}
 		// The crash poisons the partition first, then waits for the committer,
 		// which is stuck behind the held fsyncs: release only once the poison
-		// is in, so the cohort StartAppend kicked can no longer sync.
+		// is in, so the cohort StartAppend woke can no longer sync.
 		crashed := make(chan error, 1)
 		go func() { crashed <- p.CrashDiscardUnsynced() }()
 		for p.Err() == nil {
@@ -330,7 +334,7 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 
 	t.Run("close", func(t *testing.T) {
 		p, _ := open(t)
-		if _, err := p.AppendBatch(durable); err != nil {
+		if _, err := p.AppendBatch(first); err != nil {
 			t.Fatal(err)
 		}
 		// An append that lands after the committer's final cohort and before
@@ -353,4 +357,63 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 			t.Fatalf("AwaitDurable below the watermark after CloseFile: %v", err)
 		}
 	})
+
+	// Parked under held fsyncs when the line breaks — by a crash, or by the
+	// cohort's own fsync failing once the hold lifts — the waiter has nothing
+	// else to wake it: the break must hand it the sticky error at once.
+	for _, brk := range []string{"crash", "fsync error"} {
+		t.Run("parked/"+brk, func(t *testing.T) {
+			var failSync atomic.Bool
+			files := &durable.Files{Hook: func(op durable.Op, _ string) error {
+				if op == durable.OpSync && failSync.Load() {
+					return errors.New("injected fsync failure")
+				}
+				return nil
+			}}
+			p, err := OpenPartition(filepath.Join(t.TempDir(), "p.wal"), Config{Durability: DurabilityAckOnFsync, Files: files})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.CloseFile()
+			// Released on every way out, before CloseFile: a failed wait must
+			// fail the test, not leave the crash and CloseFile stuck behind it.
+			release := sync.OnceFunc(p.HoldFsyncs())
+			defer release()
+			end, err := p.StartAppend(first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := make(chan error, 1)
+			go func() { acked <- p.AwaitDurable(end) }()
+			for p.synced.waiting.Load() == 0 {
+				runtime.Gosched()
+			}
+			crashed := make(chan error, 1)
+			if brk == "crash" {
+				// The crash waits for the committer, stuck behind the hold; the
+				// waiter must not.
+				go func() { crashed <- p.CrashDiscardUnsynced() }()
+			} else {
+				failSync.Store(true)
+				release()
+			}
+			select {
+			case err := <-acked:
+				if err == nil {
+					t.Fatal("a parked waiter was acked across a broken line")
+				}
+				if !errors.Is(err, p.Err()) {
+					t.Fatalf("parked waiter got %v, want the sticky error %v", err, p.Err())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a waiter parked when the line broke was never released")
+			}
+			if brk == "crash" {
+				release()
+				if err := <-crashed; err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -5,13 +5,14 @@ package wal
 // record must be on stable storage — not in the OS page cache — before the
 // ack. Issuing fsync per append would cap ingest at the disk's sync rate,
 // so a per-partition committer goroutine batches appends into cohorts: an
-// appender parks on the partition's synced condition, the committer
-// captures the current head, issues ONE fsync, advances the watermark and
-// wakes everyone the fsync covered. All appends that arrive while an fsync
-// is in flight ride the next cohort, so the batch size scales with
+// appender parks on the partition's fsync watermark (Partition.synced, a
+// Watermark like every other wait), the committer — parked on the head —
+// captures the current head, issues ONE fsync and advances the watermark,
+// which wakes everyone the fsync covered. All appends that arrive while an
+// fsync is in flight ride the next cohort, so the batch size scales with
 // concurrency and the fsync cost amortizes toward zero per tuple.
 //
-// The watermark (Partition.synced) is also the ceiling for everything else
+// The fsync watermark is also the ceiling for everything else
 // that claims durability: flush-offset commits call SyncTo so a committed
 // offset never exceeds what the log can actually replay after a host
 // crash, and the chaos harness's hard-crash mode cuts the segments back to
@@ -109,51 +110,62 @@ func (p *Partition) startCommitter() {
 	if p.dur == DurabilityInterval && p.interval <= 0 {
 		p.interval = defaultFsyncInterval
 	}
-	p.kick = make(chan struct{}, 1)
 	p.commStop = make(chan struct{})
 	p.commDone = make(chan struct{})
 	go p.committer()
 }
 
+// committer runs one cohort whenever one is due (nextCohort) and a final one
+// when it is stopped, to cover appends that raced shutdown (a partition being
+// crash-discarded broke its line first, which makes that a no-op). A broken
+// line ends it: the error is sticky and every waiter already has it.
 func (p *Partition) committer() {
 	defer close(p.commDone)
-	var tick *time.Ticker
-	var tickC <-chan time.Time
+	var tick <-chan time.Time
 	if p.dur == DurabilityInterval {
-		tick = time.NewTicker(p.interval)
-		tickC = tick.C
-		defer tick.Stop()
+		t := time.NewTicker(p.interval)
+		defer t.Stop()
+		tick = t.C
 	}
-	for {
-		select {
-		case <-p.kick:
-			p.accumulateCohort()
-			p.syncCohort()
-		case <-tickC:
-			p.syncCohort()
-		case <-p.commStop:
-			// Final cohort: cover appends that raced shutdown. A partition
-			// being crash-discarded sets fileErr first, turning this into
-			// a no-op.
-			p.syncCohort()
+	for p.nextCohort(tick) {
+		if p.syncCohort() != nil {
 			return
 		}
 	}
+	p.syncCohort()
+}
+
+// nextCohort waits until a cohort is due: under DurabilityInterval the next
+// tick, under DurabilityAckOnFsync an append past the fsync watermark — the
+// committer is one more waiter on the head. It returns false once the
+// committer is stopped or, for a head waiter, the partition closed.
+func (p *Partition) nextCohort(tick <-chan time.Time) bool {
+	if tick != nil {
+		select {
+		case <-tick:
+			return true
+		case <-p.commStop:
+			return false
+		}
+	}
+	if p.head.Wait(p.synced.Load()+1, p.commStop) != nil {
+		return false
+	}
+	p.accumulateCohort()
+	return true
 }
 
 // accumulateCohort gives concurrently-running appenders a brief chance to
 // join the cohort before its fsync is issued. Without it, the first append
 // after an idle period buys an fsync for itself alone while the appenders a
 // scheduler tick behind it pay for a second one — halving the amortization
-// exactly at the cohort boundary. Yielding while the unsynced count still
-// grows costs a few scheduler passes (far below fsync latency), is bounded,
-// and converges after one pass when no one else is appending.
+// exactly at the cohort boundary. Yielding while the head still moves costs
+// a few scheduler passes (far below fsync latency), is bounded, and
+// converges after one pass when no one else is appending.
 func (p *Partition) accumulateCohort() {
 	prev := int64(-1)
 	for i := 0; i < 4; i++ {
-		p.mu.Lock()
-		n := p.headLocked() - p.synced
-		p.mu.Unlock()
+		n := p.head.Load()
 		if n == prev {
 			return
 		}
@@ -162,31 +174,15 @@ func (p *Partition) accumulateCohort() {
 	}
 }
 
-// kickCommitter nudges the committer without blocking; a kick that finds
-// the buffer full is redundant (a cohort is already pending).
-func (p *Partition) kickCommitter() {
-	if p.kick == nil {
-		return
-	}
-	select {
-	case p.kick <- struct{}{}:
-	default:
-	}
-}
-
 // stopCommitter shuts the committer down (idempotent) after letting it run
-// one final cohort. Waiters parked at that point are woken by the final
-// cohort's broadcast; any appender arriving later syncs inline (see
-// waitSyncedLocked's commClosed branch).
+// one final cohort. Its callers break the line next, which hands every
+// waiter the final cohort did not cover the sticky error: its record is not
+// durable, so it is not acked.
 func (p *Partition) stopCommitter() {
 	p.stopOnce.Do(func() {
 		if p.commStop == nil {
 			return
 		}
-		p.mu.Lock()
-		p.commClosed = true
-		p.syncedCond.Broadcast()
-		p.mu.Unlock()
 		close(p.commStop)
 		<-p.commDone
 	})
@@ -203,26 +199,13 @@ func (p *Partition) HoldFsyncs() (release func()) {
 	return p.syncMu.Unlock
 }
 
-// waitSyncedLocked blocks (mu held) until the fsync watermark reaches
-// target or the line breaks. It returns nil whenever the record became
-// durable, even if a later failure poisoned the partition.
-func (p *Partition) waitSyncedLocked(target int64) error {
-	for p.synced < target && p.fileErr == nil {
-		if p.commClosed {
-			// Committer gone (shutdown path): sync inline instead of
-			// waiting for a wake-up that will never come.
-			p.mu.Unlock()
-			p.syncCohort()
-			p.mu.Lock()
-			continue
-		}
-		p.kickCommitter()
-		p.met.Waiters.Add(1)
-		p.syncedCond.Wait()
-		p.met.Waiters.Add(-1)
-	}
-	if p.synced >= target {
-		return nil
+// breakLocked makes err the partition's sticky failure, unless it has one
+// already, and fails the fsync watermark with it: every ack still waiting for
+// a cohort gets the error. It returns the sticky error. Requires mu.
+func (p *Partition) breakLocked(err error) error {
+	if p.fileErr == nil {
+		p.fileErr = err
+		p.synced.Fail(err)
 	}
 	return p.fileErr
 }
@@ -239,9 +222,7 @@ func (p *Partition) syncCohort() error {
 	p.syncMu.Lock()
 	defer p.syncMu.Unlock()
 	p.mu.Lock()
-	if p.fileErr != nil {
-		err := p.fileErr
-		p.syncedCond.Broadcast()
+	if err := p.fileErr; err != nil {
 		p.mu.Unlock()
 		return err
 	}
@@ -250,7 +231,7 @@ func (p *Partition) syncCohort() error {
 		return nil
 	}
 	head := p.headLocked()
-	if head <= p.synced {
+	if head <= p.synced.Load() {
 		p.mu.Unlock()
 		return nil
 	}
@@ -270,20 +251,16 @@ func (p *Partition) syncCohort() error {
 
 	p.mu.Lock()
 	if err != nil {
-		if p.fileErr == nil {
-			p.fileErr = fmt.Errorf("wal: fsync: %w", err)
-		}
-		err = p.fileErr
+		err = p.breakLocked(fmt.Errorf("wal: fsync: %w", err))
 	} else {
 		p.met.Fsyncs.Inc()
 		p.met.CommitNanos.Observe(time.Since(start))
-		if head > p.synced {
-			p.met.FsyncBatch.Observe(time.Duration(head-p.synced) * time.Second)
-			p.synced = head
+		if synced := p.synced.Load(); head > synced {
+			p.met.FsyncBatch.Observe(time.Duration(head-synced) * time.Second)
+			p.synced.Set(head)
 			p.syncedAt = unsynced[len(unsynced)-1]
 		}
 	}
-	p.syncedCond.Broadcast()
 	p.mu.Unlock()
 	return err
 }
@@ -312,7 +289,7 @@ func (p *Partition) SyncTo(upTo int64) error {
 		p.mu.Unlock()
 		return err
 	}
-	if p.file == nil || p.synced >= upTo {
+	if p.file == nil || p.synced.Load() >= upTo {
 		p.mu.Unlock()
 		return nil
 	}
@@ -329,7 +306,7 @@ func (p *Partition) SyncedNext() int64 {
 	if p.file == nil && p.fileErr == nil {
 		return p.headLocked()
 	}
-	return p.synced
+	return p.synced.Load()
 }
 
 // UnsyncedBytes reports segment bytes appended but not yet covered by an
@@ -360,12 +337,9 @@ func (p *Partition) CrashDiscardUnsynced() error {
 		p.mu.Unlock()
 		return nil
 	}
-	if p.fileErr == nil {
-		// Poison first so the committer's final cohort (and any racing
-		// manual Sync) cannot fsync bytes the "crash" is about to drop.
-		p.fileErr = fmt.Errorf("wal: simulated host crash")
-	}
-	p.syncedCond.Broadcast()
+	// Poison first so the committer's final cohort (and any racing manual
+	// Sync) cannot fsync bytes the "crash" is about to drop.
+	p.breakLocked(fmt.Errorf("wal: simulated host crash"))
 	p.mu.Unlock()
 	p.stopCommitter()
 	p.syncMu.Lock()

@@ -106,7 +106,7 @@ func openPartition(path string, cfg Config, resident int64) (*Partition, error) 
 	p.head.Set(head)
 	// Everything that survived into the files counts as the durable
 	// baseline: it is what a reopen after a crash would see.
-	p.synced = head
+	p.synced.Set(head)
 	p.syncedAt = p.segs[len(p.segs)-1]
 	p.startCommitter()
 	return p, nil
@@ -432,7 +432,7 @@ func (p *Partition) truncateDisk(before int64) {
 		p.syncMu.Unlock()
 		return
 	}
-	p.truncateLocked(min(before, p.synced))
+	p.truncateLocked(min(before, p.synced.Load()))
 	n := 0
 	for n+1 < len(p.segs) && p.segs[n+1].base <= p.base {
 		n++
@@ -504,10 +504,7 @@ func (p *Partition) CloseFile() error {
 	}
 	err := p.file.Close()
 	p.file = nil
-	if p.fileErr == nil {
-		p.fileErr = fmt.Errorf("wal: segment closed")
-	}
-	p.syncedCond.Broadcast()
+	p.breakLocked(fmt.Errorf("wal: segment closed"))
 	return err
 }
 

@@ -314,6 +314,13 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	}()
 	go func() {
 		defer readers.Done()
+		// Start behind the release point, so the cold path is walked however
+		// the scheduler interleaves the two readers: a standby that happened
+		// to keep pace with the consumer read nothing cold, about once in
+		// three hundred runs on a loaded two-core host.
+		for consumed.Load() < total/4 {
+			runtime.Gosched()
+		}
 		follow("standby", 16, standby.Store)
 	}()
 

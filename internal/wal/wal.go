@@ -100,27 +100,20 @@ type Partition struct {
 	// unlinks, and is always taken before mu. synced/syncedAt form the fsync
 	// watermark: every record below offset `synced` — every segment below
 	// syncedAt.base and the first syncedAt.bytes body bytes of that one — is
-	// on stable storage.
-	dur        Durability
-	interval   time.Duration
-	met        Metrics
-	syncMu     sync.Mutex
-	syncedCond *sync.Cond
-	synced     int64
-	syncedAt   segment
-	kick       chan struct{}
-	commStop   chan struct{}
-	commDone   chan struct{}
-	commClosed bool
-	stopOnce   sync.Once
+	// on stable storage. synced is Set under mu and failed by breakLocked.
+	dur      Durability
+	interval time.Duration
+	met      Metrics
+	syncMu   sync.Mutex
+	synced   Watermark
+	syncedAt segment
+	commStop chan struct{}
+	commDone chan struct{}
+	stopOnce sync.Once
 }
 
 // NewPartition creates an empty partition.
-func NewPartition() *Partition {
-	p := &Partition{}
-	p.syncedCond = sync.NewCond(&p.mu)
-	return p
-}
+func NewPartition() *Partition { return &Partition{} }
 
 // Append stores one record, returning its offset: AppendBatch of one.
 func (p *Partition) Append(data []byte) (int64, error) {
@@ -149,8 +142,8 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 // ONE lock acquisition and returns the offset past its last record without
 // waiting for durability, so a caller appending to several partitions can
 // have every fsync cohort in flight before it parks on the first
-// (AwaitDurable). Under DurabilityAckOnFsync it nudges the committer on the
-// way out. The records are readable — and will be consumed — at once; only
+// (AwaitDurable). The head it publishes is what the ack-on-fsync committer
+// waits on. The records are readable — and will be consumed — at once; only
 // the ack has to wait.
 //
 // The data is copied: the batch is framed into a single buffer outside the
@@ -206,13 +199,7 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 		if _, err := p.file.Write(buf); err != nil {
 			clear(p.store[mark:])
 			p.store = p.store[:mark]
-			p.fileErr = fmt.Errorf("wal: segment append: %w", err)
-			// A broken line also fails parked group-commit waiters.
-			p.syncedCond.Broadcast()
-			return 0, p.fileErr
-		}
-		if p.dur == DurabilityAckOnFsync {
-			p.kickCommitter()
+			return 0, p.breakLocked(fmt.Errorf("wal: segment append: %w", err))
 		}
 		active := &p.segs[len(p.segs)-1]
 		if active.bytes += int64(total); active.bytes >= p.segBytes {
@@ -229,20 +216,17 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 // record below end meets the partition's durability policy. Only a
 // disk-backed partition under DurabilityAckOnFsync has anything to wait
 // for — a group-commit fsync covering end; everywhere else the append was
-// the ack. A partition whose segment was closed or crash-discarded since
-// StartAppend is NOT memory-only: it answers with its sticky error unless
+// the ack. A partition whose line broke since StartAppend (a segment or fsync
+// error, CloseFile, a simulated crash) answers with its sticky error unless
 // the watermark had already covered end, exactly as an AppendBatch caught
 // mid-wait does.
 func (p *Partition) AwaitDurable(end int64) error {
-	if p.dur != DurabilityAckOnFsync {
+	if p.dur != DurabilityAckOnFsync || p.synced.Load() >= end {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.file == nil && p.fileErr == nil {
-		return nil
-	}
-	return p.waitSyncedLocked(end)
+	p.met.Waiters.Add(1)
+	defer p.met.Waiters.Add(-1)
+	return p.synced.Wait(end, nil)
 }
 
 // FailNextAppends arms a transient fault: the next n Append/AppendBatch

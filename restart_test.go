@@ -2,7 +2,9 @@ package waterwheel
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -276,4 +278,69 @@ func restartSecondProcess(dir string) error {
 		}
 	}
 	return nil
+}
+
+// TestCheckpointAfterCloseWritesNothing: a closed handle no longer owns its
+// DataDir — the next process may be running over it already. Its Checkpoint
+// used to write the closed deployment's registry over that process's
+// meta.snap, and the reopen after it swept the newer chunks as orphans and
+// could not replay below the log's horizon: every tuple the newer process
+// acked was gone. Now the handle, and the cluster under it, answer ErrClosed
+// and the file stays as the newer process left it.
+func TestCheckpointAfterCloseWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Nodes: 1, IndexServersPerNode: 2, QueryServersPerNode: 2, ChunkBytes: 32 << 10, DataDir: dir, Seed: 1}
+	stale, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restartInsert(stale, 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restartInsert(next, restartGen, 3000); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := filepath.Join(dir, "meta.snap")
+	before, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Checkpoint(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Checkpoint on a closed DB = %v, want ErrClosed", err)
+	}
+	if err := stale.Cluster().Checkpoint(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Checkpoint on a stopped cluster = %v, want ErrClosed", err)
+	}
+	if after, err := os.ReadFile(snap); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("meta.snap changed under a closed handle's Checkpoint (err %v)", err)
+	}
+
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := restartVerify(db, restartDay10, map[uint64]uint64{0: 1000, restartGen: 3000}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -101,7 +101,7 @@ func subQueryAllocs(t *testing.T, instrument bool) float64 {
 		m = queryexec.NewServerMetrics(telemetry.NewRegistry())
 	}
 	qs := queryexec.NewServer(queryexec.ServerConfig{
-		ID: 0, Node: 0, CacheBytes: 64 << 20, UseBloom: true, Metrics: m,
+		ID: 0, Node: 0, CacheBytes: 64 << 20, Metrics: m,
 	}, fs, ms)
 	sq := &model.SubQuery{
 		Region: model.Region{
@@ -206,7 +206,7 @@ func TestCachedRangeSubQueryAllocsAreConstant(t *testing.T) {
 	if !ok {
 		t.Fatal("flush produced no chunk")
 	}
-	qs := queryexec.NewServer(queryexec.ServerConfig{ID: 0, Node: 0, CacheBytes: 64 << 20, UseBloom: true}, fs, ms)
+	qs := queryexec.NewServer(queryexec.ServerConfig{ID: 0, Node: 0, CacheBytes: 64 << 20}, fs, ms)
 	var base float64
 	for i, c := range []struct {
 		name           string

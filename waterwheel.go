@@ -220,8 +220,15 @@ func Open(opts Options) (*DB, error) {
 // Checkpoint puts the chunks flushed so far and the metadata naming them on
 // stable storage and unlinks the WAL segments they replace, when the store
 // was opened with a DataDir; otherwise it is a no-op. The store takes one by
-// itself every few flushes, and at the end of every Flush.
-func (db *DB) Checkpoint() error { return db.c.Checkpoint() }
+// itself every few flushes, and at the end of every Flush. After Close the
+// error is ErrClosed and nothing is written: the data directory may be
+// another process's by then.
+func (db *DB) Checkpoint() error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	return db.c.Checkpoint()
+}
 
 // Insert ingests one tuple — InsertBatch of one. Safe for concurrent use.
 // The ack follows the log, so the tuple becomes visible to queries within

@@ -3,7 +3,10 @@ package waterwheel
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"waterwheel/internal/chunk"
 	"waterwheel/internal/meta"
@@ -313,7 +316,9 @@ func TestCloseIsIdempotentAndFlushes(t *testing.T) {
 // of the file, not of the query server that opened it. The query must fail
 // at once with the typed cause, not burn a redispatch per server and end
 // as "no live query servers", and the servers must keep answering queries
-// over healthy chunks afterwards.
+// over healthy chunks afterwards. No dispatch goroutine — a worker, or a
+// sweeper parked for a redispatch that will never come — outlives the query
+// the failure ended.
 func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 	db := openTestDB(t, Options{QueryServersPerNode: 3})
 	for i := 0; i < 500; i++ {
@@ -351,18 +356,37 @@ func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 	register("chunks/foreign-v1", v1, v1Times)
 	register("chunks/foreign-garbage", garbage, garbageTimes)
 
+	// A worker may still be on its way out of wg.Done when the dispatch
+	// returns, so one that is gone a moment later did not outlive the query.
+	noDispatchLeft := func(what string) {
+		t.Helper()
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			if !strings.Contains(stacks, "runChunkSubqueries") {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("a dispatch goroutine outlived the failed %s:\n%s", what, stacks)
+				return
+			}
+		}
+	}
 	redispatches := db.Telemetry().Counter("waterwheel_query_redispatches_total", "")
 	before := redispatches.Value()
 	if _, err := db.QueryRange(FullKeyRange(), v1Times); !errors.Is(err, chunk.ErrUnsupportedVersion) {
 		t.Errorf("query over a WWCHUNK1 file: err = %v, want chunk.ErrUnsupportedVersion", err)
 	}
+	noDispatchLeft("query over a WWCHUNK1 file")
 	_, err = db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: v1Times, Kind: AggSum})
 	if !errors.Is(err, chunk.ErrUnsupportedVersion) {
 		t.Errorf("aggregate over a WWCHUNK1 file: err = %v, want chunk.ErrUnsupportedVersion", err)
 	}
+	noDispatchLeft("aggregate over a WWCHUNK1 file")
 	if _, err := db.QueryRange(FullKeyRange(), garbageTimes); !errors.Is(err, chunk.ErrCorrupt) {
 		t.Errorf("query over a garbage file: err = %v, want chunk.ErrCorrupt", err)
 	}
+	noDispatchLeft("query over a garbage file")
 	if d := redispatches.Value() - before; d != 0 {
 		t.Errorf("undecodable chunks cost %d redispatches, want 0", d)
 	}

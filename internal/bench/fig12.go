@@ -11,14 +11,14 @@ import (
 // newNormalCluster builds the adaptive-partitioning testbed: 4 nodes x 2
 // indexing servers, no simulated I/O (the experiment isolates partitioning
 // effects). The cluster is returned unstarted: ingestMakespan drives the
-// consumers itself.
-func newNormalCluster(seed int64, adaptive bool) *cluster.Cluster {
+// consumers itself. It has no background balancer: only the adaptive runs
+// call TickBalance, so the static runs keep the even schema.
+func newNormalCluster(seed int64) *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		Nodes:               4,
 		IndexServersPerNode: 2,
 		QueryServersPerNode: 1,
 		ChunkBytes:          512 << 10,
-		DisableAdaptive:     !adaptive,
 		Seed:                seed,
 	})
 }
@@ -88,11 +88,11 @@ func runFig12a(opt Options) (*Report, error) {
 		g := workload.NewNormal(workload.NormalConfig{Sigma: sigma, Seed: opt.Seed})
 		tuples := pregenerate(g, n)
 
-		ca := newNormalCluster(opt.Seed, true)
+		ca := newNormalCluster(opt.Seed)
 		rateA := ingestMakespan(ca, tuples, n/100)
 		ca.Stop()
 
-		cs := newNormalCluster(opt.Seed, false)
+		cs := newNormalCluster(opt.Seed)
 		rateS := ingestMakespan(cs, tuples, 0)
 		cs.Stop()
 
@@ -120,7 +120,7 @@ func runFig12b(opt Options) (*Report, error) {
 		for _, adaptive := range []bool{true, false} {
 			g := workload.NewNormal(workload.NormalConfig{Sigma: sigma, Seed: opt.Seed})
 			tuples := pregenerate(g, n)
-			c := newNormalCluster(opt.Seed, adaptive)
+			c := newNormalCluster(opt.Seed)
 			c.Start()
 			for i := range tuples {
 				if adaptive && i > 0 && i%(n/10) == 0 {

@@ -57,10 +57,7 @@ type Config struct {
 	DFSLatency dfs.LatencyModel
 	// Policy names the subquery dispatch policy (default "lada").
 	Policy string
-	// AdaptivePartitioning enables the key balancer (default on; set
-	// DisableAdaptive to turn off).
-	DisableAdaptive bool
-	// BalanceIntervalMillis is the balancer cadence; 0 disables the
+	// BalanceIntervalMillis is the key balancer's cadence; 0 disables the
 	// background loop (use TickBalance for manual control).
 	BalanceIntervalMillis int64
 	// QueryWorkers is each query server's subquery parallelism — how many

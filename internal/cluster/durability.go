@@ -186,7 +186,7 @@ func (c *Cluster) Start() {
 		c.wg.Add(1)
 		go c.checkpointer()
 	}
-	if !c.cfg.DisableAdaptive && c.cfg.BalanceIntervalMillis > 0 {
+	if c.cfg.BalanceIntervalMillis > 0 {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()

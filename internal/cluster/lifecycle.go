@@ -268,9 +268,6 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 // any indexing server deviates beyond the threshold — install a new key
 // partitioning (paper §III-D). Returns whether a repartition happened.
 func (c *Cluster) TickBalance() bool {
-	if c.cfg.DisableAdaptive {
-		return false
-	}
 	// Repartitioning is a topology change: serialize it against elastic
 	// operations so a balance round never fans out intervals computed from
 	// a schema an add/decommission is concurrently replacing.

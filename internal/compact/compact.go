@@ -26,6 +26,10 @@ import (
 	"waterwheel/internal/telemetry"
 )
 
+// minInputs is the minimum number of cold chunks in one (server,
+// day-bucket) group worth merging.
+const minInputs = 2
+
 // Config tunes the compactor.
 type Config struct {
 	// WarmAfterMillis demotes a chunk to the warm tier once its max time
@@ -35,9 +39,6 @@ type Config struct {
 	// ColdAfterMillis demotes to cold (and makes the chunk a compaction
 	// candidate). 0 disables cold demotion — and with it, compaction.
 	ColdAfterMillis int64
-	// MinInputs is the minimum number of cold chunks in one (server,
-	// day-bucket) group worth merging. Default 2.
-	MinInputs int
 	// Leaves is the leaf count of compacted output chunks. Default 32.
 	Leaves int
 	// Build tunes output chunk serialization. The pre-aggregate block is
@@ -47,9 +48,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MinInputs <= 0 {
-		c.MinInputs = 2
-	}
 	if c.Leaves <= 0 {
 		c.Leaves = 32
 	}
@@ -178,7 +176,7 @@ func (cp *Compactor) Tick() (demoted, merged int) {
 	})
 	for _, k := range keys {
 		g := groups[k]
-		if len(g) < cp.cfg.MinInputs {
+		if len(g) < minInputs {
 			continue
 		}
 		if err := cp.merge(k.server, k.day, g); err != nil {
@@ -246,7 +244,7 @@ func (cp *Compactor) merge(server int, day int64, g []meta.ChunkInfo) error {
 		used = append(used, ci)
 		inBytes += ci.Size
 	}
-	if len(used) < cp.cfg.MinInputs || len(tuples) == 0 {
+	if len(used) < minInputs || len(tuples) == 0 {
 		return nil // nothing worth merging; not an error
 	}
 

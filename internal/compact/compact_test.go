@@ -49,7 +49,7 @@ func TestTickDemotesByAge(t *testing.T) {
 	ms := meta.NewServer(1)
 	old := buildChunk(t, fs, ms, "chunks/old", 0, 1000, 64)
 	buildChunk(t, fs, ms, "chunks/new", 100_000, 1000, 64)
-	cp := New(Config{WarmAfterMillis: 50_000, ColdAfterMillis: 200_000, MinInputs: 2}, fs, ms, nil, nil)
+	cp := New(Config{WarmAfterMillis: 50_000, ColdAfterMillis: 200_000}, fs, ms, nil, nil)
 	demoted, merged := cp.Tick()
 	if demoted != 1 || merged != 0 {
 		t.Fatalf("demoted=%d merged=%d, want 1/0", demoted, merged)
@@ -70,7 +70,7 @@ func TestTickMergesColdChunks(t *testing.T) {
 	// A fresh chunk far in the future ages the first two past cold.
 	buildChunk(t, fs, ms, "chunks/now", 10_000_000, 1000, 8)
 	var retired []meta.ChunkInfo
-	cp := New(Config{WarmAfterMillis: 1000, ColdAfterMillis: 2000, MinInputs: 2},
+	cp := New(Config{WarmAfterMillis: 1000, ColdAfterMillis: 2000},
 		fs, ms, nil, func(infos []meta.ChunkInfo) { retired = append(retired, infos...) })
 	_, merged := cp.Tick()
 	if merged != 1 {

@@ -2,10 +2,10 @@
 // only swaps the leaf layer out (FlushReset, a pointer exchange) and hands
 // the immutable snapshot — tagged with the WAL offset captured at swap
 // time — to a per-server background flusher that runs chunk.Build, the DFS
-// write and the metadata registration off the hot path. A bounded queue
-// (Config.FlushQueueDepth, default 2 snapshots) applies backpressure:
-// when the DFS cannot keep up, the next threshold crossing blocks until a
-// slot frees, so memory stays bounded at roughly queue-depth chunks.
+// write and the metadata registration off the hot path. The pending list
+// is the queue, and its PendingFlushes count applies backpressure: at most
+// Config.FlushQueueDepth units (default 2) wait behind the one in flight,
+// and the swap of one more blocks until the flusher registers one.
 //
 // Visibility: pending snapshots remain part of the live region and are
 // scanned by ExecuteSubQuery until their chunk is registered, so a tuple
@@ -16,16 +16,17 @@
 //
 // Failure: snapshots persist strictly in sequence. A failed DFS write
 // parks the flusher ("stop the line"); the snapshot stays queryable and is
-// retried on the next flush trigger. WAL offsets commit only for the
-// contiguous persisted prefix, so SetOffset never advances past data that
-// is not yet durable and a restart replays no gap. A write that cannot
-// succeed on retry (the name is taken) ends the flusher instead: the error
-// fails the pipeline's event count, and Drain and Flush report it.
+// retried on the next flush step or after a capped backoff. WAL offsets
+// commit only for the contiguous persisted prefix, so SetOffset never
+// advances past data that is not yet durable and a restart replays no
+// gap. A write that cannot succeed on retry (the name is taken) ends the
+// flusher instead: the error fails flushEvents; Drain and Flush report it.
 package ingest
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -34,13 +35,14 @@ import (
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 // flushState is the lifecycle of a pending snapshot.
 type flushState int32
 
 const (
-	// flushQueued: waiting in the queue or being built/written.
+	// flushQueued: waiting in the pending list or being built/written.
 	flushQueued flushState = iota
 	// flushFailed: the DFS write failed; the snapshot stays queryable and
 	// is retried on the next flush trigger.
@@ -100,7 +102,7 @@ func (pf *pendingFlush) mainInfo() meta.ChunkInfo {
 }
 
 // enqueueFlush swaps BOTH trees' leaf layers into immutable snapshots and
-// hands them to the flusher as one unit. threshold marks calls from the
+// queues them for the flusher as one unit. threshold marks calls from the
 // insert hot path, which re-check the triggering tree's threshold under
 // swapMu so concurrent crossings don't flush tiny residue trees.
 // Returns nil when there was nothing to flush, and on a closed server, which
@@ -125,7 +127,7 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if s.closed || threshold && tree.Bytes() < s.thresholdFor(isSide) {
+	if s.closed.Load() || threshold && tree.Bytes() < s.thresholdFor(isSide) {
 		return nil // closed, or another inserter already swapped this tree out
 	}
 	s.pendMu.Lock()
@@ -155,7 +157,6 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 			offset: s.consumed.Load(),
 		}
 		s.pending = append(s.pending, pf)
-		s.flushEvents.Add(1)
 		s.minMu.Lock()
 		s.hasData = false
 		s.sideData = false
@@ -163,29 +164,22 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 		s.minMu.Unlock()
 	}
 	s.pendMu.Unlock()
-	// Wake a flusher parked on an earlier failure so retries precede the
-	// new snapshot (preserving seq order), whether or not we swapped.
-	s.signalRetry()
-	if pf == nil {
-		return nil
-	}
-	// Backpressure: a full queue blocks the inserting goroutine here until
-	// the flusher catches up. swapMu stays held, so later threshold
-	// crossings queue behind this one while plain inserts keep landing in
-	// the fresh tree. An Abort (simulated crash) closes stopCh and releases
-	// the blocked send; the snapshot is then abandoned to WAL replay.
-	select {
-	case s.flushCh <- pf:
-	case <-s.stopCh:
+	// One step per enqueue, swapped or not: it sends the flusher to the new
+	// unit, or one parked on an earlier failure back to retry it first.
+	s.flushEvents.Add(1)
+	bound := s.cfg.FlushQueueDepth + 1 // queued units plus the one in flight
+	if pf == nil || s.PendingFlushes() <= bound || s.flushEvents.Err() != nil {
 		return pf
-	default:
-		stall := time.Now()
-		s.stats.Backpressure.Add(1)
-		select {
-		case s.flushCh <- pf:
-		case <-s.stopCh:
-			return pf
-		}
+	}
+	// Backpressure: this swap is one unit past the bound, so the inserting
+	// goroutine waits here until the flusher registers one. swapMu stays
+	// held, so later threshold crossings queue behind this one while plain
+	// inserts keep landing in the fresh tree. The flusher's exit (Abort,
+	// fenced, a write no retry mends) fails flushEvents and lets it go; the
+	// unit is then left to WAL replay.
+	stall := time.Now()
+	s.stats.Backpressure.Add(1)
+	if s.awaitFlush(nil, func() bool { return s.PendingFlushes() <= bound }) {
 		s.cfg.Metrics.BackpressureNanos.Observe(time.Since(stall))
 	}
 	return pf
@@ -199,98 +193,65 @@ func (s *Server) thresholdFor(isSide bool) int64 {
 	return s.cfg.ChunkBytes
 }
 
-// signalRetry nudges a flusher parked on a failed write. Non-blocking: the
-// channel holds one pending nudge.
-func (s *Server) signalRetry() {
-	select {
-	case s.retryCh <- struct{}{}:
-	default:
-	}
-}
-
-// flusher is the per-server background goroutine: it persists snapshots
-// strictly in arrival (= seq) order. On a write failure it parks instead of
-// moving on, so no later snapshot is ever durable before an earlier one —
-// the invariant the offset commit relies on.
+// flusher is the per-server background goroutine. The pending list is its
+// queue: it persists the oldest unit not yet registered, so units persist
+// strictly in seq order, and a failed write parks it on that unit instead
+// of moving on — no later unit is ever durable before an earlier one, the
+// invariant the offset commit relies on. It parks on flushEvents, and its
+// exit fails flushEvents, which releases every waiter.
 func (s *Server) flusher() {
-	defer close(s.flusherDone)
 	defer s.flushEvents.Fail(ErrStopped)
-	for {
-		select {
-		case pf, ok := <-s.flushCh:
-			if !ok {
-				return
-			}
-			if !s.flushWithRetry(pf) {
-				return
-			}
-		case <-s.stopCh:
-			if s.aborted.Load() {
-				// Crash semantics (Abort): abandon queued snapshots at once.
-				// Their offsets were never committed, so WAL replay on the
-				// replacement server reproduces every tuple exactly once.
-				return
-			}
-			// Close(): flushCh is closed (or about to be, under the same
-			// swapMu section); drain what was already queued so a clean
-			// shutdown leaves nothing behind.
-			for pf := range s.flushCh {
-				if !s.flushWithRetry(pf) {
-					return
-				}
-			}
-			return
-		}
-	}
-}
-
-// flushWithRetry persists one snapshot, parking between failed attempts.
-// Returns false when the server stopped before the snapshot persisted, or
-// the attempt failed in a way no retry can mend.
-func (s *Server) flushWithRetry(pf *pendingFlush) bool {
 	backoff := time.Millisecond
 	for {
+		// The count before the state it steps; closed before the list, which
+		// then holds every unit a closed server will ever have.
+		seen := s.flushEvents.Load()
+		closed := s.closed.Load()
+		pf := s.oldestUnpersisted()
+		switch {
+		case s.aborted.Load():
+			// Crash semantics (Abort): abandon queued units at once. Their
+			// offsets were never committed, so WAL replay on the
+			// replacement server reproduces every tuple exactly once.
+			return
+		case pf == nil && closed:
+			return // Close: everything queued is persisted
+		case pf == nil:
+			s.flushEvents.Wait(seen+1, nil)
+			continue
+		case closed && flushState(pf.state.Load()) == flushFailed:
+			// Close during an outage gives up at the first failure. The
+			// unit's offset was never committed, so the WAL replays it
+			// after restart — no data loss, no gap.
+			return
+		}
 		err := s.processFlush(pf)
-		if err == nil {
-			return true
-		}
-		if errors.Is(err, dfs.ErrExists) {
+		switch {
+		case err == nil:
+			backoff = time.Millisecond
+			continue
+		case errors.Is(err, dfs.ErrExists):
 			// The chunk's name is taken: the same write fails the same way
-			// for good. Say so to whoever waits on the pipeline, and let go
-			// of an inserter blocked on the full queue; the unit stays
-			// queryable, uncommitted, and the log replays it for whoever
-			// takes the slot over.
+			// for good. Say so to whoever waits on the pipeline; the unit
+			// stays queryable, uncommitted, and the log replays it for
+			// whoever takes the slot over.
 			s.flushEvents.Fail(fmt.Errorf("ingest: flush (server %d): %w", s.cfg.ID, err))
-			if !s.stopped.Swap(true) {
-				close(s.stopCh)
-			}
-			return false
-		}
-		if s.fenced.Load() {
+			return
+		case s.fenced.Load():
 			// Deposed incarnation: the metadata server rejects its writes
 			// for good. Exit instead of retrying forever; the new owner
 			// replays the WAL tail this unit would have covered.
-			return false
+			return
 		}
+		// Park until the next step or the backoff, counting in its own two
+		// steps (the attempt, the park): a step that landed while the attempt
+		// was in flight sends it straight back. The backoff is self-driven
+		// and capped because the DFS can recover while the only goroutine
+		// that would step is blocked on backpressure, holding swapMu.
 		s.parked.Store(true)
 		s.flushEvents.Add(1)
-		select {
-		case <-s.retryCh:
-		case <-time.After(backoff):
-			// Self-driven retry with capped exponential backoff: the DFS can
-			// recover while the only goroutine that would signal retryCh is
-			// itself blocked on the full flush queue (holding swapMu), so
-			// waiting exclusively for an external trigger would wedge the
-			// pipeline permanently.
-			if backoff < 64*time.Millisecond {
-				backoff *= 2
-			}
-		case <-s.stopCh:
-			// Shutdown during an outage: abandon the retry loop. The
-			// snapshot's offset was never committed, so the WAL replays
-			// it after restart — no data loss, no gap.
-			s.parked.Store(false)
-			return false
+		if s.flushEvents.Wait(seen+3, wal.Deadline(backoff)) != nil && backoff < 64*time.Millisecond {
+			backoff *= 2
 		}
 		s.parked.Store(false)
 	}
@@ -392,8 +353,7 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 		// Abort raced with the in-flight writes: the chunk files exist but
 		// are never registered (orphaned, invisible to queries) and the WAL
 		// offset stays uncommitted, so replay on the replacement server
-		// covers these tuples. Abort's pendMu barrier orders this check
-		// strictly against the crash.
+		// covers these tuples.
 		s.pendMu.Unlock()
 		return errFlushAbandoned
 	}
@@ -560,15 +520,9 @@ func (s *Server) AwaitPendingFlush(cancel <-chan struct{}) bool {
 func (s *Server) Close() {
 	s.consumed.Fail(ErrStopped)
 	s.swapMu.Lock()
-	if !s.closed {
-		s.closed = true
-		if !s.stopped.Swap(true) {
-			close(s.stopCh)
-		}
-		close(s.flushCh)
-	}
+	s.closed.Store(true)
 	s.swapMu.Unlock()
-	<-s.flusherDone
+	s.awaitFlusherExit()
 }
 
 // Abort simulates an indexing-server crash: the background flusher stops
@@ -577,21 +531,21 @@ func (s *Server) Close() {
 // of abandoned snapshots were never covered by a committed offset, so WAL
 // replay on a replacement server reproduces them exactly once; a chunk
 // file a racing in-flight DFS write already created is simply never
-// registered (orphaned files are invisible to queries). Unlike Close,
-// Abort never takes swapMu, so it cannot deadlock behind an inserter that
-// is itself blocked on the full flush queue during a DFS outage — closing
-// stopCh is what releases that inserter. Idempotent; safe alongside Close.
+// registered (orphaned files are invisible to queries). It returns once
+// the flusher has exited, so the caller reads WAL offsets only after the
+// last commit this incarnation can make. Unlike Close, Abort never takes
+// swapMu, so it cannot deadlock behind an inserter that is itself blocked
+// on backpressure during a DFS outage — the flusher's exit releases that
+// inserter. Idempotent; safe alongside Close.
 func (s *Server) Abort() {
 	s.aborted.Store(true)
 	s.consumed.Fail(ErrStopped)
-	if !s.stopped.Swap(true) {
-		close(s.stopCh)
-	}
-	<-s.flusherDone
-	// Barrier: a registration already inside its pendMu critical section
-	// completes or observes the abort before this returns, so the caller
-	// reads WAL offsets only after the last possible commit from this
-	// incarnation.
-	s.pendMu.Lock()
-	s.pendMu.Unlock() //nolint:staticcheck // empty section is the barrier
+	s.awaitFlusherExit()
+}
+
+// awaitFlusherExit steps flushEvents, so a parked flusher looks at the flag
+// its caller just set, and waits for the flusher's exit, which fails it.
+func (s *Server) awaitFlusherExit() {
+	s.flushEvents.Add(1)
+	s.flushEvents.Wait(math.MaxInt64, nil)
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,35 +134,107 @@ func TestPendingSnapshotServedForPlannedQuery(t *testing.T) {
 	}
 }
 
-// TestBackpressureBoundsQueue: with the queue full and a write stalled,
-// the next threshold-crossing insert blocks (and is counted) instead of
-// buffering unboundedly; releasing the DFS drains everything.
+// TestBackpressureBoundsQueue pins the bound exactly: with a write stalled,
+// FlushQueueDepth units queue behind it and the swap of one more blocks its
+// inserter (and is counted), so PendingFlushes reaches FlushQueueDepth+2
+// and no more; no insert returns with more than FlushQueueDepth+1 pending.
+// Releasing the DFS drains everything.
 func TestBackpressureBoundsQueue(t *testing.T) {
+	const depth = 1
 	gw := &gatedWriter{gate: make(chan struct{}), entered: make(chan string, 16)}
 	srv, ms := newPipelineEnv(t, func(fs ChunkWriter) ChunkWriter { gw.inner = fs; return gw },
-		Config{ChunkBytes: 16 * 100, FlushQueueDepth: 1, SideThresholdMillis: -1})
+		Config{ChunkBytes: 16 * 100, FlushQueueDepth: depth, SideThresholdMillis: -1})
+	// Opened on every way out, so a failure reports instead of hanging the
+	// cleanup's Close on a gated write.
+	release := sync.OnceFunc(func() { close(gw.gate) })
+	defer release()
+	var over atomic.Int64 // pending units an insert returned with, past the bound
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// ~16 B per payload-less tuple: crosses the threshold 3 times. One
-		// snapshot stalls in the gated write, one fills the queue, the
-		// third blocks the inserter.
-		for i := 0; i < 350; i++ {
+		// ~16 B per payload-less tuple: crosses the threshold 5 times. One
+		// unit stalls in the gated write, `depth` queue behind it, and the
+		// next crossing blocks the inserter.
+		for i := 0; i < 550; i++ {
 			srv.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)})
+			if n := srv.PendingFlushes(); n > depth+1 {
+				over.Store(int64(n))
+			}
 		}
 	}()
+	waitFor(t, func() bool { return srv.Stats().Backpressure.Load() > 0 })
+	if n := srv.PendingFlushes(); n != depth+2 {
+		t.Fatalf("PendingFlushes = %d with the write stalled and an inserter blocked, want FlushQueueDepth+2 = %d", n, depth+2)
+	}
 	select {
 	case <-done:
-		t.Fatal("inserter never blocked on a full flush queue")
-	case <-time.After(50 * time.Millisecond):
+		t.Fatal("the inserter finished with the write stalled")
+	default:
 	}
-	close(gw.gate)
+	release()
 	<-done
 	srv.DrainFlushes()
-	if n := srv.stats.Backpressure.Load(); n < 1 {
-		t.Fatalf("Backpressure = %d, want >= 1", n)
+	if n := over.Load(); n != 0 {
+		t.Fatalf("an insert returned with %d units pending, want at most FlushQueueDepth+1 = %d", n, depth+1)
 	}
-	waitFor(t, func() bool { return ms.ChunkCount() == 3 })
+	waitFor(t, func() bool { return ms.ChunkCount() == 5 })
+}
+
+// TestFlusherExitReleasesBackpressure: an inserter blocked on backpressure
+// is let go whenever the flusher exits, however it exits, and Abort ends the
+// flusher wherever it is parked.
+func TestFlusherExitReleasesBackpressure(t *testing.T) {
+	cfg := Config{ChunkBytes: 16 * 100, FlushQueueDepth: 1, SideThresholdMillis: -1}
+	insert := func(srv *Server, n int) {
+		for i := 0; i < n; i++ {
+			srv.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)})
+		}
+	}
+	// Abort during an outage: the flusher is parked on a failing write and
+	// an inserter on backpressure; Abort takes no lock the inserter holds.
+	t.Run("abort", func(t *testing.T) {
+		fw := &flakyWriter{}
+		fw.fail.Store(true)
+		srv, _ := newPipelineEnv(t, func(fs ChunkWriter) ChunkWriter { fw.inner = fs; return fw }, cfg)
+		inserted := make(chan struct{})
+		go func() { defer close(inserted); insert(srv, 1000) }()
+		waitFor(t, func() bool { return srv.parked.Load() && srv.Stats().Backpressure.Load() > 0 })
+		within(t, "Abort", srv.Abort)
+		within(t, "the inserter blocked on backpressure", func() { <-inserted })
+	})
+	// Abort on an idle server: a flusher parked with nothing to do has no
+	// backoff timer, so Abort's own step is the only thing that wakes it.
+	t.Run("idle", func(t *testing.T) {
+		srv, _ := newPipelineEnv(t, func(fs ChunkWriter) ChunkWriter { return fs }, cfg)
+		insert(srv, 150)
+		if err := srv.DrainFlushes(); err != nil {
+			t.Fatal(err)
+		}
+		within(t, "Abort", srv.Abort)
+	})
+	// Fenced: the first registration deposes the flusher. The swaps after it
+	// must not wait for a flusher that is gone, and neither may Close.
+	t.Run("fenced", func(t *testing.T) {
+		srv, ms := newPipelineEnv(t, func(fs ChunkWriter) ChunkWriter { return fs }, cfg)
+		defer srv.Abort() // lets a wedged inserter go, so a failure reports
+		if _, _, err := ms.TransferOwnership(0); err != nil {
+			t.Fatal(err)
+		}
+		within(t, "four threshold crossings", func() { insert(srv, 450) })
+		within(t, "Close", srv.Close)
+	})
+}
+
+// within fails the test unless fn returns within 5 s.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("HANG: %s did not return within 5 s", what)
+	}
 }
 
 // TestOffsetsCommitInSnapshotOrder is the crash-safety half of the
@@ -339,25 +412,11 @@ func TestCloseDrainsQueue(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// returnsWithin runs flush and fails the test unless it returns within 3 s.
-func returnsWithin(t *testing.T, flush func() (meta.ChunkInfo, bool)) (meta.ChunkInfo, bool) {
+// returnsWithin runs flush and fails the test unless it returns within 5 s.
+func returnsWithin(t *testing.T, flush func() (meta.ChunkInfo, bool)) (info meta.ChunkInfo, ok bool) {
 	t.Helper()
-	type out struct {
-		info meta.ChunkInfo
-		ok   bool
-	}
-	ret := make(chan out, 1)
-	go func() {
-		info, ok := flush()
-		ret <- out{info, ok}
-	}()
-	select {
-	case o := <-ret:
-		return o.info, o.ok
-	case <-time.After(3 * time.Second):
-		t.Fatal("HANG: Flush never returned on a closed server")
-		return meta.ChunkInfo{}, false
-	}
+	within(t, "Flush on a closed server", func() { info, ok = flush() })
+	return info, ok
 }
 
 // TestSwapBetweenBoundsAndInsertKeepsLiveRegion is the regression test for

@@ -54,8 +54,8 @@ type Config struct {
 	// ablation switch.
 	NoTemplateReuse bool
 	// FlushQueueDepth bounds the async flush pipeline: at most this many
-	// swapped-out snapshots may await persistence before the next
-	// threshold-crossing insert blocks (default 2).
+	// flush units wait behind the one in flight (PendingFlushes), and the
+	// swap of one more blocks its inserter (default 2).
 	FlushQueueDepth int
 	// SyncWAL, when set, is called with a flush unit's WAL offset before
 	// the unit registers its chunks and commits that offset — the cluster
@@ -185,12 +185,13 @@ type Server struct {
 	// fresher one at the metadata server.
 	reportMu sync.Mutex
 
-	// swapMu serializes threshold checks, FlushReset swaps and flush-queue
-	// sends, so snapshots enter the queue in seq order and backpressure
-	// blocks the swapping goroutine, not the flusher.
+	// swapMu serializes threshold checks, FlushReset swaps and backpressure,
+	// so units enter the pending list in seq order and backpressure blocks
+	// the swapping goroutine, not the flusher. closed is set under it, so no
+	// swap follows Close; the flusher reads it without.
 	swapMu   sync.Mutex
 	flushSeq int
-	closed   bool
+	closed   atomic.Bool
 
 	// pendMu guards the pending snapshot list. Queries hold the read lock
 	// across their whole scan; the swap and the chunk registration take the
@@ -201,15 +202,8 @@ type Server struct {
 	// committedOff is the last WAL offset committed to the metadata server.
 	committedOff int64
 
-	flushCh     chan *pendingFlush
-	retryCh     chan struct{}
-	stopCh      chan struct{}
-	flusherDone chan struct{}
 	// parked is set while the flusher waits out a DFS outage.
 	parked atomic.Bool
-	// stopped latches the (single) close of stopCh: Close takes swapMu but
-	// Abort cannot, so the two coordinate through this flag instead.
-	stopped atomic.Bool
 	// aborted marks a simulated crash (Abort): no snapshot may register its
 	// chunk or commit a WAL offset any more.
 	aborted atomic.Bool
@@ -234,8 +228,9 @@ type Server struct {
 	// wake is what a passive server's consumer parks on at the partition
 	// head (Wake).
 	wake chan struct{}
-	// flushEvents counts flush-pipeline steps (a unit enqueued, an attempt
-	// finished, the flusher parked) for awaitFlush; the flusher fails it.
+	// flushEvents counts flush-pipeline steps (an enqueue, an attempt
+	// finished, the flusher parked, Close and Abort). The flusher parks on
+	// it, and so do awaitFlush and the shutdown; the flusher's exit fails it.
 	flushEvents wal.Watermark
 
 	stats Stats
@@ -253,10 +248,6 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		ms:           ms,
 		node:         node,
 		committedOff: -1,
-		flushCh:      make(chan *pendingFlush, cfg.FlushQueueDepth),
-		retryCh:      make(chan struct{}, 1),
-		stopCh:       make(chan struct{}),
-		flusherDone:  make(chan struct{}),
 		wake:         make(chan struct{}, 1),
 	}
 	if cfg.SideThresholdMillis > 0 {
@@ -592,7 +583,7 @@ func (s *Server) Wake() {
 // that a failed flush can be re-driven by calling Flush again.
 func (s *Server) Flush() (meta.ChunkInfo, bool) {
 	// Capture the retry target and its attempt count before enqueueing:
-	// the enqueue signals the parked flusher, and the race where the retry
+	// the enqueue steps a parked flusher, and the race where the retry
 	// completes before we look would otherwise lose the outcome.
 	head := s.oldestUnpersisted()
 	var since int32

@@ -40,6 +40,7 @@ import (
 
 	"waterwheel/internal/chunk"
 	"waterwheel/internal/cluster"
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
 	"waterwheel/internal/wal"
@@ -368,6 +369,9 @@ func clusterConfig(opts Options) cluster.Config {
 		HotStandby:            opts.Elastic,
 		StandbyLagRecords:     32,
 		Telemetry:             opts.Telemetry,
+	}
+	if opts.DataDir != "" {
+		cfg.Files = &durable.Files{} // what HardCrash crashes
 	}
 	if opts.Tiering {
 		cfg.TierWarmAfterMillis = tierWarmAfter

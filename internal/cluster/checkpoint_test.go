@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"waterwheel/internal/dfs"
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
 	"waterwheel/internal/wal"
@@ -78,7 +79,7 @@ func TestReplayBoundedByCheckpointCadence(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes, cfg.IndexServersPerNode = 1, 2
 	cfg.ChunkBytes = chunkBytes
-	cfg.DataDir = t.TempDir()
+	cfg.DataDir, cfg.Files = t.TempDir(), &durable.Files{}
 	cfg.Durability = "ack-on-fsync"
 	c, err := Open(cfg)
 	if err != nil {

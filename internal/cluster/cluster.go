@@ -96,9 +96,10 @@ type Config struct {
 	// previous state and replays each indexing server's WAL tail from its
 	// recorded offset (§V).
 	DataDir string
-	// Files performs the fsyncs, renames and unlinks of the durable files
-	// (nil: the plain OS) — the seam a test watches a checkpoint's order
-	// through, or fails one of its steps at.
+	// Files performs every create, write of a new file, fsync, rename and
+	// unlink under DataDir (nil: the plain OS) — the seam a test watches a
+	// checkpoint's order through, fails one of its steps at, or crashes the
+	// host through (HardCrash needs it).
 	Files *durable.Files
 	// Durability selects when inserts are acknowledged relative to WAL
 	// fsync in DataDir mode: "" or "ack-on-write" (ack once the record is

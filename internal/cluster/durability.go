@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -113,7 +112,7 @@ func (c *Cluster) checkpointLocked() error {
 		return err
 	}
 	path := metaSnapPath(c.cfg.DataDir)
-	if err := os.WriteFile(path+".tmp", snap, 0o644); err != nil {
+	if err := c.cfg.Files.WriteFile(path+".tmp", snap); err != nil {
 		return err
 	}
 	if err := c.cfg.Files.Sync(path + ".tmp"); err != nil {
@@ -268,30 +267,32 @@ func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 }
 
 // HardCrash simulates a host crash in DataDir mode: no checkpoint, no
-// drain, and the OS page cache dies with the host — every WAL byte past the
-// last fsync watermark is discarded, and every chunk file no checkpoint has
-// synced is cut to zero bytes (its name may survive). The cluster is unusable
-// afterwards; Open the same DataDir to get the surviving state. This is
-// the probe for the ack-durability gap: under "ack-on-fsync" every acked
-// tuple is below the watermark and survives; under "ack-on-write" acked
-// tuples still in the page cache are lost.
-func (c *Cluster) HardCrash() error {
-	if c.cfg.DataDir == "" {
-		return fmt.Errorf("cluster: HardCrash requires DataDir")
+// drain, and the OS page cache dies with the host — every byte of the log,
+// the chunk files and the snapshot that no fsync covered is cut off, while
+// every name survives (a chunk flushed since the last checkpoint keeps its
+// name and loses its bytes). It needs Config.Files, which carries the crash.
+// The cluster is unusable afterwards; Open the same DataDir, with the same
+// Files, to get the surviving state. This is the probe for the
+// ack-durability gap: under "ack-on-fsync" every acked tuple is below the
+// fsync watermark and survives; under "ack-on-write" acked tuples still in
+// the page cache are lost.
+func (c *Cluster) HardCrash() error { return c.crash(0) }
+
+// crash is HardCrash that also undoes the newest undo directory entry
+// changes no directory fsync covered (durable.Files.Crash).
+func (c *Cluster) crash(undo int) error {
+	if c.cfg.DataDir == "" || c.cfg.Files == nil {
+		return fmt.Errorf("cluster: a crash requires DataDir and Files")
 	}
 	if c.stopped.Swap(true) {
 		return fmt.Errorf("cluster: already stopped")
 	}
-	// Abort (not Close) the flushers: in-flight work dies without
-	// checkpointing, like the host it ran on.
-	c.stopIngest((*ingest.Server).Abort)
-	first := c.fs.CrashDiscardUnsynced()
-	for i := 0; i < c.log.Partitions(); i++ {
-		if err := c.log.Partition(i).CrashDiscardUnsynced(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return c.cfg.Files.Crash(undo, func() {
+		// Abort (not Close) the flushers: in-flight work dies without
+		// checkpointing, like the host it ran on.
+		c.stopIngest((*ingest.Server).Abort)
+		closeSegments(c.log)
+	})
 }
 
 // replayFloor returns the lowest offset of slot i's partition an in-process

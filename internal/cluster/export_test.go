@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"waterwheel/internal/durable"
 )
@@ -87,6 +88,55 @@ func (f *fileOps) record(failAt string) (stop func() []string) {
 		f.on = false
 		return f.ops
 	}
+}
+
+// fsyncGate parks, while shut, every fsync of one directory and the files
+// in it — a partition's segments — and fails them while failing is set.
+type fsyncGate struct {
+	dir     string
+	gate    atomic.Pointer[chan struct{}]
+	failing atomic.Bool
+}
+
+// partitionFsyncs gates the fsyncs of partition i of the log under dataDir.
+func partitionFsyncs(dataDir string, i int) *fsyncGate {
+	return &fsyncGate{dir: filepath.Join(dataDir, "wal", fmt.Sprintf("p%d.wal", i))}
+}
+
+func (g *fsyncGate) hook(op durable.Op, path string) error {
+	if op != durable.OpSync || (path != g.dir && filepath.Dir(path) != g.dir) {
+		return nil
+	}
+	if ch := g.gate.Load(); ch != nil {
+		<-*ch
+	}
+	if g.failing.Load() {
+		return errInjectedFileOp
+	}
+	return nil
+}
+
+// shut parks every later fsync the gate covers until the returned open
+// (idempotent).
+func (g *fsyncGate) shut() (open func()) {
+	ch := make(chan struct{})
+	g.gate.Store(&ch)
+	return sync.OnceFunc(func() {
+		g.gate.Store(nil)
+		close(ch)
+	})
+}
+
+// gatedFiles returns the seam to put in Config.Files for fsyncs gated by gates.
+func gatedFiles(gates ...*fsyncGate) *durable.Files {
+	return &durable.Files{Hook: func(op durable.Op, path string) error {
+		for _, g := range gates {
+			if err := g.hook(op, path); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
 }
 
 // CrashIndexServer simulates an indexing-server failure and recovery (§V):

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 	"waterwheel/internal/wal"
 )
@@ -54,6 +55,8 @@ func TestAckOnFsyncAppendsEveryGroupBeforeWaiting(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
 	cfg.Durability = "ack-on-fsync"
+	g0 := partitionFsyncs(cfg.DataDir, 0)
+	cfg.Files = gatedFiles(g0)
 	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,13 +65,8 @@ func TestAckOnFsyncAppendsEveryGroupBeforeWaiting(t *testing.T) {
 	defer c.Stop()
 	p0, p1 := c.WAL().Partition(0), c.WAL().Partition(1)
 
-	release := p0.HoldFsyncs()
-	released := false
-	defer func() {
-		if !released {
-			release()
-		}
-	}()
+	release := g0.shut()
+	defer release()
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.InsertBatch(interleavedBatch(0, 256))
@@ -96,7 +94,6 @@ func TestAckOnFsyncAppendsEveryGroupBeforeWaiting(t *testing.T) {
 	default:
 	}
 	release()
-	released = true
 	if err := <-done; err != nil {
 		t.Fatalf("batch after the fsyncs resumed: %v", err)
 	}
@@ -112,7 +109,7 @@ func TestAckOnFsyncAppendsEveryGroupBeforeWaiting(t *testing.T) {
 // rejected positions are resubmitted, which makes the batch whole once.
 func TestHardCrashAfterPartlyRejectedBatch(t *testing.T) {
 	cfg := testConfig()
-	cfg.DataDir = t.TempDir()
+	cfg.DataDir, cfg.Files = t.TempDir(), &durable.Files{}
 	cfg.Durability = "ack-on-fsync"
 	c, err := Open(cfg)
 	if err != nil {
@@ -166,15 +163,17 @@ func TestHardCrashAfterPartlyRejectedBatch(t *testing.T) {
 }
 
 // TestCrashBetweenAppendAndWaitIsNotAcked: the sink appends every group
-// before it waits on any, so a partition can lose its segment after its
-// group went in and before the sink comes round to waiting on it. Such a
-// group was truncated, not made durable: the batch must reject exactly its
-// positions, and after the host crash and a reopen exactly the other
-// server's tuples — the acked ones — are there.
+// before it waits on any, so a partition's line can break after its group
+// went in and before the sink comes round to waiting on it. Such a group
+// was never made durable: the batch must reject exactly its positions, and
+// after the host crash and a reopen exactly the other server's tuples — the
+// acked ones — are there.
 func TestCrashBetweenAppendAndWaitIsNotAcked(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = t.TempDir()
 	cfg.Durability = "ack-on-fsync"
+	g0, g1 := partitionFsyncs(cfg.DataDir, 0), partitionFsyncs(cfg.DataDir, 1)
+	cfg.Files = gatedFiles(g0, g1)
 	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +183,9 @@ func TestCrashBetweenAppendAndWaitIsNotAcked(t *testing.T) {
 
 	// With both partitions' fsyncs held the sink parks on server 0's wait
 	// (its group comes first) and cannot have begun server 1's.
-	release0, release1 := p0.HoldFsyncs(), p1.HoldFsyncs()
+	release0, release1 := g0.shut(), g1.shut()
+	defer release0()
+	defer release1()
 	batch := interleavedBatch(0, 60)
 	type ack struct {
 		rejected []int
@@ -198,16 +199,12 @@ func TestCrashBetweenAppendAndWaitIsNotAcked(t *testing.T) {
 	for p0.Next() < 30 || p1.Next() < 30 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Server 1's host dies: poisoned first, then (once its committer can
-	// finish) its unsynced bytes are cut off — all before server 0 syncs.
-	crashed := make(chan error, 1)
-	go func() { crashed <- p1.CrashDiscardUnsynced() }()
+	// Server 1's fsync fails, which breaks its line — all before server 0
+	// syncs.
+	g1.failing.Store(true)
+	release1()
 	for p1.Err() == nil {
 		time.Sleep(100 * time.Microsecond)
-	}
-	release1()
-	if err := <-crashed; err != nil {
-		t.Fatal(err)
 	}
 	select {
 	case a := <-done:
@@ -226,8 +223,9 @@ func TestCrashBetweenAppendAndWaitIsNotAcked(t *testing.T) {
 		}
 	}
 	if a.err == nil || !reflect.DeepEqual(a.rejected, odd) {
-		t.Fatalf("InsertBatch = %v, %v; want server 1's positions (the odd ones) rejected: its group was truncated before anyone waited on it", a.rejected, a.err)
+		t.Fatalf("InsertBatch = %v, %v; want server 1's positions (the odd ones) rejected: its line broke before anyone waited on it", a.rejected, a.err)
 	}
+	g1.failing.Store(false) // the reopened host's disk works
 	if err := c.HardCrash(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 )
 
 func persistentConfig(dir string) Config {
 	cfg := testConfig()
 	cfg.DataDir = dir
+	cfg.Files = &durable.Files{}
 	return cfg
 }
 

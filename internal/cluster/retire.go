@@ -17,9 +17,11 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"sync"
 
+	"waterwheel/internal/dfs"
 	"waterwheel/internal/meta"
 )
 
@@ -89,7 +91,12 @@ func (r *retirer) unlink(oldestQuery uint64) {
 	r.q = kept
 	r.mu.Unlock()
 	for _, rc := range doomed {
-		r.c.fs.Delete(rc.info.Path)
+		// A failed unlink leaves the file listed; the next sweep tries again.
+		if err := r.c.fs.Delete(rc.info.Path); err != nil && !errors.Is(err, dfs.ErrNotFound) {
+			r.mu.Lock()
+			r.q = append(r.q, rc)
+			r.mu.Unlock()
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/ingest"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
@@ -151,6 +152,7 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		// Every insert waits out an fsync here: fewer of them.
 		{"DataDir+ack-on-fsync+HotStandby", func(cfg *Config) {
 			cfg.DataDir, cfg.Durability = t.TempDir(), "ack-on-fsync"
+			cfg.Files = &durable.Files{}
 			cfg.HotStandby = true
 		}, 50, true},
 		{"DataDir+interval+balancer+tiering", func(cfg *Config) {

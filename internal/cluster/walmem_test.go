@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 	"waterwheel/internal/telemetry"
 )
@@ -23,6 +24,7 @@ func walMemConfig(t *testing.T, disk bool) Config {
 	cfg.ChunkBytes = 16 << 10
 	if disk {
 		cfg.DataDir = t.TempDir()
+		cfg.Files = &durable.Files{}
 	}
 	return cfg
 }

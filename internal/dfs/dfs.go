@@ -100,9 +100,10 @@ type Config struct {
 	// served by a co-located replica — the telemetry hook for injected
 	// I/O cost. Must be cheap; called on the read path.
 	ObserveRead func(latency time.Duration, local bool)
-	// Files performs Write's rename and Sync's fsyncs (nil: the plain OS), so
-	// a test can watch their order against a checkpoint's other files, fail
-	// one, or hold a write at the point its name appears.
+	// Files performs every create, fsync, rename and unlink of the backing
+	// files (nil: the plain OS), so a test can watch their order against a
+	// checkpoint's other files, fail one, hold a write at the point its name
+	// appears, or crash the host under them.
 	Files *durable.Files
 }
 
@@ -513,7 +514,9 @@ func (fs *FS) LocationsBatch(names []string) [][]int {
 
 // Delete removes a file. With Config.Dir the entry goes under the lock and
 // the backing file is unlinked after it, the name staying reserved until it
-// is: a Write of the same name cannot land under the unlink.
+// is: a Write of the same name cannot land under the unlink. An unlink that
+// fails puts the entry back, so the file stays listed until a Delete
+// succeeds.
 func (fs *FS) Delete(name string) error {
 	fs.mu.Lock()
 	f, ok := fs.files[name]
@@ -534,6 +537,9 @@ func (fs *FS) Delete(name string) error {
 	err := fs.removeBacking(name)
 	fs.mu.Lock()
 	delete(fs.busy, name)
+	if err != nil {
+		fs.publishLocked(name, f)
+	}
 	fs.mu.Unlock()
 	return err
 }

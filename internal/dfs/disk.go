@@ -58,7 +58,7 @@ func (fs *FS) loadDir() error {
 			continue
 		}
 		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			os.Remove(filepath.Join(fs.cfg.Dir, e.Name())) // never served; the next Open tries again
+			fs.cfg.Files.Remove(filepath.Join(fs.cfg.Dir, e.Name())) // never served; the next Open tries again
 			continue
 		}
 		name, ok := fs.logicalName(e.Name())
@@ -82,12 +82,12 @@ func (fs *FS) loadDir() error {
 // nothing is left under either name.
 func (fs *FS) writeBacking(name string, data []byte) error {
 	path := fs.diskPath(name)
-	err := os.WriteFile(path+tmpSuffix, data, 0o644)
+	err := fs.cfg.Files.WriteFile(path+tmpSuffix, data)
 	if err == nil {
 		err = fs.cfg.Files.Rename(path+tmpSuffix, path)
 	}
 	if err != nil {
-		os.Remove(path + tmpSuffix) // best effort: Open removes what this leaves
+		fs.cfg.Files.Remove(path + tmpSuffix) // best effort: Open removes what this leaves
 		return fmt.Errorf("dfs: persist %s: %w", name, err)
 	}
 	return nil
@@ -96,7 +96,7 @@ func (fs *FS) writeBacking(name string, data []byte) error {
 // removeBacking unlinks a file's bytes. The caller reserved the name and
 // holds no lock.
 func (fs *FS) removeBacking(name string) error {
-	if err := os.Remove(fs.diskPath(name)); err != nil && !os.IsNotExist(err) {
+	if err := fs.cfg.Files.Remove(fs.diskPath(name)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("dfs: unpersist %s: %w", name, err)
 	}
 	return nil
@@ -139,26 +139,6 @@ func (fs *FS) syncFiles(names []string) error {
 		}
 	}
 	return fs.cfg.Files.Sync(fs.cfg.Dir)
-}
-
-// CrashDiscardUnsynced is the DFS's share of a simulated host crash: every
-// backing file no completed Sync covers is cut to zero bytes, as the page
-// cache that held them dies. The names stay — a directory entry can outlive
-// its bytes, and that is the case a design that trusts names must survive.
-// The file system must not be used afterwards; Open the directory again.
-func (fs *FS) CrashDiscardUnsynced() error {
-	fs.syncMu.Lock()
-	defer fs.syncMu.Unlock()
-	fs.mu.Lock()
-	names := fs.unsynced
-	fs.unsynced = nil
-	fs.mu.Unlock()
-	for _, name := range names {
-		if err := os.Truncate(fs.diskPath(name), 0); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("dfs: crash: %w", err)
-		}
-	}
-	return nil
 }
 
 // readBacking reads [offset, offset+length) of a file's backing bytes. The

@@ -581,11 +581,16 @@ func TestSyncCoversFilesAndDirectory(t *testing.T) {
 	}
 }
 
-// TestCrashDiscardUnsynced: the simulated host crash keeps what a completed
-// Sync covered and cuts every file written since to zero bytes, name intact.
+// TestCrashDiscardUnsynced: a simulated host crash under the file system
+// keeps what a completed Sync covered and cuts every file written since to
+// zero bytes, name intact.
 func TestCrashDiscardUnsynced(t *testing.T) {
 	dir := t.TempDir()
-	fs := newDiskFS(t, dir)
+	files := &durable.Files{}
+	fs, err := Open(Config{Nodes: 3, Replication: 2, Seed: 1, Dir: dir, Files: files, Sleep: func(time.Duration) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fs.Write("synced", []byte("on stable storage"))
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
@@ -593,7 +598,7 @@ func TestCrashDiscardUnsynced(t *testing.T) {
 	fs.Write("cached", []byte("in the page cache"))
 	fs.Write("cached-and-deleted", []byte("gone either way"))
 	fs.Delete("cached-and-deleted")
-	if err := fs.CrashDiscardUnsynced(); err != nil {
+	if err := files.Crash(0, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	fs2 := newDiskFS(t, dir)

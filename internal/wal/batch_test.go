@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,9 +136,11 @@ func TestAppendBatchSingleFsyncCohort(t *testing.T) {
 	// fsync per record — the durability amortization the batch path is for.
 	path := filepath.Join(t.TempDir(), "p.wal")
 	fsyncs := &telemetry.Counter{}
+	files := &durable.Files{}
 	p, err := OpenPartition(path, Config{
 		Durability: DurabilityAckOnFsync,
 		Metrics:    Metrics{Fsyncs: fsyncs},
+		Files:      files,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +165,7 @@ func TestAppendBatchSingleFsyncCohort(t *testing.T) {
 		t.Fatalf("%d fsyncs for %d batches: no cohort amortization", n, batches)
 	}
 	// Every acked record survives a simulated host crash.
-	if err := p.CrashDiscardUnsynced(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, files, p, 0)
 	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -213,15 +211,18 @@ func TestFailNextAppendsInjectsThenRecovers(t *testing.T) {
 // for.
 func TestStartAppendThenAwaitDurable(t *testing.T) {
 	waiters := &telemetry.Gauge{}
+	var fsyncs fsyncGate
 	p, err := OpenPartition(filepath.Join(t.TempDir(), "p.wal"), Config{
 		Durability: DurabilityAckOnFsync,
 		Metrics:    Metrics{Waiters: waiters},
+		Files:      fsyncs.files(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.CloseFile()
-	release := p.HoldFsyncs()
+	release := fsyncs.shut()
+	defer release()
 	end, err := p.StartAppend([][]byte{[]byte("a"), []byte("bb")})
 	if err != nil || end != 2 {
 		t.Fatalf("StartAppend = %d, %v; want the offset past the batch, 2", end, err)
@@ -263,12 +264,13 @@ func TestStartAppendThenAwaitDurable(t *testing.T) {
 	if end, err := m.StartAppend([][]byte{[]byte("a")}); err != nil || end != 1 || m.AwaitDurable(end) != nil {
 		t.Fatalf("memory-only: StartAppend = %d, %v", end, err)
 	}
-	w, err := OpenPartition(filepath.Join(t.TempDir(), "w.wal"), Config{})
+	var wsyncs fsyncGate
+	w, err := OpenPartition(filepath.Join(t.TempDir(), "w.wal"), Config{Files: wsyncs.files()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.CloseFile()
-	hold := w.HoldFsyncs()
+	hold := wsyncs.shut()
 	defer hold()
 	if end, err := w.StartAppend([][]byte{[]byte("a")}); err != nil || w.AwaitDurable(end) != nil {
 		t.Fatalf("ack-on-write: %v", err)
@@ -276,14 +278,15 @@ func TestStartAppendThenAwaitDurable(t *testing.T) {
 }
 
 // TestAwaitDurableAfterCrashOrClose: the lock is released between the two
-// halves of AppendBatch, so the segment can be crash-discarded or closed in
-// the gap. A partition that lost its file that way is not a memory-only one:
-// AwaitDurable must refuse every record the watermark never covered — those
-// bytes were truncated, or never fsynced — and still ack what was durable.
+// halves of AppendBatch, so the host can crash under the segment, or the
+// segment be closed, in the gap. A partition that lost its file that way is
+// not a memory-only one: AwaitDurable must refuse every record the watermark
+// never covered — those bytes were cut off, or never fsynced — and still ack
+// what was durable.
 func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
-	open := func(t *testing.T) (*Partition, string) {
+	open := func(t *testing.T, files *durable.Files) (*Partition, string) {
 		path := filepath.Join(t.TempDir(), "p.wal")
-		p, err := OpenPartition(path, Config{Durability: DurabilityAckOnFsync})
+		p, err := OpenPartition(path, Config{Durability: DurabilityAckOnFsync, Files: files})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,26 +294,36 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 	}
 	first := [][]byte{[]byte("d")}
 
+	// crashHeld crashes the host under p while its committer is parked on
+	// held fsyncs: the hold lifts only once the crash has begun (its teardown
+	// is running), so the cohort it parked can no longer sync.
+	crashHeld := func(files *durable.Files, p *Partition, release func()) <-chan error {
+		stopping := make(chan struct{})
+		crashed := make(chan error, 1)
+		go func() {
+			crashed <- files.Crash(0, func() {
+				close(stopping)
+				p.CloseFile()
+			})
+		}()
+		<-stopping
+		release()
+		return crashed
+	}
+
 	t.Run("crash", func(t *testing.T) {
-		p, path := open(t)
+		var fsyncs fsyncGate
+		files := fsyncs.files()
+		p, path := open(t, files)
 		if _, err := p.AppendBatch(first); err != nil {
 			t.Fatal(err)
 		}
-		release := p.HoldFsyncs()
+		release := fsyncs.shut()
 		end, err := p.StartAppend([][]byte{[]byte("a"), []byte("bb")})
 		if err != nil || end != 3 {
 			t.Fatalf("StartAppend = %d, %v", end, err)
 		}
-		// The crash poisons the partition first, then waits for the committer,
-		// which is stuck behind the held fsyncs: release only once the poison
-		// is in, so the cohort StartAppend woke can no longer sync.
-		crashed := make(chan error, 1)
-		go func() { crashed <- p.CrashDiscardUnsynced() }()
-		for p.Err() == nil {
-			runtime.Gosched()
-		}
-		release()
-		if err := <-crashed; err != nil {
+		if err := <-crashHeld(files, p, release); err != nil {
 			t.Fatal(err)
 		}
 		if got := p.SyncedNext(); got != 1 {
@@ -333,7 +346,7 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 	})
 
 	t.Run("close", func(t *testing.T) {
-		p, _ := open(t)
+		p, _ := open(t, nil)
 		if _, err := p.AppendBatch(first); err != nil {
 			t.Fatal(err)
 		}
@@ -359,25 +372,17 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 	})
 
 	// Parked under held fsyncs when the line breaks — by a crash, or by the
-	// cohort's own fsync failing once the hold lifts — the waiter has nothing
-	// else to wake it: the break must hand it the sticky error at once.
+	// cohort's own fsync failing — the waiter has nothing else to wake it:
+	// once the hold lifts, the break must hand it the sticky error at once.
 	for _, brk := range []string{"crash", "fsync error"} {
 		t.Run("parked/"+brk, func(t *testing.T) {
-			var failSync atomic.Bool
-			files := &durable.Files{Hook: func(op durable.Op, _ string) error {
-				if op == durable.OpSync && failSync.Load() {
-					return errors.New("injected fsync failure")
-				}
-				return nil
-			}}
-			p, err := OpenPartition(filepath.Join(t.TempDir(), "p.wal"), Config{Durability: DurabilityAckOnFsync, Files: files})
-			if err != nil {
-				t.Fatal(err)
-			}
+			var fsyncs fsyncGate
+			files := fsyncs.files()
+			p, _ := open(t, files)
 			defer p.CloseFile()
 			// Released on every way out, before CloseFile: a failed wait must
-			// fail the test, not leave the crash and CloseFile stuck behind it.
-			release := sync.OnceFunc(p.HoldFsyncs())
+			// fail the test, not leave CloseFile stuck behind it.
+			release := fsyncs.shut()
 			defer release()
 			end, err := p.StartAppend(first)
 			if err != nil {
@@ -388,13 +393,11 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 			for p.synced.waiting.Load() == 0 {
 				runtime.Gosched()
 			}
-			crashed := make(chan error, 1)
+			var crashed <-chan error
 			if brk == "crash" {
-				// The crash waits for the committer, stuck behind the hold; the
-				// waiter must not.
-				go func() { crashed <- p.CrashDiscardUnsynced() }()
+				crashed = crashHeld(files, p, release)
 			} else {
-				failSync.Store(true)
+				fsyncs.failing.Store(true)
 				release()
 			}
 			select {
@@ -408,8 +411,7 @@ func TestAwaitDurableAfterCrashOrClose(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("a waiter parked when the line broke was never released")
 			}
-			if brk == "crash" {
-				release()
+			if crashed != nil {
 				if err := <-crashed; err != nil {
 					t.Fatal(err)
 				}

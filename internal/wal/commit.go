@@ -15,13 +15,11 @@ package wal
 // The fsync watermark is also the ceiling for everything else
 // that claims durability: flush-offset commits call SyncTo so a committed
 // offset never exceeds what the log can actually replay after a host
-// crash, and the chaos harness's hard-crash mode cuts the segments back to
-// it to simulate losing the page cache.
+// crash. A simulated crash (durable.Files.Crash) cuts the segments back to
+// it.
 
 import (
-	"cmp"
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"time"
@@ -94,8 +92,9 @@ type Config struct {
 	// (default 50ms).
 	Interval time.Duration
 	Metrics  Metrics
-	// Files performs the directory syncs and unlinks (nil: the plain OS), so
-	// a test can watch their order against a checkpoint's other files.
+	// Files performs every create, fsync and unlink of the segment files
+	// (nil: the plain OS), so a test can watch their order against a
+	// checkpoint's other files, fail one, or crash the host under the log.
 	Files *durable.Files
 }
 
@@ -116,8 +115,8 @@ func (p *Partition) startCommitter() {
 }
 
 // committer runs one cohort whenever one is due (nextCohort) and a final one
-// when it is stopped, to cover appends that raced shutdown (a partition being
-// crash-discarded broke its line first, which makes that a no-op). A broken
+// when it is stopped, to cover appends that raced shutdown (under a
+// simulated host crash its fsync fails, which breaks the line). A broken
 // line ends it: the error is sticky and every waiter already has it.
 func (p *Partition) committer() {
 	defer close(p.commDone)
@@ -186,17 +185,6 @@ func (p *Partition) stopCommitter() {
 		close(p.commStop)
 		<-p.commDone
 	})
-}
-
-// HoldFsyncs keeps the partition from issuing any fsync — committer
-// cohorts, SyncTo, Sync, and with them Truncate — until the returned release
-// is called; appends keep landing in the segments, and rolling them,
-// meanwhile. Test hook, like FailNextAppends: it
-// freezes the watermark so a test can observe what reached the log before
-// anyone was acked.
-func (p *Partition) HoldFsyncs() (release func()) {
-	p.syncMu.Lock()
-	return p.syncMu.Unlock
 }
 
 // breakLocked makes err the partition's sticky failure, unless it has one
@@ -322,39 +310,4 @@ func (p *Partition) UnsyncedBytes() int64 {
 		n += s.bytes
 	}
 	return n
-}
-
-// CrashDiscardUnsynced simulates the page-cache loss of a host crash: it
-// poisons the partition, stops the committer, closes the active segment and
-// cuts the files on disk back to the last fsync watermark — the segment
-// holding it is truncated there and every segment rolled after it removed —
-// discarding every byte whose durability was never confirmed. The in-memory
-// state keeps serving (the dying incarnation is about to be thrown away);
-// reopening the path yields exactly the durable prefix.
-func (p *Partition) CrashDiscardUnsynced() error {
-	p.mu.Lock()
-	if p.file == nil && p.fileErr == nil {
-		p.mu.Unlock()
-		return nil
-	}
-	// Poison first so the committer's final cohort (and any racing manual
-	// Sync) cannot fsync bytes the "crash" is about to drop.
-	p.breakLocked(fmt.Errorf("wal: simulated host crash"))
-	p.mu.Unlock()
-	p.stopCommitter()
-	p.syncMu.Lock()
-	defer p.syncMu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.file == nil {
-		return nil
-	}
-	p.file.Close()
-	p.file = nil
-	tail := p.unsyncedLocked()
-	err := os.Truncate(p.segPath(tail[0].base), walMagicLen+p.syncedAt.bytes)
-	for _, s := range tail[1:] {
-		err = cmp.Or(err, os.Remove(p.segPath(s.base)))
-	}
-	return err
 }

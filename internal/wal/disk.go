@@ -86,7 +86,7 @@ func openPartition(path string, cfg Config, resident int64) (*Partition, error) 
 	}
 	var head int64
 	if len(bases) == 0 {
-		if p.file, err = createSegment(p.segPath(0)); err != nil {
+		if p.file, err = p.createSegment(0); err != nil {
 			return nil, err
 		}
 		p.segs = []segment{{}}
@@ -132,15 +132,17 @@ func listSegments(dir string) ([]int64, error) {
 	return bases, nil
 }
 
-// createSegment creates an empty segment file: the magic and no frame.
-func createSegment(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+// createSegment creates the empty segment file based at base: the magic and
+// no frame.
+func (p *Partition) createSegment(base int64) (*os.File, error) {
+	path := p.segPath(base)
+	f, err := p.files.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
 	if _, err := f.Write(walMagic[:]); err != nil {
 		f.Close()
-		os.Remove(path)
+		p.files.Remove(path)
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
 	return f, nil
@@ -184,7 +186,7 @@ func (p *Partition) loadSegments(bases []int64, resident int64) (head int64, err
 		}
 	}
 	active := p.segs[len(p.segs)-1]
-	f, err := os.OpenFile(p.segPath(active.base), os.O_RDWR, 0o644)
+	f, err := p.files.Open(p.segPath(active.base))
 	if err != nil {
 		return 0, fmt.Errorf("wal: open %s: %w", p.path, err)
 	}
@@ -195,7 +197,7 @@ func (p *Partition) loadSegments(bases []int64, resident int64) (head int64, err
 			_, err = f.WriteAt(walMagic[:], 0)
 		}
 		if err == nil {
-			err = f.Sync()
+			err = p.files.Sync(f.Name())
 		}
 	}
 	if err == nil {
@@ -327,7 +329,7 @@ func loadSegment(path string, p *Partition, base, keep int64) (next, body int64,
 // Requires mu.
 func (p *Partition) rollLocked() {
 	head := p.headLocked()
-	f, err := createSegment(p.segPath(head))
+	f, err := p.createSegment(head)
 	if err != nil {
 		return
 	}
@@ -439,7 +441,7 @@ func (p *Partition) truncateDisk(before int64) {
 	}
 	replaced := false
 	if head := p.headLocked(); n == len(p.segs)-1 && p.base == head && p.segs[n].bytes > 0 {
-		if f, err := createSegment(p.segPath(head)); err == nil {
+		if f, err := p.createSegment(head); err == nil {
 			p.file.Close()
 			p.file = f
 			p.segs = append(p.segs, segment{base: head})

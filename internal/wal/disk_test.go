@@ -297,12 +297,60 @@ func TestDiskTornTailTruncatedOnOpen(t *testing.T) {
 	}
 }
 
+// crash simulates a host crash under p, opened with files: the teardown
+// closes the segment (the committer's last cohort fails first), then files
+// cuts what no fsync covered and undoes the newest undo entry changes.
+func crash(t *testing.T, files *durable.Files, p *Partition, undo int) {
+	t.Helper()
+	if err := files.Crash(undo, func() { p.CloseFile() }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var errInjectedFsync = errors.New("injected fsync failure")
+
+// fsyncGate parks every fsync of the files it hooks while shut — what a
+// test freezes a partition's fsync watermark with — and fails them while
+// failing is set.
+type fsyncGate struct {
+	gate    atomic.Pointer[chan struct{}]
+	failing atomic.Bool
+}
+
+func (g *fsyncGate) hook(op durable.Op) error {
+	if op != durable.OpSync {
+		return nil
+	}
+	if ch := g.gate.Load(); ch != nil {
+		<-*ch
+	}
+	if g.failing.Load() {
+		return errInjectedFsync
+	}
+	return nil
+}
+
+func (g *fsyncGate) files() *durable.Files {
+	return &durable.Files{Hook: func(op durable.Op, _ string) error { return g.hook(op) }}
+}
+
+// shut parks every later fsync until the returned open (idempotent).
+func (g *fsyncGate) shut() (open func()) {
+	ch := make(chan struct{})
+	g.gate.Store(&ch)
+	return sync.OnceFunc(func() {
+		g.gate.Store(nil)
+		close(ch)
+	})
+}
+
 func TestDiskCrashDiscardUnsyncedKeepsWatermarkOnly(t *testing.T) {
 	// Simulated page-cache drop: no record above the fsync barrier may
 	// survive, and the reopened partition must report exactly the
 	// committed watermark.
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p, err := OpenPartition(path, Config{})
+	files := &durable.Files{}
+	p, err := OpenPartition(path, Config{Files: files})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +369,7 @@ func TestDiskCrashDiscardUnsyncedKeepsWatermarkOnly(t *testing.T) {
 	if p.UnsyncedBytes() == 0 {
 		t.Fatal("unsynced bytes not tracked")
 	}
-	if err := p.CrashDiscardUnsynced(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, files, p, 0)
 
 	p2, err := OpenPartition(path, Config{})
 	if err != nil {
@@ -344,9 +390,11 @@ func TestDiskCrashDiscardUnsyncedKeepsWatermarkOnly(t *testing.T) {
 func TestDiskGroupCommitAmortizesAndLosesNothing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
 	fsyncs := &telemetry.Counter{}
+	files := &durable.Files{}
 	p, err := OpenPartition(path, Config{
 		Durability: DurabilityAckOnFsync,
 		Metrics:    Metrics{Fsyncs: fsyncs},
+		Files:      files,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -378,9 +426,7 @@ func TestDiskGroupCommitAmortizesAndLosesNothing(t *testing.T) {
 		t.Fatalf("no group-commit amortization: %d fsyncs for %d appends", n, total)
 	}
 	// Every acked append survives a simulated host crash.
-	if err := p.CrashDiscardUnsynced(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, files, p, 0)
 	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -213,13 +214,14 @@ func TestAckWaitsForRolledSegment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
 	var mu sync.Mutex
 	var synced []string
+	var fsyncs fsyncGate
 	files := &durable.Files{Hook: func(op durable.Op, path string) error {
 		if op == durable.OpSync {
 			mu.Lock()
 			synced = append(synced, filepath.Base(path))
 			mu.Unlock()
 		}
-		return nil
+		return fsyncs.hook(op)
 	}}
 	p := openSmall(t, path, Config{Durability: DurabilityAckOnFsync, Files: files}, 256)
 	if _, err := p.Append([]byte("durable")); err != nil {
@@ -229,7 +231,8 @@ func TestAckWaitsForRolledSegment(t *testing.T) {
 	synced = nil
 	mu.Unlock()
 
-	release := p.HoldFsyncs()
+	release := fsyncs.shut()
+	defer release()
 	end, err := p.StartAppend([][]byte{make([]byte, 300)}) // fills segment 0: it rolls
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +325,8 @@ func TestTruncateUnlinksWholeSegments(t *testing.T) {
 // crash right after it reopens at the horizon, not below it.
 func TestTruncateNeverPassesTheFsyncWatermark(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 1024)
+	files := &durable.Files{}
+	p := openSmall(t, path, Config{Files: files}, 1024)
 	appendNumbered(t, p, 200) // ack-on-write: nothing synced yet
 	if p.SyncedNext() != 0 {
 		t.Fatalf("watermark %d before any sync", p.SyncedNext())
@@ -331,9 +335,7 @@ func TestTruncateNeverPassesTheFsyncWatermark(t *testing.T) {
 	if p.SyncedNext() < 150 {
 		t.Fatalf("horizon 150 above the fsync watermark %d", p.SyncedNext())
 	}
-	if err := p.CrashDiscardUnsynced(); err != nil {
-		t.Fatal(err)
-	}
+	crash(t, files, p, 0)
 	p2, err := OpenPartition(path, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -467,38 +469,55 @@ func TestReopenSegmentedLog(t *testing.T) {
 }
 
 // TestCrashDiscardAcrossRoll: the unsynced suffix a simulated host crash
-// drops can span segments — the one holding the watermark is cut there and
-// every segment rolled after it goes.
+// drops can span segments — the one holding the watermark is cut there, and
+// every segment rolled after it loses its bytes. Their names, which no
+// directory fsync covered, survive when no entry change is undone (a reopen
+// drops them: they hold no record) and go when all are.
 func TestCrashDiscardAcrossRoll(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 1024)
-	appendNumbered(t, p, 60) // into the second segment
-	if err := p.Sync(); err != nil {
-		t.Fatal(err)
+	for _, undo := range []int{0, math.MaxInt} {
+		t.Run(fmt.Sprintf("undo=%d", undo), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "p.wal")
+			files := &durable.Files{}
+			p := openSmall(t, path, Config{Files: files}, 1024)
+			appendNumbered(t, p, 60) // into the second segment
+			if err := p.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			appendNumbered(t, p, 140) // three more rolls, none synced
+			if p.SyncedNext() != 60 {
+				t.Fatalf("watermark %d, want 60", p.SyncedNext())
+			}
+			if want := int64(140 * 22); p.UnsyncedBytes() != want {
+				t.Fatalf("unsynced bytes %d, want %d", p.UnsyncedBytes(), want)
+			}
+			crash(t, files, p, undo)
+			want := []int64{0, 47}
+			if undo == 0 {
+				want = append(want, 94, 141, 188)
+				for _, base := range want[2:] {
+					if st, err := os.Stat(segFile(path, base)); err != nil || st.Size() != 0 {
+						t.Fatalf("segment %d after the crash: %v, %v; want its name and no byte", base, st, err)
+					}
+				}
+			}
+			if got := segBases(t, path); !slices.Equal(got, want) {
+				t.Fatalf("segments after the crash: %v, want %v", got, want)
+			}
+			p2, err := OpenPartition(path, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p2.CloseFile()
+			if got := segBases(t, path); !slices.Equal(got, []int64{0, 47}) {
+				t.Fatalf("segments after the reopen: %v, want [0 47]", got)
+			}
+			if p2.Next() != 60 || p2.UnsyncedBytes() != 0 {
+				t.Fatalf("reopened next=%d unsynced=%d, want the watermark 60 and 0", p2.Next(), p2.UnsyncedBytes())
+			}
+			appendNumbered(t, p2, 40)
+			readThrough(t, p2, 0, 100, numbered)
+		})
 	}
-	appendNumbered(t, p, 140) // three more rolls, none synced
-	if p.SyncedNext() != 60 {
-		t.Fatalf("watermark %d, want 60", p.SyncedNext())
-	}
-	if want := int64(140 * 22); p.UnsyncedBytes() != want {
-		t.Fatalf("unsynced bytes %d, want %d", p.UnsyncedBytes(), want)
-	}
-	if err := p.CrashDiscardUnsynced(); err != nil {
-		t.Fatal(err)
-	}
-	if got := segBases(t, path); !slices.Equal(got, []int64{0, 47}) {
-		t.Fatalf("segments after the crash: %v, want [0 47]", got)
-	}
-	p2, err := OpenPartition(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.CloseFile()
-	if p2.Next() != 60 || p2.UnsyncedBytes() != 0 {
-		t.Fatalf("reopened next=%d unsynced=%d, want the watermark 60 and 0", p2.Next(), p2.UnsyncedBytes())
-	}
-	appendNumbered(t, p2, 40)
-	readThrough(t, p2, 0, 100, numbered)
 }
 
 // TestColdReadWalksAtMostOneSegment: a read below the memory start finds its

@@ -380,15 +380,20 @@ func Open(cfg Config) (*Cluster, error) {
 		Policy:  queryexec.PolicyByName(cfg.Policy),
 		Metrics: queryexec.NewCoordinatorMetrics(reg),
 		Traces:  c.traces,
-		// The coordinator asks the slot table at dispatch time: a successor
-		// serves queries the instant it is installed, a retired slot nobody.
-		// (An untyped nil — a nil *ingest.Server in the interface would pass
-		// the coordinator's "no executor" check and panic in the call.)
-		MemExecutor: func(slot int) queryexec.MemExecutor {
-			if srv := c.server(slot); srv != nil {
-				return srv
+		// The coordinator reads the slot table once per plan and asks each
+		// serving server for its bounds: a successor serves queries the
+		// instant it is installed, a retired slot nobody. (An untyped nil —
+		// a nil *ingest.Server in the interface would pass the coordinator's
+		// nil check and panic in the call.)
+		MemExecutors: func() []queryexec.MemExecutor {
+			srvs := c.servers()
+			out := make([]queryexec.MemExecutor, len(srvs))
+			for i, srv := range srvs {
+				if srv != nil {
+					out[i] = srv
+				}
 			}
-			return nil
+			return out
 		},
 	}, c.ms, c.fs)
 
@@ -598,11 +603,11 @@ func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 }
 
 // Drain is the insert→query barrier: it blocks until every tuple acked
-// before the call is applied to its indexing server's memtable, every
-// flush those tuples triggered has been attempted, and the live regions
-// covering them are published — so a query issued after a nil Drain sees
-// all of them, exactly once, and the WAL holds in memory only what a
-// replay would read (inserts are acked from the log, ahead of the
+// before the call is applied to its indexing server's memtable and every
+// flush those tuples triggered has been attempted — so a query issued after
+// a nil Drain sees all of them, exactly once (it plans on the servers' own
+// bounds, which move with the inserts), and the WAL holds in memory only
+// what a replay would read (inserts are acked from the log, ahead of the
 // consumers). Each head is read once: the barrier does not chase a writer
 // that keeps going. Consumed advances only after a batch is in the trees,
 // which makes waiting for it a barrier rather than a hint; a slot taken
@@ -619,15 +624,13 @@ func (c *Cluster) Drain() error {
 		return err
 	}
 	// Applied is not persisted: wait out the flush pipelines too ("insert,
-	// Drain, query/crash" stays deterministic), then force what trails an
-	// offset by a beat — the consumer's live-region report, so a query plans
-	// against the memtable's true extent, and the flusher's WAL release.
+	// Drain, query/crash" stays deterministic), then force what trails a
+	// commit by a beat — the flusher's WAL release.
 	for i, srv := range c.servers() {
 		if srv != nil {
 			if err := srv.DrainFlushes(); err != nil {
 				return err
 			}
-			srv.PublishLive()
 			c.log.Partition(i).Release(c.replayFloor(i, c.ms.Offset(i)))
 		}
 	}

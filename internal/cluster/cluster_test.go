@@ -122,7 +122,7 @@ func countAll(t *testing.T, c *Cluster) int {
 // inside one batch, so every round has consumers mid-merge and snapshots
 // mid-flush when Drain starts polling; the count after Drain must equal
 // the count acked, every round — starting with the first tuple into an
-// empty server, where the live region has to appear from nothing.
+// empty server, where the bounds have to appear from nothing.
 func TestDrainIsBarrier(t *testing.T) {
 	cfg := testConfig()
 	cfg.ChunkBytes = 8 << 10 // a 300-tuple batch crosses it on its own
@@ -183,6 +183,46 @@ func TestDrainIsBarrier(t *testing.T) {
 	}
 	if c.Metadata().ChunkCount() == 0 {
 		t.Fatal("no batch crossed the flush threshold; the test lost its flush leg")
+	}
+}
+
+// TestAppliedIsPlanned: a tuple its slot has applied is in the next plan,
+// with no Drain in between. Every round inserts a tuple older than
+// everything before it by more than Δt (10 s), so only the slot's new
+// minimum lets a point query at its timestamp plan a mem-subquery; the round
+// waits until the slot has applied the tuple, and the query must find it.
+// The planner reads each serving server's own bounds, which move with the
+// inserts in the same step as the applied offset. (It used to read a copy the
+// consumer published a beat after the offset moved, and missed a tuple or
+// two in 5 000 rounds.)
+func TestAppliedIsPlanned(t *testing.T) {
+	rounds := 5000
+	if testing.Short() {
+		rounds = 500
+	}
+	c := startCluster(t, testConfig())
+	const step = 20_000 // ms: more than Δt
+	misses := 0
+	for r := 0; r < rounds; r++ {
+		key := model.Key(uint64(r) * 0x9E3779B97F4A7C15)
+		ts := model.Timestamp(int64(rounds-r) * step)
+		if err := c.Insert(model.Tuple{Key: key, Time: ts}); err != nil {
+			t.Fatal(err)
+		}
+		slot := c.ms.Schema().ServerFor(key)
+		if err := c.waitApplied(slot, c.log.Partition(slot).Next()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Query(model.Query{Keys: model.KeyRange{Lo: key, Hi: key}, Times: model.TimeRange{Lo: ts, Hi: ts}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) != 1 {
+			misses++
+		}
+	}
+	if misses != 0 {
+		t.Fatalf("%d of %d applied tuples missing from the next query", misses, rounds)
 	}
 }
 
@@ -345,28 +385,63 @@ func TestAdaptiveRebalancing(t *testing.T) {
 	}
 }
 
+// TestRepartitionOverlapCorrectness is the paper's Fig. 4 walkthrough: a
+// repartition moves a key range to another slot while the old owner still
+// buffers tuples from it (§III-D). Those tuples must stay visible, exactly
+// once, through the overlap window — the old owner answers for them from its
+// own bounds, not from the schema — and after the flush that ends it.
 func TestRepartitionOverlapCorrectness(t *testing.T) {
-	// Tuples buffered under the old schema must stay visible through the
-	// overlap window (§III-D): query the moved key range before any flush.
 	cfg := testConfig()
 	cfg.Nodes = 2
-	cfg.ChunkBytes = 1 << 30 // never flush
+	cfg.ChunkBytes = 1 << 30 // no flush until FlushAll
 	c := startCluster(t, cfg)
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		c.Insert(model.Tuple{Key: model.Key(rng.Intn(1 << 30)), Time: model.Timestamp(i)})
+	keys := make([]model.Key, 5000)
+	for i := range keys {
+		keys[i] = model.Key(rng.Intn(1 << 30))
+		c.Insert(model.Tuple{Key: keys[i], Time: model.Timestamp(i)})
 	}
 	c.Drain()
+	before := c.Metadata().Schema()
 	if !c.TickBalance() {
 		t.Fatal("expected a repartition")
 	}
-	res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
-	if err != nil {
+	after := c.Metadata().Schema()
+	// The key range that changed owner: between the old bound and the new.
+	moved := model.KeyRange{Lo: min(before.Bounds[0], after.Bounds[0]), Hi: max(before.Bounds[0], after.Bounds[0]) - 1}
+	inMoved := 0
+	for _, k := range keys {
+		if moved.Contains(k) {
+			inMoved++
+		}
+	}
+	if inMoved == 0 {
+		t.Fatalf("no tuple in the moved key range %v: the walkthrough checks nothing", moved)
+	}
+	exactlyOnce := func(when string, kr model.KeyRange, want int) {
+		t.Helper()
+		res, err := c.Query(model.Query{Keys: kr, Times: model.FullTimeRange()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[model.Timestamp]bool, len(res.Tuples))
+		for _, tp := range res.Tuples {
+			if seen[tp.Time] {
+				t.Fatalf("%s: tuple %d returned twice over %v", when, tp.Time, kr)
+			}
+			seen[tp.Time] = true
+		}
+		if len(seen) != want {
+			t.Fatalf("%s: %d of %d tuples over %v", when, len(seen), want, kr)
+		}
+	}
+	exactlyOnce("after the repartition, before a flush", model.FullKeyRange(), len(keys))
+	exactlyOnce("after the repartition, before a flush", moved, inMoved)
+	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tuples) != 5000 {
-		t.Fatalf("lost tuples across repartition: %d/5000", len(res.Tuples))
-	}
+	exactlyOnce("after the flush", moved, inMoved)
+	exactlyOnce("after the flush", model.FullKeyRange(), len(keys))
 }
 
 func TestIndexServerCrashRecovery(t *testing.T) {
@@ -463,11 +538,11 @@ func TestStopIdempotentAndRestartSafe(t *testing.T) {
 // TestQueryNeverMissesAcrossFlushRegistration: a query must return every
 // tuple that was acked and drained before it started, whatever the flush
 // pipeline does meanwhile. The writer keeps turning one-tuple memtables
-// into chunks — each flush registers its chunk and then reports the live
-// region empty — while the readers count the full region against the
+// into chunks — each flush registers its chunk and drops the snapshot from
+// the server's bounds — while the readers count the full region against the
 // number drained before each query. A plan that reads the chunk list
-// before the registration and the live regions after the empty report
-// holds the tuple in neither half and comes back one short. Both query
+// before the registration and the bounds after it holds the tuple in
+// neither half and comes back one short. Both query
 // classes read: a tuple query and an aggregate COUNT(*) go through the same
 // planner, and the ordering has to hold for each.
 func TestQueryNeverMissesAcrossFlushRegistration(t *testing.T) {

@@ -228,7 +228,7 @@ func (c *Cluster) installSchema(newSchema meta.PartitionSchema) {
 // elastic scale-out and standby shadows so a replacement server never
 // silently diverges from the original. epoch is the ownership epoch the
 // incarnation registers flushes under; passive builds a standby shadow
-// that neither flushes nor reports a live region until promoted.
+// that neither flushes nor serves queries until promoted.
 func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passive bool) *ingest.Server {
 	// Added servers can outnumber the configured nodes; wrap the DFS
 	// placement preference instead of pointing past the last node.
@@ -472,10 +472,11 @@ func (c *Cluster) AddIndexServer() (int, error) {
 	if err := c.install(id, srv); err != nil {
 		return 0, err
 	}
-	// The split slot's nominal interval narrowed; its actual interval
-	// stays wide until its buffered tuples flush (§III-D), handled by the
-	// metadata server. Only then do the dispatchers learn the new schema —
-	// the new slot's consumer is already running, so no tuple ever waits.
+	// The split slot's nominal interval narrowed, but it still answers for
+	// what it buffers from the old one until that flushes (§III-D): the
+	// coordinator plans on its measured bounds, not on the schema. Only
+	// then do the dispatchers learn the new schema — the new slot's
+	// consumer is already running, so no tuple ever waits.
 	c.installSchema(newSchema)
 	if c.cfg.HotStandby && c.started.Load() {
 		c.startStandbyLocked(id)
@@ -543,7 +544,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	}
 	c.detachConsumer(i)
 	// 5. Final flush: every buffered tuple becomes a registered chunk, the
-	// replay offset commits to the head, and the live region empties (the
+	// replay offset commits to the head, and the server's bounds empty (the
 	// coordinator stops planning mem-subqueries for the slot). A transient
 	// DFS fault can park the flusher with the snapshot unregistered — and
 	// DrainFlushes returns on a parked flusher — so keep re-driving the

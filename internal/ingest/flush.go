@@ -407,7 +407,6 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 	s.stats.Flushes.Add(1)
 	s.stats.FlushBytes.Add(totalBytes)
 	s.cfg.Metrics.FlushNanos.Observe(time.Since(flushStart))
-	s.reportLive()
 	return nil
 }
 

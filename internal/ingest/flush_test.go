@@ -423,14 +423,14 @@ func returnsWithin(t *testing.T, flush func() (meta.ChunkInfo, bool)) (info meta
 // the race behind chaos seed 01's "57 acked tuples missing at barrier": a
 // flush swap that lands after a batch has updated the live bounds but
 // before it is in a tree resets hasData while the batch goes into the
-// fresh tree, and once the swapped snapshot registers the server reports
-// an empty live region over a non-empty memtable — no query plans a
-// mem-subquery for it, and the acked tuples stay invisible until a later
-// insert moves the bounds again. The test forces that order: it holds
+// fresh tree, and once the swapped snapshot registers MemBounds reads an
+// empty memtable over a non-empty one — no query plans a mem-subquery for
+// it, and the acked tuples stay invisible until a later insert moves the
+// bounds again. The test forces that order: it holds
 // pendMu as a reader, queues the swap behind it as a writer, starts the
 // batch while the writer is pending, and then lets both go.
 func TestSwapBetweenBoundsAndInsertKeepsLiveRegion(t *testing.T) {
-	srv, _, ms := newTestEnv(1 << 30)
+	srv, _, _ := newTestEnv(1 << 30)
 	defer srv.Close()
 	srv.Insert(model.Tuple{Key: 1, Time: 5000})
 
@@ -463,17 +463,16 @@ func TestSwapBetweenBoundsAndInsertKeepsLiveRegion(t *testing.T) {
 	<-flushed
 	<-inserted
 	srv.DrainFlushes()
-	srv.PublishLive()
 
 	if got := srv.MemLen(); got != 2 {
 		t.Fatalf("memtable holds %d tuples after the swap, want the batch's 2", got)
 	}
-	lr := ms.LiveRegions()[0]
-	if lr.Empty {
-		t.Fatal("live region reported empty over a non-empty memtable: the batch is invisible to query planning")
+	min, keys, ok := srv.MemBounds()
+	if !ok {
+		t.Fatal("MemBounds empty over a non-empty memtable: the batch is invisible to query planning")
 	}
-	if lr.MinTime > 4000 || !lr.Keys.Contains(7) || !lr.Keys.Contains(9) {
-		t.Fatalf("live region %+v does not cover the batch (keys 7, 9 from time 4000)", lr)
+	if min > 4000 || !keys.Contains(7) || !keys.Contains(9) {
+		t.Fatalf("MemBounds (min %d, keys %v) does not cover the batch (keys 7, 9 from time 4000)", min, keys)
 	}
 }
 

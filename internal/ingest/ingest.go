@@ -9,8 +9,12 @@
 // Out-of-order arrivals (§IV-D): a watermark tracks the largest timestamp
 // seen; tuples arriving more than SideThreshold behind it go to a separate
 // side-store tree so the ordinary chunks keep tight temporal boundaries,
-// while mildly-late tuples simply widen the live region's left bound,
-// which the coordinator further pads by the late-visibility parameter Δt.
+// while mildly-late tuples simply widen the memtable's left bound, which the
+// coordinator further pads by the late-visibility parameter Δt.
+//
+// The live region (§III-D) has one record: MemBounds, measured under the
+// same lock as the inserts it covers. The coordinator reads it from the
+// serving server at plan time; nothing publishes a copy.
 //
 // Fault tolerance (§V): the server consumes a WAL partition; at every
 // flush it records its read offset in the metadata server, so a restarted
@@ -86,10 +90,10 @@ type Config struct {
 	Epoch int64
 	// Passive builds the server as a hot standby's shadow: it consumes the
 	// slot's partition and indexes tuples normally (so a promotion inherits
-	// a warm memtable) but never flushes, never reports a live region, and
-	// never commits offsets — the active owner of the slot does all three.
-	// It holds only the owner's unflushed suffix (reset on commit, see
-	// Consume). Activate flips the server live.
+	// a warm memtable) but never flushes and never commits offsets — the
+	// active owner of the slot does both — and no query plans on it until it
+	// serves the slot. It holds only the owner's unflushed suffix (reset on
+	// commit, see Consume). Activate flips the server live.
 	Passive bool
 }
 
@@ -169,8 +173,8 @@ type Server struct {
 	// trees (main and side, which always swap out together), valid while
 	// keysSet; the box only grows between swaps, so it covers the trees'
 	// contents even when routing placed old-interval keys here after a
-	// repartition — that box is what keeps the slot's actual interval in
-	// metadata honest.
+	// repartition — that box is what the coordinator plans the slot's
+	// mem-subqueries on (MemBounds).
 	minMu    sync.Mutex
 	minTime  model.Timestamp
 	hasData  bool
@@ -179,11 +183,6 @@ type Server struct {
 	keyLo    model.Key
 	keyHi    model.Key
 	keysSet  bool
-
-	// reportMu serializes live-region reports end to end (state measurement
-	// plus the metadata call), so a stale measurement can never overwrite a
-	// fresher one at the metadata server.
-	reportMu sync.Mutex
 
 	// swapMu serializes threshold checks, FlushReset swaps and backpressure,
 	// so units enter the pending list in seq order and backpressure blocks
@@ -207,8 +206,8 @@ type Server struct {
 	// aborted marks a simulated crash (Abort): no snapshot may register its
 	// chunk or commit a WAL offset any more.
 	aborted atomic.Bool
-	// passive suppresses flushes, live-region reports and offset commits
-	// while the server shadows an active owner (hot standby).
+	// passive suppresses flushes and offset commits while the server
+	// shadows an active owner (hot standby).
 	passive atomic.Bool
 	// epoch is the ownership epoch metadata writes are guarded by (>0).
 	epoch atomic.Int64
@@ -285,8 +284,8 @@ func (s *Server) Insert(t model.Tuple) {
 // InsertBatch ingests a batch of tuples with the per-tuple bookkeeping
 // amortized across the batch: one watermark advance (to the batch max),
 // one side-store split against the settled watermark, one minMu critical
-// section, at most one reportLive, and one InsertBatch per target tree,
-// flushing when a tree reaches its threshold. Safe for concurrent use.
+// section and one InsertBatch per target tree, flushing when a tree reaches
+// its threshold. Safe for concurrent use.
 func (s *Server) InsertBatch(ts []model.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -304,11 +303,11 @@ func (s *Server) InsertBatch(ts []model.Tuple) {
 // and queryable: the property Drain and the handoff catch-up waits wait
 // for. And a swap can never land between a tuple's bounds update and its
 // tree insert: it would reset hasData while the tuple goes into the fresh
-// tree, and once the swapped snapshot registered the server would report
-// an empty live region over a non-empty memtable, hiding acked tuples from
-// every query until the next insert moved the bounds. Side effects that
-// re-take pendMu — reportLive, threshold flush enqueues — are deferred
-// past the read section, since pendMu is not reentrant.
+// tree, and once the swapped snapshot registered MemBounds would read an
+// empty memtable over a non-empty one, hiding acked tuples from every query
+// until the next insert moved the bounds. Threshold flush enqueues re-take
+// pendMu and so are deferred past the read section, since pendMu is not
+// reentrant.
 func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 	n := s.stats.Ingested.Add(int64(len(ts)))
 	var start time.Time
@@ -374,14 +373,13 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 	}
 	s.pendMu.RLock()
 	s.minMu.Lock()
-	changed := false
 	if len(main) > 0 && (!s.hasData || mainMin < s.minTime) {
-		s.minTime, s.hasData, changed = mainMin, true, true
+		s.minTime, s.hasData = mainMin, true
 	}
 	if len(side) > 0 && (!s.sideData || sideMin < s.sideMin) {
-		s.sideMin, s.sideData, changed = sideMin, true, true
+		s.sideMin, s.sideData = sideMin, true
 	}
-	changed = s.growKeyBoxLocked(kLo, kHi) || changed
+	s.growKeyBoxLocked(kLo, kHi)
 	s.minMu.Unlock()
 	if len(main) > 0 {
 		s.tree.InsertBatch(main)
@@ -393,13 +391,6 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 		s.consumed.Set(nextOff)
 	}
 	s.pendMu.RUnlock()
-	if changed {
-		// The live region's bounds moved (or the memtable went from empty to
-		// non-empty): publish them so the coordinator includes this server
-		// in query decomposition. Unchanged bounds — the common case on
-		// in-order streams — skip the metadata round-trip.
-		s.reportLive()
-	}
 	if s.tree.Bytes() >= s.cfg.ChunkBytes {
 		// Swap the full tree out and enqueue it for the background flusher;
 		// the inserting goroutine pays a pointer exchange, not a chunk build
@@ -428,32 +419,25 @@ func minTime(ts []model.Tuple) model.Timestamp {
 }
 
 // growKeyBoxLocked widens the live trees' key bounding box to cover
-// [lo, hi] and reports whether it changed. Requires minMu.
-func (s *Server) growKeyBoxLocked(lo, hi model.Key) bool {
+// [lo, hi]. Requires minMu.
+func (s *Server) growKeyBoxLocked(lo, hi model.Key) {
 	if !s.keysSet {
 		s.keyLo, s.keyHi, s.keysSet = lo, hi, true
-		return true
+		return
 	}
-	changed := false
-	if lo < s.keyLo {
-		s.keyLo = lo
-		changed = true
-	}
-	if hi > s.keyHi {
-		s.keyHi = hi
-		changed = true
-	}
-	return changed
+	s.keyLo, s.keyHi = min(s.keyLo, lo), max(s.keyHi, hi)
 }
 
-// MemBounds returns the live (memtable) region's exact extent: the minimum
-// timestamp and the key bounding box over both trees and every pending
-// snapshot whose chunk is not yet registered (those tuples are still served
-// from memory, so the live region must keep covering them), and whether any
-// data is buffered. The key box is what the metadata server unions into the
-// slot's actual interval — it covers old-interval tuples a repartition or
-// split stranded in this memtable, whatever the current nominal interval
-// says.
+// MemBounds returns the live (memtable) region's exact extent, the one
+// record of it: the minimum timestamp and the key bounding box over both
+// trees and every pending snapshot whose chunk is not yet registered (those
+// tuples are still served from memory, so the live region must keep
+// covering them), and whether any data is buffered. The coordinator plans
+// the slot's mem-subqueries on it. The key box covers old-interval tuples a
+// repartition or split stranded in this memtable, whatever the current
+// nominal interval says. It is read under pendMu, so it moves with the
+// inserts and the chunk registrations it reflects: once Consumed() >= n,
+// every record below n is inside it.
 func (s *Server) MemBounds() (model.Timestamp, model.KeyRange, bool) {
 	s.pendMu.RLock()
 	defer s.pendMu.RUnlock()
@@ -495,37 +479,14 @@ func (s *Server) MemBounds() (model.Timestamp, model.KeyRange, bool) {
 	return min, keys, ok
 }
 
-// reportLive pushes the current live-region state to the metadata server.
-// A passive shadow stays silent: the slot's live region belongs to the
-// active owner until promotion. reportMu makes the measurement and the
-// metadata call atomic, so concurrent reporters (inserter, consumer,
-// flusher) publish in measurement order and a stale snapshot of the state
-// can never overwrite a fresher one.
-func (s *Server) reportLive() {
-	if s.passive.Load() {
-		return
-	}
-	s.reportMu.Lock()
-	defer s.reportMu.Unlock()
-	min, keys, ok := s.MemBounds()
-	s.ms.ReportLive(s.cfg.ID, min, keys, !ok)
-}
-
-// PublishLive forces an immediate live-region report — callers that just
-// drained the WAL into this server (cluster Drain, takeover barriers) use
-// it to make the memtable's extent visible to query planning before they
-// read: Consumed() advances once a batch is in the trees, a beat before
-// the consumer publishes the bounds that batch moved.
-func (s *Server) PublishLive() { s.reportLive() }
-
 // Activate flips a passive shadow live under the given ownership epoch —
 // the final step of a promotion, after meta.TransferOwnership fenced the
 // old owner and the shadow's consumer has returned. The slot's committed
 // offset is final now, so one last reset check aligns the shadow with it:
 // every tuple it keeps is then in no chunk, and every record below its
 // position is in exactly one. The committed-offset floor snaps to that
-// offset and the live region is published. The caller then runs Consume,
-// which resumes at the shadow's position.
+// offset. The caller then installs the server, which makes queries plan on
+// it, and runs Consume, which resumes at the shadow's position.
 func (s *Server) Activate(epoch int64) {
 	s.resetOnCommit()
 	s.epoch.Store(epoch)
@@ -535,7 +496,6 @@ func (s *Server) Activate(epoch int64) {
 	}
 	s.pendMu.Unlock()
 	s.passive.Store(false)
-	s.reportLive()
 }
 
 // resetOnCommit is a passive shadow's one rule: once the slot's committed
@@ -879,7 +839,6 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
 			s.insertBatchAt(batch[pos:end], recs[end-1].Offset+1)
 			pos = end
 		}
-		s.reportLive()
 	}
 }
 

@@ -97,8 +97,8 @@ func TestFlushRegistersTightRegion(t *testing.T) {
 	if srv.MemLen() != 0 {
 		t.Errorf("memtable holds %d after flush", srv.MemLen())
 	}
-	if lr := ms.LiveRegions()[0]; !lr.Empty {
-		t.Errorf("live region not marked empty: %+v", lr)
+	if min, keys, ok := srv.MemBounds(); ok {
+		t.Errorf("MemBounds not empty after flush: min %d, keys %v", min, keys)
 	}
 	// Flushing again is a no-op.
 	if _, ok := srv.Flush(); ok {

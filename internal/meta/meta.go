@@ -1,11 +1,11 @@
 // Package meta implements Waterwheel's metadata server (paper §II-B). It
 // maintains the states of the system: the global key-partitioning schema of
-// the dispatchers, the live in-memory regions of the indexing servers (whose
-// key intervals are the *actual*, possibly overlapping ones right after a
-// repartition, §III-D), the property information of every flushed data
-// chunk (indexed by one R-tree for query decomposition, §IV-A), the WAL read
+// the dispatchers, the property information of every flushed data chunk
+// (indexed by one R-tree for query decomposition, §IV-A), the WAL read
 // offsets recorded at each flush (§V), the ownership epochs that fence
-// deposed servers, and the plan horizons of the running queries.
+// deposed servers, and the plan horizons of the running queries. The
+// indexing servers' live regions are not here: the coordinator asks the
+// serving servers for them at plan time (ingest.Server.MemBounds).
 //
 // Durability stands in for ZooKeeper: Snapshot/Restore round-trip the state
 // a restart resumes from through a gob encoding. Running queries are not
@@ -165,25 +165,10 @@ func EvenSchema(servers int) PartitionSchema {
 	return s
 }
 
-// LiveRegion describes the in-memory (unflushed) region of an indexing
-// server: its actual key interval × [MinTime, now].
-type LiveRegion struct {
-	Server int
-	// Keys is the slot's actual key interval, the one record of it: the
-	// nominal interval widened to cover every key the slot may still buffer,
-	// so it may overlap other slots' right after a repartition.
-	Keys model.KeyRange
-	// MinTime is the left temporal boundary of the in-memory B+ tree; zero
-	// tuples is signalled by Empty.
-	MinTime model.Timestamp
-	Empty   bool
-}
-
 // Server is the metadata server.
 type Server struct {
 	mu      sync.RWMutex
 	schema  PartitionSchema
-	live    []LiveRegion
 	chunks  map[model.ChunkID]ChunkInfo
 	regions *rtree.Tree // region -> ChunkID
 	offsets []int64
@@ -196,12 +181,6 @@ type Server struct {
 	nextChunk uint64
 	nextQuery uint64
 	maxTime   model.Timestamp // max Region.Times.Hi ever registered
-}
-
-// emptyLive is a new slot's live region: no tuples, and a key interval
-// that starts empty and widens to the nominal one (widenLocked).
-func emptyLive(server int) LiveRegion {
-	return LiveRegion{Server: server, Keys: model.KeyRange{Lo: model.MaxKey}, Empty: true}
 }
 
 // NewServer creates a metadata server for the given number of indexing
@@ -217,13 +196,10 @@ func NewServer(indexServers int) *Server {
 		offsets: make([]int64, indexServers),
 		epochs:  make([]int64, indexServers),
 		queries: make(map[uint64]uint64),
-		live:    make([]LiveRegion, indexServers),
 	}
-	for i := range s.live {
-		s.live[i] = emptyLive(i)
+	for i := range s.epochs {
 		s.epochs[i] = 1
 	}
-	s.widenLocked()
 	return s
 }
 
@@ -243,9 +219,7 @@ func clonedSchema(p PartitionSchema) PartitionSchema {
 }
 
 // SetSchema installs a new key partitioning (same active-slot set),
-// bumping the version. Each server's actual interval becomes the union of
-// its old actual interval and its new nominal interval until its next
-// ReportLive shrinks it (§III-D).
+// bumping the version.
 func (s *Server) SetSchema(bounds []model.Key) (PartitionSchema, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,52 +237,7 @@ func (s *Server) SetSchema(bounds []model.Key) (PartitionSchema, error) {
 		Slots:   s.schema.Slots,
 		Bounds:  append([]model.Key(nil), bounds...),
 	}
-	s.widenLocked()
 	return clonedSchema(s.schema), nil
-}
-
-// widenLocked grows every active slot's actual interval to cover its
-// nominal one, after a schema change or for a new slot. It never narrows:
-// the live region's Empty flag can be stale (WAL backlog acked but not yet
-// consumed), so narrowing on it would hide backlog tuples routed under the
-// old schema. The slot's next ReportLive shrinks the interval to nominal ∪
-// the server's measured key box. Requires mu.
-func (s *Server) widenLocked() {
-	for _, id := range s.schema.ActiveSlots() {
-		nom, keys := s.schema.IntervalOf(id), &s.live[id].Keys
-		keys.Lo, keys.Hi = min(keys.Lo, nom.Lo), max(keys.Hi, nom.Hi)
-	}
-}
-
-// ReportLive updates an indexing server's live region after inserts or a
-// flush. keys is the exact key bounding box of the server's in-memory
-// tuples (memtable, side store, unregistered snapshots); the actual
-// interval becomes the union of the nominal interval and that box, so it
-// covers every buffered tuple however stale the routing that placed it —
-// and shrinks back to nominal on its own as flushes drain the old keys.
-// Empty=true marks the memtable as drained (keys is ignored), which snaps
-// the actual interval to the nominal one. The box is measured by the
-// server itself, so a schema change between the measurement and this call
-// cannot invalidate it: the box covers the buffered tuples regardless of
-// which schema routed them.
-func (s *Server) ReportLive(server int, minTime model.Timestamp, keys model.KeyRange, empty bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if server < 0 || server >= len(s.live) {
-		return
-	}
-	nom := s.schema.IntervalOf(server)
-	if !empty {
-		nom.Lo, nom.Hi = min(nom.Lo, keys.Lo), max(nom.Hi, keys.Hi)
-	}
-	s.live[server] = LiveRegion{Server: server, Keys: nom, MinTime: minTime, Empty: empty}
-}
-
-// LiveRegions returns the current live regions of all indexing servers.
-func (s *Server) LiveRegions() []LiveRegion {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]LiveRegion(nil), s.live...)
 }
 
 // RegisterChunks registers several chunks in one critical section, so their
@@ -492,11 +421,10 @@ func (s *Server) CompleteQuery(id uint64) {
 // persistentState is the gob image of the server: the state a restart
 // resumes from. Running queries are not in it — a restored registry would
 // pin flushed snapshots and retired chunk files for queries no process
-// runs — and gob skips the Actual, Handoffs, Queries and NextQuery fields
-// that older images carry.
+// runs — and gob skips the Actual, Live, Handoffs, Queries and NextQuery
+// fields that older images carry.
 type persistentState struct {
 	Schema    PartitionSchema
-	Live      []LiveRegion
 	Chunks    []ChunkInfo
 	Offsets   []int64
 	Epochs    []int64
@@ -508,7 +436,6 @@ func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	st := persistentState{
 		Schema:    clonedSchema(s.schema),
-		Live:      append([]LiveRegion(nil), s.live...),
 		Offsets:   append([]int64(nil), s.offsets...),
 		Epochs:    append([]int64(nil), s.epochs...),
 		NextChunk: s.nextChunk,
@@ -533,7 +460,6 @@ func Restore(data []byte) (*Server, error) {
 	}
 	s := NewServer(st.Schema.Servers)
 	s.schema = st.Schema
-	s.live = st.Live
 	s.offsets = st.Offsets
 	// Snapshots predating ownership epochs carry none: every slot starts
 	// at epoch 1, the value NewServer seeded.

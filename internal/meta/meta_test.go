@@ -60,35 +60,6 @@ func TestSetSchemaValidation(t *testing.T) {
 	}
 }
 
-func TestRepartitionWidensActualIntervals(t *testing.T) {
-	// Mirrors the paper's Figure 4 walkthrough: I1 owns (0,180], I2
-	// (180,300]; repartition to 150 moves keys (150,180] to I2. Before I1
-	// flushes, both servers' actual intervals cover the overlap.
-	srv := NewServer(2)
-	srv.SetSchema([]model.Key{180})
-	// Both servers hold data spanning their whole current interval.
-	srv.ReportLive(0, 1000, srv.Actual(0), false)
-	srv.ReportLive(1, 1000, srv.Actual(1), false)
-	srv.SetSchema([]model.Key{150})
-
-	a0, a1 := srv.Actual(0), srv.Actual(1)
-	if a0.Hi < 179 {
-		t.Errorf("server 0 actual %v lost its buffered (150,180] tuples", a0)
-	}
-	if a1.Lo > 150 {
-		t.Errorf("server 1 actual %v does not cover new nominal start", a1)
-	}
-	if !a0.Overlaps(a1) {
-		t.Error("actual intervals should overlap right after repartition")
-	}
-	// After server 0 flushes (memtable empty), its actual snaps to nominal.
-	srv.ReportLive(0, 2000, model.KeyRange{}, true)
-	a0 = srv.Actual(0)
-	if a0.Hi != 149 {
-		t.Errorf("post-flush actual %v, want Hi=149", a0)
-	}
-}
-
 func TestChunkRegistryAndSearch(t *testing.T) {
 	srv := NewServer(2)
 	c1 := srv.RegisterChunks([]ChunkInfo{{Path: "c1", Region: region(0, 100, 0, 10), Count: 5}})[0]
@@ -121,20 +92,6 @@ func TestChunkRegistryAndSearch(t *testing.T) {
 	if len(srv.ChunksFor(region(0, 1000, 0, 100))) != 1 {
 		t.Error("dropped chunk still searchable")
 	}
-}
-
-func TestLiveRegions(t *testing.T) {
-	srv := NewServer(2)
-	lr := srv.LiveRegions()
-	if len(lr) != 2 || !lr[0].Empty {
-		t.Fatalf("initial live regions %+v", lr)
-	}
-	srv.ReportLive(0, 5000, srv.Actual(0), false)
-	lr = srv.LiveRegions()
-	if lr[0].Empty || lr[0].MinTime != 5000 {
-		t.Errorf("live region %+v", lr[0])
-	}
-	srv.ReportLive(99, 0, model.KeyRange{}, false) // out of range: ignored
 }
 
 func TestOffsets(t *testing.T) {
@@ -177,7 +134,6 @@ func TestQueryRegistry(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	srv := NewServer(3)
 	srv.SetSchema([]model.Key{1000, 2000})
-	srv.ReportLive(1, 777, srv.Actual(1), false)
 	c := srv.RegisterChunks([]ChunkInfo{{Path: "p", Region: region(0, 10, 0, 10), Count: 3, Size: 99, Server: 1}})[0]
 	srv.RegisterFlushOwned(2, srv.Epoch(2), nil, 555)
 	q := srv.RegisterQuery(model.Query{Keys: model.KeyRange{Lo: 1, Hi: 2}, Times: model.TimeRange{Lo: 3, Hi: 4}})
@@ -206,9 +162,6 @@ func TestSnapshotRestore(t *testing.T) {
 	// nothing it planned pins a snapshot or a retired file here.
 	if got.OldestActiveQuery() != ^uint64(0) || got.MinQueryAsOf() != ^uint64(0) {
 		t.Errorf("query %d restored as running: oldest %d, horizon %d", q.ID, got.OldestActiveQuery(), got.MinQueryAsOf())
-	}
-	if lr := got.LiveRegions(); lr[1].MinTime != 777 {
-		t.Errorf("live regions lost: %+v", lr)
 	}
 	// IDs keep increasing after restore.
 	c2 := got.RegisterChunks([]ChunkInfo{{Path: "p2", Region: region(0, 1, 0, 1)}})[0]

@@ -120,23 +120,15 @@ func (s *Server) AddServer(splitFrom int, at model.Key) (PartitionSchema, int, e
 	}
 	s.offsets = append(s.offsets, 0)
 	s.epochs = append(s.epochs, s.gen<<epochGenShift+1)
-	s.live = append(s.live, emptyLive(id))
-	// The new slot's actual interval widens to its nominal one. splitFrom's
-	// nominal interval shrank, but its actual interval stays wide: the slot
-	// may hold buffered tuples from the old interval — or acked WAL backlog
-	// it has not consumed yet, which its live region cannot reflect — so
-	// narrowing here would hide them from queries (§III-D).
-	s.widenLocked()
 	return clonedSchema(s.schema), id, nil
 }
 
 // RemoveServer retires an active slot, merging its key interval into a
-// neighbor (the left one when it exists, else the right). The slot's live
-// region, actual interval included, is left untouched: the outgoing server
-// still holds buffered tuples it must flush, and its region stays
-// queryable until it reports its memtable drained. The epoch is not
-// bumped here — the caller fences the slot with TransferOwnership after
-// the final flush so the retiring server can register it.
+// neighbor (the left one when it exists, else the right). The outgoing
+// server still holds buffered tuples it must flush, and it answers for them
+// itself until the slot stops being served. The epoch is not bumped here —
+// the caller fences the slot with TransferOwnership after the final flush
+// so the retiring server can register it.
 func (s *Server) RemoveServer(server int) (PartitionSchema, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,8 +155,5 @@ func (s *Server) RemoveServer(server int) (PartitionSchema, error) {
 		Slots:   slots,
 		Bounds:  bounds,
 	}
-	// The absorbing neighbors' nominal intervals grew; so do their actual
-	// intervals.
-	s.widenLocked()
 	return clonedSchema(s.schema), nil
 }

@@ -46,13 +46,11 @@ func TestAggregatePushdownNoLeafReads(t *testing.T) {
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(1)
 	c := &testCluster{fs: fs, ms: ms}
-	execs := memExecs{}
-	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, MemExecutor: execs.lookup}, ms, fs)
+	c.coord = NewCoordinator(CoordinatorConfig{MemExecutors: c.memExecs}, ms, fs)
 	srv := ingest.NewServer(ingest.Config{
 		ID: 0, Keys: model.KeyRange{Lo: 0, Hi: 1023}, ChunkBytes: 1 << 30, Leaves: 16,
 	}, fs, ms, 0)
 	c.is = append(c.is, srv)
-	execs[0] = srv
 	qs := NewServer(ServerConfig{
 		ID: 0, Node: 0, CacheBytes: 1 << 20,
 		Metrics: NewServerMetrics(telemetry.NewRegistry()),

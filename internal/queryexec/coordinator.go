@@ -3,6 +3,7 @@ package queryexec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +19,16 @@ import (
 // MemExecutor answers subqueries against an indexing server's in-memory
 // trees (the fresh-data path). Implemented by *ingest.Server.
 type MemExecutor interface {
+	// MemBounds is the live region's extent: the smallest buffered
+	// timestamp, the key bounding box, and whether anything is buffered.
+	MemBounds() (model.Timestamp, model.KeyRange, bool)
 	ExecuteSubQuery(sq *model.SubQuery) *model.SubResult
 }
+
+// lateDelta is Δt, the late-visibility parameter (§IV-D), in milliseconds:
+// the coordinator widens every live region's left temporal bound by Δt so
+// tuples arriving up to Δt late are never missed.
+const lateDelta = 10_000
 
 // ErrNoQueryServers is returned when chunk subqueries exist but no query
 // server is alive.
@@ -27,10 +36,6 @@ var ErrNoQueryServers = errors.New("queryexec: no live query servers")
 
 // CoordinatorConfig tunes the coordinator.
 type CoordinatorConfig struct {
-	// LateDeltaMillis is Δt, the late-visibility parameter (§IV-D): the
-	// coordinator widens every live region's left temporal bound by Δt so
-	// tuples arriving up to Δt late are never missed. Default 10 000 ms.
-	LateDeltaMillis int64
 	// Policy is the subquery dispatch policy (default LADA).
 	Policy Policy
 	// Metrics holds the coordinator telemetry handles. Nil disables
@@ -39,10 +44,10 @@ type CoordinatorConfig struct {
 	// Traces, when non-nil, retains a QueryTrace for every executed query
 	// (a bounded ring; see telemetry.NewTraceRing).
 	Traces *telemetry.TraceRing
-	// MemExecutor resolves the fresh-data executor currently serving an
-	// indexing-server slot, at the moment a mem-subquery is dispatched; it
-	// returns nil for a slot nobody serves. Nil: there are none.
-	MemExecutor func(slot int) MemExecutor
+	// MemExecutors returns the fresh-data executors serving the
+	// indexing-server slots, indexed by slot id, read once per plan; a slot
+	// nobody serves is nil. Nil: there are none.
+	MemExecutors func() []MemExecutor
 }
 
 // CoordinatorMetrics are the telemetry handles the query path feeds. All
@@ -134,9 +139,6 @@ type Coordinator struct {
 
 // NewCoordinator creates a coordinator.
 func NewCoordinator(cfg CoordinatorConfig, ms *meta.Server, fs *dfs.FS) *Coordinator {
-	if cfg.LateDeltaMillis <= 0 {
-		cfg.LateDeltaMillis = 10_000
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = LADA{}
 	}
@@ -144,8 +146,8 @@ func NewCoordinator(cfg CoordinatorConfig, ms *meta.Server, fs *dfs.FS) *Coordin
 	if m == nil {
 		m = &CoordinatorMetrics{}
 	}
-	if cfg.MemExecutor == nil {
-		cfg.MemExecutor = func(int) MemExecutor { return nil }
+	if cfg.MemExecutors == nil {
+		cfg.MemExecutors = func() []MemExecutor { return nil }
 	}
 	return &Coordinator{cfg: cfg, ms: ms, fs: fs, m: m}
 }
@@ -160,15 +162,15 @@ func (c *Coordinator) AddQueryServer(s *Server) {
 // Decompose is the coordinator's one planner (§IV-A): it splits a query
 // into memtable subqueries (fresh data on indexing servers) and chunk
 // subqueries (historical data on query servers), using the metadata R-tree
-// for the chunk candidates, and returns the candidates' metadata aligned
-// with chunkSubs. agg, when non-nil, is stamped on every subquery: the
-// servers then fold partial aggregates instead of returning tuples. Every
-// query class plans here, so the visibility rule below — each acked tuple
-// in exactly one of live leaf, pending snapshot or chunk, for every plan —
+// for the chunk candidates. It returns the executor of every mem-subquery
+// aligned with memSubs, and the candidates' metadata aligned with
+// chunkSubs. agg, when non-nil, is stamped on every subquery: the servers
+// then fold partial aggregates instead of returning tuples. Every query
+// class plans here, so the visibility rule below — each acked tuple in
+// exactly one of live leaf, pending snapshot or chunk, for every plan —
 // holds for all of them or none.
-func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo) {
+func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo) {
 	qRegion := q.Region()
-	seq := 0
 	// A recurrence's exactness comes from the coordinator's filter on the
 	// collected runs, so per-subquery limits are unsound under one (a
 	// subquery's first Limit matches may all fall outside the windows): the
@@ -177,22 +179,63 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 	if q.Recur != nil {
 		subLimit = 0
 	}
-	// The live regions are read BEFORE the chunk list. A flush registers
-	// its chunk and only then reports the drained live region; a plan that
-	// read chunks first and live regions second could land on both sides of
-	// one flush — chunk not yet in the list, live region already empty —
-	// and hold the flushed tuples in neither half. Read in this order, a
-	// server whose data reached chunks in between is merely planned a
-	// mem-subquery it answers with nothing new.
-	live := c.ms.LiveRegions()
+	// The serving slots' bounds are read BEFORE the chunk list, each from
+	// the server itself (MemBounds), and the executors come from the same
+	// slot-table read. A flush registers its chunk and drops the snapshot
+	// from the server's bounds in one step; a plan that read chunks first
+	// and bounds second could land on both sides of one flush — chunk not
+	// yet in the list, bounds already empty — and hold the flushed tuples in
+	// neither half. Read in this order, a server whose data reached chunks
+	// in between is merely planned a mem-subquery it answers with nothing
+	// new. A slot nobody serves any more flushed everything before it
+	// stopped being served, so the chunk list holds it.
+	//
 	// The chunk candidates and the chunk-ID watermark come from one
 	// metadata critical section: a chunk registered by a concurrent flush
 	// is either in this plan or has ID >= watermark, in which case the
 	// producing indexing server still serves it from the pending snapshot
 	// (SubQuery.AsOfChunk below) — never both, never neither.
-	cands, watermark := c.ms.ChunksForWithWatermark(qRegion)
+	//
+	// Both rules hold for one incarnation per slot. A successor installed
+	// after the slot-table read replays what the deposed incarnation still
+	// holds in memory, and its chunks could reach the list: the plan is
+	// made again on the table as it is now. Only a slot-table change racing
+	// the plan (a takeover, a scale-out, a decommission) costs a second pass.
+	var (
+		cands     []meta.ChunkInfo
+		watermark uint64
+	)
+	for table := c.cfg.MemExecutors(); ; {
+		memSubs, execs = memSubs[:0], execs[:0]
+		for slot, e := range table {
+			if e == nil {
+				continue
+			}
+			min, keys, ok := e.MemBounds()
+			if !ok || !keys.Overlaps(q.Keys) {
+				continue
+			}
+			// Widen the left bound by Δt (§IV-D): presume late tuples up to
+			// Δt behind the observed minimum. A bound that would fall below
+			// the time domain (lo wrapped past min) cuts nothing.
+			if lo := min - lateDelta; lo <= min && q.Times.Hi < lo {
+				continue
+			}
+			memSubs = append(memSubs, &model.SubQuery{
+				QueryID: q.ID, Region: qRegion, Filter: q.Filter,
+				Chunk: model.MemChunk, IndexServer: slot, Limit: subLimit, Agg: agg,
+			})
+			execs = append(execs, e)
+		}
+		cands, watermark = c.ms.ChunksForWithWatermark(qRegion)
+		now := c.cfg.MemExecutors()
+		if slices.Equal(now, table) {
+			break
+		}
+		table = now
+	}
 	chunks = cands[:0]
-	pruned := 0
+	pruned, seq := 0, 0
 	for _, ci := range cands {
 		r, ok := qRegion.Intersect(ci.Region)
 		if !ok {
@@ -220,58 +263,11 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs, chu
 	if pruned > 0 {
 		c.m.TierPruned.Add(int64(pruned))
 	}
-	for _, lr := range live {
-		if lr.Empty {
-			continue
-		}
-		if !lr.Keys.Overlaps(q.Keys) {
-			continue
-		}
-		// Widen the live region's left bound by Δt (§IV-D): presume late
-		// tuples up to Δt behind the observed minimum. A bound that would
-		// fall below the time domain (lo wrapped past MinTime) cuts nothing.
-		lo := lr.MinTime - model.Timestamp(c.cfg.LateDeltaMillis)
-		if lo <= lr.MinTime && q.Times.Hi < lo {
-			continue
-		}
-		kr, _ := lr.Keys.Intersect(q.Keys)
-		memSubs = append(memSubs, &model.SubQuery{
-			QueryID: q.ID, Seq: seq,
-			Region:      model.Region{Keys: kr, Times: q.Times},
-			Filter:      q.Filter,
-			Chunk:       model.MemChunk,
-			IndexServer: lr.Server,
-			Limit:       subLimit,
-			AsOfChunk:   watermark,
-			Agg:         agg,
-		})
+	for _, sq := range memSubs {
+		sq.Seq, sq.AsOfChunk = seq, watermark
 		seq++
 	}
-	return memSubs, chunkSubs, chunks
-}
-
-// plan is Decompose plus the executor of every mem-subquery, resolved through
-// CoordinatorConfig.MemExecutor at this instant. A slot whose decommission
-// completed between the plan and the lookup has no executor, and what it
-// buffered is in chunks the plan predates: the plan is stale, not the query
-// wrong, so it is made once more — a retiring slot's live region is emptied
-// before the slot stops being served, and the second plan holds its chunks
-// instead. A slot that is planned again and still unserved is an error.
-func (c *Coordinator) plan(q model.Query, agg *model.AggSpec) (memSubs, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo, execs []MemExecutor, err error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		memSubs, chunkSubs, chunks = c.Decompose(q, agg)
-		execs, err = make([]MemExecutor, len(memSubs)), nil
-		for i, sq := range memSubs {
-			if execs[i] = c.cfg.MemExecutor(sq.IndexServer); execs[i] == nil {
-				err = fmt.Errorf("queryexec: no executor for indexing server %d", sq.IndexServer)
-				break
-			}
-		}
-		if err == nil {
-			break
-		}
-	}
-	return memSubs, chunkSubs, chunks, execs, err
+	return memSubs, execs, chunkSubs, chunks
 }
 
 // run is the coordinator's one dispatch loop (§IV-B/C): the fresh-data
@@ -381,14 +377,10 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) 
 	}
 
 	decSp := root.StartChild("decompose")
-	memSubs, chunkSubs, _, execs, err := c.plan(q, nil)
+	memSubs, execs, chunkSubs, _ := c.Decompose(q, nil)
 	decSp.SetInt("mem_subqueries", int64(len(memSubs)))
 	decSp.SetInt("chunk_subqueries", int64(len(chunkSubs)))
 	decSp.End()
-	if err != nil {
-		finish(err)
-		return nil, nil, tr, err
-	}
 
 	res := &model.Result{QueryID: q.ID, SubQueries: len(memSubs) + len(chunkSubs)}
 
@@ -437,6 +429,7 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) 
 		var buf []byte
 		if buf, n = model.MergeRuns(nil, runs, q.Limit); n > 0 {
 			// Payloads alias the merged run, which the result now owns.
+			var err error
 			if res.Tuples, err = model.DecodeTuplesInto(make([]model.Tuple, 0, n), buf); err != nil {
 				mergeSp.End()
 				finish(err)
@@ -474,11 +467,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 	spec := &model.AggSpec{Field: q.Field, CountOnly: q.Kind == model.AggCount}
 	res := &model.AggResult{QueryID: mq.ID, Kind: q.Kind}
 
-	memSubs, planned, chunks, execs, err := c.plan(mq, spec)
-	if err != nil {
-		c.m.QueryErrors.Inc()
-		return nil, err
-	}
+	memSubs, execs, planned, chunks := c.Decompose(mq, spec)
 	// Meta-level pushdown: every tuple of a fully covered chunk matches an
 	// unfiltered query, so its registered count/summary is exact and its
 	// subquery is dropped from the plan.
@@ -518,7 +507,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 		res.CacheHits += r.CacheHits
 		mu.Unlock()
 	}
-	err = c.run(memSubs, execs, chunkSubs, collect, nil)
+	err := c.run(memSubs, execs, chunkSubs, collect, nil)
 	c.m.QueryNanos.Observe(time.Since(start))
 	if err != nil {
 		c.m.QueryErrors.Inc()
@@ -542,7 +531,7 @@ type ExplainInfo struct {
 
 // Explain decomposes a query without executing it.
 func (c *Coordinator) Explain(q model.Query) ExplainInfo {
-	memSubs, chunkSubs, chunks := c.Decompose(q, nil)
+	memSubs, _, chunkSubs, chunks := c.Decompose(q, nil)
 	info := ExplainInfo{Chunks: chunks}
 	for _, sq := range memSubs {
 		info.MemSubQueries = append(info.MemSubQueries, *sq)

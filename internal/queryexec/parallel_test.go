@@ -38,14 +38,12 @@ func newMetricCluster(t *testing.T, nIdx, nQry, nNodes int, scfg ServerConfig, l
 		testCluster: &testCluster{fs: fs, ms: ms},
 		reg:         reg, cm: cm, sm: sm,
 	}
-	execs := memExecs{}
-	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, Metrics: cm, MemExecutor: execs.lookup}, ms, fs)
+	c.coord = NewCoordinator(CoordinatorConfig{Metrics: cm, MemExecutors: c.memExecs}, ms, fs)
 	for i := 0; i < nIdx; i++ {
 		srv := ingest.NewServer(ingest.Config{
 			ID: i, Keys: ms.Schema().IntervalOf(i), ChunkBytes: 1 << 30, Leaves: 16,
 		}, fs, ms, i%nNodes)
 		c.is = append(c.is, srv)
-		execs[i] = srv
 	}
 	for i := 0; i < nQry; i++ {
 		cfg := scfg

@@ -21,29 +21,25 @@ import (
 // from metadata; and Explain reports that same plan, chunk metadata
 // included. The plan itself is held to its definition: the chunks are
 // exactly the R-tree candidates whose part of the query some instant of the
-// recurrence falls in, and the mem-subqueries exactly the live regions
-// whose Δt-widened time span the query reaches. The time ranges include
+// recurrence falls in, and the mem-subqueries exactly the serving slots whose
+// MemBounds key box the query's keys meet and whose Δt-widened time span the
+// query reaches. The time ranges include
 // empty and inverted ones, MinInt64/MaxInt64 bounds and ends just inside a
 // live region's Δt widening; the recurrences wrap past their period's end,
 // match everything (L ≥ P), repeat more than 100 000 times in the range, or
 // meet a chunk in its last instant only.
 func TestPlannerProperty(t *testing.T) {
-	const (
-		nIdx      = 2
-		lateDelta = 1000 // Δt
-	)
+	const nIdx = 2
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(nIdx)
-	execs := memExecs{}
-	coord := NewCoordinator(CoordinatorConfig{LateDeltaMillis: lateDelta, MemExecutor: execs.lookup}, ms, fs)
 	var is []*ingest.Server
+	coord := NewCoordinator(CoordinatorConfig{MemExecutors: func() []MemExecutor { return memExecs(is...) }}, ms, fs)
 	for i := 0; i < nIdx; i++ {
 		srv := ingest.NewServer(ingest.Config{
 			ID: i, Keys: ms.Schema().IntervalOf(i), ChunkBytes: 1 << 30, Leaves: 16,
 		}, fs, ms, i)
 		t.Cleanup(srv.Close)
 		is = append(is, srv)
-		execs[i] = srv
 	}
 	for i := 0; i < 2; i++ {
 		coord.AddQueryServer(NewServer(ServerConfig{ID: i, Node: i, CacheBytes: 1 << 20}, fs, ms))
@@ -82,9 +78,6 @@ func TestPlannerProperty(t *testing.T) {
 	}
 	ingestWindow(300, 4000)
 	insert(model.Tuple{Key: 5, Time: math.MinInt64 + 7})
-	for _, srv := range is {
-		srv.PublishLive()
-	}
 	if n := ms.ChunkCount(); n != 3*nIdx {
 		t.Fatalf("%d chunks registered, want %d", n, 3*nIdx)
 	}
@@ -107,8 +100,8 @@ func TestPlannerProperty(t *testing.T) {
 		case 2: // to its top
 			tr.Hi = math.MaxInt64
 		case 3: // ending inside a live region's Δt widening, before its data
-			live := ms.LiveRegions()[rng.Intn(nIdx)]
-			tr.Hi = live.MinTime - 1 - model.Timestamp(rng.Int63n(lateDelta))
+			min, _, _ := is[rng.Intn(nIdx)].MemBounds()
+			tr.Hi = min - 1 - model.Timestamp(rng.Int63n(lateDelta))
 			tr.Lo = tr.Hi - model.Timestamp(rng.Int63n(3000))
 		}
 		return tr
@@ -191,10 +184,11 @@ func TestPlannerProperty(t *testing.T) {
 			}
 		}
 		var wantMem []int
-		for _, lr := range ms.LiveRegions() {
-			lo := max(lr.MinTime, math.MinInt64+lateDelta) - lateDelta
-			if !lr.Empty && lr.Keys.Overlaps(q.Keys) && q.Times.Hi >= lo {
-				wantMem = append(wantMem, lr.Server)
+		for i, srv := range is {
+			min, keys, ok := srv.MemBounds()
+			lo := max(min, math.MinInt64+lateDelta) - lateDelta
+			if ok && keys.Overlaps(q.Keys) && q.Times.Hi >= lo {
+				wantMem = append(wantMem, i)
 			}
 		}
 		info := coord.Explain(q)
@@ -231,5 +225,64 @@ func TestPlannerProperty(t *testing.T) {
 	}
 	if pruned == 0 {
 		t.Fatal("no round pruned a chunk: the recurrence test was never exercised")
+	}
+}
+
+// takeoverExec is slot 0's serving incarnation as a test drives it: the
+// first MemBounds call runs takeover before it answers.
+type takeoverExec struct {
+	*ingest.Server
+	takeover func()
+}
+
+func (e *takeoverExec) MemBounds() (model.Timestamp, model.KeyRange, bool) {
+	if f := e.takeover; f != nil {
+		e.takeover = nil
+		f()
+	}
+	return e.Server.MemBounds()
+}
+
+// TestPlanReadsOneSlotTable: a plan's executors, their bounds and the chunk
+// list are one moment's. Here a takeover lands between the bounds read and
+// the chunk list: the successor replays the deposed incarnation's memtable
+// and flushes it. A plan that paired the deposed incarnation (whose
+// memtable still holds the tuples) with a chunk list holding the
+// successor's chunk would return every tuple twice; Decompose sees the slot
+// table change under it and plans again.
+func TestPlanReadsOneSlotTable(t *testing.T) {
+	fs := dfs.New(dfs.Config{Nodes: 1, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})
+	ms := meta.NewServer(1)
+	cfg := ingest.Config{ID: 0, Keys: model.FullKeyRange(), ChunkBytes: 1 << 30, Leaves: 16}
+	deposed := ingest.NewServer(cfg, fs, ms, 0)
+	t.Cleanup(deposed.Close)
+	tuples := seqTuples(100, 1<<50, 1000)
+	deposed.InsertBatch(tuples)
+
+	var serving MemExecutor
+	serving = &takeoverExec{Server: deposed, takeover: func() {
+		epoch, _, err := ms.TransferOwnership(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		succ := cfg
+		succ.Epoch = epoch
+		successor := ingest.NewServer(succ, fs, ms, 0)
+		t.Cleanup(successor.Close)
+		successor.InsertBatch(tuples) // the replay from the committed offset
+		if err := successor.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		serving = successor
+	}}
+	coord := NewCoordinator(CoordinatorConfig{MemExecutors: func() []MemExecutor { return []MemExecutor{serving} }}, ms, fs)
+	coord.AddQueryServer(NewServer(ServerConfig{ID: 0, Node: 0, CacheBytes: 1 << 20}, fs, ms))
+
+	res, err := coord.Execute(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != len(tuples) {
+		t.Fatalf("query across a takeover returned %d tuples, want %d", len(res.Tuples), len(tuples))
 	}
 }

@@ -17,11 +17,14 @@ import (
 	"waterwheel/internal/model"
 )
 
-// memExecs is a test's own slot table: the coordinator resolves each
-// mem-subquery's executor through lookup (an unknown slot is an untyped nil).
-type memExecs map[int]MemExecutor
-
-func (m memExecs) lookup(slot int) MemExecutor { return m[slot] }
+// memExecs is a test's own slot table: slot i is served by is[i].
+func memExecs(is ...*ingest.Server) []MemExecutor {
+	out := make([]MemExecutor, len(is))
+	for i, srv := range is {
+		out[i] = srv
+	}
+	return out
+}
 
 // testCluster wires indexing servers, query servers, a DFS and a
 // coordinator in-process.
@@ -38,14 +41,12 @@ func newCluster(t *testing.T, nIdx, nQry, nNodes int) *testCluster {
 	fs := dfs.New(dfs.Config{Nodes: nNodes, Replication: 2, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(nIdx)
 	c := &testCluster{fs: fs, ms: ms}
-	execs := memExecs{}
-	c.coord = NewCoordinator(CoordinatorConfig{LateDeltaMillis: 1000, MemExecutor: execs.lookup}, ms, fs)
+	c.coord = NewCoordinator(CoordinatorConfig{MemExecutors: c.memExecs}, ms, fs)
 	for i := 0; i < nIdx; i++ {
 		srv := ingest.NewServer(ingest.Config{
 			ID: i, Keys: ms.Schema().IntervalOf(i), ChunkBytes: 1 << 30, Leaves: 16,
 		}, fs, ms, i%nNodes)
 		c.is = append(c.is, srv)
-		execs[i] = srv
 	}
 	for i := 0; i < nQry; i++ {
 		qs := NewServer(ServerConfig{ID: i, Node: i % nNodes, CacheBytes: 1 << 20}, fs, ms)
@@ -55,15 +56,14 @@ func newCluster(t *testing.T, nIdx, nQry, nNodes int) *testCluster {
 	return c
 }
 
-// ingestRoundRobin pushes tuples through the schema router.
+// memExecs is the cluster's slot table as the coordinator reads it.
+func (c *testCluster) memExecs() []MemExecutor { return memExecs(c.is...) }
+
+// ingest pushes tuples through the schema router.
 func (c *testCluster) ingest(tuples []model.Tuple) {
 	schema := c.ms.Schema()
 	for _, tp := range tuples {
 		c.is[schema.ServerFor(tp.Key)].Insert(tp)
-	}
-	for i, srv := range c.is {
-		min, keys, ok := srv.MemBounds()
-		c.ms.ReportLive(i, min, keys, !ok)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestDecomposePrunesChunks(t *testing.T) {
 		c.flushAll()
 	}
 	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 100_000, Hi: 100_049}}
-	mem, chunks, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
+	mem, _, chunks, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
 	if len(chunks) != 1 {
 		t.Fatalf("decomposed into %d chunk subqueries, want 1", len(chunks))
 	}
@@ -195,14 +195,14 @@ func TestDecomposePrunesChunks(t *testing.T) {
 func TestLateVisibilityWindow(t *testing.T) {
 	c := newCluster(t, 1, 1, 1)
 	c.ingest([]model.Tuple{{Key: 1, Time: 100_000}})
-	// Live region min=100 000, Δt=1000 → presumed left bound 99 000.
-	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 99_500}}
-	mem, _, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
+	// Live region min=100 000, Δt=10 000 → presumed left bound 90 000.
+	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 100_000 - lateDelta/2}}
+	mem, _, _, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
 	if len(mem) != 1 {
 		t.Fatalf("query inside Δt window skipped the memtable: %d", len(mem))
 	}
 	q2 := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 50_000}}
-	mem, _, _ = c.coord.Decompose(c.ms.RegisterQuery(q2), nil)
+	mem, _, _, _ = c.coord.Decompose(c.ms.RegisterQuery(q2), nil)
 	if len(mem) != 0 {
 		t.Fatalf("query far below the window still hit the memtable")
 	}
@@ -211,7 +211,7 @@ func TestLateVisibilityWindow(t *testing.T) {
 func TestLateTupleWithinDeltaIsVisible(t *testing.T) {
 	c := newCluster(t, 1, 1, 1)
 	c.ingest([]model.Tuple{{Key: 1, Time: 100_000}})
-	// A tuple 500 ms late (inside Δt=1000).
+	// A tuple 500 ms late (inside Δt).
 	c.ingest([]model.Tuple{{Key: 2, Time: 99_500}})
 	res, err := c.coord.Execute(model.Query{
 		Keys:  model.FullKeyRange(),

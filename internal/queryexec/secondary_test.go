@@ -34,7 +34,7 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	}
 	is.Flush()
 
-	coord := NewCoordinator(CoordinatorConfig{MemExecutor: memExecs{0: is}.lookup}, ms, fs)
+	coord := NewCoordinator(CoordinatorConfig{MemExecutors: func() []MemExecutor { return memExecs(is) }}, ms, fs)
 	qs := NewServer(ServerConfig{ID: 0, Node: 0, CacheBytes: 1 << 20}, fs, ms)
 	coord.AddQueryServer(qs)
 

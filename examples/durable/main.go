@@ -20,9 +20,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// First incarnation: ingest, flush some chunks, "crash" without a
-	// clean close of the memtables (Close flushes, so to demonstrate WAL
-	// replay we only checkpoint metadata and stop).
+	// First incarnation: ingest, flush some chunks, close (which flushes
+	// the rest: every flush commit is durable when it lands).
 	db, err := waterwheel.Open(waterwheel.Options{DataDir: dir, ChunkBytes: 64 << 10})
 	if err != nil {
 		log.Fatal(err)
@@ -37,7 +36,7 @@ func main() {
 	db.Drain()
 	st := db.Stats()
 	fmt.Printf("first run: ingested=%d chunks=%d buffered=%d\n", st.Ingested, st.Chunks, st.Buffered)
-	if err := db.Close(); err != nil { // flushes + checkpoints
+	if err := db.Close(); err != nil { // flushes
 		log.Fatal(err)
 	}
 

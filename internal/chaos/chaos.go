@@ -17,11 +17,14 @@
 //     full-region query returns every acked tuple exactly once — tuples in
 //     retention-dropped chunks are exempt but must still never duplicate.
 //
-// Determinism: the schedule — and therefore the trace — is a pure function
-// of (seed, op count). Tuple-level randomness comes from a sub-RNG seeded
-// by (seed, op index), and the cluster runs with a no-op DFS sleeper, a
-// fault RNG seeded from the harness seed, and manual balancer ticks, so a
-// failing seed replays the identical scenario.
+// Determinism: the schedule — and therefore the op trace — is a pure
+// function of (seed, op count). Tuple-level randomness comes from a sub-RNG
+// seeded by (seed, op index), and the cluster runs with a no-op DFS sleeper,
+// a fault RNG seeded from the harness seed, and manual balancer ticks, so a
+// failing seed replays the identical schedule. The verdict is not a function
+// of the seed: consumers and flushers run free, so where a flush lands
+// against a crash or a fault, and with it whether a timing-dependent
+// violation shows, can differ from run to run of the same seed.
 //
 // The hard-crash mode (Options.HardCrash, with a DataDir) ends the run by
 // killing the host instead of stopping it: unsynced WAL bytes are
@@ -131,14 +134,12 @@ type Report struct {
 	// Such losses are expected — the run still verifies soundness and
 	// uniqueness — but the count quantifies the ack-durability gap.
 	LostAcked int
-	// AutoCheckpoints counts the checkpoints the cluster took by itself, on
-	// its flush-commit cadence, before a hard crash; Replayed the WAL records
-	// the reopened cluster replayed after it — bounded by that cadence, not
-	// by the length of the run; OrphansSwept the DFS files its Open deleted
-	// because no snapshot named them.
-	AutoCheckpoints int64
-	Replayed        int64
-	OrphansSwept    int64
+	// Replayed counts the WAL records the reopened cluster replayed after a
+	// hard crash — bounded by the flush pipeline, not by the length of the
+	// run; OrphansSwept the DFS files its Open deleted because the replayed
+	// metadata named none of them.
+	Replayed     int64
+	OrphansSwept int64
 	// BatchRejections counts vectorized inserts in which an armed WAL append
 	// fault actually rejected tuples; PartialRejections counts those among
 	// them that were also partly acked (0 < acked < len) — the only ones in
@@ -464,7 +465,6 @@ func (r *runner) hardCrashEpilogue(i int) error {
 		policy = "ack-on-write"
 	}
 	r.trace(i, "hard-crash: %d acked tail tuples under %s, then host dies", tail, policy)
-	r.rep.AutoCheckpoints = r.c.AutoCheckpoints()
 	if err := r.c.HardCrash(); err != nil {
 		r.violate(i, "hard crash: %v", err)
 	}
@@ -984,13 +984,6 @@ func (r *runner) barrier(i int) {
 	r.c.Drain()
 	r.verifyComplete(i)
 	r.readFaultsPossible = false
-	if r.opts.DataDir != "" {
-		// Durable runs checkpoint at barriers too, so a hard crash has a
-		// recent snapshot to restore from whatever the flush cadence was.
-		if err := r.c.Checkpoint(); err != nil {
-			r.violate(i, "checkpoint at barrier: %v", err)
-		}
-	}
 }
 
 func (r *runner) verifyComplete(i int) {

@@ -68,13 +68,13 @@ func recovered(c *Cluster) (perSlot []int64) {
 	return perSlot
 }
 
-// TestReplayBoundedByCheckpointCadence: nobody calls Checkpoint, and still
-// what a hard crash replays — and what the log keeps on disk — is set by
-// the checkpoint cadence, not by how much went through: at most
-// (checkpointCommits + FlushQueueDepth + 1) chunks' worth of records per
-// slot (on disk, plus the one segment the horizon falls in). At the parent
-// commit both were everything since Open.
-func TestReplayBoundedByCheckpointCadence(t *testing.T) {
+// TestReplayBoundedByFlushQueue: nobody calls Checkpoint, and still what a
+// hard crash replays — and what the log keeps on disk — is set by the flush
+// pipeline, not by how much went through: every flush commit is durable
+// when it lands and cuts the log behind it, so at most (FlushQueueDepth + 1)
+// chunks' worth of records per slot (on disk, plus the one segment the
+// horizon falls in) are in no durable chunk.
+func TestReplayBoundedByFlushQueue(t *testing.T) {
 	const pad, chunkBytes, flushQueueDepth = 1024, 512 << 10, 2
 	cfg := testConfig()
 	cfg.Nodes, cfg.IndexServersPerNode = 1, 2
@@ -101,7 +101,7 @@ func TestReplayBoundedByCheckpointCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boundRecords := int64(checkpointCommits+flushQueueDepth+1) * int64(perChunk)
+	boundRecords := int64(flushQueueDepth+1) * int64(perChunk)
 	recordBytes := int64(12 + 20 + pad) // frame + encoded tuple
 	bySlot := make(map[string]int64)
 	for rel, size := range walFiles(t, cfg.DataDir) {
@@ -109,7 +109,7 @@ func TestReplayBoundedByCheckpointCadence(t *testing.T) {
 	}
 	for slot, size := range bySlot {
 		if bound := boundRecords*recordBytes + wal.SegmentBytes; size > bound {
-			t.Errorf("%s holds %d bytes after %d chunks; the cadence bounds it at %d", slot, size, 42, bound)
+			t.Errorf("%s holds %d bytes after %d chunks; the flush queue bounds it at %d", slot, size, 42, bound)
 		}
 	}
 
@@ -125,16 +125,16 @@ func TestReplayBoundedByCheckpointCadence(t *testing.T) {
 	for slot, n := range recovered(c2) {
 		t.Logf("slot %d replayed %d records (bound %d, ingested %d)", slot, n, boundRecords, total/2)
 		if n > boundRecords {
-			t.Errorf("slot %d replayed %d records, the cadence bounds it at %d", slot, n, boundRecords)
+			t.Errorf("slot %d replayed %d records, the flush queue bounds it at %d", slot, n, boundRecords)
 		}
 	}
 	verifyExactlyOnce(t, c2, total)
 }
 
 // TestFlushIsADurabilityPoint: when FlushAll returns, the log directory
-// holds only empty active segments and a hard crash replays nothing — the
-// flush ended with a synchronous checkpoint, not a race with a background
-// one.
+// holds only empty active segments and a hard crash replays nothing — a
+// unit counts as flushed only once its commit is durable and the log is cut
+// behind it.
 func TestFlushIsADurabilityPoint(t *testing.T) {
 	cfg := walMemConfig(t, true)
 	cfg.IndexServersPerNode = 2
@@ -178,9 +178,9 @@ func TestFlushIsADurabilityPoint(t *testing.T) {
 	verifyExactlyOnce(t, c2, 5000)
 }
 
-// checkpointFixture is a one-slot deployment with everything flushed by the
-// indexing server itself (no checkpoint yet): the next checkpoint has chunk
-// files to sync and a whole log to let go of.
+// checkpointFixture is a one-slot deployment holding 3000 applied tuples in
+// its memtable: the next flush has a chunk to write and sync, a log to sync
+// and cut, and a commit to journal.
 func checkpointFixture(t *testing.T, rec *fileOps) (*Cluster, Config) {
 	t.Helper()
 	cfg := walMemConfig(t, true)
@@ -190,74 +190,90 @@ func checkpointFixture(t *testing.T, rec *fileOps) (*Cluster, Config) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.IndexServers()[0].FlushAll(); err != nil {
-		t.Fatal(err)
-	}
 	return c, cfg
 }
 
-// TestCheckpointOrdersDurability: nothing is unlinked until what replaces
-// it is on stable storage. One checkpoint syncs the chunk files, then their
-// directory, then meta.snap.tmp, renames it, syncs the data directory, then
-// the log's — and only then removes a WAL segment; a failure at any of those
-// steps leaves every segment in place.
-func TestCheckpointOrdersDurability(t *testing.T) {
-	rec := &fileOps{}
-	c, cfg := checkpointFixture(t, rec)
-	before := walFiles(t, cfg.DataDir)
-	stop := rec.record("")
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ops := stop()
-	t.Logf("one checkpoint: %s", strings.Join(ops, " → "))
-	chain := []string{opChunkSync, opDFSDirSync, opSnapSync, opSnapRename, opDataDirSync, opWALDirSync, opSegmentRm}
-	// Up to the first unlink: the log directory is synced once more behind
-	// the unlinks, and nothing waits for that.
+// flushCommitChain is the order a flush commit puts things on stable
+// storage in before it unlinks the log behind it.
+var flushCommitChain = []string{opChunkSync, opDFSDirSync, opJournalSync, opWALDirSync, opSegmentRm}
+
+// requireChain fails unless ops, up to the first segment unlink, run chain
+// in order: every step of a link after every step of the one before.
+func requireChain(t *testing.T, ops, chain []string) {
+	t.Helper()
 	ops = ops[:slices.Index(ops, opSegmentRm)+1]
 	pos := -1
 	for _, class := range chain {
 		first, last := slices.Index(ops, class), lastIndex(ops, class)
 		if first < 0 {
-			t.Fatalf("the checkpoint never did %q", class)
+			t.Fatalf("the flush commit never did %q: %v", class, ops)
 		}
 		if first <= pos {
-			t.Fatalf("%q at step %d, before the chain's previous link finished at step %d", class, first, pos)
+			t.Fatalf("%q at step %d, before the chain's previous link finished at step %d: %v", class, first, pos, ops)
 		}
 		pos = last
 	}
+}
+
+// TestCheckpointOrdersDurability: nothing is unlinked until what replaces
+// it is on stable storage. A flush commit is the slot's checkpoint: it
+// syncs the chunk files, then their directory, then (the log having been
+// synced up to the unit's offset) the journal record that commits both —
+// and only then syncs the log directory's fresh segment and removes a WAL
+// segment. A
+// failure at any of those steps removes nothing until the whole chain has
+// run again; Checkpoint, after a retry or a restart, lets go of the log.
+func TestCheckpointOrdersDurability(t *testing.T) {
+	rec := &fileOps{}
+	c, cfg := checkpointFixture(t, rec)
+	before := walFiles(t, cfg.DataDir)
+	stop := rec.record("")
+	if err := c.IndexServers()[0].FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	ops := stop()
+	t.Logf("one flush commit: %s", strings.Join(ops, " → "))
+	requireChain(t, ops, flushCommitChain)
 	if after := walFiles(t, cfg.DataDir); len(after) != 1 || after[filepath.Join("p0.wal", segName(3000))] != 8 {
-		t.Fatalf("log after the checkpoint: %v (before: %v), want one empty segment based at 3000", after, before)
+		t.Fatalf("log after the flush: %v (before: %v), want one empty segment based at 3000", after, before)
 	}
 
-	for _, failAt := range chain {
+	for _, failAt := range []string{opChunkSync, opDFSDirSync, opJournalSync, opWALDirSync, opSegmentRm} {
 		t.Run("failing at "+failAt, func(t *testing.T) {
 			rec := &fileOps{}
 			c, cfg := checkpointFixture(t, rec)
-			before := walFiles(t, cfg.DataDir)
 			stop := rec.record(failAt)
-			err := c.Checkpoint()
+			err := c.IndexServers()[0].FlushAll()
 			ops := stop()
-			// The log's own steps end the chain without a report: the
-			// segments they leave are retried by the next checkpoint.
-			if failAt != opWALDirSync && failAt != opSegmentRm && !errors.Is(err, errInjectedFileOp) {
-				t.Fatalf("checkpoint with %q failing: %v", failAt, err)
+			// A broken journal takes every later commit with it: the flush
+			// says so, and only a restart mends it.
+			if failAt == opJournalSync && !errors.Is(err, errInjectedFileOp) {
+				t.Fatalf("flush with %q failing: %v", failAt, err)
 			}
-			if failAt != opSegmentRm && slices.Contains(ops, opSegmentRm) {
-				t.Fatalf("a segment was removed after %q failed: %v", failAt, ops)
+			failed := slices.Index(ops, failAt)
+			if failed < 0 {
+				t.Fatalf("the flush never did %q: %v", failAt, ops)
 			}
-			after := walFiles(t, cfg.DataDir)
-			for rel, size := range before {
-				if after[rel] != size {
-					t.Fatalf("%s: %d bytes before the failed checkpoint, %d after (%v)", rel, size, after[rel], ops)
+			if rm := slices.Index(ops[failed+1:], opSegmentRm); rm >= 0 {
+				k := slices.Index(flushCommitChain, failAt)
+				requireChain(t, ops[failed+1:], flushCommitChain[k:])
+			}
+			if failAt == opJournalSync {
+				c.Stop()
+				var err error
+				if c, err = Open(cfg); err != nil {
+					t.Fatal(err)
 				}
+				defer c.Stop()
+				c.Start()
+			} else if err := c.IndexServers()[0].FlushAll(); err != nil {
+				t.Fatal(err) // re-drives a unit parked on the failure
 			}
-			// The next one goes through and lets go of the log.
 			if err := c.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			if after := walFiles(t, cfg.DataDir); len(after) != 1 || after[filepath.Join("p0.wal", segName(3000))] != 8 {
-				t.Fatalf("log after the retried checkpoint: %v", after)
+				t.Fatalf("log after the checkpoint: %v (%v)", after, ops)
 			}
 			verifyExactlyOnce(t, c, 3000)
 		})
@@ -290,7 +306,9 @@ func metricValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 // TestCheckpointMetrics moves waterwheel_wal_disk_bytes,
 // waterwheel_checkpoints_total and waterwheel_checkpoint_seconds: the log's
 // size on disk follows the ingest up and falls to the empty segments at a
-// flush, whose checkpoint is counted and timed.
+// flush; the journal's compactions are counted and timed — the one Open's
+// claim brings about (its record outnumbers the registry's zero chunks),
+// none behind one registration, and one a Checkpoint asks for.
 func TestCheckpointMetrics(t *testing.T) {
 	cfg := walMemConfig(t, true)
 	cfg.ChunkBytes = 1 << 20 // nothing flushes by itself
@@ -302,7 +320,7 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 	taken, timed := read("waterwheel_checkpoints_total"), read("waterwheel_checkpoint_seconds")
 	if taken != 1 || timed != 1 {
-		t.Fatalf("after Open's checkpoint: %v counted, %v timed, want 1 and 1", taken, timed)
+		t.Fatalf("after Open's claim: %v counted, %v timed, want 1 and 1", taken, timed)
 	}
 	seqBatch(t, c, 0, 1000, 100)
 	if err := c.Drain(); err != nil {
@@ -317,8 +335,14 @@ func TestCheckpointMetrics(t *testing.T) {
 	if got := read("waterwheel_wal_disk_bytes"); got != 8 {
 		t.Fatalf("after a flush: waterwheel_wal_disk_bytes = %v, want 8", got)
 	}
+	if taken, timed := read("waterwheel_checkpoints_total"), read("waterwheel_checkpoint_seconds"); taken != 1 || timed != 1 {
+		t.Fatalf("after one registration: %v counted, %v timed, want 1 and 1", taken, timed)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if taken, timed := read("waterwheel_checkpoints_total"), read("waterwheel_checkpoint_seconds"); taken != 2 || timed != 2 {
-		t.Fatalf("after the flush's checkpoint: %v counted, %v timed, want 2 and 2", taken, timed)
+		t.Fatalf("after a Checkpoint: %v counted, %v timed, want 2 and 2", taken, timed)
 	}
 }
 
@@ -353,10 +377,11 @@ func TestUnretryableFlushErrorSurfaces(t *testing.T) {
 	verifyExactlyOnce(t, c, 500)
 }
 
-// TestChunkNamesSurviveAnUnsavedTakeover: a takeover moves the slot's epoch
-// in memory, the successor writes chunks named by it, and a hard crash
-// restores the snapshot from before. The reopened deployment claims its
-// slots in a new epoch generation, so its flushes meet none of those names.
+// TestChunkNamesSurviveAnUnsavedTakeover: a takeover moves the slot's epoch,
+// the successor writes chunks named by it, and the host crashes. The
+// reopened deployment claims its slots one epoch up, after sweeping every
+// file the replayed registry does not name, and takes a slot over once more:
+// its flushes meet none of the names the lost process used.
 func TestChunkNamesSurviveAnUnsavedTakeover(t *testing.T) {
 	cfg := walMemConfig(t, true)
 	cfg.ChunkBytes = 1 << 20 // flushes are the test's to call
@@ -373,7 +398,7 @@ func TestChunkNamesSurviveAnUnsavedTakeover(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// The successor's first chunk, registered in memory, in no snapshot.
+	// The successor's first chunk.
 	if err := c.IndexServers()[0].FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +411,7 @@ func TestChunkNamesSurviveAnUnsavedTakeover(t *testing.T) {
 	}
 	defer c2.Stop()
 	c2.Start()
-	// One takeover in this process too: same low half as the lost epoch.
+	// One takeover in this process too.
 	if err := c2.CrashIndexServer(0); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -91,14 +90,13 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// DataDir, when non-empty, makes the deployment durable: chunks back
 	// onto DataDir/dfs, the WAL onto DataDir/wal, and the metadata server
-	// snapshots to DataDir/meta.snap (written by every checkpoint: see
-	// Checkpoint). A cluster opened over an existing DataDir restores the
-	// previous state and replays each indexing server's WAL tail from its
-	// recorded offset (§V).
+	// journals every edit to DataDir/meta.wal, durable before anyone acts on
+	// it. A cluster opened over an existing DataDir replays the journal and
+	// each indexing server's WAL tail from its recorded offset (§V).
 	DataDir string
 	// Files performs every create, write of a new file, fsync, rename and
 	// unlink under DataDir (nil: the plain OS) — the seam a test watches a
-	// checkpoint's order through, fails one of its steps at, or crashes the
+	// flush commit's order through, fails one of its steps at, or crashes the
 	// host through (HardCrash needs it).
 	Files *durable.Files
 	// Durability selects when inserts are acknowledged relative to WAL
@@ -217,19 +215,6 @@ type Cluster struct {
 	handoffLag   *telemetry.Histogram
 	handoffPause *telemetry.Histogram
 
-	// ckptMu makes checkpoints take turns; commits counts flush commits
-	// cluster-wide, and the checkpointer parks on it (see Checkpoint).
-	// ckptStarted numbers the checkpoints as they begin, and ckptDurable is
-	// the number of the last one that completed: what was dropped from
-	// metadata before checkpoint n began is absent from every snapshot once
-	// ckptDurable >= n (the retirer's rule for unlinking a chunk file).
-	ckptMu      sync.Mutex
-	commits     wal.Watermark
-	ckptStarted atomic.Int64
-	ckptDurable atomic.Int64
-	ckptAuto    atomic.Int64 // how many the checkpointer took by itself
-	checkpoints *telemetry.Counter
-	ckptNanos   *telemetry.Histogram
 	// orphansSwept is how many unregistered DFS files Open deleted.
 	orphansSwept int64
 
@@ -299,33 +284,23 @@ func Open(cfg Config) (*Cluster, error) {
 	)
 	if cfg.DataDir != "" {
 		fsCfg.Dir = filepath.Join(cfg.DataDir, "dfs")
-		// Restore metadata BEFORE opening the log: elastic scale-out may
+		// Replay the metadata BEFORE opening the log: elastic scale-out may
 		// have grown the slot count past the configured nIdx in a previous
 		// incarnation, and slot i <-> partition i means the log must open
-		// with one partition per snapshot slot, retired ones included.
-		snap, err := os.ReadFile(metaSnapPath(cfg.DataDir))
-		switch {
-		case err == nil:
-			ms, err = meta.Restore(snap)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: metadata restore: %w", err)
-			}
-		case os.IsNotExist(err):
-			ms = meta.NewServer(nIdx)
-		default:
-			return nil, fmt.Errorf("cluster: metadata snapshot: %w", err)
+		// with one partition per registry slot, retired ones included.
+		if ms, err = openMeta(&cfg, nIdx); err != nil {
+			return nil, err
 		}
-		nTotal := nIdx
-		if s := ms.Schema().Servers; s > nTotal {
-			nTotal = s
-		}
+		nTotal := max(nIdx, ms.Schema().Servers)
 		// Claim every slot, retired ones included, the way a crash
-		// replacement does — in a new epoch generation: chunk names carry the
-		// slot's ownership epoch, and whatever the previous process wrote
-		// under the restored one or a later one it never checkpointed must
-		// not be met again. The claim is checkpointed below, before any
-		// consumer starts.
-		ms.StartGeneration()
+		// replacement does: chunk names carry the slot's ownership epoch, and
+		// whatever the previous process wrote under the replayed one, and
+		// never registered, the orphan sweep below deletes first. The claim is
+		// durable before anything runs under it.
+		if err := ms.ClaimSlots(); err != nil {
+			ms.Close()
+			return nil, fmt.Errorf("cluster: claim slots: %w", err)
+		}
 		walCfg := wal.Config{
 			Durability: durPolicy,
 			Interval:   time.Duration(cfg.FsyncIntervalMillis) * time.Millisecond,
@@ -345,6 +320,7 @@ func Open(cfg Config) (*Cluster, error) {
 		// needs to come back onto the heap.
 		log, err = wal.OpenLogDirConfig(filepath.Join(cfg.DataDir, "wal"), nTotal, walCfg, ms.Offset)
 		if err != nil {
+			ms.Close()
 			return nil, err
 		}
 	} else {
@@ -360,6 +336,7 @@ func Open(cfg Config) (*Cluster, error) {
 	if err != nil {
 		log.Close()
 		closeSegments(log)
+		ms.Close()
 		return nil, err
 	}
 	c := &Cluster{
@@ -440,10 +417,6 @@ func Open(cfg Config) (*Cluster, error) {
 		c.disp = append(c.disp, dispatcher.New(schema, walSink{c: c}, dispatcher.SamplerConfig{Seed: cfg.Seed + int64(i)}))
 	}
 	c.registerFuncMetrics()
-	if err := c.Checkpoint(); err != nil {
-		c.Stop()
-		return nil, fmt.Errorf("cluster: open checkpoint: %w", err)
-	}
 	return c, nil
 }
 
@@ -624,14 +597,13 @@ func (c *Cluster) Drain() error {
 		return err
 	}
 	// Applied is not persisted: wait out the flush pipelines too ("insert,
-	// Drain, query/crash" stays deterministic), then force what trails a
-	// commit by a beat — the flusher's WAL release.
-	for i, srv := range c.servers() {
+	// Drain, query/crash" stays deterministic). A unit is done once its
+	// commit is durable and the log cut behind it.
+	for _, srv := range c.servers() {
 		if srv != nil {
 			if err := srv.DrainFlushes(); err != nil {
 				return err
 			}
-			c.log.Partition(i).Release(c.replayFloor(i, c.ms.Offset(i)))
 		}
 	}
 	// A quiet moment: whatever retired files were gated on queries that
@@ -677,15 +649,14 @@ func (c *Cluster) waitApplied(slot int, head int64) error {
 	}
 }
 
-// FlushAll forces every indexing server to flush its memtables and ends
-// with a checkpoint: an explicit flush is a durability point — when it
-// returns nil, everything acked before the call is in chunks on stable
-// storage, the metadata naming them is too, and the log holds only what
-// arrived since. Inserts are acked from the log ahead of the consumers, so
-// it first waits, as Drain does, until each slot has applied its log's
-// head; a consumer's error ends it there, as it ends Drain. Otherwise the
-// error is a flusher's that no retry can mend, or the checkpoint's; on a
-// stopped cluster it is ErrClosed.
+// FlushAll forces every indexing server to flush its memtables: an
+// explicit flush is a durability point — when it returns nil, everything
+// acked before the call is in chunks on stable storage, the metadata naming
+// them is too, and the log holds only what arrived since. Inserts are acked
+// from the log ahead of the consumers, so it first waits, as Drain does,
+// until each slot has applied its log's head; a consumer's error ends it
+// there, as it ends Drain. Otherwise the error is a flusher's that no retry
+// can mend; on a stopped cluster it is ErrClosed.
 func (c *Cluster) FlushAll() error {
 	if c.stopped.Load() {
 		return ErrClosed
@@ -699,7 +670,7 @@ func (c *Cluster) FlushAll() error {
 			errs = append(errs, srv.FlushAll())
 		}
 	}
-	return errors.Join(append(errs, c.Checkpoint())...)
+	return errors.Join(errs...)
 }
 
 // DropChunksBefore removes every chunk whose temporal region ends before
@@ -739,10 +710,6 @@ func (c *Cluster) TickCompact() (demoted, merged int) {
 // OrphansSwept reports how many DFS files Open deleted because the restored
 // metadata does not name them.
 func (c *Cluster) OrphansSwept() int64 { return c.orphansSwept }
-
-// AutoCheckpoints reports how many checkpoints the checkpointer has taken on
-// its flush-commit cadence, not counting the ones a caller asked for.
-func (c *Cluster) AutoCheckpoints() int64 { return c.ckptAuto.Load() }
 
 // Recovered reports how many WAL records indexing servers replayed on start
 // — what the restart and every crash since cost in replay.

@@ -1,11 +1,13 @@
-// What survives the process and how it ends: the checkpoint chain, the
-// checkpointer, the orphan sweep Open runs, the replay floor the log is held
-// to, and Start / Stop / HardCrash.
+// What survives the process and how it ends: Checkpoint, the orphan sweep
+// Open runs, the replay floor the log is held to, and Start / Stop /
+// HardCrash.
 
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"time"
 
@@ -16,17 +18,18 @@ import (
 	"waterwheel/internal/wal"
 )
 
-// sweepOrphans holds the file system to the restored registry, the one record
+// sweepOrphans holds the file system to the replayed registry, the one record
 // of which chunks exist. Every registered chunk must be there with exactly
-// its registered bytes (the size in the snapshot was fsynced after the file
-// was: a mismatch is damage no replay mends, and Open fails); every other
-// file is deleted. A file the durable registry does not name is a chunk
-// written after the last checkpoint (its records are still in the log, whose
-// segments go only behind a snapshot naming the chunks that replace them, and
-// this process re-flushes them under its own epoch generation), a retired
-// chunk whose drop the snapshot records, or the output of a compaction or a
-// flush that never registered. Only Open may do this: while the deployment
-// runs, a file between its Write and its registration looks the same.
+// its registered bytes (the file was fsynced before its journal record was:
+// a mismatch is damage no replay mends, and Open fails); every other file is
+// deleted. A file the durable registry does not name is a chunk whose
+// registration a crash lost (its records are still in the log, which is cut
+// only behind a durable commit, and this process re-flushes them under an
+// epoch of its own), a retired chunk whose drop the journal records, or the
+// output of a compaction or a flush that never registered. Only Open may do
+// this, before anything writes: while the deployment runs, a file between
+// its Write and its registration looks the same. So a name a crash left
+// unregistered is gone before the epoch it carries can be claimed again.
 func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
 	registered := make(map[string]struct{})
 	for _, ci := range ms.ChunksFor(model.FullRegion()) {
@@ -52,115 +55,70 @@ func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
 	return swept, nil
 }
 
-// metaSnapPath is the metadata snapshot file within a data directory.
-func metaSnapPath(dataDir string) string { return filepath.Join(dataDir, "meta.snap") }
+// journalPath is the metadata journal's partition directory within a data
+// directory.
+func journalPath(dataDir string) string { return filepath.Join(dataDir, "meta.wal") }
 
-// checkpointCommits is the checkpoint cadence: one after this many flush
-// commits, cluster-wide. With FlushQueueDepth units in flight and one being
-// swapped it bounds what the log holds on disk, and what a hard crash
-// replays, at (checkpointCommits + FlushQueueDepth + 1) chunks' worth per
-// slot, whatever the uptime. A constant: a checkpoint is a full metadata
-// image, cheap against eight chunk writes while the registry holds thousands
-// of chunks (DESIGN, "The log on disk", says where that stops).
-const checkpointCommits = 8
+// ErrLegacyLayout is returned by Open over a data directory that holds files
+// but no metadata journal: an older layout's, whose registry was a gob image.
+// Opening a fresh registry over it would sweep every chunk it holds.
+var ErrLegacyLayout = errors.New("cluster: data directory holds no metadata journal (an older layout)")
 
-// Checkpoint makes everything flushed so far survive a host crash without
-// the log, then lets go of the log behind it. No-op without a DataDir. It
-// is a chain, and the order is the point — nothing is unlinked until what
-// replaces it is on stable storage:
-//
-//	capture the flush offsets → snapshot the metadata (offsets only grow, so
-//	the image records at least the captured ones) → fsync the chunk files
-//	written since the last checkpoint, then their directory (the flusher
-//	does not: dfs.FS.Sync) → write meta.snap.tmp, fsync it,
-//	rename it over meta.snap, fsync the directory → fsync the log → unlink
-//	every WAL segment wholly below min(captured offset, replay floor), and
-//	the files of the chunks that retention or compaction had dropped.
-//
-// A failure at any step ends the chain there: every segment stays. The
-// checkpointer runs it every checkpointCommits flush commits; FlushAll, Open
-// (the epoch generation that names this process's chunks is durable before
-// it writes one), AddIndexServer and Stop run it synchronously. Once the
-// cluster is stopped it answers ErrClosed and writes nothing: by then the
-// data directory may belong to the next process, and this one's image would
-// overwrite that one's registry.
+// openMeta opens the registry journaled under the data directory; the
+// journal is the first thing a fresh directory gets, so a directory holding
+// anything else without one is refused.
+func openMeta(cfg *Config, slots int) (*meta.Server, error) {
+	if _, err := os.Stat(journalPath(cfg.DataDir)); errors.Is(err, os.ErrNotExist) {
+		if entries, _ := os.ReadDir(cfg.DataDir); len(entries) > 0 {
+			return nil, fmt.Errorf("%w: %s holds %s", ErrLegacyLayout, cfg.DataDir, entries[0].Name())
+		}
+	}
+	reg := cfg.Telemetry
+	return meta.Open(journalPath(cfg.DataDir), slots, meta.JournalConfig{
+		Files: cfg.Files,
+		Compactions: reg.Counter("waterwheel_checkpoints_total",
+			"metadata journal compactions: the registry's image appended, the journal cut below it once durable"),
+		CompactNanos: reg.Histogram("waterwheel_checkpoint_seconds",
+			"metadata journal compaction latency: image encode and append (stage: checkpoint)"),
+	})
+}
+
+// Checkpoint puts everything in the log on stable storage, compacts the
+// metadata journal, and lets go of the log behind every durable flush
+// commit. No-op without a DataDir. Metadata needs no checkpoint to survive a
+// host crash — every edit is durable before anyone acts on it — so this is
+// the explicit form of what runs anyway: a flush commit cuts its slot's log,
+// and the journal compacts by itself once its records outnumber the chunks.
+// Once the cluster is stopped it answers ErrClosed and writes nothing: by
+// then the data directory may belong to the next process.
 func (c *Cluster) Checkpoint() error {
-	c.ckptMu.Lock()
-	defer c.ckptMu.Unlock()
 	if c.stopped.Load() {
 		return ErrClosed
 	}
-	return c.checkpointLocked()
-}
-
-// checkpointLocked is the chain itself: Checkpoint's, and Stop's final one.
-// Requires ckptMu.
-func (c *Cluster) checkpointLocked() error {
 	if c.cfg.DataDir == "" {
 		return nil
 	}
-	start, n := time.Now(), c.ckptStarted.Add(1)
+	// Offsets read before the image is appended are durable once it is.
 	offs := make([]int64, c.log.Partitions())
 	for i := range offs {
 		offs[i] = c.ms.Offset(i)
 	}
-	snap, err := c.ms.Snapshot()
-	if err != nil {
+	if err := c.ms.Compact(); err != nil {
 		return err
 	}
-	if err := c.fs.Sync(); err != nil {
-		return err
-	}
-	path := metaSnapPath(c.cfg.DataDir)
-	if err := c.cfg.Files.WriteFile(path+".tmp", snap); err != nil {
-		return err
-	}
-	if err := c.cfg.Files.Sync(path + ".tmp"); err != nil {
-		return err
-	}
-	if err := c.cfg.Files.Rename(path+".tmp", path); err != nil {
-		return err
-	}
-	if err := c.cfg.Files.Sync(c.cfg.DataDir); err != nil {
-		return err
-	}
-	for i := range offs {
-		if err := c.log.Partition(i).Sync(); err != nil {
+	for i, off := range offs {
+		p := c.log.Partition(i)
+		if err := p.Sync(); err != nil {
 			return err
 		}
+		p.Truncate(c.replayFloor(i, off))
 	}
-	// The snapshot a hard crash restores names offs: records below them are
-	// in chunks it registers. The floor a lagging standby imposes is the
-	// same as for the memory release; a slot added since the capture has no
-	// durable floor yet and keeps everything.
-	for i, off := range offs {
-		c.log.Partition(i).Truncate(c.replayFloor(i, off))
-	}
-	// Likewise the files of chunks dropped before the snapshot was taken.
-	c.ckptDurable.Store(n)
 	c.ret.sweep()
-	c.checkpoints.Inc()
-	c.ckptNanos.Observe(time.Since(start))
 	return nil
 }
 
-// checkpointer takes a checkpoint every checkpointCommits flush commits. It
-// parks on the commit count: an idle deployment checkpoints nothing.
-func (c *Cluster) checkpointer() {
-	defer c.wg.Done()
-	for next := int64(checkpointCommits); c.commits.Wait(next, c.stop) == nil; {
-		// Counted from before the capture: commits that land while the chain
-		// runs belong to the next one.
-		next = c.commits.Load() + checkpointCommits
-		// A failed chain leaves the log whole; the next cadence tries again.
-		if c.Checkpoint() == nil {
-			c.ckptAuto.Add(1)
-		}
-	}
-}
-
-// Start launches the ingestion consumers, with a DataDir the checkpointer,
-// and, when configured, the balancer loop.
+// Start launches the ingestion consumers and, when configured, the balancer
+// loop.
 func (c *Cluster) Start() {
 	// started flips under slotMu, where install reads it: every serving
 	// incarnation gets exactly one consumer, from here or from install.
@@ -181,10 +139,6 @@ func (c *Cluster) Start() {
 			c.StartStandby(i)
 		}
 	}
-	if c.cfg.DataDir != "" {
-		c.wg.Add(1)
-		go c.checkpointer()
-	}
 	if c.cfg.BalanceIntervalMillis > 0 {
 		c.wg.Add(1)
 		go func() {
@@ -203,23 +157,18 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Stop drains and shuts the cluster down, checkpointing persistent state.
+// Stop drains and shuts the cluster down: the flushers persist their queued
+// snapshots, whose commits are durable as they land.
 func (c *Cluster) Stop() {
 	if c.stopped.Swap(true) {
 		return
 	}
-	// Close the flushers: they drain their queued snapshots, so the final
-	// checkpoint records their offsets.
 	c.stopIngest((*ingest.Server).Close)
-	// The last checkpoint, past the stopped check every later one meets. Best
-	// effort: what it would record is also in the WAL.
-	c.ckptMu.Lock()
-	_ = c.checkpointLocked()
-	c.ckptMu.Unlock()
 	// Query traffic is over; force-delete any chunk files still parked
 	// behind in-flight-query horizons.
 	c.ret.drain()
 	closeSegments(c.log)
+	c.ms.Close()
 }
 
 // closeSegments stops every partition's committer and releases its active
@@ -266,11 +215,11 @@ func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 	}
 }
 
-// HardCrash simulates a host crash in DataDir mode: no checkpoint, no
-// drain, and the OS page cache dies with the host — every byte of the log,
-// the chunk files and the snapshot that no fsync covered is cut off, while
-// every name survives (a chunk flushed since the last checkpoint keeps its
-// name and loses its bytes). It needs Config.Files, which carries the crash.
+// HardCrash simulates a host crash in DataDir mode: no drain, and the OS
+// page cache dies with the host — every byte of the log, the chunk files and
+// the metadata journal that no fsync covered is cut off, while every name
+// survives (a chunk written but not yet synced keeps its name and loses its
+// bytes). It needs Config.Files, which carries the crash.
 // The cluster is unusable afterwards; Open the same DataDir, with the same
 // Files, to get the surviving state. This is the probe for the
 // ack-durability gap: under "ack-on-fsync" every acked tuple is below the
@@ -288,10 +237,11 @@ func (c *Cluster) crash(undo int) error {
 		return fmt.Errorf("cluster: already stopped")
 	}
 	return c.cfg.Files.Crash(undo, func() {
-		// Abort (not Close) the flushers: in-flight work dies without
-		// checkpointing, like the host it ran on.
+		// Abort (not Close) the flushers: in-flight work dies with the host
+		// it ran on.
 		c.stopIngest((*ingest.Server).Abort)
 		closeSegments(c.log)
+		c.ms.Close()
 	})
 }
 

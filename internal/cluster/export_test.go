@@ -12,7 +12,7 @@ import (
 
 // fileOps records, in order, the durable-file operations a cluster performs
 // through its Config.Files seam, each classified by what the file is to a
-// checkpoint, and can fail the first operation of one class.
+// flush commit, and can fail the first operation of one class.
 type fileOps struct {
 	mu     sync.Mutex
 	on     bool
@@ -22,14 +22,14 @@ type fileOps struct {
 
 // Classes of fileOps.ops entries.
 const (
-	opChunkSync   = "sync chunk"
-	opDFSDirSync  = "sync dfs dir"
-	opSnapSync    = "sync meta.snap.tmp"
-	opSnapRename  = "rename meta.snap"
-	opDataDirSync = "sync data dir"
-	opSegmentSync = "sync segment"
-	opWALDirSync  = "sync wal dir"
-	opSegmentRm   = "remove segment"
+	opChunkSync      = "sync chunk"
+	opDFSDirSync     = "sync dfs dir"
+	opJournalSync    = "sync journal"
+	opJournalDirSync = "sync journal dir"
+	opJournalRm      = "remove journal segment"
+	opSegmentSync    = "sync segment"
+	opWALDirSync     = "sync wal dir"
+	opSegmentRm      = "remove segment"
 )
 
 func classify(dataDir string, op durable.Op, path string) string {
@@ -38,16 +38,16 @@ func classify(dataDir string, op durable.Op, path string) string {
 		return string(op) + " " + path
 	}
 	switch {
-	case op == durable.OpSync && rel == ".":
-		return opDataDirSync
 	case op == durable.OpSync && rel == "dfs":
 		return opDFSDirSync
 	case op == durable.OpSync && strings.HasPrefix(rel, "dfs"):
 		return opChunkSync
-	case op == durable.OpSync && rel == "meta.snap.tmp":
-		return opSnapSync
-	case op == durable.OpRename && rel == "meta.snap":
-		return opSnapRename
+	case op == durable.OpSync && rel == "meta.wal":
+		return opJournalDirSync
+	case op == durable.OpSync && strings.HasPrefix(rel, "meta.wal"):
+		return opJournalSync
+	case op == durable.OpRemove && strings.HasPrefix(rel, "meta.wal"):
+		return opJournalRm
 	case op == durable.OpSync && strings.HasSuffix(rel, ".seg"):
 		return opSegmentSync
 	case op == durable.OpSync && strings.HasPrefix(rel, "wal"):
@@ -125,6 +125,20 @@ func (g *fsyncGate) shut() (open func()) {
 		g.gate.Store(nil)
 		close(ch)
 	})
+}
+
+// failingChunkSyncs returns a seam that, while armed, fails every fsync of a
+// chunk file or of the DFS directory under dataDir: a flusher then writes a
+// chunk and cannot register it.
+func failingChunkSyncs(dataDir string) (*durable.Files, *atomic.Bool) {
+	var armed atomic.Bool
+	dir := filepath.Join(dataDir, "dfs")
+	return &durable.Files{Hook: func(op durable.Op, path string) error {
+		if armed.Load() && op == durable.OpSync && (path == dir || filepath.Dir(path) == dir) {
+			return errInjectedFileOp
+		}
+		return nil
+	}}, &armed
 }
 
 // gatedFiles returns the seam to put in Config.Files for fsyncs gated by gates.

@@ -236,10 +236,10 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// SyncWAL: flush-offset commits must not run ahead of the WAL fsync
 	// watermark (consumers index straight from memory, possibly before any
 	// fsync), so the flusher syncs its unit's offset into the log before
-	// registering chunks and committing. ReleaseWAL: once it has committed,
-	// the partition drops its resident copy of what no replay will read, the
-	// slot's standby, possibly parked, looks at the commit (reset on
-	// commit), and the checkpointer counts it.
+	// registering chunks and committing. TruncateWAL: once the commit is
+	// durable, the partition lets go — in memory and on disk — of what no
+	// replay will read, and the slot's standby, possibly parked, looks at the
+	// commit (reset on commit).
 	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -250,12 +250,11 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		NoTemplateReuse:     c.cfg.NoTemplateReuse,
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
 		SyncWAL:             c.log.Partition(i).SyncTo,
-		ReleaseWAL: func(committed int64) {
-			c.log.Partition(i).Release(c.replayFloor(i, committed))
+		TruncateWAL: func(committed int64) {
+			c.log.Partition(i).Truncate(c.replayFloor(i, committed))
 			if h := c.standby(i); h != nil {
 				h.srv.Wake()
 			}
-			c.commits.Add(1)
 		},
 		Metrics: c.ingestMetrics,
 		Epoch:   epoch,
@@ -459,12 +458,10 @@ func (c *Cluster) AddIndexServer() (int, error) {
 	if pi != id {
 		return 0, fmt.Errorf("cluster: slot/partition misalignment: slot %d, partition %d", id, pi)
 	}
-	// The slot and its partition are durable before a tuple is routed to
-	// it: a hard crash must not restore a schema that has never heard of a
-	// partition holding acked records.
-	if err := c.Checkpoint(); err != nil {
-		return 0, fmt.Errorf("cluster: add server: %w", err)
-	}
+	// The slot was durable when AddServer returned, and its partition is
+	// before a tuple is routed to it: a hard crash must not replay a schema
+	// that has never heard of a partition holding acked records, nor find no
+	// partition for a slot the registry names.
 	srv := c.newIndexServer(id, newSchema.IntervalOf(id), c.ms.Epoch(id), false)
 	c.slotMu.Lock()
 	c.slots = append(c.slots, slot{})

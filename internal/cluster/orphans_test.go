@@ -56,42 +56,44 @@ func countStar(t *testing.T, c *Cluster) uint64 {
 }
 
 // TestHardCrashLosesUnsyncedChunkBytes: a host crash takes the page cache
-// with it — the chunks flushed since the last checkpoint keep their names and
-// lose their bytes. The registry never named them and the log still holds
-// their records, so Open sweeps them (and counts them) instead of refusing,
-// and replay returns every acked tuple exactly once.
+// with it — a chunk written but not yet synced keeps its name and loses its
+// bytes. The flusher syncs a chunk before it registers it, so the registry
+// never named it and the log still holds its records: Open sweeps it (and
+// counts it) instead of refusing, and replay returns every acked tuple
+// exactly once.
 func TestHardCrashLosesUnsyncedChunkBytes(t *testing.T) {
-	const total = 3000 // four threshold flushes and a tail: below the checkpoint cadence
+	const total = 1500 // two threshold flushes: the queue holds them
 	cfg := orphanConfig(t)
+	files, failing := failingChunkSyncs(cfg.DataDir)
+	cfg.Files = files
 	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
+	failing.Store(true)
 	seqBatch(t, c, 0, total, 100)
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.IndexServers()[0].DrainFlushes(); err != nil {
-		t.Fatal(err)
-	}
-	written := c.Metadata().ChunkCount()
-	if written < 3 || c.AutoCheckpoints() != 0 {
-		t.Fatalf("test premise: %d chunks flushed and %d checkpoints since Open's, want >= 3 and none", written, c.AutoCheckpoints())
+	written := len(c.FS().List())
+	if written < 1 || c.Metadata().ChunkCount() != 0 {
+		t.Fatalf("test premise: %d chunks written and %d registered, want >= 1 and none", written, c.Metadata().ChunkCount())
 	}
 	if err := c.HardCrash(); err != nil {
 		t.Fatal(err)
 	}
-	files := dfsDir(t, cfg.DataDir)
-	for name, size := range files {
+	dir := dfsDir(t, cfg.DataDir)
+	for name, size := range dir {
 		if size != 0 {
 			t.Fatalf("%s kept %d bytes no fsync covered", name, size)
 		}
 	}
-	if len(files) != written {
-		t.Fatalf("dfs/ holds %d names after the crash, want the %d chunks written", len(files), written)
+	if len(dir) != written {
+		t.Fatalf("dfs/ holds %d names after the crash, want the %d chunks written", len(dir), written)
 	}
 
+	failing.Store(false)
 	cfg.Telemetry = telemetry.NewRegistry()
 	c2, err := Open(cfg)
 	if err != nil {
@@ -99,7 +101,7 @@ func TestHardCrashLosesUnsyncedChunkBytes(t *testing.T) {
 	}
 	defer c2.Stop()
 	if got := c2.OrphansSwept(); got != int64(written) {
-		t.Fatalf("Open swept %d files, want the %d chunks written since the last checkpoint", got, written)
+		t.Fatalf("Open swept %d files, want the %d chunks written and never registered", got, written)
 	}
 	if got := metricValue(t, cfg.Telemetry, "waterwheel_dfs_orphans_swept_total"); got != float64(written) {
 		t.Fatalf("waterwheel_dfs_orphans_swept_total = %v, want %d", got, written)
@@ -118,13 +120,16 @@ func TestHardCrashLosesUnsyncedChunkBytes(t *testing.T) {
 	}
 }
 
-// TestOrphansDoNotOutliveARestart: every crash leaves the chunks flushed
-// since the last checkpoint unregistered, and the replay writes the same
-// tuples again under new names. After every Open the directory holds the
-// registered chunks and nothing else, however many times that happens.
+// TestOrphansDoNotOutliveARestart: every crash that falls between a chunk's
+// write and its registration leaves the chunk unregistered, and the replay
+// writes the same tuples again under new names. After every Open the
+// directory holds the registered chunks and nothing else, however many
+// times that happens.
 func TestOrphansDoNotOutliveARestart(t *testing.T) {
-	const total = 5000
+	const total = 4500
 	cfg := orphanConfig(t)
+	files, failing := failingChunkSyncs(cfg.DataDir)
+	cfg.Files = files
 	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,15 +139,13 @@ func TestOrphansDoNotOutliveARestart(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.FlushAll(); err != nil { // the registered, checkpointed history
+	if err := c.FlushAll(); err != nil { // the registered history
 		t.Fatal(err)
 	}
-	seqBatch(t, c, 3000, total-3000, 100) // flushed by threshold, in no snapshot
+	failing.Store(true)
+	seqBatch(t, c, 3000, total-3000, 100) // written by threshold, never registered
 	for cycle := 1; cycle <= 5; cycle++ {
 		if err := c.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.IndexServers()[0].DrainFlushes(); err != nil {
 			t.Fatal(err)
 		}
 		filesBefore := len(c.FS().List())
@@ -155,8 +158,8 @@ func TestOrphansDoNotOutliveARestart(t *testing.T) {
 		when := fmt.Sprintf("cycle %d, after Open", cycle)
 		requireOnlyRegisteredChunks(t, c, cfg.DataDir, when)
 		swept := int64(filesBefore - c.Metadata().ChunkCount())
-		if swept < 2 || c.OrphansSwept() != swept {
-			t.Fatalf("%s: swept %d files; %d were there and %d are registered (want a replay's worth, at least 2)",
+		if swept < 1 || c.OrphansSwept() != swept {
+			t.Fatalf("%s: swept %d files; %d were there and %d are registered (want a replay's worth, at least 1)",
 				when, c.OrphansSwept(), filesBefore, c.Metadata().ChunkCount())
 		}
 		c.Start()
@@ -164,6 +167,10 @@ func TestOrphansDoNotOutliveARestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		verifyExactlyOnce(t, c, total)
+	}
+	failing.Store(false)
+	if err := c.FlushAll(); err != nil { // re-drives the parked unit
+		t.Fatal(err)
 	}
 	c.Stop()
 	requireOnlyRegisteredChunks(t, c, cfg.DataDir, "after Stop")

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,5 +274,26 @@ func TestReopenedDeploymentPinsNothing(t *testing.T) {
 		if _, err := c2.FS().Read(ci.Path); err == nil {
 			t.Fatalf("dropped chunk %s was not unlinked", ci.Path)
 		}
+	}
+}
+
+// TestOpenRefusesALegacySnapshot: a data directory whose registry is the gob
+// meta.snap of an older layout, with no metadata journal, is refused with a
+// typed error instead of opened over a fresh registry, which would sweep
+// every chunk the directory holds.
+func TestOpenRefusesALegacySnapshot(t *testing.T) {
+	cfg := walMemConfig(t, true)
+	snap, err := os.ReadFile("../meta/testdata/pr13_format_field.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.DataDir, "meta.snap"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(cfg); !errors.Is(err, ErrLegacyLayout) {
+		if c != nil {
+			c.Stop()
+		}
+		t.Fatalf("Open over a legacy meta.snap: %v, want ErrLegacyLayout", err)
 	}
 }

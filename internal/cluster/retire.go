@@ -9,11 +9,9 @@
 // queryexec.ErrRetired, which the coordinator resolves against current
 // metadata instead of failing the query.
 //
-// With a DataDir the file must also outlive every metadata snapshot that
-// still names it: a crash restores the last checkpoint, and a registry
-// pointing at an unlinked file fails every query that touches it. So the
-// delete waits for a checkpoint taken after the drop (Cluster.Checkpoint
-// sweeps when it is done) — the same rule the WAL's segments follow.
+// The retirer waits on queries only: the drop's journal record is durable
+// before retire is called, so no registry a crash can leave behind names a
+// file it unlinks.
 package cluster
 
 import (
@@ -32,9 +30,6 @@ type retiredChunk struct {
 	// query that could have planned this chunk has ID <= horizon. The
 	// file is deletable once every active query ID exceeds it.
 	horizon uint64
-	// ckpt is the number of checkpoints started when the chunk was dropped:
-	// one numbered above it snapshots metadata that no longer names the chunk.
-	ckpt int64
 }
 
 // retirer defers chunk-file deletion until in-flight queries drain.
@@ -49,7 +44,7 @@ func newRetirer(c *Cluster) *retirer { return &retirer{c: c} }
 // retire takes ownership of dropped chunks: evicts their cached bytes
 // from every query server, queues their files behind the current query
 // horizon, and sweeps whatever is already deletable. Callers must have
-// already removed the chunks from metadata.
+// already removed the chunks from metadata, durably.
 func (r *retirer) retire(infos []meta.ChunkInfo) {
 	if len(infos) == 0 {
 		return
@@ -59,30 +54,28 @@ func (r *retirer) retire(infos []meta.ChunkInfo) {
 			qs.EvictChunk(ci.ID)
 		}
 	}
-	horizon, ckpt := r.c.ms.QueryHorizon(), r.c.ckptStarted.Load()
+	horizon := r.c.ms.QueryHorizon()
 	r.mu.Lock()
 	for _, ci := range infos {
-		r.q = append(r.q, retiredChunk{info: ci, horizon: horizon, ckpt: ckpt})
+		r.q = append(r.q, retiredChunk{info: ci, horizon: horizon})
 	}
 	r.mu.Unlock()
 	r.sweep()
 }
 
-// sweep deletes every queued file whose gating queries have completed and
-// whose drop a durable checkpoint records.
+// sweep deletes every queued file whose gating queries have completed.
 func (r *retirer) sweep() { r.unlink(r.c.ms.OldestActiveQuery()) }
 
-// drain deletes everything queued that a checkpoint covers, regardless of
-// query horizons. Only for shutdown, after query traffic has stopped.
+// drain deletes everything queued, regardless of query horizons. Only for
+// shutdown, after query traffic has stopped.
 func (r *retirer) drain() { r.unlink(math.MaxUint64) }
 
 func (r *retirer) unlink(oldestQuery uint64) {
-	durable := r.c.ckptDurable.Load()
 	r.mu.Lock()
 	var doomed []retiredChunk
 	kept := r.q[:0]
 	for _, rc := range r.q {
-		if rc.horizon < oldestQuery && (r.c.cfg.DataDir == "" || rc.ckpt < durable) {
+		if rc.horizon < oldestQuery {
 			doomed = append(doomed, rc)
 		} else {
 			kept = append(kept, rc)

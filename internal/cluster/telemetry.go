@@ -31,10 +31,6 @@ func (c *Cluster) registerHandles() {
 		"standby replay lag behind the partition head at an ownership flip (unit: records, not seconds)")
 	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
 		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
-	c.checkpoints = reg.Counter("waterwheel_checkpoints_total",
-		"completed checkpoints: chunk files and metadata snapshot on stable storage, WAL segments behind them unlinked")
-	c.ckptNanos = reg.Histogram("waterwheel_checkpoint_seconds",
-		"checkpoint latency, capture to last unlink (stage: checkpoint)")
 }
 
 // registerFuncMetrics bridges the cluster's always-on counters (ingest
@@ -127,7 +123,7 @@ func (c *Cluster) registerFuncMetrics() {
 	reg.CounterFunc("waterwheel_dfs_read_bytes_total", "bytes read from the DFS", func() int64 {
 		return c.fs.Metrics().BytesRead.Load()
 	})
-	reg.CounterFunc("waterwheel_dfs_orphans_swept_total", "DFS files Open deleted because the restored metadata does not name them: chunks written after the last checkpoint (replayed from the WAL), retired chunks, abandoned outputs", c.OrphansSwept)
+	reg.CounterFunc("waterwheel_dfs_orphans_swept_total", "DFS files Open deleted because the replayed metadata does not name them: chunks whose registration a crash lost (replayed from the WAL), retired chunks, abandoned outputs", c.OrphansSwept)
 	reg.CounterFunc("waterwheel_dfs_writes_total", "DFS write accesses", func() int64 {
 		return c.fs.Metrics().Writes.Load()
 	})
@@ -171,8 +167,8 @@ func (c *Cluster) registerFuncMetrics() {
 		}
 		return float64(n)
 	})
-	// What the log costs on disk: bounded by the checkpoint cadence, a few
-	// bytes after a Flush (0 without a DataDir).
+	// What the log costs on disk: bounded by the flush pipeline, a few bytes
+	// after a Flush (0 without a DataDir).
 	reg.GaugeFunc("waterwheel_wal_disk_bytes", "bytes in WAL segment files", func() float64 {
 		var n int64
 		for i := 0; i < c.log.Partitions(); i++ {

@@ -305,10 +305,11 @@ func TestPromotionRacesCommits(t *testing.T) {
 	})
 }
 
-// TestHardCrashAfterReleaseReplaysFromSegment: under ack-on-fsync a host
-// crash restores the last checkpoint's offsets, which are OLDER than the
-// commits that released the WAL's memory since. Those records must come
-// back from the segment file: releasing never touches it.
+// TestHardCrashAfterReleaseReplaysFromSegment: under ack-on-fsync every
+// flush commit is durable when it lands and lets go of the log behind it, so
+// a host crash restores the newest commit's offset, and what lies above it
+// comes back from the segment file — the resident copy died with the
+// process — exactly once.
 func TestHardCrashAfterReleaseReplaysFromSegment(t *testing.T) {
 	cfg := walMemConfig(t, true)
 	cfg.Durability = "ack-on-fsync"
@@ -317,20 +318,12 @@ func TestHardCrashAfterReleaseReplaysFromSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	seqBatch(t, c, 0, 2000, 100)
-	c.Drain()
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := c.Metadata().Offset(0)
-	seqBatch(t, c, 2000, 3000, 100) // flushed and released, never checkpointed
+	seqBatch(t, c, 0, 5000, 100)
 	c.Drain()
 	p := c.WAL().Partition(0)
-	if committed := c.Metadata().Offset(0); committed <= ckpt || p.Base() > ckpt {
-		t.Fatalf("test premise: checkpoint %d, committed %d, log horizon %d", ckpt, committed, p.Base())
-	}
-	if int64(p.Len()) >= p.Next()-ckpt {
-		t.Fatalf("test premise: %d records resident, nothing above the checkpoint was released", p.Len())
+	committed := c.Metadata().Offset(0)
+	if committed == 0 || committed == p.Next() || p.Base() != committed {
+		t.Fatalf("test premise: committed %d, log horizon %d, head %d", committed, p.Base(), p.Next())
 	}
 	if err := c.HardCrash(); err != nil {
 		t.Fatal(err)
@@ -341,11 +334,14 @@ func TestHardCrashAfterReleaseReplaysFromSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Stop()
-	if got := c2.Metadata().Offset(0); got != ckpt {
-		t.Fatalf("restored offset %d, want the checkpoint's %d", got, ckpt)
+	if got := c2.Metadata().Offset(0); got != committed {
+		t.Fatalf("restored offset %d, want the last commit's %d", got, committed)
 	}
 	c2.Start()
 	c2.Drain()
+	if n := recovered(c2)[0]; n != 5000-committed {
+		t.Fatalf("replayed %d records, want the %d above the commit", n, 5000-committed)
+	}
 	verifyExactlyOnce(t, c2, 5000)
 }
 

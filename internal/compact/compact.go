@@ -6,7 +6,8 @@
 // output (chunk.AppendDownsampledPayload), so coarse historical queries
 // keep working at bucket resolution while the raw inputs are retired.
 //
-// The swap is atomic in metadata (meta.Server.ReplaceChunks) and the
+// The swap is atomic in metadata (meta.Server.ReplaceChunks, one journal
+// record, durable before the inputs are retired) and the
 // input files are retired through the caller-supplied retire hook, which
 // defers file deletion until in-flight queries drain — a query planned
 // against an input chunk either finds its bytes still on the DFS or is
@@ -264,12 +265,17 @@ func (cp *Compactor) merge(server int, day int64, g []meta.ChunkInfo) error {
 		return fmt.Errorf("compact: build downsampled chunk: %w", err)
 	}
 	// Named like the slot's own chunks: under its ownership epoch, which a
-	// process claims afresh for every slot, in a generation of its own,
-	// before it runs (meta.StartGeneration): the per-process sequence never
-	// meets an old name.
+	// process claims afresh for every slot, durably, before it runs
+	// (meta.ClaimSlots), after the files a crash left unregistered are gone:
+	// the per-process sequence never meets an old name.
 	path := fmt.Sprintf("chunks/compact-is%d-e%d-d%d-%d", server, cp.ms.Epoch(server), day, cp.seq.Add(1))
 	if err := cp.fs.Write(path, data); err != nil {
 		return fmt.Errorf("compact: write %s: %w", path, err)
+	}
+	// The output is on stable storage before the record that names it.
+	if err := cp.fs.Sync(); err != nil {
+		cp.fs.Delete(path)
+		return fmt.Errorf("compact: sync %s: %w", path, err)
 	}
 	out := meta.ChunkInfo{
 		Path:        path,

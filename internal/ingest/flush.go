@@ -5,7 +5,7 @@
 // write and the metadata registration off the hot path. The pending list
 // is the queue, and its PendingFlushes count applies backpressure: at most
 // Config.FlushQueueDepth units (default 2) wait behind the one in flight,
-// and the swap of one more blocks until the flusher registers one.
+// and the swap of one more blocks until the flusher finishes one.
 //
 // Visibility: pending snapshots remain part of the live region and are
 // scanned by ExecuteSubQuery until their chunk is registered, so a tuple
@@ -19,8 +19,9 @@
 // retried on the next flush step or after a capped backoff. WAL offsets
 // commit only for the contiguous persisted prefix, so SetOffset never
 // advances past data that is not yet durable and a restart replays no
-// gap. A write that cannot succeed on retry (the name is taken) ends the
-// flusher instead: the error fails flushEvents; Drain and Flush report it.
+// gap. A write that cannot succeed on retry (the name is taken, the metadata
+// journal is broken) ends the flusher instead: the error fails flushEvents;
+// Drain and Flush report it.
 package ingest
 
 import (
@@ -85,7 +86,11 @@ type pendingFlush struct {
 	// state/chunk/attempts are written by the flusher and read lock-free
 	// by queries and waiters (attempts is incremented last, publishing the
 	// outcome of each attempt).
-	state    atomic.Int32
+	state atomic.Int32
+	// cut marks a registered unit whose journal record is durable and whose
+	// log records the flusher has let go of: only then does the unit count
+	// as done (PendingFlushes).
+	cut      atomic.Bool
 	chunk    atomic.Uint64 // first registered chunk ID; 0 until registered
 	attempts atomic.Int32
 }
@@ -230,11 +235,11 @@ func (s *Server) flusher() {
 		case err == nil:
 			backoff = time.Millisecond
 			continue
-		case errors.Is(err, dfs.ErrExists):
-			// The chunk's name is taken: the same write fails the same way
-			// for good. Say so to whoever waits on the pipeline; the unit
-			// stays queryable, uncommitted, and the log replays it for
-			// whoever takes the slot over.
+		case errors.Is(err, dfs.ErrExists), errors.Is(err, errJournal):
+			// The chunk's name is taken, or the journal is broken: the same
+			// attempt fails the same way for good. Say so to whoever waits on
+			// the pipeline; the unit stays queryable, and the log replays what
+			// no durable commit covers for whoever opens the slot next.
 			s.flushEvents.Fail(fmt.Errorf("ingest: flush (server %d): %w", s.cfg.ID, err))
 			return
 		case s.fenced.Load():
@@ -261,15 +266,27 @@ func (s *Server) flusher() {
 // nothing any more (fenced or aborted).
 var errFlushAbandoned = errors.New("ingest: flush abandoned")
 
-// processFlush builds, writes and registers one flush unit. Every part is
-// written to the DFS before any is registered, and all parts register in a
-// single metadata critical section (RegisterChunks) together with the offset
-// commit: a query plan sees either none or all of the unit's chunks, and the
-// WAL offset never covers a part that is not durable. Returns the error when
-// the DFS refused a write (or the log its sync, or metadata the registration);
-// the unit then stays queryable in the pending list and the caller decides
-// whether a retry can help. The attempt count moves last, whatever the outcome
-// (it publishes it), then the pipeline's event count.
+// errJournal wraps a metadata journal failure: the registry can make nothing
+// durable any more, so no retry of a flush can help.
+var errJournal = errors.New("ingest: metadata journal")
+
+// chunkSyncer is a ChunkWriter whose writes reach stable storage only at
+// Sync (*dfs.FS over a directory): the flusher syncs before it registers.
+type chunkSyncer interface{ Sync() error }
+
+// processFlush builds, writes and registers one flush unit, in this order:
+// write every part's chunk; put the chunk files on stable storage
+// (chunkSyncer); sync the log up to the unit's offset (SyncWAL); register
+// every part together with the offset commit in one metadata critical
+// section under pendMu (RegisterFlushOwned), so a query plan sees either
+// none or all of the unit's chunks; let go of pendMu, then wait for the
+// commit's journal record; cut the log behind the commit (TruncateWAL); and
+// only then count the unit done. Nothing is let go of before what replaces
+// it is durable, and no query waits on an fsync. Returns the error when the
+// DFS refused a write (or a sync failed, or metadata the registration); the
+// unit then stays queryable in the pending list and the caller decides
+// whether a retry can help. The attempt count moves last, whatever the
+// outcome (it publishes it), then the pipeline's event count.
 func (s *Server) processFlush(pf *pendingFlush) error {
 	defer func() { pf.attempts.Add(1); s.flushEvents.Add(1) }()
 	if s.fenced.Load() || s.aborted.Load() {
@@ -301,9 +318,10 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 		if part.side {
 			kind = "side"
 		}
-		// An ownership epoch is never handed out twice (meta.StartGeneration),
-		// so neither a successor in this process nor one in the next can take
-		// this name.
+		// An ownership epoch is never handed out twice — a claim is durable
+		// before anything runs under it, and Open sweeps the files a crash left
+		// unregistered — so neither a successor in this process nor one in the
+		// next can take this name.
 		path := fmt.Sprintf("chunks/is%d-e%d-%s%d", s.cfg.ID, s.epoch.Load(), kind, pf.seq)
 		if werr := s.fs.Write(path, data); werr != nil {
 			// Parts written so far stay durable-but-unregistered; nothing
@@ -331,18 +349,22 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 		part.written = true
 		totalBytes += cmeta.Size
 	}
-	// Durability barrier (§V): the offset this unit is about to commit was
-	// consumed from memory, possibly ahead of any WAL fsync. Force the log
-	// durable up to it BEFORE registering — one fsync per flush, amortized
-	// to nothing against the chunk write itself. Failing here fails the
-	// attempt like a DFS write would: nothing registered, nothing
-	// committed, retried later.
-	if s.cfg.SyncWAL != nil {
-		if err := s.cfg.SyncWAL(pf.offset); err != nil {
-			s.stats.FlushFailures.Add(1)
-			pf.state.Store(int32(flushFailed))
-			return err
-		}
+	// Durability barrier (§V): the chunk files, then the log up to the
+	// offset this unit is about to commit (consumed from memory, possibly
+	// ahead of any WAL fsync), are on stable storage BEFORE the registration
+	// names them. Failing here fails the attempt like a DFS write would:
+	// nothing registered, nothing committed, retried later.
+	var err error
+	if cs, ok := s.fs.(chunkSyncer); ok {
+		err = cs.Sync()
+	}
+	if err == nil && s.cfg.SyncWAL != nil {
+		err = s.cfg.SyncWAL(pf.offset)
+	}
+	if err != nil {
+		s.stats.FlushFailures.Add(1)
+		pf.state.Store(int32(flushFailed))
+		return err
 	}
 	// Registration, horizon publication and offset commit happen in one
 	// pendMu section: a query that saw the chunks in its plan cannot read
@@ -377,10 +399,15 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 	}
 	regs, rerr := s.ms.RegisterFlushOwned(s.cfg.ID, s.epoch.Load(), infos, commit)
 	if rerr != nil {
-		// Fenced: ownership of the slot moved to a newer incarnation.
-		// This server is deposed — nothing it buffers may ever reach
-		// metadata again, and retrying is pointless by construction.
-		s.fenced.Store(true)
+		// Fenced: ownership of the slot moved to a newer incarnation. This
+		// server is deposed — nothing it buffers may ever reach metadata
+		// again, and retrying is pointless by construction. Otherwise the
+		// journal refused the record, for good: so does every later one.
+		if errors.Is(rerr, meta.ErrFenced) {
+			s.fenced.Store(true)
+		} else {
+			rerr = fmt.Errorf("%w: %w", errJournal, rerr)
+		}
 		s.stats.FlushFailures.Add(1)
 		pf.state.Store(int32(flushFailed))
 		s.pendMu.Unlock()
@@ -399,11 +426,20 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 	pf.chunk.Store(uint64(regs[0].ID))
 	pf.state.Store(int32(flushDone))
 	committed := s.committedOff
+	s.pendMu.Unlock()
+	// The commit is acted on outside metadata only once its record is
+	// durable. A journal that cannot make it so takes every later record
+	// with it: no retry mends that.
+	if err := s.ms.Sync(); err != nil {
+		return fmt.Errorf("%w: %w", errJournal, err)
+	}
+	if s.cfg.TruncateWAL != nil && committed >= 0 {
+		s.cfg.TruncateWAL(committed)
+	}
+	s.pendMu.Lock()
+	pf.cut.Store(true)
 	s.sweepLocked()
 	s.pendMu.Unlock()
-	if s.cfg.ReleaseWAL != nil && committed >= 0 {
-		s.cfg.ReleaseWAL(committed)
-	}
 	s.stats.Flushes.Add(1)
 	s.stats.FlushBytes.Add(totalBytes)
 	s.cfg.Metrics.FlushNanos.Observe(time.Since(flushStart))
@@ -418,7 +454,7 @@ func (s *Server) sweepLocked() {
 	floor := s.ms.MinQueryAsOf()
 	keep := s.pending[:0]
 	for _, pf := range s.pending {
-		if flushState(pf.state.Load()) == flushDone && pf.chunk.Load() < floor {
+		if pf.cut.Load() && pf.chunk.Load() < floor {
 			continue
 		}
 		keep = append(keep, pf)
@@ -452,7 +488,7 @@ func (s *Server) oldestUnpersisted() *pendingFlush {
 func (s *Server) waitFlush(pf *pendingFlush, since int32) (meta.ChunkInfo, bool) {
 	failsBefore := s.stats.FlushFailures.Load()
 	s.awaitFlush(nil, func() bool {
-		return flushState(pf.state.Load()) == flushDone || pf.attempts.Load() > since ||
+		return pf.cut.Load() || pf.attempts.Load() > since ||
 			s.stats.FlushFailures.Load() > failsBefore
 	})
 	if flushState(pf.state.Load()) == flushDone {
@@ -473,14 +509,15 @@ func (s *Server) awaitFlush(cancel <-chan struct{}, cond func() bool) bool {
 	return true
 }
 
-// PendingFlushes returns the number of swapped-out snapshots whose chunk
-// is not yet registered (queued, in flight, or failed awaiting retry).
+// PendingFlushes returns the number of swapped-out snapshots not yet done:
+// queued, in flight, failed awaiting retry, or registered with the commit's
+// record not yet durable or the log not yet cut behind it.
 func (s *Server) PendingFlushes() int {
 	s.pendMu.RLock()
 	defer s.pendMu.RUnlock()
 	n := 0
 	for _, pf := range s.pending {
-		if flushState(pf.state.Load()) != flushDone {
+		if !pf.cut.Load() {
 			n++
 		}
 	}

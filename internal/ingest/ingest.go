@@ -71,12 +71,13 @@ type Config struct {
 	// SyncWAL error fails the flush attempt exactly as a DFS write failure
 	// would (stop the line, retry later).
 	SyncWAL func(upTo int64) error
-	// ReleaseWAL, when set, is called with the slot's committed WAL offset
-	// after a flush unit committed it: no recovery of this slot will replay
-	// below it again, so the cluster wires it to the partition's memory
-	// release (wal.Partition.Release, floored at a lagging standby). Called
-	// from the flusher with no server lock held.
-	ReleaseWAL func(committed int64)
+	// TruncateWAL, when set, is called with the slot's committed WAL offset
+	// once a flush unit's commit of it is durable in the metadata journal:
+	// no recovery of this slot will replay below it again, so the cluster
+	// wires it to the partition's horizon (wal.Partition.Truncate, floored at
+	// a lagging standby). Called from the flusher with no server lock held;
+	// the unit counts as done once it returns.
+	TruncateWAL func(committed int64)
 	// Metrics holds optional telemetry handles; the zero value (nil
 	// handles) disables instrumentation at no cost.
 	Metrics Metrics

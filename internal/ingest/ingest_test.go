@@ -371,9 +371,9 @@ func TestConsumeRefusesReplayGap(t *testing.T) {
 }
 
 // TestFlushCommitReleasesWAL: every flush commit hands the committed
-// offset to ReleaseWAL — after the commit is in the metadata server and
+// offset to TruncateWAL — after the commit is in the metadata server and
 // with no server lock held (the callback reads server state) — and wired
-// to Partition.Release it leaves exactly the uncommitted suffix resident.
+// to Partition.Truncate it leaves exactly the uncommitted suffix resident.
 func TestFlushCommitReleasesWAL(t *testing.T) {
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})
 	ms := meta.NewServer(1)
@@ -382,13 +382,13 @@ func TestFlushCommitReleasesWAL(t *testing.T) {
 	var released []int64
 	srv = NewServer(Config{
 		ID: 0, ChunkBytes: 16 * 100, // payload-less tuples are 16 B
-		ReleaseWAL: func(committed int64) {
+		TruncateWAL: func(committed int64) {
 			if got := ms.Offset(0); got != committed {
-				t.Errorf("ReleaseWAL(%d) while the metadata server holds offset %d", committed, got)
+				t.Errorf("TruncateWAL(%d) while the metadata server holds offset %d", committed, got)
 			}
 			srv.MemLen() // takes pendMu: deadlocks if the callback ran under it
 			released = append(released, committed)
-			p.Release(committed)
+			p.Truncate(committed)
 		},
 	}, fs, ms, 0)
 	stop := make(chan struct{})
@@ -402,7 +402,7 @@ func TestFlushCommitReleasesWAL(t *testing.T) {
 	<-done
 	srv.Close() // the flusher has exited: its last release happened-before this
 	if len(released) == 0 {
-		t.Fatal("no flush commit reached ReleaseWAL")
+		t.Fatal("no flush commit reached TruncateWAL")
 	}
 	for i := 1; i < len(released); i++ {
 		if released[i] <= released[i-1] {

@@ -24,7 +24,7 @@ func standbyEnv(t *testing.T, chunkBytes int64) (owner, shadow *Server, p *wal.P
 	// As in the cluster, the owner's flush commit is what wakes a standby
 	// parked on a quiet partition.
 	owner = NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Epoch: ms.Epoch(0),
-		ReleaseWAL: func(int64) { shadow.Wake() }}, fs, ms, 0)
+		TruncateWAL: func(int64) { shadow.Wake() }}, fs, ms, 0)
 	shadow = NewServer(Config{ID: 0, ChunkBytes: chunkBytes, Leaves: 16, Passive: true}, fs, ms, 0)
 	p = wal.NewPartition()
 	run := func(srv *Server) (stop func()) {

@@ -3,6 +3,7 @@ package meta
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -10,20 +11,21 @@ import (
 	"waterwheel/internal/model"
 )
 
-// TestRestoreSnapshotWithFormatField loads a meta.snap written by commit
-// 0913109, whose ChunkInfo still carried a Format field (2 on both chunks
-// here). Dropping the field must not cost a reopened data directory its
-// catalog: gob skips the unknown field and every remaining one survives.
-// IndexLen, which the snapshot predates, decodes as 0 — the value a query
-// server takes to read the whole header.
+// TestRestoreSnapshotWithFormatField hands Restore a meta.snap written by
+// commit 0913109: a gob image, whose ChunkInfo still carried a Format field.
+// The registry is a journal of versioned JSON records now, and a gob image
+// fails the version check with the typed error — it is not misread. The
+// chunks it holds are asserted to round-trip through the current image.
 func TestRestoreSnapshotWithFormatField(t *testing.T) {
 	data, err := os.ReadFile("testdata/pr13_format_field.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Restore(data)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Restore(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Restore of a gob image: %v, want ErrVersion", err)
+	}
+	if _, err := decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("a gob image read as a journal record: %v, want ErrVersion", err)
 	}
 	want := []ChunkInfo{
 		{ID: 1, Path: "chunk-s0-000001", Region: region(0, 999, 1000, 1999), Count: 300, Size: 4096,
@@ -31,6 +33,16 @@ func TestRestoreSnapshotWithFormatField(t *testing.T) {
 			Agg: &model.ChunkAgg{Field: 8, AggPartial: model.AggPartial{Count: 300, Values: 290, Sum: 12345, Min: 1, Max: 99}}},
 		{ID: 2, Path: "chunk-s1-000002", Region: region(1000, 1999, 1500, 2500), Count: 7, Size: 700,
 			HeaderLen: 200, Server: 1, Downsampled: true},
+	}
+	s := NewServer(2)
+	s.SetSchema([]model.Key{1000})
+	s.RegisterChunks(want)
+	s.RegisterFlushOwned(1, s.Epoch(1), nil, 4242)
+	if data, err = s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Restore(data); err != nil {
+		t.Fatal(err)
 	}
 	for _, w := range want {
 		if got, ok := s.Chunk(w.ID); !ok || !reflect.DeepEqual(got, w) {
@@ -52,13 +64,13 @@ func TestRestoreSnapshotWithFormatField(t *testing.T) {
 	}
 }
 
-// TestRestoreOlderImageRunsNoQuery restores an image laid out the way
-// snapshots were before the query registry and the live regions left them:
-// with the running queries, the handoff offsets, a second copy of every
-// slot's key interval and every slot's live region. Restore reads what it
-// keeps and starts with no running query —
-// a restored registry would pin every later flush's in-memory copy and
-// every retired chunk file for queries no process runs.
+// TestRestoreOlderImageRunsNoQuery: an image laid out the way gob
+// snapshots were before the query registry and the live regions left them
+// — with the running queries, the handoff offsets, a second copy of every
+// slot's key interval and every slot's live region — is refused by version.
+// An image taken while queries run restores with no running query: a
+// restored registry would pin every later flush's in-memory copy and every
+// retired chunk file for queries no process runs.
 func TestRestoreOlderImageRunsNoQuery(t *testing.T) {
 	type liveRegion struct {
 		Server  int
@@ -98,7 +110,22 @@ func TestRestoreOlderImageRunsNoQuery(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Restore(buf.Bytes())
+	if _, err := Restore(buf.Bytes()); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Restore of an older gob image: %v, want ErrVersion", err)
+	}
+	src := NewServer(2)
+	src.RegisterChunks([]ChunkInfo{{Path: "c1", Region: region(0, 9, 0, 9)}, {Path: "c2", Region: region(0, 9, 0, 9)}, {Path: "c3", Region: region(0, 9, 0, 9)}})
+	src.RegisterChunks([]ChunkInfo{{Path: "c4", Region: region(0, 9, 0, 9), Count: 3}})
+	src.RegisterFlushOwned(1, src.Epoch(1), nil, 8)
+	src.TransferOwnership(0)
+	src.TransferOwnership(0)
+	src.RegisterQuery(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+	src.RegisterQuery(model.Query{})
+	img, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Restore(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,20 +7,22 @@
 // indexing servers' live regions are not here: the coordinator asks the
 // serving servers for them at plan time (ingest.Server.MemBounds).
 //
-// Durability stands in for ZooKeeper: Snapshot/Restore round-trip the state
-// a restart resumes from through a gob encoding. Running queries are not
-// part of it — they end with the process that ran them.
+// Durability stands in for ZooKeeper: a server opened over a journal (Open,
+// journal.go) makes every edit to the state a restart resumes from durable
+// before anyone acts on it. Running queries are not part of it — they end
+// with the process that ran them. A NewServer has no journal.
 package meta
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"waterwheel/internal/model"
 	"waterwheel/internal/rtree"
+	"waterwheel/internal/wal"
 )
 
 // ChunkInfo is the metadata of one flushed data chunk.
@@ -40,9 +42,8 @@ type ChunkInfo struct {
 	// fetch exactly the header (the cacheable "template" unit) in one read.
 	HeaderLen int
 	// IndexLen is the length of the header's index prefix, the part before
-	// the pre-aggregate block: what a range subquery reads. Snapshots
-	// written before it existed decode it as 0, and a query server then
-	// reads the whole header.
+	// the pre-aggregate block: what a range subquery reads. Zero makes a
+	// query server read the whole header.
 	IndexLen int
 	// Server is the indexing server that produced the chunk.
 	Server int
@@ -52,7 +53,7 @@ type ChunkInfo struct {
 	Agg *model.ChunkAgg
 	// Tier is the chunk's retention tier (TierHot/TierWarm/TierCold). New
 	// chunks start hot; the compactor demotes them by age behind the
-	// newest registered data. Old snapshots decode to TierHot.
+	// newest registered data.
 	Tier int
 	// Downsampled marks a compactor output: its rows are the per-leaf
 	// pre-aggregate buckets of the retired inputs, not raw tuples.
@@ -173,7 +174,6 @@ type Server struct {
 	regions *rtree.Tree // region -> ChunkID
 	offsets []int64
 	epochs  []int64
-	gen     int64 // process generation new epochs start in; see StartGeneration
 	// queries maps each running query's ID to its plan horizon: the
 	// smallest chunk ID that cannot be in its plan because it registered
 	// after the query did (see MinQueryAsOf).
@@ -181,6 +181,14 @@ type Server struct {
 	nextChunk uint64
 	nextQuery uint64
 	maxTime   model.Timestamp // max Region.Times.Hi ever registered
+
+	// j is the journal (nil: none, see journal.go). sinceImage counts the
+	// records appended or replayed since the last image; image is the
+	// offset of the newest image, which the journal may be cut at.
+	j          *wal.Partition
+	jcfg       JournalConfig
+	sinceImage atomic.Int64
+	image      atomic.Int64
 }
 
 // NewServer creates a metadata server for the given number of indexing
@@ -192,7 +200,7 @@ func NewServer(indexServers int) *Server {
 	s := &Server{
 		schema:  EvenSchema(indexServers),
 		chunks:  make(map[model.ChunkID]ChunkInfo),
-		regions: rtree.New(16),
+		regions: newRegions(),
 		offsets: make([]int64, indexServers),
 		epochs:  make([]int64, indexServers),
 		queries: make(map[uint64]uint64),
@@ -202,6 +210,8 @@ func NewServer(indexServers int) *Server {
 	}
 	return s
 }
+
+func newRegions() *rtree.Tree { return rtree.New(16) }
 
 // Schema returns the current partition schema.
 func (s *Server) Schema() PartitionSchema {
@@ -221,55 +231,86 @@ func clonedSchema(p PartitionSchema) PartitionSchema {
 // SetSchema installs a new key partitioning (same active-slot set),
 // bumping the version.
 func (s *Server) SetSchema(bounds []model.Key) (PartitionSchema, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if want := s.schema.ActiveCount() - 1; len(bounds) != want {
-		return PartitionSchema{}, fmt.Errorf("meta: schema needs %d bounds, got %d", want, len(bounds))
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return PartitionSchema{}, fmt.Errorf("meta: bounds not ascending at %d", i)
+	return s.editState(func(st *state) error {
+		if want := st.Schema.ActiveCount() - 1; len(bounds) != want {
+			return fmt.Errorf("meta: schema needs %d bounds, got %d", want, len(bounds))
 		}
+		for i := 1; i < len(bounds); i++ {
+			if bounds[i] <= bounds[i-1] {
+				return fmt.Errorf("meta: bounds not ascending at %d", i)
+			}
+		}
+		st.Schema.Version++
+		st.Schema.Bounds = append([]model.Key(nil), bounds...)
+		return nil
+	})
+}
+
+// editState commits the change change makes to a copy of the state and
+// returns the schema it leaves.
+func (s *Server) editState(change func(*state) error) (PartitionSchema, error) {
+	var st state
+	err := s.commit(func() (*record, error) {
+		st = s.stateLocked()
+		return &record{State: &st}, change(&st)
+	})
+	return clonedSchema(st.Schema), err
+}
+
+// errNoChunk refuses an edit of a chunk the registry does not hold.
+var errNoChunk = errors.New("meta: no such chunk")
+
+// commit builds a record under mu and makes it the registry's next edit,
+// returning once it is durable; an error from build commits nothing.
+func (s *Server) commit(build func() (*record, error)) error {
+	s.mu.Lock()
+	r, err := build()
+	if err == nil {
+		err = s.commitLocked(r)
 	}
-	s.schema = PartitionSchema{
-		Version: s.schema.Version + 1,
-		Servers: s.schema.Servers,
-		Slots:   s.schema.Slots,
-		Bounds:  append([]model.Key(nil), bounds...),
+	s.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	return clonedSchema(s.schema), nil
+	return s.Sync()
 }
 
 // RegisterChunks registers several chunks in one critical section, so their
 // IDs are consecutive and no watermark read (ChunksForWithWatermark) can
 // land between them: a query plan sees either none or all of the batch.
 // Indexing servers rely on this when a flush unit carries both a main and a
-// side snapshot covered by a single WAL offset.
+// side snapshot covered by a single WAL offset. Returns nil, registering
+// nothing, when the journal refuses the edit.
 func (s *Server) RegisterChunks(infos []ChunkInfo) []ChunkInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.indexLocked(infos, false)
+	r := &record{}
+	if s.commit(func() (*record, error) { r.Puts = s.numberLocked(infos); return r, nil }) != nil {
+		return nil
+	}
+	return r.Puts
 }
 
-// indexLocked files chunks in the registry and the R-tree and advances the
-// max-time clock: the one place a chunk gets its ID. A registration
-// (keep=false) hands out the next IDs, consecutive and in order. Restore
-// (keep=true) files saved chunks under their saved IDs, so a gap a drop
-// left stays a gap, and nextChunk stays at or above every ID filed: no ID is
-// handed out twice. Returns the filed chunks. Requires mu.
-func (s *Server) indexLocked(infos []ChunkInfo, keep bool) []ChunkInfo {
+// numberLocked returns infos under the next chunk IDs, consecutive and in
+// order: the one place a chunk gets its ID. Requires mu.
+func (s *Server) numberLocked(infos []ChunkInfo) []ChunkInfo {
 	out := make([]ChunkInfo, len(infos))
 	for i, info := range infos {
-		if !keep {
-			info.ID = model.ChunkID(s.nextChunk + 1)
-		}
+		info.ID = model.ChunkID(s.nextChunk + 1 + uint64(i))
+		out[i] = info
+	}
+	return out
+}
+
+// indexLocked files chunks under their IDs in the registry and the R-tree
+// and advances the max-time clock. nextChunk stays at or above every ID
+// filed, so a gap a drop left stays a gap and no ID is handed out twice.
+// Requires mu.
+func (s *Server) indexLocked(infos []ChunkInfo) {
+	for _, info := range infos {
 		s.nextChunk = max(s.nextChunk, uint64(info.ID))
 		s.chunks[info.ID] = info
 		s.regions.Insert(info.Region, info.ID)
 		s.maxTime = max(s.maxTime, info.Region.Times.Hi)
-		out[i] = info
 	}
-	return out
 }
 
 // Chunk returns the metadata of one chunk.
@@ -312,15 +353,16 @@ func (s *Server) ChunkCount() int {
 	return len(s.chunks)
 }
 
-// DropChunk removes a chunk from the registry (retention).
+// DropChunk removes a chunk from the registry (retention). It returns once
+// the drop is durable, false when the chunk is not registered or the
+// journal refused the drop.
 func (s *Server) DropChunk(id model.ChunkID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.chunks[id]
-	if ok {
-		s.unindexLocked(info)
-	}
-	return ok
+	return s.commit(func() (*record, error) {
+		if _, ok := s.chunks[id]; !ok {
+			return nil, errNoChunk
+		}
+		return &record{Drops: []model.ChunkID{id}}, nil
+	}) == nil
 }
 
 // unindexLocked removes a chunk from the registry and the R-tree. Requires
@@ -331,27 +373,31 @@ func (s *Server) unindexLocked(info ChunkInfo) {
 }
 
 // ReplaceChunks atomically swaps a set of input chunks for their
-// compacted outputs: in one critical section the inputs are verified and
-// dropped, and the outputs registered with fresh IDs. A concurrent
-// ChunksForWithWatermark sees either every input or every output, never
-// a mix, so no query plan can double-count or miss the region. Returns
-// the registered outputs, the dropped input infos (the caller retires
-// their files), and false — with no change — if any input is missing.
+// compacted outputs: in one critical section, and one journal record, the
+// inputs are verified and dropped, and the outputs registered with fresh
+// IDs. A concurrent ChunksForWithWatermark sees either every input or every
+// output, never a mix, so no query plan can double-count or miss the region,
+// and a crash leaves one or the other registered. It returns once the swap
+// is durable: the registered outputs, the dropped input infos (the caller
+// retires their files), and false — with no change — if any input is
+// missing or the journal refused the swap.
 func (s *Server) ReplaceChunks(outs []ChunkInfo, ins []model.ChunkID) (registered, dropped []ChunkInfo, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped = make([]ChunkInfo, len(ins))
-	for i, id := range ins {
-		info, found := s.chunks[id]
-		if !found {
-			return nil, nil, false
+	r := &record{Drops: ins}
+	err := s.commit(func() (*record, error) {
+		for _, id := range ins {
+			info, found := s.chunks[id]
+			if !found {
+				return nil, errNoChunk
+			}
+			dropped = append(dropped, info)
 		}
-		dropped[i] = info
+		r.Puts = s.numberLocked(outs)
+		return r, nil
+	})
+	if err != nil {
+		return nil, nil, false
 	}
-	for _, info := range dropped {
-		s.unindexLocked(info)
-	}
-	return s.indexLocked(outs, false), dropped, true
+	return r.Puts, dropped, true
 }
 
 // Offset returns the stored WAL offset of an indexing server.
@@ -418,55 +464,26 @@ func (s *Server) CompleteQuery(id uint64) {
 	delete(s.queries, id)
 }
 
-// persistentState is the gob image of the server: the state a restart
-// resumes from. Running queries are not in it — a restored registry would
-// pin flushed snapshots and retired chunk files for queries no process
-// runs — and gob skips the Actual, Live, Handoffs, Queries and NextQuery
-// fields that older images carry.
-type persistentState struct {
-	Schema    PartitionSchema
-	Chunks    []ChunkInfo
-	Offsets   []int64
-	Epochs    []int64
-	NextChunk uint64
-}
-
-// Snapshot serializes the durable metadata state.
+// Snapshot returns the registry's image: the state a restart resumes from
+// and every chunk, in one journal record.
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.RLock()
-	st := persistentState{
-		Schema:    clonedSchema(s.schema),
-		Offsets:   append([]int64(nil), s.offsets...),
-		Epochs:    append([]int64(nil), s.epochs...),
-		NextChunk: s.nextChunk,
-	}
-	for _, c := range s.chunks {
-		st.Chunks = append(st.Chunks, c)
-	}
-	s.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, fmt.Errorf("meta: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	defer s.mu.RUnlock()
+	return s.imageLocked(), nil
 }
 
-// Restore rebuilds a metadata server from a snapshot. It starts with no
-// running query.
+// Restore rebuilds a metadata server, with no journal, from an image. It
+// starts with no running query. Anything but an image of this version is
+// ErrVersion; an image that does not parse is ErrCorrupt.
 func Restore(data []byte) (*Server, error) {
-	var st persistentState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	r, err := decode(data)
+	if err == nil && !r.Image {
+		err = fmt.Errorf("%w: an edit, not an image", ErrCorrupt)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("meta: restore: %w", err)
 	}
-	s := NewServer(st.Schema.Servers)
-	s.schema = st.Schema
-	s.offsets = st.Offsets
-	// Snapshots predating ownership epochs carry none: every slot starts
-	// at epoch 1, the value NewServer seeded.
-	if st.Epochs != nil {
-		s.epochs = st.Epochs
-	}
-	s.nextChunk = st.NextChunk
-	s.indexLocked(st.Chunks, true)
+	s := NewServer(r.State.Schema.Servers)
+	s.applyLocked(r)
 	return s, nil
 }

@@ -13,30 +13,20 @@ import (
 // reach the chunk registry or the replay offsets.
 var ErrFenced = errors.New("meta: ownership epoch fenced")
 
-// epochGenShift splits an ownership epoch in two: the high half counts the
-// processes that opened the deployment (StartGeneration), the low half the
-// ownership transfers within one. Transfers move the low half in memory, and
-// reach a snapshot only at the next checkpoint; the high half is durable
-// before its process writes anything. So an epoch — and a chunk name carrying
-// it — is never handed out twice, whatever the last process left unsaved.
-const epochGenShift = 32
-
-// StartGeneration claims every slot, retired ones included, for a process
-// that has just restored (or created) this server: each epoch moves to the
-// first of a generation no earlier process used, which fences whatever the
-// previous owner might still have had in flight. The claimant's replay
-// starts at the slot's committed offset. The caller makes the claim durable
-// before it builds a server under it.
-func (s *Server) StartGeneration() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.epochs {
-		s.gen = max(s.gen, e>>epochGenShift)
-	}
-	s.gen++
-	for i := range s.epochs {
-		s.epochs[i] = s.gen<<epochGenShift + 1
-	}
+// ClaimSlots claims every slot, retired ones included, for a process that
+// has just opened (or created) this server: each epoch moves up by one,
+// which fences whatever the previous owner might still have had in flight.
+// The claimant's replay starts at the slot's committed offset. It returns
+// once the claim is durable, so no incarnation built under it can write a
+// chunk named by an epoch a crash could hand out again.
+func (s *Server) ClaimSlots() error {
+	_, err := s.editState(func(st *state) error {
+		for i := range st.Epochs {
+			st.Epochs[i]++
+		}
+		return nil
+	})
+	return err
 }
 
 // Epoch returns the current ownership epoch of a slot. Epochs start at 1
@@ -56,15 +46,22 @@ func (s *Server) Epoch(server int) int64 {
 // critical section it bumps the slot's fencing epoch and reads the slot's
 // nominal key interval. After it returns, any flush the deposed
 // incarnation still has in flight fails with ErrFenced, so the metadata
-// the new owner starts from cannot change under it.
+// the new owner starts from cannot change under it. It returns once the
+// flip is durable.
 func (s *Server) TransferOwnership(server int) (int64, model.KeyRange, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if server < 0 || server >= len(s.epochs) {
-		return 0, model.KeyRange{}, fmt.Errorf("meta: transfer ownership: no slot %d", server)
+	var epoch int64
+	schema, err := s.editState(func(st *state) error {
+		if server < 0 || server >= len(st.Epochs) {
+			return fmt.Errorf("meta: transfer ownership: no slot %d", server)
+		}
+		st.Epochs[server]++
+		epoch = st.Epochs[server]
+		return nil
+	})
+	if err != nil {
+		return 0, model.KeyRange{}, err
 	}
-	s.epochs[server]++
-	return s.epochs[server], s.schema.IntervalOf(server), nil
+	return epoch, schema.IntervalOf(server), nil
 }
 
 // RegisterFlushOwned registers a flush unit's chunks and advances the
@@ -72,8 +69,14 @@ func (s *Server) TransferOwnership(server int) (int64, model.KeyRange, error) {
 // must move together: if an ownership transfer could land between the
 // chunk registration and the offset commit, the incoming owner would
 // replay records that are already in a registered chunk and duplicate
-// them. The offset only moves forward; a stale epoch rejects the whole
-// unit with ErrFenced and registers nothing.
+// them, so they are one journal record. The offset only moves forward; a
+// stale epoch rejects the whole unit with ErrFenced and registers nothing,
+// as does a journal that refuses the record.
+//
+// Unlike every other edit it returns without waiting for its record: the
+// flusher calls it under the lock queries read its pending list by, and
+// waits with Sync once it has let go of that lock, before it acts on the
+// commit.
 func (s *Server) RegisterFlushOwned(server int, epoch int64, infos []ChunkInfo, off int64) ([]ChunkInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -83,8 +86,16 @@ func (s *Server) RegisterFlushOwned(server int, epoch int64, infos []ChunkInfo, 
 	if epoch != s.epochs[server] {
 		return nil, ErrFenced
 	}
-	s.offsets[server] = max(s.offsets[server], off)
-	return s.indexLocked(infos, false), nil
+	e := &record{Puts: s.numberLocked(infos)}
+	if off > s.offsets[server] {
+		st := s.stateLocked()
+		st.Offsets[server] = off
+		e.State = &st
+	}
+	if err := s.commitLocked(e); err != nil {
+		return nil, err
+	}
+	return e.Puts, nil
 }
 
 // AddServer allocates a new slot by splitting an active slot's interval
@@ -93,34 +104,35 @@ func (s *Server) RegisterFlushOwned(server int, epoch int64, infos []ChunkInfo, 
 // partition i, so the caller must grow the log in step). Returns the new
 // schema and the new slot id.
 func (s *Server) AddServer(splitFrom int, at model.Key) (PartitionSchema, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.schema.slotIndex(splitFrom)
-	if j < 0 {
-		return PartitionSchema{}, 0, fmt.Errorf("meta: add server: slot %d not active", splitFrom)
-	}
-	kr := s.schema.IntervalOf(splitFrom)
-	if at <= kr.Lo || at > kr.Hi {
-		return PartitionSchema{}, 0, fmt.Errorf("meta: add server: split key %d outside (%d, %d]", at, kr.Lo, kr.Hi)
-	}
-	id := s.schema.Servers
-	slots := s.schema.ActiveSlots()
-	slots = append(slots, 0)
-	copy(slots[j+2:], slots[j+1:])
-	slots[j+1] = id
-	bounds := append([]model.Key(nil), s.schema.Bounds...)
-	bounds = append(bounds, 0)
-	copy(bounds[j+1:], bounds[j:])
-	bounds[j] = at
-	s.schema = PartitionSchema{
-		Version: s.schema.Version + 1,
-		Servers: id + 1,
-		Slots:   slots,
-		Bounds:  bounds,
-	}
-	s.offsets = append(s.offsets, 0)
-	s.epochs = append(s.epochs, s.gen<<epochGenShift+1)
-	return clonedSchema(s.schema), id, nil
+	var id int
+	schema, err := s.editState(func(st *state) error {
+		j := st.Schema.slotIndex(splitFrom)
+		if j < 0 {
+			return fmt.Errorf("meta: add server: slot %d not active", splitFrom)
+		}
+		kr := st.Schema.IntervalOf(splitFrom)
+		if at <= kr.Lo || at > kr.Hi {
+			return fmt.Errorf("meta: add server: split key %d outside (%d, %d]", at, kr.Lo, kr.Hi)
+		}
+		id = st.Schema.Servers
+		slots := st.Schema.ActiveSlots()
+		slots = append(slots, 0)
+		copy(slots[j+2:], slots[j+1:])
+		slots[j+1] = id
+		bounds := append(st.Schema.Bounds, 0)
+		copy(bounds[j+1:], bounds[j:])
+		bounds[j] = at
+		st.Schema = PartitionSchema{
+			Version: st.Schema.Version + 1,
+			Servers: id + 1,
+			Slots:   slots,
+			Bounds:  bounds,
+		}
+		st.Offsets = append(st.Offsets, 0)
+		st.Epochs = append(st.Epochs, 1)
+		return nil
+	})
+	return schema, id, err
 }
 
 // RemoveServer retires an active slot, merging its key interval into a
@@ -130,30 +142,30 @@ func (s *Server) AddServer(splitFrom int, at model.Key) (PartitionSchema, int, e
 // the caller fences the slot with TransferOwnership after the final flush
 // so the retiring server can register it.
 func (s *Server) RemoveServer(server int) (PartitionSchema, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.schema.slotIndex(server)
-	if j < 0 {
-		return PartitionSchema{}, fmt.Errorf("meta: remove server: slot %d not active", server)
-	}
-	slots := s.schema.ActiveSlots()
-	if len(slots) < 2 {
-		return PartitionSchema{}, fmt.Errorf("meta: remove server: slot %d is the last active slot", server)
-	}
-	slots = append(slots[:j], slots[j+1:]...)
-	bounds := append([]model.Key(nil), s.schema.Bounds...)
-	if j > 0 {
-		// Merge into the left neighbor: drop the separator below us.
-		bounds = append(bounds[:j-1], bounds[j:]...)
-	} else {
-		// Leftmost slot: the right neighbor absorbs the interval.
-		bounds = bounds[1:]
-	}
-	s.schema = PartitionSchema{
-		Version: s.schema.Version + 1,
-		Servers: s.schema.Servers,
-		Slots:   slots,
-		Bounds:  bounds,
-	}
-	return clonedSchema(s.schema), nil
+	return s.editState(func(st *state) error {
+		j := st.Schema.slotIndex(server)
+		if j < 0 {
+			return fmt.Errorf("meta: remove server: slot %d not active", server)
+		}
+		slots := st.Schema.ActiveSlots()
+		if len(slots) < 2 {
+			return fmt.Errorf("meta: remove server: slot %d is the last active slot", server)
+		}
+		slots = append(slots[:j], slots[j+1:]...)
+		bounds := st.Schema.Bounds
+		if j > 0 {
+			// Merge into the left neighbor: drop the separator below us.
+			bounds = append(bounds[:j-1], bounds[j:]...)
+		} else {
+			// Leftmost slot: the right neighbor absorbs the interval.
+			bounds = bounds[1:]
+		}
+		st.Schema = PartitionSchema{
+			Version: st.Schema.Version + 1,
+			Servers: st.Schema.Servers,
+			Slots:   slots,
+			Bounds:  bounds,
+		}
+		return nil
+	})
 }

@@ -194,56 +194,36 @@ func TestSetSchemaOverActiveSlots(t *testing.T) {
 	}
 }
 
-// TestStartGenerationNeverReusesAnEpoch: a process claims every slot in an
-// epoch generation of its own, so the epochs it hands out later — in memory,
-// snapshotted only at the next checkpoint — cannot come back after a crash
-// that restores the older snapshot.
-func TestStartGenerationNeverReusesAnEpoch(t *testing.T) {
+// TestClaimSlotsBumpsEveryEpoch: a process claims every slot by moving its
+// epoch up by one, which fences the previous owner and leaves the committed
+// offsets where they were. (That no epoch is handed out twice across a
+// crash is the deployment's to prove: the claim is durable before anything
+// runs under it, and the files a crash left unregistered are swept first.)
+func TestClaimSlotsBumpsEveryEpoch(t *testing.T) {
 	s := NewServer(2)
 	s.RegisterFlushOwned(1, s.Epoch(1), nil, 40)
-	s.StartGeneration()
-	first := s.Epoch(0)
-	if first>>epochGenShift != 1 || s.Epoch(1) != first {
-		t.Fatalf("claimed epochs %#x, %#x; want the first of generation 1", first, s.Epoch(1))
+	if _, _, err := s.TransferOwnership(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ClaimSlots(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Epoch(0) != 3 || s.Epoch(1) != 2 {
+		t.Fatalf("claimed epochs %d, %d; want 3 and 2", s.Epoch(0), s.Epoch(1))
 	}
 	if got := s.Offset(1); got != 40 {
 		t.Fatalf("claim moved the committed offset to %d, want 40", got)
 	}
 	// The previous owner (epoch 1) is fenced by the claim.
-	if _, err := s.RegisterFlushOwned(0, 1, nil, 7); !errors.Is(err, ErrFenced) {
+	if _, err := s.RegisterFlushOwned(1, 1, nil, 70); !errors.Is(err, ErrFenced) {
 		t.Fatalf("pre-claim epoch still writes: %v", err)
 	}
-	durable, err := s.Snapshot() // what a checkpoint right after Open holds
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Later, in memory only: two takeovers and a new slot.
-	used := map[int64]bool{first: true}
-	for i := 0; i < 2; i++ {
-		e, _, _ := s.TransferOwnership(0)
-		used[e] = true
-	}
+	// A slot added later starts at epoch 1: its chunk names carry its own id.
 	_, id, err := s.AddServer(0, 1<<40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := s.Epoch(id); e>>epochGenShift != 1 {
-		t.Fatalf("slot added in generation 1 starts at epoch %#x", e)
-	}
-	used[s.Epoch(id)] = true
-
-	// Crash: the next process restores the older snapshot and claims.
-	r, err := Restore(durable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.StartGeneration()
-	for i := 0; i < 4; i++ {
-		if e, _, _ := r.TransferOwnership(0); used[e] {
-			t.Fatalf("epoch %#x handed out by two processes", e)
-		}
-	}
-	if used[r.Epoch(1)] || r.Epoch(1)>>epochGenShift != 2 {
-		t.Fatalf("second process claimed epoch %#x", r.Epoch(1))
+	if e := s.Epoch(id); e != 1 {
+		t.Fatalf("added slot starts at epoch %d", e)
 	}
 }

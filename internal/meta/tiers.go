@@ -13,18 +13,18 @@ const (
 	TierCold
 )
 
-// SetTier relabels a chunk's retention tier. Returns false for unknown
-// chunks.
+// SetTier relabels a chunk's retention tier, a put of the relabelled chunk.
+// It returns once the change is durable; false for unknown chunks and when
+// the journal refused it.
 func (s *Server) SetTier(id model.ChunkID, tier int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	info, ok := s.chunks[id]
-	if !ok {
-		return false
-	}
-	info.Tier = tier
-	s.chunks[id] = info
-	return true
+	return s.commit(func() (*record, error) {
+		info, ok := s.chunks[id]
+		if !ok {
+			return nil, errNoChunk
+		}
+		info.Tier = tier
+		return &record{Puts: []ChunkInfo{info}}, nil
+	}) == nil
 }
 
 // TierCounts returns the number of chunks per retention tier.

@@ -22,18 +22,18 @@ import (
 // to the last (active) segment; once its body reaches SegmentBytes a fresh
 // file based at the head takes over (rollLocked). Retention is by whole
 // segment: Truncate unlinks every segment lying wholly below the horizon, so
-// the horizon a reopen reports is the first surviving segment's base.
-// Everything that reads a segment back — reopen, reads below the memory
-// start — steps through it with one frameWalker.
+// the files may begin below the horizon. A reopen starts the horizon at the
+// offset its replay starts from and loads only what lies above it, stepping
+// through each segment with one frameWalker.
 
 const walMagicLen = 8
 
 var walMagic = [walMagicLen]byte{'W', 'W', 'W', 'A', 'L', '0', '0', '1'}
 
 // SegmentBytes is the body size at which the active segment rolls. It is the
-// unit of retention (a checkpoint frees whole segments) and the most a read
-// below the memory start walks, so it is a constant of the layout, not a
-// knob: at 70 MB/s of log it is some 18 file creates a second.
+// unit of retention (a truncation frees whole segments), so it is a constant
+// of the layout, not a knob: at 70 MB/s of log it is some 18 file creates a
+// second.
 const SegmentBytes = 4 << 20
 
 const segSuffix = ".seg"
@@ -62,9 +62,10 @@ func OpenPartition(path string, cfg Config) (*Partition, error) {
 	return openPartition(path, cfg, 0)
 }
 
-// openPartition is OpenPartition with a memory floor: records below
-// resident are left in their segment files instead of loaded, so a reopen
-// costs the heap of the tail somebody will replay, not of the whole log.
+// openPartition is OpenPartition with a horizon: records below resident are
+// gone (ErrCompacted) and left in their segment files instead of loaded, so
+// a reopen costs the heap of the tail somebody will replay, not of the whole
+// log. The next Truncate unlinks the segments wholly below it.
 func openPartition(path string, cfg Config, resident int64) (*Partition, error) {
 	if st, err := os.Stat(path); err == nil && !st.IsDir() {
 		return nil, fmt.Errorf("%w: %s", ErrLegacyLayout, path)
@@ -101,8 +102,7 @@ func openPartition(path string, cfg Config, resident int64) (*Partition, error) 
 	} else if head, err = p.loadSegments(bases, resident); err != nil {
 		return nil, err
 	}
-	p.base = p.segs[0].base
-	p.memStart = head - int64(len(p.store))
+	p.base = head - int64(len(p.store))
 	p.head.Set(head)
 	// Everything that survived into the files counts as the durable
 	// baseline: it is what a reopen after a crash would see.
@@ -338,70 +338,6 @@ func (p *Partition) rollLocked() {
 	p.segs = append(p.segs, segment{base: head})
 }
 
-// readCold serves a read of [offset, offset+max) below the memory start
-// from the segment holding offset, found by base, ending at that segment's
-// end or the memory start at the latest. The walk resumes where the previous
-// cold read stopped when that is in the same segment and at or before offset
-// — a reader tailing the cold range pays for each file once, not once per
-// call — and starts at the head of the segment otherwise: a cold read costs
-// at most one segment. segMu keeps Truncate from unlinking the file under
-// the walk.
-func (p *Partition) readCold(offset int64, max int) ([]Record, error) {
-	p.segMu.Lock()
-	defer p.segMu.Unlock()
-	p.mu.Lock()
-	base, stop := p.base, p.memStart
-	i := sort.Search(len(p.segs), func(i int) bool { return p.segs[i].base > offset }) - 1
-	var seg segment
-	if i >= 0 {
-		seg = p.segs[i]
-		if i+1 < len(p.segs) {
-			stop = min(stop, p.segs[i+1].base)
-		}
-	}
-	p.mu.Unlock()
-	if offset < base || i < 0 {
-		return nil, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, base)
-	}
-	stop = min(stop, offset+int64(max))
-	f, err := os.Open(p.segPath(seg.base))
-	if err != nil {
-		return nil, fmt.Errorf("wal: read %d from %s: %w", offset, p.path, err)
-	}
-	defer f.Close()
-	start, want := int64(0), seg.base
-	if p.cold.seg == seg.base && p.cold.off >= 0 && p.cold.off <= offset {
-		start, want = p.cold.pos, p.cold.off
-	}
-	w := newFrameWalker(io.NewSectionReader(f, walMagicLen+start, seg.bytes-start), want)
-	var out []Record
-	for size := 0; w.want < stop && size < coldReadBytes; {
-		off, ok, err := w.next()
-		var data []byte
-		if ok {
-			data, ok, err = w.take(off >= offset)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wal: read %d from %s: %w", offset, p.path, err)
-		}
-		if !ok {
-			// Every byte below seg.bytes was written whole under mu.
-			return nil, fmt.Errorf("wal: read %d from %s: %w: segment %d ends at offset %d", offset, p.path, ErrCorruptSegment, seg.base, w.want)
-		}
-		if off >= offset {
-			out = append(out, Record{Offset: off, Data: data})
-			size += len(data)
-		}
-	}
-	p.cold.seg, p.cold.off, p.cold.pos = seg.base, w.want, start+w.end
-	p.coldWalked += w.end
-	return out, nil
-}
-
-// coldReadBytes ends a cold read early (Read returns "up to" max records),
-// so a reader asking for a long cold range holds a few MiB of it at a time.
-const coldReadBytes = 4 << 20
-
 // MaxRecordBytes bounds one WAL record (16 MiB).
 const MaxRecordBytes = 16 << 20
 
@@ -416,7 +352,7 @@ func (p *Partition) Sync() error {
 
 // truncateDisk is Truncate for a disk-backed partition: the exact horizon
 // moves in memory, and every segment lying wholly below it is unlinked —
-// outside mu, oldest first, never a file a cold read is walking (segMu). A
+// outside mu, oldest first, one truncation's unlinks at a time (segMu). A
 // horizon that reaches the head covers the active segment too: a fresh one
 // based at the head replaces it, so a log with nothing left to replay is one
 // 8-byte file whose name is its head. The horizon never passes the fsync
@@ -458,8 +394,6 @@ func (p *Partition) truncateDisk(before int64) {
 	if len(doomed) == 0 {
 		return
 	}
-	// A cold read that found one of the doomed segments before the horizon
-	// moved finishes its walk first; none can find them any more.
 	p.segMu.Lock()
 	defer p.segMu.Unlock()
 	if replaced && p.files.Sync(p.path) != nil {
@@ -512,9 +446,8 @@ func (p *Partition) CloseFile() error {
 
 // OpenLogDirConfig opens a disk-backed log with n partitions under dir
 // (partition i lives in the directory dir/p<i>.wal), all sharing one
-// durability config. resident gives each partition's memory floor: records
-// below resident(i) stay in their segment files instead of being loaded —
-// the caller names the offset its replay starts from.
+// durability config. resident gives each partition's horizon: the caller
+// names the offset its replay starts from, and below it is ErrCompacted.
 func OpenLogDirConfig(dir string, n int, cfg Config, resident func(part int) int64) (*Log, error) {
 	if n < 1 {
 		n = 1

@@ -48,88 +48,7 @@ func appendNumbered(t *testing.T, p *Partition, n int) {
 	}
 }
 
-// TestReleaseDiskKeepsEveryOffsetReadable: on a disk-backed partition
-// Release moves only the memory start. The logical horizon and the segment
-// files stay as they were; reads below the memory start come from the
-// files, across segment boundaries; Truncate below the memory start unlinks
-// whole segments and leaves the rest readable; and a reopen yields the same
-// records.
-func TestReleaseDiskKeepsEveryOffsetReadable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 2048) // 22 bytes a record: 94 to a segment
-	appendNumbered(t, p, 1000)
-	before := dirSize(t, path)
-	segsBefore := segBases(t, path)
-
-	p.Release(700)
-	if p.Len() != 300 || p.Base() != 0 || p.Next() != 1000 {
-		t.Fatalf("after Release(700): len=%d base=%d next=%d, want 300/0/1000", p.Len(), p.Base(), p.Next())
-	}
-	if want := int64(300 * len(numbered(0))); p.Bytes() != want {
-		t.Fatalf("resident bytes %d, want %d", p.Bytes(), want)
-	}
-	if after := dirSize(t, path); after != before || !slices.Equal(segBases(t, path), segsBefore) {
-		t.Fatalf("Release changed the segments: %d -> %d bytes, %v -> %v", before, after, segsBefore, segBases(t, path))
-	}
-	readThrough(t, p, 0, 1000, numbered)
-	// A backwards or repeated release is a no-op; one past the head clamps.
-	p.Release(10)
-	p.Release(700)
-	if p.Len() != 300 {
-		t.Fatalf("idempotent release changed len to %d", p.Len())
-	}
-
-	// The logical horizon moves below the memory start: still served cold.
-	p.Truncate(200)
-	if p.Base() != 200 || p.Len() != 300 {
-		t.Fatalf("after Truncate(200): base=%d len=%d", p.Base(), p.Len())
-	}
-	if _, err := p.Read(199, 1); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("read below the horizon: %v, want ErrCompacted", err)
-	}
-	if after := dirSize(t, path); after >= before {
-		t.Fatalf("truncate did not shrink the log: %d -> %d", before, after)
-	}
-	if got := segBases(t, path); got[0] != 188 { // 2 x 94
-		t.Fatalf("first segment after Truncate(200) is %d, want 188", got[0])
-	}
-	readThrough(t, p, 200, 1000, numbered)
-	appendNumbered(t, p, 50)
-	p.Release(1 << 40)
-	if p.Len() != 0 {
-		t.Fatalf("release past the head left %d resident", p.Len())
-	}
-	readThrough(t, p, 200, 1050, numbered)
-	p.CloseFile()
-
-	p2, err := OpenPartition(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.CloseFile()
-	if p2.Base() != 188 || p2.Next() != 1050 || p2.Len() != 1050-188 {
-		t.Fatalf("reopened: base=%d next=%d len=%d, want 188/1050/862", p2.Base(), p2.Next(), p2.Len())
-	}
-	readThrough(t, p2, 188, 1050, numbered)
-}
-
-// TestReleaseMemoryOnlyIsTruncate: with no file to fall back on, releasing
-// moves the horizon exactly as Truncate does.
-func TestReleaseMemoryOnlyIsTruncate(t *testing.T) {
-	p := NewPartition()
-	appendNumbered(t, p, 100)
-	p.Release(60)
-	if p.Base() != 60 || p.Len() != 40 {
-		t.Fatalf("base=%d len=%d, want 60/40", p.Base(), p.Len())
-	}
-	if _, err := p.Read(59, 1); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("read below a memory-only release: %v, want ErrCompacted", err)
-	}
-	p.Truncate(60) // what a checkpoint's truncate finds afterwards: nothing to do
-	readThrough(t, p, 60, 100, numbered)
-}
-
-// TestWindowArrayStaysBounded: a window that is released as fast as it is
+// TestWindowArrayStaysBounded: a window that is truncated as fast as it is
 // filled reuses its backing array — the array's size follows the window,
 // not the log — and an array a burst inflated is given back.
 func TestWindowArrayStaysBounded(t *testing.T) {
@@ -144,7 +63,7 @@ func TestWindowArrayStaysBounded(t *testing.T) {
 		if _, err := p.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		p.Release(p.Next() - window)
+		p.Truncate(p.Next() - window)
 		if c := cap(p.store); c > peak {
 			peak = c
 		}
@@ -163,11 +82,11 @@ func TestWindowArrayStaysBounded(t *testing.T) {
 	if burst < 2000*len(batch) {
 		t.Fatalf("burst of %d records fit %d slots", 2000*len(batch), burst)
 	}
-	// ...and once it is released, the next appends move to a small array.
-	p.Release(p.Next() - window)
+	// ...and once it is truncated, the next appends move to a small array.
+	p.Truncate(p.Next() - window)
 	for i := 0; i < 64; i++ {
 		p.AppendBatch(batch)
-		p.Release(p.Next() - window)
+		p.Truncate(p.Next() - window)
 	}
 	if c := cap(p.store); c > burst/8 {
 		t.Fatalf("backing array still %d slots after the burst drained (was %d)", c, burst)
@@ -175,8 +94,9 @@ func TestWindowArrayStaysBounded(t *testing.T) {
 	readThrough(t, p, p.Base(), p.Next(), func(off int64) []byte { return []byte{byte(off % 256)} })
 }
 
-// TestOpenLogDirResidentFloor: a reopen with a memory floor loads only the
-// tail at or above it; the rest stays readable from the segments.
+// TestOpenLogDirResidentFloor: a reopen at a replay offset loads only the
+// tail at or above it, and below it is ErrCompacted; the next truncation
+// unlinks the segments wholly below it.
 func TestOpenLogDirResidentFloor(t *testing.T) {
 	dir := t.TempDir()
 	l, err := openLogDir(dir, 2)
@@ -197,27 +117,36 @@ func TestOpenLogDirResidentFloor(t *testing.T) {
 	p0, p1 := l2.Partition(0), l2.Partition(1)
 	defer p0.CloseFile()
 	defer p1.CloseFile()
-	// One segment holds all 500 records, so the persisted horizon is its base.
-	if p0.Len() != 50 || p0.Base() != 0 || p0.Next() != 500 {
-		t.Fatalf("partition 0: len=%d base=%d next=%d, want 50/0/500", p0.Len(), p0.Base(), p0.Next())
+	// A floor past the head clamps to it.
+	if p0.Len() != 50 || p0.Base() != 450 || p0.Next() != 500 {
+		t.Fatalf("partition 0: len=%d base=%d next=%d, want 50/450/500", p0.Len(), p0.Base(), p0.Next())
 	}
-	if p1.Len() != 0 || p1.Base() != 0 || p1.Next() != 20 {
-		t.Fatalf("partition 1: len=%d base=%d next=%d, want 0/0/20", p1.Len(), p1.Base(), p1.Next())
+	if p1.Len() != 0 || p1.Base() != 20 || p1.Next() != 20 {
+		t.Fatalf("partition 1: len=%d base=%d next=%d, want 0/20/20", p1.Len(), p1.Base(), p1.Next())
 	}
-	readThrough(t, p0, 100, 500, numbered)
-	readThrough(t, p1, 0, 20, numbered)
+	if _, err := p0.Read(449, 1); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("read below the replay offset: %v, want ErrCompacted", err)
+	}
+	readThrough(t, p0, 450, 500, numbered)
 	appendNumbered(t, p1, 5)
-	readThrough(t, p1, 0, 25, numbered)
+	readThrough(t, p1, 20, 25, numbered)
+	// One segment holds all 500 records: the truncation at the head replaces
+	// it with an empty one.
+	p0.Truncate(500)
+	if got := segBases(t, filepath.Join(dir, "p0.wal")); !slices.Equal(got, []int64{500}) {
+		t.Fatalf("segments after the truncation: %v, want [500]", got)
+	}
 }
 
 // TestReleaseConcurrentWithEverything runs every actor that touches one
 // disk-backed partition at once — appenders (single records and batches),
-// a consumer reading the head, a flusher releasing what the consumer
-// applied, a standby reading small blocks from far behind, and a retention
-// loop moving the logical horizon and unlinking the
-// segments below it, on a log that rolls every few hundred records — and
-// requires that both readers see every offset exactly once, in order, with
-// the payload its appender framed. Run under -race.
+// a consumer reading the head, a flusher releasing what the consumer applied
+// (a truncation, floored at a standby reading small blocks from far behind:
+// the floor a flush commit's cut computes), and a second loop truncating at
+// the same floor and unlinking the segments below it, on a log that rolls
+// every few hundred records — and requires that both readers see every
+// offset exactly once, in order, with the payload its appender framed. Run
+// under -race.
 func TestReleaseConcurrentWithEverything(t *testing.T) {
 	dir := t.TempDir()
 	l, err := openLogDir(dir, 1)
@@ -300,32 +229,28 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 		}
 	}
 	var consumed, standby atomic.Int64
+	floor := func() int64 { return min(consumed.Load(), standby.Load()) }
 	var readers sync.WaitGroup
 	readers.Add(2)
 	go func() {
 		defer readers.Done()
 		follow("consumer", 256, func(n int64) {
 			consumed.Store(n)
-			// Release-on-commit: everything applied is released at once, so
-			// the standby behind it, reading 16 records at a time, reads cold
-			// almost all the time.
-			p.Release(n)
+			// Cut-on-commit: everything applied goes at once, down to the
+			// standby behind it.
+			p.Truncate(floor())
 		})
 	}()
 	go func() {
 		defer readers.Done()
-		// Start behind the release point, so the cold path is walked however
-		// the scheduler interleaves the two readers: a standby that happened
-		// to keep pace with the consumer read nothing cold, about once in
-		// three hundred runs on a loaded two-core host.
+		// Start far behind the consumer, so the floor is the standby's.
 		for consumed.Load() < total/4 {
 			runtime.Gosched()
 		}
 		follow("standby", 16, standby.Store)
 	}()
 
-	// Retention: the logical horizon follows the slower reader (the floor a
-	// checkpoint's truncate computes) and the segments below it go.
+	// A second truncating actor at the same floor.
 	stop := make(chan struct{})
 	var maint sync.WaitGroup
 	maint.Add(1)
@@ -337,7 +262,7 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 				return
 			default:
 			}
-			p.Truncate(min(consumed.Load(), standby.Load()))
+			p.Truncate(floor())
 			runtime.Gosched()
 		}
 	}()
@@ -347,20 +272,18 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	p.Truncate(floor())
 
 	head := p.Next()
 	if head < total || consumed.Load() != head || standby.Load() != head {
 		t.Fatalf("head %d (want >= %d), consumer at %d, standby at %d", head, total, consumed.Load(), standby.Load())
 	}
-	if p.Len() != 0 {
-		t.Fatalf("%d records resident after everything was released", p.Len())
+	if p.Len() != 0 || p.Base() != head {
+		t.Fatalf("%d records resident, horizon %d, after everything was truncated", p.Len(), p.Base())
 	}
-	if p.coldWalked == 0 {
-		t.Fatal("the standby never read below the released window")
-	}
-	// What the horizon still covers survives a reopen, which reports the
-	// first surviving segment's base: at or below the exact horizon, within
-	// one segment of it.
+	// The files survive a reopen, which reports the first surviving
+	// segment's base: at or below the exact horizon, within one segment of
+	// it.
 	base := p.Base()
 	count := func(tail *Partition) int64 {
 		n := base

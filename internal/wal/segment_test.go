@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -120,8 +119,6 @@ func TestGoldenSegment(t *testing.T) {
 		t.Fatalf("golden segment loaded as [%d, %d), want [0, %d)", p2.Base(), p2.Next(), len(goldenRecords))
 	}
 	readThrough(t, p2, 0, p2.Next(), func(off int64) []byte { return goldenRecords[off] })
-	p2.Release(p2.Next()) // and the same through the cold path
-	readThrough(t, p2, 0, p2.Next(), func(off int64) []byte { return goldenRecords[off] })
 }
 
 // TestSegmentRollUnderConcurrentUse: appenders, a SyncTo loop (the flusher's
@@ -166,7 +163,6 @@ func TestSegmentRollUnderConcurrentUse(t *testing.T) {
 				t.Errorf("SyncTo: %v", err)
 				return
 			}
-			p.Release(p.Next() - 50) // most of the reader's range is cold
 		}
 	}()
 	const total = writers * perWriter * 2
@@ -263,20 +259,19 @@ func TestAckWaitsForRolledSegment(t *testing.T) {
 }
 
 // TestTruncateUnlinksWholeSegments: Truncate unlinks exactly the segments
-// lying wholly below the horizon — waiting out a cold read that is walking
-// one of them, while appends keep landing — and a horizon at the head
-// replaces the active segment, leaving one empty file named by the head.
+// lying wholly below the horizon — waiting out another truncation's unlinks,
+// while appends keep landing — and a horizon at the head replaces the
+// active segment, leaving one empty file named by the head.
 func TestTruncateUnlinksWholeSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
 	p := openSmall(t, path, Config{}, 1024) // 22 bytes a record: 47 to a segment
 	appendNumbered(t, p, 500)
-	p.Release(500)
 	want := []int64{0, 47, 94, 141, 188, 235, 282, 329, 376, 423, 470}
 	if got := segBases(t, path); !slices.Equal(got, want) {
 		t.Fatalf("segments %v, want %v", got, want)
 	}
 
-	// A cold reader mid-walk: segMu is what a walk holds.
+	// Another truncation mid-unlink: segMu is what its unlinks hold.
 	p.segMu.Lock()
 	done := make(chan struct{})
 	go func() { p.Truncate(300); close(done) }()
@@ -285,7 +280,7 @@ func TestTruncateUnlinksWholeSegments(t *testing.T) {
 	}
 	appendNumbered(t, p, 10) // ...appends continue...
 	if got := segBases(t, path); !slices.Equal(got, want) {
-		t.Fatalf("segments unlinked under a cold read's walk: %v", got) // ...and no file goes
+		t.Fatalf("segments unlinked under another truncation's unlinks: %v", got) // ...and no file goes
 	}
 	p.segMu.Unlock()
 	<-done
@@ -364,10 +359,13 @@ func TestReopenSegmentedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.CloseFile()
-		if p.Base() != 0 || p.Next() != 200 || p.Len() != 50 {
-			t.Fatalf("base=%d next=%d len=%d, want 0/200/50", p.Base(), p.Next(), p.Len())
+		if p.Base() != 150 || p.Next() != 200 || p.Len() != 50 {
+			t.Fatalf("base=%d next=%d len=%d, want 150/200/50", p.Base(), p.Next(), p.Len())
 		}
-		readThrough(t, p, 0, 200, numbered)
+		if _, err := p.Read(149, 1); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("read below the replay floor: %v, want ErrCompacted", err)
+		}
+		readThrough(t, p, 150, 200, numbered)
 	})
 	t.Run("torn tail in the last segment", func(t *testing.T) {
 		path := build(t)
@@ -403,16 +401,16 @@ func TestReopenSegmentedLog(t *testing.T) {
 		if _, err := OpenPartition(path, Config{}); !errors.Is(err, ErrCorruptSegment) {
 			t.Fatalf("open over a gap: %v, want ErrCorruptSegment", err)
 		}
-		// Below the replay floor the gap is not walked at open; the read
-		// that reaches it says so.
+		// Below the replay floor the gap is not walked at open: what lies
+		// there is gone either way.
 		p, err := openPartition(path, Config{}, 150)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.CloseFile()
-		readThrough(t, p, 141, 200, numbered)
-		if _, err := p.Read(100, 1); !errors.Is(err, ErrCorruptSegment) {
-			t.Fatalf("read into the gap: %v, want ErrCorruptSegment", err)
+		readThrough(t, p, 150, 200, numbered)
+		if _, err := p.Read(100, 1); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("read into the gap: %v, want ErrCompacted", err)
 		}
 	})
 	t.Run("stray empty segments", func(t *testing.T) {
@@ -517,41 +515,6 @@ func TestCrashDiscardAcrossRoll(t *testing.T) {
 			appendNumbered(t, p2, 40)
 			readThrough(t, p2, 0, 100, numbered)
 		})
-	}
-}
-
-// TestColdReadWalksAtMostOneSegment: a read below the memory start finds its
-// segment by base and walks inside it, so its cost is bounded by the segment
-// size, wherever in the history it lands; a tail through the cold range
-// walks each byte once.
-func TestColdReadWalksAtMostOneSegment(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 4096)
-	appendNumbered(t, p, 5000)
-	p.Release(5000)
-	defer p.CloseFile()
-	total := dirSize(t, path)
-	walked := func() int64 {
-		p.segMu.Lock()
-		defer p.segMu.Unlock()
-		return p.coldWalked
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		off := rng.Int63n(5000)
-		before := walked()
-		recs, err := p.Read(off, 1)
-		if err != nil || len(recs) != 1 || !bytes.Equal(recs[0].Data, numbered(off)) {
-			t.Fatalf("cold read at %d: %v, %v", off, recs, err)
-		}
-		if w := walked() - before; w > 4096+22 {
-			t.Fatalf("cold read at %d walked %d bytes of a %d-byte log; a segment is %d", off, w, total, 4096+22)
-		}
-	}
-	before := walked()
-	readThrough(t, p, 0, 5000, numbered)
-	if w := walked() - before; w > total {
-		t.Fatalf("tailing the cold range walked %d bytes; the log holds %d", w, total)
 	}
 }
 

@@ -55,18 +55,13 @@ type Partition struct {
 	// head is the offset the next record will receive, published after
 	// every append for ReadBlocking to park on; Close fails it.
 	head Watermark
-	// Two horizons. base is the logical one: offsets below it are gone and
-	// read as ErrCompacted; only Truncate moves it. memStart is the memory one:
-	// the offset of the first resident record, base <= memStart <= head.
-	// Release moves it without touching the files, and a disk-backed partition
-	// serves [base, memStart) from its segments (readCold). A memory-only
-	// partition has nowhere else to read from, so there the two always
-	// coincide.
-	base     int64
-	memStart int64
+	// base is the horizon: the offset of the first resident record. Offsets
+	// below it are gone and read as ErrCompacted; only Truncate moves it (and
+	// a reopen, which starts it at the replay offset).
+	base int64
 	// store[lo:] is the resident window, store[lo+i] holding offset
-	// memStart+i; store[:lo] are released slots, reused by sliding the
-	// window down instead of growing the array (reserveLocked).
+	// base+i; store[:lo] are released slots, reused by sliding the window
+	// down instead of growing the array (reserveLocked).
 	store [][]byte
 	lo    int
 	// bytes is the resident payload size.
@@ -77,9 +72,8 @@ type Partition struct {
 
 	// Disk backing (path empty for in-memory partitions); see disk.go. segs is
 	// the run of segment files in path, ascending, the last one active: file
-	// is its handle, the only one the partition keeps. segMu keeps a cold
-	// read's walk apart from Truncate's unlinks and guards the walk's resume
-	// point; it is taken before mu, never with syncMu.
+	// is its handle, the only one the partition keeps. segMu keeps two
+	// truncations' unlinks apart; it is taken before mu, never with syncMu.
 	path     string
 	files    *durable.Files
 	segs     []segment
@@ -87,11 +81,6 @@ type Partition struct {
 	file     *os.File
 	fileErr  error
 	segMu    sync.Mutex
-	// cold is where the last cold read stopped: the frame carrying offset off
-	// starts at body position pos of segment seg. coldWalked counts the body
-	// bytes cold reads walked.
-	cold       struct{ seg, off, pos int64 }
-	coldWalked int64
 	// failAppends arms FailNextAppends's transient (non-sticky) faults.
 	failAppends int
 
@@ -159,6 +148,18 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 // segment is broken every later append fails until the partition is
 // reopened.
 func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
+	return p.startAppend(datas, false)
+}
+
+// StartSegment is StartAppend of one record that opens a fresh segment file
+// of its own (unless the active one is still empty): a Truncate at its
+// offset then unlinks every segment before it. The metadata journal puts
+// each of its images there.
+func (p *Partition) StartSegment(data []byte) (end int64, err error) {
+	return p.startAppend([][]byte{data}, true)
+}
+
+func (p *Partition) startAppend(datas [][]byte, fresh bool) (end int64, err error) {
 	total := 0
 	for _, d := range datas {
 		total += recordHeaderLen + len(d)
@@ -183,6 +184,9 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 	if p.failAppends > 0 {
 		p.failAppends--
 		return 0, ErrInjectedAppend
+	}
+	if fresh && p.file != nil && p.segs[len(p.segs)-1].bytes > 0 {
+		p.rollLocked()
 	}
 	p.reserveLocked(len(datas))
 	mark := len(p.store)
@@ -248,7 +252,7 @@ func (p *Partition) Err() error {
 
 // headLocked returns the offset the next record will receive. Requires mu.
 func (p *Partition) headLocked() int64 {
-	return p.memStart + int64(len(p.store)-p.lo)
+	return p.base + int64(len(p.store)-p.lo)
 }
 
 // reserveLocked makes room for n more records without letting the backing
@@ -269,7 +273,7 @@ func (p *Partition) reserveLocked(n int) {
 // Next returns the offset the next Append will receive.
 func (p *Partition) Next() int64 { return p.head.Load() }
 
-// Base returns the logical horizon: the lowest offset Read still answers.
+// Base returns the horizon: the lowest offset Read still answers.
 func (p *Partition) Base() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -278,19 +282,12 @@ func (p *Partition) Base() int64 {
 
 // Read returns up to max records starting at offset, without blocking. It
 // returns ErrCompacted when offset precedes the retention horizon. Reading
-// at the head returns an empty slice. A disk-backed partition answers
-// offsets below its memory start from the segment holding them; such a read
-// ends with that segment, or at the memory start, at the latest, and the
-// next one continues from there.
+// at the head returns an empty slice.
 func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1024
 	}
 	p.mu.Lock()
-	if offset >= p.base && offset < p.memStart {
-		p.mu.Unlock() // below the resident window: the segment answers
-		return p.readCold(offset, max)
-	}
 	defer p.mu.Unlock()
 	if offset < p.base {
 		return nil, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
@@ -299,7 +296,7 @@ func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	window := p.store[p.lo+int(offset-p.memStart):]
+	window := p.store[p.lo+int(offset-p.base):]
 	out := make([]Record, n)
 	for i := range out {
 		out[i] = Record{Offset: offset + int64(i), Data: window[i]}
@@ -333,10 +330,11 @@ func (p *Partition) ReadBlocking(offset int64, max int, cancel <-chan struct{}) 
 	}
 }
 
-// Truncate advances the logical horizon: records with offsets below before
-// are gone (retention) — from memory, and from a disk-backed partition every
-// segment file lying wholly below the horizon (truncateDisk). Truncating
-// past the head drops everything retained.
+// Truncate advances the horizon: records with offsets below before are gone
+// (retention, and a flush commit letting go of what no replay reads) — from
+// memory, and from a disk-backed partition every segment file lying wholly
+// below the horizon (truncateDisk). Truncating past the head drops
+// everything retained.
 func (p *Partition) Truncate(before int64) {
 	if p.path != "" {
 		p.truncateDisk(before)
@@ -347,59 +345,34 @@ func (p *Partition) Truncate(before int64) {
 	p.mu.Unlock()
 }
 
-// truncateLocked moves the logical horizon up to before (clamped to the
-// head) and drops the resident records below it. Requires mu.
+// truncateLocked moves the horizon up to before (clamped to the head) and
+// drops the resident records below it. Requires mu.
 func (p *Partition) truncateLocked(before int64) {
-	if before = min(before, p.headLocked()); before > p.base {
-		p.releaseLocked(before)
-		p.base = before
-	}
-}
-
-// Release drops the resident copy of every record below before — the memory
-// horizon, which the owner advances when a flush commit makes those records
-// dead to every in-process reader. A disk-backed partition does no file I/O
-// here and keeps answering the released offsets from its segments, whose
-// logical horizon stays where Truncate left it (a crash may restore older
-// offsets than the commit that released them). For a memory-only partition
-// releasing is truncating. A partition nobody releases keeps everything.
-func (p *Partition) Release(before int64) {
-	if p.path == "" {
-		p.Truncate(before)
-		return
-	}
-	p.mu.Lock()
-	p.releaseLocked(before)
-	p.mu.Unlock()
-}
-
-// releaseLocked moves the memory start up to before (clamped to the head).
-// Requires mu.
-func (p *Partition) releaseLocked(before int64) {
 	if head := p.headLocked(); before > head {
 		before = head
 	}
-	if before <= p.memStart {
+	if before <= p.base {
 		return
 	}
 	window := len(p.store) - p.lo
-	hi := p.lo + int(before-p.memStart)
+	hi := p.lo + int(before-p.base)
 	for _, rec := range p.store[p.lo:hi] {
 		p.bytes -= int64(len(rec))
 	}
 	clear(p.store[p.lo:hi])
-	p.lo, p.memStart = hi, before
-	// The window only grows between releases, so `window` is what the array
-	// had to hold since the last one. An array many times that size is left
-	// over from a burst (a parked flusher's backlog): give it back. A steady
-	// fill-and-release cycle keeps the array within 4x its largest window
-	// (append doubles, reserveLocked reuses), so there this never fires.
+	p.lo, p.base = hi, before
+	// The window only grows between truncations, so `window` is what the
+	// array had to hold since the last one. An array many times that size is
+	// left over from a burst (a parked flusher's backlog): give it back. A
+	// steady fill-and-truncate cycle keeps the array within 4x its largest
+	// window (append doubles, reserveLocked reuses), so there this never
+	// fires.
 	if cap(p.store) > 8*window+minWindowCap {
 		p.store, p.lo = append(make([][]byte, 0, 2*window), p.store[p.lo:]...), 0
 	}
 }
 
-// minWindowCap is the backing-array size releaseLocked does not bother to
+// minWindowCap is the backing-array size truncateLocked does not bother to
 // shrink.
 const minWindowCap = 1024
 

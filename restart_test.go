@@ -2,13 +2,13 @@ package waterwheel
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -286,7 +286,7 @@ func restartSecondProcess(dir string) error {
 // meta.snap, and the reopen after it swept the newer chunks as orphans and
 // could not replay below the log's horizon: every tuple the newer process
 // acked was gone. Now the handle, and the cluster under it, answer ErrClosed
-// and the file stays as the newer process left it.
+// and the metadata journal stays as the newer process left it.
 func TestCheckpointAfterCloseWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Nodes: 1, IndexServersPerNode: 2, QueryServersPerNode: 2, ChunkBytes: 32 << 10, DataDir: dir, Seed: 1}
@@ -317,19 +317,30 @@ func TestCheckpointAfterCloseWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := filepath.Join(dir, "meta.snap")
-	before, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
+	journal := func() map[string]string {
+		entries, err := os.ReadDir(filepath.Join(dir, "meta.wal"))
+		if err != nil || len(entries) == 0 {
+			t.Fatalf("the metadata journal: %d files, %v", len(entries), err)
+		}
+		files := make(map[string]string)
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, "meta.wal", e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
 	}
+	before := journal()
 	if err := stale.Checkpoint(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Checkpoint on a closed DB = %v, want ErrClosed", err)
 	}
 	if err := stale.Cluster().Checkpoint(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Checkpoint on a stopped cluster = %v, want ErrClosed", err)
 	}
-	if after, err := os.ReadFile(snap); err != nil || !bytes.Equal(before, after) {
-		t.Errorf("meta.snap changed under a closed handle's Checkpoint (err %v)", err)
+	if after := journal(); !reflect.DeepEqual(before, after) {
+		t.Errorf("the metadata journal changed under a closed handle's Checkpoint")
 	}
 
 	db, err := Open(opts)

@@ -136,7 +136,7 @@ type Options struct {
 	// Durability selects when Insert acknowledges a tuple relative to WAL
 	// fsync (DataDir mode): "" or "ack-on-write" acks once the record is
 	// written to the OS page cache (fastest; a host crash can drop acked
-	// tuples appended since the last Checkpoint), "ack-on-fsync" group-
+	// tuples appended since the last flush commit), "ack-on-fsync" group-
 	// commits — Insert returns only after a batched fsync covers the
 	// record, so an acked tuple survives a host crash — and "interval"
 	// fsyncs in the background every FsyncIntervalMillis, bounding the
@@ -217,10 +217,11 @@ func Open(opts Options) (*DB, error) {
 	return &DB{c: c}, nil
 }
 
-// Checkpoint puts the chunks flushed so far and the metadata naming them on
-// stable storage and unlinks the WAL segments they replace, when the store
-// was opened with a DataDir; otherwise it is a no-op. The store takes one by
-// itself every few flushes, and at the end of every Flush. After Close the
+// Checkpoint puts the WAL on stable storage, compacts the metadata journal
+// and unlinks the WAL segments the flushed chunks replace, when the store
+// was opened with a DataDir; otherwise it is a no-op. Nothing needs it to
+// survive a crash: every flush commit is durable when it lands and unlinks
+// the log behind it, and the journal compacts by itself. After Close the
 // error is ErrClosed and nothing is written: the data directory may be
 // another process's by then.
 func (db *DB) Checkpoint() error {
@@ -324,10 +325,10 @@ func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 // stay acked, and unapplied until the slot is taken over), or ErrClosed.
 func (db *DB) Drain() error { return db.c.Drain() }
 
-// Flush forces every indexing server to flush its memtables to chunks and,
-// with a DataDir, checkpoints: when it returns nil, everything inserted
-// before the call is in chunks on stable storage and a restart replays none
-// of it. The error is a flush failure no retry can mend, or the checkpoint's.
+// Flush forces every indexing server to flush its memtables to chunks: when
+// it returns nil, everything inserted before the call is in chunks — with a
+// DataDir, on stable storage, named by durable metadata — and a restart
+// replays none of it. The error is a flush failure no retry can mend.
 func (db *DB) Flush() error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -444,7 +445,7 @@ func (db *DB) Traces() []*QueryTrace { return db.c.TraceRing().Recent() }
 // DropBefore removes all chunks that end before the horizon (retention),
 // returning how many were dropped. Chunk files are deleted only after
 // queries planned before the drop have drained. The log needs no call:
-// every flush commit releases its memory and every checkpoint its disk.
+// every flush commit lets go of its memory and its disk.
 func (db *DB) DropBefore(horizon Timestamp) int {
 	return db.c.DropChunksBefore(horizon)
 }

@@ -55,15 +55,25 @@ type LeafAgg struct {
 	Buckets []AggBucket
 }
 
-// buildLeafAgg folds a leaf's columns into time buckets.
+// buildLeafAgg folds a leaf's columns into time buckets. A leaf whose time
+// range int64 arithmetic cannot tile — a bucket start below MinTimestamp,
+// or a span past MaxInt64, which timestamps near both ends of the domain
+// ask for — gets no buckets, and its aggregates are scanned.
 func buildLeafAgg(lc *core.LeafCols, field uint32, width, minT, maxT int64) LeafAgg {
 	if width <= 0 {
 		width = 1000
 	}
-	first := model.FloorDiv(minT, width) * width
-	for (maxT-first)/width+1 > maxAggBuckets {
-		width *= 2
+	var first int64
+	for {
 		first = model.FloorDiv(minT, width) * width
+		span := maxT - first
+		if first > minT || span < 0 { // wrapped
+			return LeafAgg{}
+		}
+		if span/width+1 <= maxAggBuckets {
+			break
+		}
+		width *= 2
 	}
 	la := LeafAgg{
 		Width:   width,

@@ -35,10 +35,11 @@ type leafScratch struct {
 	keys, ts, lens []byte
 }
 
-// appendLeafV2 appends the columnar encoding of one non-empty leaf,
-// transcoding the snapshot's columns directly — no model.Tuple is ever
-// built on this path.
-func appendLeafV2(dst []byte, lc *core.LeafCols, sc *leafScratch) []byte {
+// appendLeafColumns appends one non-empty leaf's body up to its payloads —
+// the three column lengths and the columns — transcoding the snapshot's
+// columns directly: no model.Tuple is ever built on this path. The payloads
+// follow in the chunk, copied straight from the snapshot (buildV2).
+func appendLeafColumns(dst []byte, lc *core.LeafCols, sc *leafScratch) []byte {
 	n := lc.Len()
 	var vb [binary.MaxVarintLen64]byte
 
@@ -109,11 +110,7 @@ func appendLeafV2(dst []byte, lc *core.LeafCols, sc *leafScratch) []byte {
 	dst = appendU32(dst, uint32(len(sc.lens)))
 	dst = append(dst, sc.keys...)
 	dst = append(dst, sc.ts...)
-	dst = append(dst, sc.lens...)
-	for j := 0; j < n; j++ {
-		dst = append(dst, lc.Payload(j)...)
-	}
-	return dst
+	return append(dst, sc.lens...)
 }
 
 // buildV2 serializes a flush snapshot in the columnar layout.
@@ -134,12 +131,19 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		leafAggs = make([]LeafAgg, nLeaves)
 		chunkAgg = &model.ChunkAgg{Field: aggField}
 	}
-	var body []byte
+	// The leaves' columns are encoded first, into one buffer for the whole
+	// chunk (cols, leaf i's ending at colEnd[i]); each leaf's length is then
+	// known — its columns and its payload bytes — and so is the chunk's. The
+	// chunk is one exact allocation, and the payloads are copied into it
+	// once, straight from the snapshot, behind their leaf's columns.
+	var cols []byte
+	colEnd := make([]int, nLeaves)
 	var sc leafScratch
 	for i := range snap.Leaves {
 		lc := &snap.Leaves[i]
 		n := lc.Len()
-		start := len(body)
+		start := len(cols)
+		payBytes := 0
 		info := LeafInfo{Count: n}
 		if n > 0 {
 			info.MinT, info.MaxT = lc.Times[0], lc.Times[0]
@@ -155,6 +159,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 			sec = bloom.NewWithEstimates(n, opts.FPRate)
 		}
 		for j := 0; j < n; j++ {
+			payBytes += lc.PayloadLen(j)
 			ts := lc.Times[j]
 			if ts < info.MinT {
 				info.MinT = ts
@@ -178,13 +183,14 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 			}
 		}
 		if n > 0 {
-			body = appendLeafV2(body, lc, &sc)
+			cols = appendLeafColumns(cols, lc, &sc)
 			if leafAggs != nil {
 				leafAggs[i] = buildLeafAgg(lc, aggField, opts.BucketMillis,
 					int64(info.MinT), int64(info.MaxT))
 			}
 		}
-		info.Length = int64(len(body) - start)
+		colEnd[i] = len(cols)
+		info.Length = int64(len(cols) - start + payBytes)
 		dir[i] = info // Offset fixed up after the header size is known.
 		if sk != nil {
 			sketches[i] = sk.AppendTo(nil)
@@ -219,7 +225,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		off += dir[i].Length
 	}
 
-	out := make([]byte, 0, hlen+len(body))
+	out := make([]byte, 0, off)
 	out = append(out, magicV2[:]...)
 	out = appendU32(out, uint32(hlen))
 	out = appendU64(out, uint64(snap.Count))
@@ -272,7 +278,18 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 	if len(out) != hlen {
 		return nil, Meta{}, fmt.Errorf("chunk: header size miscomputed: %d != %d", len(out), hlen)
 	}
-	out = append(out, body...)
+	start := 0
+	for i := range snap.Leaves {
+		out = append(out, cols[start:colEnd[i]]...)
+		start = colEnd[i]
+		lc := &snap.Leaves[i]
+		for j := 0; j < lc.Len(); j++ {
+			out = append(out, lc.Payload(j)...)
+		}
+	}
+	if int64(len(out)) != off {
+		return nil, Meta{}, fmt.Errorf("chunk: body size miscomputed: %d != %d", len(out), off)
+	}
 
 	meta := Meta{
 		Count:     snap.Count,

@@ -233,3 +233,39 @@ func TestV2CompressionRatio(t *testing.T) {
 		t.Fatalf("chunk bytes/tuple %.1f exceeds 0.7× the row encoding (%.1f)", cols, 0.7*rows)
 	}
 }
+
+// TestExtremeTimestampsBuild: a leaf whose timestamps reach both ends of the
+// domain — what any client may send — builds, parses and reads back; its
+// pre-aggregates either tile it exactly or are left out, never a panic. (A
+// bucket span past MaxInt64 once wrapped negative and the build panicked,
+// taking the flusher and the server with it.)
+func TestExtremeTimestampsBuild(t *testing.T) {
+	for _, times := range [][]model.Timestamp{
+		{model.MinTimestamp, -5, 7, model.MaxTimestamp},
+		{model.MinTimestamp + 1, model.MinTimestamp + 2},
+		{model.MaxTimestamp - 1, model.MaxTimestamp},
+		{-1 << 62, 1 << 62},
+	} {
+		tree := core.NewTemplateTree(core.TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 100}, Leaves: 1})
+		for i, ts := range times {
+			tree.Insert(model.Tuple{Key: model.Key(i), Time: ts, Payload: []byte{byte(i)}})
+		}
+		data, _, err := Build(tree.FlushReset(), BuildOptions{BucketMillis: 1000})
+		if err != nil {
+			t.Fatalf("times %v: %v", times, err)
+		}
+		h, err := ParseHeader(data)
+		if err != nil {
+			t.Fatalf("times %v: %v", times, err)
+		}
+		d := h.Dir[0]
+		got, err := leafTuples(h, 0, data[d.Offset:d.Offset+d.Length])
+		if err != nil || len(got) != len(times) {
+			t.Fatalf("times %v: read back %d tuples, %v", times, len(got), err)
+		}
+		var agg model.AggPartial
+		if h.FoldLeafAggAll(0, true, &agg) && agg.Count != uint64(len(times)) {
+			t.Fatalf("times %v: the buckets count %d tuples, want %d", times, agg.Count, len(times))
+		}
+	}
+}

@@ -443,8 +443,9 @@ type walSink struct {
 const rerouteHops = 16
 
 // SendGroups persists each group with one AppendBatch's worth of work —
-// one encode buffer, one partition lock, one segment write — and appends
-// EVERY group before it waits on ANY (wal.StartAppend, then
+// the group's records handed to the log as they are, which copies them
+// once into a buffer of its own, one partition lock, one segment write —
+// and appends EVERY group before it waits on ANY (wal.StartAppend, then
 // wal.AwaitDurable): under ack-on-fsync the partitions' group commits run
 // side by side and the batch parks once per server with the waits
 // overlapping, so its ack latency is the slowest server's cohort, not the
@@ -483,7 +484,7 @@ func (s walSink) SendGroups(groups []dispatcher.Group) (rejected []int, err erro
 		}
 		p := s.c.log.Partition(g.Server)
 		s.c.walAppendCalls.Inc()
-		end, err := p.StartAppend(encodeRecords(g.Tuples))
+		end, err := p.StartAppend(g.Records)
 		switch {
 		case err == nil:
 			flights = append(flights, inFlight{g, p, end})
@@ -497,10 +498,10 @@ func (s walSink) SendGroups(groups []dispatcher.Group) (rejected []int, err erro
 	}
 	for _, g := range reroute {
 		if s.hop >= rerouteHops {
-			reject(g, fmt.Errorf("cluster: wal append: no active slot for key %d after %d reroutes", g.Tuples[0].Key, s.hop))
+			reject(g, fmt.Errorf("cluster: wal append: no active slot for key %d after %d reroutes", model.RecordKey(g.Records[0]), s.hop))
 			continue
 		}
-		rej, err := dispatcher.SendGrouped(s.c.ms.Schema(), walSink{s.c, s.hop + 1}, g.Tuples)
+		rej, err := dispatcher.SendGrouped(s.c.ms.Schema(), walSink{s.c, s.hop + 1}, g.Records)
 		for _, i := range rej {
 			rejected = append(rejected, g.At(i))
 		}
@@ -513,27 +514,9 @@ func (s walSink) SendGroups(groups []dispatcher.Group) (rejected []int, err erro
 			reject(f.g, fmt.Errorf("cluster: wal append (server %d): %w", f.g.Server, err))
 			continue
 		}
-		s.c.walAppends.Add(int64(len(f.g.Tuples)))
+		s.c.walAppends.Add(int64(len(f.g.Records)))
 	}
 	return rejected, errors.Join(errs...)
-}
-
-// encodeRecords encodes ts into one buffer and returns one record per
-// tuple aliasing it — the buffer is sized exactly, so the records can never
-// share appended bytes.
-func encodeRecords(ts []model.Tuple) [][]byte {
-	total := 0
-	for i := range ts {
-		total += model.EncodedSize(&ts[i])
-	}
-	buf := make([]byte, 0, total)
-	datas := make([][]byte, len(ts))
-	for i := range ts {
-		pos := len(buf)
-		buf = model.AppendTuple(buf, &ts[i])
-		datas[i] = buf[pos:len(buf):len(buf)]
-	}
-	return datas
 }
 
 // Insert routes one tuple through a dispatcher (round-robin across the
@@ -556,10 +539,24 @@ func (c *Cluster) InsertBatch(ts []model.Tuple) (rejected []int, err error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
+	return c.batchDispatcher(len(ts)).DispatchBatch(ts)
+}
+
+// InsertEncoded is InsertBatch for a batch already in wire encoding — n
+// whole records back to back, as model.CountTuples counts them — which is
+// routed and appended as it is, never decoded.
+func (c *Cluster) InsertEncoded(buf []byte, n int) (rejected []int, err error) {
+	if n == 0 {
+		return nil, nil
+	}
+	return c.batchDispatcher(n).DispatchEncoded(buf)
+}
+
+// batchDispatcher counts a batch of n tuples and picks its dispatcher.
+func (c *Cluster) batchDispatcher(n int) *dispatcher.Dispatcher {
 	c.insertBatches.Inc()
-	c.batchRecords.Observe(time.Duration(len(ts)) * time.Second)
-	d := c.disp[int(c.rr.Add(1))%len(c.disp)]
-	return d.DispatchBatch(ts)
+	c.batchRecords.Observe(time.Duration(n) * time.Second)
+	return c.disp[int(c.rr.Add(1))%len(c.disp)]
 }
 
 // Query executes a temporal range query and returns the merged result.

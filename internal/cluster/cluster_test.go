@@ -4,11 +4,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"waterwheel/internal/dispatcher"
 	"waterwheel/internal/model"
@@ -277,10 +280,60 @@ func queryTimes(t *testing.T, c *Cluster) []model.Timestamp {
 	return out
 }
 
+// TestAppendSideAllocatesOnlyTheWALCopy: from a batch of tuples to the log,
+// a batch spanning two servers allocates no more bytes per tuple than the
+// WAL's own copy of it — the record, its 12 B frame header and its slot in
+// the resident window. The one encode is into a pooled buffer, the
+// scatter's working set is pooled, and each server's records go to
+// StartAppend as they are, which copies them once. The consumers are not
+// started, so the log's buffers are all that grows.
+func TestAppendSideAllocatesOnlyTheWALCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops entries at random")
+	}
+	c := New(testConfig()) // two servers, split at 1<<63
+	defer c.Stop()
+	payload := make([]byte, 16)
+	for _, n := range []int{64, 1024} {
+		batch := make([]model.Tuple, n)
+		for i := range batch {
+			batch[i] = model.Tuple{Key: model.Key(uint64(i%2)<<63 | uint64(i)), Time: model.Timestamp(i), Payload: payload}
+		}
+		run := func() {
+			if rejected, err := c.InsertBatch(batch); err != nil {
+				t.Fatalf("InsertBatch rejected %v: %v", rejected, err)
+			}
+			for i := 0; i < c.WAL().Partitions(); i++ {
+				p := c.WAL().Partition(i)
+				p.Truncate(p.Next())
+			}
+		}
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		const rounds = 50
+		var before, after runtime.MemStats
+		gc := debug.SetGCPercent(-1) // the collector empties pools
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / (rounds * float64(n))
+		walCopy := model.EncodedSize(&batch[0]) + 12 + int(unsafe.Sizeof(payload))
+		t.Logf("%d-tuple batch: %.1f bytes allocated per tuple; the WAL's copy is %d", n, got, walCopy)
+		if got > float64(walCopy) {
+			t.Errorf("a %d-tuple two-server batch allocates %.1f bytes per tuple on its way to the log, more than the WAL's own copy (%d)", n, got, walCopy)
+		}
+	}
+}
+
 // oneGroup is a sink call carrying ts as one group aimed at server, at the
 // given positions of some larger batch (nil: the group is the batch).
 func oneGroup(c *Cluster, server int, ts []model.Tuple, pos []int) ([]int, error) {
-	rejected, err := (walSink{c: c}).SendGroups([]dispatcher.Group{{Server: server, Tuples: ts, Pos: pos}})
+	recs := model.AppendRecords(nil, model.AppendTuples(nil, ts))
+	rejected, err := (walSink{c: c}).SendGroups([]dispatcher.Group{{Server: server, Records: recs, Pos: pos}})
 	sort.Ints(rejected)
 	return rejected, err
 }

@@ -23,14 +23,16 @@ import (
 // Group is one server's share of a dispatched batch, in arrival order.
 type Group struct {
 	Server int
-	Tuples []model.Tuple
-	// Pos maps the group back to the batch: Tuples[i] was dispatched at
+	// Records are the share's tuples in wire encoding, one record each in
+	// model.AppendTuple's layout: the bytes the WAL stores as they are.
+	Records [][]byte
+	// Pos maps the group back to the batch: Records[i] was dispatched at
 	// position Pos[i]. nil when the group IS the batch (every tuple routed
-	// to this one server), where Tuples[i] sits at position i.
+	// to this one server), where Records[i] sits at position i.
 	Pos []int
 }
 
-// At returns the batch position of g.Tuples[i].
+// At returns the batch position of g.Records[i].
 func (g *Group) At(i int) int {
 	if g.Pos == nil {
 		return i
@@ -38,10 +40,10 @@ func (g *Group) At(i int) int {
 	return g.Pos[i]
 }
 
-// AppendPositions appends the batch positions of g.Tuples[from:] to dst —
-// what a sink reports when it rejects the group from that tuple on.
+// AppendPositions appends the batch positions of g.Records[from:] to dst —
+// what a sink reports when it rejects the group from that record on.
 func (g *Group) AppendPositions(dst []int, from int) []int {
-	for i := from; i < len(g.Tuples); i++ {
+	for i := from; i < len(g.Records); i++ {
 		dst = append(dst, g.At(i))
 	}
 	return dst
@@ -51,20 +53,21 @@ func (g *Group) AppendPositions(dst []int, from int) []int {
 // partitions in the full system).
 type Sink interface {
 	// SendGroups delivers one batch scattered by server: each server appears
-	// at most once, holding its tuples in arrival order. Groups are
+	// at most once, holding its records in arrival order. Groups are
 	// independent failure domains — the sink attempts every one of them
 	// whatever happened to the others — and the result names the batch
 	// positions (Group.At) of the tuples it did NOT accept, in any order,
 	// with the causes joined; none and a nil error accept the whole batch.
 	// A position that is not returned is acked, so the sink must never leave
-	// out a tuple the log cannot replay, nor return one it took. The groups
-	// and every slice in them are the dispatcher's scratch: valid until
-	// SendGroups returns, not to be retained.
+	// out a tuple the log cannot replay, nor return one it took. The groups,
+	// every slice in them and the bytes the records alias are the
+	// dispatcher's or its caller's: valid until SendGroups returns, not to
+	// be retained.
 	SendGroups(groups []Group) (rejected []int, err error)
 }
 
 // SinkFunc adapts a per-tuple function to the Sink interface — the test
-// and benchmark adapter.
+// and benchmark adapter. The tuple's payload aliases the batch's buffer.
 type SinkFunc func(server int, t model.Tuple) error
 
 // SendGroups implements Sink by calling f per tuple; a group stops at its
@@ -73,8 +76,12 @@ func (f SinkFunc) SendGroups(groups []Group) (rejected []int, err error) {
 	var errs []error
 	for gi := range groups {
 		g := &groups[gi]
-		for i := range g.Tuples {
-			if err := f(g.Server, g.Tuples[i]); err != nil {
+		for i, rec := range g.Records {
+			t, _, err := model.DecodeTuple(rec)
+			if err == nil {
+				err = f(g.Server, t)
+			}
+			if err != nil {
 				rejected = g.AppendPositions(rejected, i)
 				errs = append(errs, err)
 				break
@@ -200,30 +207,61 @@ func (d *Dispatcher) Dispatch(t model.Tuple) error {
 	return err
 }
 
-// DispatchBatch routes a whole batch against one schema snapshot and hands
-// it to the sink grouped by server (SendGrouped). It returns the positions
-// of the tuples the sink did not accept, ascending — ts[i] was accepted iff
-// i is not among them — and the joined causes; err is nil iff none was
-// rejected. Only one in SampleEvery tuples enters the sampler, at the cost
-// of a single atomic add for the whole batch, keeping routing cheap.
+// maxPooledEncode is the encoded batch size above which DispatchBatch's
+// buffer is left to the collector instead of going back to the pool.
+const maxPooledEncode = 1 << 20
+
+var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// DispatchBatch is DispatchEncoded for a batch of tuples: the batch is
+// encoded once, here, into a pooled buffer — the only encode between the
+// caller and the WAL, which copies each server's records out of it before
+// the sink returns.
 func (d *Dispatcher) DispatchBatch(ts []model.Tuple) (rejected []int, err error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
-	base := d.dispatched.Add(uint64(len(ts))) - uint64(len(ts))
-	// The first index i with (base+i+1) a multiple of sampleEvery, then
-	// every sampleEvery-th after it.
-	for i := int(d.sampleEvery - 1 - base%d.sampleEvery); i < len(ts); i += int(d.sampleEvery) {
-		d.sampler.Observe(ts[i].Key)
+	bp := encodePool.Get().(*[]byte)
+	*bp = model.AppendTuples((*bp)[:0], ts)
+	rejected, err = d.DispatchEncoded(*bp)
+	if cap(*bp) <= maxPooledEncode {
+		encodePool.Put(bp)
 	}
-	return SendGrouped(d.Schema(), d.sink, ts)
+	return rejected, err
 }
 
-// scatterScratch is the reusable working set of one SendGrouped call.
+// DispatchEncoded routes a batch of encoded tuples — model.AppendTuples's
+// bytes, whole records only (model.CountTuples checks) — against one schema
+// snapshot and hands it to the sink grouped by server (SendGrouped). It
+// returns the positions of the records the sink did not accept, ascending —
+// record i was accepted iff i is not among them — and the joined causes;
+// err is nil iff none was rejected. Only one in SampleEvery tuples enters
+// the sampler, its key read off the record head, at the cost of a single
+// atomic add for the whole batch, keeping routing cheap. Nothing of buf is
+// kept past the call.
+func (d *Dispatcher) DispatchEncoded(buf []byte) (rejected []int, err error) {
+	if len(buf) == 0 {
+		return nil, nil
+	}
+	sc := scatterPool.Get().(*scatterScratch)
+	defer sc.recycle()
+	sc.recs = model.AppendRecords(sc.recs[:0], buf)
+	recs := sc.recs
+	base := d.dispatched.Add(uint64(len(recs))) - uint64(len(recs))
+	// The first index i with (base+i+1) a multiple of sampleEvery, then
+	// every sampleEvery-th after it.
+	for i := int(d.sampleEvery - 1 - base%d.sampleEvery); i < len(recs); i += int(d.sampleEvery) {
+		d.sampler.Observe(model.RecordKey(recs[i]))
+	}
+	return sc.send(d.Schema(), d.sink, recs)
+}
+
+// scatterScratch is the reusable working set of one dispatch.
 type scatterScratch struct {
-	tags   []int32 // tags[i] is the server ts[i] routes to
-	next   []int   // per server: its count, then its group's write cursor
-	tuples []model.Tuple
+	recs   [][]byte // an encoded batch cut into its records (DispatchEncoded)
+	tags   []int32  // tags[i] is the server recs[i] routes to
+	next   []int    // per server: its count, then its group's write cursor
+	out    [][]byte // the records, grouped by server
 	pos    []int
 	groups []Group
 }
@@ -234,63 +272,75 @@ const maxPooledScatter = 64 << 10
 
 var scatterPool = sync.Pool{New: func() any { return new(scatterScratch) }}
 
-// SendGrouped resolves every tuple's server once under schema, groups the
+// recycle drops every alias of the batch's bytes — so the pool pins no
+// request or WAL buffer — and returns sc to the pool unless a huge batch
+// grew it.
+func (sc *scatterScratch) recycle() {
+	if cap(sc.recs) > maxPooledScatter || cap(sc.out) > maxPooledScatter {
+		return
+	}
+	clear(sc.recs)
+	clear(sc.out)
+	clear(sc.groups)
+	sc.recs, sc.out = sc.recs[:0], sc.out[:0]
+	scatterPool.Put(sc)
+}
+
+// SendGrouped resolves every record's server once under schema, groups the
 // batch by server and hands all groups to sink in ONE SendGroups call, so
 // the sink sees each server at most once per batch however the keys
 // interleave. The grouping is a stable counting scatter: a group keeps its
-// tuples in arrival order, and since a key maps to one server under one
-// schema, arrival order per key survives. A batch whose tuples all route to
-// one server — every batch of one — is passed through as it is, with no
-// scatter. Returns the rejected positions in ts, ascending, and the sink's
-// error.
-func SendGrouped(schema meta.PartitionSchema, sink Sink, ts []model.Tuple) ([]int, error) {
-	if len(ts) == 0 {
+// records in arrival order, and since a key maps to one server under one
+// schema, arrival order per key survives. A batch whose records all route
+// to one server — every batch of one — is passed through as it is, with no
+// scatter. Returns the rejected positions in recs, ascending, and the
+// sink's error.
+func SendGrouped(schema meta.PartitionSchema, sink Sink, recs [][]byte) ([]int, error) {
+	if len(recs) == 0 {
 		return nil, nil
 	}
 	sc := scatterPool.Get().(*scatterScratch)
-	groups := sc.scatter(schema, ts)
-	rejected, err := sink.SendGroups(groups)
-	if cap(sc.tuples) <= maxPooledScatter {
-		// The groups alias the caller's batch and payloads; drop them so the
-		// pool does not pin request buffers.
-		if groups[0].Pos != nil {
-			clear(sc.tuples[:len(ts)])
-		}
-		clear(groups)
-		scatterPool.Put(sc)
-	}
+	defer sc.recycle()
+	return sc.send(schema, sink, recs)
+}
+
+// send is SendGrouped into sc's buffers.
+func (sc *scatterScratch) send(schema meta.PartitionSchema, sink Sink, recs [][]byte) ([]int, error) {
+	rejected, err := sink.SendGroups(sc.scatter(schema, recs))
 	sort.Ints(rejected)
 	return rejected, err
 }
 
-// scatter groups ts by server into sc's buffers.
-func (sc *scatterScratch) scatter(schema meta.PartitionSchema, ts []model.Tuple) []Group {
-	first := schema.ServerFor(ts[0].Key)
+// scatter groups recs by server into sc's buffers, each record's server
+// resolved from the key at its head.
+func (sc *scatterScratch) scatter(schema meta.PartitionSchema, recs [][]byte) []Group {
+	first := schema.ServerFor(model.RecordKey(recs[0]))
 	same := 1
-	for same < len(ts) && schema.ServerFor(ts[same].Key) == first {
+	for same < len(recs) && schema.ServerFor(model.RecordKey(recs[same])) == first {
 		same++
 	}
-	if same == len(ts) {
-		sc.groups = append(sc.groups[:0], Group{Server: first, Tuples: ts})
+	if same == len(recs) {
+		sc.groups = append(sc.groups[:0], Group{Server: first, Records: recs})
 		return sc.groups
 	}
-	n := len(ts)
+	n := len(recs)
 	if cap(sc.tags) < n {
 		sc.tags = make([]int32, n)
-		sc.tuples = make([]model.Tuple, n)
+		sc.out = make([][]byte, n)
 		sc.pos = make([]int, n)
 	}
 	if cap(sc.next) < schema.Servers {
 		sc.next = make([]int, schema.Servers)
 	}
 	tags, next := sc.tags[:n], sc.next[:schema.Servers]
+	sc.out = sc.out[:n]
 	clear(next)
 	for i := 0; i < same; i++ {
 		tags[i] = int32(first)
 	}
 	next[first] = same
 	for i := same; i < n; i++ {
-		s := schema.ServerFor(ts[i].Key)
+		s := schema.ServerFor(model.RecordKey(recs[i]))
 		tags[i] = int32(s)
 		next[s]++
 	}
@@ -298,7 +348,7 @@ func (sc *scatterScratch) scatter(schema meta.PartitionSchema, ts []model.Tuple)
 	start := 0
 	for s, c := range next {
 		if c > 0 {
-			sc.groups = append(sc.groups, Group{Server: s, Tuples: sc.tuples[start : start+c], Pos: sc.pos[start : start+c]})
+			sc.groups = append(sc.groups, Group{Server: s, Records: sc.out[start : start+c], Pos: sc.pos[start : start+c]})
 		}
 		next[s] = start
 		start += c
@@ -306,7 +356,7 @@ func (sc *scatterScratch) scatter(schema meta.PartitionSchema, ts []model.Tuple)
 	for i, s := range tags {
 		at := next[s]
 		next[s]++
-		sc.tuples[at], sc.pos[at] = ts[i], i
+		sc.out[at], sc.pos[at] = recs[i], i
 	}
 	return sc.groups
 }

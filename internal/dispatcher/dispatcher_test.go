@@ -1,6 +1,7 @@
 package dispatcher
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -35,7 +36,15 @@ func (c *captureSink) SendGroups(groups []Group) (rejected []int, err error) {
 			errs = append(errs, ferr)
 			continue
 		}
-		c.byDst[g.Server] = append(c.byDst[g.Server], g.Tuples...)
+		for _, rec := range g.Records {
+			tp, _, err := model.DecodeTuple(rec)
+			if err != nil {
+				panic(err)
+			}
+			// The records alias the dispatcher's buffer: keep a copy.
+			tp.Payload = append([]byte(nil), tp.Payload...)
+			c.byDst[g.Server] = append(c.byDst[g.Server], tp)
+		}
 	}
 	c.calls = append(c.calls, servers)
 	return rejected, errors.Join(errs...)
@@ -104,29 +113,47 @@ func TestDispatchBatchGroupsByServer(t *testing.T) {
 }
 
 // TestSingleServerBatchIsPassedThrough: a batch that routes to one server
-// reaches the sink as the caller's own slice — no scatter, no position
-// table — and the steady state allocates nothing.
+// reaches the sink as the caller's own records — no scatter, no position
+// table — and the steady state, its one encode included, allocates
+// nothing.
 func TestSingleServerBatchIsPassedThrough(t *testing.T) {
 	schema := meta.PartitionSchema{Version: 1, Servers: 2, Bounds: []model.Key{100}}
-	batch := []model.Tuple{{Key: 150}, {Key: 160}, {Key: 170}}
+	batch := []model.Tuple{{Key: 150}, {Key: 160}, {Key: 170, Payload: []byte("p")}}
 	var got []Group
+	var sent [][]byte // the records' bytes, read while the sink holds them
 	sink := sinkOf(func(groups []Group) ([]int, error) {
 		got = append(got[:0], groups...)
+		sent = sent[:0]
+		for _, rec := range groups[0].Records {
+			sent = append(sent, append([]byte(nil), rec...))
+		}
 		return nil, nil
 	})
-	d := New(schema, sink, SamplerConfig{SampleEvery: 1 << 30})
-	if _, err := d.DispatchBatch(batch); err != nil {
+	recs := model.AppendRecords(nil, model.AppendTuples(nil, batch))
+	if _, err := SendGrouped(schema, sink, recs); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Server != 1 || got[0].Pos != nil || &got[0].Tuples[0] != &batch[0] || len(got[0].Tuples) != 3 {
+	if len(got) != 1 || got[0].Server != 1 || got[0].Pos != nil || &got[0].Records[0] != &recs[0] || len(got[0].Records) != 3 {
 		t.Fatalf("groups = %+v, want the batch itself as server 1's only group", got)
 	}
 	if got[0].At(2) != 2 {
 		t.Fatalf("At(2) = %d on an identity group", got[0].At(2))
 	}
+	d := New(schema, sink, SamplerConfig{SampleEvery: 1 << 30})
+	if _, err := d.DispatchBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || len(sent) != 3 || !bytes.Equal(sent[2], recs[2]) {
+		t.Fatalf("DispatchBatch sent %q, want the batch's three records as one group", sent)
+	}
+	// Once the sink returned, the dispatcher's scratch holds none of them.
+	if got[0].Records[0] != nil {
+		t.Fatalf("the pooled scratch still aliases the encoded batch")
+	}
 	if raceEnabled {
 		return // the race detector's instrumentation allocates
 	}
+	d = New(schema, sinkOf(func([]Group) ([]int, error) { return nil, nil }), SamplerConfig{SampleEvery: 1 << 30})
 	if a := testing.AllocsPerRun(200, func() { d.DispatchBatch(batch) }); a != 0 {
 		t.Errorf("single-server DispatchBatch allocates %.1f objects per call, want 0", a)
 	}
@@ -159,26 +186,27 @@ func TestSendGroupedMatchesPerTupleRouting(t *testing.T) {
 		for i := range batch {
 			batch[i] = model.Tuple{Key: model.Key(rng.Intn(active * 1000)), Time: model.Timestamp(i)}
 		}
+		recs := model.AppendRecords(nil, model.AppendTuples(nil, batch))
 		seen := make([]bool, len(batch))
 		_, err := SendGrouped(schema, sinkOf(func(groups []Group) ([]int, error) {
 			servers := map[int]bool{}
 			for gi := range groups {
 				g := &groups[gi]
-				if servers[g.Server] || len(g.Tuples) == 0 {
+				if servers[g.Server] || len(g.Records) == 0 {
 					t.Fatalf("round %d: server %d twice or empty", round, g.Server)
 				}
 				servers[g.Server] = true
 				last := -1
-				for i := range g.Tuples {
+				for i, rec := range g.Records {
 					at := g.At(i)
-					if at <= last || seen[at] || g.Tuples[i].Time != batch[at].Time || schema.ServerFor(batch[at].Key) != g.Server {
+					if at <= last || seen[at] || &rec[0] != &recs[at][0] || schema.ServerFor(batch[at].Key) != g.Server {
 						t.Fatalf("round %d: group %d entry %d maps to position %d wrongly", round, g.Server, i, at)
 					}
 					last, seen[at] = at, true
 				}
 			}
 			return nil, nil
-		}), batch)
+		}), recs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,7 +280,7 @@ func (s *Server) TreeStats() *core.Stats { return s.tree.Stats() }
 
 // Insert ingests one tuple: InsertBatch of one.
 func (s *Server) Insert(t model.Tuple) {
-	s.insertBatchAt([]model.Tuple{t}, -1)
+	s.insertBatchAt([]model.Tuple{t}, -1, nil)
 }
 
 // InsertBatch ingests a batch of tuples with the per-tuple bookkeeping
@@ -291,7 +292,7 @@ func (s *Server) InsertBatch(ts []model.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	s.insertBatchAt(ts, -1)
+	s.insertBatchAt(ts, -1, nil)
 }
 
 // insertBatchAt is the ingest core, with an optional consumed-offset
@@ -309,7 +310,12 @@ func (s *Server) InsertBatch(ts []model.Tuple) {
 // until the next insert moved the bounds. Threshold flush enqueues re-take
 // pendMu and so are deferred past the read section, since pendMu is not
 // reentrant.
-func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
+//
+// A batch that mixes very late tuples with the rest is split into split's
+// buffer, main tuples before side ones, each in arrival order; a nil split
+// allocates one. The buffer is cleared before the call returns, so a
+// consumer that keeps it between blocks pins no payload.
+func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64, split *[]model.Tuple) {
 	n := s.stats.Ingested.Add(int64(len(ts)))
 	var start time.Time
 	sampled := s.cfg.Metrics.InsertNanos != nil && n%insertSampleEvery < int64(len(ts))
@@ -351,15 +357,23 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64) {
 		case nSide == len(ts):
 			main, side = nil, ts
 		case nSide > 0:
-			main = make([]model.Tuple, 0, len(ts)-nSide)
-			side = make([]model.Tuple, 0, nSide)
+			if split == nil {
+				split = new([]model.Tuple)
+			}
+			buf := slices.Grow((*split)[:0], len(ts))[:len(ts)]
+			*split = buf
+			defer clear(buf)
+			m, sd := 0, len(ts)-nSide
 			for i := range ts {
 				if int64(ts[i].Time) < cut {
-					side = append(side, ts[i])
+					buf[sd] = ts[i]
+					sd++
 				} else {
-					main = append(main, ts[i])
+					buf[m] = ts[i]
+					m++
 				}
 			}
+			main, side = buf[:m], buf[m:]
 		}
 		if nSide > 0 {
 			s.stats.SideRouted.Add(int64(nSide))
@@ -781,6 +795,7 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
 	if passive {
 		head, cancel = start, s.wake
 	}
+	sc := consumeScratch{recs: make([]wal.Record, tailReadMax)}
 	for {
 		select {
 		case <-stop:
@@ -790,7 +805,7 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
 		if passive {
 			s.resetOnCommit()
 		}
-		recs, err := p.ReadBlocking(s.consumed.Load(), tailReadMax, cancel)
+		recs, err := p.ReadBlocking(s.consumed.Load(), sc.recs, cancel)
 		if errors.Is(err, wal.ErrClosed) {
 			return nil
 		}
@@ -806,41 +821,71 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
 		if len(recs) == 0 {
 			continue // stop fired mid-wait
 		}
-		batch, derr := decodeRecords(recs)
-		if derr != nil {
-			return fmt.Errorf("ingest: consume: %w", derr)
-		}
-		for i := range recs {
-			if recs[i].Offset < head {
-				s.stats.Recovered.Add(1)
-			}
-		}
-		// The offset advances with the inserts inside one pendMu read
-		// section (see insertBatchAt): a flush swap — whether triggered by
-		// this batch's threshold crossing afterwards or by a concurrent
-		// Flush — snapshots an offset that covers exactly the tuples already
-		// in trees, so recovery neither replays duplicates nor skips tuples.
-		//
-		// Sub-batch at chunk-budget boundaries so flush swaps land where the
-		// per-tuple loop put them: each sub-batch fills the memtable to the
-		// threshold at most once, keeping chunk sizes near ChunkBytes instead
-		// of ballooning to the WAL read size.
-		pos := 0
-		for pos < len(batch) {
-			budget := s.cfg.ChunkBytes - s.tree.Bytes()
-			end := pos
-			var sz int64
-			for end < len(batch) && sz < budget {
-				sz += int64(batch[end].Size())
-				end++
-			}
-			if end == pos {
-				end = pos + 1 // tree already at threshold; still make progress
-			}
-			s.insertBatchAt(batch[pos:end], recs[end-1].Offset+1)
-			pos = end
+		if err := s.applyBlock(recs, head, &sc); err != nil {
+			return fmt.Errorf("ingest: consume: %w", err)
 		}
 	}
+}
+
+// consumeScratch is a consumer's working set, reused block after block: the
+// records a read fills, the tuples they decode to, and the split of a block
+// into main and side tuples (insertBatchAt).
+type consumeScratch struct {
+	recs  []wal.Record
+	batch []model.Tuple
+	split []model.Tuple
+}
+
+// applyBlock decodes one read's records into sc.batch and applies them,
+// counting those below head as recovered. The decoded payloads alias the
+// records' buffers (the WAL's resident window): the trees copy every
+// payload into a leaf arena on insert, and the records and the tuples are
+// cleared once the block is applied, so the scratch never pins a WAL
+// buffer.
+func (s *Server) applyBlock(recs []wal.Record, head int64, sc *consumeScratch) error {
+	defer func() {
+		clear(recs)
+		clear(sc.batch)
+		sc.batch = sc.batch[:0]
+	}()
+	for _, r := range recs {
+		t, _, err := model.DecodeTuple(r.Data)
+		if err != nil {
+			return fmt.Errorf("bad record at offset %d: %w", r.Offset, err)
+		}
+		sc.batch = append(sc.batch, t)
+	}
+	// Offsets are consecutive: the records below head are a prefix.
+	if n := min(head, recs[len(recs)-1].Offset+1) - recs[0].Offset; n > 0 {
+		s.stats.Recovered.Add(n)
+	}
+	// The offset advances with the inserts inside one pendMu read section
+	// (see insertBatchAt): a flush swap — whether triggered by this block's
+	// threshold crossing afterwards or by a concurrent Flush — snapshots an
+	// offset that covers exactly the tuples already in trees, so recovery
+	// neither replays duplicates nor skips tuples.
+	//
+	// Sub-batch at chunk-budget boundaries so flush swaps land where the
+	// per-tuple loop put them: each sub-batch fills the memtable to the
+	// threshold at most once, keeping chunk sizes near ChunkBytes instead of
+	// ballooning to the WAL read size.
+	batch := sc.batch
+	pos := 0
+	for pos < len(batch) {
+		budget := s.cfg.ChunkBytes - s.tree.Bytes()
+		end := pos
+		var sz int64
+		for end < len(batch) && sz < budget {
+			sz += int64(batch[end].Size())
+			end++
+		}
+		if end == pos {
+			end = pos + 1 // tree already at threshold; still make progress
+		}
+		s.insertBatchAt(batch[pos:end], recs[end-1].Offset+1, &sc.split)
+		pos = end
+	}
+	return nil
 }
 
 // Consumed returns the WAL offset the server has applied up to: every
@@ -854,21 +899,4 @@ func (s *Server) Consumed() int64 { return s.consumed.Load() }
 // error if it died, ErrStopped if stopped or deposed, wal.ErrCanceled.
 func (s *Server) WaitApplied(offset int64, cancel <-chan struct{}) error {
 	return s.consumed.Wait(offset, cancel)
-}
-
-// decodeRecords decodes WAL records into tuples — one allocation, the tuple
-// slice. The payloads alias the records' buffers (the WAL's resident window,
-// or a cold read's): the trees copy every payload into a leaf arena on
-// insert, so nothing retains the aliases past insertBatchAt and the window's
-// buffers are not pinned by what was decoded from them.
-func decodeRecords(recs []wal.Record) ([]model.Tuple, error) {
-	batch := make([]model.Tuple, len(recs))
-	for i, r := range recs {
-		t, _, err := model.DecodeTuple(r.Data)
-		if err != nil {
-			return nil, fmt.Errorf("bad record at offset %d: %w", r.Offset, err)
-		}
-		batch[i] = t
-	}
-	return batch, nil
 }

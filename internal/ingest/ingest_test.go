@@ -2,9 +2,13 @@ package ingest
 
 import (
 	"errors"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
+	"waterwheel/internal/core"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
@@ -419,35 +423,100 @@ func TestFlushCommitReleasesWAL(t *testing.T) {
 	}
 }
 
-// TestDecodeRecordsAllocatesOnce: a read of the WAL costs the consumer (and
-// the standby) one allocation — the tuple slice — however many records it
-// holds, and the decoded payloads alias the records' buffers. The one copy
-// of a payload between the WAL window and the leaf arena is the tree's, on
-// insert; the takeover and standby suites are the proof that nothing else
-// retained the aliases.
-func TestDecodeRecordsAllocatesOnce(t *testing.T) {
+// TestConsumeBlockAllocsDoNotGrowWithLength: a consumer applies a block of
+// its log from scratch it owns — the records its read fills, the tuples they
+// decode to (payloads aliasing the records: the one copy between the WAL
+// window and a leaf arena is the tree's, on insert), the split into main
+// and side tuples — so a block allocates nothing beyond what the trees
+// allocate to hold it, however long the block. The trees' share is measured
+// on a twin pair of trees fed the same tuples in the same order, and taken
+// off. Once applied, the scratch holds no alias of the block.
+func TestConsumeBlockAllocsDoNotGrowWithLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates, and its sync.Pool drops entries at random")
+	}
+	for _, n := range []int{64, 1024} {
+		b := consumeBlockOverhead(t, n)
+		t.Logf("a %d-record block: %.0f bytes beyond its trees' growth", n, b)
+		if b > 256 {
+			t.Errorf("a %d-record block allocates %.0f bytes beyond its trees' growth, want none", n, b)
+		}
+	}
+}
+
+// consumeBlockOverhead returns the median bytes one applied block of n
+// records allocates beyond what the same tuples cost two bare trees. (The
+// median: a goroutine that changes Ps between the two measurements finds the
+// trees' pooled scratch on the other one, once in a while.)
+func consumeBlockOverhead(t *testing.T, n int) float64 {
+	const late = 1000
+	cfg := Config{Keys: model.KeyRange{Lo: 0, Hi: 1<<32 - 1}, ChunkBytes: 1 << 40, Leaves: 64, SideThresholdMillis: late}
+	srv := NewServer(cfg, nil, meta.NewServer(1), 0)
+	defer srv.Abort()
+	main := core.NewTemplateTree(core.TemplateConfig{Keys: cfg.Keys, Leaves: cfg.Leaves})
+	side := core.NewTemplateTree(core.TemplateConfig{Keys: cfg.Keys, Leaves: 64})
 	p := wal.NewPartition()
-	tuples := make([]model.Tuple, 256)
-	for i := range tuples {
-		tuples[i] = model.Tuple{Key: model.Key(i), Time: model.Timestamp(i), Payload: []byte{byte(i), 1, 2, 3, 4, 5, 6, 7}}
-		p.Append(model.AppendTuple(nil, &tuples[i]))
-	}
-	recs, err := p.Read(0, len(tuples))
-	if err != nil || len(recs) != len(tuples) {
-		t.Fatalf("read %d records, %v", len(recs), err)
-	}
-	if a := testing.AllocsPerRun(100, func() {
-		if _, err := decodeRecords(recs); err != nil {
+	sc := consumeScratch{recs: make([]wal.Record, n)}
+	payload := []byte("0123456789abcdef")
+	ts := make([]model.Tuple, n)
+	var mains, sides []model.Tuple
+	seq := uint64(0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the collector empties pools
+	var m0, m1, m2, m3 runtime.MemStats
+	var over []float64
+	const warm, rounds = 20, 41
+	for r := 0; r < warm+rounds; r++ {
+		for i := range ts {
+			tm := model.Timestamp(1_000_000 + 10*seq)
+			if i%8 == 7 {
+				tm -= 5 * late // past the side threshold: the block is mixed
+			}
+			ts[i] = model.Tuple{Key: model.Key((seq * 2654435761) % (1 << 32)), Time: tm, Payload: payload}
+			seq++
+		}
+		if _, err := p.StartAppend(model.AppendRecords(nil, model.AppendTuples(nil, ts))); err != nil {
 			t.Fatal(err)
 		}
-	}); a != 1 {
-		t.Errorf("decodeRecords allocates %.0f times per read of %d records, want 1", a, len(recs))
-	}
-	batch, _ := decodeRecords(recs)
-	for i := range batch {
-		d := recs[i].Data
-		if batch[i].Key != tuples[i].Key || &batch[i].Payload[0] != &d[len(d)-len(batch[i].Payload)] {
-			t.Fatalf("tuple %d: payload was copied out of its record", i)
+		runtime.ReadMemStats(&m0)
+		recs, err := p.ReadBlocking(srv.Consumed(), sc.recs, nil)
+		if err == nil {
+			err = srv.applyBlock(recs, 0, &sc)
+		}
+		runtime.ReadMemStats(&m1)
+		if err != nil || len(recs) != n || srv.Consumed() != p.Next() {
+			t.Fatalf("block of %d: applied %d records up to %d of %d, %v", n, len(recs), srv.Consumed(), p.Next(), err)
+		}
+		for i := range sc.recs {
+			if sc.recs[i].Data != nil {
+				t.Fatalf("block of %d: the read buffer still aliases record %d once applied", n, i)
+			}
+		}
+		for _, tp := range append(sc.batch[:cap(sc.batch)], sc.split...) {
+			if tp.Payload != nil {
+				t.Fatalf("block of %d: the decode or split scratch still aliases a payload once applied", n)
+			}
+		}
+		cut := srv.Watermark() - late
+		mains, sides = mains[:0], sides[:0]
+		for _, tp := range ts {
+			if tp.Time < cut {
+				sides = append(sides, tp)
+			} else {
+				mains = append(mains, tp)
+			}
+		}
+		runtime.ReadMemStats(&m2)
+		main.InsertBatch(mains)
+		side.InsertBatch(sides)
+		runtime.ReadMemStats(&m3)
+		p.Truncate(p.Next())
+		if r >= warm {
+			over = append(over, float64(m1.TotalAlloc-m0.TotalAlloc)-float64(m3.TotalAlloc-m2.TotalAlloc))
 		}
 	}
+	if sides := srv.Stats().SideRouted.Load(); sides == 0 {
+		t.Fatalf("block of %d: no tuple went to the side store; the split went unmeasured", n)
+	}
+	slices.Sort(over)
+	return over[len(over)/2]
 }

@@ -94,6 +94,25 @@ func CountTuples(buf []byte) (int, error) {
 	return n, nil
 }
 
+// RecordKey reads the key of the encoded tuple at the front of rec.
+func RecordKey(rec []byte) Key {
+	k, _, _ := recordHead(rec)
+	return k
+}
+
+// AppendRecords appends to dst one slice of buf per encoded tuple, in
+// order, each capped at its own end — the form an insert keeps from the
+// wire to the WAL. It walks the headers only. buf must hold whole records,
+// as CountTuples checks; a cut-off one panics.
+func AppendRecords(dst [][]byte, buf []byte) [][]byte {
+	for len(buf) > 0 {
+		_, _, n := recordHead(buf)
+		dst = append(dst, buf[:n:n])
+		buf = buf[n:]
+	}
+	return dst
+}
+
 // DecodeTuples decodes every tuple in buf. Payloads alias buf. The result
 // is allocated exactly: a cheap header walk counts the tuples first, so
 // the append loop never reallocates.

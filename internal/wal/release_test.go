@@ -17,7 +17,7 @@ import (
 func readThrough(t *testing.T, tail *Partition, from, to int64, payload func(int64) []byte) {
 	t.Helper()
 	for next := from; next < to; {
-		recs, err := tail.ReadBlocking(next, 37, nil)
+		recs, err := tail.ReadBlocking(next, make([]Record, 37), nil)
 		if err != nil {
 			t.Fatalf("read at %d: %v", next, err)
 		}
@@ -197,7 +197,7 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 		var next int64
 		seqs := make([]int, writers)
 		for {
-			recs, err := p.ReadBlocking(next, max, writersDone)
+			recs, err := p.ReadBlocking(next, make([]Record, max), writersDone)
 			if err != nil {
 				t.Errorf("%s: read at %d: %v", name, next, err)
 				return

@@ -168,7 +168,7 @@ func TestSegmentRollUnderConcurrentUse(t *testing.T) {
 	const total = writers * perWriter * 2
 	seen := make(map[string]bool, total)
 	for next := int64(0); next < total; {
-		recs, err := p.ReadBlocking(next, 64, nil)
+		recs, err := p.ReadBlocking(next, make([]Record, 64), nil)
 		if err != nil {
 			t.Fatalf("read at %d: %v", next, err)
 		}

@@ -289,19 +289,30 @@ func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	n, err := p.readableLocked(offset, max)
+	if n == 0 {
+		return nil, err
+	}
+	return p.fillLocked(make([]Record, n), offset), nil
+}
+
+// readableLocked returns how many records, up to limit, a read at offset
+// gets: ErrCompacted below the horizon, 0 at or past the head. Requires mu.
+func (p *Partition) readableLocked(offset int64, limit int) (int, error) {
 	if offset < p.base {
-		return nil, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
+		return 0, fmt.Errorf("%w: want %d, base %d", ErrCompacted, offset, p.base)
 	}
-	n := min(p.headLocked()-offset, int64(max))
-	if n <= 0 {
-		return nil, nil
-	}
+	return int(max(0, min(p.headLocked()-offset, int64(limit)))), nil
+}
+
+// fillLocked sets buf to the records from offset on, one per element, and
+// returns it; readableLocked sized it. Requires mu.
+func (p *Partition) fillLocked(buf []Record, offset int64) []Record {
 	window := p.store[p.lo+int(offset-p.base):]
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = Record{Offset: offset + int64(i), Data: window[i]}
+	for i := range buf {
+		buf[i] = Record{Offset: offset + int64(i), Data: window[i]}
 	}
-	return out, nil
+	return buf
 }
 
 // readLinger is ReadBlocking's batching window (Kafka's fetch.min.wait): the
@@ -312,14 +323,24 @@ func (p *Partition) Read(offset int64, max int) ([]Record, error) {
 const readLinger = 200 * time.Microsecond
 
 // ReadBlocking is Read that waits at the head: the one waited read, in
-// which every consumer, an owner's or a hot standby's, parks. It
-// answers ErrClosed once the partition is closed and every retained record
-// past offset was delivered, and an empty read when cancel fires first.
-func (p *Partition) ReadBlocking(offset int64, max int, cancel <-chan struct{}) ([]Record, error) {
+// which every consumer, an owner's or a hot standby's, parks. It fills the
+// caller's non-empty buf from its start, up to len(buf) records, and
+// returns the filled prefix, so a consumer reading block after block into
+// one buffer allocates nothing per read. The records' Data alias the log's
+// resident window: a caller that keeps buf between reads clears what it
+// read, or it pins those buffers. It answers ErrClosed once the partition
+// is closed and every retained record past offset was delivered, and an
+// empty read when cancel fires first.
+func (p *Partition) ReadBlocking(offset int64, buf []Record, cancel <-chan struct{}) ([]Record, error) {
 	for {
-		recs, err := p.Read(offset, max)
-		if err != nil || len(recs) > 0 {
-			return recs, err
+		p.mu.Lock()
+		n, err := p.readableLocked(offset, len(buf))
+		if n > 0 {
+			p.fillLocked(buf[:n], offset)
+		}
+		p.mu.Unlock()
+		if err != nil || n > 0 {
+			return buf[:n], err
 		}
 		if err := p.head.Wait(offset+1, cancel); err == ErrCanceled {
 			return nil, nil

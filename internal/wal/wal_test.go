@@ -120,7 +120,7 @@ func TestReadBlockingWakesOnAppend(t *testing.T) {
 	p := NewPartition()
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := p.ReadBlocking(0, 10, nil)
+		recs, err := p.ReadBlocking(0, make([]Record, 10), nil)
 		if err != nil {
 			t.Errorf("blocking read: %v", err)
 		}
@@ -142,7 +142,7 @@ func TestReadBlockingClose(t *testing.T) {
 	p := NewPartition()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := p.ReadBlocking(0, 10, nil)
+		_, err := p.ReadBlocking(0, make([]Record, 10), nil)
 		errCh <- err
 	}()
 	waitBlocked(t, &p.head, 1)
@@ -159,7 +159,7 @@ func TestReadBlockingClose(t *testing.T) {
 	p2 := NewPartition()
 	p2.Append([]byte("x"))
 	p2.Close()
-	recs, err := p2.ReadBlocking(0, 10, nil)
+	recs, err := p2.ReadBlocking(0, make([]Record, 10), nil)
 	if err != nil || len(recs) != 1 {
 		t.Errorf("read after close = %v, %v", recs, err)
 	}
@@ -233,7 +233,7 @@ func TestConcurrentProducersAndConsumer(t *testing.T) {
 		defer close(consumerDone)
 		off := int64(0)
 		for got < producers*perP {
-			recs, err := p.ReadBlocking(off, 64, nil)
+			recs, err := p.ReadBlocking(off, make([]Record, 64), nil)
 			if err != nil {
 				return
 			}
@@ -262,7 +262,7 @@ func TestLog(t *testing.T) {
 		t.Error("partition isolation broken")
 	}
 	l.Close()
-	if _, err := l.Partition(0).ReadBlocking(0, 1, nil); !errors.Is(err, ErrClosed) {
+	if _, err := l.Partition(0).ReadBlocking(0, make([]Record, 1), nil); !errors.Is(err, ErrClosed) {
 		t.Error("close did not propagate")
 	}
 	if nl := NewLog(0); nl.Partitions() != 1 {

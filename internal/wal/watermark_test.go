@@ -209,7 +209,7 @@ func TestReadBlockingCancel(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		recs, err := p.ReadBlocking(1, 10, cancel)
+		recs, err := p.ReadBlocking(1, make([]Record, 10), cancel)
 		done <- out{recs, err}
 	}()
 	waitBlocked(t, &p.head, 1)
@@ -223,11 +223,11 @@ func TestReadBlockingCancel(t *testing.T) {
 		t.Fatal("cancel did not release the reader")
 	}
 	// With records to deliver, a fired cancel does not hide them.
-	if recs, err := p.ReadBlocking(0, 10, cancel); err != nil || len(recs) != 1 {
+	if recs, err := p.ReadBlocking(0, make([]Record, 10), cancel); err != nil || len(recs) != 1 {
 		t.Fatalf("read below the head with a fired cancel = %v, %v", recs, err)
 	}
 	p.Append([]byte("b"))
-	if recs, err := p.ReadBlocking(1, 10, nil); err != nil || len(recs) != 1 || string(recs[0].Data) != "b" {
+	if recs, err := p.ReadBlocking(1, make([]Record, 10), nil); err != nil || len(recs) != 1 || string(recs[0].Data) != "b" {
 		t.Fatalf("read after a cancelled one = %v, %v", recs, err)
 	}
 }

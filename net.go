@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"waterwheel/internal/model"
 	"waterwheel/internal/transport"
@@ -116,19 +117,22 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 	ns := &NetServer{db: db, srv: s}
 
 	s.Handle("insert", func(payload []byte) ([]byte, error) {
-		tuples, err := model.DecodeTuples(payload)
+		// The frame is already the batch in the form the WAL stores: one
+		// record per tuple, model.AppendTuple's layout. One header walk
+		// checks it, and the bytes go on as they are — the dispatcher cuts
+		// them into records and scatters those by the key at each record's
+		// head, and each server's partition copies its records once, into a
+		// buffer of its own (wal.Partition.StartAppend), before the call
+		// returns. A frame is its own allocation that the transport never
+		// reuses, and nothing keeps it past the call. A frame that is not
+		// whole records is refused entire, before anything is appended.
+		n, err := model.CountTuples(payload)
 		if err != nil {
 			return nil, transport.BadRequestf("waterwheel: bad insert batch: %v", err)
 		}
-		// The payloads alias the request frame, and that is safe to hand on:
-		// a frame is its own allocation that the transport never reuses, and
-		// nothing keeps the payloads past InsertBatch anyway — the WAL copies
-		// each server's share of the batch into one buffer of its own
-		// (wal.Partition.StartAppend) before the call returns, and the
-		// dispatcher's sampler keeps keys only.
 		// Do not ack over the wire what the log did not take; on failure the
 		// returned BatchError tells the client which positions were rejected.
-		if err := db.InsertBatch(tuples); err != nil {
+		if err := db.insertEncoded(payload, n); err != nil {
 			return nil, wireError(err)
 		}
 		return nil, nil
@@ -263,9 +267,23 @@ func (cl *Client) Insert(t Tuple) error {
 // took only part of comes back as a *BatchError naming the rejected
 // positions, as from DB.InsertBatch.
 func (cl *Client) InsertBatch(ts []Tuple) error {
-	_, err := cl.call("insert", model.AppendTuples(nil, ts))
+	bp := insertFrames.Get().(*[]byte)
+	*bp = model.AppendTuples((*bp)[:0], ts)
+	// transport.Client.Call writes the frame under its write lock before it
+	// returns, whatever the answer, so the buffer is free for the next batch.
+	_, err := cl.call("insert", *bp)
+	if cap(*bp) <= maxPooledInsertFrame {
+		insertFrames.Put(bp)
+	}
 	return err
 }
+
+// insertFrames recycles the clients' encoded insert batches.
+var insertFrames = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledInsertFrame is the encoded batch size above which an insert
+// buffer is left to the collector instead of going back to the pool.
+const maxPooledInsertFrame = 1 << 20
 
 // Query runs a query remotely. The result's tuple payloads alias the
 // response buffer, which the result owns: they stay valid for as long as

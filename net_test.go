@@ -385,6 +385,80 @@ func FuzzDecodeBatchStatus(f *testing.F) {
 	})
 }
 
+// FuzzInsertFrame: whatever bytes an insert request carries, the server
+// either refuses them whole — BadRequest, and no partition's head moves —
+// or acks them, and COUNT(*) grows by exactly the tuples model.CountTuples
+// finds in them. The frame goes to the log as it came, so these are the
+// only two outcomes a client can see.
+func FuzzInsertFrame(f *testing.F) {
+	valid := model.AppendTuples(nil, []Tuple{
+		{Key: 1, Time: 10, Payload: []byte("abc")},
+		{Key: 1 << 63, Time: 11, Payload: []byte("de")},
+		{Key: 7, Time: 12, Payload: []byte("f")},
+	})
+	past := bytes.Clone(valid)
+	binary.BigEndian.PutUint32(past[16:], 1<<20) // the first length field runs past the end
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1]) // the last record cut short
+	f.Add(past)
+	f.Add([]byte{})
+	f.Add(model.AppendTuple(nil, &Tuple{Key: 9, Time: 1})) // a zero-length payload
+
+	db, err := Open(Options{ChunkBytes: 64 << 10, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { db.Close() })
+	ns, err := db.Serve("127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(ns.Close)
+	raw, err := transport.Dial(ns.Addr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { raw.Close() })
+	heads := func() []int64 {
+		log := db.Cluster().WAL()
+		out := make([]int64, log.Partitions())
+		for i := range out {
+			out[i] = log.Partition(i).Next()
+		}
+		return out
+	}
+	var want uint64
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		before := heads()
+		_, err := raw.Call("insert", payload)
+		n, cerr := model.CountTuples(payload)
+		if cerr != nil {
+			var se *transport.StatusError
+			if !errors.As(err, &se) || se.Code != transport.StatusBadRequest {
+				t.Fatalf("a frame that is not whole records (%v) was answered %v, want a bad-request status", cerr, err)
+			}
+			if after := heads(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("a refused frame moved the log heads %v -> %v", before, after)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("a frame of %d whole records was refused: %v", n, err)
+		}
+		want += uint64(n)
+		if err := db.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: FullTimeRange(), Kind: AggCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != want {
+			t.Fatalf("COUNT(*) = %d after acking a frame of %d tuples, want %d", res.Count, n, want)
+		}
+	})
+}
+
 // TestNetSentinelErrorsByCode: ErrClosed is matched by errors.Is on the
 // client, through a batch error too, not by its text.
 func TestNetSentinelErrorsByCode(t *testing.T) {

@@ -282,13 +282,33 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // Tuples of one key keep their arrival order; across servers a batch has no
 // order. A batch of one behaves identically to Insert. After Close nothing is
 // accepted and the error is ErrClosed.
+//
+// The batch is encoded once, into the records the WAL stores, and nothing
+// of ts is kept past the call.
 func (db *DB) InsertBatch(ts []Tuple) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
 	rejected, err := db.c.InsertBatch(ts)
+	return batchError(rejected, len(ts), err)
+}
+
+// insertEncoded is InsertBatch for the n tuples encoded in buf (the
+// network insert's frame, checked by model.CountTuples), which go to the
+// WAL as they are.
+func (db *DB) insertEncoded(buf []byte, n int) error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	rejected, err := db.c.InsertEncoded(buf, n)
+	return batchError(rejected, n, err)
+}
+
+// batchError is the *BatchError of a batch of n tuples that the cluster
+// answered with rejected and err, nil when it took them all.
+func batchError(rejected []int, n int, err error) error {
 	if err != nil {
-		return &BatchError{Index: rejected[0], Len: len(ts), Rejected: rejected, Err: err}
+		return &BatchError{Index: rejected[0], Len: n, Rejected: rejected, Err: err}
 	}
 	return nil
 }

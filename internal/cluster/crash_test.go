@@ -135,12 +135,12 @@ func TestCrashAtEveryDurableStep(t *testing.T) {
 }
 
 // TestCheckpointCrashBeforeDirSync: a checkpoint compacted the metadata
-// journal — its image opened a fresh segment, and the segments behind it
-// were unlinked — and the host died before the journal directory's fsync.
+// journal — its first part opened a fresh segment, and the segments behind
+// it were unlinked — and the host died before the journal directory's fsync.
 // Whether the unlinks survive (undo 0) or not (the newest undone; every
 // change undone), the reopen replays the same registry — the older records
-// first, then the image that resets them — and returns every tuple exactly
-// once.
+// first, then the parts that put every live chunk again — and returns every
+// tuple exactly once.
 func TestCheckpointCrashBeforeDirSync(t *testing.T) {
 	for _, undo := range []int{0, 1, math.MaxInt} {
 		t.Run("undo="+undoName(undo), func(t *testing.T) {

@@ -77,9 +77,9 @@ func openMeta(cfg *Config, slots int) (*meta.Server, error) {
 	return meta.Open(journalPath(cfg.DataDir), slots, meta.JournalConfig{
 		Files: cfg.Files,
 		Compactions: reg.Counter("waterwheel_checkpoints_total",
-			"metadata journal compactions: the registry's image appended, the journal cut below it once durable"),
+			"metadata journal compactions: the registry re-registered in parts, the journal cut below the first once the last is durable"),
 		CompactNanos: reg.Histogram("waterwheel_checkpoint_seconds",
-			"metadata journal compaction latency: image encode and append (stage: checkpoint)"),
+			"metadata journal compaction latency: every part encoded and appended, then made durable (stage: checkpoint)"),
 	})
 }
 
@@ -98,7 +98,7 @@ func (c *Cluster) Checkpoint() error {
 	if c.cfg.DataDir == "" {
 		return nil
 	}
-	// Offsets read before the image is appended are durable once it is.
+	// Offsets read before Compact are durable once it returns.
 	offs := make([]int64, c.log.Partitions())
 	for i := range offs {
 		offs[i] = c.ms.Offset(i)

@@ -2,10 +2,11 @@
 // from is one record on a wal.Partition, appended under the server's lock
 // before the edit is applied, so the journal's order is the registry's and an
 // edit the journal refuses changes nothing. The partition group-commits with
-// fsync. A record is JSON behind a magic carrying the format's version: an
-// edit, or an image — the registry entire. Once the records since the last
-// image outnumber the chunks, the next edit appends a fresh image in a
-// segment of its own, and the journal is cut below it once it is durable.
+// fsync. A record is JSON behind a magic carrying the format's version, and
+// every record is absolute: a state replaces the state, a put replaces its
+// chunk and a drop removes it. So the journal is compacted by re-registering
+// the registry as ordinary records, one short part at a time, and cut below
+// the first part once the last is durable; replay applies records in order.
 
 package meta
 
@@ -33,10 +34,6 @@ var ErrVersion = errors.New("meta: not a version-01 registry record")
 // ErrCorrupt is returned for a journal record that does not parse.
 var ErrCorrupt = errors.New("meta: corrupt journal record")
 
-// ErrImageTooLarge is returned when the registry's image would not fit one
-// journal record (wal.MaxRecordBytes, some 5·10⁴ chunks).
-var ErrImageTooLarge = errors.New("meta: registry image exceeds a journal record")
-
 // state is everything but the chunks that a restart resumes from.
 type state struct {
 	Schema    PartitionSchema
@@ -45,9 +42,10 @@ type state struct {
 	NextChunk uint64
 }
 
-// record is one journal record: an edit — the whole state when it changed
-// (nil otherwise), then the chunks dropped, then the chunks put under their
-// IDs — or, with Image set, the registry entire.
+// record is one journal record: the whole state when it changed (nil
+// otherwise), then the chunks dropped, then the chunks put under their IDs.
+// Image marks the registry entire, as Snapshot takes it; replay reads it
+// like any other record.
 type record struct {
 	Image bool            `json:",omitempty"`
 	State *state          `json:",omitempty"`
@@ -56,8 +54,8 @@ type record struct {
 }
 
 // JournalConfig is how Open reaches the disk (nil Files: the plain OS) and
-// what it counts and times its images in. Every record is fsynced: that is
-// not configurable.
+// what it counts and times its compactions in. Every record is fsynced: that
+// is not configurable.
 type JournalConfig struct {
 	Files        *durable.Files
 	Compactions  *telemetry.Counter
@@ -65,8 +63,8 @@ type JournalConfig struct {
 }
 
 // Open opens the registry journaled in the partition directory path,
-// replaying it; an empty journal opens a registry of indexServers slots, as
-// NewServer does. Close releases it.
+// replaying its records in order; an empty journal opens a registry of
+// indexServers slots, as NewServer does. Close releases it.
 func Open(path string, indexServers int, cfg JournalConfig) (*Server, error) {
 	j, err := wal.OpenPartition(path, wal.Config{Durability: wal.DurabilityAckOnFsync, Files: cfg.Files})
 	if err != nil {
@@ -83,10 +81,6 @@ func Open(path string, indexServers int, cfg JournalConfig) (*Server, error) {
 				break
 			}
 			s.applyLocked(r)
-			if s.sinceImage.Add(1); r.Image {
-				s.sinceImage.Store(0)
-				s.image.Store(rec.Offset)
-			}
 			off++
 		}
 		if err != nil {
@@ -94,6 +88,7 @@ func Open(path string, indexServers int, cfg JournalConfig) (*Server, error) {
 			return nil, fmt.Errorf("meta: replay journal at %d: %w", off, err)
 		}
 	}
+	s.sinceCut.Store(j.Next() - j.Base())
 	return s, nil
 }
 
@@ -106,89 +101,104 @@ func (s *Server) Close() {
 	}
 }
 
-// Sync returns once every edit made so far is durable, and cuts the journal
-// below the newest durable image; first, when the records since the last
-// image outnumber the chunks, it appends a fresh one. It is how a caller
-// that acts on an edit outside the registry — a flush commit letting go of
-// the log — waits for it; the other edits wait by themselves. No-op
-// without a journal.
+// Sync returns once every edit made so far is durable: how a caller that
+// acts on an edit outside the registry — a flush commit letting go of the
+// log — waits for it; the other edits wait by themselves. Then it compacts
+// the journal if the rule asks; a compaction that fails is not the caller's
+// error, and the next Sync tries again. No-op without a journal.
 func (s *Server) Sync() error {
 	if s.j == nil {
 		return nil
 	}
-	if s.sinceImage.Load() > int64(s.ChunkCount()) {
-		s.compact()
-	}
-	if err := s.j.AwaitDurable(s.j.Next()); err != nil {
+	return s.await(s.j.Next())
+}
+
+// await returns once the journal is durable below end, then compacts it
+// once the edits since the last compaction outnumber the chunks.
+func (s *Server) await(end int64) error {
+	if err := s.j.AwaitDurable(end); err != nil {
 		return fmt.Errorf("meta: journal: %w", err)
 	}
-	if img := s.image.Load(); img > s.j.Base() && s.j.SyncedNext() > img {
-		s.j.Truncate(img)
+	if s.sinceCut.Load() > int64(s.ChunkCount()) {
+		s.compact()
 	}
 	return nil
 }
 
-// Compact appends the registry's image, unless nothing was journaled since
-// the last one, and cuts the journal below it once it is durable. No-op
-// without a journal.
+// Compact is Sync, then a compaction unless nothing was journaled since
+// the last one began; it returns the compaction's error.
 func (s *Server) Compact() error {
-	if s.j == nil {
-		return nil
+	if err := s.Sync(); err != nil || s.j == nil || s.sinceCut.Load() == 0 {
+		return err
 	}
-	var err error
-	if s.sinceImage.Load() > 0 {
-		err = s.compact()
-	}
-	return errors.Join(err, s.Sync())
+	return s.compact()
 }
 
 // commitLocked appends r to the journal, then applies it; a record the
-// journal refuses is not applied. Requires mu.
-func (s *Server) commitLocked(r *record) error {
+// journal refuses is not applied. It returns the journal offset past r.
+// Requires mu.
+func (s *Server) commitLocked(r *record) (end int64, err error) {
 	if s.j != nil {
-		if err := s.appendLocked(r.encode(), false); err != nil {
-			return err
+		if end, err = s.j.StartAppend([][]byte{r.encode()}); err != nil {
+			return 0, fmt.Errorf("meta: journal: %w", err)
 		}
-		s.sinceImage.Add(1)
+		s.sinceCut.Add(1)
 	}
 	s.applyLocked(r)
-	return nil
+	return end, nil
 }
 
-// compact appends the registry's image in a segment of its own and marks it
-// as where the journal may be cut. It holds the read lock: edits wait, so
-// the image is the registry at its place in the journal, and queries do
-// not. An image too large to append leaves the journal growing; the rule
-// asks again after as many records as the registry holds chunks.
+// partChunks is how many chunks one part of a compaction puts: one part's
+// encode holds the write lock for about a millisecond.
+const partChunks = 256
+
+// compact re-registers the registry (DESIGN §19): the first part, with the
+// state, opens a segment of its own at the cut point S; each part puts the
+// next partChunks of the IDs registered at S that still are, as they are
+// now, under the write lock. Once the last part is durable the journal is
+// cut below S. One compaction runs at a time; a second returns at once.
 func (s *Server) compact() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if !s.compacting.CompareAndSwap(false, true) {
+		return nil
+	}
+	defer s.compacting.Store(false)
 	start := time.Now()
-	s.sinceImage.Store(0)
-	if err := s.appendLocked(s.imageLocked(), true); err != nil {
-		return err
+	var ids []model.ChunkID
+	part := func(r *record) []byte { // requires mu
+		n := min(partChunks, len(ids))
+		for _, id := range ids[:n] {
+			if info, ok := s.chunks[id]; ok {
+				r.Puts = append(r.Puts, info)
+			}
+		}
+		ids = ids[n:]
+		return r.encode()
 	}
-	s.image.Store(s.j.Next() - 1)
-	s.jcfg.Compactions.Inc()
-	s.jcfg.CompactNanos.Observe(time.Since(start))
-	return nil
-}
-
-// appendLocked appends one record to the journal. Requires mu, for reading
-// at least.
-func (s *Server) appendLocked(rec []byte, fresh bool) error {
-	if len(rec) > wal.MaxRecordBytes {
-		return fmt.Errorf("%w: %d bytes, the limit is %d", ErrImageTooLarge, len(rec), wal.MaxRecordBytes)
+	s.mu.Lock()
+	edits := s.sinceCut.Load()
+	ids = make([]model.ChunkID, 0, len(s.chunks))
+	for id := range s.chunks {
+		ids = append(ids, id)
 	}
-	var err error
-	if fresh {
-		_, err = s.j.StartSegment(rec)
-	} else {
-		_, err = s.j.StartAppend([][]byte{rec})
+	st := s.stateLocked()
+	end, err := s.j.StartSegment(part(&record{State: &st}))
+	s.mu.Unlock()
+	cut := end - 1
+	for err == nil && len(ids) > 0 {
+		s.mu.Lock()
+		end, err = s.j.StartAppend([][]byte{part(&record{})})
+		s.mu.Unlock()
+	}
+	if err == nil {
+		err = s.j.AwaitDurable(end)
 	}
 	if err != nil {
-		return fmt.Errorf("meta: journal: %w", err)
+		return fmt.Errorf("meta: journal compaction: %w", err)
 	}
+	s.j.Truncate(cut)
+	s.sinceCut.Add(-edits)
+	s.jcfg.Compactions.Inc()
+	s.jcfg.CompactNanos.Observe(time.Since(start))
 	return nil
 }
 
@@ -202,15 +212,9 @@ func (s *Server) stateLocked() state {
 	}
 }
 
-// applyLocked applies a record: an image empties the registry first; then
-// the state, the drops, the puts. A put of a registered ID replaces that
-// chunk. Requires mu.
+// applyLocked applies a record: the state, the drops, the puts. A put of a
+// registered ID replaces that chunk. Requires mu.
 func (s *Server) applyLocked(r *record) {
-	if r.Image {
-		s.chunks = make(map[model.ChunkID]ChunkInfo, len(r.Puts))
-		s.regions = newRegions()
-		s.maxTime, s.nextChunk = 0, 0
-	}
 	if st := r.State; st != nil {
 		s.schema, s.offsets, s.epochs = st.Schema, st.Offsets, st.Epochs
 		s.nextChunk = max(s.nextChunk, st.NextChunk)
@@ -226,16 +230,6 @@ func (s *Server) applyLocked(r *record) {
 		}
 	}
 	s.indexLocked(r.Puts)
-}
-
-// imageLocked encodes the registry as one image record. Requires mu.
-func (s *Server) imageLocked() []byte {
-	st := s.stateLocked()
-	img := &record{Image: true, State: &st, Puts: make([]ChunkInfo, 0, len(s.chunks))}
-	for _, c := range s.chunks {
-		img.Puts = append(img.Puts, c)
-	}
-	return img.encode()
 }
 
 // encode returns the record's bytes. A record holds only numbers, strings

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -32,7 +33,7 @@ func registryOf(s *Server) registry {
 	return r
 }
 
-func openJournal(t *testing.T, path string, files *durable.Files) *Server {
+func openJournal(t testing.TB, path string, files *durable.Files) *Server {
 	t.Helper()
 	s, err := Open(path, 2, JournalConfig{Files: files})
 	if err != nil {
@@ -114,11 +115,11 @@ func TestJournalReplaysEveryEdit(t *testing.T) {
 	}
 }
 
-// TestJournalCompactsByRule: once the records since the last image outnumber
-// the chunks, an image opens a fresh segment and the journal is cut below
-// it — however many edits went through, it holds one image and fewer records
-// than chunks after it, in one or two segment files — and Compact does the
-// same on demand.
+// TestJournalCompactsByRule: once the edits since the last compaction
+// outnumber the chunks, the registry is re-registered from a fresh segment
+// and the journal is cut below it — however many edits went through, it
+// holds one part and fewer records than chunks after it, in one or two
+// segment files — and Compact does the same on demand.
 func TestJournalCompactsByRule(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "meta.wal")
 	s := openJournal(t, path, nil)
@@ -141,7 +142,7 @@ func TestJournalCompactsByRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := s.j.Len(); n != 1 {
-		t.Fatalf("after Compact the journal holds %d records, want the image", n)
+		t.Fatalf("after Compact the journal holds %d records, want the one part", n)
 	}
 	want := registryOf(s)
 	s.Close()
@@ -185,32 +186,9 @@ func TestJournalRefusalChangesNothing(t *testing.T) {
 	}
 }
 
-// TestImageTooLargeIsTyped: a record past wal.MaxRecordBytes is a typed
-// error, not a crash, and the registry keeps working.
-func TestImageTooLargeIsTyped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "meta.wal")
-	s := openJournal(t, path, nil)
-	defer s.Close()
-	long := strings.Repeat("x", 1<<20)
-	for i := 0; i < 17; i++ {
-		if s.RegisterChunks([]ChunkInfo{{Path: long, Region: region(0, 9, 0, 9)}}) == nil {
-			t.Fatal("registration refused")
-		}
-	}
-	if err := s.Compact(); !errors.Is(err, ErrImageTooLarge) {
-		t.Fatalf("Compact of a 17 MiB registry: %v, want ErrImageTooLarge", err)
-	}
-	if s.RegisterChunks([]ChunkInfo{{Path: strings.Repeat("y", 17<<20)}}) != nil {
-		t.Fatal("a 17 MiB edit was taken")
-	}
-	if !s.DropChunk(1) || s.ChunkCount() != 16 {
-		t.Fatalf("the registry stopped working: %d chunks", s.ChunkCount())
-	}
-}
-
-// FuzzMetaJournal: whatever bytes a journal record or an image holds,
-// decoding them gives a typed error or a registry that works — never a
-// panic.
+// FuzzMetaJournal: whatever bytes a journal holds — records back to back,
+// each behind the magic — or an image holds, replaying or restoring them
+// gives a typed error or a registry that works — never a panic.
 func FuzzMetaJournal(f *testing.F) {
 	s := NewServer(2)
 	s.RegisterFlushOwned(0, 1, []ChunkInfo{{Path: "a", Region: region(0, 9, 0, 9), Agg: &model.ChunkAgg{Field: 1}}}, 5)
@@ -222,19 +200,43 @@ func FuzzMetaJournal(f *testing.F) {
 	if gob, err := os.ReadFile("testdata/pr13_format_field.snap"); err == nil {
 		f.Add(gob)
 	}
-	f.Fuzz(func(t *testing.T, rec []byte) {
+	// A compacted journal: its parts, then an edit.
+	j := openJournal(f, filepath.Join(f.TempDir(), "meta.wal"), nil)
+	registerMany(f, j, 2*partChunks+10)
+	if err := j.Compact(); err != nil {
+		f.Fatal(err)
+	}
+	j.DropChunk(7)
+	recs, err := j.j.Read(j.j.Base(), 10)
+	if err != nil || len(recs) != 4 {
+		f.Fatalf("the compacted journal holds %d records (%v), want 3 parts and an edit", len(recs), err)
+	}
+	var journal []byte
+	for _, rec := range recs {
+		journal = append(journal, rec.Data...)
+	}
+	j.Close()
+	f.Add(journal)
+	f.Fuzz(func(t *testing.T, data []byte) {
 		typed := func(err error) {
 			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("untyped error: %v", err)
 			}
 		}
-		r, err := Restore(rec)
+		r, err := Restore(data)
 		typed(err)
 		srv := NewServer(2)
-		if r, err := decode(rec); err == nil {
-			srv.applyLocked(r)
-		} else {
-			typed(err)
+		for len(data) > 0 {
+			n := bytes.Index(data[1:], magic) + 1
+			if n == 0 {
+				n = len(data)
+			}
+			if r, err := decode(data[:n]); err == nil {
+				srv.applyLocked(r)
+			} else {
+				typed(err)
+			}
+			data = data[n:]
 		}
 		for _, s := range []*Server{r, srv} {
 			if s == nil {

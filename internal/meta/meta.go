@@ -182,13 +182,13 @@ type Server struct {
 	nextQuery uint64
 	maxTime   model.Timestamp // max Region.Times.Hi ever registered
 
-	// j is the journal (nil: none, see journal.go). sinceImage counts the
-	// records appended or replayed since the last image; image is the
-	// offset of the newest image, which the journal may be cut at.
+	// j is the journal (nil: none, see journal.go). sinceCut counts the
+	// edits since the last compaction began (after a replay, the records
+	// replayed); compacting is set while one runs.
 	j          *wal.Partition
 	jcfg       JournalConfig
-	sinceImage atomic.Int64
-	image      atomic.Int64
+	sinceCut   atomic.Int64
+	compacting atomic.Bool
 }
 
 // NewServer creates a metadata server for the given number of indexing
@@ -265,14 +265,15 @@ var errNoChunk = errors.New("meta: no such chunk")
 func (s *Server) commit(build func() (*record, error)) error {
 	s.mu.Lock()
 	r, err := build()
+	var end int64
 	if err == nil {
-		err = s.commitLocked(r)
+		end, err = s.commitLocked(r)
 	}
 	s.mu.Unlock()
-	if err != nil {
+	if err != nil || s.j == nil {
 		return err
 	}
-	return s.Sync()
+	return s.await(end)
 }
 
 // RegisterChunks registers several chunks in one critical section, so their
@@ -469,7 +470,12 @@ func (s *Server) CompleteQuery(id uint64) {
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.imageLocked(), nil
+	st := s.stateLocked()
+	img := &record{Image: true, State: &st, Puts: make([]ChunkInfo, 0, len(s.chunks))}
+	for _, c := range s.chunks {
+		img.Puts = append(img.Puts, c)
+	}
+	return img.encode(), nil
 }
 
 // Restore rebuilds a metadata server, with no journal, from an image. It

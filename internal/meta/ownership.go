@@ -92,7 +92,7 @@ func (s *Server) RegisterFlushOwned(server int, epoch int64, infos []ChunkInfo, 
 		st.Offsets[server] = off
 		e.State = &st
 	}
-	if err := s.commitLocked(e); err != nil {
+	if _, err := s.commitLocked(e); err != nil {
 		return nil, err
 	}
 	return e.Puts, nil

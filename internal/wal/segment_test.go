@@ -576,3 +576,43 @@ func TestSyncToAcrossRollsUnderLoad(t *testing.T) {
 	}
 	p.CloseFile()
 }
+
+// TestOversizeRecordIsRefused: a record longer than MaxRecordBytes, which
+// no reader of a segment takes back, is refused with ErrRecordTooLarge —
+// its whole batch, before anything changes, a segment roll included — and
+// the refusal is not sticky. A record of exactly MaxRecordBytes is taken,
+// and the log reopens with everything it acked.
+func TestOversizeRecordIsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.wal")
+	p, err := OpenPartition(path, Config{Durability: DurabilityAckOnFsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	huge := make([]byte, MaxRecordBytes+1)
+	if _, err := p.AppendBatch([][]byte{[]byte("x"), huge}); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("batch holding a %d-byte record: %v, want ErrRecordTooLarge", len(huge), err)
+	}
+	if _, err := p.StartSegment(huge); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("fresh segment of a %d-byte record: %v, want ErrRecordTooLarge", len(huge), err)
+	}
+	if p.Err() != nil || p.Next() != 1 || len(segBases(t, path)) != 1 {
+		t.Fatalf("a refusal changed the log: err %v, next %d, segments %v", p.Err(), p.Next(), segBases(t, path))
+	}
+	if _, err := p.AppendBatch([][]byte{huge[:MaxRecordBytes], []byte("after")}); err != nil {
+		t.Fatalf("append after the refusal: %v", err)
+	}
+	p.Close()
+	p.CloseFile()
+	p2, err := OpenPartition(path, Config{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer p2.CloseFile()
+	recs, err := p2.Read(0, 10)
+	if err != nil || len(recs) != 3 || string(recs[0].Data) != "before" || len(recs[1].Data) != MaxRecordBytes || string(recs[2].Data) != "after" {
+		t.Fatalf("reopened log: %d records (%v), want before, %d bytes, after", len(recs), err, MaxRecordBytes)
+	}
+}

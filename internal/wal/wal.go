@@ -31,6 +31,11 @@ var ErrCorruptSegment = errors.New("wal: corrupt segment")
 // is closed: a closed partition has no consumer left to apply what it takes.
 var ErrClosed = errors.New("wal: partition closed")
 
+// ErrRecordTooLarge refuses a batch holding a record longer than
+// MaxRecordBytes, which no reader of a segment would take back. The refusal
+// changes nothing and is not sticky: the next append goes through.
+var ErrRecordTooLarge = errors.New("wal: record exceeds MaxRecordBytes")
+
 // ErrInjectedAppend is the transient failure armed by FailNextAppends.
 var ErrInjectedAppend = errors.New("wal: injected append fault")
 
@@ -141,12 +146,13 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 // payload sections of that buffer, so a batch of any size costs one
 // allocation.
 //
-// Failure is all-or-nothing. On a disk error no record of the batch is
-// retained in memory, so a tuple the log cannot hold is never acked, never
-// consumed, and never covered by a flush-offset commit (stop-the-line,
-// matching the flush pipeline's semantics). The error is sticky: once the
-// segment is broken every later append fails until the partition is
-// reopened.
+// Failure is all-or-nothing. A record longer than MaxRecordBytes refuses
+// the batch with ErrRecordTooLarge before the partition changes anything. On
+// a disk error no record of the batch is retained in memory, so a tuple the
+// log cannot hold is never acked, never consumed, and never covered by a
+// flush-offset commit (stop-the-line, matching the flush pipeline's
+// semantics). That error is sticky: once the segment is broken every later
+// append fails until the partition is reopened.
 func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 	return p.startAppend(datas, false)
 }
@@ -154,7 +160,7 @@ func (p *Partition) StartAppend(datas [][]byte) (end int64, err error) {
 // StartSegment is StartAppend of one record that opens a fresh segment file
 // of its own (unless the active one is still empty): a Truncate at its
 // offset then unlinks every segment before it. The metadata journal puts
-// each of its images there.
+// the first part of each compaction there.
 func (p *Partition) StartSegment(data []byte) (end int64, err error) {
 	return p.startAppend([][]byte{data}, true)
 }
@@ -162,6 +168,9 @@ func (p *Partition) StartSegment(data []byte) (end int64, err error) {
 func (p *Partition) startAppend(datas [][]byte, fresh bool) (end int64, err error) {
 	total := 0
 	for _, d := range datas {
+		if len(d) > MaxRecordBytes {
+			return 0, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(d))
+		}
 		total += recordHeaderLen + len(d)
 	}
 	buf := make([]byte, total)

@@ -9,11 +9,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"waterwheel/internal/cluster"
+	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 // A restart is a second PROCESS over the DataDir: everything a process
@@ -353,5 +357,72 @@ func TestCheckpointAfterCloseWritesNothing(t *testing.T) {
 	}
 	if err := restartVerify(db, restartDay10, map[uint64]uint64{0: 1000, restartGen: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizeTupleIsNotAckedAndSurvivesACrash: a tuple whose WAL record
+// would exceed wal.MaxRecordBytes is not acked — in process with
+// wal.ErrRecordTooLarge, over the wire as a BatchError naming its position
+// and no other — and a host crash after it reopens with every acked tuple.
+// The log used to take the record and ack it, and then refuse its own
+// segment at the reopen.
+func TestOversizeTupleIsNotAckedAndSurvivesACrash(t *testing.T) {
+	opts := Options{Nodes: 1, IndexServersPerNode: 2, QueryServersPerNode: 1, DataDir: t.TempDir(), Durability: "ack-on-fsync", ChunkBytes: 64 << 20, Seed: 1}
+	cfg := opts.config()
+	cfg.Files = &durable.Files{}
+	open := func() *DB {
+		c, err := cluster.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		return &DB{c: c}
+	}
+	db := open()
+	low, high := Key(1<<10), Key(1<<63+1<<10) // server 0, server 1
+	huge := make([]byte, wal.MaxRecordBytes+1<<20)
+	if err := db.Insert(Tuple{Key: low, Time: 1, Payload: []byte("small")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(Tuple{Key: low, Time: 2, Payload: huge}); !errors.Is(err, wal.ErrRecordTooLarge) {
+		t.Fatalf("Insert of a %d-byte payload: %v, want wal.ErrRecordTooLarge", len(huge), err)
+	}
+	ns, err := db.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(ns.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cl.InsertBatch([]Tuple{{Key: low, Time: 3}, {Key: high, Time: 4, Payload: huge}})
+	var be *BatchError
+	if !errors.As(err, &be) || !reflect.DeepEqual(be.Rejected, []int{1}) {
+		t.Fatalf("over the wire: %v, want a BatchError rejecting position 1 alone", err)
+	}
+	cl.Close()
+	ns.Close()
+	if err := db.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.c.HardCrash(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	defer db.Close()
+	if err := db.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []Timestamp
+	for _, tp := range res.Tuples {
+		times = append(times, tp.Time)
+	}
+	slices.Sort(times)
+	if !slices.Equal(times, []Timestamp{1, 3}) {
+		t.Fatalf("after the crash the store holds times %v, want the acked [1 3]", times)
 	}
 }

@@ -25,7 +25,7 @@ func runChaos(args []string) {
 		dataDir  = fs.String("datadir", "", "run disk-backed with a restart pass (empty: in-memory)")
 		dur      = fs.String("durability", "", "insert ack policy with -datadir: ack-on-write, ack-on-fsync, interval")
 		crash    = fs.Bool("hardcrash", false, "with -datadir: hard-crash after the schedule (discard unsynced WAL bytes), reopen, re-verify")
-		elastic  = fs.Bool("elastic", false, "mix elastic topology ops (add/decommission/kill-with-standby/promote) into the schedule, with hot standbys on every slot")
+		elastic  = fs.Bool("elastic", false, "mix elastic topology ops (add/decommission/more kills) into the schedule")
 		takeover = fs.Bool("takeover", false, "run the scripted takeover suite (every seeded schedule) instead of random seeds")
 		tiering  = fs.Bool("tiering", false, "run with hierarchical time tiering: retention ops demote and compact before dropping")
 	)

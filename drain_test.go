@@ -82,13 +82,13 @@ func TestInsertAfterCloseIsRejected(t *testing.T) {
 }
 
 // TestCloseWithNetServerLeavesNoGoroutines: Close while a network server
-// serves a client that keeps writing, with hot standbys running. The late
-// writes are answered ErrClosed over the wire, and once the network server
-// and the client are closed too, no goroutine of the deployment is left:
-// the count is back at its value before Open.
+// serves a client that keeps writing. The late writes are answered
+// ErrClosed over the wire, and once the network server and the client are
+// closed too, no goroutine of the deployment is left: the count is back at
+// its value before Open.
 func TestCloseWithNetServerLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	db, err := Open(Options{HotStandby: true})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

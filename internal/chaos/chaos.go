@@ -60,8 +60,7 @@ const (
 	// Elastic classes (Options.Elastic runs and the takeover suite).
 	FaultElasticAdd   = "elastic-add-server"
 	FaultElasticDecom = "elastic-decommission"
-	FaultTakeover     = "standby-takeover"
-	FaultHandoff      = "planned-handoff"
+	FaultTakeover     = "takeover"
 )
 
 // Options configures one harness run.
@@ -91,11 +90,10 @@ type Options struct {
 	// cost of the policy. Takes precedence over Restart.
 	HardCrash bool
 	// Elastic mixes elastic scale-out ops into the random schedule —
-	// add-server, decommission, kill-with-standby, planned handoff — and
-	// runs the cluster with hot standbys on every active slot. Slot ids in
-	// the schedule are resolved against the live topology at execution
-	// time, so the op sequence stays a pure function of the seed even as
-	// the slot set changes.
+	// add-server, decommission and more kills. Slot ids in the schedule are
+	// resolved against the live topology at execution time, so the op
+	// sequence stays a pure function of the seed even as the slot set
+	// changes.
 	Elastic bool
 	// Telemetry, when set, is plumbed into the cluster so the run's
 	// handoff metrics (pause, lag, count) can be asserted afterwards.
@@ -172,8 +170,6 @@ const (
 	// Elastic ops (only generated when Options.Elastic is set).
 	opAddServer
 	opDecommission
-	opKillWithStandby
-	opPromote
 )
 
 var opNames = map[opKind]string{
@@ -185,7 +181,6 @@ var opNames = map[opKind]string{
 	opReadFaults: "read-faults", opCrash: "crash",
 	opCrashMidFlush: "crash-mid-flush", opBarrier: "barrier",
 	opAddServer: "add-server", opDecommission: "decommission",
-	opKillWithStandby: "kill-with-standby", opPromote: "promote-standby",
 }
 
 // op is one pre-generated schedule step. All parameters are fixed at
@@ -205,7 +200,7 @@ func (o op) String() string {
 		return fmt.Sprintf("%s n=%d fault=%v", opNames[o.kind], o.n, o.alt)
 	case opKillDFS, opReviveDFS:
 		return fmt.Sprintf("%s node=%d", opNames[o.kind], o.n)
-	case opCrash, opCrashMidFlush, opDecommission, opKillWithStandby, opPromote:
+	case opCrash, opCrashMidFlush, opDecommission:
 		// n is a pick index, resolved against the live slot set at exec time.
 		return fmt.Sprintf("%s pick=%d", opNames[o.kind], o.n)
 	case opWriteFaults, opReadFaults:
@@ -238,7 +233,7 @@ var elasticWeights = []struct {
 	kind opKind
 	w    int
 }{
-	{opAddServer, 2}, {opDecommission, 2}, {opKillWithStandby, 2}, {opPromote, 2},
+	{opAddServer, 2}, {opDecommission, 2}, {opCrash, 4},
 }
 
 // genSchedule derives the op sequence from the seed alone. nIdx and nodes
@@ -286,7 +281,7 @@ func genSchedule(seed int64, nOps, nodes, nIdx int, elastic bool) []op {
 			o.n = 2 + master.Intn(5)
 		case opKillDFS, opReviveDFS:
 			o.n = master.Intn(nodes)
-		case opCrash, opCrashMidFlush, opDecommission, opKillWithStandby, opPromote:
+		case opCrash, opCrashMidFlush, opDecommission:
 			o.n = master.Intn(nIdx)
 		case opWriteFaults:
 			o.alt = master.Intn(2) == 0
@@ -367,8 +362,6 @@ func clusterConfig(opts Options) cluster.Config {
 		SleepFn:               func(time.Duration) {},
 		DataDir:               opts.DataDir,
 		Durability:            opts.Durability,
-		HotStandby:            opts.Elastic,
-		StandbyLagRecords:     32,
 		Telemetry:             opts.Telemetry,
 	}
 	if opts.DataDir != "" {
@@ -556,20 +549,13 @@ func (r *runner) exec(i int, o op) {
 			r.violate(i, "kill index server %d: %v", server, err)
 		}
 		r.rep.FaultsSeen[FaultCrash] = true
-		if r.opts.Elastic {
-			// Hot standbys are on, so the kill resolved as a takeover.
-			r.rep.FaultsSeen[FaultTakeover] = true
-		}
+		r.rep.FaultsSeen[FaultTakeover] = true
 	case opCrashMidFlush:
 		r.crashMidFlush(i, r.pickSlot(o.n))
 	case opAddServer:
 		r.addServer(i)
 	case opDecommission:
 		r.decommission(i, o.n)
-	case opKillWithStandby:
-		r.killWithStandby(i, o.n)
-	case opPromote:
-		r.promote(i, o.n)
 	case opBarrier:
 		r.barrier(i)
 	}
@@ -622,38 +608,6 @@ func (r *runner) decommission(i, pick int) {
 	}
 	r.trace(i, "decommission: slot %d drained out, %d active", server, len(r.c.ActiveSlots()))
 	r.rep.FaultsSeen[FaultElasticDecom] = true
-}
-
-// killWithStandby guarantees a standby exists and has bounded replay lag
-// before killing the owner, so the takeover path (promote + WAL tail
-// replay) is what recovers — not a cold rebuild.
-func (r *runner) killWithStandby(i, pick int) {
-	server := r.pickSlot(pick)
-	if err := r.c.StartStandby(server); err != nil { // a no-op when it has one
-		r.violate(i, "start standby for slot %d: %v", server, err)
-		return
-	}
-	// Best effort: a standby still behind at the deadline is killed anyway.
-	_ = r.c.AwaitStandby(server, wal.Deadline(2*time.Second))
-	if err := r.c.KillIndexServer(server); err != nil {
-		r.violate(i, "kill index server %d with standby: %v", server, err)
-		return
-	}
-	r.rep.FaultsSeen[FaultCrash] = true
-	r.rep.FaultsSeen[FaultTakeover] = true
-}
-
-func (r *runner) promote(i, pick int) {
-	server := r.pickSlot(pick)
-	if err := r.c.StartStandby(server); err != nil { // a no-op when it has one
-		r.violate(i, "start standby for slot %d: %v", server, err)
-		return
-	}
-	if err := r.c.PromoteStandby(server); err != nil {
-		r.violate(i, "promote standby for slot %d: %v", server, err)
-		return
-	}
-	r.rep.FaultsSeen[FaultHandoff] = true
 }
 
 // insertBatch acks n tuples through the dispatchers and records them in

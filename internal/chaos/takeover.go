@@ -23,10 +23,11 @@ import (
 //   - every handoff's ingest pause, measured by the cluster itself into
 //     waterwheel_handoff_pause_seconds, stays under takeoverPauseBound.
 //
-// Scenarios run with hot standbys on every active slot, DataDir-backed
-// durability under "ack-on-fsync" (so a lost acked tuple can never be
-// excused), and a telemetry registry so the suite asserts against the
-// exact metrics an operator would watch during a real migration.
+// Every takeover is a cold one: a fresh server replays the slot's WAL from
+// the committed offset. Scenarios run with DataDir-backed durability under
+// "ack-on-fsync" (so a lost acked tuple can never be excused), and a
+// telemetry registry so the suite asserts against the exact metrics an
+// operator would watch during a real migration.
 
 // takeoverPauseBound is the ceiling the suite holds every handoff's ingest
 // pause to — the ISSUE's "less than one flush interval". The harness
@@ -58,7 +59,7 @@ type TakeoverSchedule struct {
 var TakeoverSchedules = []TakeoverSchedule{
 	{
 		// Owner dies while a background burst is in full flight: acks race
-		// the kill, the standby inherits a moving WAL tail.
+		// the kill, the successor replays a moving WAL tail.
 		Name: "kill-mid-burst", Seed: 9001,
 		Steps: []tkStep{
 			{"burst", 200}, {"burst-bg", 400}, {"kill", 1}, {"join", 0},
@@ -75,12 +76,11 @@ var TakeoverSchedules = []TakeoverSchedule{
 		},
 	},
 	{
-		// Kill lands immediately after a planned handoff flips ownership,
-		// while the promoted owner is still replaying its handoff debt and
-		// its fresh standby has barely started tailing.
+		// Kill lands immediately after a handoff flips ownership under load,
+		// while the successor is still replaying its handoff debt.
 		Name: "kill-mid-handoff", Seed: 9003,
 		Steps: []tkStep{
-			{"burst-bg", 400}, {"promote", 0}, {"kill", 0}, {"join", 0},
+			{"burst-bg", 400}, {"kill", 0}, {"kill", 0}, {"join", 0},
 			{"burst", 120}, {"barrier", 0},
 		},
 	},
@@ -103,12 +103,12 @@ var TakeoverSchedules = []TakeoverSchedule{
 	{
 		// Scale-out mid-burst: the widest interval splits while acks are in
 		// flight; tuples routed to the old owner after the split must land
-		// exactly once. The freshly split slot is then handed off while its
-		// standby has only tailed the post-split suffix.
+		// exactly once. The freshly split slot is then handed off, and its
+		// successor replays a partition that holds only the post-split suffix.
 		Name: "add-mid-burst", Seed: 9006,
 		Steps: []tkStep{
 			{"burst", 200}, {"burst-bg", 500}, {"add", 0}, {"join", 0},
-			{"burst", 150}, {"promote", 6}, {"barrier", 0},
+			{"burst", 150}, {"kill", 6}, {"barrier", 0},
 		},
 	},
 	{
@@ -122,27 +122,28 @@ var TakeoverSchedules = []TakeoverSchedule{
 	},
 	{
 		// The neighbor that absorbed a decommissioned interval dies right
-		// after the merge: its standby must replay the widened region.
+		// after the merge: its successor must replay the widened region.
 		Name: "decommission-then-kill-neighbor", Seed: 9008,
 		Steps: []tkStep{
 			{"burst", 300}, {"decom", 2}, {"kill", 2}, {"burst", 120}, {"barrier", 0},
 		},
 	},
 	{
-		// Planned handoff right after a skew-driven repartition: the
-		// standby's key interval moved under it before the flip.
+		// Handoff right after a skew-driven repartition: the owner's key
+		// interval moved under it before the flip, and its successor replays
+		// tuples from both the old and the new interval.
 		Name: "handoff-under-repartition", Seed: 9009,
 		Steps: []tkStep{
-			{"skew-burst", 400}, {"balance", 0}, {"promote", 0},
+			{"skew-burst", 400}, {"balance", 0}, {"kill", 0},
 			{"burst", 120}, {"barrier", 0},
 		},
 	},
 	{
-		// Two planned handoffs back to back under sustained load: each
-		// promoted shadow inherits a moving WAL tail.
+		// Two handoffs back to back under sustained load: each successor
+		// replays a moving WAL tail.
 		Name: "planned-handoffs-under-load", Seed: 9010,
 		Steps: []tkStep{
-			{"burst-bg", 600}, {"promote", 1}, {"promote", 3}, {"join", 0},
+			{"burst-bg", 600}, {"kill", 1}, {"kill", 3}, {"join", 0},
 			{"barrier", 0},
 		},
 	},
@@ -180,7 +181,7 @@ type takeoverRunner struct {
 }
 
 // RunTakeover executes one scenario against a fresh DataDir-backed cluster
-// under ack-on-fsync with hot standbys, and returns its report. Like Run it
+// under ack-on-fsync, and returns its report. Like Run it
 // never fails the test itself; callers inspect Report.Violations.
 func RunTakeover(s TakeoverSchedule, dataDir string) (*TakeoverReport, error) {
 	opts := Options{
@@ -240,8 +241,6 @@ func (tr *takeoverRunner) step(i int, st tkStep) {
 		}
 		tr.rep.FaultsSeen[FaultCrash] = true
 		tr.rep.FaultsSeen[FaultTakeover] = true
-	case "promote":
-		tr.promote(i, st.n)
 	case "barrier":
 		tr.join(i)
 		tr.barrier(i)

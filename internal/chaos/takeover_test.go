@@ -43,8 +43,8 @@ func TestTakeoverSchedules(t *testing.T) {
 }
 
 // TestTakeoverFaultCoverage proves the suite as a whole exercises every
-// elastic fault class — standby takeover, planned handoff, add, and
-// decommission — so no scenario can silently degrade into a no-op.
+// elastic fault class — takeover, add and decommission — so no scenario can
+// silently degrade into a no-op.
 func TestTakeoverFaultCoverage(t *testing.T) {
 	covered := map[string]bool{}
 	for _, s := range TakeoverSchedules {
@@ -57,7 +57,7 @@ func TestTakeoverFaultCoverage(t *testing.T) {
 			covered[class] = true
 		}
 	}
-	for _, class := range []string{FaultTakeover, FaultHandoff, FaultElasticAdd, FaultElasticDecom, FaultCrash} {
+	for _, class := range []string{FaultTakeover, FaultElasticAdd, FaultElasticDecom, FaultCrash} {
 		if !covered[class] {
 			t.Errorf("elastic fault class %q never exercised by the takeover suite", class)
 		}
@@ -65,9 +65,8 @@ func TestTakeoverFaultCoverage(t *testing.T) {
 }
 
 // TestChaosElasticSeeds runs the random harness with topology churn mixed
-// into the schedule: add-server, decommission, kill-with-standby and
-// planned handoffs interleave with the usual fault classes, with hot
-// standbys on every active slot. The oracle invariants must hold on every
+// into the schedule: add-server, decommission and more kills interleave
+// with the usual fault classes. The oracle invariants must hold on every
 // seed exactly as in the static-topology bank.
 func TestChaosElasticSeeds(t *testing.T) {
 	seeds := []int64{41, 42, 43, 44}

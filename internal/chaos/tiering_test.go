@@ -8,7 +8,7 @@ import (
 
 // TestChaosRetentionTieringSchedule is the retention suite: a hand-built
 // schedule that interleaves tiered retention (demote → compact → drop)
-// with concurrent queries, WAL truncation and standby takeovers. Enough
+// with concurrent queries, WAL truncation and takeovers. Enough
 // virtual stream time passes that chunks age through warm into cold and
 // real merges happen; the heal barriers then prove zero acked-tuple loss
 // (completeness) and the query checks prove zero mid-query retirement
@@ -33,9 +33,9 @@ func TestChaosRetentionTieringSchedule(t *testing.T) {
 		case 3:
 			sched = append(sched, op{kind: opCheckpoint}, op{kind: opAggQuery})
 		case 4:
-			sched = append(sched, op{kind: opKillWithStandby, n: k}, op{kind: opQuery})
+			sched = append(sched, op{kind: opCrash, n: k}, op{kind: opQuery})
 		case 5:
-			sched = append(sched, op{kind: opPromote, n: k}, op{kind: opRetention}, op{kind: opBarrier})
+			sched = append(sched, op{kind: opCrash, n: k}, op{kind: opRetention}, op{kind: opBarrier})
 		}
 	}
 	sched = append(sched, op{kind: opBarrier})

@@ -73,7 +73,8 @@ func recovered(c *Cluster) (perSlot []int64) {
 // pipeline, not by how much went through: every flush commit is durable
 // when it lands and cuts the log behind it, so at most (FlushQueueDepth + 1)
 // chunks' worth of records per slot (on disk, plus the one segment the
-// horizon falls in) are in no durable chunk.
+// horizon falls in) are in no durable chunk. A kill's successor replays from
+// the same committed offset, so the same bound holds for a takeover.
 func TestReplayBoundedByFlushQueue(t *testing.T) {
 	const pad, chunkBytes, flushQueueDepth = 1024, 512 << 10, 2
 	cfg := testConfig()
@@ -97,11 +98,28 @@ func TestReplayBoundedByFlushQueue(t *testing.T) {
 			t.Fatalf("test premise: slot %d flushed %d chunks, want >= 40", i, n)
 		}
 	}
+	boundRecords := int64(flushQueueDepth+1) * int64(perChunk)
+
+	for _, i := range c.ActiveSlots() {
+		if err := c.KillIndexServer(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for slot, n := range recovered(c) {
+		t.Logf("slot %d's successor replayed %d records (bound %d)", slot, n, boundRecords)
+		if n > boundRecords {
+			t.Errorf("slot %d's successor replayed %d records, the flush queue bounds it at %d", slot, n, boundRecords)
+		}
+	}
+	verifyExactlyOnce(t, c, total)
+
 	if err := c.HardCrash(); err != nil {
 		t.Fatal(err)
 	}
 
-	boundRecords := int64(flushQueueDepth+1) * int64(perChunk)
 	recordBytes := int64(12 + 20 + pad) // frame + encoded tuple
 	bySlot := make(map[string]int64)
 	for rel, size := range walFiles(t, cfg.DataDir) {

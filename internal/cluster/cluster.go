@@ -110,18 +110,6 @@ type Config struct {
 	// FsyncIntervalMillis is the background fsync cadence for the
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
-	// HotStandby keeps a standby per active indexing server — a passive
-	// shadow consuming the slot's WAL partition: a kill becomes a takeover
-	// instead of a replay-from-offset, and PromoteStandby performs a planned
-	// handoff.
-	// After every takeover or promotion a fresh standby is started for the
-	// new owner automatically.
-	HotStandby bool
-	// StandbyLagRecords is the catch-up threshold of a planned handoff:
-	// PromoteStandby waits until the standby's replay position is within
-	// this many records of the partition head before flipping ownership
-	// (default 64).
-	StandbyLagRecords int
 	// TierWarmAfterMillis / TierColdAfterMillis age chunks through the
 	// retention tiers: a chunk whose max time lags the newest registered
 	// data by WarmAfter is demoted to warm, by ColdAfter to cold. Cold
@@ -159,9 +147,6 @@ func (c *Config) fill() {
 	if c.Replication <= 0 {
 		c.Replication = 3
 	}
-	if c.StandbyLagRecords <= 0 {
-		c.StandbyLagRecords = 64
-	}
 }
 
 // Cluster is a running Waterwheel deployment.
@@ -179,7 +164,7 @@ type Cluster struct {
 	ret   *retirer
 
 	// elasticMu serializes topology operations (add, decommission, kill,
-	// promote, rebalance) against each other; the data path never takes it.
+	// rebalance) against each other; the data path never takes it.
 	elasticMu sync.Mutex
 
 	// slots is the slot table (lifecycle.go): slots[i] is everything the
@@ -206,11 +191,11 @@ type Cluster struct {
 	// recorded as whole "seconds" so second-valued quantiles read directly
 	// as record counts.
 	batchRecords *telemetry.Histogram
-	// Handoff instrumentation: handoffs counts ownership flips (planned
-	// promotions and standby takeovers); handoffLag observes the standby's
-	// replay lag behind the partition head at the flip (records-as-seconds,
-	// like batchRecords); handoffPause observes the ingest-visible pause —
-	// ownership fence to new-owner consumer running.
+	// Handoff instrumentation: handoffs counts ownership flips (takeovers
+	// and decommissions); handoffLag observes the records the successor
+	// replays, committed offset to partition head at the flip
+	// (records-as-seconds, like batchRecords); handoffPause observes the
+	// ingest-visible pause — consumer detach to successor consuming.
 	handoffs     *telemetry.Counter
 	handoffLag   *telemetry.Histogram
 	handoffPause *telemetry.Histogram
@@ -387,7 +372,7 @@ func Open(cfg Config) (*Cluster, error) {
 			c.slots[i].retired = true
 			continue
 		}
-		c.slots[i].srv = c.newIndexServer(i, schema.IntervalOf(i), ms.Epoch(i), false)
+		c.slots[i].srv = c.newIndexServer(i, schema.IntervalOf(i), ms.Epoch(i))
 	}
 	qsMetrics := queryexec.NewServerMetrics(reg)
 	for n := 0; n < cfg.Nodes; n++ {

@@ -111,7 +111,7 @@ func (c *Cluster) Checkpoint() error {
 		if err := p.Sync(); err != nil {
 			return err
 		}
-		p.Truncate(c.replayFloor(i, off))
+		p.Truncate(off)
 	}
 	c.ret.sweep()
 	return nil
@@ -130,15 +130,10 @@ func (c *Cluster) Start() {
 	for i := range c.slots {
 		// A retired slot has no consumer; a stopped cluster starts none.
 		if row := &c.slots[i]; row.srv != nil && !c.stopped.Load() {
-			row.stopConsumer, _ = c.spawnLocked(i, row.srv)
+			row.stopConsumer = c.spawnLocked(i, row.srv)
 		}
 	}
 	c.slotMu.Unlock()
-	if c.cfg.HotStandby {
-		for _, i := range c.ActiveSlots() {
-			c.StartStandby(i)
-		}
-	}
 	if c.cfg.BalanceIntervalMillis > 0 {
 		c.wg.Add(1)
 		go func() {
@@ -182,14 +177,13 @@ func closeSegments(log *wal.Log) {
 }
 
 // stopIngest is every shutdown's first half (c.stopped is set): release
-// whoever waits on c.stop, detach the consumers and take the standbys in one
-// walk of the slot table, discard the standbys, close the log, wait for
-// consumers and balancer, stop the servers. The servers stay in the table:
-// a stopped deployment still answers Stats and IndexServers. Nothing spawns
-// a consumer once c.stopped is set (spawnLocked), so the walk sees them all.
+// whoever waits on c.stop, detach the consumers in one walk of the slot
+// table, close the log, wait for consumers and balancer, stop the servers.
+// The servers stay in the table: a stopped deployment still answers Stats
+// and IndexServers. Nothing spawns a consumer once c.stopped is set
+// (spawnLocked), so the walk sees them all.
 func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 	close(c.stop)
-	var hs []*standby
 	c.slotMu.Lock()
 	for i := range c.slots {
 		row := &c.slots[i]
@@ -197,15 +191,8 @@ func (c *Cluster) stopIngest(stopServer func(*ingest.Server)) {
 			close(row.stopConsumer)
 			row.stopConsumer = nil
 		}
-		if row.standby != nil {
-			hs = append(hs, row.standby)
-			row.standby = nil
-		}
 	}
 	c.slotMu.Unlock()
-	for _, h := range hs {
-		h.discard()
-	}
 	c.log.Close()
 	c.wg.Wait()
 	for _, srv := range c.servers() {
@@ -243,20 +230,4 @@ func (c *Cluster) crash(undo int) error {
 		closeSegments(c.log)
 		c.ms.Close()
 	})
-}
-
-// replayFloor returns the lowest offset of slot i's partition an in-process
-// reader may still ask for, given the slot's committed flush offset: a
-// crash replacement replays from committed, and a hot standby from its own
-// replay position, which can lag behind it. A planned promotion replays the
-// partition from the standby's position at handoff; dropping records
-// between its catch-up check and the ownership flip would lose acked
-// tuples. The standby's position only moves forward, so the floor read here
-// is safe against a concurrent promotion: at worst a few extra records stay
-// until the next commit.
-func (c *Cluster) replayFloor(i int, committed int64) int64 {
-	if h := c.standby(i); h != nil {
-		return min(committed, h.srv.Consumed())
-	}
-	return committed
 }

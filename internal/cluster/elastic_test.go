@@ -12,16 +12,14 @@ import (
 
 	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
-	"waterwheel/internal/wal"
 )
 
-// elasticConfig is a WAL-mode cluster with hot standbys on every slot —
-// the topology the elastic ops run against.
+// elasticConfig is a WAL-mode cluster of four slots — the topology the
+// elastic ops run against.
 func elasticConfig() Config {
 	cfg := testConfig()
 	cfg.Nodes = 2
 	cfg.IndexServersPerNode = 2
-	cfg.HotStandby = true
 	return cfg
 }
 
@@ -163,10 +161,10 @@ func TestKillIndexServerFencesDeposedOwner(t *testing.T) {
 }
 
 // TestHandoffLinearizability is the property test: a sustained insert
-// stream races randomly timed kills, planned handoffs, splits and
-// decommissions, and at every point each acked tuple must be owned by
-// exactly one server — proven by the exactly-once full-region check —
-// with fencing epochs strictly increasing across every takeover.
+// stream races randomly timed kills, splits and decommissions, and at every
+// point each acked tuple must be owned by exactly one server — proven by the
+// exactly-once full-region check — with fencing epochs strictly increasing
+// across every takeover.
 func TestHandoffLinearizability(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -202,13 +200,9 @@ func TestHandoffLinearizability(t *testing.T) {
 				slot := slots[rng.Intn(len(slots))]
 				before := c.Metadata().Epoch(slot)
 				switch action := rng.Intn(10); {
-				case action < 4: // kill: standby takeover at an arbitrary lag
+				case action < 7: // kill: cold takeover at an arbitrary lag
 					if err := c.KillIndexServer(slot); err != nil {
 						t.Errorf("kill slot %d: %v", slot, err)
-					}
-				case action < 7: // planned handoff: lag-bounded flip
-					if err := c.PromoteStandby(slot); err != nil {
-						t.Errorf("promote slot %d: %v", slot, err)
 					}
 				case action < 9 && len(slots) < 7: // split the widest interval
 					if _, err := c.AddIndexServer(); err != nil {
@@ -264,7 +258,7 @@ func TestCoordinatorRestartFromMetadata(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.PromoteStandby(0); err != nil {
+	if err := c.KillIndexServer(0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddIndexServer(); err != nil {
@@ -309,7 +303,7 @@ func TestCoordinatorRestartFromMetadata(t *testing.T) {
 	}
 	verifyExactlyOnce(t, c2, seq)
 	// The restored coordinator performs the next handoff like the old one.
-	if err := c2.PromoteStandby(0); err != nil {
+	if err := c2.KillIndexServer(0); err != nil {
 		t.Fatalf("handoff after restart: %v", err)
 	}
 	if got := c2.Metadata().Epoch(0); got <= epoch0 {
@@ -322,39 +316,4 @@ func TestCoordinatorRestartFromMetadata(t *testing.T) {
 	}
 	c2.Drain()
 	verifyExactlyOnce(t, c2, seq)
-}
-
-// TestPromotionKeepsOnlyWhatTheShadowKept: a standby that had replayed its
-// slot's tuples and was then overtaken by the owner's flush commit holds
-// nothing, neither those tuples nor their counts. Promoted, it serves none
-// of them a second time, and the ingest total counts each once.
-func TestPromotionKeepsOnlyWhatTheShadowKept(t *testing.T) {
-	cfg := testConfig() // two slots
-	cfg.HotStandby = true
-	c := startCluster(t, cfg)
-	const n = 1000
-	for seq := uint64(0); seq < n; seq++ {
-		if err := seqInsert(c, seq, model.Key(seq<<52)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slots := c.ActiveSlots()
-	for _, i := range slots {
-		waitStandbyCaughtUp(t, c, i) // the shadow holds its slot's share
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range slots {
-		if err := c.AwaitStandby(i, wal.Deadline(5*time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.PromoteStandby(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Totals().Ingested; got != n {
-		t.Fatalf("Totals().Ingested = %d after the promotions, want %d", got, n)
-	}
-	verifyExactlyOnce(t, c, n)
 }

@@ -155,7 +155,7 @@ func gatedFiles(gates ...*fsyncGate) *durable.Files {
 
 // CrashIndexServer simulates an indexing-server failure and recovery (§V):
 // the server's goroutine stops, its in-memory state is discarded, and a
-// successor (standby shadow or WAL replay) takes over. The call blocks
+// successor replaying the WAL takes over. The call blocks
 // until the successor has caught up with the partition head at call time.
 func (c *Cluster) CrashIndexServer(i int) error {
 	if c.server(i) == nil {

@@ -1,5 +1,5 @@
-// The slot table and everything that changes it: consumers, standbys,
-// takeover, the schema fan-out and the elastic verbs.
+// The slot table and everything that changes it: consumers, takeover, the
+// schema fan-out and the elastic verbs.
 //
 // The paper's unit of deployment is one thing — a key interval owned by one
 // indexing server that consumes one log partition (§III-A, §III-D, §V) — and
@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"waterwheel/internal/ingest"
@@ -32,10 +31,6 @@ type slot struct {
 	// dispatched under a schema that still had it. srv outlives the mark by
 	// the final drain and flush.
 	retired bool
-	// standby is the slot's hot standby (HotStandby mode or StartStandby),
-	// nil when it has none: startStandbyLocked sets it, whoever takes it
-	// (takeover, decommission, stopIngest) owns stopping it.
-	standby *standby
 	// stopConsumer stops srv's consumer goroutine when closed, so one
 	// consumer can be "crashed" without stopping the cluster; nil when none
 	// runs. install sets it, detachConsumer and stopIngest close it.
@@ -95,29 +90,6 @@ func fold[T any](c *Cluster, acc T, f func(acc T, slot int, srv *ingest.Server) 
 	return acc
 }
 
-// standby is a slot's hot standby: a passive server run by the same
-// consumer loop as the owner, under a stop channel of its own (DESIGN §14).
-type standby struct {
-	srv        *ingest.Server
-	stop, done chan struct{} // see spawnLocked
-	stopOnce   sync.Once
-}
-
-// halt stops the standby's consumer and waits for it to return: closing
-// stop ends the loop, the wake ends a read parked at the partition head. The
-// shadow keeps its replay position. A second call finds the consumer gone.
-func (h *standby) halt() {
-	h.stopOnce.Do(func() { close(h.stop) })
-	h.srv.Wake()
-	<-h.done
-}
-
-// discard halts the standby and aborts its shadow: it will not be promoted.
-func (h *standby) discard() {
-	h.halt()
-	h.srv.Abort()
-}
-
 // slotAt returns a copy of row i, the zero row when i is out of range.
 func (c *Cluster) slotAt(i int) (s slot) {
 	c.slotMu.RLock()
@@ -134,9 +106,6 @@ func (c *Cluster) server(i int) *ingest.Server { return c.slotAt(i).srv }
 
 // isRetired reports whether slot i has been decommissioned.
 func (c *Cluster) isRetired(i int) bool { return c.slotAt(i).retired }
-
-// standby returns slot i's standby, nil if it has none.
-func (c *Cluster) standby(i int) *standby { return c.slotAt(i).standby }
 
 // servers returns the serving incarnations by slot id; a slot nobody serves
 // is nil.
@@ -171,35 +140,33 @@ func (c *Cluster) install(i int, srv *ingest.Server) error {
 	}
 	row.srv = srv
 	if srv != nil && c.started.Load() {
-		row.stopConsumer, _ = c.spawnLocked(i, srv)
+		row.stopConsumer = c.spawnLocked(i, srv)
 	}
 	c.slotMu.Unlock()
 	return nil
 }
 
 // spawnLocked starts srv's consumer on slot i's partition and returns the
-// channel that stops it and the one closed once it has returned. Requires
-// slotMu, held for writing, and c.stopped unset: stopIngest sets c.stopped
-// before it walks the table under slotMu, and waits for c.wg after the walk,
-// so a consumer is either spawned before the walk, which stops it, or not
-// at all.
-func (c *Cluster) spawnLocked(i int, srv *ingest.Server) (stop, done chan struct{}) {
-	stop, done = make(chan struct{}), make(chan struct{})
+// channel that stops it. Requires slotMu, held for writing, and c.stopped
+// unset: stopIngest sets c.stopped before it walks the table under slotMu,
+// and waits for c.wg after the walk, so a consumer is either spawned before
+// the walk, which stops it, or not at all.
+func (c *Cluster) spawnLocked(i int, srv *ingest.Server) (stop chan struct{}) {
+	stop = make(chan struct{})
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		defer close(done)
 		// Consume keeps its own error: it fails the applied watermark with
-		// it, and Drain (AwaitStandby for a standby) reports it.
+		// it, and Drain reports it.
 		_ = srv.Consume(c.log.Partition(i), stop)
 	}()
-	return stop, done
+	return stop
 }
 
-// installSchema is the one schema fan-out: every serving incarnation and
-// every standby of a slot the schema holds learns its nominal interval, then
-// every dispatcher the schema — dispatchers last, so no tuple is routed by
-// newSchema to a server that has not heard of it. The order among servers is
+// installSchema is the one schema fan-out: every serving incarnation of a
+// slot the schema holds learns its nominal interval, then every dispatcher
+// the schema — dispatchers last, so no tuple is routed by newSchema to a
+// server that has not heard of it. The order among servers is
 // free: SetKeys only moves the interval the NEXT template update and flush
 // use, and setting an unchanged one changes nothing. A slot newSchema dropped
 // (a decommission in progress) keeps its interval for its final flush.
@@ -214,9 +181,6 @@ func (c *Cluster) installSchema(newSchema meta.PartitionSchema) {
 		if row.srv != nil {
 			row.srv.SetKeys(newSchema.IntervalOf(i))
 		}
-		if row.standby != nil {
-			row.standby.srv.SetKeys(newSchema.IntervalOf(i))
-		}
 	}
 	for _, d := range c.disp {
 		d.UpdateSchema(newSchema)
@@ -224,12 +188,11 @@ func (c *Cluster) installSchema(newSchema meta.PartitionSchema) {
 }
 
 // newIndexServer builds indexing server i from the cluster config — the
-// single source of per-server settings, shared by Open, crash recovery,
-// elastic scale-out and standby shadows so a replacement server never
-// silently diverges from the original. epoch is the ownership epoch the
-// incarnation registers flushes under; passive builds a standby shadow
-// that neither flushes nor serves queries until promoted.
-func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passive bool) *ingest.Server {
+// single source of per-server settings, shared by Open, takeover and
+// elastic scale-out so a replacement server never silently diverges from
+// the original. epoch is the ownership epoch the incarnation registers
+// flushes under.
+func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64) *ingest.Server {
 	// Added servers can outnumber the configured nodes; wrap the DFS
 	// placement preference instead of pointing past the last node.
 	node := (i / c.cfg.IndexServersPerNode) % c.cfg.Nodes
@@ -238,8 +201,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 	// fsync), so the flusher syncs its unit's offset into the log before
 	// registering chunks and committing. TruncateWAL: once the commit is
 	// durable, the partition lets go — in memory and on disk — of what no
-	// replay will read, and the slot's standby, possibly parked, looks at the
-	// commit (reset on commit).
+	// replay will read.
 	return ingest.NewServer(ingest.Config{
 		ID:                  i,
 		Keys:                keys,
@@ -250,15 +212,9 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64, passiv
 		NoTemplateReuse:     c.cfg.NoTemplateReuse,
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
 		SyncWAL:             c.log.Partition(i).SyncTo,
-		TruncateWAL: func(committed int64) {
-			c.log.Partition(i).Truncate(c.replayFloor(i, committed))
-			if h := c.standby(i); h != nil {
-				h.srv.Wake()
-			}
-		},
-		Metrics: c.ingestMetrics,
-		Epoch:   epoch,
-		Passive: passive,
+		TruncateWAL:         c.log.Partition(i).Truncate,
+		Metrics:             c.ingestMetrics,
+		Epoch:               epoch,
 	}, c.fs, c.ms, node)
 }
 
@@ -301,81 +257,20 @@ func (c *Cluster) detachConsumer(i int) {
 	}
 }
 
-// takeStandby removes and returns slot i's standby, nil if none.
-func (c *Cluster) takeStandby(i int) *standby {
-	c.slotMu.Lock()
-	defer c.slotMu.Unlock()
-	h := c.slots[i].standby
-	c.slots[i].standby = nil
-	return h
-}
-
-// StartStandby launches a hot standby for slot i: a passive shadow server
-// consuming the slot's WAL partition, ready to take over on PromoteStandby
-// or a kill. One standby per slot — a slot that already has one is a no-op
-// (idempotent for operator scripts and the HotStandby auto-attach). A
-// stopping cluster refuses it with ErrClosed.
-func (c *Cluster) StartStandby(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	return c.startStandbyLocked(i)
-}
-
-func (c *Cluster) startStandbyLocked(i int) error {
-	if c.server(i) == nil {
-		return fmt.Errorf("cluster: no indexing server %d", i)
-	}
-	if c.standby(i) != nil {
-		return nil
-	}
-	srv := c.newIndexServer(i, c.ms.Schema().IntervalOf(i), 0, true)
-	// The stop channel is made under slotMu with the check install makes: an
-	// attach after stopIngest's walk would run for ever.
-	c.slotMu.Lock()
-	if c.stopped.Load() {
-		c.slotMu.Unlock()
-		srv.Abort()
-		return ErrClosed
-	}
-	h := &standby{srv: srv}
-	h.stop, h.done = c.spawnLocked(i, srv)
-	c.slots[i].standby = h
-	c.slotMu.Unlock()
-	c.reg.GaugeFunc(fmt.Sprintf(`waterwheel_standby_replay_offset{slot="%d"}`, i),
-		"next WAL offset the slot's hot standby will replay (0: it has none)", func() float64 {
-			if h := c.standby(i); h != nil {
-				return float64(h.srv.Consumed())
-			}
-			return 0
-		})
-	return nil
-}
-
-// takeover flips slot i's ownership to a successor: the promoted standby
-// when h is non-nil, else a fresh server replaying the WAL from the
-// committed offset. The flip is one metadata CAS (TransferOwnership bumps
-// the fencing epoch and reads the nominal interval atomically), so a flush
-// the deposed incarnation still has in flight fails with ErrFenced instead
-// of committing chunks or offsets under the new owner. A promotion stops the
-// standby's consumer first, so the successor resumes where the shadow
-// stopped; after the fence, Activate's reset check drops what the deposed
-// owner committed meanwhile. Ingest into the partition never pauses — the
-// measured handoff pause is consumer detach to successor consuming.
-func (c *Cluster) takeover(i int, h *standby) error {
+// takeover flips slot i's ownership to a fresh server replaying the WAL
+// from the committed offset (§V). The flip is one metadata CAS
+// (TransferOwnership bumps the fencing epoch and reads the nominal interval
+// atomically), so a flush the deposed incarnation still has in flight fails
+// with ErrFenced instead of committing chunks or offsets under the new
+// owner. Ingest into the partition never pauses — the measured handoff
+// pause is consumer detach to successor consuming.
+func (c *Cluster) takeover(i int) error {
 	pauseStart := time.Now()
 	c.detachConsumer(i)
 	old := c.server(i)
-	resume := c.ms.Offset(i)
-	if h != nil {
-		h.halt()
-		resume = h.srv.Consumed()
-	}
-	lag := max(c.log.Partition(i).Next()-resume, 0)
+	lag := max(c.log.Partition(i).Next()-c.ms.Offset(i), 0)
 	epoch, kr, err := c.ms.TransferOwnership(i)
 	if err != nil {
-		if h != nil {
-			h.srv.Abort()
-		}
 		return err
 	}
 	// Abort AFTER the fence: the old flusher exits on its next (rejected)
@@ -384,54 +279,13 @@ func (c *Cluster) takeover(i int, h *standby) error {
 	if old != nil {
 		old.Abort()
 	}
-	var repl *ingest.Server
-	if h != nil {
-		repl = h.srv
-		repl.Activate(epoch)
-		repl.SetKeys(kr)
-	} else {
-		repl = c.newIndexServer(i, kr, epoch, false)
-	}
-	if err := c.install(i, repl); err != nil {
+	if err := c.install(i, c.newIndexServer(i, kr, epoch)); err != nil {
 		return err
 	}
 	c.takeovers.Add(1)
 	c.handoffs.Inc()
 	c.handoffLag.Observe(time.Duration(lag) * time.Second)
 	c.handoffPause.Observe(time.Since(pauseStart))
-	if c.cfg.HotStandby {
-		c.startStandbyLocked(i) // ErrClosed once stopping: nothing to attach to
-	}
-	return nil
-}
-
-// PromoteStandby performs a planned region handoff: wait for slot i's
-// standby to catch up within StandbyLagRecords of the partition head,
-// then atomically transfer ownership to the promoted shadow. The old
-// owner is fenced; ingest into the slot's partition continues throughout.
-func (c *Cluster) PromoteStandby(i int) error {
-	c.elasticMu.Lock()
-	defer c.elasticMu.Unlock()
-	// Catch-up gate: flip only once the shadow is near the head, bounding
-	// the replay debt the new owner inherits.
-	if err := c.AwaitStandby(i, c.stop); err != nil {
-		return err
-	}
-	return c.takeover(i, c.takeStandby(i))
-}
-
-// AwaitStandby blocks until slot i's standby is within StandbyLagRecords of
-// the partition head read at the call; it fails with the standby's replay
-// error, or when cancel fires.
-func (c *Cluster) AwaitStandby(i int, cancel <-chan struct{}) error {
-	h := c.standby(i)
-	if h == nil {
-		return fmt.Errorf("cluster: slot %d has no standby", i)
-	}
-	target := c.log.Partition(i).Next() - int64(c.cfg.StandbyLagRecords)
-	if err := h.srv.WaitApplied(target, cancel); err != nil {
-		return fmt.Errorf("cluster: standby catch-up (slot %d): %w", i, err)
-	}
 	return nil
 }
 
@@ -462,7 +316,7 @@ func (c *Cluster) AddIndexServer() (int, error) {
 	// before a tuple is routed to it: a hard crash must not replay a schema
 	// that has never heard of a partition holding acked records, nor find no
 	// partition for a slot the registry names.
-	srv := c.newIndexServer(id, newSchema.IntervalOf(id), c.ms.Epoch(id), false)
+	srv := c.newIndexServer(id, newSchema.IntervalOf(id), c.ms.Epoch(id))
 	c.slotMu.Lock()
 	c.slots = append(c.slots, slot{})
 	c.slotMu.Unlock()
@@ -475,9 +329,6 @@ func (c *Cluster) AddIndexServer() (int, error) {
 	// then do the dispatchers learn the new schema — the new slot's
 	// consumer is already running, so no tuple ever waits.
 	c.installSchema(newSchema)
-	if c.cfg.HotStandby && c.started.Load() {
-		c.startStandbyLocked(id)
-	}
 	return id, nil
 }
 
@@ -530,17 +381,13 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	c.slotMu.Unlock()
 	p := c.log.Partition(i)
 	p.Seal()
-	// 3. The standby is moot: the final flush will empty the partition.
-	if h := c.takeStandby(i); h != nil {
-		h.discard()
-	}
-	// 4. Drain the final head, then stop the consumer.
+	// 3. Drain the final head, then stop the consumer.
 	head := p.Next()
 	if err := c.waitApplied(i, head); err != nil {
 		return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
 	}
 	c.detachConsumer(i)
-	// 5. Final flush: every buffered tuple becomes a registered chunk, the
+	// 4. Final flush: every buffered tuple becomes a registered chunk, the
 	// replay offset commits to the head, and the server's bounds empty (the
 	// coordinator stops planning mem-subqueries for the slot). A transient
 	// DFS fault can park the flusher with the snapshot unregistered — and
@@ -556,7 +403,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 			return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
 		}
 	}
-	// 6. Fence forever: even a flusher goroutine that somehow survived
+	// 5. Fence forever: even a flusher goroutine that somehow survived
 	// cannot register under the retired slot again.
 	if _, _, err := c.ms.TransferOwnership(i); err != nil {
 		return err
@@ -569,9 +416,8 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 
 // KillIndexServer crashes indexing server i without waiting for recovery:
 // the consumer goroutine detaches and ownership transfers atomically to a
-// successor — the hot standby's warm shadow when one is running, else a
-// fresh server replaying the WAL partition from the last committed
-// offset. The transfer bumps the slot's fencing epoch BEFORE the
+// fresh server replaying the WAL partition from the last committed offset.
+// The transfer bumps the slot's fencing epoch BEFORE the
 // successor starts, so a chunk registration the dead incarnation still
 // has in flight is rejected instead of committing an offset the
 // successor's replay assumed stable. It returns as soon as the successor is
@@ -582,5 +428,5 @@ func (c *Cluster) KillIndexServer(i int) error {
 	if c.server(i) == nil {
 		return fmt.Errorf("cluster: no indexing server %d", i)
 	}
-	return c.takeover(i, c.takeStandby(i))
+	return c.takeover(i)
 }

@@ -2,119 +2,58 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"waterwheel/internal/model"
-	"waterwheel/internal/wal"
 )
 
-// waitStandbyCaughtUp waits until slot i's standby has replayed to the
-// partition head.
-func waitStandbyCaughtUp(t *testing.T, c *Cluster, i int) {
-	t.Helper()
-	h := c.standby(i)
-	if err := h.srv.WaitApplied(c.log.Partition(i).Next(), wal.Deadline(5*time.Second)); err != nil {
-		t.Fatalf("standby %d never caught up (at %d): %v", i, h.srv.Consumed(), err)
-	}
-}
-
-// haltStandby freezes slot i's standby at its current replay position:
-// its consumer returns, so the position neither advances nor resets on a
-// later commit. The handle stays installed, so the truncation floor and
-// a later promotion still see it — this is the "standby fell behind"
-// state the truncation race needs.
-func haltStandby(c *Cluster, i int) int64 {
-	h := c.standby(i)
-	h.halt()
-	return h.srv.Consumed()
-}
-
-// TestTruncateFloorsAtStandbyReplay is the regression test for the
-// drop/truncate race of delete-only retention: WAL truncation used to
-// advance straight to the committed flush offset, compacting records a
-// lagging standby had not replayed yet. The truncation horizon must be
-// floored at the standby's replay position so a promotion can always
-// replay forward from it without a gap.
-func TestTruncateFloorsAtStandbyReplay(t *testing.T) {
+// TestKillAfterTruncateKeepsAckedTuples: the log is truncated at the
+// committed offset while acked records above it are in no chunk yet; a
+// kill's successor replays from that offset, and every acked tuple comes
+// back exactly once.
+func TestKillAfterTruncateKeepsAckedTuples(t *testing.T) {
 	cfg := testConfig()
 	cfg.Nodes = 1
 	cfg.IndexServersPerNode = 1
 	cfg.DataDir = t.TempDir() // a log on disk: what a checkpoint truncates
 	c := startCluster(t, cfg)
-	if err := c.StartStandby(0); err != nil {
-		t.Fatal(err)
-	}
 	var seq uint64
 	for ; seq < 500; seq++ {
-		if err := seqInsert(c, seq, model.Key(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitStandbyCaughtUp(t, c, 0)
-	pos := haltStandby(c, 0)
-	if pos <= 0 {
-		t.Fatalf("standby froze at %d, want > 0", pos)
-	}
-	// More acked records, flushed: the committed offset moves past the
-	// frozen standby.
-	for ; seq < 1000; seq++ {
-		if err := seqInsert(c, seq, model.Key(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Drain() // consumer catches up before the forced flush
-	c.FlushAll()
-	c.Drain()
-	if off := c.Metadata().Offset(0); off <= pos {
-		t.Fatalf("flush offset %d did not pass the standby position %d", off, pos)
-	}
-	if fl := c.replayFloor(0, c.Metadata().Offset(0)); fl != pos {
-		t.Fatalf("replayFloor = %d, want the standby's frozen position %d", fl, pos)
-	}
-	if err := c.Checkpoint(); err != nil { // FlushAll took one already; either truncates
-		t.Fatal(err)
-	}
-	if base := c.WAL().Partition(0).Base(); base > pos {
-		t.Fatalf("truncation compacted past the standby: base %d > replay position %d", base, pos)
-	}
-}
-
-// TestPromoteAfterTruncateKeepsAckedTuples drives the full race end to
-// end: a standby falls behind, the WAL is truncated, the standby is
-// promoted — and every acked tuple must still come back exactly once.
-func TestPromoteAfterTruncateKeepsAckedTuples(t *testing.T) {
-	cfg := testConfig()
-	cfg.Nodes = 1
-	cfg.IndexServersPerNode = 1
-	// Let the planned handoff proceed however far behind the standby is —
-	// the point of the test is promoting a lagging shadow.
-	cfg.StandbyLagRecords = 1 << 30
-	cfg.DataDir = t.TempDir()
-	c := startCluster(t, cfg)
-	if err := c.StartStandby(0); err != nil {
-		t.Fatal(err)
-	}
-	var seq uint64
-	for ; seq < 500; seq++ {
-		if err := seqInsert(c, seq, model.Key(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitStandbyCaughtUp(t, c, 0)
-	haltStandby(c, 0)
-	for ; seq < 1000; seq++ {
 		if err := seqInsert(c, seq, model.Key(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Drain()
 	c.FlushAll() // ends with a checkpoint, which truncates the log
+	for ; seq < 1000; seq++ {
+		if err := seqInsert(c, seq, model.Key(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c.Drain()
-	if err := c.PromoteStandby(0); err != nil {
+	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	committed := c.Metadata().Offset(0)
+	if committed <= 0 || committed >= c.WAL().Partition(0).Next() {
+		t.Fatalf("committed offset %d: want acked records on both sides of it (head %d)",
+			committed, c.WAL().Partition(0).Next())
+	}
+	if base := c.WAL().Partition(0).Base(); base != committed {
+		t.Fatalf("log truncated at %d, want the committed offset %d", base, committed)
+	}
+	if err := c.KillIndexServer(0); err != nil {
+		t.Fatal(err)
+	}
+	for ; seq < 1200; seq++ {
+		if err := seqInsert(c, seq, model.Key(seq)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.Drain()
 	verifyExactlyOnce(t, c, seq)
+	if gaps := c.Totals().ReplayGaps; gaps != 0 {
+		t.Fatalf("successor hit %d replay gaps", gaps)
+	}
 }
 
 // TestDropChunksBeforeDrainSafe checks the retirement protocol: dropping

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -41,54 +40,53 @@ func counterReads(c *Cluster) map[string]float64 {
 // to be sums over whichever incarnations served at the read: 1 000 tuples in
 // two slots read waterwheel_ingest_tuples_total 1000, then 500, then 0.
 func TestCountersSurviveTakeover(t *testing.T) {
-	for _, hot := range []bool{false, true} {
-		t.Run(fmt.Sprintf("HotStandby=%v", hot), func(t *testing.T) {
-			cfg := testConfig() // two slots
-			cfg.HotStandby = hot
-			cfg.Telemetry = telemetry.NewRegistry()
-			c := startCluster(t, cfg)
-			rng := rand.New(rand.NewSource(23))
-			for seq := uint64(0); seq < 1000; seq++ {
-				if err := seqInsert(c, seq, model.Key(rng.Uint64())); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := c.Drain(); err != nil {
+	// The case is named for the takeover it runs: a cold one, with no hot
+	// standby, which is the only kind a kill or crash performs.
+	t.Run("HotStandby=false", func(t *testing.T) {
+		cfg := testConfig() // two slots
+		cfg.Telemetry = telemetry.NewRegistry()
+		c := startCluster(t, cfg)
+		rng := rand.New(rand.NewSource(23))
+		for seq := uint64(0); seq < 1000; seq++ {
+			if err := seqInsert(c, seq, model.Key(rng.Uint64())); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.FlushAll(); err != nil {
-				t.Fatal(err)
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		prev := counterReads(c)
+		if prev["waterwheel_ingest_tuples_total"] != 1000 || prev["waterwheel_ingest_flushes_total"] != 2 {
+			t.Fatalf("before any takeover: tuples %v, flushes %v; want 1000, 2",
+				prev["waterwheel_ingest_tuples_total"], prev["waterwheel_ingest_flushes_total"])
+		}
+		for _, step := range []struct {
+			name string
+			do   func() error
+		}{
+			{"CrashIndexServer(0)", func() error { return c.CrashIndexServer(0) }},
+			{"DecommissionIndexServer(1)", func() error { return c.DecommissionIndexServer(1) }},
+		} {
+			if err := step.do(); err != nil {
+				t.Fatalf("%s: %v", step.name, err)
 			}
-			prev := counterReads(c)
-			if prev["waterwheel_ingest_tuples_total"] != 1000 || prev["waterwheel_ingest_flushes_total"] != 2 {
-				t.Fatalf("before any takeover: tuples %v, flushes %v; want 1000, 2",
-					prev["waterwheel_ingest_tuples_total"], prev["waterwheel_ingest_flushes_total"])
-			}
-			for _, step := range []struct {
-				name string
-				do   func() error
-			}{
-				{"CrashIndexServer(0)", func() error { return c.CrashIndexServer(0) }},
-				{"DecommissionIndexServer(1)", func() error { return c.DecommissionIndexServer(1) }},
-			} {
-				if err := step.do(); err != nil {
-					t.Fatalf("%s: %v", step.name, err)
+			now := counterReads(c)
+			for name, was := range prev {
+				if now[name] < was {
+					t.Errorf("after %s: %s went down, %v -> %v", step.name, name, was, now[name])
 				}
-				now := counterReads(c)
-				for name, was := range prev {
-					if now[name] < was {
-						t.Errorf("after %s: %s went down, %v -> %v", step.name, name, was, now[name])
-					}
-				}
-				prev = now
 			}
-			// The per-server view is what it was: the one incarnation left.
-			if srvs := c.IndexServers(); srvs[0] == nil || srvs[1] != nil {
-				t.Fatalf("slot table after the steps: %v", srvs)
-			}
-			verifyExactlyOnce(t, c, 1000)
-		})
-	}
+			prev = now
+		}
+		// The per-server view is what it was: the one incarnation left.
+		if srvs := c.IndexServers(); srvs[0] == nil || srvs[1] != nil {
+			t.Fatalf("slot table after the steps: %v", srvs)
+		}
+		verifyExactlyOnce(t, c, 1000)
+	})
 }
 
 // TestDecommissionedServerIsLetGo: the coordinator plans mem-subqueries on
@@ -129,8 +127,7 @@ func TestDecommissionedServerIsLetGo(t *testing.T) {
 // TestStopLeavesNoGoroutines drives every lifecycle edge with a writer and a
 // reader running, checks that every acked tuple comes back exactly once, and
 // then holds Stop (once HardCrash) to leaving no goroutine behind: consumers,
-// owners' and standbys', flushers, the checkpointer and the balancer ticker
-// all have to end.
+// flushers, the checkpointer and the balancer ticker all have to end.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -139,12 +136,10 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		hardCrash bool
 	}{
 		{"memory-only", func(*Config) {}, 500, false},
-		{"HotStandby", func(cfg *Config) { cfg.HotStandby = true }, 500, false},
 		// Every insert waits out an fsync here: fewer of them.
-		{"DataDir+ack-on-fsync+HotStandby", func(cfg *Config) {
+		{"DataDir+ack-on-fsync", func(cfg *Config) {
 			cfg.DataDir, cfg.Durability = t.TempDir(), "ack-on-fsync"
 			cfg.Files = &durable.Files{}
-			cfg.HotStandby = true
 		}, 50, true},
 		{"DataDir+interval+balancer+tiering", func(cfg *Config) {
 			cfg.DataDir, cfg.Durability, cfg.FsyncIntervalMillis = t.TempDir(), "interval", 5
@@ -219,9 +214,6 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 			step("AddIndexServer", err)
 			waitAttempted(2 * tc.stride)
 			step("KillIndexServer", c.KillIndexServer(0))
-			if cfg.HotStandby {
-				step("PromoteStandby", c.PromoteStandby(1))
-			}
 			c.TickBalance()
 			c.TickCompact()
 			waitAttempted(3 * tc.stride)
@@ -263,22 +255,18 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestStandbyAttachRacesStop: StartStandby, and KillIndexServer (whose
-// takeover attaches a fresh standby under HotStandby), race Stop. A standby
-// attached after Stop's walk of the slot table used to run for ever; an
-// attach, or a successor's install, that finds the cluster stopping is now
-// refused with ErrClosed, and every shutdown leaves the goroutine count
-// where it was before Open.
-func TestStandbyAttachRacesStop(t *testing.T) {
+// TestTakeoverRacesStop: KillIndexServer races Stop. A successor installed
+// after Stop's walk of the slot table would run for ever; an install that
+// finds the cluster stopping is refused with ErrClosed, and every shutdown
+// leaves the goroutine count where it was before Open.
+func TestTakeoverRacesStop(t *testing.T) {
 	rounds := 60
 	if testing.Short() {
 		rounds = 12
 	}
 	baseline := runtime.NumGoroutine()
 	for r := 0; r < rounds; r++ {
-		cfg := testConfig() // two slots
-		cfg.HotStandby = r%2 == 0
-		c, err := Open(cfg)
+		c, err := Open(testConfig()) // two slots
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +286,6 @@ func TestStandbyAttachRacesStop(t *testing.T) {
 				}
 			}
 			for _, i := range []int{0, 1} {
-				check("StartStandby", c.StartStandby(i))
 				check("KillIndexServer", c.KillIndexServer(i))
 			}
 		}()

@@ -26,11 +26,11 @@ func (c *Cluster) registerHandles() {
 	c.batchRecords = reg.Histogram("waterwheel_insert_batch_records",
 		"tuples per InsertBatch call (unit: records, not seconds)")
 	c.handoffs = reg.Counter("waterwheel_handoffs_total",
-		"region ownership handoffs (planned promotions and standby takeovers)")
+		"region ownership handoffs (takeovers and decommissions)")
 	c.handoffLag = reg.Histogram("waterwheel_handoff_lag_records",
-		"standby replay lag behind the partition head at an ownership flip (unit: records, not seconds)")
+		"records the successor replays at an ownership flip: committed offset to partition head (unit: records, not seconds)")
 	c.handoffPause = reg.Histogram("waterwheel_handoff_pause_seconds",
-		"ingest-visible pause of a handoff: ownership fence until the new owner's consumer is running")
+		"ingest-visible pause of a takeover: consumer detach until the successor's consumer is running")
 }
 
 // registerFuncMetrics bridges the cluster's always-on counters (ingest
@@ -139,8 +139,8 @@ func (c *Cluster) registerFuncMetrics() {
 		}))
 	})
 	// The WAL's resident window: what the log holds on the heap, which a
-	// flush commit cuts back to the unflushed suffix (plus a lagging
-	// standby's tail). It grows with the backlog above, not with uptime.
+	// flush commit cuts back to the unflushed suffix. It grows with the
+	// backlog above, not with uptime.
 	reg.GaugeFunc("waterwheel_wal_memory_records", "WAL records resident in memory (not yet released by a flush commit)", func() float64 {
 		n := 0
 		for i := 0; i < c.log.Partitions(); i++ {

@@ -281,15 +281,13 @@ func TestDrainReportsDeadConsumer(t *testing.T) {
 
 // TestIdleDeploymentIsQuiet: with every waiter parked on a watermark, a
 // started deployment that nobody writes to allocates (next to) nothing.
-// Two are measured together — with and without hot standbys — so the sum
-// is under the bound; sleep-polling consumers and standby tails allocated a
-// timer per 200 µs wake, 5 346 and 10 538 objects a second. Mallocs, not
-// CPU, so the number is steady on a small guest.
+// Two are measured together, so the sum is under the bound; sleep-polling
+// consumers allocated a timer per 200 µs wake, 5 346 objects a second.
+// Mallocs, not CPU, so the number is steady on a small guest.
 func TestIdleDeploymentIsQuiet(t *testing.T) {
-	for _, standby := range []bool{false, true} {
+	for range 2 {
 		cfg := testConfig()
 		cfg.DataDir = t.TempDir()
-		cfg.HotStandby = standby
 		c := startCluster(t, cfg)
 		for i := 0; i < 100; i++ {
 			if err := c.Insert(model.Tuple{Key: model.Key(uint64(i) << 57), Time: model.Timestamp(i)}); err != nil {
@@ -299,7 +297,7 @@ func TestIdleDeploymentIsQuiet(t *testing.T) {
 		if err := c.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		c.FlushAll() // the standbys reset against the commit, then park again
+		c.FlushAll()
 	}
 	time.Sleep(50 * time.Millisecond)
 	var before, after runtime.MemStats

@@ -72,8 +72,8 @@ func seqBatch(t *testing.T, c *Cluster, from, n uint64, batch int) {
 }
 
 // walResident returns the records and payload bytes the WAL holds in
-// memory, after checking the invariant a drained cluster without a lagging
-// standby must meet exactly: what is resident is the uncommitted suffix.
+// memory, after checking the invariant a drained cluster must meet exactly:
+// what is resident is the uncommitted suffix.
 func walResident(t *testing.T, c *Cluster) (records int, bytes int64) {
 	t.Helper()
 	for i := 0; i < c.WAL().Partitions(); i++ {
@@ -194,8 +194,8 @@ func TestReopenLoadsOnlyTheReplayTail(t *testing.T) {
 }
 
 // TestCrashPathsAfterRelease: every way a slot's log is read again after
-// its memory was released — an in-process crash replacement, a standby
-// attached late, a planned promotion — finds the records it needs (in
+// its memory was released — a crash replacement waited for, a kill whose
+// successor replays while writes go on — finds the records it needs (in
 // memory above the commit point, in the segment or nowhere below it) and
 // returns each acked tuple exactly once.
 func TestCrashPathsAfterRelease(t *testing.T) {
@@ -221,37 +221,30 @@ func TestCrashPathsAfterRelease(t *testing.T) {
 		c.Drain()
 		verifyExactlyOnce(t, c, seq)
 
-		// A standby attached after thousands of releases tails from the
-		// commit point, keeps up across further commits, and takes over.
-		if err := c.StartStandby(0); err != nil {
-			t.Fatal(err)
-		}
+		// After thousands more releases, a kill not waited for: the successor
+		// replays from the commit point while the next writes land.
 		more(2000)
-		waitStandbyCaughtUp(t, c, 0)
-		if err := c.PromoteStandby(0); err != nil {
+		if err := c.KillIndexServer(0); err != nil {
 			t.Fatal(err)
 		}
 		more(300)
 		c.Drain()
 		verifyExactlyOnce(t, c, seq)
-		if n := c.IndexServers()[0].Stats().ReplayGaps.Load(); n != 0 {
+		if n := c.Totals().ReplayGaps; n != 0 {
 			t.Fatalf("%d replay gaps", n)
 		}
 	})
 }
 
-// TestPromotionRacesCommits: planned promotions while a writer keeps the
-// slot flushing (a commit, and with it a release, every few hundred
-// tuples) and a retention loop keeps truncating. The release floor is the
-// committed offset or the standby's position, whichever is lower, so no
+// TestTakeoverRacesCommits: kills while a writer keeps the slot flushing (a
+// commit, and with it a release, every few hundred tuples) and a retention
+// loop keeps truncating. The log is released up to the committed offset and
+// no further, and each successor replays from that offset, so no
 // interleaving of commit, release and ownership flip may lose or duplicate
 // an acked tuple.
-func TestPromotionRacesCommits(t *testing.T) {
+func TestTakeoverRacesCommits(t *testing.T) {
 	eachLog(t, func(t *testing.T, disk bool) {
-		cfg := walMemConfig(t, disk)
-		cfg.HotStandby = true
-		cfg.StandbyLagRecords = 1 << 30 // flip however far behind the standby is
-		c := startCluster(t, cfg)
+		c := startCluster(t, walMemConfig(t, disk))
 		var acked atomic.Uint64
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -290,7 +283,7 @@ func TestPromotionRacesCommits(t *testing.T) {
 			for acked.Load() < uint64(i+1)*1000 {
 				time.Sleep(200 * time.Microsecond)
 			}
-			if err := c.PromoteStandby(0); err != nil {
+			if err := c.KillIndexServer(0); err != nil {
 				t.Error(err)
 				break
 			}
@@ -299,7 +292,7 @@ func TestPromotionRacesCommits(t *testing.T) {
 		wg.Wait()
 		c.Drain()
 		verifyExactlyOnce(t, c, acked.Load())
-		if n := c.IndexServers()[0].Stats().ReplayGaps.Load(); n != 0 {
+		if n := c.Totals().ReplayGaps; n != 0 {
 			t.Fatalf("%d replay gaps", n)
 		}
 	})

@@ -124,12 +124,6 @@ func (pf *pendingFlush) mainInfo() meta.ChunkInfo {
 // so a concurrent query (which scans trees and pending under pendMu.RLock)
 // sees each tuple in exactly one place.
 func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *pendingFlush {
-	if s.passive.Load() {
-		// A standby's shadow never flushes: the active owner persists the
-		// slot's data. The shadow memtable just grows until promotion (or
-		// until the standby resets it against the owner's commits).
-		return nil
-	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	if s.closed.Load() || threshold && tree.Bytes() < s.thresholdFor(isSide) {
@@ -381,7 +375,7 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 	}
 	// The chunks and the replay offset commit in ONE epoch-guarded metadata
 	// critical section (RegisterFlushOwned), so an ownership transfer can
-	// never land between them — the promoted standby would otherwise replay
+	// never land between them — the successor would otherwise replay
 	// records already in a registered chunk. The committed offset is the
 	// contiguous persisted prefix with this unit counted done: snapshots
 	// persist in seq order, so the walk stops at the first unpersisted

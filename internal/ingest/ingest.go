@@ -75,9 +75,9 @@ type Config struct {
 	// TruncateWAL, when set, is called with the slot's committed WAL offset
 	// once a flush unit's commit of it is durable in the metadata journal:
 	// no recovery of this slot will replay below it again, so the cluster
-	// wires it to the partition's horizon (wal.Partition.Truncate, floored at
-	// a lagging standby). Called from the flusher with no server lock held;
-	// the unit counts as done once it returns.
+	// wires it to the partition's horizon (wal.Partition.Truncate). Called
+	// from the flusher with no server lock held; the unit counts as done once
+	// it returns.
 	TruncateWAL func(committed int64)
 	// Metrics holds optional telemetry handles; the zero value (nil
 	// handles) disables instrumentation at no cost.
@@ -87,16 +87,8 @@ type Config struct {
 	// registrations and offset commits go through the epoch-guarded
 	// metadata API and are rejected once ownership moves
 	// (meta.TransferOwnership bumps the slot's epoch): a deposed owner can
-	// linger, but it cannot write metadata. A passive shadow holds none
-	// until Activate.
+	// linger, but it cannot write metadata.
 	Epoch int64
-	// Passive builds the server as a hot standby's shadow: it consumes the
-	// slot's partition and indexes tuples normally (so a promotion inherits
-	// a warm memtable) but never flushes and never commits offsets — the
-	// active owner of the slot does both — and no query plans on it until it
-	// serves the slot. It holds only the owner's unflushed suffix (reset on
-	// commit, see Consume). Activate flips the server live.
-	Passive bool
 }
 
 // ChunkWriter is the slice of the DFS the ingest path needs: durable,
@@ -208,9 +200,6 @@ type Server struct {
 	// aborted marks a simulated crash (Abort): no snapshot may register its
 	// chunk or commit a WAL offset any more.
 	aborted atomic.Bool
-	// passive suppresses flushes and offset commits while the server
-	// shadows an active owner (hot standby).
-	passive atomic.Bool
 	// epoch is the ownership epoch metadata writes are guarded by (>0).
 	epoch atomic.Int64
 	// fenced latches the first ErrFenced from the metadata server: the
@@ -221,14 +210,6 @@ type Server struct {
 	// below it has been applied to the trees (see insertBatchAt). Consume,
 	// Close and Abort fail it: this incarnation applies nothing more.
 	consumed wal.Watermark
-	// shadowBase is, on a passive server, the slot's committed offset its
-	// tuples start at: once the commit passes it, the shadow resets
-	// (resetOnCommit). Written by the consumer only, and by Activate after
-	// the consumer has returned.
-	shadowBase int64
-	// wake is what a passive server's consumer parks on at the partition
-	// head (Wake).
-	wake chan struct{}
 	// flushEvents counts flush-pipeline steps (an enqueue, an attempt
 	// finished, the flusher parked, Close and Abort). The flusher parks on
 	// it, and so do awaitFlush and the shutdown; the flusher's exit fails it.
@@ -249,7 +230,6 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		ms:           ms,
 		node:         node,
 		committedOff: -1,
-		wake:         make(chan struct{}, 1),
 	}
 	if cfg.SideThresholdMillis > 0 {
 		sideCfg := tc
@@ -257,17 +237,10 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		s.side = core.NewTemplateTree(sideCfg)
 	}
 	s.watermark.Store(int64(model.MinTimestamp))
-	switch {
-	case cfg.Passive:
-		// A shadow starts empty at the slot's commit: its replay position
-		// from the start, so it floors the log's release from the start.
-		s.shadowBase = ms.Offset(cfg.ID)
-		s.consumed.Set(s.shadowBase)
-	case cfg.Epoch == 0:
+	if cfg.Epoch == 0 {
 		cfg.Epoch = ms.Epoch(cfg.ID)
 	}
 	s.epoch.Store(cfg.Epoch)
-	s.passive.Store(cfg.Passive)
 	go s.flusher()
 	return s
 }
@@ -494,61 +467,6 @@ func (s *Server) MemBounds() (model.Timestamp, model.KeyRange, bool) {
 	return min, keys, ok
 }
 
-// Activate flips a passive shadow live under the given ownership epoch —
-// the final step of a promotion, after meta.TransferOwnership fenced the
-// old owner and the shadow's consumer has returned. The slot's committed
-// offset is final now, so one last reset check aligns the shadow with it:
-// every tuple it keeps is then in no chunk, and every record below its
-// position is in exactly one. The committed-offset floor snaps to that
-// offset. The caller then installs the server, which makes queries plan on
-// it, and runs Consume, which resumes at the shadow's position.
-func (s *Server) Activate(epoch int64) {
-	s.resetOnCommit()
-	s.epoch.Store(epoch)
-	s.pendMu.Lock()
-	if off := s.ms.Offset(s.cfg.ID); off > s.committedOff {
-		s.committedOff = off
-	}
-	s.pendMu.Unlock()
-	s.passive.Store(false)
-}
-
-// resetOnCommit is a passive shadow's one rule: once the slot's committed
-// offset has passed the shadow's base, every record below the commit is in a
-// registered chunk, and keeping the shadow's copy would serve it twice after
-// a promotion. So the shadow drops its tuples and their counts and resumes
-// replay at the commit; the work lost is at most one memtable. The template
-// survives, as it does a flush.
-func (s *Server) resetOnCommit() {
-	committed := s.ms.Offset(s.cfg.ID)
-	if committed <= s.shadowBase {
-		return
-	}
-	s.pendMu.Lock()
-	s.tree.FlushReset()
-	if s.side != nil {
-		s.side.FlushReset()
-	}
-	s.minMu.Lock()
-	s.hasData, s.sideData, s.keysSet = false, false, false
-	s.minMu.Unlock()
-	s.pendMu.Unlock()
-	s.stats.Ingested.Store(0)
-	s.stats.SideRouted.Store(0)
-	s.shadowBase = committed
-	s.consumed.Set(committed)
-}
-
-// Wake makes a passive server's consumer, parked at the partition head,
-// look at the slot's committed offset again: the owner's flush commit calls
-// it (reset on commit), and so does whoever stops the consumer.
-func (s *Server) Wake() {
-	select {
-	case s.wake <- struct{}{}:
-	default: // a token is already waiting
-	}
-}
-
 // Flush forces the in-memory state out as chunks — the memtable and, when
 // non-empty, the side store swap together as one flush unit — and waits for
 // the unit to persist (no-op when both are empty). It returns the main
@@ -755,46 +673,22 @@ const tailReadMax = 2048
 // until the partition closes or stop fires, parked on the partition head
 // whenever it has caught up. Fresh tuples become queryable the moment
 // Insert returns. However it ends, the applied watermark fails with it —
-// the returned error when there is one, ErrStopped otherwise — except on a
-// passive server stopped from outside, which may yet be promoted.
+// the returned error when there is one, ErrStopped otherwise.
 //
-// A passive server runs the same loop with one step more per read: reset on
-// commit (resetOnCommit). It parks on its wake channel rather than on stop,
-// so the owner's flush commit can send it back to that check; whoever stops
-// it closes stop and then wakes it. Its replay recovers nothing: it counts
-// no record as Recovered.
-//
-// The log's horizon never passes min(committed offset, standby position)
-// (wal retention is gated on exactly those), so the replay offset is always
-// still readable. If it is not, the records in between were acked and are
-// in no chunk: Consume counts a replay gap and returns an error wrapping
-// wal.ErrCompacted instead of skipping them.
+// The log's horizon never passes the committed offset (wal retention is
+// gated on exactly that), so the replay offset is always still readable. If
+// it is not, the records in between were acked and are in no chunk: Consume
+// counts a replay gap and returns an error wrapping wal.ErrCompacted instead
+// of skipping them.
 func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
-	passive := s.passive.Load()
-	defer func() {
-		if err != nil || !passive {
-			s.consumed.Fail(cmp.Or(err, ErrStopped))
-		}
-	}()
+	defer func() { s.consumed.Fail(cmp.Or(err, ErrStopped)) }()
 	start := s.ms.Offset(s.cfg.ID)
-	// A promoted standby already replayed its shadow memtable up to
-	// consumed; resuming below that would insert those records twice.
-	if c := s.consumed.Load(); c > start {
-		start = c
-	}
-	// A shadow's start can fall behind the log's horizon only once the owner
-	// has committed past it (the horizon never passes the commit, and a
-	// shadow taken out of the slot table floors it no more): the loop's
-	// first reset moves it up to the commit.
-	if base := p.Base(); start < base && !passive {
+	if base := p.Base(); start < base {
 		s.stats.ReplayGaps.Add(1)
 		return fmt.Errorf("ingest: consume (server %d): replay offset %d: %w: log starts at %d", s.cfg.ID, start, wal.ErrCompacted, base)
 	}
 	s.consumed.Set(start)
-	head, cancel := p.Next(), stop // records before head are replayed backlog (recovery)
-	if passive {
-		head, cancel = start, s.wake
-	}
+	head := p.Next() // records before head are replayed backlog (recovery)
 	sc := consumeScratch{recs: make([]wal.Record, tailReadMax)}
 	for {
 		select {
@@ -802,20 +696,11 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
 			return nil
 		default:
 		}
-		if passive {
-			s.resetOnCommit()
-		}
-		recs, err := p.ReadBlocking(s.consumed.Load(), sc.recs, cancel)
+		recs, err := p.ReadBlocking(s.consumed.Load(), sc.recs, stop)
 		if errors.Is(err, wal.ErrClosed) {
 			return nil
 		}
 		if err != nil {
-			if passive && errors.Is(err, wal.ErrCompacted) {
-				// The log's horizon never passes the commit, so a shadow finds
-				// its position truncated only once the owner has committed past
-				// its base: the reset above moves it up to the commit.
-				continue
-			}
 			return fmt.Errorf("ingest: consume: %w", err)
 		}
 		if len(recs) == 0 {

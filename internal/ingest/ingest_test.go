@@ -520,3 +520,92 @@ func consumeBlockOverhead(t *testing.T, n int) float64 {
 	slices.Sort(over)
 	return over[len(over)/2]
 }
+
+// TestSuccessorAfterFenceReplaysExactlyOnce is a takeover at the ingest
+// layer: the owner flushes part of what it consumed and is fenced out; its
+// successor replays the partition from the committed offset, so every
+// record lands exactly once — in the owner's chunk or in the successor's
+// memtable.
+func TestSuccessorAfterFenceReplaysExactlyOnce(t *testing.T) {
+	fs := dfs.New(dfs.Config{Nodes: 1, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})
+	ms := meta.NewServer(1)
+	p := wal.NewPartition()
+	appendN := func(lo, n int) {
+		for i := lo; i < lo+n; i++ {
+			if _, err := p.Append(model.AppendTuple(nil, &model.Tuple{Key: model.Key(i), Time: model.Timestamp(1000 + i)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	consume := func(srv *Server) (stop func()) {
+		ch, done := make(chan struct{}), make(chan struct{})
+		go func() { defer close(done); srv.Consume(p, ch) }()
+		return func() { close(ch); <-done }
+	}
+
+	owner := NewServer(Config{ID: 0, ChunkBytes: 1 << 30, Leaves: 16}, fs, ms, 0)
+	stopOwner := consume(owner)
+	appendN(0, 30)
+	waitFor(t, func() bool { return owner.Consumed() == p.Next() })
+	if _, ok := owner.Flush(); !ok {
+		t.Fatal("owner flush did not happen")
+	}
+	appendN(30, 10)
+	waitFor(t, func() bool { return owner.Consumed() == p.Next() })
+	stopOwner()
+	epoch, _, err := ms.TransferOwnership(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.Abort()
+
+	succ := NewServer(Config{ID: 0, ChunkBytes: 1 << 30, Leaves: 16, Epoch: epoch}, fs, ms, 0)
+	stopSucc := consume(succ)
+	waitFor(t, func() bool { return succ.Consumed() == p.Next() })
+	appendN(40, 5)
+	waitFor(t, func() bool { return succ.Consumed() == p.Next() })
+	stopSucc()
+	defer succ.Close()
+	if got := succ.Stats().Recovered.Load(); got != 10 {
+		t.Fatalf("successor recovered %d records, want the 10 past the commit", got)
+	}
+	seen := map[model.Key]int{}
+	for _, tu := range memQuery(succ, model.FullKeyRange(), model.FullTimeRange()) {
+		seen[tu.Key]++
+	}
+	for _, ci := range ms.ChunksFor(model.FullRegion()) {
+		for k := ci.Region.Keys.Lo; k <= ci.Region.Keys.Hi; k++ {
+			seen[k]++
+		}
+	}
+	for k := model.Key(0); k < 45; k++ {
+		if seen[k] != 1 {
+			t.Fatalf("key %d held %d times, want once", k, seen[k])
+		}
+	}
+}
+
+func TestFencedOwnerCannotRegister(t *testing.T) {
+	fs := dfs.New(dfs.Config{Nodes: 1, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})
+	ms := meta.NewServer(1)
+	owner := NewServer(Config{ID: 0, ChunkBytes: 1 << 30, Epoch: ms.Epoch(0)}, fs, ms, 0)
+	for i := 0; i < 20; i++ {
+		owner.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i), Payload: []byte("x")})
+	}
+	if _, _, err := ms.TransferOwnership(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := owner.Flush(); ok {
+		t.Fatal("deposed owner's flush reported success")
+	}
+	if !owner.fenced.Load() {
+		t.Fatal("owner not marked fenced")
+	}
+	if ms.ChunkCount() != 0 {
+		t.Fatal("fenced flush registered chunks")
+	}
+	if ms.Offset(0) != 0 {
+		t.Fatal("fenced flush committed an offset")
+	}
+	owner.Close()
+}

@@ -141,8 +141,8 @@ func TestOpenLogDirResidentFloor(t *testing.T) {
 // TestReleaseConcurrentWithEverything runs every actor that touches one
 // disk-backed partition at once — appenders (single records and batches),
 // a consumer reading the head, a flusher releasing what the consumer applied
-// (a truncation, floored at a standby reading small blocks from far behind:
-// the floor a flush commit's cut computes), and a second loop truncating at
+// (a truncation, floored at a second reader taking small blocks from far
+// behind), and a second loop truncating at
 // the same floor and unlinking the segments below it, on a log that rolls
 // every few hundred records — and requires that both readers see every
 // offset exactly once, in order, with the payload its appender framed. Run
@@ -228,8 +228,8 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 			}
 		}
 	}
-	var consumed, standby atomic.Int64
-	floor := func() int64 { return min(consumed.Load(), standby.Load()) }
+	var consumed, laggard atomic.Int64
+	floor := func() int64 { return min(consumed.Load(), laggard.Load()) }
 	var readers sync.WaitGroup
 	readers.Add(2)
 	go func() {
@@ -237,17 +237,17 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 		follow("consumer", 256, func(n int64) {
 			consumed.Store(n)
 			// Cut-on-commit: everything applied goes at once, down to the
-			// standby behind it.
+			// laggard behind it.
 			p.Truncate(floor())
 		})
 	}()
 	go func() {
 		defer readers.Done()
-		// Start far behind the consumer, so the floor is the standby's.
+		// Start far behind the consumer, so the floor is the laggard's.
 		for consumed.Load() < total/4 {
 			runtime.Gosched()
 		}
-		follow("standby", 16, standby.Store)
+		follow("laggard", 16, laggard.Store)
 	}()
 
 	// A second truncating actor at the same floor.
@@ -275,8 +275,8 @@ func TestReleaseConcurrentWithEverything(t *testing.T) {
 	p.Truncate(floor())
 
 	head := p.Next()
-	if head < total || consumed.Load() != head || standby.Load() != head {
-		t.Fatalf("head %d (want >= %d), consumer at %d, standby at %d", head, total, consumed.Load(), standby.Load())
+	if head < total || consumed.Load() != head || laggard.Load() != head {
+		t.Fatalf("head %d (want >= %d), consumer at %d, laggard at %d", head, total, consumed.Load(), laggard.Load())
 	}
 	if p.Len() != 0 || p.Base() != head {
 		t.Fatalf("%d records resident, horizon %d, after everything was truncated", p.Len(), p.Base())

@@ -332,7 +332,7 @@ func (p *Partition) fillLocked(buf []Record, offset int64) []Record {
 const readLinger = 200 * time.Microsecond
 
 // ReadBlocking is Read that waits at the head: the one waited read, in
-// which every consumer, an owner's or a hot standby's, parks. It fills the
+// which every consumer parks. It fills the
 // caller's non-empty buf from its start, up to len(buf) records, and
 // returns the filled prefix, so a consumer reading block after block into
 // one buffer allocates nothing per read. The records' Data alias the log's

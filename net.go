@@ -199,16 +199,12 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 			resp.Server, err = db.AddIndexServer()
 		case "decommission":
 			err = db.DecommissionIndexServer(req.Server)
-		case "start-standby":
-			err = db.StartStandby(req.Server)
-		case "promote":
-			err = db.PromoteStandby(req.Server)
 		case "kill":
 			err = db.KillIndexServer(req.Server)
 		case "slots":
 			// Read-only: the response's slot list is the answer.
 		default:
-			err = fmt.Errorf("waterwheel: unknown admin op %q", req.Op)
+			err = transport.BadRequestf("waterwheel: unknown admin op %q", req.Op)
 		}
 		if err != nil {
 			return nil, wireError(err)
@@ -353,8 +349,7 @@ func (cl *Client) Metrics() (string, error) {
 // Every mutation answers with the post-operation active slot list, so an
 // operator script can chain calls without a separate read.
 type adminRequest struct {
-	// Op is one of "add-server", "decommission", "start-standby",
-	// "promote", "kill", "slots".
+	// Op is one of "add-server", "decommission", "kill", "slots".
 	Op string
 	// Server is the target slot (ignored by add-server and slots).
 	Server int
@@ -394,20 +389,8 @@ func (cl *Client) DecommissionIndexServer(i int) error {
 	return err
 }
 
-// StartStandby attaches a hot standby to a remote slot.
-func (cl *Client) StartStandby(i int) error {
-	_, err := cl.admin("start-standby", i)
-	return err
-}
-
-// PromoteStandby performs a planned handoff of a remote slot.
-func (cl *Client) PromoteStandby(i int) error {
-	_, err := cl.admin("promote", i)
-	return err
-}
-
-// KillIndexServer hard-fails a remote slot's owner (fault drill); its
-// standby or a cold replacement takes over.
+// KillIndexServer hard-fails a remote slot's owner (fault drill); a fresh
+// server takes over by replaying the slot's WAL partition.
 func (cl *Client) KillIndexServer(i int) error {
 	_, err := cl.admin("kill", i)
 	return err

@@ -146,10 +146,6 @@ type Options struct {
 	// FsyncIntervalMillis is the background fsync cadence for the
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
-	// HotStandby keeps a passive shadow server consuming each slot's WAL
-	// partition, building a shadow memtable so a takeover (KillIndexServer,
-	// PromoteStandby) flips ownership without replaying the whole backlog.
-	HotStandby bool
 	// TierWarmAfterMillis / TierColdAfterMillis age chunks through the
 	// hot → warm → cold retention tiers, measured as the lag of a chunk's
 	// max time behind the newest registered data. Cold chunks are merged
@@ -190,7 +186,6 @@ func (o Options) config() cluster.Config {
 		DataDir:               o.DataDir,
 		Durability:            o.Durability,
 		FsyncIntervalMillis:   o.FsyncIntervalMillis,
-		HotStandby:            o.HotStandby,
 		TierWarmAfterMillis:   o.TierWarmAfterMillis,
 		TierColdAfterMillis:   o.TierColdAfterMillis,
 		Seed:                  o.Seed,
@@ -514,33 +509,10 @@ func (db *DB) DecommissionIndexServer(i int) error {
 	return db.c.DecommissionIndexServer(i)
 }
 
-// StartStandby attaches a hot standby to slot i: a passive shadow server
-// that consumes the slot's WAL partition and builds a shadow memtable,
-// ready for PromoteStandby or a takeover after KillIndexServer. A no-op
-// error-free call when the slot already has one.
-func (db *DB) StartStandby(i int) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return db.c.StartStandby(i)
-}
-
-// PromoteStandby performs a planned handoff of slot i: once the standby
-// has caught up to within 64 records of the partition head, ownership
-// flips in one metadata CAS — new owner, bumped fencing epoch — and the
-// deposed owner is fenced out. The promoted shadow replays on from where
-// it stopped; no handoff offset is recorded.
-func (db *DB) PromoteStandby(i int) error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return db.c.PromoteStandby(i)
-}
-
 // KillIndexServer hard-fails slot i's owner (crash simulation / fault
-// drill): the owner detaches mid-whatever and the slot's standby — or a
-// cold replacement when none is attached — takes over via WAL replay
-// under a bumped fencing epoch.
+// drill): the owner detaches mid-whatever and a fresh server takes over
+// under a bumped fencing epoch, replaying the slot's WAL partition from the
+// committed offset.
 func (db *DB) KillIndexServer(i int) error {
 	if db.closed.Load() {
 		return ErrClosed

@@ -824,7 +824,7 @@ func aggBenchCluster(b *testing.B, disableAgg bool) *cluster.Cluster {
 		CacheBytes:          1 << 30,
 		Seed:                1,
 		DFSLatency:          dfs.LatencyModel{OpenMin: 200 * time.Microsecond, OpenMax: 200 * time.Microsecond},
-		Bloom:               chunk.BuildOptions{DisableAgg: disableAgg},
+		Build:               chunk.BuildOptions{DisableAgg: disableAgg},
 	})
 	c.Start()
 	for i := 0; i < 50_000; i++ {

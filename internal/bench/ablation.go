@@ -70,7 +70,7 @@ func runAblationBloom(opt Options) (*Report, error) {
 			ChunkBytes:          128 << 10,
 			CacheBytes:          4 << 20,
 			DFSLatency:          paperLatency(),
-			Bloom:               chunk.BuildOptions{BucketMillis: 1000, DisableBloom: disable},
+			Build:               chunk.BuildOptions{BucketMillis: 1000, DisableBloom: disable},
 			Seed:                opt.Seed,
 		})
 		c.Start()

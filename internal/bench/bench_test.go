@@ -46,7 +46,6 @@ func TestIDsComplete(t *testing.T) {
 	want := []string{
 		"ablation-bloom", "ablation-lada", "ablation-sidestore", "ablation-template",
 		"batchsweep",
-		"ext-secondary",
 		"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13",
 		"fig14", "fig15", "fig16", "fig17", "fig7a", "fig7b", "fig8", "fig9",
 		"handoff",
@@ -142,12 +141,4 @@ func TestHandoffSmoke(t *testing.T) {
 	}
 	// The experiment itself fails when an acked tuple is missing.
 	smoke(t, "handoff", 0.05, 1)
-}
-
-func TestExtSecondarySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulated I/O sleeps")
-	}
-	rep := smoke(t, "ext-secondary", 0.02, 4)
-	_ = rep
 }

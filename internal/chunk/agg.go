@@ -1,11 +1,12 @@
 // Pre-aggregate block (flagAgg): per-leaf, per-time-mini-range
-// summaries of a designated big-endian uint64 payload field, the last
+// summaries of the big-endian uint64 at payload offset 0, the last
 // section of the header. It lies past IndexLen, so a range subquery's
 // header read stops before it. An aggregate subquery answers fully
 // covered leaves from these buckets without touching the leaf body, and
 // shrinks the scan window of boundary leaves to the uncovered buckets.
 //
-// Serialized layout, after the secondary-filter section:
+// Serialized layout, after the sketches (and an older chunk's skipped
+// secondary-filter section):
 //
 //	[4B field offset]
 //	nLeaves × [8B bucket width (ms)][8B first bucket start][4B nBuckets]
@@ -24,6 +25,11 @@ import (
 	"waterwheel/internal/core"
 	"waterwheel/internal/model"
 )
+
+// aggField is the payload offset of the field Build pre-aggregates: the
+// payload's leading field. The block records it, and readers take it from
+// Header.AggField.
+const aggField uint32 = 0
 
 // maxAggBuckets caps the pre-aggregate buckets per leaf.
 const maxAggBuckets = 16
@@ -59,7 +65,7 @@ type LeafAgg struct {
 // range int64 arithmetic cannot tile — a bucket start below MinTimestamp,
 // or a span past MaxInt64, which timestamps near both ends of the domain
 // ask for — gets no buckets, and its aggregates are scanned.
-func buildLeafAgg(lc *core.LeafCols, field uint32, width, minT, maxT int64) LeafAgg {
+func buildLeafAgg(lc *core.LeafCols, width, minT, maxT int64) LeafAgg {
 	if width <= 0 {
 		width = 1000
 	}
@@ -83,7 +89,7 @@ func buildLeafAgg(lc *core.LeafCols, field uint32, width, minT, maxT int64) Leaf
 	for j := range lc.Times {
 		b := &la.Buckets[(int64(lc.Times[j])-first)/width]
 		b.Count++
-		if v, ok := payloadU64(lc.Payload(j), field); ok {
+		if v, ok := payloadU64(lc.Payload(j), aggField); ok {
 			if b.Values == 0 || v < b.Min {
 				b.Min = v
 			}
@@ -107,8 +113,8 @@ func aggBlockSize(leafAggs []LeafAgg) int {
 }
 
 // appendAggBlock serializes the pre-aggregate block.
-func appendAggBlock(out []byte, field uint32, leafAggs []LeafAgg) []byte {
-	out = appendU32(out, field)
+func appendAggBlock(out []byte, leafAggs []LeafAgg) []byte {
+	out = appendU32(out, aggField)
 	for i := range leafAggs {
 		la := &leafAggs[i]
 		out = appendU64(out, uint64(la.Width))

@@ -16,8 +16,8 @@
 //	[nLeaves × 36B directory {offset, length, count, minT, maxT}]
 //	[nLeaves × 16B exact per-leaf key bounds {minKey, maxKey}]
 //	[flagBloom: nLeaves × {4B sketch length, sketch bytes}]
-//	[flagSecondary: 4B attribute offset,
-//	 nLeaves × {4B filter length, filter bytes}]
+//	[flagSecondary, older chunks only: 4B attribute offset,
+//	 nLeaves × {4B filter length, filter bytes} — skipped, never written]
 //	--- index prefix ends at offset IndexLen (= H without flagAgg) ---
 //	[flagAgg: pre-aggregate block, see agg.go]
 //	--- header ends at offset H ---
@@ -27,9 +27,9 @@
 // a range subquery needs to select and scan leaves; the pre-aggregate
 // block [IndexLen, H) is read only by aggregates. Meta records IndexLen at
 // build time (the format itself does not store it: it is where the
-// secondary section ends), ParseHeader accepts either the whole header or
-// exactly the index prefix, and WithAggs adds the block to an index-only
-// header.
+// sketches end, or an older chunk's secondary section), ParseHeader
+// accepts either the whole header or exactly the index prefix, and
+// WithAggs adds the block to an index-only header.
 //
 // Leaf bodies are columns, key-sorted (see v2.go for the encodings):
 //
@@ -68,6 +68,9 @@ var ErrUnsupportedVersion = errors.New("chunk: unsupported format version")
 
 const (
 	flagBloom = 1 << iota
+	// flagSecondary marks the per-leaf secondary attribute filters that
+	// older builds could write. ParseHeader steps over the section; Build
+	// never sets the bit.
 	flagSecondary
 	flagAgg
 )
@@ -86,44 +89,24 @@ func checkMagic(prefix []byte) error {
 	return nil
 }
 
-// SecondarySpec enables a secondary bloom index over a non-key,
-// non-temporal attribute — the extension the paper lists as future work
-// (§VIII: "add secondary index structure by bitmap and bloom filters, to
-// enable index retrieval on non-key and non-temporal attributes"). The
-// attribute is a big-endian uint64 payload field at a fixed offset; each
-// leaf records its values in a bloom filter so equality predicates on the
-// attribute can skip leaves.
-type SecondarySpec struct {
-	// Offset is the payload byte offset of the big-endian uint64 field.
-	Offset uint32
-}
+// fpRate is the false-positive target of the leaf time sketches.
+const fpRate = 0.01
 
 // BuildOptions tunes chunk construction.
 type BuildOptions struct {
 	// BucketMillis is the time mini-range width for leaf bloom sketches
 	// and pre-aggregate buckets (default 1000 ms).
 	BucketMillis int64
-	// FPRate is the sketch false-positive target (default 0.01).
-	FPRate float64
 	// DisableBloom omits the sketches (ablation switch).
 	DisableBloom bool
-	// Secondary, when non-nil, adds per-leaf bloom filters over the given
-	// payload attribute.
-	Secondary *SecondarySpec
-	// AggField is the payload byte offset of the big-endian uint64 field
-	// the pre-aggregate block summarizes (default 0 — the payload's
-	// leading field).
-	AggField uint32
-	// DisableAgg omits the pre-aggregate block (ablation switch).
+	// DisableAgg omits the pre-aggregate block (ablation switch). The
+	// block summarizes the big-endian uint64 at payload offset 0.
 	DisableAgg bool
 }
 
 func (o *BuildOptions) fill() {
 	if o.BucketMillis <= 0 {
 		o.BucketMillis = 1000
-	}
-	if o.FPRate <= 0 || o.FPRate >= 1 {
-		o.FPRate = 0.01
 	}
 }
 
@@ -192,14 +175,6 @@ type Header struct {
 	// Sketches holds each leaf's time sketch (nil entries when bloom is
 	// disabled or the leaf is empty).
 	Sketches []*bloom.TimeSketch
-	// SecondaryOffset is the payload offset of the secondary-indexed
-	// attribute; valid only when HasSecondary.
-	SecondaryOffset uint32
-	// HasSecondary reports whether per-leaf secondary filters exist.
-	HasSecondary bool
-	// SecondaryFilters holds each leaf's secondary attribute filter (nil
-	// for empty leaves or when the index is absent).
-	SecondaryFilters []*bloom.Filter
 	// LeafKeys bounds each leaf's keys exactly. Entries of empty leaves
 	// are zero and must be gated on Dir.Count.
 	LeafKeys []model.KeyRange
@@ -336,13 +311,15 @@ func ParseHeader(buf []byte) (*Header, error) {
 			pos += slen
 		}
 	}
-	h.SecondaryFilters = make([]*bloom.Filter, nLeaves)
+	// Older builds could write per-leaf secondary attribute filters here.
+	// Their chunks hold acked data, so the section is stepped over — the 4B
+	// attribute offset, then one length-prefixed filter per leaf — and
+	// nothing reads it. The skip goes with this v2 reader when the format
+	// moves to WWCHUNK3.
 	if flags&flagSecondary != 0 {
 		if pos+4 > len(buf) {
 			return nil, fmt.Errorf("%w: secondary offset truncated", ErrCorrupt)
 		}
-		h.SecondaryOffset = binary.BigEndian.Uint32(buf[pos:])
-		h.HasSecondary = true
 		pos += 4
 		for i := 0; i < nLeaves; i++ {
 			if pos+4 > len(buf) {
@@ -350,17 +327,9 @@ func ParseHeader(buf []byte) (*Header, error) {
 			}
 			slen := int(binary.BigEndian.Uint32(buf[pos:]))
 			pos += 4
-			if slen == 0 {
-				continue
+			if slen > len(buf)-pos {
+				return nil, fmt.Errorf("%w: secondary filter %d overruns the header", ErrCorrupt, i)
 			}
-			if pos+slen > len(buf) {
-				return nil, fmt.Errorf("%w: secondary filter truncated", ErrCorrupt)
-			}
-			f, _, err := bloom.Decode(buf[pos : pos+slen])
-			if err != nil {
-				return nil, fmt.Errorf("%w: secondary filter %d: %v", ErrCorrupt, i, err)
-			}
-			h.SecondaryFilters[i] = f
 			pos += slen
 		}
 	}
@@ -409,14 +378,6 @@ func (h *Header) WithAggs(block []byte) (*Header, error) {
 // were pruned (by leaf time bounds or bloom sketches). Set useBloom=false
 // to ablate sketch pruning.
 func (h *Header) SelectLeaves(kr model.KeyRange, tr model.TimeRange, useBloom bool) (read []int, pruned int) {
-	return h.SelectLeavesFor(kr, tr, useBloom, nil)
-}
-
-// SelectLeavesFor extends SelectLeaves with an optional secondary
-// equality value: when the chunk carries a secondary attribute index and
-// secEQ is non-nil, leaves whose secondary filter cannot contain *secEQ
-// are pruned as well.
-func (h *Header) SelectLeavesFor(kr model.KeyRange, tr model.TimeRange, useBloom bool, secEQ *uint64) (read []int, pruned int) {
 	if !kr.IsValid() || !tr.IsValid() {
 		return nil, 0
 	}
@@ -437,10 +398,6 @@ func (h *Header) SelectLeavesFor(kr model.KeyRange, tr model.TimeRange, useBloom
 			continue
 		}
 		if useBloom && h.Sketches[i] != nil && !h.Sketches[i].MayOverlap(int64(tr.Lo), int64(tr.Hi)) {
-			pruned++
-			continue
-		}
-		if secEQ != nil && h.HasSecondary && h.SecondaryFilters[i] != nil && !h.SecondaryFilters[i].MayContain(*secEQ) {
 			pruned++
 			continue
 		}

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"reflect"
@@ -23,9 +24,11 @@ func decodeErrOK(err error) bool {
 // invariant: malformed input is rejected with a typed error, never a
 // panic, an over-read past the input, or an unbounded allocation; and a
 // header that parses reads the same from its two units. The seed corpus
-// covers every section combination and the committed golden fixture, plus
-// truncations (at and either side of the index prefix among them) and
-// past- and future-version magics.
+// covers every section combination Build writes and the committed golden
+// fixture with an older build's secondary section, plus truncations (at
+// and either side of the index prefix, and inside that secondary section,
+// among them), an overlong secondary filter length, and past- and
+// future-version magics.
 func FuzzChunkOpen(f *testing.F) {
 	snap := buildSnapshot(f, 300, 8)
 	add := func(opts BuildOptions) []byte {
@@ -46,13 +49,21 @@ func FuzzChunkOpen(f *testing.F) {
 	}
 	add(BuildOptions{DisableBloom: true})
 	add(BuildOptions{DisableAgg: true})
-	add(BuildOptions{Secondary: &SecondarySpec{Offset: 0}})
-	add(BuildOptions{Secondary: &SecondarySpec{Offset: 0}, DisableBloom: true})
-	golden, err := os.ReadFile("testdata/golden_v2.chunk")
+	golden, err := os.ReadFile(goldenOld.path)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
+	// The fixture's secondary section, written by an older build and
+	// skipped on parse: cut inside it, and with a filter length that runs
+	// past the header.
+	secStart, secEnd := goldenBuild.indexLen, goldenOld.indexLen
+	for _, cut := range []int{secStart + 2, secStart + 6, secEnd - 1} {
+		f.Add(golden[:cut])
+	}
+	overlong := append([]byte(nil), golden...)
+	binary.BigEndian.PutUint32(overlong[secStart+4:], uint32(goldenOld.headerLen))
+	f.Add(overlong)
 	// Truncations at section-ish boundaries, and the golden bytes behind
 	// the v1 magic of early builds and a v3 magic.
 	f.Add(v2[:len(v2)/2])

@@ -116,15 +116,10 @@ func appendLeafColumns(dst []byte, lc *core.LeafCols, sc *leafScratch) []byte {
 // buildV2 serializes a flush snapshot in the columnar layout.
 func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) {
 	nLeaves := len(snap.Leaves)
-	aggField := opts.AggField
-	if aggField == 0 && snap.AggField != 0 {
-		aggField = snap.AggField
-	}
 
 	dir := make([]LeafInfo, nLeaves)
 	leafKeys := make([]model.KeyRange, nLeaves)
 	sketches := make([][]byte, nLeaves)
-	secondary := make([][]byte, nLeaves)
 	var leafAggs []LeafAgg
 	var chunkAgg *model.ChunkAgg
 	if !opts.DisableAgg {
@@ -152,11 +147,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		var sk *bloom.TimeSketch
 		if !opts.DisableBloom && n > 0 {
 			est := n/4 + 16
-			sk = bloom.NewTimeSketch(opts.BucketMillis, est, opts.FPRate)
-		}
-		var sec *bloom.Filter
-		if opts.Secondary != nil && n > 0 {
-			sec = bloom.NewWithEstimates(n, opts.FPRate)
+			sk = bloom.NewTimeSketch(opts.BucketMillis, est, fpRate)
 		}
 		for j := 0; j < n; j++ {
 			payBytes += lc.PayloadLen(j)
@@ -170,11 +161,6 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 			if sk != nil {
 				sk.AddTime(int64(ts))
 			}
-			if sec != nil {
-				if v, ok := payloadU64(lc.Payload(j), opts.Secondary.Offset); ok {
-					sec.Add(v)
-				}
-			}
 			if chunkAgg != nil {
 				chunkAgg.Count++
 				if v, ok := payloadU64(lc.Payload(j), aggField); ok {
@@ -185,8 +171,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		if n > 0 {
 			cols = appendLeafColumns(cols, lc, &sc)
 			if leafAggs != nil {
-				leafAggs[i] = buildLeafAgg(lc, aggField, opts.BucketMillis,
-					int64(info.MinT), int64(info.MaxT))
+				leafAggs[i] = buildLeafAgg(lc, opts.BucketMillis, int64(info.MinT), int64(info.MaxT))
 			}
 		}
 		colEnd[i] = len(cols)
@@ -194,9 +179,6 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		dir[i] = info // Offset fixed up after the header size is known.
 		if sk != nil {
 			sketches[i] = sk.AppendTo(nil)
-		}
-		if sec != nil {
-			secondary[i] = sec.AppendTo(nil)
 		}
 	}
 
@@ -206,12 +188,6 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 	// is set.
 	if !opts.DisableBloom {
 		for _, s := range sketches {
-			hlen += 4 + len(s)
-		}
-	}
-	if opts.Secondary != nil {
-		hlen += 4
-		for _, s := range secondary {
 			hlen += 4 + len(s)
 		}
 	}
@@ -238,9 +214,6 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 	if !opts.DisableBloom {
 		flags |= flagBloom
 	}
-	if opts.Secondary != nil {
-		flags |= flagSecondary
-	}
 	if leafAggs != nil {
 		flags |= flagAgg
 	}
@@ -265,15 +238,8 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 			out = append(out, s...)
 		}
 	}
-	if opts.Secondary != nil {
-		out = appendU32(out, opts.Secondary.Offset)
-		for _, s := range secondary {
-			out = appendU32(out, uint32(len(s)))
-			out = append(out, s...)
-		}
-	}
 	if leafAggs != nil {
-		out = appendAggBlock(out, aggField, leafAggs)
+		out = appendAggBlock(out, leafAggs)
 	}
 	if len(out) != hlen {
 		return nil, Meta{}, fmt.Errorf("chunk: header size miscomputed: %d != %d", len(out), hlen)

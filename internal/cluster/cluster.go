@@ -72,9 +72,10 @@ type Config struct {
 	// at most this many swapped-out memtable snapshots may await
 	// persistence before inserts crossing the threshold block (default 2).
 	FlushQueueDepth int
-	// Bloom tunes chunk sketch construction; Bloom.DisableBloom builds chunks
-	// without leaf time sketches, the one switch for sketch pruning.
-	Bloom chunk.BuildOptions
+	// Build tunes chunk construction: Build.DisableBloom builds chunks
+	// without leaf time sketches, the one switch for sketch pruning, and
+	// Build.DisableAgg without pre-aggregates.
+	Build chunk.BuildOptions
 	// Seed drives DFS placement and samplers.
 	Seed int64
 	// DFSFaultSeed seeds the DFS fault-injection RNG (chaos testing); kept
@@ -390,12 +391,11 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.ret = newRetirer(c)
-	compBuild := cfg.Bloom
 	c.comp = compact.New(compact.Config{
 		WarmAfterMillis: cfg.TierWarmAfterMillis,
 		ColdAfterMillis: cfg.TierColdAfterMillis,
 		Leaves:          cfg.TemplateLeaves,
-		Build:           compBuild,
+		Build:           cfg.Build,
 	}, c.fs, c.ms, compact.NewMetrics(reg), c.ret.retire)
 	nDisp := cfg.Nodes * cfg.DispatchersPerNode
 	for i := 0; i < nDisp; i++ {

@@ -208,7 +208,7 @@ func (c *Cluster) newIndexServer(i int, keys model.KeyRange, epoch int64) *inges
 		ChunkBytes:          c.cfg.ChunkBytes,
 		Leaves:              c.cfg.TemplateLeaves,
 		SideThresholdMillis: c.cfg.SideThresholdMillis,
-		Bloom:               c.cfg.Bloom,
+		Build:               c.cfg.Build,
 		NoTemplateReuse:     c.cfg.NoTemplateReuse,
 		FlushQueueDepth:     c.cfg.FlushQueueDepth,
 		SyncWAL:             c.log.Partition(i).SyncTo,

@@ -30,10 +30,6 @@ type TemplateConfig struct {
 	// MinPerLeaf suppresses skew checks until the tree holds at least
 	// Leaves*MinPerLeaf tuples, where occupancy statistics are meaningful.
 	MinPerLeaf int
-	// AggField is the payload byte offset of the big-endian uint64 field
-	// the chunk builder pre-aggregates. Flush snapshots carry it so the
-	// flusher builds chunks with the field the tree was configured for.
-	AggField uint32
 }
 
 func (c *TemplateConfig) fill() {
@@ -932,9 +928,6 @@ type FlushSnapshot struct {
 	MinTime, MaxTime model.Timestamp
 	// Keys is the key interval the tree was responsible for.
 	Keys model.KeyRange
-	// AggField is the payload offset of the field to pre-aggregate when
-	// the snapshot is built into a chunk (from TemplateConfig.AggField).
-	AggField uint32
 }
 
 // LeafKeyRange returns the exact key bounds of leaf i (ok=false when the
@@ -1003,12 +996,11 @@ func (t *TemplateTree) FlushReset() *FlushSnapshot {
 		return nil
 	}
 	snap := &FlushSnapshot{
-		Bounds:   append([]model.Key(nil), t.bounds...),
-		Leaves:   make([]LeafCols, len(t.leaves)),
-		Count:    int(t.count.Load()),
-		Bytes:    t.bytes.Load(),
-		Keys:     t.cfg.Keys,
-		AggField: t.cfg.AggField,
+		Bounds: append([]model.Key(nil), t.bounds...),
+		Leaves: make([]LeafCols, len(t.leaves)),
+		Count:  int(t.count.Load()),
+		Bytes:  t.bytes.Load(),
+		Keys:   t.cfg.Keys,
 	}
 	first := true
 	for i, lf := range t.leaves {

@@ -302,7 +302,7 @@ func (s *Server) processFlush(pf *pendingFlush) error {
 			totalBytes += part.pending.Size
 			continue
 		}
-		data, cmeta, err := chunk.Build(part.snap, s.cfg.Bloom)
+		data, cmeta, err := chunk.Build(part.snap, s.cfg.Build)
 		if err != nil {
 			// Snapshot was non-empty, so Build cannot fail; a failure here is a
 			// programming error worth surfacing loudly.

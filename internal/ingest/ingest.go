@@ -52,8 +52,8 @@ type Config struct {
 	// watermark into the side store (default 60 000 ms). Zero keeps the
 	// default; negative disables the side store.
 	SideThresholdMillis int64
-	// Bloom tunes chunk sketch construction.
-	Bloom chunk.BuildOptions
+	// Build tunes chunk construction.
+	Build chunk.BuildOptions
 	// TemplateReuse keeps the inner template across flushes (the paper's
 	// design). Setting false rebuilds the tree each flush — the system-level
 	// ablation switch.

@@ -230,31 +230,6 @@ func KeyMod(modulus, rem uint64) *Filter {
 	return &Filter{Op: FilterKeyMod, Modulus: modulus, Uint: rem}
 }
 
-// RequiredPayloadU64EQ reports whether the filter requires the big-endian
-// uint64 payload field at the given offset to equal some value, and
-// returns that value. It recognizes a FilterPayloadU64 equality node at
-// the top level or as a conjunct of (possibly nested) FilterAnd nodes —
-// the shape secondary-index pruning can exploit: any tuple failing the
-// equality fails the whole filter.
-func (f *Filter) RequiredPayloadU64EQ(offset uint32) (uint64, bool) {
-	if f == nil {
-		return 0, false
-	}
-	switch f.Op {
-	case FilterPayloadU64:
-		if f.Cmp == CmpEQ && f.Offset == offset {
-			return f.Uint, true
-		}
-	case FilterAnd:
-		for _, c := range f.Children {
-			if v, ok := c.RequiredPayloadU64EQ(offset); ok {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // errBadFilter reports a malformed encoded filter.
 var errBadFilter = errors.New("model: malformed encoded filter")
 

@@ -104,7 +104,7 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 	return &ServerMetrics{
 		SubQueries:        r.Counter("waterwheel_chunk_subqueries_total", "chunk subqueries executed by query servers"),
 		LeavesRead:        r.Counter("waterwheel_chunk_leaves_read_total", "chunk leaves scanned"),
-		LeavesBloomSkip:   r.Counter("waterwheel_chunk_leaves_bloom_skipped_total", "chunk leaves pruned by time sketches or secondary index"),
+		LeavesBloomSkip:   r.Counter("waterwheel_chunk_leaves_bloom_skipped_total", "chunk leaves pruned by time bounds or sketches"),
 		CoalescedReads:    r.Counter("waterwheel_chunk_coalesced_reads_total", "gap-coalesced file accesses for leaf ranges"),
 		BytesRead:         r.Counter("waterwheel_chunk_bytes_read_total", "chunk bytes fetched from the DFS"),
 		HeaderHits:        r.Counter(`waterwheel_cache_hits_total{unit="header"}`, "query-server cache hits by unit"),
@@ -414,17 +414,9 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 		openSp.SetInt("header_bytes", hbytes)
 	}
 	openSp.End()
-	// When the chunk carries a secondary attribute index and the filter
-	// pins that attribute to a value, prune leaves by it too (§VIII).
-	var secEQ *uint64
-	if h.HasSecondary {
-		if v, ok := sq.Filter.RequiredPayloadU64EQ(h.SecondaryOffset); ok {
-			secEQ = &v
-		}
-	}
 	// The sketches prune whenever the chunk carries them: a chunk built
 	// without them (chunk.BuildOptions.DisableBloom) prunes by time bounds only.
-	leaves, pruned := h.SelectLeavesFor(sq.Region.Keys, sq.Region.Times, true, secEQ)
+	leaves, pruned := h.SelectLeaves(sq.Region.Keys, sq.Region.Times, true)
 	res.LeavesSkipped += pruned
 	s.m.LeavesBloomSkip.Add(int64(pruned))
 

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"waterwheel/internal/chunk"
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/model"
@@ -113,14 +112,6 @@ type Options struct {
 	Policy string
 	// BalanceIntervalMillis runs the balancer on a cadence (0 = manual).
 	BalanceIntervalMillis int64
-	// EnableSecondaryIndex builds per-leaf bloom filters over the
-	// big-endian uint64 payload field at SecondaryIndexOffset (the paper's
-	// §VIII future-work extension). Queries whose filter pins that field
-	// to a value with PayloadU64(offset, EQ, v) then skip chunk leaves
-	// that cannot contain it.
-	EnableSecondaryIndex bool
-	// SecondaryIndexOffset is the payload offset of the indexed field.
-	SecondaryIndexOffset uint32
 	// SimulateIO charges HDFS-like latencies on chunk reads (off by
 	// default for embedded use).
 	SimulateIO bool
@@ -195,9 +186,6 @@ func (o Options) config() cluster.Config {
 	}
 	if o.SimulateIO {
 		cfg.DFSLatency = dfs.DefaultLatency()
-	}
-	if o.EnableSecondaryIndex {
-		cfg.Bloom.Secondary = &chunk.SecondarySpec{Offset: o.SecondaryIndexOffset}
 	}
 	return cfg
 }

@@ -255,12 +255,10 @@ func TestInsertBatchAndStats(t *testing.T) {
 	}
 }
 
-func TestSecondaryIndexViaOptions(t *testing.T) {
-	db := openTestDB(t, Options{
-		ChunkBytes:           8 << 10,
-		EnableSecondaryIndex: true,
-		SecondaryIndexOffset: 0,
-	})
+// TestPayloadU64FilterOverChunks: a payload-attribute equality over
+// flushed chunks returns exactly the matching tuples.
+func TestPayloadU64FilterOverChunks(t *testing.T) {
+	db := openTestDB(t, Options{ChunkBytes: 8 << 10})
 	for i := 0; i < 2000; i++ {
 		payload := make([]byte, 8)
 		payload[7] = byte(i % 4) // attribute = i mod 4
@@ -277,7 +275,7 @@ func TestSecondaryIndexViaOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Tuples) != 500 {
-		t.Fatalf("secondary-filtered query: %d, want 500", len(res.Tuples))
+		t.Fatalf("attribute-filtered query: %d, want 500", len(res.Tuples))
 	}
 }
 
@@ -401,34 +399,25 @@ func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 // configuration Open builds from it. A field the mapping ignores — one that
 // was added without being wired, or whose consumer was deleted — fails here.
 func TestEveryOptionReachesConfig(t *testing.T) {
-	// Fields that only act together with another one.
-	needs := map[string]string{"SecondaryIndexOffset": "EnableSecondaryIndex"}
 	if !reflect.DeepEqual(Options{}.config(), Options{}.config()) {
 		t.Fatal("two configs of the same options differ: the comparison below proves nothing")
 	}
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		var base Options
-		bv := reflect.ValueOf(&base).Elem()
-		if dep, ok := needs[name]; ok {
-			bv.FieldByName(dep).SetBool(true)
-		}
-		set := base
+		var set Options
 		f := reflect.ValueOf(&set).Elem().Field(i)
 		switch f.Kind() {
 		case reflect.Bool:
 			f.SetBool(true)
 		case reflect.Int, reflect.Int64:
 			f.SetInt(7)
-		case reflect.Uint32:
-			f.SetUint(7)
 		case reflect.String:
 			f.SetString("x")
 		default:
 			t.Fatalf("Options.%s has kind %s: teach this test to set it", name, f.Kind())
 		}
-		if reflect.DeepEqual(base.config(), set.config()) {
+		if reflect.DeepEqual(Options{}.config(), set.config()) {
 			t.Errorf("Options.%s does not reach the cluster config", name)
 		}
 	}

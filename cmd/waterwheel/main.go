@@ -26,9 +26,7 @@ func main() {
 		nodes      = flag.Int("nodes", 1, "simulated cluster nodes")
 		chunkMB    = flag.Int64("chunk-mb", 16, "chunk size in MiB")
 		cacheMB    = flag.Int64("cache-mb", 1024, "query-server cache in MiB")
-		policy     = flag.String("policy", "lada", "dispatch policy: lada|hashing|shared-queue|round-robin")
 		balanceMs  = flag.Int64("balance-ms", 5000, "adaptive partitioning cadence (0 = off)")
-		simulateIO = flag.Bool("simulate-io", false, "charge HDFS-like latencies on chunk I/O")
 		dataDir    = flag.String("data-dir", "", "persist chunks/WAL/metadata here (survives restarts)")
 		durability = flag.String("durability", "", "insert ack policy with -data-dir: ack-on-write (default), ack-on-fsync (group commit), interval")
 		fsyncMs    = flag.Int64("fsync-interval-ms", 50, "background fsync cadence for -durability interval")
@@ -41,9 +39,7 @@ func main() {
 		Nodes:                 *nodes,
 		ChunkBytes:            *chunkMB << 20,
 		CacheBytes:            *cacheMB << 20,
-		Policy:                *policy,
 		BalanceIntervalMillis: *balanceMs,
-		SimulateIO:            *simulateIO,
 		DataDir:               *dataDir,
 		Durability:            *durability,
 		FsyncIntervalMillis:   *fsyncMs,
@@ -58,7 +54,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "waterwheel: listen:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("waterwheel serving on %s (%d nodes, policy=%s)\n", ns.Addr, *nodes, *policy)
+	fmt.Printf("waterwheel serving on %s (%d nodes)\n", ns.Addr, *nodes)
 	if *httpAddr != "" {
 		go func() {
 			fmt.Printf("waterwheel introspection on http://%s/metrics and /debug/waterwheel\n", *httpAddr)

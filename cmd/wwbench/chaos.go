@@ -27,7 +27,6 @@ func runChaos(args []string) {
 		crash    = fs.Bool("hardcrash", false, "with -datadir: hard-crash after the schedule (discard unsynced WAL bytes), reopen, re-verify")
 		elastic  = fs.Bool("elastic", false, "mix elastic topology ops (add/decommission/more kills) into the schedule")
 		takeover = fs.Bool("takeover", false, "run the scripted takeover suite (every seeded schedule) instead of random seeds")
-		tiering  = fs.Bool("tiering", false, "run with hierarchical time tiering: retention ops demote and compact before dropping")
 	)
 	fs.Parse(args)
 	if (*crash || *dur != "") && *dataDir == "" {
@@ -41,8 +40,7 @@ func runChaos(args []string) {
 
 	failed := false
 	for s := *seed; s < *seed+int64(*seeds); s++ {
-		opts := chaos.Options{Seed: s, Ops: *ops, Nodes: *nodes, Durability: *dur,
-			Elastic: *elastic, Tiering: *tiering}
+		opts := chaos.Options{Seed: s, Ops: *ops, Nodes: *nodes, Durability: *dur, Elastic: *elastic}
 		if *dataDir != "" {
 			dir, err := os.MkdirTemp(*dataDir, fmt.Sprintf("chaos-seed%d-", s))
 			if err != nil {

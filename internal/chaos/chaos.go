@@ -41,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"waterwheel/internal/chunk"
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
@@ -98,13 +97,6 @@ type Options struct {
 	// Telemetry, when set, is plumbed into the cluster so the run's
 	// handoff metrics (pause, lag, count) can be asserted afterwards.
 	Telemetry *telemetry.Registry
-	// Tiering runs the cluster with hierarchical time tiering: retention
-	// ops demote aging chunks and compact cold ones into downsampled
-	// chunks before dropping, so drops, demotions and merges interleave
-	// with concurrent queries. Oracle entries covered by a merge become
-	// optional (their raw tuples were replaced by downsampled rows);
-	// downsampled rows themselves are checked for region containment.
-	Tiering bool
 }
 
 func (o *Options) fill() {
@@ -144,7 +136,9 @@ type Report struct {
 	// which the oracle can tell the reported positions from wrong ones.
 	BatchRejections   int
 	PartialRejections int
-	FaultsSeen        map[string]bool
+	// Dropped counts the chunks retention ops removed.
+	Dropped    int
+	FaultsSeen map[string]bool
 }
 
 // opKind enumerates schedule steps.
@@ -335,11 +329,6 @@ type runner struct {
 const (
 	baseTime  model.Timestamp = 1_000_000 // virtual stream start, ms
 	keyDomain                 = 1 << 20
-	// Tiering thresholds for Options.Tiering runs, scaled to the virtual
-	// clock (a schedule advances it by tens of thousands of ms): chunks
-	// aging past these lags behind the stream's max time demote.
-	tierWarmAfter int64 = 20_000
-	tierColdAfter int64 = 60_000
 )
 
 // clusterConfig builds the small, flush-happy cluster the harness drives:
@@ -366,12 +355,6 @@ func clusterConfig(opts Options) cluster.Config {
 	}
 	if opts.DataDir != "" {
 		cfg.Files = &durable.Files{} // what HardCrash crashes
-	}
-	if opts.Tiering {
-		cfg.TierWarmAfterMillis = tierWarmAfter
-		cfg.TierColdAfterMillis = tierColdAfter
-		// Compaction has no background cadence: retention ops call
-		// TickCompact explicitly, so the schedule remains deterministic.
 	}
 	return cfg
 }
@@ -856,36 +839,18 @@ func (r *runner) queryConcurrent(i, k int) {
 }
 
 // retention drops chunks wholly before a horizon trailing the stream clock
-// and marks oracle entries older than it as optional-but-unique. With
-// tiering on it first runs a compaction round — demote aging chunks,
-// merge cold ones into downsampled chunks — so the drop only ever
-// discards the coldest tier, and raw tuples replaced by downsampled rows
-// become optional in the oracle.
+// and marks the oracle entries before it as optional-but-unique: a tuple
+// at or after the horizon is in no chunk the drop touches.
 func (r *runner) retention(i int) {
 	sub := r.subRNG(i)
-	if r.opts.Tiering {
-		demoted, merged := r.c.TickCompact()
-		r.trace(i, "tiering: %d demoted, %d merges", demoted, merged)
-		if merged > 0 {
-			// Every chunk eligible for merging had aged past the cold
-			// threshold; its raw tuples may now exist only as downsampled
-			// rows. Presence becomes optional, uniqueness still holds.
-			cutoff := r.c.Metadata().MaxTime() - model.Timestamp(tierColdAfter)
-			for j := range r.entries {
-				if r.entries[j].ts <= cutoff {
-					r.entries[j].maybeDropped = true
-				}
-			}
-		}
-	}
 	horizon := r.virtualNow - 100_000 + model.Timestamp(sub.Int63n(50_000))
 	for j := range r.entries {
 		if r.entries[j].ts < horizon {
 			r.entries[j].maybeDropped = true
 		}
 	}
-	n := r.c.DropChunksBefore(horizon)
-	_ = n // count varies with flush timing; the oracle marking is what matters
+	// The count varies with flush timing, so it stays out of the trace.
+	r.rep.Dropped += r.c.DropChunksBefore(horizon)
 }
 
 // crashMidFlush forces every DFS write to fail, floods one indexing server
@@ -961,13 +926,6 @@ func (r *runner) checkResult(i int, q model.Query, res *model.Result, complete b
 		}
 		if !q.Keys.Contains(t.Key) || !q.Times.Contains(t.Time) {
 			r.violate(i, "tuple %v outside query region %v/%v", t, q.Keys, q.Times)
-		}
-		if r.opts.Tiering && len(t.Payload) == chunk.DownsampledPayloadLen {
-			// Downsampled row from a compacted chunk: it summarizes many
-			// raw tuples, so there is no oracle seq to match — region
-			// containment and sort order (checked above) are its
-			// invariants.
-			continue
 		}
 		if len(t.Payload) != 8 {
 			r.violate(i, "tuple %v carries a malformed payload", t)

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"waterwheel/internal/chunk"
-	"waterwheel/internal/compact"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/dispatcher"
 	"waterwheel/internal/durable"
@@ -111,13 +110,6 @@ type Config struct {
 	// FsyncIntervalMillis is the background fsync cadence for the
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
-	// TierWarmAfterMillis / TierColdAfterMillis age chunks through the
-	// retention tiers: a chunk whose max time lags the newest registered
-	// data by WarmAfter is demoted to warm, by ColdAfter to cold. Cold
-	// chunks are compaction candidates (merged into downsampled chunks).
-	// Both zero disables tiering entirely — TickCompact is then a no-op.
-	TierWarmAfterMillis int64
-	TierColdAfterMillis int64
 }
 
 // traceRingSize bounds the ring of retained query traces.
@@ -161,7 +153,6 @@ type Cluster struct {
 	qsrv  []*queryexec.Server
 	coord *queryexec.Coordinator
 	bal   *dispatcher.Balancer
-	comp  *compact.Compactor
 	ret   *retirer
 
 	// elasticMu serializes topology operations (add, decommission, kill,
@@ -391,12 +382,6 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.ret = newRetirer(c)
-	c.comp = compact.New(compact.Config{
-		WarmAfterMillis: cfg.TierWarmAfterMillis,
-		ColdAfterMillis: cfg.TierColdAfterMillis,
-		Leaves:          cfg.TemplateLeaves,
-		Build:           cfg.Build,
-	}, c.fs, c.ms, compact.NewMetrics(reg), c.ret.retire)
 	nDisp := cfg.Nodes * cfg.DispatchersPerNode
 	for i := 0; i < nDisp; i++ {
 		c.disp = append(c.disp, dispatcher.New(schema, walSink{c: c}, dispatcher.SamplerConfig{Seed: cfg.Seed + int64(i)}))
@@ -661,9 +646,8 @@ func (c *Cluster) FlushAll() error {
 // evicted from every query server and the file delete is deferred until
 // queries planned before the drop have drained, so a concurrent query
 // never trips over a half-retired chunk. Returns the number of chunks
-// dropped. With tiering enabled, prefer letting the compactor demote and
-// merge chunks first: retention then only ever discards the coldest,
-// already-downsampled tier.
+// dropped. Each drop is durable before its file is queued, so a crash at
+// any step leaves a registry that names only files still on the DFS.
 func (c *Cluster) DropChunksBefore(horizon model.Timestamp) int {
 	var dropped []meta.ChunkInfo
 	for _, ci := range c.ms.ChunksFor(model.FullRegion()) {
@@ -677,16 +661,6 @@ func (c *Cluster) DropChunksBefore(horizon model.Timestamp) int {
 	}
 	c.ret.retire(dropped)
 	return len(dropped)
-}
-
-// TickCompact runs one compaction round — demote aging chunks through
-// the tiers, merge groups of cold chunks into downsampled chunks — and
-// sweeps the retirement queue. No-op unless tiering is configured.
-// Returns (chunks demoted, merges completed).
-func (c *Cluster) TickCompact() (demoted, merged int) {
-	demoted, merged = c.comp.Tick()
-	c.ret.sweep()
-	return demoted, merged
 }
 
 // OrphansSwept reports how many DFS files Open deleted because the restored

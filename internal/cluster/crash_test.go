@@ -6,12 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"waterwheel/internal/chunk"
 	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 )
@@ -248,31 +246,17 @@ func TestFailedChunkUnlinkIsRetried(t *testing.T) {
 	requireOnlyRegisteredChunks(t, c, cfg.DataDir, "after the next checkpoint")
 }
 
-// countRows returns the raw seqs a full scan returns and the tuples the
-// downsampled rows of compacted chunks stand for.
-func countRows(t *testing.T, c *Cluster) (raw []uint64, summarized uint64) {
-	t.Helper()
-	res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range res.Tuples {
-		if len(tu.Payload) == chunk.DownsampledPayloadLen {
-			summarized += uint64(binary.BigEndian.Uint32(tu.Payload))
-			continue
-		}
-		raw = append(raw, binary.BigEndian.Uint64(tu.Payload))
-	}
-	return raw, summarized
-}
+// retentionHorizon cuts retentionWorkload's chunks: those wholly before it
+// are dropped, the one that straddles it stays.
+const retentionHorizon = 1500
 
-// compactionWorkload flushes 3000 tuples into one slot's chunks, every one
-// cold at once, and runs a compaction round whose durable operations fail
-// from the failFrom-th on (-1: none). It returns the cluster, still running,
-// and how many operations the round counted.
-func compactionWorkload(t *testing.T, cfg *Config, failFrom int64) (*Cluster, int64) {
+// retentionWorkload flushes 3000 tuples (seq = time) into one slot's
+// chunks and drops those that end before retentionHorizon, with every
+// durable operation of the drop and its sweep failing from the failFrom-th
+// on (-1: none). It returns the cluster, still running, how many chunks
+// were dropped and how many operations the drop counted.
+func retentionWorkload(t *testing.T, cfg *Config, failFrom int64) (*Cluster, int, int64) {
 	t.Helper()
-	cfg.TierWarmAfterMillis, cfg.TierColdAfterMillis = 1, 1
 	var ops atomic.Int64
 	var armed atomic.Bool
 	cfg.Files = &durable.Files{Hook: func(durable.Op, string) error {
@@ -291,35 +275,34 @@ func compactionWorkload(t *testing.T, cfg *Config, failFrom int64) (*Cluster, in
 		t.Fatal(err)
 	}
 	armed.Store(true)
-	c.TickCompact()
+	dropped := c.DropChunksBefore(retentionHorizon)
 	armed.Store(false)
-	return c, ops.Load()
+	return c, dropped, ops.Load()
 }
 
-// TestCrashAtEveryCompactionStep: a host crash at any durable operation of a
-// compaction round — the demotions' records, the output's write and sync,
-// the record that drops the inputs and puts the output, the inputs' unlinks
-// — with none, the newest or every unsynced directory entry change undone,
-// reopens to a registry that counts every tuple exactly once: the inputs or
-// the output, never both, never neither.
-func TestCrashAtEveryCompactionStep(t *testing.T) {
+// TestCrashAtEveryRetentionStep: a host crash at any durable operation of a
+// DropChunksBefore — each drop's journal fsync, the journal compaction a drop
+// can set off, each retired file's unlink — with none, the newest or every
+// unsynced directory entry change undone, reopens to a registry that returns
+// every tuple at or after the horizon exactly once and every tuple before it
+// at most once, and to a dfs/ that holds exactly the chunks the registry
+// names.
+func TestCrashAtEveryRetentionStep(t *testing.T) {
 	cfg := orphanConfig(t)
-	c, n := compactionWorkload(t, &cfg, -1)
-	raw, summarized := countRows(t, c)
+	c, dropped, n := retentionWorkload(t, &cfg, -1)
 	c.Stop()
-	if summarized == 0 || uint64(len(raw))+summarized != 3000 {
-		t.Fatalf("test premise: the round merged nothing (%d raw rows, %d summarized)", len(raw), summarized)
+	if dropped == 0 {
+		t.Fatal("test premise: no chunk ends before the horizon")
 	}
-	t.Logf("%d durable operations in one compaction round", n)
+	t.Logf("%d durable operations in a drop of %d chunks", n, dropped)
 	for k := int64(0); k <= n; k++ {
 		for _, undo := range []int{0, 1, math.MaxInt} {
 			when := fmt.Sprintf("crash at operation %d, undo %s", k, undoName(undo))
 			cfg := orphanConfig(t)
-			c, _ := compactionWorkload(t, &cfg, k)
+			c, _, _ := retentionWorkload(t, &cfg, k)
 			if err := c.crash(undo); err != nil {
 				t.Fatalf("%s: %v", when, err)
 			}
-			cfg.TierWarmAfterMillis, cfg.TierColdAfterMillis = 0, 0
 			c2, err := Open(cfg)
 			if err != nil {
 				t.Fatalf("reopen after a %s: %v", when, err)
@@ -328,11 +311,18 @@ func TestCrashAtEveryCompactionStep(t *testing.T) {
 			if err := c2.Drain(); err != nil {
 				t.Fatal(err)
 			}
-			raw, summarized := countRows(t, c2)
-			slices.Sort(raw)
-			if len(slices.Compact(slices.Clone(raw))) != len(raw) || uint64(len(raw))+summarized != 3000 {
-				t.Fatalf("%s: %d raw rows (%d distinct) and %d summarized, want 3000 in all",
-					when, len(raw), len(slices.Compact(slices.Clone(raw))), summarized)
+			seqs := storedSeqs(t, c2)
+			kept := 0
+			for i, seq := range seqs {
+				if seq >= 3000 || i > 0 && seqs[i-1] == seq {
+					t.Fatalf("%s: seq %d returned (unknown or twice)", when, seq)
+				}
+				if seq >= retentionHorizon {
+					kept++
+				}
+			}
+			if kept != 3000-retentionHorizon {
+				t.Fatalf("%s: %d tuples at or after the horizon returned, want %d", when, kept, 3000-retentionHorizon)
 			}
 			requireOnlyRegisteredChunks(t, c2, cfg.DataDir, when)
 			c2.Stop()

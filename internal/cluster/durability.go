@@ -25,11 +25,11 @@ import (
 // deleted. A file the durable registry does not name is a chunk whose
 // registration a crash lost (its records are still in the log, which is cut
 // only behind a durable commit, and this process re-flushes them under an
-// epoch of its own), a retired chunk whose drop the journal records, or the
-// output of a compaction or a flush that never registered. Only Open may do
-// this, before anything writes: while the deployment runs, a file between
-// its Write and its registration looks the same. So a name a crash left
-// unregistered is gone before the epoch it carries can be claimed again.
+// epoch of its own), a retired chunk whose drop the journal records, or a
+// flush that never registered. Only Open may do this, before anything
+// writes: while the deployment runs, a file between its Write and its
+// registration looks the same. So a name a crash left unregistered is gone
+// before the epoch it carries can be claimed again.
 func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
 	registered := make(map[string]struct{})
 	for _, ci := range ms.ChunksFor(model.FullRegion()) {

@@ -176,10 +176,11 @@ func TestOrphansDoNotOutliveARestart(t *testing.T) {
 	requireOnlyRegisteredChunks(t, c, cfg.DataDir, "after Stop")
 }
 
-// TestAbandonedCompactionOutputIsSwept: a kill between a compaction's Write
-// and its ReplaceChunks leaves the output file beside inputs that are still
-// registered. Whether or not its bytes reached the disk, the reopened
-// deployment sweeps it and serves the inputs: no row is counted twice.
+// TestAbandonedCompactionOutputIsSwept: a kill between a file's Write and the
+// record that would register it leaves a whole copy of registered rows that
+// no registration names — as an older build's merge of chunks could leave
+// one. Whether or not its bytes reached the disk, the reopened deployment
+// sweeps it and serves the registered chunks: no row is counted twice.
 func TestAbandonedCompactionOutputIsSwept(t *testing.T) {
 	for _, synced := range []bool{true, false} {
 		t.Run(fmt.Sprintf("synced=%v", synced), func(t *testing.T) {
@@ -198,8 +199,8 @@ func TestAbandonedCompactionOutputIsSwept(t *testing.T) {
 				t.Fatal(err)
 			}
 			inputs := c.Metadata().ChunksFor(model.FullRegion())
-			// A whole, readable chunk under the name the compactor would
-			// use: served, it would return its input's rows a second time.
+			// A whole, readable chunk under a name no registration holds:
+			// served, it would return its source's rows a second time.
 			body, err := c.FS().Read(inputs[0].Path)
 			if err != nil {
 				t.Fatal(err)

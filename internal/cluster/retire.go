@@ -1,7 +1,7 @@
-// Drain-safe chunk retirement: when retention or compaction drops a
-// chunk, its metadata vanishes immediately (no new query can plan it)
-// but the file must outlive every query planned before the drop — those
-// queries hold subqueries that will still read it. The retirer evicts
+// Drain-safe chunk retirement: when retention drops a chunk, its metadata
+// vanishes immediately (no new query can plan it) but the file must
+// outlive every query planned before the drop — those queries hold
+// subqueries that will still read it. The retirer evicts
 // the chunk's cached bytes from every query server, then parks the file
 // delete until the cluster's oldest active query is newer than the
 // query horizon captured at drop time. A subquery that still loses the

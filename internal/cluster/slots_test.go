@@ -141,10 +141,9 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 			cfg.DataDir, cfg.Durability = t.TempDir(), "ack-on-fsync"
 			cfg.Files = &durable.Files{}
 		}, 50, true},
-		{"DataDir+interval+balancer+tiering", func(cfg *Config) {
+		{"DataDir+interval+balancer", func(cfg *Config) {
 			cfg.DataDir, cfg.Durability, cfg.FsyncIntervalMillis = t.TempDir(), "interval", 5
 			cfg.BalanceIntervalMillis = 2
-			cfg.TierWarmAfterMillis, cfg.TierColdAfterMillis = 1, 1<<40
 		}, 500, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -215,7 +214,6 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 			waitAttempted(2 * tc.stride)
 			step("KillIndexServer", c.KillIndexServer(0))
 			c.TickBalance()
-			c.TickCompact()
 			waitAttempted(3 * tc.stride)
 			step("DecommissionIndexServer", c.DecommissionIndexServer(id))
 			close(done)

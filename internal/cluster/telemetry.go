@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"waterwheel/internal/ingest"
-	"waterwheel/internal/meta"
 	"waterwheel/internal/model"
 )
 
@@ -98,15 +97,6 @@ func (c *Cluster) registerFuncMetrics() {
 	// Metadata and storage.
 	reg.GaugeFunc("waterwheel_chunks", "chunks registered in the metadata R-tree", func() float64 {
 		return float64(c.ms.ChunkCount())
-	})
-	reg.GaugeFunc(`waterwheel_tier_chunks{tier="hot"}`, "registered chunks by retention tier", func() float64 {
-		return float64(c.ms.TierCounts()[meta.TierHot])
-	})
-	reg.GaugeFunc(`waterwheel_tier_chunks{tier="warm"}`, "registered chunks by retention tier", func() float64 {
-		return float64(c.ms.TierCounts()[meta.TierWarm])
-	})
-	reg.GaugeFunc(`waterwheel_tier_chunks{tier="cold"}`, "registered chunks by retention tier", func() float64 {
-		return float64(c.ms.TierCounts()[meta.TierCold])
 	})
 	reg.GaugeFunc("waterwheel_retired_pending_deletes", "retired chunk files parked until in-flight queries drain", func() float64 {
 		return float64(c.ret.pending())

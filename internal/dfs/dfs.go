@@ -58,18 +58,6 @@ type LatencyModel struct {
 	WriteBytesPerSec int64
 }
 
-// DefaultLatency mirrors the paper's testbed character at 1/10 scale so
-// experiments finish quickly while preserving the shape: open delay 0.2–5
-// ms, ~1 GB/s local reads, ~110 MB/s remote (1 Gbps).
-func DefaultLatency() LatencyModel {
-	return LatencyModel{
-		OpenMin:           200 * time.Microsecond,
-		OpenMax:           5 * time.Millisecond,
-		LocalBytesPerSec:  1 << 30,
-		RemoteBytesPerSec: 110 << 20,
-	}
-}
-
 // Config configures the simulated file system.
 type Config struct {
 	// Nodes is the number of datanodes (minimum 1).

@@ -98,7 +98,7 @@ func TestCompactionDoesNotStallQueries(t *testing.T) {
 		go func() { done <- s.Compact() }()
 		time.Sleep(5 * time.Millisecond) // the compaction is under way
 		edited := make(chan bool, 1)
-		go func() { edited <- s.SetTier(model.ChunkID(i+1), TierWarm) }()
+		go func() { edited <- s.DropChunk(model.ChunkID(i + 1)) }()
 		time.Sleep(time.Millisecond) // the edit waits for the write lock
 		start := time.Now()
 		if got := s.ChunksFor(region(5000, 5000, 5, 5)); len(got) != 1 {
@@ -199,8 +199,11 @@ func TestOlderImageFormatOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.RegisterChunks([]ChunkInfo{{Path: "after", Region: region(0, 1, 0, 1)}})
-	if c == nil || !s.DropChunk(4) || !s.SetTier(c[0].ID, TierCold) {
+	if c == nil || !s.DropChunk(4) {
 		t.Fatal("an edit after the image was refused")
+	}
+	if _, err := s.RegisterFlushOwned(1, s.Epoch(1), nil, 99); err != nil {
+		t.Fatal(err)
 	}
 	want := registryOf(s)
 	s.Close()
@@ -326,9 +329,10 @@ func TestJournalCutBetweenParts(t *testing.T) {
 
 // TestJournalCompactsUnderEdits: edits of every kind, made while ten
 // compactions of twenty parts run back to back, land between the parts —
-// a part puts a chunk as it is when the part is written, never as it was
-// at the cut point — and the journal reopens to the registry the edits
-// left, cut below the last compaction's first part or not cut at all.
+// a part puts the chunks registered when the part is written, never the
+// ones a drop since the cut point removed — and the journal reopens to the
+// registry the edits left, cut below the last compaction's first part or
+// not cut at all.
 func TestJournalCompactsUnderEdits(t *testing.T) {
 	for _, keep := range []bool{false, true} {
 		t.Run(fmt.Sprintf("unlinks-fail=%v", keep), func(t *testing.T) {
@@ -356,9 +360,9 @@ func TestJournalCompactsUnderEdits(t *testing.T) {
 				case 0:
 					s.DropChunk(id)
 				case 1:
-					s.SetTier(id, TierWarm)
+					s.RegisterFlushOwned(1, s.Epoch(1), nil, int64(i))
 				case 2:
-					s.ReplaceChunks([]ChunkInfo{chunkAt(10_000 + i)}, []model.ChunkID{id})
+					s.RegisterFlushOwned(1, s.Epoch(1), []ChunkInfo{chunkAt(10_000 + i)}, int64(i))
 				case 3:
 					s.RegisterChunks([]ChunkInfo{chunkAt(20_000 + i)})
 				}

@@ -29,10 +29,10 @@ func TestRestoreSnapshotWithFormatField(t *testing.T) {
 	}
 	want := []ChunkInfo{
 		{ID: 1, Path: "chunk-s0-000001", Region: region(0, 999, 1000, 1999), Count: 300, Size: 4096,
-			HeaderLen: 512, Server: 0, Tier: TierCold,
+			HeaderLen: 512, Server: 0,
 			Agg: &model.ChunkAgg{Field: 8, AggPartial: model.AggPartial{Count: 300, Values: 290, Sum: 12345, Min: 1, Max: 99}}},
 		{ID: 2, Path: "chunk-s1-000002", Region: region(1000, 1999, 1500, 2500), Count: 7, Size: 700,
-			HeaderLen: 200, Server: 1, Downsampled: true},
+			HeaderLen: 200, Server: 1},
 	}
 	s := NewServer(2)
 	s.SetSchema([]model.Key{1000})

@@ -58,18 +58,14 @@ func edits(t *testing.T, s *Server) {
 	if err != nil || s.Sync() != nil {
 		t.Fatal(err)
 	}
-	if !s.SetTier(regs[1].ID, TierWarm) {
-		t.Fatal("SetTier refused")
-	}
 	c := s.RegisterChunks([]ChunkInfo{{Path: "c", Region: region(20, 29, 0, 9), Server: 1}})
-	if c == nil {
+	if c == nil || s.RegisterChunks([]ChunkInfo{{Path: "ab", Region: region(0, 19, 0, 20)}}) == nil {
 		t.Fatal("RegisterChunks refused")
 	}
-	if _, _, ok := s.ReplaceChunks([]ChunkInfo{{Path: "ab", Region: region(0, 19, 0, 20), Downsampled: true, Tier: TierCold}}, []model.ChunkID{regs[0].ID, regs[1].ID}); !ok {
-		t.Fatal("ReplaceChunks refused")
-	}
-	if !s.DropChunk(c[0].ID) {
-		t.Fatal("DropChunk refused")
+	for _, id := range []model.ChunkID{regs[0].ID, regs[1].ID, c[0].ID} {
+		if !s.DropChunk(id) {
+			t.Fatal("DropChunk refused")
+		}
 	}
 	_, id, err := s.AddServer(1, 1<<50)
 	if err != nil {
@@ -112,6 +108,30 @@ func TestJournalReplaysEveryEdit(t *testing.T) {
 	// IDs keep increasing after the replay.
 	if c := r.RegisterChunks([]ChunkInfo{{Path: "d", Region: region(0, 1, 0, 1)}}); c[0].ID != 5 {
 		t.Fatalf("next chunk id after replay = %d, want 5", c[0].ID)
+	}
+}
+
+// TestJournalReplaysRetiredChunkFields: a record written by an older build
+// carries a put and a drop together, and its chunks carry "Tier" and
+// "Downsampled" keys this build no longer has. It replays: the drop goes,
+// the put is registered with every field this build knows, and the unknown
+// keys are ignored.
+func TestJournalReplaysRetiredChunkFields(t *testing.T) {
+	body := `{"Drops":[1],"Puts":[{"ID":2,"Path":"chunks/compact-is0-e1-d0-1",` +
+		`"Region":{"Keys":{"Lo":0,"Hi":9},"Times":{"Lo":0,"Hi":99}},"Count":4,"Size":400,` +
+		`"HeaderLen":64,"IndexLen":48,"Server":0,"Agg":null,"Tier":2,"Downsampled":true}]}`
+	r, err := decode(append(append([]byte(nil), magic...), body...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(1)
+	if c := s.RegisterChunks([]ChunkInfo{{Path: "a", Region: region(0, 9, 0, 9)}}); c == nil || c[0].ID != 1 {
+		t.Fatalf("registered %+v", c)
+	}
+	s.applyLocked(r)
+	want := ChunkInfo{ID: 2, Path: "chunks/compact-is0-e1-d0-1", Region: region(0, 9, 0, 99), Count: 4, Size: 400, HeaderLen: 64, IndexLen: 48}
+	if got := s.ChunksFor(model.FullRegion()); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("replayed registry %+v, want [%+v]", got, want)
 	}
 }
 

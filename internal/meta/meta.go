@@ -51,13 +51,6 @@ type ChunkInfo struct {
 	// the coordinator answers aggregate queries over fully covered chunks
 	// from it without issuing a subquery.
 	Agg *model.ChunkAgg
-	// Tier is the chunk's retention tier (TierHot/TierWarm/TierCold). New
-	// chunks start hot; the compactor demotes them by age behind the
-	// newest registered data.
-	Tier int
-	// Downsampled marks a compactor output: its rows are the per-leaf
-	// pre-aggregate buckets of the retired inputs, not raw tuples.
-	Downsampled bool
 }
 
 // PartitionSchema is the global key partitioning. Slot ids are stable for
@@ -180,7 +173,6 @@ type Server struct {
 	queries   map[uint64]uint64
 	nextChunk uint64
 	nextQuery uint64
-	maxTime   model.Timestamp // max Region.Times.Hi ever registered
 
 	// j is the journal (nil: none, see journal.go). sinceCut counts the
 	// edits since the last compaction began (after a replay, the records
@@ -301,8 +293,8 @@ func (s *Server) numberLocked(infos []ChunkInfo) []ChunkInfo {
 	return out
 }
 
-// indexLocked files chunks under their IDs in the registry and the R-tree
-// and advances the max-time clock. nextChunk stays at or above every ID
+// indexLocked files chunks under their IDs in the registry and the R-tree.
+// nextChunk stays at or above every ID
 // filed, so a gap a drop left stays a gap and no ID is handed out twice.
 // Requires mu.
 func (s *Server) indexLocked(infos []ChunkInfo) {
@@ -310,7 +302,6 @@ func (s *Server) indexLocked(infos []ChunkInfo) {
 		s.nextChunk = max(s.nextChunk, uint64(info.ID))
 		s.chunks[info.ID] = info
 		s.regions.Insert(info.Region, info.ID)
-		s.maxTime = max(s.maxTime, info.Region.Times.Hi)
 	}
 }
 
@@ -371,34 +362,6 @@ func (s *Server) DropChunk(id model.ChunkID) bool {
 func (s *Server) unindexLocked(info ChunkInfo) {
 	delete(s.chunks, info.ID)
 	s.regions.Delete(info.Region, func(v any) bool { return v.(model.ChunkID) == info.ID })
-}
-
-// ReplaceChunks atomically swaps a set of input chunks for their
-// compacted outputs: in one critical section, and one journal record, the
-// inputs are verified and dropped, and the outputs registered with fresh
-// IDs. A concurrent ChunksForWithWatermark sees either every input or every
-// output, never a mix, so no query plan can double-count or miss the region,
-// and a crash leaves one or the other registered. It returns once the swap
-// is durable: the registered outputs, the dropped input infos (the caller
-// retires their files), and false — with no change — if any input is
-// missing or the journal refused the swap.
-func (s *Server) ReplaceChunks(outs []ChunkInfo, ins []model.ChunkID) (registered, dropped []ChunkInfo, ok bool) {
-	r := &record{Drops: ins}
-	err := s.commit(func() (*record, error) {
-		for _, id := range ins {
-			info, found := s.chunks[id]
-			if !found {
-				return nil, errNoChunk
-			}
-			dropped = append(dropped, info)
-		}
-		r.Puts = s.numberLocked(outs)
-		return r, nil
-	})
-	if err != nil {
-		return nil, nil, false
-	}
-	return r.Puts, dropped, true
 }
 
 // Offset returns the stored WAL offset of an indexing server.

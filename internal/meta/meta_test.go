@@ -208,3 +208,26 @@ func TestRestoreKeepsChunkIDGaps(t *testing.T) {
 		t.Errorf("next chunk id = %d, want 4", c.ID)
 	}
 }
+
+func TestQueryHorizonAndOldestActive(t *testing.T) {
+	s := NewServer(1)
+	if s.OldestActiveQuery() != ^uint64(0) {
+		t.Fatal("idle server has an active query")
+	}
+	q1 := s.RegisterQuery(model.Query{})
+	q2 := s.RegisterQuery(model.Query{})
+	if s.QueryHorizon() != q2.ID {
+		t.Fatalf("horizon = %d, want %d", s.QueryHorizon(), q2.ID)
+	}
+	if s.OldestActiveQuery() != q1.ID {
+		t.Fatalf("oldest = %d, want %d", s.OldestActiveQuery(), q1.ID)
+	}
+	s.CompleteQuery(q1.ID)
+	if s.OldestActiveQuery() != q2.ID {
+		t.Fatalf("oldest after completion = %d, want %d", s.OldestActiveQuery(), q2.ID)
+	}
+	s.CompleteQuery(q2.ID)
+	if s.OldestActiveQuery() != ^uint64(0) {
+		t.Fatal("queries still active after completion")
+	}
+}

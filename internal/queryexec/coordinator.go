@@ -73,7 +73,7 @@ type CoordinatorMetrics struct {
 	// header was read.
 	TierPruned *telemetry.Counter
 	// RetiredSubQueries counts chunk subqueries completed empty because
-	// their chunk was retired (dropped or compacted away) mid-flight.
+	// their chunk was retired (dropped by retention) mid-flight.
 	RetiredSubQueries *telemetry.Counter
 
 	// Per-policy dispatch latency histograms, registered lazily the first
@@ -628,11 +628,9 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		if err != nil {
 			if errors.Is(err, ErrRetired) {
 				if _, ok := c.ms.Chunk(sqs[idx].Chunk); !ok {
-					// The chunk retired (retention drop or compaction) after
-					// this plan was built: its data aged out of the store.
-					// Complete the subquery empty instead of failing the
-					// query — the replacement data, if any, was registered
-					// atomically and is visible to the next plan.
+					// The chunk retired (a retention drop) after this plan
+					// was built: its data aged out of the store. Complete
+					// the subquery empty instead of failing the query.
 					sqSp.SetInt("retired", 1)
 					sqSp.End()
 					c.m.RetiredSubQueries.Inc()

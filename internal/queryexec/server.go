@@ -26,17 +26,16 @@ import (
 var ErrServerDown = errors.New("queryexec: query server down")
 
 // ErrRetired is returned when a subquery's chunk file has been deleted
-// from the DFS — the chunk was retired (retention drop or compaction)
-// while the subquery was in flight. The coordinator treats it as a
-// redispatch signal: if the chunk is still registered the subquery
-// retries, otherwise the data aged out of the store and the subquery
-// completes empty.
+// from the DFS — the chunk was retired (a retention drop) while the
+// subquery was in flight. The coordinator treats it as a redispatch
+// signal: if the chunk is still registered the subquery retries, otherwise
+// the data aged out of the store and the subquery completes empty.
 var ErrRetired = errors.New("queryexec: chunk retired")
 
 // errNoHeaderLen is returned for a chunk registered without its header
-// length. Flush and compaction always record it, so the only source is a
-// metadata snapshot written by something else; the server reports that
-// instead of guessing the length with a second read.
+// length. A flush always records it, so the only source is a metadata
+// snapshot written by something else; the server reports that instead of
+// guessing the length with a second read.
 var errNoHeaderLen = errors.New("queryexec: chunk registered without a header length")
 
 // ServerConfig configures a query server.

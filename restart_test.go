@@ -21,13 +21,13 @@ import (
 )
 
 // A restart is a second PROCESS over the DataDir: everything a process
-// counts from zero (flush sequences, the compactor's sequence) starts over,
-// which no in-process reopen can show. TestRestartOverUsedDataDir re-executes
-// the test binary as the directory's first process and is itself the second.
+// counts from zero (flush sequences) starts over, which no in-process reopen
+// can show. TestRestartOverUsedDataDir re-executes the test binary as the
+// directory's first process and is itself the second.
 
 const (
 	restartFresh = 6000 // tuples a process writes at "now" (day 10): read back exactly once
-	restartOld   = 3000 // tuples it writes on day 0: what its compaction then merges
+	restartOld   = 3000 // tuples it writes on day 0: read back exactly once too
 	restartTail  = 50   // acked after the first process's last flush: only the log has them
 	restartGen   = 1_000_000
 )
@@ -35,11 +35,9 @@ const (
 func restartOptions(dir string) Options {
 	return Options{
 		Nodes: 1, IndexServersPerNode: 2, QueryServersPerNode: 2,
-		ChunkBytes:          32 << 10,
-		DataDir:             dir,
-		TierWarmAfterMillis: 2 * dayMs,
-		TierColdAfterMillis: 5 * dayMs,
-		Seed:                1,
+		ChunkBytes: 32 << 10,
+		DataDir:    dir,
+		Seed:       1,
 	}
 }
 
@@ -85,8 +83,7 @@ func restartWrite(db *DB, gen uint64) error {
 }
 
 // restartVerify reads times back and requires the ids of want — [from,
-// from+n) per entry — each exactly once. Downsampled rows (32-byte payloads)
-// are not tuples anybody acked.
+// from+n) per entry — each exactly once, and no other row.
 func restartVerify(db *DB, times TimeRange, want map[uint64]uint64) error {
 	res, err := db.QueryRange(FullKeyRange(), times)
 	if err != nil {
@@ -95,11 +92,11 @@ func restartVerify(db *DB, times TimeRange, want map[uint64]uint64) error {
 	seen := make(map[uint64]bool)
 	for _, tp := range res.Tuples {
 		if len(tp.Payload) != 8 {
-			continue
+			return fmt.Errorf("a row with a %d-byte payload: no tuple anybody acked", len(tp.Payload))
 		}
 		id := binary.BigEndian.Uint64(tp.Payload)
 		if n, ok := want[id-id%(restartGen/2)]; !ok || id%(restartGen/2) >= n {
-			continue // another generation's day-0 tuples: compacted by their writer
+			return fmt.Errorf("tuple %d returned: not acked in this range", id)
 		}
 		if seen[id] {
 			return fmt.Errorf("tuple %d returned twice", id)
@@ -121,19 +118,9 @@ var (
 	restartDay10 = TimeRange{Lo: Timestamp(10 * dayMs), Hi: Timestamp(11*dayMs - 1)}
 )
 
-// restartCompact runs one tiering round and requires it to have merged the
-// day-0 chunks without an error.
-func restartCompact(db *DB) error {
-	_, merged := db.Compact()
-	if errs := db.Telemetry().Counter("waterwheel_compaction_errors_total", "").Value(); merged == 0 || errs != 0 {
-		return fmt.Errorf("compaction: %d merges, %d errors", merged, errs)
-	}
-	return nil
-}
-
 // TestHelperProcess is the first process of TestRestartOverUsedDataDir, not
-// a test of its own: it opens the directory, writes, flushes, compacts,
-// acks a tail only the log holds, and ends the way WW_RESTART_EXIT says.
+// a test of its own: it opens the directory, writes, flushes, acks a tail
+// only the log holds, and ends the way WW_RESTART_EXIT says.
 func TestHelperProcess(t *testing.T) {
 	dir, how := os.Getenv("WW_RESTART_DIR"), os.Getenv("WW_RESTART_EXIT")
 	if dir == "" {
@@ -147,7 +134,6 @@ func TestHelperProcess(t *testing.T) {
 		func() error { return restartWrite(db, 0) },
 		func() error { return restartVerify(db, restartDay10, map[uint64]uint64{0: restartFresh}) },
 		func() error { return restartVerify(db, restartDay0, map[uint64]uint64{restartGen / 2: restartOld}) },
-		func() error { return restartCompact(db) },
 		func() error { return restartInsert(db, restartFresh, restartTail) },
 		db.Drain,
 	}
@@ -171,7 +157,7 @@ func TestHelperProcess(t *testing.T) {
 
 // TestRestartOverUsedDataDir: a new process over a DataDir its predecessor
 // left by a clean Close, by os.Exit without Close, or by SIGKILL, writes,
-// flushes, compacts and reads every acked tuple exactly once. Chunk names
+// flushes and reads every acked tuple exactly once. Chunk names
 // come from the durable ownership epoch; when they came from per-process
 // counters the second process's every flush was dfs.ErrExists, retried for
 // good, and Drain parked behind it.
@@ -258,7 +244,7 @@ func restartSecondProcess(dir string) error {
 		func() error { return restartWrite(db, 1) },
 		func() error { return restartVerify(db, restartDay10, fresh) },
 		func() error {
-			return restartVerify(db, restartDay0, map[uint64]uint64{restartGen + restartGen/2: restartOld})
+			return restartVerify(db, restartDay0, map[uint64]uint64{restartGen / 2: restartOld, restartGen + restartGen/2: restartOld})
 		},
 		func() error {
 			var failures int64
@@ -270,8 +256,6 @@ func restartSecondProcess(dir string) error {
 			}
 			return nil
 		},
-		func() error { return restartCompact(db) },
-		func() error { return restartVerify(db, restartDay10, fresh) },
 		db.Close,
 		func() error { return restartOnlyRegistered(db, dir, "after the second process's Close") },
 	}

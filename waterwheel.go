@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 
 	"waterwheel/internal/cluster"
-	"waterwheel/internal/dfs"
 	"waterwheel/internal/model"
 	"waterwheel/internal/queryexec"
 	"waterwheel/internal/telemetry"
@@ -107,14 +106,8 @@ type Options struct {
 	ChunkBytes int64
 	// CacheBytes is each query server's cache budget (default 1 GB).
 	CacheBytes int64
-	// Policy selects the subquery dispatch policy: "lada" (default),
-	// "round-robin", "hashing" or "shared-queue".
-	Policy string
 	// BalanceIntervalMillis runs the balancer on a cadence (0 = manual).
 	BalanceIntervalMillis int64
-	// SimulateIO charges HDFS-like latencies on chunk reads (off by
-	// default for embedded use).
-	SimulateIO bool
 	// DisableTelemetry turns the metric registry and query tracing off.
 	// Telemetry is on by default: counters and histograms are lock-free
 	// atomics and the insert path is instrumented allocation-free, so the
@@ -137,14 +130,6 @@ type Options struct {
 	// FsyncIntervalMillis is the background fsync cadence for the
 	// "interval" durability policy (default 50).
 	FsyncIntervalMillis int64
-	// TierWarmAfterMillis / TierColdAfterMillis age chunks through the
-	// hot → warm → cold retention tiers, measured as the lag of a chunk's
-	// max time behind the newest registered data. Cold chunks are merged
-	// by the compactor into downsampled chunks (one row per pre-aggregate
-	// bucket) and their raw files retired. Both zero (the default)
-	// disables tiering.
-	TierWarmAfterMillis int64
-	TierColdAfterMillis int64
 	// Seed makes placement and sampling deterministic.
 	Seed int64
 }
@@ -160,8 +145,8 @@ type DB struct {
 var ErrClosed = cluster.ErrClosed
 
 // ErrRetired is returned when a query needed a chunk whose file retention
-// or compaction deleted while the query was in flight, and could not be
-// replanned around it.
+// deleted while the query was in flight, and could not be replanned around
+// it.
 var ErrRetired = queryexec.ErrRetired
 
 // config maps the options onto the cluster configuration, field by field.
@@ -172,20 +157,14 @@ func (o Options) config() cluster.Config {
 		QueryServersPerNode:   o.QueryServersPerNode,
 		ChunkBytes:            o.ChunkBytes,
 		CacheBytes:            o.CacheBytes,
-		Policy:                o.Policy,
 		BalanceIntervalMillis: o.BalanceIntervalMillis,
 		DataDir:               o.DataDir,
 		Durability:            o.Durability,
 		FsyncIntervalMillis:   o.FsyncIntervalMillis,
-		TierWarmAfterMillis:   o.TierWarmAfterMillis,
-		TierColdAfterMillis:   o.TierColdAfterMillis,
 		Seed:                  o.Seed,
 	}
 	if !o.DisableTelemetry {
 		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	if o.SimulateIO {
-		cfg.DFSLatency = dfs.DefaultLatency()
 	}
 	return cfg
 }
@@ -452,17 +431,6 @@ func (db *DB) Traces() []*QueryTrace { return db.c.TraceRing().Recent() }
 func (db *DB) DropBefore(horizon Timestamp) int {
 	return db.c.DropChunksBefore(horizon)
 }
-
-// Compact runs one tiering round: chunks aging past the configured
-// warm/cold thresholds are demoted, and groups of cold chunks are merged
-// into downsampled chunks (their raw files retired drain-safely). No-op
-// unless Options tiering knobs are set. Returns (chunks demoted, merges
-// completed).
-func (db *DB) Compact() (demoted, merged int) { return db.c.TickCompact() }
-
-// TierCounts reports registered chunks per retention tier
-// [hot, warm, cold].
-func (db *DB) TierCounts() [3]int { return db.c.Metadata().TierCounts() }
 
 // ExplainInfo describes how a query would decompose, for tooling.
 type ExplainInfo = queryexec.ExplainInfo

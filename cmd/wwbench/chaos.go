@@ -9,11 +9,12 @@ import (
 )
 
 // runChaos implements the "wwbench chaos" subcommand: it drives the
-// deterministic fault-injection harness (internal/chaos) from the command
-// line, either over a bank of consecutive seeds (-seeds) or a single seed
+// seeded fault-injection harness (internal/chaos) from the command line,
+// either over a bank of consecutive seeds (-seeds) or a single seed
 // (-seed), and exits non-zero if any run ends with invariant violations.
-// CI uses it as the chaos smoke step; developers use it to replay a seed a
-// failing test printed.
+// CI uses it as the chaos smoke step; developers use it to replay the op
+// trace of a seed a failing test printed — the trace replays, a
+// timing-dependent violation need not.
 func runChaos(args []string) {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	var (

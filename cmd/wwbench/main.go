@@ -7,7 +7,8 @@
 //	wwbench -experiment all -scale 0.2   # the whole suite, scaled down
 //	wwbench -list                        # show experiment ids
 //
-// The chaos subcommand runs the deterministic fault-injection harness:
+// The chaos subcommand runs the seeded fault-injection harness (a seed
+// replays its op trace, not necessarily its verdict):
 //
 //	wwbench chaos -seeds 8 -ops 120      # seed bank, exit 1 on violations
 //	wwbench chaos -seed 3 -ops 140 -trace  # replay one seed with its op trace

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,24 +33,7 @@ func TestInternalExportsAreReferenced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library it imports from source")
 	}
-	l := newExportLoader(t)
-	var dirs []string
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		l.load(dir)
-	}
+	l := loadModule(t)
 
 	used := map[types.Object]bool{}
 	calledIfaces := map[*types.Interface][]string{} // interfaces declared here, by the methods used through them
@@ -151,22 +135,57 @@ type exportPkg struct {
 // everything else (the standard library) through the source importer, so
 // nothing is downloaded.
 type exportLoader struct {
-	t      *testing.T
 	fset   *token.FileSet
 	module string
 	std    types.ImporterFrom
 	pkgs   map[string]*exportPkg // by directory
 }
 
-func newExportLoader(t *testing.T) *exportLoader {
+func newExportLoader() (*exportLoader, error) {
+	module, err := modulePath("go.mod")
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
 	return &exportLoader{
-		t:      t,
 		fset:   fset,
-		module: modulePath(t, "go.mod"),
+		module: module,
 		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:   map[string]*exportPkg{},
+	}, nil
+}
+
+// loaded is the module, ledger included, type-checked once for every test
+// of the binary that reads it.
+var loaded struct {
+	once sync.Once
+	l    *exportLoader
+	err  error
+}
+
+// loadModule returns a loader holding every package directory of the
+// module, ledger/ included: all but hidden directories and testdata.
+func loadModule(t *testing.T) *exportLoader {
+	loaded.once.Do(func() {
+		l, err := newExportLoader()
+		if err == nil {
+			err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+				if err != nil || !d.IsDir() {
+					return err
+				}
+				if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+					return filepath.SkipDir
+				}
+				_, err = l.load(path)
+				return err
+			})
+		}
+		loaded.l, loaded.err = l, err
+	})
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
 	}
+	return loaded.l
 }
 
 func (l *exportLoader) inModule(p *types.Package) bool {
@@ -179,9 +198,12 @@ func (l *exportLoader) Import(path string) (*types.Package, error) {
 
 func (l *exportLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
-		p := l.load(filepath.FromSlash("." + strings.TrimPrefix(path, l.module)))
-		if p == nil {
-			return nil, fmt.Errorf("no Go files for %s", path)
+		p, err := l.load(filepath.FromSlash("." + strings.TrimPrefix(path, l.module)))
+		if err == nil && p == nil {
+			err = fmt.Errorf("no Go files for %s", path)
+		}
+		if err != nil {
+			return nil, err
 		}
 		return p.types, nil
 	}
@@ -190,55 +212,79 @@ func (l *exportLoader) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 
 // load parses and type-checks the non-test files of dir, once; nil when it
 // holds none.
-func (l *exportLoader) load(dir string) *exportPkg {
+func (l *exportLoader) load(dir string) (*exportPkg, error) {
 	dir = filepath.Clean(dir)
 	if p, ok := l.pkgs[dir]; ok {
-		return p
+		return p, nil
 	}
 	l.pkgs[dir] = nil
 	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		if _, none := err.(*build.NoGoError); none {
-			return nil
+			return nil, nil
 		}
-		l.t.Fatal(err)
-	}
-	p := &exportPkg{dir: dir, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			l.t.Fatal(err)
-		}
-		p.files = append(p.files, f)
+		return nil, err
 	}
 	importPath := l.module
 	switch {
 	case dir == "ledger": // a module of its own
-		importPath = modulePath(l.t, filepath.Join("ledger", "go.mod"))
+		if importPath, err = modulePath(filepath.Join("ledger", "go.mod")); err != nil {
+			return nil, err
+		}
 	case dir != ".":
 		importPath += "/" + filepath.ToSlash(dir)
 	}
-	conf := types.Config{Importer: l}
-	if p.types, err = conf.Check(importPath, l.fset, p.files, p.info); err != nil {
-		l.t.Fatalf("type-check %s: %v", dir, err)
+	srcs := map[string][]byte{}
+	for _, name := range bp.GoFiles {
+		path := filepath.Join(dir, name)
+		if srcs[path], err = os.ReadFile(path); err != nil {
+			return nil, err
+		}
+	}
+	p, err := l.check(importPath, dir, srcs, l)
+	if err != nil {
+		return nil, err
 	}
 	l.pkgs[dir] = p
-	return p
+	return p, nil
+}
+
+// check parses and type-checks the files of one package, given by path,
+// resolving its imports through imp.
+func (l *exportLoader) check(importPath, dir string, srcs map[string][]byte, imp types.Importer) (*exportPkg, error) {
+	p := &exportPkg{dir: dir, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	var paths []string
+	for path := range srcs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		f, err := parser.ParseFile(l.fset, path, srcs[path], parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: imp}
+	var err error
+	if p.types, err = conf.Check(importPath, l.fset, p.files, p.info); err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", dir, err)
+	}
+	return p, nil
 }
 
 // modulePath reads the module line of a go.mod file.
-func modulePath(t *testing.T, gomod string) string {
+func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest)
+			return strings.TrimSpace(rest), nil
 		}
 	}
-	t.Fatalf("%s: no module line", gomod)
-	return ""
+	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
 // recvInterface returns the interface a method is declared on, nil for a

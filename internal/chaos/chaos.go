@@ -1,5 +1,5 @@
-// Package chaos is a deterministic fault-injection harness for a full
-// Waterwheel cluster. From a single RNG seed it pre-generates a schedule
+// Package chaos is a seeded fault-injection harness for a full Waterwheel
+// cluster. From a single RNG seed it pre-generates a schedule
 // interleaving inserts, temporal range queries (solo and in concurrent
 // bursts), aggregate queries cross-checked against the tuple path,
 // flushes, balancer ticks, retention drops, WAL truncation and faults —
@@ -17,7 +17,7 @@
 //     full-region query returns every acked tuple exactly once — tuples in
 //     retention-dropped chunks are exempt but must still never duplicate.
 //
-// Determinism: the schedule — and therefore the op trace — is a pure
+// What a seed fixes: the schedule — and therefore the op trace — is a pure
 // function of (seed, op count). Tuple-level randomness comes from a sub-RNG
 // seeded by (seed, op index), and the cluster runs with a no-op DFS sleeper,
 // a fault RNG seeded from the harness seed, and manual balancer ticks, so a
@@ -546,7 +546,8 @@ func (r *runner) exec(i int, o op) {
 
 // pickSlot reduces a schedule pick index to a live slot id. The slot set
 // may have grown or shrunk since the schedule was generated; the reduction
-// is deterministic given the op history, so a seed still replays exactly.
+// is deterministic given the op history, so a seed still replays its op
+// trace exactly.
 func (r *runner) pickSlot(pick int) int {
 	slots := r.c.ActiveSlots()
 	return slots[pick%len(slots)]

@@ -641,24 +641,16 @@ func (c *Cluster) FlushAll() error {
 }
 
 // DropChunksBefore removes every chunk whose temporal region ends before
-// the horizon — stream-store retention. The chunk leaves the metadata
-// registry first (no new subqueries can target it); its cached bytes are
-// evicted from every query server and the file delete is deferred until
-// queries planned before the drop have drained, so a concurrent query
-// never trips over a half-retired chunk. Returns the number of chunks
-// dropped. Each drop is durable before its file is queued, so a crash at
-// any step leaves a registry that names only files still on the DFS.
+// the horizon — stream-store retention. The chunks leave the metadata
+// registry first, in one edit (no new subqueries can target them); their
+// cached bytes are evicted from every query server and the file deletes are
+// deferred until queries planned before the drop have drained, so a
+// concurrent query never trips over a half-retired chunk. Returns the
+// number of chunks dropped. The drops are durable before any file is
+// queued, so a crash at any step leaves a registry that names only files
+// still on the DFS.
 func (c *Cluster) DropChunksBefore(horizon model.Timestamp) int {
-	var dropped []meta.ChunkInfo
-	for _, ci := range c.ms.ChunksFor(model.FullRegion()) {
-		if ci.Region.Times.Hi >= horizon {
-			continue
-		}
-		if !c.ms.DropChunk(ci.ID) {
-			continue
-		}
-		dropped = append(dropped, ci)
-	}
+	dropped := c.ms.DropChunksBefore(horizon)
 	c.ret.retire(dropped)
 	return len(dropped)
 }

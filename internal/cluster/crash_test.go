@@ -281,7 +281,7 @@ func retentionWorkload(t *testing.T, cfg *Config, failFrom int64) (*Cluster, int
 }
 
 // TestCrashAtEveryRetentionStep: a host crash at any durable operation of a
-// DropChunksBefore — each drop's journal fsync, the journal compaction a drop
+// DropChunksBefore — the drop's journal fsync, the journal compaction it
 // can set off, each retired file's unlink — with none, the newest or every
 // unsynced directory entry change undone, reopens to a registry that returns
 // every tuple at or after the horizon exactly once and every tuple before it
@@ -327,5 +327,45 @@ func TestCrashAtEveryRetentionStep(t *testing.T) {
 			requireOnlyRegisteredChunks(t, c2, cfg.DataDir, when)
 			c2.Stop()
 		}
+	}
+}
+
+// TestRetentionWaitsOnTheJournalOnce: a DropChunksBefore of several chunks
+// is one journal edit, made durable by one fsync of the metadata journal,
+// not one edit and one fsync wait per chunk.
+func TestRetentionWaitsOnTheJournalOnce(t *testing.T) {
+	cfg := orphanConfig(t)
+	cfg.ChunkBytes = 4 << 10 // several chunks before the horizon
+	journal := filepath.Join(cfg.DataDir, "meta.wal")
+	var armed atomic.Bool
+	var syncs atomic.Int64
+	cfg.Files = &durable.Files{Hook: func(op durable.Op, path string) error {
+		if armed.Load() && op == durable.OpSync && strings.HasPrefix(path, journal) {
+			syncs.Add(1)
+		}
+		return nil
+	}}
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Start()
+	seqBatch(t, c, 0, 3000, 100)
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh compaction, so the drop's wait sets off none of its own.
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	dropped := c.DropChunksBefore(retentionHorizon)
+	armed.Store(false)
+	if dropped < 3 {
+		t.Fatalf("test premise: %d chunks end before the horizon, want at least 3", dropped)
+	}
+	if n := syncs.Load(); n != 1 {
+		t.Fatalf("a drop of %d chunks fsynced the metadata journal %d times, want once", dropped, n)
 	}
 }

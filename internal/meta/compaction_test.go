@@ -98,7 +98,7 @@ func TestCompactionDoesNotStallQueries(t *testing.T) {
 		go func() { done <- s.Compact() }()
 		time.Sleep(5 * time.Millisecond) // the compaction is under way
 		edited := make(chan bool, 1)
-		go func() { edited <- s.DropChunk(model.ChunkID(i + 1)) }()
+		go func() { edited <- len(s.DropChunksBefore(model.Timestamp(60_001+i))) == 1 }()
 		time.Sleep(time.Millisecond) // the edit waits for the write lock
 		start := time.Now()
 		if got := s.ChunksFor(region(5000, 5000, 5, 5)); len(got) != 1 {
@@ -137,7 +137,7 @@ func TestOversizeEditIsRefused(t *testing.T) {
 	if got := registryOf(s); !reflect.DeepEqual(got, before) {
 		t.Fatalf("refused edits changed the registry:\n got %+v\nwant %+v", got, before)
 	}
-	if !s.DropChunk(c[0].ID) {
+	if len(s.DropChunksBefore(10)) != len(c) {
 		t.Fatal("the journal refused the edit after an oversize one")
 	}
 	want := registryOf(s)
@@ -158,14 +158,14 @@ func TestCompactionFailureIsTyped(t *testing.T) {
 	s := openJournal(t, path, nil)
 	long := strings.Repeat("x", 1<<20)
 	for i := 0; i < 17; i++ {
-		if s.RegisterChunks([]ChunkInfo{{Path: long, Region: region(0, 9, 0, 9)}}) == nil {
+		if s.RegisterChunks([]ChunkInfo{{Path: long, Region: region(0, 9, int64(i), int64(i))}}) == nil {
 			t.Fatal("registration refused")
 		}
 	}
 	if err := s.Compact(); !errors.Is(err, wal.ErrRecordTooLarge) {
 		t.Fatalf("Compact of a part of 17 MiB: %v, want wal.ErrRecordTooLarge", err)
 	}
-	if !s.DropChunk(1) || !s.DropChunk(2) || s.ChunkCount() != 15 {
+	if len(s.DropChunksBefore(2)) != 2 || s.ChunkCount() != 15 {
 		t.Fatalf("the journal stopped taking edits: %d chunks", s.ChunkCount())
 	}
 	if err := s.Compact(); err != nil {
@@ -198,8 +198,8 @@ func TestOlderImageFormatOpens(t *testing.T) {
 	if _, err := s.j.StartSegment(img); err != nil {
 		t.Fatal(err)
 	}
-	c := s.RegisterChunks([]ChunkInfo{{Path: "after", Region: region(0, 1, 0, 1)}})
-	if c == nil || !s.DropChunk(4) {
+	c := s.RegisterChunks([]ChunkInfo{{Path: "after", Region: region(0, 1, 30, 31)}})
+	if c == nil || len(s.DropChunksBefore(30)) != 1 {
 		t.Fatal("an edit after the image was refused")
 	}
 	if _, err := s.RegisterFlushOwned(1, s.Epoch(1), nil, 99); err != nil {
@@ -355,10 +355,9 @@ func TestJournalCompactsUnderEdits(t *testing.T) {
 				done <- err
 			}()
 			for i := 0; i < 200; i++ {
-				id := model.ChunkID(5 + i*17%(20*partChunks))
 				switch i % 4 {
 				case 0:
-					s.DropChunk(id)
+					s.DropChunksBefore(model.Timestamp(60_000 + 25*i))
 				case 1:
 					s.RegisterFlushOwned(1, s.Epoch(1), nil, int64(i))
 				case 2:

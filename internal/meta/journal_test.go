@@ -53,7 +53,7 @@ func edits(t *testing.T, s *Server) {
 	}
 	regs, err := s.RegisterFlushOwned(0, s.Epoch(0), []ChunkInfo{
 		{Path: "a", Region: region(0, 9, 0, 9), Count: 3, Size: 300, HeaderLen: 40, IndexLen: 30, Agg: &model.ChunkAgg{Field: 8, AggPartial: model.AggPartial{Count: 3, Values: 3, Sum: 6, Min: 1, Max: 3}}},
-		{Path: "b", Region: region(10, 19, 5, 20), Count: 2, Size: 200, Server: 0},
+		{Path: "b", Region: region(10, 19, 5, 19), Count: 2, Size: 200, Server: 0},
 	}, 77)
 	if err != nil || s.Sync() != nil {
 		t.Fatal(err)
@@ -62,10 +62,8 @@ func edits(t *testing.T, s *Server) {
 	if c == nil || s.RegisterChunks([]ChunkInfo{{Path: "ab", Region: region(0, 19, 0, 20)}}) == nil {
 		t.Fatal("RegisterChunks refused")
 	}
-	for _, id := range []model.ChunkID{regs[0].ID, regs[1].ID, c[0].ID} {
-		if !s.DropChunk(id) {
-			t.Fatal("DropChunk refused")
-		}
+	if got := s.DropChunksBefore(20); len(got) != 3 || got[0].ID != regs[0].ID || got[1].ID != regs[1].ID || got[2].ID != c[0].ID {
+		t.Fatalf("DropChunksBefore dropped %+v, want a, b and c", got)
 	}
 	_, id, err := s.AddServer(1, 1<<50)
 	if err != nil {
@@ -173,6 +171,39 @@ func TestJournalCompactsByRule(t *testing.T) {
 	}
 }
 
+// TestDropChunksBeforeSplitsIntoParts: a drop of more chunks than a part
+// holds goes on the journal as records of at most partChunks drops each,
+// and the journal replays to the registry the drop left.
+func TestDropChunksBeforeSplitsIntoParts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s := openJournal(t, path, nil)
+	registerMany(t, s, 3*partChunks) // chunkAt(i) ends at 60 000 + i
+	next := s.j.Next()
+	if got := s.DropChunksBefore(60_000 + 2*partChunks + 5); len(got) != 2*partChunks+5 {
+		t.Fatalf("dropped %d chunks, want %d", len(got), 2*partChunks+5)
+	}
+	recs, err := s.j.Read(next, 10)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("the drop appended %d records (%v), want 3", len(recs), err)
+	}
+	for _, rec := range recs {
+		r, err := decode(rec.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Drops) > partChunks || r.State != nil || r.Puts != nil {
+			t.Fatalf("a drop record holds %d drops, want at most %d and nothing else", len(r.Drops), partChunks)
+		}
+	}
+	want := registryOf(s)
+	s.Close()
+	r := openJournal(t, path, nil)
+	defer r.Close()
+	if got := registryOf(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed registry:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestJournalRefusalChangesNothing: an edit whose record cannot be made
 // durable is reported, the journal's line breaks, and every later edit is
 // refused without touching the registry.
@@ -186,9 +217,11 @@ func TestJournalRefusalChangesNothing(t *testing.T) {
 		return nil
 	}})
 	defer s.Close()
-	c := s.RegisterChunks([]ChunkInfo{{Path: "a", Region: region(0, 9, 0, 9)}})
+	if s.RegisterChunks([]ChunkInfo{{Path: "a", Region: region(0, 9, 0, 9)}}) == nil {
+		t.Fatal("RegisterChunks refused")
+	}
 	failing.Store(true)
-	if s.DropChunk(c[0].ID) {
+	if s.DropChunksBefore(10) != nil {
 		t.Fatal("a drop whose record is not durable reported success")
 	}
 	before := registryOf(s)
@@ -226,7 +259,7 @@ func FuzzMetaJournal(f *testing.F) {
 	if err := j.Compact(); err != nil {
 		f.Fatal(err)
 	}
-	j.DropChunk(7)
+	j.DropChunksBefore(60_007)
 	recs, err := j.j.Read(j.j.Base(), 10)
 	if err != nil || len(recs) != 4 {
 		f.Fatalf("the compacted journal holds %d records (%v), want 3 parts and an edit", len(recs), err)

@@ -14,7 +14,6 @@
 package meta
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -249,9 +248,6 @@ func (s *Server) editState(change func(*state) error) (PartitionSchema, error) {
 	return clonedSchema(st.Schema), err
 }
 
-// errNoChunk refuses an edit of a chunk the registry does not hold.
-var errNoChunk = errors.New("meta: no such chunk")
-
 // commit builds a record under mu and makes it the registry's next edit,
 // returning once it is durable; an error from build commits nothing.
 func (s *Server) commit(build func() (*record, error)) error {
@@ -345,16 +341,39 @@ func (s *Server) ChunkCount() int {
 	return len(s.chunks)
 }
 
-// DropChunk removes a chunk from the registry (retention). It returns once
-// the drop is durable, false when the chunk is not registered or the
-// journal refused the drop.
-func (s *Server) DropChunk(id model.ChunkID) bool {
-	return s.commit(func() (*record, error) {
-		if _, ok := s.chunks[id]; !ok {
-			return nil, errNoChunk
+// DropChunksBefore removes every chunk whose temporal region ends before
+// the horizon (retention) in one critical section, so a plan sees all of
+// the drops or none. The drops go on the journal as records of at most
+// partChunks IDs each, and the call waits once, for the last of them. It
+// returns the chunks dropped, in ID order, once their drops are durable:
+// those of the records the journal took, none when it failed to make them
+// durable.
+func (s *Server) DropChunksBefore(horizon model.Timestamp) []ChunkInfo {
+	s.mu.Lock()
+	var dropped []ChunkInfo
+	for _, info := range s.chunks {
+		if info.Region.Times.Hi < horizon {
+			dropped = append(dropped, info)
 		}
-		return &record{Drops: []model.ChunkID{id}}, nil
-	}) == nil
+	}
+	sort.Slice(dropped, func(i, j int) bool { return dropped[i].ID < dropped[j].ID })
+	var end int64
+	for i := 0; i < len(dropped); i += partChunks {
+		r := &record{}
+		for _, info := range dropped[i:min(i+partChunks, len(dropped))] {
+			r.Drops = append(r.Drops, info.ID)
+		}
+		var err error
+		if end, err = s.commitLocked(r); err != nil {
+			dropped = dropped[:i]
+			break
+		}
+	}
+	s.mu.Unlock()
+	if len(dropped) == 0 || s.j != nil && s.await(end) != nil {
+		return nil
+	}
+	return dropped
 }
 
 // unindexLocked removes a chunk from the registry and the R-tree. Requires

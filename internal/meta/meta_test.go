@@ -63,7 +63,7 @@ func TestSetSchemaValidation(t *testing.T) {
 func TestChunkRegistryAndSearch(t *testing.T) {
 	srv := NewServer(2)
 	c1 := srv.RegisterChunks([]ChunkInfo{{Path: "c1", Region: region(0, 100, 0, 10), Count: 5}})[0]
-	c2 := srv.RegisterChunks([]ChunkInfo{{Path: "c2", Region: region(200, 300, 0, 10), Count: 7}})[0]
+	c2 := srv.RegisterChunks([]ChunkInfo{{Path: "c2", Region: region(200, 300, 0, 20), Count: 7}})[0]
 	if c1.ID == 0 || c2.ID == 0 || c1.ID == c2.ID {
 		t.Fatalf("ids %d, %d", c1.ID, c2.ID)
 	}
@@ -86,8 +86,8 @@ func TestChunkRegistryAndSearch(t *testing.T) {
 	if srv.ChunkCount() != 2 {
 		t.Errorf("count = %d", srv.ChunkCount())
 	}
-	if !srv.DropChunk(c1.ID) || srv.DropChunk(c1.ID) {
-		t.Error("DropChunk semantics wrong")
+	if got := srv.DropChunksBefore(11); len(got) != 1 || got[0].ID != c1.ID || srv.DropChunksBefore(11) != nil {
+		t.Error("DropChunksBefore semantics wrong")
 	}
 	if len(srv.ChunksFor(region(0, 1000, 0, 100))) != 1 {
 		t.Error("dropped chunk still searchable")
@@ -178,13 +178,15 @@ func TestRestoreKeepsChunkIDGaps(t *testing.T) {
 	srv := NewServer(1)
 	regs := srv.RegisterChunks([]ChunkInfo{
 		{Path: "a", Region: region(0, 10, 0, 10)},
-		{Path: "b", Region: region(20, 30, 0, 10)},
+		{Path: "b", Region: region(20, 30, 0, 5)},
 		{Path: "c", Region: region(40, 50, 0, 10)},
 	})
 	if regs[0].ID != 1 || regs[1].ID != 2 || regs[2].ID != 3 {
 		t.Fatalf("registered ids %d, %d, %d", regs[0].ID, regs[1].ID, regs[2].ID)
 	}
-	srv.DropChunk(2)
+	if got := srv.DropChunksBefore(6); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("DropChunksBefore dropped %+v, want b", got)
+	}
 	data, err := srv.Snapshot()
 	if err != nil {
 		t.Fatal(err)

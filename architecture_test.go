@@ -77,18 +77,30 @@ type planted struct{ path, src string }
 
 // deletedName is a name an earlier change deleted. The pattern is a regular
 // expression matched the way grep matches a line, anywhere inside each piece
-// of code codeForms yields; dirs are the package directories it is barred
-// from (nil: every non-test package) and plant declares it once.
+// of code codeForms yields; in is where it is barred from and plant declares
+// it once, in in's directory.
 type deletedName struct {
 	pattern string
-	dirs    []string
+	in      barred
 	plant   string
 }
 
+// barred is where a deleted name may not appear: the non-test code scope
+// picks. Its planted violation goes in dir.
+type barred struct {
+	scope scope
+	dir   string
+}
+
 var (
-	everywhere = []string(nil)
-	metaOnly   = []string{"internal/meta"}
-	appendSide = []string{"internal/cluster", "internal/ingest"}
+	everywhere = barred{everywhereBut(), "internal/cluster"}
+	metaOnly   = barred{inDirs("internal/meta"), "internal/meta"}
+	appendSide = barred{inDirs("internal/cluster", "internal/ingest"), "internal/cluster"}
+	// rootOnly is the public API: an example may still declare the name.
+	rootOnly = barred{inDirs("."), "."}
+	// butBloom leaves the name to internal/bloom, whose time sketch keeps a
+	// field of that name.
+	butBloom = barred{everywhereBut("internal/bloom"), "internal/chunk"}
 )
 
 var deletedNames = []deletedName{
@@ -203,6 +215,23 @@ var deletedNames = []deletedName{
 	// encodes or decodes it again.
 	{`encodeRecords`, appendSide, `func encodeRecords() {}`},
 	{`decodeRecords`, appendSide, `func decodeRecords() {}`},
+	// One telemetry configuration (§8): the registry is never nil and a query
+	// builds its span tree only when its caller asks; the switch, the ring's
+	// own root span, the modeled-read histograms and the settings no caller
+	// changed (the cluster's sleeper, both DFS fault seeds, the chunk bucket
+	// width) are gone, and the recurrence counter has its own name.
+	{`DisableTelemetry`, everywhere, `var DisableTelemetry bool`},
+	{`ringRoot`, everywhere, `func ringRoot() {}`},
+	{`SleepFn`, everywhere, `var SleepFn func()`},
+	{`FaultSeed`, everywhere, `var DFSFaultSeed int64`},
+	{`ObserveRead`, everywhere, `var ObserveRead func()`},
+	{"[\"`]waterwheel_dfs_read_seconds", everywhere, `const readSeconds = "waterwheel_dfs_read_seconds"`},
+	{"[\"`]waterwheel_tier_pruned_chunks_total", everywhere, "const tierPruned = `waterwheel_tier_pruned_chunks_total`"},
+	{`BucketMillis`, butBloom, `type BuildOptions struct{ BucketMillis int64 }`},
+	// The geo helper is the taxi example's, over internal/zorder; the root
+	// package exports no geo API.
+	{`GeoGrid`, rootOnly, `type GeoGrid struct{}`},
+	{`QueryGeoRect`, rootOnly, "type DB struct{}\nfunc (*DB) QueryGeoRect() {}"},
 }
 
 // architectureRows returns the structural rows, the gofmt row and a row per
@@ -298,19 +327,14 @@ func architectureRows(t *testing.T, l *exportLoader) []archRow {
 	}}
 	for _, d := range deletedNames {
 		re := regexp.MustCompile(d.pattern)
-		dir := "internal/cluster"
-		if d.dirs != nil {
-			dir = d.dirs[0]
+		path, pkg := d.in.dir+"/planted.go", filepath.Base(d.in.dir)
+		if d.in.dir == "." {
+			path, pkg = "planted.go", l.module
 		}
-		path := dir + "/planted.go"
-		head := "package " + filepath.Base(dir) + "\n\n"
-		in := inDirs(d.dirs...)
-		if d.dirs == nil {
-			in = everywhereBut()
-		}
+		head := "package " + pkg + "\n\n"
 		rows = append(rows, archRow{
 			name:      "deleted " + d.pattern,
-			check:     func(c *archCode) []string { return c.names(in, re) },
+			check:     func(c *archCode) []string { return c.names(d.in.scope, re) },
 			plant:     []planted{{path, head + d.plant + "\n"}},
 			want:      1,
 			inComment: []planted{{path, head + "// " + strings.ReplaceAll(d.plant, "\n", "\n// ") + "\n"}},

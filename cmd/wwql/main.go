@@ -48,7 +48,8 @@ func parseRange(s string) (lo, hi uint64, err error) {
 
 // parseDaily parses a "hh:mm-hh:mm" recurring daily window ("between
 // 09:00 and 17:00 daily") into a Recurrence. A window that ends before it
-// starts crosses midnight: 22:00-02:00 is four hours a night.
+// starts crosses midnight: 22:00-02:00 is four hours a night. The one time
+// with hour 24 is 24:00, the end of the day.
 func parseDaily(s string) (*waterwheel.Recurrence, error) {
 	parts := strings.SplitN(s, "-", 2)
 	if len(parts) != 2 {
@@ -64,7 +65,7 @@ func parseDaily(s string) (*waterwheel.Recurrence, error) {
 			return 0, fmt.Errorf("bad hour %q", hm[0])
 		}
 		m, err := strconv.Atoi(hm[1])
-		if err != nil || m < 0 || m > 59 {
+		if err != nil || m < 0 || m > 59 || h == 24 && m != 0 {
 			return 0, fmt.Errorf("bad minute %q", hm[1])
 		}
 		return int64(h)*60 + int64(m), nil
@@ -233,10 +234,6 @@ func main() {
 		text, err := cl.Metrics()
 		if err != nil {
 			fatalf("metrics: %v", err)
-		}
-		if text == "" {
-			fmt.Println("telemetry disabled on server")
-			return
 		}
 		fmt.Print(text)
 

@@ -24,7 +24,7 @@ func TestParseDaily(t *testing.T) {
 	if rc, _ := parseDaily("22:00-02:00"); !rc.Contains(waterwheel.Timestamp(86_400_000 + 60*minute)) {
 		t.Error("22:00-02:00 misses 01:00 the next day")
 	}
-	for _, in := range []string{"09:00-09:00", "09:00", "25:00-01:00", "09:61-10:00"} {
+	for _, in := range []string{"09:00-09:00", "09:00", "25:00-01:00", "09:61-10:00", "24:30-01:00", "09:00-24:01"} {
 		if _, err := parseDaily(in); err == nil {
 			t.Errorf("parseDaily(%q) accepted", in)
 		}

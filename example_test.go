@@ -64,24 +64,3 @@ func ExampleDB_Query() {
 	// 10
 	// 20
 }
-
-// ExampleGeoGrid shows z-ordered geo ingestion and rectangle queries.
-func ExampleGeoGrid() {
-	db, err := waterwheel.Open(waterwheel.Options{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
-
-	grid := waterwheel.NewGeoGrid(0, 1, 0, 1, 10)
-	db.Insert(waterwheel.Tuple{Key: grid.Key(0.25, 0.25), Time: 1})
-	db.Insert(waterwheel.Tuple{Key: grid.Key(0.75, 0.75), Time: 2})
-	db.Drain()
-
-	res, err := db.QueryGeoRect(grid, 0.2, 0.2, 0.3, 0.3, waterwheel.FullTimeRange(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(len(res.Tuples), "point in the rectangle")
-	// Output: 1 point in the rectangle
-}

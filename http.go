@@ -13,17 +13,10 @@ import (
 //	/debug/waterwheel — JSON snapshot: stats, per-server state, recent traces
 //
 // Mount it on any mux or serve it directly; cmd/waterwheel exposes it with
-// the -http flag. With telemetry disabled /metrics answers 404 but the JSON
-// snapshot still works (it reads the always-on counters).
+// the -http flag.
 func (db *DB) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
-	if reg := db.c.Telemetry(); reg != nil {
-		mux.Handle("/metrics", reg.PrometheusHandler())
-	} else {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			http.Error(w, "telemetry disabled", http.StatusNotFound)
-		})
-	}
+	mux.Handle("/metrics", db.c.Telemetry().PrometheusHandler())
 	mux.HandleFunc("/debug/waterwheel", db.serveDebug)
 	return mux
 }
@@ -65,6 +58,7 @@ func (db *DB) serveDebug(w http.ResponseWriter, _ *http.Request) {
 	snap := debugSnapshot{
 		Stats:         db.Stats(),
 		SchemaVersion: db.c.Metadata().Schema().Version,
+		Metrics:       db.c.Telemetry().Snapshot(),
 	}
 	for _, srv := range db.c.IndexServers() {
 		if srv == nil { // retired slot
@@ -92,9 +86,6 @@ func (db *DB) serveDebug(w http.ResponseWriter, _ *http.Request) {
 			CacheUsedBytes: cm.Used,
 			CacheEntries:   cm.Entries,
 		})
-	}
-	if reg := db.c.Telemetry(); reg != nil {
-		snap.Metrics = reg.Snapshot()
 	}
 	for _, tr := range db.c.TraceRing().Recent() {
 		snap.Traces = append(snap.Traces, tr.Format())

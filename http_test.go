@@ -16,7 +16,12 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	}
 	db.Drain()
 	db.Flush()
-	if _, _, err := db.QueryTraced(Query{Keys: FullKeyRange(), Times: FullTimeRange()}); err != nil {
+	q := Query{Keys: FullKeyRange(), Times: FullTimeRange()}
+	_, tr, err := db.QueryTraced(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(q); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(db.DebugHandler())
@@ -46,7 +51,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE waterwheel_ingest_tuples_total counter",
 		"waterwheel_ingest_tuples_total 300",
-		"waterwheel_queries_total 1",
+		"waterwheel_queries_total 2",
 		`waterwheel_chunk_subquery_seconds{quantile="0.99"}`,
 		"waterwheel_memtable_bytes",
 	} {
@@ -81,41 +86,8 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 		t.Errorf("debug snapshot servers: %d index, %d query",
 			len(snap.IndexServers), len(snap.QueryServers))
 	}
-	if len(snap.Traces) == 0 || !strings.Contains(snap.Traces[len(snap.Traces)-1], "dispatch") {
-		t.Errorf("debug snapshot lacks the query trace: %v", snap.Traces)
-	}
-}
-
-func TestDebugHandlerTelemetryDisabled(t *testing.T) {
-	db := openTestDB(t, Options{DisableTelemetry: true})
-	db.Insert(Tuple{Key: 1, Time: 1000})
-	db.Drain()
-	srv := httptest.NewServer(db.DebugHandler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("/metrics with telemetry disabled: %d, want 404", resp.StatusCode)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/debug/waterwheel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap struct {
-		Stats struct {
-			Ingested int64 `json:"Ingested"`
-		} `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Stats.Ingested != 1 {
-		t.Errorf("debug stats.Ingested = %d with telemetry off, want 1", snap.Stats.Ingested)
+	// The traced query's span tree, and nothing for the untraced one.
+	if len(snap.Traces) != 1 || snap.Traces[0] != tr.Format() || !strings.Contains(snap.Traces[0], "dispatch") {
+		t.Errorf("debug snapshot traces = %q, want the traced query's alone", snap.Traces)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"waterwheel/internal/cluster"
 	"waterwheel/internal/model"
-	"waterwheel/internal/telemetry"
 	"waterwheel/internal/workload"
 )
 
@@ -69,7 +68,6 @@ func runBatchSweep(opt Options) (*Report, error) {
 			Seed:                opt.Seed,
 			DataDir:             dir,
 			Durability:          "ack-on-fsync",
-			Telemetry:           telemetry.NewRegistry(),
 		}, tuples[:min(nFsync, n)], size)
 		os.RemoveAll(dir)
 		if err != nil {

@@ -29,10 +29,9 @@ func runHandoff(opt Options) (*Report, error) {
 			"ingest continues through every kill; verified = full-region count equals inserts",
 		},
 	}
-	reg := telemetry.NewRegistry()
 	c, err := cluster.Open(cluster.Config{
 		Nodes: 3, IndexServersPerNode: 2, ChunkBytes: 256 << 10,
-		Seed: opt.Seed, Telemetry: reg,
+		Seed: opt.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -93,7 +92,7 @@ func runHandoff(opt Options) (*Report, error) {
 	var flips int64
 	var pause *telemetry.HistogramSnapshot
 	var lagMax int64
-	for _, m := range reg.Snapshot() {
+	for _, m := range c.Telemetry().Snapshot() {
 		switch m.Name {
 		case "waterwheel_handoffs_total":
 			flips = int64(m.Value)

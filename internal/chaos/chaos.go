@@ -333,8 +333,8 @@ const (
 
 // clusterConfig builds the small, flush-happy cluster the harness drives:
 // tiny chunks so flushes and chunk queries happen constantly, a shallow
-// flush queue so backpressure and mid-flight failures are reachable, and a
-// no-op sleeper so simulated DFS latency costs no wall-clock time.
+// flush queue so backpressure and mid-flight failures are reachable. It
+// models no DFS latency, so nothing sleeps.
 func clusterConfig(opts Options) cluster.Config {
 	cfg := cluster.Config{
 		Nodes:                 opts.Nodes,
@@ -347,8 +347,6 @@ func clusterConfig(opts Options) cluster.Config {
 		TemplateLeaves:        32,
 		BalanceIntervalMillis: 0, // manual TickBalance only
 		Seed:                  opts.Seed,
-		DFSFaultSeed:          opts.Seed + 1,
-		SleepFn:               func(time.Duration) {},
 		DataDir:               opts.DataDir,
 		Durability:            opts.Durability,
 		Telemetry:             opts.Telemetry,

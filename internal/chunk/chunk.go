@@ -92,22 +92,18 @@ func checkMagic(prefix []byte) error {
 // fpRate is the false-positive target of the leaf time sketches.
 const fpRate = 0.01
 
+// bucketMillis is the time mini-range width of the leaf time sketches and
+// the pre-aggregate buckets. Each sketch and each agg block records the
+// width it was built with, so a reader never assumes it.
+const bucketMillis = 1000
+
 // BuildOptions tunes chunk construction.
 type BuildOptions struct {
-	// BucketMillis is the time mini-range width for leaf bloom sketches
-	// and pre-aggregate buckets (default 1000 ms).
-	BucketMillis int64
 	// DisableBloom omits the sketches (ablation switch).
 	DisableBloom bool
 	// DisableAgg omits the pre-aggregate block (ablation switch). The
 	// block summarizes the big-endian uint64 at payload offset 0.
 	DisableAgg bool
-}
-
-func (o *BuildOptions) fill() {
-	if o.BucketMillis <= 0 {
-		o.BucketMillis = 1000
-	}
 }
 
 // LeafInfo locates one leaf inside the chunk body.
@@ -148,7 +144,6 @@ func Build(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) {
 	if snap == nil || snap.Count == 0 {
 		return nil, Meta{}, errors.New("chunk: empty snapshot")
 	}
-	opts.fill()
 	return buildV2(snap, opts)
 }
 

@@ -126,7 +126,7 @@ func TestSelectLeavesTimePruning(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: model.Timestamp(i * 1000)})
 	}
-	data, _, _ := Build(tree.FlushReset(), BuildOptions{BucketMillis: 1000})
+	data, _, _ := Build(tree.FlushReset(), BuildOptions{})
 	h, _ := ParseHeader(data)
 	read, pruned := h.SelectLeaves(model.FullKeyRange(), model.TimeRange{Lo: 0, Hi: 50_000}, true)
 	if len(read) != 1 || pruned != 7 {
@@ -142,7 +142,7 @@ func TestBloomPrunesSparseTimes(t *testing.T) {
 		tree.Insert(model.Tuple{Key: model.Key(i), Time: 0})
 		tree.Insert(model.Tuple{Key: model.Key(i + 50), Time: 10_000_000})
 	}
-	data, _, _ := Build(tree.FlushReset(), BuildOptions{BucketMillis: 1000})
+	data, _, _ := Build(tree.FlushReset(), BuildOptions{})
 	h, _ := ParseHeader(data)
 	// Window in the gap: min/max overlap, bloom says no.
 	read, pruned := h.SelectLeaves(model.FullKeyRange(), model.TimeRange{Lo: 5_000_000, Hi: 5_010_000}, true)

@@ -42,7 +42,7 @@ var goldenTuples = []model.Tuple{
 	{Key: 399, Time: 12_345, Payload: goldenPayload(100, 2)},
 }
 
-var goldenOpts = BuildOptions{BucketMillis: 1000}
+var goldenOpts = BuildOptions{}
 
 // goldenFixture is a committed chunk of goldenTuples and the header
 // lengths it was written with.

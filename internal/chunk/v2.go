@@ -147,7 +147,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		var sk *bloom.TimeSketch
 		if !opts.DisableBloom && n > 0 {
 			est := n/4 + 16
-			sk = bloom.NewTimeSketch(opts.BucketMillis, est, fpRate)
+			sk = bloom.NewTimeSketch(bucketMillis, est, fpRate)
 		}
 		for j := 0; j < n; j++ {
 			payBytes += lc.PayloadLen(j)
@@ -171,7 +171,7 @@ func buildV2(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) 
 		if n > 0 {
 			cols = appendLeafColumns(cols, lc, &sc)
 			if leafAggs != nil {
-				leafAggs[i] = buildLeafAgg(lc, opts.BucketMillis, int64(info.MinT), int64(info.MaxT))
+				leafAggs[i] = buildLeafAgg(lc, bucketMillis, int64(info.MinT), int64(info.MaxT))
 			}
 		}
 		colEnd[i] = len(cols)

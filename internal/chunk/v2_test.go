@@ -132,7 +132,7 @@ func bruteAgg(tuples []model.Tuple, tr model.TimeRange, field uint32) model.AggP
 // complementary scan that together answer a boundary leaf.
 func TestAggFoldEquivalence(t *testing.T) {
 	snap := buildMixedSnapshot(t, 1500, 8, 99)
-	data, meta, err := Build(snap, BuildOptions{BucketMillis: 1000})
+	data, meta, err := Build(snap, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestExtremeTimestampsBuild(t *testing.T) {
 		for i, ts := range times {
 			tree.Insert(model.Tuple{Key: model.Key(i), Time: ts, Payload: []byte{byte(i)}})
 		}
-		data, _, err := Build(tree.FlushReset(), BuildOptions{BucketMillis: 1000})
+		data, _, err := Build(tree.FlushReset(), BuildOptions{})
 		if err != nil {
 			t.Fatalf("times %v: %v", times, err)
 		}

@@ -77,16 +77,9 @@ type Config struct {
 	Build chunk.BuildOptions
 	// Seed drives DFS placement and samplers.
 	Seed int64
-	// DFSFaultSeed seeds the DFS fault-injection RNG (chaos testing); kept
-	// separate from Seed so injecting faults never perturbs placement.
-	DFSFaultSeed int64
-	// SleepFn replaces the real sleep for simulated DFS I/O time — a virtual
-	// clock makes fault-injection runs deterministic and free of wall-clock
-	// waits. Nil uses real sleeps.
-	SleepFn func(time.Duration)
-	// Telemetry, when non-nil, is the metric registry every component
-	// reports into; nil runs the cluster without instrumentation (the
-	// hot paths then cost only nil checks).
+	// Telemetry is the metric registry every component reports into; nil
+	// gives the cluster a fresh one. Set it to read one registry across a
+	// reopen.
 	Telemetry *telemetry.Registry
 	// DataDir, when non-empty, makes the deployment durable: chunks back
 	// onto DataDir/dfs, the WAL onto DataDir/wal, and the metadata server
@@ -169,8 +162,7 @@ type Cluster struct {
 	slots   []slot
 	carried Totals
 
-	// Telemetry plumbing; all handles are nil-safe no-ops when
-	// Config.Telemetry is unset.
+	// Telemetry plumbing.
 	reg            *telemetry.Registry
 	traces         *telemetry.TraceRing
 	ingestMetrics  ingest.Metrics
@@ -233,27 +225,15 @@ func Open(cfg Config) (*Cluster, error) {
 	nIdx := cfg.Nodes * cfg.IndexServersPerNode
 
 	reg := cfg.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	fsCfg := dfs.Config{
 		Nodes:       cfg.Nodes,
 		Replication: cfg.Replication,
 		Latency:     cfg.DFSLatency,
 		Seed:        cfg.Seed,
-		FaultSeed:   cfg.DFSFaultSeed,
-		Sleep:       cfg.SleepFn,
 		Files:       cfg.Files,
-	}
-	if reg != nil {
-		localReads := reg.Histogram(`waterwheel_dfs_read_seconds{locality="local"}`,
-			"DFS read latency (modeled I/O cost) by replica locality")
-		remoteReads := reg.Histogram(`waterwheel_dfs_read_seconds{locality="remote"}`,
-			"DFS read latency (modeled I/O cost) by replica locality")
-		fsCfg.ObserveRead = func(lat time.Duration, local bool) {
-			if local {
-				localReads.Observe(lat)
-			} else {
-				remoteReads.Observe(lat)
-			}
-		}
 	}
 	var (
 		ms  *meta.Server
@@ -323,11 +303,9 @@ func Open(cfg Config) (*Cluster, error) {
 		log:          log,
 		bal:          dispatcher.NewBalancer(),
 		reg:          reg,
+		traces:       telemetry.NewTraceRing(traceRingSize),
 		orphansSwept: swept,
 		stop:         make(chan struct{}),
-	}
-	if reg != nil {
-		c.traces = telemetry.NewTraceRing(traceRingSize)
 	}
 	c.registerHandles()
 	c.coord = queryexec.NewCoordinator(queryexec.CoordinatorConfig{
@@ -693,10 +671,10 @@ func (c *Cluster) Dispatchers() []*dispatcher.Dispatcher { return c.disp }
 // WAL returns the write-ahead log.
 func (c *Cluster) WAL() *wal.Log { return c.log }
 
-// Telemetry returns the metric registry (nil when telemetry is off).
+// Telemetry returns the metric registry.
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
 
-// TraceRing returns the retained query traces (nil when telemetry is off).
+// TraceRing returns the traces of the last traced queries.
 func (c *Cluster) TraceRing() *telemetry.TraceRing { return c.traces }
 
 // Ingested returns the total tuples accepted by the indexing servers.

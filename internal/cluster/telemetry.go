@@ -6,7 +6,7 @@ import (
 )
 
 // registerHandles creates the counters and histograms the cluster itself
-// feeds; every handle is a nil-safe no-op when the cluster has no registry.
+// feeds.
 func (c *Cluster) registerHandles() {
 	reg := c.reg
 	c.ingestMetrics = ingest.Metrics{
@@ -36,13 +36,9 @@ func (c *Cluster) registerHandles() {
 // stats, DFS metrics, dispatcher/balancer state, caches) into the metric
 // registry as read-at-exposition functions. The components keep their own
 // race-safe atomics as the source of truth; the registry only samples them
-// when scraped, so nothing is double-counted and Stats() stays meaningful
-// with telemetry disabled. No-op when the cluster has no registry.
+// when scraped, so nothing is double-counted.
 func (c *Cluster) registerFuncMetrics() {
 	reg := c.reg
-	if reg == nil {
-		return
-	}
 
 	// Ingestion path. The counters are Totals: cumulative over every
 	// incarnation the process has run, not a sum over the ones serving now.

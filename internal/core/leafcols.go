@@ -15,6 +15,7 @@ package core
 
 import (
 	"encoding/binary"
+	"sort"
 
 	"waterwheel/internal/model"
 )
@@ -112,3 +113,23 @@ func (c *LeafCols) Payload(j int) []byte { return arenaPayload(c.Arena, c.Refs[j
 
 // PayloadLen returns tuple j's payload length without slicing the arena.
 func (c *LeafCols) PayloadLen(j int) int { return arenaPayloadLen(c.Arena, c.Refs[j]) }
+
+// RangeCols visits the leaf's tuples with keys in kr and times in tr that
+// filter matches, in key order, as raw (key, time, payload) columns; the
+// payload aliases the arena. It returns false when fn stopped the scan.
+// The one leaf scan behind TemplateTree.RangeCols and
+// FlushSnapshot.RangeCols.
+func (c *LeafCols) RangeCols(kr model.KeyRange, tr model.TimeRange, filter *model.Filter, fn ColsVisitor) bool {
+	keys := c.Keys
+	for j := sort.Search(len(keys), func(j int) bool { return keys[j] >= kr.Lo }); j < len(keys) && keys[j] <= kr.Hi; j++ {
+		ts := c.Times[j]
+		if ts < tr.Lo || ts > tr.Hi {
+			continue
+		}
+		p := c.Payload(j)
+		if filter.MatchesCols(keys[j], ts, p) && !fn(keys[j], ts, p) {
+			return false
+		}
+	}
+	return true
+}

@@ -89,6 +89,19 @@ type tleaf struct {
 // keyWin returns the live key window kbuf[head:head+cnt].
 func (lf *tleaf) keyWin() []model.Key { return lf.kbuf[lf.head : lf.head+lf.cnt] }
 
+// cols returns the live window [head, head+cnt) as columns, capped so the
+// view cannot reach the buffer slack. It aliases the leaf's buffers: a
+// reader holds the latch while it reads them.
+func (lf *tleaf) cols() LeafCols {
+	h, c := lf.head, lf.cnt
+	return LeafCols{
+		Keys:  lf.kbuf[h : h+c : h+c],
+		Times: lf.tbuf[h : h+c : h+c],
+		Refs:  lf.rbuf[h : h+c : h+c],
+		Arena: lf.arena,
+	}
+}
+
 // appendPayload copies p into the leaf arena and returns its reference.
 func (lf *tleaf) appendPayload(p []byte) PayloadRef {
 	arena, r := arenaAppend(lf.arena, p)
@@ -870,34 +883,13 @@ func (t *TemplateTree) RangeCols(kr model.KeyRange, tr model.TimeRange, filter *
 			continue
 		}
 		lf.mu.Lock()
-		if lf.maxT < tr.Lo || lf.minT > tr.Hi {
-			lf.mu.Unlock()
-			continue
-		}
-		keys := lf.keyWin()
-		start := sort.Search(len(keys), func(j int) bool {
-			return keys[j] >= kr.Lo
-		})
-		stop := false
-		for j := start; j < len(keys); j++ {
-			if keys[j] > kr.Hi {
-				break
-			}
-			ts := lf.tbuf[lf.head+j]
-			if ts < tr.Lo || ts > tr.Hi {
-				continue
-			}
-			p := arenaPayload(lf.arena, lf.rbuf[lf.head+j])
-			if !filter.MatchesCols(keys[j], ts, p) {
-				continue
-			}
-			if !fn(keys[j], ts, p) {
-				stop = true
-				break
-			}
+		more := true
+		if lf.maxT >= tr.Lo && lf.minT <= tr.Hi {
+			cols := lf.cols()
+			more = cols.RangeCols(kr, tr, filter, fn)
 		}
 		lf.mu.Unlock()
-		if stop {
+		if !more {
 			return
 		}
 	}
@@ -958,27 +950,8 @@ func (s *FlushSnapshot) RangeCols(kr model.KeyRange, tr model.TimeRange, filter 
 		if i > 0 && s.Bounds[i-1] > kr.Hi {
 			break
 		}
-		leaf := &s.Leaves[i]
-		keys := leaf.Keys
-		if len(keys) == 0 {
-			continue
-		}
-		start := sort.Search(len(keys), func(j int) bool { return keys[j] >= kr.Lo })
-		for j := start; j < len(keys); j++ {
-			if keys[j] > kr.Hi {
-				break
-			}
-			ts := leaf.Times[j]
-			if ts < tr.Lo || ts > tr.Hi {
-				continue
-			}
-			p := leaf.Payload(j)
-			if !filter.MatchesCols(keys[j], ts, p) {
-				continue
-			}
-			if !fn(keys[j], ts, p) {
-				return
-			}
+		if !s.Leaves[i].RangeCols(kr, tr, filter, fn) {
+			return
 		}
 	}
 }
@@ -1004,17 +977,10 @@ func (t *TemplateTree) FlushReset() *FlushSnapshot {
 	}
 	first := true
 	for i, lf := range t.leaves {
-		// Cap the handed-off windows: the snapshot must not be able to see
-		// the buffer slack, and the leaf abandons its buffers wholesale
-		// below.
-		h, c := lf.head, lf.cnt
-		snap.Leaves[i] = LeafCols{
-			Keys:  lf.kbuf[h : h+c : h+c],
-			Times: lf.tbuf[h : h+c : h+c],
-			Refs:  lf.rbuf[h : h+c : h+c],
-			Arena: lf.arena,
-		}
-		if c > 0 {
+		// The capped window cannot see the buffer slack, and the leaf
+		// abandons its buffers wholesale below.
+		snap.Leaves[i] = lf.cols()
+		if lf.cnt > 0 {
 			if first {
 				snap.MinTime, snap.MaxTime, first = lf.minT, lf.maxT, false
 			} else {

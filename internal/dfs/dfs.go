@@ -69,10 +69,6 @@ type Config struct {
 	// Seed makes replica placement (a function of Seed, the file's name and
 	// the live nodes: see place) and open-delay jitter deterministic.
 	Seed int64
-	// FaultSeed seeds the fault-injection RNG. It is deliberately separate
-	// from Seed so enabling error rates never perturbs replica placement —
-	// a chaos run and its fault-free control see identical layouts.
-	FaultSeed int64
 	// Sleep is called to charge simulated time; nil means time.Sleep.
 	Sleep func(time.Duration)
 	// Dir, when non-empty, keeps file contents in the local filesystem
@@ -83,11 +79,6 @@ type Config struct {
 	// have is the caller's to say (cluster.Open deletes what the metadata
 	// registry does not name).
 	Dir string
-	// ObserveRead, when set, receives the simulated latency charged to
-	// each chunk read (open delay + transfer) and whether the read was
-	// served by a co-located replica — the telemetry hook for injected
-	// I/O cost. Must be cheap; called on the read path.
-	ObserveRead func(latency time.Duration, local bool)
 	// Files performs every create, fsync, rename and unlink of the backing
 	// files (nil: the plain OS), so a test can watch their order against a
 	// checkpoint's other files, fail one, hold a write at the point its name
@@ -141,7 +132,9 @@ type FS struct {
 
 	// Fault injection (chaos testing): transient error rates and one-shot
 	// failure budgets, under their own lock so read-path injection does not
-	// upgrade mu and the fault RNG stream stays independent of placement.
+	// upgrade mu. The fault RNG is a stream of its own (seeded Seed+1), so
+	// enabling error rates never perturbs placement or jitter: a chaos run
+	// and its fault-free control see identical layouts.
 	faultMu        sync.Mutex
 	faultRng       *rand.Rand
 	writeFailRate  float64
@@ -186,7 +179,7 @@ func Open(cfg Config) (*FS, error) {
 		alive:    make([]bool, cfg.Nodes),
 		used:     make([]int64, cfg.Nodes),
 		jitter:   rand.New(rand.NewSource(cfg.Seed)),
-		faultRng: rand.New(rand.NewSource(cfg.FaultSeed)),
+		faultRng: rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	for i := range fs.alive {
 		fs.alive[i] = true
@@ -459,9 +452,6 @@ func (fs *FS) ReadAt(name string, offset, length int64, fromNode int) ([]byte, R
 	}
 	fs.m.Reads.Add(1)
 	fs.m.BytesRead.Add(length)
-	if fs.cfg.ObserveRead != nil {
-		fs.cfg.ObserveRead(lat, local)
-	}
 	fs.sleep(lat)
 	return out, ReadInfo{Local: local, Node: serve, Latency: lat}, nil
 }

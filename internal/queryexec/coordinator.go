@@ -41,7 +41,7 @@ type CoordinatorConfig struct {
 	// Metrics holds the coordinator telemetry handles. Nil disables
 	// instrumentation.
 	Metrics *CoordinatorMetrics
-	// Traces, when non-nil, retains a QueryTrace for every executed query
+	// Traces, when non-nil, retains the QueryTrace of every traced query
 	// (a bounded ring; see telemetry.NewTraceRing).
 	Traces *telemetry.TraceRing
 	// MemExecutors returns the fresh-data executors serving the
@@ -68,10 +68,10 @@ type CoordinatorMetrics struct {
 	// header read.
 	AggQueries    *telemetry.Counter
 	AggMetaChunks *telemetry.Counter
-	// TierPruned counts R-tree candidates a recurring-window query skipped
-	// because no window meets the chunk's part of the query, before any
-	// header was read.
-	TierPruned *telemetry.Counter
+	// RecurrencePruned counts R-tree candidates a recurring-window query
+	// skipped because no window meets the chunk's part of the query, before
+	// any header was read.
+	RecurrencePruned *telemetry.Counter
 	// RetiredSubQueries counts chunk subqueries completed empty because
 	// their chunk was retired (dropped by retention) mid-flight.
 	RetiredSubQueries *telemetry.Counter
@@ -96,7 +96,7 @@ func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 		WorkersBusy:       r.Gauge("waterwheel_query_workers_busy", "chunk subqueries currently executing on query servers"),
 		AggQueries:        r.Counter("waterwheel_agg_queries_total", "aggregate queries executed by the coordinator"),
 		AggMetaChunks:     r.Counter("waterwheel_agg_meta_chunks_total", "chunks answered from metadata summaries during aggregate queries"),
-		TierPruned:        r.Counter("waterwheel_tier_pruned_chunks_total", "chunk candidates a recurring-window query skipped because no window meets them"),
+		RecurrencePruned:  r.Counter("waterwheel_recurrence_pruned_chunks_total", "chunk candidates a recurring-window query skipped because no window meets them"),
 		RetiredSubQueries: r.Counter("waterwheel_query_retired_subqueries_total", "chunk subqueries completed empty because their chunk retired mid-flight"),
 		reg:               r,
 	}
@@ -261,7 +261,7 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*m
 		seq++
 	}
 	if pruned > 0 {
-		c.m.TierPruned.Add(int64(pruned))
+		c.m.RecurrencePruned.Add(int64(pruned))
 	}
 	for _, sq := range memSubs {
 		sq.Seq, sq.AsOfChunk = seq, watermark
@@ -311,16 +311,15 @@ func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkS
 
 // Execute runs a query to completion and returns the merged result with
 // tuples sorted by (key, time, payload). The tuples are decoded once from
-// the merged run and their payloads alias it. When the coordinator was
-// configured with a trace ring, the query's trace is retained there.
+// the merged run and their payloads alias it. No span is built.
 func (c *Coordinator) Execute(q model.Query) (*model.Result, error) {
-	res, _, _, err := c.execute(q, c.ringRoot(), false)
+	res, _, _, err := c.execute(q, nil, false)
 	return res, err
 }
 
 // ExecuteTraced runs a query like Execute and additionally returns its
-// span tree — Waterwheel's EXPLAIN ANALYZE. Tracing is forced on for this
-// query even when no trace ring is configured.
+// span tree — Waterwheel's EXPLAIN ANALYZE — which the trace ring, when
+// configured, also retains.
 func (c *Coordinator) ExecuteTraced(q model.Query) (*model.Result, *telemetry.QueryTrace, error) {
 	res, _, tr, err := c.execute(q, telemetry.StartSpan("query"), false)
 	return res, tr, err
@@ -331,7 +330,7 @@ func (c *Coordinator) ExecuteTraced(q model.Query) (*model.Result, *telemetry.Qu
 // form: the merge is written straight behind the result header
 // (model.AppendMergedResult), and no Tuple is built.
 func (c *Coordinator) ExecuteEncoded(q model.Query, traced bool) ([]byte, *telemetry.QueryTrace, error) {
-	root := c.ringRoot()
+	var root *telemetry.Span
 	if traced {
 		root = telemetry.StartSpan("query")
 	}
@@ -339,20 +338,11 @@ func (c *Coordinator) ExecuteEncoded(q model.Query, traced bool) ([]byte, *telem
 	return wire, tr, err
 }
 
-// ringRoot starts the root span of an untraced query: one that the trace
-// ring retains, or nil when there is no ring.
-func (c *Coordinator) ringRoot() *telemetry.Span {
-	if c.cfg.Traces == nil {
-		return nil
-	}
-	return telemetry.StartSpan("query")
-}
-
 // execute is the tuple-query engine behind Execute, ExecuteTraced and
 // ExecuteEncoded: plan, run, k-way merge of the subqueries' runs — decoded
 // into res.Tuples, or with encode set appended to the wire form of res and
-// returned as wire. root may be nil (tracing off): every span operation
-// degrades to a nil check.
+// returned as wire. root is nil unless the caller asked for the trace:
+// every span operation then degrades to a nil check.
 func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) (*model.Result, []byte, *telemetry.QueryTrace, error) {
 	q = c.ms.RegisterQuery(q)
 	defer c.ms.CompleteQuery(q.ID)

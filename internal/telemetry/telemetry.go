@@ -6,10 +6,11 @@
 // Prometheus text format and JSON.
 //
 // Every metric handle is nil-safe: a nil *Counter, *Gauge, *Histogram or
-// *Span is a no-op, so instrumented code never branches on "telemetry
-// enabled" — disabled deployments simply hand out nil handles. Methods on
-// a nil *Registry return nil handles, making an entire deployment's
-// telemetry a single nil check at wiring time.
+// *Span is a no-op, so instrumented code never branches on a handle. A
+// deployment always has a registry; methods on a nil *Registry return nil
+// handles, which is how a component built on its own — in a unit test or
+// a benchmark leg — runs uninstrumented, and how an untraced query (a nil
+// root span) builds no trace.
 package telemetry
 
 import (

@@ -214,9 +214,7 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 	})
 	s.Handle("metrics", func([]byte) ([]byte, error) {
 		var buf bytes.Buffer
-		if reg := db.c.Telemetry(); reg != nil {
-			reg.WritePrometheus(&buf)
-		}
+		db.c.Telemetry().WritePrometheus(&buf)
 		return buf.Bytes(), nil
 	})
 
@@ -335,8 +333,7 @@ func (cl *Client) QueryTraced(q Query) (*Result, *QueryTrace, error) {
 	return res, tr, err
 }
 
-// Metrics fetches the server's Prometheus text exposition. Empty when the
-// server runs with telemetry disabled.
+// Metrics fetches the server's Prometheus text exposition.
 func (cl *Client) Metrics() (string, error) {
 	payload, err := cl.call("metrics", nil)
 	if err != nil {

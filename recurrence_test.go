@@ -15,7 +15,7 @@ const (
 // 09:00 and 12:00 daily" query whose results are identical to the
 // per-window oracle, and at least 80% of the R-tree's chunk candidates
 // skipped because no window meets them — read back from the
-// waterwheel_tier_pruned_chunks_total counter.
+// waterwheel_recurrence_pruned_chunks_total counter.
 func TestRecurringWindowAcceptance(t *testing.T) {
 	db := openTestDB(t, Options{ChunkBytes: 1 << 30}) // flush manually, one chunk per block
 	// 21 days in 3-hour blocks, each flushed to its own chunk: 168 chunks
@@ -71,7 +71,7 @@ func TestRecurringWindowAcceptance(t *testing.T) {
 
 	// ≥80% of the candidates were pruned before any header read, per the
 	// metric the dashboards watch.
-	pruned := db.Telemetry().Counter("waterwheel_tier_pruned_chunks_total", "").Value()
+	pruned := db.Telemetry().Counter("waterwheel_recurrence_pruned_chunks_total", "").Value()
 	if pruned*5 < int64(chunks)*4 {
 		t.Fatalf("recurrence pruned %d of %d candidates, want >= 80%%", pruned, chunks)
 	}

@@ -108,11 +108,6 @@ type Options struct {
 	CacheBytes int64
 	// BalanceIntervalMillis runs the balancer on a cadence (0 = manual).
 	BalanceIntervalMillis int64
-	// DisableTelemetry turns the metric registry and query tracing off.
-	// Telemetry is on by default: counters and histograms are lock-free
-	// atomics and the insert path is instrumented allocation-free, so the
-	// cost is a few nanoseconds per operation.
-	DisableTelemetry bool
 	// DataDir makes the store durable: chunks, WAL and metadata persist
 	// under this directory, and Open over an existing directory restores
 	// the previous state (indexing servers replay their WAL tails).
@@ -151,7 +146,7 @@ var ErrRetired = queryexec.ErrRetired
 
 // config maps the options onto the cluster configuration, field by field.
 func (o Options) config() cluster.Config {
-	cfg := cluster.Config{
+	return cluster.Config{
 		Nodes:                 o.Nodes,
 		IndexServersPerNode:   o.IndexServersPerNode,
 		QueryServersPerNode:   o.QueryServersPerNode,
@@ -163,10 +158,6 @@ func (o Options) config() cluster.Config {
 		FsyncIntervalMillis:   o.FsyncIntervalMillis,
 		Seed:                  o.Seed,
 	}
-	if !o.DisableTelemetry {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	return cfg
 }
 
 // Open starts an embedded Waterwheel deployment.
@@ -323,8 +314,7 @@ func (db *DB) Flush() error {
 func (db *DB) Rebalance() bool { return db.c.TickBalance() }
 
 // Stats summarizes the deployment's activity. Every field is read from
-// always-on atomic counters, so the snapshot is race-safe whether or not
-// telemetry is enabled.
+// the components' atomic counters, so the snapshot is race-safe.
 type Stats struct {
 	// Ingested counts tuples accepted by the indexing servers.
 	Ingested int64
@@ -398,7 +388,7 @@ func (db *DB) Stats() Stats {
 type QueryTrace = telemetry.QueryTrace
 
 // QueryTraced runs a query and returns its execution trace alongside the
-// result. Works even when telemetry is disabled.
+// result; Traces keeps it too. Query builds no trace.
 func (db *DB) QueryTraced(q Query) (*Result, *QueryTrace, error) {
 	if db.closed.Load() {
 		return nil, nil, ErrClosed
@@ -416,12 +406,11 @@ func (db *DB) queryEncoded(q Query, traced bool) ([]byte, *QueryTrace, error) {
 	return db.c.Coordinator().ExecuteEncoded(q, traced)
 }
 
-// Telemetry returns the deployment's metric registry, or nil when opened
-// with DisableTelemetry.
+// Telemetry returns the deployment's metric registry.
 func (db *DB) Telemetry() *telemetry.Registry { return db.c.Telemetry() }
 
-// Traces returns the ring of recently retained query traces (nil when
-// telemetry is disabled).
+// Traces returns the traces of the last 16 traced queries — QueryTraced,
+// or a client's Trace — oldest first.
 func (db *DB) Traces() []*QueryTrace { return db.c.TraceRing().Recent() }
 
 // DropBefore removes all chunks that end before the horizon (retention),

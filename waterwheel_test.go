@@ -92,28 +92,6 @@ func TestFlushAndHistoricalQuery(t *testing.T) {
 	}
 }
 
-func TestGeoGridQueries(t *testing.T) {
-	db := openTestDB(t, Options{})
-	g := NewGeoGrid(116.0, 117.0, 39.5, 40.5, 12)
-	// A cluster of points inside a small box, plus scattered noise.
-	for i := 0; i < 50; i++ {
-		lon := 116.40 + float64(i%5)*0.001
-		lat := 39.90 + float64(i/5)*0.001
-		db.Insert(Tuple{Key: g.Key(lon, lat), Time: Timestamp(1000 + i)})
-	}
-	for i := 0; i < 50; i++ {
-		db.Insert(Tuple{Key: g.Key(116.9, 40.4), Time: Timestamp(2000 + i)})
-	}
-	db.Drain()
-	res, err := db.QueryGeoRect(g, 116.39, 39.89, 116.42, 39.92, FullTimeRange(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 50 {
-		t.Fatalf("geo query: %d tuples, want 50", len(res.Tuples))
-	}
-}
-
 func TestNetworkServerRoundTrip(t *testing.T) {
 	db := openTestDB(t, Options{})
 	ns, err := db.Serve("127.0.0.1:0")

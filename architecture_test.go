@@ -228,6 +228,16 @@ var deletedNames = []deletedName{
 	{"[\"`]waterwheel_dfs_read_seconds", everywhere, `const readSeconds = "waterwheel_dfs_read_seconds"`},
 	{"[\"`]waterwheel_tier_pruned_chunks_total", everywhere, "const tierPruned = `waterwheel_tier_pruned_chunks_total`"},
 	{`BucketMillis`, butBloom, `type BuildOptions struct{ BucketMillis int64 }`},
+	// One fault-injection harness (§10, §14): the scripted schedules are op
+	// lists the seeded runner executes; the takeover suite's own runner, its
+	// string steps and report, and the handoff experiment are gone.
+	{`takeoverRunner`, everywhere, `type takeoverRunner struct{}`},
+	{`tkStep`, everywhere, `type tkStep struct{}`},
+	{`TakeoverReport`, everywhere, `type TakeoverReport struct{}`},
+	{`runHandoff`, everywhere, `func runHandoff() {}`},
+	// One WAL layout (§19): frames carry a CRC32C; the layout before it is
+	// refused, not read.
+	{"[\"`]WWWAL001", everywhere, `const v1 = "WWWAL001"`},
 	// The geo helper is the taxi example's, over internal/zorder; the root
 	// package exports no geo API.
 	{`GeoGrid`, rootOnly, `type GeoGrid struct{}`},

@@ -6,14 +6,16 @@ import (
 	"os"
 
 	"waterwheel/internal/chaos"
+	"waterwheel/internal/telemetry"
 )
 
 // runChaos implements the "wwbench chaos" subcommand: it drives the
-// seeded fault-injection harness (internal/chaos) from the command line,
-// either over a bank of consecutive seeds (-seeds) or a single seed
-// (-seed), and exits non-zero if any run ends with invariant violations.
-// CI uses it as the chaos smoke step; developers use it to replay the op
-// trace of a seed a failing test printed — the trace replays, a
+// fault-injection harness (internal/chaos) from the command line, over a
+// bank of consecutive seeds (-seeds), a single seed (-seed), or the
+// scripted schedules (-takeover), printing every run on one line through
+// one loop, and exits non-zero if any run ends with invariant violations.
+// CI uses it as the chaos smoke steps; developers use it to replay the op
+// trace of a seed or schedule a failing test printed — the trace replays, a
 // timing-dependent violation need not.
 func runChaos(args []string) {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
@@ -27,50 +29,67 @@ func runChaos(args []string) {
 		dur      = fs.String("durability", "", "insert ack policy with -datadir: ack-on-write, ack-on-fsync, interval")
 		crash    = fs.Bool("hardcrash", false, "with -datadir: hard-crash after the schedule (discard unsynced WAL bytes), reopen, re-verify")
 		elastic  = fs.Bool("elastic", false, "mix elastic topology ops (add/decommission/more kills) into the schedule")
-		takeover = fs.Bool("takeover", false, "run the scripted takeover suite (every seeded schedule) instead of random seeds")
+		takeover = fs.Bool("takeover", false, "run the scripted schedules (each disk-backed, under ack-on-fsync) instead of random seeds")
 	)
 	fs.Parse(args)
 	if (*crash || *dur != "") && *dataDir == "" {
 		fmt.Fprintln(os.Stderr, "wwbench chaos: -hardcrash and -durability require -datadir")
 		os.Exit(1)
 	}
+
+	// A disk-backed run — every scripted one, a seeded one with -datadir —
+	// gets a fresh directory under -datadir (the system's temp directory
+	// when it is empty), removed once the run passes.
+	type chaosRun struct {
+		name string
+		seed int64
+		disk bool
+		run  func(dir string) (*chaos.Report, error)
+	}
+	var runs []chaosRun
 	if *takeover {
-		runTakeoverSuite(*trace)
-		return
+		for _, s := range chaos.Schedules {
+			runs = append(runs, chaosRun{s.Name, s.Seed, true, s.Run})
+		}
+	} else {
+		for s := *seed; s < *seed+int64(*seeds); s++ {
+			opts := chaos.Options{Seed: s, Ops: *ops, Nodes: *nodes, Durability: *dur, Elastic: *elastic,
+				HardCrash: *crash, Restart: !*crash, Telemetry: telemetry.NewRegistry()}
+			runs = append(runs, chaosRun{fmt.Sprintf("seeded, %d ops", *ops), s, *dataDir != "", func(dir string) (*chaos.Report, error) {
+				opts.DataDir = dir
+				return chaos.Run(opts)
+			}})
+		}
 	}
 
 	failed := false
-	for s := *seed; s < *seed+int64(*seeds); s++ {
-		opts := chaos.Options{Seed: s, Ops: *ops, Nodes: *nodes, Durability: *dur, Elastic: *elastic}
-		if *dataDir != "" {
-			dir, err := os.MkdirTemp(*dataDir, fmt.Sprintf("chaos-seed%d-", s))
-			if err != nil {
+	for _, r := range runs {
+		dir := ""
+		if r.disk {
+			var err error
+			if dir, err = os.MkdirTemp(*dataDir, fmt.Sprintf("chaos-seed%d-", r.seed)); err != nil {
 				fmt.Fprintln(os.Stderr, "wwbench chaos:", err)
 				os.Exit(1)
 			}
-			opts.DataDir = dir
-			if *crash {
-				opts.HardCrash = true
-			} else {
-				opts.Restart = true
-			}
 		}
-		rep, err := chaos.Run(opts)
+		rep, err := r.run(dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wwbench chaos: seed %d: %v\n", s, err)
+			fmt.Fprintf(os.Stderr, "wwbench chaos: %s seed %d: %v\n", r.name, r.seed, err)
 			os.Exit(1)
 		}
 		status := "ok"
 		if len(rep.Violations) > 0 {
 			status = fmt.Sprintf("FAIL (%d violations)", len(rep.Violations))
 			failed = true
+		} else if dir != "" {
+			os.RemoveAll(dir)
 		}
 		if *crash {
 			status = fmt.Sprintf("orphans-swept %d replayed %d lost-acked %d (expected 0 only under ack-on-fsync): %s",
 				rep.OrphansSwept, rep.Replayed, rep.LostAcked, status)
 		}
-		fmt.Printf("seed %-4d ops %-4d inserted %-6d queries %-4d faults %d: %s\n",
-			rep.Seed, *ops, rep.Inserted, rep.Queries, len(rep.FaultsSeen), status)
+		fmt.Printf("%-32s seed %-5d inserted %-6d queries %-4d faults %-2d handoffs %-3d pause_max %-12v lag_max %-6d: %s\n",
+			r.name, r.seed, rep.Inserted, rep.Queries, len(rep.FaultsSeen), rep.Handoffs, rep.PauseMax, rep.LagMax, status)
 		if *trace || len(rep.Violations) > 0 {
 			for _, line := range rep.Trace {
 				fmt.Println("  ", line)
@@ -79,44 +98,6 @@ func runChaos(args []string) {
 		for _, v := range rep.Violations {
 			fmt.Println("  violation:", v)
 		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// runTakeoverSuite drives every scripted takeover schedule — the seeded
-// elastic chaos scenarios the test suite runs — printing each schedule's
-// handoff metrics and exiting non-zero on any invariant violation.
-func runTakeoverSuite(trace bool) {
-	failed := false
-	for _, s := range chaos.TakeoverSchedules {
-		dir, err := os.MkdirTemp("", "takeover-"+s.Name+"-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wwbench chaos:", err)
-			os.Exit(1)
-		}
-		rep, err := chaos.RunTakeover(s, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wwbench chaos: takeover %s: %v\n", s.Name, err)
-			os.Exit(1)
-		}
-		status := "ok"
-		if len(rep.Violations) > 0 {
-			status = fmt.Sprintf("FAIL (%d violations)", len(rep.Violations))
-			failed = true
-		}
-		fmt.Printf("%-32s seed %-5d handoffs %-3d pause_max %-12v lag_max %-6d inserted %-6d: %s\n",
-			s.Name, s.Seed, rep.Handoffs, rep.PauseMax, rep.LagMax, rep.Inserted, status)
-		if trace || len(rep.Violations) > 0 {
-			for _, line := range rep.Trace {
-				fmt.Println("  ", line)
-			}
-		}
-		for _, v := range rep.Violations {
-			fmt.Println("  violation:", v)
-		}
-		os.RemoveAll(dir)
 	}
 	if failed {
 		os.Exit(1)

@@ -12,6 +12,7 @@
 //
 //	wwbench chaos -seeds 8 -ops 120      # seed bank, exit 1 on violations
 //	wwbench chaos -seed 3 -ops 140 -trace  # replay one seed with its op trace
+//	wwbench chaos -takeover              # the scripted schedules, with handoff pause and lag
 package main
 
 import (

@@ -48,7 +48,6 @@ func TestIDsComplete(t *testing.T) {
 		"batchsweep",
 		"fig10", "fig11a", "fig11b", "fig12a", "fig12b", "fig13",
 		"fig14", "fig15", "fig16", "fig17", "fig7a", "fig7b", "fig8", "fig9",
-		"handoff",
 		"table1",
 	}
 	got := IDs()
@@ -133,12 +132,4 @@ func TestAblationSideStoreSmoke(t *testing.T) {
 		t.Skip("simulated I/O sleeps")
 	}
 	smoke(t, "ablation-sidestore", 0.02, 2)
-}
-
-func TestHandoffSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live cluster with handoff waits")
-	}
-	// The experiment itself fails when an acked tuple is missing.
-	smoke(t, "handoff", 0.05, 1)
 }

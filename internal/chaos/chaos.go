@@ -1,11 +1,15 @@
 // Package chaos is a seeded fault-injection harness for a full Waterwheel
-// cluster. From a single RNG seed it pre-generates a schedule
-// interleaving inserts, temporal range queries (solo and in concurrent
-// bursts), aggregate queries cross-checked against the tuple path,
-// flushes, balancer ticks, retention drops, WAL truncation and faults —
-// DFS node kill/revive, transient DFS write/read error injection,
-// indexing-server crashes (plain and provably mid-flush) — then drives the
-// cluster through it while checking global invariants after every step:
+// cluster. It has one runner and one op table. A schedule is a list of ops:
+// inserts (one at a time, batched, skewed, or in a background burst that
+// later ops land in), temporal range queries (solo and in concurrent
+// bursts), aggregate queries cross-checked against the tuple path, flushes,
+// balancer ticks, retention drops, WAL truncation, faults — DFS node
+// kill/revive, transient DFS write/read error injection, indexing-server
+// crashes (plain and provably mid-flush) — topology changes, and restarts
+// and host crashes from disk. Run generates one from an RNG seed; Schedules
+// holds the scripted ones, each aimed at a hostile moment. The runner drives
+// the cluster through the schedule while checking global invariants after
+// every step:
 //
 //   - soundness: every returned tuple was acked, lies inside the query
 //     region, matches the oracle's key/time for its sequence number, and
@@ -26,12 +30,12 @@
 // against a crash or a fault, and with it whether a timing-dependent
 // violation shows, can differ from run to run of the same seed.
 //
-// The hard-crash mode (Options.HardCrash, with a DataDir) ends the run by
-// killing the host instead of stopping it: unsynced WAL bytes are
-// discarded like a dying page cache, the cluster reopens from disk, and
-// completeness is re-verified. Under Durability="ack-on-fsync" any acked
-// tuple lost to the crash is a violation; under weaker policies losses are
-// counted in Report.LostAcked — the measured ack-durability gap.
+// A hard crash (Options.HardCrash, with a DataDir) kills the host instead
+// of stopping it: unsynced WAL bytes are discarded like a dying page cache,
+// the cluster reopens from disk, and completeness is re-verified. Under
+// Durability="ack-on-fsync" any acked tuple lost to the crash is a
+// violation; under weaker policies losses are counted in Report.LostAcked —
+// the measured ack-durability gap.
 package chaos
 
 import (
@@ -56,31 +60,35 @@ const (
 	FaultCrash         = "index-server-crash"
 	FaultCrashMidFlush = "index-server-crash-mid-flush"
 	FaultWALAppend     = "wal-append-error"
-	// Elastic classes (Options.Elastic runs and the takeover suite).
+	// Elastic classes (Options.Elastic runs and the scripted schedules).
 	FaultElasticAdd   = "elastic-add-server"
 	FaultElasticDecom = "elastic-decommission"
 	FaultTakeover     = "takeover"
+	// FaultRepartition: a balancer tick moved the key intervals.
+	FaultRepartition = "repartition"
 )
 
 // Options configures one harness run.
 type Options struct {
 	// Seed determines the whole scenario; same seed, same schedule.
 	Seed int64
-	// Ops is the schedule length (default 60). The schedule always begins
-	// with inserts and ends with a barrier.
+	// Ops is the generated schedule's length (default 60). It always begins
+	// with inserts and ends with a barrier; a restart or a hard crash, and
+	// the barrier after it, follow.
 	Ops int
 	// Nodes is the simulated node count (default 3, replication 2).
 	Nodes int
 	// DataDir, when set, runs the cluster durably (disk-backed WAL/DFS).
 	DataDir string
-	// Restart, with DataDir, stops the cluster after the schedule, reopens
-	// it from disk and re-verifies completeness — end-to-end durability.
+	// Restart, with DataDir, ends the schedule with a restart op — stop the
+	// cluster, reopen it from disk — and a barrier that re-verifies
+	// completeness: end-to-end durability.
 	Restart bool
 	// Durability is the cluster's insert-ack policy ("", "ack-on-write",
 	// "ack-on-fsync", "interval"); non-default values require DataDir.
 	Durability string
-	// HardCrash, with DataDir, appends a crash epilogue after the schedule:
-	// drain + checkpoint, insert a small acked tail guaranteed to miss the
+	// HardCrash, with DataDir, ends the schedule with a hard-crash op and a
+	// barrier: drain + checkpoint, insert a small acked tail guaranteed to miss the
 	// flush pipeline, then kill the cluster discarding every WAL byte past
 	// the fsync watermark (the page cache dies with the host), reopen, and
 	// re-verify. Under "ack-on-fsync" zero acked tuples may be lost; under
@@ -94,8 +102,9 @@ type Options struct {
 	// sequence stays a pure function of the seed even as the slot set
 	// changes.
 	Elastic bool
-	// Telemetry, when set, is plumbed into the cluster so the run's
-	// handoff metrics (pause, lag, count) can be asserted afterwards.
+	// Telemetry, when set, is plumbed into the cluster, and the run's
+	// handoff metrics (count, pause, lag) are read into the Report; a
+	// handoff pause over takeoverPauseBound is a violation.
 	Telemetry *telemetry.Registry
 }
 
@@ -139,6 +148,14 @@ type Report struct {
 	// Dropped counts the chunks retention ops removed.
 	Dropped    int
 	FaultsSeen map[string]bool
+	// Handoffs, PauseMax, PauseP99 and LagMax are read from
+	// Options.Telemetry once the run ends (zero without it):
+	// waterwheel_handoffs_total, the max and p99 of
+	// waterwheel_handoff_pause_seconds (bucket upper bounds) and the max of
+	// waterwheel_handoff_lag_records, in records.
+	Handoffs           int64
+	PauseMax, PauseP99 time.Duration
+	LagMax             int64
 }
 
 // opKind enumerates schedule steps.
@@ -164,6 +181,15 @@ const (
 	// Elastic ops (only generated when Options.Elastic is set).
 	opAddServer
 	opDecommission
+	// Scripted ops, never generated at random: a background burst, waiting
+	// it out, a skewed burst for the balancer to repartition around, and a
+	// restart and a hard crash from disk (also Options.Restart's and
+	// Options.HardCrash's trailing ops).
+	opBurstBG
+	opJoin
+	opSkewBurst
+	opRestart
+	opHardCrash
 )
 
 var opNames = map[opKind]string{
@@ -175,23 +201,27 @@ var opNames = map[opKind]string{
 	opReadFaults: "read-faults", opCrash: "crash",
 	opCrashMidFlush: "crash-mid-flush", opBarrier: "barrier",
 	opAddServer: "add-server", opDecommission: "decommission",
+	opBurstBG: "burst-bg", opJoin: "join", opSkewBurst: "skew-burst",
+	opRestart: "restart", opHardCrash: "hard-crash",
 }
 
 // op is one pre-generated schedule step. All parameters are fixed at
 // schedule-generation time so the trace cannot depend on execution outcome.
 type op struct {
 	kind opKind
-	n    int     // batch size, fail-next count, node or server id
-	alt  bool    // variant switch (rate-based vs fail-next faults, ...)
+	n    int     // batch or burst size, fail-next count, node or server id
+	alt  bool    // variant switch (rate-based vs fail-next faults, batched burst, ...)
 	rate float64 // fault probability for rate-based injection
 }
 
 func (o op) String() string {
 	switch o.kind {
-	case opInsert, opQueryConcurrent:
+	case opInsert, opQueryConcurrent, opSkewBurst, opJoin:
 		return fmt.Sprintf("%s n=%d", opNames[o.kind], o.n)
 	case opInsertBatch:
 		return fmt.Sprintf("%s n=%d fault=%v", opNames[o.kind], o.n, o.alt)
+	case opBurstBG:
+		return fmt.Sprintf("%s n=%d batched=%v", opNames[o.kind], o.n, o.alt)
 	case opKillDFS, opReviveDFS:
 		return fmt.Sprintf("%s node=%d", opNames[o.kind], o.n)
 	case opCrash, opCrashMidFlush, opDecommission:
@@ -230,15 +260,19 @@ var elasticWeights = []struct {
 	{opAddServer, 2}, {opDecommission, 2}, {opCrash, 4},
 }
 
-// genSchedule derives the op sequence from the seed alone. nIdx and nodes
-// bound the id parameters; elastic adds the topology-churn ops to the mix.
-// Elastic server picks are stored as raw indexes and reduced modulo the
-// live slot set at execution time, so the schedule stays a pure function
-// of the seed even though the topology it runs against evolves.
-func genSchedule(seed int64, nOps, nodes, nIdx int, elastic bool) []op {
-	master := rand.New(rand.NewSource(seed))
+// genSchedule derives the op sequence from opts alone: the seed draws the
+// ops, the cluster's node and slot counts bound their id parameters,
+// Elastic adds the topology-churn ops to the mix, and a DataDir run ends in
+// a hard crash or a restart when opts asks for one. Server picks are stored
+// as raw indexes and reduced modulo the live slot set at execution time, so
+// the schedule stays a pure function of the seed even though the topology
+// it runs against evolves.
+func genSchedule(opts Options) []op {
+	cfg := clusterConfig(opts)
+	nOps, nodes, nIdx := opts.Ops, cfg.Nodes, cfg.Nodes*cfg.IndexServersPerNode
+	master := rand.New(rand.NewSource(opts.Seed))
 	mix := weights
-	if elastic {
+	if opts.Elastic {
 		mix = append(append([]struct {
 			kind opKind
 			w    int
@@ -288,6 +322,13 @@ func genSchedule(seed int64, nOps, nodes, nIdx int, elastic bool) []op {
 		}
 		sched = append(sched, o)
 	}
+	switch {
+	case opts.DataDir == "":
+	case opts.HardCrash:
+		sched = append(sched, op{kind: opHardCrash}, op{kind: opBarrier})
+	case opts.Restart:
+		sched = append(sched, op{kind: opRestart}, op{kind: opBarrier})
+	}
 	return sched
 }
 
@@ -324,6 +365,12 @@ type runner struct {
 	// Report.LostAcked rather than reported as violations.
 	ackLossOK bool
 	nIdx      int
+	// bg counts the tuples the background burst in flight, if any, has
+	// acked out of its bgLen, and fails with its insert error.
+	bg    *wal.Watermark
+	bgLen int64
+	// err ends the run: the cluster could not reopen.
+	err error
 }
 
 const (
@@ -384,43 +431,62 @@ func newRunner(opts Options) (*runner, error) {
 // violations; an error is returned only when the cluster cannot open.
 func Run(opts Options) (*Report, error) {
 	opts.fill()
+	return run(opts, genSchedule(opts))
+}
+
+// run drives sched against a fresh cluster for opts — the one runner of
+// generated and scripted schedules alike — and reads the handoff metrics
+// into the report.
+func run(opts Options, sched []op) (*Report, error) {
 	r, err := newRunner(opts)
 	if err != nil {
 		return nil, err
 	}
-	sched := genSchedule(opts.Seed, opts.Ops, r.opts.Nodes, r.nIdx, opts.Elastic)
 	r.runSchedule(sched)
-	if opts.HardCrash && opts.DataDir != "" {
-		return r.rep, r.hardCrashEpilogue(len(sched))
-	}
-	if opts.Restart && opts.DataDir != "" {
-		r.heal()
+	r.join(len(sched), 0)
+	if r.c != nil {
 		r.c.Stop()
-		c2, err := cluster.Open(clusterConfig(r.opts))
-		if err != nil {
-			return r.rep, fmt.Errorf("chaos: reopen: %w", err)
-		}
-		r.c = c2
-		c2.Start()
-		r.trace(len(sched), "restart: reopened from %s", opts.DataDir)
-		r.c.Drain()
-		r.verifyComplete(len(sched))
-		c2.Stop()
-		return r.rep, nil
 	}
-	r.c.Stop()
-	return r.rep, nil
+	r.collectMetrics(len(sched))
+	return r.rep, r.err
 }
 
-// hardCrashEpilogue probes the ack-durability gap. It settles the cluster
-// (heal, drain, flush, checkpoint) so the fsync watermark provably covers
+func (r *runner) runSchedule(sched []op) {
+	for i, o := range sched {
+		r.trace(i, "%s", o)
+		r.exec(i, o)
+		if r.err != nil {
+			return
+		}
+		r.checkOffsets(i)
+	}
+}
+
+// reopen opens the cluster again from the DataDir, starts it and drains
+// the replay: the one way a run comes back from a restart or a host crash.
+// A cluster that does not open ends the run with the error.
+func (r *runner) reopen(i int, after string) bool {
+	c, err := cluster.Open(clusterConfig(r.opts))
+	if err != nil {
+		r.c, r.err = nil, fmt.Errorf("chaos: reopen after %s: %w", after, err)
+		return false
+	}
+	r.c = c
+	c.Start()
+	c.Drain()
+	r.trace(i, "%s: reopened with %d active slots", after, len(c.ActiveSlots()))
+	return true
+}
+
+// hardCrash probes the ack-durability gap. It settles the cluster (heal,
+// drain, flush, checkpoint) so the fsync watermark provably covers
 // everything acked so far, then inserts a fixed tail of tuples small
 // enough that no flush — and therefore no flush-path SyncTo — will run
 // before the crash. Under "ack-on-fsync" each of those acks already paid
 // for an fsync, so the tail survives the crash; under "ack-on-write" the
 // tail sits in the page cache and is discarded with it, surfacing as
-// Report.LostAcked after the reopen.
-func (r *runner) hardCrashEpilogue(i int) error {
+// Report.LostAcked at the barrier after the reopen.
+func (r *runner) hardCrash(i int) {
 	r.heal()
 	r.c.Drain()
 	r.c.FlushAll()
@@ -442,26 +508,9 @@ func (r *runner) hardCrashEpilogue(i int) error {
 	if err := r.c.HardCrash(); err != nil {
 		r.violate(i, "hard crash: %v", err)
 	}
-	c2, err := cluster.Open(clusterConfig(r.opts))
-	if err != nil {
-		return fmt.Errorf("chaos: reopen after hard crash: %w", err)
-	}
-	r.c = c2
-	c2.Start()
-	r.trace(i+1, "hard-crash: reopened from %s", r.opts.DataDir)
-	c2.Drain()
-	r.rep.Replayed, r.rep.OrphansSwept = c2.Recovered(), c2.OrphansSwept()
-	r.ackLossOK = r.opts.Durability != "ack-on-fsync"
-	r.verifyComplete(i + 1)
-	c2.Stop()
-	return nil
-}
-
-func (r *runner) runSchedule(sched []op) {
-	for i, o := range sched {
-		r.trace(i, "%s", o)
-		r.exec(i, o)
-		r.checkOffsets(i)
+	if r.reopen(i, "hard-crash") {
+		r.rep.Replayed, r.rep.OrphansSwept = r.c.Recovered(), r.c.OrphansSwept()
+		r.ackLossOK = r.opts.Durability != "ack-on-fsync"
 	}
 }
 
@@ -481,6 +530,15 @@ func (r *runner) subRNG(i int) *rand.Rand {
 }
 
 func (r *runner) exec(i int, o op) {
+	// A background burst runs on under the ops aimed at it — kills, topology
+	// changes, flushes, balancer ticks, queries — and is waited out by every
+	// op that adds to the oracle, settles it or replaces the cluster.
+	switch o.kind {
+	case opJoin:
+		r.join(i, o.n)
+	case opInsert, opInsertBatch, opSkewBurst, opBurstBG, opCrashMidFlush, opBarrier, opRestart, opHardCrash:
+		r.join(i, 0)
+	}
 	switch o.kind {
 	case opInsert:
 		r.insertBatch(i, o.n)
@@ -495,7 +553,9 @@ func (r *runner) exec(i int, o op) {
 	case opFlush:
 		r.c.FlushAll()
 	case opBalance:
-		r.c.TickBalance()
+		if r.c.TickBalance() {
+			r.rep.FaultsSeen[FaultRepartition] = true
+		}
 	case opRetention:
 		r.retention(i)
 	case opCheckpoint:
@@ -539,6 +599,16 @@ func (r *runner) exec(i int, o op) {
 		r.decommission(i, o.n)
 	case opBarrier:
 		r.barrier(i)
+	case opBurstBG:
+		r.burstBG(i, o.n, o.alt)
+	case opSkewBurst:
+		r.skewBurst(i, o.n)
+	case opRestart:
+		r.heal()
+		r.c.Stop()
+		r.reopen(i, "restart")
+	case opHardCrash:
+		r.hardCrash(i)
 	}
 }
 
@@ -592,40 +662,40 @@ func (r *runner) decommission(i, pick int) {
 	r.rep.FaultsSeen[FaultElasticDecom] = true
 }
 
-// insertBatch acks n tuples through the dispatchers and records them in
-// the oracle. Payloads carry the oracle sequence number; timestamps mostly
-// advance the virtual stream clock, with a late tail (some beyond the
-// side-store threshold).
+// insertBatch acks n tuples through the dispatchers one Insert at a time
+// and records them in the oracle.
 func (r *runner) insertBatch(i, n int) {
 	sub := r.subRNG(i)
 	hot := model.Key(sub.Uint64() % keyDomain)
 	for j := 0; j < n; j++ {
-		var key model.Key
-		if sub.Intn(10) < 3 {
-			key = hot + model.Key(sub.Uint64()%256) // skewed cluster
-		} else {
-			key = model.Key(sub.Uint64() % keyDomain)
-		}
-		r.virtualNow += model.Timestamp(1 + sub.Int63n(30))
-		ts := r.virtualNow
-		switch lat := sub.Intn(100); {
-		case lat < 3: // very late: side-store territory (>60 s)
-			ts -= 60_000 + model.Timestamp(sub.Int63n(60_000))
-		case lat < 13: // mildly late: stays in the main tree
-			ts -= model.Timestamp(sub.Int63n(30_000))
-		}
-		if ts < 0 {
-			ts = 0
-		}
-		r.insert(key, ts)
+		r.insert(r.randTuple(sub, hot))
 	}
 }
 
+// randTuple draws the key and time of a stream's next tuple: keys mostly
+// uniform, 30 % in a skewed cluster at hot; timestamps mostly advance the
+// virtual stream clock, with a late tail (some beyond the side-store
+// threshold).
+func (r *runner) randTuple(sub *rand.Rand, hot model.Key) (model.Key, model.Timestamp) {
+	var key model.Key
+	if sub.Intn(10) < 3 {
+		key = hot + model.Key(sub.Uint64()%256) // skewed cluster
+	} else {
+		key = model.Key(sub.Uint64() % keyDomain)
+	}
+	r.virtualNow += model.Timestamp(1 + sub.Int63n(30))
+	ts := r.virtualNow
+	switch lat := sub.Intn(100); {
+	case lat < 3: // very late: side-store territory (>60 s)
+		ts -= 60_000 + model.Timestamp(sub.Int63n(60_000))
+	case lat < 13: // mildly late: stays in the main tree
+		ts -= model.Timestamp(sub.Int63n(30_000))
+	}
+	return key, max(ts, 0)
+}
+
 func (r *runner) insert(key model.Key, ts model.Timestamp) {
-	seq := uint64(len(r.entries))
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, seq)
-	if err := r.c.Insert(model.Tuple{Key: key, Time: ts, Payload: payload}); err != nil {
+	if err := r.c.Insert(r.tupleAt(0, key, ts)); err != nil {
 		// Rejected means not acked: the oracle must not expect it. The
 		// harness injects no WAL-file faults, so rejections are not normally
 		// reachable here — but the contract is what we hold the system to.
@@ -635,40 +705,36 @@ func (r *runner) insert(key model.Key, ts model.Timestamp) {
 	r.rep.Inserted++
 }
 
-// insertVectorBatch drives n tuples through Cluster.InsertBatch — the
-// vectorized wire-to-leaf path — optionally arming a one-shot WAL append
-// fault on a partition the batch routes to first. The cluster reports the
-// exact positions it rejected. Every tuple of the batch gets an oracle
-// entry, the reported ones marked rejected, so the barrier's checks prove
-// the report exact in both directions: an acked tuple that was dropped
-// fails completeness, and a rejected tuple that leaked into the trees is
-// returned by the full-region query and flagged.
+// insertVectorBatch drives n tuples through Cluster.InsertBatch in one
+// call, optionally with a one-shot WAL append fault armed (submitBatch).
 func (r *runner) insertVectorBatch(i, n int, fault bool) {
 	sub := r.subRNG(i)
 	hot := model.Key(sub.Uint64() % keyDomain)
 	batch := make([]model.Tuple, 0, n)
 	for j := 0; j < n; j++ {
-		var key model.Key
-		if sub.Intn(10) < 3 {
-			key = hot + model.Key(sub.Uint64()%256) // skewed cluster
-		} else {
-			key = model.Key(sub.Uint64() % keyDomain)
-		}
-		r.virtualNow += model.Timestamp(1 + sub.Int63n(30))
-		ts := r.virtualNow
-		switch lat := sub.Intn(100); {
-		case lat < 3: // very late: side-store territory (>60 s)
-			ts -= 60_000 + model.Timestamp(sub.Int63n(60_000))
-		case lat < 13: // mildly late: stays in the main tree
-			ts -= model.Timestamp(sub.Int63n(30_000))
-		}
-		if ts < 0 {
-			ts = 0
-		}
-		payload := make([]byte, 8)
-		binary.BigEndian.PutUint64(payload, uint64(len(r.entries))+uint64(len(batch)))
-		batch = append(batch, model.Tuple{Key: key, Time: ts, Payload: payload})
+		key, ts := r.randTuple(sub, hot)
+		batch = append(batch, r.tupleAt(len(batch), key, ts))
 	}
+	r.submitBatch(i, batch, fault)
+}
+
+// tupleAt returns the tuple at (key, ts) whose payload is the oracle
+// sequence number it gets as the j-th tuple of the next batch submitted.
+func (r *runner) tupleAt(j int, key model.Key, ts model.Timestamp) model.Tuple {
+	payload := make([]byte, 8)
+	binary.BigEndian.PutUint64(payload, uint64(len(r.entries)+j))
+	return model.Tuple{Key: key, Time: ts, Payload: payload}
+}
+
+// submitBatch drives batch through Cluster.InsertBatch — the vectorized
+// wire-to-leaf path — optionally arming a one-shot WAL append fault on a
+// partition the batch routes to first. The cluster reports the exact
+// positions it rejected. Every tuple of the batch gets an oracle entry, the
+// reported ones marked rejected, so the barrier's checks prove the report
+// exact in both directions: an acked tuple that was dropped fails
+// completeness, and a rejected tuple that leaked into the trees is returned
+// by the full-region query and flagged.
+func (r *runner) submitBatch(i int, batch []model.Tuple, fault bool) {
 	target := -1
 	if fault {
 		// Aim at the partition a mid-batch tuple routes to, so the shot
@@ -710,6 +776,88 @@ func (r *runner) insertVectorBatch(i, n int, fault bool) {
 		r.entries[base+at].rejected, last = true, at
 	}
 	r.rep.Inserted += len(batch) - len(rejected)
+}
+
+// burstBatch is the InsertBatch size of a batched background burst and of
+// a skew burst.
+const burstBatch = 64
+
+// burstBG reserves n oracle entries on the main thread (keys, timestamps
+// and sequence numbers are fixed before launch), then acks them from a
+// goroutine — one Insert at a time, or in InsertBatch calls of burstBatch
+// when batched — so the ops after it land mid-burst; a join with n > 0
+// places the next op n tuples into it. No WAL fault is armed while it runs,
+// so every insert must ack: an error is itself a violation, reported at the
+// next join.
+func (r *runner) burstBG(i, n int, batched bool) {
+	sub := r.subRNG(1000 + i)
+	tuples := make([]model.Tuple, 0, n)
+	for j := 0; j < n; j++ {
+		key := model.Key(sub.Uint64() % keyDomain)
+		r.virtualNow += model.Timestamp(1 + sub.Int63n(20))
+		tuples = append(tuples, r.tupleAt(0, key, r.virtualNow))
+		r.entries = append(r.entries, entry{key: key, ts: r.virtualNow})
+		r.rep.Inserted++
+	}
+	size := 1
+	if batched {
+		size = burstBatch
+	}
+	c, acked := r.c, &wal.Watermark{}
+	r.bg, r.bgLen = acked, int64(n)
+	go func() {
+		for len(tuples) > 0 {
+			batch := tuples[:min(size, len(tuples))]
+			tuples = tuples[len(batch):]
+			var err error
+			if batched {
+				_, err = c.InsertBatch(batch)
+			} else {
+				err = c.Insert(batch[0])
+			}
+			if err != nil {
+				acked.Fail(fmt.Errorf("background insert seq %d: %w", binary.BigEndian.Uint64(batch[0].Payload), err))
+				return
+			}
+			acked.Add(int64(len(batch)))
+		}
+	}()
+}
+
+// join waits until the background burst, if any, has acked n of its tuples
+// — all of them, and then it is over, when n is 0 — and reports its insert
+// error.
+func (r *runner) join(i, n int) {
+	if r.bg == nil {
+		return
+	}
+	want := r.bgLen
+	if n > 0 {
+		want = min(want, int64(n))
+	}
+	err := r.bg.Wait(want, nil)
+	if err != nil {
+		r.violate(i, "%v", err)
+	}
+	if err != nil || want == r.bgLen {
+		r.bg = nil
+	}
+}
+
+// skewBurst concentrates n tuples in a narrow key band, fed in InsertBatch
+// calls of burstBatch, so the balancer's next tick has real skew to
+// repartition around.
+func (r *runner) skewBurst(i, n int) {
+	sub := r.subRNG(i)
+	hot := model.Key(sub.Uint64() % keyDomain)
+	for j := 0; j < n; j += burstBatch {
+		batch := make([]model.Tuple, 0, burstBatch)
+		for len(batch) < min(burstBatch, n-j) {
+			r.virtualNow += model.Timestamp(1 + sub.Int63n(10))
+			batch = append(batch, r.tupleAt(len(batch), hot+model.Key(sub.Uint64()%512), r.virtualNow))
+		}
+		r.submitBatch(i, batch, false)
+	}
 }
 
 // randQuery draws one temporal range query from sub: 80% a proper
@@ -877,6 +1025,7 @@ func (r *runner) crashMidFlush(i, server int) {
 	if err := r.c.KillIndexServer(server); err != nil {
 		r.violate(i, "kill index server %d: %v", server, err)
 	}
+	r.rep.FaultsSeen[FaultTakeover] = true
 	r.c.FS().ClearFaults()
 	if stuck {
 		r.rep.FaultsSeen[FaultCrashMidFlush] = true
@@ -991,5 +1140,29 @@ func (r *runner) checkOffsets(i int) {
 			r.violate(i, "server %d WAL offset regressed %d -> %d", s, r.maxOffsets[s], off)
 		}
 		r.maxOffsets[s] = off
+	}
+}
+
+// collectMetrics reads the handoff metrics out of Options.Telemetry into
+// the report, and flags a handoff whose ingest pause exceeds
+// takeoverPauseBound.
+func (r *runner) collectMetrics(i int) {
+	if r.opts.Telemetry == nil {
+		return
+	}
+	for _, m := range r.opts.Telemetry.Snapshot() {
+		switch {
+		case m.Name == "waterwheel_handoffs_total":
+			r.rep.Handoffs = int64(m.Value)
+		case m.Histogram == nil:
+		case m.Name == "waterwheel_handoff_pause_seconds":
+			r.rep.PauseMax, r.rep.PauseP99 = m.Histogram.Max, m.Histogram.P99
+		case m.Name == "waterwheel_handoff_lag_records":
+			// Recorded as records-as-seconds; convert back.
+			r.rep.LagMax = int64(m.Histogram.Max / time.Second)
+		}
+	}
+	if r.rep.PauseMax > takeoverPauseBound {
+		r.violate(i, "handoff ingest pause %v exceeds bound %v", r.rep.PauseMax, takeoverPauseBound)
 	}
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,31 @@ func TestChaosTraceDeterminism(t *testing.T) {
 	}
 	report(t, a)
 	report(t, b)
+}
+
+// TestScheduleTraceDeterminism: a scripted schedule — a background burst,
+// kills, an add and a restart from disk among its ops — produces the
+// identical op trace on every run, as a generated one does.
+func TestScheduleTraceDeterminism(t *testing.T) {
+	var s Schedule
+	for _, s = range Schedules {
+		if s.Name == "takeover-then-restart" {
+			break
+		}
+	}
+	var traces [2][]string
+	for k := range traces {
+		rep, err := s.Run(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		report(t, rep)
+		traces[k] = rep.Trace
+	}
+	if !slices.Equal(traces[0], traces[1]) {
+		t.Fatalf("the traces of two runs of %s differ:\n  run1: %s\n  run2: %s", s.Name,
+			strings.Join(traces[0], "\n        "), strings.Join(traces[1], "\n        "))
+	}
 }
 
 // TestChaosFaultClassCoverage runs a hand-built schedule that provably
@@ -259,8 +285,8 @@ func TestChaosHardCrashAckOnFsync(t *testing.T) {
 }
 
 // TestChaosHardCrashAckOnWriteLosesTail replays the SAME seed under the
-// default ack-on-write policy: the epilogue's acked tail lives only in the
-// page cache when the host dies, so the run must demonstrate acked-tuple
+// default ack-on-write policy: the hard-crash op's acked tail lives only in
+// the page cache when the host dies, so the run must demonstrate acked-tuple
 // loss (that is the gap ack-on-fsync closes) while still committing zero
 // soundness or uniqueness violations.
 func TestChaosHardCrashAckOnWriteLosesTail(t *testing.T) {

@@ -5,24 +5,24 @@ import (
 	"testing"
 )
 
-// TestTakeoverSchedules drives every scripted takeover scenario: each one
-// aims a failover, scale-out or scale-in at a specific hostile moment and
-// must end with zero invariant violations — zero acked-tuple loss under
+// TestTakeoverSchedules drives every scripted schedule: each one aims a
+// failover, scale-out, scale-in or repartition at a specific hostile moment
+// and must end with zero invariant violations — zero acked-tuple loss under
 // ack-on-fsync, sorted and region-contained results at every barrier, and
 // every handoff's ingest pause under takeoverPauseBound.
 func TestTakeoverSchedules(t *testing.T) {
-	if len(TakeoverSchedules) < 8 {
-		t.Fatalf("takeover suite holds %d schedules, want at least 8", len(TakeoverSchedules))
+	if len(Schedules) < 13 {
+		t.Fatalf("the scripted suite holds %d schedules, want at least 13", len(Schedules))
 	}
-	for _, s := range TakeoverSchedules {
+	for _, s := range Schedules {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := RunTakeover(s, t.TempDir())
+			rep, err := s.Run(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			report(t, rep.Report)
+			report(t, rep)
 			if rep.Handoffs == 0 {
 				t.Error("no ownership handoff was recorded")
 			}
@@ -43,21 +43,21 @@ func TestTakeoverSchedules(t *testing.T) {
 }
 
 // TestTakeoverFaultCoverage proves the suite as a whole exercises every
-// elastic fault class — takeover, add and decommission — so no scenario can
-// silently degrade into a no-op.
+// elastic fault class — takeover, add, decommission and a repartition the
+// balancer carried out — so no scenario can silently degrade into a no-op.
 func TestTakeoverFaultCoverage(t *testing.T) {
 	covered := map[string]bool{}
-	for _, s := range TakeoverSchedules {
-		rep, err := RunTakeover(s, t.TempDir())
+	for _, s := range Schedules {
+		rep, err := s.Run(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		report(t, rep.Report)
+		report(t, rep)
 		for class := range rep.FaultsSeen {
 			covered[class] = true
 		}
 	}
-	for _, class := range []string{FaultTakeover, FaultElasticAdd, FaultElasticDecom, FaultCrash} {
+	for _, class := range []string{FaultTakeover, FaultElasticAdd, FaultElasticDecom, FaultCrash, FaultRepartition} {
 		if !covered[class] {
 			t.Errorf("elastic fault class %q never exercised by the takeover suite", class)
 		}

@@ -344,7 +344,7 @@ func TestCheckpointMetrics(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := read("waterwheel_wal_disk_bytes"), float64(8+1000*(12+seqTupleWALBytes)); got != want {
+	if got, want := read("waterwheel_wal_disk_bytes"), float64(8+1000*(16+seqTupleWALBytes)); got != want {
 		t.Fatalf("1000 unflushed tuples: waterwheel_wal_disk_bytes = %v, want %v", got, want)
 	}
 	if err := c.FlushAll(); err != nil {

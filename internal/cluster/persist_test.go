@@ -11,6 +11,7 @@ import (
 
 	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 func persistentConfig(dir string) Config {
@@ -274,6 +275,29 @@ func TestReopenedDeploymentPinsNothing(t *testing.T) {
 		if _, err := c2.FS().Read(ci.Path); err == nil {
 			t.Fatalf("dropped chunk %s was not unlinked", ci.Path)
 		}
+	}
+}
+
+// TestOpenRefusesAnOlderLogLayout: a data directory whose metadata journal
+// was written before WAL frames carried a CRC (segment magic WWWAL001) is
+// refused with wal.ErrUnsupportedVersion, not read unchecked.
+func TestOpenRefusesAnOlderLogLayout(t *testing.T) {
+	cfg := walMemConfig(t, true)
+	seg, err := os.ReadFile("../wal/testdata/golden_v1.wal/00000000000000000000.seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(journalPath(cfg.DataDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(journalPath(cfg.DataDir), "00000000000000000000.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(cfg); !errors.Is(err, wal.ErrUnsupportedVersion) {
+		if c != nil {
+			c.Stop()
+		}
+		t.Fatalf("Open over a WWWAL001 journal: %v, want wal.ErrUnsupportedVersion", err)
 	}
 }
 

@@ -31,7 +31,8 @@ var magic = []byte("WWMETA01")
 // older layout).
 var ErrVersion = errors.New("meta: not a version-01 registry record")
 
-// ErrCorrupt is returned for a journal record that does not parse.
+// ErrCorrupt is returned for a journal record that does not parse, and for a
+// journal whose segments the log reads as corrupt (wal.ErrCorruptSegment).
 var ErrCorrupt = errors.New("meta: corrupt journal record")
 
 // state is everything but the chunks that a restart resumes from.
@@ -67,6 +68,9 @@ type JournalConfig struct {
 // indexServers slots, as NewServer does. Close releases it.
 func Open(path string, indexServers int, cfg JournalConfig) (*Server, error) {
 	j, err := wal.OpenPartition(path, wal.Config{Durability: wal.DurabilityAckOnFsync, Files: cfg.Files})
+	if errors.Is(err, wal.ErrCorruptSegment) {
+		err = fmt.Errorf("%w: %w", ErrCorrupt, err) // a frame that fails its CRC, too
+	}
 	if err != nil {
 		return nil, fmt.Errorf("meta: open journal: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
+	"waterwheel/internal/wal"
 )
 
 // registry is what a restart resumes from, in a comparable form.
@@ -241,7 +242,8 @@ func TestJournalRefusalChangesNothing(t *testing.T) {
 
 // FuzzMetaJournal: whatever bytes a journal holds — records back to back,
 // each behind the magic — or an image holds, replaying or restoring them
-// gives a typed error or a registry that works — never a panic.
+// gives a typed error or a registry that works — never a panic. The same
+// bytes as the journal's segment file open the same way.
 func FuzzMetaJournal(f *testing.F) {
 	s := NewServer(2)
 	s.RegisterFlushOwned(0, 1, []ChunkInfo{{Path: "a", Region: region(0, 9, 0, 9), Agg: &model.ChunkAgg{Field: 1}}}, 5)
@@ -254,7 +256,8 @@ func FuzzMetaJournal(f *testing.F) {
 		f.Add(gob)
 	}
 	// A compacted journal: its parts, then an edit.
-	j := openJournal(f, filepath.Join(f.TempDir(), "meta.wal"), nil)
+	jpath := filepath.Join(f.TempDir(), "meta.wal")
+	j := openJournal(f, jpath, nil)
 	registerMany(f, j, 2*partChunks+10)
 	if err := j.Compact(); err != nil {
 		f.Fatal(err)
@@ -270,14 +273,44 @@ func FuzzMetaJournal(f *testing.F) {
 	}
 	j.Close()
 	f.Add(journal)
+	// The journal's segment file as the log wrote it, and single bits of it
+	// and of its records flipped: in the first part's record, a part in the
+	// middle and the last edit.
+	segs, err := filepath.Glob(filepath.Join(jpath, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("the compacted journal lies in %v (%v), want one segment", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	for _, at := range []int{20, len(seg) / 2, len(seg) - 3} {
+		for _, b := range [][]byte{seg, journal} {
+			flipped := bytes.Clone(b)
+			flipped[at%len(b)] ^= 0x10
+			f.Add(flipped)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typed := func(err error) {
-			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, wal.ErrUnsupportedVersion) {
 				t.Fatalf("untyped error: %v", err)
 			}
 		}
 		r, err := Restore(data)
 		typed(err)
+		// The same bytes as the journal's one segment file.
+		dir := filepath.Join(t.TempDir(), "meta.wal")
+		os.Mkdir(dir, 0o755)
+		if err := os.WriteFile(filepath.Join(dir, "00000000000000000000.seg"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := Open(dir, 2, JournalConfig{})
+		typed(err)
+		if opened != nil {
+			defer opened.Close()
+		}
 		srv := NewServer(2)
 		for len(data) > 0 {
 			n := bytes.Index(data[1:], magic) + 1
@@ -291,7 +324,7 @@ func FuzzMetaJournal(f *testing.F) {
 			}
 			data = data[n:]
 		}
-		for _, s := range []*Server{r, srv} {
+		for _, s := range []*Server{r, srv, opened} {
 			if s == nil {
 				continue
 			}
@@ -307,4 +340,33 @@ func FuzzMetaJournal(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestJournalFrameFlipIsCorrupt: a flipped byte inside a journal record
+// that has records after it fails the record's CRC, and Open refuses the
+// journal with ErrCorrupt instead of replaying a changed edit.
+func TestJournalFrameFlipIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "meta.wal")
+	s := openJournal(t, path, nil)
+	registerMany(t, s, 10)
+	registerMany(t, s, 10)
+	s.Close()
+	segs, err := filepath.Glob(filepath.Join(path, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("the journal lies in %v (%v), want one segment", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[8+16+len(magic)+2] ^= 0x01 // a byte of the first record's JSON
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(path, 2, JournalConfig{}); !errors.Is(err, ErrCorrupt) || !errors.Is(err, wal.ErrCorruptSegment) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("open over a flipped record: %v, want ErrCorrupt for a corrupt segment", err)
+	}
 }

@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -18,17 +20,37 @@ import (
 // Disk backing: a partition bound to a directory keeps its records in a run
 // of segment files, each named by the offset of its first record — Kafka's
 // layout, the durability the paper's prototype took from it (§V). A segment
-// is walMagic followed by [8B offset][4B length][payload] frames. Appends go
-// to the last (active) segment; once its body reaches SegmentBytes a fresh
-// file based at the head takes over (rollLocked). Retention is by whole
-// segment: Truncate unlinks every segment lying wholly below the horizon, so
-// the files may begin below the horizon. A reopen starts the horizon at the
-// offset its replay starts from and loads only what lies above it, stepping
-// through each segment with one frameWalker.
+// is walMagic followed by [8B offset][4B length][4B CRC32C][payload] frames,
+// the Castagnoli CRC taken over the whole frame with its CRC field as zero
+// (stampFrame). Appends go to the last (active) segment; once its body
+// reaches SegmentBytes a fresh file based at the head takes over
+// (rollLocked). Retention is by whole segment: Truncate unlinks every
+// segment lying wholly below the horizon, so the files may begin below the
+// horizon. A reopen starts the horizon at the offset its replay starts from
+// and loads only what lies above it, stepping through each segment with one
+// frameWalker.
 
 const walMagicLen = 8
 
-var walMagic = [walMagicLen]byte{'W', 'W', 'W', 'A', 'L', '0', '0', '1'}
+// walMagic opens every segment; its last three bytes are the layout version.
+var walMagic = [walMagicLen]byte{'W', 'W', 'W', 'A', 'L', '0', '0', '2'}
+
+// ErrUnsupportedVersion is returned by OpenPartition over a segment of
+// another layout version: one written before frames carried a CRC. Such a
+// log is refused, not read unchecked.
+var ErrUnsupportedVersion = errors.New("wal: segment of an unsupported layout version")
+
+// castagnoli is the CRC32C table every frame is checked with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// stampFrame sets the offset of frame f — header and payload, its length
+// already in place — and the CRC32C of the whole frame with the CRC field
+// taken as zero.
+func stampFrame(f []byte, off int64) {
+	binary.BigEndian.PutUint64(f[0:8], uint64(off))
+	clear(f[12:recordHeaderLen])
+	binary.BigEndian.PutUint32(f[12:recordHeaderLen], crc32.Checksum(f, castagnoli))
+}
 
 // SegmentBytes is the body size at which the active segment rolls. It is the
 // unit of retention (a truncation frees whole segments), so it is a constant
@@ -212,10 +234,13 @@ func (p *Partition) loadSegments(bases []int64, resident int64) (head int64, err
 }
 
 // frameWalker steps through a segment body frame by frame: next reads a
-// header, take consumes the payload. ok=false with a nil error is a clean
-// cut — the input ended between frames or inside one (a torn tail). A
-// record longer than MaxRecordBytes or an offset that does not follow its
-// predecessor is ErrCorruptSegment.
+// header, take consumes the payload and checks the frame's CRC. ok=false
+// with a nil error is a clean cut — the input ended between frames or inside
+// one, or its last frame fails its CRC (a torn tail). A CRC mismatch with
+// more bytes behind it, a record longer than MaxRecordBytes, or an intact
+// frame whose offset does not follow its predecessor is ErrCorruptSegment.
+// The known limit: a flipped length that runs past the end of the input
+// reads as a torn tail too, and is cut.
 type frameWalker struct {
 	r *bufio.Reader
 	// end counts the bytes consumed through the last intact frame; want is
@@ -223,7 +248,9 @@ type frameWalker struct {
 	// any). Both move only once a frame's payload has been consumed.
 	end  int64
 	want int64
-	off  int64 // current frame, set by next
+	hdr  [recordHeaderLen]byte // current frame, read by next: its CRC field zeroed
+	sum  uint32                // the CRC field
+	off  int64
 	n    int
 }
 
@@ -239,37 +266,54 @@ func cut(err error) error {
 	return err
 }
 
+// next reads the current frame's header. Its offset is trusted only once
+// take has checked the frame's CRC.
 func (w *frameWalker) next() (off int64, ok bool, err error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(w.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(w.r, w.hdr[:]); err != nil {
 		return 0, false, cut(err)
 	}
-	w.off = int64(binary.BigEndian.Uint64(hdr[0:8]))
-	n := binary.BigEndian.Uint32(hdr[8:12])
-	if w.off < 0 || w.off == math.MaxInt64 {
-		return 0, false, fmt.Errorf("%w: record offset %d", ErrCorruptSegment, w.off)
-	}
+	w.off = int64(binary.BigEndian.Uint64(w.hdr[0:8]))
+	n := binary.BigEndian.Uint32(w.hdr[8:12])
+	w.sum = binary.BigEndian.Uint32(w.hdr[12:recordHeaderLen])
+	clear(w.hdr[12:recordHeaderLen])
 	if n > MaxRecordBytes {
 		return 0, false, fmt.Errorf("%w: record of %d bytes at offset %d", ErrCorruptSegment, n, w.off)
-	}
-	if w.want >= 0 && w.off != w.want {
-		return 0, false, fmt.Errorf("%w: offset gap: want %d, got %d", ErrCorruptSegment, w.want, w.off)
 	}
 	w.n = int(n)
 	return w.off, true, nil
 }
 
 // take consumes the current frame's payload — into a slice of its own when
-// load is set, passing over it otherwise.
+// load is set, passing over it otherwise — and checks the frame's CRC.
 func (w *frameWalker) take(load bool) (data []byte, ok bool, err error) {
+	sum := crc32.Checksum(w.hdr[:], castagnoli)
 	if load {
 		data = make([]byte, w.n)
 		_, err = io.ReadFull(w.r, data)
+		sum = crc32.Update(sum, castagnoli, data)
 	} else {
-		_, err = w.r.Discard(w.n)
+		for left := w.n; left > 0 && err == nil; {
+			var b []byte
+			b, err = w.r.Peek(min(left, w.r.Size()))
+			sum = crc32.Update(sum, castagnoli, b)
+			left -= len(b)
+			w.r.Discard(len(b))
+		}
 	}
 	if err != nil {
 		return nil, false, cut(err)
+	}
+	if sum != w.sum {
+		if _, err := w.r.Peek(1); err == io.EOF {
+			return nil, false, nil // the last frame, torn
+		}
+		return nil, false, fmt.Errorf("%w: CRC mismatch in the frame at byte %d", ErrCorruptSegment, w.end)
+	}
+	if w.off < 0 || w.off == math.MaxInt64 {
+		return nil, false, fmt.Errorf("%w: record offset %d", ErrCorruptSegment, w.off)
+	}
+	if w.want >= 0 && w.off != w.want {
+		return nil, false, fmt.Errorf("%w: offset gap: want %d, got %d", ErrCorruptSegment, w.want, w.off)
 	}
 	w.end += recordHeaderLen + int64(w.n)
 	w.want = w.off + 1
@@ -299,7 +343,10 @@ func loadSegment(path string, p *Partition, base, keep int64) (next, body int64,
 		return 0, 0, false, fmt.Errorf("wal: segment header: %w", err)
 	}
 	if magic != walMagic {
-		return 0, 0, false, fmt.Errorf("wal: bad segment magic in %s", path)
+		if bytes.Equal(magic[:5], walMagic[:5]) {
+			return 0, 0, false, fmt.Errorf("%w: %s is %q, this build reads %q", ErrUnsupportedVersion, path, magic[5:], walMagic[5:])
+		}
+		return 0, 0, false, fmt.Errorf("%w: bad segment magic in %s", ErrCorruptSegment, path)
 	}
 	w := newFrameWalker(f, base)
 	for {
@@ -341,8 +388,9 @@ func (p *Partition) rollLocked() {
 // MaxRecordBytes bounds one WAL record (16 MiB).
 const MaxRecordBytes = 16 << 20
 
-// recordHeaderLen is the per-record frame overhead: [8B offset][4B length].
-const recordHeaderLen = 12
+// recordHeaderLen is the per-record frame overhead: [8B offset][4B length]
+// [4B CRC32C].
+const recordHeaderLen = 16
 
 // Sync flushes the segment files to stable storage and advances the fsync
 // watermark (no-op for in-memory partitions).

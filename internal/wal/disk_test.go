@@ -51,7 +51,7 @@ func TestDiskPartitionPersistsAcrossReopen(t *testing.T) {
 
 func TestDiskTruncateSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 64) // 13 bytes a record: 5 to a segment
+	p := openSmall(t, path, Config{}, 80) // 17 bytes a record: 5 to a segment
 	for i := 0; i < 30; i++ {
 		p.Append([]byte{byte(i)})
 	}
@@ -81,7 +81,7 @@ func TestDiskTruncateSurvivesReopen(t *testing.T) {
 
 func TestDiskTruncateReclaims(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 1024) // 112 bytes a record: 10 to a segment
+	p := openSmall(t, path, Config{}, 1100) // 116 bytes a record: 10 to a segment
 	for i := 0; i < 100; i++ {
 		p.Append(make([]byte, 100))
 	}
@@ -143,8 +143,8 @@ func TestDiskBadMagicRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
 	os.Mkdir(path, 0o755)
 	os.WriteFile(filepath.Join(path, fmt.Sprintf("%020d.seg", 0)), []byte("NOTAWALFILE"), 0o644)
-	if _, err := OpenPartition(path, Config{}); err == nil {
-		t.Fatal("bad magic accepted")
+	if _, err := OpenPartition(path, Config{}); !errors.Is(err, ErrCorruptSegment) {
+		t.Fatalf("open over a bad magic: %v, want ErrCorruptSegment", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -28,13 +29,25 @@ func walkAll(body []byte) (recs []Record, end int64, err error) {
 	}
 }
 
+// appendFrame appends the frame of the record data at offset off to dst,
+// summed the way the spec says rather than the way an append does it.
+func appendFrame(dst []byte, off int64, data []byte) []byte {
+	var hdr [recordHeaderLen]byte // the CRC field zero while summed
+	binary.BigEndian.PutUint64(hdr[0:8], uint64(off))
+	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(data)))
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	binary.BigEndian.PutUint32(hdr[12:16], crc32.Update(crc32.Checksum(hdr[:], tab), tab, data))
+	return append(append(dst, hdr[:]...), data...)
+}
+
 // FuzzSegmentWalk feeds arbitrary bytes to the frame walker every segment
 // reader shares. Whatever the input — a torn header, a torn payload, an
-// oversize length, an offset gap — the walk must end in a clean cut or
-// ErrCorruptSegment, never a panic; the frames it yields must be a gapless
-// run that re-frames to exactly the bytes consumed; passing over payloads
-// must agree with loading them; and opening the same bytes as a segment
-// file must reach the same verdict and cut the file at the same place.
+// oversize length, an offset gap, a flipped bit — the walk must end in a
+// clean cut or ErrCorruptSegment, never a panic; the frames it yields must
+// be a gapless run that re-frames to exactly the bytes consumed; passing
+// over payloads must agree with loading them; and opening the same bytes as
+// a segment file must reach the same verdict and cut the file at the same
+// place.
 func FuzzSegmentWalk(f *testing.F) {
 	// A real segment, written by a partition.
 	path := filepath.Join(f.TempDir(), "seed.wal")
@@ -55,19 +68,27 @@ func FuzzSegmentWalk(f *testing.F) {
 	f.Add(body[:recordHeaderLen+5+7])      // torn header of the second frame
 	f.Add([]byte{})                        // empty body
 	f.Add(append(bytes.Clone(body), 1, 2)) // trailing garbage shorter than a header
-	gap := bytes.Clone(body)               // second frame claims offset 7
-	binary.BigEndian.PutUint64(gap[recordHeaderLen+5:], 7)
-	f.Add(gap)
+	// An intact second frame that claims offset 7.
+	f.Add(appendFrame(appendFrame(nil, 0, []byte("alpha")), 7, []byte("beta")))
 	huge := bytes.Clone(body) // first frame claims MaxRecordBytes+1
 	binary.BigEndian.PutUint32(huge[8:], MaxRecordBytes+1)
 	f.Add(huge)
+	// Single flipped bits: in the first frame's offset, length, CRC and
+	// payload (frames follow: corrupt), and in the last frame's payload (a
+	// torn tail: cut).
+	last := len(body) - 1
+	for _, bit := range []int{7*8 + 1, 11 * 8, 12*8 + 3, (recordHeaderLen+2)*8 + 5, last*8 + 6} {
+		flipped := bytes.Clone(body)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped)
+	}
 	// Bodies cut at a segment boundary: a log that rolled twice gives a
 	// segment that ends exactly where the next begins, one that starts above
 	// offset zero, the two as one run, and a run with the middle one missing.
 	rolled := filepath.Join(f.TempDir(), "rolled.wal")
-	p = openSmall(f, rolled, Config{}, 64)
+	p = openSmall(f, rolled, Config{}, 80)
 	for i := 0; i < 12; i++ {
-		p.Append([]byte{byte(i), byte(i)}) // 14 bytes a record: 5 to a segment
+		p.Append([]byte{byte(i), byte(i)}) // 18 bytes a record: 5 to a segment
 	}
 	p.CloseFile()
 	var segs [][]byte
@@ -96,9 +117,7 @@ func FuzzSegmentWalk(f *testing.F) {
 			if r.Offset != recs[0].Offset+int64(i) {
 				t.Fatalf("frame %d carries offset %d after %d", i, r.Offset, recs[0].Offset)
 			}
-			reframed = binary.BigEndian.AppendUint64(reframed, uint64(r.Offset))
-			reframed = binary.BigEndian.AppendUint32(reframed, uint32(len(r.Data)))
-			reframed = append(reframed, r.Data...)
+			reframed = appendFrame(reframed, r.Offset, r.Data)
 		}
 		if !bytes.Equal(reframed, body[:end]) {
 			t.Fatalf("frames re-encode to %d bytes that differ from the %d consumed", len(reframed), end)

@@ -74,11 +74,13 @@ var goldenRecords = [][]byte{
 }
 
 // TestGoldenSegment pins the one on-disk format of the log: a file named by
-// the offset of its first record, the magic, then [8B offset][4B length]
-// [payload] frames. The fixture's bytes were written by the single-file log
-// at commit e1795fa (the last one that had it); a byte-for-byte match proves
-// the segment body has not moved since, and opening the committed bytes —
-// not a fresh write — proves logs written by older builds still load.
+// the offset of its first record, the magic WWWAL002, then [8B offset]
+// [4B length][4B CRC32C][payload] frames. A byte-for-byte match with the
+// committed fixture proves the segment has not moved, and opening the
+// committed bytes — not a fresh write — proves logs written by earlier builds
+// of this layout still load. A segment of the layout before the CRC
+// (testdata/golden_v1.wal, written at commit e1795fa) is refused with
+// ErrUnsupportedVersion.
 func TestGoldenSegment(t *testing.T) {
 	const name = "00000000000000000000.seg"
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden.wal", name))
@@ -105,12 +107,7 @@ func TestGoldenSegment(t *testing.T) {
 		t.Fatalf("the log wrote %d bytes that differ from the %d-byte golden segment: the on-disk format changed", len(written), len(golden))
 	}
 
-	old := filepath.Join(t.TempDir(), "old.wal")
-	os.Mkdir(old, 0o755)
-	if err := os.WriteFile(filepath.Join(old, name), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := OpenPartition(old, Config{})
+	p2, err := OpenPartition(goldenCopy(t, golden), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +116,141 @@ func TestGoldenSegment(t *testing.T) {
 		t.Fatalf("golden segment loaded as [%d, %d), want [0, %d)", p2.Base(), p2.Next(), len(goldenRecords))
 	}
 	readThrough(t, p2, 0, p2.Next(), func(off int64) []byte { return goldenRecords[off] })
+
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.wal", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3, err := OpenPartition(goldenCopy(t, v1), Config{}); !errors.Is(err, ErrUnsupportedVersion) {
+		if p3 != nil {
+			p3.CloseFile()
+		}
+		t.Fatalf("open over a WWWAL001 segment: %v, want ErrUnsupportedVersion", err)
+	}
+}
+
+// goldenCopy writes seg as the first segment of a fresh partition directory
+// and returns the directory.
+func goldenCopy(t *testing.T, seg []byte) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "golden.wal")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segFile(dir, 0), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestGoldenSegmentBitFlips flips every bit of the golden segment in turn.
+// Each flipped copy either fails to open with a typed error or opens to a
+// prefix of the written records: the CRC leaves no flip that reads back as a
+// changed record.
+func TestGoldenSegmentBitFlips(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.wal", "00000000000000000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := goldenCopy(t, golden)
+	cuts := 0
+	for bit := 0; bit < 8*len(golden); bit++ {
+		seg := bytes.Clone(golden)
+		seg[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(segFile(dir, 0), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := OpenPartition(dir, Config{})
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSegment) && !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("bit %d: untyped open error: %v", bit, err)
+			}
+			continue
+		}
+		recs, err := p.Read(0, len(goldenRecords)+1)
+		p.CloseFile()
+		if err != nil || p.Base() != 0 || len(recs) > len(goldenRecords) {
+			t.Fatalf("bit %d: opened as [%d, %d), read %d records: %v", bit, p.Base(), p.Next(), len(recs), err)
+		}
+		for i, r := range recs {
+			if !bytes.Equal(r.Data, goldenRecords[i]) {
+				t.Fatalf("bit %d: record %d reads %q, %q was written", bit, i, r.Data, goldenRecords[i])
+			}
+		}
+		if len(recs) < len(goldenRecords) {
+			cuts++
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("no flip was cut as a torn tail: the last frame's flips never reached the cut")
+	}
+}
+
+// TestFrameFlipInTheMiddleIsCorrupt: a flipped payload or offset byte in a
+// frame with frames after it is ErrCorruptSegment — not data, and not a
+// torn tail to cut — while the same flip in the last frame of the last
+// segment is a torn tail: the frame is cut and the log opens without it.
+func TestFrameFlipInTheMiddleIsCorrupt(t *testing.T) {
+	build := func(t *testing.T) (string, string) {
+		path := filepath.Join(t.TempDir(), "p.wal")
+		p, err := OpenPartition(path, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.AppendBatch([][]byte{[]byte("abcdefgh"), []byte("ijklmnop")}); err != nil {
+			t.Fatal(err)
+		}
+		p.Sync()
+		p.CloseFile()
+		return path, lastSegment(t, path)
+	}
+	const frame = recordHeaderLen + 8
+	for _, c := range []struct {
+		what string
+		at   int // byte of the frame to flip
+	}{{"payload", recordHeaderLen + 5}, {"offset", 7}} {
+		t.Run(c.what+" in the first frame", func(t *testing.T) {
+			path, seg := build(t)
+			flipByte(t, seg, walMagicLen+c.at)
+			if p, err := OpenPartition(path, Config{}); !errors.Is(err, ErrCorruptSegment) {
+				if p != nil {
+					recs, _ := p.Read(0, 10)
+					p.CloseFile()
+					t.Fatalf("open over a flipped %s byte: %v, read %v; want ErrCorruptSegment", c.what, err, recs)
+				}
+				t.Fatalf("open over a flipped %s byte: %v, want ErrCorruptSegment", c.what, err)
+			}
+		})
+		t.Run(c.what+" in the last frame", func(t *testing.T) {
+			path, seg := build(t)
+			flipByte(t, seg, walMagicLen+frame+c.at)
+			p, err := OpenPartition(path, Config{})
+			if err != nil {
+				t.Fatalf("open over a flipped %s byte in the last frame: %v, want the frame cut", c.what, err)
+			}
+			defer p.CloseFile()
+			recs, err := p.Read(0, 10)
+			if err != nil || len(recs) != 1 || string(recs[0].Data) != "abcdefgh" {
+				t.Fatalf("after the cut: %v, %v; want the first record alone", recs, err)
+			}
+			if st, _ := os.Stat(seg); st.Size() != walMagicLen+frame {
+				t.Fatalf("the torn frame was not cut: %d bytes, want %d", st.Size(), walMagicLen+frame)
+			}
+		})
+	}
+}
+
+// flipByte inverts one byte of the file at path.
+func flipByte(t *testing.T, path string, at int) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[at] ^= 0xFF
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSegmentRollUnderConcurrentUse: appenders, a SyncTo loop (the flusher's
@@ -264,7 +396,7 @@ func TestAckWaitsForRolledSegment(t *testing.T) {
 // active segment, leaving one empty file named by the head.
 func TestTruncateUnlinksWholeSegments(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
-	p := openSmall(t, path, Config{}, 1024) // 22 bytes a record: 47 to a segment
+	p := openSmall(t, path, Config{}, 1200) // 26 bytes a record: 47 to a segment
 	appendNumbered(t, p, 500)
 	want := []int64{0, 47, 94, 141, 188, 235, 282, 329, 376, 423, 470}
 	if got := segBases(t, path); !slices.Equal(got, want) {
@@ -321,7 +453,7 @@ func TestTruncateUnlinksWholeSegments(t *testing.T) {
 func TestTruncateNeverPassesTheFsyncWatermark(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.wal")
 	files := &durable.Files{}
-	p := openSmall(t, path, Config{Files: files}, 1024)
+	p := openSmall(t, path, Config{Files: files}, 1200)
 	appendNumbered(t, p, 200) // ack-on-write: nothing synced yet
 	if p.SyncedNext() != 0 {
 		t.Fatalf("watermark %d before any sync", p.SyncedNext())
@@ -346,7 +478,7 @@ func TestReopenSegmentedLog(t *testing.T) {
 	// build writes 200 records over segments of 47 and closes the log.
 	build := func(t *testing.T) string {
 		path := filepath.Join(t.TempDir(), "p.wal")
-		p := openSmall(t, path, Config{}, 1024)
+		p := openSmall(t, path, Config{}, 1200)
 		appendNumbered(t, p, 200)
 		p.Sync()
 		p.CloseFile()
@@ -380,8 +512,8 @@ func TestReopenSegmentedLog(t *testing.T) {
 		if p.Next() != 199 {
 			t.Fatalf("next=%d after a torn last record, want 199", p.Next())
 		}
-		if st2, _ := os.Stat(seg); st2.Size() != st.Size()-22 {
-			t.Fatalf("torn tail not cut: %d bytes, want %d", st2.Size(), st.Size()-22)
+		if st2, _ := os.Stat(seg); st2.Size() != st.Size()-26 {
+			t.Fatalf("torn tail not cut: %d bytes, want %d", st2.Size(), st.Size()-26)
 		}
 		appendNumbered(t, p, 1)
 		readThrough(t, p, 0, 200, numbered)
@@ -419,7 +551,7 @@ func TestReopenSegmentedLog(t *testing.T) {
 		// magic — named by offsets that never became durable.
 		path := build(t)
 		seg := lastSegment(t, path) // based at 188
-		os.Truncate(seg, walMagicLen+5*22+7)
+		os.Truncate(seg, walMagicLen+5*26+7)
 		os.WriteFile(segFile(path, 200), walMagic[:], 0o644)
 		os.WriteFile(segFile(path, 230), walMagic[:3], 0o644)
 		p, err := OpenPartition(path, Config{})
@@ -476,7 +608,7 @@ func TestCrashDiscardAcrossRoll(t *testing.T) {
 		t.Run(fmt.Sprintf("undo=%d", undo), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "p.wal")
 			files := &durable.Files{}
-			p := openSmall(t, path, Config{Files: files}, 1024)
+			p := openSmall(t, path, Config{Files: files}, 1200)
 			appendNumbered(t, p, 60) // into the second segment
 			if err := p.Sync(); err != nil {
 				t.Fatal(err)
@@ -485,7 +617,7 @@ func TestCrashDiscardAcrossRoll(t *testing.T) {
 			if p.SyncedNext() != 60 {
 				t.Fatalf("watermark %d, want 60", p.SyncedNext())
 			}
-			if want := int64(140 * 22); p.UnsyncedBytes() != want {
+			if want := int64(140 * 26); p.UnsyncedBytes() != want {
 				t.Fatalf("unsynced bytes %d, want %d", p.UnsyncedBytes(), want)
 			}
 			crash(t, files, p, undo)

@@ -141,10 +141,12 @@ func (p *Partition) AppendBatch(datas [][]byte) (int64, error) {
 // the ack has to wait.
 //
 // The data is copied: the batch is framed into a single buffer outside the
-// lock, offsets are patched in under it once they are known, and the
-// active segment takes one file write (a batch never straddles two); the retained in-memory records alias the
-// payload sections of that buffer, so a batch of any size costs one
-// allocation.
+// lock, each frame stamped with the offset it gets unless another append
+// takes the lock first and summed with its CRC there too (a frame whose
+// offset was taken is stamped again under the lock), and the active segment
+// takes one file write (a batch never straddles two); the retained
+// in-memory records alias the payload sections of that buffer, so a batch
+// of any size costs one allocation.
 //
 // Failure is all-or-nothing. A record longer than MaxRecordBytes refuses
 // the batch with ErrRecordTooLarge before the partition changes anything. On
@@ -173,11 +175,17 @@ func (p *Partition) startAppend(datas [][]byte, fresh bool) (end int64, err erro
 		}
 		total += recordHeaderLen + len(d)
 	}
+	// Frames are stamped here, outside the lock, with the offsets they get
+	// unless another append takes the lock first; then they are stamped
+	// again under it. A CRC is most of what stamping costs.
+	guess := p.head.Load()
 	buf := make([]byte, total)
 	pos := 0
-	for _, d := range datas {
-		binary.BigEndian.PutUint32(buf[pos+8:pos+recordHeaderLen], uint32(len(d)))
-		pos += recordHeaderLen + copy(buf[pos+recordHeaderLen:], d)
+	for i, d := range datas {
+		binary.BigEndian.PutUint32(buf[pos+8:pos+12], uint32(len(d)))
+		next := pos + recordHeaderLen + copy(buf[pos+recordHeaderLen:], d)
+		stampFrame(buf[pos:next], guess+int64(i))
+		pos = next
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -199,12 +207,16 @@ func (p *Partition) startAppend(datas [][]byte, fresh bool) (end int64, err erro
 	}
 	p.reserveLocked(len(datas))
 	mark := len(p.store)
-	// Second walk of buf: stamp each header's offset and slice its record
-	// out. The lengths written above make the frames self-describing, so no
-	// side table of positions has to survive from the first walk.
+	// Second walk of buf: slice each record out, stamping its frame again
+	// if the guessed offsets were taken. The lengths written above make the
+	// frames self-describing, so no side table of positions has to survive
+	// from the first walk.
+	restamp := p.headLocked() != guess
 	for pos = 0; pos < total; {
-		binary.BigEndian.PutUint64(buf[pos:pos+8], uint64(p.headLocked()))
-		next := pos + recordHeaderLen + int(binary.BigEndian.Uint32(buf[pos+8:pos+recordHeaderLen]))
+		next := pos + recordHeaderLen + int(binary.BigEndian.Uint32(buf[pos+8:pos+12]))
+		if restamp {
+			stampFrame(buf[pos:next], p.headLocked())
+		}
 		p.store = append(p.store, buf[pos+recordHeaderLen:next:next])
 		pos = next
 	}

@@ -75,6 +75,10 @@ type CoordinatorMetrics struct {
 	// RetiredSubQueries counts chunk subqueries completed empty because
 	// their chunk was retired (dropped by retention) mid-flight.
 	RetiredSubQueries *telemetry.Counter
+	// StolenSubQueries counts chunk subqueries run by a query server other
+	// than their owner (the server the policy ranked first), because the
+	// owner had no free worker, had finished its pass or had failed.
+	StolenSubQueries *telemetry.Counter
 
 	// Per-policy dispatch latency histograms, registered lazily the first
 	// time a policy dispatches.
@@ -98,6 +102,7 @@ func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 		AggMetaChunks:     r.Counter("waterwheel_agg_meta_chunks_total", "chunks answered from metadata summaries during aggregate queries"),
 		RecurrencePruned:  r.Counter("waterwheel_recurrence_pruned_chunks_total", "chunk candidates a recurring-window query skipped because no window meets them"),
 		RetiredSubQueries: r.Counter("waterwheel_query_retired_subqueries_total", "chunk subqueries completed empty because their chunk retired mid-flight"),
+		StolenSubQueries:  r.Counter("waterwheel_query_stolen_subqueries_total", "chunk subqueries run by a query server other than their rank-0 server"),
 		reg:               r,
 	}
 }
@@ -539,17 +544,39 @@ const (
 	stateDone
 )
 
+// serverLoad is one query server's share of one dispatch: what the claim
+// rule reads to decide whether another server may steal what it owns.
+type serverLoad struct {
+	// busy counts the server's workers executing one of the query's
+	// subqueries; alive counts its workers still running (a worker whose
+	// subquery failed stops).
+	busy, alive atomic.Int32
+	// passed is set once a worker of the server has walked its whole list.
+	passed atomic.Bool
+}
+
+// open reports whether the server will still take a subquery it owns: a
+// worker of it is free and its pass is not over.
+func (l *serverLoad) open() bool {
+	return !l.passed.Load() && l.busy.Load() < l.alive.Load()
+}
+
 // runChunkSubqueries drives the dispatch engine: the policy builds the
-// per-server preference lists, then a pool of Workers goroutines per live
-// query server claims subqueries from the shared pending set in the
-// server's preference order (§IV-C), overlapping chunk I/O so one server
-// executes several subqueries concurrently (§IV-B). A failed server's
-// claimed subqueries return to the pending set and are picked up by
-// another server's workers (§V); workers that exhaust their list sweep
-// for still-pending work, parking on one progress watermark (no busy-wait)
-// that a redispatch or the last completion advances. A chunk that cannot be
-// decoded is not a server failure: the first such error fails the watermark,
-// and with it the query, at once.
+// per-server preference lists and each subquery's owner, then a pool of
+// Workers goroutines per live query server claims subqueries from the shared
+// pending set in the server's preference order (§IV-C), overlapping chunk
+// I/O so one server executes several subqueries concurrently (§IV-B). A
+// worker claims an owned subquery only if its server is the owner, or the
+// owner is not open (every worker of it executing, or its pass over) — so an
+// idle deployment runs a chunk on the one server whose cache holds it, and
+// a saturated owner's work is stolen rather than waited for. A failed
+// server's claimed subqueries return to the pending set and are picked up by
+// another server's workers (§V); workers that exhaust their list sweep for
+// still-pending work, parking on one progress watermark (no busy-wait) that
+// advances only on the edges that can make a subquery claimable: an owner
+// saturating, an owner finishing its pass, a redispatch, and the last
+// completion. A chunk that cannot be decoded is not a server failure: the
+// first such error fails the watermark, and with it the query, at once.
 func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*model.SubResult), sp *telemetry.Span) error {
 	c.mu.RLock()
 	servers := append([]*Server(nil), c.qservers...)
@@ -585,12 +612,18 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		paths[i] = sq.ChunkPath
 	}
 	locations := c.fs.LocationsBatch(paths)
-	pref := policy.Plan(sqs, locations, placements)
+	pref, owner := policy.Plan(sqs, locations, placements)
+	loads := make([]serverLoad, len(live))
+	for i, s := range live {
+		loads[i].alive.Store(int32(s.Workers()))
+	}
 
 	// A sweeper reads progress before its claim scan and parks on the next
-	// step: a redispatch stores statePending before it advances progress, and
-	// the last completion counts itself before it does, so a sweeper that
-	// scanned while either raced it rescans instead of sleeping.
+	// step. Every edge that can make a subquery claimable — a redispatch
+	// storing statePending, a server's busy count reaching its alive count,
+	// a server's passed flag, the last completion's count — is stored before
+	// progress advances, so a sweeper that scanned while one raced it rescans
+	// instead of sleeping.
 	states := make([]atomic.Int32, len(sqs))
 	total := int64(len(sqs))
 	var (
@@ -598,6 +631,13 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		done     atomic.Int64
 		wg       sync.WaitGroup
 	)
+	// claim is the claim rule: server si takes pending subquery idx if
+	// nobody owns it, si owns it, or its owner is not open.
+	claim := func(si, idx int) bool {
+		return states[idx].Load() == statePending &&
+			(owner == nil || owner[idx] == si || !loads[owner[idx]].open()) &&
+			states[idx].CompareAndSwap(statePending, stateClaimed)
+	}
 	complete := func(idx int) {
 		states[idx].Store(stateDone)
 		if done.Add(1) == total {
@@ -605,16 +645,24 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		}
 	}
 
-	runOne := func(s *Server, idx int) bool {
+	runOne := func(si, idx int) bool {
 		if progress.Err() != nil {
 			return false
 		}
+		s, ld := live[si], &loads[si]
+		if ld.busy.Add(1) == ld.alive.Load() && owner != nil {
+			progress.Add(1) // saturated: what it owns may be stolen now
+		}
+		if owner != nil && owner[idx] != si {
+			c.m.StolenSubQueries.Inc()
+		}
 		c.m.WorkersBusy.Add(1)
-		defer c.m.WorkersBusy.Add(-1)
 		sqSp := sp.StartChild("chunk_subquery")
 		sqSp.SetInt("chunk", int64(sqs[idx].Chunk))
 		sqSp.SetInt("query_server", int64(s.ID()))
 		r, err := s.ExecuteSubQueryTraced(sqs[idx], sqSp)
+		c.m.WorkersBusy.Add(-1)
+		ld.busy.Add(-1)
 		if err != nil {
 			if errors.Is(err, ErrRetired) {
 				if _, ok := c.ms.Chunk(sqs[idx].Chunk); !ok {
@@ -638,8 +686,10 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 				progress.Fail(err)
 				return false
 			}
-			// Return the subquery to the pending set; this worker stops.
+			// Return the subquery to the pending set; this worker stops, and
+			// stops counting towards its server's free workers first.
 			c.m.Redispatches.Inc()
+			ld.alive.Add(-1)
 			states[idx].Store(statePending)
 			progress.Add(1)
 			return false
@@ -650,38 +700,45 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		return true
 	}
 
-	for i, s := range live {
+	for si, s := range live {
 		for w := 0; w < s.Workers(); w++ {
 			wg.Add(1)
-			go func(s *Server, list []int) {
+			go func(si int, list []int) {
 				defer wg.Done()
 				// Claim in preference order. Workers of the same server
 				// share the list; the CAS gives each pending subquery to
 				// exactly one worker, so together they run the server's
-				// top-k preferred pending subqueries concurrently.
+				// top-k claimable pending subqueries concurrently.
 				for _, idx := range list {
-					if !states[idx].CompareAndSwap(statePending, stateClaimed) {
-						continue
-					}
-					if !runOne(s, idx) {
+					if claim(si, idx) && !runOne(si, idx) {
 						return
 					}
 				}
-				// Sweep for re-dispatched (failed-elsewhere) subqueries
-				// until everything is done or this server fails too. If a
-				// subquery is claimed by a live server it will settle; if
-				// its claimant failed it returns to pending and is picked
-				// up here.
+				if owner != nil && loads[si].passed.CompareAndSwap(false, true) {
+					progress.Add(1) // what it still owns may be stolen now
+				}
+				// Sweep for what is still pending — re-dispatched after a
+				// failure elsewhere, or left by an owner that is no longer
+				// open — until everything is done or this server fails too.
+				// A list that ranks every subquery is swept in its order, so
+				// a stealer takes what it ranks highest first. If a subquery
+				// is claimed by a live server it will settle; if its claimant
+				// failed it returns to pending and is picked up here.
+				full := len(list) == len(states)
 				for {
 					seen := progress.Load()
 					if done.Load() == total || progress.Err() != nil {
 						return
 					}
 					progressed := false
-					for idx := range states {
-						if states[idx].CompareAndSwap(statePending, stateClaimed) {
+					for j := range states {
+						idx := j
+						if full {
+							idx = list[j]
+						}
+						if claim(si, idx) {
 							progressed = true
-							if !runOne(s, idx) {
+							if !runOne(si, idx) {
 								return
 							}
 						}
@@ -690,7 +747,7 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 						return
 					}
 				}
-			}(s, pref[i])
+			}(si, pref[si])
 		}
 	}
 	wg.Wait()

@@ -271,3 +271,78 @@ func TestSerialConfigMatchesParallelResults(t *testing.T) {
 		t.Errorf("BytesRead differs: serial %d, parallel %d", rs.BytesRead, rp.BytesRead)
 	}
 }
+
+// TestSaturatedOwnerIsStolenFrom: a server whose workers are all busy has
+// the subqueries it owns stolen, so a query does not wait on it for work
+// another server could do. Every chunk lives on node 0 only, so LADA ranks
+// query server 0 (on node 0) first for all of them; its reads are local and
+// the only ones the latency model charges, and the DFS sleep hook holds
+// every charged read until released. Server 0's two workers each claim a
+// subquery and block: server 0 is saturated, and server 1 (on a node with
+// no replica, whose remote reads cost nothing) runs the other four to
+// completion while server 0 is still held.
+func TestSaturatedOwnerIsStolenFrom(t *testing.T) {
+	gate, held := make(chan struct{}), make(chan struct{}, 2)
+	fs := dfs.New(dfs.Config{
+		Nodes: 1, Replication: 1, Seed: 1,
+		Latency: dfs.LatencyModel{LocalBytesPerSec: 1 << 20},
+		Sleep: func(d time.Duration) {
+			if d > 0 {
+				held <- struct{}{}
+				<-gate
+			}
+		},
+	})
+	ms := meta.NewServer(1)
+	reg := telemetry.NewRegistry()
+	cm := NewCoordinatorMetrics(reg)
+	c := &testCluster{fs: fs, ms: ms}
+	c.coord = NewCoordinator(CoordinatorConfig{Metrics: cm, MemExecutors: c.memExecs}, ms, fs)
+	srv := ingest.NewServer(ingest.Config{ID: 0, Keys: ms.Schema().IntervalOf(0), ChunkBytes: 1 << 30, Leaves: 16}, fs, ms, 0)
+	t.Cleanup(srv.Close)
+	c.is = append(c.is, srv)
+	for i := 0; i < 2; i++ {
+		qs := NewServer(ServerConfig{ID: i, Node: i, Workers: 2, CacheBytes: 1 << 20}, fs, ms)
+		c.qs = append(c.qs, qs)
+		c.coord.AddQueryServer(qs)
+	}
+	const chunks = 6
+	for w := 0; w < chunks; w++ {
+		c.ingest(seqTuples(100, 100, int64(w*10_000)))
+		c.flushAll()
+	}
+
+	var res *model.Result
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = c.coord.Execute(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+		done <- err
+	}()
+	<-held
+	<-held
+	for deadline := time.Now().Add(10 * time.Second); c.qs[1].Executed() < chunks-2 || cm.WorkersBusy.Value() != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server 1 ran %d subqueries, %v executing, while server 0 was saturated; want %d run and 2 (server 0's) executing",
+				c.qs[1].Executed(), cm.WorkersBusy.Value(), chunks-2)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("query finished (%v) while two of its subqueries were held", err)
+	default:
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != chunks*100 {
+		t.Fatalf("got %d tuples, want %d", len(res.Tuples), chunks*100)
+	}
+	if n := c.qs[0].Executed(); n != 2 {
+		t.Errorf("server 0 ran %d subqueries, want 2", n)
+	}
+	if n := cm.StolenSubQueries.Value(); n != chunks-2 {
+		t.Errorf("%d subqueries stolen, want %d", n, chunks-2)
+	}
+}

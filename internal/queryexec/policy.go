@@ -8,18 +8,25 @@ import (
 
 // Policy plans how a query's chunk subqueries are offered to the query
 // servers. Plan returns, for each server, the ordered list of subquery
-// indices that server may execute. During execution each server walks its
-// list, atomically claiming entries from the query's shared pending set
-// (§IV-C): servers whose lists contain every subquery effectively bid for
-// work (load balance); servers with disjoint lists are statically
-// partitioned (and can be idle while others lag — the round-robin and
-// hashing baselines of §VI-C2).
+// indices that server walks first, and, for each subquery, its owner: the
+// server that ranks it first. During execution every server's workers walk
+// its list and then sweep the rest, atomically claiming entries from the
+// query's shared pending set (§IV-C). An owned subquery is
+// claimed by its owner, or stolen by another server only while the owner
+// has no free worker for the query (all its workers are executing) or has
+// finished its pass over its list — delay scheduling without the delay, so
+// an idle deployment runs every chunk on the one server whose cache holds
+// it, and a busy owner still sheds load. A nil owner slice leaves every
+// subquery to whichever server claims it first: the shared-queue,
+// round-robin and hashing baselines of §VI-C2, whose servers take what is
+// left pending elsewhere once their own list is done.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
-	// Plan builds per-server preference lists. locations[i] holds the
-	// cluster nodes storing replicas of subqueries[i]'s chunk.
-	Plan(subqueries []*model.SubQuery, locations [][]int, servers []ServerPlacement) [][]int
+	// Plan builds per-server preference lists and the owner (an index into
+	// servers) of each subquery, or nil. locations[i] holds the cluster
+	// nodes storing replicas of subqueries[i]'s chunk.
+	Plan(subqueries []*model.SubQuery, locations [][]int, servers []ServerPlacement) (pref [][]int, owner []int)
 }
 
 // ServerPlacement describes a query server to the planner.
@@ -28,39 +35,40 @@ type ServerPlacement struct {
 	Node int
 }
 
-// RoundRobin assigns subquery i to server i mod n — no locality, no
-// stealing (paper baseline: worst of the four).
+// RoundRobin lists subquery i for server i mod n — no locality (paper
+// baseline: worst of the four).
 type RoundRobin struct{}
 
 // Name implements Policy.
 func (RoundRobin) Name() string { return "round-robin" }
 
 // Plan implements Policy.
-func (RoundRobin) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacement) [][]int {
+func (RoundRobin) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacement) ([][]int, []int) {
 	pref := make([][]int, len(servers))
 	for i := range sqs {
 		s := i % len(servers)
 		pref[s] = append(pref[s], i)
 	}
-	return pref
+	return pref, nil
 }
 
-// Hashing assigns each subquery to the server hash(chunkID) mod n:
+// Hashing lists each subquery for the server hash(chunkID) mod n:
 // consistent chunk→server mapping retains cache locality across queries,
-// but without stealing the load can skew.
+// but it names no owner, so a server done with its list takes whatever is
+// still pending, whoever's cache holds it.
 type Hashing struct{}
 
 // Name implements Policy.
 func (Hashing) Name() string { return "hashing" }
 
 // Plan implements Policy.
-func (Hashing) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacement) [][]int {
+func (Hashing) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacement) ([][]int, []int) {
 	pref := make([][]int, len(servers))
 	for i, sq := range sqs {
 		s := int(mix(uint64(sq.Chunk)) % uint64(len(servers)))
 		pref[s] = append(pref[s], i)
 	}
-	return pref
+	return pref, nil
 }
 
 // SharedQueue places all subqueries in one global FIFO every server drains:
@@ -71,7 +79,7 @@ type SharedQueue struct{}
 func (SharedQueue) Name() string { return "shared-queue" }
 
 // Plan implements Policy.
-func (SharedQueue) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacement) [][]int {
+func (SharedQueue) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacement) ([][]int, []int) {
 	all := make([]int, len(sqs))
 	for i := range all {
 		all[i] = i
@@ -80,16 +88,17 @@ func (SharedQueue) Plan(sqs []*model.SubQuery, _ [][]int, servers []ServerPlacem
 	for s := range pref {
 		pref[s] = all
 	}
-	return pref
+	return pref, nil
 }
 
 // LADA is the locality-aware dispatch algorithm (paper §IV-C). For each
 // subquery it shuffles the co-located servers S(q) and the remaining
 // servers S̄(q) with permutations seeded by the chunk ID, concatenates them
 // into S⃗(q), and uses each server's offset in S⃗(q) as the rank of q in
-// that server's preference array. Every server's list contains every
-// subquery (bidding from the shared pending set → load balance); co-located
-// servers rank first (chunk locality); the chunk-ID-seeded shuffle makes
+// that server's preference array, and the server at offset 0 owns q. Every
+// server's list contains every subquery, so a server whose own work is done
+// steals from a saturated owner (load balance); co-located servers rank
+// first (chunk locality); the chunk-ID-seeded shuffle makes the owner and
 // the preference consistent across queries yet different across servers
 // (cache locality).
 type LADA struct{}
@@ -98,12 +107,13 @@ type LADA struct{}
 func (LADA) Name() string { return "lada" }
 
 // Plan implements Policy.
-func (LADA) Plan(sqs []*model.SubQuery, locations [][]int, servers []ServerPlacement) [][]int {
+func (LADA) Plan(sqs []*model.SubQuery, locations [][]int, servers []ServerPlacement) ([][]int, []int) {
 	type ranked struct{ rank, sq int }
 	perServer := make([][]ranked, len(servers))
 	for s := range perServer {
 		perServer[s] = make([]ranked, 0, len(sqs)) // every server ranks every subquery
 	}
+	owner := make([]int, len(sqs))
 	vec := make([]int, 0, len(servers))
 	for i, sq := range sqs {
 		var replicas []int
@@ -111,6 +121,7 @@ func (LADA) Plan(sqs []*model.SubQuery, locations [][]int, servers []ServerPlace
 			replicas = locations[i]
 		}
 		vec = ladaVector(vec, sq.Chunk, replicas, servers)
+		owner[i] = vec[0]
 		for rank, sIdx := range vec {
 			perServer[sIdx] = append(perServer[sIdx], ranked{rank: rank, sq: i})
 		}
@@ -124,7 +135,7 @@ func (LADA) Plan(sqs []*model.SubQuery, locations [][]int, servers []ServerPlace
 		}
 		pref[sIdx] = lst
 	}
-	return pref
+	return pref, owner
 }
 
 // ladaVector refills vec with S⃗(q) for a subquery on chunk: the indices of

@@ -254,14 +254,18 @@ func TestLADAPrefersColocatedServers(t *testing.T) {
 	}
 	locations := [][]int{{0}, {1}, {2}}
 	servers := []ServerPlacement{{ID: 0, Node: 0}, {ID: 1, Node: 1}, {ID: 2, Node: 2}}
-	pref := LADA{}.Plan(sqs, locations, servers)
+	pref, owner := LADA{}.Plan(sqs, locations, servers)
 	for s := range servers {
 		if len(pref[s]) != 3 {
 			t.Fatalf("server %d pref has %d entries", s, len(pref[s]))
 		}
-		// The first preference of each server must be its co-located chunk.
+		// The first preference of each server must be its co-located chunk,
+		// which it owns.
 		if pref[s][0] != s {
 			t.Errorf("server %d first pref = subquery %d, want %d", s, pref[s][0], s)
+		}
+		if owner[s] != s {
+			t.Errorf("subquery %d owned by server %d, want %d", s, owner[s], s)
 		}
 	}
 }
@@ -272,8 +276,11 @@ func TestLADAConsistentAcrossQueries(t *testing.T) {
 	sqs := []*model.SubQuery{{Chunk: 7}, {Chunk: 8}}
 	locations := [][]int{{0, 1}, {1, 2}}
 	servers := []ServerPlacement{{ID: 0, Node: 0}, {ID: 1, Node: 1}, {ID: 2, Node: 2}}
-	a := LADA{}.Plan(sqs, locations, servers)
-	b := LADA{}.Plan(sqs, locations, servers)
+	a, ownerA := LADA{}.Plan(sqs, locations, servers)
+	b, ownerB := LADA{}.Plan(sqs, locations, servers)
+	if fmt.Sprint(ownerA) != fmt.Sprint(ownerB) {
+		t.Errorf("owners differ across identical plans: %v, %v", ownerA, ownerB)
+	}
 	for s := range servers {
 		if fmt.Sprint(a[s]) != fmt.Sprint(b[s]) {
 			t.Errorf("server %d preferences differ across identical plans", s)
@@ -336,7 +343,11 @@ func TestRoundRobinAndHashingDisjoint(t *testing.T) {
 	}
 	servers := []ServerPlacement{{ID: 0}, {ID: 1}, {ID: 2}}
 	for _, p := range []Policy{RoundRobin{}, Hashing{}} {
-		pref := p.Plan(sqs, nil, servers)
+		pref, owner := p.Plan(sqs, nil, servers)
+		if owner != nil {
+			// Baselines name no owner: any server may take what is pending.
+			t.Fatalf("%s: owners %v, want none", p.Name(), owner)
+		}
 		seen := map[int]int{}
 		for s := range pref {
 			for _, idx := range pref[s] {

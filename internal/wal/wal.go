@@ -337,10 +337,13 @@ func (p *Partition) fillLocked(buf []Record, offset int64) []Record {
 }
 
 // readLinger is ReadBlocking's batching window (Kafka's fetch.min.wait): the
-// first record after an empty read is delivered readLinger later, with the
-// burst behind it, as one block — and after the appenders' acks went out.
-// A policy, not a poll: once per idle-to-busy edge, never while idle or busy
-// (DESIGN §18 has what the ledger reads without it).
+// first record after an empty read is delivered one time.After(readLinger)
+// later, with the burst behind it, as one block — and after the appenders'
+// acks went out. The window's real length is the host's timer floor, not
+// this constant: where sub-millisecond timers fire after about 1.1 ms, as
+// on a 2-vCPU VM, so does the window (DESIGN §18). A policy, not a poll:
+// once per idle-to-busy edge, never while idle or busy (DESIGN §18 has what
+// the ledger reads without it).
 const readLinger = 200 * time.Microsecond
 
 // ReadBlocking is Read that waits at the head: the one waited read, in

@@ -238,6 +238,14 @@ var deletedNames = []deletedName{
 	// One WAL layout (§19): frames carry a CRC32C; the layout before it is
 	// refused, not read.
 	{"[\"`]WWWAL001", everywhere, `const v1 = "WWWAL001"`},
+	// One chunk format (§12): every chunk is summed and carries its
+	// pre-aggregate block; the older format's secondary-section skip, the
+	// switch that left the block out and the version in the writer's names
+	// are gone.
+	{`flagSecondary`, everywhere, `const flagSecondary = 2`},
+	{`DisableAgg`, everywhere, `type BuildOptions struct{ DisableAgg bool }`},
+	{`magicV2`, everywhere, `var magicV2 [8]byte`},
+	{`buildV2`, everywhere, `func buildV2() {}`},
 	// The geo helper is the taxi example's, over internal/zorder; the root
 	// package exports no geo API.
 	{`GeoGrid`, rootOnly, `type GeoGrid struct{}`},

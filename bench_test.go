@@ -811,9 +811,8 @@ func BenchmarkNetInsertBatch256(b *testing.B) {
 }
 
 // aggBenchCluster builds a flushed cluster whose tuples carry a big-endian
-// uint64 at payload offset 0, the pre-aggregated field; disableAgg builds
-// the same chunks without the pre-aggregate block.
-func aggBenchCluster(b *testing.B, disableAgg bool) *cluster.Cluster {
+// uint64 at payload offset 0, the pre-aggregated field.
+func aggBenchCluster(b *testing.B) *cluster.Cluster {
 	b.Helper()
 	c := cluster.New(cluster.Config{
 		Nodes:               1,
@@ -824,7 +823,6 @@ func aggBenchCluster(b *testing.B, disableAgg bool) *cluster.Cluster {
 		CacheBytes:          1 << 30,
 		Seed:                1,
 		DFSLatency:          dfs.LatencyModel{OpenMin: 200 * time.Microsecond, OpenMax: 200 * time.Microsecond},
-		Build:               chunk.BuildOptions{DisableAgg: disableAgg},
 	})
 	c.Start()
 	for i := 0; i < 50_000; i++ {
@@ -842,20 +840,21 @@ func aggBenchCluster(b *testing.B, disableAgg bool) *cluster.Cluster {
 }
 
 // BenchmarkAggregatePushdown prices the pre-aggregate block end to end:
-// the same full-range SUM against chunks built without it (every leaf body
-// is read and scanned, caches cleared each iteration) and with it (the
+// the same full-range SUM with a predicate every tuple passes (no pushdown
+// level takes a filtered aggregate, so every leaf body is read and
+// scanned, caches cleared each iteration) and without one (the
 // coordinator and query servers answer from chunk and leaf metadata).
 func BenchmarkAggregatePushdown(b *testing.B) {
-	q := model.AggregateQuery{
-		Keys: model.FullKeyRange(), Times: model.FullTimeRange(), Kind: model.AggSum,
-	}
 	const wantCount = 50_000
 	for _, mode := range []struct {
-		name       string
-		disableAgg bool
-	}{{"scan", true}, {"pushdown", false}} {
+		name   string
+		filter *model.Filter
+	}{{"scan", model.True()}, {"pushdown", nil}} {
 		b.Run(mode.name, func(b *testing.B) {
-			c := aggBenchCluster(b, mode.disableAgg)
+			q := model.AggregateQuery{
+				Keys: model.FullKeyRange(), Times: model.FullTimeRange(), Kind: model.AggSum, Filter: mode.filter,
+			}
+			c := aggBenchCluster(b)
 			defer c.Stop()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

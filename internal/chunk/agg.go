@@ -1,12 +1,12 @@
-// Pre-aggregate block (flagAgg): per-leaf, per-time-mini-range
-// summaries of the big-endian uint64 at payload offset 0, the last
-// section of the header. It lies past IndexLen, so a range subquery's
-// header read stops before it. An aggregate subquery answers fully
-// covered leaves from these buckets without touching the leaf body, and
-// shrinks the scan window of boundary leaves to the uncovered buckets.
+// Pre-aggregate block: per-leaf, per-time-mini-range summaries of the
+// big-endian uint64 at payload offset 0, the last section of every
+// chunk's header. It lies past IndexLen, so a range subquery's header read
+// stops before it, and the agg CRC of the fixed header covers it. An
+// aggregate subquery answers fully covered leaves from these buckets
+// without touching the leaf body, and shrinks the scan window of boundary
+// leaves to the uncovered buckets.
 //
-// Serialized layout, after the sketches (and an older chunk's skipped
-// secondary-filter section):
+// Serialized layout, after the sketches:
 //
 //	[4B field offset]
 //	nLeaves × [8B bucket width (ms)][8B first bucket start][4B nBuckets]
@@ -131,14 +131,13 @@ func appendAggBlock(out []byte, leafAggs []LeafAgg) []byte {
 	return out
 }
 
-// parseAggBlock decodes the pre-aggregate block that buf starts with into
-// h, which the index sections already fill.
+// parseAggBlock decodes the pre-aggregate block buf into h, which the
+// index sections already fill.
 func parseAggBlock(h *Header, buf []byte) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("%w: agg block truncated", ErrCorrupt)
 	}
 	h.AggField = binary.BigEndian.Uint32(buf)
-	h.HasAgg = true
 	pos := 4
 	h.LeafAggs = make([]LeafAgg, h.Leaves)
 	for i := range h.LeafAggs {
@@ -169,6 +168,10 @@ func parseAggBlock(h *Header, buf []byte) error {
 			pos += aggBucketSize
 		}
 	}
+	if pos != len(buf) {
+		return fmt.Errorf("%w: agg block has %d trailing bytes", ErrCorrupt, len(buf)-pos)
+	}
+	h.HasAgg = true
 	return nil
 }
 

@@ -10,28 +10,29 @@
 //
 // Layout (one format; the magic's last byte is its version):
 //
-//	[8B magic "WWCHUNK2"][4B header length H]
+//	[8B magic "WWCHUNK3"][4B header length H][4B index length I]
+//	[4B index CRC][4B agg CRC]
 //	[fixed fields: count, minT, maxT, keyLo, keyHi, nLeaves, flags]
 //	[(nLeaves-1) × 8B leaf boundary keys]
-//	[nLeaves × 36B directory {offset, length, count, minT, maxT}]
+//	[nLeaves × 40B directory {offset, length, count, minT, maxT, body CRC}]
 //	[nLeaves × 16B exact per-leaf key bounds {minKey, maxKey}]
 //	[flagBloom: nLeaves × {4B sketch length, sketch bytes}]
-//	[flagSecondary, older chunks only: 4B attribute offset,
-//	 nLeaves × {4B filter length, filter bytes} — skipped, never written]
-//	--- index prefix ends at offset IndexLen (= H without flagAgg) ---
-//	[flagAgg: pre-aggregate block, see agg.go]
+//	--- index prefix ends at offset I ---
+//	[pre-aggregate block, see agg.go]
 //	--- header ends at offset H ---
 //	[leaf 0 columns][leaf 1 columns]…
 //
-// The header is read as two units. The index prefix [0, IndexLen) is all
-// a range subquery needs to select and scan leaves; the pre-aggregate
-// block [IndexLen, H) is read only by aggregates. Meta records IndexLen at
-// build time (the format itself does not store it: it is where the
-// sketches end, or an older chunk's secondary section), ParseHeader
-// accepts either the whole header or exactly the index prefix, and
-// WithAggs adds the block to an index-only header.
+// A reader fetches three kinds of unit, and each carries a CRC32C
+// (Castagnoli, as WAL frames do). The index prefix [0, I) — everything a
+// range subquery needs to select and scan leaves — is summed with its own
+// sum field read as zero; it holds the other two kinds of sum. The agg CRC
+// covers the pre-aggregate block [I, H), which only aggregates read. Each
+// leaf's directory entry holds the CRC of that leaf's body. ParseHeader
+// accepts either the whole header or exactly the index prefix, WithAggs
+// adds the block to an index-only header, and CheckLeaf checks a body:
+// each checks its sum before it parses, and a mismatch is ErrCorrupt.
 //
-// Leaf bodies are columns, key-sorted (see v2.go for the encodings):
+// Leaf bodies are columns, key-sorted (see columns.go for the encodings):
 //
 //	[4B keyColLen][4B tsColLen][4B lenColLen]
 //	[key column][ts column][len column][payload bytes]
@@ -45,6 +46,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"waterwheel/internal/bloom"
@@ -52,11 +54,11 @@ import (
 	"waterwheel/internal/model"
 )
 
-// magicV2 opens every chunk. Its last byte is the format version — the one
-// place a version lives: '2' parses, anything else is
-// ErrUnsupportedVersion (the row-encoded "WWCHUNK1" of early builds
-// included).
-var magicV2 = [8]byte{'W', 'W', 'C', 'H', 'U', 'N', 'K', '2'}
+// magic opens every chunk. Its last byte is the format version — the one
+// place a version lives: '3' parses, anything else is
+// ErrUnsupportedVersion (the unsummed "WWCHUNK2" and the row-encoded
+// "WWCHUNK1" of earlier builds included).
+var magic = [8]byte{'W', 'W', 'C', 'H', 'U', 'N', 'K', '3'}
 
 // ErrCorrupt reports a malformed chunk.
 var ErrCorrupt = errors.New("chunk: corrupt data")
@@ -66,27 +68,45 @@ var ErrCorrupt = errors.New("chunk: corrupt data")
 // version skew fails loudly instead of as "corrupt data".
 var ErrUnsupportedVersion = errors.New("chunk: unsupported format version")
 
+// flagBloom marks the sketch section, absent when built with DisableBloom.
+const flagBloom = 1
+
+// castagnoli is the CRC32C table every sum of the format uses.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 const (
-	flagBloom = 1 << iota
-	// flagSecondary marks the per-leaf secondary attribute filters that
-	// older builds could write. ParseHeader steps over the section; Build
-	// never sets the bit.
-	flagSecondary
-	flagAgg
+	// fixedLen is the fixed part of the header: magic, H, I, the two sums,
+	// count, minT, maxT, keyLo, keyHi, nLeaves and flags.
+	fixedLen = 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 1
+	// indexSumAt and aggSumAt are the offsets of the two header sums.
+	indexSumAt = 16
+	aggSumAt   = 20
+	// dirEntryLen is one leaf's directory entry.
+	dirEntryLen = 8 + 8 + 4 + 8 + 8 + 4
 )
 
-// checkMagic validates the first 8 bytes of a chunk.
-func checkMagic(prefix []byte) error {
+// CheckMagic validates the first 8 bytes of a chunk: ErrUnsupportedVersion
+// for a Waterwheel chunk of another format version, ErrCorrupt for
+// anything else that is not this build's.
+func CheckMagic(prefix []byte) error {
 	if len(prefix) < 8 {
 		return fmt.Errorf("%w: short prefix", ErrCorrupt)
 	}
-	if string(prefix[:7]) != string(magicV2[:7]) {
+	if string(prefix[:7]) != string(magic[:7]) {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if prefix[7] != magicV2[7] {
+	if prefix[7] != magic[7] {
 		return fmt.Errorf("%w: magic version byte %q", ErrUnsupportedVersion, prefix[7])
 	}
 	return nil
+}
+
+// indexSum is the CRC32C of an index prefix with its own sum field read as
+// zero.
+func indexSum(prefix []byte) uint32 {
+	var zero [4]byte
+	sum := crc32.Update(crc32.Checksum(prefix[:indexSumAt], castagnoli), castagnoli, zero[:])
+	return crc32.Update(sum, castagnoli, prefix[indexSumAt+4:])
 }
 
 // fpRate is the false-positive target of the leaf time sketches.
@@ -101,9 +121,6 @@ const bucketMillis = 1000
 type BuildOptions struct {
 	// DisableBloom omits the sketches (ablation switch).
 	DisableBloom bool
-	// DisableAgg omits the pre-aggregate block (ablation switch). The
-	// block summarizes the big-endian uint64 at payload offset 0.
-	DisableAgg bool
 }
 
 // LeafInfo locates one leaf inside the chunk body.
@@ -114,6 +131,8 @@ type LeafInfo struct {
 	Count int
 	// MinT/MaxT bound the leaf's timestamps (valid when Count > 0).
 	MinT, MaxT model.Timestamp
+	// CRC is the CRC32C of the leaf body.
+	CRC uint32
 }
 
 // Meta summarizes a chunk for the metadata server.
@@ -125,14 +144,14 @@ type Meta struct {
 	// HeaderLen is the byte length of the header block.
 	HeaderLen int
 	// IndexLen is the byte length of the header's index prefix: everything
-	// before the pre-aggregate block, HeaderLen when there is none.
+	// before the pre-aggregate block.
 	IndexLen int
 	// Size is the total chunk size in bytes.
 	Size int64
-	// Agg summarizes the designated aggregate field over the whole chunk
-	// (nil when built with DisableAgg). Registered with the
-	// chunk's metadata so the coordinator can answer aggregate subqueries
-	// over fully covered chunks without dispatching them.
+	// Agg summarizes the designated aggregate field over the whole chunk.
+	// Registered with the chunk's metadata so the coordinator can answer
+	// aggregate subqueries over fully covered chunks without dispatching
+	// them.
 	Agg *model.ChunkAgg
 }
 
@@ -144,7 +163,7 @@ func Build(snap *core.FlushSnapshot, opts BuildOptions) ([]byte, Meta, error) {
 	if snap == nil || snap.Count == 0 {
 		return nil, Meta{}, errors.New("chunk: empty snapshot")
 	}
-	return buildV2(snap, opts)
+	return build(snap, opts)
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -173,18 +192,17 @@ type Header struct {
 	// LeafKeys bounds each leaf's keys exactly. Entries of empty leaves
 	// are zero and must be gated on Dir.Count.
 	LeafKeys []model.KeyRange
-	// HasAgg reports whether the pre-aggregate block is present and
-	// parsed.
+	// HasAgg reports whether the pre-aggregate block is loaded: false for
+	// a header parsed from the index prefix alone, until WithAggs.
 	HasAgg bool
-	// AggUnloaded reports a header parsed from the index prefix alone: the
-	// chunk has a pre-aggregate block, and WithAggs loads it.
-	AggUnloaded bool
 	// AggField is the payload offset of the pre-aggregated uint64 field;
 	// valid only when HasAgg.
 	AggField uint32
 	// LeafAggs holds each leaf's pre-aggregate buckets (len = Leaves when
 	// HasAgg; nil otherwise).
 	LeafAggs []LeafAgg
+	// aggSum is the pre-aggregate block's CRC, from the index prefix.
+	aggSum uint32
 }
 
 // payloadU64 extracts the big-endian uint64 at the given payload offset.
@@ -195,90 +213,84 @@ func payloadU64(p []byte, off uint32) (uint64, bool) {
 	return binary.BigEndian.Uint64(p[off : off+8]), true
 }
 
-// peekHeaderLen returns the header block length from a chunk prefix of at
-// least 12 bytes. A Waterwheel magic with any version byte but this
-// build's returns ErrUnsupportedVersion.
-func peekHeaderLen(prefix []byte) (int, error) {
-	if len(prefix) < 12 {
-		return 0, fmt.Errorf("%w: short prefix", ErrCorrupt)
-	}
-	if err := checkMagic(prefix); err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint32(prefix[8:12])), nil
-}
-
 // ParseHeader decodes the header block from whatever prefix of the chunk
 // buf holds. Given at least HeaderLen bytes it parses every section. Given
-// exactly the index prefix (IndexLen bytes of a chunk with a pre-aggregate
-// block) it parses everything but that block and sets AggUnloaded. Any
-// other short buffer is ErrCorrupt.
+// exactly the index prefix (IndexLen bytes) it parses everything but the
+// pre-aggregate block, and WithAggs loads that later. Any other short
+// buffer is ErrCorrupt, and so is a unit whose CRC does not match.
 func ParseHeader(buf []byte) (*Header, error) {
-	hlen, err := peekHeaderLen(buf)
-	if err != nil {
+	if err := CheckMagic(buf); err != nil {
 		return nil, err
 	}
-	const fixed = 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 1
-	if hlen < fixed {
-		return nil, fmt.Errorf("%w: header too small", ErrCorrupt)
+	if len(buf) < fixedLen {
+		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), fixedLen)
+	}
+	hlen := int(binary.BigEndian.Uint32(buf[8:12]))
+	ilen := int(binary.BigEndian.Uint32(buf[12:16]))
+	if ilen < fixedLen || ilen > hlen {
+		return nil, fmt.Errorf("%w: index length %d outside [%d, %d]", ErrCorrupt, ilen, fixedLen, hlen)
 	}
 	if len(buf) > hlen {
 		buf = buf[:hlen]
 	}
-	if len(buf) < fixed {
+	if len(buf) != ilen && len(buf) != hlen {
 		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), hlen)
 	}
-	h := &Header{}
-	h.HeaderLen = hlen
-	h.Count = int(binary.BigEndian.Uint64(buf[12:20]))
-	h.MinTime = model.Timestamp(binary.BigEndian.Uint64(buf[20:28]))
-	h.MaxTime = model.Timestamp(binary.BigEndian.Uint64(buf[28:36]))
-	h.Keys.Lo = model.Key(binary.BigEndian.Uint64(buf[36:44]))
-	h.Keys.Hi = model.Key(binary.BigEndian.Uint64(buf[44:52]))
-	nLeaves := int(binary.BigEndian.Uint32(buf[52:56]))
-	flags := buf[56]
+	// The index sections parse from the summed prefix alone.
+	idx := buf[:ilen]
+	if sum := binary.BigEndian.Uint32(idx[indexSumAt:]); indexSum(idx) != sum {
+		return nil, fmt.Errorf("%w: index prefix CRC mismatch", ErrCorrupt)
+	}
+	h := &Header{aggSum: binary.BigEndian.Uint32(idx[aggSumAt:])}
+	h.HeaderLen, h.IndexLen = hlen, ilen
+	h.Count = int(binary.BigEndian.Uint64(idx[24:32]))
+	h.MinTime = model.Timestamp(binary.BigEndian.Uint64(idx[32:40]))
+	h.MaxTime = model.Timestamp(binary.BigEndian.Uint64(idx[40:48]))
+	h.Keys.Lo = model.Key(binary.BigEndian.Uint64(idx[48:56]))
+	h.Keys.Hi = model.Key(binary.BigEndian.Uint64(idx[56:64]))
+	nLeaves := int(binary.BigEndian.Uint32(idx[64:68]))
+	flags := idx[68]
 	h.Leaves = nLeaves
 	if nLeaves < 1 || nLeaves > 1<<24 {
 		return nil, fmt.Errorf("%w: leaf count %d", ErrCorrupt, nLeaves)
 	}
-	const known = flagBloom | flagSecondary | flagAgg
-	if flags&^known != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags&^known)
+	if flags&^flagBloom != 0 {
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags&^flagBloom)
 	}
-	pos := fixed
+	pos := fixedLen
 	// Bounds, directory, per-leaf key bounds.
-	if len(buf) < pos+(nLeaves-1)*8+nLeaves*36+nLeaves*16 {
+	if len(idx) < pos+(nLeaves-1)*8+nLeaves*dirEntryLen+nLeaves*16 {
 		return nil, fmt.Errorf("%w: directory truncated", ErrCorrupt)
 	}
 	h.Bounds = make([]model.Key, nLeaves-1)
 	for i := range h.Bounds {
-		h.Bounds[i] = model.Key(binary.BigEndian.Uint64(buf[pos:]))
+		h.Bounds[i] = model.Key(binary.BigEndian.Uint64(idx[pos:]))
 		pos += 8
 	}
 	h.Dir = make([]LeafInfo, nLeaves)
-	var totalLen int64
 	expectOff := int64(hlen)
 	for i := range h.Dir {
-		h.Dir[i].Offset = int64(binary.BigEndian.Uint64(buf[pos:]))
-		h.Dir[i].Length = int64(binary.BigEndian.Uint64(buf[pos+8:]))
-		h.Dir[i].Count = int(binary.BigEndian.Uint32(buf[pos+16:]))
-		h.Dir[i].MinT = model.Timestamp(binary.BigEndian.Uint64(buf[pos+20:]))
-		h.Dir[i].MaxT = model.Timestamp(binary.BigEndian.Uint64(buf[pos+28:]))
-		pos += 36
+		d := &h.Dir[i]
+		d.Offset = int64(binary.BigEndian.Uint64(idx[pos:]))
+		d.Length = int64(binary.BigEndian.Uint64(idx[pos+8:]))
+		d.Count = int(binary.BigEndian.Uint32(idx[pos+16:]))
+		d.MinT = model.Timestamp(binary.BigEndian.Uint64(idx[pos+20:]))
+		d.MaxT = model.Timestamp(binary.BigEndian.Uint64(idx[pos+28:]))
+		d.CRC = binary.BigEndian.Uint32(idx[pos+36:])
+		pos += dirEntryLen
 		// Leaf extents must tile the body contiguously in order; anything
 		// else is corruption that must not reach the read path.
-		if h.Dir[i].Length < 0 || h.Dir[i].Offset != expectOff {
+		if d.Length < 0 || d.Offset != expectOff {
 			return nil, fmt.Errorf("%w: leaf %d extent [%d,+%d) breaks body tiling at %d",
-				ErrCorrupt, i, h.Dir[i].Offset, h.Dir[i].Length, expectOff)
+				ErrCorrupt, i, d.Offset, d.Length, expectOff)
 		}
-		expectOff += h.Dir[i].Length
-		totalLen += h.Dir[i].Length
+		expectOff += d.Length
 	}
-	h.Size = int64(hlen) + totalLen
+	h.Size = expectOff
 	h.LeafKeys = make([]model.KeyRange, nLeaves)
 	for i := range h.LeafKeys {
-		h.LeafKeys[i].Lo = model.Key(binary.BigEndian.Uint64(buf[pos:]))
-		h.LeafKeys[i].Hi = model.Key(binary.BigEndian.Uint64(buf[pos+8:]))
+		h.LeafKeys[i].Lo = model.Key(binary.BigEndian.Uint64(idx[pos:]))
+		h.LeafKeys[i].Hi = model.Key(binary.BigEndian.Uint64(idx[pos+8:]))
 		pos += 16
 		if h.Dir[i].Count > 0 && h.LeafKeys[i].Lo > h.LeafKeys[i].Hi {
 			return nil, fmt.Errorf("%w: leaf %d key bounds inverted", ErrCorrupt, i)
@@ -287,18 +299,18 @@ func ParseHeader(buf []byte) (*Header, error) {
 	h.Sketches = make([]*bloom.TimeSketch, nLeaves)
 	if flags&flagBloom != 0 {
 		for i := 0; i < nLeaves; i++ {
-			if pos+4 > len(buf) {
+			if pos+4 > len(idx) {
 				return nil, fmt.Errorf("%w: sketch block truncated", ErrCorrupt)
 			}
-			slen := int(binary.BigEndian.Uint32(buf[pos:]))
+			slen := int(binary.BigEndian.Uint32(idx[pos:]))
 			pos += 4
 			if slen == 0 {
 				continue
 			}
-			if pos+slen > len(buf) {
+			if slen > len(idx)-pos {
 				return nil, fmt.Errorf("%w: sketch truncated", ErrCorrupt)
 			}
-			sk, _, err := bloom.DecodeTimeSketch(buf[pos : pos+slen])
+			sk, _, err := bloom.DecodeTimeSketch(idx[pos : pos+slen])
 			if err != nil {
 				return nil, fmt.Errorf("%w: sketch %d: %v", ErrCorrupt, i, err)
 			}
@@ -306,66 +318,52 @@ func ParseHeader(buf []byte) (*Header, error) {
 			pos += slen
 		}
 	}
-	// Older builds could write per-leaf secondary attribute filters here.
-	// Their chunks hold acked data, so the section is stepped over — the 4B
-	// attribute offset, then one length-prefixed filter per leaf — and
-	// nothing reads it. The skip goes with this v2 reader when the format
-	// moves to WWCHUNK3.
-	if flags&flagSecondary != 0 {
-		if pos+4 > len(buf) {
-			return nil, fmt.Errorf("%w: secondary offset truncated", ErrCorrupt)
-		}
-		pos += 4
-		for i := 0; i < nLeaves; i++ {
-			if pos+4 > len(buf) {
-				return nil, fmt.Errorf("%w: secondary block truncated", ErrCorrupt)
-			}
-			slen := int(binary.BigEndian.Uint32(buf[pos:]))
-			pos += 4
-			if slen > len(buf)-pos {
-				return nil, fmt.Errorf("%w: secondary filter %d overruns the header", ErrCorrupt, i)
-			}
-			pos += slen
-		}
+	if pos != ilen {
+		return nil, fmt.Errorf("%w: index sections end at %d, the index prefix at %d", ErrCorrupt, pos, ilen)
 	}
-	// The index prefix ends here, or at hlen when no agg block follows.
-	hasAgg := flags&flagAgg != 0
-	h.IndexLen = hlen
-	if hasAgg {
-		h.IndexLen = pos
-	}
-	switch {
-	case len(buf) == hlen:
-		if hasAgg {
-			if err := parseAggBlock(h, buf[pos:]); err != nil {
-				return nil, err
-			}
+	if len(buf) == hlen {
+		if err := h.loadAggs(buf[ilen:]); err != nil {
+			return nil, err
 		}
-	case hasAgg && len(buf) == pos:
-		h.AggUnloaded = true
-	default:
-		return nil, fmt.Errorf("%w: header truncated (%d < %d)", ErrCorrupt, len(buf), hlen)
 	}
 	return h, nil
 }
 
 // WithAggs returns a copy of the index-only header h with the
 // pre-aggregate block parsed from block, the chunk's bytes [IndexLen,
-// HeaderLen). h is not modified: a cached index header stays shared while
-// aggregate readers hold the copy.
+// HeaderLen), once its CRC matches. h is not modified: a cached index
+// header stays shared while aggregate readers hold the copy.
 func (h *Header) WithAggs(block []byte) (*Header, error) {
-	if !h.AggUnloaded {
-		return nil, fmt.Errorf("%w: header has no unloaded pre-aggregate block", ErrCorrupt)
-	}
-	if len(block) != h.HeaderLen-h.IndexLen {
-		return nil, fmt.Errorf("%w: pre-aggregate block is %d bytes, want %d", ErrCorrupt, len(block), h.HeaderLen-h.IndexLen)
+	if h.HasAgg {
+		return nil, fmt.Errorf("%w: header has its pre-aggregate block loaded", ErrCorrupt)
 	}
 	full := *h
-	full.AggUnloaded = false
-	if err := parseAggBlock(&full, block); err != nil {
+	if err := full.loadAggs(block); err != nil {
 		return nil, err
 	}
 	return &full, nil
+}
+
+// loadAggs checks and parses the pre-aggregate block into h.
+func (h *Header) loadAggs(block []byte) error {
+	if len(block) != h.HeaderLen-h.IndexLen {
+		return fmt.Errorf("%w: pre-aggregate block is %d bytes, want %d", ErrCorrupt, len(block), h.HeaderLen-h.IndexLen)
+	}
+	if crc32.Checksum(block, castagnoli) != h.aggSum {
+		return fmt.Errorf("%w: pre-aggregate block CRC mismatch", ErrCorrupt)
+	}
+	return parseAggBlock(h, block)
+}
+
+// CheckLeaf reports whether body, the extent Dir[li] locates, is leaf li's
+// body as Build wrote it: whether its CRC32C is the one the directory
+// records. A query server runs it once, when the body enters its cache; a
+// cache hit is not summed again.
+func (h *Header) CheckLeaf(li int, body []byte) error {
+	if crc32.Checksum(body, castagnoli) != h.Dir[li].CRC {
+		return fmt.Errorf("%w: leaf %d body CRC mismatch", ErrCorrupt, li)
+	}
+	return nil
 }
 
 // SelectLeaves returns the indices of leaves a subquery must read for the

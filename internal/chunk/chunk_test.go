@@ -59,14 +59,11 @@ func TestBuildAndParseRoundTrip(t *testing.T) {
 	if meta.Count != 500 || meta.Leaves != 8 || meta.Size != int64(len(data)) {
 		t.Fatalf("meta = %+v", meta)
 	}
-	if hl, err := peekHeaderLen(data); err != nil || hl != meta.HeaderLen {
-		t.Fatalf("peekHeaderLen = %d, %v; want %d", hl, err, meta.HeaderLen)
-	}
 	h, err := ParseHeader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Count != 500 || h.Leaves != 8 || h.Size != meta.Size {
+	if h.Count != 500 || h.Leaves != 8 || h.Size != meta.Size || h.HeaderLen != meta.HeaderLen || h.IndexLen != meta.IndexLen {
 		t.Fatalf("header = %+v", h.Meta)
 	}
 	if h.MinTime != 1000 || h.MaxTime != 1499 {
@@ -241,15 +238,16 @@ func TestParseCorrupt(t *testing.T) {
 		t.Error("truncated header accepted")
 	}
 	// The magic's version byte is the only version check: the row format
-	// of early builds and any future format are refused by name.
-	for _, version := range []byte{'1', '3'} {
+	// of early builds, the unsummed v2 and any future format are refused
+	// by name.
+	for _, version := range []byte{'1', '2', '4'} {
 		other := append([]byte(nil), data...)
 		other[7] = version
 		if _, err := ParseHeader(other); !errors.Is(err, ErrUnsupportedVersion) {
 			t.Errorf("ParseHeader of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
 		}
-		if _, err := peekHeaderLen(other[:12]); !errors.Is(err, ErrUnsupportedVersion) {
-			t.Errorf("peekHeaderLen of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
+		if err := CheckMagic(other[:8]); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("CheckMagic of a WWCHUNK%c file: %v, want ErrUnsupportedVersion", version, err)
 		}
 	}
 }
@@ -257,11 +255,11 @@ func TestParseCorrupt(t *testing.T) {
 // TestIndexPrefixPlusAggsIsTheWholeHeader: the header a query server
 // assembles from its two cache units — ParseHeader of the index prefix,
 // then WithAggs of the pre-aggregate block — is the header ParseHeader
-// reads from the whole block, for every section combination and for the
+// reads from the whole block, with and without sketches and for the
 // committed fixture. A cut one byte either side of the prefix is corrupt.
 func TestIndexPrefixPlusAggsIsTheWholeHeader(t *testing.T) {
 	snap := buildMixedSnapshot(t, 1200, 8, 5)
-	golden, err := os.ReadFile(goldenOld.path)
+	fixture, err := os.ReadFile(golden.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,26 +267,25 @@ func TestIndexPrefixPlusAggsIsTheWholeHeader(t *testing.T) {
 		data []byte
 		meta Meta
 	}
-	// The committed fixture carries an older build's secondary section in
-	// front of its pre-aggregate block.
-	cases := map[string]built{"golden": {golden, Meta{IndexLen: goldenOld.indexLen, HeaderLen: goldenOld.headerLen}}}
+	cases := map[string]built{"golden": {fixture, Meta{IndexLen: golden.indexLen, HeaderLen: golden.headerLen}}}
 	for _, noBloom := range []bool{false, true} {
-		for _, noAgg := range []bool{false, true} {
-			data, meta, err := Build(snap, BuildOptions{DisableBloom: noBloom, DisableAgg: noAgg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cases[fmt.Sprintf("bloom=%v agg=%v", !noBloom, !noAgg)] = built{data, meta}
+		data, meta, err := Build(snap, BuildOptions{DisableBloom: noBloom})
+		if err != nil {
+			t.Fatal(err)
 		}
+		cases[fmt.Sprintf("bloom=%v", !noBloom)] = built{data, meta}
 	}
 	for name, c := range cases {
 		whole, err := ParseHeader(c.data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if whole.IndexLen != c.meta.IndexLen || whole.HeaderLen != c.meta.HeaderLen || whole.AggUnloaded {
-			t.Fatalf("%s: parsed index/header length %d/%d (unloaded %v), built %d/%d",
-				name, whole.IndexLen, whole.HeaderLen, whole.AggUnloaded, c.meta.IndexLen, c.meta.HeaderLen)
+		if whole.IndexLen != c.meta.IndexLen || whole.HeaderLen != c.meta.HeaderLen || !whole.HasAgg {
+			t.Fatalf("%s: parsed index/header length %d/%d (aggs %v), built %d/%d",
+				name, whole.IndexLen, whole.HeaderLen, whole.HasAgg, c.meta.IndexLen, c.meta.HeaderLen)
+		}
+		if _, err := whole.WithAggs(c.data[whole.IndexLen:whole.HeaderLen]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: WithAggs on a header with its block loaded: %v", name, err)
 		}
 		// Three-index slices throughout: the parser must not reach into the
 		// bytes past what it was given.
@@ -296,20 +293,9 @@ func TestIndexPrefixPlusAggsIsTheWholeHeader(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: index prefix: %v", name, err)
 		}
-		if !whole.HasAgg {
-			// No block: the prefix is the whole header, and nothing is left
-			// to load.
-			if whole.IndexLen != whole.HeaderLen || !reflect.DeepEqual(idx, whole) {
-				t.Fatalf("%s: without a pre-aggregate block the index prefix parses to %+v, want %+v", name, idx.Meta, whole.Meta)
-			}
-			if _, err := idx.WithAggs(nil); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s: WithAggs on a header with no block: %v", name, err)
-			}
-			continue
-		}
-		if !idx.AggUnloaded || idx.HasAgg || idx.LeafAggs != nil || idx.IndexLen >= idx.HeaderLen {
-			t.Fatalf("%s: index-only header: unloaded=%v hasAgg=%v aggs=%d index/header %d/%d",
-				name, idx.AggUnloaded, idx.HasAgg, len(idx.LeafAggs), idx.IndexLen, idx.HeaderLen)
+		if idx.HasAgg || idx.LeafAggs != nil || idx.IndexLen >= idx.HeaderLen {
+			t.Fatalf("%s: index-only header: hasAgg=%v aggs=%d index/header %d/%d",
+				name, idx.HasAgg, len(idx.LeafAggs), idx.IndexLen, idx.HeaderLen)
 		}
 		got, err := idx.WithAggs(c.data[whole.IndexLen:whole.HeaderLen:whole.HeaderLen])
 		if err != nil {
@@ -318,7 +304,7 @@ func TestIndexPrefixPlusAggsIsTheWholeHeader(t *testing.T) {
 		if !reflect.DeepEqual(got, whole) {
 			t.Fatalf("%s: index prefix + pre-aggregates differ from the whole header", name)
 		}
-		if !idx.AggUnloaded || idx.HasAgg || idx.LeafAggs != nil {
+		if idx.HasAgg || idx.LeafAggs != nil {
 			t.Fatalf("%s: WithAggs modified the index-only header it copied", name)
 		}
 		for _, cut := range []int{whole.IndexLen - 1, whole.IndexLen + 1} {
@@ -361,8 +347,9 @@ func TestSingleLeafChunk(t *testing.T) {
 	}
 }
 
-// TestParseHeaderNeverPanics flips random bytes in valid chunks and checks
-// the parser fails cleanly rather than panicking or over-reading.
+// TestParseHeaderNeverPanics flips random bytes in valid chunks, restamps
+// their sums so the flips reach the parser, and checks the parser fails
+// cleanly rather than panicking or over-reading.
 func TestParseHeaderNeverPanics(t *testing.T) {
 	snap := buildSnapshot(t, 300, 8)
 	data, meta, _ := Build(snap, BuildOptions{})
@@ -374,6 +361,7 @@ func TestParseHeaderNeverPanics(t *testing.T) {
 			pos := rng.Intn(meta.HeaderLen)
 			bad[pos] ^= byte(1 + rng.Intn(255))
 		}
+		bad = restamp(bad)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -14,8 +13,7 @@ import (
 )
 
 // goldenPayload is the fixtures' payload schema: the aggregate field at
-// offset 0 and a tag at offset 8 (the field golden_v2.chunk's writer
-// indexed in its secondary section).
+// offset 0 and a tag at offset 8.
 func goldenPayload(value, tag uint64) []byte {
 	p := make([]byte, 16)
 	binary.BigEndian.PutUint64(p, value)
@@ -23,7 +21,7 @@ func goldenPayload(value, tag uint64) []byte {
 	return p
 }
 
-// goldenTuples is the content of both fixtures, in the order a
+// goldenTuples is the content of the fixtures, in the order a
 // full scan returns it (key order, equal keys in arrival order). Keys
 // [0,400) split into four leaves of width 100: leaf 0 has fixed-schema
 // payloads and a steady cadence (constant-length and delta-of-delta
@@ -52,14 +50,11 @@ type goldenFixture struct {
 }
 
 var (
-	// goldenOld was written at commit 0913109 with a secondary attribute
-	// index over the tag at payload offset 8. That section lies at
-	// [goldenBuild.indexLen, goldenOld.indexLen), behind the sketches, and
-	// ParseHeader steps over it.
-	goldenOld = goldenFixture{"testdata/golden_v2.chunk", 517, 1113}
-	// goldenBuild is what Build(goldenSnapshot, goldenOpts) writes: the
-	// same chunk without the secondary section.
-	goldenBuild = goldenFixture{"testdata/golden_v2_build.chunk", 437, 1033}
+	// golden is what Build(goldenSnapshot, goldenOpts) writes.
+	golden = goldenFixture{"testdata/golden_v3.chunk", 465, 1061}
+	// goldenV2 is the same chunk as the unsummed WWCHUNK2 format wrote it,
+	// which this build refuses.
+	goldenV2 = goldenFixture{"testdata/v2.chunk", 437, 1033}
 )
 
 func goldenSnapshot(t testing.TB) *core.FlushSnapshot {
@@ -82,29 +77,31 @@ func goldenFilter(kr model.KeyRange, tr model.TimeRange) []model.Tuple {
 	return out
 }
 
-// TestGoldenChunk pins the one on-disk format with two committed chunks of
-// goldenTuples. golden_v2_build.chunk is what Build writes: a byte-for-byte
-// match proves the builder's output has not moved. golden_v2.chunk was
-// written at commit 0913109 (the last one that also had a v1 writer), with
-// a secondary section Build no longer writes: reading its committed bytes
-// — not a fresh build — proves chunks written by older builds still open,
-// scan, prune and fold.
+// TestGoldenChunk pins the one on-disk format with a committed chunk of
+// goldenTuples, golden_v3.chunk: a byte-for-byte match with Build proves
+// Build's output has not moved, restamp proves every sum is where
+// the layout says and covers what it says, and reading the committed
+// bytes — not a fresh build — proves they open, scan, prune and fold to
+// the hand-listed tuples.
 func TestGoldenChunk(t *testing.T) {
 	built, meta, err := Build(goldenSnapshot(t), goldenOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := os.ReadFile(goldenBuild.path)
+	data, err := os.ReadFile(golden.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(built, writer) {
+	if !bytes.Equal(built, data) {
 		t.Fatalf("Build output (%d bytes) differs from %s (%d bytes): the on-disk format changed",
-			len(built), goldenBuild.path, len(writer))
+			len(built), golden.path, len(data))
 	}
-	if meta.IndexLen != goldenBuild.indexLen || meta.HeaderLen != goldenBuild.headerLen {
+	if !bytes.Equal(restamp(data), data) {
+		t.Fatal("the sums Build wrote differ from the sums the layout specifies")
+	}
+	if meta.IndexLen != golden.indexLen || meta.HeaderLen != golden.headerLen {
 		t.Fatalf("built index/header length %d/%d, want %d/%d",
-			meta.IndexLen, meta.HeaderLen, goldenBuild.indexLen, goldenBuild.headerLen)
+			meta.IndexLen, meta.HeaderLen, golden.indexLen, golden.headerLen)
 	}
 	var want model.AggPartial
 	for i := range goldenTuples {
@@ -114,95 +111,131 @@ func TestGoldenChunk(t *testing.T) {
 		t.Fatalf("meta aggregate %+v, want %+v", meta.Agg, want)
 	}
 
-	for _, fx := range []goldenFixture{goldenOld, goldenBuild} {
-		golden, err := os.ReadFile(fx.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := ParseHeader(golden)
-		if err != nil {
-			t.Fatalf("%s: %v", fx.path, err)
-		}
-		if h.Count != len(goldenTuples) || h.Leaves != 4 || h.Size != int64(len(golden)) ||
-			h.MinTime != 9_000 || h.MaxTime != 30_000 || h.IndexLen != fx.indexLen || h.HeaderLen != fx.headerLen {
-			t.Fatalf("%s: header = %+v", fx.path, h.Meta)
-		}
-		if !h.HasAgg || h.AggField != 0 || h.Sketches[0] == nil {
-			t.Fatalf("%s: sections: agg=%v@%d sketch0=%v", fx.path, h.HasAgg, h.AggField, h.Sketches[0])
-		}
-		wantCounts := []int{5, 4, 0, 1}
-		for li, d := range h.Dir {
-			if d.Count != wantCounts[li] {
-				t.Fatalf("%s: leaf %d holds %d tuples, want %d", fx.path, li, d.Count, wantCounts[li])
-			}
-		}
-
-		// Select + scan over a few regions against the hand-listed tuples.
-		for _, region := range []model.Region{
-			{Keys: model.FullKeyRange(), Times: model.FullTimeRange()},
-			{Keys: model.KeyRange{Lo: 17, Hi: 150}, Times: model.TimeRange{Lo: 10_500, Hi: 14_000}},
-			{Keys: model.KeyRange{Lo: 200, Hi: 398}, Times: model.FullTimeRange()},
-			{Keys: model.KeyRange{Lo: 100, Hi: 399}, Times: model.TimeRange{Lo: 12_345, Hi: 12_345}},
-		} {
-			got := collect(t, h, golden, region.Keys, region.Times)
-			if want := goldenFilter(region.Keys, region.Times); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: region %+v:\n got %v\nwant %v", fx.path, region, got, want)
-			}
-		}
-
-		// The sketches prune a window inside leaf 1's [9000,30000] time
-		// extent that holds no tuple.
-		gap := model.TimeRange{Lo: 20_000, Hi: 21_000}
-		if read, pruned := h.SelectLeaves(model.FullKeyRange(), gap, true); len(read) != 0 || pruned != 3 {
-			t.Fatalf("%s: gap window: read %v pruned %d", fx.path, read, pruned)
-		}
-
-		// Fold: the pre-aggregate buckets of every leaf sum to the
-		// hand-listed tuples' aggregate.
-		var folded model.AggPartial
-		for li := range h.Dir {
-			h.FoldLeafAggAll(li, false, &folded)
-		}
-		if folded != want {
-			t.Fatalf("%s: fold %+v, want %+v", fx.path, folded, want)
-		}
-		// A bucket-aligned window over leaf 0 folds exactly [10000,11999].
-		var part model.AggPartial
-		w, ok := h.FoldLeafAgg(0, model.TimeRange{Lo: 10_000, Hi: 11_999}, false, &part)
-		if !ok || w != (model.TimeRange{Lo: 10_000, Hi: 11_999}) || part.Count != 4 || part.Sum != 7+11+13+2 {
-			t.Fatalf("%s: bucket fold window %+v ok=%v partial %+v", fx.path, w, ok, part)
-		}
-	}
-}
-
-// TestOlderSecondarySectionIsBoundsChecked: the secondary section of
-// golden_v2.chunk is stepped over, not trusted. A header cut anywhere
-// inside it, or a filter length that runs past the header, is ErrCorrupt.
-func TestOlderSecondarySectionIsBoundsChecked(t *testing.T) {
-	old, err := os.ReadFile(goldenOld.path)
+	h, err := ParseHeader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, end := goldenBuild.indexLen, goldenOld.indexLen
-	for cut := start; cut < end; cut++ {
-		if _, err := ParseHeader(old[:cut:cut]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("header cut at %d, inside the secondary section [%d,%d): %v, want ErrCorrupt", cut, start, end, err)
+	if h.Count != len(goldenTuples) || h.Leaves != 4 || h.Size != int64(len(data)) ||
+		h.MinTime != 9_000 || h.MaxTime != 30_000 || h.IndexLen != golden.indexLen || h.HeaderLen != golden.headerLen {
+		t.Fatalf("header = %+v", h.Meta)
+	}
+	if !h.HasAgg || h.AggField != 0 || h.Sketches[0] == nil {
+		t.Fatalf("sections: agg=%v@%d sketch0=%v", h.HasAgg, h.AggField, h.Sketches[0])
+	}
+	wantCounts := []int{5, 4, 0, 1}
+	for li, d := range h.Dir {
+		if d.Count != wantCounts[li] {
+			t.Fatalf("leaf %d holds %d tuples, want %d", li, d.Count, wantCounts[li])
+		}
+		if err := h.CheckLeaf(li, data[d.Offset:d.Offset+d.Length]); err != nil {
+			t.Fatalf("leaf %d: %v", li, err)
 		}
 	}
-	// The section is a 4B attribute offset, then one length-prefixed filter
-	// per leaf.
-	pos := start + 4
-	for li := 0; li < 4; li++ {
-		for _, overlong := range []uint32{uint32(goldenOld.headerLen), math.MaxUint32} {
-			bad := append([]byte(nil), old...)
-			binary.BigEndian.PutUint32(bad[pos:], overlong)
-			if _, err := ParseHeader(bad); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("leaf %d secondary filter length %d: %v, want ErrCorrupt", li, overlong, err)
-			}
+
+	// Select + scan over a few regions against the hand-listed tuples.
+	for _, region := range []model.Region{
+		{Keys: model.FullKeyRange(), Times: model.FullTimeRange()},
+		{Keys: model.KeyRange{Lo: 17, Hi: 150}, Times: model.TimeRange{Lo: 10_500, Hi: 14_000}},
+		{Keys: model.KeyRange{Lo: 200, Hi: 398}, Times: model.FullTimeRange()},
+		{Keys: model.KeyRange{Lo: 100, Hi: 399}, Times: model.TimeRange{Lo: 12_345, Hi: 12_345}},
+	} {
+		got := collect(t, h, data, region.Keys, region.Times)
+		if want := goldenFilter(region.Keys, region.Times); !reflect.DeepEqual(got, want) {
+			t.Fatalf("region %+v:\n got %v\nwant %v", region, got, want)
 		}
-		pos += 4 + int(binary.BigEndian.Uint32(old[pos:]))
 	}
-	if pos != end {
-		t.Fatalf("secondary section walk ends at %d, want %d", pos, end)
+
+	// The sketches prune a window inside leaf 1's [9000,30000] time
+	// extent that holds no tuple.
+	gap := model.TimeRange{Lo: 20_000, Hi: 21_000}
+	if read, pruned := h.SelectLeaves(model.FullKeyRange(), gap, true); len(read) != 0 || pruned != 3 {
+		t.Fatalf("gap window: read %v pruned %d", read, pruned)
+	}
+
+	// Fold: the pre-aggregate buckets of every leaf sum to the hand-listed
+	// tuples' aggregate.
+	var folded model.AggPartial
+	for li := range h.Dir {
+		h.FoldLeafAggAll(li, false, &folded)
+	}
+	if folded != want {
+		t.Fatalf("fold %+v, want %+v", folded, want)
+	}
+	// A bucket-aligned window over leaf 0 folds exactly [10000,11999].
+	var part model.AggPartial
+	w, ok := h.FoldLeafAgg(0, model.TimeRange{Lo: 10_000, Hi: 11_999}, false, &part)
+	if !ok || w != (model.TimeRange{Lo: 10_000, Hi: 11_999}) || part.Count != 4 || part.Sum != 7+11+13+2 {
+		t.Fatalf("bucket fold window %+v ok=%v partial %+v", w, ok, part)
+	}
+}
+
+// TestV2ChunkIsRefused: the same tuples as the WWCHUNK2 format wrote them,
+// with no sums, are refused by name — as a whole header, as the index
+// prefix a query server reads, and by the magic Open checks — not read
+// unchecked.
+func TestV2ChunkIsRefused(t *testing.T) {
+	data, err := os.ReadFile(goldenV2.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{len(data), goldenV2.headerLen, goldenV2.indexLen, 8} {
+		if _, err := ParseHeader(data[:n:n]); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("ParseHeader of %d bytes of a WWCHUNK2 chunk: %v, want ErrUnsupportedVersion", n, err)
+		}
+	}
+	if err := CheckMagic(data); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("CheckMagic of a WWCHUNK2 chunk: %v, want ErrUnsupportedVersion", err)
+	}
+}
+
+// readAsServer reads a chunk the way a query server does: the index
+// prefix and the pre-aggregate block at the lengths the chunk was
+// registered with, then every leaf extent the directory names, each body
+// through CheckLeaf. A range past the end of the file is ErrCorrupt, as
+// the server's read site reports it. It returns the first error.
+func readAsServer(data []byte, indexLen, headerLen int) error {
+	if len(data) < headerLen {
+		return ErrCorrupt
+	}
+	idx, err := ParseHeader(data[:indexLen:indexLen])
+	if err != nil {
+		return err
+	}
+	if _, err := idx.WithAggs(data[indexLen:headerLen:headerLen]); err != nil {
+		return err
+	}
+	for li, d := range idx.Dir {
+		if d.Offset+d.Length > int64(len(data)) {
+			return ErrCorrupt
+		}
+		if err := idx.CheckLeaf(li, data[d.Offset:d.Offset+d.Length]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestGoldenChunkBitFlips flips every bit of the golden chunk in turn and
+// reads each copy as a query server does. Every flip is caught by a sum or
+// the magic — ErrCorrupt or ErrUnsupportedVersion — and none reads clean:
+// no flipped byte can come back as a changed tuple.
+func TestGoldenChunkBitFlips(t *testing.T) {
+	data, err := os.ReadFile(golden.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := readAsServer(data, golden.indexLen, golden.headerLen); err != nil {
+		t.Fatalf("the unflipped chunk: %v", err)
+	}
+	for bit := 0; bit < 8*len(data); bit++ {
+		flipped := bytes.Clone(data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		err := readAsServer(flipped, golden.indexLen, golden.headerLen)
+		if err == nil {
+			t.Fatalf("bit %d (byte %d): the flipped chunk reads clean", bit, bit/8)
+		}
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("bit %d (byte %d): untyped error %v", bit, bit/8, err)
+		}
 	}
 }

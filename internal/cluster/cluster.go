@@ -72,8 +72,7 @@ type Config struct {
 	// persistence before inserts crossing the threshold block (default 2).
 	FlushQueueDepth int
 	// Build tunes chunk construction: Build.DisableBloom builds chunks
-	// without leaf time sketches, the one switch for sketch pruning, and
-	// Build.DisableAgg without pre-aggregates.
+	// without leaf time sketches, the one switch for sketch pruning.
 	Build chunk.BuildOptions
 	// Seed drives DFS placement and samplers.
 	Seed int64

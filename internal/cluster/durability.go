@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"waterwheel/internal/chunk"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/ingest"
 	"waterwheel/internal/meta"
@@ -29,10 +30,11 @@ import (
 // flush that never registered. Only Open may do this, before anything
 // writes: while the deployment runs, a file between its Write and its
 // registration looks the same. So a name a crash left unregistered is gone
-// before the epoch it carries can be claimed again.
+// before the epoch it carries can be claimed again. The first registered
+// chunk's format is checked too (checkChunkFormat).
 func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
 	registered := make(map[string]struct{})
-	for _, ci := range ms.ChunksFor(model.FullRegion()) {
+	for i, ci := range ms.ChunksFor(model.FullRegion()) {
 		size, err := fs.Size(ci.Path)
 		if err != nil {
 			return 0, fmt.Errorf("cluster: registered chunk %d: %w", ci.ID, err)
@@ -40,6 +42,11 @@ func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
 		if size != ci.Size {
 			return 0, fmt.Errorf("cluster: registered chunk %d: %w: %s holds %d bytes, the registry says %d",
 				ci.ID, dfs.ErrSizeMismatch, ci.Path, size, ci.Size)
+		}
+		if i == 0 {
+			if err := checkChunkFormat(fs, ci); err != nil {
+				return 0, err
+			}
 		}
 		registered[ci.Path] = struct{}{}
 	}
@@ -53,6 +60,23 @@ func sweepOrphans(fs *dfs.FS, ms *meta.Server) (swept int64, err error) {
 		swept++
 	}
 	return swept, nil
+}
+
+// checkChunkFormat refuses a data directory whose chunks this build does
+// not read, by the magic of one of them. A directory's chunks share one
+// format, because a directory of an older format never opens to have
+// chunks of this one added; without the check it would open, and every
+// query that touched its history would fail. A magic that is merely
+// corrupt is left to the queries that read it, which fail typed.
+func checkChunkFormat(fs *dfs.FS, ci meta.ChunkInfo) error {
+	head, _, err := fs.ReadAt(ci.Path, 0, 8, -1)
+	if err != nil {
+		return fmt.Errorf("cluster: registered chunk %d: %w", ci.ID, err)
+	}
+	if err := chunk.CheckMagic(head); errors.Is(err, chunk.ErrUnsupportedVersion) {
+		return fmt.Errorf("cluster: registered chunk %d (%s): %w", ci.ID, ci.Path, err)
+	}
+	return nil
 }
 
 // journalPath is the metadata journal's partition directory within a data

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"waterwheel/internal/chunk"
 	"waterwheel/internal/durable"
 	"waterwheel/internal/model"
 	"waterwheel/internal/wal"
@@ -298,6 +299,47 @@ func TestOpenRefusesAnOlderLogLayout(t *testing.T) {
 			c.Stop()
 		}
 		t.Fatalf("Open over a WWWAL001 journal: %v, want wal.ErrUnsupportedVersion", err)
+	}
+}
+
+// TestOpenRefusesAnOlderChunkFormat: a data directory whose chunks were
+// written before chunks carried CRCs (magic WWCHUNK2) is refused at Open with
+// chunk.ErrUnsupportedVersion, instead of opening to fail every query that
+// touches its history. The directory's own chunks, with the magic's version
+// byte set back to '2', stand in for a directory an older build wrote.
+func TestOpenRefusesAnOlderChunkFormat(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(persistentConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	for i := 0; i < 500; i++ {
+		c.Insert(model.Tuple{Key: model.Key(uint64(i) << 45), Time: model.Timestamp(i), Payload: []byte{byte(i)}})
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	c.Stop()
+	files, err := filepath.Glob(filepath.Join(dir, "dfs", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no chunk files under %s: %v", dir, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[7] = '2'
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, err := Open(persistentConfig(dir)); !errors.Is(err, chunk.ErrUnsupportedVersion) {
+		if c != nil {
+			c.Stop()
+		}
+		t.Fatalf("Open over WWCHUNK2 chunks: %v, want chunk.ErrUnsupportedVersion", err)
 	}
 }
 

@@ -79,6 +79,10 @@ type CoordinatorMetrics struct {
 	// than their owner (the server the policy ranked first), because the
 	// owner had no free worker, had finished its pass or had failed.
 	StolenSubQueries *telemetry.Counter
+	// CorruptChunks counts chunk subqueries that failed their query because
+	// the chunk file does not decode: a CRC mismatch, a file shorter than
+	// its directory, or a format version this build does not read.
+	CorruptChunks *telemetry.Counter
 
 	// Per-policy dispatch latency histograms, registered lazily the first
 	// time a policy dispatches.
@@ -103,6 +107,7 @@ func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 		RecurrencePruned:  r.Counter("waterwheel_recurrence_pruned_chunks_total", "chunk candidates a recurring-window query skipped because no window meets them"),
 		RetiredSubQueries: r.Counter("waterwheel_query_retired_subqueries_total", "chunk subqueries completed empty because their chunk retired mid-flight"),
 		StolenSubQueries:  r.Counter("waterwheel_query_stolen_subqueries_total", "chunk subqueries run by a query server other than their rank-0 server"),
+		CorruptChunks:     r.Counter("waterwheel_query_corrupt_chunks_total", "chunk subqueries that failed their query on a chunk file that does not decode (CRC mismatch, short file, unsupported version)"),
 		reg:               r,
 	}
 }
@@ -683,6 +688,7 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 			if errors.Is(err, chunk.ErrCorrupt) || errors.Is(err, chunk.ErrUnsupportedVersion) {
 				// A property of the file, not of this server: every other
 				// server would read the same bytes.
+				c.m.CorruptChunks.Inc()
 				progress.Fail(err)
 				return false
 			}

@@ -251,6 +251,12 @@ func (s *Server) readAt(path string, off, length int64) ([]byte, error) {
 			// instead of failing the query on a raw DFS error.
 			return nil, fmt.Errorf("%w: %v", ErrRetired, err)
 		}
+		if errors.Is(err, dfs.ErrBadRange) {
+			// Every range read comes from the registered lengths or the
+			// chunk's own directory: a file shorter than that is a
+			// property of the file, which every server would read the same.
+			return nil, fmt.Errorf("%w: %v", chunk.ErrCorrupt, err)
+		}
 		return nil, err
 	}
 	s.m.BytesRead.Add(int64(len(b)))
@@ -271,7 +277,8 @@ type headerFetch struct {
 // HeaderLen) that only aggregates fold. A miss reads the index prefix, or
 // with wholeOnMiss the whole header in one access, caching both units and
 // returning the header with its block loaded. An aggregate handed a header
-// without its block (AggUnloaded) gets it from loadAggs. A chunk registered
+// without its block (HasAgg false) gets it from loadAggs. ParseHeader and
+// WithAggs check each unit's CRC before it is cached. A chunk registered
 // without IndexLen has its whole header read and cached as the header
 // unit. Concurrent misses of the same header share one fetch via the
 // flight group.
@@ -532,15 +539,20 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 			if err != nil {
 				return nil, err
 			}
+			// A body is summed here, once, on its way into the cache; a
+			// cache hit is never summed again.
 			for k := e.lo; k <= e.hi; k++ {
 				li := leaves[missing[k]]
 				lb := b[h.Dir[li].Offset-e.off : h.Dir[li].Offset-e.off+h.Dir[li].Length]
+				if err := h.CheckLeaf(li, lb); err != nil {
+					return nil, err
+				}
 				s.cache.Put(leafKey(ci.ID, li), lb, int64(len(lb)))
 			}
 			return b, nil
 		})
 		if err != nil {
-			return 0, shared, err
+			return 0, shared, fmt.Errorf("queryexec: chunk %d extent [%d,+%d) (%s): %w", ci.ID, e.off, e.length, ci.Path, err)
 		}
 		b := v.([]byte)
 		for k := e.lo; k <= e.hi; k++ {
@@ -610,7 +622,7 @@ func (s *Server) fetchLeafBodies(ci meta.ChunkInfo, h *chunk.Header, leaves []in
 // COUNT, the pre-aggregate buckets otherwise — without reading their
 // bodies. Only boundary leaves (and leaves the header can't answer) are
 // fetched and column-scanned, with the bucket-folded window excluded. The
-// pre-aggregate block is loaded (h.AggUnloaded) only when a leaf's buckets
+// pre-aggregate block is loaded (h.HasAgg) only when a leaf's buckets
 // can answer for it, so a COUNT that whole leaves answer never reads it.
 func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Header, leaves []int, res *model.SubResult, sp *telemetry.Span) error {
 	spec := sq.Agg
@@ -640,13 +652,13 @@ func (s *Server) executeAgg(sq *model.SubQuery, ci meta.ChunkInfo, h *chunk.Head
 			savedBytes += d.Length
 			continue
 		}
-		if covered && h.AggUnloaded {
+		if covered && !h.HasAgg {
 			var err error
 			if h, err = s.loadAggs(ci, h, res, sp); err != nil {
 				return err
 			}
 		}
-		if covered && (spec.CountOnly || (h.HasAgg && h.AggField == spec.Field)) {
+		if covered && (spec.CountOnly || h.AggField == spec.Field) {
 			if whole {
 				// Whole leaf matches: exact from folding every bucket.
 				if h.FoldLeafAggAll(li, false, agg) {

@@ -1,7 +1,12 @@
 package waterwheel
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -288,13 +293,14 @@ func TestCloseIsIdempotentAndFlushes(t *testing.T) {
 }
 
 // TestUndecodableChunkFailsQueryTyped: a chunk file this build cannot
-// decode — the WWCHUNK1 magic of early builds, or garbage — is a property
-// of the file, not of the query server that opened it. The query must fail
-// at once with the typed cause, not burn a redispatch per server and end
-// as "no live query servers", and the servers must keep answering queries
-// over healthy chunks afterwards. No dispatch goroutine — a worker, or a
-// sweeper parked for a redispatch that will never come — outlives the query
-// the failure ended.
+// decode — the WWCHUNK1 magic of early builds, garbage, or a file shorter
+// than its directory says — is a property of the file, not of the query
+// server that opened it. The query must fail at once with the typed cause,
+// counted in waterwheel_query_corrupt_chunks_total, not burn a redispatch
+// per server and end as "no live query servers", and the servers must keep
+// answering queries over healthy chunks afterwards. No dispatch goroutine —
+// a worker, or a sweeper parked for a redispatch that will never come —
+// outlives the query the failure ended.
 func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 	db := openTestDB(t, Options{QueryServersPerNode: 3})
 	for i := 0; i < 500; i++ {
@@ -349,27 +355,161 @@ func TestUndecodableChunkFailsQueryTyped(t *testing.T) {
 		}
 	}
 	redispatches := db.Telemetry().Counter("waterwheel_query_redispatches_total", "")
-	before := redispatches.Value()
-	if _, err := db.QueryRange(FullKeyRange(), v1Times); !errors.Is(err, chunk.ErrUnsupportedVersion) {
-		t.Errorf("query over a WWCHUNK1 file: err = %v, want chunk.ErrUnsupportedVersion", err)
+	corrupt := db.Telemetry().Counter("waterwheel_query_corrupt_chunks_total", "")
+	failsTyped := func(what string, want error, run func() error) {
+		t.Helper()
+		r0, c0 := redispatches.Value(), corrupt.Value()
+		if err := run(); !errors.Is(err, want) {
+			t.Errorf("%s: err = %v, want %v", what, err, want)
+		}
+		noDispatchLeft(what)
+		if d := redispatches.Value() - r0; d != 0 {
+			t.Errorf("%s cost %d redispatches, want 0", what, d)
+		}
+		if d := corrupt.Value() - c0; d != 1 {
+			t.Errorf("%s moved waterwheel_query_corrupt_chunks_total by %d, want 1", what, d)
+		}
 	}
-	noDispatchLeft("query over a WWCHUNK1 file")
-	_, err = db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: v1Times, Kind: AggSum})
-	if !errors.Is(err, chunk.ErrUnsupportedVersion) {
-		t.Errorf("aggregate over a WWCHUNK1 file: err = %v, want chunk.ErrUnsupportedVersion", err)
-	}
-	noDispatchLeft("aggregate over a WWCHUNK1 file")
-	if _, err := db.QueryRange(FullKeyRange(), garbageTimes); !errors.Is(err, chunk.ErrCorrupt) {
-		t.Errorf("query over a garbage file: err = %v, want chunk.ErrCorrupt", err)
-	}
-	noDispatchLeft("query over a garbage file")
-	if d := redispatches.Value() - before; d != 0 {
-		t.Errorf("undecodable chunks cost %d redispatches, want 0", d)
-	}
+	failsTyped("query over a WWCHUNK1 file", chunk.ErrUnsupportedVersion, func() error {
+		_, err := db.QueryRange(FullKeyRange(), v1Times)
+		return err
+	})
+	failsTyped("aggregate over a WWCHUNK1 file", chunk.ErrUnsupportedVersion, func() error {
+		_, err := db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: v1Times, Kind: AggSum})
+		return err
+	})
+	failsTyped("query over a garbage file", chunk.ErrCorrupt, func() error {
+		_, err := db.QueryRange(FullKeyRange(), garbageTimes)
+		return err
+	})
 	res, err := db.QueryRange(healthy.Keys, healthy.Times)
 	if err != nil || len(res.Tuples) != 500 {
 		t.Fatalf("query over healthy chunks afterwards: %d tuples, err %v", len(res.Tuples), err)
 	}
+
+	// A copy cut by 16 bytes, over the healthy chunk's own region: its leaf
+	// extents run past the end of the file.
+	register("chunks/foreign-truncated", good[:len(good)-16], healthy.Times)
+	failsTyped("query over a truncated file", chunk.ErrCorrupt, func() error {
+		_, err := db.QueryRange(healthy.Keys, healthy.Times)
+		return err
+	})
+}
+
+// TestFlippedChunkByteFailsQuery: one byte flipped in a chunk file on disk —
+// in a leaf body, in the header's index prefix, or in its pre-aggregate
+// block, read through Aggregate — fails the cold query that reads it with
+// chunk.ErrCorrupt. The coordinator does not redispatch it, and
+// waterwheel_query_corrupt_chunks_total counts it. With the byte put back,
+// a query returns every acked tuple. (Before chunks carried sums, the leaf
+// flip came back with no error as a tuple nobody inserted.)
+func TestFlippedChunkByteFailsQuery(t *testing.T) {
+	dir := t.TempDir()
+	db := openTestDB(t, Options{DataDir: dir})
+	const n = 1000
+	for i := 0; i < n; i++ {
+		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(1000 + i), Payload: flipPayload(uint64(i))})
+	}
+	db.Drain()
+	db.Flush()
+	c := db.Cluster()
+	chunks := c.Metadata().ChunksFor(Region{Keys: FullKeyRange(), Times: FullTimeRange()})
+	if len(chunks) == 0 {
+		t.Fatal("nothing flushed")
+	}
+	ci := chunks[0]
+	file := filepath.Join(dir, "dfs", strings.ReplaceAll(ci.Path, "/", "%2F"))
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := chunk.ParseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := -1
+	for li, d := range h.Dir {
+		if d.Count > 0 {
+			leaf = li
+			break
+		}
+	}
+	if leaf < 0 {
+		t.Fatal("the chunk has no tuple")
+	}
+	redispatches := db.Telemetry().Counter("waterwheel_query_redispatches_total", "")
+	corrupt := db.Telemetry().Counter("waterwheel_query_corrupt_chunks_total", "")
+	// neverInserted reports a returned tuple that no Insert above wrote.
+	neverInserted := func(tuples []Tuple) error {
+		for _, tp := range tuples {
+			i := uint64(tp.Key) >> 50
+			if tp.Time != Timestamp(1000+i) || !bytes.Equal(tp.Payload, flipPayload(i)) {
+				return fmt.Errorf("tuple %+v was never inserted", tp)
+			}
+		}
+		return nil
+	}
+	query := func() error {
+		res, err := db.QueryRange(FullKeyRange(), FullTimeRange())
+		if err == nil {
+			err = neverInserted(res.Tuples)
+		}
+		return err
+	}
+	// Half of the chunk's key range: the metadata cannot answer it, so a
+	// query server reads the header and its pre-aggregate block.
+	aggregate := func() error {
+		keys := KeyRange{Lo: ci.Region.Keys.Lo, Hi: ci.Region.Keys.Lo + (ci.Region.Keys.Hi-ci.Region.Keys.Lo)/2}
+		_, err := db.Aggregate(AggregateQuery{Keys: keys, Times: FullTimeRange(), Kind: AggSum})
+		return err
+	}
+	for _, flip := range []struct {
+		name string
+		at   int64
+		run  func() error
+	}{
+		{"leaf body", h.Dir[leaf].Offset + h.Dir[leaf].Length - 1, query},
+		{"index prefix", int64(ci.IndexLen / 2), query},
+		{"pre-aggregate block", int64(ci.IndexLen+ci.HeaderLen) / 2, aggregate},
+	} {
+		for _, qs := range c.QueryServers() {
+			qs.EvictChunk(ci.ID)
+		}
+		flipped := bytes.Clone(data)
+		flipped[flip.at] ^= 0x20
+		if err := os.WriteFile(file, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r0, c0 := redispatches.Value(), corrupt.Value()
+		if err := flip.run(); !errors.Is(err, chunk.ErrCorrupt) {
+			t.Errorf("%s flipped at byte %d: err = %v, want chunk.ErrCorrupt", flip.name, flip.at, err)
+		}
+		if d := redispatches.Value() - r0; d != 0 {
+			t.Errorf("%s flipped: %d redispatches, want 0", flip.name, d)
+		}
+		if d := corrupt.Value() - c0; d != 1 {
+			t.Errorf("%s flipped: waterwheel_query_corrupt_chunks_total moved by %d, want 1", flip.name, d)
+		}
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.QueryRange(FullKeyRange(), FullTimeRange())
+	if err == nil {
+		err = neverInserted(res.Tuples)
+	}
+	if err != nil || len(res.Tuples) != n {
+		t.Fatalf("query after the bytes were put back: %d tuples, err %v", len(res.Tuples), err)
+	}
+}
+
+// flipPayload is the payload TestFlippedChunkByteFailsQuery gives tuple i:
+// i as the big-endian uint64 the pre-aggregates fold, then a tag.
+func flipPayload(i uint64) []byte {
+	p := make([]byte, 16)
+	binary.BigEndian.PutUint64(p, i)
+	binary.BigEndian.PutUint64(p[8:], ^i)
+	return p
 }
 
 // TestEveryOptionReachesConfig keeps dead knobs from growing back: setting

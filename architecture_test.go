@@ -246,6 +246,15 @@ var deletedNames = []deletedName{
 	{`DisableAgg`, everywhere, `type BuildOptions struct{ DisableAgg bool }`},
 	{`magicV2`, everywhere, `var magicV2 [8]byte`},
 	{`buildV2`, everywhere, `func buildV2() {}`},
+	// One predicate path (§16): a recurring window is a Filter op, pruned
+	// by MayMatchTimes and applied inside every scan; the query's second
+	// predicate, its wire flag, the rule that lifted the subqueries' limit
+	// and the coordinator's post-filter are gone.
+	{`wireHasRecur`, everywhere, `const wireHasRecur = 2`},
+	{`subLimit`, everywhere, `var subLimit int`},
+	{`\bRecur\b`, everywhere, `type Query struct{ Recur *int }`},
+	{`\bRecurrence\b`, everywhere, `type Recurrence struct{}`},
+	{`Run\) Keep\(`, everywhere, "type Run struct{}\nfunc (r *Run) Keep() {}"},
 	// The geo helper is the taxi example's, over internal/zorder; the root
 	// package exports no geo API.
 	{`GeoGrid`, rootOnly, `type GeoGrid struct{}`},

@@ -9,6 +9,7 @@
 //	wwql -addr 127.0.0.1:7070 query -keys 0:100 -daily 22:00-02:00
 //	wwql -addr 127.0.0.1:7070 trace -keys 0:100 -times 0:2000000000000
 //	wwql -addr 127.0.0.1:7070 agg -kind sum -field 0 -keys 0:100 -times 0:2000000000000
+//	wwql -addr 127.0.0.1:7070 agg -kind count -daily 09:00-17:00
 //	wwql -addr 127.0.0.1:7070 stats
 //	wwql -addr 127.0.0.1:7070 metrics
 //	wwql -addr 127.0.0.1:7070 flush | drain
@@ -47,10 +48,10 @@ func parseRange(s string) (lo, hi uint64, err error) {
 }
 
 // parseDaily parses a "hh:mm-hh:mm" recurring daily window ("between
-// 09:00 and 17:00 daily") into a Recurrence. A window that ends before it
+// 09:00 and 17:00 daily") into a Daily filter. A window that ends before it
 // starts crosses midnight: 22:00-02:00 is four hours a night. The one time
 // with hour 24 is 24:00, the end of the day.
-func parseDaily(s string) (*waterwheel.Recurrence, error) {
+func parseDaily(s string) (*waterwheel.Filter, error) {
 	parts := strings.SplitN(s, "-", 2)
 	if len(parts) != 2 {
 		return nil, fmt.Errorf("want hh:mm-hh:mm, got %q", s)
@@ -88,14 +89,13 @@ func parseDaily(s string) (*waterwheel.Recurrence, error) {
 	return waterwheel.Daily(from*60_000, length*60_000), nil
 }
 
-// parseQueryArgs parses the shared query/trace flags into a query and the
-// tuple print limit.
-func parseQueryArgs(cmd string, args []string) (waterwheel.Query, int) {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+// parseQueryArgs parses args with fs, after adding to it the flags every
+// query verb shares — the region and the recurring daily window — and
+// returns the query they select.
+func parseQueryArgs(fs *flag.FlagSet, args []string) waterwheel.Query {
 	keys := fs.String("keys", "", "key range lo:hi (default: all)")
 	times := fs.String("times", "", "time range lo:hi in ms (default: all)")
 	daily := fs.String("daily", "", "recurring daily window hh:mm-hh:mm (UTC), e.g. 09:00-17:00")
-	limit := fs.Int("limit", 20, "max tuples to print (0 = all)")
 	fs.Parse(args)
 	q := waterwheel.Query{Keys: waterwheel.FullKeyRange(), Times: waterwheel.FullTimeRange()}
 	if *keys != "" {
@@ -113,13 +113,27 @@ func parseQueryArgs(cmd string, args []string) (waterwheel.Query, int) {
 		q.Times = waterwheel.TimeRange{Lo: waterwheel.Timestamp(lo), Hi: waterwheel.Timestamp(hi)}
 	}
 	if *daily != "" {
-		rc, err := parseDaily(*daily)
+		f, err := parseDaily(*daily)
 		if err != nil {
 			fatalf("bad -daily: %v", err)
 		}
-		q.Recur = rc
+		q.Filter = f
 	}
-	return q, *limit
+	return q
+}
+
+// parseAggArgs parses the agg verb's flags: the shared query flags plus
+// the aggregate's kind and field.
+func parseAggArgs(args []string) waterwheel.AggregateQuery {
+	fs := flag.NewFlagSet("agg", flag.ExitOnError)
+	kind := fs.String("kind", "count", "aggregate: count|min|max|sum")
+	field := fs.Uint("field", 0, "payload offset of the aggregated uint64 field")
+	q := parseQueryArgs(fs, args)
+	k, err := waterwheel.ParseAggKind(*kind)
+	if err != nil {
+		fatalf("bad -kind: %v", err)
+	}
+	return waterwheel.AggregateQuery{Keys: q.Keys, Times: q.Times, Filter: q.Filter, Kind: k, Field: uint32(*field)}
 }
 
 func main() {
@@ -161,7 +175,9 @@ func main() {
 		fmt.Println("ok")
 
 	case "query", "trace":
-		q, limit := parseQueryArgs(args[0], args[1:])
+		fs := flag.NewFlagSet(args[0], flag.ExitOnError)
+		limit := fs.Int("limit", 20, "max tuples to print (0 = all)")
+		q := parseQueryArgs(fs, args[1:])
 		var (
 			res *waterwheel.Result
 			tr  *waterwheel.QueryTrace
@@ -178,7 +194,7 @@ func main() {
 		fmt.Printf("%d tuples (%d subqueries, %d leaves read, %d pruned, %d bytes)\n",
 			len(res.Tuples), res.SubQueries, res.LeavesRead, res.LeavesSkipped, res.BytesRead)
 		for i := range res.Tuples {
-			if limit > 0 && i >= limit {
+			if *limit > 0 && i >= *limit {
 				fmt.Printf("... %d more\n", len(res.Tuples)-i)
 				break
 			}
@@ -190,42 +206,15 @@ func main() {
 		}
 
 	case "agg":
-		fs := flag.NewFlagSet("agg", flag.ExitOnError)
-		keys := fs.String("keys", "", "key range lo:hi (default: all)")
-		times := fs.String("times", "", "time range lo:hi in ms (default: all)")
-		kind := fs.String("kind", "count", "aggregate: count|min|max|sum")
-		field := fs.Uint("field", 0, "payload offset of the aggregated uint64 field")
-		fs.Parse(args[1:])
-		k, err := waterwheel.ParseAggKind(*kind)
-		if err != nil {
-			fatalf("bad -kind: %v", err)
-		}
-		q := waterwheel.AggregateQuery{
-			Keys: waterwheel.FullKeyRange(), Times: waterwheel.FullTimeRange(),
-			Kind: k, Field: uint32(*field),
-		}
-		if *keys != "" {
-			lo, hi, err := parseRange(*keys)
-			if err != nil {
-				fatalf("bad -keys: %v", err)
-			}
-			q.Keys = waterwheel.KeyRange{Lo: waterwheel.Key(lo), Hi: waterwheel.Key(hi)}
-		}
-		if *times != "" {
-			lo, hi, err := parseRange(*times)
-			if err != nil {
-				fatalf("bad -times: %v", err)
-			}
-			q.Times = waterwheel.TimeRange{Lo: waterwheel.Timestamp(lo), Hi: waterwheel.Timestamp(hi)}
-		}
+		q := parseAggArgs(args[1:])
 		res, err := cl.Aggregate(q)
 		if err != nil {
 			fatalf("agg: %v", err)
 		}
 		if v, ok := res.Value(); ok {
-			fmt.Printf("%s = %d\n", k, v)
+			fmt.Printf("%s = %d\n", q.Kind, v)
 		} else {
-			fmt.Printf("%s = undefined (no tuples carry the field)\n", k)
+			fmt.Printf("%s = undefined (no tuples carry the field)\n", q.Kind)
 		}
 		fmt.Printf("count=%d values=%d (%d subqueries, %d chunks from metadata, %d leaves pushed down, %d scanned, %d skipped, %d bytes read)\n",
 			res.Count, res.Values, res.SubQueries, res.MetaChunks, res.PushdownLeaves, res.LeavesRead, res.LeavesSkipped, res.BytesRead)

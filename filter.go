@@ -48,3 +48,19 @@ func PayloadBytes(offset uint32, op CmpOp, b []byte) *Filter {
 
 // KeyMod accepts tuples whose key ≡ rem (mod modulus).
 func KeyMod(modulus, rem uint64) *Filter { return model.KeyMod(modulus, rem) }
+
+// TimeWindow accepts timestamps inside a repeating window — window k is
+// [k·period+start, k·period+start+length) for every integer k, all in
+// milliseconds. A window may run past the end of its period, a length of
+// at least the period matches every timestamp, and a period or length of
+// zero or less matches none. The coordinator skips every chunk no window
+// meets before reading it, and every scan applies the window, so a query's
+// Limit counts window matches.
+func TimeWindow(period, start, length int64) *Filter { return model.TimeWindow(period, start, length) }
+
+// Daily is the TimeWindow matching [start, start+length) from every UTC
+// midnight, both arguments in milliseconds — "between 09:00 and 17:00
+// daily" is Daily(9h, 8h). A window that crosses midnight continues into
+// the next day: Daily(22h, 4h) matches 22:00–02:00. Combine it with other
+// predicates through And.
+func Daily(start, length int64) *Filter { return TimeWindow(24*3_600_000, start, length) }

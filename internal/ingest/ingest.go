@@ -558,8 +558,7 @@ func (s *Server) ExecuteSubQuery(sq *model.SubQuery) *model.SubResult {
 	app := model.BorrowRunAppender()
 	defer model.ReturnRunAppender(app)
 	visit := func(k model.Key, ts model.Timestamp, p []byte) bool {
-		app.Append(k, ts, p)
-		return sq.Limit <= 0 || app.Len() < sq.Limit
+		return app.AppendLimited(sq.Limit, k, ts, p)
 	}
 	s.scanSources(sq, func(rangeFn treeRange) {
 		rangeFn(sq.Region.Keys, sq.Region.Times, sq.Filter, visit)

@@ -54,8 +54,8 @@ func ParseAggKind(s string) (AggKind, error) {
 // payload field at byte offset Field; tuples whose payload is shorter than
 // Field+8 are counted but contribute no value.
 type AggregateQuery struct {
-	// ID identifies the query within the cluster; assigned by the
-	// coordinator when zero.
+	// ID identifies the query within the cluster. The coordinator assigns
+	// it when it registers the query, over any value the caller set.
 	ID uint64
 	// Keys is the selection interval on the key domain.
 	Keys KeyRange

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // The paper's query model includes a user-defined predicate fq that decides
@@ -43,6 +44,13 @@ const (
 	// FilterKeyMod accepts tuples whose key ≡ Uint (mod Modulus). Useful for
 	// sampling predicates in tests and workloads.
 	FilterKeyMod
+	// FilterTimeWindow accepts tuples whose timestamp falls inside a
+	// repeating window — "between 09:00 and 17:00 daily": window k is
+	// [k·Modulus+Int, k·Modulus+Int+Uint) for every integer k, in
+	// milliseconds. A window may run past the end of its period, a length
+	// (Uint) of at least the period (Modulus) matches every timestamp, and
+	// a zero period or length matches none. Built by TimeWindow.
+	FilterTimeWindow
 )
 
 // CmpOp is a comparison operator used by leaf filter nodes.
@@ -184,8 +192,80 @@ func (f *Filter) MatchesCols(key Key, ts Timestamp, payload []byte) bool {
 			return false
 		}
 		return uint64(key)%f.Modulus == f.Uint
+	case FilterTimeWindow:
+		p, ok := f.windowPeriod()
+		return ok && uint64(windowPhase(ts, f.Int, p)) < f.Uint
 	}
 	return false
+}
+
+// MayMatchTimes reports whether a tuple stamped inside tr may pass the
+// filter, so that a planner can skip a chunk's part of a query when it
+// answers false. It is exact for a FilterTimeWindow node — whether some
+// instant of tr lies in a window, in O(1) however many periods tr spans —
+// holds an And to all its children and an Or to any, and answers true for
+// every other node and for nil.
+func (f *Filter) MayMatchTimes(tr TimeRange) bool {
+	if f == nil {
+		return true
+	}
+	switch f.Op {
+	case FilterAnd:
+		for _, c := range f.Children {
+			if !c.MayMatchTimes(tr) {
+				return false
+			}
+		}
+		return true
+	case FilterOr:
+		for _, c := range f.Children {
+			if c.MayMatchTimes(tr) {
+				return true
+			}
+		}
+		return false
+	case FilterTimeWindow:
+		p, ok := f.windowPeriod()
+		if !ok || tr.Lo > tr.Hi {
+			return false
+		}
+		off := windowPhase(tr.Lo, f.Int, p)
+		if uint64(off) < f.Uint {
+			return true
+		}
+		// tr.Lo lies in a gap; the next window starts p−off later. The
+		// difference is taken unsigned, so [MinInt64, MaxInt64] does not wrap.
+		return uint64(tr.Hi)-uint64(tr.Lo) >= uint64(p-off)
+	}
+	return true
+}
+
+// windowPeriod returns a FilterTimeWindow node's period, and false when the
+// node has no windows: a zero length, or a period of zero or beyond
+// MaxInt64 (which the decoder refuses).
+func (f *Filter) windowPeriod() (int64, bool) {
+	return int64(f.Modulus), f.Uint != 0 && f.Modulus != 0 && f.Modulus <= math.MaxInt64
+}
+
+// windowPhase returns how far ts lies past the start of the latest window
+// starting at or before it, floorMod(ts−start, p), without overflowing for
+// any ts or start. p must be positive.
+func windowPhase(ts Timestamp, start, p int64) int64 {
+	d := floorMod(int64(ts), p) - floorMod(start, p) // in (−p, p)
+	if d < 0 {
+		d += p
+	}
+	return d
+}
+
+// floorMod is a modulo p rounded toward negative infinity, in [0, p) for
+// a positive p.
+func floorMod(a, p int64) int64 {
+	m := a % p
+	if m < 0 {
+		m += p
+	}
+	return m
 }
 
 // Constructors for common filter shapes.
@@ -230,6 +310,15 @@ func KeyMod(modulus, rem uint64) *Filter {
 	return &Filter{Op: FilterKeyMod, Modulus: modulus, Uint: rem}
 }
 
+// TimeWindow builds a FilterTimeWindow node; a period or length of zero or
+// less matches nothing.
+func TimeWindow(period, start, length int64) *Filter {
+	if period <= 0 || length <= 0 {
+		period, length = 0, 0
+	}
+	return &Filter{Op: FilterTimeWindow, Modulus: uint64(period), Int: start, Uint: uint64(length)}
+}
+
 // errBadFilter reports a malformed encoded filter.
 var errBadFilter = errors.New("model: malformed encoded filter")
 
@@ -265,7 +354,9 @@ func AppendFilter(dst []byte, f *Filter) []byte {
 }
 
 // DecodeFilter decodes a filter from the front of buf, returning the filter
-// and bytes consumed.
+// and bytes consumed. A node it could not evaluate — an unknown op or
+// comparison, a Not without exactly one child, a window period beyond
+// MaxInt64 — is refused, not decoded into a filter that matches nothing.
 func DecodeFilter(buf []byte) (*Filter, int, error) {
 	return decodeFilterDepth(buf, 0)
 }
@@ -286,6 +377,14 @@ func decodeFilterDepth(buf []byte, depth int) (*Filter, int, error) {
 		Modulus: binary.BigEndian.Uint64(buf[18:26]),
 		Offset:  binary.BigEndian.Uint32(buf[26:30]),
 	}
+	switch {
+	case f.Op > FilterTimeWindow:
+		return nil, 0, fmt.Errorf("%w: unknown op %d", errBadFilter, f.Op)
+	case f.Cmp > CmpGE:
+		return nil, 0, fmt.Errorf("%w: unknown comparison %d", errBadFilter, f.Cmp)
+	case f.Op == FilterTimeWindow && f.Modulus > math.MaxInt64:
+		return nil, 0, fmt.Errorf("%w: window period %d", errBadFilter, f.Modulus)
+	}
 	blen := int(binary.BigEndian.Uint32(buf[30:34]))
 	pos := fixed
 	if blen > 0 {
@@ -302,6 +401,9 @@ func decodeFilterDepth(buf []byte, depth int) (*Filter, int, error) {
 	pos += 4
 	if nkids > len(buf) { // cheap sanity bound: each child needs ≥1 byte
 		return nil, 0, errBadFilter
+	}
+	if f.Op == FilterNot && nkids != 1 {
+		return nil, 0, fmt.Errorf("%w: not with %d children", errBadFilter, nkids)
 	}
 	for i := 0; i < nkids; i++ {
 		c, n, err := decodeFilterDepth(buf[pos:], depth+1)

@@ -2,6 +2,8 @@ package model
 
 import (
 	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -106,7 +108,7 @@ func TestFilterKeyMod(t *testing.T) {
 func TestFilterEncodeRoundTrip(t *testing.T) {
 	f := And(
 		KeyCmp(CmpGE, 100),
-		Or(TimeCmp(CmpLT, 999), Not(PayloadBytes(4, CmpEQ, []byte("abc")))),
+		Or(TimeCmp(CmpLT, 999), Not(PayloadBytes(4, CmpEQ, []byte("abc"))), TimeWindow(100, 7, 30)),
 		KeyMod(7, 2),
 		PayloadU64(8, CmpLE, 1<<40),
 	)
@@ -158,5 +160,52 @@ func TestFilterEncodeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refusedFilters are filters no server can evaluate: each must fail to
+// decode rather than decode into one that matches nothing.
+var refusedFilters = []struct {
+	name string
+	f    *Filter
+}{
+	{"op beyond the last", &Filter{Op: FilterTimeWindow + 1}},
+	{"op 200", &Filter{Op: 200}},
+	{"cmp beyond CmpGE", &Filter{Op: FilterKeyCmp, Cmp: CmpGE + 1}},
+	{"cmp 99 on a node that ignores it", &Filter{Op: FilterAnd, Cmp: 99}},
+	{"not without a child", &Filter{Op: FilterNot}},
+	{"not with two children", &Filter{Op: FilterNot, Children: []*Filter{True(), False()}}},
+	{"window period beyond MaxInt64", &Filter{Op: FilterTimeWindow, Modulus: math.MaxInt64 + 1, Uint: 1}},
+	{"window period MaxUint64", &Filter{Op: FilterTimeWindow, Modulus: math.MaxUint64, Uint: math.MaxUint64}},
+	{"refused under And", And(True(), Or(KeyMod(3, 1), &Filter{Op: FilterNot}))},
+}
+
+// TestFilterDecodeRefusesWhatItCannotEvaluate: an unknown op or comparison,
+// a Not without exactly one child and a window period beyond MaxInt64 fail
+// with the typed error, which the query decoders report as ErrBadWire —
+// never a filter that silently matches nothing.
+func TestFilterDecodeRefusesWhatItCannotEvaluate(t *testing.T) {
+	for _, c := range refusedFilters {
+		if f, _, err := DecodeFilter(AppendFilter(nil, c.f)); !errors.Is(err, errBadFilter) {
+			t.Errorf("%s: decoded %+v, err %v; want %v", c.name, f, err, errBadFilter)
+		}
+		q := Query{Keys: FullKeyRange(), Times: FullTimeRange(), Filter: c.f}
+		if _, err := DecodeQuery(AppendQuery(nil, &q)); !errors.Is(err, ErrBadWire) {
+			t.Errorf("%s: query decoded, err %v", c.name, err)
+		}
+		aq := AggregateQuery{Keys: FullKeyRange(), Times: FullTimeRange(), Filter: c.f}
+		if _, err := DecodeAggregateQuery(AppendAggregateQuery(nil, &aq)); !errors.Is(err, ErrBadWire) {
+			t.Errorf("%s: aggregate query decoded, err %v", c.name, err)
+		}
+	}
+	// The edges that stay accepted.
+	for _, f := range []*Filter{
+		{Op: FilterTimeWindow, Modulus: math.MaxInt64, Uint: math.MaxUint64, Int: math.MinInt64},
+		{Op: FilterTimeWindow, Cmp: CmpGE},
+		Not(Not(TimeWindow(10, -3, 4))),
+	} {
+		if _, _, err := DecodeFilter(AppendFilter(nil, f)); err != nil {
+			t.Errorf("%+v refused: %v", f, err)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // Query is a user query q = <Kq, Tq, fq>: selection criteria on the key and
 // time domains plus an optional predicate (paper §II-A).
 type Query struct {
-	// ID identifies the query within the cluster; assigned by the
-	// coordinator when zero.
+	// ID identifies the query within the cluster. The coordinator assigns
+	// it when it registers the query, over any value the caller set.
 	ID uint64
 	// Keys is the selection interval on the key domain.
 	Keys KeyRange
@@ -17,75 +17,11 @@ type Query struct {
 	Times TimeRange
 	// Filter is the user-defined predicate fq; nil accepts everything.
 	Filter *Filter
-	// Limit, when positive, caps the number of returned tuples: the
-	// lowest-keyed Limit matches, in (key, time) order. Among tuples tying
-	// at the cut-off key, which ones are returned is unspecified. Each
-	// subquery also stops after Limit matches, bounding work.
+	// Limit, when positive, caps the number of returned tuples: the first
+	// Limit matches in canonical (key, time, payload) order. Each subquery
+	// also stops after Limit matches once it has finished the key it cut
+	// at, bounding work.
 	Limit int
-	// Recur, when non-nil, restricts Times to a repeating window — "between
-	// 09:00 and 17:00 daily". The coordinator plans the query's region as
-	// usual, skips every chunk whose part of Times meets no window
-	// (Recurrence.Overlaps), and keeps only the matches Contains accepts.
-	Recur *Recurrence
-}
-
-// Recurrence is a repeating window: window k is [k·Period+Start,
-// k·Period+Start+Length) for every integer k. All fields are milliseconds,
-// epoch-aligned like the rest of the time domain. A daily 09:00–17:00
-// window is {Period: 86_400_000, Start: 32_400_000, Length: 28_800_000}. A
-// window may run past the end of its period — {Period: one day, Start:
-// 22:00, Length: 4h} matches 22:00–02:00 — and a Length of at least Period
-// matches every timestamp. A Period or Length of zero or less matches none.
-type Recurrence struct {
-	PeriodMillis int64
-	StartMillis  int64
-	LengthMillis int64
-}
-
-// phase returns how far ts lies past the start of the latest window
-// starting at or before it, floorMod(ts−Start, Period), without
-// overflowing for any ts or Start. Period must be positive.
-func (rc *Recurrence) phase(ts Timestamp) int64 {
-	p := rc.PeriodMillis
-	d := floorMod(int64(ts), p) - floorMod(rc.StartMillis, p) // in (−p, p)
-	if d < 0 {
-		d += p
-	}
-	return d
-}
-
-// floorMod is a modulo p rounded toward negative infinity, in [0, p) for
-// a positive p.
-func floorMod(a, p int64) int64 {
-	m := a % p
-	if m < 0 {
-		m += p
-	}
-	return m
-}
-
-// Contains reports whether ts falls inside a window of the recurrence.
-func (rc *Recurrence) Contains(ts Timestamp) bool {
-	if rc == nil || rc.PeriodMillis <= 0 || rc.LengthMillis <= 0 {
-		return false
-	}
-	return rc.phase(ts) < rc.LengthMillis
-}
-
-// Overlaps reports whether some timestamp of tr falls inside a window of
-// the recurrence — exactly whether Contains accepts any t in tr, in O(1)
-// however many periods tr spans. An empty (inverted) tr overlaps nothing.
-func (rc *Recurrence) Overlaps(tr TimeRange) bool {
-	if rc == nil || rc.PeriodMillis <= 0 || rc.LengthMillis <= 0 || tr.Lo > tr.Hi {
-		return false
-	}
-	off := rc.phase(tr.Lo)
-	if off < rc.LengthMillis {
-		return true
-	}
-	// tr.Lo lies in a gap; the next window starts Period−off later. The
-	// difference is taken unsigned, so [MinInt64, MaxInt64] does not wrap.
-	return uint64(tr.Hi)-uint64(tr.Lo) >= uint64(rc.PeriodMillis-off)
 }
 
 // FloorDiv is integer division rounding toward negative infinity: the
@@ -127,8 +63,9 @@ type SubQuery struct {
 	Region Region
 	Filter *Filter
 	// Limit caps matches per subquery (0 = unlimited). Executors visit
-	// tuples in key order, so each subquery's first Limit matches are its
-	// lowest-keyed ones — a superset of what the merged query needs.
+	// tuples in key order and finish the key they cut at
+	// (RunAppender.AppendLimited), so each subquery ships its canonical
+	// first Limit matches — a superset of what the merged query needs.
 	Limit int
 	// Chunk is the flushed chunk to read, or MemChunk for memtable reads.
 	Chunk ChunkID

@@ -93,12 +93,15 @@ func TestResultSortTieBreaksOnPayload(t *testing.T) {
 	}
 }
 
-// overlapsByScan is Overlaps by definition: some t in tr that Contains
-// accepts. tr must hold few timestamps; t never steps past tr.Hi, so it
-// cannot wrap at MaxInt64.
-func overlapsByScan(rc *Recurrence, tr TimeRange) bool {
+// contains is whether a window filter accepts a tuple stamped ts.
+func contains(f *Filter, ts Timestamp) bool { return f.MatchesCols(0, ts, nil) }
+
+// overlapsByScan is MayMatchTimes by definition: some t in tr that
+// MatchesCols accepts. tr must hold few timestamps; t never steps past
+// tr.Hi, so it cannot wrap at MaxInt64.
+func overlapsByScan(f *Filter, tr TimeRange) bool {
 	for t := tr.Lo; t <= tr.Hi; t++ {
-		if rc.Contains(t) {
+		if contains(f, t) {
 			return true
 		}
 		if t == tr.Hi {
@@ -108,18 +111,18 @@ func overlapsByScan(rc *Recurrence, tr TimeRange) bool {
 	return false
 }
 
-// TestRecurrenceWindows: a daily 09:00–17:00 recurrence has one window a
-// day, and a range meets it exactly when it reaches into one.
+// TestRecurrenceWindows: a daily 09:00–17:00 window has one window a day,
+// and a range meets it exactly when it reaches into one.
 func TestRecurrenceWindows(t *testing.T) {
 	const hour, day = int64(3_600_000), int64(86_400_000)
-	rc := &Recurrence{PeriodMillis: day, StartMillis: 9 * hour, LengthMillis: 8 * hour}
+	rc := TimeWindow(day, 9*hour, 8*hour)
 	for d := int64(0); d < 3; d++ {
 		lo, hi := Timestamp(d*day+9*hour), Timestamp(d*day+17*hour-1)
-		if !rc.Overlaps(TimeRange{Lo: lo, Hi: hi}) || !rc.Overlaps(TimeRange{Lo: hi, Hi: hi}) || !rc.Overlaps(TimeRange{Lo: lo - 5, Hi: lo}) {
+		if !rc.MayMatchTimes(TimeRange{Lo: lo, Hi: hi}) || !rc.MayMatchTimes(TimeRange{Lo: hi, Hi: hi}) || !rc.MayMatchTimes(TimeRange{Lo: lo - 5, Hi: lo}) {
 			t.Fatalf("day %d: window [%d, %d] not met", d, lo, hi)
 		}
 		// The gap after the window, to the next day's 09:00.
-		if rc.Overlaps(TimeRange{Lo: hi + 1, Hi: lo + Timestamp(day) - 1}) {
+		if rc.MayMatchTimes(TimeRange{Lo: hi + 1, Hi: lo + Timestamp(day) - 1}) {
 			t.Fatalf("day %d: the gap after [%d, %d] meets a window", d, lo, hi)
 		}
 	}
@@ -128,7 +131,7 @@ func TestRecurrenceWindows(t *testing.T) {
 // TestRecurrenceWindowsClipped: the part of a range that lies in a window
 // counts, however little of the window it clips.
 func TestRecurrenceWindowsClipped(t *testing.T) {
-	rc := &Recurrence{PeriodMillis: 1000, StartMillis: 200, LengthMillis: 300}
+	rc := TimeWindow(1000, 200, 300)
 	for _, c := range []struct {
 		tr   TimeRange
 		want bool
@@ -140,48 +143,49 @@ func TestRecurrenceWindowsClipped(t *testing.T) {
 		{TimeRange{Lo: -900, Hi: -801}, false},
 		{TimeRange{Lo: -900, Hi: -800}, true}, // period −1's window starts at −800
 	} {
-		if got := rc.Overlaps(c.tr); got != c.want {
-			t.Errorf("Overlaps(%v) = %v, want %v", c.tr, got, c.want)
+		if got := rc.MayMatchTimes(c.tr); got != c.want {
+			t.Errorf("MayMatchTimes(%v) = %v, want %v", c.tr, got, c.want)
 		}
 	}
 }
 
-// TestRecurrenceWindowsMalformed: a recurrence with no positive period or
+// TestRecurrenceWindowsMalformed: a window with no positive period or
 // length has no windows at all, and an empty range meets none.
 func TestRecurrenceWindowsMalformed(t *testing.T) {
-	for _, rc := range []*Recurrence{
-		nil,
-		{PeriodMillis: 0, StartMillis: 0, LengthMillis: 1},
-		{PeriodMillis: -100, StartMillis: 0, LengthMillis: 10},
-		{PeriodMillis: math.MinInt64, StartMillis: 0, LengthMillis: 10},
-		{PeriodMillis: 100, StartMillis: 0, LengthMillis: 0},
-		{PeriodMillis: 100, StartMillis: 0, LengthMillis: math.MinInt64},
+	for _, rc := range []*Filter{
+		TimeWindow(0, 0, 1),
+		TimeWindow(-100, 0, 10),
+		TimeWindow(math.MinInt64, 0, 10),
+		TimeWindow(100, 0, 0),
+		TimeWindow(100, 0, math.MinInt64),
+		{Op: FilterTimeWindow, Modulus: 1 << 63, Uint: 10}, // a period beyond MaxInt64
+		{Op: FilterTimeWindow, Modulus: 100},               // a zero length
 	} {
-		if rc.Overlaps(FullTimeRange()) || rc.Contains(0) || rc.Contains(math.MaxInt64) {
+		if rc.MayMatchTimes(FullTimeRange()) || contains(rc, 0) || contains(rc, math.MaxInt64) {
 			t.Fatalf("malformed %+v matches", rc)
 		}
 	}
-	rc := &Recurrence{PeriodMillis: 100, StartMillis: 0, LengthMillis: 100}
-	if rc.Overlaps(TimeRange{Lo: 10, Hi: 9}) {
+	rc := TimeWindow(100, 0, 100)
+	if rc.MayMatchTimes(TimeRange{Lo: 10, Hi: 9}) {
 		t.Fatal("an inverted range meets a window")
 	}
 }
 
 func TestRecurrenceContains(t *testing.T) {
 	day := int64(86_400_000)
-	rc := &Recurrence{PeriodMillis: day, StartMillis: 9 * 3_600_000, LengthMillis: 8 * 3_600_000}
+	rc := TimeWindow(day, 9*3_600_000, 8*3_600_000)
 	in := Timestamp(2*day + 12*3_600_000)  // day 2, noon
 	out := Timestamp(2*day + 18*3_600_000) // day 2, 18:00
 	edgeLo := Timestamp(9 * 3_600_000)
 	edgeHi := Timestamp(17*3_600_000 - 1)
 	past := Timestamp(17 * 3_600_000)
-	if !rc.Contains(in) || rc.Contains(out) {
-		t.Fatalf("membership wrong: in=%v out=%v", rc.Contains(in), rc.Contains(out))
+	if !contains(rc, in) || contains(rc, out) {
+		t.Fatalf("membership wrong: in=%v out=%v", contains(rc, in), contains(rc, out))
 	}
-	if !rc.Contains(edgeLo) || !rc.Contains(edgeHi) || rc.Contains(past) {
+	if !contains(rc, edgeLo) || !contains(rc, edgeHi) || contains(rc, past) {
 		t.Fatal("window edges wrong")
 	}
-	if !rc.Contains(edgeLo-Timestamp(day)) || rc.Contains(past-Timestamp(day)) {
+	if !contains(rc, edgeLo-Timestamp(day)) || contains(rc, past-Timestamp(day)) {
 		t.Fatal("the window before the epoch is not the same window")
 	}
 }
@@ -190,45 +194,53 @@ func TestRecurrenceContains(t *testing.T) {
 // it runs into the next period, and a window at least a period long
 // matches everything.
 func TestRecurrenceWrapsPastPeriodEnd(t *testing.T) {
-	rc := &Recurrence{PeriodMillis: 1000, StartMillis: 900, LengthMillis: 200}
+	rc := TimeWindow(1000, 900, 200)
 	for ts, want := range map[Timestamp]bool{
 		899: false, 900: true, 999: true, 1000: true, 1050: true, 1099: true, 1100: false,
 		0: true, 99: true, 100: false, -100: true, -101: false,
 	} {
-		if got := rc.Contains(ts); got != want {
-			t.Errorf("{1000, 900, 200}.Contains(%d) = %v, want %v", ts, got, want)
+		if got := contains(rc, ts); got != want {
+			t.Errorf("TimeWindow(1000, 900, 200) at %d = %v, want %v", ts, got, want)
 		}
 	}
-	if !rc.Overlaps(TimeRange{Lo: 1000, Hi: 1099}) || rc.Overlaps(TimeRange{Lo: 100, Hi: 899}) {
-		t.Error("Overlaps cuts the window at the period end")
+	if !rc.MayMatchTimes(TimeRange{Lo: 1000, Hi: 1099}) || rc.MayMatchTimes(TimeRange{Lo: 100, Hi: 899}) {
+		t.Error("MayMatchTimes cuts the window at the period end")
 	}
-	night := &Recurrence{PeriodMillis: 86_400_000, StartMillis: 22 * 3_600_000, LengthMillis: 4 * 3_600_000}
-	if !night.Contains(86_400_000+3_600_000) || night.Contains(86_400_000+2*3_600_000) {
+	night := TimeWindow(86_400_000, 22*3_600_000, 4*3_600_000)
+	if !contains(night, 86_400_000+3_600_000) || contains(night, 86_400_000+2*3_600_000) {
 		t.Error("22:00+4h does not run to 02:00 the next day")
 	}
-	all := &Recurrence{PeriodMillis: 10, StartMillis: 3, LengthMillis: 25}
-	if !all.Contains(math.MinInt64) || !all.Contains(7) || !all.Overlaps(TimeRange{Lo: 4, Hi: 4}) {
+	all := TimeWindow(10, 3, 25)
+	if !contains(all, math.MinInt64) || !contains(all, 7) || !all.MayMatchTimes(TimeRange{Lo: 4, Hi: 4}) {
 		t.Error("a window longer than its period misses timestamps")
+	}
+	if wide := (&Filter{Op: FilterTimeWindow, Modulus: 10, Uint: math.MaxUint64}); !contains(wide, math.MaxInt64) {
+		t.Error("a length beyond MaxInt64 misses timestamps")
 	}
 }
 
-// TestRecurrenceOverlapsIsContainsOverTheRange holds Overlaps to its
-// definition, ∃t∈tr: Contains(t), over random small recurrences and ranges
-// — wrapping windows, L ≥ P, negative and extreme starts, inverted ranges —
-// and over ranges pinned to MinInt64 and MaxInt64, where a wrong offset
-// rule would overflow.
+// TestRecurrenceOverlapsIsContainsOverTheRange holds MayMatchTimes to its
+// definition for a window, ∃t∈tr: MatchesCols(t), over random small windows
+// and ranges — wrapping windows, L ≥ P, negative and extreme starts,
+// inverted ranges — and over ranges pinned to MinInt64 and MaxInt64, where
+// a wrong offset rule would overflow. Under And, Or and Not it may only
+// err towards true.
 func TestRecurrenceOverlapsIsContainsOverTheRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	starts := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64}
-	for i := 0; i < 20_000; i++ {
-		rc := &Recurrence{PeriodMillis: rng.Int63n(24) - 2, StartMillis: rng.Int63n(80) - 40, LengthMillis: rng.Int63n(30) - 2}
+	window := func(i int) *Filter {
+		period, start, length := rng.Int63n(24)-2, rng.Int63n(80)-40, rng.Int63n(30)-2
 		if i%4 == 0 {
-			rc.StartMillis = starts[rng.Intn(len(starts))]
+			start = starts[rng.Intn(len(starts))]
 		}
 		if i%50 == 0 {
-			rc.PeriodMillis = math.MaxInt64 - rng.Int63n(3)
-			rc.LengthMillis = rc.PeriodMillis - rng.Int63n(100)
+			period = math.MaxInt64 - rng.Int63n(3)
+			length = period - rng.Int63n(100)
 		}
+		return TimeWindow(period, start, length)
+	}
+	for i := 0; i < 20_000; i++ {
+		rc := window(i)
 		lo := Timestamp(rng.Int63n(200) - 100)
 		switch i % 5 {
 		case 1:
@@ -245,23 +257,29 @@ func TestRecurrenceOverlapsIsContainsOverTheRange(t *testing.T) {
 			hi = math.MinInt64
 		}
 		tr := TimeRange{Lo: lo, Hi: hi}
-		if got, want := rc.Overlaps(tr), overlapsByScan(rc, tr); got != want {
-			t.Fatalf("%+v.Overlaps(%v) = %v, a scan says %v", *rc, tr, got, want)
+		if got, want := rc.MayMatchTimes(tr), overlapsByScan(rc, tr); got != want {
+			t.Fatalf("%+v.MayMatchTimes(%v) = %v, a scan says %v", *rc, tr, got, want)
+		}
+		// A tree of windows may answer true where no instant matches, never
+		// false where one does.
+		tree := []*Filter{And(rc, window(i)), Or(rc, window(i)), Not(rc), Or(), And(Or(rc, TimeCmp(CmpGE, lo)), window(i))}[i%5]
+		if !tree.MayMatchTimes(tr) && overlapsByScan(tree, tr) {
+			t.Fatalf("%+v.MayMatchTimes(%v) = false, a scan finds a match", tree, tr)
 		}
 	}
 	// Spans of more than 100 000 periods, out to the whole time domain.
-	for _, rc := range []*Recurrence{
-		{PeriodMillis: 1000, StartMillis: 999, LengthMillis: 1},
-		{PeriodMillis: 86_400_000, StartMillis: 22 * 3_600_000, LengthMillis: 4 * 3_600_000},
-		{PeriodMillis: math.MaxInt64, StartMillis: math.MinInt64, LengthMillis: 1},
+	for _, rc := range []*Filter{
+		TimeWindow(1000, 999, 1),
+		TimeWindow(86_400_000, 22*3_600_000, 4*3_600_000),
+		TimeWindow(math.MaxInt64, math.MinInt64, 1),
 	} {
-		if !rc.Overlaps(FullTimeRange()) || !rc.Overlaps(TimeRange{Lo: 0, Hi: Timestamp(rc.PeriodMillis)}) {
+		if !rc.MayMatchTimes(FullTimeRange()) || !rc.MayMatchTimes(TimeRange{Lo: 0, Hi: Timestamp(rc.Modulus)}) {
 			t.Fatalf("%+v misses a span longer than its period", *rc)
 		}
 	}
-	wide := &Recurrence{PeriodMillis: 1000, StartMillis: 999, LengthMillis: 1}
-	if wide.Overlaps(TimeRange{Lo: 1_000_000_000_000, Hi: 1_000_000_000_998}) || !wide.Overlaps(TimeRange{Lo: 1_000, Hi: 1_000_000_000_000}) {
-		t.Fatal("Overlaps over a span of 10⁹ periods is not exact")
+	wide := TimeWindow(1000, 999, 1)
+	if wide.MayMatchTimes(TimeRange{Lo: 1_000_000_000_000, Hi: 1_000_000_000_998}) || !wide.MayMatchTimes(TimeRange{Lo: 1_000, Hi: 1_000_000_000_000}) {
+		t.Fatal("MayMatchTimes over a span of 10⁹ periods is not exact")
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 // count. Subqueries answer in runs, encoded from the columns they scanned,
 // and the coordinator k-way merges the runs straight into the reply
 // (MergeRuns), so on the server a matched tuple never exists as a Tuple. A
-// run owns its bytes and is a value nobody else holds: the coordinator's
-// recurrence filter (Keep) is the one thing that edits one, in place, and
-// only a run it collected.
+// run owns its bytes and is a value nobody else holds.
 type Run struct {
 	// Buf holds the records.
 	Buf []byte
@@ -55,22 +53,6 @@ func cutRecords(buf []byte, n int) int {
 		off += size
 	}
 	return off
-}
-
-// Keep drops, in place, every record keep rejects. The rest keep their
-// order, so the run stays canonical.
-func (r *Run) Keep(keep func(Key, Timestamp) bool) {
-	w, kept := 0, 0
-	for off := 0; off < len(r.Buf); {
-		k, t, size := recordHead(r.Buf[off:])
-		if keep(k, t) {
-			copy(r.Buf[w:], r.Buf[off:off+size])
-			w += size
-			kept++
-		}
-		off += size
-	}
-	r.Buf, r.N = r.Buf[:w], kept
 }
 
 // runOrder is what a RunAppender has seen of its records' order.
@@ -118,6 +100,20 @@ func (a *RunAppender) Append(k Key, ts Timestamp, p []byte) {
 	}
 	a.last, a.lastKey, a.lastTime = off, k, ts
 	a.n++
+}
+
+// AppendLimited appends (k, ts, p) unless the run already holds limit
+// records (limit > 0) and k is past its last key, and reports whether it
+// appended: a scan that stops when it answers false ends on a whole key
+// group. Take orders each group canonically, so a source's run holds its
+// canonical first limit matches whatever order tying keys arrived in, and
+// MergeRuns' cut at limit is the query's canonical first limit.
+func (a *RunAppender) AppendLimited(limit int, k Key, ts Timestamp, p []byte) bool {
+	if limit > 0 && a.n >= limit && k != a.lastKey {
+		return false
+	}
+	a.Append(k, ts, p)
+	return true
 }
 
 // Len returns the number of records appended since the last Take.

@@ -146,27 +146,46 @@ func TestRunAppenderCanonicalizesArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestRunKeepMatchesTupleFilter: the coordinator's recurrence filter on a
-// run keeps exactly what filtering the tuples did, in order.
-func TestRunKeepMatchesTupleFilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	rc := &Recurrence{PeriodMillis: 100, StartMillis: 20, LengthMillis: 30}
-	for trial := 0; trial < 200; trial++ {
-		in := make([]Tuple, rng.Intn(50))
-		for i := range in {
-			in[i] = Tuple{Key: Key(rng.Intn(20)), Time: Timestamp(rng.Intn(400) - 100), Payload: make([]byte, rng.Intn(3))}
-		}
-		in = canonical(in)
-		var kept []Tuple
-		for _, tp := range in {
-			if rc.Contains(tp.Time) {
-				kept = append(kept, tp)
+// TestAppendLimitedCutsAtTheCanonicalFirst: sources scanned in scan order
+// (ascending keys, equal keys in any arrival order), each stopping where
+// AppendLimited says, merge to the canonical first limit tuples of all of
+// them — also when the limit falls inside a group of tying keys.
+func TestAppendLimitedCutsAtTheCanonicalFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	app := BorrowRunAppender()
+	defer ReturnRunAppender(app)
+	for trial := 0; trial < 300; trial++ {
+		var all []Tuple
+		parts := make([][]Tuple, 1+rng.Intn(4))
+		for i := range parts {
+			in := collidingPart(rng, rng.Intn(30))
+			for lo := 0; lo < len(in); {
+				hi := lo + 1
+				for hi < len(in) && in[hi].Key == in[lo].Key {
+					hi++
+				}
+				rng.Shuffle(hi-lo, func(a, b int) { in[lo+a], in[lo+b] = in[lo+b], in[lo+a] })
+				lo = hi
 			}
+			parts[i] = in
+			all = append(all, in...)
 		}
-		r := runOf(in)
-		r.Keep(func(_ Key, ts Timestamp) bool { return rc.Contains(ts) })
-		if r.N != len(kept) || !bytes.Equal(r.Buf, AppendTuples(nil, kept)) {
-			t.Fatalf("trial %d: run kept %d records, the tuple filter %d", trial, r.N, len(kept))
+		limit := 1 + rng.Intn(len(all)+1)
+		var runs []Run
+		for _, in := range parts {
+			for i := range in {
+				if !app.AppendLimited(limit, in[i].Key, in[i].Time, in[i].Payload) {
+					if app.Len() < limit || in[i].Key == in[i-1].Key {
+						t.Fatalf("trial %d: refused a record with %d of %d appended, key %d after %d", trial, app.Len(), limit, in[i].Key, in[i-1].Key)
+					}
+					break
+				}
+			}
+			runs = append(runs, app.Take())
+		}
+		want := canonical(all)[:min(limit, len(all))]
+		if got, n := MergeRuns(nil, runs, limit); n != len(want) || !bytes.Equal(got, AppendTuples(nil, want)) {
+			t.Fatalf("trial %d: limit %d over %d parts merged %d records, not the canonical first %d", trial, limit, len(parts), n, len(want))
 		}
 	}
 }

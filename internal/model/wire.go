@@ -20,14 +20,13 @@ var ErrBadWire = errors.New("model: malformed wire message")
 // Flag bits of the query and result headers.
 const (
 	wireHasFilter = 1 << iota
-	wireHasRecur
+	_             // retired (a query's recurrence): refused, and the bits after it keep their values
 	wireHasAgg
 	wireHasTuples // Result.Tuples is non-nil (it may still be empty)
 )
 
 const (
 	regionWireSize    = 4 * 8
-	recurWireSize     = 3 * 8
 	aggPartialSize    = 5 * 8
 	queryWireFixed    = 8 + regionWireSize + 8 + 1
 	aggQueryWireFixed = 8 + regionWireSize + 1 + 4 + 1
@@ -95,22 +94,16 @@ func decodeOptFilter(buf []byte, present bool) (*Filter, error) {
 // AppendQuery appends the wire form of q:
 //
 //	[u64 ID][u64 Keys.Lo][u64 Keys.Hi][i64 Times.Lo][i64 Times.Hi][i64 Limit]
-//	[u8 flags][Recur: 3×i64, if flagged][Filter, if flagged]
+//	[u8 flags][Filter, if flagged]
 func AppendQuery(dst []byte, q *Query) []byte {
 	var flags byte
 	if q.Filter != nil {
 		flags |= wireHasFilter
 	}
-	if q.Recur != nil {
-		flags |= wireHasRecur
-	}
 	dst = be.AppendUint64(dst, q.ID)
 	dst = appendRegion(dst, q.Keys, q.Times)
 	dst = be.AppendUint64(dst, uint64(q.Limit))
 	dst = append(dst, flags)
-	if rc := q.Recur; rc != nil {
-		dst = appendInts(dst, rc.PeriodMillis, rc.StartMillis, rc.LengthMillis)
-	}
 	if q.Filter != nil {
 		dst = AppendFilter(dst, q.Filter)
 	}
@@ -126,19 +119,8 @@ func DecodeQuery(buf []byte) (Query, error) {
 	q.Keys, q.Times = decodeRegion(buf[8:])
 	flags := buf[queryWireFixed-1]
 	buf = buf[queryWireFixed:]
-	if flags&^(wireHasFilter|wireHasRecur) != 0 {
+	if flags&^wireHasFilter != 0 {
 		return Query{}, fmt.Errorf("%w: query flags %#x", ErrBadWire, flags)
-	}
-	if flags&wireHasRecur != 0 {
-		if len(buf) < recurWireSize {
-			return Query{}, fmt.Errorf("%w: short recurrence", ErrBadWire)
-		}
-		q.Recur = &Recurrence{
-			PeriodMillis: int64(be.Uint64(buf)),
-			StartMillis:  int64(be.Uint64(buf[8:])),
-			LengthMillis: int64(be.Uint64(buf[16:])),
-		}
-		buf = buf[recurWireSize:]
 	}
 	var err error
 	q.Filter, err = decodeOptFilter(buf, flags&wireHasFilter != 0)

@@ -9,21 +9,30 @@ import (
 	"testing"
 )
 
-// randFilter builds a random filter tree in canonical form (nil, never
-// empty, Bytes and Children), the form a decoded filter has.
+// randFilter builds a random filter tree the decoder accepts, in
+// canonical form (nil, never empty, Bytes and Children): the form a decoded
+// filter has.
 func randFilter(rng *rand.Rand, depth int) *Filter {
 	f := &Filter{
-		Op: FilterOp(rng.Intn(int(FilterKeyMod) + 1)), Cmp: CmpOp(rng.Intn(int(CmpGE) + 1)),
+		Op: FilterOp(rng.Intn(int(FilterTimeWindow) + 1)), Cmp: CmpOp(rng.Intn(int(CmpGE) + 1)),
 		Uint: rng.Uint64(), Int: rng.Int63() - rng.Int63(), Modulus: rng.Uint64(), Offset: rng.Uint32(),
+	}
+	if f.Op == FilterTimeWindow {
+		f.Modulus >>= 1 + rng.Intn(63) // a period of at most MaxInt64
 	}
 	if rng.Intn(3) == 0 {
 		f.Bytes = make([]byte, 1+rng.Intn(12))
 		rng.Read(f.Bytes)
 	}
+	kids := 0
 	if depth > 0 {
-		for i := rng.Intn(4); i > 0; i-- {
-			f.Children = append(f.Children, randFilter(rng, depth-1))
-		}
+		kids = rng.Intn(4)
+	}
+	if f.Op == FilterNot {
+		kids = 1
+	}
+	for ; kids > 0; kids-- {
+		f.Children = append(f.Children, randFilter(rng, depth-1))
 	}
 	return f
 }
@@ -55,9 +64,6 @@ func randQuery(rng *rand.Rand) Query {
 	}
 	if rng.Intn(2) == 0 {
 		q.Filter = randFilter(rng, rng.Intn(4))
-	}
-	if rng.Intn(2) == 0 {
-		q.Recur = &Recurrence{PeriodMillis: edge(rng), StartMillis: edge(rng), LengthMillis: edge(rng)}
 	}
 	return q
 }
@@ -233,7 +239,7 @@ func TestResultWireRejectsMalformed(t *testing.T) {
 	}
 
 	q := randQuery(rng)
-	q.Filter, q.Recur = randFilter(rng, 2), &Recurrence{PeriodMillis: 1}
+	q.Filter = randFilter(rng, 2)
 	qenc := AppendQuery(nil, &q)
 	for cut := 0; cut < len(qenc); cut++ {
 		if _, err := DecodeQuery(qenc[:cut]); !errors.Is(err, ErrBadWire) {
@@ -242,6 +248,20 @@ func TestResultWireRejectsMalformed(t *testing.T) {
 	}
 	if _, err := DecodeQuery(append(qenc, 0)); !errors.Is(err, ErrBadWire) {
 		t.Fatalf("query trailing byte: %v", err)
+	}
+	// Flag bit 2 carried a query's recurrence until the window became a
+	// filter op: a frame that sets it is refused, with or without the 24
+	// bytes it announced, and the flags around it keep their bits.
+	if wireHasFilter != 1 || wireHasAgg != 4 || wireHasTuples != 8 {
+		t.Fatalf("flag bits moved: filter %d, agg %d, tuples %d", wireHasFilter, wireHasAgg, wireHasTuples)
+	}
+	for _, tail := range [][]byte{nil, appendInts(nil, 1000, 0, 10)} {
+		enc := bytes.Clone(qenc)
+		enc[queryWireFixed-1] |= 2
+		enc = append(enc[:queryWireFixed], append(tail, enc[queryWireFixed:]...)...)
+		if _, err := DecodeQuery(enc); !errors.Is(err, ErrBadWire) {
+			t.Fatalf("recurrence-flagged query with %d tail bytes: err = %v", len(tail), err)
+		}
 	}
 }
 
@@ -265,6 +285,26 @@ func FuzzDecodeQuery(f *testing.F) {
 		q := randQuery(rng)
 		f.Add(AppendQuery(nil, &q))
 	}
+	day, hour := int64(86_400_000), int64(3_600_000)
+	window := TimeWindow(day, 9*hour, 8*hour)
+	seeds := []*Filter{
+		window,
+		And(window, KeyMod(3, 1)),
+		Or(TimeCmp(CmpLT, 0), window),
+		Not(window),
+		TimeWindow(math.MaxInt64, math.MinInt64, math.MaxInt64),
+	}
+	for _, c := range refusedFilters {
+		seeds = append(seeds, c.f)
+	}
+	for _, fl := range seeds {
+		q := Query{Keys: FullKeyRange(), Times: FullTimeRange(), Limit: 10, Filter: fl}
+		f.Add(AppendQuery(nil, &q))
+	}
+	// A frame carrying the retired recurrence flag and its 24 bytes.
+	old := AppendQuery(nil, &Query{Keys: FullKeyRange(), Times: FullTimeRange()})
+	old[queryWireFixed-1] |= 2
+	f.Add(appendInts(old, day, 9*hour, 8*hour))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		q, err := DecodeQuery(in)
@@ -281,6 +321,14 @@ func FuzzDecodeQuery(f *testing.F) {
 		if n := countFilters(q.Filter); n*38 > len(in) {
 			t.Fatalf("%d filter nodes from %d bytes", n, len(in))
 		}
+		// What decodes evaluates, and a tuple it accepts at t is one the
+		// planner may not prune a range holding t for.
+		for _, ts := range []Timestamp{q.Times.Lo, q.Times.Hi} {
+			if q.Filter.MatchesCols(q.Keys.Lo, ts, nil) && !q.Filter.MayMatchTimes(TimeRange{Lo: ts, Hi: ts}) {
+				t.Fatalf("%+v matches at %d but MayMatchTimes says no", q.Filter, ts)
+			}
+		}
+		q.Filter.MayMatchTimes(q.Times)
 	})
 }
 

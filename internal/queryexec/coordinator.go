@@ -68,9 +68,9 @@ type CoordinatorMetrics struct {
 	// header read.
 	AggQueries    *telemetry.Counter
 	AggMetaChunks *telemetry.Counter
-	// RecurrencePruned counts R-tree candidates a recurring-window query
-	// skipped because no window meets the chunk's part of the query, before
-	// any header was read.
+	// RecurrencePruned counts R-tree candidates a query skipped because its
+	// filter's time windows meet none of the chunk's part of the query
+	// (Filter.MayMatchTimes), before any header was read.
 	RecurrencePruned *telemetry.Counter
 	// RetiredSubQueries counts chunk subqueries completed empty because
 	// their chunk was retired (dropped by retention) mid-flight.
@@ -104,7 +104,7 @@ func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 		WorkersBusy:       r.Gauge("waterwheel_query_workers_busy", "chunk subqueries currently executing on query servers"),
 		AggQueries:        r.Counter("waterwheel_agg_queries_total", "aggregate queries executed by the coordinator"),
 		AggMetaChunks:     r.Counter("waterwheel_agg_meta_chunks_total", "chunks answered from metadata summaries during aggregate queries"),
-		RecurrencePruned:  r.Counter("waterwheel_recurrence_pruned_chunks_total", "chunk candidates a recurring-window query skipped because no window meets them"),
+		RecurrencePruned:  r.Counter("waterwheel_recurrence_pruned_chunks_total", "chunk candidates a query skipped because no time window of its filter meets them"),
 		RetiredSubQueries: r.Counter("waterwheel_query_retired_subqueries_total", "chunk subqueries completed empty because their chunk retired mid-flight"),
 		StolenSubQueries:  r.Counter("waterwheel_query_stolen_subqueries_total", "chunk subqueries run by a query server other than their rank-0 server"),
 		CorruptChunks:     r.Counter("waterwheel_query_corrupt_chunks_total", "chunk subqueries that failed their query on a chunk file that does not decode (CRC mismatch, short file, unsupported version)"),
@@ -181,14 +181,6 @@ func (c *Coordinator) AddQueryServer(s *Server) {
 // holds for all of them or none.
 func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo) {
 	qRegion := q.Region()
-	// A recurrence's exactness comes from the coordinator's filter on the
-	// collected runs, so per-subquery limits are unsound under one (a
-	// subquery's first Limit matches may all fall outside the windows): the
-	// merge applies q.Limit after the filter instead.
-	subLimit := q.Limit
-	if q.Recur != nil {
-		subLimit = 0
-	}
 	// The serving slots' bounds are read BEFORE the chunk list, each from
 	// the server itself (MemBounds), and the executors come from the same
 	// slot-table read. A flush registers its chunk and drops the snapshot
@@ -233,7 +225,7 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*m
 			}
 			memSubs = append(memSubs, &model.SubQuery{
 				QueryID: q.ID, Region: qRegion, Filter: q.Filter,
-				Chunk: model.MemChunk, IndexServer: slot, Limit: subLimit, Agg: agg,
+				Chunk: model.MemChunk, IndexServer: slot, Limit: q.Limit, Agg: agg,
 			})
 			execs = append(execs, e)
 		}
@@ -251,16 +243,16 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*m
 		if !ok {
 			continue
 		}
-		if q.Recur != nil && !q.Recur.Overlaps(r.Times) {
-			// No window of the recurrence meets the chunk's part of the
-			// query: skipped before its header is read.
+		if !q.Filter.MayMatchTimes(r.Times) {
+			// No window of the filter meets the chunk's part of the query:
+			// skipped before its header is read.
 			pruned++
 			continue
 		}
 		chunks = append(chunks, ci)
 		chunkSubs = append(chunkSubs, &model.SubQuery{
 			QueryID: q.ID, Seq: seq, Region: r, Filter: q.Filter, Chunk: ci.ID,
-			Limit: subLimit,
+			Limit: q.Limit,
 			// Thread the chunk's file metadata through the plan: the
 			// dispatch loop needs Path for replica locality and the query
 			// server needs Path and the header lengths to open the chunk —
@@ -393,15 +385,6 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) 
 	collect := func(r *model.SubResult) {
 		if r == nil {
 			return
-		}
-		if q.Recur != nil {
-			// The recurrence is the query's exact time semantics; the plan only
-			// skipped chunks no window meets, and a subquery scans its whole
-			// region. The runs are this query's own, so they are filtered in
-			// place.
-			for i := range r.Runs {
-				r.Runs[i].Keep(func(_ model.Key, t model.Timestamp) bool { return q.Recur.Contains(t) })
-			}
 		}
 		mu.Lock()
 		res.MergeCounters(r)

@@ -14,18 +14,18 @@ import (
 )
 
 // TestPlannerProperty holds every query class to the one plan: over random
-// regions, filters and recurrences on a store whose tuples sit in chunks, in
+// regions, filters and time windows on a store whose tuples sit in chunks, in
 // a pending flush snapshot (swapped out, its DFS write failing) and in live
 // leaves, a tuple query, an aggregate COUNT and the oracle agree; the
 // aggregate's subqueries are the tuple plan's minus the chunks it answered
 // from metadata; and Explain reports that same plan, chunk metadata
 // included. The plan itself is held to its definition: the chunks are
 // exactly the R-tree candidates whose part of the query some instant of the
-// recurrence falls in, and the mem-subqueries exactly the serving slots whose
+// window falls in, and the mem-subqueries exactly the serving slots whose
 // MemBounds key box the query's keys meet and whose Δt-widened time span the
 // query reaches. The time ranges include
 // empty and inverted ones, MinInt64/MaxInt64 bounds and ends just inside a
-// live region's Δt widening; the recurrences wrap past their period's end,
+// live region's Δt widening; the windows wrap past their period's end,
 // match everything (L ≥ P), repeat more than 100 000 times in the range, or
 // meet a chunk in its last instant only.
 func TestPlannerProperty(t *testing.T) {
@@ -107,28 +107,28 @@ func TestPlannerProperty(t *testing.T) {
 		return tr
 	}
 	chunks := ms.ChunksFor(model.FullRegion())
-	recurrence := func() *model.Recurrence {
+	recurrence := func() *model.Filter {
 		switch rng.Intn(7) {
 		case 0:
 			return nil
 		case 1: // wraps past its period's end
-			return &model.Recurrence{PeriodMillis: 1000, StartMillis: 700 + rng.Int63n(300), LengthMillis: 200 + rng.Int63n(400)}
+			return model.TimeWindow(1000, 700+rng.Int63n(300), 200+rng.Int63n(400))
 		case 2: // at least a period long: matches everything
-			return &model.Recurrence{PeriodMillis: 700, StartMillis: rng.Int63n(1400) - 700, LengthMillis: 700 + rng.Int63n(700)}
+			return model.TimeWindow(700, rng.Int63n(1400)-700, 700+rng.Int63n(700))
 		case 3: // short periods: a full-domain range spans far more than 100 000
-			return &model.Recurrence{PeriodMillis: 10, StartMillis: rng.Int63n(10), LengthMillis: 1 + rng.Int63n(3)}
+			return model.TimeWindow(10, rng.Int63n(10), 1+rng.Int63n(3))
 		case 4: // a window opening on a chunk's last instant, a period longer than the chunk
 			hi := chunks[rng.Intn(len(chunks))].Region.Times.Hi
-			return &model.Recurrence{PeriodMillis: 2000 + rng.Int63n(3000), StartMillis: int64(hi), LengthMillis: 1 + rng.Int63n(20)}
+			return model.TimeWindow(2000+rng.Int63n(3000), int64(hi), 1+rng.Int63n(20))
 		}
 		p := 1 + rng.Int63n(3000)
-		return &model.Recurrence{PeriodMillis: p, StartMillis: rng.Int63n(2*p) - p, LengthMillis: 1 + rng.Int63n(p)}
+		return model.TimeWindow(p, rng.Int63n(2*p)-p, 1+rng.Int63n(p))
 	}
-	// meets is Recurrence.Overlaps by its definition: some instant of tr
-	// the recurrence contains. Chunk spans are under 1000 ms.
-	meets := func(rc *model.Recurrence, tr model.TimeRange) bool {
+	// meets is MayMatchTimes of a window by its definition: some instant of
+	// tr the window contains. Chunk spans are under 1000 ms.
+	meets := func(w *model.Filter, tr model.TimeRange) bool {
 		for ts := tr.Lo; ts <= tr.Hi; ts++ {
-			if rc.Contains(ts) {
+			if w.MatchesCols(0, ts, nil) {
 				return true
 			}
 		}
@@ -144,14 +144,14 @@ func TestPlannerProperty(t *testing.T) {
 			q.Times = times()
 		}
 		q.Filter = filters[rng.Intn(len(filters))]
-		q.Recur = recurrence()
-		want, wantAll := 0, 0
+		window := recurrence()
+		if window != nil {
+			q.Filter = model.And(q.Filter, window)
+		}
+		want := 0
 		for i := range all {
 			if q.Keys.Contains(all[i].Key) && q.Times.Contains(all[i].Time) && q.Filter.Matches(&all[i]) {
-				wantAll++
-				if q.Recur == nil || q.Recur.Contains(all[i].Time) {
-					want++
-				}
+				want++
 			}
 		}
 
@@ -163,9 +163,9 @@ func TestPlannerProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Tuples) != want || int(agg.Count) != wantAll {
-			t.Fatalf("round %d %v recur %+v: tuple query %d (oracle %d), aggregate COUNT %d (oracle %d)",
-				round, &q, q.Recur, len(res.Tuples), want, agg.Count, wantAll)
+		if len(res.Tuples) != want || int(agg.Count) != want {
+			t.Fatalf("round %d %v filter %+v: tuple query %d, aggregate COUNT %d (oracle %d)",
+				round, &q, q.Filter, len(res.Tuples), agg.Count, want)
 		}
 		if q.Filter != nil && agg.MetaChunks != 0 {
 			t.Fatalf("round %d: filtered aggregate answered %d chunks from metadata", round, agg.MetaChunks)
@@ -176,7 +176,7 @@ func TestPlannerProperty(t *testing.T) {
 		var wantChunks []model.ChunkID
 		for _, ci := range ms.ChunksFor(q.Region()) {
 			if r, ok := q.Region().Intersect(ci.Region); ok {
-				if q.Recur == nil || meets(q.Recur, r.Times) {
+				if window == nil || meets(window, r.Times) {
 					wantChunks = append(wantChunks, ci.ID)
 				} else {
 					pruned++
@@ -204,27 +204,24 @@ func TestPlannerProperty(t *testing.T) {
 			gotMem = append(gotMem, sq.IndexServer)
 		}
 		if !slices.Equal(gotChunks, wantChunks) || !slices.Equal(gotMem, wantMem) {
-			t.Fatalf("round %d %v recur %+v: planned chunks %v and live regions %v, want %v and %v",
-				round, &q, q.Recur, gotChunks, gotMem, wantChunks, wantMem)
+			t.Fatalf("round %d %v filter %+v: planned chunks %v and live regions %v, want %v and %v",
+				round, &q, q.Filter, gotChunks, gotMem, wantChunks, wantMem)
 		}
 		if len(info.MemSubQueries)+len(info.ChunkSubQueries) != res.SubQueries {
 			t.Fatalf("round %d: explain lists %d mem + %d chunk subqueries, the query ran %d",
 				round, len(info.MemSubQueries), len(info.ChunkSubQueries), res.SubQueries)
 		}
-		// The aggregate plans the same region without the recurrence.
-		plain := q
-		plain.Recur = nil
-		pinfo := coord.Explain(plain)
-		if agg.SubQueries+agg.MetaChunks != len(pinfo.MemSubQueries)+len(pinfo.ChunkSubQueries) {
+		// The aggregate plans what the tuple query plans.
+		if agg.SubQueries+agg.MetaChunks != len(info.MemSubQueries)+len(info.ChunkSubQueries) {
 			t.Fatalf("round %d: aggregate ran %d subqueries + %d chunks from metadata, its plan had %d mem + %d chunk subqueries",
-				round, agg.SubQueries, agg.MetaChunks, len(pinfo.MemSubQueries), len(pinfo.ChunkSubQueries))
+				round, agg.SubQueries, agg.MetaChunks, len(info.MemSubQueries), len(info.ChunkSubQueries))
 		}
 	}
 	if metaAnswered == 0 {
 		t.Fatal("no round answered a chunk from metadata: the pushdown loop was never exercised")
 	}
 	if pruned == 0 {
-		t.Fatal("no round pruned a chunk: the recurrence test was never exercised")
+		t.Fatal("no round pruned a chunk: the window test was never exercised")
 	}
 }
 

@@ -453,8 +453,7 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 	app := model.BorrowRunAppender()
 	defer model.ReturnRunAppender(app)
 	visit := func(k model.Key, ts model.Timestamp, p []byte) bool {
-		app.Append(k, ts, p)
-		return sq.Limit <= 0 || app.Len() < sq.Limit
+		return app.AppendLimited(sq.Limit, k, ts, p)
 	}
 	for pos, li := range leaves {
 		res.LeavesRead++
@@ -464,6 +463,7 @@ func (s *Server) ExecuteSubQueryTraced(sq *model.SubQuery, sp *telemetry.Span) (
 			scanSp.End()
 			return nil, err
 		}
+		// A key lies in one leaf, so a group the limit reached is whole.
 		if sq.Limit > 0 && app.Len() >= sq.Limit {
 			break
 		}

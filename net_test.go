@@ -195,7 +195,7 @@ func TestNetClientEquivalentToDB(t *testing.T) {
 			q.Limit = 1 + rng.Intn(50)
 		case 4:
 			q.Times = FullTimeRange()
-			q.Recur = &Recurrence{PeriodMillis: 1000, StartMillis: int64(rng.Intn(500)), LengthMillis: int64(1 + rng.Intn(500))}
+			q.Filter = TimeWindow(1000, int64(rng.Intn(500)), int64(1+rng.Intn(500)))
 		case 5:
 			q.Times = TimeRange{Lo: model.MaxTimestamp, Hi: model.MinTimestamp} // inverted: empty
 		}
@@ -850,8 +850,7 @@ func TestQueryReplyIsTheMergedResultEncoded(t *testing.T) {
 		var out []Tuple
 		for i := range all {
 			tp := &all[i]
-			if q.Keys.Contains(tp.Key) && q.Times.Contains(tp.Time) && q.Filter.Matches(tp) &&
-				(q.Recur == nil || q.Recur.Contains(tp.Time)) {
+			if q.Keys.Contains(tp.Key) && q.Times.Contains(tp.Time) && q.Filter.Matches(tp) {
 				out = append(out, *tp)
 			}
 		}
@@ -877,10 +876,10 @@ func TestQueryReplyIsTheMergedResultEncoded(t *testing.T) {
 			"all":    full,
 			"limit":  {Keys: FullKeyRange(), Times: FullTimeRange(), Limit: groupCut(25)},
 			"filter": {Keys: FullKeyRange(), Times: TimeRange{Lo: 1100, Hi: 1900}, Filter: Or(PayloadBytes(0, EQ, []byte{'a'}), TimeCmp(GT, 1500))},
-			"recur":  {Keys: FullKeyRange(), Times: TimeRange{Lo: 1000, Hi: 2500}, Recur: &Recurrence{PeriodMillis: 10, StartMillis: 2, LengthMillis: 5}, Limit: 40},
+			"recur":  {Keys: FullKeyRange(), Times: TimeRange{Lo: 1000, Hi: 2500}, Filter: TimeWindow(10, 2, 5), Limit: 40},
 			// Too many periods to enumerate windows for: no pruning, and the
 			// limit must still wait for the recurrence filter.
-			"recur-wide": {Keys: FullKeyRange(), Times: FullTimeRange(), Recur: &Recurrence{PeriodMillis: 10, StartMillis: 2, LengthMillis: 5}, Limit: 40},
+			"recur-wide": {Keys: FullKeyRange(), Times: FullTimeRange(), Filter: TimeWindow(10, 2, 5), Limit: 40},
 			"empty":      {Keys: FullKeyRange(), Times: TimeRange{Lo: 1 << 40, Hi: 1 << 41}},
 		} {
 			w := want(q)

@@ -2,7 +2,10 @@ package waterwheel
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"waterwheel/internal/telemetry"
 )
 
 const (
@@ -39,7 +42,7 @@ func TestRecurringWindowAcceptance(t *testing.T) {
 	}
 
 	span := TimeRange{Lo: 0, Hi: Timestamp(int64(days)*dayMs - 1)}
-	res, err := db.Query(Query{Keys: FullKeyRange(), Times: span, Recur: Daily(9*hourMs, 3*hourMs)})
+	res, err := db.Query(Query{Keys: FullKeyRange(), Times: span, Filter: Daily(9*hourMs, 3*hourMs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestDailyWindowCrossesMidnight(t *testing.T) {
 	if err := db.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(Query{Keys: FullKeyRange(), Times: TimeRange{Lo: 0, Hi: Timestamp(2*dayMs - 1)}, Recur: Daily(22*hourMs, 4*hourMs)})
+	res, err := db.Query(Query{Keys: FullKeyRange(), Times: TimeRange{Lo: 0, Hi: Timestamp(2*dayMs - 1)}, Filter: Daily(22*hourMs, 4*hourMs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,5 +117,69 @@ func TestDailyWindowCrossesMidnight(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Daily(22h, 4h) over two days returned %v, want %v", got, want)
+	}
+}
+
+// TestDailyWindowLimitIsPushedDown: a window is a filter, so every scan
+// applies it and each subquery's Limit counts window matches. A LIMIT 10
+// daily query over chunks and live leaves ships at most 10 tuples from
+// every chunk scan and every memtable subquery, and returns the first 10
+// tuples of the same query unlimited.
+func TestDailyWindowLimitIsPushedDown(t *testing.T) {
+	db := openTestDB(t, Options{ChunkBytes: 1 << 30}) // flush manually, once a day
+	rng := rand.New(rand.NewSource(53))
+	for d := int64(0); d < 3; d++ {
+		var batch []Tuple
+		for ts := d * dayMs; ts < (d+1)*dayMs; ts += 5 * 60_000 {
+			for i := 0; i < 8; i++ {
+				batch = append(batch, Tuple{Key: Key(rng.Uint64()), Time: Timestamp(ts)})
+			}
+		}
+		if err := db.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if d < 2 { // days 0 and 1 in chunks, day 2 in live leaves
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	q := Query{Keys: FullKeyRange(), Times: FullTimeRange(), Filter: Daily(9*hourMs, 8*hourMs)}
+	all, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.Tuples) != 3*96*8 {
+		t.Fatalf("unlimited daily query returned %d tuples, want %d", len(all.Tuples), 3*96*8)
+	}
+	q.Limit = 10
+	res, tr, err := db.QueryTraced(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTuples(res.Tuples, all.Tuples[:10]) {
+		t.Fatalf("LIMIT 10 returned %v, want the first 10 of the unlimited query %v", res.Tuples, all.Tuples[:10])
+	}
+	spans := map[string]int{}
+	var walk func(sp *telemetry.Span)
+	walk = func(sp *telemetry.Span) {
+		if sp.Name == "scan" || sp.Name == "mem_subquery" {
+			spans[sp.Name]++
+			for _, a := range sp.Attrs {
+				if a.Key == "tuples" && a.Value > 10 {
+					t.Errorf("a %s span shipped %d tuples under LIMIT 10", sp.Name, a.Value)
+				}
+			}
+		}
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(tr.Root)
+	if spans["scan"] == 0 || spans["mem_subquery"] == 0 {
+		t.Fatalf("trace holds %d scan and %d mem_subquery spans, want both", spans["scan"], spans["mem_subquery"])
 	}
 }

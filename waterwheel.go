@@ -60,18 +60,7 @@ type (
 	AggResult = model.AggResult
 	// AggKind selects the aggregate function.
 	AggKind = model.AggKind
-	// Recurrence restricts a query's time range to a repeating window —
-	// "between 09:00 and 17:00 daily". Set Query.Recur to one; the
-	// coordinator skips every chunk no window meets before reading it.
-	Recurrence = model.Recurrence
 )
-
-// Daily builds a Recurrence matching [start, start+length) from every UTC
-// midnight, both arguments in milliseconds. A window that crosses midnight
-// continues into the next day: Daily(22h, 4h) matches 22:00–02:00.
-func Daily(startMillis, lengthMillis int64) *Recurrence {
-	return &Recurrence{PeriodMillis: 24 * 3_600_000, StartMillis: startMillis, LengthMillis: lengthMillis}
-}
 
 // Aggregate kinds.
 const (

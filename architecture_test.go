@@ -98,6 +98,8 @@ var (
 	appendSide = barred{inDirs("internal/cluster", "internal/ingest"), "internal/cluster"}
 	// rootOnly is the public API: an example may still declare the name.
 	rootOnly = barred{inDirs("."), "."}
+	// wireVerbs is the network front end and its command-line client.
+	wireVerbs = barred{inDirs(".", "cmd/wwql"), "."}
 	// butBloom leaves the name to internal/bloom, whose time sketch keeps a
 	// field of that name.
 	butBloom = barred{everywhereBut("internal/bloom"), "internal/chunk"}
@@ -255,6 +257,12 @@ var deletedNames = []deletedName{
 	{`\bRecur\b`, everywhere, `type Query struct{ Recur *int }`},
 	{`\bRecurrence\b`, everywhere, `type Recurrence struct{}`},
 	{`Run\) Keep\(`, everywhere, "type Run struct{}\nfunc (r *Run) Keep() {}"},
+	// One insert→query barrier (§13, §17, §18): a query waits for every
+	// tuple acked before it was issued; the public Drain, the wire verb and
+	// wwql's are gone (Cluster.Drain settles Close, chaos and tests).
+	{`\*DB\) Drain\(`, rootOnly, "type DB struct{}\nfunc (*DB) Drain() error { return nil }"},
+	{`\*Client\) Drain\(`, rootOnly, "type Client struct{}\nfunc (*Client) Drain() error { return nil }"},
+	{`"drain"`, wireVerbs, `const verb = "drain"`},
 	// The geo helper is the taxi example's, over internal/zorder; the root
 	// package exports no geo API.
 	{`GeoGrid`, rootOnly, `type GeoGrid struct{}`},

@@ -1,5 +1,5 @@
 // Command waterwheel runs an embedded Waterwheel deployment and serves it
-// over TCP (insert / query / flush / drain / stats), playing the role of
+// over TCP (insert / query / flush / stats), playing the role of
 // the paper's full Storm topology in a single process.
 //
 // Usage:

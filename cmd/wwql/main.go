@@ -12,7 +12,10 @@
 //	wwql -addr 127.0.0.1:7070 agg -kind count -daily 09:00-17:00
 //	wwql -addr 127.0.0.1:7070 stats
 //	wwql -addr 127.0.0.1:7070 metrics
-//	wwql -addr 127.0.0.1:7070 flush | drain
+//	wwql -addr 127.0.0.1:7070 flush
+//
+// A query (and agg, trace) first waits until everything acked before it is
+// applied, so an insert is visible to the next query with no barrier verb.
 //
 // trace runs the query like query does but additionally prints the
 // coordinator's span tree — decomposition, dispatch, per-chunk reads with
@@ -141,7 +144,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fatalf("usage: wwql [-addr host:port] insert|query|trace|agg|stats|metrics|flush|drain ...")
+		fatalf("usage: wwql [-addr host:port] insert|query|trace|agg|stats|metrics|flush ...")
 	}
 
 	cl, err := waterwheel.Dial(*addr)
@@ -237,12 +240,6 @@ func main() {
 	case "flush":
 		if err := cl.Flush(); err != nil {
 			fatalf("flush: %v", err)
-		}
-		fmt.Println("ok")
-
-	case "drain":
-		if err := cl.Drain(); err != nil {
-			fatalf("drain: %v", err)
 		}
 		fmt.Println("ok")
 

@@ -21,8 +21,6 @@ func ExampleOpen() {
 			Time: waterwheel.Timestamp(1000 + i),
 		})
 	}
-	db.Drain()
-
 	res, err := db.QueryRange(
 		waterwheel.KeyRange{Lo: 3, Hi: 6},
 		waterwheel.TimeRange{Lo: 0, Hi: 2000},
@@ -45,8 +43,6 @@ func ExampleDB_Query() {
 	for i := 0; i < 100; i++ {
 		db.Insert(waterwheel.Tuple{Key: waterwheel.Key(i), Time: waterwheel.Timestamp(i)})
 	}
-	db.Drain()
-
 	res, err := db.Query(waterwheel.Query{
 		Keys:   waterwheel.FullKeyRange(),
 		Times:  waterwheel.FullTimeRange(),

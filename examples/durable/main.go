@@ -33,9 +33,14 @@ func main() {
 			Payload: []byte{byte(i)},
 		})
 	}
-	db.Drain()
+	// A query waits until everything acked before it is applied, so the
+	// counters after it cover every insert above.
+	all, err := db.Aggregate(waterwheel.AggregateQuery{Keys: waterwheel.FullKeyRange(), Times: waterwheel.FullTimeRange()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	st := db.Stats()
-	fmt.Printf("first run: ingested=%d chunks=%d buffered=%d\n", st.Ingested, st.Chunks, st.Buffered)
+	fmt.Printf("first run: visible=%d chunks=%d buffered=%d\n", all.Count, st.Chunks, st.Buffered)
 	if err := db.Close(); err != nil { // flushes
 		log.Fatal(err)
 	}
@@ -46,7 +51,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer db2.Close()
-	db2.Drain()
 	res, err := db2.QueryRange(waterwheel.FullKeyRange(), waterwheel.FullTimeRange())
 	if err != nil {
 		log.Fatal(err)

@@ -48,7 +48,6 @@ func main() {
 			}
 		}
 	}
-	db.Drain()
 
 	// Which sensors in any group exceeded 150 units in the last 10 min?
 	hot, err := db.Query(waterwheel.Query{

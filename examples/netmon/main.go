@@ -50,7 +50,6 @@ func main() {
 		payload := []byte{byte(rng.Intn(2))} // 0 = SYN, 1 = data
 		db.Insert(waterwheel.Tuple{Key: key, Time: t, Payload: payload})
 	}
-	db.Drain()
 
 	// The analyst's query: all packets from 10.68.73.* in the last 5 min.
 	recent := waterwheel.TimeRange{Lo: now - 5*msPerMin, Hi: now}

@@ -27,9 +27,10 @@ func main() {
 			Payload: []byte(fmt.Sprintf("reading-%d", i)),
 		})
 	}
-	db.Drain() // barrier: everything accepted is now queryable
 
 	// Key + time range query: sensors 100-199 in the window [500, 600] ms.
+	// Every reading acked above is in its answer: a query first waits until
+	// what was acked before it is applied.
 	res, err := db.QueryRange(
 		waterwheel.KeyRange{Lo: 100, Hi: 199},
 		waterwheel.TimeRange{Lo: 500, Hi: 600},

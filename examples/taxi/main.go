@@ -63,7 +63,6 @@ func main() {
 			})
 		}
 	}
-	db.Drain()
 
 	// "Which taxis appeared in this 2km x 2km district in the last 10
 	// minutes?" — a geo rectangle × temporal range query.

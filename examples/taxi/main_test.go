@@ -23,7 +23,6 @@ func TestGeoGridQueries(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db.Insert(waterwheel.Tuple{Key: waterwheel.Key(g.Key(116.9, 40.4)), Time: waterwheel.Timestamp(2000 + i)})
 	}
-	db.Drain()
 	res, err := queryGeoRect(db, g, 116.39, 39.89, 116.42, 39.92, waterwheel.FullTimeRange())
 	if err != nil {
 		t.Fatal(err)

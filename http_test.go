@@ -14,7 +14,6 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	for i := 0; i < n; i++ {
 		db.Insert(Tuple{Key: Key(i), Time: Timestamp(1000 + i), Payload: []byte("p")})
 	}
-	db.Drain()
 	db.Flush()
 	q := Query{Keys: FullKeyRange(), Times: FullTimeRange()}
 	_, tr, err := db.QueryTraced(q)

@@ -75,9 +75,6 @@ func TestInsertBatchSerialEquivalenceDB(t *testing.T) {
 			}
 			pos += sz
 		}
-		serial.Drain()
-		batched.Drain()
-
 		queries := []Query{
 			{Keys: FullKeyRange(), Times: FullTimeRange()},
 			{Keys: KeyRange{Lo: 0, Hi: 20 << 58}, Times: FullTimeRange()},
@@ -166,7 +163,6 @@ func TestInsertBatchPrefixAckOnWALFault(t *testing.T) {
 			}
 			// Exactly the acked tuples are durable and queryable.
 			stored := func() []Timestamp {
-				db.Drain()
 				res, err := db.QueryRange(FullKeyRange(), FullTimeRange())
 				if err != nil {
 					t.Fatal(err)
@@ -272,7 +268,6 @@ func TestInsertBatchAppendsOncePerServer(t *testing.T) {
 	if got := calls() - before; got != 2*n {
 		t.Fatalf("%d single-key batches and %d Inserts made %.0f WAL append calls, want exactly %d", n, n, got, 2*n)
 	}
-	db.Drain()
 	res, err := db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: FullTimeRange(), Kind: model.AggCount})
 	if err != nil || res.Count != 2*n*256+n {
 		t.Fatalf("COUNT(*) = %v, %v; want %d", res, err, 2*n*256+n)

@@ -16,10 +16,13 @@
 //     appears at most once per result;
 //   - results arrive in the global (key, time, payload) sort order;
 //   - WAL/metadata flush offsets never regress;
-//   - queries fail only while a read fault or DFS node loss is plausible;
-//   - completeness: at every barrier (faults healed, pipeline drained) a
-//     full-region query returns every acked tuple exactly once — tuples in
-//     retention-dropped chunks are exempt but must still never duplicate.
+//   - queries fail only while a read fault or DFS node loss is plausible,
+//     and answer ErrBusy only while chunk writes can fail;
+//   - completeness: every query returns every tuple in its region that was
+//     acked before it was issued — a query is the insert→query barrier —
+//     and at every barrier (faults healed, pipeline drained) a full-region
+//     query does so for the whole store. Tuples in retention-dropped chunks
+//     are exempt but must still never duplicate.
 //
 // What a seed fixes: the schedule — and therefore the op trace — is a pure
 // function of (seed, op count). Tuple-level randomness comes from a sub-RNG
@@ -40,6 +43,7 @@ package chaos
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -345,6 +349,9 @@ type entry struct {
 	// a chunk holding it may have been dropped — presence is optional,
 	// uniqueness still mandatory.
 	maybeDropped bool
+	// lost: a query found it missing after a hard crash under a policy that
+	// may lose acked tuples (ackLossOK); counted in Report.LostAcked once.
+	lost bool
 }
 
 // runner holds the mutable state of one run.
@@ -360,6 +367,9 @@ type runner struct {
 	// readFaultsPossible: a read-fault op ran since the last barrier, so
 	// query errors are excusable until the next heal.
 	readFaultsPossible bool
+	// writeFaults: chunk writes may fail (a write-fault op ran since the
+	// last heal), so a query may find a slot stalled behind them (ErrBusy).
+	writeFaults bool
 	// ackLossOK: a hard crash happened under a durability policy that does
 	// not promise fsync-before-ack, so missing acked tuples are tallied in
 	// Report.LostAcked rather than reported as violations.
@@ -575,6 +585,7 @@ func (r *runner) exec(i int, o op) {
 		} else {
 			r.c.FS().FailNextWrites(o.n)
 		}
+		r.writeFaults = true
 		r.rep.FaultsSeen[FaultDFSWriteError] = true
 	case opReadFaults:
 		if o.alt {
@@ -874,33 +885,58 @@ func (r *runner) randQuery(sub *rand.Rand) model.Query {
 	return q
 }
 
-// query runs one random temporal range query and checks soundness.
+// acked returns how many oracle entries are acked now: all of them but
+// those of the background burst, if any, that it has not acked yet. The
+// burst's entries are the last ones (every op that adds entries joins it
+// first).
+func (r *runner) acked() int {
+	n := len(r.entries)
+	if r.bg != nil {
+		n -= int(r.bgLen - r.bg.Load())
+	}
+	return n
+}
+
+// queryFailed checks a query's error against the faults in force: ErrBusy
+// needs failing chunk writes (write faults armed, or every DFS node down),
+// anything else a read fault or a DFS node loss.
+func (r *runner) queryFailed(i int, what string, err error) {
+	switch {
+	case errors.Is(err, cluster.ErrBusy):
+		if !r.writeFaults && len(r.killedDFS) < r.opts.Nodes {
+			r.violate(i, "%s answered ErrBusy with no write fault armed: %v", what, err)
+		}
+	case !r.readFaultsPossible && len(r.killedDFS) == 0:
+		r.violate(i, "%s failed with no read fault plausible: %v", what, err)
+	}
+}
+
+// query runs one random temporal range query and checks it.
 func (r *runner) query(i int) {
 	q := r.randQuery(r.subRNG(i))
 	r.rep.Queries++
+	acked := r.acked()
 	res, err := r.c.Query(q)
 	if err != nil {
-		if !r.readFaultsPossible && len(r.killedDFS) == 0 {
-			r.violate(i, "query failed with no read fault plausible: %v", err)
-		}
+		r.queryFailed(i, "query", err)
 		return
 	}
-	r.checkResult(i, q, res, false)
+	r.checkResult(i, q, res, acked)
 }
 
 // aggQuery cross-checks the aggregation-pushdown path against the tuple
 // path: the SUM aggregate over a random region is sandwiched between two
-// tuple queries of the same region. WAL consumption is asynchronous, so
-// tuples may become visible at any point between the three calls — but
-// visibility only grows, so when both tuple queries fold to the same
+// tuple queries of the same region. Each of the three sees every tuple
+// acked before it was issued, so with nothing acked in between they see
+// the same set; but a background burst may ack tuples between the calls.
+// Visibility only grows, so when both tuple queries fold to the same
 // partial the visible set provably did not move and the aggregate (which
 // ran in between) must match it bit-for-bit. Chaos payloads are the
 // 8-byte oracle sequence number, so field 0 is a valid uint64 on every
-// tuple. When the folds differ the stream was still settling and the op
-// only checks soundness of the tuple results.
+// tuple. When the folds differ the burst acked in between and the op only
+// checks the tuple results.
 func (r *runner) aggQuery(i int) {
 	q := r.randQuery(r.subRNG(i))
-	excusable := len(r.killedDFS) > 0
 	fold := func(res *model.Result) model.AggPartial {
 		var p model.AggPartial
 		for j := range res.Tuples {
@@ -909,35 +945,31 @@ func (r *runner) aggQuery(i int) {
 		return p
 	}
 	r.rep.Queries++
+	acked := r.acked()
 	before, err := r.c.Query(q)
 	if err != nil {
-		if !r.readFaultsPossible && !excusable {
-			r.violate(i, "query failed with no read fault plausible: %v", err)
-		}
+		r.queryFailed(i, "query", err)
 		return
 	}
-	r.checkResult(i, q, before, false)
+	r.checkResult(i, q, before, acked)
 	agg, err := r.c.Aggregate(model.AggregateQuery{
 		Keys: q.Keys, Times: q.Times, Kind: model.AggSum, Field: 0,
 	})
 	if err != nil {
-		if !r.readFaultsPossible && !excusable {
-			r.violate(i, "aggregate failed with no read fault plausible: %v", err)
-		}
+		r.queryFailed(i, "aggregate", err)
 		return
 	}
 	r.rep.Queries++
+	acked = r.acked()
 	after, err := r.c.Query(q)
 	if err != nil {
-		if !r.readFaultsPossible && !excusable {
-			r.violate(i, "query failed with no read fault plausible: %v", err)
-		}
+		r.queryFailed(i, "query", err)
 		return
 	}
-	r.checkResult(i, q, after, false)
+	r.checkResult(i, q, after, acked)
 	want := fold(before)
 	if want != fold(after) {
-		return // stream still settling: the sandwich cannot pin the exact answer
+		return // the burst acked in between: the sandwich cannot pin the exact answer
 	}
 	if agg.Count != want.Count || agg.Values != want.Values || agg.Sum != want.Sum {
 		r.violate(i, "aggregate mismatch: count=%d/%d values=%d/%d sum=%d/%d (got/want)",
@@ -955,7 +987,8 @@ func (r *runner) aggQuery(i int) {
 // the dispatch workers, the shared extent flights and the LRU caches.
 // The query specs are drawn up front from the op's sub-RNG and the
 // (read-only) results are checked serially afterwards, so the op stays
-// deterministic and oracle checks never race.
+// deterministic and oracle checks never race. Every query is checked
+// against what was acked before the burst was issued.
 func (r *runner) queryConcurrent(i, k int) {
 	sub := r.subRNG(i)
 	qs := make([]model.Query, k)
@@ -964,6 +997,7 @@ func (r *runner) queryConcurrent(i, k int) {
 	}
 	results := make([]*model.Result, k)
 	errs := make([]error, k)
+	acked := r.acked()
 	var wg sync.WaitGroup
 	for j := range qs {
 		wg.Add(1)
@@ -976,12 +1010,10 @@ func (r *runner) queryConcurrent(i, k int) {
 	for j := range qs {
 		r.rep.Queries++
 		if errs[j] != nil {
-			if !r.readFaultsPossible && len(r.killedDFS) == 0 {
-				r.violate(i, "concurrent query %d failed with no read fault plausible: %v", j, errs[j])
-			}
+			r.queryFailed(i, fmt.Sprintf("concurrent query %d", j), errs[j])
 			continue
 		}
-		r.checkResult(i, qs[j], results[j], false)
+		r.checkResult(i, qs[j], results[j], acked)
 	}
 }
 
@@ -1037,6 +1069,7 @@ func (r *runner) crashMidFlush(i, server int) {
 // heal clears injected faults and revives every killed DFS node.
 func (r *runner) heal() {
 	r.c.FS().ClearFaults()
+	r.writeFaults = false
 	for node := range r.killedDFS {
 		r.c.FS().ReviveNode(node)
 		delete(r.killedDFS, node)
@@ -1044,8 +1077,8 @@ func (r *runner) heal() {
 }
 
 // barrier heals all faults, drains ingestion and the flush pipelines, and
-// verifies completeness: every acked tuple (minus retention-dropped ones)
-// is returned exactly once by a full-region query.
+// verifies completeness over the whole store: every acked tuple (minus
+// retention-dropped ones) is returned exactly once by a full-region query.
 func (r *runner) barrier(i int) {
 	r.heal()
 	r.c.Drain()
@@ -1055,17 +1088,19 @@ func (r *runner) barrier(i int) {
 
 func (r *runner) verifyComplete(i int) {
 	q := model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()}
+	acked := r.acked()
 	res, err := r.c.Query(q)
 	if err != nil {
 		r.violate(i, "full-region query failed at barrier: %v", err)
 		return
 	}
-	r.checkResult(i, q, res, true)
+	r.checkResult(i, q, res, acked)
 }
 
-// checkResult enforces the per-query invariants; with complete set it also
-// requires every eligible acked entry to be present.
-func (r *runner) checkResult(i int, q model.Query, res *model.Result, complete bool) {
+// checkResult enforces the per-query invariants: soundness, order and
+// uniqueness, and completeness — every eligible entry below acked, the
+// count acked before the query was issued, whose tuple lies in its region.
+func (r *runner) checkResult(i int, q model.Query, res *model.Result, acked int) {
 	seen := make(map[uint64]bool, len(res.Tuples))
 	for j := range res.Tuples {
 		t := &res.Tuples[j]
@@ -1097,11 +1132,9 @@ func (r *runner) checkResult(i int, q model.Query, res *model.Result, complete b
 		}
 		seen[seq] = true
 	}
-	if !complete {
-		return
-	}
 	missing := 0
-	for seq, e := range r.entries {
+	for seq := range r.entries[:acked] {
+		e := &r.entries[seq]
 		if e.rejected || e.maybeDropped || seen[uint64(seq)] {
 			continue
 		}
@@ -1110,17 +1143,20 @@ func (r *runner) checkResult(i int, q model.Query, res *model.Result, complete b
 		}
 		if r.ackLossOK {
 			// Post-hard-crash under a policy that acks before fsync: the
-			// loss is expected, quantified, and not a violation.
-			r.rep.LostAcked++
+			// loss is expected, quantified once, and not a violation.
+			if !e.lost {
+				e.lost = true
+				r.rep.LostAcked++
+			}
 			continue
 		}
 		missing++
 		if missing <= 5 { // cap the noise; the count is reported below
-			r.violate(i, "acked seq %d (key=%d time=%d) missing at barrier", seq, e.key, e.ts)
+			r.violate(i, "acked seq %d (key=%d time=%d) missing from a query issued after its ack", seq, e.key, e.ts)
 		}
 	}
 	if missing > 5 {
-		r.violate(i, "%d acked tuples missing at barrier in total", missing)
+		r.violate(i, "%d acked tuples missing from the query in total", missing)
 	}
 }
 

@@ -196,9 +196,13 @@ type Cluster struct {
 	stopped   atomic.Bool
 }
 
-// ErrClosed is returned by inserts, Drain and the catch-up waits on a stopped
-// cluster.
+// ErrClosed is returned by inserts, queries, Drain and the catch-up waits on
+// a stopped cluster.
 var ErrClosed = errors.New("waterwheel: closed")
+
+// ErrBusy is returned by a query, Drain or FlushAll that waits on a slot
+// stalled behind a failed chunk write (ingest.ErrBusy).
+var ErrBusy = ingest.ErrBusy
 
 // New builds a cluster, panicking on persistence errors; use Open to
 // handle them. Call Start before inserting.
@@ -326,6 +330,9 @@ func Open(cfg Config) (*Cluster, error) {
 			}
 			return out
 		},
+		// Every plan waits until each slot has applied what its log held
+		// when the plan began: a query is the insert→query barrier.
+		CatchUp: c.waitHeads,
 	}, c.ms, c.fs)
 
 	schema := c.ms.Schema()
@@ -519,20 +526,20 @@ func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 	return c.coord.ExecuteAggregate(q)
 }
 
-// Drain is the insert→query barrier: it blocks until every tuple acked
-// before the call is applied to its indexing server's memtable and every
-// flush those tuples triggered has been attempted — so a query issued after
-// a nil Drain sees all of them, exactly once (it plans on the servers' own
-// bounds, which move with the inserts), and the WAL holds in memory only
-// what a replay would read (inserts are acked from the log, ahead of the
-// consumers). Each head is read once: the barrier does not chase a writer
-// that keeps going. Consumed advances only after a batch is in the trees,
-// which makes waiting for it a barrier rather than a hint; a slot taken
-// over mid-wait is waited for on its successor. A non-nil error says the
-// barrier cannot be met: the error a slot's consumer died of (a replay
-// gap, an undecodable record — the slot's inserts are still acked from the
-// log, and applied by nobody until it is taken over), the error a flusher
-// died of because no retry could mend it, or ErrClosed.
+// Drain blocks until every tuple acked before the call is applied to its
+// indexing server's memtable and every flush those tuples triggered has been
+// attempted, so the WAL holds in memory only what a replay would read. A
+// query needs none of it: every plan makes the first half of this wait
+// itself (waitHeads). It is the settling step of Close, of the chaos runner's
+// barriers and of tests. Each head is read once: the wait does not chase a
+// writer that keeps going. Consumed advances only after a batch is in the
+// trees, which makes waiting for it a barrier rather than a hint; a slot
+// taken over mid-wait is waited for on its successor. A non-nil error says
+// the wait cannot end: the error a slot's consumer died of (a replay gap, an
+// undecodable record — the slot's inserts are still acked from the log, and
+// applied by nobody until it is taken over), ErrBusy (a consumer held behind
+// a failed chunk write), the error a flusher died of because no retry could
+// mend it, or ErrClosed.
 func (c *Cluster) Drain() error {
 	if c.stopped.Load() {
 		return ErrClosed
@@ -541,8 +548,8 @@ func (c *Cluster) Drain() error {
 		return err
 	}
 	// Applied is not persisted: wait out the flush pipelines too ("insert,
-	// Drain, query/crash" stays deterministic). A unit is done once its
-	// commit is durable and the log cut behind it.
+	// Drain, crash" stays deterministic). A unit is done once its commit is
+	// durable and the log cut behind it.
 	for _, srv := range c.servers() {
 		if srv != nil {
 			if err := srv.DrainFlushes(); err != nil {
@@ -557,7 +564,12 @@ func (c *Cluster) Drain() error {
 }
 
 // waitHeads blocks until every slot has applied its log up to the head as
-// read now, or says why it cannot (see waitApplied).
+// read now, or says why it cannot (see waitApplied): every query's wait
+// before it plans (the coordinator's CatchUp), and the first half of Drain
+// and FlushAll. It covers every serving slot, not only those whose nominal
+// interval meets a query: a tuple routed under an older schema can sit
+// unapplied in a slot that no longer owns its key. A slot that has caught up
+// costs two atomic loads, and the walk allocates nothing.
 func (c *Cluster) waitHeads() error {
 	for i := 0; i < c.log.Partitions(); i++ {
 		if err := c.waitApplied(i, c.log.Partition(i).Next()); err != nil {
@@ -568,17 +580,21 @@ func (c *Cluster) waitHeads() error {
 }
 
 // waitApplied blocks until slot's current incarnation has applied every
-// record below head: the one catch-up wait. An incarnation deposed mid-wait
-// fails with ErrStopped before its successor is in the slot table: park on
-// the takeover count, resolve again. A retired slot's final flush was it.
+// record below head: the one catch-up wait. Unless the slot has, it demands
+// head of the partition, which ends the consumer's batching window at once.
+// An incarnation deposed mid-wait fails with ErrStopped before its successor
+// is in the slot table: park on the takeover count, resolve again. A retired
+// slot's final flush was it. A consumer stalled behind a failed chunk write
+// answers ingest.ErrBusy.
 func (c *Cluster) waitApplied(slot int, head int64) error {
 	for {
 		flips := c.takeovers.Load()
 		srv := c.server(slot)
-		if srv == nil {
+		if srv == nil || srv.Consumed() >= head {
 			return nil
 		}
-		err := srv.WaitApplied(head, c.stop)
+		c.log.Partition(slot).Demand(head)
+		err := srv.WaitApplied(head)
 		switch {
 		case err == nil:
 			return nil
@@ -597,9 +613,9 @@ func (c *Cluster) waitApplied(slot int, head int64) error {
 // explicit flush is a durability point — when it returns nil, everything
 // acked before the call is in chunks on stable storage, the metadata naming
 // them is too, and the log holds only what arrived since. Inserts are acked
-// from the log ahead of the consumers, so it first waits, as Drain does,
-// until each slot has applied its log's head; a consumer's error ends it
-// there, as it ends Drain. Otherwise the error is a flusher's that no retry
+// from the log ahead of the consumers, so it first waits, as a query does,
+// until each slot has applied its log's head; a consumer's error or ErrBusy
+// ends it there, as it ends a query. Otherwise the error is a flusher's that no retry
 // can mend; on a stopped cluster it is ErrClosed.
 func (c *Cluster) FlushAll() error {
 	if c.stopped.Load() {

@@ -189,6 +189,152 @@ func TestDrainIsBarrier(t *testing.T) {
 	}
 }
 
+// TestQueryIsBarrier holds every query to the insert→query contract: it
+// returns whatever was acked before it was issued, with no Drain anywhere.
+// The writers are TestDrainIsBarrier's — Insert mixed with InsertBatch sizes
+// that cross the flush threshold inside one batch — and two readers query
+// the whole region while they write, one with tuple queries and one with
+// COUNT(*), each query checked against the tuples acked before it was
+// issued and those submitted by the time it returned. Every round ends with
+// one more query, which must see exactly what was acked.
+func TestQueryIsBarrier(t *testing.T) {
+	cfg := testConfig()
+	cfg.ChunkBytes = 8 << 10 // a 300-tuple batch crosses it on its own
+	c := startCluster(t, cfg)
+
+	if err := c.Insert(model.Tuple{Key: 1, Time: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := countAll(t, c); got != 1 {
+		t.Fatalf("first tuple into an empty server: %d visible, want 1", got)
+	}
+
+	// submitted moves before each insert call, acked after its ack.
+	var submitted, acked atomic.Int64
+	submitted.Store(1)
+	acked.Store(1)
+	const writers, readers, rounds = 4, 2, 10
+	for round := 0; round < rounds; round++ {
+		var wg, rg sync.WaitGroup
+		done := make(chan struct{})
+		for r := 0; r < readers; r++ {
+			rg.Add(1)
+			go func(count bool) {
+				defer rg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					before := acked.Load()
+					var got int64
+					if count {
+						res, err := c.Aggregate(model.AggregateQuery{Keys: model.FullKeyRange(), Times: model.FullTimeRange(), Kind: model.AggCount})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got = int64(res.Count)
+					} else {
+						res, err := c.Query(model.Query{Keys: model.FullKeyRange(), Times: model.FullTimeRange()})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got = int64(len(res.Tuples))
+					}
+					if after := submitted.Load(); got < before || got > after {
+						t.Errorf("round %d: a query returned %d tuples; %d were acked before it was issued, %d submitted by its end", round, got, before, after)
+						return
+					}
+				}
+			}(r%2 == 1)
+		}
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				tuple := func() model.Tuple {
+					return model.Tuple{
+						Key:     model.Key(rng.Uint64()),
+						Time:    model.Timestamp(1000 + rng.Intn(100_000)),
+						Payload: make([]byte, 8),
+					}
+				}
+				for i := 0; i < 8; i++ {
+					if rng.Intn(2) == 0 {
+						submitted.Add(1)
+						if err := c.Insert(tuple()); err != nil {
+							t.Error(err)
+							return
+						}
+						acked.Add(1)
+						continue
+					}
+					batch := make([]model.Tuple, 1+rng.Intn(300))
+					for j := range batch {
+						batch[j] = tuple()
+					}
+					submitted.Add(int64(len(batch)))
+					rejected, err := c.InsertBatch(batch)
+					acked.Add(int64(len(batch) - len(rejected)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(int64(round*writers + w))
+		}
+		wg.Wait()
+		close(done)
+		rg.Wait()
+		if t.Failed() {
+			return
+		}
+		if got, want := countAll(t, c), int(acked.Load()); got != want {
+			t.Fatalf("round %d: %d tuples visible to the next query, %d acked", round, got, want)
+		}
+	}
+	if c.Metadata().ChunkCount() == 0 {
+		t.Fatal("no batch crossed the flush threshold; the test lost its flush leg")
+	}
+}
+
+// TestQueryWaitsForEverySlot: a query waits for every serving slot, not only
+// those whose nominal interval meets it. A tuple routed under an older
+// schema sits in the log of a slot that no longer owns its key; the test
+// plants that state directly — a record of slot 1's key range appended to
+// slot 0's partition, as a dispatcher still holding the schema before a
+// split would have — because no hook can hold a consumer across a real
+// TickBalance. A point query on the key, issued right after the append, must
+// find it in slot 0's memtable.
+func TestQueryWaitsForEverySlot(t *testing.T) {
+	c := startCluster(t, testConfig())
+	schema := c.ms.Schema()
+	if schema.Servers < 2 {
+		t.Fatal("the test needs two slots")
+	}
+	owned := schema.IntervalOf(1)
+	for r := 0; r < 200; r++ {
+		tp := model.Tuple{Key: owned.Lo + model.Key(r), Time: model.Timestamp(1000 + r), Payload: []byte{byte(r)}}
+		if schema.ServerFor(tp.Key) != 1 {
+			t.Fatalf("key %d is not slot 1's", tp.Key)
+		}
+		if _, err := c.log.Partition(0).Append(model.AppendTuple(nil, &tp)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Query(model.Query{Keys: model.KeyRange{Lo: tp.Key, Hi: tp.Key}, Times: model.TimeRange{Lo: tp.Time, Hi: tp.Time}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tuples) != 1 {
+			t.Fatalf("round %d: a tuple in slot 0's log for slot 1's key was not returned (%d tuples)", r, len(res.Tuples))
+		}
+	}
+}
+
 // TestAppliedIsPlanned: a tuple its slot has applied is in the next plan,
 // with no Drain in between. Every round inserts a tuple older than
 // everything before it by more than Δt (10 s), so only the slot's new

@@ -10,6 +10,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -381,9 +382,16 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	c.slotMu.Unlock()
 	p := c.log.Partition(i)
 	p.Seal()
-	// 3. Drain the final head, then stop the consumer.
+	// 3. Drain the final head, then stop the consumer. A consumer stalled
+	// behind a failed chunk write (ErrBusy) is waited for again: each wait
+	// sends the parked flusher back to its unit once, so this loop runs only
+	// as fast as DFS attempts fail, like step 4's.
 	head := p.Next()
-	if err := c.waitApplied(i, head); err != nil {
+	err = c.waitApplied(i, head)
+	for errors.Is(err, ErrBusy) {
+		err = c.waitApplied(i, head)
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
 	}
 	c.detachConsumer(i)
@@ -421,7 +429,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 // successor starts, so a chunk registration the dead incarnation still
 // has in flight is rejected instead of committing an offset the
 // successor's replay assumed stable. It returns as soon as the successor is
-// consuming; Drain waits for its catch-up.
+// consuming; the next query waits for its catch-up.
 func (c *Cluster) KillIndexServer(i int) error {
 	c.elasticMu.Lock()
 	defer c.elasticMu.Unlock()

@@ -279,6 +279,31 @@ func TestDrainReportsDeadConsumer(t *testing.T) {
 	}
 }
 
+// TestCaughtUpWaitAllocatesNothing: every query makes the catch-up wait
+// before it plans, so over slots that have applied their heads it must cost
+// loads, not allocations — the same budget as the idle deployment's.
+func TestCaughtUpWaitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c := startCluster(t, testConfig())
+	for i := 0; i < 100; i++ {
+		if err := c.Insert(model.Tuple{Key: model.Key(uint64(i) << 57), Time: model.Timestamp(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.waitHeads(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.waitHeads(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a caught-up wait allocates %.1f objects, want 0", n)
+	}
+}
+
 // TestIdleDeploymentIsQuiet: with every waiter parked on a watermark, a
 // started deployment that nobody writes to allocates (next to) nothing.
 // Two are measured together, so the sum is under the bound; sleep-polling

@@ -176,11 +176,23 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 	// inserts keep landing in the fresh tree. The flusher's exit (Abort,
 	// fenced, a write no retry mends) fails flushEvents and lets it go; the
 	// unit is then left to WAL replay.
+	//
+	// A flusher parked on a failed write while this swap waits stalls the
+	// server's consumer: WaitApplied answers ErrBusy instead of waiting on.
 	stall := time.Now()
 	s.stats.Backpressure.Add(1)
-	if s.awaitFlush(nil, func() bool { return s.PendingFlushes() <= bound }) {
+	if s.awaitFlush(nil, func() bool {
+		if s.PendingFlushes() <= bound {
+			return true
+		}
+		if s.parked.Load() {
+			s.setStalled(true)
+		}
+		return false
+	}) {
 		s.cfg.Metrics.BackpressureNanos.Observe(time.Since(stall))
 	}
+	s.setStalled(false)
 	return pf
 }
 

@@ -211,9 +211,16 @@ type Server struct {
 	// Close and Abort fail it: this incarnation applies nothing more.
 	consumed wal.Watermark
 	// flushEvents counts flush-pipeline steps (an enqueue, an attempt
-	// finished, the flusher parked, Close and Abort). The flusher parks on
-	// it, and so do awaitFlush and the shutdown; the flusher's exit fails it.
+	// finished, the flusher parked, a stall's end, Close and Abort). The
+	// flusher parks on it, and so do awaitFlush and the shutdown; the
+	// flusher's exit fails it.
 	flushEvents wal.Watermark
+	// stall is closed while an inserter — the consumer — is held by flush
+	// backpressure behind a flusher parked on a failed write, and replaced by
+	// an open channel when it is let go. WaitApplied parks on it beside the
+	// applied offset. stallMu guards it.
+	stallMu sync.Mutex
+	stall   chan struct{}
 
 	stats Stats
 }
@@ -230,6 +237,7 @@ func NewServer(cfg Config, fs ChunkWriter, ms *meta.Server, node int) *Server {
 		ms:           ms,
 		node:         node,
 		committedOff: -1,
+		stall:        make(chan struct{}),
 	}
 	if cfg.SideThresholdMillis > 0 {
 		sideCfg := tc
@@ -779,8 +787,69 @@ func (s *Server) applyBlock(recs []wal.Record, head int64, sc *consumeScratch) e
 // "read but not yet applied" position.
 func (s *Server) Consumed() int64 { return s.consumed.Load() }
 
+// ErrBusy answers a wait for a slot's applied offset while the slot's
+// consumer is held by flush backpressure behind a flusher parked on a failed
+// chunk write, and the retry the wait asked for failed too: nothing more is
+// applied until a write succeeds.
+var ErrBusy = errors.New("waterwheel: busy: a flush is stalled on a failed chunk write")
+
 // WaitApplied blocks until Consumed() >= offset (nil); else the consumer's
-// error if it died, ErrStopped if stopped or deposed, wal.ErrCanceled.
-func (s *Server) WaitApplied(offset int64, cancel <-chan struct{}) error {
-	return s.consumed.Wait(offset, cancel)
+// error if it died, ErrStopped if stopped or deposed, ErrBusy if the
+// consumer is stalled behind a failed write: a stall sends the parked flusher
+// straight back to its unit, and the wait goes on unless an attempt fails
+// before the stall ends.
+func (s *Server) WaitApplied(offset int64) error {
+	for {
+		err := s.consumed.Wait(offset, s.stallEdge())
+		if !errors.Is(err, wal.ErrCanceled) {
+			return err
+		}
+		if !s.retryStalled() {
+			return ErrBusy
+		}
+	}
+}
+
+// stallEdge returns the channel that is closed while an inserter is stalled.
+func (s *Server) stallEdge() <-chan struct{} {
+	s.stallMu.Lock()
+	defer s.stallMu.Unlock()
+	return s.stall
+}
+
+// stalled reports whether an inserter is stalled.
+func (s *Server) stalled() bool {
+	select {
+	case <-s.stallEdge():
+		return true
+	default:
+		return false
+	}
+}
+
+// setStalled marks a stall's start or its end. The end is a flush-pipeline
+// step, which retryStalled parks on.
+func (s *Server) setStalled(on bool) {
+	s.stallMu.Lock()
+	defer s.stallMu.Unlock()
+	select {
+	case <-s.stall:
+		if !on {
+			s.stall = make(chan struct{})
+			s.flushEvents.Add(1)
+		}
+	default:
+		if on {
+			close(s.stall)
+		}
+	}
+}
+
+// retryStalled steps a parked flusher back to its failed unit and waits
+// until the stall ends (true) or a flush attempt fails first (false).
+func (s *Server) retryStalled() bool {
+	fails := s.stats.FlushFailures.Load()
+	s.flushEvents.Add(1)
+	s.awaitFlush(nil, func() bool { return !s.stalled() || s.stats.FlushFailures.Load() > fails })
+	return !s.stalled()
 }

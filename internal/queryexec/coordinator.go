@@ -48,6 +48,11 @@ type CoordinatorConfig struct {
 	// indexing-server slots, indexed by slot id, read once per plan; a slot
 	// nobody serves is nil. Nil: there are none.
 	MemExecutors func() []MemExecutor
+	// CatchUp, when set, blocks until every tuple acked before the call is
+	// applied where the executors' MemBounds read it, or says why it cannot:
+	// every plan calls it first, so a query is the insert→query barrier.
+	// Nil: the executors are always caught up.
+	CatchUp func() error
 }
 
 // CoordinatorMetrics are the telemetry handles the query path feeds. All
@@ -84,11 +89,8 @@ type CoordinatorMetrics struct {
 	// its directory, or a format version this build does not read.
 	CorruptChunks *telemetry.Counter
 
-	// Per-policy dispatch latency histograms, registered lazily the first
-	// time a policy dispatches.
-	reg      *telemetry.Registry
-	mu       sync.Mutex
-	dispatch map[string]*telemetry.Histogram
+	// reg registers a policy's dispatch-latency histogram (dispatchHist).
+	reg *telemetry.Registry
 }
 
 // NewCoordinatorMetrics registers the query-path metric set on r (nil r
@@ -112,24 +114,14 @@ func NewCoordinatorMetrics(r *telemetry.Registry) *CoordinatorMetrics {
 	}
 }
 
-// dispatchHist returns the dispatch-latency histogram for a policy,
-// registering it on first use. Nil-safe.
+// dispatchHist registers the dispatch-latency histogram of a policy.
+// Nil-safe.
 func (m *CoordinatorMetrics) dispatchHist(policy string) *telemetry.Histogram {
 	if m == nil || m.reg == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h, ok := m.dispatch[policy]; ok {
-		return h
-	}
-	h := m.reg.Histogram(fmt.Sprintf("waterwheel_query_dispatch_seconds{policy=%q}", policy),
+	return m.reg.Histogram(fmt.Sprintf("waterwheel_query_dispatch_seconds{policy=%q}", policy),
 		"subquery fan-out latency by dispatch policy")
-	if m.dispatch == nil {
-		m.dispatch = make(map[string]*telemetry.Histogram)
-	}
-	m.dispatch[policy] = h
-	return h
 }
 
 // Coordinator decomposes user queries into subqueries, dispatches them
@@ -142,7 +134,12 @@ type Coordinator struct {
 	// m mirrors cfg.Metrics, defaulted to a no-op set so the query path
 	// never branches on nil.
 	m *CoordinatorMetrics
+	// policy is cfg.Policy's name and dispatch its latency histogram, both
+	// fixed at NewCoordinator as the policy is.
+	policy   string
+	dispatch *telemetry.Histogram
 
+	// mu guards qservers.
 	mu       sync.RWMutex
 	qservers []*Server
 }
@@ -159,7 +156,11 @@ func NewCoordinator(cfg CoordinatorConfig, ms *meta.Server, fs *dfs.FS) *Coordin
 	if cfg.MemExecutors == nil {
 		cfg.MemExecutors = func() []MemExecutor { return nil }
 	}
-	return &Coordinator{cfg: cfg, ms: ms, fs: fs, m: m}
+	if cfg.CatchUp == nil {
+		cfg.CatchUp = func() error { return nil }
+	}
+	pname := cfg.Policy.Name()
+	return &Coordinator{cfg: cfg, ms: ms, fs: fs, m: m, policy: pname, dispatch: m.dispatchHist(pname)}
 }
 
 // AddQueryServer registers a query server.
@@ -178,8 +179,13 @@ func (c *Coordinator) AddQueryServer(s *Server) {
 // then fold partial aggregates instead of returning tuples. Every query
 // class plans here, so the visibility rule below — each acked tuple in
 // exactly one of live leaf, pending snapshot or chunk, for every plan —
-// holds for all of them or none.
-func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo) {
+// holds for all of them or none. So does the wait that comes first
+// (CatchUp): every tuple acked before the plan began is applied when its
+// bounds are read, and a wait that cannot end is the plan's error.
+func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, chunks []meta.ChunkInfo, err error) {
+	if err = c.cfg.CatchUp(); err != nil {
+		return nil, nil, nil, nil, err
+	}
 	qRegion := q.Region()
 	// The serving slots' bounds are read BEFORE the chunk list, each from
 	// the server itself (MemBounds), and the executors come from the same
@@ -269,22 +275,19 @@ func (c *Coordinator) Decompose(q model.Query, agg *model.AggSpec) (memSubs []*m
 		sq.Seq, sq.AsOfChunk = seq, watermark
 		seq++
 	}
-	return memSubs, execs, chunkSubs, chunks
+	return memSubs, execs, chunkSubs, chunks, nil
 }
 
 // run is the coordinator's one dispatch loop (§IV-B/C): the fresh-data
 // subqueries run on their indexing servers (execs, aligned with memSubs) in
 // parallel with the chunk fan-out, every result is handed to collect (from
 // the delivering goroutine — collect synchronizes), and the dispatch latency
-// is observed under the policy in force. root may be nil (tracing off).
+// is observed under the policy. root may be nil (tracing off).
 func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkSubs []*model.SubQuery, collect func(*model.SubResult), root *telemetry.Span) error {
 	c.m.MemSubQueries.Add(int64(len(memSubs)))
 	c.m.ChunkSubQueries.Add(int64(len(chunkSubs)))
-	c.mu.RLock()
-	pname := c.cfg.Policy.Name()
-	c.mu.RUnlock()
 	dispSp := root.StartChild("dispatch")
-	dispSp.SetStr("policy", pname)
+	dispSp.SetStr("policy", c.policy)
 	dispStart := time.Now()
 	var wg sync.WaitGroup
 	for i, sq := range memSubs {
@@ -307,7 +310,7 @@ func (c *Coordinator) run(memSubs []*model.SubQuery, execs []MemExecutor, chunkS
 	}
 	wg.Wait()
 	dispSp.End()
-	c.m.dispatchHist(pname).Observe(time.Since(dispStart))
+	c.dispatch.Observe(time.Since(dispStart))
 	return err
 }
 
@@ -360,19 +363,20 @@ func (c *Coordinator) execute(q model.Query, root *telemetry.Span, encode bool) 
 		}
 		root.End()
 		if root != nil {
-			c.mu.RLock()
-			pname := c.cfg.Policy.Name()
-			c.mu.RUnlock()
-			tr = &telemetry.QueryTrace{QueryID: q.ID, Policy: pname, Root: root}
+			tr = &telemetry.QueryTrace{QueryID: q.ID, Policy: c.policy, Root: root}
 			c.cfg.Traces.Add(tr)
 		}
 	}
 
 	decSp := root.StartChild("decompose")
-	memSubs, execs, chunkSubs, _ := c.Decompose(q, nil)
+	memSubs, execs, chunkSubs, _, err := c.Decompose(q, nil)
 	decSp.SetInt("mem_subqueries", int64(len(memSubs)))
 	decSp.SetInt("chunk_subqueries", int64(len(chunkSubs)))
 	decSp.End()
+	if err != nil {
+		finish(err)
+		return nil, nil, tr, err
+	}
 
 	res := &model.Result{QueryID: q.ID, SubQueries: len(memSubs) + len(chunkSubs)}
 
@@ -450,7 +454,12 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 	spec := &model.AggSpec{Field: q.Field, CountOnly: q.Kind == model.AggCount}
 	res := &model.AggResult{QueryID: mq.ID, Kind: q.Kind}
 
-	memSubs, execs, planned, chunks := c.Decompose(mq, spec)
+	memSubs, execs, planned, chunks, err := c.Decompose(mq, spec)
+	if err != nil {
+		c.m.QueryNanos.Observe(time.Since(start))
+		c.m.QueryErrors.Inc()
+		return nil, err
+	}
 	// Meta-level pushdown: every tuple of a fully covered chunk matches an
 	// unfiltered query, so its registered count/summary is exact and its
 	// subquery is dropped from the plan.
@@ -490,7 +499,7 @@ func (c *Coordinator) ExecuteAggregate(q model.AggregateQuery) (*model.AggResult
 		res.CacheHits += r.CacheHits
 		mu.Unlock()
 	}
-	err := c.run(memSubs, execs, chunkSubs, collect, nil)
+	err = c.run(memSubs, execs, chunkSubs, collect, nil)
 	c.m.QueryNanos.Observe(time.Since(start))
 	if err != nil {
 		c.m.QueryErrors.Inc()
@@ -512,9 +521,10 @@ type ExplainInfo struct {
 	Chunks []meta.ChunkInfo
 }
 
-// Explain decomposes a query without executing it.
+// Explain decomposes a query without executing it, after the same wait a
+// query makes; a wait that cannot end leaves the info empty.
 func (c *Coordinator) Explain(q model.Query) ExplainInfo {
-	memSubs, _, chunkSubs, chunks := c.Decompose(q, nil)
+	memSubs, _, chunkSubs, chunks, _ := c.Decompose(q, nil)
 	info := ExplainInfo{Chunks: chunks}
 	for _, sq := range memSubs {
 		info.MemSubQueries = append(info.MemSubQueries, *sq)
@@ -568,7 +578,6 @@ func (l *serverLoad) open() bool {
 func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*model.SubResult), sp *telemetry.Span) error {
 	c.mu.RLock()
 	servers := append([]*Server(nil), c.qservers...)
-	policy := c.cfg.Policy
 	c.mu.RUnlock()
 
 	live := servers[:0]
@@ -600,7 +609,7 @@ func (c *Coordinator) runChunkSubqueries(sqs []*model.SubQuery, deliver func(*mo
 		paths[i] = sq.ChunkPath
 	}
 	locations := c.fs.LocationsBatch(paths)
-	pref, owner := policy.Plan(sqs, locations, placements)
+	pref, owner := c.cfg.Policy.Plan(sqs, locations, placements)
 	loads := make([]serverLoad, len(live))
 	for i, s := range live {
 		loads[i].alive.Store(int32(s.Workers()))

@@ -183,7 +183,7 @@ func TestDecomposePrunesChunks(t *testing.T) {
 		c.flushAll()
 	}
 	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 100_000, Hi: 100_049}}
-	mem, _, chunks, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
+	mem, _, chunks, _, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
 	if len(chunks) != 1 {
 		t.Fatalf("decomposed into %d chunk subqueries, want 1", len(chunks))
 	}
@@ -197,12 +197,12 @@ func TestLateVisibilityWindow(t *testing.T) {
 	c.ingest([]model.Tuple{{Key: 1, Time: 100_000}})
 	// Live region min=100 000, Δt=10 000 → presumed left bound 90 000.
 	q := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 100_000 - lateDelta/2}}
-	mem, _, _, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
+	mem, _, _, _, _ := c.coord.Decompose(c.ms.RegisterQuery(q), nil)
 	if len(mem) != 1 {
 		t.Fatalf("query inside Δt window skipped the memtable: %d", len(mem))
 	}
 	q2 := model.Query{Keys: model.FullKeyRange(), Times: model.TimeRange{Lo: 0, Hi: 50_000}}
-	mem, _, _, _ = c.coord.Decompose(c.ms.RegisterQuery(q2), nil)
+	mem, _, _, _, _ = c.coord.Decompose(c.ms.RegisterQuery(q2), nil)
 	if len(mem) != 0 {
 		t.Fatalf("query far below the window still hit the memtable")
 	}

@@ -60,6 +60,9 @@ type Partition struct {
 	// head is the offset the next record will receive, published after
 	// every append for ReadBlocking to park on; Close fails it.
 	head Watermark
+	// demand is the offset a reader waits for the consumer to have applied
+	// up to (Demand): ReadBlocking cuts its batching window short for it.
+	demand Watermark
 	// base is the horizon: the offset of the first resident record. Offsets
 	// below it are gone and read as ErrCompacted; only Truncate moves it (and
 	// a reopen, which starts it at the replay offset).
@@ -337,13 +340,13 @@ func (p *Partition) fillLocked(buf []Record, offset int64) []Record {
 }
 
 // readLinger is ReadBlocking's batching window (Kafka's fetch.min.wait): the
-// first record after an empty read is delivered one time.After(readLinger)
+// first record after an empty read is delivered one timer of readLinger
 // later, with the burst behind it, as one block — and after the appenders'
-// acks went out. The window's real length is the host's timer floor, not
-// this constant: where sub-millisecond timers fire after about 1.1 ms, as
-// on a 2-vCPU VM, so does the window (DESIGN §18). A policy, not a poll:
-// once per idle-to-busy edge, never while idle or busy (DESIGN §18 has what
-// the ledger reads without it).
+// acks went out — unless a reader demands it first (Demand). The window's
+// real length is the host's timer floor, not this constant: where
+// sub-millisecond timers fire after about 1.1 ms, as on a 2-vCPU VM, so does
+// the window (DESIGN §18). A policy, not a poll: once per idle-to-busy edge,
+// never while idle or busy (DESIGN §18 has what the ledger reads without it).
 const readLinger = 200 * time.Microsecond
 
 // ReadBlocking is Read that waits at the head: the one waited read, in
@@ -354,7 +357,8 @@ const readLinger = 200 * time.Microsecond
 // resident window: a caller that keeps buf between reads clears what it
 // read, or it pins those buffers. It answers ErrClosed once the partition
 // is closed and every retained record past offset was delivered, and an
-// empty read when cancel fires first.
+// empty read when cancel fires first. After a wait at the head it lets the
+// batching window run, which a demand past offset ends at once.
 func (p *Partition) ReadBlocking(offset int64, buf []Record, cancel <-chan struct{}) ([]Record, error) {
 	for {
 		p.mu.Lock()
@@ -371,9 +375,17 @@ func (p *Partition) ReadBlocking(offset int64, buf []Record, cancel <-chan struc
 		} else if err != nil {
 			return nil, err
 		}
-		<-time.After(readLinger)
+		if p.demand.Load() <= offset {
+			p.demand.Wait(offset+1, Deadline(readLinger))
+		}
 	}
 }
+
+// Demand asks the partition's consumer to apply every record below upTo
+// without waiting out its batching window: the edge a reader waiting for
+// the consumer raises (Cluster.waitApplied). A demand below one already
+// made changes nothing.
+func (p *Partition) Demand(upTo int64) { p.demand.Raise(upTo) }
 
 // Truncate advances the horizon: records with offsets below before are gone
 // (retention, and a flush commit letting go of what no replay reads) — from

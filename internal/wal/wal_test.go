@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +136,47 @@ func TestReadBlockingWakesOnAppend(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocking read never woke")
+	}
+}
+
+// TestDemandEndsTheBatchingWindow: a reader waiting for the consumer
+// (Demand) ends ReadBlocking's batching window, so the wake costs one apply,
+// not one timer. Each round parks the reader at the head, appends, waits
+// until it sits in the window and demands the record: the rounds together
+// must take less than the windows they skipped, which a timer never fires
+// before.
+func TestDemandEndsTheBatchingWindow(t *testing.T) {
+	p := NewPartition()
+	const rounds = 200
+	got := make(chan error, 1)
+	go func() {
+		buf := make([]Record, 1)
+		for i := 0; i < rounds; i++ {
+			_, err := p.ReadBlocking(int64(i), buf, nil)
+			got <- err
+		}
+	}()
+	parked := func(w *Watermark) {
+		for deadline := time.Now().Add(5 * time.Second); w.waiting.Load() == 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("the reader never parked")
+			}
+		}
+	}
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		parked(&p.head)
+		if _, err := p.Append([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		parked(&p.demand)
+		p.Demand(int64(i + 1))
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took, windows := time.Since(start), rounds*readLinger; took >= windows {
+		t.Fatalf("%d demanded reads took %v, no less than %d batching windows (%v)", rounds, took, rounds, windows)
 	}
 }
 

@@ -40,6 +40,18 @@ func (w *Watermark) Set(v int64) { w.v.Store(v); w.wakeAll(nil) }
 // more than one goroutine.
 func (w *Watermark) Add(delta int64) { w.v.Add(delta); w.wakeAll(nil) }
 
+// Raise moves the value up to v, never down: for a target that more than
+// one goroutine asks for. A v already reached changes nothing and wakes
+// nobody.
+func (w *Watermark) Raise(v int64) {
+	for cur := w.v.Load(); cur < v; cur = w.v.Load() {
+		if w.v.CompareAndSwap(cur, v) {
+			w.wakeAll(nil)
+			return
+		}
+	}
+}
+
 // Fail ends the watermark: every Wait for a target it has not reached
 // returns err, now and from here on. The first error given stays.
 func (w *Watermark) Fail(err error) { w.wakeAll(err) }

@@ -9,8 +9,6 @@ func TestQueryLimit(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(i)})
 	}
-	db.Drain()
-
 	res, err := db.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange(), Limit: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +42,10 @@ func TestQueryLimitSpansChunksAndMem(t *testing.T) {
 	for i := 500; i < 1000; i++ {
 		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(i)})
 	}
-	db.Drain()
 	db.Flush()
 	for i := 0; i < 500; i++ {
 		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(1000 + i)})
 	}
-	db.Drain()
 	res, err := db.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange(), Limit: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +65,7 @@ func TestExplain(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(i)})
 	}
-	db.Drain()
+	db.c.Drain() // the flushes the inserts crossed, too
 	if db.Stats().Chunks == 0 {
 		t.Fatal("need chunks for this test")
 	}

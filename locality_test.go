@@ -18,7 +18,6 @@ func TestRepeatedQueryReadsChunkOnce(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				db.Insert(Tuple{Key: Key(i), Time: Timestamp(1000 + i), Payload: []byte{byte(i)}})
 			}
-			db.Drain()
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}

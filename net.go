@@ -36,6 +36,7 @@ const (
 	// position per rejected tuple to the end of the payload, the message the
 	// cause's.
 	statusBatch
+	statusBusy // ErrBusy
 )
 
 // batchStatusFixed is the statusBatch payload before the positions.
@@ -48,7 +49,7 @@ var ErrBadBatchStatus = errors.New("waterwheel: malformed batch-error reply")
 
 // wireSentinels are the errors that cross the wire as a status code of
 // their own, so the client can hand back the same sentinel.
-var wireSentinels = transport.Sentinels{statusClosed: ErrClosed, statusRetired: ErrRetired}
+var wireSentinels = transport.Sentinels{statusClosed: ErrClosed, statusRetired: ErrRetired, statusBusy: ErrBusy}
 
 // wireError gives a handler's error the status code that lets the client
 // rebuild it: a *BatchError with its positions, a sentinel as itself.
@@ -158,9 +159,6 @@ func (db *DB) Serve(addr string) (*NetServer, error) {
 			return nil, wireError(err)
 		}
 		return model.AppendAggResult(nil, res), nil
-	})
-	s.Handle("drain", func([]byte) ([]byte, error) {
-		return nil, wireError(db.Drain())
 	})
 	s.Handle("flush", func([]byte) ([]byte, error) {
 		return nil, wireError(db.Flush())
@@ -297,12 +295,6 @@ func (cl *Client) Aggregate(q AggregateQuery) (*AggResult, error) {
 		return nil, err
 	}
 	return model.DecodeAggResult(payload)
-}
-
-// Drain waits server-side until all accepted tuples are queryable.
-func (cl *Client) Drain() error {
-	_, err := cl.call("drain", nil)
-	return err
 }
 
 // Flush forces a server-side flush of all memtables.

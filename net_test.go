@@ -149,19 +149,16 @@ func netFixture(t *testing.T, opts Options, n int) (*DB, *Client, []Tuple) {
 	return db, cl, ts
 }
 
-// awaitTuples is the insert→query barrier: after Drain every acked tuple
-// is visible, so one full-range query must see exactly n.
+// awaitTuples checks the insert→query barrier: a query sees every tuple
+// acked before it, so one full-range query must see exactly n.
 func awaitTuples(t *testing.T, cl *Client, n int) {
 	t.Helper()
-	if err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := cl.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Tuples) != n {
-		t.Fatalf("after Drain the store holds %d tuples, want %d", len(res.Tuples), n)
+		t.Fatalf("the store holds %d tuples, want %d", len(res.Tuples), n)
 	}
 }
 
@@ -446,9 +443,6 @@ func FuzzInsertFrame(f *testing.F) {
 			t.Fatalf("a frame of %d whole records was refused: %v", n, err)
 		}
 		want += uint64(n)
-		if err := db.Drain(); err != nil {
-			t.Fatal(err)
-		}
 		res, err := db.Aggregate(AggregateQuery{Keys: FullKeyRange(), Times: FullTimeRange(), Kind: AggCount})
 		if err != nil {
 			t.Fatal(err)
@@ -583,9 +577,6 @@ func TestNetConcurrentInsertQuery(t *testing.T) {
 		t.Fatalf("concurrent net traffic: %v", err)
 	}
 
-	if err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := cl.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
 	if err != nil {
 		t.Fatal(err)
@@ -617,9 +608,6 @@ func TestNetStatsTraceMetricsRoundTrip(t *testing.T) {
 		ts[i] = Tuple{Key: Key(i), Time: Timestamp(1000 + i), Payload: []byte("p")}
 	}
 	if err := cl.InsertBatch(ts); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Flush(); err != nil {
@@ -763,9 +751,6 @@ func TestNetAdminElasticOps(t *testing.T) {
 	if err := cl.InsertBatch(tuples[n/2:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := cl.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
 	if err != nil {
 		t.Fatal(err)
@@ -838,9 +823,6 @@ func TestQueryReplyIsTheMergedResultEncoded(t *testing.T) {
 			}
 		}
 		if err := cl.InsertBatch(ts); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Drain(); err != nil {
 			t.Fatal(err)
 		}
 		all = append(all, ts...)

@@ -32,10 +32,8 @@ func TestRecurringWindowAcceptance(t *testing.T) {
 				Time: Timestamp(start + int64(i)*40*60_000),
 			})
 		}
-		db.Drain()
 		db.Flush()
 	}
-	db.Drain()
 	chunks := db.Stats().Chunks
 	if chunks < days*blocksPerDay {
 		t.Fatalf("flushed %d chunks, want >= %d", chunks, days*blocksPerDay)
@@ -104,9 +102,6 @@ func TestDailyWindowCrossesMidnight(t *testing.T) {
 			}
 		}
 	}
-	if err := db.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := db.Query(Query{Keys: FullKeyRange(), Times: TimeRange{Lo: 0, Hi: Timestamp(2*dayMs - 1)}, Filter: Daily(22*hourMs, 4*hourMs)})
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +131,6 @@ func TestDailyWindowLimitIsPushedDown(t *testing.T) {
 			}
 		}
 		if err := db.InsertBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Drain(); err != nil {
 			t.Fatal(err)
 		}
 		if d < 2 { // days 0 and 1 in chunks, day 2 in live leaves

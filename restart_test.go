@@ -73,9 +73,6 @@ func restartWrite(db *DB, gen uint64) error {
 	if err := restartInsert(db, gen*restartGen+restartGen/2, restartOld); err != nil {
 		return err
 	}
-	if err := db.Drain(); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
 	if err := db.Flush(); err != nil {
 		return fmt.Errorf("flush: %w", err)
 	}
@@ -135,7 +132,7 @@ func TestHelperProcess(t *testing.T) {
 		func() error { return restartVerify(db, restartDay10, map[uint64]uint64{0: restartFresh}) },
 		func() error { return restartVerify(db, restartDay0, map[uint64]uint64{restartGen / 2: restartOld}) },
 		func() error { return restartInsert(db, restartFresh, restartTail) },
-		db.Drain,
+		db.c.Drain,
 	}
 	for i, step := range steps {
 		if err := step(); err != nil {
@@ -295,9 +292,6 @@ func TestCheckpointAfterCloseWritesNothing(t *testing.T) {
 	if err := restartInsert(next, restartGen, 3000); err != nil {
 		t.Fatal(err)
 	}
-	if err := next.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	if err := next.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +330,6 @@ func TestCheckpointAfterCloseWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := db.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	if err := restartVerify(db, restartDay10, map[uint64]uint64{0: 1000, restartGen: 3000}); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +377,7 @@ func TestOversizeTupleIsNotAckedAndSurvivesACrash(t *testing.T) {
 	}
 	cl.Close()
 	ns.Close()
-	if err := db.Drain(); err != nil {
+	if err := db.c.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.c.HardCrash(); err != nil {
@@ -394,9 +385,6 @@ func TestOversizeTupleIsNotAckedAndSurvivesACrash(t *testing.T) {
 	}
 	db = open()
 	defer db.Close()
-	if err := db.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	res, err := db.Query(Query{Keys: FullKeyRange(), Times: FullTimeRange()})
 	if err != nil {
 		t.Fatal(err)

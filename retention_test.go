@@ -12,7 +12,6 @@ func TestDropBeforeRetention(t *testing.T) {
 				Time: Timestamp(w*100_000 + i),
 			})
 		}
-		db.Drain()
 		db.Flush()
 	}
 	chunksBefore := db.Stats().Chunks
@@ -53,7 +52,6 @@ func TestDropBeforeTruncatesWAL(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		db.Insert(Tuple{Key: Key(uint64(i) << 50), Time: Timestamp(i)})
 	}
-	db.Drain()
 	db.Flush()
 	db.DropBefore(0) // drops nothing, but releases covered WAL records
 	wal := db.Cluster().WAL()

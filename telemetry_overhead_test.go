@@ -51,7 +51,7 @@ func insertAllocs(t *testing.T) float64 {
 			db.Insert(Tuple{Key: Key(n * 2654435761), Time: Timestamp(1000 + n), Payload: payload})
 			n++
 		}
-		db.Drain()
+		db.c.Drain()
 	}
 	// Warm the memtables and samplers past their initial growth so the
 	// measurement window sees steady-state behavior.

@@ -16,7 +16,6 @@
 //	db, _ := waterwheel.Open(waterwheel.Options{})
 //	defer db.Close()
 //	db.Insert(waterwheel.Tuple{Key: 42, Time: now, Payload: []byte("...")})
-//	db.Drain()
 //	res, _ := db.QueryRange(waterwheel.KeyRange{Lo: 0, Hi: 100},
 //		waterwheel.TimeRange{Lo: now - 5000, Hi: now})
 package waterwheel
@@ -128,6 +127,12 @@ type DB struct {
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = cluster.ErrClosed
 
+// ErrBusy is returned by a query (and by Flush) that waits on an indexing
+// server whose consumer is held by flush backpressure behind a chunk write
+// that keeps failing: the acked tuples are in the log, and become visible
+// once a write succeeds. Retry once the storage fault is resolved.
+var ErrBusy = cluster.ErrBusy
+
 // ErrRetired is returned when a query needed a chunk whose file retention
 // deleted while the query was in flight, and could not be replanned around
 // it.
@@ -174,10 +179,9 @@ func (db *DB) Checkpoint() error {
 }
 
 // Insert ingests one tuple — InsertBatch of one. Safe for concurrent use.
-// The ack follows the log, so the tuple becomes visible to queries within
-// a consumption round-trip; call Drain for a strict insert→query barrier.
-// A nil return
-// is the ack — under Durability "ack-on-fsync" it means the tuple is on
+// The ack follows the log, and every query issued after it returns the
+// tuple: a query first waits until what was acked before it is applied.
+// A nil return is the ack — under Durability "ack-on-fsync" it means the tuple is on
 // stable storage; an error means the tuple was NOT accepted (e.g. the WAL
 // segment hit a disk error) and should be resubmitted after the fault is
 // resolved. After Close the error is ErrClosed.
@@ -256,6 +260,11 @@ func batchError(rejected []int, n int, err error) error {
 }
 
 // Query runs a temporal range query and returns the merged, sorted result.
+// It is the insert→query barrier: every tuple acked before the call is in
+// the result if the query's region holds it. A barrier that cannot be met
+// is the query's error: the error an indexing server's consumer died of
+// (its tuples stay acked, and unapplied until the slot is taken over),
+// ErrBusy, or ErrClosed.
 func (db *DB) Query(q Query) (*Result, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -271,7 +280,8 @@ func (db *DB) QueryRange(keys KeyRange, times TimeRange) (*Result, error) {
 // Aggregate runs an aggregate query (COUNT/MIN/MAX/SUM over a key range ×
 // time range), answering as much as possible from chunk metadata and
 // header pre-aggregates instead of reading leaf bodies. The result's
-// counters report how much of the work pushdown saved.
+// counters report how much of the work pushdown saved. Like Query it covers
+// every tuple acked before the call.
 func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -279,18 +289,11 @@ func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 	return db.c.Aggregate(q)
 }
 
-// Drain is the insert→query barrier: when it returns nil, every tuple acked
-// before the call is visible to queries. Inserts are acknowledged from the
-// log, ahead of the indexing servers applying them; a reader that must see
-// its own writes calls Drain between the two. A barrier that cannot be met
-// says why: the error an indexing server's consumer died of (its tuples
-// stay acked, and unapplied until the slot is taken over), or ErrClosed.
-func (db *DB) Drain() error { return db.c.Drain() }
-
 // Flush forces every indexing server to flush its memtables to chunks: when
 // it returns nil, everything inserted before the call is in chunks — with a
 // DataDir, on stable storage, named by durable metadata — and a restart
-// replays none of it. The error is a flush failure no retry can mend.
+// replays none of it. The error is a flush failure no retry can mend, or
+// one of a query's: the wait for what was acked before the call.
 func (db *DB) Flush() error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -461,11 +464,11 @@ func (db *DB) ActiveSlots() []int { return db.c.ActiveSlots() }
 // the benchmark harness.
 func (db *DB) Cluster() *cluster.Cluster { return db.c }
 
-// Close stops the deployment. Buffered tuples are flushed first; the error
-// is Drain's, when acked tuples could not all be applied before the flush,
-// or else the flush's. Every later call — inserts as well as queries, Drain
-// and Flush — answers ErrClosed (errors.Is), over the wire too; a second
-// Close is a no-op.
+// Close stops the deployment. Acked tuples are applied and buffered ones
+// flushed first; the error says why that could not be done — a consumer's
+// error, ErrBusy, or the flush's. Every later call — inserts as well as
+// queries and Flush — answers ErrClosed (errors.Is), over the wire too; a
+// second Close is a no-op.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil

@@ -124,6 +124,13 @@ func TestCloseWithNetServerLeavesNoGoroutines(t *testing.T) {
 	}
 	ns.Close()
 	cl.Close()
+	settles(t, baseline)
+}
+
+// settles fails the test unless the goroutine count is back at baseline, its
+// value before Open, within 5 s.
+func settles(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -290,6 +297,93 @@ func TestStalledSlotQueryIsBusy(t *testing.T) {
 			t.Fatalf("%s after the fault cleared: %d tuples, %d acked", what, len(res.Tuples), flood+1)
 		}
 	}
+}
+
+// TestFlushDuringOutageIsBusy: with every chunk write failing, Flush cannot
+// put what was acked into chunks, and says so with ErrBusy instead of nil;
+// nothing is registered. Once the fault clears, Flush answers nil.
+func TestFlushDuringOutageIsBusy(t *testing.T) {
+	db := openTestDB(t, Options{IndexServersPerNode: 1})
+	db.Cluster().FS().SetWriteFailRate(1)
+	for i := 0; i < 10; i++ {
+		if err := db.Insert(Tuple{Key: Key(i), Time: Timestamp(1000 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := returns(t, "Flush during the outage", db.Flush); !errors.Is(err, ErrBusy) {
+		t.Fatalf("Flush during the outage = %v, want ErrBusy", err)
+	}
+	if n := db.Stats().Chunks; n != 0 {
+		t.Fatalf("%d chunks registered during the outage", n)
+	}
+	db.Cluster().FS().ClearFaults()
+	if err := returns(t, "Flush after the fault cleared", db.Flush); err != nil {
+		t.Fatalf("Flush after the fault cleared: %v", err)
+	}
+	if st := db.Stats(); st.Chunks == 0 || st.Buffered != 0 {
+		t.Fatalf("after Flush: %d chunks, %d tuples buffered", st.Chunks, st.Buffered)
+	}
+}
+
+// TestCloseDuringOutage: chunk writes fail and one slot is flooded past
+// FlushQueueDepth+1 flush units, so its consumer is held by backpressure
+// behind a flusher parked on a failed write. Close does not wait for the
+// storage: it answers ErrBusy within busyBound and leaves no goroutine
+// behind. What no chunk holds is in the log: with a DataDir under
+// ack-on-fsync, the next Open returns every acked tuple exactly once.
+func TestCloseDuringOutage(t *testing.T) {
+	const busyBound = 2 * time.Second
+	// One server, so one slot takes everything: ~40 B of tree a tuple, so
+	// 2 000 tuples are ~20 thresholds, several times the queue's bound.
+	const flood = 2000
+	batch := make([]Tuple, flood)
+	for i := range batch {
+		batch[i] = Tuple{Key: Key(i), Time: Timestamp(1000 + i), Payload: make([]byte, 16)}
+	}
+	closeDuringOutage := func(t *testing.T, opts Options) {
+		t.Helper()
+		baseline := runtime.NumGoroutine()
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Cluster().FS().SetWriteFailRate(1)
+		if err := db.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := returns(t, "Close during the outage", db.Close); !errors.Is(err, ErrBusy) {
+			t.Fatalf("Close during the outage = %v, want ErrBusy", err)
+		}
+		if took := time.Since(start); took > busyBound {
+			t.Fatalf("Close took %v to answer ErrBusy, bound %v", took, busyBound)
+		}
+		settles(t, baseline)
+	}
+	t.Run("memory", func(t *testing.T) {
+		closeDuringOutage(t, Options{IndexServersPerNode: 1, ChunkBytes: 4 << 10, Seed: 1})
+	})
+	t.Run("datadir", func(t *testing.T) {
+		opts := Options{IndexServersPerNode: 1, ChunkBytes: 4 << 10, Seed: 1, DataDir: t.TempDir(), Durability: "ack-on-fsync"}
+		closeDuringOutage(t, opts)
+		db := openTestDB(t, opts)
+		res, err := db.QueryRange(FullKeyRange(), FullTimeRange())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[Key]int, flood)
+		for _, tu := range res.Tuples {
+			seen[tu.Key]++
+		}
+		for i := range batch {
+			if n := seen[batch[i].Key]; n != 1 {
+				t.Fatalf("key %d returned %d times after the reopen, want once", batch[i].Key, n)
+			}
+		}
+		if len(res.Tuples) != flood {
+			t.Fatalf("%d tuples after the reopen, %d acked", len(res.Tuples), flood)
+		}
+	})
 }
 
 // TestOlderClientsDrainIsUnknown: the drain verb is gone — a query is the

@@ -186,12 +186,13 @@ const (
 	opAddServer
 	opDecommission
 	// Scripted ops, never generated at random: a background burst, waiting
-	// it out, a skewed burst for the balancer to repartition around, and a
-	// restart and a hard crash from disk (also Options.Restart's and
-	// Options.HardCrash's trailing ops).
+	// it out, a skewed burst for the balancer to repartition around, a flood
+	// of one slot, and a restart and a hard crash from disk (also
+	// Options.Restart's and Options.HardCrash's trailing ops).
 	opBurstBG
 	opJoin
 	opSkewBurst
+	opFlood
 	opRestart
 	opHardCrash
 )
@@ -206,7 +207,7 @@ var opNames = map[opKind]string{
 	opCrashMidFlush: "crash-mid-flush", opBarrier: "barrier",
 	opAddServer: "add-server", opDecommission: "decommission",
 	opBurstBG: "burst-bg", opJoin: "join", opSkewBurst: "skew-burst",
-	opRestart: "restart", opHardCrash: "hard-crash",
+	opFlood: "flood", opRestart: "restart", opHardCrash: "hard-crash",
 }
 
 // op is one pre-generated schedule step. All parameters are fixed at
@@ -228,7 +229,7 @@ func (o op) String() string {
 		return fmt.Sprintf("%s n=%d batched=%v", opNames[o.kind], o.n, o.alt)
 	case opKillDFS, opReviveDFS:
 		return fmt.Sprintf("%s node=%d", opNames[o.kind], o.n)
-	case opCrash, opCrashMidFlush, opDecommission:
+	case opCrash, opCrashMidFlush, opDecommission, opFlood:
 		// n is a pick index, resolved against the live slot set at exec time.
 		return fmt.Sprintf("%s pick=%d", opNames[o.kind], o.n)
 	case opWriteFaults, opReadFaults:
@@ -546,7 +547,7 @@ func (r *runner) exec(i int, o op) {
 	switch o.kind {
 	case opJoin:
 		r.join(i, o.n)
-	case opInsert, opInsertBatch, opSkewBurst, opBurstBG, opCrashMidFlush, opBarrier, opRestart, opHardCrash:
+	case opInsert, opInsertBatch, opSkewBurst, opBurstBG, opCrashMidFlush, opFlood, opBarrier, opRestart, opHardCrash:
 		r.join(i, 0)
 	}
 	switch o.kind {
@@ -614,9 +615,16 @@ func (r *runner) exec(i int, o op) {
 		r.burstBG(i, o.n, o.alt)
 	case opSkewBurst:
 		r.skewBurst(i, o.n)
+	case opFlood:
+		// Past the flush queue's bound: with every chunk write failing, the
+		// slot's consumer is then held by backpressure, so Drain is ErrBusy.
+		r.insertInto(i, r.pickSlot(o.n), clusterConfig(r.opts).FlushQueueDepth+3)
+		if err := r.c.Drain(); !errors.Is(err, cluster.ErrBusy) {
+			r.violate(i, "flood: no consumer held by backpressure: drain = %v", err)
+		}
 	case opRestart:
+		r.c.Stop() // before heal: a restart with write faults armed
 		r.heal()
-		r.c.Stop()
 		r.reopen(i, "restart")
 	case opHardCrash:
 		r.hardCrash(i)
@@ -1038,18 +1046,8 @@ func (r *runner) retention(i int) {
 // in flight. The fault class counts as covered only when the stuck
 // snapshot was actually observed.
 func (r *runner) crashMidFlush(i, server int) {
-	sub := r.subRNG(i)
 	r.c.FS().SetWriteFailRate(1)
-	kr := r.c.Metadata().Schema().IntervalOf(server)
-	span := uint64(kr.Hi - kr.Lo)
-	if span > 1<<16 {
-		span = 1 << 16
-	}
-	// ~24 B per tuple vs a 4 KiB chunk threshold: 256 tuples cross it.
-	for j := 0; j < 256; j++ {
-		r.virtualNow += model.Timestamp(1 + sub.Int63n(3))
-		r.insert(kr.Lo+model.Key(sub.Uint64()%(span+1)), r.virtualNow)
-	}
+	r.insertInto(i, server, 1)
 	// Retired slots appear as nil in the slot table; a slot this op
 	// targeted can retire under a concurrent schedule.
 	srv := r.c.IndexServers()[server]
@@ -1063,6 +1061,22 @@ func (r *runner) crashMidFlush(i, server int) {
 		r.rep.FaultsSeen[FaultCrashMidFlush] = true
 		r.rep.FaultsSeen[FaultCrash] = true
 		r.rep.FaultsSeen[FaultDFSWriteError] = true
+	}
+}
+
+// insertInto acks tuples in server's key interval, enough to cross its 4 KiB
+// chunk threshold the given number of times: ~24 B per tuple, 256 tuples a
+// crossing.
+func (r *runner) insertInto(i, server, crossings int) {
+	sub := r.subRNG(i)
+	kr := r.c.Metadata().Schema().IntervalOf(server)
+	span := uint64(kr.Hi - kr.Lo)
+	if span > 1<<16 {
+		span = 1 << 16
+	}
+	for j := 0; j < 256*crossings; j++ {
+		r.virtualNow += model.Timestamp(1 + sub.Int63n(3))
+		r.insert(kr.Lo+model.Key(sub.Uint64()%(span+1)), r.virtualNow)
 	}
 }
 

@@ -167,6 +167,16 @@ var Schedules = []Schedule{
 			{kind: opInsert, n: 200}, {kind: opBarrier},
 		},
 	},
+	{
+		// Restart while every chunk write fails and a slot's consumer is held
+		// by backpressure: the stop must not wait for the storage, and the
+		// reopen replays the log. The kill first is the suite's handoff.
+		Name: "restart-mid-outage", Seed: 9014,
+		ops: []op{
+			{kind: opInsert, n: 200}, {kind: opCrash, n: 1}, {kind: opWriteFaults, alt: true, rate: 1},
+			{kind: opFlood, n: 2}, {kind: opRestart}, {kind: opBarrier},
+		},
+	},
 }
 
 // Run executes the schedule against a fresh cluster in dataDir under

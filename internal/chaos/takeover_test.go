@@ -11,8 +11,8 @@ import (
 // ack-on-fsync, sorted and region-contained results at every barrier, and
 // every handoff's ingest pause under takeoverPauseBound.
 func TestTakeoverSchedules(t *testing.T) {
-	if len(Schedules) < 13 {
-		t.Fatalf("the scripted suite holds %d schedules, want at least 13", len(Schedules))
+	if len(Schedules) < 14 {
+		t.Fatalf("the scripted suite holds %d schedules, want at least 14", len(Schedules))
 	}
 	for _, s := range Schedules {
 		s := s

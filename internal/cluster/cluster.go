@@ -201,7 +201,7 @@ type Cluster struct {
 var ErrClosed = errors.New("waterwheel: closed")
 
 // ErrBusy is returned by a query, Drain or FlushAll that waits on a slot
-// stalled behind a failed chunk write (ingest.ErrBusy).
+// stalled behind a failed chunk write, or on a flush one left (ingest.ErrBusy).
 var ErrBusy = ingest.ErrBusy
 
 // New builds a cluster, panicking on persistence errors; use Open to
@@ -530,7 +530,7 @@ func (c *Cluster) Aggregate(q model.AggregateQuery) (*model.AggResult, error) {
 // indexing server's memtable and every flush those tuples triggered has been
 // attempted, so the WAL holds in memory only what a replay would read. A
 // query needs none of it: every plan makes the first half of this wait
-// itself (waitHeads). It is the settling step of Close, of the chaos runner's
+// itself (waitHeads). It is the settling step of the chaos runner's
 // barriers and of tests. Each head is read once: the wait does not chase a
 // writer that keeps going. Consumed advances only after a batch is in the
 // trees, which makes waiting for it a barrier rather than a hint; a slot
@@ -615,8 +615,9 @@ func (c *Cluster) waitApplied(slot int, head int64) error {
 // them is too, and the log holds only what arrived since. Inserts are acked
 // from the log ahead of the consumers, so it first waits, as a query does,
 // until each slot has applied its log's head; a consumer's error or ErrBusy
-// ends it there, as it ends a query. Otherwise the error is a flusher's that no retry
-// can mend; on a stopped cluster it is ErrClosed.
+// ends it there, as it ends a query, and so does a flush whose chunk write
+// failed (ErrBusy). Otherwise the error is a flusher's that no retry can
+// mend; on a stopped cluster it is ErrClosed.
 func (c *Cluster) FlushAll() error {
 	if c.stopped.Load() {
 		return ErrClosed

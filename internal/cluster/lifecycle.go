@@ -399,7 +399,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 	// replay offset commits to the head, and the server's bounds empty (the
 	// coordinator stops planning mem-subqueries for the slot). A transient
 	// DFS fault can park the flusher with the snapshot unregistered — and
-	// DrainFlushes returns on a parked flusher — so keep re-driving the
+	// FlushAll answers ErrBusy then — so keep re-driving the
 	// flush until the committed offset provably covers the sealed head.
 	// Each Flush re-signals a parked retry and waits for its outcome, so
 	// this loop spins only as fast as DFS attempts fail.
@@ -407,7 +407,7 @@ func (c *Cluster) DecommissionIndexServer(i int) error {
 		if c.stopped.Load() {
 			return fmt.Errorf("cluster: decommission (slot %d): %w", i, ErrClosed)
 		}
-		if err := srv.FlushAll(); err != nil {
+		if err := srv.FlushAll(); err != nil && !errors.Is(err, ErrBusy) {
 			return fmt.Errorf("cluster: decommission (slot %d): %w", i, err)
 		}
 	}

@@ -5,7 +5,8 @@
 // write and the metadata registration off the hot path. The pending list
 // is the queue, and its PendingFlushes count applies backpressure: at most
 // Config.FlushQueueDepth units (default 2) wait behind the one in flight,
-// and the swap of one more blocks until the flusher finishes one.
+// and an inserter whose threshold swap adds one more waits, under no lock,
+// until the flusher finishes one.
 //
 // Visibility: pending snapshots remain part of the live region and are
 // scanned by ExecuteSubQuery until their chunk is registered, so a tuple
@@ -108,10 +109,12 @@ func (pf *pendingFlush) mainInfo() meta.ChunkInfo {
 
 // enqueueFlush swaps BOTH trees' leaf layers into immutable snapshots and
 // queues them for the flusher as one unit. threshold marks calls from the
-// insert hot path, which re-check the triggering tree's threshold under
-// swapMu so concurrent crossings don't flush tiny residue trees.
-// Returns nil when there was nothing to flush, and on a closed server, which
-// swaps nothing: what it buffers stays in the memtable, and in the log.
+// insert hot path, which re-check the triggering tree's threshold in the
+// swap's own pendMu section, so concurrent crossings don't flush tiny
+// residue trees. Returns nil when there was nothing to flush, and on a
+// closed server, which swaps nothing: what it buffers stays in the memtable,
+// and in the log. It never waits; a threshold swap's inserter takes
+// backpressure afterwards, outside every lock.
 //
 // The trees swap together because the WAL offset recorded with the unit
 // (s.consumed at swap time) covers every consumed tuple regardless of which
@@ -119,17 +122,16 @@ func (pf *pendingFlush) mainInfo() meta.ChunkInfo {
 // offset would declare the other tree's memory-only tuples durable; a crash
 // before their own flush would then replay past them and lose them.
 //
-// Lock order: swapMu → pendMu → minMu/gate. The snapshots are appended to
-// the pending list in the same pendMu critical section as the FlushReset,
-// so a concurrent query (which scans trees and pending under pendMu.RLock)
-// sees each tuple in exactly one place.
+// Lock order: pendMu → minMu/gate → flushEvents. The check, the FlushReset
+// and the append to the pending list share one pendMu critical section, so
+// units enter the list in seq order and a concurrent query (which scans
+// trees and pending under pendMu.RLock) sees each tuple in exactly one place.
 func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *pendingFlush {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
+	s.pendMu.Lock()
+	defer s.pendMu.Unlock()
 	if s.closed.Load() || threshold && tree.Bytes() < s.thresholdFor(isSide) {
 		return nil // closed, or another inserter already swapped this tree out
 	}
-	s.pendMu.Lock()
 	var parts []flushPart
 	if snap := s.tree.FlushReset(); snap != nil {
 		if s.cfg.NoTemplateReuse {
@@ -162,26 +164,27 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 		s.keysSet = false
 		s.minMu.Unlock()
 	}
-	s.pendMu.Unlock()
 	// One step per enqueue, swapped or not: it sends the flusher to the new
 	// unit, or one parked on an earlier failure back to retry it first.
 	s.flushEvents.Add(1)
+	return pf
+}
+
+// backpressure holds an inserter whose threshold swap left the queue one
+// unit past its bound until the flusher finishes one, with no lock held:
+// later swaps and plain inserts go on meanwhile. It ends early when cancel
+// fires (a consumer's stop: its unit is left to WAL replay) or the flusher
+// exits (Abort, fenced, a write no retry mends). While the flusher is
+// parked on a failed write, the wait marks the server stalled, so
+// WaitApplied answers ErrBusy instead of waiting on.
+func (s *Server) backpressure(cancel <-chan struct{}) {
 	bound := s.cfg.FlushQueueDepth + 1 // queued units plus the one in flight
-	if pf == nil || s.PendingFlushes() <= bound || s.flushEvents.Err() != nil {
-		return pf
+	if s.PendingFlushes() <= bound || s.flushEvents.Err() != nil {
+		return
 	}
-	// Backpressure: this swap is one unit past the bound, so the inserting
-	// goroutine waits here until the flusher registers one. swapMu stays
-	// held, so later threshold crossings queue behind this one while plain
-	// inserts keep landing in the fresh tree. The flusher's exit (Abort,
-	// fenced, a write no retry mends) fails flushEvents and lets it go; the
-	// unit is then left to WAL replay.
-	//
-	// A flusher parked on a failed write while this swap waits stalls the
-	// server's consumer: WaitApplied answers ErrBusy instead of waiting on.
 	stall := time.Now()
 	s.stats.Backpressure.Add(1)
-	if s.awaitFlush(nil, func() bool {
+	if s.awaitFlush(cancel, func() bool {
 		if s.PendingFlushes() <= bound {
 			return true
 		}
@@ -193,7 +196,6 @@ func (s *Server) enqueueFlush(tree *core.TemplateTree, isSide, threshold bool) *
 		s.cfg.Metrics.BackpressureNanos.Observe(time.Since(stall))
 	}
 	s.setStalled(false)
-	return pf
 }
 
 // thresholdFor returns the flush threshold of the main or side tree.
@@ -257,8 +259,9 @@ func (s *Server) flusher() {
 		// Park until the next step or the backoff, counting in its own two
 		// steps (the attempt, the park): a step that landed while the attempt
 		// was in flight sends it straight back. The backoff is self-driven
-		// and capped because the DFS can recover while the only goroutine
-		// that would step is blocked on backpressure, holding swapMu.
+		// and capped because the DFS can recover while nothing steps: the
+		// consumer, the one inserter that would swap again, waits on
+		// backpressure for this very retry.
 		s.parked.Store(true)
 		s.flushEvents.Add(1)
 		if s.flushEvents.Wait(seen+3, wal.Deadline(backoff)) != nil && backoff < 64*time.Millisecond {
@@ -558,12 +561,12 @@ func (s *Server) AwaitPendingFlush(cancel <-chan struct{}) bool {
 // (failures during an outage are abandoned to WAL replay rather than
 // retried forever). A closed server flushes nothing more: a later Flush
 // returns at once, what is buffered stays in the memtable and in the log.
-// Idempotent.
+// closed is set under pendMu, so no swap follows it. Idempotent.
 func (s *Server) Close() {
 	s.consumed.Fail(ErrStopped)
-	s.swapMu.Lock()
+	s.pendMu.Lock()
 	s.closed.Store(true)
-	s.swapMu.Unlock()
+	s.pendMu.Unlock()
 	s.awaitFlusherExit()
 }
 
@@ -575,10 +578,8 @@ func (s *Server) Close() {
 // file a racing in-flight DFS write already created is simply never
 // registered (orphaned files are invisible to queries). It returns once
 // the flusher has exited, so the caller reads WAL offsets only after the
-// last commit this incarnation can make. Unlike Close, Abort never takes
-// swapMu, so it cannot deadlock behind an inserter that is itself blocked
-// on backpressure during a DFS outage — the flusher's exit releases that
-// inserter. Idempotent; safe alongside Close.
+// last commit this incarnation can make; the exit also lets go of an
+// inserter held by backpressure. Idempotent; safe alongside Close.
 func (s *Server) Abort() {
 	s.aborted.Store(true)
 	s.consumed.Fail(ErrStopped)

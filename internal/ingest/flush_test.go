@@ -225,6 +225,35 @@ func TestFlusherExitReleasesBackpressure(t *testing.T) {
 	})
 }
 
+// TestConsumerStopReleasesBackpressure: during an outage the consumer is
+// held by backpressure behind a flusher parked on a failed write. Closing
+// the consumer's stop lets it go, and Close then stops the flusher at its
+// next failure: both return within within's 5 s, and nothing registered, so
+// the log still holds every tuple for whoever replays the slot.
+func TestConsumerStopReleasesBackpressure(t *testing.T) {
+	fw := &flakyWriter{}
+	fw.fail.Store(true)
+	srv, ms := newPipelineEnv(t, func(fs ChunkWriter) ChunkWriter { fw.inner = fs; return fw },
+		Config{ChunkBytes: 16 * 100, FlushQueueDepth: 1, SideThresholdMillis: -1})
+	p := wal.NewPartition()
+	for i := 0; i < 1000; i++ {
+		p.Append(model.AppendTuple(nil, &model.Tuple{Key: model.Key(i), Time: model.Timestamp(i)}))
+	}
+	stop := make(chan struct{})
+	consDone := make(chan struct{})
+	go func() { defer close(consDone); srv.Consume(p, stop) }()
+	waitFor(t, func() bool { return srv.parked.Load() && srv.Stats().Backpressure.Load() > 0 })
+	close(stop)
+	within(t, "Consume held by backpressure, after its stop", func() { <-consDone })
+	within(t, "Close during the outage", srv.Close)
+	if n := ms.ChunkCount(); n != 0 {
+		t.Fatalf("%d chunks registered during the outage", n)
+	}
+	if off := ms.Offset(0); off != 0 {
+		t.Fatalf("replay offset %d committed during the outage, want 0", off)
+	}
+}
+
 // within fails the test unless fn returns within 5 s.
 func within(t *testing.T, what string, fn func()) {
 	t.Helper()

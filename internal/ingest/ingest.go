@@ -59,8 +59,8 @@ type Config struct {
 	// ablation switch.
 	NoTemplateReuse bool
 	// FlushQueueDepth bounds the async flush pipeline: at most this many
-	// flush units wait behind the one in flight (PendingFlushes), and the
-	// swap of one more blocks its inserter (default 2).
+	// flush units wait behind the one in flight (PendingFlushes), and a
+	// threshold swap of one more holds its inserter (default 2).
 	FlushQueueDepth int
 	// SyncWAL, when set, is called with a flush unit's WAL offset before
 	// the unit registers its chunks and commits that offset — the cluster
@@ -178,20 +178,15 @@ type Server struct {
 	keyHi    model.Key
 	keysSet  bool
 
-	// swapMu serializes threshold checks, FlushReset swaps and backpressure,
-	// so units enter the pending list in seq order and backpressure blocks
-	// the swapping goroutine, not the flusher. closed is set under it, so no
-	// swap follows Close; the flusher reads it without.
-	swapMu   sync.Mutex
+	// pendMu guards the pending snapshot list and flushSeq. Queries hold the
+	// read lock across their whole scan; the swap and the chunk registration
+	// take the write lock, which is what makes "every tuple in exactly one
+	// visible place" atomic from a reader's point of view. closed is set
+	// under it, so no swap follows Close; the flusher reads it without.
+	pendMu   sync.RWMutex
+	pending  []*pendingFlush
 	flushSeq int
 	closed   atomic.Bool
-
-	// pendMu guards the pending snapshot list. Queries hold the read lock
-	// across their whole scan; the swap and the chunk registration take the
-	// write lock, which is what makes "every tuple in exactly one visible
-	// place" atomic from a reader's point of view.
-	pendMu  sync.RWMutex
-	pending []*pendingFlush
 	// committedOff is the last WAL offset committed to the metadata server.
 	committedOff int64
 
@@ -261,7 +256,7 @@ func (s *Server) TreeStats() *core.Stats { return s.tree.Stats() }
 
 // Insert ingests one tuple: InsertBatch of one.
 func (s *Server) Insert(t model.Tuple) {
-	s.insertBatchAt([]model.Tuple{t}, -1, nil)
+	s.insertBatchAt([]model.Tuple{t}, -1, nil, nil)
 }
 
 // InsertBatch ingests a batch of tuples with the per-tuple bookkeeping
@@ -273,7 +268,7 @@ func (s *Server) InsertBatch(ts []model.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	s.insertBatchAt(ts, -1, nil)
+	s.insertBatchAt(ts, -1, nil, nil)
 }
 
 // insertBatchAt is the ingest core, with an optional consumed-offset
@@ -290,13 +285,14 @@ func (s *Server) InsertBatch(ts []model.Tuple) {
 // empty memtable over a non-empty one, hiding acked tuples from every query
 // until the next insert moved the bounds. Threshold flush enqueues re-take
 // pendMu and so are deferred past the read section, since pendMu is not
-// reentrant.
+// reentrant; a threshold swap's backpressure follows them, and ends early
+// when cancel fires (a consumer's stop; nil never does).
 //
 // A batch that mixes very late tuples with the rest is split into split's
 // buffer, main tuples before side ones, each in arrival order; a nil split
 // allocates one. The buffer is cleared before the call returns, so a
 // consumer that keeps it between blocks pins no payload.
-func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64, split *[]model.Tuple) {
+func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64, split *[]model.Tuple, cancel <-chan struct{}) {
 	n := s.stats.Ingested.Add(int64(len(ts)))
 	var start time.Time
 	sampled := s.cfg.Metrics.InsertNanos != nil && n%insertSampleEvery < int64(len(ts))
@@ -387,16 +383,16 @@ func (s *Server) insertBatchAt(ts []model.Tuple, nextOff int64, split *[]model.T
 		s.consumed.Set(nextOff)
 	}
 	s.pendMu.RUnlock()
-	if s.tree.Bytes() >= s.cfg.ChunkBytes {
+	if s.tree.Bytes() >= s.cfg.ChunkBytes && s.enqueueFlush(s.tree, false, true) != nil {
 		// Swap the full tree out and enqueue it for the background flusher;
 		// the inserting goroutine pays a pointer exchange, not a chunk build
 		// and DFS round-trip (unless the bounded queue is full).
-		s.enqueueFlush(s.tree, false, true)
+		s.backpressure(cancel)
 	}
 	// The side store flushes at a fraction of the chunk size: very-late
 	// tuples are rare and should not linger unbounded.
-	if s.side != nil && s.side.Bytes() >= s.cfg.ChunkBytes/4 {
-		s.enqueueFlush(s.side, true, true)
+	if s.side != nil && s.side.Bytes() >= s.cfg.ChunkBytes/4 && s.enqueueFlush(s.side, true, true) != nil {
+		s.backpressure(cancel)
 	}
 	if sampled {
 		s.cfg.Metrics.InsertNanos.Observe(time.Since(start))
@@ -501,12 +497,17 @@ func (s *Server) Flush() (meta.ChunkInfo, bool) {
 }
 
 // FlushAll flushes both the main memtable and the side store (a single
-// Flush swaps both trees as one unit), then drains the pipeline so every
-// snapshot is persisted (or awaiting retry after a DFS outage) when it
-// returns; the error is DrainFlushes's.
+// Flush swaps both trees as one unit), then drains the pipeline. A drain
+// that leaves a unit whose chunk write failed answers ErrBusy (a failed
+// unit stays so until it registers, whatever a retry in flight does);
+// otherwise the error is DrainFlushes's.
 func (s *Server) FlushAll() error {
 	s.Flush()
-	return s.DrainFlushes()
+	err := s.DrainFlushes()
+	if pf := s.oldestUnpersisted(); err == nil && pf != nil && flushState(pf.state.Load()) == flushFailed {
+		return ErrBusy
+	}
+	return err
 }
 
 // boundingKeys computes the exact key bounding box of a snapshot from its
@@ -713,7 +714,7 @@ func (s *Server) Consume(p *wal.Partition, stop <-chan struct{}) (err error) {
 		if len(recs) == 0 {
 			continue // stop fired mid-wait
 		}
-		if err := s.applyBlock(recs, head, &sc); err != nil {
+		if err := s.applyBlock(recs, head, &sc, stop); err != nil {
 			return fmt.Errorf("ingest: consume: %w", err)
 		}
 	}
@@ -729,12 +730,13 @@ type consumeScratch struct {
 }
 
 // applyBlock decodes one read's records into sc.batch and applies them,
-// counting those below head as recovered. The decoded payloads alias the
+// counting those below head as recovered; stop ends a threshold swap's
+// backpressure (insertBatchAt). The decoded payloads alias the
 // records' buffers (the WAL's resident window): the trees copy every
 // payload into a leaf arena on insert, and the records and the tuples are
 // cleared once the block is applied, so the scratch never pins a WAL
 // buffer.
-func (s *Server) applyBlock(recs []wal.Record, head int64, sc *consumeScratch) error {
+func (s *Server) applyBlock(recs []wal.Record, head int64, sc *consumeScratch, stop <-chan struct{}) error {
 	defer func() {
 		clear(recs)
 		clear(sc.batch)
@@ -774,7 +776,7 @@ func (s *Server) applyBlock(recs []wal.Record, head int64, sc *consumeScratch) e
 		if end == pos {
 			end = pos + 1 // tree already at threshold; still make progress
 		}
-		s.insertBatchAt(batch[pos:end], recs[end-1].Offset+1, &sc.split)
+		s.insertBatchAt(batch[pos:end], recs[end-1].Offset+1, &sc.split, stop)
 		pos = end
 	}
 	return nil
@@ -790,7 +792,8 @@ func (s *Server) Consumed() int64 { return s.consumed.Load() }
 // ErrBusy answers a wait for a slot's applied offset while the slot's
 // consumer is held by flush backpressure behind a flusher parked on a failed
 // chunk write, and the retry the wait asked for failed too: nothing more is
-// applied until a write succeeds.
+// applied until a write succeeds. FlushAll answers it while a unit's write
+// has failed.
 var ErrBusy = errors.New("waterwheel: busy: a flush is stalled on a failed chunk write")
 
 // WaitApplied blocks until Consumed() >= offset (nil); else the consumer's

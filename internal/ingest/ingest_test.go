@@ -480,7 +480,7 @@ func consumeBlockOverhead(t *testing.T, n int) float64 {
 		runtime.ReadMemStats(&m0)
 		recs, err := p.ReadBlocking(srv.Consumed(), sc.recs, nil)
 		if err == nil {
-			err = srv.applyBlock(recs, 0, &sc)
+			err = srv.applyBlock(recs, 0, &sc, nil)
 		}
 		runtime.ReadMemStats(&m1)
 		if err != nil || len(recs) != n || srv.Consumed() != p.Next() {

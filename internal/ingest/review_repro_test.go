@@ -10,8 +10,8 @@ import (
 	"waterwheel/internal/model"
 )
 
-// Repro 1: DFS outage fills the flush queue; an inserter blocks on
-// backpressure holding swapMu, so no swap or Flush steps the parked flusher.
+// Repro 1: DFS outage fills the flush queue and the only inserter waits on
+// backpressure, so nothing swaps and nothing steps the parked flusher.
 // After the DFS recovers, only the flusher's own backoff can retry.
 func TestReproBackpressureDeadlock(t *testing.T) {
 	fs := dfs.New(dfs.Config{Nodes: 2, Replication: 1, Seed: 1, Sleep: func(time.Duration) {}})

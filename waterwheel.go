@@ -130,7 +130,9 @@ var ErrClosed = cluster.ErrClosed
 // ErrBusy is returned by a query (and by Flush) that waits on an indexing
 // server whose consumer is held by flush backpressure behind a chunk write
 // that keeps failing: the acked tuples are in the log, and become visible
-// once a write succeeds. Retry once the storage fault is resolved.
+// once a write succeeds. Flush also answers it when a chunk write failed and
+// its flush waits for a retry, and Close when either held it up. Retry once
+// the storage fault is resolved.
 var ErrBusy = cluster.ErrBusy
 
 // ErrRetired is returned when a query needed a chunk whose file retention
@@ -292,8 +294,9 @@ func (db *DB) Aggregate(q AggregateQuery) (*AggResult, error) {
 // Flush forces every indexing server to flush its memtables to chunks: when
 // it returns nil, everything inserted before the call is in chunks — with a
 // DataDir, on stable storage, named by durable metadata — and a restart
-// replays none of it. The error is a flush failure no retry can mend, or
-// one of a query's: the wait for what was acked before the call.
+// replays none of it. The error is ErrBusy while chunk writes fail (the
+// tuples stay in memtables and in the log), a flush failure no retry can
+// mend, or one of a query's: the wait for what was acked before the call.
 func (db *DB) Flush() error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -464,19 +467,17 @@ func (db *DB) ActiveSlots() []int { return db.c.ActiveSlots() }
 // the benchmark harness.
 func (db *DB) Cluster() *cluster.Cluster { return db.c }
 
-// Close stops the deployment. Acked tuples are applied and buffered ones
-// flushed first; the error says why that could not be done — a consumer's
-// error, ErrBusy, or the flush's. Every later call — inserts as well as
-// queries and Flush — answers ErrClosed (errors.Is), over the wire too; a
-// second Close is a no-op.
+// Close stops the deployment: a Flush, then the shutdown, which the Flush's
+// error does not hold up. The error is the Flush's. During a storage outage
+// it is ErrBusy, and Close returns without waiting for the storage: what no
+// chunk holds is still in the log, and with a DataDir the next Open replays
+// it. Every later call — inserts as well as queries and Flush — answers
+// ErrClosed (errors.Is), over the wire too; a second Close is a no-op.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	err := db.c.Drain()
-	if ferr := db.c.FlushAll(); err == nil {
-		err = ferr
-	}
+	err := db.c.FlushAll()
 	db.c.Stop()
 	return err
 }

@@ -263,6 +263,14 @@ var deletedNames = []deletedName{
 	{`\*DB\) Drain\(`, rootOnly, "type DB struct{}\nfunc (*DB) Drain() error { return nil }"},
 	{`\*Client\) Drain\(`, rootOnly, "type Client struct{}\nfunc (*Client) Drain() error { return nil }"},
 	{`"drain"`, wireVerbs, `const verb = "drain"`},
+	// One template (§15): the separator list routes, scans and is what a
+	// flush retains; the inner-node tree, the two-armed run sort and the
+	// fixed check cadence with its size floor are gone.
+	{`tinner`, everywhere, `type tinner struct{}`},
+	{`buildTemplate`, everywhere, `func buildTemplate() {}`},
+	{`sortRunByKey`, everywhere, `func sortRunByKey() {}`},
+	{`sinceChk`, everywhere, `var sinceChk int64`},
+	{`MinPerLeaf`, everywhere, `type TemplateConfig struct{ MinPerLeaf int }`},
 	// The geo helper is the taxi example's, over internal/zorder; the root
 	// package exports no geo API.
 	{`GeoGrid`, rootOnly, `type GeoGrid struct{}`},

@@ -38,10 +38,10 @@ type bnode struct {
 // fanout (defaults apply when <= 0).
 func NewBulkTree(leafCap, fanout int) *BulkTree {
 	if leafCap <= 0 {
-		leafCap = core.DefaultLeafCap
+		leafCap = DefaultLeafCap
 	}
 	if fanout < 2 {
-		fanout = core.DefaultFanout
+		fanout = DefaultFanout
 	}
 	return &BulkTree{leafCap: leafCap, fanout: fanout, stats: &core.Stats{}}
 }

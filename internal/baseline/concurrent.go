@@ -45,10 +45,10 @@ type cnode struct {
 // capacity and inner fanout (defaults apply when <= 0).
 func NewConcurrentTree(leafCap, fanout int) *ConcurrentTree {
 	if leafCap <= 0 {
-		leafCap = core.DefaultLeafCap
+		leafCap = DefaultLeafCap
 	}
 	if fanout < 3 {
-		fanout = core.DefaultFanout
+		fanout = DefaultFanout
 	}
 	return &ConcurrentTree{
 		root:    &cnode{isLeaf: true},

@@ -124,7 +124,7 @@ func TestConcurrentTimeFilterAndPredicate(t *testing.T) {
 }
 
 func TestConcurrentParallelInserts(t *testing.T) {
-	tree := baseline.NewConcurrentTree(core.DefaultLeafCap, core.DefaultFanout)
+	tree := baseline.NewConcurrentTree(baseline.DefaultLeafCap, baseline.DefaultFanout)
 	const (
 		writers = 8
 		perW    = 3000

@@ -5,6 +5,16 @@ import (
 	"waterwheel/internal/model"
 )
 
+// Default structural parameters of the compared B+ trees. Fanout applies
+// to inner nodes; LeafCap is the target number of entries per leaf, which
+// the figure drivers also divide a template tree's expected size by to pick
+// its leaf count (template leaves may overflow it — that is what skewness
+// detection watches for).
+const (
+	DefaultFanout  = 64
+	DefaultLeafCap = 64
+)
+
 // Index is the surface the B+ tree comparison of §VI-A (Fig. 7–9) drives:
 // the paper's template tree, through Template, and the two trees it is
 // measured against, ConcurrentTree and BulkTree.

@@ -40,7 +40,7 @@ func TestIndexesAgreeWithOracle(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		tree := core.NewTemplateTree(core.TemplateConfig{
 			Keys: model.KeyRange{Lo: 0, Hi: 1 << 16}, Leaves: 16,
-			CheckEvery: 128, SkewThreshold: 0.8, MinPerLeaf: 2,
+			CheckEvery: 128, SkewThreshold: 0.8,
 		})
 		bulk := NewBulkTree(8, 8)
 		indexes := map[string]Index{"template": Template{tree}, "concurrent": NewConcurrentTree(8, 8), "bulk": bulk}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"waterwheel/internal/baseline"
 	"waterwheel/internal/cluster"
-	"waterwheel/internal/core"
 	"waterwheel/internal/dfs"
 	"waterwheel/internal/ingest"
 	"waterwheel/internal/meta"
@@ -107,7 +107,7 @@ func buildChunkFixture(chunkBytes int64, seed int64) (*dfs.FS, *meta.Server, mod
 	ms := meta.NewServer(1)
 	span := model.KeyRange{Lo: 0, Hi: 1 << 40}
 	n := int(chunkBytes / 30)
-	leaves := n / core.DefaultLeafCap
+	leaves := n / baseline.DefaultLeafCap
 	if leaves < 4 {
 		leaves = 4
 	}

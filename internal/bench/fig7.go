@@ -38,7 +38,7 @@ func pregenerate(g workload.Generator, n int) []model.Tuple {
 // generator's span, seeded with a sample so the initial partition matches
 // the distribution (as a warmed-up production tree would be).
 func newTemplateForSpan(span model.KeyRange, tuples []model.Tuple, n int) baseline.Template {
-	leaves := n / core.DefaultLeafCap
+	leaves := n / baseline.DefaultLeafCap
 	if leaves < 4 {
 		leaves = 4
 	}

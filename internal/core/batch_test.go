@@ -35,7 +35,6 @@ func TestInsertBatchSerialEquivalence(t *testing.T) {
 			Leaves:        8,
 			SkewThreshold: 0.3,
 			CheckEvery:    16,
-			MinPerLeaf:    1,
 		}
 		serial := NewTemplateTree(cfg)
 		batched := NewTemplateTree(cfg)
@@ -182,7 +181,6 @@ func TestInsertBatchConcurrentWithScans(t *testing.T) {
 		Leaves:        8,
 		SkewThreshold: 0.3,
 		CheckEvery:    32,
-		MinPerLeaf:    1,
 	})
 	const writers, batches, perBatch = 4, 50, 32
 	var wg sync.WaitGroup

@@ -3,21 +3,14 @@
 // tuples on the key domain, answers key-range scans with optional
 // time-range and predicate filtering through one columnar scan
 // (RangeCols), hands its leaves to the chunk builder while retaining the
-// inner-node template (FlushReset), and rebuilds the template when the
-// skewness factor S(P,D) = max_i (|Ki(D)| - n)/n says the partition no
-// longer fits the keys. The two B+ trees it is evaluated against in §VI-A
+// template — the leaves' separator keys — for the next chunk (FlushReset),
+// and rebuilds the template when the skewness factor
+// S(P,D) = max_i (|Ki(D)| - n)/n says the partition no longer fits the
+// keys. The two B+ trees it is evaluated against in §VI-A
 // live in internal/baseline, beside the other comparison systems.
 package core
 
 import "sync/atomic"
-
-// Default structural parameters. Fanout applies to inner nodes; LeafCap is
-// the target number of entries per leaf (template leaves may overflow it —
-// that is what skewness detection watches for).
-const (
-	DefaultFanout  = 64
-	DefaultLeafCap = 64
-)
 
 // Stats aggregates instrumentation counters for the insertion-time
 // breakdown experiment (paper Fig. 7b), which reads one Stats per compared

@@ -52,10 +52,8 @@ func FuzzTemplateTreeInsertScan(f *testing.F) {
 		tree := NewTemplateTree(TemplateConfig{
 			Keys:          model.KeyRange{Lo: 0, Hi: 1<<16 - 1},
 			Leaves:        8,
-			Fanout:        4,
 			SkewThreshold: 0.3,
 			CheckEvery:    8,
-			MinPerLeaf:    1,
 		})
 		var oracle []model.Tuple
 		var pending []model.Tuple // staged for the next InsertBatch

@@ -57,7 +57,7 @@ func TestAllVariantsAgreeWithReference(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		cfg := TemplateConfig{
 			Keys: model.KeyRange{Lo: 0, Hi: 1 << 16}, Leaves: 16,
-			CheckEvery: 128, SkewThreshold: 0.8, MinPerLeaf: 2,
+			CheckEvery: 128, SkewThreshold: 0.8,
 		}
 		n := 200 + rng.Intn(800)
 		tuples := make([]model.Tuple, n)

@@ -98,7 +98,7 @@ func TestSnapshotRangeEarlyStop(t *testing.T) {
 func TestSnapshotIsolationUnderMutation(t *testing.T) {
 	tree := NewTemplateTree(TemplateConfig{
 		Keys: model.KeyRange{Lo: 0, Hi: 1 << 16}, Leaves: 8,
-		SkewThreshold: 0.3, CheckEvery: 16, MinPerLeaf: 1,
+		SkewThreshold: 0.3, CheckEvery: 16,
 	})
 	rng := rand.New(rand.NewSource(11))
 	mkPayload := func(i int) []byte {

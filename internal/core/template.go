@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -15,38 +16,30 @@ import (
 type TemplateConfig struct {
 	// Keys is the key interval this tree is responsible for.
 	Keys model.KeyRange
-	// Leaves is the number of leaf nodes l. The template structure is fully
-	// determined by the leaf-boundary partition P (paper §III-C2).
+	// Leaves is the number of leaf nodes l. The template is the leaf-boundary
+	// partition P (paper §III-C2): its l-1 separator keys.
 	Leaves int
-	// Fanout is the inner-node fanout.
-	Fanout int
 	// SkewThreshold triggers a template update when the skewness factor
 	// S(P,D) exceeds it. The paper cites 0.2 as an example; with small
 	// leaves the statistical noise floor of max-leaf occupancy is higher,
 	// so the default here is 1.0 (largest leaf at 2x the mean).
 	SkewThreshold float64
-	// CheckEvery is the skew-check cadence in inserts.
+	// CheckEvery is the skew-check cadence in inserts. An empty tree first
+	// checks at CheckEvery tuples; a check at size c schedules the next at
+	// c+CheckEvery, or at max(2c, c+CheckEvery) when it rebuilt, so a
+	// drifting stream costs O(n) rebuild work per fill, not O(n²/CheckEvery).
 	CheckEvery int
-	// MinPerLeaf suppresses skew checks until the tree holds at least
-	// Leaves*MinPerLeaf tuples, where occupancy statistics are meaningful.
-	MinPerLeaf int
 }
 
 func (c *TemplateConfig) fill() {
 	if c.Leaves <= 0 {
 		c.Leaves = 256
 	}
-	if c.Fanout < 2 {
-		c.Fanout = DefaultFanout
-	}
 	if c.SkewThreshold <= 0 {
 		c.SkewThreshold = 1.0
 	}
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 4096
-	}
-	if c.MinPerLeaf <= 0 {
-		c.MinPerLeaf = 8
 	}
 	if !c.Keys.IsValid() {
 		c.Keys = model.FullKeyRange()
@@ -127,9 +120,8 @@ func (lf *tleaf) growLocked(extra int) {
 
 // insertOneLocked places a single tuple: one closure-free upper-bound
 // search over the key column, then a one-slot shift of whichever side of
-// the insertion point is shorter — three column copies per shift. Both
-// Insert and the batch path's runs-of-one land here, so the two paths
-// cannot diverge on equal-key placement.
+// the insertion point is shorter — three column copies per shift. The batch
+// path's runs of one land here instead of in the merge machinery.
 func (lf *tleaf) insertOneLocked(k model.Key, ts model.Timestamp, p []byte) {
 	r := lf.appendPayload(p)
 	n := lf.cnt
@@ -359,42 +351,31 @@ func (lf *tleaf) mergeForwardLocked(run []model.Tuple, refs []PayloadRef) {
 	}
 }
 
-// tinner is an inner (template) node. Child i is selected for key k when
-// k < keys[i] and no earlier separator matched; the last child catches the
-// rest. Exactly one of children/leaves is non-nil: children for upper
-// levels, leaves for the level directly above the leaf layer. Inner nodes
-// are immutable between template updates, so descent needs no latches.
-type tinner struct {
-	keys     []model.Key
-	children []*tinner
-	leaves   []*tleaf
-}
-
-func (n *tinner) childIndex(k model.Key) int {
-	return sort.Search(len(n.keys), func(i int) bool { return k < n.keys[i] })
-}
-
 // TemplateTree is the template-based B+ tree (paper §III-B).
 //
 // Concurrency protocol: inserts and reads take the gate in shared mode and
 // latch only the target leaves; template updates and flushes take the gate
-// exclusively. The inner template is read-only between updates, which is
-// what removes the split/latch bottleneck of a traditional B+ tree.
+// exclusively. The template — the separator list — is read-only between
+// updates, which is what removes the split/latch bottleneck of a
+// traditional B+ tree: routing is one search over it, with no inner nodes
+// to descend or split.
 type TemplateTree struct {
 	cfg TemplateConfig
 
 	gate sync.RWMutex
-	// root of the immutable inner template (guarded by gate for replace).
-	root *tinner
-	// leaves in key order; leaf i covers [bound[i-1], bound[i]).
+	// leaves in key order; leaf i covers [bounds[i-1], bounds[i]).
 	leaves []*tleaf
 	// bounds are the l-1 separator keys of the current partition P.
 	bounds []model.Key
 
-	count    atomic.Int64
-	bytes    atomic.Int64
-	sinceChk atomic.Int64
-	checkMu  sync.Mutex
+	count atomic.Int64
+	bytes atomic.Int64
+	// nextCheck is the tree size at which the next skew check runs (see
+	// TemplateConfig.CheckEvery). It is stored under the gate: shared by a
+	// check that does not rebuild, exclusively by UpdateTemplate and
+	// FlushReset, so a flush always restarts the schedule.
+	nextCheck atomic.Int64
+	checkMu   sync.Mutex
 	// floorSkew stores the skewness remaining right after the last template
 	// update (as float64 bits). Duplicate-heavy keys leave an irreducible
 	// residue — the hottest key's run cannot be divided across leaves — so
@@ -419,18 +400,16 @@ type insertScratch struct {
 // NewTemplateTree creates a template tree whose initial partition divides
 // cfg.Keys evenly across cfg.Leaves leaves.
 func NewTemplateTree(cfg TemplateConfig) *TemplateTree {
-	cfg.fill()
-	t := &TemplateTree{cfg: cfg, stats: &Stats{}}
-	t.installPartition(evenBoundaries(cfg.Keys, cfg.Leaves))
-	return t
+	return NewTemplateTreeFromSample(cfg, nil)
 }
 
 // NewTemplateTreeFromSample creates a template tree whose initial partition
 // is derived from a sample of the expected key distribution, dividing the
-// sample evenly across leaves.
+// sample evenly across leaves. An empty sample divides cfg.Keys evenly.
 func NewTemplateTreeFromSample(cfg TemplateConfig, sample []model.Key) *TemplateTree {
 	cfg.fill()
 	t := &TemplateTree{cfg: cfg, stats: &Stats{}}
+	t.nextCheck.Store(int64(cfg.CheckEvery))
 	if len(sample) == 0 {
 		t.installPartition(evenBoundaries(cfg.Keys, cfg.Leaves))
 		return t
@@ -485,111 +464,39 @@ func boundariesFromSorted(keys []model.Key, l int) []model.Key {
 	return bounds
 }
 
-// installPartition replaces the leaf set and rebuilds the inner template
-// for the given separators. Caller must hold the gate exclusively (or be
-// the constructor).
+// installPartition replaces the separators and the leaf set. Caller must
+// hold the gate exclusively (or be the constructor).
 func (t *TemplateTree) installPartition(bounds []model.Key) {
-	l := len(bounds) + 1
-	leaves := make([]*tleaf, l)
+	leaves := make([]*tleaf, len(bounds)+1)
 	for i := range leaves {
 		leaves[i] = &tleaf{}
 	}
 	t.bounds = bounds
 	t.leaves = leaves
-	t.root = buildTemplate(bounds, leaves, t.cfg.Fanout)
 }
 
-// buildTemplate constructs the inner-node tree bottom-up from the leaf
-// separators, grouping fanout children per node.
-func buildTemplate(bounds []model.Key, leaves []*tleaf, fanout int) *tinner {
-	// Bottom inner level: group leaves.
-	var level []*tinner
-	var seps []model.Key // separators between adjacent nodes of `level`
-	for i := 0; i < len(leaves); i += fanout {
-		j := i + fanout
-		if j > len(leaves) {
-			j = len(leaves)
-		}
-		n := &tinner{leaves: leaves[i:j]}
-		if j-1 > i {
-			n.keys = bounds[i : j-1]
-		}
-		level = append(level, n)
-		if j < len(leaves) {
-			seps = append(seps, bounds[j-1])
-		}
-	}
-	// Upper levels: group inner nodes.
-	for len(level) > 1 {
-		var next []*tinner
-		var nextSeps []model.Key
-		for i := 0; i < len(level); i += fanout {
-			j := i + fanout
-			if j > len(level) {
-				j = len(level)
-			}
-			n := &tinner{children: level[i:j]}
-			if j-1 > i {
-				n.keys = seps[i : j-1]
-			}
-			next = append(next, n)
-			if j < len(level) {
-				nextSeps = append(nextSeps, seps[j-1])
-			}
-		}
-		level, seps = next, nextSeps
-	}
-	return level[0]
-}
-
-// route descends the immutable template from root to the target leaf.
-func (t *TemplateTree) route(k model.Key) *tleaf {
-	n := t.root
-	for n.leaves == nil {
-		n = n.children[n.childIndex(k)]
-	}
-	return n.leaves[n.childIndex(k)]
-}
-
-// Insert adds one tuple. Safe for concurrent use; only the target leaf is
-// latched. The payload bytes are copied into the leaf arena — the tree
-// never retains tp.Payload.
+// Insert adds one tuple: InsertBatch of one, whose slice stays on the
+// stack. Safe for concurrent use; only the target leaf is latched. The
+// payload bytes are copied into the leaf arena — the tree never retains
+// tp.Payload.
 func (t *TemplateTree) Insert(tp model.Tuple) {
-	t.gate.RLock()
-	lf := t.route(tp.Key)
-	lf.mu.Lock()
-	lf.insertOneLocked(tp.Key, tp.Time, tp.Payload)
-	lf.n.Store(int32(lf.cnt))
-	lf.mu.Unlock()
-	t.count.Add(1)
-	t.bytes.Add(int64(tp.Size()))
-	c := t.sinceChk.Add(1)
-	t.gate.RUnlock()
-	t.stats.Inserts.Add(1)
-	if c >= int64(t.cfg.CheckEvery) {
-		t.maybeUpdate()
-	}
+	t.InsertBatch([]model.Tuple{tp})
 }
 
 // InsertBatch adds a batch of tuples with amortized per-tuple cost. Every
-// tuple is routed once against the flattened separator list (leaf li
-// covers [bounds[li-1], bounds[li]); identical to the template descent),
-// and (leaf index, arrival position) is packed into one machine word.
+// tuple is routed once against the separator list (leaf li covers
+// [bounds[li-1], bounds[li])), and (leaf index, arrival position) is packed
+// into one machine word.
 // Sorting the packed words — a branch-predictable uint64 pdqsort, no
 // comparison closures — groups the batch by destination leaf while the
 // position half keeps arrival order, so the grouping is stable by
 // construction. Each per-leaf run is then gathered, stable-sorted by key
-// (preserving arrival order among equal keys, matching Insert's equal-key
-// contract), and merged into its leaf with block memmoves instead of a
-// binary search plus element shift per tuple. The gate is taken once and
-// skew-check accounting is amortized to one atomic add per batch. A batch
-// of one degenerates to Insert, so the two paths cannot diverge.
+// (equal keys keep arrival order), and merged into its leaf with block
+// memmoves instead of a binary search plus element shift per tuple. The
+// gate is taken once and skew-check accounting is amortized to one atomic
+// add per batch.
 func (t *TemplateTree) InsertBatch(ts []model.Tuple) {
 	if len(ts) == 0 {
-		return
-	}
-	if len(ts) == 1 {
-		t.Insert(ts[0])
 		return
 	}
 	sc, _ := t.scratch.Get().(*insertScratch)
@@ -682,7 +589,7 @@ func (t *TemplateTree) InsertBatch(ts []model.Tuple) {
 		for j := pos; j < end; j++ {
 			run[j-pos] = ts[uint32(tags[j])]
 		}
-		sortRunByKey(run)
+		slices.SortStableFunc(run, func(a, b model.Tuple) int { return cmp.Compare(a.Key, b.Key) })
 		lf.mu.Lock()
 		lf.mergeLocked(run, sc.refs[:len(run)])
 		lf.n.Store(int32(lf.cnt))
@@ -690,9 +597,8 @@ func (t *TemplateTree) InsertBatch(ts []model.Tuple) {
 		pos = end
 	}
 	n := int64(len(ts))
-	t.count.Add(n)
+	due := t.count.Add(n) >= t.nextCheck.Load()
 	t.bytes.Add(bytes)
-	c := t.sinceChk.Add(n)
 	t.gate.RUnlock()
 	// The gather buffer holds stale Tuple copies (payload pointers) until
 	// the next batch overwrites it; bound the retention by not pooling
@@ -701,47 +607,33 @@ func (t *TemplateTree) InsertBatch(ts []model.Tuple) {
 		t.scratch.Put(sc)
 	}
 	t.stats.Inserts.Add(n)
-	if c >= int64(t.cfg.CheckEvery) {
+	if due {
 		t.maybeUpdate()
 	}
 }
 
-// sortRunByKey stable-sorts one per-leaf run by key, keeping equal keys
-// in arrival order. Runs are typically a handful of tuples (a batch
-// spread over many leaves), where insertion sort beats any general sort;
-// big runs — hot leaves under skew — fall back to the stdlib stable sort.
-func sortRunByKey(run []model.Tuple) {
-	if len(run) <= 32 {
-		for i := 1; i < len(run); i++ {
-			tp := run[i]
-			j := i - 1
-			for j >= 0 && run[j].Key > tp.Key {
-				run[j+1] = run[j]
-				j--
-			}
-			run[j+1] = tp
-		}
-		return
-	}
-	sort.SliceStable(run, func(i, j int) bool { return run[i].Key < run[j].Key })
-}
-
-// maybeUpdate runs the skewness check and, when it fires, the template
-// update. A try-lock ensures a single checker.
+// maybeUpdate runs the skewness check the schedule says is due and, when
+// it fires, the template update. A try-lock ensures a single checker.
 func (t *TemplateTree) maybeUpdate() {
 	if !t.checkMu.TryLock() {
 		return
 	}
 	defer t.checkMu.Unlock()
-	t.sinceChk.Store(0)
-	if t.count.Load() < int64(t.cfg.Leaves*t.cfg.MinPerLeaf) {
-		return
-	}
 	threshold := t.cfg.SkewThreshold
 	if floor := math.Float64frombits(t.floorSkew.Load()); 2*floor > threshold {
 		threshold = 2 * floor
 	}
-	if t.Skewness() > threshold {
+	t.gate.RLock()
+	c := t.count.Load()
+	// A flush or another check may have moved the schedule since the
+	// inserter saw the check due.
+	due := c >= t.nextCheck.Load()
+	skewed := due && t.skewnessLocked() > threshold
+	if due && !skewed {
+		t.nextCheck.Store(c + int64(t.cfg.CheckEvery))
+	}
+	t.gate.RUnlock()
+	if skewed {
 		t.UpdateTemplate()
 	}
 }
@@ -772,10 +664,11 @@ func (t *TemplateTree) skewnessLocked() float64 {
 }
 
 // UpdateTemplate recomputes the leaf partition so tuples divide evenly
-// across leaves (Equation 3), redistributes the entries, and rebuilds the
-// inner template bottom-up (paper §III-C2). Inserts and reads are paused
-// for the duration; the paper reports sub-10ms latencies, which this
-// implementation matches at comparable sizes.
+// across leaves (Equation 3) and redistributes the entries into fresh
+// leaves (paper §III-C2). Inserts and reads are paused for the duration;
+// the paper reports sub-10ms latencies, which this implementation matches
+// at comparable sizes. The next skew check waits until the tree has at
+// least doubled, so rebuilds under drift cost O(n) entry moves per fill.
 func (t *TemplateTree) UpdateTemplate() {
 	start := time.Now()
 	t.gate.Lock()
@@ -806,6 +699,7 @@ func (t *TemplateTree) UpdateTemplate() {
 	t.installPartition(bounds)
 	t.redistributeLocked(allK, allT, allP)
 	t.floorSkew.Store(math.Float64bits(t.skewnessLocked()))
+	t.nextCheck.Store(int64(max(2*total, total+t.cfg.CheckEvery)))
 	t.gate.Unlock()
 	t.stats.TemplateUpdates.Add(1)
 	t.stats.TemplateUpdateNanos.Add(time.Since(start).Nanoseconds())
@@ -957,8 +851,9 @@ func (s *FlushSnapshot) RangeCols(kr model.KeyRange, tr model.TimeRange, filter 
 }
 
 // FlushReset atomically extracts the tree contents and resets the leaves,
-// retaining the inner template for the next chunk (paper §III-B: "we only
-// eliminate the leaf nodes of the tree"). Returns nil when empty. The
+// retaining the separators for the next chunk (paper §III-B: "we only
+// eliminate the leaf nodes of the tree"), whose skew checks start afresh at
+// CheckEvery. Returns nil when empty. The
 // snapshot takes ownership of each leaf's column buffers and arena
 // wholesale — the live leaf restarts from nil buffers, so no later insert
 // or template update can touch a snapshot's memory.
@@ -998,7 +893,7 @@ func (t *TemplateTree) FlushReset() *FlushSnapshot {
 	}
 	t.count.Store(0)
 	t.bytes.Store(0)
-	t.sinceChk.Store(0)
+	t.nextCheck.Store(int64(t.cfg.CheckEvery))
 	return snap
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestTemplatePredicateAndEarlyStop(t *testing.T) {
 }
 
 func TestTemplateDuplicateKeys(t *testing.T) {
-	tree := NewTemplateTree(TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 100}, Leaves: 4, CheckEvery: 16, SkewThreshold: 0.5, MinPerLeaf: 1})
+	tree := NewTemplateTree(TemplateConfig{Keys: model.KeyRange{Lo: 0, Hi: 100}, Leaves: 4, CheckEvery: 16, SkewThreshold: 0.5})
 	for i := 0; i < 200; i++ {
 		tree.Insert(model.Tuple{Key: 42, Time: model.Timestamp(i)})
 	}
@@ -134,7 +135,7 @@ func TestTemplateSkewnessAndUpdate(t *testing.T) {
 func TestTemplateAutoUpdateTriggers(t *testing.T) {
 	tree := NewTemplateTree(TemplateConfig{
 		Keys: model.KeyRange{Lo: 0, Hi: 1 << 20}, Leaves: 8,
-		CheckEvery: 64, SkewThreshold: 0.5, MinPerLeaf: 4,
+		CheckEvery: 64, SkewThreshold: 0.5,
 	})
 	for i := 0; i < 5000; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i % 64), Time: model.Timestamp(i)})
@@ -155,7 +156,7 @@ func TestTemplateFlushReset(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tree.Insert(model.Tuple{Key: model.Key(i * 2), Time: model.Timestamp(1000 + i), Payload: []byte{byte(i)}})
 	}
-	rootBefore := tree.root
+	boundsBefore := slices.Clone(tree.bounds)
 	snap := tree.FlushReset()
 	if snap == nil || snap.Count != 500 {
 		t.Fatalf("snapshot count = %v, want 500", snap)
@@ -186,8 +187,8 @@ func TestTemplateFlushReset(t *testing.T) {
 	if tree.Len() != 0 {
 		t.Errorf("tree not empty after flush: %d", tree.Len())
 	}
-	if tree.root != rootBefore {
-		t.Error("inner template replaced across flush")
+	if !slices.Equal(tree.bounds, boundsBefore) {
+		t.Errorf("separators changed across flush: %v, want %v", tree.bounds, boundsBefore)
 	}
 	// Tree remains usable after flush.
 	tree.Insert(model.Tuple{Key: 10, Time: 5})
@@ -220,7 +221,7 @@ func TestTemplateTimeBounds(t *testing.T) {
 func TestTemplateConcurrentInsertAndQuery(t *testing.T) {
 	tree := NewTemplateTree(TemplateConfig{
 		Keys: model.FullKeyRange(), Leaves: 64,
-		CheckEvery: 1024, SkewThreshold: 1.0, MinPerLeaf: 4,
+		CheckEvery: 1024, SkewThreshold: 1.0,
 	})
 	const (
 		writers = 8
